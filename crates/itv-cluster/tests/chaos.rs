@@ -385,7 +385,13 @@ fn same_seed_chaos_run_has_identical_trace_hash() {
 /// Re-captured when service control followed: CSC placement/config ops
 /// now ride an `ocs-vsr` group on the CSC port, so controller wire
 /// traffic (prepares, heartbeats, master advertisement) changed.
-const E15_BASELINE_TRACE_HASH: u64 = 14701960322322494334;
+/// Re-captured when the three replica drivers' broadcasts became
+/// concurrent: prepares, heartbeats, view-change proposals and state
+/// polls now leave for every peer at the same instant from one
+/// ephemeral endpoint (one port per round instead of one per peer), and
+/// a commit is acknowledged at the first majority ack — same frames,
+/// different send times and source ports.
+const E15_BASELINE_TRACE_HASH: u64 = 12055827849110170697;
 
 #[test]
 fn e15_trace_hash_matches_committed_baseline() {

@@ -31,7 +31,8 @@ use std::time::Duration;
 use ocs_orb::{declare_interface, Caller, ClientCtx, NoAuth, ObjRef, Orb, ThreadModel};
 use ocs_sim::{Addr, NetError, NodeId, NodeRtExt, PortReq, Rt, SimTime};
 use ocs_vsr::{
-    DoViewChange, OpOutcome, Prepare, StartView, StateTransfer, SubmitRoute, VsrCore, VsrEvent,
+    DoViewChange, OpOutcome, PeerFanout, Prepare, StartView, StateTransfer, SubmitRoute, VsrCore,
+    VsrEvent,
 };
 use parking_lot::Mutex;
 
@@ -138,6 +139,8 @@ struct CmCore {
     st: Mutex<Engine>,
     drv: Mutex<Driver>,
     metrics: CmMetrics,
+    /// Every broadcast to the other replicas goes through here.
+    fan: PeerFanout<MediaError>,
     orb: Mutex<Weak<Orb>>,
 }
 
@@ -174,6 +177,15 @@ impl CmReplica {
         );
         let core = Arc::new(CmCore {
             metrics: CmMetrics::of(&rt),
+            fan: PeerFanout::new(
+                rt.clone(),
+                cfg.peer_timeout,
+                cfg.replica_id,
+                &cfg.peers,
+                CmPeerClient::TYPE_ID,
+                CmPeerClient::INTERFACE,
+                PEER_OBJ,
+            ),
             rt: rt.clone(),
             cfg,
             st: Mutex::new(engine),
@@ -195,12 +207,11 @@ impl CmReplica {
         orb.export_root(Arc::new(CmApiServant(Arc::new(ApiView {
             core: Arc::clone(&core),
         }))));
-        orb.export_at(
-            PEER_OBJ,
-            Arc::new(CmPeerServant(Arc::new(PeerView {
-                core: Arc::clone(&core),
-            }))),
-        );
+        let peer = CmPeerServant(Arc::new(PeerView {
+            core: Arc::clone(&core),
+        }));
+        ocs_vsr::fanout::check_numbering(&peer);
+        orb.export_at(PEER_OBJ, Arc::new(peer));
         orb.start();
         if core.st.lock().in_probation() {
             ocs_telemetry::NodeTelemetry::of(&*rt).journal.record(
@@ -308,10 +319,6 @@ impl CmCore {
         CmPeerClient::attach(self.client_ctx(), target).map_err(|err| MediaError::Comm { err })
     }
 
-    fn peer_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.cfg.peers.len() as u32).filter(move |i| *i != self.cfg.replica_id)
-    }
-
     fn now_us(&self) -> u64 {
         self.rt.now().as_micros()
     }
@@ -357,6 +364,7 @@ impl CmCore {
         if !events.is_empty() {
             self.metrics.active_allocs.set(live as i64);
             self.apply_events(events);
+            self.fan.progressed();
         }
         out
     }
@@ -438,48 +446,32 @@ impl CmCore {
 
     // ---- update path ---------------------------------------------------
 
-    /// Sequences and replicates an op as the view primary: broadcast the
-    /// prepare, then wait for the majority commit. The poll is keyed by
-    /// the viewstamp `(view, op)` — if a view change commits a different
-    /// update at our op number, the client hears failure and retries
-    /// (idempotently, via its token).
+    /// Sequences and replicates an op as the view primary: one prepare
+    /// to every backup at once, answered at the majority commit. The
+    /// outcome is keyed by the viewstamp `(view, op)` — if a view change
+    /// commits a different update at our op number, the client hears
+    /// failure and retries (idempotently, via its token).
     fn drive_prepare(self: &Arc<Self>, prep: CmPrepare) -> Result<u64, MediaError> {
-        for i in self.peer_ids() {
-            let ack = self.peer_client(i).and_then(|peer| {
-                peer.prepare(
-                    prep.view,
-                    prep.view,
-                    prep.op_num,
-                    prep.commit_num,
-                    prep.update.clone(),
-                )
-            });
-            if let Ok(ack) = ack {
-                self.with_engine(|c| c.on_ack(i, &ack));
+        let out = self.fan.replicate(
+            &prep,
+            |i, ack| self.with_engine(|c| c.on_ack(i, ack)),
+            || self.st.lock().outcome_of(prep.view, prep.op_num),
+        );
+        match out {
+            OpOutcome::Done(result) => result,
+            OpOutcome::Superseded => {
+                ocs_telemetry::NodeTelemetry::of(&*self.rt)
+                    .registry
+                    .counter("cm.vsr.superseded")
+                    .inc();
+                Err(MediaError::Dependency {
+                    what: "cm: op superseded by view change".into(),
+                })
             }
-        }
-        let deadline = self.rt.now() + self.cfg.peer_timeout * 2;
-        loop {
-            match self.st.lock().outcome_of(prep.view, prep.op_num) {
-                OpOutcome::Done(result) => return result,
-                OpOutcome::Superseded => {
-                    ocs_telemetry::NodeTelemetry::of(&*self.rt)
-                        .registry
-                        .counter("cm.vsr.superseded")
-                        .inc();
-                    return Err(MediaError::Dependency {
-                        what: "cm: op superseded by view change".into(),
-                    });
-                }
-                OpOutcome::Pending => {}
-            }
-            if self.rt.now() >= deadline {
-                // Sequenced but not committed: no quorum reachable.
-                return Err(MediaError::Dependency {
-                    what: "cm: no replication quorum".into(),
-                });
-            }
-            self.rt.sleep(self.cfg.heartbeat_interval / 8);
+            // Sequenced but not committed: no quorum reachable.
+            OpOutcome::Pending => Err(MediaError::Dependency {
+                what: "cm: no replication quorum".into(),
+            }),
         }
     }
 
@@ -563,6 +555,9 @@ impl CmCore {
                 Act::Nothing => {}
             }
             self.maybe_expire_tick();
+            // Straggler acks of commits answered at the first ack.
+            self.fan
+                .drain(usize::MAX, |i, ack| self.with_engine(|c| c.on_ack(i, ack)));
             {
                 let st = self.st.lock();
                 let reg = &ocs_telemetry::NodeTelemetry::of(&*self.rt).registry;
@@ -610,18 +605,18 @@ impl CmCore {
             (st.view(), st.commit_num(), st.op_num())
         };
         let mut acked = 0;
-        for i in self.peer_ids() {
-            let ack = self
-                .peer_client(i)
-                .and_then(|peer| peer.commit_hb(view, commit));
-            let Ok(ack) = ack else { continue };
-            self.with_engine(|c| c.on_ack(i, &ack));
+        let mut lagging = Vec::new();
+        self.fan.commit_hb(view, commit, |i, ack| {
+            self.with_engine(|c| c.on_ack(i, ack));
             if ack.view == view && ack.accepted {
                 acked += 1;
                 if ack.op_num < op_num {
-                    self.resend_to(i, view, ack.op_num);
+                    lagging.push((i, ack.op_num));
                 }
             }
+        });
+        for (i, from) in lagging {
+            self.resend_to(i, view, from);
         }
         self.with_engine(|c| c.note_round(acked));
     }
@@ -662,33 +657,18 @@ impl CmCore {
             let v = c.begin_view_change(now);
             (v, c.vc_forced())
         });
-        let mut joined = 1; // self
-        let mut joiners = Vec::new();
-        for i in self.peer_ids() {
-            match self
-                .peer_client(i)
-                .and_then(|peer| peer.start_view_change(proposed, forced))
-            {
-                Ok(ack) if ack.joined => {
-                    joined += 1;
-                    joiners.push(i);
-                }
-                Ok(ack) => self.with_engine(|c| c.note_view(ack.view)),
-                Err(_) => {}
-            }
-        }
-        let majority = self.cfg.peers.len() / 2 + 1;
-        if joined < majority {
+        // Returns at a join majority, without waiting out the (dead)
+        // old primary.
+        let joiners = self.fan.start_view_change(proposed, forced, |view| {
+            self.with_engine(|c| c.note_view(view))
+        });
+        if joiners.len() + 1 < self.fan.majority() {
             let now = self.rt.now();
             self.with_engine(|c| c.abort_view_change(proposed, now));
             return;
         }
         let new_primary = (proposed % self.cfg.peers.len() as u64) as u32;
-        for i in joiners {
-            if let Ok(peer) = self.peer_client(i) {
-                let _ = peer.view_change_go(proposed);
-            }
-        }
+        self.fan.view_change_go(&joiners, proposed);
         if let Some(dvc) = self.with_engine(|c| c.emit_dvc(proposed)) {
             self.deliver_dvc(new_primary, dvc);
         }
@@ -709,55 +689,16 @@ impl CmCore {
 
     /// New primary → backups: announce the chosen log.
     fn broadcast_start_view(self: &Arc<Self>, sv: CmSv) {
-        for i in self.peer_ids() {
-            if let Ok(ack) = self
-                .peer_client(i)
-                .and_then(|peer| peer.start_view(sv.clone()))
-            {
-                self.with_engine(|c| c.on_ack(i, &ack));
-            }
-        }
+        self.fan
+            .start_view(&sv, |i, ack| self.with_engine(|c| c.on_ack(i, ack)));
         self.drv.lock().last_hb_round = self.rt.now();
-    }
-
-    /// Collects `get_state` answers from every reachable peer (see the
-    /// name service's recovery rules: only authoritative Normal answers
-    /// carry state; cold answers count toward the quorum only).
-    fn poll_peers_state(self: &Arc<Self>) -> PeerPoll {
-        let commit = self.st.lock().commit_num();
-        let mut poll = PeerPoll {
-            answers: 0,
-            countable: 0,
-            best: None,
-        };
-        for i in self.peer_ids() {
-            let Ok(st) = self.peer_client(i).and_then(|peer| peer.get_state(commit)) else {
-                continue;
-            };
-            poll.answers += 1;
-            if st.is_cold() {
-                poll.countable += 1;
-                continue;
-            }
-            if !st.authoritative() {
-                continue;
-            }
-            poll.countable += 1;
-            let better = match &poll.best {
-                None => true,
-                Some(b) => (st.view, st.op_num, st.commit_num) > (b.view, b.op_num, b.commit_num),
-            };
-            if better {
-                poll.best = Some(st);
-            }
-        }
-        poll
     }
 
     /// Routine state transfer for a replica that saw a gap or a higher
     /// view.
     fn catch_up(self: &Arc<Self>) {
-        let poll = self.poll_peers_state();
+        let commit = self.st.lock().commit_num();
+        let poll = self.fan.poll_state(commit);
         if poll.answers == 0 {
             return;
         }
@@ -772,8 +713,11 @@ impl CmCore {
     /// Start-up recovery probation: probe until a recovery quorum of
     /// peers answered authoritatively, install the freshest answer.
     fn recovery_probe(self: &Arc<Self>) {
-        let required = self.st.lock().recovery_quorum();
-        let poll = self.poll_peers_state();
+        let (required, commit) = {
+            let st = self.st.lock();
+            (st.recovery_quorum(), st.commit_num())
+        };
+        let poll = self.fan.poll_state(commit);
         if poll.countable < required {
             return;
         }
@@ -788,13 +732,6 @@ impl CmCore {
             c.end_probation(now);
         });
     }
-}
-
-/// Result of one `get_state` sweep over the peer set.
-struct PeerPoll {
-    answers: usize,
-    countable: usize,
-    best: Option<CmXfer>,
 }
 
 /// Servant view of the client-facing `CmApi`.

@@ -361,3 +361,88 @@ fn replicated_lease_expiry_reclaims_on_every_replica() {
         "every replica must count exactly one replicated expiry, got {expired:?}"
     );
 }
+
+/// Ten round trips on the simulator's default 500 µs link: the bound a
+/// degraded-mode operation must finish inside. One `peer_timeout` (what
+/// every sequential per-peer loop paid for a silent peer) is 150 ms.
+const TEN_ROUND_TRIPS: Duration = Duration::from_millis(10);
+
+/// Degraded mode costs nothing: with one backup silent — crashed or cut
+/// off, and wherever it sits in the primary's peer order — an update
+/// commits on the surviving majority in a couple of round trips, not
+/// after a `peer_timeout` spent waiting on the dead peer.
+#[test]
+fn silent_backup_costs_a_commit_nothing_in_either_peer_order() {
+    for (seed, victim_is_first, partition) in [
+        (8_010, true, false),
+        (8_011, false, false),
+        (8_012, true, true),
+        (8_013, false, true),
+    ] {
+        let group = CmGroup::build(seed, None);
+        group.settle();
+        let master = group.masters()[0];
+        let backups: Vec<usize> = (0..3).filter(|i| *i != master).collect();
+        let victim = if victim_is_first { backups[0] } else { backups[1] };
+        if partition {
+            group
+                .sim
+                .set_partitioned(group.nodes[master].node(), group.nodes[victim].node(), true);
+        } else {
+            group.sim.crash_node(group.nodes[victim].node());
+        }
+
+        let settop = group.client.node();
+        let (server, primary) = (group.nodes[0].node(), group.peers[master]);
+        let took = group.on_client(move |rt| {
+            let t0 = rt.now();
+            cm_at(&rt, primary)
+                .allocate(1, settop, server, 1_000_000)
+                .expect("allocate commits on the surviving majority");
+            rt.now().saturating_since(t0)
+        });
+        assert!(
+            took < TEN_ROUND_TRIPS,
+            "commit with backup {victim} silent (first={victim_is_first}, \
+             partition={partition}) took {took:?}"
+        );
+    }
+}
+
+/// A view change does not wait out the silent old primary. The backups'
+/// suspect timers are staggered, so the first suspect proposes alone and
+/// is declined; the change can complete once the second one suspects
+/// too. From that moment — the later survivor's own suspicion — to the
+/// new view is a few round trips, not a `peer_timeout` spent on the dead
+/// peer's unanswered `start_view_change`.
+#[test]
+fn view_change_does_not_wait_for_the_silent_old_primary() {
+    let group = CmGroup::build(8_020, None);
+    group.settle();
+    let victim = group.kill_master();
+    assert!(
+        group.run_until(Duration::from_secs(30), || {
+            group.masters().first().is_some_and(|m| *m != victim)
+        }),
+        "no new master after killing the CM primary: {:?}",
+        group.status()
+    );
+    group.sim.run_for(Duration::from_secs(1));
+    let took: Vec<Duration> = (0..3)
+        .filter(|i| *i != victim)
+        .map(|i| {
+            let h = ocs_telemetry::NodeTelemetry::of(&*group.nodes[i])
+                .registry
+                .snapshot()
+                .histos
+                .remove("cm.vsr.view_change_us")
+                .unwrap_or_default();
+            assert_eq!(h.count, 1, "replica {i} entered exactly one new view");
+            Duration::from_micros(h.sum)
+        })
+        .collect();
+    assert!(
+        took.iter().min().expect("two survivors") < &TEN_ROUND_TRIPS,
+        "suspicion-to-new-view on the survivors: {took:?}"
+    );
+}

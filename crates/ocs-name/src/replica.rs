@@ -31,6 +31,7 @@ use std::time::Duration;
 
 use ocs_orb::{Caller, ClientCtx, NoAuth, ObjRef, Orb, ThreadModel};
 use ocs_sim::{Addr, NetError, NodeId, NodeRtExt, PortReq, Rt, Semaphore, SimTime};
+use ocs_vsr::PeerFanout;
 use parking_lot::Mutex;
 
 use crate::cache::ResolveCache;
@@ -134,6 +135,8 @@ pub struct NsCore {
     drv: Mutex<Driver>,
     rr: AtomicU64,
     cpu: Semaphore,
+    /// Every broadcast to the other replicas goes through here.
+    fan: PeerFanout<NsError>,
     orb: Mutex<Weak<Orb>>,
     oracle: Mutex<Arc<dyn LivenessOracle>>,
     exported: Mutex<HashSet<CtxId>>,
@@ -170,6 +173,15 @@ impl NsReplica {
         );
         let core = Arc::new(NsCore {
             cpu: Semaphore::new(&rt, 1),
+            fan: PeerFanout::new(
+                rt.clone(),
+                cfg.peer_timeout,
+                cfg.replica_id,
+                &cfg.peers,
+                NsPeerClient::TYPE_ID,
+                NsPeerClient::INTERFACE,
+                PEER_OBJ,
+            ),
             rt: rt.clone(),
             cfg,
             st: Mutex::new(engine),
@@ -197,12 +209,11 @@ impl NsReplica {
                 ctx: ROOT_CTX,
             }))),
         );
-        orb.export_at(
-            PEER_OBJ,
-            Arc::new(NsPeerServant(Arc::new(PeerView {
-                core: Arc::clone(&core),
-            }))),
-        );
+        let peer = NsPeerServant(Arc::new(PeerView {
+            core: Arc::clone(&core),
+        }));
+        ocs_vsr::fanout::check_numbering(&peer);
+        orb.export_at(PEER_OBJ, Arc::new(peer));
         orb.start();
         if core.st.lock().in_probation() {
             ocs_telemetry::NodeTelemetry::of(&*rt).journal.record(
@@ -304,10 +315,6 @@ impl NsCore {
         NsPeerClient::attach(self.client_ctx(), target).map_err(|err| NsError::Comm { err })
     }
 
-    fn peer_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.cfg.peers.len() as u32).filter(move |i| *i != self.cfg.replica_id)
-    }
-
     /// Runs `f` against the engine, then post-processes the events it
     /// produced. Never call engine methods while making RPCs — every
     /// peer call in this module happens with the lock released.
@@ -330,6 +337,7 @@ impl NsCore {
         }
         if !events.is_empty() {
             self.apply_events(events);
+            self.fan.progressed();
         }
         out
     }
@@ -456,51 +464,32 @@ impl NsCore {
 
     // ---- update path ---------------------------------------------------
 
-    /// Sequences and replicates an update as the view primary: broadcast
-    /// the prepare, then wait for the majority commit.
+    /// Sequences and replicates an update as the view primary: one
+    /// prepare to every backup at once, answered at the majority commit.
+    /// The outcome is keyed by the viewstamp `(view, op)` we sequenced,
+    /// never the op number alone: if we are deposed mid-wait and a view
+    /// change commits a *different* update at our op number, the client
+    /// must hear failure — its write may be lost — not the replacement's
+    /// success.
     fn drive_prepare(self: &Arc<Self>, prep: Prepare) -> Result<(), NsError> {
-        for i in self.peer_ids() {
-            let ack = self.peer_client(i).and_then(|peer| {
-                peer.prepare(
-                    prep.view,
-                    prep.view,
-                    prep.op_num,
-                    prep.commit_num,
-                    prep.update.clone(),
-                )
-            });
-            if let Ok(ack) = ack {
-                self.with_engine(|c| c.on_ack(i, &ack));
+        let out = self.fan.replicate(
+            &prep,
+            |i, ack| self.with_engine(|c| c.on_ack(i, ack)),
+            || self.st.lock().outcome_of(prep.view, prep.op_num),
+        );
+        match out {
+            OpOutcome::Done(result) => result,
+            OpOutcome::Superseded => {
+                ocs_telemetry::NodeTelemetry::of(&*self.rt)
+                    .registry
+                    .counter("ns.vsr.superseded")
+                    .inc();
+                Err(NsError::NoMaster)
             }
-        }
-        // The acks usually commit the op synchronously above; under
-        // partial connectivity a later round's piggybacked watermark may
-        // close the gap, so poll briefly before giving up. The poll is
-        // keyed by the viewstamp `(view, op)` we sequenced, never the op
-        // number alone: if we are deposed mid-poll and a view change
-        // commits a *different* update at our op number, the client must
-        // hear failure — its write may be lost — not the replacement's
-        // success.
-        let deadline = self.rt.now() + self.cfg.peer_timeout * 2;
-        loop {
-            match self.st.lock().outcome_of(prep.view, prep.op_num) {
-                OpOutcome::Done(result) => return result,
-                OpOutcome::Superseded => {
-                    ocs_telemetry::NodeTelemetry::of(&*self.rt)
-                        .registry
-                        .counter("ns.vsr.superseded")
-                        .inc();
-                    return Err(NsError::NoMaster);
-                }
-                OpOutcome::Pending => {}
-            }
-            if self.rt.now() >= deadline {
-                // Sequenced but not committed: no quorum reachable. The
-                // op may still commit after a heal; clients treat this
-                // like a master outage and retry.
-                return Err(NsError::NoMaster);
-            }
-            self.rt.sleep(self.cfg.heartbeat_interval / 8);
+            // Sequenced but not committed: no quorum reachable. The op
+            // may still commit after a heal; clients treat this like a
+            // master outage and retry.
+            OpOutcome::Pending => Err(NsError::NoMaster),
         }
     }
 
@@ -677,6 +666,9 @@ impl NsCore {
                 Act::ViewChange => self.run_view_change(),
                 Act::Nothing => {}
             }
+            // Straggler acks of commits answered at the first ack.
+            self.fan
+                .drain(usize::MAX, |i, ack| self.with_engine(|c| c.on_ack(i, ack)));
             {
                 let st = self.st.lock();
                 let reg = &ocs_telemetry::NodeTelemetry::of(&*self.rt).registry;
@@ -699,18 +691,18 @@ impl NsCore {
             (st.view(), st.commit_num(), st.op_num())
         };
         let mut acked = 0;
-        for i in self.peer_ids() {
-            let ack = self
-                .peer_client(i)
-                .and_then(|peer| peer.commit_hb(view, commit));
-            let Ok(ack) = ack else { continue };
-            self.with_engine(|c| c.on_ack(i, &ack));
+        let mut lagging = Vec::new();
+        self.fan.commit_hb(view, commit, |i, ack| {
+            self.with_engine(|c| c.on_ack(i, ack));
             if ack.view == view && ack.accepted {
                 acked += 1;
                 if ack.op_num < op_num {
-                    self.resend_to(i, view, ack.op_num);
+                    lagging.push((i, ack.op_num));
                 }
             }
+        });
+        for (i, from) in lagging {
+            self.resend_to(i, view, from);
         }
         self.with_engine(|c| c.note_round(acked));
     }
@@ -758,23 +750,12 @@ impl NsCore {
             let v = c.begin_view_change(now);
             (v, c.vc_forced())
         });
-        let mut joined = 1; // self
-        let mut joiners = Vec::new();
-        for i in self.peer_ids() {
-            match self
-                .peer_client(i)
-                .and_then(|peer| peer.start_view_change(proposed, forced))
-            {
-                Ok(ack) if ack.joined => {
-                    joined += 1;
-                    joiners.push(i);
-                }
-                Ok(ack) => self.with_engine(|c| c.note_view(ack.view)),
-                Err(_) => {}
-            }
-        }
-        let majority = self.cfg.peers.len() / 2 + 1;
-        if joined < majority {
+        // Returns at a join majority, without waiting out the (dead)
+        // old primary.
+        let joiners = self.fan.start_view_change(proposed, forced, |view| {
+            self.with_engine(|c| c.note_view(view))
+        });
+        if joiners.len() + 1 < self.fan.majority() {
             let now = self.rt.now();
             self.with_engine(|c| c.abort_view_change(proposed, now));
             return;
@@ -782,11 +763,7 @@ impl NsCore {
         // Quorum joined: release the DoViewChanges toward the new
         // primary — the joiners' first, then our own.
         let new_primary = (proposed % self.cfg.peers.len() as u64) as u32;
-        for i in joiners {
-            if let Ok(peer) = self.peer_client(i) {
-                let _ = peer.view_change_go(proposed);
-            }
-        }
+        self.fan.view_change_go(&joiners, proposed);
         if let Some(dvc) = self.with_engine(|c| c.emit_dvc(proposed)) {
             self.deliver_dvc(new_primary, dvc);
         }
@@ -808,65 +785,16 @@ impl NsCore {
     /// New primary → backups: announce the chosen log. The acks double
     /// as prepare-oks, so the carried tail usually commits in-round.
     fn broadcast_start_view(self: &Arc<Self>, sv: StartView) {
-        for i in self.peer_ids() {
-            if let Ok(ack) = self
-                .peer_client(i)
-                .and_then(|peer| peer.start_view(sv.clone()))
-            {
-                self.with_engine(|c| c.on_ack(i, &ack));
-            }
-        }
+        self.fan
+            .start_view(&sv, |i, ack| self.with_engine(|c| c.on_ack(i, ack)));
         self.drv.lock().last_hb_round = self.rt.now();
-    }
-
-    /// Collects `get_state` answers from every reachable peer. Only
-    /// *authoritative* answers (Normal, out-of-probation responders)
-    /// count toward `countable` and compete for `best`: a probationary
-    /// or view-changing peer's log proves nothing about what committed.
-    /// Genuinely cold answers (empty, view 0 — a cold-starting group)
-    /// count toward `countable` but carry no state. Among authoritative
-    /// answers the `(view, op_num, commit_num)` maximum is taken, which
-    /// is the latest-view primary's log whenever the primary answered
-    /// (a backup never out-runs its primary within a view) — the VSR
-    /// recovery preference.
-    fn poll_peers_state(self: &Arc<Self>) -> PeerPoll {
-        let commit = self.st.lock().commit_num();
-        let mut poll = PeerPoll {
-            answers: 0,
-            countable: 0,
-            best: None,
-        };
-        for i in self.peer_ids() {
-            let Ok(st) = self
-                .peer_client(i)
-                .and_then(|peer| peer.get_state(commit))
-            else {
-                continue;
-            };
-            poll.answers += 1;
-            if st.is_cold() {
-                poll.countable += 1;
-                continue;
-            }
-            if !st.authoritative() {
-                continue;
-            }
-            poll.countable += 1;
-            let better = match &poll.best {
-                None => true,
-                Some(b) => (st.view, st.op_num, st.commit_num) > (b.view, b.op_num, b.commit_num),
-            };
-            if better {
-                poll.best = Some(st);
-            }
-        }
-        poll
     }
 
     /// Routine state transfer for a replica that saw a gap or a higher
     /// view. Installs only authoritative (Normal-responder) state.
     fn catch_up(self: &Arc<Self>) {
-        let poll = self.poll_peers_state();
+        let commit = self.st.lock().commit_num();
+        let poll = self.fan.poll_state(commit);
         if poll.answers == 0 {
             return; // Nobody reachable; retry next tick.
         }
@@ -887,8 +815,11 @@ impl NsCore {
     /// peers prove nothing and do not count (a group cold-starting in
     /// unison bootstraps through the cold-answer carve-out instead).
     fn recovery_probe(self: &Arc<Self>) {
-        let required = self.st.lock().recovery_quorum();
-        let poll = self.poll_peers_state();
+        let (required, commit) = {
+            let st = self.st.lock();
+            (st.recovery_quorum(), st.commit_num())
+        };
+        let poll = self.fan.poll_state(commit);
         if poll.countable < required {
             return; // Keep probing; StartView can also end probation.
         }
@@ -938,17 +869,6 @@ impl NsCore {
             }
         }
     }
-}
-
-/// Result of one `get_state` sweep over the peer set.
-struct PeerPoll {
-    /// Peers that answered at all (reachability signal).
-    answers: usize,
-    /// Answers that count toward a recovery quorum: authoritative
-    /// (Normal) ones plus genuinely cold ones.
-    countable: usize,
-    /// Freshest authoritative answer by `(view, op_num, commit_num)`.
-    best: Option<StateTransfer>,
 }
 
 /// Selector evaluation with remote-selector support.

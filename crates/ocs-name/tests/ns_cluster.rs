@@ -200,6 +200,39 @@ fn master_crash_elects_new_master() {
     assert!(ok.try_recv().unwrap());
 }
 
+/// Degraded mode costs nothing: with one backup silent — wherever it
+/// sits in the primary's peer order — a bind commits on the surviving
+/// majority within ten link round trips (10 ms), not after the 800 ms
+/// `peer_timeout` a sequential prepare loop spent on the dead peer.
+#[test]
+fn silent_backup_costs_a_bind_nothing_in_either_peer_order() {
+    for (seed, victim_is_first) in [(40, true), (41, false)] {
+        let sim = Sim::new(seed);
+        let cluster = build_cluster(&sim, 3, Arc::new(AlwaysAlive));
+        let client = sim.add_node("client");
+        sim.run_until(SimTime::from_secs(12));
+        let master = cluster.masters()[0] as usize;
+        let backups: Vec<usize> = (0..3).filter(|i| *i != master).collect();
+        let victim = if victim_is_first { backups[0] } else { backups[1] };
+        sim.crash_node(cluster.nodes[victim].node());
+
+        let ns = cluster.handle_via(&client, master);
+        let took: SimChan<Duration> = SimChan::new(&sim);
+        let (took2, cl) = (took.clone(), client.clone());
+        client.spawn_fn("writer", move || {
+            let t0 = cl.now();
+            ns.bind("degraded", leaf(7, 70)).expect("bind commits on the majority");
+            took2.send(cl.now().saturating_since(t0));
+        });
+        sim.run_until(SimTime::from_secs(16));
+        let took = took.try_recv().expect("bind completed");
+        assert!(
+            took < Duration::from_millis(10),
+            "bind with backup {victim} silent (first={victim_is_first}) took {took:?}"
+        );
+    }
+}
+
 #[test]
 fn no_updates_without_majority_but_reads_work() {
     let sim = Sim::new(5);

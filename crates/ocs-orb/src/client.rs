@@ -44,8 +44,8 @@ impl Default for CallOpts {
 /// Shared client-side context: runtime + authentication + options.
 #[derive(Clone)]
 pub struct ClientCtx {
-    rt: Rt,
-    auth: Arc<dyn ClientAuth>,
+    pub(crate) rt: Rt,
+    pub(crate) auth: Arc<dyn ClientAuth>,
     opts: CallOpts,
     tel: Arc<NodeTelemetry>,
     /// Per-call metric handles resolved once here — the call hot path
@@ -169,14 +169,21 @@ impl ClientCtx {
 
     /// Allocates the span for one outgoing call: a child of the calling
     /// process's current context, or a fresh root trace.
-    fn span_for_call(&self) -> (SpanCtx, SpanId) {
+    pub(crate) fn span_for_call(&self) -> (SpanCtx, SpanId) {
         match current_ctx() {
             Some(cur) => (self.tel.tracer.child_of(cur), cur.span),
             None => (self.tel.tracer.new_root(), SpanId(0)),
         }
     }
 
-    fn finish_span(&self, ctx: SpanCtx, parent: SpanId, op: &str, start: SimTime, err: bool) {
+    pub(crate) fn finish_span(
+        &self,
+        ctx: SpanCtx,
+        parent: SpanId,
+        op: &str,
+        start: SimTime,
+        err: bool,
+    ) {
         self.calls.inc();
         if err {
             self.errors.inc();
@@ -201,7 +208,7 @@ impl ClientCtx {
     /// budget (not the per-call timeout) is the binding constraint, and
     /// fails with [`OrbError::DeadlineExpired`] if the budget is already
     /// spent.
-    fn effective_deadline(&self) -> Result<(SimTime, bool), OrbError> {
+    pub(crate) fn effective_deadline(&self) -> Result<(SimTime, bool), OrbError> {
         let now = self.rt.now();
         let by_timeout = now + self.opts.timeout;
         match self.opts.deadline {
@@ -219,7 +226,7 @@ impl ClientCtx {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn send_request(
+    pub(crate) fn send_request(
         &self,
         ep: &dyn ocs_sim::Endpoint,
         target: &ObjRef,
@@ -287,17 +294,8 @@ impl ClientCtx {
             let remaining = deadline - now;
             match ep.recv(Some(remaining)) {
                 Ok((_from, msg)) => {
-                    let Some(&kind) = msg.first() else {
-                        continue;
-                    };
-                    if kind != FRAME_REPLY {
-                        continue; // Stray frame; ignore.
-                    }
-                    // Decode over the frame so the reply body comes out
-                    // as a zero-copy slice of it, not a fresh allocation.
-                    let rest = msg.slice(1..);
-                    let Ok(reply) = Reply::from_frame(&rest) else {
-                        continue; // Corrupt frame; keep waiting.
+                    let Some(reply) = parse_reply(&msg) else {
+                        continue; // Stray or corrupt frame; keep waiting.
                     };
                     if reply.request_id != request_id {
                         continue; // Stale reply from an earlier call.
@@ -320,6 +318,17 @@ impl ClientCtx {
             }
         }
     }
+}
+
+/// Decodes a received frame as a reply; `None` for a stray or corrupt
+/// frame, which every receive loop skips.
+pub(crate) fn parse_reply(msg: &Bytes) -> Option<Reply> {
+    if *msg.first()? != FRAME_REPLY {
+        return None;
+    }
+    // Decode over the frame so the reply body comes out as a zero-copy
+    // slice of it, not a fresh allocation.
+    Reply::from_frame(&msg.slice(1..)).ok()
 }
 
 #[cfg(test)]

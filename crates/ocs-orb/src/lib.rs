@@ -19,6 +19,7 @@ mod auth;
 mod client;
 mod interface;
 mod resilience;
+mod scatter;
 mod server;
 pub mod telemetry;
 mod types;
@@ -28,6 +29,7 @@ pub use client::{CallOpts, ClientCtx};
 pub use resilience::{
     Admission, BreakerObserver, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy,
 };
+pub use scatter::{Gather, Scatter};
 pub use server::{Orb, Servant, ThreadModel};
 pub use telemetry::{
     bind_breaker, export_telemetry, telemetry_ref, NodeTelemetryService, TelemetryApi,

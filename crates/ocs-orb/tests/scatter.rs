@@ -1,0 +1,343 @@
+//! The ORB's scatter-gather call on both runtimes: arrival-order
+//! delivery, early stop without a bounce, a dead target that does not
+//! abort the gather, and one deadline for the whole call. (The
+//! stale-reply case needs hand-built frames and lives beside the
+//! implementation, in `src/scatter.rs`.)
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use ocs_orb::{
+    declare_interface, impl_rpc_fault, Caller, ClientCtx, Gather, ObjRef, Orb, OrbError,
+    ThreadModel,
+};
+use ocs_sim::real::RealNet;
+use ocs_sim::{LinkParams, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimChan, SimTime};
+use ocs_wire::{impl_wire_enum, Wire};
+
+#[derive(Debug, PartialEq, Clone)]
+pub enum TagError {
+    Comm { err: OrbError },
+}
+impl_wire_enum!(TagError { 0 => Comm { err } });
+impl_rpc_fault!(TagError);
+
+declare_interface! {
+    /// Answers with the servant's own tag, after its own delay.
+    pub interface Tag [TagClient, TagServant]: "test.tag" {
+        1 => fn tag(&self, salt: u64) -> Result<u64, TagError>;
+    }
+}
+
+struct TagImpl {
+    rt: Rt,
+    tag: u64,
+    hold: Duration,
+}
+
+impl Tag for TagImpl {
+    fn tag(&self, _c: &Caller, salt: u64) -> Result<u64, TagError> {
+        self.rt.sleep(self.hold);
+        Ok(self.tag + salt)
+    }
+}
+
+const PORT: u16 = 100;
+const TAG_METHOD: u32 = 1;
+
+fn start_tag(rt: Rt, tag: u64, hold: Duration) -> (Arc<Orb>, ObjRef) {
+    let orb = Orb::build(
+        rt.clone(),
+        PortReq::Fixed(PORT),
+        ThreadModel::PerRequest,
+        None,
+        Arc::new(ocs_orb::NoAuth),
+    )
+    .unwrap();
+    let obj = orb.export_root(Arc::new(TagServant(Arc::new(TagImpl { rt, tag, hold }))));
+    orb.start();
+    (orb, obj)
+}
+
+fn salt(v: u64) -> bytes::Bytes {
+    v.to_bytes()
+}
+
+fn answer(reply: Result<bytes::Bytes, OrbError>) -> Result<u64, OrbError> {
+    reply.map(|body| {
+        <Result<u64, TagError>>::from_bytes(&body)
+            .expect("reply decodes")
+            .expect("servant answered")
+    })
+}
+
+// ---- simulator -------------------------------------------------------------
+
+/// A client node and three tag servers reached over links of 3, 1 and
+/// 2 ms, so replies arrive in the order 1, 2, 0.
+struct SimRig {
+    sim: Sim,
+    client: Arc<ocs_sim::SimNode>,
+    servers: Vec<Arc<ocs_sim::SimNode>>,
+    orbs: Vec<Arc<Orb>>,
+    targets: Vec<ObjRef>,
+}
+
+fn sim_rig(seed: u64) -> SimRig {
+    let sim = Sim::new(seed);
+    let client = sim.add_node("client");
+    let servers: Vec<_> = (0..3).map(|i| sim.add_node(&format!("s{i}"))).collect();
+    let (mut orbs, mut targets) = (Vec::new(), Vec::new());
+    for (i, (node, ms)) in servers.iter().zip([3u64, 1, 2]).enumerate() {
+        let link = LinkParams::latency_only(Duration::from_millis(ms));
+        sim.set_link(client.node(), node.node(), link);
+        sim.set_link(node.node(), client.node(), link);
+        let (orb, obj) = start_tag(node.clone(), 10 * i as u64, Duration::ZERO);
+        orbs.push(orb);
+        targets.push(obj);
+    }
+    SimRig {
+        sim,
+        client,
+        servers,
+        orbs,
+        targets,
+    }
+}
+
+#[test]
+fn sim_replies_are_delivered_in_arrival_order() {
+    let rig = sim_rig(1);
+    let out: SimChan<(usize, Result<u64, OrbError>, u64)> = SimChan::new(&rig.sim);
+    let (out2, targets, rt) = (out.clone(), rig.targets.clone(), rig.client.clone() as Rt);
+    rig.client.spawn_fn("client", move || {
+        let ctx = ClientCtx::new(rt.clone());
+        let mut sc = ctx
+            .scatter(&targets, TAG_METHOD, salt(5), "test.tag.tag")
+            .unwrap();
+        sc.gather(|i, reply| {
+            out2.send((i, answer(reply), rt.now().as_micros()));
+            Gather::More
+        });
+        assert!(sc.is_done());
+    });
+    rig.sim.run_until(SimTime::from_secs(1));
+    let got: Vec<_> = std::iter::from_fn(|| out.try_recv()).collect();
+    // One round trip each, all started at the same instant.
+    assert_eq!(
+        got,
+        vec![(1, Ok(15), 2_000), (2, Ok(25), 4_000), (0, Ok(5), 6_000)]
+    );
+    assert_eq!(rig.sim.net_stats().bounces, 0);
+}
+
+#[test]
+fn sim_early_stop_parks_the_stragglers_and_bounces_nothing() {
+    let rig = sim_rig(2);
+    let parked: Arc<parking_lot::Mutex<Option<ocs_orb::Scatter>>> = Default::default();
+    let first: SimChan<(usize, u64)> = SimChan::new(&rig.sim);
+    let (first2, slot, targets, rt) = (
+        first.clone(),
+        Arc::clone(&parked),
+        rig.targets.clone(),
+        rig.client.clone() as Rt,
+    );
+    // The caller hears one answer, parks the rest and exits — which
+    // would close an endpoint it still owned.
+    rig.client.spawn_fn("caller", move || {
+        let ctx = ClientCtx::new(rt.clone());
+        let mut sc = ctx
+            .scatter(&targets, TAG_METHOD, salt(0), "test.tag.tag")
+            .unwrap();
+        sc.gather(|i, _| {
+            first2.send((i, rt.now().as_micros()));
+            Gather::Enough
+        });
+        assert!(!sc.is_done());
+        sc.park();
+        *slot.lock() = Some(sc);
+    });
+    rig.sim.run_until(SimTime::from_millis(3));
+    assert_eq!(first.try_recv(), Some((1, 2_000)));
+    assert_eq!(first.try_recv(), None, "gather stopped at the first answer");
+
+    // Someone else drains it: nothing yet at 3 ms, the rest by 10 ms.
+    let late: SimChan<(usize, Result<u64, OrbError>)> = SimChan::new(&rig.sim);
+    let (late2, slot, rt) = (late.clone(), Arc::clone(&parked), rig.client.clone() as Rt);
+    rig.client.spawn_fn("drainer", move || {
+        let mut sc = slot.lock().take().expect("parked scatter");
+        sc.poll(|i, reply| late2.send((i, answer(reply))));
+        assert!(!sc.is_done(), "stragglers still in flight");
+        rt.sleep(Duration::from_millis(7));
+        sc.poll(|i, reply| late2.send((i, answer(reply))));
+        assert!(sc.is_done());
+    });
+    rig.sim.run_until(SimTime::from_secs(1));
+    let got: Vec<_> = std::iter::from_fn(|| late.try_recv()).collect();
+    assert_eq!(got, vec![(2, Ok(20)), (0, Ok(0))]);
+    assert_eq!(rig.sim.net_stats().bounces, 0, "no reply met a closed port");
+}
+
+#[test]
+fn sim_dead_target_is_object_dead_and_the_gather_goes_on() {
+    let rig = sim_rig(3);
+    // Server 1's process is gone, its host is up: requests bounce.
+    rig.orbs[1].shutdown();
+    let out: SimChan<(usize, Result<u64, OrbError>)> = SimChan::new(&rig.sim);
+    let (out2, targets, rt) = (out.clone(), rig.targets.clone(), rig.client.clone() as Rt);
+    rig.client.spawn_fn("client", move || {
+        let ctx = ClientCtx::new(rt);
+        let mut sc = ctx
+            .scatter(&targets, TAG_METHOD, salt(1), "test.tag.tag")
+            .unwrap();
+        sc.gather(|i, reply| {
+            out2.send((i, answer(reply)));
+            Gather::More
+        });
+    });
+    rig.sim.run_until(SimTime::from_secs(1));
+    let got: Vec<_> = std::iter::from_fn(|| out.try_recv()).collect();
+    assert_eq!(
+        got,
+        vec![(1, Err(OrbError::ObjectDead)), (2, Ok(21)), (0, Ok(1))]
+    );
+}
+
+#[test]
+fn sim_one_deadline_bounds_the_whole_call() {
+    let rig = sim_rig(4);
+    // Two silent hosts: a sequential caller would wait two timeouts.
+    rig.sim.crash_node(rig.servers[0].node());
+    rig.sim.crash_node(rig.servers[2].node());
+    let out: SimChan<(usize, Result<u64, OrbError>, u64)> = SimChan::new(&rig.sim);
+    let (out2, targets, rt) = (out.clone(), rig.targets.clone(), rig.client.clone() as Rt);
+    rig.client.spawn_fn("client", move || {
+        let ctx = ClientCtx::new(rt.clone()).with_timeout(Duration::from_millis(200));
+        let mut sc = ctx
+            .scatter(&targets, TAG_METHOD, salt(2), "test.tag.tag")
+            .unwrap();
+        sc.gather(|i, reply| {
+            out2.send((i, answer(reply), rt.now().as_micros()));
+            Gather::More
+        });
+        assert!(sc.is_done());
+    });
+    rig.sim.run_until(SimTime::from_secs(1));
+    let got: Vec<_> = std::iter::from_fn(|| out.try_recv()).collect();
+    assert_eq!(
+        got,
+        vec![
+            (1, Ok(12), 2_000),
+            (0, Err(OrbError::Timeout), 200_000),
+            (2, Err(OrbError::Timeout), 200_000)
+        ]
+    );
+}
+
+// ---- TCP loopback ----------------------------------------------------------
+
+fn conn_opens(net: &Arc<RealNet>) -> u64 {
+    net.counters()
+        .get("real.net.conn_open")
+        .copied()
+        .unwrap_or(0)
+}
+
+/// A client node and three tag servers that hold a request `holds_ms`
+/// long each, which sets the order their replies arrive in.
+fn real_rig(holds_ms: [u64; 3]) -> (Arc<RealNet>, Rt, Vec<Arc<Orb>>, Vec<ObjRef>) {
+    let net = RealNet::new();
+    let client: Rt = net.add_node("client").unwrap();
+    let (mut orbs, mut targets) = (Vec::new(), Vec::new());
+    for (i, ms) in holds_ms.into_iter().enumerate() {
+        let node: Rt = net.add_node(&format!("s{i}")).unwrap();
+        let (orb, obj) = start_tag(node, 10 * i as u64, Duration::from_millis(ms));
+        orbs.push(orb);
+        targets.push(obj);
+    }
+    (net, client, orbs, targets)
+}
+
+#[test]
+fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
+    let (net, client, _orbs, targets) = real_rig([60, 0, 30]);
+    let ctx = ClientCtx::new(client);
+    // A full round first, so every server holds its reply connection to
+    // the client node and the counts below see only this call's own.
+    let mut order = Vec::new();
+    let mut sc = ctx
+        .scatter(&targets, TAG_METHOD, salt(5), "test.tag.tag")
+        .unwrap();
+    sc.gather(|i, reply| {
+        order.push((i, answer(reply)));
+        Gather::More
+    });
+    drop(sc);
+    assert_eq!(order, vec![(1, Ok(15)), (2, Ok(25)), (0, Ok(5))]);
+
+    let before = conn_opens(&net);
+    let mut sc = ctx
+        .scatter(&targets, TAG_METHOD, salt(0), "test.tag.tag")
+        .unwrap();
+    let mut first = None;
+    sc.gather(|i, _| {
+        first = Some(i);
+        Gather::Enough
+    });
+    assert_eq!(first, Some(1));
+    sc.park();
+    let sent = conn_opens(&net);
+    assert_eq!(
+        sent - before,
+        3,
+        "one connection per target, from one endpoint"
+    );
+    let mut late = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !sc.is_done() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        sc.poll(|i, reply| late.push((i, answer(reply))));
+    }
+    assert_eq!(late, vec![(2, Ok(20)), (0, Ok(0))]);
+    drop(sc);
+    // A reply to a closed port would have come back as a bounce frame
+    // over a fresh connection.
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(
+        conn_opens(&net),
+        sent,
+        "stragglers were received, not bounced"
+    );
+}
+
+#[test]
+fn real_dead_target_and_one_deadline() {
+    let (_net, client, orbs, targets) = real_rig([400, 0, 30]);
+    // Server 1's process is gone, its host is up: the request bounces.
+    // Server 0 answers after 400 ms — past the 100 ms budget.
+    orbs[1].shutdown();
+    let ctx = ClientCtx::new(client).with_timeout(Duration::from_millis(100));
+    let started = Instant::now();
+    let mut got = Vec::new();
+    let mut sc = ctx
+        .scatter(&targets, TAG_METHOD, salt(1), "test.tag.tag")
+        .unwrap();
+    sc.gather(|i, reply| {
+        got.push((i, answer(reply)));
+        Gather::More
+    });
+    let took = started.elapsed();
+    assert!(sc.is_done());
+    assert_eq!(
+        got,
+        vec![
+            (1, Err(OrbError::ObjectDead)),
+            (2, Ok(21)),
+            (0, Err(OrbError::Timeout))
+        ]
+    );
+    assert!(
+        took >= Duration::from_millis(100) && took < Duration::from_millis(300),
+        "the deadline bounds the call: took {took:?}"
+    );
+}

@@ -36,25 +36,24 @@ fn boot_server(
 ) -> Server {
     let node = sim.add_node(name);
     peers.push(Addr::new(node.node(), NS_PORT));
+    let (ras, ssc) = finish_boot(&node, replica_id, peers.clone(), registry);
     Server {
         ns: NsHandle::new(
             ClientCtx::new(node.clone()),
             Addr::new(node.node(), NS_PORT),
         ),
-        ras: finish_boot(&node, replica_id, peers.clone(), registry),
-        ssc: SSC_LAST.lock().take().expect("set by finish_boot"),
+        ras,
+        ssc,
         node,
     }
 }
-
-static SSC_LAST: parking_lot::Mutex<Option<Arc<Ssc>>> = parking_lot::Mutex::new(None);
 
 fn finish_boot(
     node: &Arc<SimNode>,
     replica_id: u32,
     peers: Vec<Addr>,
     registry: Vec<ServiceDef>,
-) -> Arc<Ras> {
+) -> (Arc<Ras>, Arc<Ssc>) {
     let rt: Rt = node.clone();
     let ns_local = NsHandle::new(ClientCtx::new(node.clone()), peers[replica_id as usize]);
     let replica = NsReplica::start(
@@ -64,7 +63,6 @@ fn finish_boot(
     )
     .unwrap();
     let ssc = Ssc::start(rt.clone(), SscConfig::default(), ns_local.clone(), registry).unwrap();
-    *SSC_LAST.lock() = Some(Arc::clone(&ssc));
     let (ras, _ras_ref, cb_ref) = Ras::start(rt.clone(), RasConfig::default(), ns_local).unwrap();
     // Wire RAS -> SSC callback registration and NS -> RAS oracle.
     let ssc_ref = ssc.self_ref();
@@ -74,7 +72,7 @@ fn finish_boot(
         client.register_callback(cb_ref).unwrap();
     });
     replica.set_oracle(RasOracle::new(rt, Addr::new(node.node(), RAS_PORT)));
-    ras
+    (ras, ssc)
 }
 
 /// A service that exports an object and registers it, then idles.

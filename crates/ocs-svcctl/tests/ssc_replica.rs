@@ -1,0 +1,103 @@
+//! Degraded-mode regression for the replicated service controller's
+//! driver: a 3-replica `SscReplica` group in the simulator with one
+//! backup silent. (Controller behaviour proper is in `controllers.rs`;
+//! the table machine against its oracle is in `proptest_vsr.rs`.)
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use ocs_orb::{Caller, OrbError, Servant};
+use ocs_sim::{Addr, NodeRt, NodeRtExt, Rt, Sim, SimChan, SimNode};
+use ocs_svcctl::{CscApiClient, SscReplica, SscReplicaConfig, SscUpdate};
+
+const CSC_PORT: u16 = 2100;
+
+/// Stands in for the `CscApi` root object: the test drives the log
+/// through `SscReplica::submit`, so the root is never called.
+struct NoRoot;
+
+impl Servant for NoRoot {
+    fn type_id(&self) -> u32 {
+        CscApiClient::TYPE_ID
+    }
+    fn dispatch(&self, _c: &Caller, _m: u32, _a: &[u8]) -> Result<bytes::Bytes, OrbError> {
+        Err(OrbError::UnknownMethod)
+    }
+}
+
+/// Deployed-tuning timeouts (as in the CM and E23 suites).
+fn tuned(i: u32, peers: Vec<Addr>) -> SscReplicaConfig {
+    let mut cfg = SscReplicaConfig::paper_defaults(i, peers);
+    cfg.heartbeat_interval = Duration::from_millis(200);
+    cfg.election_timeout = Duration::from_millis(600);
+    cfg.peer_timeout = Duration::from_millis(150);
+    cfg
+}
+
+fn build(sim: &Sim) -> (Vec<Arc<SimNode>>, Vec<Arc<SscReplica>>) {
+    let nodes: Vec<Arc<SimNode>> = (0..3).map(|i| sim.add_node(&format!("csc{i}"))).collect();
+    let peers: Vec<Addr> = nodes
+        .iter()
+        .map(|n| Addr::new(n.node(), CSC_PORT))
+        .collect();
+    let replicas = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, node)| {
+            let rt: Rt = node.clone();
+            SscReplica::start(rt, tuned(i as u32, peers.clone()), Arc::new(NoRoot))
+                .expect("svc replica starts")
+        })
+        .collect();
+    (nodes, replicas)
+}
+
+/// Degraded mode costs nothing: with one backup silent — wherever it
+/// sits in the primary's peer order — a placement decision commits on
+/// the surviving majority within ten link round trips (10 ms), not
+/// after the 150 ms `peer_timeout` a sequential prepare loop spent on
+/// the dead peer.
+#[test]
+fn silent_backup_costs_a_decision_nothing_in_either_peer_order() {
+    for (seed, victim_is_first) in [(9_010, true), (9_011, false)] {
+        let sim = Sim::new(seed);
+        let (nodes, replicas) = build(&sim);
+        sim.run_for(Duration::from_secs(2));
+        let master = (0..3)
+            .find(|i| replicas[*i].is_master())
+            .expect("a master after start-up");
+        assert!(replicas.iter().all(|r| !r.in_probation()));
+        let backups: Vec<usize> = (0..3).filter(|i| *i != master).collect();
+        let victim = if victim_is_first {
+            backups[0]
+        } else {
+            backups[1]
+        };
+        sim.crash_node(nodes[victim].node());
+
+        let took: SimChan<Duration> = SimChan::new(&sim);
+        let (took2, rt, rep) = (
+            took.clone(),
+            nodes[master].clone(),
+            Arc::clone(&replicas[master]),
+        );
+        let placed_on = nodes[master].node();
+        nodes[master].spawn_fn("decide", move || {
+            let t0 = rt.now();
+            rep.submit(SscUpdate::Define {
+                token: 1,
+                service: "mms".into(),
+                nodes: vec![placed_on],
+                now_us: 0,
+            })
+            .expect("decision commits on the surviving majority");
+            took2.send(rt.now().saturating_since(t0));
+        });
+        sim.run_for(Duration::from_secs(1));
+        let took = took.try_recv().expect("decision completed");
+        assert!(
+            took < Duration::from_millis(10),
+            "decision with backup {victim} silent (first={victim_is_first}) took {took:?}"
+        );
+    }
+}

@@ -49,6 +49,10 @@
 //!   committed snapshot plus uncommitted tail once compaction has
 //!   dropped them (`log_retention`).
 
+pub mod fanout;
+
+pub use fanout::PeerFanout;
+
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Debug;
 use std::time::Duration;

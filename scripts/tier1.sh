@@ -10,9 +10,10 @@
 # the committed E17/E18/E20/E21 artifacts (throughput, kernel fast path
 # plus flight-recorder overhead, NS view-change latency, and measured
 # availability/blackout windows under a fault storm), CM fail-over
-# admission integrity (E22), and controller fail-over placement
-# integrity (E23: 0 lost / 0 doubled placements, exact replica audits,
-# decision-blackout p99 bounds).
+# admission integrity (E22), controller fail-over placement integrity
+# (E23: 0 lost / 0 doubled placements, exact replica audits,
+# decision-blackout p99 bounds), and the replicated-commit latency of
+# the repo benchmark's `sim_repl_storm` workload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -296,5 +297,29 @@ for key in svc_blackout_p99_s svc_real_blackout_p99_s; do
     fi
 done
 echo "tier1: E23 smoke controller blackout p99 ${tuned_p99}s tuned / ${paper_p99}s paper, lost=$lost doubled=$doubled audit=$audit"
+
+# Replicated-commit guard on the repo benchmark (benchmark/README.md):
+# two seconds of `sim_repl_storm` — 16 closed-loop clients admitting
+# through one 3-replica CM group — must fail no op and keep the admission
+# p50 at one client round trip plus ONE replica round trip. The number is
+# virtual time, exact for a seed: 1,984 us since the prepares go out
+# concurrently (it was 2,984 with two sequential round trips), so the
+# 2,200 us ceiling trips on any return to per-peer blocking calls.
+tmp="$(mktemp -d)"
+cargo run --release --offline --quiet --manifest-path "$repo/benchmark/Cargo.toml" -- \
+    run --workload sim_repl_storm --seconds 2 --trace 0 --out "$tmp/repl.jsonl" >/dev/null
+p50="$(json_field "$tmp/repl.jsonl" op_p50_us)"
+failed="$(json_field "$tmp/repl.jsonl" failed)"
+correct="$(grep -oE '"correct": (true|false)' "$tmp/repl.jsonl" | head -1 | awk '{print $2}')"
+rm -rf "$tmp"
+if [ "$failed" != "0" ] || [ "$correct" != "true" ]; then
+    echo "tier1: sim_repl_storm guard FAILED - failed=${failed:-missing} correct=${correct:-missing} (want 0/true)" >&2
+    exit 1
+fi
+if [ -z "$p50" ] || ! awk -v p="$p50" 'BEGIN { exit !(p <= 2200) }'; then
+    echo "tier1: sim_repl_storm guard FAILED - admission op_p50_us ${p50:-missing} exceeds 2200" >&2
+    exit 1
+fi
+echo "tier1: sim_repl_storm admission p50 ${p50} us, failed=$failed (guard: <= 2200 us, 0 failed)"
 
 echo "tier1: OK"
