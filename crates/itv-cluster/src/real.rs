@@ -529,3 +529,14 @@ impl RealCluster {
         ocs_telemetry::render_timeline(&ocs_telemetry::merge_journals(self.journal_events()))
     }
 }
+
+/// A dropped cluster takes its processes and sockets with it, so a test
+/// binary that launches several does not run them all to its end.
+impl Drop for RealCluster {
+    fn drop(&mut self) {
+        for n in self.servers.iter().chain(&self.settops) {
+            n.kill_all_groups();
+            n.stop();
+        }
+    }
+}

@@ -276,6 +276,7 @@ fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
     assert_eq!(order, vec![(1, Ok(15)), (2, Ok(25)), (0, Ok(5))]);
 
     let before = conn_opens(&net);
+    assert_eq!(before, 6, "one stream each way per target");
     let mut sc = ctx
         .scatter(&targets, TAG_METHOD, salt(0), "test.tag.tag")
         .unwrap();
@@ -287,11 +288,7 @@ fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
     assert_eq!(first, Some(1));
     sc.park();
     let sent = conn_opens(&net);
-    assert_eq!(
-        sent - before,
-        3,
-        "one connection per target, from one endpoint"
-    );
+    assert_eq!(sent, before, "a new endpoint sends over the node's streams");
     let mut late = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(5);
     while !sc.is_done() && Instant::now() < deadline {
@@ -300,13 +297,50 @@ fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
     }
     assert_eq!(late, vec![(2, Ok(20)), (0, Ok(0))]);
     drop(sc);
-    // A reply to a closed port would have come back as a bounce frame
-    // over a fresh connection.
+    // Both stragglers were received above, so nothing was left to
+    // bounce; and nothing the parked call did opened a connection.
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(
-        conn_opens(&net),
-        sent,
-        "stragglers were received, not bounced"
+    assert_eq!(conn_opens(&net), sent);
+}
+
+#[test]
+fn real_thousand_calls_share_one_stream_each_way() {
+    let (net, client, _orbs, targets) = real_rig([0, 0, 0]);
+    let ctx = ClientCtx::new(client);
+    for i in 0..1_000 {
+        let reply = ctx.call_named(&targets[0], TAG_METHOD, salt(i), "test.tag.tag");
+        assert_eq!(answer(reply), Ok(i));
+    }
+    assert_eq!(conn_opens(&net), 2, "requests one way, replies the other");
+}
+
+#[test]
+fn real_reset_storm_reaches_client_calls() {
+    let (net, client, _orbs, targets) = real_rig([0, 0, 0]);
+    let ctx = ClientCtx::new(client.clone());
+    let call = |i| answer(ctx.call_named(&targets[0], TAG_METHOD, salt(i), "test.tag.tag"));
+    assert_eq!(call(0), Ok(0));
+    net.set_reset_storm(client.node(), targets[0].addr.node, true);
+    for i in 1..=50 {
+        assert_eq!(call(i), Ok(i), "call {i} under the storm");
+    }
+    net.set_reset_storm(client.node(), targets[0].addr.node, false);
+    assert!(net.counters().get("real.net.resets").copied().unwrap_or(0) >= 1);
+    // The client's own journal shows the storm taking the stream its
+    // requests use, and the reconnect that carried the request after.
+    let lines: Vec<String> = ocs_sim::Journal::of(&*client)
+        .events()
+        .iter()
+        .map(|e| e.detail.to_string())
+        .collect();
+    let server = targets[0].addr.node;
+    let reset = lines
+        .iter()
+        .position(|l| *l == format!("reset storm: tore down conn to {server}"))
+        .unwrap_or_else(|| panic!("no reset in the client's journal: {lines:?}"));
+    assert!(
+        lines[reset..].contains(&format!("connected to {server} on attempt 0")),
+        "no reconnect after the reset: {lines:?}"
     );
 }
 

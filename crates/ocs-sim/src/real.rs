@@ -2,11 +2,35 @@
 //!
 //! [`RealNet`] plays the role of the simulated network: it maps [`NodeId`]s
 //! to TCP listeners on `127.0.0.1`. Each node runs a router thread that
-//! accepts connections and delivers length-prefixed frames to per-port
-//! channels; outgoing messages reuse one cached connection per destination
-//! node. Endpoint semantics mirror the simulation: datagram-like sends,
-//! blocking receives with timeouts, and `Unreachable` bounces when a frame
-//! arrives for a closed port.
+//! accepts connections and hands each to a `conn-reader` thread, which
+//! delivers length-prefixed frames to per-port channels. Endpoint
+//! semantics mirror the simulation: datagram-like sends, blocking
+//! receives with timeouts, and `Unreachable` bounces when a frame arrives
+//! for a closed port.
+//!
+//! ## Connection lifetime
+//!
+//! A node keeps one outgoing `TcpStream` per destination node, opened by
+//! the first frame sent there and shared by every endpoint on the node
+//! and by the bounce path ([`FrameSender`]). A stream carries frames one
+//! way only — replies come back over the peer's own stream — so two nodes
+//! that talk both ways hold two connections between them, however many
+//! endpoints, RPCs or bounces they exchange. A frame is one `write` under
+//! the destination's slot lock, so frames of concurrent senders never
+//! interleave, and per-stream order is send order.
+//!
+//! * A **kill** closes the group's *ports*; the node's streams stay up
+//!   for its sibling groups, and frames for the dead ports bounce.
+//! * A **reset storm** or a failed write drops the stream; the frame in
+//!   hand is resent over a fresh one (counted in `real.net.resets` and
+//!   journalled with its reconnect).
+//! * [`RealNode::stop`] (or dropping the node) shuts every stream the
+//!   node opened or accepted and closes the listener: its router and
+//!   reader threads exit, the peers' readers of its streams see EOF and
+//!   exit, and a peer's next write on a stream *to* it fails — by its
+//!   second frame at the latest, the first may vanish as on any dead
+//!   link — then surfaces [`NetError::SendFailed`] or
+//!   [`NetError::PeerRefused`] within the reconnect budget.
 //!
 //! ## Fault parity with the simulator
 //!
@@ -27,7 +51,8 @@
 //!   install per-node-pair faults applied under every send: partitions
 //!   drop silently (an RPC sees a timeout, as across a real cut),
 //!   impairments drop/duplicate/delay frames on a monotonic-clock delay
-//!   line, and reset storms tear down cached connections mid-stream.
+//!   line, and reset storms tear down the node's cached stream to the
+//!   peer before every send.
 //!   The table is guarded by one relaxed atomic, so the fault-free send
 //!   path pays a single load.
 //! * **[`RealNemesis`]** replays a [`FaultPlan`] against the real
@@ -39,7 +64,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -127,22 +152,16 @@ struct EpHandle {
     port: u16,
     closed: Arc<AtomicBool>,
     ports: PortMap,
-    conns: ConnCache,
 }
 
 impl EpHandle {
     /// Closes the endpoint from the kill path: later receives return
-    /// `Closed`, frames arriving for the port bounce `Unreachable`, and
-    /// the cached outgoing connections are reset so peers notice now.
+    /// `Closed` and frames arriving for the port bounce `Unreachable`.
+    /// The node's streams are not the group's to close — its sibling
+    /// groups are sending over them.
     fn force_close(&self) {
         self.closed.store(true, Ordering::SeqCst);
         self.ports.lock().remove(&self.port);
-        let slots: Vec<_> = self.conns.lock().values().cloned().collect();
-        for slot in slots {
-            if let Some(s) = slot.lock().take() {
-                let _ = s.shutdown(Shutdown::Both);
-            }
-        }
     }
 }
 
@@ -181,8 +200,8 @@ impl GroupCore {
             net.journal(self.node, "proc", format!("group {} killed", self.id));
         }
         // Close every endpoint the group owns, so peers observe bounces
-        // and resets immediately — before the member threads have even
-        // reached their next cancellation point.
+        // immediately — before the member threads have even reached
+        // their next cancellation point.
         let eps = std::mem::take(&mut *self.eps.lock());
         for ep in eps {
             ep.force_close();
@@ -436,24 +455,31 @@ impl RealNet {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let local = listener.local_addr()?;
         self.directory.lock().insert(id, local);
+        let ext = Arc::new(crate::rt::Extensions::new());
         let node = Arc::new(RealNode {
             net: Arc::clone(self),
             id,
             name: name.to_string(),
             ports: Arc::new(Mutex::new(HashMap::new())),
             next_ephemeral: Mutex::new(crate::kernel::EPHEMERAL_BASE),
-            stop: Arc::new(AtomicBool::new(false)),
+            sender: Arc::new(FrameSender {
+                net: Arc::clone(self),
+                id,
+                ext: Arc::clone(&ext),
+                stopped: AtomicBool::new(false),
+                conns: Mutex::new(HashMap::new()),
+            }),
+            accepted: Arc::new(Mutex::new(HashMap::new())),
             groups: Mutex::new(Vec::new()),
-            ext: Arc::new(crate::rt::Extensions::new()),
+            ext,
         });
         self.nodes.lock().insert(id, Arc::downgrade(&node));
         let ports = Arc::clone(&node.ports);
-        let stop = Arc::clone(&node.stop);
-        let net = Arc::clone(self);
-        let nid = id;
+        let sender = Arc::clone(&node.sender);
+        let accepted = Arc::clone(&node.accepted);
         std::thread::Builder::new()
             .name(format!("router-{name}"))
-            .spawn(move || router_main(listener, ports, stop, net, nid))
+            .spawn(move || router_main(listener, ports, sender, accepted))
             .map_err(std::io::Error::other)?;
         Ok(node)
     }
@@ -604,40 +630,45 @@ impl RealNet {
 }
 
 type PortMap = Arc<Mutex<HashMap<u16, Sender<Delivered>>>>;
-type ConnCache = Arc<Mutex<HashMap<NodeId, Arc<Mutex<Option<TcpStream>>>>>>;
+/// The streams a node has accepted and not yet read to their end, so
+/// that [`RealNode::stop`] can shut them and release their readers.
+type Accepted = Arc<Mutex<HashMap<usize, Arc<TcpStream>>>>;
 
 fn router_main(
     listener: TcpListener,
     ports: PortMap,
-    stop: Arc<AtomicBool>,
-    net: Arc<RealNet>,
-    node: NodeId,
+    sender: Arc<FrameSender>,
+    accepted: Accepted,
 ) {
-    // Accept until the node stops; each connection gets a reader thread.
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Relaxed) {
+    // Accept until the node stops; each connection gets a reader thread
+    // that lives as long as the peer keeps the stream open.
+    for (key, conn) in listener.incoming().enumerate() {
+        if sender.stopped.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = conn else { continue };
+        let stream = Arc::new(stream);
+        accepted.lock().insert(key, Arc::clone(&stream));
         let ports = Arc::clone(&ports);
-        let stop = Arc::clone(&stop);
-        let net = Arc::clone(&net);
+        let sender = Arc::clone(&sender);
+        let accepted = Arc::clone(&accepted);
         let _ = std::thread::Builder::new()
             .name("conn-reader".into())
-            .spawn(move || reader_main(stream, ports, stop, net, node));
+            .spawn(move || {
+                reader_main(&stream, &ports, &sender);
+                accepted.lock().remove(&key);
+            });
     }
 }
 
-fn reader_main(
-    mut stream: TcpStream,
-    ports: PortMap,
-    stop: Arc<AtomicBool>,
-    net: Arc<RealNet>,
-    node: NodeId,
-) {
+fn reader_main(stream: &TcpStream, ports: &PortMap, sender: &FrameSender) {
+    // Buffered: a small frame's header and payload arrive in one read.
+    let mut stream = BufReader::new(stream);
     let mut hdr = [0u8; 15];
     loop {
-        if stop.load(Ordering::Relaxed) {
+        // Registered before this check and `stop` raises the flag before
+        // it shuts the registered streams, so one of the two ends us.
+        if sender.stopped.load(Ordering::SeqCst) {
             return;
         }
         if stream.read_exact(&mut hdr).is_err() {
@@ -648,7 +679,6 @@ fn reader_main(
         let src_node = NodeId(u32::from_le_bytes([hdr[5], hdr[6], hdr[7], hdr[8]]));
         let src_port = u16::from_le_bytes([hdr[9], hdr[10]]);
         let dst_port = u16::from_le_bytes([hdr[11], hdr[12]]);
-        let _unused = u16::from_le_bytes([hdr[13], hdr[14]]);
         if len > 64 * 1024 * 1024 {
             return; // Corrupt frame; drop the connection.
         }
@@ -657,15 +687,16 @@ fn reader_main(
             return;
         }
         let from = Addr::new(src_node, src_port);
-        let _to = Addr::new(node, dst_port);
-        let sender = ports.lock().get(&dst_port).cloned();
-        match (kind, sender) {
+        let port = ports.lock().get(&dst_port).cloned();
+        match (kind, port) {
             (FRAME_MSG, Some(tx)) => {
                 let _ = tx.send(Delivered::Msg(from, Bytes::from(payload)));
             }
             (FRAME_MSG, None) => {
-                // Closed port on a live node: bounce, as the sim does.
-                send_frame(&net, node, dst_port, from, FRAME_UNREACH, &[]);
+                // Closed port on a live node: bounce, as the sim does —
+                // over the node's stream to the sender, like any frame
+                // (so a cut or lossy link drops bounces too).
+                let _ = sender.send_bytes(dst_port, from, FRAME_UNREACH, &[]);
             }
             (FRAME_UNREACH, Some(tx)) => {
                 let _ = tx.send(Delivered::Unreach(from));
@@ -675,51 +706,7 @@ fn reader_main(
     }
 }
 
-/// Writes one frame to `to` via a fresh connection. Used by the bounce
-/// path (which has no endpoint); endpoint sends use the node cache.
-fn send_frame(
-    net: &Arc<RealNet>,
-    src_node: NodeId,
-    src_port: u16,
-    to: Addr,
-    kind: u8,
-    payload: &[u8],
-) {
-    // Even bounces honour partitions and loss: a cut link delivers
-    // nothing in either direction.
-    if net.any_faults.load(Ordering::Relaxed) && net.link_verdict(src_node, to.node).drop {
-        return;
-    }
-    let Some(sockaddr) = net.lookup(to.node) else {
-        return;
-    };
-    let Ok(mut stream) = TcpStream::connect(sockaddr) else {
-        return;
-    };
-    net.counter_add("real.net.conn_open", 1);
-    let _ = write_frame(&mut stream, kind, src_node, src_port, to.port, payload);
-}
-
-fn write_frame(
-    stream: &mut TcpStream,
-    kind: u8,
-    src_node: NodeId,
-    src_port: u16,
-    dst_port: u16,
-    payload: &[u8],
-) -> std::io::Result<()> {
-    let mut hdr = [0u8; 15];
-    hdr[0] = kind;
-    hdr[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    hdr[5..9].copy_from_slice(&src_node.0.to_le_bytes());
-    hdr[9..11].copy_from_slice(&src_port.to_le_bytes());
-    hdr[11..13].copy_from_slice(&dst_port.to_le_bytes());
-    stream.write_all(&hdr)?;
-    stream.write_all(payload)?;
-    stream.flush()
-}
-
-/// A complete wire frame as one buffer, for the delay line.
+/// A complete wire frame as one buffer, so it goes out as one `write`.
 fn frame_bytes(kind: u8, src_node: NodeId, src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(15 + payload.len());
     buf.push(kind);
@@ -739,16 +726,28 @@ pub struct RealNode {
     name: String,
     ports: PortMap,
     next_ephemeral: Mutex<u16>,
-    stop: Arc<AtomicBool>,
+    /// The node's outgoing streams, shared with its endpoints and readers.
+    sender: Arc<FrameSender>,
+    accepted: Accepted,
     /// Every group ever rooted on this node, for node-level crash.
     groups: Mutex<Vec<Weak<GroupCore>>>,
     ext: Arc<crate::rt::Extensions>,
 }
 
 impl RealNode {
-    /// Stops the router; endpoints return `Closed` on later receives.
+    /// Takes the node off the network: closes the listener and every
+    /// stream the node opened or accepted, so its router and reader
+    /// threads (and the peers' readers of its streams) exit. Later sends
+    /// from its endpoints fail; nothing more arrives at them. Also runs
+    /// when the node is dropped.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        if self.sender.stopped.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for stream in self.accepted.lock().values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.sender.close_all();
         // Poke the listener so the accept loop observes the flag.
         if let Some(addr) = self.net.lookup(self.id) {
             let _ = TcpStream::connect(addr);
@@ -814,6 +813,12 @@ impl RealNode {
     }
 }
 
+impl Drop for RealNode {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 impl NodeRt for RealNode {
     fn now(&self) -> SimTime {
         SimTime::from_micros(self.net.epoch.elapsed().as_micros() as u64)
@@ -868,11 +873,7 @@ impl NodeRt for RealNode {
             port: portno,
             rx,
             ports: Arc::clone(&self.ports),
-            owner: FrameSender {
-                net: Arc::clone(&self.net),
-                id: self.id,
-                conns: Arc::new(Mutex::new(HashMap::new())),
-            },
+            sender: Arc::clone(&self.sender),
             closed: Arc::new(AtomicBool::new(false)),
             owner_group: Mutex::new(None),
         });
@@ -988,21 +989,56 @@ impl crate::sync::SyncObj for RealSyncObj {
     }
 }
 
-/// Per-endpoint sending machinery (each endpoint keeps its own connection
-/// cache to avoid head-of-line locking across endpoints).
+/// A node's outgoing half: one cached `TcpStream` per destination node,
+/// shared by every endpoint on the node and by the readers' bounce path.
 ///
-/// The cache maps each peer to its own lock slot: the map lock is held
-/// only long enough to find or insert the slot, and the (potentially
-/// slow) `connect` and blocking frame write happen under that peer's
-/// lock alone — one dead or slow peer cannot stall sends to the others.
+/// The cache maps each peer to its own lock slot. The map lock is held
+/// only long enough to find or insert the slot; the `connect` and the
+/// frame write happen under that peer's lock alone, and the back-off
+/// between reconnect attempts under no lock at all — so one dead or slow
+/// peer stalls neither sends to the others nor, beyond its own refused
+/// `connect`s, the other senders to itself.
 struct FrameSender {
     net: Arc<RealNet>,
     id: NodeId,
-    conns: ConnCache,
+    /// The node's extension map, for its flight recorder.
+    ext: Arc<crate::rt::Extensions>,
+    /// Set by [`RealNode::stop`]: no stream is opened or written after.
+    stopped: AtomicBool,
+    conns: Mutex<HashMap<NodeId, PeerSlot>>,
 }
 
+type PeerSlot = Arc<Mutex<Option<TcpStream>>>;
+
+/// How long one frame write may stall on a full socket buffer before the
+/// stream counts as broken. Readers drain their streams unconditionally,
+/// so only a wedged peer gets here; the bound keeps it from wedging us.
+const WRITE_STALL: Duration = Duration::from_secs(5);
+
 impl FrameSender {
+    /// Appends to the node's flight recorder. Not through
+    /// [`RealNet::journal`]: that upgrades the node handle, and a sender
+    /// must never become the node's last owner — dropping it stops the
+    /// node, which takes the slot lock the sender may be holding.
+    fn journal(&self, detail: String) {
+        self.ext
+            .get_or_init(|| crate::journal::Journal::new(self.id))
+            .record(self.net.now(), "real.net", detail);
+    }
+
+    /// Shuts every cached stream; the peers' readers see EOF and exit.
+    fn close_all(&self) {
+        let slots: Vec<PeerSlot> = self.conns.lock().values().cloned().collect();
+        for slot in slots {
+            if let Some(s) = slot.lock().take() {
+                let _ = s.shutdown(Shutdown::Both);
+            }
+        }
+    }
+
     fn send_bytes(&self, from_port: u16, to: Addr, kind: u8, msg: &[u8]) -> Result<(), NetError> {
+        let slot = Arc::clone(self.conns.lock().entry(to.node).or_default());
+        let frame = frame_bytes(kind, self.id, from_port, to.port, msg);
         let mut dup = false;
         // Fault shim: when the table is empty this is one relaxed load.
         if self.net.any_faults.load(Ordering::Relaxed) {
@@ -1014,47 +1050,43 @@ impl FrameSender {
                 return Ok(());
             }
             if v.reset {
-                // Reset storm: tear down the cached connection so both
-                // ends see a mid-stream reset and must reconnect.
-                let slot = self.conns.lock().get(&to.node).cloned();
-                if let Some(slot) = slot {
-                    if let Some(s) = slot.lock().take() {
-                        let _ = s.shutdown(Shutdown::Both);
-                        self.net.counter_add("real.net.resets", 1);
-                        self.net.journal(
-                            self.id,
-                            "real.net",
-                            format!("reset storm: tore down conn to {}", to.node),
-                        );
-                    }
+                // Reset storm: tear down the node's stream to the peer so
+                // both ends see a mid-stream reset and must reconnect.
+                if let Some(s) = slot.lock().take() {
+                    let _ = s.shutdown(Shutdown::Both);
+                    self.net.counter_add("real.net.resets", 1);
+                    self.journal(format!("reset storm: tore down conn to {}", to.node));
                 }
             }
             if let Some(d) = v.delay {
                 let Some(sockaddr) = self.net.lookup(to.node) else {
                     return Ok(());
                 };
-                let bytes = frame_bytes(kind, self.id, from_port, to.port, msg);
                 if v.dup {
-                    self.net.delay_frame(Instant::now() + d, sockaddr, bytes.clone());
+                    self.net.delay_frame(Instant::now() + d, sockaddr, frame.clone());
                 }
-                self.net.delay_frame(Instant::now() + d, sockaddr, bytes);
+                self.net.delay_frame(Instant::now() + d, sockaddr, frame);
                 return Ok(());
             }
             dup = v.dup;
         }
-        let slot = Arc::clone(self.conns.lock().entry(to.node).or_default());
-        let mut conn = slot.lock();
         let mut last_err = String::from("no attempt made");
         let mut ever_connected = false;
         for attempt in 0..RECONNECT_ATTEMPTS {
             if attempt > 0 {
                 // Back off with jitter instead of hammering a dead peer;
                 // cancellable, so a killed group's senders don't linger.
-                cancellable_sleep(
-                    RECONNECT_POLICY.backoff(attempt - 1, rand::rng().next_u64()),
-                );
+                // The slot lock is not held here: the node's other
+                // senders to this peer make their own attempts meanwhile.
+                cancellable_sleep(RECONNECT_POLICY.backoff(attempt - 1, rand::rng().next_u64()));
             }
             check_killed();
+            let mut conn = slot.lock();
+            // Under the slot lock, so `stop` either sees this stream in
+            // the cache or this send sees the flag.
+            if self.stopped.load(Ordering::SeqCst) {
+                return Err(NetError::SendFailed(format!("{} has stopped", self.id)));
+            }
             if conn.is_none() {
                 let sockaddr = self
                     .net
@@ -1063,15 +1095,11 @@ impl FrameSender {
                 match TcpStream::connect(sockaddr) {
                     Ok(stream) => {
                         stream.set_nodelay(true).ok();
+                        stream.set_write_timeout(Some(WRITE_STALL)).ok();
                         self.net.counter_add("real.net.conn_open", 1);
-                        if attempt > 0 {
-                            self.net.journal(
-                                self.id,
-                                "real.net",
-                                format!("reconnected to {} on attempt {attempt}", to.node),
-                            );
-                        }
-                        ever_connected = true;
+                        // One line per stream, not per call: every reset
+                        // above is followed by its reconnect here.
+                        self.journal(format!("connected to {} on attempt {attempt}", to.node));
                         *conn = Some(stream);
                     }
                     Err(e) => {
@@ -1079,13 +1107,12 @@ impl FrameSender {
                         continue;
                     }
                 }
-            } else {
-                ever_connected = true;
             }
+            ever_connected = true;
             let stream = conn.as_mut().expect("just connected");
-            let wrote = write_frame(stream, kind, self.id, from_port, to.port, msg).and_then(|_| {
+            let wrote = stream.write_all(&frame).and_then(|_| {
                 if dup {
-                    write_frame(stream, kind, self.id, from_port, to.port, msg)
+                    stream.write_all(&frame)
                 } else {
                     Ok(())
                 }
@@ -1098,11 +1125,7 @@ impl FrameSender {
                     last_err = e.to_string();
                     *conn = None;
                     self.net.counter_add("real.net.resets", 1);
-                    self.net.journal(
-                        self.id,
-                        "real.net",
-                        format!("reset on conn to {}: {e}", to.node),
-                    );
+                    self.journal(format!("reset on conn to {}: {e}", to.node));
                 }
             }
         }
@@ -1125,7 +1148,7 @@ pub struct RealEndpoint {
     port: u16,
     rx: Receiver<Delivered>,
     ports: PortMap,
-    owner: FrameSender,
+    sender: Arc<FrameSender>,
     closed: Arc<AtomicBool>,
     /// The group whose kill closes this endpoint; adopt/disown move it.
     owner_group: Mutex<Option<Weak<GroupCore>>>,
@@ -1137,7 +1160,6 @@ impl RealEndpoint {
             port: self.port,
             closed: Arc::clone(&self.closed),
             ports: Arc::clone(&self.ports),
-            conns: Arc::clone(&self.owner.conns),
         }
     }
 
@@ -1165,7 +1187,7 @@ impl RealEndpoint {
 
 impl Endpoint for RealEndpoint {
     fn send(&self, to: Addr, msg: Bytes) -> Result<(), NetError> {
-        self.owner.send_bytes(self.port, to, FRAME_MSG, &msg)
+        self.sender.send_bytes(self.port, to, FRAME_MSG, &msg)
     }
 
     fn recv(&self, timeout: Option<Duration>) -> Result<(Addr, Bytes), RecvError> {
@@ -1387,6 +1409,26 @@ mod tests {
         cond()
     }
 
+    fn conn_opens(net: &RealNet) -> u64 {
+        net.counters().get("real.net.conn_open").copied().unwrap_or(0)
+    }
+
+    /// Echoes every frame arriving at `port` of `node` until the port
+    /// closes; a frame starting with `b'S'` is held 150 ms first.
+    fn spawn_echo(node: &Arc<RealNode>, port: u16) -> Addr {
+        let server = node.open(PortReq::Fixed(port)).unwrap();
+        let addr = server.local();
+        node.spawn_fn("echo", move || {
+            while let Ok((from, msg)) = server.recv(Some(Duration::from_secs(30))) {
+                if msg.first() == Some(&b'S') {
+                    std::thread::sleep(Duration::from_millis(150));
+                }
+                let _ = server.send(from, msg);
+            }
+        });
+        addr
+    }
+
     #[test]
     fn kill_cancels_sleep_and_closes_endpoints() {
         let net = RealNet::new();
@@ -1459,15 +1501,7 @@ mod tests {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
         let b = net.add_node("b").unwrap();
-        let server = b.open(PortReq::Fixed(100)).unwrap();
-        let b_addr = server.local();
-        let b2: Arc<dyn NodeRt> = b.clone();
-        b.spawn_fn("echo", move || {
-            let _ = b2;
-            while let Ok((from, msg)) = server.recv(Some(Duration::from_secs(30))) {
-                let _ = server.send(from, msg);
-            }
-        });
+        let b_addr = spawn_echo(&b, 100);
         let client = a.open(PortReq::Ephemeral).unwrap();
         net.set_partitioned(a.node(), b.node(), true);
         client.send(b_addr, Bytes::from_static(b"lost")).unwrap();
@@ -1580,15 +1614,140 @@ mod tests {
         let client = a.open(PortReq::Ephemeral).unwrap();
         let started = Instant::now();
         let r = client.send(Addr::new(b_id, 100), Bytes::from_static(b"x"));
-        // The listener socket is still bound (the router thread owns it
-        // until process exit), so the send may succeed into a dead
-        // router or fail after retries — either way it must return
-        // within the bounded backoff budget, not hang.
+        // The listener closed with the router, so every attempt is
+        // refused (unless a parallel test's node was just handed the
+        // port) — either way the send must return within the bounded
+        // backoff budget, not hang.
         let elapsed = started.elapsed();
         assert!(
             elapsed < Duration::from_secs(2),
             "send took {elapsed:?}, retries unbounded? ({r:?})"
         );
+    }
+
+    #[test]
+    fn stale_stream_to_a_stopped_peer_fails_by_the_second_frame() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        let b_addr = spawn_echo(&b, 100);
+        let client = a.open(PortReq::Ephemeral).unwrap();
+        client.send(b_addr, Bytes::from_static(b"up")).unwrap();
+        client.recv(Some(Duration::from_secs(5))).unwrap();
+        b.stop();
+        // Let b's reader close its end of a's cached stream.
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        // The first frame may vanish into the dead stream, as on any
+        // dead link; the second finds it broken and the listener gone.
+        let _ = client.send(b_addr, Bytes::from_static(b"lost"));
+        let second = client.send(b_addr, Bytes::from_static(b"refused"));
+        assert!(
+            matches!(
+                second,
+                Err(NetError::SendFailed(_) | NetError::PeerRefused(_))
+            ),
+            "second frame to a stopped peer: {second:?}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(2));
+        assert!(net.counters().get("real.net.resets").copied().unwrap_or(0) >= 1);
+    }
+
+    #[test]
+    fn concurrent_senders_share_one_stream_without_interleaving() {
+        const THREADS: u64 = 8;
+        const CALLS: u64 = 200;
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        let b_addr = spawn_echo(&b, 100);
+        let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (a, start) = (Arc::clone(&a), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let ep = a.open(PortReq::Ephemeral).unwrap();
+                    start.wait();
+                    let mut x = 0x9e3779b97f4a7c15u64.wrapping_mul(t + 1);
+                    for call in 0..CALLS {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        // 1 B – 64 KiB, skewed small, filled with a byte
+                        // only this (thread, call) uses in this position.
+                        let len = 1 + (x >> 33) as usize % (64 << (x % 11));
+                        let mut req = vec![(t * 31 + call) as u8; len];
+                        req[0] = b'e';
+                        ep.send(b_addr, Bytes::from(req.clone())).unwrap();
+                        let (from, reply) = ep.recv(Some(Duration::from_secs(10))).unwrap();
+                        assert_eq!(from, b_addr);
+                        assert!(reply[..] == req[..], "thread {t} call {call}: corrupt echo");
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("sender thread");
+        }
+        assert_eq!(conn_opens(&net), 2, "one stream each way, for all 8 endpoints");
+    }
+
+    #[test]
+    fn killing_one_group_leaves_its_siblings_stream_up() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        let b_addr = spawn_echo(&b, 100);
+        // Two groups on `a`, one endpoint each, handed out to this thread
+        // to drive (a kill closes what the group *opened*).
+        let eps: Arc<Mutex<HashMap<u16, Arc<dyn Endpoint>>>> = Arc::default();
+        let groups: Vec<_> = [50u16, 51]
+            .into_iter()
+            .map(|port| {
+                let (rt, eps) = (Arc::clone(&a) as Arc<dyn NodeRt>, Arc::clone(&eps));
+                a.spawn_group(
+                    "svc",
+                    Box::new(move || {
+                        eps.lock().insert(port, rt.open(PortReq::Fixed(port)).unwrap());
+                        loop {
+                            rt.sleep(Duration::from_secs(3600));
+                        }
+                    }),
+                )
+            })
+            .collect();
+        assert!(eventually(Duration::from_secs(5), || eps.lock().len() == 2));
+        let (doomed, sibling) = {
+            let eps = eps.lock();
+            (Arc::clone(&eps[&50]), Arc::clone(&eps[&51]))
+        };
+        for ep in [&doomed, &sibling] {
+            ep.send(b_addr, Bytes::from_static(b"hello")).unwrap();
+            ep.recv(Some(Duration::from_secs(5))).unwrap();
+        }
+        let before = conn_opens(&net);
+        assert_eq!(before, 2);
+
+        // The sibling has a call in flight (held 150 ms at the echo)
+        // when the other group dies.
+        sibling.send(b_addr, Bytes::from_static(b"Slow")).unwrap();
+        groups[0].kill();
+        let (_, reply) = sibling.recv(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(&reply[..], b"Slow");
+        for _ in 0..20 {
+            sibling.send(b_addr, Bytes::from_static(b"later")).unwrap();
+            let (_, reply) = sibling.recv(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(&reply[..], b"later");
+        }
+        // The killed group's port bounces — over b's stream to a.
+        assert_eq!(doomed.recv(Some(Duration::ZERO)).unwrap_err(), RecvError::Closed);
+        let probe = b.open(PortReq::Ephemeral).unwrap();
+        let dead = Addr::new(a.node(), 50);
+        probe.send(dead, Bytes::from_static(b"anyone?")).unwrap();
+        match probe.recv(Some(Duration::from_secs(5))) {
+            Err(RecvError::Unreachable(addr)) => assert_eq!(addr, dead),
+            other => panic!("expected bounce from killed group's port, got {other:?}"),
+        }
+        assert_eq!(conn_opens(&net), before, "the kill reset a shared stream");
+        assert!(groups[1].alive());
     }
 
     #[test]

@@ -1,0 +1,68 @@
+//! `RealNode::stop` leaves nothing behind. One test, in a process of its
+//! own: it counts the process's threads and descriptors, which any test
+//! running beside it would move.
+#![cfg(target_os = "linux")]
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use ocs_sim::real::{RealNet, RealNode};
+use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq};
+
+fn entries(dir: &str) -> usize {
+    std::fs::read_dir(dir).expect("procfs").count()
+}
+
+/// (threads, descriptors) of this process. Reading a directory holds a
+/// descriptor on it, the same one both times.
+fn footprint() -> (usize, usize) {
+    (entries("/proc/self/task"), entries("/proc/self/fd"))
+}
+
+#[test]
+fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
+    let before = footprint();
+    // The client endpoints outlive their nodes: it is `stop` that must
+    // close the streams, not the last endpoint going away.
+    let mut clients = Vec::new();
+    {
+        let net = RealNet::new();
+        let nodes: Vec<Arc<RealNode>> = (0..4)
+            .map(|i| net.add_node(&format!("n{i}")).unwrap())
+            .collect();
+        // An echo service on every node; every node calls every other, so
+        // each holds a stream to, and a reader for, each of its peers.
+        for node in &nodes {
+            let server = node.open(PortReq::Fixed(100)).unwrap();
+            node.spawn_fn("echo", move || {
+                while let Ok((from, msg)) = server.recv(Some(Duration::from_millis(200))) {
+                    let _ = server.send(from, msg);
+                }
+            });
+        }
+        for from in &nodes {
+            let ep = from.open(PortReq::Ephemeral).unwrap();
+            for to in nodes.iter().filter(|n| n.node() != from.node()) {
+                ep.send(Addr::new(to.node(), 100), Bytes::from_static(b"hi"))
+                    .unwrap();
+                ep.recv(Some(Duration::from_secs(5))).unwrap();
+            }
+            clients.push(ep);
+        }
+        let during = footprint();
+        // 4 routers + 4 echo threads + 12 readers; 4 listeners + 12
+        // streams with two ends each.
+        assert!(during.0 >= before.0 + 20, "threads: {before:?} -> {during:?}");
+        assert!(during.1 >= before.1 + 28, "descriptors: {before:?} -> {during:?}");
+        for node in &nodes {
+            node.stop();
+        }
+    }
+    // The echo threads leave at their next receive timeout.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while footprint() != before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(footprint(), before, "(threads, descriptors) after stop and drop");
+}

@@ -10,10 +10,9 @@
 //! a dead backup zero instead of one `peer_timeout` per op.
 //!
 //! Acks still owed when `replicate` returns are not bounced off a closed
-//! port (on TCP a bounce is a fresh connection per commit): the finished
-//! scatter is parked, and [`PeerFanout::drain`] — called from the next
-//! `replicate` and from the driver's tick loop — feeds the stragglers to
-//! `on_ack` and closes the endpoint.
+//! port: the finished scatter is parked, and [`PeerFanout::drain`] —
+//! called from the next `replicate` and from the driver's tick loop —
+//! feeds the stragglers to `on_ack` and closes the endpoint.
 //!
 //! The three machines' `*Peer` wire interfaces are separate
 //! `declare_interface!` declarations with one shared method numbering;

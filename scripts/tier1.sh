@@ -12,8 +12,9 @@
 # availability/blackout windows under a fault storm), CM fail-over
 # admission integrity (E22), controller fail-over placement integrity
 # (E23: 0 lost / 0 doubled placements, exact replica audits,
-# decision-blackout p99 bounds), and the replicated-commit latency of
-# the repo benchmark's `sim_repl_storm` workload.
+# decision-blackout p99 bounds), the replicated-commit latency of the
+# repo benchmark's `sim_repl_storm` workload, and the connections its
+# `tcp_repl_admit` workload opens per admission.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -321,5 +322,28 @@ if [ -z "$p50" ] || ! awk -v p="$p50" 'BEGIN { exit !(p <= 2200) }'; then
     exit 1
 fi
 echo "tier1: sim_repl_storm admission p50 ${p50} us, failed=$failed (guard: <= 2200 us, 0 failed)"
+
+# Connection-reuse guard on the same benchmark: two traced seconds of
+# `tcp_repl_admit` — the same log over TCP loopback — must fail no op and
+# open (almost) no connection per admission: a node keeps one stream per
+# peer for life, so the whole timed phase opens none. The guard is a
+# count, not a wall clock: a return to a connection per ORB call reads
+# 5.9 here on any host, busy or not.
+tmp="$(mktemp -d)"
+cargo run --release --offline --quiet --manifest-path "$repo/benchmark/Cargo.toml" -- \
+    run --workload tcp_repl_admit --seconds 2 --trace 1 --out "$tmp/admit.jsonl" >/dev/null
+conns="$(json_field "$tmp/admit.jsonl" ocs-sim.tcp_conns_per_op)"
+failed="$(json_field "$tmp/admit.jsonl" failed)"
+correct="$(grep -oE '"correct": (true|false)' "$tmp/admit.jsonl" | head -1 | awk '{print $2}')"
+rm -rf "$tmp"
+if [ "$failed" != "0" ] || [ "$correct" != "true" ]; then
+    echo "tier1: tcp_repl_admit guard FAILED - failed=${failed:-missing} correct=${correct:-missing} (want 0/true)" >&2
+    exit 1
+fi
+if [ -z "$conns" ] || ! awk -v c="$conns" 'BEGIN { exit !(c <= 0.1) }'; then
+    echo "tier1: tcp_repl_admit guard FAILED - ${conns:-missing} connections opened per admission (want <= 0.1)" >&2
+    exit 1
+fi
+echo "tier1: tcp_repl_admit $conns connections per admission, failed=$failed (guard: <= 0.1, 0 failed)"
 
 echo "tier1: OK"
