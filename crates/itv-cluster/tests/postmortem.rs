@@ -75,8 +75,8 @@ fn postmortem_lists_injected_faults_in_order() {
     // merged postmortem interleaves placement decisions (seeding the
     // table commits one `Define` per service) with the faults above.
     assert!(
-        timeline.lines().any(|l| l.contains(" svc-vsr ")),
-        "timeline should carry svc-vsr journal lines:\n{timeline}"
+        timeline.lines().any(|l| l.contains(" ssc-vsr ")),
+        "timeline should carry ssc-vsr journal lines:\n{timeline}"
     );
 }
 

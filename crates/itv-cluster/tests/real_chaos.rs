@@ -267,7 +267,7 @@ fn killed_ns_replica_recovers_via_snapshot_transfer() {
             let mut dump = String::new();
             for i in 0..3 {
                 match cluster.replica(i) {
-                    Some(r) => dump.push_str(&format!("\n  ns-{i}: {}", r.debug_status())),
+                    Some(r) => dump.push_str(&format!("\n  ns-{i}: {}", r.status())),
                     None => dump.push_str(&format!("\n  ns-{i}: <dead>")),
                 }
             }

@@ -35,7 +35,7 @@ pub use broadcast::{
     KbsApiServant, KernelSvc, SettopPlan,
 };
 pub use cmgr::{CmAccountRow, CmApi, CmApiClient, CmApiServant, CmBudgets, ConnectionManager};
-pub use cmrep::{CmPeer, CmPeerClient, CmPeerServant, CmReplica, CmReplicaConfig};
+pub use cmrep::{CmReplica, CmReplicaConfig};
 pub use cmtable::{CmAccount, CmSnapshot, CmTable, CmUpdate};
 pub use content::{Catalog, DownloadInfo, MovieInfo};
 pub use fs::{

@@ -112,7 +112,7 @@ impl CmGroup {
             .lock()
             .iter()
             .map(|r| match r {
-                Some(r) => r.debug_status(),
+                Some(r) => r.status().to_string(),
                 None => "down".into(),
             })
             .collect()
@@ -216,12 +216,12 @@ impl CmGroup {
             assert_eq!(
                 u.allocations, want_allocs,
                 "replica {i} allocation count diverged: {}",
-                r.debug_status()
+                r.status()
             );
             assert_eq!(
                 u.reserved_down_bps, want_bps,
                 "replica {i} reserved bandwidth diverged: {}",
-                r.debug_status()
+                r.status()
             );
             let (indexed, scanned) = r.audit_reserved_bps();
             assert_eq!(

@@ -1,11 +1,11 @@
 //! Remote interfaces of the name service: the public `NamingContext`
-//! interface (§4.4), the selector interface (§4.5) and the internal
-//! replica-to-replica protocol (§4.6).
+//! interface (§4.4) and the selector interface (§4.5). (The internal
+//! replica-to-replica protocol of §4.6 is `ocs-vsr`'s peer interface,
+//! under the wire name `ocs.ns-peer`.)
 
 use ocs_orb::declare_interface;
 
-use crate::types::{Binding, NsError, NsUpdate, SelectorSpec};
-use crate::vsr::{DoViewChange, PeerAck, StartView, StateTransfer, SvcAck};
+use crate::types::{Binding, NsError, SelectorSpec};
 use ocs_orb::ObjRef;
 use ocs_sim::NodeId;
 
@@ -57,45 +57,6 @@ declare_interface! {
     }
 }
 
-declare_interface! {
-    /// Replica-to-replica protocol: Viewstamped Replication (§4.6
-    /// rebuilt per ROADMAP item 1). The primary sequences updates with
-    /// `prepare`, backups ack with their log watermark, view changes run
-    /// `start_view_change` → `do_view_change` → `start_view`, and
-    /// rejoining replicas pull state with `get_state`.
-    pub interface NsPeer [NsPeerClient, NsPeerServant]: "ocs.ns-peer" {
-        /// Primary → backup: append op `op_num`; `commit_num` piggybacks
-        /// the commit point. `view` is the *sender's* current view and
-        /// gates acceptance; `entry_view` is the view that originally
-        /// sequenced the op and is what the log records — a re-send never
-        /// re-stamps an entry. The ack's `op_num` acknowledges every op
-        /// at or below it.
-        1 => fn prepare(&self, view: u64, entry_view: u64, op_num: u64, commit_num: u64, update: NsUpdate) -> Result<PeerAck, NsError>;
-        /// Primary → backup: idle heartbeat carrying the commit point.
-        2 => fn commit_hb(&self, view: u64, commit_num: u64) -> Result<PeerAck, NsError>;
-        /// Suspect → peers: propose `view`. A peer joins only if it
-        /// suspects the primary too (or `forced`, the re-admission path
-        /// for a replica whose emitted `do_view_change` pins it above
-        /// its last normal view). Joining does NOT release the payload —
-        /// that waits for `view_change_go`.
-        3 => fn start_view_change(&self, view: u64, forced: bool) -> Result<SvcAck, NsError>;
-        /// Joiner → new primary: log + snapshot contribution for the
-        /// view change.
-        4 => fn do_view_change(&self, dvc: DoViewChange) -> Result<(), NsError>;
-        /// New primary → backups: the chosen log for the new view; the
-        /// ack doubles as a prepare-ok for the carried tail.
-        5 => fn start_view(&self, sv: StartView) -> Result<PeerAck, NsError>;
-        /// Rejoining replica → any peer: state after `from_op` (log
-        /// suffix while retained, snapshot once compacted).
-        6 => fn get_state(&self, from_op: u64) -> Result<StateTransfer, NsError>;
-        /// Backup → primary forwarding of a client update.
-        7 => fn forward_update(&self, update: NsUpdate) -> Result<(), NsError>;
-        /// Initiator → joiner: a majority has joined `view`, release the
-        /// `do_view_change` payload toward the new primary.
-        8 => fn view_change_go(&self, view: u64) -> Result<(), NsError>;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,7 +64,6 @@ mod tests {
     #[test]
     fn type_ids_are_distinct() {
         assert_ne!(NamingContextClient::TYPE_ID, SelectorClient::TYPE_ID);
-        assert_ne!(NamingContextClient::TYPE_ID, NsPeerClient::TYPE_ID);
         assert_eq!(NamingContextClient::TYPE_ID, NAMING_TYPE_ID);
     }
 }

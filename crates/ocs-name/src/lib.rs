@@ -8,7 +8,7 @@
 //!   one of several bound replicas per resolve — hiding replication from
 //!   clients and implementing the paper's per-neighborhood and per-server
 //!   load-spreading (§5.1);
-//! * replication by Viewstamped Replication ([`vsr`]): all mutations
+//! * replication by Viewstamped Replication (`ocs-vsr`): all mutations
 //!   flow through a majority-committed update log sequenced by the view
 //!   primary, with sub-second view changes on primary failure and
 //!   snapshot-based state transfer for rejoining replicas — replacing
@@ -27,7 +27,7 @@ mod replica;
 mod selector;
 mod state;
 mod types;
-pub mod vsr;
+mod vsr;
 
 pub use cache::ResolveCache;
 pub use client::{
@@ -35,10 +35,10 @@ pub use client::{
     SharedRebinding,
 };
 pub use iface::{
-    NamingContext, NamingContextClient, NamingContextServant, NsPeer, NsPeerClient, NsPeerServant,
-    Selector, SelectorClient, SelectorServant, NAMING_TYPE_ID, NAMING_TYPE_NAME,
+    NamingContext, NamingContextClient, NamingContextServant, Selector, SelectorClient,
+    SelectorServant, NAMING_TYPE_ID, NAMING_TYPE_NAME,
 };
-pub use replica::{AlwaysAlive, LivenessOracle, NsConfig, NsCore, NsReplica};
+pub use replica::{AlwaysAlive, LivenessOracle, NsConfig, NsReplica};
 pub use selector::{eval_static, StaticEval};
 pub use state::{
     Context, CtxId, Entry, NsState, ResolveOut, SelectorEval, SnapCtx, Snapshot, ROOT_CTX,

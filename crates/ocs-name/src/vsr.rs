@@ -4,12 +4,9 @@
 //! The protocol itself — majority commit, sticky-primary view change,
 //! two-phase `DoViewChange` release, snapshot state transfer, f+1
 //! recovery probation — lives in [`ocs_vsr`]; this module only teaches
-//! the engine how to drive the naming state machine ([`Machine`]) and
-//! re-exports the engine types under their historical names so
-//! `replica.rs`, `iface.rs` and the model-based proptest are untouched
-//! by the extraction. The wire format is unchanged: the generic message
-//! types encode their fields in the same order the local
-//! `impl_wire_struct!` definitions did.
+//! the engine how to drive the naming state machine ([`Machine`]), and
+//! keeps the engine's unit tests that are written against naming
+//! updates.
 
 use ocs_vsr::Machine;
 
@@ -38,32 +35,18 @@ impl Machine for NsState {
     }
 }
 
-pub use ocs_vsr::{OpNum, PeerAck, SubmitRoute, SvcAck, View, VsrStatus};
-
-/// The NS replica engine: the generic VSR core applied to [`NsState`].
-pub type VsrCore = ocs_vsr::VsrCore<NsState>;
-/// One entry of the NS update log.
-pub type LogEntry = ocs_vsr::LogEntry<NsUpdate>;
-/// A joiner's view-change payload for the NS log.
-pub type DoViewChange = ocs_vsr::DoViewChange<NsUpdate, Snapshot>;
-/// The new primary's chosen-log announcement for the NS log.
-pub type StartView = ocs_vsr::StartView<NsUpdate, Snapshot>;
-/// A state-transfer reply over the NS log.
-pub type StateTransfer = ocs_vsr::StateTransfer<NsUpdate, Snapshot>;
-/// A sequenced NS update awaiting broadcast.
-pub type Prepare = ocs_vsr::Prepare<NsUpdate>;
-/// The viewstamped fate of a sequenced NS update.
-pub type OpOutcome = ocs_vsr::OpOutcome<Result<(), NsError>>;
-/// Driver-visible effects of the NS engine.
-pub type VsrEvent = ocs_vsr::VsrEvent<NsUpdate>;
-
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
 
-    use super::*;
     use ocs_orb::ObjRef;
     use ocs_sim::{Addr, NodeId, SimTime};
+    use ocs_vsr::{OpNum, OpOutcome, VsrEvent, VsrStatus};
+
+    use crate::state::NsState;
+    use crate::types::NsUpdate;
+
+    type VsrCore = ocs_vsr::VsrCore<NsState>;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_micros(ms * 1000)

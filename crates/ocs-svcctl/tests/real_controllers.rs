@@ -266,7 +266,7 @@ fn csc_group_survives_primary_kill_on_real_runtime() {
     if !reelected {
         for (i, c) in cscs.iter().enumerate() {
             if let Some(rep) = c.replica() {
-                eprintln!("replica {i}: {}", rep.debug_status());
+                eprintln!("replica {i}: {}", rep.status());
             }
         }
         panic!("no new master after the primary kill");

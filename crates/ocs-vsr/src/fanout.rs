@@ -1,59 +1,104 @@
-//! The replica drivers' concurrent peer fan-out, written once.
+//! The VSR peer protocol, both halves, written once.
 //!
-//! Every VSR broadcast — `prepare`, `commit_hb`, `start_view_change`,
-//! `view_change_go`, `start_view`, `get_state` — goes to all peers at
-//! the same instant through one ORB [`Scatter`], so a round costs one
-//! round trip and at most one `peer_timeout`, however many peers are
-//! slow, partitioned or dead. [`PeerFanout::replicate`] is the commit
-//! path: it returns the moment the engine reports the op's viewstamped
-//! outcome (the first ack of a 3-replica group), which makes the cost of
-//! a dead backup zero instead of one `peer_timeout` per op.
+//! **Sending.** Every broadcast — `prepare`, `commit_hb`,
+//! `start_view_change`, `view_change_go`, `start_view`, `get_state` —
+//! goes to all peers at the same instant through one ORB [`Scatter`], so
+//! a round costs one round trip and at most one `peer_timeout`, however
+//! many peers are slow, partitioned or dead. [`PeerFanout::replicate`]
+//! is the commit path: it returns the moment the engine reports the op's
+//! viewstamped outcome (the first ack of a 3-replica group), which makes
+//! the cost of a dead backup zero instead of one `peer_timeout` per op.
+//! The three calls with one addressee — a re-sent `prepare`,
+//! `do_view_change`, `forward_op` — are plain blocking calls.
 //!
 //! Acks still owed when `replicate` returns are not bounced off a closed
 //! port: the finished scatter is parked, and [`PeerFanout::drain`] —
 //! called from the next `replicate` and from the driver's tick loop —
 //! feeds the stragglers to `on_ack` and closes the endpoint.
 //!
-//! The three machines' `*Peer` wire interfaces are separate
-//! `declare_interface!` declarations with one shared method numbering;
-//! every driver runs [`check_numbering`] over its servant, so a
-//! renumbered declaration fails at replica start-up rather than on the
-//! wire.
+//! **Receiving.** [`PeerServant`] is the one servant of the protocol:
+//! it unmarshals what the sending half marshalled and runs the step on
+//! its [`Replica`]. A group's peer interface differs from another's in
+//! its wire name ([`Replicated::PEER_INTERFACE`]) and in the op and
+//! snapshot types its frames carry, nothing else: both halves number and
+//! name the methods from [`Method`].
 
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
 use ocs_orb::bytes::Bytes;
-use ocs_orb::{ClientCtx, Gather, ObjRef, OrbError, Scatter, Servant};
+use ocs_orb::{Caller, ClientCtx, Gather, ObjRef, OrbError, Scatter, Servant};
 use ocs_sim::sync::SyncObj;
 use ocs_sim::{Addr, Rt};
-use ocs_wire::{Encoder, Wire};
+use ocs_wire::{type_id_of, Decoder, Encoder, Wire};
 use parking_lot::Mutex;
 
-use crate::{OpNum, OpOutcome, PeerAck, Prepare, StartView, StateTransfer, SvcAck, View};
+use crate::replica::Replica;
+use crate::{
+    DoViewChange, LogEntry, OpNum, OpOutcome, PeerAck, Prepare, Replicated, StartView,
+    StateTransfer, SvcAck, View,
+};
 
-/// The broadcast methods of the VSR peer protocol.
-#[derive(Clone, Copy)]
+/// Object id of the peer servant on every replica's ORB (the service's
+/// own root servant is object 0).
+pub(crate) const PEER_OBJ: u64 = 1;
+
+/// The methods of the VSR peer protocol; the discriminant is the wire
+/// id.
+#[derive(Clone, Copy, PartialEq)]
 enum Method {
-    Prepare,
-    CommitHb,
-    StartViewChange,
-    StartView,
-    GetState,
-    ViewChangeGo,
+    /// Primary → backup: append `update` at `op_num`. `view` is the
+    /// sender's view and gates acceptance; `entry_view` is the view that
+    /// first sequenced the op and is what the log records.
+    Prepare = 1,
+    /// Primary → backup heartbeat carrying the commit watermark.
+    CommitHb = 2,
+    /// Suspect → all: propose a view. Joining does not release the
+    /// joiner's `DoViewChange`; that waits for `ViewChangeGo`.
+    StartViewChange = 3,
+    /// Joiner → new primary: log hand-off for the view change.
+    DoViewChange = 4,
+    /// New primary → backups: the chosen log for the new view; the ack
+    /// doubles as a prepare-ok for the carried tail.
+    StartView = 5,
+    /// State-transfer request from a lagging or recovering replica.
+    GetState = 6,
+    /// Backup → primary: sequence a client op on my behalf; the reply is
+    /// the committed outcome.
+    ForwardOp = 7,
+    /// Initiator → joiner: a majority joined `view`, release your
+    /// `DoViewChange`.
+    ViewChangeGo = 8,
 }
 
-/// Wire id and name of each [`Method`], identical in every machine's
-/// `*Peer` interface.
-const METHODS: [(u32, &str); 6] = [
-    (1, "prepare"),
-    (2, "commit_hb"),
-    (3, "start_view_change"),
-    (5, "start_view"),
-    (6, "get_state"),
-    (8, "view_change_go"),
+/// Every [`Method`] with its name, in wire-id order.
+const METHODS: [(Method, &str); 8] = [
+    (Method::Prepare, "prepare"),
+    (Method::CommitHb, "commit_hb"),
+    (Method::StartViewChange, "start_view_change"),
+    (Method::DoViewChange, "do_view_change"),
+    (Method::StartView, "start_view"),
+    (Method::GetState, "get_state"),
+    (Method::ForwardOp, "forward_op"),
+    (Method::ViewChangeGo, "view_change_go"),
 ];
+
+impl Method {
+    /// Index into [`METHODS`] (and `PeerFanout::ops`).
+    fn index(self) -> usize {
+        self as usize - 1
+    }
+
+    fn from_id(id: u32) -> Option<Method> {
+        let (method, _) = METHODS.get((id as usize).checked_sub(1)?)?;
+        Some(*method)
+    }
+}
+
+/// A peer method's reply as it travels. The servant never fails a call
+/// itself, so the error side is nominal: it exists because every ORB
+/// reply body is a `Result`.
+type Reply<T> = Result<T, OrbError>;
 
 /// Straggler scatters the commit path polls itself; the tick loop sweeps
 /// the rest. A straggler ack arrives within a round trip of the first,
@@ -62,9 +107,8 @@ const METHODS: [(u32, &str); 6] = [
 /// per-op sweep must not walk.
 const DRAIN_PER_OP: usize = 4;
 
-/// One replica's fan-out to its peers. `E` is the peer interface's error
-/// type (what its replies decode against).
-pub struct PeerFanout<E> {
+/// One replica's calls to its peers.
+pub struct PeerFanout {
     ctx: ClientCtx,
     peer_timeout: Duration,
     /// Every other replica's id, and — same order — its peer servant.
@@ -76,39 +120,18 @@ pub struct PeerFanout<E> {
     progress: Arc<dyn SyncObj>,
     /// Finished `prepare` scatters still owed straggler acks.
     parked: Mutex<Vec<Scatter>>,
-    _err: PhantomData<fn() -> E>,
 }
 
-/// Checks a servant of a machine's `*Peer` interface against the method
-/// numbering this module sends with.
-///
-/// # Panics
-///
-/// Panics on a mismatch: the declaration was renumbered.
-pub fn check_numbering(servant: &dyn Servant) {
-    for (id, name) in METHODS {
-        assert_eq!(
-            servant.method_name(id),
-            name,
-            "{} does not follow the VSR peer method numbering",
-            servant.type_name()
-        );
-    }
-}
-
-impl<E: Wire> PeerFanout<E> {
-    /// A fan-out from replica `replica_id` to the peer servants — of the
-    /// interface `type_id`/`iface`, exported as object `peer_obj` — at
-    /// every other address in `peers`.
-    pub fn new(
+impl PeerFanout {
+    /// The calls of replica `replica_id` to the peer servants of
+    /// interface `iface` at every other address in `peers`.
+    pub(crate) fn new(
         rt: Rt,
         peer_timeout: Duration,
         replica_id: u32,
         peers: &[Addr],
-        type_id: u32,
         iface: &str,
-        peer_obj: u64,
-    ) -> PeerFanout<E> {
+    ) -> PeerFanout {
         let (ids, targets) = (0u32..)
             .zip(peers)
             .filter(|(id, _)| *id != replica_id)
@@ -116,8 +139,8 @@ impl<E: Wire> PeerFanout<E> {
                 let target = ObjRef {
                     addr: *addr,
                     incarnation: ObjRef::STABLE,
-                    type_id,
-                    object_id: peer_obj,
+                    type_id: type_id_of(iface),
+                    object_id: PEER_OBJ,
                 };
                 (id, target)
             })
@@ -133,7 +156,6 @@ impl<E: Wire> PeerFanout<E> {
                 .map(|(_, name)| format!("{iface}.{name}"))
                 .collect(),
             parked: Mutex::new(Vec::new()),
-            _err: PhantomData,
         }
     }
 
@@ -148,9 +170,8 @@ impl<E: Wire> PeerFanout<E> {
         if targets.is_empty() {
             return None;
         }
-        let m = method as usize;
         self.ctx
-            .scatter(targets, METHODS[m].0, args.finish(), &self.ops[m])
+            .scatter(targets, method as u32, args.finish(), &self.ops[method.index()])
             .ok()
     }
 
@@ -167,7 +188,7 @@ impl<E: Wire> PeerFanout<E> {
         let Some(mut sc) = self.scatter(&self.targets, method, args) else {
             return;
         };
-        sc.gather(|i, reply| match decode::<T, E>(reply) {
+        sc.gather(|i, reply| match decode::<T>(reply) {
             Some(answer) => on_reply(self.ids[i], answer),
             None => Gather::More,
         });
@@ -209,13 +230,8 @@ impl<E: Wire> PeerFanout<E> {
         if !matches!(out, OpOutcome::Pending) {
             return out; // A group of one commits at sequencing.
         }
-        let mut args = Encoder::new();
         // Sender view and entry view coincide for a fresh op.
-        prep.view.encode_into(&mut args);
-        prep.view.encode_into(&mut args);
-        prep.op_num.encode_into(&mut args);
-        prep.commit_num.encode_into(&mut args);
-        prep.update.encode_into(&mut args);
+        let args = prepare_args(prep.view, prep.view, prep.op_num, prep.commit_num, &prep.update);
         if let Some(mut sc) = self.scatter(&self.targets, Method::Prepare, args) {
             sc.gather(|i, reply| {
                 self.feed_ack(&on_ack, i, reply);
@@ -246,7 +262,7 @@ impl<E: Wire> PeerFanout<E> {
 
     /// Hands peer `i`'s `prepare` reply to `on_ack`, if it is an ack.
     fn feed_ack(&self, on_ack: &impl Fn(u32, &PeerAck), i: usize, reply: Result<Bytes, OrbError>) {
-        if let Some(ack) = decode::<PeerAck, E>(reply) {
+        if let Some(ack) = decode::<PeerAck>(reply) {
             on_ack(self.ids[i], &ack);
         }
     }
@@ -276,6 +292,48 @@ impl<E: Wire> PeerFanout<E> {
             !sc.is_done()
         });
         self.parked.lock().append(&mut taken);
+    }
+
+    // ---- calls with one addressee ------------------------------------------
+
+    /// One blocking `method(args)` call to `peer`.
+    fn call(&self, peer: u32, method: Method, args: Encoder) -> Result<Bytes, OrbError> {
+        let at = self.ids.iter().position(|id| *id == peer);
+        let target = at.map(|i| &self.targets[i]).ok_or(OrbError::UnknownObject)?;
+        self.ctx
+            .call_named(target, method as u32, args.finish(), &self.ops[method.index()])
+    }
+
+    /// Re-sends one log entry to a lagging backup. The sender's view and
+    /// the entry's original view travel separately: a re-send never
+    /// re-stamps the entry.
+    pub fn resend_prepare<Op: Wire>(
+        &self,
+        peer: u32,
+        view: View,
+        entry: &LogEntry<Op>,
+        commit_num: OpNum,
+    ) -> Option<PeerAck> {
+        let args = prepare_args(view, entry.view, entry.op, commit_num, &entry.update);
+        decode(self.call(peer, Method::Prepare, args))
+    }
+
+    /// Hands this replica's `DoViewChange` to the new primary.
+    pub fn do_view_change<Op: Wire, Snap: Wire>(&self, primary: u32, dvc: &DoViewChange<Op, Snap>) {
+        let mut args = Encoder::new();
+        dvc.encode_into(&mut args);
+        let _ = self.call(primary, Method::DoViewChange, args);
+    }
+
+    /// Forwards a client op to the primary and returns its outcome, or
+    /// why the call itself failed.
+    pub fn forward_op<Op: Wire, Out: Wire>(&self, primary: u32, op: &Op) -> Result<Out, OrbError> {
+        let mut args = Encoder::new();
+        op.encode_into(&mut args);
+        let body = self.call(primary, Method::ForwardOp, args)?;
+        Out::from_bytes(&body).map_err(|e| OrbError::Decode {
+            what: e.to_string(),
+        })
     }
 
     // ---- the rounds --------------------------------------------------------
@@ -398,9 +456,117 @@ impl<Op, Snap> PeerPoll<Op, Snap> {
     }
 }
 
+/// The arguments of a `prepare`.
+fn prepare_args<Op: Wire>(
+    view: View,
+    entry_view: View,
+    op_num: OpNum,
+    commit_num: OpNum,
+    update: &Op,
+) -> Encoder {
+    let mut args = Encoder::new();
+    view.encode_into(&mut args);
+    entry_view.encode_into(&mut args);
+    op_num.encode_into(&mut args);
+    commit_num.encode_into(&mut args);
+    update.encode_into(&mut args);
+    args
+}
+
 /// A peer's successful answer, or `None` for any failure (transport,
 /// decode, or an error the servant returned) — the rounds treat them
 /// all as silence.
-fn decode<T: Wire, E: Wire>(reply: Result<Bytes, OrbError>) -> Option<T> {
-    <Result<T, E>>::from_bytes(&reply.ok()?).ok()?.ok()
+fn decode<T: Wire>(reply: Result<Bytes, OrbError>) -> Option<T> {
+    <Reply<T>>::from_bytes(&reply.ok()?).ok()?.ok()
+}
+
+/// The receiving half: the peer servant of one replica.
+pub(crate) struct PeerServant<M: Replicated>(pub(crate) Arc<Replica<M>>);
+
+impl<M: Replicated> Servant for PeerServant<M> {
+    fn type_id(&self) -> u32 {
+        type_id_of(M::PEER_INTERFACE)
+    }
+
+    fn type_name(&self) -> &'static str {
+        M::PEER_INTERFACE
+    }
+
+    fn method_name(&self, method: u32) -> &'static str {
+        Method::from_id(method).map_or("?", |m| METHODS[m.index()].1)
+    }
+
+    fn dispatch(&self, _caller: &Caller, method: u32, args: &[u8]) -> Result<Bytes, OrbError> {
+        fn arg<T: Wire>(d: &mut Decoder<'_>) -> Result<T, OrbError> {
+            T::decode_from(d).map_err(|e| OrbError::Decode {
+                what: e.to_string(),
+            })
+        }
+        fn ok<T: Wire>(answer: T) -> Bytes {
+            Reply::Ok(answer).to_bytes()
+        }
+        fn end(d: &Decoder<'_>) -> Result<(), OrbError> {
+            d.expect_end().map_err(|e| OrbError::Decode {
+                what: e.to_string(),
+            })
+        }
+        let method = Method::from_id(method).ok_or(OrbError::UnknownMethod)?;
+        let rep = &self.0;
+        let now = rep.rt().now();
+        let d = &mut Decoder::new(args);
+        // Tuple fields are evaluated left to right: the order on the wire.
+        Ok(match method {
+            Method::Prepare => {
+                let (view, entry_view, op_num, commit_num, update) =
+                    (arg(d)?, arg(d)?, arg(d)?, arg(d)?, arg(d)?);
+                end(d)?;
+                ok(rep.with_engine(|c| {
+                    c.on_prepare(view, entry_view, op_num, commit_num, update, now)
+                }))
+            }
+            Method::CommitHb => {
+                let (view, commit_num) = (arg(d)?, arg(d)?);
+                end(d)?;
+                ok(rep.with_engine(|c| c.on_commit_hb(view, commit_num, now)))
+            }
+            Method::StartViewChange => {
+                let (view, forced) = (arg(d)?, arg(d)?);
+                end(d)?;
+                ok(rep.with_engine(|c| c.on_start_view_change(view, forced, now)))
+            }
+            Method::DoViewChange => {
+                let dvc = arg(d)?;
+                end(d)?;
+                rep.accept_dvc(dvc);
+                ok(())
+            }
+            Method::StartView => {
+                let sv = arg(d)?;
+                end(d)?;
+                ok(rep.with_engine(|c| c.on_start_view(sv, now)))
+            }
+            Method::GetState => {
+                let from_op = arg(d)?;
+                end(d)?;
+                ok(rep.read(|c| c.on_get_state(from_op)))
+            }
+            Method::ForwardOp => {
+                let op = arg(d)?;
+                end(d)?;
+                rep.master_submit(op).to_bytes()
+            }
+            Method::ViewChangeGo => {
+                let view = arg(d)?;
+                end(d)?;
+                // The initiator saw a join majority for `view`: a
+                // majority has left the older views, so no op can commit
+                // below `view` behind our back and our payload is safe
+                // to release.
+                if let Some(dvc) = rep.with_engine(|c| c.emit_dvc(view)) {
+                    rep.deliver_dvc(dvc);
+                }
+                ok(())
+            }
+        })
+    }
 }

@@ -1,22 +1,26 @@
 //! Viewstamped Replication as a reusable component (protocol after Oki
 //! & Liskov, with the "VSR revisited" refinements — see the
-//! `penberg/vsr-rs` exemplar). Extracted from the name service's update
-//! log so any service can put its state on a majority-committed log:
-//! the NS replica and the Connection Manager's allocation table are the
-//! first two clients.
+//! `penberg/vsr-rs` exemplar): any service can put its state on a
+//! majority-committed log. The name service's naming state, the
+//! Connection Manager's allocation table and the service controller's
+//! placement table are the three clients.
 //!
-//! [`VsrCore`] is the *transport-free* replica engine, generic over a
-//! [`Machine`] — the applied state machine. Every protocol step is a
-//! synchronous method that consumes a message (plus the caller-supplied
-//! clock) and returns the reply, and every effect on the replicated
-//! machine is surfaced as a [`VsrEvent`] for the driver to post-process
-//! (telemetry, cache invalidation, servant export). Keeping the engine
-//! pure is what makes model-based proptesting possible: the test wires
-//! N engines to an in-memory lossy network and compares their committed
-//! logs against a single-node oracle across crash / restart / partition
-//! interleavings — against *any* machine, which is the point of the
-//! extraction (see `ocs-name/tests/proptest_vsr.rs`, which runs the
-//! same harness over the naming state and over [`CounterMachine`]).
+//! Two layers, each written once:
+//!
+//! * [`VsrCore`] is the *transport-free* replica engine, generic over a
+//!   [`Machine`] — the applied state machine. Every protocol step is a
+//!   synchronous method that consumes a message (plus the caller-supplied
+//!   clock) and returns the reply, and every effect on the replicated
+//!   machine is surfaced as a [`VsrEvent`]. Keeping the engine pure is
+//!   what makes model-based proptesting possible: `tests/model.rs` wires
+//!   N engines to an in-memory lossy network and compares their
+//!   committed logs against a single-node oracle across crash / restart
+//!   / partition interleavings, for every machine in the repository.
+//! * [`Replica`] is the driver around the engine: the ORB endpoint and
+//!   peer servant, the heartbeat / view-change / recovery loop, the
+//!   commit path and the telemetry. A machine joins it by implementing
+//!   [`Replicated`], the handful of places where one group differs from
+//!   another.
 //!
 //! Protocol outline:
 //!
@@ -49,16 +53,18 @@
 //!   committed snapshot plus uncommitted tail once compaction has
 //!   dropped them (`log_retention`).
 
-pub mod fanout;
+mod fanout;
+mod replica;
 
-pub use fanout::PeerFanout;
+pub use replica::{Replica, ReplicaConfig, ReplicaStatus};
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Debug;
+use std::fmt::{self, Debug, Display};
 use std::time::Duration;
 
+use ocs_orb::OrbError;
 use ocs_sim::SimTime;
-use ocs_wire::{impl_wire_struct, Decoder, Encoder, ViewStamp, Wire, WireError};
+use ocs_wire::{impl_wire_enum, impl_wire_struct, Decoder, Encoder, ViewStamp, Wire, WireError};
 
 /// A view number. The primary of view `v` is replica `v mod n`.
 pub type View = u64;
@@ -93,6 +99,95 @@ pub trait Machine {
     fn restore(&mut self, snap: Self::Snap);
     /// The sequence number a snapshot was taken at.
     fn snap_seq(snap: &Self::Snap) -> OpNum;
+}
+
+/// Why the driver could not report an op committed. A machine folds
+/// these into its own outcome type ([`Replicated::refused`]).
+#[derive(Clone, Debug, PartialEq)]
+pub enum Refusal {
+    /// No replica can sequence the op right now: a view change is in
+    /// progress, or the primary lost its quorum.
+    NoMaster,
+    /// A view change committed a different op under the number this one
+    /// was sequenced at; this one may be lost.
+    Superseded,
+    /// Sequenced, but no majority acknowledged it in time. The op may
+    /// still commit after a heal.
+    NoQuorum,
+    /// The call that forwarded the op to the primary failed.
+    Comm {
+        /// What the ORB reported.
+        err: OrbError,
+    },
+}
+
+impl_wire_enum!(Refusal {
+    0 => NoMaster,
+    1 => Superseded,
+    2 => NoQuorum,
+    3 => Comm { err },
+});
+
+impl Display for Refusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Refusal::NoMaster => f.write_str("no master"),
+            Refusal::Superseded => f.write_str("op superseded by view change"),
+            Refusal::NoQuorum => f.write_str("no replication quorum"),
+            Refusal::Comm { err } => write!(f, "forwarding failed: {err}"),
+        }
+    }
+}
+
+/// What a [`Machine`] adds to run as a replicated group under the one
+/// driver, [`Replica`]: the places — and the only places — where the
+/// name service's, the Connection Manager's and the service controller's
+/// groups differ. Everything else (the message loop, heartbeats,
+/// re-sends, view changes, state transfer, recovery, the peer servant,
+/// the `<group>.vsr.*` telemetry) is the driver's.
+pub trait Replicated:
+    Machine<Op: Wire + Send, Outcome: Wire + Send, Snap: Wire + Send> + Send + Sized + 'static
+{
+    /// `"<group>-vsr"` (`"cm-vsr"`): the group's journal channel and the
+    /// name of its driver thread. The `<group>` part also names the
+    /// metric family `<group>.vsr.*` and prefixes trace lines, so one
+    /// literal spells the group everywhere.
+    const CHANNEL: &'static str;
+    /// Wire name of the group's replica-to-replica interface. The
+    /// methods and their numbering are the same for every group (see
+    /// `fanout.rs`); the name keeps one group's frames from being
+    /// dispatched to another's servant.
+    const PEER_INTERFACE: &'static str;
+    /// The machine's driver-side companions — metric handles, caches,
+    /// whatever [`Replicated::post_step`] and [`Replicated::master_tick`]
+    /// work with. Owned by the replica ([`Replica::ctx`]), never
+    /// replicated.
+    type Ctx: Send + Sync + 'static;
+
+    /// Stamps `op` with the sequencing primary's clock, for machines
+    /// that carry time in the op. The primary re-stamps forwarded ops,
+    /// so a backup's (or a retrying client's) stale stamp never enters
+    /// the log.
+    fn stamp(_op: &mut Self::Op, _now_us: u64) {}
+
+    /// An op the driver could not report committed, as the outcome the
+    /// group's clients understand.
+    fn refused(why: Refusal) -> Self::Outcome;
+
+    /// Runs after an engine step that produced `events`, with the engine
+    /// lock still held: the machine is exactly as the step left it, and
+    /// driver-side feeds it accumulated (an expiry log, a decision
+    /// journal) can be drained here. Must not block — no RPC, no sleep.
+    fn post_step(&mut self, _ctx: &Self::Ctx, _events: &[VsrEvent<Self::Op>]) {}
+
+    /// Runs on every tick of the driver loop, outside the engine lock:
+    /// where a machine's master submits its periodic ops.
+    fn master_tick(_replica: &Replica<Self>) {}
+
+    /// One line of machine state for [`ReplicaStatus`] (`allocs=12`).
+    fn describe(&self) -> String {
+        String::new()
+    }
 }
 
 /// Replica status.
@@ -412,11 +507,11 @@ pub struct VsrCore<M: Machine> {
     /// run state transfer.
     needs_catchup: bool,
     /// A replica starts (and restarts) in probation: its log may have
-    /// been lost in a crash, so it neither acks, leads, nor votes until
-    /// the driver's recovery probe has heard from `f+1` peers and
-    /// installed the freshest state among them (the VSR recovery rule —
-    /// any committed op is in some log of any `f+1` peers, assuming at
-    /// most `f` simultaneous log losses).
+    /// been lost in a crash, so it neither acks, leads, nor joins a view
+    /// change until the driver's recovery probe has heard from `f+1`
+    /// peers and installed the freshest state among them (the VSR
+    /// recovery rule — any committed op is in some log of any `f+1`
+    /// peers, assuming at most `f` simultaneous log losses).
     probation: bool,
     events: Vec<VsrEvent<M::Op>>,
 }
@@ -530,7 +625,7 @@ impl<M: Machine> VsrCore<M> {
         self.commit_num
     }
 
-    /// Prepared-but-uncommitted backlog, for the `*.vsr.commit_gap`
+    /// Prepared-but-uncommitted backlog, for the `<group>.vsr.commit_gap`
     /// gauge.
     pub fn commit_gap(&self) -> u64 {
         self.op_num - self.commit_num
@@ -915,9 +1010,15 @@ impl<M: Machine> VsrCore<M> {
     /// through a view change. Joining emits nothing: the `DoViewChange`
     /// is released later, by [`VsrCore::emit_dvc`], once the initiator
     /// has observed a join majority.
+    ///
+    /// A replica in probation never joins, forced or not: its log may be
+    /// gone, and a `DoViewChange` built from an empty log would count
+    /// toward the new primary's majority like any other — two such
+    /// payloads elect an empty log over a committed op.
     pub fn on_start_view_change(&mut self, view: View, forced: bool, now: SimTime) -> SvcAck {
         let already_joined = self.status == VsrStatus::ViewChange && self.view == view;
         let join_higher = view > self.view
+            && !self.probation
             && (forced || self.suspects(now) || self.status == VsrStatus::ViewChange);
         if !already_joined && !join_higher {
             return SvcAck {
@@ -1181,10 +1282,10 @@ impl<M: Machine> VsrCore<M> {
     }
 }
 
-/// A trivial replicated machine — a running sum with a full audit trail
-/// of `(seq, amount)` — used to prove the engine is state-machine
-/// agnostic (the proptest harness runs over it next to the naming
-/// state) and as the smallest possible example of a [`Machine`].
+/// A trivial replicated machine — a running sum — used to prove the
+/// engine and the driver are state-machine agnostic (the model harness
+/// and the driver's own tests run over it) and as the smallest possible
+/// example of a [`Machine`] that is also [`Replicated`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CounterMachine {
     /// The running sum of every applied amount.
@@ -1206,13 +1307,15 @@ impl_wire_struct!(CounterSnap { total, last_seq });
 
 impl Machine for CounterMachine {
     type Op = u64;
-    type Outcome = u64;
+    /// The sum after the op. Adding never fails; the error side is what
+    /// the driver reports when it cannot commit.
+    type Outcome = Result<u64, Refusal>;
     type Snap = CounterSnap;
 
-    fn apply(&mut self, seq: OpNum, op: &u64) -> u64 {
+    fn apply(&mut self, seq: OpNum, op: &u64) -> Result<u64, Refusal> {
         self.total = self.total.wrapping_add(*op);
         self.last_seq = seq;
-        self.total
+        Ok(self.total)
     }
 
     fn snapshot(&self) -> CounterSnap {
@@ -1229,6 +1332,16 @@ impl Machine for CounterMachine {
 
     fn snap_seq(snap: &CounterSnap) -> OpNum {
         snap.last_seq
+    }
+}
+
+impl Replicated for CounterMachine {
+    const CHANNEL: &'static str = "counter-vsr";
+    const PEER_INTERFACE: &'static str = "ocs.counter-peer";
+    type Ctx = ();
+
+    fn refused(why: Refusal) -> Result<u64, Refusal> {
+        Err(why)
     }
 }
 
@@ -1275,8 +1388,8 @@ mod tests {
         let op1 = replicate(&mut cores, 0, 7);
         let op2 = replicate(&mut cores, 0, 5);
         assert_eq!(cores[0].commit_num(), op2);
-        assert_eq!(cores[0].outcome_of(0, op1), OpOutcome::Done(7));
-        assert_eq!(cores[0].outcome_of(0, op2), OpOutcome::Done(12));
+        assert_eq!(cores[0].outcome_of(0, op1), OpOutcome::Done(Ok(7)));
+        assert_eq!(cores[0].outcome_of(0, op2), OpOutcome::Done(Ok(12)));
         assert_eq!(cores[0].state().total, 12);
     }
 
@@ -1295,6 +1408,20 @@ mod tests {
         cores[1].on_ack(2, &ack);
         assert_eq!(cores[1].commit_num(), 2);
         assert_eq!(cores[1].state().total, 7);
+    }
+
+    #[test]
+    fn probationary_replica_declines_even_a_forced_proposal() {
+        let mut cores = trio();
+        replicate(&mut cores, 0, 3);
+        // Replica 2 restarts: its log is gone, it is in probation.
+        cores[2] = VsrCore::new(2, 3, 64, Duration::from_secs(5), t(2));
+        let late = t(10_000);
+        let v = cores[1].begin_view_change(late);
+        let ack = cores[2].on_start_view_change(v, true, late);
+        assert!(!ack.joined, "an empty log must not count toward a view change");
+        assert_eq!(cores[2].status(), VsrStatus::Normal);
+        assert!(cores[2].emit_dvc(v).is_none());
     }
 
     #[test]

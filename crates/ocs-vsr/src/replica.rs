@@ -1,0 +1,728 @@
+//! The replica driver: everything around the pure [`VsrCore`] engine
+//! that does I/O or reads a clock, written once for every replicated
+//! group.
+//!
+//! A [`Replica`] owns its group member's ORB endpoint and exports two
+//! objects on it: the service's own client-facing root servant (handed
+//! in by the service) and the VSR peer servant (`fanout.rs`). One
+//! process runs [`Replica::vsr_loop`] — recovery probe, heartbeat round,
+//! catch-up or view change, whichever the engine's state calls for —
+//! and client ops enter through [`Replica::submit`]: the view primary
+//! stamps the op, sequences it, sends `prepare` to every backup at once
+//! and answers at the majority commit with the viewstamped outcome; a
+//! backup forwards to the primary.
+//!
+//! Every engine step goes through [`Replica::with_engine`], which turns
+//! the events the step produced into the group's `<group>.vsr.*`
+//! metrics and `<group>-vsr` journal lines, runs the machine's
+//! [`Replicated::post_step`], and wakes the ops waiting on the engine.
+
+use std::borrow::Cow;
+use std::fmt::{self, Display};
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::Duration;
+
+use ocs_orb::{NoAuth, ObjRef, Orb, Servant, ThreadModel};
+use ocs_sim::{Addr, NetError, NodeRtExt, PortReq, Rt, SimTime};
+use ocs_telemetry::{Counter, Gauge, Histo, Journal, NodeTelemetry};
+use parking_lot::Mutex;
+
+use crate::fanout::{PeerFanout, PeerServant, PEER_OBJ};
+use crate::{
+    DoViewChange, OpNum, OpOutcome, Prepare, Refusal, Replicated, StartView, SubmitRoute, View,
+    VsrCore, VsrEvent, VsrStatus,
+};
+
+/// Entries re-sent to one lagging backup per heartbeat round.
+const RESEND_BATCH: usize = 32;
+
+/// The replication parameters of one group member — what every group's
+/// configuration has in common.
+#[derive(Clone, Debug)]
+pub struct ReplicaConfig {
+    /// This replica's index into `peers`.
+    pub replica_id: u32,
+    /// The request endpoints of all replicas (including this one).
+    pub peers: Vec<Addr>,
+    /// Primary → backup heartbeat period.
+    pub heartbeat_interval: Duration,
+    /// Base primary-suspect timeout: how long a backup tolerates primary
+    /// silence before proposing a view change (staggered per replica
+    /// id, see [`ReplicaConfig::suspect_timeout`]).
+    pub election_timeout: Duration,
+    /// Timeout for replica-to-replica calls.
+    pub peer_timeout: Duration,
+    /// Committed log entries retained past the commit point for peer
+    /// catch-up; a replica further behind recovers by snapshot transfer.
+    pub log_retention: u64,
+}
+
+impl ReplicaConfig {
+    /// The paper's deployed parameters (§9.7) for a replica group.
+    pub fn paper_defaults(replica_id: u32, peers: Vec<Addr>) -> ReplicaConfig {
+        ReplicaConfig {
+            replica_id,
+            peers,
+            heartbeat_interval: Duration::from_secs(2),
+            election_timeout: Duration::from_secs(5),
+            peer_timeout: Duration::from_millis(800),
+            log_retention: 512,
+        }
+    }
+
+    /// This replica's effective suspect timeout: the base plus an
+    /// id-proportional stagger (half a heartbeat per id), so the lowest
+    /// live backup usually proposes the view change alone.
+    fn suspect_timeout(&self) -> Duration {
+        self.election_timeout + (self.heartbeat_interval / 2) * self.replica_id
+    }
+}
+
+/// The group's metric handles, resolved once at start: the commit path
+/// does no lookup by name.
+struct Metrics {
+    commits: Arc<Counter>,
+    suspects: Arc<Counter>,
+    view_changes: Arc<Counter>,
+    vc_aborted: Arc<Counter>,
+    state_transfer_snapshot: Arc<Counter>,
+    state_transfer_log: Arc<Counter>,
+    superseded: Arc<Counter>,
+    view: Arc<Gauge>,
+    commit_gap: Arc<Gauge>,
+    view_change_us: Arc<Histo>,
+    journal: Arc<Journal>,
+}
+
+impl Metrics {
+    /// The `<group>.vsr.*` family on `rt`'s node.
+    fn of(rt: &Rt, group: &str) -> Metrics {
+        let tel = NodeTelemetry::of(&**rt);
+        let name = |metric: &str| format!("{group}.vsr.{metric}");
+        let counter = |metric| tel.registry.counter(&name(metric));
+        Metrics {
+            commits: counter("commits"),
+            suspects: counter("suspects"),
+            view_changes: counter("view_changes"),
+            vc_aborted: counter("vc_aborted"),
+            state_transfer_snapshot: counter("state_transfer_snapshot"),
+            state_transfer_log: counter("state_transfer_log"),
+            superseded: counter("superseded"),
+            view: tel.registry.gauge(&name("view")),
+            commit_gap: tel.registry.gauge(&name("commit_gap")),
+            view_change_us: tel.registry.histo(&name("view_change_us")),
+            journal: Arc::clone(&tel.journal),
+        }
+    }
+}
+
+/// Driver-side bookkeeping next to the engine.
+struct Driver {
+    /// Last heartbeat round the primary ran.
+    last_hb_round: SimTime,
+    /// When the ongoing view change was first suspected (fail-over
+    /// latency clock, reported on `<group>.vsr.view_change_us`).
+    vc_started: Option<SimTime>,
+}
+
+/// One engine state dump, for test failure diagnostics and — later — a
+/// status servant.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ReplicaStatus {
+    /// The current view.
+    pub view: View,
+    /// Normal, or between views.
+    pub status: VsrStatus,
+    /// Whether this replica is its view's primary.
+    pub primary: bool,
+    /// Whether it can sequence updates (primary, with a quorum, out of
+    /// probation).
+    pub master: bool,
+    /// Whether it is still in start-up/recovery probation.
+    pub probation: bool,
+    /// Whether it saw a gap or a higher view and owes a state transfer.
+    pub catch_up: bool,
+    /// Log end.
+    pub op: OpNum,
+    /// Commit number.
+    pub commit: OpNum,
+    /// The machine's own line ([`Replicated::describe`]).
+    pub machine: String,
+}
+
+impl Display for ReplicaStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "view={} status={:?} primary={} master={} probation={} catchup={} op={} commit={}",
+            self.view,
+            self.status,
+            self.primary,
+            self.master,
+            self.probation,
+            self.catch_up,
+            self.op,
+            self.commit,
+        )?;
+        if !self.machine.is_empty() {
+            write!(f, " {}", self.machine)?;
+        }
+        Ok(())
+    }
+}
+
+/// One member of a replicated group: machine `M` on the VSR log.
+pub struct Replica<M: Replicated> {
+    rt: Rt,
+    cfg: ReplicaConfig,
+    /// The `<group>` of [`Replicated::CHANNEL`].
+    group: &'static str,
+    st: Mutex<VsrCore<M>>,
+    drv: Mutex<Driver>,
+    ctx: M::Ctx,
+    metrics: Metrics,
+    /// Every call to the other replicas goes through here.
+    fan: PeerFanout,
+    /// Set by [`Replica::start`]: the root object's reference, and the
+    /// ORB — weakly, because the ORB owns the servants and the servants
+    /// own the replica. Its serving process keeps the ORB alive.
+    started: OnceLock<(ObjRef, Weak<Orb>)>,
+}
+
+impl<M: Replicated> Replica<M> {
+    /// Group member `cfg.replica_id` over `machine` (every replica of a
+    /// group must construct an identical one). Nothing runs and no port
+    /// is open until [`Replica::start`]; in between, the service builds
+    /// the root servant that needs the replica.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a configuration no deployment could mean: an id outside
+    /// `peers`, an address on another node, a zero heartbeat interval.
+    pub fn new(rt: Rt, cfg: ReplicaConfig, machine: M, ctx: M::Ctx) -> Arc<Replica<M>> {
+        let group = M::CHANNEL
+            .strip_suffix("-vsr")
+            .expect("Replicated::CHANNEL is \"<group>-vsr\"");
+        assert!(
+            (cfg.replica_id as usize) < cfg.peers.len(),
+            "{group} replica {} is not among its {} peers",
+            cfg.replica_id,
+            cfg.peers.len()
+        );
+        assert_eq!(
+            cfg.peers[cfg.replica_id as usize].node,
+            rt.node(),
+            "{group} replica {} configured for a different node",
+            cfg.replica_id
+        );
+        assert!(
+            !cfg.heartbeat_interval.is_zero(),
+            "{group} replica: heartbeat_interval paces the driver loop and must be nonzero"
+        );
+        let now = rt.now();
+        let engine = VsrCore::with_machine(
+            machine,
+            cfg.replica_id,
+            cfg.peers.len(),
+            cfg.log_retention,
+            cfg.suspect_timeout(),
+            now,
+        );
+        Arc::new(Replica {
+            metrics: Metrics::of(&rt, group),
+            fan: PeerFanout::new(
+                rt.clone(),
+                cfg.peer_timeout,
+                cfg.replica_id,
+                &cfg.peers,
+                M::PEER_INTERFACE,
+            ),
+            rt,
+            cfg,
+            group,
+            st: Mutex::new(engine),
+            drv: Mutex::new(Driver {
+                last_hb_round: now,
+                vc_started: None,
+            }),
+            ctx,
+            started: OnceLock::new(),
+        })
+    }
+
+    /// Opens the replica's endpoint, exports `root` — the service's
+    /// client-facing servant — as the stable root object and the peer
+    /// servant next to it, and spawns the driver loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called twice.
+    pub fn start(self: &Arc<Self>, root: Arc<dyn Servant>) -> Result<(), NetError> {
+        let orb = Orb::build(
+            self.rt.clone(),
+            PortReq::Fixed(self.addr().port),
+            ThreadModel::PerRequest,
+            Some(ObjRef::STABLE),
+            Arc::new(NoAuth),
+        )?;
+        let root = orb.export_root(root);
+        orb.export_at(PEER_OBJ, Arc::new(PeerServant(Arc::clone(self))));
+        assert!(
+            self.started.set((root, Arc::downgrade(&orb))).is_ok(),
+            "Replica::start called twice"
+        );
+        orb.start();
+        if self.in_probation() {
+            self.journal(format!(
+                "{} replica {} starting in recovery probation",
+                self.group, self.cfg.replica_id
+            ));
+        }
+        let me = Arc::clone(self);
+        self.rt.spawn_fn(M::CHANNEL, move || me.vsr_loop());
+        Ok(())
+    }
+
+    // ---- accessors -----------------------------------------------------
+
+    /// The node runtime this replica runs on.
+    pub fn rt(&self) -> &Rt {
+        &self.rt
+    }
+
+    /// The request endpoints of all replicas, indexed by replica id.
+    pub fn peers(&self) -> &[Addr] {
+        &self.cfg.peers
+    }
+
+    /// This replica's own request endpoint.
+    pub fn addr(&self) -> Addr {
+        self.cfg.peers[self.cfg.replica_id as usize]
+    }
+
+    /// The machine's driver-side companions.
+    pub fn ctx(&self) -> &M::Ctx {
+        &self.ctx
+    }
+
+    /// The stable reference to this replica's root servant (valid
+    /// across replica restarts).
+    ///
+    /// # Panics
+    ///
+    /// Panics before [`Replica::start`]: there is no root object yet.
+    pub fn root_ref(&self) -> ObjRef {
+        self.started.get().expect("replica not started").0
+    }
+
+    /// The replica's ORB, while its serving process lives.
+    pub fn orb(&self) -> Option<Arc<Orb>> {
+        self.started.get()?.1.upgrade()
+    }
+
+    /// Whether this replica is the view primary with a quorum.
+    pub fn is_master(&self) -> bool {
+        self.st.lock().is_master()
+    }
+
+    /// The current view number.
+    pub fn view(&self) -> View {
+        self.st.lock().view()
+    }
+
+    /// Sequence number of the last committed (applied) update.
+    pub fn last_seq(&self) -> OpNum {
+        self.st.lock().commit_num()
+    }
+
+    /// Whether the replica is still in start-up/recovery probation.
+    pub fn in_probation(&self) -> bool {
+        self.st.lock().in_probation()
+    }
+
+    /// Reads the engine — and through [`VsrCore::state`] the machine —
+    /// under its lock. Reads are local (§4.6) and may trail the primary
+    /// by the commit gap.
+    pub fn read<R>(&self, f: impl FnOnce(&VsrCore<M>) -> R) -> R {
+        f(&self.st.lock())
+    }
+
+    /// The engine's state in one struct.
+    pub fn status(&self) -> ReplicaStatus {
+        self.read(|c| ReplicaStatus {
+            view: c.view(),
+            status: c.status(),
+            primary: c.is_primary(),
+            master: c.is_master(),
+            probation: c.in_probation(),
+            catch_up: c.needs_catchup(),
+            op: c.op_num(),
+            commit: c.commit_num(),
+            machine: c.state().describe(),
+        })
+    }
+
+    fn journal(&self, line: impl Into<Cow<'static, str>>) {
+        self.metrics.journal.record(self.rt.now(), M::CHANNEL, line);
+    }
+
+    // ---- engine access -------------------------------------------------
+
+    /// Runs `f` against the engine, then post-processes the events it
+    /// produced. Never call engine methods while making RPCs — every
+    /// peer call in this module happens with the lock released.
+    pub(crate) fn with_engine<R>(&self, f: impl FnOnce(&mut VsrCore<M>) -> R) -> R {
+        let (out, events, probation_ended) = {
+            let mut st = self.st.lock();
+            let before = st.in_probation();
+            let out = f(&mut st);
+            let ended = before && !st.in_probation();
+            let events = st.take_events();
+            if !events.is_empty() {
+                st.state_mut().post_step(&self.ctx, &events);
+            }
+            (out, events, ended)
+        };
+        if probation_ended {
+            // Both exit paths (recovery-quorum probe and StartView) funnel
+            // through here, so the flight recorder sees every one.
+            self.journal("recovery probation ended");
+        }
+        if !events.is_empty() {
+            for ev in events {
+                self.note_event(ev);
+            }
+            // An op's outcome can have changed: wake the commit path.
+            self.fan.progressed();
+        }
+        out
+    }
+
+    /// One engine event into the metrics, the flight recorder and the
+    /// debug trace.
+    fn note_event(&self, ev: VsrEvent<M::Op>) {
+        let (m, group) = (&self.metrics, self.group);
+        match ev {
+            VsrEvent::Committed { .. } => m.commits.inc(),
+            VsrEvent::Suspected { view } => {
+                m.suspects.inc();
+                let first = {
+                    let mut drv = self.drv.lock();
+                    let first = drv.vc_started.is_none();
+                    drv.vc_started.get_or_insert(self.rt.now());
+                    first
+                };
+                if first {
+                    self.journal(format!("view change started: proposing view {view}"));
+                }
+                self.rt
+                    .trace(&format!("{group}: vsr suspect, proposing view {view}"));
+            }
+            VsrEvent::ViewChanged { view, primary } => {
+                m.view_changes.inc();
+                m.view.set(view as i64);
+                if let Some(started) = self.drv.lock().vc_started.take() {
+                    let us = self.rt.now().saturating_since(started).as_micros() as u64;
+                    m.view_change_us.observe(us);
+                }
+                self.journal(format!(
+                    "view change committed: view {view} primary {primary}"
+                ));
+                self.rt.trace(&format!(
+                    "{group}: vsr entered view {view} (primary {primary})"
+                ));
+            }
+            VsrEvent::Aborted { view } => {
+                m.vc_aborted.inc();
+                self.drv.lock().vc_started = None;
+                self.journal(format!(
+                    "view change to {view} aborted: primary still healthy"
+                ));
+                self.rt.trace(&format!(
+                    "{group}: vsr view change to {view} aborted (primary still healthy)"
+                ));
+            }
+            VsrEvent::CaughtUp { via_snapshot: true } => {
+                m.state_transfer_snapshot.inc();
+                self.journal("caught up via snapshot state transfer");
+            }
+            VsrEvent::CaughtUp {
+                via_snapshot: false,
+            } => {
+                m.state_transfer_log.inc();
+                self.journal("caught up via log replay");
+            }
+        }
+    }
+
+    // ---- update path ---------------------------------------------------
+
+    /// Replicates an op this replica sequenced as the view primary: one
+    /// prepare to every backup at once, answered at the majority commit.
+    /// The outcome is keyed by the viewstamp `(view, op)` we sequenced,
+    /// never the op number alone: if we are deposed mid-wait and a view
+    /// change commits a *different* update at our op number, the client
+    /// must hear failure — its write may be lost, and it retries
+    /// (idempotently, where the machine's ops carry a token) — not the
+    /// replacement's success.
+    fn drive_prepare(&self, prep: Prepare<M::Op>) -> M::Outcome {
+        let out = self.fan.replicate(
+            &prep,
+            |i, ack| self.with_engine(|c| c.on_ack(i, ack)),
+            || self.st.lock().outcome_of(prep.view, prep.op_num),
+        );
+        match out {
+            OpOutcome::Done(result) => result,
+            OpOutcome::Superseded => {
+                self.metrics.superseded.inc();
+                M::refused(Refusal::Superseded)
+            }
+            // Sequenced but not committed: no quorum reachable. The op
+            // may still commit after a heal; clients treat this like a
+            // master outage and retry.
+            OpOutcome::Pending => M::refused(Refusal::NoQuorum),
+        }
+    }
+
+    /// Sequences an op on this replica as primary, without forwarding —
+    /// what a forwarded op and the machine's own master-side ops (audit
+    /// unbinds, expiry ticks) go through.
+    pub fn master_submit(&self, mut op: M::Op) -> M::Outcome {
+        M::stamp(&mut op, self.rt.now().as_micros());
+        match self.with_engine(|c| c.client_op(op)) {
+            Ok(prep) => self.drive_prepare(prep),
+            Err(_) => M::refused(Refusal::NoMaster),
+        }
+    }
+
+    /// Routes a client op: sequence here if primary, forward to the
+    /// primary if backup. Fails fast mid-view-change; the client (or its
+    /// rebind library, §8.2) retries.
+    pub fn submit(&self, mut op: M::Op) -> M::Outcome {
+        M::stamp(&mut op, self.rt.now().as_micros());
+        match self.with_engine(|c| c.client_op(op.clone())) {
+            Ok(prep) => self.drive_prepare(prep),
+            Err(SubmitRoute::Forward(primary)) => self
+                .fan
+                .forward_op(primary, &op)
+                .unwrap_or_else(|err| M::refused(Refusal::Comm { err })),
+            Err(SubmitRoute::Unavailable) => M::refused(Refusal::NoMaster),
+        }
+    }
+
+    // ---- the driver loop -----------------------------------------------
+
+    fn vsr_loop(&self) {
+        let tick = self.cfg.heartbeat_interval / 4;
+        // Desynchronize the replicas' ticks.
+        self.rt.sleep(self.rt.rand_jitter(tick));
+        loop {
+            enum Act {
+                Probe,
+                HeartbeatRound,
+                CatchUp,
+                ViewChange,
+                Nothing,
+            }
+            let act = {
+                let st = self.st.lock();
+                let now = self.rt.now();
+                if st.in_probation() {
+                    Act::Probe
+                } else if st.needs_catchup() {
+                    // Must outrank the heartbeat arm: a stale primary
+                    // that has learned of a higher view would otherwise
+                    // heartbeat its dead view forever instead of
+                    // catching up (found by the model-based proptest).
+                    Act::CatchUp
+                } else if st.is_primary() {
+                    let mut drv = self.drv.lock();
+                    if now.saturating_since(drv.last_hb_round) >= self.cfg.heartbeat_interval {
+                        drv.last_hb_round = now;
+                        Act::HeartbeatRound
+                    } else {
+                        Act::Nothing
+                    }
+                } else if st.suspects(now) || st.vc_stuck(now) {
+                    Act::ViewChange
+                } else {
+                    Act::Nothing
+                }
+            };
+            match act {
+                Act::Probe => self.recovery_probe(),
+                Act::HeartbeatRound => self.heartbeat_round(),
+                Act::CatchUp => self.catch_up(),
+                Act::ViewChange => self.run_view_change(),
+                Act::Nothing => {}
+            }
+            M::master_tick(self);
+            // Straggler acks of commits answered at the first ack.
+            self.fan
+                .drain(usize::MAX, |i, ack| self.with_engine(|c| c.on_ack(i, ack)));
+            {
+                let st = self.st.lock();
+                self.metrics.view.set(st.view() as i64);
+                self.metrics.commit_gap.set(st.commit_gap() as i64);
+            }
+            self.rt.sleep(tick);
+        }
+    }
+
+    /// One primary heartbeat round: broadcast the commit point, absorb
+    /// the watermark acks, re-send log entries to lagging backups, and
+    /// track quorum contact (§4.6 step-down on lost quorum).
+    fn heartbeat_round(&self) {
+        let (view, commit, op_num) = {
+            let st = self.st.lock();
+            if !st.is_primary() {
+                return;
+            }
+            (st.view(), st.commit_num(), st.op_num())
+        };
+        let mut acked = 0;
+        let mut lagging = Vec::new();
+        self.fan.commit_hb(view, commit, |i, ack| {
+            self.with_engine(|c| c.on_ack(i, ack));
+            if ack.view == view && ack.accepted {
+                acked += 1;
+                if ack.op_num < op_num {
+                    lagging.push((i, ack.op_num));
+                }
+            }
+        });
+        for (i, from) in lagging {
+            self.resend_to(i, view, from);
+        }
+        self.with_engine(|c| c.note_round(acked));
+    }
+
+    /// Re-sends the log suffix after `from` to one lagging backup
+    /// (bounded per round; state transfer covers bigger gaps).
+    fn resend_to(&self, peer: u32, view: View, from: OpNum) {
+        let entries = {
+            let st = self.st.lock();
+            if !st.is_primary() || st.view() != view {
+                return;
+            }
+            st.entries_from(from + 1)
+        };
+        // `None` means the suffix was compacted: the backup's gap spans
+        // the retention window and it will request a snapshot itself.
+        let Some(entries) = entries else { return };
+        for e in entries.into_iter().take(RESEND_BATCH) {
+            let commit = self.st.lock().commit_num();
+            let Some(ack) = self.fan.resend_prepare(peer, view, &e, commit) else {
+                return;
+            };
+            self.with_engine(|c| c.on_ack(peer, &ack));
+            if !ack.accepted {
+                return;
+            }
+        }
+    }
+
+    /// Proposes (or re-proposes) a view change: broadcast the proposal,
+    /// and either complete it or revert. Only after a majority has
+    /// joined does anyone emit a `DoViewChange` — the initiator tells
+    /// each joiner to release its payload (`view_change_go`) and then
+    /// releases its own. Emitting earlier is unsafe: a payload from a
+    /// replica that later reverts to an older view could complete the
+    /// change with a log that omits ops newly committed there.
+    fn run_view_change(&self) {
+        let now = self.rt.now();
+        let (proposed, forced) = self.with_engine(|c| {
+            let v = c.begin_view_change(now);
+            (v, c.vc_forced())
+        });
+        // Returns at a join majority, without waiting out the (dead)
+        // old primary.
+        let joiners = self.fan.start_view_change(proposed, forced, |view| {
+            self.with_engine(|c| c.note_view(view))
+        });
+        if joiners.len() + 1 < self.fan.majority() {
+            let now = self.rt.now();
+            self.with_engine(|c| c.abort_view_change(proposed, now));
+            return;
+        }
+        // Quorum joined: release the DoViewChanges toward the new
+        // primary — the joiners' first, then our own.
+        self.fan.view_change_go(&joiners, proposed);
+        if let Some(dvc) = self.with_engine(|c| c.emit_dvc(proposed)) {
+            self.deliver_dvc(dvc);
+        }
+    }
+
+    /// Routes a `DoViewChange` to its view's primary — locally when
+    /// that is this replica, by RPC otherwise.
+    pub(crate) fn deliver_dvc(&self, dvc: DoViewChange<M::Op, M::Snap>) {
+        let new_primary = (dvc.view % self.cfg.peers.len() as u64) as u32;
+        if new_primary == self.cfg.replica_id {
+            self.accept_dvc(dvc);
+        } else {
+            self.fan.do_view_change(new_primary, &dvc);
+        }
+    }
+
+    /// Takes a `DoViewChange` as the new primary; with a majority of
+    /// them in, announces the chosen log.
+    pub(crate) fn accept_dvc(&self, dvc: DoViewChange<M::Op, M::Snap>) {
+        let now = self.rt.now();
+        if let Some(sv) = self.with_engine(|c| c.on_do_view_change(dvc, now)) {
+            self.broadcast_start_view(sv);
+        }
+    }
+
+    /// New primary → backups: announce the chosen log. The acks double
+    /// as prepare-oks, so the carried tail usually commits in-round.
+    fn broadcast_start_view(&self, sv: StartView<M::Op, M::Snap>) {
+        self.fan
+            .start_view(&sv, |i, ack| self.with_engine(|c| c.on_ack(i, ack)));
+        self.drv.lock().last_hb_round = self.rt.now();
+    }
+
+    /// Routine state transfer for a replica that saw a gap or a higher
+    /// view. Installs only authoritative (Normal-responder) state.
+    fn catch_up(&self) {
+        let commit = self.st.lock().commit_num();
+        let poll = self.fan.poll_state(commit);
+        if poll.answers == 0 {
+            return; // Nobody reachable; retry next tick.
+        }
+        if let Some(best) = poll.best {
+            let now = self.rt.now();
+            self.with_engine(|c| {
+                c.on_state_transfer(best, now);
+            });
+        }
+    }
+
+    /// Start-up recovery: a (re)starting replica's log may have died
+    /// with it, so it stays in probation — not acking, leading or
+    /// joining view changes — until a recovery quorum of peers has
+    /// answered *authoritatively* and the freshest such answer is
+    /// installed. Any committed op appears in at least one of any `f+1`
+    /// Normal peers' logs; answers from probationary or view-changing
+    /// peers prove nothing and do not count (a group cold-starting in
+    /// unison bootstraps through the cold-answer carve-out instead).
+    fn recovery_probe(&self) {
+        let (required, commit) = {
+            let st = self.st.lock();
+            (st.recovery_quorum(), st.commit_num())
+        };
+        let poll = self.fan.poll_state(commit);
+        if poll.countable < required {
+            return; // Keep probing; StartView can also end probation.
+        }
+        let now = self.rt.now();
+        self.with_engine(|c| {
+            if !c.in_probation() {
+                return;
+            }
+            if let Some(best) = poll.best {
+                c.on_state_transfer(best, now);
+            }
+            c.end_probation(now);
+        });
+    }
+}

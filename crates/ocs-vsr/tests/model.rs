@@ -1,33 +1,41 @@
-//! Model-based property tests of the replicated service-placement
-//! machine ([`SscTable`]) riding the reusable VSR engine, mirroring the
-//! generic harness in `ocs-name/tests/proptest_vsr.rs`.
+//! Model-based property tests of the VSR engine ([`VsrCore`]), run over
+//! every replicated machine in the repository: the trivial
+//! [`CounterMachine`], the name service's [`NsState`], the service
+//! controller's [`SscTable`] and the Connection Manager's [`CmTable`].
 //!
-//! The harness wires three [`VsrCore<SscTable>`] engines to a
-//! synchronous in-memory network with a manual clock and drives them
-//! through arbitrary interleavings of placement ops
-//! (define/place/unplace/report-down/retire), ticks, crashes (log
-//! loss), restarts (probation + recovery probe) and pairwise
-//! partitions — the same schedule machinery the naming and counter
-//! machines run under, which is the point: no placement invariant may
-//! lean on anything protocol-specific.
+//! The harness wires three engines to a synchronous in-memory network
+//! with a manual clock, then drives them through arbitrary
+//! interleavings of client ops, ticks, crashes (log loss), restarts
+//! (probation + recovery probe) and pairwise partitions — mirroring the
+//! driver loop in `src/replica.rs` step for step, minus the transport.
+//! It is generic over the machine; a machine contributes an op generator
+//! ([`Model`]) and nothing else, which is the proof that no protocol
+//! invariant leans on anything machine-specific — and that no machine's
+//! invariant leans on the protocol.
 //!
-//! Checked invariants:
+//! Two invariant families are checked:
 //!
 //! * **Safety, continuously**: every op number commits with the same
-//!   update at every replica that ever commits it, and no view has two
-//!   masters.
+//!   update at every replica that ever commits it (the committed log is
+//!   a single sequence), and no view has two masters.
 //! * **Convergence + oracle, at quiescence**: after healing all
-//!   partitions and restarting all crashed replicas, every replica's
-//!   placement table (snapshot, including the token-dedup window and
-//!   decision epochs) equals a single-node oracle replaying the global
-//!   committed log.
+//!   partitions and restarting all crashed replicas, the group settles
+//!   on exactly one master, identical commit numbers, and a state —
+//!   the full snapshot: dedup windows, decision epochs, lease stamps —
+//!   equal to a single-node oracle replaying the global committed log.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use ocs_sim::{NodeId, SimTime};
+use itv_media::{CmBudgets, CmTable, CmUpdate, ConnDesc};
+use ocs_name::{NsState, NsUpdate};
+use ocs_orb::ObjRef;
+use ocs_sim::{Addr, NodeId, SimTime};
 use ocs_svcctl::{SscTable, SscUpdate};
-use ocs_vsr::{DoViewChange, Machine, StateTransfer, SubmitRoute, VsrCore, VsrEvent};
+use ocs_vsr::{
+    CounterMachine, DoViewChange, Machine, Replicated, StateTransfer, SubmitRoute, VsrCore,
+    VsrEvent,
+};
 use proptest::prelude::*;
 
 const N: usize = 3;
@@ -38,50 +46,20 @@ fn suspect_timeout(id: u32) -> Duration {
     Duration::from_secs(3) + (HB / 2) * id
 }
 
-/// Builds one of the five placement ops from the generator's raw
-/// bytes. Service names and nodes are drawn from small pools so
-/// schedules collide on the same records (the interesting case);
-/// tokens collide occasionally too, exercising the dedup window.
-fn ssc_op(kind: u8, svc: u8, node: u8) -> SscUpdate {
-    let service = format!("s{}", svc % 4);
-    let node_id = NodeId(1 + (node % 4) as u32);
-    let token = 1 + (kind as u64 % 5) * 100 + (svc as u64 % 4) * 10 + (node as u64 % 4);
-    match kind % 5 {
-        0 => SscUpdate::Define {
-            token,
-            service,
-            nodes: vec![node_id, NodeId(1 + ((node + 1) % 4) as u32)],
-            now_us: 0,
-        },
-        1 => SscUpdate::Place {
-            token,
-            service,
-            node: node_id,
-            now_us: 0,
-        },
-        2 => SscUpdate::Unplace {
-            token,
-            service,
-            node: node_id,
-            now_us: 0,
-        },
-        3 => SscUpdate::ReportDown {
-            service,
-            node: node_id,
-            now_us: 0,
-        },
-        _ => SscUpdate::Retire {
-            token,
-            service,
-            now_us: 0,
-        },
-    }
+/// What a machine contributes to the harness. Ops are built from three
+/// raw bytes; generators draw names, nodes and tokens from small pools
+/// so schedules collide on the same records (the interesting case).
+trait Model: Replicated {
+    /// An empty machine, as every replica of the group constructs it.
+    fn empty() -> Self;
+    /// One op of the machine's mix.
+    fn op(a: u8, b: u8, c: u8) -> Self::Op;
 }
 
 #[derive(Clone, Debug)]
 enum Act {
-    /// Submit a placement op at replica `at`.
-    Op { at: u8, kind: u8, svc: u8, node: u8 },
+    /// Submit the client op `M::op(a, b, c)` at replica `at`.
+    Op { at: u8, a: u8, b: u8, c: u8 },
     /// Advance the clock one heartbeat and run every replica's driver
     /// step.
     Tick,
@@ -96,8 +74,12 @@ enum Act {
 }
 
 fn op_act() -> impl Strategy<Value = Act> {
-    (0u8..N as u8, 0u8..10, 0u8..4, 0u8..4)
-        .prop_map(|(at, kind, svc, node)| Act::Op { at, kind, svc, node })
+    (0u8..N as u8, 0u8..=255, 0u8..=255, 0u8..=255).prop_map(|(at, a, b, c)| Act::Op {
+        at,
+        a,
+        b,
+        c,
+    })
 }
 
 fn restart_act() -> impl Strategy<Value = Act> {
@@ -131,41 +113,45 @@ fn arb_act() -> impl Strategy<Value = Act> {
     ]
 }
 
-type Xfer = StateTransfer<SscUpdate, <SscTable as Machine>::Snap>;
+/// A state-transfer answer for the harness's machine type.
+type Xfer<M> = StateTransfer<<M as Machine>::Op, <M as Machine>::Snap>;
 
-struct Harness {
-    engines: Vec<Option<VsrCore<SscTable>>>,
+struct Harness<M: Model> {
+    engines: Vec<Option<VsrCore<M>>>,
     conn: [[bool; N]; N],
     now: SimTime,
     /// The global committed log: op → update, first committer wins and
     /// everyone else must agree.
-    committed: BTreeMap<u64, SscUpdate>,
+    committed: BTreeMap<u64, M::Op>,
 }
 
-impl Harness {
-    fn new() -> Harness {
+impl<M: Model> Harness<M> {
+    fn new() -> Harness<M> {
         let mut h = Harness {
-            engines: (0..N)
-                .map(|i| {
-                    Some(VsrCore::new(
-                        i as u32,
-                        N,
-                        RETAIN,
-                        suspect_timeout(i as u32),
-                        SimTime::ZERO,
-                    ))
-                })
-                .collect(),
+            engines: Vec::new(),
             conn: [[true; N]; N],
             now: SimTime::ZERO,
             committed: BTreeMap::new(),
         };
+        h.engines = (0..N).map(|i| Some(h.fresh(i))).collect();
         // Cold start: run the recovery probes so every replica leaves
         // probation, exactly as the driver does at boot.
         for _ in 0..3 {
             h.step_all();
         }
         h
+    }
+
+    /// A (re)starting replica `i`: empty machine, in probation.
+    fn fresh(&self, i: usize) -> VsrCore<M> {
+        VsrCore::with_machine(
+            M::empty(),
+            i as u32,
+            N,
+            RETAIN,
+            suspect_timeout(i as u32),
+            self.now,
+        )
     }
 
     fn reachable(&self, a: usize, b: usize) -> bool {
@@ -183,7 +169,8 @@ impl Harness {
                 match self.committed.get(&op) {
                     Some(prev) => assert_eq!(
                         prev, &update,
-                        "replica {i} committed a different update at op {op}"
+                        "replica {} committed a different update at op {}",
+                        i, op
                     ),
                     None => {
                         self.committed.insert(op, update);
@@ -193,7 +180,10 @@ impl Harness {
         }
     }
 
-    fn submit(&mut self, at: usize, update: SscUpdate) {
+    fn submit(&mut self, at: usize, mut update: M::Op) {
+        // The sequencing primary's clock goes into the op, as in the
+        // driver; the harness has one clock for everybody.
+        M::stamp(&mut update, self.now.as_micros());
         let Some(engine) = self.engines[at].as_mut() else {
             return;
         };
@@ -218,7 +208,7 @@ impl Harness {
         }
     }
 
-    fn broadcast_prepare(&mut self, from: usize, view: u64, op: u64, update: SscUpdate) {
+    fn broadcast_prepare(&mut self, from: usize, view: u64, op: u64, update: M::Op) {
         let commit = self.engines[from].as_ref().unwrap().commit_num();
         for j in 0..N {
             if !self.reachable(from, j) {
@@ -267,13 +257,13 @@ impl Harness {
         }
     }
 
-    /// Mirrors the driver's `poll_peers_state`: only authoritative
+    /// Mirrors the driver's `PeerFanout::poll_state`: only authoritative
     /// (Normal) answers count toward the recovery quorum and compete
     /// for `best`; genuinely cold answers count but carry no state.
-    fn poll_state(&mut self, i: usize) -> (usize, Option<Xfer>) {
+    fn poll_state(&mut self, i: usize) -> (usize, Option<Xfer<M>>) {
         let commit = self.engines[i].as_ref().unwrap().commit_num();
         let mut countable = 0;
-        let mut best: Option<Xfer> = None;
+        let mut best: Option<Xfer<M>> = None;
         for j in 0..N {
             if !self.reachable(i, j) {
                 continue;
@@ -427,12 +417,7 @@ impl Harness {
         }
     }
 
-    fn deliver_dvc(
-        &mut self,
-        from: usize,
-        view: u64,
-        dvc: DoViewChange<SscUpdate, <SscTable as Machine>::Snap>,
-    ) {
+    fn deliver_dvc(&mut self, from: usize, view: u64, dvc: DoViewChange<M::Op, M::Snap>) {
         let p = (view % N as u64) as usize;
         if p != from && !self.reachable(from, p) {
             return;
@@ -474,15 +459,7 @@ impl Harness {
 
     fn apply_act(&mut self, act: &Act) {
         match act {
-            Act::Op {
-                at,
-                kind,
-                svc,
-                node,
-            } => {
-                let update = ssc_op(*kind, *svc, *node);
-                self.submit(*at as usize % N, update);
-            }
+            Act::Op { at, a, b, c } => self.submit(*at as usize % N, M::op(*a, *b, *c)),
             Act::Tick => self.step_all(),
             Act::Crash(i) => {
                 // VSR tolerates at most f simultaneous log losses, and a
@@ -490,11 +467,9 @@ impl Harness {
                 // probation completes. Crash only when every other
                 // replica is up and recovered (f = 1 here).
                 let i = *i as usize % N;
-                let others_recovered = (0..N).filter(|&j| j != i).all(|j| {
-                    self.engines[j]
-                        .as_ref()
-                        .is_some_and(|e| !e.in_probation())
-                });
+                let others_recovered = (0..N)
+                    .filter(|&j| j != i)
+                    .all(|j| self.engines[j].as_ref().is_some_and(|e| !e.in_probation()));
                 if others_recovered {
                     self.engines[i] = None;
                 }
@@ -502,13 +477,7 @@ impl Harness {
             Act::Restart(i) => {
                 let i = *i as usize % N;
                 if self.engines[i].is_none() {
-                    self.engines[i] = Some(VsrCore::new(
-                        i as u32,
-                        N,
-                        RETAIN,
-                        suspect_timeout(i as u32),
-                        self.now,
-                    ));
+                    self.engines[i] = Some(self.fresh(i));
                 }
             }
             Act::Part(a, b) => {
@@ -530,13 +499,7 @@ impl Harness {
         self.conn = [[true; N]; N];
         for i in 0..N {
             if self.engines[i].is_none() {
-                self.engines[i] = Some(VsrCore::new(
-                    i as u32,
-                    N,
-                    RETAIN,
-                    suspect_timeout(i as u32),
-                    self.now,
-                ));
+                self.engines[i] = Some(self.fresh(i));
             }
         }
         for _ in 0..200 {
@@ -564,13 +527,36 @@ impl Harness {
                 return;
             }
         }
-        panic!("group failed to converge after heal");
+        let dump: Vec<String> = self
+            .engines
+            .iter()
+            .enumerate()
+            .map(|(i, e)| match e {
+                None => format!("{i}: down"),
+                Some(e) => format!(
+                    "{i}: view={} status={:?} primary={} master={} probation={} \
+                     catchup={} op={} commit={} gap={} suspects={} stuck={}",
+                    e.view(),
+                    e.status(),
+                    e.is_primary(),
+                    e.is_master(),
+                    e.in_probation(),
+                    e.needs_catchup(),
+                    e.op_num(),
+                    e.commit_num(),
+                    e.commit_gap(),
+                    e.suspects(self.now),
+                    e.vc_stuck(self.now),
+                ),
+            })
+            .collect();
+        panic!("group failed to converge after heal:\n{}", dump.join("\n"));
     }
 
-    /// Runs a schedule to quiescence and checks the convergence/oracle
-    /// invariants: gap-free committed log, no lost or extra commits,
-    /// and every replica's placement table equal to a single-node
-    /// oracle replaying the committed log.
+    /// Runs a schedule to quiescence and checks the generic
+    /// convergence/oracle invariants: gap-free committed log, no lost
+    /// or extra commits, and every replica's state equal to a
+    /// single-node oracle replaying the committed log.
     fn check_against_oracle(&mut self, acts: &[Act]) {
         for act in acts {
             self.apply_act(act);
@@ -585,69 +571,271 @@ impl Harness {
             "committed log has holes"
         );
 
-        // Single-node oracle: replay the committed log in order. The
-        // oracle sees exactly the decisions the group committed —
-        // including token-deduped retries and refused ops.
-        let mut oracle = SscTable::default();
+        // Single-node oracle: replay the committed log in order.
+        let mut oracle = M::empty();
         for (op, update) in &self.committed {
             let _ = oracle.apply(*op, update);
         }
-        let want = oracle.snapshot();
 
         for (i, e) in self.engines.iter().enumerate() {
             let e = e.as_ref().unwrap();
             assert!(
                 e.commit_num() >= max_op,
-                "replica {i} lost committed ops: commit {} < {max_op}",
+                "replica {} lost committed ops: commit {} < {}",
+                i,
                 e.commit_num(),
+                max_op
             );
-            assert_eq!(e.commit_num(), max_op, "replica {i} over-committed");
+            assert_eq!(e.commit_num(), max_op, "replica {} over-committed", i);
             assert_eq!(
                 e.state().snapshot(),
-                want,
-                "replica {i} placement table diverged from the oracle"
+                oracle.snapshot(),
+                "replica {} diverged from the oracle",
+                i
             );
-            // The derived per-node index stayed consistent with the
-            // records through every snapshot install and log replay.
-            assert!(e.state().audit_ok(), "replica {i} failed its self-audit");
         }
     }
 }
 
+impl<M: Model> Harness<M> {
+    /// The live replicas' machines.
+    fn machines(&self) -> impl Iterator<Item = &M> {
+        self.engines.iter().flatten().map(|e| e.state())
+    }
+}
+
+/// The replicated log is linear and durable across arbitrary
+/// crash/restart/partition interleavings: committed prefixes always
+/// agree, no view has two masters, and after healing, the group
+/// converges to the single-node oracle's state.
+fn agrees_with_oracle<M: Model>(acts: &[Act]) -> Harness<M> {
+    let mut h = Harness::new();
+    h.check_against_oracle(acts);
+    h
+}
+
+/// Without faults, every submitted op commits, the cold-start primary
+/// (replica 0) never loses mastership, and its state is the oracle's.
+fn fault_free_commits_everything<M: Model>(n_ops: usize) {
+    let mut h: Harness<M> = Harness::new();
+    for k in 0..n_ops {
+        h.submit(0, M::op(k as u8, (k / 2) as u8, (k / 3) as u8));
+        h.step_all();
+    }
+    assert_eq!(h.committed.len(), n_ops);
+    let e0 = h.engines[0].as_ref().unwrap();
+    assert!(n_ops == 0 || e0.is_master());
+    assert_eq!(e0.view(), 0);
+    assert_eq!(e0.commit_num(), n_ops as u64);
+    let mut oracle = M::empty();
+    for (op, update) in &h.committed {
+        let _ = oracle.apply(*op, update);
+    }
+    assert_eq!(e0.state().snapshot(), oracle.snapshot());
+}
+
+// ---- the four machines ------------------------------------------------------
+
+impl Model for CounterMachine {
+    fn empty() -> CounterMachine {
+        CounterMachine::default()
+    }
+
+    fn op(a: u8, b: u8, _c: u8) -> u64 {
+        // Distinct amounts per (a, b) so divergent logs produce
+        // divergent sums.
+        (a as u64) * 251 + b as u64
+    }
+}
+
+impl Model for NsState {
+    fn empty() -> NsState {
+        NsState::default()
+    }
+
+    fn op(a: u8, b: u8, _c: u8) -> NsUpdate {
+        NsUpdate::Bind {
+            path: format!("k{}", a % 6),
+            obj: ObjRef {
+                addr: Addr::new(NodeId(1 + (b % 4) as u32), 7),
+                incarnation: 1,
+                type_id: 2,
+                object_id: 0,
+            },
+        }
+    }
+}
+
+impl Model for SscTable {
+    fn empty() -> SscTable {
+        SscTable::default()
+    }
+
+    /// One of the five placement ops. Tokens collide occasionally,
+    /// exercising the dedup window.
+    fn op(kind: u8, svc: u8, node: u8) -> SscUpdate {
+        let service = format!("s{}", svc % 4);
+        let node_id = NodeId(1 + (node % 4) as u32);
+        let token = 1 + (kind as u64 % 5) * 100 + (svc as u64 % 4) * 10 + (node as u64 % 4);
+        match kind % 5 {
+            0 => SscUpdate::Define {
+                token,
+                service,
+                nodes: vec![node_id, NodeId(1 + (node.wrapping_add(1) % 4) as u32)],
+                now_us: 0,
+            },
+            1 => SscUpdate::Place {
+                token,
+                service,
+                node: node_id,
+                now_us: 0,
+            },
+            2 => SscUpdate::Unplace {
+                token,
+                service,
+                node: node_id,
+                now_us: 0,
+            },
+            3 => SscUpdate::ReportDown {
+                service,
+                node: node_id,
+                now_us: 0,
+            },
+            _ => SscUpdate::Retire {
+                token,
+                service,
+                now_us: 0,
+            },
+        }
+    }
+}
+
+impl Model for CmTable {
+    /// Budgets tight enough that a settop's third stream is refused, and
+    /// a lease a few heartbeats long, so schedules run into admission
+    /// refusals and lease expiry.
+    fn empty() -> CmTable {
+        let budgets = CmBudgets {
+            settop_down_bps: 6_000_000,
+            server_egress_bps: 15_000_000,
+        };
+        CmTable::new(budgets, Some(4 * HB.as_micros() as u64))
+    }
+
+    /// Allocations (twice as likely as the rest; tokens collide, zero
+    /// disables dedup), releases and reassertions of low conn ids, and
+    /// the master's expiry tick.
+    fn op(kind: u8, x: u8, y: u8) -> CmUpdate {
+        let settop = NodeId(100 + (x % 4) as u32);
+        let server = NodeId(1 + (y % 2) as u32);
+        let down_bps = 2_000_000 + (y as u64 % 2) * 1_000_000;
+        let conn = 1 + (x as u64 % 8);
+        match kind % 5 {
+            0 | 1 => CmUpdate::Allocate {
+                token: (x as u64 % 4) * 10 + (y as u64 % 3),
+                settop,
+                server,
+                down_bps,
+                now_us: 0,
+            },
+            2 => CmUpdate::Release { conn, now_us: 0 },
+            3 => CmUpdate::Reassert {
+                desc: ConnDesc {
+                    conn,
+                    settop,
+                    server,
+                    down_bps,
+                },
+                now_us: 0,
+            },
+            _ => CmUpdate::Expire { now_us: 0 },
+        }
+    }
+}
+
+/// Found by this harness at 20,000 cases per property (the default 64
+/// never reached it; the defect dates from the engine's first version).
+/// Replica 0 commits an op with replica 1 and crashes; it restarts,
+/// recovers the op from replica 1, and — having been the view's primary —
+/// goes between views; replica 1 crashes and restarts empty, in
+/// probation. Replica 0's first view change stalls (its primary would be
+/// the probationary replica 1), so its second proposal is *forced* — and
+/// replica 1 used to join forced proposals from probation. Its empty
+/// `DoViewChange` reached the new primary first and completed a majority
+/// of two empty logs; the committed op was gone from every replica.
+#[test]
+fn probationary_replica_cannot_vote_an_empty_log_in() {
+    let acts = [
+        Act::Part(0, 2),
+        Act::Op {
+            at: 1,
+            a: 71,
+            b: 218,
+            c: 129,
+        },
+        Act::Crash(0),
+        Act::Heal(2, 0),
+        Act::Restart(0),
+        Act::Tick,
+        Act::Crash(1),
+    ];
+    agrees_with_oracle::<CounterMachine>(&acts);
+    agrees_with_oracle::<NsState>(&acts);
+    agrees_with_oracle::<SscTable>(&acts);
+    agrees_with_oracle::<CmTable>(&acts);
+}
+
 proptest! {
-    /// The replicated placement log is linear and durable across
-    /// arbitrary crash/restart/partition interleavings: committed
-    /// prefixes always agree, no view has two masters, and after
-    /// healing, every replica's table equals the single-node oracle.
+    /// A machine with nothing in common with any service: the engine is
+    /// state-machine-agnostic.
+    #[test]
+    fn counter_agrees_with_single_node_oracle(
+        acts in prop::collection::vec(arb_act(), 0..70),
+    ) {
+        agrees_with_oracle::<CounterMachine>(&acts);
+    }
+
+    #[test]
+    fn ns_state_agrees_with_single_node_oracle(
+        acts in prop::collection::vec(arb_act(), 0..70),
+    ) {
+        agrees_with_oracle::<NsState>(&acts);
+    }
+
+    /// Besides the oracle: the derived per-node index stayed consistent
+    /// with the records through every snapshot install and log replay.
     #[test]
     fn ssc_table_agrees_with_single_node_oracle(
         acts in prop::collection::vec(arb_act(), 0..70),
     ) {
-        let mut h = Harness::new();
-        h.check_against_oracle(&acts);
+        let h = agrees_with_oracle::<SscTable>(&acts);
+        for (i, table) in h.machines().enumerate() {
+            prop_assert!(table.audit_ok(), "replica {} failed its self-audit", i);
+        }
     }
 
-    /// Without faults, every submitted placement op commits, replica 0
-    /// keeps mastership, and the epoch counter advances monotonically
-    /// with genuine decisions only.
+    /// Besides the oracle: the incrementally maintained reserved-bandwidth
+    /// total (rebuilt, not shipped, on snapshot install) matches a scan.
     #[test]
-    fn fault_free_runs_commit_every_placement_op(n_ops in 0usize..30) {
-        let mut h = Harness::new();
-        for k in 0..n_ops {
-            h.submit(0, ssc_op(k as u8, k as u8, (k / 2) as u8));
-            h.step_all();
+    fn cm_table_agrees_with_single_node_oracle(
+        acts in prop::collection::vec(arb_act(), 0..70),
+    ) {
+        let h = agrees_with_oracle::<CmTable>(&acts);
+        for (i, table) in h.machines().enumerate() {
+            prop_assert_eq!(
+                table.usage().reserved_down_bps,
+                table.audit_reserved_bps(),
+                "replica {} reserved-bps index drifted from the table",
+                i
+            );
         }
-        prop_assert_eq!(h.committed.len(), n_ops);
-        let e0 = h.engines[0].as_ref().unwrap();
-        prop_assert!(n_ops == 0 || e0.is_master());
-        prop_assert_eq!(e0.view(), 0);
-        prop_assert_eq!(e0.commit_num(), n_ops as u64);
-        // Replaying the same ops on a fresh oracle lands on the same
-        // epoch: decisions are a pure function of the log.
-        let mut oracle = SscTable::default();
-        for (op, update) in &h.committed {
-            let _ = oracle.apply(*op, update);
-        }
-        prop_assert_eq!(oracle.epoch(), e0.state().epoch());
+    }
+
+    #[test]
+    fn fault_free_runs_commit_everything(n_ops in 0usize..30) {
+        fault_free_commits_everything::<CounterMachine>(n_ops);
+        fault_free_commits_everything::<NsState>(n_ops);
+        fault_free_commits_everything::<SscTable>(n_ops);
+        fault_free_commits_everything::<CmTable>(n_ops);
     }
 }

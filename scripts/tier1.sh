@@ -12,9 +12,10 @@
 # availability/blackout windows under a fault storm), CM fail-over
 # admission integrity (E22), controller fail-over placement integrity
 # (E23: 0 lost / 0 doubled placements, exact replica audits,
-# decision-blackout p99 bounds), the replicated-commit latency of the
-# repo benchmark's `sim_repl_storm` workload, and the connections its
-# `tcp_repl_admit` workload opens per admission.
+# decision-blackout p99 bounds), the replicated-commit latency and the
+# replica-to-replica traffic of the repo benchmark's `sim_repl_storm`
+# workload, and the connections its `tcp_repl_admit` workload opens per
+# admission.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -306,11 +307,18 @@ echo "tier1: E23 smoke controller blackout p99 ${tuned_p99}s tuned / ${paper_p99
 # virtual time, exact for a seed: 1,984 us since the prepares go out
 # concurrently (it was 2,984 with two sequential round trips), so the
 # 2,200 us ceiling trips on any return to per-peer blocking calls.
+# The same run pins the log's traffic, which virtual time makes exact
+# too: 2.0153 replica-to-replica calls per commit (one prepare to each
+# of two backups, plus heartbeats) and 9.4459 messages per op. The
+# ceilings trip, on any host, on a driver that broadcasts twice or
+# re-sends on the commit path.
 tmp="$(mktemp -d)"
 cargo run --release --offline --quiet --manifest-path "$repo/benchmark/Cargo.toml" -- \
     run --workload sim_repl_storm --seconds 2 --trace 0 --out "$tmp/repl.jsonl" >/dev/null
 p50="$(json_field "$tmp/repl.jsonl" op_p50_us)"
 failed="$(json_field "$tmp/repl.jsonl" failed)"
+peer_calls="$(json_field "$tmp/repl.jsonl" ocs-vsr.peer_calls_per_commit)"
+msgs="$(json_field "$tmp/repl.jsonl" ocs-sim.msgs_per_op)"
 correct="$(grep -oE '"correct": (true|false)' "$tmp/repl.jsonl" | head -1 | awk '{print $2}')"
 rm -rf "$tmp"
 if [ "$failed" != "0" ] || [ "$correct" != "true" ]; then
@@ -321,7 +329,15 @@ if [ -z "$p50" ] || ! awk -v p="$p50" 'BEGIN { exit !(p <= 2200) }'; then
     echo "tier1: sim_repl_storm guard FAILED - admission op_p50_us ${p50:-missing} exceeds 2200" >&2
     exit 1
 fi
-echo "tier1: sim_repl_storm admission p50 ${p50} us, failed=$failed (guard: <= 2200 us, 0 failed)"
+if [ -z "$peer_calls" ] || ! awk -v c="$peer_calls" 'BEGIN { exit !(c <= 2.05) }'; then
+    echo "tier1: sim_repl_storm guard FAILED - ${peer_calls:-missing} peer calls per commit (want <= 2.05)" >&2
+    exit 1
+fi
+if [ -z "$msgs" ] || ! awk -v m="$msgs" 'BEGIN { exit !(m <= 9.5) }'; then
+    echo "tier1: sim_repl_storm guard FAILED - ${msgs:-missing} messages per op (want <= 9.5)" >&2
+    exit 1
+fi
+echo "tier1: sim_repl_storm admission p50 ${p50} us, $peer_calls peer calls/commit, $msgs msgs/op, failed=$failed (guard: <= 2200 us, <= 2.05, <= 9.5, 0 failed)"
 
 # Connection-reuse guard on the same benchmark: two traced seconds of
 # `tcp_repl_admit` — the same log over TCP loopback — must fail no op and
