@@ -51,7 +51,9 @@ pub enum ThreadModel {
     /// nested remote calls should not use this model.
     SingleThreaded,
     /// A fresh process per request; handlers may block and make nested
-    /// calls freely.
+    /// calls freely. Only the process is fresh: both runtimes run it on
+    /// an OS thread re-used from the previous request's, so the model
+    /// costs a hand-off per request, not a thread creation.
     PerRequest,
 }
 
@@ -274,6 +276,12 @@ impl Orb {
         let oneway = req.oneway;
         let request_id = req.request_id;
         let principal = req.principal.clone();
+        // The one object-table lookup of the request.
+        let servant = self
+            .objects
+            .lock()
+            .get(&req.object_id)
+            .map(|e| Arc::clone(&e.servant));
         // Server span: a child of the client span carried in the frame.
         // Installing it as the worker's current context makes any nested
         // calls the servant places come out as its children — this is
@@ -284,22 +292,15 @@ impl Orb {
                 span: SpanId(req.span_id),
             };
             let ctx = self.tel.tracer.child_of(parent);
-            let name = {
-                let objects = self.objects.lock();
-                match objects.get(&req.object_id) {
-                    Some(e) => format!(
-                        "server:{}.{}",
-                        e.servant.type_name(),
-                        e.servant.method_name(req.method)
-                    ),
-                    None => format!("server:obj{}.m{}", req.object_id, req.method),
-                }
+            let name = match &servant {
+                Some(s) => format!("server:{}.{}", s.type_name(), s.method_name(req.method)),
+                None => format!("server:obj{}.m{}", req.object_id, req.method),
             };
             (ctx, parent.span, name, self.rt.now())
         });
         let result = {
             let _guard = span.as_ref().map(|(ctx, _, _, _)| CtxGuard::enter(*ctx));
-            self.dispatch_request(from, req)
+            self.dispatch_request(from, req, servant)
         };
         if let Some((ctx, parent, name, start)) = span {
             self.tel.tracer.record(Span {
@@ -324,7 +325,12 @@ impl Orb {
         let _ = self.ep.send(from, e.finish());
     }
 
-    fn dispatch_request(&self, from: Addr, req: Request) -> Result<Bytes, OrbError> {
+    fn dispatch_request(
+        &self,
+        from: Addr,
+        req: Request,
+        servant: Option<Arc<dyn Servant>>,
+    ) -> Result<Bytes, OrbError> {
         self.requests.inc();
         // A killed group answers like a dead object: clients re-resolve
         // instead of waiting out a timeout on a servant that will never
@@ -354,13 +360,7 @@ impl Orb {
             .auth
             .unseal(&req.principal, &req.auth, req.body)
             .ok_or(OrbError::AuthFailed)?;
-        let servant = {
-            let objects = self.objects.lock();
-            objects
-                .get(&req.object_id)
-                .map(|e| Arc::clone(&e.servant))
-                .ok_or(OrbError::UnknownObject)?
-        };
+        let servant = servant.ok_or(OrbError::UnknownObject)?;
         if servant.type_id() != req.type_id {
             return Err(OrbError::WrongType);
         }
@@ -369,5 +369,121 @@ impl Orb {
             node: from.node,
         };
         servant.dispatch(&caller, req.method, &body)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Both runtimes run consecutive `orb-worker` processes on one
+    //! re-used OS thread; what a request leaves in the thread must not
+    //! reach the next one. An untraced request cannot be made through
+    //! `ClientCtx` (every call roots a trace), hence the hand-built
+    //! frames.
+
+    use super::*;
+    use crate::ClientCtx;
+    use ocs_sim::real::RealNet;
+    use ocs_sim::{Journal, NodeRtExt, Sim, SimTime};
+    use ocs_wire::Encoder;
+    use std::time::Duration;
+
+    /// Journals "served", then calls `inner` if it has one.
+    struct Noting {
+        rt: Rt,
+        inner: Option<ObjRef>,
+    }
+
+    impl Servant for Noting {
+        fn type_id(&self) -> u32 {
+            1
+        }
+        fn dispatch(&self, _c: &Caller, _method: u32, _args: &[u8]) -> Result<Bytes, OrbError> {
+            Journal::of(&*self.rt).record(self.rt.now(), "test", "served");
+            if let Some(inner) = &self.inner {
+                ClientCtx::new(self.rt.clone()).call_named(inner, 1, Bytes::new(), "nested")?;
+            }
+            Ok(Bytes::new())
+        }
+    }
+
+    fn start_noting(rt: &Rt, inner: Option<ObjRef>) -> ObjRef {
+        let orb = Orb::new(rt.clone(), PortReq::Fixed(100)).unwrap();
+        let rt = rt.clone();
+        let obj = orb.export_root(Arc::new(Noting { rt, inner }));
+        orb.start();
+        obj
+    }
+
+    /// One request to `target` under `trace` (0: untraced), answered.
+    fn exchange(client: &Rt, target: &ObjRef, trace: u64) {
+        let mut e = Encoder::new();
+        e.put_u8(FRAME_REQUEST);
+        Request {
+            request_id: 1 + trace,
+            object_id: target.object_id,
+            incarnation: target.incarnation,
+            type_id: target.type_id,
+            method: 1,
+            oneway: false,
+            deadline_us: 0,
+            trace_id: trace,
+            span_id: trace,
+            principal: "tester".into(),
+            auth: Bytes::new(),
+            body: Bytes::new(),
+        }
+        .encode_into(&mut e);
+        let ep = client.open(PortReq::Ephemeral).unwrap();
+        ep.send(target.addr, e.finish()).unwrap();
+        let (_, reply) = ep.recv(Some(Duration::from_secs(5))).expect("a reply");
+        assert_eq!(reply.first(), Some(&FRAME_REPLY));
+    }
+
+    /// What the traced-then-untraced pair must have left on `front`.
+    fn assert_second_request_untraced(front: &Rt) {
+        let served: Vec<u64> = Journal::of(&**front)
+            .events()
+            .iter()
+            .filter(|e| e.category == "test")
+            .map(|e| e.trace.0)
+            .collect();
+        assert_eq!(served, vec![77, 0], "trace ids on the servant's journal lines");
+        let spans = NodeTelemetry::of(&**front).tracer.finished();
+        let nested: Vec<&Span> = spans.iter().filter(|s| s.name == "client:nested").collect();
+        assert_eq!(nested.len(), 2);
+        assert_eq!(nested[0].trace, TraceId(77));
+        assert_ne!(nested[0].parent, SpanId(0), "a child of the server span");
+        assert_ne!(nested[1].trace, TraceId(77), "parented under the previous request");
+        assert_eq!(nested[1].parent, SpanId(0), "the root of a trace of its own");
+    }
+
+    #[test]
+    fn sim_untraced_request_after_a_traced_one_stays_untraced() {
+        let sim = Sim::new(5);
+        let front: Rt = sim.add_node("front");
+        let back: Rt = sim.add_node("back");
+        let client: Rt = sim.add_node("c");
+        let inner = start_noting(&back, None);
+        let outer = start_noting(&front, Some(inner));
+        let client2 = client.clone();
+        client.spawn_fn("client", move || {
+            exchange(&client2, &outer, 77);
+            exchange(&client2, &outer, 0);
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert_second_request_untraced(&front);
+    }
+
+    #[test]
+    fn real_untraced_request_after_a_traced_one_stays_untraced() {
+        let net = RealNet::new();
+        let front: Rt = net.add_node("front").unwrap();
+        let back: Rt = net.add_node("back").unwrap();
+        let client: Rt = net.add_node("c").unwrap();
+        let inner = start_noting(&back, None);
+        let outer = start_noting(&front, Some(inner));
+        exchange(&client, &outer, 77);
+        exchange(&client, &outer, 0);
+        assert_second_request_untraced(&front);
     }
 }

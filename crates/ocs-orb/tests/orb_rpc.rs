@@ -113,6 +113,45 @@ fn basic_call_round_trips() {
 }
 
 #[test]
+fn thousand_calls_start_a_handful_of_threads() {
+    let sim = Sim::new(11);
+    let server = sim.add_node("server");
+    let settop = sim.add_node("settop");
+    let _bystander = sim.add_node("bystander");
+    let answered: SimChan<u64> = SimChan::new(&sim);
+
+    let server2 = server.clone();
+    let answered2 = answered.clone();
+    let settop_rt: ocs_sim::Rt = settop.clone();
+    server.spawn_fn("boot", move || {
+        let obj = start_echo(&server2, 100, ThreadModel::PerRequest);
+        let ctx = ClientCtx::new(settop_rt.clone());
+        settop_rt.spawn(
+            "client",
+            Box::new(move || {
+                let client = EchoClient::attach(ctx, obj).unwrap();
+                for i in 0..1_000 {
+                    assert_eq!(client.add(i, 1).unwrap(), i + 1);
+                }
+                answered2.send(1_000);
+            }),
+        );
+    });
+    sim.run_until(SimTime::from_secs(60));
+    assert_eq!(answered.try_recv(), Some(1_000));
+    // Every request ran as a process of its own...
+    let served = ocs_telemetry::NodeTelemetry::of(&*server)
+        .registry
+        .counter("orb.server.requests")
+        .get();
+    assert!(served >= 1_000, "{served} requests served");
+    // ...on the thread the previous one left: boot, the serve loop, the
+    // client and one worker at a time, not a thread per request.
+    let threads = sim.kernel_stats().threads_spawned;
+    assert!(threads < 10, "{threads} threads for {served} request processes");
+}
+
+#[test]
 fn app_errors_travel() {
     let sim = Sim::new(2);
     let server = sim.add_node("server");

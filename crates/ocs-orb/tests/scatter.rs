@@ -236,11 +236,12 @@ fn sim_one_deadline_bounds_the_whole_call() {
 
 // ---- TCP loopback ----------------------------------------------------------
 
+fn counter(net: &Arc<RealNet>, name: &str) -> u64 {
+    net.counters().get(name).copied().unwrap_or(0)
+}
+
 fn conn_opens(net: &Arc<RealNet>) -> u64 {
-    net.counters()
-        .get("real.net.conn_open")
-        .copied()
-        .unwrap_or(0)
+    counter(net, "real.net.conn_open")
 }
 
 /// A client node and three tag servers that hold a request `holds_ms`
@@ -312,6 +313,24 @@ fn real_thousand_calls_share_one_stream_each_way() {
         assert_eq!(answer(reply), Ok(i));
     }
     assert_eq!(conn_opens(&net), 2, "requests one way, replies the other");
+}
+
+#[test]
+fn real_thousand_calls_start_no_threads() {
+    let (net, client, _orbs, targets) = real_rig([0, 0, 0]);
+    let ctx = ClientCtx::new(client);
+    let call = |i| answer(ctx.call_named(&targets[0], TAG_METHOD, salt(i), "test.tag.tag"));
+    let threads = || counter(&net, "real.net.threads_spawned");
+    assert_eq!(call(0), Ok(0)); // warm-up: the server's first worker
+    let before = threads();
+    for i in 1..=1_000 {
+        assert_eq!(call(i), Ok(i));
+    }
+    // A thousand `orb-worker` tasks on the first one's thread. (A request
+    // that overtakes its predecessor's carrier on the way back to the
+    // pool starts one more, hence the slack.)
+    let started = threads() - before;
+    assert!(started <= 4, "{started} threads started for 1,000 calls");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! The discrete-event kernel: virtual time, processes, endpoints, links.
 //!
-//! Every simulated *process* is backed by an OS thread, but within one
+//! Every simulated *process* is backed by an OS thread (a carrier that
+//! the next process re-uses, see `carrier.rs`), but within one
 //! **shard** the kernel runs exactly one of them at a time: a single
 //! "active" token moves between the shard's scheduler (the driver thread
 //! for shard 0, a worker thread otherwise) and the process threads
@@ -77,6 +78,7 @@ use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::carrier::Carriers;
 use crate::rt::{Addr, NodeId};
 use crate::time::SimTime;
 
@@ -174,7 +176,6 @@ pub(crate) enum PState {
     Runnable,
     Running,
     Blocked,
-    Dead,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -197,7 +198,6 @@ pub(crate) struct Proc {
     pub wait_gen: u64,
     pub killed: bool,
     pub wake_reason: WakeReason,
-    pub join: Option<std::thread::JoinHandle<()>>,
     /// Endpoints opened by this process; closed when it dies.
     pub endpoints: Vec<EpKey>,
 }
@@ -345,6 +345,10 @@ pub struct KernelStats {
     pub lookahead_stalls: u64,
     /// Times a shard worker parked waiting for the next horizon grant.
     pub idle_parks: u64,
+    /// OS threads started to carry processes: a spawn that found no
+    /// parked carrier to re-use (see `carrier.rs`). Depends on how the
+    /// host schedules threads, unlike every other field.
+    pub threads_spawned: u64,
 }
 
 /// Fault-injection impairment applied on top of a link's base
@@ -750,8 +754,6 @@ pub(crate) struct Kernel {
     /// Sharded-window mode: `next_step` must not bump `now` to the
     /// window edge on Done — the coordinator owns end-of-run time.
     window: bool,
-    /// Processes that finished and await a scheduler-side join.
-    pub(crate) dead: Vec<Pid>,
 }
 
 thread_local! {
@@ -761,6 +763,11 @@ thread_local! {
 /// The pid of the simulated process running on this thread, if any.
 pub(crate) fn cur_pid() -> Option<Pid> {
     CUR_PID.with(|c| c.get())
+}
+
+/// Makes this thread no process's: a carrier between two of them.
+pub(crate) fn clear_cur_pid() {
+    CUR_PID.with(|c| c.set(None));
 }
 
 /// The shard whose kernel serves this thread: a process's own shard, or
@@ -816,7 +823,6 @@ impl Kernel {
             run_limit: 0,
             limited: false,
             window: false,
-            dead: Vec::new(),
         }
     }
 
@@ -1199,13 +1205,6 @@ impl Kernel {
             && self.in_run
             && !self.shutdown
             && self.panics.is_empty()
-            // Joinable exited threads keep their stacks mapped until the
-            // driver joins them (and glibc can only recycle a joined
-            // thread's stack), so cap the reaping backlog: once it piles
-            // up, fall back to the driver for one sweep. Spawn-heavy
-            // workloads (the ORB's per-request servers) otherwise drag
-            // thousands of zombie stacks through a run window.
-            && self.dead.len() < 64
     }
 
     /// Sends a message into the network model. Called with the kernel
@@ -1347,7 +1346,7 @@ impl Kernel {
         let pids: Vec<Pid> = self
             .procs
             .iter()
-            .filter(|(_, p)| p.group == Some(group) && p.state != PState::Dead)
+            .filter(|(_, p)| p.group == Some(group))
             .map(|(pid, _)| *pid)
             .collect();
         for pid in pids {
@@ -1359,7 +1358,7 @@ impl Kernel {
     pub fn group_alive(&self, group: u64) -> bool {
         self.procs
             .values()
-            .any(|p| p.group == Some(group) && p.state != PState::Dead && !p.killed)
+            .any(|p| p.group == Some(group) && !p.killed)
     }
 
     /// Reassigns an endpoint's owning process: `None` detaches it (it
@@ -1387,8 +1386,7 @@ impl Kernel {
         let Some(p) = self.procs.get_mut(&pid) else {
             return;
         };
-        if p.state == PState::Dead || p.killed {
-            p.killed = true;
+        if p.killed {
             return;
         }
         p.killed = true;
@@ -1414,7 +1412,7 @@ impl Kernel {
         let pids: Vec<Pid> = self
             .procs
             .iter()
-            .filter(|(_, p)| p.node == Some(node) && p.state != PState::Dead)
+            .filter(|(_, p)| p.node == Some(node))
             .map(|(pid, _)| *pid)
             .collect();
         let me = cur_pid();
@@ -1533,7 +1531,9 @@ impl Kernel {
     }
 
     /// Inserts a new process into this shard: allocates a shard-tagged
-    /// pid, spawns the backing thread, and makes it runnable. Group
+    /// pid, seats it on a carrier thread, and makes it runnable. The
+    /// carrier stays parked on the process's baton until the scheduler
+    /// first grants it, so a spawn wakes nobody. Group
     /// inheritance is resolved by the *caller* before routing (the
     /// spawner may live on another shard).
     pub(crate) fn spawn_local(
@@ -1564,27 +1564,23 @@ impl Kernel {
         }
         let pid = ((self.shard as u64) << SHARD_SHIFT) | self.next_pid;
         self.next_pid += 1;
-        let baton = Arc::new(Baton::new());
         let inner2 = Arc::clone(inner);
-        let baton2 = Arc::clone(&baton);
-        let tname = name.to_string();
-        let join = std::thread::Builder::new()
-            .name(format!("sim-{tname}"))
-            .stack_size(512 * 1024)
-            .spawn(move || proc_main(inner2, pid, baton2, f))
+        let carrier = inner
+            .carriers
+            .assign(Box::new(move || proc_main(inner2, pid, f)))
             .expect("failed to spawn simulation thread");
+        self.sched.threads_spawned += carrier.started as u64;
         self.procs.insert(
             pid,
             Proc {
                 name: name.to_string(),
                 node,
                 group,
-                baton,
+                baton: carrier.wake,
                 state: PState::Runnable,
                 wait_gen: 0,
                 killed: false,
                 wake_reason: WakeReason::None,
-                join: Some(join),
                 endpoints: Vec::new(),
             },
         );
@@ -1635,6 +1631,8 @@ pub(crate) struct SimInner {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Tells parked workers to exit at the next `go` grant.
     stop: AtomicBool,
+    /// The OS threads under every process of every shard.
+    carriers: Carriers,
 }
 
 impl SimInner {
@@ -1674,6 +1672,7 @@ impl SimInner {
             ext: Mutex::new(BTreeMap::new()),
             workers: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
+            carriers: Carriers::new("sim-carrier", Some(512 * 1024)),
         });
         for s in &inner.shards {
             s.kernel.lock().inner = Arc::downgrade(&inner);
@@ -2307,6 +2306,7 @@ impl SimInner {
             t.xshard_msgs += k.sched.xshard_msgs;
             t.lookahead_stalls += k.sched.lookahead_stalls;
             t.idle_parks += k.sched.idle_parks;
+            t.threads_spawned += k.sched.threads_spawned;
         }
         t.horizon_syncs = self.windows.load(Ordering::Relaxed);
         t
@@ -2319,9 +2319,7 @@ impl SimInner {
                 s.kernel
                     .lock()
                     .procs
-                    .values()
-                    .filter(|p| p.state != PState::Dead)
-                    .count()
+                    .len()
             })
             .sum()
     }
@@ -2367,7 +2365,6 @@ impl SimInner {
                     // On the fast path processes hand the token between
                     // themselves; the gate fires once control is ours.
                     slot.gate.wait();
-                    self.sweep_dead(0);
                     self.check_panics();
                 }
                 Step::Done => break,
@@ -2484,36 +2481,12 @@ impl SimInner {
                 Step::Run(_pid, baton) => {
                     baton.grant();
                     slot.gate.wait();
-                    self.sweep_dead(ix);
                 }
                 Step::Done => break,
             }
         }
         if !progressed {
             slot.kernel.lock().sched.lookahead_stalls += 1;
-        }
-    }
-
-    /// Joins and removes processes that finished since the scheduler
-    /// last held the token. Exits are deferred: an exiting thread hands
-    /// its token straight to the next process, so the sweep runs later.
-    fn sweep_dead(&self, ix: usize) {
-        let joins: Vec<std::thread::JoinHandle<()>> = {
-            let mut k = self.shards[ix].kernel.lock();
-            if k.dead.is_empty() {
-                return;
-            }
-            let dead = std::mem::take(&mut k.dead);
-            dead.into_iter()
-                .filter_map(|pid| {
-                    let j = k.procs.get_mut(&pid).and_then(|p| p.join.take());
-                    k.procs.remove(&pid);
-                    j
-                })
-                .collect()
-        };
-        for j in joins {
-            let _ = j.join();
         }
     }
 
@@ -2532,7 +2505,8 @@ impl SimInner {
     }
 
     /// Shuts the simulation down: kills every process, drains each
-    /// shard, and retires the shard workers. With `shutdown` set every
+    /// shard, and retires the shard workers and the carrier threads (all
+    /// idle by then, so the joins return at once). With `shutdown` set every
     /// handoff routes through the scheduler, so the drain sequencing
     /// matches the classic path exactly. Driver context only — no
     /// window is open, so all processes are parked.
@@ -2540,12 +2514,7 @@ impl SimInner {
         for s in &self.shards {
             let mut k = s.kernel.lock();
             k.shutdown = true;
-            let pids: Vec<Pid> = k
-                .procs
-                .iter()
-                .filter(|(_, p)| p.state != PState::Dead)
-                .map(|(pid, _)| *pid)
-                .collect();
+            let pids: Vec<Pid> = k.procs.keys().copied().collect();
             for pid in pids {
                 k.kill_proc(pid);
             }
@@ -2561,6 +2530,9 @@ impl SimInner {
             for j in self.workers.lock().drain(..) {
                 let _ = j.join();
             }
+        }
+        for j in self.carriers.retire() {
+            let _ = j.join();
         }
     }
 
@@ -2590,7 +2562,6 @@ impl SimInner {
                 Some(baton) => {
                     baton.grant();
                     slot.gate.wait();
-                    self.sweep_dead(ix);
                 }
                 None => break,
             }
@@ -2636,7 +2607,6 @@ impl SimInner {
                 }
                 baton.grant();
                 slot.gate.wait();
-                self.sweep_dead(ix);
             }
         }
     }
@@ -2658,11 +2628,22 @@ fn worker_main(inner: Arc<SimInner>, ix: usize) {
     }
 }
 
-/// Entry point for every simulated process thread.
-fn proc_main(inner: Arc<SimInner>, pid: Pid, baton: Arc<Baton>, f: Box<dyn FnOnce() + Send>) {
+/// What a caught panic said, for both runtimes' postmortems.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
+/// The body of every simulated process, run by its carrier once the
+/// scheduler first grants the process's baton.
+fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) {
     CUR_PID.with(|c| c.set(Some(pid)));
     let slot = &inner.shards[(pid >> SHARD_SHIFT) as usize];
-    baton.wait();
     let start_killed = {
         let k = slot.kernel.lock();
         k.shutdown || k.procs.get(&pid).map(|p| p.killed).unwrap_or(true)
@@ -2671,13 +2652,7 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, baton: Arc<Baton>, f: Box<dyn FnOnc
         let result = panic::catch_unwind(AssertUnwindSafe(f));
         if let Err(payload) = result {
             if !payload.is::<KillSignal>() {
-                let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "<non-string panic payload>".to_string()
-                };
+                let msg = panic_message(&*payload);
                 let (name, node, now) = {
                     let mut k = slot.kernel.lock();
                     let name = k
@@ -2706,9 +2681,11 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, baton: Arc<Baton>, f: Box<dyn FnOnc
             }
         }
     }
-    // Mark dead, close owned endpoints, and pass the token on: to the
-    // next process directly on the fast path (the exiting thread touches
-    // no kernel state afterwards), else to the shard's scheduler. A
+    // Close owned endpoints, leave the process table — nobody joins a
+    // process, so nothing needs its entry once it is done — and pass the
+    // token on: to the next process directly on the fast path (the
+    // exiting process touches no kernel state afterwards; its carrier
+    // parks only then), else to the shard's scheduler. A
     // recorded panic disables the fast path, so the scheduler observes
     // it immediately.
     let mut next: Option<Arc<Baton>> = None;
@@ -2722,10 +2699,7 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, baton: Arc<Baton>, f: Box<dyn FnOnc
         for key in eps {
             k.close_endpoint(key);
         }
-        if let Some(p) = k.procs.get_mut(&pid) {
-            p.state = PState::Dead;
-        }
-        k.dead.push(pid);
+        k.procs.remove(&pid);
         if k.can_inline() {
             match k.next_step() {
                 Step::Run(next_pid, b) => {
@@ -2742,9 +2716,3 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, baton: Arc<Baton>, f: Box<dyn FnOnc
         None => slot.gate.grant(),
     }
 }
-
-
-
-
-
-

@@ -8,6 +8,18 @@
 //! receives with timeouts, and `Unreachable` bounces when a frame arrives
 //! for a closed port.
 //!
+//! ## Tasks and threads
+//!
+//! Every [`NodeRt::spawn`] is a task of its own — its own closure, group
+//! membership and live count — on an OS thread taken from the node's
+//! carrier pool (`carrier.rs`): the thread the previous task left, or a
+//! new one when none is parked. `alive()`, kill latency and the
+//! `real.net.kills` counters are all per task. The router, the
+//! connection readers and the delay line are not tasks and keep threads
+//! of their own. `real.net.threads_spawned` counts the threads the pools
+//! had to start, `real.net.spawn_failed` the tasks lost because the OS
+//! refused one (journalled on the node's `proc` channel).
+//!
 //! ## Connection lifetime
 //!
 //! A node keeps one outgoing `TcpStream` per destination node, opened by
@@ -26,7 +38,7 @@
 //!   journalled with its reconnect).
 //! * [`RealNode::stop`] (or dropping the node) shuts every stream the
 //!   node opened or accepted and closes the listener: its router and
-//!   reader threads exit, the peers' readers of its streams see EOF and
+//!   reader threads and its parked carriers exit, the peers' readers of its streams see EOF and
 //!   exit, and a peer's next write on a stream *to* it fails — by its
 //!   second frame at the latest, the first may vanish as on any dead
 //!   link — then surfaces [`NetError::SendFailed`] or
@@ -77,6 +89,7 @@ use parking_lot::{Condvar, Mutex};
 use rand::{Rng, RngExt};
 
 use crate::backoff::RetryPolicy;
+use crate::carrier::Carriers;
 use crate::fault::{FaultAction, FaultEvent, FaultPlan};
 use crate::kernel::LinkImpairment;
 use crate::rt::{Addr, Endpoint, NetError, NodeId, NodeRt, PortReq, RecvError};
@@ -132,6 +145,11 @@ fn current_group() -> Option<Arc<GroupCore>> {
     CURRENT_GROUP.with(|g| g.borrow().clone())
 }
 
+/// Takes this thread out of any group: a carrier between two tasks.
+pub(crate) fn clear_current_group() {
+    CURRENT_GROUP.with(|g| *g.borrow_mut() = None);
+}
+
 fn group_killed() -> bool {
     CURRENT_GROUP.with(|g| g.borrow().as_ref().is_some_and(|g| g.killed()))
 }
@@ -172,8 +190,8 @@ struct GroupCore {
     /// The node the group is rooted on (its flight recorder logs kills).
     node: NodeId,
     killed: AtomicBool,
-    /// Threads currently running in the group (incremented by the
-    /// spawner before the thread exists, so `alive` never reads a false
+    /// Tasks currently running in the group (incremented by the
+    /// spawner before the task starts, so `alive` never reads a false
     /// zero between spawn and first schedule).
     live: AtomicUsize,
     /// When `kill` was called, for the kill-latency metric.
@@ -230,7 +248,7 @@ impl GroupCore {
         }
     }
 
-    /// Called as each member thread exits; the last one out of a killed
+    /// Called as each member task ends; the last one out of a killed
     /// group stamps the kill-latency metric.
     fn thread_exit(&self) {
         if self.live.fetch_sub(1, Ordering::SeqCst) == 1 && self.killed() {
@@ -261,20 +279,26 @@ fn cancellable_sleep(d: Duration) {
     }
 }
 
-/// Runs one group member thread: installs the group as the thread's
-/// cancellation scope, swallows the kill unwind, and retires the thread
-/// from the group's live count.
-fn run_in_group(group: Option<Arc<GroupCore>>, f: Box<dyn FnOnce() + Send>) {
+/// Runs one task on its carrier thread: installs the group as the
+/// thread's cancellation scope, swallows the kill unwind, and retires
+/// the task from the group's live count. A cooperative kill is a quiet
+/// exit; any other panic already ran the panic hook (which printed) and
+/// is journalled here under the task's name, as the simulator does.
+fn run_in_group(
+    sender: &FrameSender,
+    name: &str,
+    group: Option<Arc<GroupCore>>,
+    f: Box<dyn FnOnce() + Send>,
+) {
     CURRENT_GROUP.with(|g| *g.borrow_mut() = group.clone());
     let result = panic::catch_unwind(AssertUnwindSafe(f));
     if let Some(g) = &group {
         g.thread_exit();
     }
     if let Err(payload) = result {
-        // A cooperative kill is a quiet exit; anything else already ran
-        // the panic hook (which printed) and ends the thread here.
-        if !payload.is::<KillSignal>() && group.is_none() {
-            panic::resume_unwind(payload);
+        if !payload.is::<KillSignal>() {
+            let msg = crate::kernel::panic_message(&*payload);
+            sender.journal_as("proc", format!("panic in '{name}': {msg}"));
         }
     }
 }
@@ -472,6 +496,7 @@ impl RealNet {
             accepted: Arc::new(Mutex::new(HashMap::new())),
             groups: Mutex::new(Vec::new()),
             ext,
+            carriers: Carriers::new(&format!("{name}-carrier"), None),
         });
         self.nodes.lock().insert(id, Arc::downgrade(&node));
         let ports = Arc::clone(&node.ports);
@@ -732,18 +757,24 @@ pub struct RealNode {
     /// Every group ever rooted on this node, for node-level crash.
     groups: Mutex<Vec<Weak<GroupCore>>>,
     ext: Arc<crate::rt::Extensions>,
+    /// The OS threads under the node's spawned tasks.
+    carriers: Carriers,
 }
 
 impl RealNode {
     /// Takes the node off the network: closes the listener and every
     /// stream the node opened or accepted, so its router and reader
     /// threads (and the peers' readers of its streams) exit. Later sends
-    /// from its endpoints fail; nothing more arrives at them. Also runs
-    /// when the node is dropped.
+    /// from its endpoints fail; nothing more arrives at them. The node's
+    /// parked carrier threads exit too, and a busy one when its task
+    /// ends: a task spawned afterwards runs on a thread of its own. Also
+    /// runs when the node is dropped.
     pub fn stop(&self) {
         if self.sender.stopped.swap(true, Ordering::SeqCst) {
             return;
         }
+        // Not joined: a task outside any group may block for ever.
+        drop(self.carriers.retire());
         for stream in self.accepted.lock().values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
@@ -799,15 +830,23 @@ impl RealNode {
             }
             g.live.fetch_add(1, Ordering::SeqCst);
         }
-        let spawned = std::thread::Builder::new()
-            .name(format!("{}-{}", self.name, name))
-            .spawn({
-                let group = group.clone();
-                move || run_in_group(group, f)
-            });
-        if spawned.is_err() {
-            if let Some(g) = &group {
-                g.live.fetch_sub(1, Ordering::SeqCst);
+        let job = {
+            let sender = Arc::clone(&self.sender);
+            let task = name.to_string();
+            let group = group.clone();
+            Box::new(move || run_in_group(&sender, &task, group, f))
+        };
+        match self.carriers.run(job) {
+            Ok(false) => {}
+            Ok(true) => self.net.counter_add("real.net.threads_spawned", 1),
+            Err(e) => {
+                // The closure — somebody's request — is gone.
+                if let Some(g) = &group {
+                    g.live.fetch_sub(1, Ordering::SeqCst);
+                }
+                self.net.counter_add("real.net.spawn_failed", 1);
+                self.sender
+                    .journal_as("proc", format!("spawn of '{name}' failed: {e}"));
             }
         }
     }
@@ -1021,9 +1060,13 @@ impl FrameSender {
     /// must never become the node's last owner — dropping it stops the
     /// node, which takes the slot lock the sender may be holding.
     fn journal(&self, detail: String) {
+        self.journal_as("real.net", detail);
+    }
+
+    fn journal_as(&self, category: &'static str, detail: String) {
         self.ext
             .get_or_init(|| crate::journal::Journal::new(self.id))
-            .record(self.net.now(), "real.net", detail);
+            .record(self.net.now(), category, detail);
     }
 
     /// Shuts every cached stream; the peers' readers see EOF and exit.
@@ -1409,8 +1452,12 @@ mod tests {
         cond()
     }
 
+    fn counter(net: &RealNet, name: &str) -> u64 {
+        net.counters().get(name).copied().unwrap_or(0)
+    }
+
     fn conn_opens(net: &RealNet) -> u64 {
-        net.counters().get("real.net.conn_open").copied().unwrap_or(0)
+        counter(net, "real.net.conn_open")
     }
 
     /// Echoes every frame arriving at `port` of `node` until the port
@@ -1467,6 +1514,67 @@ mod tests {
         let counters = net.counters();
         assert!(counters.get("real.net.kills").copied().unwrap_or(0) >= 1);
         assert!(counters.get("real.net.kill_latency_us").copied().unwrap_or(0) >= 1);
+    }
+
+    #[test]
+    fn a_killed_groups_carrier_serves_its_sibling_clean() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let rt: Arc<dyn NodeRt> = a.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let group_a = a.spawn_group("victim", {
+            let (rt, tx) = (Arc::clone(&rt), tx.clone());
+            Box::new(move || {
+                tx.send((std::thread::current().id(), rt.cancelled())).unwrap();
+                rt.sleep(Duration::from_secs(3600)); // killed in here
+            })
+        });
+        let (carrier, cancelled) = rx.recv().unwrap();
+        assert!(!cancelled);
+        group_a.kill();
+        assert!(eventually(Duration::from_secs(5), || !group_a.alive()));
+        assert!(eventually(Duration::from_secs(5), || a.carriers.parked() == 1));
+        // The node's one carrier is the victim's; the sibling gets it,
+        // and must not inherit the kill with it.
+        let group_b = a.spawn_group("sibling", {
+            let rt = Arc::clone(&rt);
+            Box::new(move || {
+                rt.sleep(Duration::from_millis(1)); // a cancellation point
+                tx.send((std::thread::current().id(), rt.cancelled())).unwrap();
+            })
+        });
+        assert_eq!(rx.recv().unwrap(), (carrier, false));
+        assert!(eventually(Duration::from_secs(5), || !group_b.alive()));
+        assert_eq!(counter(&net, "real.net.threads_spawned"), 1);
+        // Stamped once, for the victim: a task's exit, not a thread's.
+        assert_eq!(counter(&net, "real.net.kills"), 1);
+        assert_eq!(net.samples("real.net.kill_latency_us").len(), 1);
+        assert!(counter(&net, "real.net.kill_latency_us") >= 1);
+    }
+
+    #[test]
+    fn a_panicking_task_is_journalled_by_name_and_frees_its_carrier() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        // A panic without the hook's stderr line: same payload, same path.
+        a.spawn_fn("fragile", || {
+            panic::resume_unwind(Box::new("out of luck".to_string()))
+        });
+        assert!(
+            eventually(Duration::from_secs(5), || a.carriers.parked() == 1),
+            "the carrier died with its task"
+        );
+        let lines: Vec<String> = crate::journal::Journal::of(&*a)
+            .events()
+            .iter()
+            .filter(|e| e.category == "proc")
+            .map(|e| e.detail.to_string())
+            .collect();
+        assert_eq!(lines, vec!["panic in 'fragile': out of luck".to_string()]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        a.spawn_fn("next", move || tx.send(()).unwrap());
+        rx.recv().unwrap();
+        assert_eq!(counter(&net, "real.net.threads_spawned"), 1);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! DAG, so runtime-level code — the flight-recorder journal
 //! ([`crate::journal`]), fault injection, the real transport — can stamp
 //! records with the trace that was active when they fired. The
-//! thread-local is sound because every simulated process is its own OS
-//! thread and the kernel runs exactly one at a time.
+//! thread-local is sound because every process has an OS thread to
+//! itself for as long as it lives — a carrier (`carrier.rs`) that clears
+//! the context before the next process starts on it.
 //!
 //! Identifiers embed the allocating node in the high bits and a per-node
 //! sequence in the low bits: unique cluster-wide, and — because neither

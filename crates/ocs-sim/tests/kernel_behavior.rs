@@ -463,6 +463,37 @@ fn spawned_process_panics_propagate() {
 }
 
 #[test]
+fn a_process_that_panics_or_is_killed_gives_its_carrier_back() {
+    let sim = Sim::new(21);
+    let a = sim.add_node("a");
+    for round in 0..10 {
+        // `resume_unwind` is a panic minus the hook's line on stderr.
+        a.spawn_fn("bad", || std::panic::resume_unwind(Box::new("boom")));
+        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_for(Duration::from_millis(1));
+        }))
+        .expect_err("the driver re-raises a process's panic");
+        assert_eq!(
+            report.downcast_ref::<String>().map(String::as_str),
+            Some("simulated process panicked: process 'bad': boom"),
+            "round {round}"
+        );
+        let rt = a.clone();
+        let victim = a.spawn_group("victim", Box::new(move || rt.sleep(secs(3600))));
+        sim.run_for(Duration::from_millis(1));
+        victim.kill();
+        sim.run_for(Duration::from_millis(1));
+        assert!(!victim.alive());
+    }
+    assert_eq!(sim.live_processes(), 0);
+    // Twenty processes, none alive beside another: one carrier carries
+    // them all (a spawn that races a carrier still parking starts one
+    // more, hence the slack).
+    let threads = sim.kernel_stats().threads_spawned;
+    assert!((1..=4).contains(&threads), "{threads} threads for 20 processes");
+}
+
+#[test]
 fn zero_timeout_recv_polls() {
     let sim = Sim::new(17);
     let a = sim.add_node("a");

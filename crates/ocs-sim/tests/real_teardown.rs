@@ -31,13 +31,18 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
         let nodes: Vec<Arc<RealNode>> = (0..4)
             .map(|i| net.add_node(&format!("n{i}")).unwrap())
             .collect();
-        // An echo service on every node; every node calls every other, so
-        // each holds a stream to, and a reader for, each of its peers.
+        // An echo service on every node, answering each request from a
+        // task of its own as the ORB does; every node calls every other,
+        // so each holds a stream to, and a reader for, each of its peers.
         for node in &nodes {
             let server = node.open(PortReq::Fixed(100)).unwrap();
+            let rt = Arc::clone(node);
             node.spawn_fn("echo", move || {
                 while let Ok((from, msg)) = server.recv(Some(Duration::from_millis(200))) {
-                    let _ = server.send(from, msg);
+                    let server = Arc::clone(&server);
+                    rt.spawn_fn("echo-worker", move || {
+                        let _ = server.send(from, msg);
+                    });
                 }
             });
         }
@@ -50,16 +55,27 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
             }
             clients.push(ep);
         }
+        // 500 more requests, hence 500 more tasks, on the threads of the
+        // first few.
+        for i in 0..500 {
+            let to = &nodes[1 + i % 3];
+            clients[0]
+                .send(Addr::new(to.node(), 100), Bytes::from_static(b"again"))
+                .unwrap();
+            clients[0].recv(Some(Duration::from_secs(5))).unwrap();
+        }
         let during = footprint();
-        // 4 routers + 4 echo threads + 12 readers; 4 listeners + 12
-        // streams with two ends each.
+        // 4 routers + 4 echo threads + 12 readers + the workers' carriers;
+        // 4 listeners + 12 streams with two ends each.
         assert!(during.0 >= before.0 + 20, "threads: {before:?} -> {during:?}");
+        assert!(during.0 < before.0 + 100, "threads: {before:?} -> {during:?}");
         assert!(during.1 >= before.1 + 28, "descriptors: {before:?} -> {during:?}");
         for node in &nodes {
             node.stop();
         }
     }
-    // The echo threads leave at their next receive timeout.
+    // The echo threads leave at their next receive timeout, the parked
+    // carriers as soon as `stop` wakes them.
     let deadline = Instant::now() + Duration::from_secs(5);
     while footprint() != before && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
