@@ -1,9 +1,12 @@
 //! Criterion micro-benchmarks on the REAL runtime: the OCS fast paths
 //! whose cost underlies every experiment — marshalling, the crypto
-//! primitives, a full ORB round trip over TCP loopback, and a name
-//! service resolve.
+//! primitives, a raw frame round trip, a full ORB round trip and a name
+//! service resolve over TCP loopback — beside the floors the OS sets
+//! under them: a thread hand-off and a bare socket ping-pong.
 
-use std::sync::Arc;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -75,6 +78,97 @@ fn bench_crypto(c: &mut Criterion) {
     });
 }
 
+/// The size of a null ORB request on the wire, header included.
+const FRAME: usize = 111;
+
+/// A connected loopback pair, small writes sent at once.
+fn tcp_pair() -> (TcpStream, TcpStream) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let dialled = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (accepted, _) = listener.accept().unwrap();
+    dialled.set_nodelay(true).unwrap();
+    accepted.set_nodelay(true).unwrap();
+    (dialled, accepted)
+}
+
+/// Echoes frames read from `from` onto `to` until `from` ends.
+fn spawn_tcp_echo(mut from: TcpStream, mut to: TcpStream) {
+    std::thread::spawn(move || {
+        let mut buf = [0u8; FRAME];
+        while from.read_exact(&mut buf).is_ok() && to.write_all(&buf).is_ok() {}
+    });
+}
+
+fn tcp_pingpong(c: &mut Criterion, name: &str, mut out: TcpStream, mut back: TcpStream) {
+    let mut buf = [7u8; FRAME];
+    c.bench_function(name, |b| {
+        b.iter(|| {
+            out.write_all(&buf).unwrap();
+            back.read_exact(&mut buf).unwrap();
+        })
+    });
+}
+
+/// What the OS charges with no runtime on top: two thread hand-offs
+/// (there and back through a channel), and one frame there and back over
+/// loopback — on one stream, where the reply carries the request's ACK,
+/// and on a stream per direction, where each frame draws an ACK of its
+/// own.
+fn bench_floors(c: &mut Criterion) {
+    let (ping, pinged) = mpsc::channel::<u64>();
+    let (pong, ponged) = mpsc::channel::<u64>();
+    std::thread::spawn(move || {
+        while let Ok(v) = pinged.recv() {
+            if pong.send(v).is_err() {
+                return;
+            }
+        }
+    });
+    c.bench_function("floor/thread_handoff_there_and_back", |b| {
+        b.iter(|| {
+            ping.send(1).unwrap();
+            std::hint::black_box(ponged.recv().unwrap())
+        })
+    });
+
+    let (ours, theirs) = tcp_pair();
+    spawn_tcp_echo(theirs.try_clone().unwrap(), theirs);
+    tcp_pingpong(
+        c,
+        "floor/tcp_pingpong_one_stream",
+        ours.try_clone().unwrap(),
+        ours,
+    );
+
+    let (out, out_far) = tcp_pair();
+    let (back_far, back) = tcp_pair();
+    spawn_tcp_echo(out_far, back_far);
+    tcp_pingpong(c, "floor/tcp_pingpong_two_streams", out, back);
+}
+
+/// The runtime's own frame round trip, no ORB: two long-lived endpoints,
+/// a receive loop echoing at the far one.
+fn bench_frame_tcp(c: &mut Criterion) {
+    let net = RealNet::new();
+    let server = net.add_node("server").unwrap();
+    let client = net.add_node("client").unwrap();
+    let echo = server.open(PortReq::Fixed(70)).unwrap();
+    let to = echo.local();
+    std::thread::spawn(move || {
+        while let Ok((from, msg)) = echo.recv(None) {
+            let _ = echo.send(from, msg);
+        }
+    });
+    let ep = client.open(PortReq::Ephemeral).unwrap();
+    let frame = Bytes::from_static(&[7u8; FRAME - 15]);
+    c.bench_function("sim/frame_round_trip_tcp_loopback", |b| {
+        b.iter(|| {
+            ep.send(to, frame.clone()).unwrap();
+            std::hint::black_box(ep.recv(Some(Duration::from_secs(5))).unwrap())
+        })
+    });
+}
+
 fn bench_orb_tcp(c: &mut Criterion) {
     let net = RealNet::new();
     let server = net.add_node("server").unwrap();
@@ -132,6 +226,7 @@ criterion_group! {
         .sample_size(30)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1));
-    targets = bench_wire, bench_crypto, bench_orb_tcp, bench_ns_resolve_tcp
+    targets = bench_wire, bench_crypto, bench_floors, bench_frame_tcp, bench_orb_tcp,
+        bench_ns_resolve_tcp
 }
 criterion_main!(benches);

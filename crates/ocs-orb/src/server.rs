@@ -50,10 +50,12 @@ pub enum ThreadModel {
     /// liveness checks in the paper (§7.2). Services whose handlers make
     /// nested remote calls should not use this model.
     SingleThreaded,
-    /// A fresh process per request; handlers may block and make nested
-    /// calls freely. Only the process is fresh: both runtimes run it on
-    /// an OS thread re-used from the previous request's, so the model
-    /// costs a hand-off per request, not a thread creation.
+    /// A fresh process per request ([`Endpoint::serve`]); handlers may
+    /// block and make nested calls freely. Only the process is fresh:
+    /// both runtimes run it on an OS thread re-used from the previous
+    /// request's, and on TCP the connection reader hands the frame to
+    /// that thread itself — one hand-off per request, with no server
+    /// process woken in between.
     PerRequest,
 }
 
@@ -225,27 +227,41 @@ impl Orb {
         );
     }
 
-    /// The request loop body; public so tests and custom service mains
-    /// can run it inline in an existing process.
+    /// Serves requests until the request endpoint closes; public so
+    /// tests and custom service mains can run it as their process's main.
     pub fn serve_loop(self: &Arc<Self>) {
         self.ep.adopt();
-        loop {
-            // Dispatch entry is a cancellation point: a killed process
-            // group stops taking requests even if its endpoint raced
-            // ahead of the close.
-            if self.rt.cancelled() {
-                return;
-            }
-            match self.ep.recv(None) {
-                Ok((from, msg)) => self.handle_frame(from, msg),
-                Err(RecvError::Unreachable(_)) => continue,
-                Err(RecvError::TimedOut) => continue,
-                Err(RecvError::Closed) => return,
+        match self.threading {
+            ThreadModel::SingleThreaded => loop {
+                // Dispatch entry is a cancellation point: a killed process
+                // group stops taking requests even if its endpoint raced
+                // ahead of the close.
+                if self.rt.cancelled() {
+                    return;
+                }
+                match self.ep.recv(None) {
+                    Ok((from, msg)) => self.handle_frame(from, msg),
+                    Err(RecvError::Unreachable(_)) => continue,
+                    Err(RecvError::TimedOut) => continue,
+                    Err(RecvError::Closed) => return,
+                }
+            },
+            ThreadModel::PerRequest => {
+                // Weak: the runtime may keep the handler for as long as
+                // the port is open, and an open port must not keep its
+                // ORB alive.
+                let orb = Arc::downgrade(self);
+                let handler = move |from, msg| {
+                    if let Some(orb) = orb.upgrade() {
+                        orb.handle_frame(from, msg);
+                    }
+                };
+                self.ep.serve(&*self.rt, "orb-worker", Arc::new(handler));
             }
         }
     }
 
-    fn handle_frame(self: &Arc<Self>, from: Addr, msg: Bytes) {
+    fn handle_frame(&self, from: Addr, msg: Bytes) {
         let Some(&kind) = msg.first() else {
             return;
         };
@@ -258,18 +274,7 @@ impl Orb {
         let Ok(req) = Request::from_frame(&rest) else {
             return; // Corrupt request; nothing to reply to.
         };
-        match self.threading {
-            ThreadModel::SingleThreaded => self.handle_request(from, req),
-            ThreadModel::PerRequest => {
-                let orb = Arc::clone(self);
-                self.rt.spawn(
-                    "orb-worker",
-                    Box::new(move || {
-                        orb.handle_request(from, req);
-                    }),
-                );
-            }
-        }
+        self.handle_request(from, req);
     }
 
     fn handle_request(&self, from: Addr, req: Request) {

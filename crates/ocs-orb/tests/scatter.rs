@@ -259,12 +259,21 @@ fn real_rig(holds_ms: [u64; 3]) -> (Arc<RealNet>, Rt, Vec<Arc<Orb>>, Vec<ObjRef>
     (net, client, orbs, targets)
 }
 
+/// Polls `cond` for up to five seconds.
+fn eventually(mut cond: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    cond()
+}
+
 #[test]
 fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
     let (net, client, _orbs, targets) = real_rig([60, 0, 30]);
     let ctx = ClientCtx::new(client);
-    // A full round first, so every server holds its reply connection to
-    // the client node and the counts below see only this call's own.
+    // A full round first, so the client holds its stream with every
+    // server and the counts below see only this call's own.
     let mut order = Vec::new();
     let mut sc = ctx
         .scatter(&targets, TAG_METHOD, salt(5), "test.tag.tag")
@@ -277,7 +286,7 @@ fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
     assert_eq!(order, vec![(1, Ok(15)), (2, Ok(25)), (0, Ok(5))]);
 
     let before = conn_opens(&net);
-    assert_eq!(before, 6, "one stream each way per target");
+    assert_eq!(before, 3, "one stream per target, replies on it too");
     let mut sc = ctx
         .scatter(&targets, TAG_METHOD, salt(0), "test.tag.tag")
         .unwrap();
@@ -305,14 +314,79 @@ fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
 }
 
 #[test]
-fn real_thousand_calls_share_one_stream_each_way() {
+fn real_thousand_calls_share_one_stream() {
     let (net, client, _orbs, targets) = real_rig([0, 0, 0]);
     let ctx = ClientCtx::new(client);
     for i in 0..1_000 {
         let reply = ctx.call_named(&targets[0], TAG_METHOD, salt(i), "test.tag.tag");
         assert_eq!(answer(reply), Ok(i));
     }
-    assert_eq!(conn_opens(&net), 2, "requests one way, replies the other");
+    assert_eq!(conn_opens(&net), 1, "the replies ride the requests' stream");
+}
+
+#[test]
+fn real_thousand_calls_queue_only_their_replies() {
+    let (net, client, _orbs, targets) = real_rig([0, 0, 0]);
+    let ctx = ClientCtx::new(client);
+    let call = |i| answer(ctx.call_named(&targets[0], TAG_METHOD, salt(i), "test.tag.tag"));
+    let queued = || counter(&net, "real.net.frames_queued");
+    // Warm-up: a request that beats the server's `serve` to the port
+    // waits in its mailbox for it.
+    assert_eq!(call(0), Ok(0));
+    let before = queued();
+    for i in 1..=1_000 {
+        assert_eq!(call(i), Ok(i));
+    }
+    // A request goes from the connection reader to its `orb-worker`
+    // with no queue, and no `orb-server` thread, in between.
+    assert_eq!(queued() - before, 1_000);
+}
+
+#[test]
+fn real_shutdown_unregisters_the_handler_and_frees_the_orb() {
+    let (_net, client, mut orbs, targets) = real_rig([0, 0, 0]);
+    let ctx = ClientCtx::new(client);
+    let call = |i| answer(ctx.call_named(&targets[0], TAG_METHOD, salt(i), "test.tag.tag"));
+    assert_eq!(call(1), Ok(1));
+    let orb = orbs.remove(0);
+    orb.shutdown();
+    assert_eq!(call(2), Err(OrbError::ObjectDead), "the port still answers");
+    // The serving process has returned from `serve_loop`, and whatever
+    // the runtime kept of the handler holds no ORB.
+    let gone = Arc::downgrade(&orb);
+    drop(orb);
+    assert!(
+        eventually(|| gone.upgrade().is_none()),
+        "something keeps the ORB alive"
+    );
+}
+
+#[test]
+fn real_call_to_a_stopped_node_fails_well_inside_its_timeout() {
+    let net = RealNet::new();
+    let client: Rt = net.add_node("client").unwrap();
+    let server = net.add_node("server").unwrap();
+    let (_orb, target) = start_tag(server.clone(), 0, Duration::ZERO);
+    let ctx = ClientCtx::new(client).with_timeout(Duration::from_secs(10));
+    let call = |i| answer(ctx.call_named(&target, TAG_METHOD, salt(i), "test.tag.tag"));
+    assert_eq!(call(1), Ok(1));
+    server.stop();
+    // The client's reader of the stream sees it end.
+    assert!(eventually(|| counter(&net, "real.net.resets") >= 1));
+    let started = Instant::now();
+    let refused = call(2);
+    assert!(
+        matches!(
+            refused,
+            Err(OrbError::ObjectDead | OrbError::Transport { .. })
+        ),
+        "a call to a stopped node: {refused:?}"
+    );
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "took {took:?} of a 10 s timeout"
+    );
 }
 
 #[test]

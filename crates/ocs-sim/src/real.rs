@@ -2,11 +2,11 @@
 //!
 //! [`RealNet`] plays the role of the simulated network: it maps [`NodeId`]s
 //! to TCP listeners on `127.0.0.1`. Each node runs a router thread that
-//! accepts connections and hands each to a `conn-reader` thread, which
-//! delivers length-prefixed frames to per-port channels. Endpoint
-//! semantics mirror the simulation: datagram-like sends, blocking
-//! receives with timeouts, and `Unreachable` bounces when a frame arrives
-//! for a closed port.
+//! accepts connections, and every stream — accepted or dialled — has a
+//! `conn-reader` thread that delivers its length-prefixed frames to the
+//! node's ports. Endpoint semantics mirror the simulation: datagram-like
+//! sends, blocking receives with timeouts, and `Unreachable` bounces when
+//! a frame arrives for a closed port.
 //!
 //! ## Tasks and threads
 //!
@@ -20,29 +20,52 @@
 //! had to start, `real.net.spawn_failed` the tasks lost because the OS
 //! refused one (journalled on the node's `proc` channel).
 //!
+//! A port is one of two things to a reader. An endpoint somebody
+//! [`recv`](Endpoint::recv)s from has a mailbox: the reader queues the
+//! frame (`real.net.frames_queued`) and wakes the receiver. A *served*
+//! endpoint ([`Endpoint::serve`], the ORB's `PerRequest` request port)
+//! has a handler: the reader starts it on a carrier as a task of the
+//! endpoint's owner group, one wake-up from socket to servant, and the
+//! serving task only waits for the port to close. The reader never runs
+//! a handler itself, however short: a servant may place a nested call
+//! whose reply arrives on the very stream this reader is the only one
+//! reading.
+//!
 //! ## Connection lifetime
 //!
-//! A node keeps one outgoing `TcpStream` per destination node, opened by
-//! the first frame sent there and shared by every endpoint on the node
-//! and by the bounce path ([`FrameSender`]). A stream carries frames one
-//! way only — replies come back over the peer's own stream — so two nodes
-//! that talk both ways hold two connections between them, however many
-//! endpoints, RPCs or bounces they exchange. A frame is one `write` under
-//! the destination's slot lock, so frames of concurrent senders never
-//! interleave, and per-stream order is send order.
+//! Two nodes share one `TcpStream`, used both ways by every endpoint,
+//! RPC, reply and bounce between them. A node sends to a peer over the
+//! stream it has with it — dialled or accepted — and dials only when it
+//! has none ([`FrameSender`]'s slot for the peer is empty): the first
+//! frame there opens the stream, and the first frame *on* an accepted
+//! stream tells the accepting node who dialled, so its frames to that
+//! peer go back out on it. Replies therefore ride the stream the request
+//! came on, and a reply carries the request's TCP ACK instead of each
+//! drawing one of its own. Two nodes that dial each other at the same
+//! instant end up with two streams; both stay read at both ends, each
+//! node writes on the one it accepted, and nothing is lost or doubled.
+//! A frame is one `write` under the peer's slot lock, so frames of
+//! concurrent senders never interleave, and per-stream order is send
+//! order.
 //!
 //! * A **kill** closes the group's *ports*; the node's streams stay up
 //!   for its sibling groups, and frames for the dead ports bounce.
-//! * A **reset storm** or a failed write drops the stream; the frame in
-//!   hand is resent over a fresh one (counted in `real.net.resets` and
-//!   journalled with its reconnect).
-//! * [`RealNode::stop`] (or dropping the node) shuts every stream the
-//!   node opened or accepted and closes the listener: its router and
-//!   reader threads and its parked carriers exit, the peers' readers of its streams see EOF and
-//!   exit, and a peer's next write on a stream *to* it fails — by its
-//!   second frame at the latest, the first may vanish as on any dead
-//!   link — then surfaces [`NetError::SendFailed`] or
-//!   [`NetError::PeerRefused`] within the reconnect budget.
+//! * A **reset storm** or a failed write shuts the stream down — both
+//!   directions of it; the frame in hand is resent over a fresh one
+//!   (counted in `real.net.resets` and journalled with its reconnect),
+//!   and the peer, whose reader sees the stream end, dials for its next.
+//! * A reader that reaches the end of its stream takes the stream out of
+//!   the peer's slot (`real.net.resets`, `conn to <peer> closed by the
+//!   peer` in the journal), so no frame is written into a stream known
+//!   to be dead.
+//! * [`RealNode::stop`] (or dropping the node) closes the listener, then
+//!   shuts every stream the node dialled or accepted: its router and
+//!   reader threads and its parked carriers exit, and the peers' readers
+//!   of those streams see EOF and clear their slots. A peer's next frame
+//!   to the node dials, is refused, and surfaces
+//!   [`NetError::PeerRefused`] (or [`NetError::SendFailed`]) within the
+//!   reconnect budget — the first frame, not some later one, so an ORB
+//!   call to a stopped node fails at once instead of timing out.
 //!
 //! ## Fault parity with the simulator
 //!
@@ -63,8 +86,8 @@
 //!   install per-node-pair faults applied under every send: partitions
 //!   drop silently (an RPC sees a timeout, as across a real cut),
 //!   impairments drop/duplicate/delay frames on a monotonic-clock delay
-//!   line, and reset storms tear down the node's cached stream to the
-//!   peer before every send.
+//!   line, and reset storms tear down the node's stream with the peer
+//!   before every send.
 //!   The table is guarded by one relaxed atomic, so the fault-free send
 //!   path pays a single load.
 //! * **[`RealNemesis`]** replays a [`FaultPlan`] against the real
@@ -75,7 +98,7 @@
 //! runtime; see `examples/tcp_cluster.rs` for a full cluster on TCP.
 
 use std::cell::RefCell;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -84,7 +107,6 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
 use rand::{Rng, RngExt};
 
@@ -92,12 +114,16 @@ use crate::backoff::RetryPolicy;
 use crate::carrier::Carriers;
 use crate::fault::{FaultAction, FaultEvent, FaultPlan};
 use crate::kernel::LinkImpairment;
-use crate::rt::{Addr, Endpoint, NetError, NodeId, NodeRt, PortReq, RecvError};
+use crate::rt::{Addr, Endpoint, FrameHandler, NetError, NodeId, NodeRt, PortReq, RecvError};
 use crate::time::SimTime;
 
 /// Frame kinds on the wire.
 const FRAME_MSG: u8 = 0;
 const FRAME_UNREACH: u8 = 1;
+
+/// Header byte 13, bit 0: the frame came over a stream its sender closes
+/// behind it (the delay line's), so nothing may be written back on it.
+const FLAG_ONE_SHOT: u8 = 1;
 
 /// How often blocked group members wake to poll their kill flag. Bounds
 /// the cooperative-kill latency of a thread parked in a receive or sync
@@ -123,6 +149,83 @@ fn deliver(item: Delivered) -> Result<(Addr, Bytes), RecvError> {
     match item {
         Delivered::Msg(from, msg) => Ok((from, msg)),
         Delivered::Unreach(addr) => Err(RecvError::Unreachable(addr)),
+    }
+}
+
+/// Until when a blocked thread may sleep before it looks at its kill
+/// flag and its deadline again: the deadline, but for a group member no
+/// later than [`KILL_POLL`] from `now`. `None`: until it is woken.
+fn next_look(in_group: bool, deadline: Option<Instant>, now: Instant) -> Option<Instant> {
+    let poll = in_group.then(|| now + KILL_POLL);
+    match (poll, deadline) {
+        (Some(p), Some(d)) => Some(p.min(d)),
+        (p, d) => p.or(d),
+    }
+}
+
+/// Where the frames for an endpoint that `recv`s wait for it.
+struct Mailbox {
+    queue: Mutex<VecDeque<Delivered>>,
+    cv: Condvar,
+    /// Set when the endpoint closes or its owning group is killed.
+    closed: AtomicBool,
+}
+
+impl Mailbox {
+    fn new() -> Arc<Mailbox> {
+        Arc::new(Mailbox {
+            queue: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+            closed: AtomicBool::new(false),
+        })
+    }
+
+    fn push(&self, item: Delivered) {
+        self.queue.lock().push_back(item);
+        self.cv.notify_one();
+    }
+
+    /// Closes the mailbox and wakes its receivers; whether it was open.
+    fn close(&self) -> bool {
+        // Under the queue lock, or a receiver between its check of the
+        // flag and its wait would sleep through the wake-up.
+        let _queue = self.queue.lock();
+        let was_open = !self.closed.swap(true, Ordering::SeqCst);
+        self.cv.notify_all();
+        was_open
+    }
+
+    /// The one blocking receive: honours the deadline, the close, and —
+    /// for a group member, within [`KILL_POLL`] even if nothing else
+    /// wakes it — the kill.
+    fn pop(&self, timeout: Option<Duration>) -> Result<Delivered, RecvError> {
+        let group = current_group();
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut queue = self.queue.lock();
+        loop {
+            if group.as_ref().is_some_and(|g| g.killed()) {
+                drop(queue);
+                panic::resume_unwind(Box::new(KillSignal));
+            }
+            if self.closed.load(Ordering::Relaxed) {
+                return Err(RecvError::Closed);
+            }
+            // Before the deadline, so a zero-timeout poll still sees
+            // what is queued.
+            if let Some(item) = queue.pop_front() {
+                return Ok(item);
+            }
+            let now = Instant::now();
+            if deadline.is_some_and(|d| now >= d) {
+                return Err(RecvError::TimedOut);
+            }
+            match next_look(group.is_some(), deadline, now) {
+                Some(t) => {
+                    let _ = self.cv.wait_until(&mut queue, t);
+                }
+                None => self.cv.wait(&mut queue),
+            }
+        }
     }
 }
 
@@ -168,18 +271,18 @@ fn check_killed() {
 #[derive(Clone)]
 struct EpHandle {
     port: u16,
-    closed: Arc<AtomicBool>,
+    mailbox: Arc<Mailbox>,
     ports: PortMap,
 }
 
-impl EpHandle {
-    /// Closes the endpoint from the kill path: later receives return
-    /// `Closed` and frames arriving for the port bounce `Unreachable`.
-    /// The node's streams are not the group's to close — its sibling
-    /// groups are sending over them.
-    fn force_close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        self.ports.lock().remove(&self.port);
+/// Closes an endpoint: receives return `Closed` from now on, frames
+/// arriving for the port bounce `Unreachable`, and a served port runs no
+/// more handlers. Idempotent — only the first close owns the port map
+/// entry; a later one would remove a successor's. The node's streams are
+/// not the endpoint's to close: the rest of the node is sending over them.
+fn close_port(ports: &PortMap, port: u16, mailbox: &Mailbox) {
+    if mailbox.close() {
+        ports.lock().remove(&port);
     }
 }
 
@@ -222,7 +325,7 @@ impl GroupCore {
         // their next cancellation point.
         let eps = std::mem::take(&mut *self.eps.lock());
         for ep in eps {
-            ep.force_close();
+            close_port(&ep.ports, ep.port, &ep.mailbox);
         }
         // Wake sleepers so they observe the flag and unwind.
         let _guard = self.lock.lock();
@@ -369,7 +472,9 @@ impl Ord for DelayedFrame {
 
 /// Monotonic-clock frame scheduler for impaired links: delayed frames
 /// are heaped by due time and written late over fresh connections by a
-/// single background thread.
+/// single background thread. Each connection closes behind its frame, so
+/// the frame is marked [`FLAG_ONE_SHOT`]: the receiver must not take the
+/// stream for its own to the sender.
 struct DelayLine {
     heap: Mutex<BinaryHeap<DelayedFrame>>,
     cv: Condvar,
@@ -390,7 +495,8 @@ impl DelayLine {
         line
     }
 
-    fn push(&self, due: Instant, to: SocketAddr, bytes: Vec<u8>) {
+    fn push(&self, due: Instant, to: SocketAddr, mut bytes: Vec<u8>) {
+        bytes[13] |= FLAG_ONE_SHOT;
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         self.heap.lock().push(DelayedFrame {
             due,
@@ -438,6 +544,11 @@ pub struct RealNet {
     next_node: Mutex<u32>,
     next_group: AtomicU64,
     counters: Mutex<std::collections::BTreeMap<String, u64>>,
+    /// Frames placed in an endpoint's mailbox (`real.net.frames_queued`
+    /// in [`counters`](RealNet::counters)). Its own atomic: it is bumped
+    /// on the path of every received frame, where the counter map's lock
+    /// and name lookup would show.
+    frames_queued: AtomicU64,
     /// Raw per-observation samples (e.g. kill latencies), kept alongside
     /// the summed counters so campaigns can build histograms/percentiles.
     samples: Mutex<std::collections::BTreeMap<String, Vec<u64>>>,
@@ -459,6 +570,7 @@ impl RealNet {
             next_node: Mutex::new(1),
             next_group: AtomicU64::new(1),
             counters: Mutex::new(Default::default()),
+            frames_queued: AtomicU64::new(0),
             samples: Mutex::new(Default::default()),
             trace: std::env::var_os("OCS_TRACE").is_some(),
             faults: Mutex::new(FaultTable::default()),
@@ -484,28 +596,27 @@ impl RealNet {
             net: Arc::clone(self),
             id,
             name: name.to_string(),
-            ports: Arc::new(Mutex::new(HashMap::new())),
             next_ephemeral: Mutex::new(crate::kernel::EPHEMERAL_BASE),
             sender: Arc::new(FrameSender {
                 net: Arc::clone(self),
                 id,
                 ext: Arc::clone(&ext),
                 stopped: AtomicBool::new(false),
+                ports: Arc::new(Mutex::new(HashMap::new())),
                 conns: Mutex::new(HashMap::new()),
+                streams: Mutex::new(Vec::new()),
+                carriers: Carriers::new(&format!("{name}-carrier"), None),
             }),
-            accepted: Arc::new(Mutex::new(HashMap::new())),
+            router: Mutex::new(None),
             groups: Mutex::new(Vec::new()),
             ext,
-            carriers: Carriers::new(&format!("{name}-carrier"), None),
         });
         self.nodes.lock().insert(id, Arc::downgrade(&node));
-        let ports = Arc::clone(&node.ports);
         let sender = Arc::clone(&node.sender);
-        let accepted = Arc::clone(&node.accepted);
-        std::thread::Builder::new()
+        let router = std::thread::Builder::new()
             .name(format!("router-{name}"))
-            .spawn(move || router_main(listener, ports, sender, accepted))
-            .map_err(std::io::Error::other)?;
+            .spawn(move || router_main(listener, sender))?;
+        *node.router.lock() = Some(router);
         Ok(node)
     }
 
@@ -521,7 +632,10 @@ impl RealNet {
 
     /// Snapshot of all counters recorded through node runtimes.
     pub fn counters(&self) -> std::collections::BTreeMap<String, u64> {
-        self.counters.lock().clone()
+        let mut all = self.counters.lock().clone();
+        let queued = self.frames_queued.load(Ordering::Relaxed);
+        all.insert("real.net.frames_queued".to_string(), queued);
+        all
     }
 
     /// Adds `delta` to the named cluster-wide counter.
@@ -537,7 +651,11 @@ impl RealNet {
 
     /// Records one raw observation under `name` (histogram feed).
     pub fn observe(&self, name: &str, v: u64) {
-        self.samples.lock().entry(name.to_string()).or_default().push(v);
+        self.samples
+            .lock()
+            .entry(name.to_string())
+            .or_default()
+            .push(v);
     }
 
     /// The raw observations recorded under `name`, in arrival order.
@@ -556,9 +674,7 @@ impl RealNet {
     /// this; everything above the runtime uses `Journal::of` directly.
     pub(crate) fn journal(&self, node: NodeId, category: &'static str, detail: String) {
         if let Some(n) = self.node_handle(node) {
-            let j = n
-                .ext
-                .get_or_init(|| crate::journal::Journal::new(node));
+            let j = n.ext.get_or_init(|| crate::journal::Journal::new(node));
             j.record(self.now(), category, detail);
         }
     }
@@ -654,49 +770,60 @@ impl RealNet {
     }
 }
 
-type PortMap = Arc<Mutex<HashMap<u16, Sender<Delivered>>>>;
-/// The streams a node has accepted and not yet read to their end, so
-/// that [`RealNode::stop`] can shut them and release their readers.
-type Accepted = Arc<Mutex<HashMap<usize, Arc<TcpStream>>>>;
+/// What a node does with a frame for one of its open ports.
+#[derive(Clone)]
+enum Port {
+    /// Queues it for the endpoint's next `recv`.
+    Mailbox(Arc<Mailbox>),
+    /// Runs the handler on it in a task of its own ([`Endpoint::serve`]).
+    Served(Arc<Served>),
+}
 
-fn router_main(
-    listener: TcpListener,
-    ports: PortMap,
-    sender: Arc<FrameSender>,
-    accepted: Accepted,
-) {
-    // Accept until the node stops; each connection gets a reader thread
-    // that lives as long as the peer keeps the stream open.
-    for (key, conn) in listener.incoming().enumerate() {
+struct Served {
+    task: String,
+    handler: FrameHandler,
+    /// The group the tasks join: the endpoint's owner when serving began.
+    group: Option<Arc<GroupCore>>,
+}
+
+type PortMap = Arc<Mutex<HashMap<u16, Port>>>;
+
+fn router_main(listener: TcpListener, sender: Arc<FrameSender>) {
+    // Accept until the node stops; each stream gets a reader thread that
+    // lives as long as the stream does.
+    for conn in listener.incoming() {
         if sender.stopped.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        let stream = Arc::new(stream);
-        accepted.lock().insert(key, Arc::clone(&stream));
-        let ports = Arc::clone(&ports);
-        let sender = Arc::clone(&sender);
-        let accepted = Arc::clone(&accepted);
-        let _ = std::thread::Builder::new()
-            .name("conn-reader".into())
-            .spawn(move || {
-                reader_main(&stream, &ports, &sender);
-                accepted.lock().remove(&key);
-            });
+        // Who dialled is in the first frame, not in the socket address.
+        let _ = sender.adopt_stream(stream, None);
     }
 }
 
-fn reader_main(stream: &TcpStream, ports: &PortMap, sender: &FrameSender) {
+/// Reads `stream` to its end. `peer` is the node at the other end, once
+/// known: from the start on a stream this node dialled, from the first
+/// frame on one it accepted.
+fn reader_main(stream: &Arc<TcpStream>, mut peer: Option<NodeId>, sender: &Arc<FrameSender>) {
+    read_frames(stream, &mut peer, sender);
+    // EOF, a read error or `stop`: nothing written to it will arrive.
+    if let Some(peer) = peer {
+        sender.forget_stream(peer, stream);
+    }
+}
+
+fn read_frames(stream: &Arc<TcpStream>, peer: &mut Option<NodeId>, sender: &Arc<FrameSender>) {
     // Buffered: a small frame's header and payload arrive in one read.
-    let mut stream = BufReader::new(stream);
+    let mut reader = BufReader::new(&**stream);
     let mut hdr = [0u8; 15];
     loop {
-        // Registered before this check and `stop` raises the flag before
-        // it shuts the registered streams, so one of the two ends us.
+        // The stream was registered before this check and `stop` raises
+        // the flag before it shuts the registered streams, so one of the
+        // two ends us.
         if sender.stopped.load(Ordering::SeqCst) {
             return;
         }
-        if stream.read_exact(&mut hdr).is_err() {
+        if reader.read_exact(&mut hdr).is_err() {
             return;
         }
         let kind = hdr[0];
@@ -708,14 +835,29 @@ fn reader_main(stream: &TcpStream, ports: &PortMap, sender: &FrameSender) {
             return; // Corrupt frame; drop the connection.
         }
         let mut payload = vec![0u8; len];
-        if stream.read_exact(&mut payload).is_err() {
+        if reader.read_exact(&mut payload).is_err() {
             return;
         }
+        if peer.is_none() {
+            *peer = Some(src_node);
+            if hdr[13] & FLAG_ONE_SHOT == 0 {
+                sender.offer_stream(src_node, stream);
+            }
+        }
         let from = Addr::new(src_node, src_port);
-        let port = ports.lock().get(&dst_port).cloned();
+        let port = sender.ports.lock().get(&dst_port).cloned();
         match (kind, port) {
-            (FRAME_MSG, Some(tx)) => {
-                let _ = tx.send(Delivered::Msg(from, Bytes::from(payload)));
+            (FRAME_MSG, Some(Port::Mailbox(mailbox))) => {
+                sender.net.frames_queued.fetch_add(1, Ordering::Relaxed);
+                mailbox.push(Delivered::Msg(from, Bytes::from(payload)));
+            }
+            (FRAME_MSG, Some(Port::Served(served))) => {
+                // Handed to a carrier, never run here: the servant may
+                // place a nested call whose reply arrives on this stream,
+                // and only this thread reads it.
+                let (handler, msg) = (Arc::clone(&served.handler), Bytes::from(payload));
+                let run = Box::new(move || handler(from, msg));
+                sender.spawn_task(&served.task, served.group.clone(), run);
             }
             (FRAME_MSG, None) => {
                 // Closed port on a live node: bounce, as the sim does —
@@ -723,23 +865,31 @@ fn reader_main(stream: &TcpStream, ports: &PortMap, sender: &FrameSender) {
                 // (so a cut or lossy link drops bounces too).
                 let _ = sender.send_bytes(dst_port, from, FRAME_UNREACH, &[]);
             }
-            (FRAME_UNREACH, Some(tx)) => {
-                let _ = tx.send(Delivered::Unreach(from));
+            (FRAME_UNREACH, Some(Port::Mailbox(mailbox))) => {
+                sender.net.frames_queued.fetch_add(1, Ordering::Relaxed);
+                mailbox.push(Delivered::Unreach(from));
             }
+            // A served port drops bounces, as the receive loop would.
             _ => {}
         }
     }
 }
 
 /// A complete wire frame as one buffer, so it goes out as one `write`.
-fn frame_bytes(kind: u8, src_node: NodeId, src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+fn frame_bytes(
+    kind: u8,
+    src_node: NodeId,
+    src_port: u16,
+    dst_port: u16,
+    payload: &[u8],
+) -> Vec<u8> {
     let mut buf = Vec::with_capacity(15 + payload.len());
     buf.push(kind);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&src_node.0.to_le_bytes());
     buf.extend_from_slice(&src_port.to_le_bytes());
     buf.extend_from_slice(&dst_port.to_le_bytes());
-    buf.extend_from_slice(&[0, 0]);
+    buf.extend_from_slice(&[0, 0]); // flags, reserved
     buf.extend_from_slice(payload);
     buf
 }
@@ -749,22 +899,21 @@ pub struct RealNode {
     net: Arc<RealNet>,
     id: NodeId,
     name: String,
-    ports: PortMap,
     next_ephemeral: Mutex<u16>,
-    /// The node's outgoing streams, shared with its endpoints and readers.
+    /// The node's ports, streams and carriers, shared with its endpoints
+    /// and readers.
     sender: Arc<FrameSender>,
-    accepted: Accepted,
+    /// The accept loop's thread, which owns the listener.
+    router: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Every group ever rooted on this node, for node-level crash.
     groups: Mutex<Vec<Weak<GroupCore>>>,
     ext: Arc<crate::rt::Extensions>,
-    /// The OS threads under the node's spawned tasks.
-    carriers: Carriers,
 }
 
 impl RealNode {
     /// Takes the node off the network: closes the listener and every
-    /// stream the node opened or accepted, so its router and reader
-    /// threads (and the peers' readers of its streams) exit. Later sends
+    /// stream the node dialled or accepted, so its router and reader
+    /// threads (and the peers' readers of the same streams) exit. Later sends
     /// from its endpoints fail; nothing more arrives at them. The node's
     /// parked carrier threads exit too, and a busy one when its task
     /// ends: a task spawned afterwards runs on a thread of its own. Also
@@ -774,14 +923,19 @@ impl RealNode {
             return;
         }
         // Not joined: a task outside any group may block for ever.
-        drop(self.carriers.retire());
-        for stream in self.accepted.lock().values() {
-            let _ = stream.shutdown(Shutdown::Both);
+        drop(self.sender.carriers.retire());
+        // The listener goes first, so a peer that sees its stream end
+        // and dials again is refused rather than left in the backlog:
+        // poke it so the accept loop observes the flag, and wait for the
+        // loop to drop it.
+        let poked = self.net.lookup(self.id).map(TcpStream::connect);
+        if let (Some(Ok(_)), Some(router)) = (poked, self.router.lock().take()) {
+            let _ = router.join();
         }
-        self.sender.close_all();
-        // Poke the listener so the accept loop observes the flag.
-        if let Some(addr) = self.net.lookup(self.id) {
-            let _ = TcpStream::connect(addr);
+        // Each reader drops its stream from the registry, and from the
+        // peer's slot, as the shutdown ends it.
+        for stream in self.sender.streams.lock().iter() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
 
@@ -822,34 +976,6 @@ impl RealNode {
         self.groups.lock().push(Arc::downgrade(&core));
         core
     }
-
-    fn spawn_thread(&self, name: &str, group: Option<Arc<GroupCore>>, f: Box<dyn FnOnce() + Send>) {
-        if let Some(g) = &group {
-            if g.killed() {
-                return; // A dead group spawns nothing.
-            }
-            g.live.fetch_add(1, Ordering::SeqCst);
-        }
-        let job = {
-            let sender = Arc::clone(&self.sender);
-            let task = name.to_string();
-            let group = group.clone();
-            Box::new(move || run_in_group(&sender, &task, group, f))
-        };
-        match self.carriers.run(job) {
-            Ok(false) => {}
-            Ok(true) => self.net.counter_add("real.net.threads_spawned", 1),
-            Err(e) => {
-                // The closure — somebody's request — is gone.
-                if let Some(g) = &group {
-                    g.live.fetch_sub(1, Ordering::SeqCst);
-                }
-                self.net.counter_add("real.net.spawn_failed", 1);
-                self.sender
-                    .journal_as("proc", format!("spawn of '{name}' failed: {e}"));
-            }
-        }
-    }
 }
 
 impl Drop for RealNode {
@@ -869,7 +995,7 @@ impl NodeRt for RealNode {
 
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) {
         // Like fork: the child joins the spawner's group (if any).
-        self.spawn_thread(name, current_group(), f);
+        self.sender.spawn_task(name, current_group(), f);
     }
 
     fn spawn_group(
@@ -878,7 +1004,7 @@ impl NodeRt for RealNode {
         f: Box<dyn FnOnce() + Send>,
     ) -> Arc<dyn crate::rt::ProcGroup> {
         let core = self.new_group();
-        self.spawn_thread(name, Some(Arc::clone(&core)), f);
+        self.sender.spawn_task(name, Some(Arc::clone(&core)), f);
         Arc::new(RealProcGroup {
             core,
             ext: Arc::clone(&self.ext),
@@ -886,7 +1012,7 @@ impl NodeRt for RealNode {
     }
 
     fn open(&self, port: PortReq) -> Result<Arc<dyn Endpoint>, NetError> {
-        let mut ports = self.ports.lock();
+        let mut ports = self.sender.ports.lock();
         let portno = match port {
             PortReq::Fixed(p) => {
                 if ports.contains_key(&p) {
@@ -904,16 +1030,14 @@ impl NodeRt for RealNode {
                 cand
             }
         };
-        let (tx, rx) = unbounded();
-        ports.insert(portno, tx);
+        let mailbox = Mailbox::new();
+        ports.insert(portno, Port::Mailbox(Arc::clone(&mailbox)));
         drop(ports);
         let ep = Arc::new(RealEndpoint {
-            node: NodeId(self.id.0),
+            node: self.id,
             port: portno,
-            rx,
-            ports: Arc::clone(&self.ports),
+            mailbox,
             sender: Arc::clone(&self.sender),
-            closed: Arc::new(AtomicBool::new(false)),
             owner_group: Mutex::new(None),
         });
         // The opener's group owns the endpoint until adopt/disown says
@@ -1007,17 +1131,15 @@ impl crate::sync::SyncObj for RealSyncObj {
                 }
             }
             let now = Instant::now();
-            let until = match (&group, deadline) {
-                (_, Some(d)) if now >= d => break,
-                (Some(_), Some(d)) => d.min(now + KILL_POLL),
-                (Some(_), None) => now + KILL_POLL,
-                (None, Some(d)) => d,
-                (None, None) => {
-                    self.cv.wait(&mut g);
-                    continue;
+            if deadline.is_some_and(|d| now >= d) {
+                break;
+            }
+            match next_look(group.is_some(), deadline, now) {
+                Some(t) => {
+                    let _ = self.cv.wait_until(&mut g, t);
                 }
-            };
-            let _ = self.cv.wait_until(&mut g, until);
+                None => self.cv.wait(&mut g),
+            }
         }
         *g
     }
@@ -1028,15 +1150,16 @@ impl crate::sync::SyncObj for RealSyncObj {
     }
 }
 
-/// A node's outgoing half: one cached `TcpStream` per destination node,
-/// shared by every endpoint on the node and by the readers' bounce path.
+/// What a node's handle, endpoints and stream readers share: its port
+/// map, its streams and its carrier threads.
 ///
-/// The cache maps each peer to its own lock slot. The map lock is held
-/// only long enough to find or insert the slot; the `connect` and the
-/// frame write happen under that peer's lock alone, and the back-off
-/// between reconnect attempts under no lock at all — so one dead or slow
-/// peer stalls neither sends to the others nor, beyond its own refused
-/// `connect`s, the other senders to itself.
+/// `conns` maps each peer to its own lock slot, holding the stream this
+/// node writes to that peer on. The map lock is held only long enough to
+/// find or insert the slot; the `connect` and the frame write happen
+/// under that peer's lock alone, and the back-off between reconnect
+/// attempts under no lock at all — so one dead or slow peer stalls
+/// neither sends to the others nor, beyond its own refused `connect`s,
+/// the other senders to itself.
 struct FrameSender {
     net: Arc<RealNet>,
     id: NodeId,
@@ -1044,10 +1167,16 @@ struct FrameSender {
     ext: Arc<crate::rt::Extensions>,
     /// Set by [`RealNode::stop`]: no stream is opened or written after.
     stopped: AtomicBool,
+    ports: PortMap,
     conns: Mutex<HashMap<NodeId, PeerSlot>>,
+    /// Every stream with a reader on it, dialled or accepted, so that
+    /// [`RealNode::stop`] can shut them all.
+    streams: Mutex<Vec<Arc<TcpStream>>>,
+    /// The OS threads under the node's spawned tasks.
+    carriers: Carriers,
 }
 
-type PeerSlot = Arc<Mutex<Option<TcpStream>>>;
+type PeerSlot = Arc<Mutex<Option<Arc<TcpStream>>>>;
 
 /// How long one frame write may stall on a full socket buffer before the
 /// stream counts as broken. Readers drain their streams unconditionally,
@@ -1069,18 +1198,115 @@ impl FrameSender {
             .record(self.net.now(), category, detail);
     }
 
-    /// Shuts every cached stream; the peers' readers see EOF and exit.
-    fn close_all(&self) {
-        let slots: Vec<PeerSlot> = self.conns.lock().values().cloned().collect();
-        for slot in slots {
-            if let Some(s) = slot.lock().take() {
-                let _ = s.shutdown(Shutdown::Both);
+    /// Starts `f` as a task in `group` on one of the node's carriers.
+    fn spawn_task(
+        self: &Arc<Self>,
+        name: &str,
+        group: Option<Arc<GroupCore>>,
+        f: Box<dyn FnOnce() + Send>,
+    ) {
+        if let Some(g) = &group {
+            if g.killed() {
+                return; // A dead group spawns nothing.
+            }
+            g.live.fetch_add(1, Ordering::SeqCst);
+        }
+        let job = {
+            let sender = Arc::clone(self);
+            let task = name.to_string();
+            let group = group.clone();
+            Box::new(move || run_in_group(&sender, &task, group, f))
+        };
+        match self.carriers.run(job) {
+            Ok(false) => {}
+            Ok(true) => self.net.counter_add("real.net.threads_spawned", 1),
+            Err(e) => {
+                // The closure — somebody's request — is gone.
+                if let Some(g) = &group {
+                    g.live.fetch_sub(1, Ordering::SeqCst);
+                }
+                self.net.counter_add("real.net.spawn_failed", 1);
+                self.journal_as("proc", format!("spawn of '{name}' failed: {e}"));
             }
         }
     }
 
-    fn send_bytes(&self, from_port: u16, to: Addr, kind: u8, msg: &[u8]) -> Result<(), NetError> {
-        let slot = Arc::clone(self.conns.lock().entry(to.node).or_default());
+    fn slot(&self, peer: NodeId) -> PeerSlot {
+        Arc::clone(self.conns.lock().entry(peer).or_default())
+    }
+
+    /// Makes `stream` one of the node's own: sets it up for small frames
+    /// both ways, registers it for [`RealNode::stop`] and starts the
+    /// thread that reads it to its end.
+    fn adopt_stream(
+        self: &Arc<Self>,
+        stream: TcpStream,
+        peer: Option<NodeId>,
+    ) -> std::io::Result<Arc<TcpStream>> {
+        stream.set_nodelay(true).ok();
+        stream.set_write_timeout(Some(WRITE_STALL)).ok();
+        let stream = Arc::new(stream);
+        {
+            let mut streams = self.streams.lock();
+            // `stop` raises the flag before it takes this lock, so either
+            // it finds the stream here or we see the flag.
+            if self.stopped.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other("node stopped"));
+            }
+            streams.push(Arc::clone(&stream));
+        }
+        let (sender, theirs) = (Arc::clone(self), Arc::clone(&stream));
+        let reader = std::thread::Builder::new()
+            .name("conn-reader".into())
+            .spawn(move || {
+                reader_main(&theirs, peer, &sender);
+                sender.unregister_stream(&theirs);
+            });
+        if let Err(e) = reader {
+            self.unregister_stream(&stream);
+            return Err(e);
+        }
+        Ok(stream)
+    }
+
+    fn unregister_stream(&self, stream: &Arc<TcpStream>) {
+        self.streams.lock().retain(|s| !Arc::ptr_eq(s, stream));
+    }
+
+    /// The first frame on an accepted stream named `peer`: this node's
+    /// frames to `peer` go out on that stream from now on. Whatever the
+    /// slot held loses: the peer dials only when it has no stream with
+    /// us, so that one is either dead — torn down at the peer, its EOF
+    /// not yet read here — or, when both sides dialled at once, as good
+    /// as this one. It stays read to its end either way.
+    fn offer_stream(&self, peer: NodeId, stream: &Arc<TcpStream>) {
+        *self.slot(peer).lock() = Some(Arc::clone(stream));
+    }
+
+    /// `stream`'s reader is done with it. If `peer`'s slot still holds
+    /// it, the next frame for `peer` dials instead of vanishing into it.
+    fn forget_stream(&self, peer: NodeId, stream: &Arc<TcpStream>) {
+        let slot = self.slot(peer);
+        let mut conn = slot.lock();
+        if !conn.as_ref().is_some_and(|held| Arc::ptr_eq(held, stream)) {
+            return;
+        }
+        *conn = None;
+        drop(conn);
+        if !self.stopped.load(Ordering::SeqCst) {
+            self.net.counter_add("real.net.resets", 1);
+            self.journal(format!("conn to {peer} closed by the peer"));
+        }
+    }
+
+    fn send_bytes(
+        self: &Arc<Self>,
+        from_port: u16,
+        to: Addr,
+        kind: u8,
+        msg: &[u8],
+    ) -> Result<(), NetError> {
+        let slot = self.slot(to.node);
         let frame = frame_bytes(kind, self.id, from_port, to.port, msg);
         let mut dup = false;
         // Fault shim: when the table is empty this is one relaxed load.
@@ -1093,8 +1319,9 @@ impl FrameSender {
                 return Ok(());
             }
             if v.reset {
-                // Reset storm: tear down the node's stream to the peer so
-                // both ends see a mid-stream reset and must reconnect.
+                // Reset storm: tear down the node's stream with the peer —
+                // both directions of it — so both ends see a mid-stream
+                // reset and must reconnect.
                 if let Some(s) = slot.lock().take() {
                     let _ = s.shutdown(Shutdown::Both);
                     self.net.counter_add("real.net.resets", 1);
@@ -1106,7 +1333,8 @@ impl FrameSender {
                     return Ok(());
                 };
                 if v.dup {
-                    self.net.delay_frame(Instant::now() + d, sockaddr, frame.clone());
+                    self.net
+                        .delay_frame(Instant::now() + d, sockaddr, frame.clone());
                 }
                 self.net.delay_frame(Instant::now() + d, sockaddr, frame);
                 return Ok(());
@@ -1135,10 +1363,10 @@ impl FrameSender {
                     .net
                     .lookup(to.node)
                     .ok_or_else(|| NetError::SendFailed(format!("unknown node {}", to.node)))?;
-                match TcpStream::connect(sockaddr) {
+                let dialled = TcpStream::connect(sockaddr)
+                    .and_then(|stream| self.adopt_stream(stream, Some(to.node)));
+                match dialled {
                     Ok(stream) => {
-                        stream.set_nodelay(true).ok();
-                        stream.set_write_timeout(Some(WRITE_STALL)).ok();
                         self.net.counter_add("real.net.conn_open", 1);
                         // One line per stream, not per call: every reset
                         // above is followed by its reconnect here.
@@ -1152,7 +1380,7 @@ impl FrameSender {
                 }
             }
             ever_connected = true;
-            let stream = conn.as_mut().expect("just connected");
+            let mut stream: &TcpStream = conn.as_deref().expect("just connected");
             let wrote = stream.write_all(&frame).and_then(|_| {
                 if dup {
                     stream.write_all(&frame)
@@ -1164,9 +1392,12 @@ impl FrameSender {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     // A failed write on an established connection is the
-                    // RST-shaped failure: drop the cache and reconnect.
+                    // RST-shaped failure: drop the stream (its reader
+                    // too) and reconnect.
                     last_err = e.to_string();
-                    *conn = None;
+                    if let Some(broken) = conn.take() {
+                        let _ = broken.shutdown(Shutdown::Both);
+                    }
                     self.net.counter_add("real.net.resets", 1);
                     self.journal(format!("reset on conn to {}: {e}", to.node));
                 }
@@ -1189,10 +1420,8 @@ impl FrameSender {
 pub struct RealEndpoint {
     node: NodeId,
     port: u16,
-    rx: Receiver<Delivered>,
-    ports: PortMap,
+    mailbox: Arc<Mailbox>,
     sender: Arc<FrameSender>,
-    closed: Arc<AtomicBool>,
     /// The group whose kill closes this endpoint; adopt/disown move it.
     owner_group: Mutex<Option<Weak<GroupCore>>>,
 }
@@ -1201,8 +1430,8 @@ impl RealEndpoint {
     fn handle(&self) -> EpHandle {
         EpHandle {
             port: self.port,
-            closed: Arc::clone(&self.closed),
-            ports: Arc::clone(&self.ports),
+            mailbox: Arc::clone(&self.mailbox),
+            ports: Arc::clone(&self.sender.ports),
         }
     }
 
@@ -1234,54 +1463,7 @@ impl Endpoint for RealEndpoint {
     }
 
     fn recv(&self, timeout: Option<Duration>) -> Result<(Addr, Bytes), RecvError> {
-        let Some(group) = current_group() else {
-            // No group (driver threads): plain blocking receive.
-            if self.closed.load(Ordering::Relaxed) {
-                return Err(RecvError::Closed);
-            }
-            let item = match timeout {
-                Some(t) => self.rx.recv_timeout(t).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => RecvError::TimedOut,
-                    RecvTimeoutError::Disconnected => RecvError::Closed,
-                })?,
-                None => self.rx.recv().map_err(|_| RecvError::Closed)?,
-            };
-            return deliver(item);
-        };
-        // Group member: wait in short slices so a kill cancels the wait
-        // within KILL_POLL even if nothing else wakes it.
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            if group.killed() {
-                panic::resume_unwind(Box::new(KillSignal));
-            }
-            if self.closed.load(Ordering::Relaxed) {
-                return Err(RecvError::Closed);
-            }
-            // Drain anything already queued before consulting the
-            // deadline, so zero-timeout polls still see pending frames.
-            // (A disconnected channel reads as empty here; the timed
-            // receive below classifies it.)
-            if let Some(item) = self.rx.try_recv() {
-                return deliver(item);
-            }
-            let now = Instant::now();
-            let slice = match deadline {
-                Some(d) if now >= d => return Err(RecvError::TimedOut),
-                Some(d) => (d - now).min(KILL_POLL),
-                None => KILL_POLL,
-            };
-            match self.rx.recv_timeout(slice) {
-                Ok(item) => return deliver(item),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    if group.killed() {
-                        panic::resume_unwind(Box::new(KillSignal));
-                    }
-                    return Err(RecvError::Closed);
-                }
-            }
-        }
+        self.mailbox.pop(timeout).and_then(deliver)
     }
 
     fn local(&self) -> Addr {
@@ -1289,8 +1471,7 @@ impl Endpoint for RealEndpoint {
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Relaxed);
-        self.ports.lock().remove(&self.port);
+        close_port(&self.sender.ports, self.port, &self.mailbox);
         self.unregister();
     }
 
@@ -1300,6 +1481,27 @@ impl Endpoint for RealEndpoint {
 
     fn disown(&self) {
         self.unregister();
+    }
+
+    /// The connection readers hand each frame for the port straight to a
+    /// carrier; the calling task only waits for the close (and runs the
+    /// handler on whatever reached the mailbox before this call).
+    fn serve(&self, rt: &dyn NodeRt, task_name: &str, handler: FrameHandler) {
+        let group = self.owner_group.lock().as_ref().and_then(Weak::upgrade);
+        {
+            let mut ports = self.sender.ports.lock();
+            // The entry of an open endpoint is its own; a closed one has
+            // none, and must not take a successor's.
+            if !self.mailbox.closed.load(Ordering::SeqCst) {
+                let served = Served {
+                    task: task_name.to_string(),
+                    handler: Arc::clone(&handler),
+                    group,
+                };
+                ports.insert(self.port, Port::Served(Arc::new(served)));
+            }
+        }
+        crate::rt::serve_by_recv(self, rt, task_name, &handler);
     }
 }
 
@@ -1403,7 +1605,8 @@ mod tests {
         let (from, reply) = client.recv(Some(Duration::from_secs(5))).unwrap();
         assert_eq!(&reply[..], b"ping");
         assert_eq!(from, b_addr);
-        assert!(done.load(Ordering::Relaxed));
+        // The echo's last line may still be ahead of it.
+        assert!(eventually(Duration::from_secs(5), || done.load(Ordering::Relaxed)));
     }
 
     #[test]
@@ -1494,8 +1697,7 @@ mod tests {
                 }
             }),
         );
-        assert!(eventually(Duration::from_secs(5), || opened
-            .load(Ordering::SeqCst)));
+        assert!(eventually(Duration::from_secs(5), || opened.load(Ordering::SeqCst)));
         assert!(group.alive());
         group.kill();
         // The sleeper unwinds promptly despite the hour-long sleep.
@@ -1513,7 +1715,13 @@ mod tests {
         }
         let counters = net.counters();
         assert!(counters.get("real.net.kills").copied().unwrap_or(0) >= 1);
-        assert!(counters.get("real.net.kill_latency_us").copied().unwrap_or(0) >= 1);
+        assert!(
+            counters
+                .get("real.net.kill_latency_us")
+                .copied()
+                .unwrap_or(0)
+                >= 1
+        );
     }
 
     #[test]
@@ -1525,7 +1733,8 @@ mod tests {
         let group_a = a.spawn_group("victim", {
             let (rt, tx) = (Arc::clone(&rt), tx.clone());
             Box::new(move || {
-                tx.send((std::thread::current().id(), rt.cancelled())).unwrap();
+                tx.send((std::thread::current().id(), rt.cancelled()))
+                    .unwrap();
                 rt.sleep(Duration::from_secs(3600)); // killed in here
             })
         });
@@ -1533,14 +1742,19 @@ mod tests {
         assert!(!cancelled);
         group_a.kill();
         assert!(eventually(Duration::from_secs(5), || !group_a.alive()));
-        assert!(eventually(Duration::from_secs(5), || a.carriers.parked() == 1));
+        assert!(eventually(Duration::from_secs(5), || a
+            .sender
+            .carriers
+            .parked()
+            == 1));
         // The node's one carrier is the victim's; the sibling gets it,
         // and must not inherit the kill with it.
         let group_b = a.spawn_group("sibling", {
             let rt = Arc::clone(&rt);
             Box::new(move || {
                 rt.sleep(Duration::from_millis(1)); // a cancellation point
-                tx.send((std::thread::current().id(), rt.cancelled())).unwrap();
+                tx.send((std::thread::current().id(), rt.cancelled()))
+                    .unwrap();
             })
         });
         assert_eq!(rx.recv().unwrap(), (carrier, false));
@@ -1561,7 +1775,7 @@ mod tests {
             panic::resume_unwind(Box::new("out of luck".to_string()))
         });
         assert!(
-            eventually(Duration::from_secs(5), || a.carriers.parked() == 1),
+            eventually(Duration::from_secs(5), || a.sender.carriers.parked() == 1),
             "the carrier died with its task"
         );
         let lines: Vec<String> = crate::journal::Journal::of(&*a)
@@ -1666,10 +1880,15 @@ mod tests {
             RecvError::TimedOut,
             "delayed frame arrived early"
         );
-        let (_, msg) = server.recv(Some(Duration::from_secs(5))).unwrap();
+        let (from, msg) = server.recv(Some(Duration::from_secs(5))).unwrap();
         assert_eq!(&msg[..], b"late");
         net.clear_impairment(a.node(), b.node());
         assert!(net.counters().get("real.net.delayed").copied().unwrap_or(0) >= 1);
+        // The delay line's stream closed behind that frame: b must not
+        // have taken it for its stream to a.
+        server.send(from, Bytes::from_static(b"back")).unwrap();
+        let (_, msg) = client.recv(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(&msg[..], b"back");
     }
 
     #[test]
@@ -1734,7 +1953,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_stream_to_a_stopped_peer_fails_by_the_second_frame() {
+    fn stale_stream_to_a_stopped_peer_fails_at_the_first_frame() {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
         let b = net.add_node("b").unwrap();
@@ -1743,22 +1962,28 @@ mod tests {
         client.send(b_addr, Bytes::from_static(b"up")).unwrap();
         client.recv(Some(Duration::from_secs(5))).unwrap();
         b.stop();
-        // Let b's reader close its end of a's cached stream.
-        std::thread::sleep(Duration::from_millis(100));
+        // a's reader of the stream sees b's end close and takes the
+        // stream out of a's slot for b.
+        assert!(
+            eventually(Duration::from_secs(5), || counter(&net, "real.net.resets")
+                >= 1),
+            "a never noticed b's stream close"
+        );
         let started = Instant::now();
-        // The first frame may vanish into the dead stream, as on any
-        // dead link; the second finds it broken and the listener gone.
-        let _ = client.send(b_addr, Bytes::from_static(b"lost"));
-        let second = client.send(b_addr, Bytes::from_static(b"refused"));
+        // No frame vanishes into the dead stream: the very next one
+        // dials, and finds the listener gone.
+        let first = client.send(b_addr, Bytes::from_static(b"refused"));
         assert!(
             matches!(
-                second,
+                first,
                 Err(NetError::SendFailed(_) | NetError::PeerRefused(_))
             ),
-            "second frame to a stopped peer: {second:?}"
+            "first frame to a stopped peer: {first:?}"
         );
         assert!(started.elapsed() < Duration::from_secs(2));
-        assert!(net.counters().get("real.net.resets").copied().unwrap_or(0) >= 1);
+        let closed = format!("conn to {} closed by the peer", b.node());
+        let lines = crate::journal::Journal::of(&*a).events();
+        assert!(lines.iter().any(|e| *e.detail == closed), "{lines:?}");
     }
 
     #[test]
@@ -1795,7 +2020,11 @@ mod tests {
         for w in workers {
             w.join().expect("sender thread");
         }
-        assert_eq!(conn_opens(&net), 2, "one stream each way, for all 8 endpoints");
+        assert_eq!(
+            conn_opens(&net),
+            1,
+            "one stream, both ways, for all 8 endpoints"
+        );
     }
 
     #[test]
@@ -1814,7 +2043,8 @@ mod tests {
                 a.spawn_group(
                     "svc",
                     Box::new(move || {
-                        eps.lock().insert(port, rt.open(PortReq::Fixed(port)).unwrap());
+                        eps.lock()
+                            .insert(port, rt.open(PortReq::Fixed(port)).unwrap());
                         loop {
                             rt.sleep(Duration::from_secs(3600));
                         }
@@ -1832,7 +2062,7 @@ mod tests {
             ep.recv(Some(Duration::from_secs(5))).unwrap();
         }
         let before = conn_opens(&net);
-        assert_eq!(before, 2);
+        assert_eq!(before, 1);
 
         // The sibling has a call in flight (held 150 ms at the echo)
         // when the other group dies.
@@ -1845,8 +2075,11 @@ mod tests {
             let (_, reply) = sibling.recv(Some(Duration::from_secs(5))).unwrap();
             assert_eq!(&reply[..], b"later");
         }
-        // The killed group's port bounces — over b's stream to a.
-        assert_eq!(doomed.recv(Some(Duration::ZERO)).unwrap_err(), RecvError::Closed);
+        // The killed group's port bounces — over the same stream.
+        assert_eq!(
+            doomed.recv(Some(Duration::ZERO)).unwrap_err(),
+            RecvError::Closed
+        );
         let probe = b.open(PortReq::Ephemeral).unwrap();
         let dead = Addr::new(a.node(), 50);
         probe.send(dead, Bytes::from_static(b"anyone?")).unwrap();
@@ -1856,6 +2089,184 @@ mod tests {
         }
         assert_eq!(conn_opens(&net), before, "the kill reset a shared stream");
         assert!(groups[1].alive());
+    }
+
+    #[test]
+    fn simultaneous_dials_leave_at_most_two_streams_and_lose_nothing() {
+        const FRAMES: u32 = 200;
+        for round in 0..10 {
+            let net = RealNet::new();
+            let nodes = [net.add_node("a").unwrap(), net.add_node("b").unwrap()];
+            let eps: Vec<_> = nodes
+                .iter()
+                .map(|n| n.open(PortReq::Fixed(100)).unwrap())
+                .collect();
+            // Neither has a stream with the other when both send.
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let sides: Vec<_> = (0..2)
+                .map(|me| {
+                    let (ep, start) = (Arc::clone(&eps[me]), Arc::clone(&start));
+                    let peer = eps[1 - me].local();
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for i in 0..FRAMES {
+                            ep.send(peer, Bytes::from(i.to_le_bytes().to_vec()))
+                                .unwrap();
+                        }
+                        let mut got = Vec::new();
+                        while got.len() < FRAMES as usize {
+                            let (from, msg) =
+                                ep.recv(Some(Duration::from_secs(5))).expect("a frame");
+                            assert_eq!(from, peer);
+                            got.push(u32::from_le_bytes(msg[..].try_into().unwrap()));
+                        }
+                        // Nothing more: no frame went over both streams.
+                        assert_eq!(
+                            ep.recv(Some(Duration::from_millis(20))).unwrap_err(),
+                            RecvError::TimedOut
+                        );
+                        got.sort_unstable();
+                        got
+                    })
+                })
+                .collect();
+            for side in sides {
+                let got = side.join().expect("sender thread");
+                assert_eq!(got, (0..FRAMES).collect::<Vec<_>>(), "round {round}");
+            }
+            let opened = conn_opens(&net);
+            assert!(
+                (1..=2).contains(&opened),
+                "round {round}: {opened} connections"
+            );
+        }
+    }
+
+    /// Serves `port` of `node` from a group of its own: every frame is
+    /// echoed by a task that first reports the thread it runs on.
+    fn spawn_served_echo(
+        node: &Arc<RealNode>,
+        port: u16,
+        ran_on: std::sync::mpsc::Sender<String>,
+    ) -> (Arc<dyn crate::rt::ProcGroup>, Addr) {
+        let ep = node.open(PortReq::Fixed(port)).unwrap();
+        ep.disown();
+        let addr = ep.local();
+        let rt = Arc::clone(node) as Arc<dyn NodeRt>;
+        let ran_on = Mutex::new(ran_on);
+        let group = node.spawn_group(
+            "svc",
+            Box::new(move || {
+                ep.adopt();
+                let reply = Arc::clone(&ep);
+                let handler = move |from, msg| {
+                    let thread = std::thread::current().name().unwrap_or("?").to_string();
+                    ran_on.lock().send(thread).unwrap();
+                    let _ = reply.send(from, msg);
+                };
+                ep.serve(&*rt, "svc-worker", Arc::new(handler));
+            }),
+        );
+        (group, addr)
+    }
+
+    #[test]
+    fn a_served_port_runs_frames_on_carriers_and_queues_none() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        let (ran_on_tx, ran_on) = std::sync::mpsc::channel();
+        let (group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx);
+        let client = a.open(PortReq::Ephemeral).unwrap();
+        let call = |msg: &'static [u8]| {
+            client.send(b_addr, Bytes::from_static(msg)).unwrap();
+            client.recv(Some(Duration::from_secs(5)))
+        };
+        // Until the group's main has registered the handler, a frame
+        // waits in the mailbox for it; not after.
+        call(b"warm-up").unwrap();
+        ran_on.recv().unwrap();
+        assert!(eventually(Duration::from_secs(5), || {
+            matches!(b.sender.ports.lock().get(&100), Some(Port::Served(_)))
+        }));
+        let queued = counter(&net, "real.net.frames_queued");
+        for _ in 0..100 {
+            let (from, msg) = call(b"ping").unwrap();
+            assert_eq!((from, &msg[..]), (b_addr, &b"ping"[..]));
+            assert_eq!(
+                ran_on.recv().unwrap(),
+                "b-carrier",
+                "the reader ran a handler"
+            );
+        }
+        assert_eq!(
+            counter(&net, "real.net.frames_queued") - queued,
+            100,
+            "the replies queue at the client; the requests queue nowhere"
+        );
+
+        // Killing the group closes the port: bounces, and no more tasks.
+        group.kill();
+        assert!(eventually(Duration::from_secs(5), || !group.alive()));
+        match call(b"anyone?") {
+            Err(RecvError::Unreachable(addr)) => assert_eq!(addr, b_addr),
+            other => panic!("expected a bounce from the killed group's port, got {other:?}"),
+        }
+        assert!(
+            ran_on.try_recv().is_err(),
+            "a dead group's port ran a handler"
+        );
+        assert!(
+            b.sender.ports.lock().is_empty(),
+            "the handler outlived its port"
+        );
+    }
+
+    #[test]
+    fn a_reset_storm_resets_the_one_stream_for_both_directions() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        let b_addr = spawn_echo(&b, 100);
+        let client = a.open(PortReq::Ephemeral).unwrap();
+        let call = |msg: &'static [u8]| {
+            client.send(b_addr, Bytes::from_static(msg)).unwrap();
+            let (_, reply) = client
+                .recv(Some(Duration::from_secs(5)))
+                .expect("an answer");
+            assert_eq!(&reply[..], msg);
+        };
+        call(b"before");
+        assert_eq!(conn_opens(&net), 1);
+        net.set_reset_storm(a.node(), b.node(), true);
+        for _ in 0..20 {
+            call(b"during");
+        }
+        net.set_reset_storm(a.node(), b.node(), false);
+        let settled = conn_opens(&net);
+        for _ in 0..20 {
+            call(b"after");
+        }
+        assert_eq!(conn_opens(&net), settled, "the pair is back on one stream");
+        assert!(counter(&net, "real.net.resets") >= 1);
+        // The request's sender and the reply's both tore the stream down
+        // under them, and both dialled again.
+        for (node, peer) in [(&a, &b), (&b, &a)] {
+            let lines: Vec<String> = crate::journal::Journal::of(&**node)
+                .events()
+                .iter()
+                .map(|e| e.detail.to_string())
+                .collect();
+            let reset = lines
+                .iter()
+                .position(|l| *l == format!("reset storm: tore down conn to {}", peer.node()))
+                .unwrap_or_else(|| panic!("no reset in {}'s journal: {lines:?}", node.node()));
+            assert!(
+                lines[reset..].contains(&format!("connected to {} on attempt 0", peer.node())),
+                "{} never dialled again: {lines:?}",
+                node.node()
+            );
+        }
     }
 
     #[test]

@@ -169,6 +169,51 @@ pub trait Endpoint: Send + Sync {
     /// opener's exit until adopted (simulation only; no-op on the real
     /// runtime).
     fn disown(&self) {}
+
+    /// Serves the endpoint: every message that arrives runs
+    /// `handler(from, msg)` in a process of its own named `task_name`,
+    /// spawned into the group that owns the endpoint (the caller's, after
+    /// [`adopt`](Endpoint::adopt)). Blocks until the endpoint closes, so
+    /// callers run it as their process's main; bounces are dropped.
+    ///
+    /// The provided body is the receive-and-spawn loop a server would
+    /// write by hand, and is what the simulator runs.
+    /// A runtime that can hand a message to a process without waking the
+    /// serving one first overrides it: on TCP the connection reader gives
+    /// each frame straight to a carrier thread, and the serving process
+    /// only waits for the close.
+    fn serve(&self, rt: &dyn NodeRt, task_name: &str, handler: FrameHandler) {
+        serve_by_recv(self, rt, task_name, &handler);
+    }
+}
+
+/// What [`Endpoint::serve`] runs per message: the source address and the
+/// payload.
+pub type FrameHandler = Arc<dyn Fn(Addr, Bytes) + Send + Sync>;
+
+/// Receives from `ep` until it closes, spawning `handler` on each
+/// message: the provided body of [`Endpoint::serve`].
+pub(crate) fn serve_by_recv<E: Endpoint + ?Sized>(
+    ep: &E,
+    rt: &dyn NodeRt,
+    task_name: &str,
+    handler: &FrameHandler,
+) {
+    loop {
+        // A cancellation point: a killed process group stops taking
+        // messages even if its endpoint raced ahead of the close.
+        if rt.cancelled() {
+            return;
+        }
+        match ep.recv(None) {
+            Ok((from, msg)) => {
+                let handler = Arc::clone(handler);
+                rt.spawn(task_name, Box::new(move || handler(from, msg)));
+            }
+            Err(RecvError::Unreachable(_) | RecvError::TimedOut) => continue,
+            Err(RecvError::Closed) => return,
+        }
+    }
 }
 
 /// A handle on a spawned process group — the unit of service lifetime.

@@ -32,19 +32,36 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
             .map(|i| net.add_node(&format!("n{i}")).unwrap())
             .collect();
         // An echo service on every node, answering each request from a
-        // task of its own as the ORB does; every node calls every other,
-        // so each holds a stream to, and a reader for, each of its peers.
-        for node in &nodes {
+        // task of its own as the ORB does — two of them through `serve`,
+        // two through a receive loop of their own; every node calls
+        // every other, so each pair holds a stream, with a reader at
+        // both ends.
+        let mut served = Vec::new();
+        for (i, node) in nodes.iter().enumerate() {
             let server = node.open(PortReq::Fixed(100)).unwrap();
             let rt = Arc::clone(node);
-            node.spawn_fn("echo", move || {
-                while let Ok((from, msg)) = server.recv(Some(Duration::from_millis(200))) {
-                    let server = Arc::clone(&server);
-                    rt.spawn_fn("echo-worker", move || {
-                        let _ = server.send(from, msg);
-                    });
-                }
-            });
+            if i % 2 == 0 {
+                served.push(Arc::clone(&server));
+                node.spawn_fn("echo", move || {
+                    // The handler must not own the endpoint it is kept by.
+                    let reply = Arc::downgrade(&server);
+                    let handler = move |from, msg| {
+                        if let Some(server) = reply.upgrade() {
+                            let _ = server.send(from, msg);
+                        }
+                    };
+                    server.serve(&*rt, "echo-worker", Arc::new(handler));
+                });
+            } else {
+                node.spawn_fn("echo", move || {
+                    while let Ok((from, msg)) = server.recv(Some(Duration::from_millis(200))) {
+                        let server = Arc::clone(&server);
+                        rt.spawn_fn("echo-worker", move || {
+                            let _ = server.send(from, msg);
+                        });
+                    }
+                });
+            }
         }
         for from in &nodes {
             let ep = from.open(PortReq::Ephemeral).unwrap();
@@ -66,19 +83,42 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
         }
         let during = footprint();
         // 4 routers + 4 echo threads + 12 readers + the workers' carriers;
-        // 4 listeners + 12 streams with two ends each.
-        assert!(during.0 >= before.0 + 20, "threads: {before:?} -> {during:?}");
-        assert!(during.0 < before.0 + 100, "threads: {before:?} -> {during:?}");
-        assert!(during.1 >= before.1 + 28, "descriptors: {before:?} -> {during:?}");
+        // 4 listeners + 6 streams with two ends each.
+        assert!(
+            during.0 >= before.0 + 20,
+            "threads: {before:?} -> {during:?}"
+        );
+        assert!(
+            during.0 < before.0 + 100,
+            "threads: {before:?} -> {during:?}"
+        );
+        assert!(
+            during.1 >= before.1 + 16,
+            "descriptors: {before:?} -> {during:?}"
+        );
+        assert!(
+            during.1 < before.1 + 28,
+            "descriptors: {before:?} -> {during:?}"
+        );
+        // A served port's process waits for the close, as an ORB's does
+        // for `shutdown`.
+        for server in served {
+            server.close();
+        }
         for node in &nodes {
             node.stop();
         }
     }
-    // The echo threads leave at their next receive timeout, the parked
-    // carriers as soon as `stop` wakes them.
+    // The echo loops leave at their next receive timeout, the serving
+    // tasks at the close, the parked carriers as soon as `stop` wakes
+    // them.
     let deadline = Instant::now() + Duration::from_secs(5);
     while footprint() != before && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(footprint(), before, "(threads, descriptors) after stop and drop");
+    assert_eq!(
+        footprint(),
+        before,
+        "(threads, descriptors) after stop and drop"
+    );
 }
