@@ -6,120 +6,90 @@
 //! cargo run --release -p bench --bin experiments -- e16 --spans 5
 //! ```
 //!
-//! Besides the stdout tables (captured into `experiments_output.txt`),
-//! every experiment writes a machine-readable `BENCH_<exp>.json` with
-//! its headline numbers, a telemetry metrics snapshot where a cluster
-//! was involved, and the wall/virtual run times. `--spans N` sets how
-//! many of the slowest request trees E16's span dump renders;
+//! Besides its stdout tables, every experiment writes a
+//! machine-readable `BENCH_<exp>.json` with its headline numbers, a
+//! telemetry metrics snapshot where a cluster was involved, and the
+//! wall/virtual run times. `--spans N` sets how many of the slowest
+//! request trees E16's span dump renders;
 //! `--settops N` sets E17's simulated settop population; `--shards N`
 //! sets the kernel shard count E17/E18 run their main legs on (each
 //! also cross-checks against a 1-shard run for trace equality);
 //! `--cores N` overrides the detected host parallelism that artifacts
-//! record and wall-clock legs gate on; `--sim-only` skips E20's
-//! real-runtime leg (used by the tier-1 smoke).
+//! record and wall-clock legs gate on; `--sim-only` skips the
+//! real-runtime legs of E20, E21 and E23.
+//!
+//! ```sh
+//! cargo run --release -p bench --bin experiments -- check
+//! ```
+//!
+//! answers "do the numbers still hold": it evaluates every row of
+//! [`bench::check::GUARDS`] and exits non-zero if one failed. It takes
+//! no arguments.
 
-use bench::{exps, report};
+use bench::exps::{Args, EXPERIMENTS};
+use bench::report;
 
 /// Count heap allocations so E18 can report allocations-per-event.
 #[global_allocator]
 static ALLOC: bench::alloc_track::CountingAlloc = bench::alloc_track::CountingAlloc;
 
+/// The numeric value of `flag`, at least `min`.
+fn number(args: &mut impl Iterator<Item = String>, flag: &str, min: usize) -> usize {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n >= min)
+        .unwrap_or_else(|| {
+            match min {
+                0 => eprintln!("{flag} needs a number"),
+                _ => eprintln!("{flag} needs a number >= {min}"),
+            }
+            std::process::exit(2);
+        })
+}
+
 fn main() {
-    let mut spans = 3usize;
-    let mut settops = 50_000usize;
-    let mut shards = 1usize;
+    let mut args = std::env::args().skip(1).peekable();
+    if args.peek().is_some_and(|a| a == "check") {
+        // Anything after `check` itself is one argument too many.
+        if args.nth(1).is_some() {
+            eprintln!("check takes no arguments");
+            std::process::exit(2);
+        }
+        std::process::exit(bench::check::run());
+    }
+    let mut a = Args {
+        spans: 3,
+        settops: 50_000,
+        shards: 1,
+        sim_only: false,
+    };
     let mut cores: Option<usize> = None;
-    let mut sim_only = false;
     let mut picked: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--sim-only" => sim_only = true,
-            "--spans" => {
-                spans = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--spans needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--settops" => {
-                settops = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--settops needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--shards needs a number >= 1");
-                        std::process::exit(2);
-                    });
-            }
-            "--cores" => {
-                cores = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| {
-                            eprintln!("--cores needs a number >= 1");
-                            std::process::exit(2);
-                        }),
-                );
-            }
-            _ => picked.push(a),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--sim-only" => a.sim_only = true,
+            "--spans" => a.spans = number(&mut args, &arg, 0),
+            "--settops" => a.settops = number(&mut args, &arg, 0),
+            "--shards" => a.shards = number(&mut args, &arg, 1),
+            "--cores" => cores = Some(number(&mut args, &arg, 1)),
+            _ => picked.push(arg),
         }
     }
     let which: Vec<&str> = if picked.is_empty() || picked.iter().any(|a| a == "all") {
-        vec![
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-            "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23",
-        ]
+        EXPERIMENTS.iter().map(|(name, _)| *name).collect()
     } else {
         picked.iter().map(|s| s.as_str()).collect()
     };
     println!("ITV system reproduction — experiment suite (virtual-time simulation)");
     for w in which {
+        let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == w) else {
+            eprintln!("unknown experiment: {w}");
+            continue;
+        };
         report::begin(w);
-        report::set_run_config(shards, cores);
+        report::set_run_config(a.shards, cores);
         let wall = std::time::Instant::now();
-        match w {
-            "e1" => exps::e1(),
-            "e2" => exps::e2(),
-            "e3" => exps::e3(),
-            "e4" => exps::e4(),
-            "e5" => exps::e5(),
-            "e6" => exps::e6(),
-            "e7" => exps::e7(),
-            "e8" => exps::e8(),
-            "e9" => exps::e9(),
-            "e10" => exps::e10(),
-            "e11" => exps::e11(),
-            "e12" => exps::e12(),
-            "e13" => exps::e13(),
-            "e14" => exps::e14(),
-            "e15" => exps::e15(),
-            "e16" => exps::e16(spans),
-            "e17" => exps::e17(settops, shards),
-            "e18" => exps::e18(settops, shards),
-            "e19" => exps::e19(),
-            "e20" => exps::e20(sim_only),
-            "e21" => exps::e21(sim_only),
-            "e22" => exps::e22(),
-            "e23" => exps::e23(sim_only),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                report::abandon();
-                continue;
-            }
-        }
+        run(&a);
         if let Some(path) = report::finish(wall.elapsed().as_secs_f64()) {
             println!("    [wrote {}]", path.display());
         }

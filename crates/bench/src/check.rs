@@ -1,0 +1,483 @@
+//! `experiments check`: the tier-1 bench guards as one table.
+//!
+//! Each [`Guard`] names a run, one field of the report that run writes,
+//! and what must hold of it. [`run`] executes every distinct run once —
+//! an experiment by re-executing this binary in a temp dir, a
+//! repo-benchmark workload by starting `benchmark/`'s binary — and
+//! `evaluate`s the rows against the fresh reports and the committed
+//! `BENCH_e*.json`. A new guard is one line in [`GUARDS`].
+
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+
+use crate::json::Json;
+use Cmp::*;
+
+/// What produces the report a guard reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Run {
+    /// An experiment and its arguments, as on `experiments`' command
+    /// line. The report is the `BENCH_<exp>.json` it writes; the
+    /// committed one of the same name sits at the repo root.
+    Exp(&'static str),
+    /// A repo-benchmark workload and its `run` options. `benchmark/` is
+    /// a workspace of its own, so its binary runs as a child (build it
+    /// first: `scripts/tier1.sh` does). The report is the line it
+    /// appends to `--out`; there is no committed counterpart.
+    Workload(&'static str),
+}
+
+/// What must hold of the field. `fresh` is the value in the run's
+/// report, `committed` the one in the committed artifact.
+#[derive(Clone, Copy, Debug)]
+pub enum Cmp {
+    /// fresh < n
+    Lt(f64),
+    /// fresh <= n
+    Le(f64),
+    /// fresh >= n
+    Ge(f64),
+    /// fresh == n
+    Eq(f64),
+    /// fresh is `true`
+    IsTrue,
+    /// fresh == committed
+    EqCommitted,
+    /// fresh >= k × committed
+    GeTimesCommitted(f64),
+    /// committed < n: the claim the committed full run carries (its
+    /// real-TCP legs are not re-run here).
+    CommittedLt(f64),
+}
+
+/// One tier-1 guard.
+pub struct Guard {
+    pub run: Run,
+    /// A top-level key of the report; `a/b` is key `b` of the top-level
+    /// object `a` (the benchmark nests its metrics one level down).
+    pub field: &'static str,
+    pub cmp: Cmp,
+    /// Skip on a host with fewer cores than this.
+    pub min_cores: usize,
+}
+
+const fn g(run: Run, field: &'static str, cmp: Cmp) -> Guard {
+    Guard {
+        run,
+        field,
+        cmp,
+        min_cores: 1,
+    }
+}
+
+const E17_4K: Run = Run::Exp("e17 --settops 4000");
+const E17_2SHARD: Run = Run::Exp("e17 --settops 4000 --shards 2");
+const E18: Run = Run::Exp("e18 --settops 800");
+const E20: Run = Run::Exp("e20 --sim-only");
+const E21: Run = Run::Exp("e21 --sim-only");
+const E22: Run = Run::Exp("e22");
+const E23: Run = Run::Exp("e23 --sim-only");
+const REPL_STORM: Run = Run::Workload("sim_repl_storm --seconds 2 --trace 0");
+const TCP_ADMIT: Run = Run::Workload("tcp_repl_admit --seconds 2 --trace 1");
+
+/// Every tier-1 bench guard. Each run also has to pass its own built-in
+/// asserts (determinism, O(1) admission, trace equivalence): a run that
+/// exits non-zero fails all its rows.
+#[rustfmt::skip] // one guard, one line
+pub const GUARDS: &[Guard] = &[
+    // Saturation: virtual ops/sec is deterministic for a settop count
+    // and scale-invariant by design (E17's point), so the 4k smoke may
+    // not fall more than 20% below the committed 50k run, on any host.
+    g(E17_4K, "ops_per_sec", GeTimesCommitted(0.8)),
+    // Sharded kernel: the same storm on two shards replays the 1-shard
+    // trace, and really took the sharded path.
+    g(E17_2SHARD, "shard_trace_equivalent", IsTrue),
+    g(E17_2SHARD, "horizon_syncs", Ge(1.0)),
+    g(E17_2SHARD, "xshard_msgs", Ge(1.0)),
+    // Kernel fast path: fast/slow trace equivalence on all legs, and the
+    // ping-pong leg's virtual-time-derived fields exactly as committed
+    // (it does not scale with --settops). Wall-clock events/sec and the
+    // fast/slow speed-up are informational.
+    g(E18, "trace_equivalent", IsTrue),
+    g(E18, "deterministic_rerun", IsTrue),
+    g(E18, "pp_events", EqCommitted),
+    g(E18, "pp_events_per_virtual_ms", EqCommitted),
+    g(E18, "pp_allocs_per_event_fast", EqCommitted),
+    // The always-on flight recorder costs at most 5% of ping-pong wall
+    // throughput at one write per volley (same-run fresh-vs-fresh).
+    g(E18, "pp_journal_overhead_pct", Le(5.0)),
+    // The 4-shard replay matches the 1-shard trace on any host; its
+    // wall-clock speed-up only means something with cores under the
+    // shard threads.
+    g(E18, "shard_trace_equivalent", IsTrue),
+    Guard { min_cores: 4, ..g(E18, "shard_speedup", Ge(2.0)) },
+    // NS view change under primary kills: sub-2 s p99 with the deployed
+    // tuning (paper bound 25 s) — fresh in the simulator, and in the
+    // committed full run on the simulator and on real TCP.
+    g(E20, "sim_view_change_p99_s", Lt(2.0)),
+    g(E20, "sim_view_change_p99_s", CommittedLt(2.0)),
+    g(E20, "real_view_change_p99_s", CommittedLt(2.0)),
+    // Availability under the standard storm (8 primary kills + 3 primary
+    // partitions): reads at three nines, every update blackout under 2 s.
+    g(E21, "sim_availability", Ge(0.999)),
+    g(E21, "sim_p99_blackout_s", Lt(2.0)),
+    g(E21, "sim_p99_blackout_s", CommittedLt(2.0)),
+    g(E21, "real_p99_blackout_s", CommittedLt(2.0)),
+    // CM fail-over: no committed allocation lost, no retried one
+    // double-booked, every replica's audit consistent; blackout p99
+    // inside the paper's 25 s with paper timeouts, under 2 s tuned.
+    g(E22, "lost_allocs", Eq(0.0)),
+    g(E22, "doubled_allocs", Eq(0.0)),
+    g(E22, "audit_consistent", IsTrue),
+    g(E22, "repl_paper_blackout_p99_s", Lt(25.0)),
+    g(E22, "repl_blackout_p99_s", Lt(2.0)),
+    g(E22, "repl_blackout_p99_s", CommittedLt(2.0)),
+    // Controller fail-over: the same for placements (a doubled one is a
+    // tokened retry or idempotent re-place that re-decided).
+    g(E23, "lost_placements", Eq(0.0)),
+    g(E23, "doubled_placements", Eq(0.0)),
+    g(E23, "audit_consistent", IsTrue),
+    g(E23, "svc_paper_blackout_p99_s", Lt(25.0)),
+    g(E23, "svc_blackout_p99_s", Lt(2.0)),
+    g(E23, "svc_blackout_p99_s", CommittedLt(2.0)),
+    g(E23, "svc_real_blackout_p99_s", CommittedLt(2.0)),
+    // Replicated commit (16 closed-loop clients through one 3-replica CM
+    // group), virtual time, exact for a seed: p50 is one client round
+    // trip plus ONE replica round trip — 1,984 us; 2,984 with sequential
+    // prepares — at 2.0153 replica-to-replica calls per commit and
+    // 9.4459 messages per op. The ceilings trip on a driver that blocks
+    // per peer, broadcasts twice or re-sends on the commit path.
+    g(REPL_STORM, "failed", Eq(0.0)),
+    g(REPL_STORM, "correct", IsTrue),
+    g(REPL_STORM, "end_to_end/op_p50_us", Le(2200.0)),
+    g(REPL_STORM, "per_layer/ocs-vsr.peer_calls_per_commit", Le(2.05)),
+    g(REPL_STORM, "per_layer/ocs-sim.msgs_per_op", Le(9.5)),
+    // The same log over TCP loopback: a node keeps one stream per peer
+    // for life, so the timed phase opens none. A count, not a wall
+    // clock: a connection per ORB call reads 5.9 here on any host.
+    g(TCP_ADMIT, "failed", Eq(0.0)),
+    g(TCP_ADMIT, "correct", IsTrue),
+    g(TCP_ADMIT, "per_layer/ocs-sim.tcp_conns_per_op", Le(0.1)),
+];
+
+/// The repo root: where the committed artifacts and `benchmark/` are.
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn read_json(path: &Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    // A report is the first line of a `.jsonl`, or a whole `.json`.
+    let jsonl = path.extension().is_some_and(|x| x == "jsonl");
+    let text = if jsonl {
+        text.lines().next().unwrap_or("")
+    } else {
+        &text
+    };
+    Json::parse(text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+impl Run {
+    /// The file name of the run's report.
+    fn artifact(&self) -> String {
+        match self {
+            Run::Exp(args) => format!("BENCH_{}.json", first_word(args)),
+            Run::Workload(args) => format!("{}.jsonl", first_word(args)),
+        }
+    }
+
+    /// The committed report of the same name, if runs of this kind have
+    /// one.
+    fn committed(&self) -> Option<Result<Json, String>> {
+        match self {
+            Run::Exp(_) => Some(read_json(&repo_root().join(self.artifact()))),
+            Run::Workload(_) => None,
+        }
+    }
+
+    /// Executes the run with `dir` as its scratch space and reads the
+    /// report it left there.
+    fn execute(&self, dir: &Path) -> Result<Json, String> {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        let report = dir.join(self.artifact());
+        let mut child = match self {
+            Run::Exp(args) => {
+                let exe = std::env::current_exe().map_err(|e| e.to_string())?;
+                let mut c = Command::new(exe);
+                c.args(args.split_whitespace());
+                c
+            }
+            Run::Workload(args) => {
+                let mut c =
+                    Command::new(repo_root().join("benchmark/target/release/itv-benchmark"));
+                c.args(["run", "--workload"]).args(args.split_whitespace());
+                c.arg("--out").arg(&report);
+                c
+            }
+        };
+        // Quiet unless it fails: then the tail of its stderr is the why.
+        let out = child
+            .current_dir(dir)
+            .stdout(Stdio::null())
+            .output()
+            .map_err(|e| format!("cannot start {:?}: {e}", child.get_program()))?;
+        if !out.status.success() {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let tail: Vec<&str> = stderr.lines().rev().take(20).collect();
+            let tail: Vec<&str> = tail.into_iter().rev().collect();
+            return Err(format!("run failed: {}\n{}", out.status, tail.join("\n")));
+        }
+        read_json(&report)
+    }
+}
+
+fn first_word(s: &str) -> &str {
+    s.split_whitespace().next().unwrap_or("")
+}
+
+/// What became of one guard.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    Ok(String),
+    Failed(String),
+    Skipped(String),
+}
+
+/// Evaluates one guard against the fresh and the committed report (an
+/// absent report, like an absent field, fails whatever reads it).
+fn evaluate(g: &Guard, fresh: Option<&Json>, committed: Option<&Json>, cores: usize) -> Verdict {
+    if cores < g.min_cores {
+        return Verdict::Skipped(format!("host has {cores} cores, need {}", g.min_cores));
+    }
+    fn field<'a>(report: Option<&'a Json>, path: &str) -> Option<&'a Json> {
+        path.split('/').try_fold(report?, |j, key| j.get(key))
+    }
+    let show =
+        |v: Option<&Json>| v.map_or("missing".to_string(), |v| v.render().trim().to_string());
+    let (fresh, committed) = (field(fresh, g.field), field(committed, g.field));
+    let num = |v: Option<&Json>| v.and_then(Json::as_f64);
+    let (value, holds, claim) = match g.cmp {
+        Lt(n) => (fresh, num(fresh).is_some_and(|v| v < n), format!("< {n}")),
+        Le(n) => (fresh, num(fresh).is_some_and(|v| v <= n), format!("<= {n}")),
+        Ge(n) => (fresh, num(fresh).is_some_and(|v| v >= n), format!(">= {n}")),
+        Eq(n) => (fresh, num(fresh) == Some(n), format!("== {n}")),
+        IsTrue => (
+            fresh,
+            fresh == Some(&Json::Bool(true)),
+            "is true".to_string(),
+        ),
+        EqCommitted => (
+            fresh,
+            fresh.is_some() && fresh == committed,
+            format!("== committed {}", show(committed)),
+        ),
+        GeTimesCommitted(k) => (
+            fresh,
+            num(fresh)
+                .zip(num(committed))
+                .is_some_and(|(v, c)| v >= k * c),
+            format!(">= {k} x committed {}", show(committed)),
+        ),
+        CommittedLt(n) => (
+            committed,
+            num(committed).is_some_and(|v| v < n),
+            format!("< {n} (committed)"),
+        ),
+    };
+    let line = format!("{}.{} {} {claim}", g.run.artifact(), g.field, show(value));
+    if holds {
+        Verdict::Ok(line)
+    } else {
+        Verdict::Failed(line)
+    }
+}
+
+/// Runs every distinct run of [`GUARDS`] once, prints one line per guard
+/// and returns the process exit code: non-zero if any guard failed.
+pub fn run() -> i32 {
+    let cores = crate::report::cores_used();
+    let tmp = std::env::temp_dir().join(format!("experiments-check-{}", std::process::id()));
+    let mut reports: HashMap<Run, (Option<Json>, Option<Json>)> = HashMap::new();
+    let mut failed = 0;
+    for (n, g) in GUARDS.iter().enumerate() {
+        let (fresh, committed) = reports.entry(g.run).or_insert_with(|| {
+            println!("check: {:?}", g.run);
+            let complain = |e| println!("check: {e}");
+            let fresh = g.run.execute(&tmp.join(n.to_string()));
+            let committed = g.run.committed().and_then(|c| c.map_err(complain).ok());
+            (fresh.map_err(complain).ok(), committed)
+        });
+        match evaluate(g, fresh.as_ref(), committed.as_ref(), cores) {
+            Verdict::Ok(line) => println!("  ok      {line}"),
+            Verdict::Skipped(why) => println!("  SKIPPED {}.{}: {why}", g.run.artifact(), g.field),
+            Verdict::Failed(line) => {
+                println!("  FAILED  {line}");
+                failed += 1;
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&tmp);
+    println!("check: {} guards, {failed} failed", GUARDS.len());
+    i32::from(failed > 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report() -> Json {
+        Json::parse(
+            r#"{"p99_s": 0.82, "ops": 8000, "exact": true, "rough": false, "lost": 0,
+                "table": [{"p99_s": 99.0}],
+                "metrics": {"lost": 7, "nested_only": 1, "ocs-sim.msgs_per_op": 9.4}}"#,
+        )
+        .unwrap()
+    }
+
+    fn verdict(field: &'static str, cmp: Cmp, committed: &str) -> Verdict {
+        let committed = Json::parse(committed).unwrap();
+        evaluate(&g(E20, field, cmp), Some(&report()), Some(&committed), 2)
+    }
+
+    fn holds(field: &'static str, cmp: Cmp, committed: &str) -> bool {
+        match verdict(field, cmp, committed) {
+            Verdict::Ok(_) => true,
+            Verdict::Failed(_) => false,
+            Verdict::Skipped(why) => panic!("skipped: {why}"),
+        }
+    }
+
+    #[test]
+    fn every_comparator_passes_and_fails() {
+        assert!(holds("p99_s", Lt(2.0), "{}"));
+        assert!(!holds("p99_s", Lt(0.82), "{}"));
+        assert!(holds("p99_s", Le(0.82), "{}"));
+        assert!(!holds("p99_s", Le(0.8), "{}"));
+        assert!(holds("ops", Ge(8000.0), "{}"));
+        assert!(!holds("ops", Ge(8000.5), "{}"));
+        assert!(holds("lost", Eq(0.0), "{}"));
+        assert!(!holds("ops", Eq(0.0), "{}"));
+        assert!(holds("exact", IsTrue, "{}"));
+        assert!(!holds("rough", IsTrue, "{}"));
+        assert!(!holds("ops", IsTrue, "{}"));
+        assert!(holds("ops", EqCommitted, r#"{"ops": 8000}"#));
+        assert!(!holds("ops", EqCommitted, r#"{"ops": 8001}"#));
+        assert!(holds("ops", GeTimesCommitted(0.8), r#"{"ops": 10000}"#));
+        assert!(!holds("ops", GeTimesCommitted(0.8), r#"{"ops": 10001}"#));
+        // `CommittedLt` reads the committed value only.
+        assert!(holds("p99_s", CommittedLt(2.0), r#"{"p99_s": 1.9}"#));
+        assert!(!holds("p99_s", CommittedLt(2.0), r#"{"p99_s": 2.0}"#));
+        assert!(holds(
+            "real_p99_s",
+            CommittedLt(2.0),
+            r#"{"real_p99_s": 0.9}"#
+        ));
+    }
+
+    #[test]
+    fn a_missing_field_or_report_fails() {
+        assert!(!holds("no_such", Lt(2.0), "{}"));
+        assert!(!holds("no_such", IsTrue, "{}"));
+        assert!(!holds("no_such", EqCommitted, "{}"));
+        assert!(!holds("ops", EqCommitted, "{}"));
+        assert!(!holds("ops", GeTimesCommitted(0.8), "{}"));
+        assert!(!holds("p99_s", CommittedLt(2.0), "{}"));
+        // A number where a bool is wanted, and the reverse.
+        assert!(!holds("exact", Ge(0.0), "{}"));
+        let guard = g(E20, "p99_s", Lt(2.0));
+        assert!(matches!(
+            evaluate(&guard, None, None, 2),
+            Verdict::Failed(_)
+        ));
+        let line = verdict("no_such", Lt(2.0), "{}");
+        assert_eq!(
+            line,
+            Verdict::Failed("BENCH_e20.json.no_such missing < 2".into())
+        );
+    }
+
+    #[test]
+    fn only_top_level_keys_count() {
+        // `lost` is 0 at the top and 7 inside `metrics`; `p99_s` is 0.82
+        // at the top and 99 inside `table`. The first textual match of
+        // either is not the question.
+        assert!(holds("lost", Eq(0.0), "{}"));
+        assert!(holds("p99_s", Lt(2.0), "{}"));
+        // A key that exists only inside a nested object is missing...
+        assert!(!holds("nested_only", Ge(0.0), "{}"));
+        assert!(!holds("ocs-sim.msgs_per_op", Le(9.5), "{}"));
+        // ...unless the guard says where it is.
+        assert!(holds("metrics/ocs-sim.msgs_per_op", Le(9.5), "{}"));
+        assert!(holds("metrics/lost", Eq(7.0), "{}"));
+        assert!(!holds("table/p99_s", Lt(200.0), "{}"));
+    }
+
+    #[test]
+    fn min_cores_above_the_host_skips() {
+        let guard = Guard {
+            min_cores: 4,
+            ..g(E18, "no_such", Ge(2.0))
+        };
+        let on = |cores| evaluate(&guard, Some(&report()), None, cores);
+        assert!(matches!(on(2), Verdict::Skipped(_)));
+        assert!(matches!(on(4), Verdict::Failed(_)));
+    }
+
+    #[test]
+    fn every_run_names_an_experiment_or_a_workload() {
+        let manifest = read_json(&repo_root().join("BENCHMARK.json")).unwrap();
+        let Some(Json::Arr(workloads)) = manifest.get("workloads") else {
+            panic!("BENCHMARK.json lists no workloads");
+        };
+        for guard in GUARDS {
+            let known = match guard.run {
+                Run::Exp(args) => crate::exps::EXPERIMENTS
+                    .iter()
+                    .any(|(name, _)| *name == first_word(args)),
+                Run::Workload(args) => workloads
+                    .iter()
+                    .any(|w| w.get("name") == Some(&Json::from(first_word(args)))),
+            };
+            assert!(known, "{:?} names nothing that runs", guard.run);
+        }
+    }
+
+    /// A renamed field must not silently retire a guard: every field an
+    /// experiment guard reads exists in the committed artifact (unless
+    /// the artifact came from a host the guard skips on), and every
+    /// nested field a workload guard reads is one `BENCHMARK.json`
+    /// declares.
+    #[test]
+    fn every_guard_field_exists_in_its_committed_artifact() {
+        let manifest = read_json(&repo_root().join("BENCHMARK.json")).unwrap();
+        for guard in GUARDS {
+            let Guard { run, field, .. } = guard;
+            match run.committed() {
+                Some(committed) => {
+                    let committed = committed.unwrap();
+                    let cores = committed.get("cores_used").and_then(Json::as_f64).unwrap();
+                    assert!(
+                        committed.get(field).is_some() || (cores as usize) < guard.min_cores,
+                        "{} has no top-level field {field}",
+                        run.artifact()
+                    );
+                }
+                None => {
+                    let Some((section, metric)) = field.split_once('/') else {
+                        continue;
+                    };
+                    let Some(Json::Arr(declared)) = manifest.get(section) else {
+                        panic!("BENCHMARK.json has no section {section}");
+                    };
+                    assert!(
+                        declared
+                            .iter()
+                            .any(|m| m.get("name") == Some(&Json::from(metric))),
+                        "BENCHMARK.json declares no {section} metric {metric}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -25,14 +25,14 @@ use std::time::Duration;
 
 use itv_cluster::{AvailabilityAuditor, AvailabilityReport, RealCluster};
 use itv_media::ports;
-use ocs_name::{AlwaysAlive, NsError, NsHandle, NsReplica};
+use ocs_name::{NsError, NsHandle, NsReplica};
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::real::{RealNet, RealNode};
 use ocs_sim::{Addr, FaultAction, Nemesis, NodeRt, NodeRtExt, PortReq, Rt, SimTime};
 
-use super::failover::{percentile, tuned_cfg, SimNsGroup};
+use super::group::{tuned, Leg, SimGroup};
 use crate::json::Json;
-use crate::{f, report, Table};
+use crate::{f, percentile, report, Table};
 
 // ---------------------------------------------------------------------------
 // E19: process-group kill latency histogram (real runtime)
@@ -156,6 +156,12 @@ const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
 /// true view-change window.
 const PEER_COOLDOWN: Duration = Duration::from_secs(2);
 
+/// The tuned NS group, two healthy seconds before each fault.
+const STORM: Leg = Leg {
+    label: "deployed tuning",
+    tuning: tuned,
+    dwell: Duration::from_secs(2),
+};
 const SIM_KILL_ROUNDS: usize = 8;
 const SIM_PARTITION_ROUNDS: usize = 3;
 const REAL_KILL_ROUNDS: usize = 5;
@@ -212,15 +218,10 @@ fn probe_leaf(peers: &[Addr]) -> ObjRef {
 /// The sim leg: a 3-replica tuned NS group, an auditor client node
 /// running both probe streams, and the standard storm (primary kills,
 /// then primary partitions), all in virtual time.
-fn sim_leg(seed: u64) -> (AvailabilityReport, AvailabilityReport, f64) {
-    let group = SimNsGroup::build(seed, tuned_cfg);
-    let poll = Duration::from_millis(20);
-    assert!(
-        group.run_until(poll, Duration::from_secs(120), || group.settled()),
-        "NS group failed to settle at campaign start"
-    );
+fn sim_leg(group: &SimGroup<NsReplica>) -> (AvailabilityReport, AvailabilityReport) {
+    group.settle("at campaign start");
 
-    let client = group.sim.add_node("auditor");
+    let client = &group.client;
     let reads = Arc::new(AvailabilityAuditor::new());
     let writes = Arc::new(AvailabilityAuditor::new());
     let stop = Arc::new(AtomicBool::new(false));
@@ -229,25 +230,15 @@ fn sim_leg(seed: u64) -> (AvailabilityReport, AvailabilityReport, f64) {
 
     // Seed the read-probe name before any prober starts, so a read
     // failure always means unavailability, never "not bound yet".
-    let ready = Arc::new(AtomicBool::new(false));
     {
-        let ready = Arc::clone(&ready);
         let peers = peers.clone();
-        let rt: Rt = client.clone();
-        client.spawn_fn("audit-seed", move || loop {
-            let mut cd = vec![SimTime::ZERO; peers.len()];
-            if try_bind(&peers, &mut cd, &rt, "audit-probe", leaf) {
-                ready.store(true, Ordering::Relaxed);
-                return;
+        group.on_client(move |rt| {
+            let no_cooldown = || vec![SimTime::ZERO; peers.len()];
+            while !try_bind(&peers, &mut no_cooldown(), &rt, "audit-probe", leaf) {
+                rt.sleep(Duration::from_millis(200));
             }
-            rt.sleep(Duration::from_millis(200));
         });
     }
-    assert!(
-        group.run_until(poll, Duration::from_secs(30), || ready
-            .load(Ordering::Relaxed)),
-        "probe name never seeded"
-    );
 
     // Read prober: the viewer-facing stream. Resolves are served from
     // any replica's local tree, so this stream measures whole-service
@@ -290,44 +281,17 @@ fn sim_leg(seed: u64) -> (AvailabilityReport, AvailabilityReport, f64) {
         writes.record_fault(now, class);
     };
 
-    // Storm phase 1: repeated primary kills (E20's storm), through the
-    // shared Nemesis so the flight recorder journals each injection.
-    for _ in 0..SIM_KILL_ROUNDS {
-        assert!(
-            group.run_until(poll, Duration::from_secs(120), || group.settled()),
-            "NS group failed to settle between kill rounds"
-        );
-        group.sim.run_for(Duration::from_secs(2));
-        let master = group.masters()[0];
-        let victim = group.nodes[master].node();
-        Nemesis::apply(&group.sim, &FaultAction::CrashNode(victim));
+    // Storm phase 1: repeated primary kills (E20's storm).
+    group.storm(SIM_KILL_ROUNDS, |_, kill| {
         mark("crash");
-        group.replicas.lock()[master] = None;
-        assert!(
-            group.run_until(poll, Duration::from_secs(120), || {
-                group.masters().first().is_some_and(|m| *m != master)
-            }),
-            "no new master after killing the primary"
-        );
-        Nemesis::apply(&group.sim, &FaultAction::RestartNode(victim));
-        let rt: Rt = group.nodes[master].clone();
-        let r = NsReplica::start(
-            rt,
-            (group.cfg_of)(master as u32, group.peers.clone()),
-            Arc::new(AlwaysAlive),
-        )
-        .expect("replica restarts");
-        group.replicas.lock()[master] = Some(r);
-    }
+        group.await_successor(kill.victim);
+    });
 
     // Storm phase 2: isolate the primary from both backups (it keeps
     // running but loses its majority; the backups elect).
     for _ in 0..SIM_PARTITION_ROUNDS {
-        assert!(
-            group.run_until(poll, Duration::from_secs(120), || group.settled()),
-            "NS group failed to settle between partition rounds"
-        );
-        group.sim.run_for(Duration::from_secs(2));
+        group.settle("between partition rounds");
+        group.sim.run_for(STORM.dwell);
         let master = group.masters()[0];
         let m = group.nodes[master].node();
         let others: Vec<_> = (0..group.nodes.len())
@@ -339,7 +303,7 @@ fn sim_leg(seed: u64) -> (AvailabilityReport, AvailabilityReport, f64) {
         }
         mark("partition");
         assert!(
-            group.run_until(poll, Duration::from_secs(120), || {
+            group.run_until(Duration::from_secs(120), || {
                 group.masters().iter().any(|&x| x != master)
             }),
             "no new master after partitioning the primary away"
@@ -356,11 +320,7 @@ fn sim_leg(seed: u64) -> (AvailabilityReport, AvailabilityReport, f64) {
     stop.store(true, Ordering::Relaxed);
     group.sim.run_for(Duration::from_millis(500));
 
-    (
-        reads.report(),
-        writes.report(),
-        group.sim.now().as_secs_f64(),
-    )
+    (reads.report(), writes.report())
 }
 
 /// The real-TCP leg: same storm shape, wall clock, probers on their own
@@ -604,8 +564,7 @@ pub fn e21(sim_only: bool) {
         "paper max",
     ]);
 
-    let (sim_reads, sim_writes, virtual_secs) = sim_leg(21_001);
-    report::add_virtual_secs(virtual_secs);
+    let (sim_reads, sim_writes) = SimGroup::run_leg(21_001, &STORM, |group| sim_leg(group));
     leg_rows(&mut t, "sim", &sim_reads, &sim_writes);
 
     let real = if sim_only {

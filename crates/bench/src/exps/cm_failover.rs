@@ -26,170 +26,66 @@ use itv_media::{
     CmApiClient, CmBudgets, CmReplica, CmReplicaConfig, ConnDesc, ConnectionManager, MediaError,
 };
 use ocs_orb::{ClientCtx, ObjRef};
-use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, Rt, Sim, SimNode};
-use parking_lot::Mutex;
+use ocs_sim::{Addr, NodeId, NodeRt, Rt, Sim, SimNode};
+use ocs_vsr::{ReplicaConfig, ReplicaStatus};
 
-use crate::exps::failover::percentile;
+use super::group::{call_on, report_leg, Audit, Leg, Member, SimGroup, PAPER, STEP, TUNED};
 use crate::json::Json;
-use crate::{f, report, Stats, Table};
+use crate::{report, Table};
 
 const CM_PORT: u16 = 2000;
 /// The settop kept at its full 6 Mbit/s budget through every kill: any
 /// post-fail-over grant against it is an admission violation.
 const SAT_BPS: u64 = 6_000_000;
 
-fn paper_cm_cfg(i: u32, peers: Vec<Addr>) -> CmReplicaConfig {
-    let mut cfg = CmReplicaConfig::paper_defaults(i, peers, CmBudgets::default());
-    // Expiry off for the storm so the audit is exact (lease reclamation
-    // is covered by the cm_replica integration tests).
-    cfg.lease_ttl = None;
-    cfg
+impl Member for CmReplica {
+    const NAME: &'static str = "cm";
+    const PORT: u16 = CM_PORT;
+
+    fn start(rt: Rt, r: ReplicaConfig) -> Arc<CmReplica> {
+        let cfg = CmReplicaConfig {
+            heartbeat_interval: r.heartbeat_interval,
+            election_timeout: r.election_timeout,
+            peer_timeout: r.peer_timeout,
+            // Expiry off for the storm so the audit is exact (lease
+            // reclamation is covered by the cm_replica integration tests).
+            lease_ttl: None,
+            ..CmReplicaConfig::paper_defaults(r.replica_id, r.peers, CmBudgets::default())
+        };
+        CmReplica::start(rt, cfg).expect("replica starts")
+    }
+
+    fn engine(&self) -> Option<ReplicaStatus> {
+        Some((**self).status())
+    }
 }
 
-fn tuned_cm_cfg(i: u32, peers: Vec<Addr>) -> CmReplicaConfig {
-    let mut cfg = paper_cm_cfg(i, peers);
-    cfg.heartbeat_interval = Duration::from_millis(200);
-    cfg.election_timeout = Duration::from_millis(600);
-    cfg.peer_timeout = Duration::from_millis(150);
-    cfg
+/// The MMS retry loop in miniature: the same token on every attempt.
+fn allocate(
+    group: &SimGroup<CmReplica>,
+    token: u64,
+    settop: NodeId,
+    down_bps: u64,
+) -> Result<u64, MediaError> {
+    let server = group.nodes[0].node();
+    group.submit(move |rt, peer, timeout| {
+        match cm_at(rt, peer, timeout).allocate(token, settop, server, down_bps) {
+            Err(MediaError::NoBandwidth) => Some(Err(MediaError::NoBandwidth)),
+            r => r.ok().map(Ok),
+        }
+    })
 }
 
-/// A 3-replica CM group in the simulator plus a client node.
-struct SimCmGroup {
-    sim: Sim,
-    nodes: Vec<Arc<SimNode>>,
-    replicas: Arc<Mutex<Vec<Option<Arc<CmReplica>>>>>,
-    peers: Vec<Addr>,
-    client: Arc<SimNode>,
-    cfg_of: fn(u32, Vec<Addr>) -> CmReplicaConfig,
-    /// Client-side RPC timeout: a sweep must not stall on the dead
-    /// primary longer than the group needs to elect a successor.
-    client_timeout: Duration,
-}
-
-impl SimCmGroup {
-    fn build(seed: u64, cfg_of: fn(u32, Vec<Addr>) -> CmReplicaConfig) -> SimCmGroup {
-        let sim = Sim::new(seed);
-        let nodes: Vec<Arc<SimNode>> = (0..3).map(|i| sim.add_node(&format!("cm{i}"))).collect();
-        let peers: Vec<Addr> = nodes.iter().map(|n| Addr::new(n.node(), CM_PORT)).collect();
-        let replicas = Arc::new(Mutex::new(vec![None; 3]));
-        for (i, node) in nodes.iter().enumerate() {
-            let rt: Rt = node.clone();
-            let r = CmReplica::start(rt, cfg_of(i as u32, peers.clone())).expect("replica starts");
-            replicas.lock()[i] = Some(r);
+fn release(group: &SimGroup<CmReplica>, conn: u64) {
+    group.submit(move |rt, peer, timeout| {
+        match cm_at(rt, peer, timeout).release(conn) {
+            // UnknownSession: an earlier attempt committed but its reply
+            // was lost (e.g. the forward timed out under paper
+            // timeouts); the conn being gone IS the commit.
+            Ok(()) | Err(MediaError::UnknownSession { .. }) => Some(()),
+            Err(_) => None,
         }
-        let client = sim.add_node("load");
-        let client_timeout = cfg_of(0, peers.clone()).peer_timeout * 3;
-        SimCmGroup {
-            sim,
-            nodes,
-            replicas,
-            peers,
-            client,
-            cfg_of,
-            client_timeout,
-        }
-    }
-
-    fn masters(&self) -> Vec<usize> {
-        self.replicas
-            .lock()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                r.as_ref()
-                    .filter(|r| self.sim.node_up(self.nodes[i].node()) && r.is_master())
-                    .map(|_| i)
-            })
-            .collect()
-    }
-
-    fn settled(&self) -> bool {
-        self.masters().len() == 1
-            && self
-                .replicas
-                .lock()
-                .iter()
-                .enumerate()
-                .all(|(i, r)| match r {
-                    Some(r) => !self.sim.node_up(self.nodes[i].node()) || !r.in_probation(),
-                    None => true,
-                })
-    }
-
-    fn run_until(&self, limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
-        let step = Duration::from_millis(20);
-        let deadline = self.sim.now() + limit;
-        while self.sim.now() < deadline {
-            if cond() {
-                return true;
-            }
-            self.sim.run_for(step);
-        }
-        cond()
-    }
-
-    /// Runs `f` on the client node and steps virtual time to completion.
-    fn on_client<T: Send + 'static>(&self, f: impl FnOnce(Rt) -> T + Send + 'static) -> T {
-        let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-        let out = Arc::clone(&slot);
-        let rt: Rt = self.client.clone();
-        self.client.spawn_fn("cm-call", move || {
-            let r = f(rt);
-            *out.lock() = Some(r);
-        });
-        assert!(
-            self.run_until(Duration::from_secs(120), || slot.lock().is_some()),
-            "E22 client call did not complete"
-        );
-        let got = slot.lock().take();
-        got.unwrap()
-    }
-
-    /// The MMS retry loop in miniature: the same token on every attempt,
-    /// against whichever replica answers.
-    fn allocate(&self, token: u64, settop: NodeId, down_bps: u64) -> Result<u64, MediaError> {
-        let peers = self.peers.clone();
-        let server = self.nodes[0].node();
-        let (timeout, backoff) = (self.client_timeout, self.client_timeout / 4);
-        self.on_client(move |rt| {
-            for _ in 0..600 {
-                for &peer in &peers {
-                    match cm_at(&rt, peer, timeout).allocate(token, settop, server, down_bps) {
-                        Ok(conn) => return Ok(conn),
-                        Err(MediaError::NoBandwidth) => return Err(MediaError::NoBandwidth),
-                        Err(_) => {}
-                    }
-                }
-                rt.sleep(backoff);
-            }
-            Err(MediaError::Dependency {
-                what: "e22: no replica accepted the allocate".into(),
-            })
-        })
-    }
-
-    fn release(&self, conn: u64) {
-        let peers = self.peers.clone();
-        let (timeout, backoff) = (self.client_timeout, self.client_timeout / 4);
-        let ok = self.on_client(move |rt| {
-            for _ in 0..600 {
-                for &peer in &peers {
-                    match cm_at(&rt, peer, timeout).release(conn) {
-                        Ok(()) => return true,
-                        // An earlier attempt committed but its reply was
-                        // lost (e.g. the forward timed out under paper
-                        // timeouts); the conn being gone IS the commit.
-                        Err(MediaError::UnknownSession { .. }) => return true,
-                        Err(_) => {}
-                    }
-                }
-                rt.sleep(backoff);
-            }
-            false
-        });
-        assert!(ok, "e22: release of conn {conn} never committed");
-    }
+    })
 }
 
 fn cm_at(rt: &Rt, peer: Addr, timeout: Duration) -> CmApiClient {
@@ -199,7 +95,11 @@ fn cm_at(rt: &Rt, peer: Addr, timeout: Duration) -> CmApiClient {
         type_id: CmApiClient::TYPE_ID,
         object_id: 0,
     };
-    CmApiClient::attach(ClientCtx::new(rt.clone()).with_timeout(timeout), target)
+    attach(rt, target, timeout)
+}
+
+fn attach(rt: &Rt, obj: ObjRef, timeout: Duration) -> CmApiClient {
+    CmApiClient::attach(ClientCtx::new(rt.clone()).with_timeout(timeout), obj)
         .expect("attach cm client")
 }
 
@@ -207,108 +107,56 @@ fn cm_at(rt: &Rt, peer: Addr, timeout: Duration) -> CmApiClient {
 struct StormResult {
     blackouts: Vec<f64>,
     over_admissions: u64,
-    lost: u64,
-    doubled: u64,
-    audit_ok: bool,
+    audit: Audit,
 }
 
 /// Repeated primary kills under allocate/release load. Every committed
 /// grant is recorded client-side; the post-storm audit compares that
-/// record against each healed replica's table.
-fn replicated_storm(group: &SimCmGroup, rounds: usize, dwell: Duration) -> StormResult {
-    assert!(
-        group.run_until(Duration::from_secs(120), || group.settled()),
-        "CM group failed to settle at start"
-    );
+/// record against each healed replica's table, and the reserved-bps
+/// index against a full scan.
+fn replicated_storm(group: &SimGroup<CmReplica>, rounds: usize) -> StormResult {
+    group.settle("at start");
     let sat_settop = group.client.node();
     // Pin the saturated settop at its full budget for the whole storm.
-    let sat_conn = group
-        .allocate(1, sat_settop, SAT_BPS)
-        .expect("saturating allocate");
-    let mut granted: Vec<(u64, u64, NodeId, u64)> = vec![(1, sat_conn, sat_settop, SAT_BPS)];
+    let sat_conn = allocate(group, 1, sat_settop, SAT_BPS).expect("saturating allocate");
+    let mut granted: Vec<u64> = vec![sat_conn];
     let mut next_token = 2u64;
-    let mut blackouts = Vec::new();
     let mut over_admissions = 0u64;
-    for round in 0..rounds {
-        assert!(
-            group.run_until(Duration::from_secs(120), || group.settled()),
-            "CM group failed to settle between kill rounds"
-        );
-        group.sim.run_for(dwell);
-        let master = group.masters()[0];
-        let t0 = group.sim.now();
-        group.sim.crash_node(group.nodes[master].node());
-        group.replicas.lock()[master] = None;
+    let blackouts = group.storm(rounds, |round, kill| {
         // The blackout sensor: how long until the next allocate commits
         // on a survivor (spread across settops so budgets never bind).
-        let token = next_token;
-        next_token += 1;
         let settop = group.nodes[round % 3].node();
-        let conn = group
-            .allocate(token, settop, 100_000)
-            .expect("post-kill allocate");
-        blackouts.push(group.sim.now().saturating_since(t0).as_secs_f64());
-        granted.push((token, conn, settop, 100_000));
+        let conn = allocate(group, next_token, settop, 100_000).expect("post-kill allocate");
+        let blackout = group.since(kill.at);
+        granted.push(conn);
         // The admission probe: the successor inherited the saturated
         // settop's reservation, so this must be refused. The baseline
         // leg grants it.
-        let probe_token = next_token;
-        next_token += 1;
-        match group.allocate(probe_token, sat_settop, 1_000_000) {
+        match allocate(group, next_token + 1, sat_settop, 1_000_000) {
             Err(MediaError::NoBandwidth) => {}
             Ok(conn) => {
                 over_admissions += 1;
-                granted.push((probe_token, conn, sat_settop, 1_000_000));
+                granted.push(conn);
             }
             Err(e) => panic!("e22: admission probe failed oddly: {e}"),
         }
+        next_token += 2;
         // Exercise release through the new primary: retire the rotating
         // grant from two rounds back.
         if granted.len() > 3 {
-            let (_, conn, _, _) = granted.remove(1);
-            group.release(conn);
+            release(group, granted.remove(1));
         }
-        // Heal the victim before the next round.
-        group.sim.restart_node(group.nodes[master].node());
-        let rt: Rt = group.nodes[master].clone();
-        let r = CmReplica::start(rt, (group.cfg_of)(master as u32, group.peers.clone()))
-            .expect("replica restarts");
-        group.replicas.lock()[master] = Some(r);
-    }
-    // Post-storm audit: heal fully, then every replica's table must be
-    // exactly the client's record — same conns, nothing extra, nothing
-    // missing — and the reserved-bps index must match a full scan.
-    assert!(
-        group.run_until(Duration::from_secs(120), || group.settled()),
-        "CM group failed to heal after the storm"
-    );
-    group.sim.run_for(Duration::from_secs(5));
-    let mut want: Vec<u64> = granted.iter().map(|(_, c, _, _)| *c).collect();
-    want.sort_unstable();
-    let (mut lost, mut doubled) = (0u64, 0u64);
-    let mut audit_ok = true;
-    for (i, r) in group.replicas.lock().iter().enumerate() {
-        let Some(r) = r else { continue };
-        let mut have: Vec<u64> = r.allocations().iter().map(|d| d.conn).collect();
-        have.sort_unstable();
-        lost = lost.max(want.iter().filter(|c| !have.contains(c)).count() as u64);
-        doubled = doubled.max(have.iter().filter(|c| !want.contains(c)).count() as u64);
+        blackout
+    });
+    let audit = group.audit(granted, |r| {
         let (indexed, scanned) = r.audit_reserved_bps();
-        if indexed != scanned || have != want {
-            audit_ok = false;
-            println!(
-                "    AUDIT FAIL replica {i}: {} conns vs {} expected, reserved {indexed} vs scan {scanned}",
-                have.len(),
-                want.len()
-            );
-        }
-    }
+        let conns = r.allocations().iter().map(|d| d.conn).collect();
+        Some((conns, indexed == scanned))
+    });
     StormResult {
         blackouts,
         over_admissions,
-        lost,
-        doubled,
-        audit_ok,
+        audit,
     }
 }
 
@@ -324,56 +172,32 @@ fn baseline_rounds(rounds: usize) -> (u64, u64) {
     let mut lost_leases = 0u64;
     for round in 0..rounds {
         let a = sim.add_node(&format!("cm-a{round}"));
-        let rt_a: Rt = a.clone();
-        let cm = ConnectionManager::with_clock(CmBudgets::default(), Some(rt_a.clone()));
-        let obj_a = {
-            let slot: Arc<Mutex<Option<ObjRef>>> = Arc::new(Mutex::new(None));
-            let out = Arc::clone(&slot);
-            let cm = Arc::clone(&cm);
-            a.spawn_fn("serve", move || {
-                *out.lock() = Some(cm.serve(rt_a, CM_PORT).expect("baseline cm serves"));
-            });
-            sim.run_for(Duration::from_millis(100));
-            let got = slot.lock().take();
-            got.expect("baseline cm exported")
-        };
+        let obj_a = serve_standalone(&sim, &a);
         let settop = client.node();
         let server = a.node();
         // A little prior traffic so the saturating lease's conn id is
         // not the successor's first id (MMS keeps conn ids across the
         // CM's death; the successor restarts its counter).
         for t in 1..3u64 {
-            call(&sim, &client, move |rt| {
-                attach(&rt, obj_a).allocate(t, NodeId(90 + t as u32), server, 100_000)
+            call(&sim, &client, obj_a, move |cm| {
+                cm.allocate(t, NodeId(90 + t as u32), server, 100_000)
             })
             .expect("baseline warm-up allocate");
         }
         // Saturate the settop, then lose the primary.
-        let sat = call(&sim, &client, move |rt| {
-            attach(&rt, obj_a).allocate(3, settop, server, SAT_BPS)
+        let sat = call(&sim, &client, obj_a, move |cm| {
+            cm.allocate(3, settop, server, SAT_BPS)
         })
         .expect("baseline saturating allocate");
         sim.crash_node(a.node());
         // §5.2 takeover: the successor starts with an empty table.
         let b = sim.add_node(&format!("cm-b{round}"));
-        let rt_b: Rt = b.clone();
-        let cm2 = ConnectionManager::with_clock(CmBudgets::default(), Some(rt_b.clone()));
-        let obj_b = {
-            let slot: Arc<Mutex<Option<ObjRef>>> = Arc::new(Mutex::new(None));
-            let out = Arc::clone(&slot);
-            let cm2 = Arc::clone(&cm2);
-            b.spawn_fn("serve", move || {
-                *out.lock() = Some(cm2.serve(rt_b, CM_PORT).expect("baseline cm2 serves"));
-            });
-            sim.run_for(Duration::from_millis(100));
-            let got = slot.lock().take();
-            got.expect("baseline successor exported")
-        };
+        let obj_b = serve_standalone(&sim, &b);
         // The recovery-window probe: the successor knows nothing about
         // the saturated settop yet, so this is granted — an admission
         // violation against a settop already drawing its full budget.
-        let probe = call(&sim, &client, move |rt| {
-            attach(&rt, obj_b).allocate(10, settop, server, 1_000_000)
+        let probe = call(&sim, &client, obj_b, move |cm| {
+            cm.allocate(10, settop, server, 1_000_000)
         });
         if probe.is_ok() {
             over_admissions += 1;
@@ -388,7 +212,7 @@ fn baseline_rounds(rounds: usize) -> (u64, u64) {
             server,
             down_bps: SAT_BPS,
         };
-        let reassert = call(&sim, &client, move |rt| attach(&rt, obj_b).reassert(desc));
+        let reassert = call(&sim, &client, obj_b, move |cm| cm.reassert(desc));
         if reassert == Err(MediaError::NoBandwidth) {
             lost_leases += 1;
         }
@@ -397,33 +221,24 @@ fn baseline_rounds(rounds: usize) -> (u64, u64) {
     (over_admissions, lost_leases)
 }
 
-fn attach(rt: &Rt, obj: ObjRef) -> CmApiClient {
-    CmApiClient::attach(
-        ClientCtx::new(rt.clone()).with_timeout(Duration::from_secs(2)),
-        obj,
-    )
-    .expect("attach baseline cm client")
+/// A standalone (§5.2) CM with an empty table, serving on `node`.
+fn serve_standalone(sim: &Sim, node: &Arc<SimNode>) -> ObjRef {
+    call_on(sim, node, STEP, |rt| {
+        let cm = ConnectionManager::with_clock(CmBudgets::default(), Some(rt.clone()));
+        cm.serve(rt, CM_PORT).expect("baseline cm serves")
+    })
 }
 
-/// Runs `f` on `node`, stepping the sim until it returns.
+/// Runs `f` from `node` against the baseline CM at `obj`.
 fn call<T: Send + 'static>(
     sim: &Sim,
     node: &Arc<SimNode>,
-    f: impl FnOnce(Rt) -> T + Send + 'static,
+    obj: ObjRef,
+    f: impl FnOnce(CmApiClient) -> T + Send + 'static,
 ) -> T {
-    let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let out = Arc::clone(&slot);
-    let rt: Rt = node.clone();
-    node.spawn_fn("call", move || {
-        let r = f(rt);
-        *out.lock() = Some(r);
-    });
-    let deadline = sim.now() + Duration::from_secs(60);
-    while sim.now() < deadline && slot.lock().is_none() {
-        sim.run_for(Duration::from_millis(20));
-    }
-    let got = slot.lock().take();
-    got.expect("E22 baseline call did not complete")
+    call_on(sim, node, STEP, move |rt| {
+        f(attach(&rt, obj, Duration::from_secs(2)))
+    })
 }
 
 /// E22: CM fail-over — admission state across primary kills.
@@ -453,43 +268,31 @@ pub fn e22() {
         "-".into(),
     ]);
 
+    let mut storm_leg = |seed, leg: &'static Leg, key, rounds| {
+        let r = SimGroup::run_leg(seed, leg, |group| replicated_storm(group, rounds));
+        let extra = [r.over_admissions, r.audit.lost, r.audit.doubled].map(|n| n.to_string());
+        report_leg(
+            &mut t,
+            format!("replicated, {}", leg.label),
+            key,
+            &r.blackouts,
+            &extra,
+        );
+        r
+    };
     // Leg 2: replicated, paper-scale timeouts.
-    let group = SimCmGroup::build(22_001, paper_cm_cfg);
-    let paper = replicated_storm(&group, 8, Duration::from_secs(4));
-    report::add_virtual_secs(group.sim.now().as_secs_f64());
-    let ps = Stats::of(&paper.blackouts);
-    t.row(&[
-        "replicated, paper timeouts".into(),
-        ps.n.to_string(),
-        f(ps.p50, 2),
-        f(percentile(&paper.blackouts, 0.99), 2),
-        paper.over_admissions.to_string(),
-        paper.lost.to_string(),
-        paper.doubled.to_string(),
-    ]);
-
+    let paper = storm_leg(22_001, &PAPER, "repl_paper_blackout", 8);
     // Leg 3: replicated, deployed tuning.
-    let group = SimCmGroup::build(22_002, tuned_cm_cfg);
-    let tuned = replicated_storm(&group, 10, Duration::from_secs(1));
-    report::add_virtual_secs(group.sim.now().as_secs_f64());
-    let ts = Stats::of(&tuned.blackouts);
-    t.row(&[
-        "replicated, deployed tuning".into(),
-        ts.n.to_string(),
-        f(ts.p50, 2),
-        f(percentile(&tuned.blackouts, 0.99), 2),
-        tuned.over_admissions.to_string(),
-        tuned.lost.to_string(),
-        tuned.doubled.to_string(),
-    ]);
+    let tuned = storm_leg(22_002, &TUNED, "repl_blackout", 10);
     t.print();
     println!(
         "    baseline recovery window: {base_over}/6 rounds re-admitted a saturated settop, \
          {base_lost}/6 then refused the still-streaming lease's reassertion (unbooked bandwidth)"
     );
+    let exact = paper.audit.exact && tuned.audit.exact;
     println!(
         "    replicated post-storm audit: {}",
-        if paper.audit_ok && tuned.audit_ok {
+        if exact {
             "every replica matches the client's committed set exactly"
         } else {
             "FAILED (see above)"
@@ -499,25 +302,18 @@ pub fn e22() {
     report::put("paper_bound_s", Json::F64(25.0));
     report::put("baseline_over_admissions", Json::U64(base_over));
     report::put("baseline_lost_leases", Json::U64(base_lost));
-    report::put("repl_paper_blackout_p50_s", Json::F64(ps.p50));
-    report::put(
-        "repl_paper_blackout_p99_s",
-        Json::F64(percentile(&paper.blackouts, 0.99)),
-    );
-    report::put("repl_blackout_p50_s", Json::F64(ts.p50));
-    report::put(
-        "repl_blackout_p99_s",
-        Json::F64(percentile(&tuned.blackouts, 0.99)),
-    );
     report::put(
         "over_admissions_replicated",
         Json::U64(paper.over_admissions + tuned.over_admissions),
     );
-    report::put("lost_allocs", Json::U64(paper.lost.max(tuned.lost)));
-    report::put("doubled_allocs", Json::U64(paper.doubled.max(tuned.doubled)));
     report::put(
-        "audit_consistent",
-        Json::Bool(paper.audit_ok && tuned.audit_ok),
+        "lost_allocs",
+        Json::U64(paper.audit.lost.max(tuned.audit.lost)),
     );
+    report::put(
+        "doubled_allocs",
+        Json::U64(paper.audit.doubled.max(tuned.audit.doubled)),
+    );
+    report::put("audit_consistent", Json::Bool(exact));
     report::put("table", t.to_json());
 }

@@ -17,120 +17,50 @@ use std::time::{Duration, Instant};
 use itv_cluster::RealCluster;
 use ocs_name::{AlwaysAlive, NsConfig, NsHandle, NsReplica};
 use ocs_orb::{ClientCtx, ObjRef};
-use ocs_sim::{Addr, NodeRt, NodeRtExt, Rt, Sim, SimNode};
-use parking_lot::Mutex;
+use ocs_sim::{NodeRtExt, Rt};
+use ocs_vsr::{ReplicaConfig, ReplicaStatus};
 
+use super::group::{report_leg, retry_over_peers, Member, SimGroup, PAPER, TUNED};
 use crate::json::Json;
-use crate::{f, report, Stats, Table};
+use crate::{f, report, Table};
 
-const NS_PORT: u16 = 10;
+impl Member for NsReplica {
+    const NAME: &'static str = "ns";
+    const PORT: u16 = 10;
 
-/// `p`-th percentile of a sample by nearest-rank (p in [0, 1]).
-pub(crate) fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((sorted.len() as f64 * p).ceil() as usize).max(1) - 1;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// A 3-replica NS group in the simulator, plus a client node driving a
-/// background bind load.
-pub(crate) struct SimNsGroup {
-    pub(crate) sim: Sim,
-    pub(crate) nodes: Vec<Arc<SimNode>>,
-    pub(crate) replicas: Arc<Mutex<Vec<Option<Arc<NsReplica>>>>>,
-    pub(crate) peers: Vec<Addr>,
-    pub(crate) cfg_of: fn(u32, Vec<Addr>) -> NsConfig,
-}
-
-impl SimNsGroup {
-    pub(crate) fn build(seed: u64, cfg_of: fn(u32, Vec<Addr>) -> NsConfig) -> SimNsGroup {
-        let sim = Sim::new(seed);
-        let nodes: Vec<Arc<SimNode>> = (0..3).map(|i| sim.add_node(&format!("ns{i}"))).collect();
-        let peers: Vec<Addr> = nodes.iter().map(|n| Addr::new(n.node(), NS_PORT)).collect();
-        let replicas = Arc::new(Mutex::new(vec![None; 3]));
-        for (i, node) in nodes.iter().enumerate() {
-            let rt: Rt = node.clone();
-            let r = NsReplica::start(rt, cfg_of(i as u32, peers.clone()), Arc::new(AlwaysAlive))
-                .expect("replica starts");
-            replicas.lock()[i] = Some(r);
-        }
-        SimNsGroup {
-            sim,
-            nodes,
-            replicas,
-            peers,
-            cfg_of,
-        }
+    fn start(rt: Rt, r: ReplicaConfig) -> Arc<NsReplica> {
+        let cfg = NsConfig {
+            heartbeat_interval: r.heartbeat_interval,
+            election_timeout: r.election_timeout,
+            peer_timeout: r.peer_timeout,
+            ..NsConfig::paper_defaults(r.replica_id, r.peers)
+        };
+        NsReplica::start(rt, cfg, Arc::new(AlwaysAlive)).expect("replica starts")
     }
 
-    pub(crate) fn masters(&self) -> Vec<usize> {
-        self.replicas
-            .lock()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                r.as_ref()
-                    .filter(|r| self.sim.node_up(self.nodes[i].node()) && r.is_master())
-                    .map(|_| i)
-            })
-            .collect()
-    }
-
-    /// One master, every live replica out of probation (killing a
-    /// replica before then would strand the group below its recovery
-    /// quorum — see the real-cluster launch settle).
-    pub(crate) fn settled(&self) -> bool {
-        self.masters().len() == 1
-            && self
-                .replicas
-                .lock()
-                .iter()
-                .enumerate()
-                .all(|(i, r)| match r {
-                    Some(r) => !self.sim.node_up(self.nodes[i].node()) || !r.in_probation(),
-                    None => true,
-                })
-    }
-
-    /// Steps virtual time until `cond`, in `step` increments, up to
-    /// `limit`. Returns whether the condition held.
-    pub(crate) fn run_until(&self, step: Duration, limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
-        let deadline = self.sim.now() + limit;
-        while self.sim.now() < deadline {
-            if cond() {
-                return true;
-            }
-            self.sim.run_for(step);
-        }
-        cond()
+    fn engine(&self) -> Option<ReplicaStatus> {
+        Some((**self).status())
     }
 }
 
 /// Repeatedly kills the current primary and samples master-outage
 /// windows (crash → a different replica reports `is_master`).
 fn sim_kill_rounds(
-    group: &SimNsGroup,
+    group: &SimGroup<NsReplica>,
     rounds: usize,
-    poll: Duration,
     bind_timeout: Duration,
-    dwell: Duration,
 ) -> (Vec<f64>, u64) {
     // Background load: a client binding a fresh name every 100 ms via
     // whichever replica answers (backups forward to the primary).
-    let client = group.sim.add_node("load");
     let binds = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     {
         let binds = Arc::clone(&binds);
         let stop = Arc::clone(&stop);
         let peers = group.peers.clone();
-        let node = client.clone();
-        let rt = client.clone();
-        node.spawn_fn("ns-load", move || {
+        let rt: Rt = group.client.clone();
+        group.client.spawn_fn("ns-load", move || {
+            let pause = Duration::from_millis(100);
             let mut i = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let leaf = ObjRef {
@@ -139,75 +69,31 @@ fn sim_kill_rounds(
                     type_id: 0x20,
                     object_id: i,
                 };
-                for &peer in &peers {
+                retry_over_peers(&rt, &peers, pause, |rt, peer| {
                     // Bounded so a dead replica can't wedge the writer,
                     // but longer than a commit (the op commits on the
                     // primary's next heartbeat round).
                     let ctx = ClientCtx::new(rt.clone()).with_timeout(bind_timeout);
-                    let ns = NsHandle::new(ctx, peer);
                     // AlreadyBound = an earlier attempt committed but
                     // the reply was lost in the crash; that op counts.
-                    match ns.bind(&format!("load-{i}"), leaf) {
-                        Ok(()) | Err(ocs_name::NsError::AlreadyBound { .. }) => {
-                            binds.fetch_add(1, Ordering::Relaxed);
-                            i += 1;
-                            break;
-                        }
-                        Err(_) => {}
+                    match NsHandle::new(ctx, peer).bind(&format!("load-{i}"), leaf) {
+                        Ok(()) | Err(ocs_name::NsError::AlreadyBound { .. }) => Some(()),
+                        Err(_) => None,
                     }
-                }
-                rt.sleep(Duration::from_millis(100));
+                });
+                binds.fetch_add(1, Ordering::Relaxed);
+                i += 1;
+                rt.sleep(pause);
             }
         });
     }
-    let mut samples = Vec::new();
-    for _ in 0..rounds {
-        assert!(
-            group.run_until(poll, Duration::from_secs(120), || group.settled()),
-            "NS group failed to settle between kill rounds"
-        );
-        // A healthy dwell so the kill lands mid-load, not at the exact
-        // instant the group finished recovering.
-        group.sim.run_for(dwell);
-        let master = group.masters()[0];
-        let t0 = group.sim.now();
-        group.sim.crash_node(group.nodes[master].node());
-        group.replicas.lock()[master] = None;
-        assert!(
-            group.run_until(poll, Duration::from_secs(120), || {
-                group.masters().first().is_some_and(|m| *m != master)
-            }),
-            "no new master after killing the primary"
-        );
-        samples.push(group.sim.now().saturating_since(t0).as_secs_f64());
-        // Bring the victim back and let it walk recovery before the
-        // next round, so each kill faces a full group.
-        group.sim.restart_node(group.nodes[master].node());
-        let rt: Rt = group.nodes[master].clone();
-        let r = NsReplica::start(
-            rt,
-            (group.cfg_of)(master as u32, group.peers.clone()),
-            Arc::new(AlwaysAlive),
-        )
-        .expect("replica restarts");
-        group.replicas.lock()[master] = Some(r);
-    }
+    let samples = group.storm(rounds, |_, kill| {
+        group.await_successor(kill.victim);
+        group.since(kill.at)
+    });
     stop.store(true, Ordering::Relaxed);
     group.sim.run_for(Duration::from_millis(200));
     (samples, binds.load(Ordering::Relaxed))
-}
-
-pub(crate) fn paper_cfg(i: u32, peers: Vec<Addr>) -> NsConfig {
-    NsConfig::paper_defaults(i, peers)
-}
-
-pub(crate) fn tuned_cfg(i: u32, peers: Vec<Addr>) -> NsConfig {
-    let mut cfg = NsConfig::paper_defaults(i, peers);
-    // The real-cluster deployment tuning (see RealCluster).
-    cfg.heartbeat_interval = Duration::from_millis(200);
-    cfg.election_timeout = Duration::from_millis(600);
-    cfg.peer_timeout = Duration::from_millis(150);
-    cfg
 }
 
 /// Kill rounds against the real TCP cluster: wall-clock outage windows.
@@ -251,63 +137,43 @@ pub fn e20(sim_only: bool) {
         "paper max",
     ]);
 
+    let max = |xs: &[f64]| f(xs.iter().cloned().fold(0.0, f64::max), 2);
+    let mut leg = |leg: &str, key: &str, samples: &[f64]| {
+        report_leg(
+            &mut t,
+            leg.into(),
+            key,
+            samples,
+            &[max(samples), "25.0".into()],
+        );
+    };
+
     // Leg 1: paper-scale timeouts, virtual time.
-    let group = SimNsGroup::build(20_001, paper_cfg);
-    let (paper_samples, paper_binds) = sim_kill_rounds(
-        &group,
-        12,
-        Duration::from_millis(100),
-        Duration::from_secs(5),
-        Duration::from_secs(4),
+    let (paper_samples, paper_binds) = SimGroup::run_leg(20_001, &PAPER, |group| {
+        group.step = Duration::from_millis(100);
+        sim_kill_rounds(group, 12, Duration::from_secs(5))
+    });
+    leg(
+        "sim, paper timeouts",
+        "sim_paper_view_change",
+        &paper_samples,
     );
-    report::add_virtual_secs(group.sim.now().as_secs_f64());
-    let ps = Stats::of(&paper_samples);
-    t.row(&[
-        "sim, paper timeouts".into(),
-        ps.n.to_string(),
-        f(ps.p50, 2),
-        f(percentile(&paper_samples, 0.99), 2),
-        f(ps.max, 2),
-        "25.0".into(),
-    ]);
 
     // Leg 2: deployed tuning, virtual time.
-    let group = SimNsGroup::build(20_002, tuned_cfg);
-    let (tuned_samples, tuned_binds) = sim_kill_rounds(
-        &group,
-        15,
-        Duration::from_millis(20),
-        Duration::from_secs(1),
-        Duration::from_secs(1),
-    );
-    report::add_virtual_secs(group.sim.now().as_secs_f64());
-    let ts = Stats::of(&tuned_samples);
-    t.row(&[
-        "sim, deployed tuning".into(),
-        ts.n.to_string(),
-        f(ts.p50, 2),
-        f(percentile(&tuned_samples, 0.99), 2),
-        f(ts.max, 2),
-        "25.0".into(),
-    ]);
+    let (tuned_samples, tuned_binds) = SimGroup::run_leg(20_002, &TUNED, |group| {
+        sim_kill_rounds(group, 15, Duration::from_secs(1))
+    });
+    leg("sim, deployed tuning", "sim_view_change", &tuned_samples);
 
     // Leg 3: the real TCP runtime, wall clock.
-    let real_samples = if sim_only {
+    if sim_only {
         println!("    (--sim-only: skipping the real-runtime leg)");
-        Vec::new()
     } else {
-        real_kill_rounds(10)
-    };
-    if !real_samples.is_empty() {
-        let rs = Stats::of(&real_samples);
-        t.row(&[
-            "real TCP runtime".into(),
-            rs.n.to_string(),
-            f(rs.p50, 2),
-            f(percentile(&real_samples, 0.99), 2),
-            f(rs.max, 2),
-            "25.0".into(),
-        ]);
+        leg(
+            "real TCP runtime",
+            "real_view_change",
+            &real_kill_rounds(10),
+        );
     }
     t.print();
     println!(
@@ -316,25 +182,5 @@ pub fn e20(sim_only: bool) {
     );
 
     report::put("paper_bound_s", Json::F64(25.0));
-    report::put("sim_paper_view_change_p50_s", Json::F64(ps.p50));
-    report::put(
-        "sim_paper_view_change_p99_s",
-        Json::F64(percentile(&paper_samples, 0.99)),
-    );
-    report::put("sim_view_change_p50_s", Json::F64(ts.p50));
-    report::put(
-        "sim_view_change_p99_s",
-        Json::F64(percentile(&tuned_samples, 0.99)),
-    );
-    if !real_samples.is_empty() {
-        report::put(
-            "real_view_change_p50_s",
-            Json::F64(percentile(&real_samples, 0.50)),
-        );
-        report::put(
-            "real_view_change_p99_s",
-            Json::F64(percentile(&real_samples, 0.99)),
-        );
-    }
     report::put("table", t.to_json());
 }

@@ -6,6 +6,7 @@ mod availability;
 mod cluster_exps;
 mod cm_failover;
 mod failover;
+mod group;
 mod kernel_bench;
 mod saturation;
 mod standalone;
@@ -24,6 +25,49 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use itv_cluster::{Cluster, ClusterConfig};
+
+/// What the command line can set for the experiments that take it.
+pub struct Args {
+    /// How many of the slowest request trees E16's span dump renders.
+    pub spans: usize,
+    /// E17's simulated settop population (E18: its replay leg's).
+    pub settops: usize,
+    /// The kernel shard count E17/E18 run their main legs on.
+    pub shards: usize,
+    /// Skip the real-runtime legs of E20, E21 and E23.
+    pub sim_only: bool,
+}
+
+/// An experiment's name and entry point.
+pub type Experiment = (&'static str, fn(&Args));
+
+/// Every experiment by name, in suite order: what `all` runs, what a
+/// name on the command line dispatches to, and what `check`'s runs name.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("e1", |_| e1()),
+    ("e2", |_| e2()),
+    ("e3", |_| e3()),
+    ("e4", |_| e4()),
+    ("e5", |_| e5()),
+    ("e6", |_| e6()),
+    ("e7", |_| e7()),
+    ("e8", |_| e8()),
+    ("e9", |_| e9()),
+    ("e10", |_| e10()),
+    ("e11", |_| e11()),
+    ("e12", |_| e12()),
+    ("e13", |_| e13()),
+    ("e14", |_| e14()),
+    ("e15", |_| e15()),
+    ("e16", |a| e16(a.spans)),
+    ("e17", |a| e17(a.settops, a.shards)),
+    ("e18", |a| e18(a.settops, a.shards)),
+    ("e19", |_| e19()),
+    ("e20", |a| e20(a.sim_only)),
+    ("e21", |a| e21(a.sim_only)),
+    ("e22", |_| e22()),
+    ("e23", |a| e23(a.sim_only)),
+];
 use ocs_sim::{NodeRt, NodeRtExt, Sim, SimChan, SimTime};
 
 /// Builds a cluster and runs it to the fully-ready state (services

@@ -79,7 +79,7 @@ pub(crate) struct StormOut {
 /// Runs the storm at `settops` scale with `seed`; pure virtual-time
 /// measurement (no wall clock touches the outputs).
 fn storm(seed: u64, settops: usize, shards: usize) -> StormOut {
-    storm_with(seed, settops, ocs_sim::SimConfig::default().fast, shards)
+    storm_with(seed, settops, true, shards)
 }
 
 /// [`storm`] with explicit control over the scheduler fast path and the

@@ -23,332 +23,228 @@ use std::time::{Duration, Instant};
 use ocs_name::NsHandle;
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::real::RealNet;
-use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, Rt, Sim, SimNode};
-use ocs_svcctl::{Csc, CscConfig, CscApiClient, SscReplicaConfig, SvcError};
+use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, Rt};
+use ocs_svcctl::{Csc, CscApiClient, CscConfig, SvcError};
+use ocs_vsr::{ReplicaConfig, ReplicaStatus};
 use parking_lot::Mutex;
 
-use crate::exps::failover::percentile;
+use super::group::{
+    audit, report_leg, retry_over_peers, tuned, Audit, Leg, Member, SimGroup, PAPER, TUNED,
+};
 use crate::json::Json;
-use crate::{f, report, Stats, Table};
+use crate::{report, Table};
 
 const CSC_PORT: u16 = 15;
 
-fn paper_cfg(i: u32, peers: Vec<Addr>) -> SscReplicaConfig {
-    SscReplicaConfig::paper_defaults(i, peers)
-}
-
-fn tuned_cfg(i: u32, peers: Vec<Addr>) -> SscReplicaConfig {
-    let mut cfg = SscReplicaConfig::paper_defaults(i, peers);
-    cfg.heartbeat_interval = Duration::from_millis(200);
-    cfg.election_timeout = Duration::from_millis(600);
-    cfg.peer_timeout = Duration::from_millis(150);
-    cfg
-}
-
-/// A CSC config for a bench group member: no name service or database
+/// A controller for a bench group member: no name service or database
 /// behind it (the storm drives the table through `place_op`, which has
-/// no side effects), long advert retry so the dead-NS keeper stays
-/// quiet.
-fn csc_cfg(rep: SscReplicaConfig) -> CscConfig {
-    CscConfig {
+/// no side effects) — the keeper and DB seeding fail fast against a port
+/// nothing listens on and idle, with a long advert retry so the dead-NS
+/// keeper stays quiet.
+fn new_csc(rt: &Rt, rep: ReplicaConfig) -> Arc<Csc> {
+    let ns = NsHandle::new(ClientCtx::new(rt.clone()), Addr::new(rt.node(), 49));
+    let cfg = CscConfig {
         bind_retry: Duration::from_secs(60),
         replica: Some(rep),
         ..CscConfig::default()
-    }
-}
-
-fn csc_at(rt: &Rt, peer: Addr, timeout: Duration) -> CscApiClient {
-    let target = ObjRef {
-        addr: peer,
-        incarnation: ObjRef::STABLE,
-        type_id: CscApiClient::TYPE_ID,
-        object_id: 0,
     };
-    CscApiClient::attach(ClientCtx::new(rt.clone()).with_timeout(timeout), target)
-        .expect("attach csc client")
+    Csc::new(rt.clone(), cfg, ns)
 }
 
-/// A 3-replica controller group in the simulator plus a client node.
-struct SimCscGroup {
-    sim: Sim,
-    nodes: Vec<Arc<SimNode>>,
-    cscs: Arc<Mutex<Vec<Option<Arc<Csc>>>>>,
-    peers: Vec<Addr>,
-    client: Arc<SimNode>,
-    cfg_of: fn(u32, Vec<Addr>) -> SscReplicaConfig,
-    client_timeout: Duration,
-}
+impl Member for Csc {
+    const NAME: &'static str = "csc";
+    const PORT: u16 = CSC_PORT;
 
-impl SimCscGroup {
-    fn build(seed: u64, cfg_of: fn(u32, Vec<Addr>) -> SscReplicaConfig) -> SimCscGroup {
-        let sim = Sim::new(seed);
-        let nodes: Vec<Arc<SimNode>> = (0..3).map(|i| sim.add_node(&format!("csc{i}"))).collect();
-        let peers: Vec<Addr> = nodes.iter().map(|n| Addr::new(n.node(), CSC_PORT)).collect();
-        let cscs = Arc::new(Mutex::new(vec![None; 3]));
-        let client = sim.add_node("load");
-        let group = SimCscGroup {
-            client_timeout: cfg_of(0, peers.clone()).peer_timeout * 3,
-            sim,
-            nodes,
-            cscs,
-            peers,
-            client,
-            cfg_of,
-        };
-        for i in 0..3 {
-            group.start_csc(i);
-        }
-        group
-    }
-
-    /// (Re)starts the controller on member `i`.
-    fn start_csc(&self, i: usize) {
-        let node = &self.nodes[i];
-        let rt: Rt = node.clone();
-        // No name service behind the bench group: the keeper and DB
-        // seeding fail fast and idle; the log is driven over `place_op`.
-        let ns = NsHandle::new(ClientCtx::new(rt.clone()), Addr::new(self.client.node(), 49));
-        let cfg = csc_cfg((self.cfg_of)(i as u32, self.peers.clone()));
-        let csc = Csc::new(rt, cfg, ns);
-        self.cscs.lock()[i] = Some(Arc::clone(&csc));
-        node.spawn_fn("csc-run", move || {
-            let _ = csc.run(|_| {});
+    fn start(rt: Rt, cfg: ReplicaConfig) -> Arc<Csc> {
+        let csc = new_csc(&rt, cfg);
+        let run = Arc::clone(&csc);
+        rt.spawn_fn("csc-run", move || {
+            let _ = run.run(|_| {});
         });
+        csc
     }
 
-    fn masters(&self) -> Vec<usize> {
-        self.cscs
-            .lock()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                c.as_ref()
-                    .filter(|c| self.sim.node_up(self.nodes[i].node()) && c.is_primary())
-                    .map(|_| i)
-            })
-            .collect()
-    }
-
-    fn settled(&self) -> bool {
-        self.masters().len() == 1
-            && self.cscs.lock().iter().enumerate().all(|(i, c)| match c {
-                Some(c) => {
-                    !self.sim.node_up(self.nodes[i].node())
-                        || c.replica().is_some_and(|r| !r.in_probation())
-                }
-                None => true,
-            })
-    }
-
-    fn run_until(&self, limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
-        let step = Duration::from_millis(20);
-        let deadline = self.sim.now() + limit;
-        while self.sim.now() < deadline {
-            if cond() {
-                return true;
-            }
-            self.sim.run_for(step);
-        }
-        cond()
-    }
-
-    /// Runs `f` on the client node and steps virtual time to completion.
-    fn on_client<T: Send + 'static>(&self, f: impl FnOnce(Rt) -> T + Send + 'static) -> T {
-        let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-        let out = Arc::clone(&slot);
-        let rt: Rt = self.client.clone();
-        self.client.spawn_fn("csc-call", move || {
-            let r = f(rt);
-            *out.lock() = Some(r);
-        });
-        assert!(
-            self.run_until(Duration::from_secs(120), || slot.lock().is_some()),
-            "E23 client call did not complete"
-        );
-        let got = slot.lock().take();
-        got.unwrap()
-    }
-
-    /// The operator retry loop in miniature: the same token on every
-    /// attempt, against whichever replica answers (backups forward).
-    fn decide(&self, op: Op) -> Result<u64, SvcError> {
-        let peers = self.peers.clone();
-        let (timeout, backoff) = (self.client_timeout, self.client_timeout / 4);
-        self.on_client(move |rt| {
-            for _ in 0..600 {
-                for &peer in &peers {
-                    let c = csc_at(&rt, peer, timeout);
-                    let r = match op.clone() {
-                        Op::Define(token, name, nodes) => c.define_service(token, name, nodes),
-                        Op::Place(token, name, node, run) => c.place_op(token, name, node, run),
-                    };
-                    match r {
-                        Ok(epoch) => return Ok(epoch),
-                        // Committed refusals, not transport trouble.
-                        Err(e @ (SvcError::UnknownService { .. } | SvcError::NotPlaced { .. })) => {
-                            return Err(e)
-                        }
-                        Err(_) => {}
-                    }
-                }
-                rt.sleep(backoff);
-            }
-            Err(SvcError::Dependency {
-                what: "e23: no replica accepted the op".into(),
-            })
-        })
+    fn engine(&self) -> Option<ReplicaStatus> {
+        self.replica().map(|r| r.status())
     }
 }
 
+/// One decision submitted to the controllers.
 #[derive(Clone)]
 enum Op {
     Define(u64, String, Vec<NodeId>),
     Place(u64, String, NodeId, bool),
 }
 
+impl Op {
+    /// One attempt at one replica: `Some` for a committed answer — a
+    /// decision epoch or a committed refusal — `None` for transport
+    /// trouble.
+    fn attempt(&self, rt: &Rt, peer: Addr, timeout: Duration) -> Option<Result<u64, SvcError>> {
+        let target = ObjRef {
+            addr: peer,
+            incarnation: ObjRef::STABLE,
+            type_id: CscApiClient::TYPE_ID,
+            object_id: 0,
+        };
+        let c = CscApiClient::attach(ClientCtx::new(rt.clone()).with_timeout(timeout), target)
+            .expect("attach csc client");
+        let r = match self.clone() {
+            Op::Define(token, name, nodes) => c.define_service(token, name, nodes),
+            Op::Place(token, name, node, run) => c.place_op(token, name, node, run),
+        };
+        match r {
+            Ok(_) | Err(SvcError::UnknownService { .. } | SvcError::NotPlaced { .. }) => Some(r),
+            Err(_) => None,
+        }
+    }
+}
+
+/// The placement load of a controller kill storm, and the client's
+/// record of what committed. `decide` is the operator retry loop: the
+/// same token on every attempt, so a mid-commit crash cannot double a
+/// decision.
+struct Placements<'a> {
+    decide: &'a dyn Fn(Op) -> Result<u64, SvcError>,
+    nodes: Vec<NodeId>,
+    next_token: u64,
+    /// The durable placements that must survive every kill, with their
+    /// recorded decision epochs.
+    placed: Vec<(String, NodeId, u64)>,
+    /// The churn service the blackout sensor places round by round.
+    rotor: Vec<(NodeId, u64)>,
+    /// Tokened retries or idempotent re-places that came back with a
+    /// *different* epoch — each one is a doubled placement decision.
+    redecided: u64,
+}
+
+impl<'a> Placements<'a> {
+    /// Defines `services` durable services on `copies` nodes each, plus
+    /// the empty rotor.
+    fn seed(
+        decide: &'a dyn Fn(Op) -> Result<u64, SvcError>,
+        nodes: Vec<NodeId>,
+        services: usize,
+        copies: usize,
+    ) -> Placements<'a> {
+        let mut p = Placements {
+            decide,
+            nodes,
+            next_token: 1,
+            placed: Vec::new(),
+            rotor: Vec::new(),
+            redecided: 0,
+        };
+        for s in 0..services {
+            let name = format!("svc-{s}");
+            let on: Vec<NodeId> = (0..copies).map(|c| p.nodes[(s + c) % 3]).collect();
+            let epoch = p
+                .submit(|t| Op::Define(t, name.clone(), on.clone()))
+                .expect("seed define");
+            p.placed
+                .extend(on.into_iter().map(|n| (name.clone(), n, epoch)));
+        }
+        p.submit(|t| Op::Define(t, "rotor".into(), Vec::new()))
+            .expect("rotor define");
+        p
+    }
+
+    fn submit(&mut self, op: impl FnOnce(u64) -> Op) -> Result<u64, SvcError> {
+        self.next_token += 1;
+        (self.decide)(op(self.next_token - 1))
+    }
+
+    /// The blackout sensor: returns once the next placement decision
+    /// has committed on a survivor.
+    fn sensor(&mut self, round: usize) {
+        let node = self.nodes[(round + 1) % 3];
+        let epoch = self
+            .submit(|t| Op::Place(t, "rotor".into(), node, true))
+            .expect("post-kill place");
+        match self.rotor.iter().find(|(n, _)| *n == node) {
+            // Placing where it already is confirms at the old epoch.
+            Some((_, prev)) if epoch != *prev => self.redecided += 1,
+            Some(_) => {}
+            None => self.rotor.push((node, epoch)),
+        }
+    }
+
+    fn probes(&mut self, round: usize) {
+        // The doubled-placement probe: re-place a durable placement
+        // under a fresh token. The committed table must answer with the
+        // original decision epoch — a bump would be a re-decision, the
+        // placement analogue of E22's double-book.
+        let (name, n, want_epoch) = self.placed[round % self.placed.len()].clone();
+        let got = self
+            .submit(|t| Op::Place(t, name, n, true))
+            .expect("idempotent re-place");
+        if got != want_epoch {
+            self.redecided += 1;
+        }
+        // Exercise unplace through the new primary: retire the rotor
+        // placement from two rounds back.
+        if self.rotor.len() > 2 {
+            let (node, _) = self.rotor.remove(0);
+            match self.submit(|t| Op::Place(t, "rotor".into(), node, false)) {
+                Ok(_) | Err(SvcError::NotPlaced { .. }) => {}
+                Err(e) => panic!("e23: rotor unplace failed oddly: {e}"),
+            }
+        }
+    }
+
+    /// Every (service, node) the client saw commit and not retire.
+    fn want(&self) -> Vec<(String, NodeId)> {
+        let durable = self.placed.iter().map(|(s, n, _)| (s.clone(), *n));
+        let rotor = self.rotor.iter().map(|(n, _)| ("rotor".to_string(), *n));
+        durable.chain(rotor).collect()
+    }
+}
+
+/// One controller's placement table as audit keys, plus its self-audit.
+fn table_of(csc: &Csc) -> Option<(Vec<(String, NodeId)>, bool)> {
+    let rep = csc.replica()?;
+    let have = rep
+        .placements()
+        .into_iter()
+        .flat_map(|p| p.nodes.into_iter().map(move |n| (p.service.clone(), n)))
+        .collect();
+    Some((have, rep.audit_ok()))
+}
+
 /// Per-leg outcome of a controller kill storm.
 struct StormResult {
     blackouts: Vec<f64>,
-    lost: u64,
-    doubled: u64,
-    audit_ok: bool,
-    /// Idempotent re-place probes that came back with a *different*
-    /// epoch — each one is a doubled placement decision.
+    audit: Audit,
     redecided: u64,
+}
+
+impl StormResult {
+    fn new(blackouts: Vec<f64>, mut audit: Audit, redecided: u64) -> StormResult {
+        audit.doubled += redecided;
+        StormResult {
+            blackouts,
+            audit,
+            redecided,
+        }
+    }
 }
 
 /// Repeated primary kills under placement load. Every committed decision
 /// is recorded client-side; the post-storm audit compares that record
 /// against each healed replica's table.
-fn replicated_storm(group: &SimCscGroup, rounds: usize, dwell: Duration) -> StormResult {
-    assert!(
-        group.run_until(Duration::from_secs(120), || group.settled()),
-        "controller group failed to settle at start"
-    );
-    let mut next_token = 1u64;
-    let mut token = || {
-        let t = next_token;
-        next_token += 1;
-        t
-    };
-    // The durable placements that must survive every kill: six services,
-    // two nodes each, plus their recorded decision epochs.
-    let mut placed: Vec<(String, NodeId, u64)> = Vec::new();
-    for s in 0..6u32 {
-        let name = format!("svc-{s}");
-        let nodes = vec![
-            group.nodes[s as usize % 3].node(),
-            group.nodes[(s as usize + 1) % 3].node(),
-        ];
-        let epoch = group
-            .decide(Op::Define(token(), name.clone(), nodes.clone()))
-            .expect("seed define");
-        for n in nodes {
-            placed.push((name.clone(), n, epoch));
-        }
-    }
-    // The churn service the blackout sensor places round by round.
-    group
-        .decide(Op::Define(token(), "rotor".into(), Vec::new()))
-        .expect("rotor define");
-    let mut rotor: Vec<(NodeId, u64)> = Vec::new();
-    let mut blackouts = Vec::new();
-    let mut redecided = 0u64;
-    for round in 0..rounds {
-        assert!(
-            group.run_until(Duration::from_secs(120), || group.settled()),
-            "controller group failed to settle between kill rounds"
-        );
-        group.sim.run_for(dwell);
-        let master = group.masters()[0];
-        let t0 = group.sim.now();
-        group.sim.crash_node(group.nodes[master].node());
-        group.cscs.lock()[master] = None;
-        // The blackout sensor: how long until the next placement
-        // decision commits on a survivor. The token is fixed across
-        // every retry, so a mid-commit crash cannot double the decision.
-        let node = group.nodes[(round + 1) % 3].node();
-        let epoch = group
-            .decide(Op::Place(token(), "rotor".into(), node, true))
-            .expect("post-kill place");
-        blackouts.push(group.sim.now().saturating_since(t0).as_secs_f64());
-        if let Some((_, prev)) = rotor.iter().find(|(n, _)| *n == node) {
-            // Placing where it already is confirms at the old epoch.
-            if epoch != *prev {
-                redecided += 1;
-            }
-        } else {
-            rotor.push((node, epoch));
-        }
-        // The doubled-placement probe: re-place a durable placement
-        // under a fresh token. The committed table must answer with the
-        // original decision epoch — a bump would be a re-decision, the
-        // placement analogue of E22's double-book.
-        let (name, n, want_epoch) = placed[round % placed.len()].clone();
-        let got = group
-            .decide(Op::Place(token(), name, n, true))
-            .expect("idempotent re-place");
-        if got != want_epoch {
-            redecided += 1;
-        }
-        // Exercise unplace through the new primary: retire the rotor
-        // placement from two rounds back.
-        if rotor.len() > 2 {
-            let (node, _) = rotor.remove(0);
-            match group.decide(Op::Place(token(), "rotor".into(), node, false)) {
-                Ok(_) | Err(SvcError::NotPlaced { .. }) => {}
-                Err(e) => panic!("e23: rotor unplace failed oddly: {e}"),
-            }
-        }
-        // Heal the victim before the next round.
-        group.sim.restart_node(group.nodes[master].node());
-        group.start_csc(master);
-    }
-    // Post-storm audit: heal fully, then every replica's table must be
-    // exactly the client's record — same placements, nothing extra,
-    // nothing missing, consistent derived indexes.
-    assert!(
-        group.run_until(Duration::from_secs(120), || group.settled()),
-        "controller group failed to heal after the storm"
-    );
-    group.sim.run_for(Duration::from_secs(5));
-    let mut want: Vec<(String, NodeId)> = placed
-        .iter()
-        .map(|(s, n, _)| (s.clone(), *n))
-        .chain(rotor.iter().map(|(n, _)| ("rotor".to_string(), *n)))
-        .collect();
-    want.sort();
-    let (mut lost, mut doubled) = (0u64, 0u64);
-    let mut audit_ok = true;
-    for (i, c) in group.cscs.lock().iter().enumerate() {
-        let Some(rep) = c.as_ref().and_then(|c| c.replica()) else {
-            continue;
-        };
-        let mut have: Vec<(String, NodeId)> = rep
-            .placements()
-            .into_iter()
-            .flat_map(|p| p.nodes.into_iter().map(move |n| (p.service.clone(), n)))
-            .collect();
-        have.sort();
-        lost = lost.max(want.iter().filter(|p| !have.contains(p)).count() as u64);
-        doubled = doubled.max(have.iter().filter(|p| !want.contains(p)).count() as u64);
-        if have != want || !rep.audit_ok() {
-            audit_ok = false;
-            println!(
-                "    AUDIT FAIL replica {i}: {} placements vs {} expected (self-audit {})",
-                have.len(),
-                want.len(),
-                rep.audit_ok(),
-            );
-        }
-    }
-    StormResult {
-        blackouts,
-        lost,
-        doubled: doubled + redecided,
-        audit_ok,
-        redecided,
-    }
+fn replicated_storm(group: &SimGroup<Csc>, rounds: usize) -> StormResult {
+    group.settle("at start");
+    let decide = |op: Op| group.submit(move |rt, peer, timeout| op.attempt(rt, peer, timeout));
+    let nodes = group.nodes.iter().map(|n| n.node()).collect();
+    let mut load = Placements::seed(&decide, nodes, 6, 2);
+    let blackouts = group.storm(rounds, |round, kill| {
+        load.sensor(round);
+        let blackout = group.since(kill.at);
+        load.probes(round);
+        blackout
+    });
+    let audit = group.audit(load.want(), table_of);
+    StormResult::new(blackouts, audit, load.redecided)
 }
 
 /// The real-TCP leg: the same storm shape with process groups actually
@@ -365,18 +261,16 @@ fn real_leg(rounds: usize) -> StormResult {
         .collect();
     let cscs: Arc<Mutex<Vec<Option<Arc<Csc>>>>> = Arc::new(Mutex::new(vec![None; 3]));
     let start = |i: usize| {
-        let node = &cnodes[i];
-        let rt: Rt = node.clone();
-        let ns = NsHandle::new(ClientCtx::new(rt.clone()), Addr::new(node.node(), 49));
-        let cfg = csc_cfg(tuned_cfg(i as u32, peers.clone()));
+        let rt: Rt = cnodes[i].clone();
+        let cfg = tuned(i as u32, peers.clone());
         let slot = Arc::clone(&cscs);
-        node.spawn_group(
+        cnodes[i].spawn_group(
             "csc-run",
             Box::new(move || loop {
                 // Re-ties the fixed port after a kill: retry while the
                 // dying group's listener drains.
-                let csc = Csc::new(rt.clone(), cfg.clone(), ns.clone());
-                *slot.lock().get_mut(i).unwrap() = Some(Arc::clone(&csc));
+                let csc = new_csc(&rt, cfg.clone());
+                slot.lock()[i] = Some(Arc::clone(&csc));
                 let _ = csc.run(|_| {});
                 rt.sleep(Duration::from_millis(100));
             }),
@@ -388,153 +282,80 @@ fn real_leg(rounds: usize) -> StormResult {
     let driver = net.add_node("load").expect("bind loopback");
     let rt: Rt = driver.clone();
 
-    let settled = |cscs: &Mutex<Vec<Option<Arc<Csc>>>>| {
-        let v = cscs.lock();
-        v.iter().filter(|c| c.as_ref().is_some_and(|c| c.is_primary())).count() == 1
-            && v.iter().all(|c| {
-                c.as_ref()
-                    .and_then(|c| c.replica())
-                    .is_some_and(|r| !r.in_probation())
-            })
+    // The settled group's master: exactly one primary, and every
+    // member out of probation.
+    let settled_master = || {
+        let engines: Vec<Option<ReplicaStatus>> = cscs
+            .lock()
+            .iter()
+            .map(|c| c.as_ref().and_then(|c| c.engine()))
+            .collect();
+        let masters: Vec<usize> = (0..3)
+            .filter(|&i| engines[i].as_ref().is_some_and(|s| s.master))
+            .collect();
+        let out_of_probation = |s: &Option<ReplicaStatus>| s.as_ref().is_some_and(|s| !s.probation);
+        (masters.len() == 1 && engines.iter().all(out_of_probation)).then(|| masters[0])
     };
-    let wait = |cond: &mut dyn FnMut() -> bool, what: &str| {
+    let settle = |what: &str| {
         let deadline = Instant::now() + Duration::from_secs(30);
-        while Instant::now() < deadline {
-            if cond() {
-                return;
+        loop {
+            if let Some(master) = settled_master() {
+                return master;
             }
+            assert!(Instant::now() < deadline, "e23 real leg: {what}");
             std::thread::sleep(Duration::from_millis(25));
         }
-        assert!(cond(), "e23 real leg: {what}");
     };
-    wait(&mut || settled(&cscs), "group never settled at start");
+    settle("group never settled at start");
 
-    let timeout = Duration::from_millis(450);
-    let decide = |op: Op| -> Result<u64, SvcError> {
-        for _ in 0..600 {
-            for &peer in &peers {
-                let c = csc_at(&rt, peer, timeout);
-                let r = match op.clone() {
-                    Op::Define(token, name, nodes) => c.define_service(token, name, nodes),
-                    Op::Place(token, name, node, run) => c.place_op(token, name, node, run),
-                };
-                match r {
-                    Ok(epoch) => return Ok(epoch),
-                    Err(e @ (SvcError::UnknownService { .. } | SvcError::NotPlaced { .. })) => {
-                        return Err(e)
-                    }
-                    Err(_) => {}
-                }
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        Err(SvcError::Dependency {
-            what: "e23 real: no replica accepted the op".into(),
+    let decide = |op: Op| {
+        retry_over_peers(&rt, &peers, Duration::from_millis(25), |rt, peer| {
+            op.attempt(rt, peer, Duration::from_millis(450))
         })
     };
-
-    let mut next_token = 1u64;
-    let mut token = || {
-        let t = next_token;
-        next_token += 1;
-        t
-    };
-    let mut placed: Vec<(String, NodeId, u64)> = Vec::new();
-    for s in 0..3u32 {
-        let name = format!("svc-{s}");
-        let nodes = vec![cnodes[s as usize % 3].node()];
-        let epoch = decide(Op::Define(token(), name.clone(), nodes.clone())).expect("real define");
-        for n in nodes {
-            placed.push((name.clone(), n, epoch));
-        }
-    }
-    decide(Op::Define(token(), "rotor".into(), Vec::new())).expect("real rotor define");
-    let mut rotor: Vec<(NodeId, u64)> = Vec::new();
+    let nodes = cnodes.iter().map(|n| n.node()).collect();
+    let mut load = Placements::seed(&decide, nodes, 3, 1);
     let mut blackouts = Vec::new();
-    let mut redecided = 0u64;
     for round in 0..rounds {
-        wait(&mut || settled(&cscs), "group failed to settle between rounds");
-        let master = {
-            let v = cscs.lock();
-            v.iter()
-                .position(|c| c.as_ref().is_some_and(|c| c.is_primary()))
-                .unwrap()
-        };
+        let victim = settle("group failed to settle between rounds");
         let t0 = Instant::now();
-        cnodes[master].kill_all_groups();
-        let node = cnodes[(round + 1) % 3].node();
-        let epoch = decide(Op::Place(token(), "rotor".into(), node, true)).expect("real place");
+        cnodes[victim].kill_all_groups();
+        load.sensor(round);
         blackouts.push(t0.elapsed().as_secs_f64());
-        if let Some((_, prev)) = rotor.iter().find(|(n, _)| *n == node) {
-            if epoch != *prev {
-                redecided += 1;
-            }
-        } else {
-            rotor.push((node, epoch));
-        }
-        let (name, n, want_epoch) = placed[round % placed.len()].clone();
-        let got = decide(Op::Place(token(), name, n, true)).expect("real re-place");
-        if got != want_epoch {
-            redecided += 1;
-        }
+        load.probes(round);
         // Heal: the spawn loop on the victim restarts the controller.
-        start(master);
+        start(victim);
     }
-    wait(&mut || settled(&cscs), "group failed to heal after the storm");
+    settle("group failed to heal after the storm");
     std::thread::sleep(Duration::from_secs(1));
-    let mut want: Vec<(String, NodeId)> = placed
+    let tables: Vec<_> = cscs
+        .lock()
         .iter()
-        .map(|(s, n, _)| (s.clone(), *n))
-        .chain(rotor.iter().map(|(n, _)| ("rotor".to_string(), *n)))
+        .flatten()
+        .filter_map(|c| table_of(c))
         .collect();
-    want.sort();
-    let (mut lost, mut doubled) = (0u64, 0u64);
-    let mut audit_ok = true;
-    for (i, c) in cscs.lock().iter().enumerate() {
-        let Some(rep) = c.as_ref().and_then(|c| c.replica()) else {
-            continue;
-        };
-        let mut have: Vec<(String, NodeId)> = rep
-            .placements()
-            .into_iter()
-            .flat_map(|p| p.nodes.into_iter().map(move |n| (p.service.clone(), n)))
-            .collect();
-        have.sort();
-        lost = lost.max(want.iter().filter(|p| !have.contains(p)).count() as u64);
-        doubled = doubled.max(have.iter().filter(|p| !want.contains(p)).count() as u64);
-        if have != want || !rep.audit_ok() {
-            audit_ok = false;
-            println!(
-                "    AUDIT FAIL real replica {i}: {} placements vs {} expected",
-                have.len(),
-                want.len()
-            );
-        }
-    }
     for node in &cnodes {
         node.stop();
     }
     driver.stop();
-    StormResult {
-        blackouts,
-        lost,
-        doubled: doubled + redecided,
-        audit_ok,
-        redecided,
-    }
+    StormResult::new(blackouts, audit(load.want(), tables), load.redecided)
 }
 
-fn leg_row(t: &mut Table, leg: &str, r: &StormResult) {
-    let s = Stats::of(&r.blackouts);
-    t.row(&[
-        leg.into(),
-        s.n.to_string(),
-        f(s.p50, 2),
-        f(percentile(&r.blackouts, 0.99), 2),
-        r.lost.to_string(),
-        r.doubled.to_string(),
-        if r.audit_ok { "exact" } else { "FAIL" }.into(),
-    ]);
+fn leg_row(t: &mut Table, leg: String, key: &str, r: &StormResult) {
+    let audit = if r.audit.exact { "exact" } else { "FAIL" };
+    let extra = [
+        r.audit.lost.to_string(),
+        r.audit.doubled.to_string(),
+        audit.into(),
+    ];
+    report_leg(t, leg, key, &r.blackouts, &extra);
+}
+
+/// One simulator leg: the storm on a fresh group with `leg`'s timeouts.
+fn sim_leg(t: &mut Table, seed: u64, leg: &'static Leg, key: &str, rounds: usize) -> StormResult {
+    let r = SimGroup::run_leg(seed, leg, |group| replicated_storm(group, rounds));
+    leg_row(t, format!("replicated, {}", leg.label), key, &r);
+    r
 }
 
 /// E23: controller fail-over — placement decisions across primary kills.
@@ -552,32 +373,28 @@ pub fn e23(sim_only: bool) {
         "audit",
     ]);
 
-    // Leg 1: replicated, paper-scale timeouts.
-    let group = SimCscGroup::build(23_001, paper_cfg);
-    let paper = replicated_storm(&group, 6, Duration::from_secs(4));
-    report::add_virtual_secs(group.sim.now().as_secs_f64());
-    leg_row(&mut t, "replicated, paper timeouts", &paper);
-
-    // Leg 2: replicated, deployed tuning.
-    let group = SimCscGroup::build(23_002, tuned_cfg);
-    let tuned = replicated_storm(&group, 8, Duration::from_secs(1));
-    report::add_virtual_secs(group.sim.now().as_secs_f64());
-    leg_row(&mut t, "replicated, deployed tuning", &tuned);
-
-    // Leg 3: real TCP, wall clock.
-    let real = if sim_only { None } else { Some(real_leg(4)) };
-    if let Some(real) = &real {
-        leg_row(&mut t, "real TCP, deployed tuning", real);
+    let mut legs = vec![
+        sim_leg(&mut t, 23_001, &PAPER, "svc_paper_blackout", 6),
+        sim_leg(&mut t, 23_002, &TUNED, "svc_blackout", 8),
+    ];
+    if !sim_only {
+        let real = real_leg(4);
+        leg_row(
+            &mut t,
+            "real TCP, deployed tuning".into(),
+            "svc_real_blackout",
+            &real,
+        );
+        legs.push(real);
     }
     t.print();
     if sim_only {
         println!("    (--sim-only: skipping the real-runtime leg)");
     }
-    let all_audit =
-        paper.audit_ok && tuned.audit_ok && real.as_ref().map(|r| r.audit_ok).unwrap_or(true);
+    let exact = legs.iter().all(|r| r.audit.exact);
     println!(
         "    post-storm placement audit: {}",
-        if all_audit {
+        if exact {
             "every replica matches the client's committed set exactly"
         } else {
             "FAILED (see above)"
@@ -586,40 +403,13 @@ pub fn e23(sim_only: bool) {
     println!(
         "    promoted backups inherited the table from the log: no SSC regeneration round, \
          {} idempotent probes re-decided",
-        paper.redecided + tuned.redecided + real.as_ref().map(|r| r.redecided).unwrap_or(0),
+        legs.iter().map(|r| r.redecided).sum::<u64>(),
     );
 
     report::put("paper_bound_s", Json::F64(25.0));
-    let ps = Stats::of(&paper.blackouts);
-    report::put("svc_paper_blackout_p50_s", Json::F64(ps.p50));
-    report::put(
-        "svc_paper_blackout_p99_s",
-        Json::F64(percentile(&paper.blackouts, 0.99)),
-    );
-    let ts = Stats::of(&tuned.blackouts);
-    report::put("svc_blackout_p50_s", Json::F64(ts.p50));
-    report::put(
-        "svc_blackout_p99_s",
-        Json::F64(percentile(&tuned.blackouts, 0.99)),
-    );
-    if let Some(real) = &real {
-        let rs = Stats::of(&real.blackouts);
-        report::put("svc_real_blackout_p50_s", Json::F64(rs.p50));
-        report::put(
-            "svc_real_blackout_p99_s",
-            Json::F64(percentile(&real.blackouts, 0.99)),
-        );
-    }
-    let lost = paper
-        .lost
-        .max(tuned.lost)
-        .max(real.as_ref().map(|r| r.lost).unwrap_or(0));
-    let doubled = paper
-        .doubled
-        .max(tuned.doubled)
-        .max(real.as_ref().map(|r| r.doubled).unwrap_or(0));
-    report::put("lost_placements", Json::U64(lost));
-    report::put("doubled_placements", Json::U64(doubled));
-    report::put("audit_consistent", Json::Bool(all_audit));
+    let worst = |of: fn(&Audit) -> u64| legs.iter().map(|r| of(&r.audit)).max().unwrap_or(0);
+    report::put("lost_placements", Json::U64(worst(|a| a.lost)));
+    report::put("doubled_placements", Json::U64(worst(|a| a.doubled)));
+    report::put("audit_consistent", Json::Bool(exact));
     report::put("table", t.to_json());
 }

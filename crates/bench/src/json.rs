@@ -1,5 +1,6 @@
-//! A minimal JSON value + serializer, handwritten so the harness can
-//! emit `BENCH_<exp>.json` artifacts without a serialization dependency.
+//! A minimal JSON value, serializer and parser, handwritten so the
+//! harness can emit `BENCH_<exp>.json` artifacts — and `experiments
+//! check` can read them back — without a serialization dependency.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -29,6 +30,41 @@ impl Json {
     /// Builds an object from key/value pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (String, Json)>) -> Json {
         Json::Obj(pairs.into_iter().collect())
+    }
+
+    /// The value under `key`, if this is an object that has one. Only
+    /// this object's own keys are searched, never a nested object's.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(map) => map.get(key),
+            _ => None,
+        }
+    }
+
+    /// The value as a float, if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Json::U64(n) => Some(n as f64),
+            Json::I64(n) => Some(n as f64),
+            Json::F64(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// Parses one JSON value (what [`Json::render`] and the repo
+    /// benchmark write; `\u` escapes outside the BMP are not joined).
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            s: text.as_bytes(),
+            i: 0,
+        };
+        let v = p.value()?;
+        p.ws();
+        if p.i == p.s.len() {
+            Ok(v)
+        } else {
+            Err(format!("trailing bytes at offset {}", p.i))
+        }
     }
 
     /// Serializes with two-space indentation.
@@ -110,6 +146,131 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+struct Parser<'a> {
+    s: &'a [u8],
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn ws(&mut self) {
+        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
+            self.i += 1;
+        }
+    }
+
+    fn eat(&mut self, lit: &str) -> bool {
+        let hit = self.s[self.i..].starts_with(lit.as_bytes());
+        if hit {
+            self.i += lit.len();
+        }
+        hit
+    }
+
+    fn expect(&mut self, lit: &str) -> Result<(), String> {
+        if self.eat(lit) {
+            Ok(())
+        } else {
+            Err(format!("expected '{lit}' at offset {}", self.i))
+        }
+    }
+
+    /// The items of an array or object up to `close`, comma-separated.
+    fn items<T>(
+        &mut self,
+        close: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut out = Vec::new();
+        loop {
+            self.ws();
+            if self.eat(close) {
+                return Ok(out);
+            }
+            if !out.is_empty() {
+                self.expect(",")?;
+                self.ws();
+            }
+            out.push(item(self)?);
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.ws();
+        if self.eat("{") {
+            let pairs = self.items("}", |p| {
+                let key = p.string()?;
+                p.ws();
+                p.expect(":")?;
+                Ok((key, p.value()?))
+            })?;
+            Ok(Json::obj(pairs))
+        } else if self.eat("[") {
+            Ok(Json::Arr(self.items("]", Self::value)?))
+        } else if self.s.get(self.i) == Some(&b'"') {
+            Ok(Json::Str(self.string()?))
+        } else if self.eat("true") {
+            Ok(Json::Bool(true))
+        } else if self.eat("false") {
+            Ok(Json::Bool(false))
+        } else if self.eat("null") {
+            Ok(Json::Null)
+        } else {
+            self.number()
+        }
+    }
+
+    /// Integers come back as `U64`/`I64`, anything else as `F64`, so a
+    /// rendered value parses to what rendering it again would print.
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.i;
+        while self
+            .s
+            .get(self.i)
+            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+        {
+            self.i += 1;
+        }
+        let t = std::str::from_utf8(&self.s[start..self.i]).unwrap_or("");
+        (t.parse().ok().map(Json::U64))
+            .or_else(|| t.parse().ok().map(Json::I64))
+            .or_else(|| t.parse().ok().map(Json::F64))
+            .ok_or_else(|| format!("bad value at offset {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect("\"")?;
+        let mut out = Vec::new();
+        loop {
+            let b = *self.s.get(self.i).ok_or("unterminated string")?;
+            self.i += 1;
+            match b {
+                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+                b'\\' => {
+                    let e = *self.s.get(self.i).ok_or("dangling escape")?;
+                    self.i += 1;
+                    let c = match e {
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => {
+                            let hex = self.s.get(self.i..self.i + 4).ok_or("short \\u escape")?;
+                            self.i += 4;
+                            std::str::from_utf8(hex)
+                                .ok()
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or("bad \\u escape")?
+                        }
+                        other => other as char,
+                    };
+                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                b => out.push(b),
+            }
+        }
+    }
+}
+
 impl From<&str> for Json {
     fn from(s: &str) -> Json {
         Json::Str(s.to_string())
@@ -163,6 +324,36 @@ mod tests {
             s,
             "{\n  \"a\": [\n    1,\n    null\n  ],\n  \"b\": true,\n  \"s\": \"he\\\"llo\\n\"\n}\n"
         );
+    }
+
+    #[test]
+    fn parse_inverts_render() {
+        let j = Json::obj([
+            ("n".to_string(), Json::U64(16)),
+            ("neg".to_string(), Json::I64(-3)),
+            ("x".to_string(), Json::F64(0.8125)),
+            ("big".to_string(), Json::F64(1.5e300)),
+            ("t".to_string(), Json::Bool(true)),
+            ("s".to_string(), Json::from("he\"llo\n\u{1}é")),
+            (
+                "nested".to_string(),
+                Json::Arr(vec![
+                    Json::Null,
+                    Json::obj([("n".to_string(), Json::U64(1))]),
+                ]),
+            ),
+            ("empty".to_string(), Json::Arr(vec![])),
+        ]);
+        assert_eq!(Json::parse(&j.render()), Ok(j));
+        // The repo benchmark's one-line form.
+        let line = Json::parse(r#"{"a": {"b.c": 2.5}, "failed": 0}"#).unwrap();
+        assert_eq!(
+            line.get("a").and_then(|a| a.get("b.c")),
+            Some(&Json::F64(2.5))
+        );
+        assert_eq!(line.get("failed").and_then(Json::as_f64), Some(0.0));
+        assert!(Json::parse("{\"a\": 1} x").is_err());
+        assert!(Json::parse("{\"a\" 1}").is_err());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! The experiments themselves live in [`exps`] and are driven by the
 //! `experiments` binary (`cargo run -p bench --bin experiments -- all`).
 
+pub mod check;
 pub mod exps;
 pub mod json;
 pub mod report;
@@ -85,6 +86,17 @@ impl Stats {
             p50: sorted[xs.len() / 2],
         }
     }
+}
+
+/// `p`-th percentile of a sample by nearest-rank (p in [0, 1]).
+pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let rank = ((sorted.len() as f64 * p).ceil() as usize).max(1) - 1;
+    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Renders an aligned text table.

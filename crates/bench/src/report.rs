@@ -3,9 +3,8 @@
 //! The `experiments` binary brackets every experiment with
 //! [`begin`]/[`finish`]; the experiment body contributes fields with
 //! [`put`], [`add_virtual_secs`] and [`put_metrics`]. `finish` writes
-//! `BENCH_<exp>.json` into the working directory — next to the
-//! `experiments_output.txt` the suite's stdout is captured into — with
-//! the collected fields plus wall-clock and virtual run time.
+//! `BENCH_<exp>.json` into the working directory with the collected
+//! fields plus wall-clock and virtual run time.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -167,18 +166,13 @@ pub fn finish(wall_secs: f64) -> Option<PathBuf> {
     }
 }
 
-/// Drops an open scope without writing anything (unknown experiment).
-pub fn abandon() {
-    *CURRENT.lock().unwrap() = None;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn put_outside_scope_is_a_noop() {
-        abandon();
+        *CURRENT.lock().unwrap() = None;
         put("x", Json::from(1u64));
         add_virtual_secs(5.0);
         assert!(finish(0.1).is_none());

@@ -332,7 +332,7 @@ fn healed_partition_does_not_trigger_spurious_view_change() {
 
 /// One full chaos run, returning the kernel's event-trace hash.
 fn chaos_trace(sim_seed: u64, plan_seed: u64) -> u64 {
-    chaos_trace_with(sim_seed, plan_seed, ocs_sim::SimConfig::default().fast)
+    chaos_trace_with(sim_seed, plan_seed, true)
 }
 
 /// [`chaos_trace`] with explicit control over the scheduler fast path.

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use ocs_auth::crypto::sha256;
-use ocs_orb::{declare_interface, Caller, ObjRef, Orb, ThreadModel};
+use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
 use ocs_sim::{Addr, NetError, NodeId, PortReq, Rt};
 use parking_lot::RwLock;
 
@@ -80,13 +80,7 @@ impl BootSvc {
 
     /// Starts an ORB serving this instance; bind under `svc/boot`.
     pub fn serve(self: &Arc<Self>, rt: Rt, port: u16) -> Result<ObjRef, NetError> {
-        let orb = Orb::build(
-            rt,
-            PortReq::Fixed(port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt, PortReq::Fixed(port))?;
         let obj = orb.export_root(Arc::new(BootApiServant(Arc::clone(self))));
         orb.start();
         Ok(obj)
@@ -125,13 +119,7 @@ impl KernelSvc {
     /// Starts an ORB serving this instance; bind under `svc/kbs`
     /// (primary/backup in the paper, §5.2).
     pub fn serve(self: &Arc<Self>, rt: Rt, port: u16) -> Result<ObjRef, NetError> {
-        let orb = Orb::build(
-            rt,
-            PortReq::Fixed(port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt, PortReq::Fixed(port))?;
         let obj = orb.export_root(Arc::new(KbsApiServant(Arc::clone(self))));
         orb.start();
         Ok(obj)

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ocs_orb::{declare_interface, Caller, ObjRef, Orb, ThreadModel};
+use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
 use ocs_sim::{NetError, NodeId, PortReq, Rt};
 use ocs_vsr::Machine;
 use parking_lot::Mutex;
@@ -216,13 +216,7 @@ impl ConnectionManager {
     /// Starts an ORB serving this manager on `port`; returns its
     /// reference (the caller binds it under `svc/cmgr/<nbhd>`).
     pub fn serve(self: &Arc<Self>, rt: Rt, port: u16) -> Result<ObjRef, NetError> {
-        let orb = Orb::build(
-            rt,
-            PortReq::Fixed(port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt, PortReq::Fixed(port))?;
         let obj = orb.export_root(Arc::new(CmApiServant(Arc::clone(self))));
         orb.start();
         Ok(obj)

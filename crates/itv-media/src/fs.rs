@@ -13,7 +13,7 @@ use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
 use ocs_name::{Binding, NamingContext, NamingContextServant, NsError, SelectorSpec};
-use ocs_orb::{declare_interface, Caller, ObjRef, Orb, ThreadModel};
+use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
 use ocs_sim::{NetError, PortReq, Rt};
 use parking_lot::Mutex;
 
@@ -115,13 +115,7 @@ impl FileSvc {
             dir_objects: Mutex::new(BTreeMap::new()),
             file_objects: Mutex::new(BTreeMap::new()),
         });
-        let orb = Orb::build(
-            rt,
-            PortReq::Fixed(port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt, PortReq::Fixed(port))?;
         *svc.orb.lock() = Arc::downgrade(&orb);
         // Root context at object id 0, with the *naming* type so the
         // name service forwards into it.

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use ocs_orb::{declare_interface, Caller, ObjRef, Orb, ThreadModel};
+use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
 use ocs_sim::{Addr, NetError, NodeRtExt, PortReq, RecvError, Rt};
 use ocs_wire::Wire;
 use parking_lot::Mutex;
@@ -106,13 +106,7 @@ impl Mds {
             movies: Mutex::new(HashMap::new()),
         });
         *mds.me.lock() = Arc::downgrade(&mds);
-        let orb = Orb::build(
-            rt,
-            PortReq::Fixed(port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt, PortReq::Fixed(port))?;
         *mds.orb.lock() = Arc::downgrade(&orb);
         let obj = orb.export_root(Arc::new(MdsApiServant(Arc::clone(&mds))));
         orb.start();

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ocs_name::{acquire_primary, NsHandle};
-use ocs_orb::{declare_interface, Caller, ClientCtx, ObjRef, Orb, ThreadModel};
+use ocs_orb::{declare_interface, Caller, ClientCtx, ObjRef, Orb};
 use ocs_ras::RasMonitor;
 use ocs_sim::{Addr, NodeId, NodeRtExt, PortReq, Rt, SimTime};
 use parking_lot::Mutex;
@@ -109,15 +109,10 @@ impl Mms {
     /// Service main: export, race for primacy, recover state from the
     /// MDS replicas, then serve until killed.
     pub fn run(self: &Arc<Self>, notify_ready: impl Fn(Vec<ObjRef>)) -> Result<(), MediaError> {
-        let orb = Orb::build(
-            self.rt.clone(),
-            PortReq::Fixed(self.cfg.port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )
-        .map_err(|e| MediaError::Dependency {
-            what: e.to_string(),
+        let orb = Orb::new(self.rt.clone(), PortReq::Fixed(self.cfg.port)).map_err(|e| {
+            MediaError::Dependency {
+                what: e.to_string(),
+            }
         })?;
         let self_ref = orb.export_root(Arc::new(MmsApiServant(Arc::clone(self))));
         orb.start();

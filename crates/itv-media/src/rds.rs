@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use ocs_orb::{declare_interface, Caller, ObjRef, Orb, ThreadModel};
+use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
 use ocs_sim::{NetError, PortReq, Rt};
 
 use crate::content::Catalog;
@@ -42,13 +42,7 @@ impl Rds {
     /// Starts an ORB serving this instance on `port`; returns the
     /// reference to bind under `svc/rds/<nbhd>`.
     pub fn serve(self: &Arc<Self>, rt: Rt, port: u16) -> Result<ObjRef, NetError> {
-        let orb = Orb::build(
-            rt,
-            PortReq::Fixed(port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt, PortReq::Fixed(port))?;
         let obj = orb.export_root(Arc::new(RdsApiServant(Arc::clone(self))));
         orb.start();
         Ok(obj)

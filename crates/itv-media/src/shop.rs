@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ocs_orb::{declare_interface, Caller, ObjRef, Orb, ThreadModel};
+use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
 use ocs_sim::{NetError, PortReq, Rt, Semaphore};
 use parking_lot::RwLock;
 
@@ -68,13 +68,7 @@ impl ShopSvc {
 
     /// Starts an ORB serving this instance on `port`.
     pub fn serve(self: &Arc<Self>, rt: Rt, port: u16) -> Result<ObjRef, NetError> {
-        let orb = Orb::build(
-            rt,
-            PortReq::Fixed(port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt, PortReq::Fixed(port))?;
         let obj = orb.export_root(Arc::new(ShopApiServant(Arc::clone(self))));
         orb.start();
         Ok(obj)

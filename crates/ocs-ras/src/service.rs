@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ocs_name::NsHandle;
-use ocs_orb::{Caller, ClientCtx, ObjRef, Orb, ThreadModel};
+use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
 use ocs_sim::{Addr, NetError, NodeId, NodeRtExt, PortReq, Rt};
 use parking_lot::Mutex;
 
@@ -124,13 +124,7 @@ impl Ras {
                 peer_failures: HashMap::new(),
             }),
         });
-        let orb = Orb::build(
-            rt.clone(),
-            PortReq::Fixed(cfg.port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt.clone(), PortReq::Fixed(cfg.port))?;
         let ras_ref = orb.export_root(Arc::new(RasApiServant(Arc::clone(&ras))));
         let cb_ref = orb.export(Arc::new(ocs_svcctl::SscCallbackServant(Arc::new(
             SvcCallbackFace(Arc::clone(&ras)),

@@ -57,13 +57,7 @@ impl SettopMgr {
             cfg: cfg.clone(),
             settops: Mutex::new(HashMap::new()),
         });
-        let orb = Orb::build(
-            rt.clone(),
-            PortReq::Fixed(cfg.port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt.clone(), PortReq::Fixed(cfg.port))?;
         let mgr_ref = orb.export_root(Arc::new(SettopMgrServant(Arc::clone(&mgr))));
         orb.start();
         let m = Arc::clone(&mgr);

@@ -904,6 +904,26 @@ impl Kernel {
         (self.net_cfg.default.latency.as_micros() as u64).max(1)
     }
 
+    /// Defers control ops issued by a process on `src`: each goes to its
+    /// destination shard as a control event one [`control_delay`] from
+    /// now, all under one key from `src`'s stream — the same virtual
+    /// timing under every shard count.
+    ///
+    /// [`control_delay`]: Kernel::control_delay
+    fn defer_control(&mut self, src: u32, ops: impl IntoIterator<Item = (usize, ControlOp)>) {
+        let at = self.now + self.control_delay();
+        let sseq = self.next_sseq(src);
+        for (dest, op) in ops {
+            let kind = EventKind::Control(op);
+            self.route(dest, Event { at, src, sseq, kind });
+        }
+    }
+
+    /// The node process `pid` runs on (0 = free-floating).
+    fn node_of(&self, pid: Pid) -> u32 {
+        self.procs.get(&pid).and_then(|p| p.node).map_or(0, |n| n.0)
+    }
+
     /// Folds a trace record into the run's event digest. The first word
     /// is a record tag, the rest are record fields.
     pub fn trace_note(&mut self, words: &[u64]) {
@@ -1970,21 +1990,11 @@ impl SimInner {
             Some(pid) => {
                 let sh = (pid >> SHARD_SHIFT) as usize;
                 let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.procs.get(&pid).and_then(|p| p.node).map(|n| n.0).unwrap_or(0);
+                let my_node = k.node_of(pid);
                 if my_node == home_node {
                     k.apply_control(op);
                 } else {
-                    let te = k.now + k.control_delay();
-                    let sseq = k.next_sseq(my_node);
-                    k.route(
-                        home,
-                        Event {
-                            at: te,
-                            src: my_node,
-                            sseq,
-                            kind: EventKind::Control(op),
-                        },
-                    );
+                    k.defer_control(my_node, [(home, op)]);
                 }
             }
         }
@@ -2112,22 +2122,13 @@ impl SimInner {
                 if my_node == target {
                     k.spawn_local(self, node, name, group, f);
                 } else {
-                    let te = k.now + k.control_delay();
-                    let sseq = k.next_sseq(my_node);
-                    k.route(
-                        ts,
-                        Event {
-                            at: te,
-                            src: my_node,
-                            sseq,
-                            kind: EventKind::Control(ControlOp::Spawn {
-                                node,
-                                name: name.to_string(),
-                                group,
-                                f,
-                            }),
-                        },
-                    );
+                    let op = ControlOp::Spawn {
+                        node,
+                        name: name.to_string(),
+                        group,
+                        f,
+                    };
+                    k.defer_control(my_node, [(ts, op)]);
                 }
             }
         }
@@ -2140,7 +2141,7 @@ impl SimInner {
             Some(pid) => {
                 let sh = (pid >> SHARD_SHIFT) as usize;
                 let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.procs.get(&pid).and_then(|p| p.node).map(|n| n.0).unwrap_or(0);
+                let my_node = k.node_of(pid);
                 k.alloc_group(my_node)
             }
         }
@@ -2156,21 +2157,11 @@ impl SimInner {
             Some(pid) => {
                 let sh = (pid >> SHARD_SHIFT) as usize;
                 let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.procs.get(&pid).and_then(|p| p.node).map(|n| n.0).unwrap_or(0);
-                if self.shard_ix(my_node) == hs && my_node == home.0 {
+                let my_node = k.node_of(pid);
+                if my_node == home.0 {
                     k.kill_group(group);
                 } else {
-                    let te = k.now + k.control_delay();
-                    let sseq = k.next_sseq(my_node);
-                    k.route(
-                        hs,
-                        Event {
-                            at: te,
-                            src: my_node,
-                            sseq,
-                            kind: EventKind::Control(ControlOp::KillGroup(group)),
-                        },
-                    );
+                    k.defer_control(my_node, [(hs, ControlOp::KillGroup(group))]);
                 }
             }
         }
@@ -2210,20 +2201,9 @@ impl SimInner {
             Some(pid) => {
                 let sh = (pid >> SHARD_SHIFT) as usize;
                 let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.procs.get(&pid).and_then(|p| p.node).map(|n| n.0).unwrap_or(0);
-                let te = k.now + k.control_delay();
-                let sseq = k.next_sseq(my_node);
-                for dest in 0..self.nshards {
-                    k.route(
-                        dest,
-                        Event {
-                            at: te,
-                            src: my_node,
-                            sseq,
-                            kind: EventKind::Control(ControlOp::Net(ctl)),
-                        },
-                    );
-                }
+                let my_node = k.node_of(pid);
+                let everywhere = (0..self.nshards).map(|dest| (dest, ControlOp::Net(ctl)));
+                k.defer_control(my_node, everywhere);
             }
         }
     }
@@ -2247,18 +2227,8 @@ impl SimInner {
                 let sh = (pid >> SHARD_SHIFT) as usize;
                 let hs = self.shard_ix(node.0);
                 let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.procs.get(&pid).and_then(|p| p.node).map(|n| n.0).unwrap_or(0);
-                let te = k.now + k.control_delay();
-                let sseq = k.next_sseq(my_node);
-                k.route(
-                    hs,
-                    Event {
-                        at: te,
-                        src: my_node,
-                        sseq,
-                        kind: EventKind::Control(ControlOp::Note { node, detail }),
-                    },
-                );
+                let my_node = k.node_of(pid);
+                k.defer_control(my_node, [(hs, ControlOp::Note { node, detail })]);
             }
         }
     }

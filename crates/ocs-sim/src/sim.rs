@@ -43,7 +43,7 @@ impl Default for SimConfig {
             seed: 0,
             net: NetConfig::default(),
             trace: std::env::var_os("OCS_TRACE").is_some(),
-            fast: std::env::var_os("OCS_SLOW").is_none(),
+            fast: true,
             shards: std::env::var("OCS_SHARDS")
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())

@@ -8,7 +8,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use ocs_name::NsHandle;
-use ocs_orb::{Caller, ClientCtx, ObjRef, Orb, ThreadModel};
+use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
 use ocs_sim::{NetError, NodeRtExt, PortReq, ProcGroup, Rt, SimTime};
 use parking_lot::Mutex;
 
@@ -134,13 +134,7 @@ impl Ssc {
             callbacks: Mutex::new(Vec::new()),
             self_ref: Mutex::new(None),
         });
-        let orb = Orb::build(
-            rt.clone(),
-            PortReq::Fixed(cfg.port),
-            ThreadModel::PerRequest,
-            None,
-            Arc::new(ocs_orb::NoAuth),
-        )?;
+        let orb = Orb::new(rt.clone(), PortReq::Fixed(cfg.port))?;
         let self_ref =
             orb.export_root(Arc::new(SscApiServant(Arc::new(SscFace(Arc::clone(&ssc))))));
         *ssc.self_ref.lock() = Some(self_ref);
