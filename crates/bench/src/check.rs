@@ -80,6 +80,7 @@ const E22: Run = Run::Exp("e22");
 const E23: Run = Run::Exp("e23 --sim-only");
 const REPL_STORM: Run = Run::Workload("sim_repl_storm --seconds 2 --trace 0");
 const TCP_ADMIT: Run = Run::Workload("tcp_repl_admit --seconds 2 --trace 1");
+const TCP_OPEN: Run = Run::Workload("tcp_movie_open --seconds 2 --trace 1");
 
 /// Every tier-1 bench guard. Each run also has to pass its own built-in
 /// asserts (determinism, O(1) admission, trace equivalence): a run that
@@ -159,6 +160,14 @@ pub const GUARDS: &[Guard] = &[
     g(TCP_ADMIT, "failed", Eq(0.0)),
     g(TCP_ADMIT, "correct", IsTrue),
     g(TCP_ADMIT, "per_layer/ocs-sim.tcp_conns_per_op", Le(0.1)),
+    // A movie cycle over TCP is nine ORB calls — the settop's resolve,
+    // `open`, `play` and `close`, and under them the MMS's `status`,
+    // `allocate`, `open`, then `close`, `release` — plus the
+    // end-of-round audit's few: 9.015. A count again: an MMS that asks
+    // the name service on the way reads 13 here on any host.
+    g(TCP_OPEN, "failed", Eq(0.0)),
+    g(TCP_OPEN, "correct", IsTrue),
+    g(TCP_OPEN, "per_layer/ocs-orb.calls_per_op", Le(9.1)),
 ];
 
 /// The repo root: where the committed artifacts and `benchmark/` are.

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use itv_cluster::{ClusterConfig, TelemetrySnapshot};
-use itv_media::CmApiClient;
+use itv_media::{CmApiClient, MmsApiClient};
 use ocs_sim::{FaultPlan, NodeRt, SimTime};
 use ocs_telemetry::{render_span_trees, span_forest, MetricsSnapshot, Span};
 
@@ -467,7 +467,7 @@ pub fn e15() {
         storm_metrics.counter("orb.rebind.breaker_shed"),
         storm_metrics.counter("orb.server.deadline_shed"),
     );
-    if let Some(tree) = slowest_movie_open(&snap_a.spans) {
+    if let Some([tree, _]) = movie_open_trees(&snap_a.spans) {
         println!("    slowest movie-open request tree (partition leg):");
         print!("{tree}");
         report::put("slowest_movie_open_tree", Json::from(tree));
@@ -513,12 +513,12 @@ fn breaker_leg() -> (String, TelemetrySnapshot) {
     (render_span_trees(&snap.spans, 3), snap)
 }
 
-/// Renders the slowest trace rooted at a settop's `itv.mms.open` call —
+/// Renders two of the traces rooted at a settop's `itv.mms.open` call —
 /// the canonical "movie open" request tree crossing name service, CM,
-/// MMS and MDS.
-fn slowest_movie_open(spans: &[Span]) -> Option<String> {
+/// MMS and MDS: the slowest, and the quickest.
+fn movie_open_trees(spans: &[Span]) -> Option<[String; 2]> {
     let forest = span_forest(spans);
-    let mut best: Option<(u64, &Vec<Span>)> = None;
+    let mut opens: Vec<(u64, &Vec<Span>)> = Vec::new();
     for trace in forest.values() {
         let Some(root) = trace.iter().find(|s| s.parent.0 == 0) else {
             continue;
@@ -528,12 +528,12 @@ fn slowest_movie_open(spans: &[Span]) -> Option<String> {
         }
         let start = trace.iter().map(|s| s.start).min()?;
         let end = trace.iter().map(|s| s.end).max()?;
-        let dur = end.as_micros().saturating_sub(start.as_micros());
-        if best.is_none_or(|(d, _)| dur > d) {
-            best = Some((dur, trace));
-        }
+        opens.push((end.as_micros().saturating_sub(start.as_micros()), trace));
     }
-    best.map(|(_, trace)| render_span_trees(trace, 1))
+    // Ties go to the earlier trace either way.
+    let slowest = opens.iter().rev().max_by_key(|(dur, _)| *dur)?;
+    let quickest = opens.iter().min_by_key(|(dur, _)| *dur)?;
+    Some([slowest, quickest].map(|(_, trace)| render_span_trees(trace, 1)))
 }
 
 /// E16: causal span dump — one settop changes channel into a VOD
@@ -553,7 +553,22 @@ pub fn e16(top_n: usize) {
         i.watch_ms = 10_000;
     }
     settop.handle.tune(ClusterConfig::CHANNEL_VOD);
-    sim.run_for(Duration::from_secs(60));
+    // (Stopping between two of the MDSs' 5 s load reports, each of which
+    // drops the cached `svc/mds` set.)
+    sim.run_for(Duration::from_millis(62_500));
+    // Then two opens back to back: the second finds both of the MMS's
+    // name lookups in its node's resolve cache — the warm open.
+    let ctx = ocs_orb::ClientCtx::new(settop.node.clone());
+    let ns = ocs_name::NsHandle::new(ctx.clone(), cluster.ns_peers[0]);
+    probe(&sim, &settop.node, Duration::from_secs(5), move || {
+        let mms_ref = ns.resolve("svc/mms").expect("svc/mms bound");
+        let mms = MmsApiClient::attach(ctx, mms_ref).expect("mms reference");
+        for _ in 0..2 {
+            let ticket = mms.open("movie-0".into(), 0).expect("open");
+            mms.close(ticket.session).expect("close");
+        }
+    })
+    .expect("the two opens returned");
     let snap = cluster.telemetry_snapshot();
     report::add_virtual_secs(sim.now().as_secs_f64());
     let traces = span_forest(&snap.spans).len();
@@ -565,10 +580,13 @@ pub fn e16(top_n: usize) {
     );
     let dump = render_span_trees(&snap.spans, top_n);
     print!("{dump}");
-    if let Some(tree) = slowest_movie_open(&snap.spans) {
+    if let Some([slowest, warm]) = movie_open_trees(&snap.spans) {
         println!("    slowest movie-open request tree:");
-        print!("{tree}");
-        report::put("slowest_movie_open_tree", Json::from(tree));
+        print!("{slowest}");
+        println!("    quickest (warm) movie-open request tree:");
+        print!("{warm}");
+        report::put("slowest_movie_open_tree", Json::from(slowest));
+        report::put("warm_movie_open_tree", Json::from(warm));
     }
     report::put("spans", Json::U64(snap.spans.len() as u64));
     report::put("traces", Json::U64(traces as u64));

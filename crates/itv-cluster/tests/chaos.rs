@@ -391,7 +391,13 @@ fn same_seed_chaos_run_has_identical_trace_hash() {
 /// ephemeral endpoint (one port per round instead of one per peer), and
 /// a commit is acknowledged at the first majority ack — same frames,
 /// different send times and source ports.
-const E15_BASELINE_TRACE_HASH: u64 = 12055827849110170697;
+/// Re-captured when the MMS took its two name lookups from the node's
+/// resolve cache: a warm `open` and a `close` no longer send
+/// `list_repl("svc/mds")` and `resolve("svc/cmgr/<n>")`, the `status`
+/// probes of an open leave together from one endpoint, and a stream's
+/// process waits its tick out on a wait object `close` bumps instead of
+/// sleeping — fewer frames, other send times, no other behaviour.
+const E15_BASELINE_TRACE_HASH: u64 = 1997775100665662036;
 
 #[test]
 fn e15_trace_hash_matches_committed_baseline() {

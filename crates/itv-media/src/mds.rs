@@ -5,8 +5,11 @@
 //! creates one dynamically exported *movie object* per open (§9.2: "the
 //! only services that dynamically create objects are the Media Delivery
 //! Service, which creates one object for every open movie, and the name
-//! service"). A delivery process per playing movie pushes [`Segment`]s
-//! to the settop's stream port at the title's bit rate.
+//! service"). A delivery process per open movie pushes [`Segment`]s
+//! to the settop's stream port at the title's bit rate, one per `TICK`
+//! while it plays; it lives from `open` to `close` (or to the end of a
+//! stream it abandons) and not a tick longer — `close` wakes it — so
+//! its thread and its endpoint are free for the next `open`.
 //!
 //! Replicated for performance, not availability: "if a server is
 //! unavailable, there is no reason to restart its MDS replica on another
@@ -19,6 +22,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
+use ocs_sim::sync::SyncObj;
 use ocs_sim::{Addr, NetError, NodeRtExt, PortReq, RecvError, Rt};
 use ocs_wire::Wire;
 use parking_lot::Mutex;
@@ -56,6 +60,11 @@ declare_interface! {
     }
 }
 
+/// `MdsApi::status` as [`ClientCtx::scatter`](ocs_orb::ClientCtx::scatter)
+/// takes it — wire method id and client span name — for the MMS, which
+/// probes every candidate replica at once instead of through the stub.
+pub(crate) const STATUS: (u32, &str) = (3, "itv.mds.status");
+
 /// Delivery pacing: one segment per tick.
 const TICK: Duration = Duration::from_millis(500);
 
@@ -86,6 +95,9 @@ pub struct Mds {
     orb: Mutex<Weak<Orb>>,
     me: Mutex<Weak<Mds>>,
     movies: Mutex<HashMap<u64, Arc<MovieState>>>,
+    /// Bumped by every `close`: delivery processes wait their tick out
+    /// on it, so a closed stream's process ends at once.
+    closing: Arc<dyn SyncObj>,
 }
 
 impl Mds {
@@ -104,6 +116,7 @@ impl Mds {
             orb: Mutex::new(Weak::new()),
             me: Mutex::new(Weak::new()),
             movies: Mutex::new(HashMap::new()),
+            closing: rt.make_sync(),
         });
         *mds.me.lock() = Arc::downgrade(&mds);
         let orb = Orb::new(rt, PortReq::Fixed(port))?;
@@ -118,7 +131,7 @@ impl Mds {
         self.movies.lock().len() as u32
     }
 
-    fn delivery_loop(rt: Rt, me: Weak<Mds>, movie: Arc<MovieState>) {
+    fn delivery_loop(rt: Rt, me: Weak<Mds>, closing: Arc<dyn SyncObj>, movie: Arc<MovieState>) {
         let Ok(ep) = rt.open(PortReq::Ephemeral) else {
             return;
         };
@@ -126,9 +139,6 @@ impl Mds {
         let ms_per_tick = TICK.as_millis() as u64;
         let mut bounced = 0u32;
         loop {
-            if movie.closed.load(Ordering::Relaxed) {
-                return;
-            }
             if movie.playing.load(Ordering::Relaxed) {
                 let (position_ms, last) = {
                     let mut pos = movie.position_ms.lock();
@@ -181,7 +191,21 @@ impl Mds {
                     return;
                 }
             }
-            rt.sleep(TICK);
+            // Wait the tick out, or until this stream is closed. Another
+            // stream's close wakes this one too; it goes back to wait for
+            // what is left of its tick, so the tick's phase holds.
+            let tick_end = rt.now() + TICK;
+            loop {
+                let seen = closing.generation();
+                if movie.closed.load(Ordering::Relaxed) {
+                    return;
+                }
+                let now = rt.now();
+                if now >= tick_end {
+                    break;
+                }
+                closing.wait_newer(seen, Some(tick_end - now));
+            }
         }
     }
 
@@ -256,9 +280,10 @@ impl MdsApi for Mds {
             .set(self.open_count() as i64);
         let rt = self.rt.clone();
         let me = self.me.lock().clone();
+        let closing = Arc::clone(&self.closing);
         self.rt
             .spawn_fn(&format!("mds-stream-{}", obj.object_id), move || {
-                Mds::delivery_loop(rt, me, state)
+                Mds::delivery_loop(rt, me, closing, state)
             });
         Ok(obj)
     }
@@ -270,6 +295,7 @@ impl MdsApi for Mds {
             .remove(&object_id)
             .ok_or(MediaError::UnknownSession { id: object_id })?;
         movie.closed.store(true, Ordering::Relaxed);
+        self.closing.bump();
         if let Some(orb) = self.orb.lock().upgrade() {
             orb.unexport(object_id);
         }

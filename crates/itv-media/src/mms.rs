@@ -10,21 +10,31 @@
 //! only *volatile* state — on promotion the new primary "recreates its
 //! state by querying each MDS in the cluster" (§10.1.1) and re-asserts
 //! connection allocations with the Connection Managers.
+//!
+//! Name lookups: the two things the MMS asks the name service — the
+//! `svc/mds` replica set and the neighbourhood's Connection Manager —
+//! come from the node's resolve cache (§8.2), so a warm `open` is the
+//! paper's three calls (MDS `status`, CM `allocate`, MDS `open`) and a
+//! `close` its two (MDS `close`, CM `release`). A cached target that
+//! turns out dead or silent is dropped and looked up again inside the
+//! same operation, once.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ocs_name::{acquire_primary, NsHandle};
-use ocs_orb::{declare_interface, Caller, ClientCtx, ObjRef, Orb};
-use ocs_ras::RasMonitor;
+use bytes::Bytes;
+use ocs_name::{acquire_primary, Binding, NsHandle, Origin};
+use ocs_orb::{declare_interface, Caller, ClientCtx, Gather, ObjRef, Orb, OrbError, RpcFault};
+use ocs_ras::{EntityId, RasMonitor};
 use ocs_sim::{Addr, NodeId, NodeRtExt, PortReq, Rt, SimTime};
+use ocs_wire::Wire;
 use parking_lot::Mutex;
 
 use crate::cmgr::CmApiClient;
-use crate::content::Catalog;
-use crate::mds::MdsApiClient;
-use crate::types::{ports, ConnDesc, MediaError, MovieTicket};
+use crate::content::{Catalog, MovieInfo};
+use crate::mds::{MdsApiClient, STATUS};
+use crate::types::{ports, ConnDesc, MdsStatus, MediaError, MovieTicket};
 
 declare_interface! {
     /// The Media Management Service interface.
@@ -64,14 +74,10 @@ pub struct MmsConfig {
 }
 
 struct MmsSession {
-    /// The settop holding the session (kept for diagnostics and the
-    /// death-callback path, which identifies sessions by id).
-    #[allow(dead_code)]
+    /// The settop holding the session; its death reclaims it (§3.5.1).
     settop: NodeId,
-    #[allow(dead_code)]
-    title: String,
+    /// The movie object; its address is the MDS replica serving it.
     movie: ObjRef,
-    mds_node: NodeId,
     conn: ConnDesc,
     nbhd: u32,
 }
@@ -80,6 +86,9 @@ struct MmsSession {
 pub struct Mms {
     rt: Rt,
     ns: NsHandle,
+    /// What every call on an MDS or a Connection Manager starts from
+    /// (each adds its own timeout and deadline).
+    ctx: ClientCtx,
     cfg: MmsConfig,
     catalog: Catalog,
     sessions: Mutex<HashMap<u64, MmsSession>>,
@@ -94,6 +103,7 @@ impl Mms {
     pub fn new(rt: Rt, ns: NsHandle, cfg: MmsConfig, catalog: Catalog) -> Arc<Mms> {
         let monitor = RasMonitor::start(rt.clone(), Addr::new(rt.node(), ports::RAS), cfg.ras_poll);
         let mms = Arc::new(Mms {
+            ctx: ClientCtx::new(rt.clone()),
             rt,
             ns,
             cfg,
@@ -131,6 +141,9 @@ impl Mms {
         self.rt.spawn_fn("mms-reassert", move || loop {
             mms.rt.sleep(mms.cfg.reassert_interval);
             mms.reassert_all();
+            // The replica set is listed afresh once a round: what bounds
+            // its age on a node no name-service replica invalidates for.
+            mms.ns.invalidate(&mms.cfg.mds_ctx);
             mms.audit_sessions();
         });
         // This process parks; the ORB serves. If it is killed, the whole
@@ -140,48 +153,133 @@ impl Mms {
         }
     }
 
-    /// All known MDS replicas `(node, client)`. A `deadline` threads the
-    /// caller's remaining budget into every status/open call on the
-    /// replicas, so a slow candidate can't eat the whole budget.
-    fn mds_replicas(&self, deadline: Option<SimTime>) -> Vec<(NodeId, MdsApiClient)> {
-        let Ok(bindings) = self.ns.list_repl(&self.cfg.mds_ctx) else {
-            return Vec::new();
-        };
-        bindings
-            .into_iter()
+    /// A context for calls on an MDS replica: a dead or restarting one
+    /// costs 1.5 s, not the 3 s default — and never more than is left of
+    /// the caller's `deadline`, so a slow candidate can't eat the whole
+    /// budget.
+    fn mds_ctx(&self, deadline: Option<SimTime>) -> ClientCtx {
+        let ctx = self.ctx.clone().with_timeout(Duration::from_millis(1500));
+        match deadline {
+            Some(d) => ctx.with_deadline(d),
+            None => ctx,
+        }
+    }
+
+    /// The `svc/mds` replica set from the node's resolve cache, and
+    /// whether the cache — not the name service, just now — supplied it.
+    /// No answer is an empty set.
+    fn mds_set(&self) -> (Arc<[Binding]>, bool) {
+        match self.ns.cached::<Arc<[Binding]>>(&self.cfg.mds_ctx) {
+            Ok((set, origin)) => (set, matches!(origin, Origin::Hit(_))),
+            Err(_) => (Arc::from([]), false),
+        }
+    }
+
+    /// All known MDS replicas `(node, client)`.
+    fn mds_replicas(&self) -> Vec<(NodeId, MdsApiClient)> {
+        self.mds_set()
+            .0
+            .iter()
             .filter_map(|b| {
-                let mut ctx =
-                    ClientCtx::new(self.rt.clone()).with_timeout(Duration::from_millis(1500));
-                if let Some(d) = deadline {
-                    ctx = ctx.with_deadline(d);
-                }
-                MdsApiClient::attach(ctx, b.obj)
+                MdsApiClient::attach(self.mds_ctx(None), b.obj)
                     .ok()
                     .map(|c| (b.obj.addr.node, c))
             })
             .collect()
     }
 
-    fn cmgr_for(&self, nbhd: u32, deadline: Option<SimTime>) -> Result<CmApiClient, MediaError> {
+    /// Asks every replica in `set` that stores the title for its status
+    /// — all at once, so the probes cost one round trip and a silent
+    /// replica one timeout however many there are — and returns the
+    /// usable ones (answering, with a free stream slot), least loaded
+    /// first: "based on where the movie is available and the current
+    /// loads at servers" (§3.4.4). The flag says whether `set` itself is
+    /// in doubt: a replica in it failed to answer, or none stores the
+    /// title.
+    fn probe(
+        &self,
+        set: &[Binding],
+        info: &MovieInfo,
+        budget: SimTime,
+    ) -> (Vec<(u32, ObjRef)>, bool) {
+        let storing: Vec<ObjRef> = set
+            .iter()
+            .map(|b| b.obj)
+            .filter(|o| o.type_id == MdsApiClient::TYPE_ID && info.replicas.contains(&o.addr.node))
+            .collect();
+        if storing.is_empty() {
+            return (Vec::new(), true);
+        }
+        let mut usable: Vec<(u32, ObjRef)> = Vec::new();
+        let mut doubt = false;
+        let sent = self
+            .mds_ctx(Some(budget))
+            .scatter(&storing, STATUS.0, Bytes::new(), STATUS.1);
+        match sent {
+            Ok(mut probes) => probes.gather(|i, reply| {
+                let status = reply
+                    .ok()
+                    .and_then(|body| <Result<MdsStatus, MediaError>>::from_bytes(&body).ok())
+                    .and_then(Result::ok);
+                match status {
+                    Some(st) if st.open_streams < st.max_streams => {
+                        usable.push((st.open_streams, storing[i]));
+                    }
+                    // Full.
+                    Some(_) => {}
+                    // Dead or restarting replica; skip (§3.5.2).
+                    None => doubt = true,
+                }
+                Gather::More
+            }),
+            Err(_) => doubt = true, // The budget is already spent.
+        }
+        usable.sort_by_key(|(load, obj)| (*load, obj.addr.node.0));
+        (usable, doubt)
+    }
+
+    /// Runs `call` on the neighbourhood's Connection Manager, whose
+    /// reference comes from the node's resolve cache. A cached reference
+    /// that turns out dead or silent is dropped and — if a retry can
+    /// help — looked up again, once: every CM call is idempotent
+    /// (`allocate` by token, `reassert` and `release` by connection id),
+    /// so the second attempt doubles nothing. `deadline` bounds both
+    /// attempts together.
+    fn with_cm<R>(
+        &self,
+        nbhd: u32,
+        deadline: Option<SimTime>,
+        call: impl Fn(&CmApiClient) -> Result<R, MediaError>,
+    ) -> Result<R, MediaError> {
         let path = format!("{}/{}", self.cfg.cmgr_prefix, nbhd);
         let dep = |e: &dyn std::fmt::Display| MediaError::Dependency {
             what: e.to_string(),
         };
-        match deadline {
-            None => self.ns.resolve_as::<CmApiClient>(&path).map_err(|e| dep(&e)),
-            Some(d) => {
-                let obj = self.ns.resolve(&path).map_err(|e| dep(&e))?;
-                let ctx = ClientCtx::new(self.rt.clone()).with_deadline(d);
-                CmApiClient::attach(ctx, obj).map_err(|e| dep(&e))
+        let mut retried = false;
+        loop {
+            let (obj, origin) = self.ns.cached::<ObjRef>(&path).map_err(|e| dep(&e))?;
+            let mut ctx = self.ctx.clone();
+            if let Some(d) = deadline {
+                ctx = ctx.with_deadline(d);
             }
+            let cm = CmApiClient::attach(ctx, obj).map_err(|e| dep(&e))?;
+            let err = match call(&cm) {
+                Err(e) if matches!(origin, Origin::Hit(_)) && target_in_doubt(&e) => e,
+                r => return r,
+            };
+            self.ns.invalidate(&path);
+            if retried || !retry_can_help(&err) {
+                return Err(err);
+            }
+            retried = true;
         }
     }
 
     /// §10.1.1: rebuild the session table by querying every MDS replica,
     /// then re-allocate the connections those streams need.
-    fn recover_state(self: &Arc<Self>) {
+    fn recover_state(&self) {
         let mut recovered = 0u32;
-        for (node, mds) in self.mds_replicas(None) {
+        for (node, mds) in self.mds_replicas() {
             let Ok(open) = mds.open_sessions() else {
                 continue;
             };
@@ -200,9 +298,7 @@ impl Mms {
                     server: node,
                     down_bps: info.bitrate_bps,
                 };
-                if let Ok(cm) = self.cmgr_for(nbhd, None) {
-                    let _ = cm.reassert(conn);
-                }
+                let _ = self.with_cm(nbhd, None, |cm| cm.reassert(conn));
                 // The movie object lives on the MDS's current
                 // incarnation (which the replica binding carries).
                 let movie = ObjRef {
@@ -211,14 +307,11 @@ impl Mms {
                     type_id: ocs_wire::type_id_of("itv.movie"),
                     object_id: s.object_id,
                 };
-                self.watch_settop(session, settop);
-                self.sessions.lock().insert(
+                self.insert_session(
                     session,
                     MmsSession {
                         settop,
-                        title: s.title,
                         movie,
-                        mds_node: node,
                         conn,
                         nbhd,
                     },
@@ -242,9 +335,7 @@ impl Mms {
         // is not deterministic, and RPC order shapes the event trace.
         conns.sort_by_key(|(nbhd, c)| (*nbhd, c.conn));
         for (nbhd, conn) in conns {
-            if let Ok(cm) = self.cmgr_for(nbhd, None) {
-                let _ = cm.reassert(conn);
-            }
+            let _ = self.with_cm(nbhd, None, |cm| cm.reassert(conn));
         }
     }
 
@@ -260,7 +351,7 @@ impl Mms {
             let sessions = self.sessions.lock();
             let mut m: BTreeMap<NodeId, Vec<(u64, u64)>> = BTreeMap::new();
             for (id, s) in sessions.iter() {
-                m.entry(s.mds_node)
+                m.entry(s.movie.addr.node)
                     .or_default()
                     .push((*id, s.movie.object_id));
             }
@@ -274,7 +365,7 @@ impl Mms {
         if by_mds.is_empty() {
             return;
         }
-        let replicas = self.mds_replicas(None);
+        let replicas = self.mds_replicas();
         for (node, sess) in by_mds {
             let Some((_, mds)) = replicas.iter().find(|(n, _)| *n == node) else {
                 continue;
@@ -293,50 +384,95 @@ impl Mms {
         }
     }
 
-    fn watch_settop(self: &Arc<Self>, session: u64, settop: NodeId) {
-        let mms = Arc::downgrade(self);
-        self.monitor.watch_settop(
-            settop,
-            Box::new(move || {
-                if let Some(mms) = mms.upgrade() {
-                    mms.rt.trace(&format!(
-                        "mms: settop {settop} died; reclaiming session {session}"
-                    ));
-                    let _ = mms.close_session(session);
-                }
-            }),
-        );
+    /// Records a session and, if it is its settop's first, starts
+    /// watching the settop: the safety net for settop crashes (§3.5.1).
+    /// One watch per settop, however many sessions it holds.
+    fn insert_session(&self, session: u64, s: MmsSession) {
+        let settop = s.settop;
+        // The sessions lock is held across the (un)watch so a last close
+        // and a first open of one settop cannot cross.
+        let mut sessions = self.sessions.lock();
+        let first = !sessions.values().any(|o| o.settop == settop);
+        sessions.insert(session, s);
+        if first {
+            let weak = self.self_weak.lock().clone();
+            self.monitor.watch_settop(
+                settop,
+                Box::new(move || {
+                    if let Some(mms) = weak.and_then(|w| w.upgrade()) {
+                        mms.reclaim_settop(settop);
+                    }
+                }),
+            );
+        }
+    }
+
+    /// The settop died: closes every session it held.
+    fn reclaim_settop(&self, settop: NodeId) {
+        let mut held: Vec<u64> = {
+            let sessions = self.sessions.lock();
+            let of_settop = sessions.iter().filter(|(_, s)| s.settop == settop);
+            of_settop.map(|(id, _)| *id).collect()
+        };
+        // Fixed order, as in `reassert_all`.
+        held.sort_unstable();
+        for session in held {
+            self.rt.trace(&format!(
+                "mms: settop {settop} died; reclaiming session {session}"
+            ));
+            let _ = self.close_session(session);
+        }
+    }
+
+    /// Settops currently watched for death (diagnostics).
+    pub fn watch_count(&self) -> usize {
+        self.monitor.watch_count()
     }
 
     fn close_session(&self, session: u64) -> Result<(), MediaError> {
-        let s = self
-            .sessions
-            .lock()
-            .remove(&session)
-            .ok_or(MediaError::UnknownSession { id: session })?;
+        let (s, left) = {
+            let mut sessions = self.sessions.lock();
+            let s = sessions
+                .remove(&session)
+                .ok_or(MediaError::UnknownSession { id: session })?;
+            if !sessions.values().any(|o| o.settop == s.settop) {
+                self.monitor.unwatch(&EntityId::Settop { node: s.settop });
+            }
+            (s, sessions.len())
+        };
         let tel = ocs_telemetry::NodeTelemetry::of(&*self.rt);
         tel.registry.counter("mms.closed").inc();
-        tel.registry
-            .gauge("mms.sessions")
-            .set(self.sessions.lock().len() as i64);
-        // Tell the MDS to deallocate movie resources...
-        if let Ok(bindings) = self.ns.list_repl(&self.cfg.mds_ctx) {
-            for b in bindings {
-                if b.obj.addr.node == s.mds_node {
-                    let ctx =
-                        ClientCtx::new(self.rt.clone()).with_timeout(Duration::from_millis(1500));
-                    if let Ok(mds) = MdsApiClient::attach(ctx, b.obj) {
-                        let _ = mds.close(s.movie.object_id);
-                    }
-                }
-            }
+        tel.registry.gauge("mms.sessions").set(left as i64);
+        // Tell the MDS to deallocate movie resources: the replica the
+        // movie lives on, at the incarnation that created it — both are
+        // in the movie reference, so there is nothing to look up (and a
+        // restarted MDS has nothing of this session's to deallocate).
+        let mds_root = ObjRef {
+            type_id: MdsApiClient::TYPE_ID,
+            object_id: 0,
+            ..s.movie
+        };
+        if let Ok(mds) = MdsApiClient::attach(self.mds_ctx(None), mds_root) {
+            let _ = mds.close(s.movie.object_id);
         }
         // ...and the connection manager to deallocate bandwidth (§3.4.5).
-        if let Ok(cm) = self.cmgr_for(s.nbhd, None) {
-            let _ = cm.release(s.conn.conn);
-        }
+        let _ = self.with_cm(s.nbhd, None, |cm| cm.release(s.conn.conn));
         Ok(())
     }
+}
+
+/// Whether a fresh reference could cure the failure: the one used is
+/// dead, or the target stayed silent or out of reach (§8.2's rebind
+/// trigger, plus what the ORB calls retryable).
+fn retry_can_help(e: &MediaError) -> bool {
+    e.is_dead_reference() || e.orb_error().is_some_and(|e| e.is_retryable())
+}
+
+/// Whether a failed call leaves its *target* in doubt rather than the
+/// request — so that a cached reference to it may simply be out of
+/// date: what a retry could cure, and a budget that ran out waiting.
+fn target_in_doubt(e: &MediaError) -> bool {
+    retry_can_help(e) || matches!(e.orb_error(), Some(OrbError::DeadlineExpired))
 }
 
 impl MmsApi for Mms {
@@ -366,37 +502,34 @@ impl MmsApi for Mms {
         // a slow first step shrinks what the rest may spend and a settop
         // that has already given up never ties down a stream slot.
         let budget = self.rt.now() + Duration::from_millis(2500);
-        // Candidate MDS replicas: those storing the title, least loaded
-        // first ("based on where the movie is available and the current
-        // loads at servers", §3.4.4).
-        let mut candidates: Vec<(u32, NodeId, MdsApiClient)> = Vec::new();
-        for (node, mds) in self.mds_replicas(Some(budget)) {
-            if !info.replicas.contains(&node) {
-                continue;
+        // Candidate MDS replicas: those storing the title and answering
+        // a status probe with a free slot, least loaded first.
+        let (set, mut from_cache) = self.mds_set();
+        let (mut candidates, doubt) = self.probe(&set, &info, budget);
+        if from_cache && doubt {
+            // The cached set may simply be old. Drop it; and if it left
+            // this open with nothing to try, list afresh — once.
+            self.ns.invalidate(&self.cfg.mds_ctx);
+            if candidates.is_empty() {
+                from_cache = false;
+                candidates = self.probe(&self.mds_set().0, &info, budget).0;
             }
-            let Ok(status) = mds.status() else {
-                continue; // Dead or restarting replica; skip (§3.5.2).
-            };
-            if status.open_streams >= status.max_streams {
-                continue;
-            }
-            candidates.push((status.open_streams, node, mds));
         }
-        candidates.sort_by_key(|(load, node, _)| (*load, node.0));
-        if candidates.is_empty() {
-            return Err(MediaError::NoReplica);
-        }
-        let cm = self.cmgr_for(nbhd, Some(budget))?;
         let dest = Addr::new(settop, ports::SETTOP_STREAM);
         let mut last_err = MediaError::NoReplica;
-        for (_, node, mds) in candidates {
+        for (_, mds_ref) in candidates {
+            let node = mds_ref.addr.node;
+            let mds = MdsApiClient::attach(self.mds_ctx(Some(budget)), mds_ref)
+                .map_err(|err| MediaError::Comm { err })?;
             // Allocate bandwidth, then open; undo allocation on failure.
             // The retry token makes the allocation idempotent: if the CM
             // primary dies after committing but before replying, the
             // ORB-level retry (or a re-driven open) with the same token
             // gets the original grant instead of double-reserving.
             let token = self.rt.rand_u64().max(1);
-            let conn_id = cm.allocate(token, settop, node, info.bitrate_bps)?;
+            let conn_id = self.with_cm(nbhd, Some(budget), |cm| {
+                cm.allocate(token, settop, node, info.bitrate_bps)
+            })?;
             match mds.open(title.clone(), dest, resume_ms) {
                 Ok(movie) => {
                     let session = self.rt.rand_u64();
@@ -406,21 +539,15 @@ impl MmsApi for Mms {
                         server: node,
                         down_bps: info.bitrate_bps,
                     };
-                    // Safety net for settop crashes (§3.5.1).
-                    // `self` is inside an Arc (constructed in `new`);
-                    // re-wrap through the sessions table path.
-                    self.sessions.lock().insert(
+                    self.insert_session(
                         session,
                         MmsSession {
                             settop,
-                            title: title.clone(),
                             movie,
-                            mds_node: node,
                             conn,
                             nbhd,
                         },
                     );
-                    self.watch_settop_ref(session, settop);
                     tel.registry.counter("mms.open.ok").inc();
                     tel.registry
                         .gauge("mms.sessions")
@@ -433,7 +560,13 @@ impl MmsApi for Mms {
                     });
                 }
                 Err(e) => {
-                    let _ = cm.release(conn_id);
+                    // The undo is owed whatever became of the open's
+                    // budget — a spent one is the likeliest reason to be
+                    // here — so it goes out under no deadline.
+                    let _ = self.with_cm(nbhd, None, |cm| cm.release(conn_id));
+                    if from_cache && target_in_doubt(&e) {
+                        self.ns.invalidate(&self.cfg.mds_ctx);
+                    }
                     last_err = e;
                 }
             }
@@ -442,32 +575,10 @@ impl MmsApi for Mms {
     }
 
     fn close(&self, _caller: &Caller, session: u64) -> Result<(), MediaError> {
-        // The one-shot settop watch may remain; if it later fires, the
-        // session is already gone and the reclaim is a no-op.
         self.close_session(session)
     }
 
     fn session_count(&self, _caller: &Caller) -> Result<u32, MediaError> {
         Ok(self.sessions.lock().len() as u32)
-    }
-}
-
-impl Mms {
-    /// Watch helper callable from `&self` servant methods (uses the weak
-    /// self-reference; the callback must not keep the MMS alive).
-    fn watch_settop_ref(&self, session: u64, settop: NodeId) {
-        let weak = self.self_weak.lock().clone();
-        let rt = self.rt.clone();
-        self.monitor.watch_settop(
-            settop,
-            Box::new(move || {
-                if let Some(mms) = weak.and_then(|w| w.upgrade()) {
-                    rt.trace(&format!(
-                        "mms: settop {settop} died; reclaiming session {session}"
-                    ));
-                    let _ = mms.close_session(session);
-                }
-            }),
-        );
     }
 }

@@ -9,7 +9,7 @@ use ocs_sim::{Addr, Rt};
 use ocs_telemetry::NodeTelemetry;
 use parking_lot::Mutex;
 
-use crate::cache::ResolveCache;
+use crate::cache::{Cached, ResolveCache};
 use crate::iface::{NamingContextClient, NAMING_TYPE_ID};
 use crate::types::{Binding, NsError, SelectorSpec};
 
@@ -19,6 +19,72 @@ use crate::types::{Binding, NsError, SelectorSpec};
 pub struct NsHandle {
     ctx: ClientCtx,
     root: NamingContextClient,
+    /// The node-wide shared path → answer cache; one remote lookup
+    /// serves every client on the node.
+    cache: Arc<ResolveCache>,
+    /// This node's telemetry bundle (lookup and cache counters).
+    tel: Arc<NodeTelemetry>,
+}
+
+/// A name-service lookup whose answer the node's [`ResolveCache`] can
+/// hold: `resolve` ([`ObjRef`]) and `list_repl` (`Arc<[Binding]>`).
+pub trait Lookup: Sized {
+    /// Asks the name service.
+    fn fetch(ns: &NsHandle, path: &str) -> Result<Self, NsError>;
+    /// The answer as the cache holds it; `None` for one not worth
+    /// keeping.
+    fn to_cached(&self) -> Option<Cached>;
+    /// The answer out of the cache; `None` if the slot holds the other
+    /// kind of lookup's.
+    fn from_cached(cached: Cached) -> Option<Self>;
+}
+
+impl Lookup for ObjRef {
+    fn fetch(ns: &NsHandle, path: &str) -> Result<ObjRef, NsError> {
+        ns.resolve(path)
+    }
+    fn to_cached(&self) -> Option<Cached> {
+        Some(Cached::Ref(*self))
+    }
+    fn from_cached(cached: Cached) -> Option<ObjRef> {
+        match cached {
+            Cached::Ref(obj) => Some(obj),
+            Cached::Set(_) => None,
+        }
+    }
+}
+
+impl Lookup for Arc<[Binding]> {
+    fn fetch(ns: &NsHandle, path: &str) -> Result<Arc<[Binding]>, NsError> {
+        ns.list_repl(path).map(Arc::from)
+    }
+    /// An empty set is never cached: it says only that no replica has
+    /// bound *yet*, and the bind that ends that reaches a node without a
+    /// name-service replica by no invalidation.
+    fn to_cached(&self) -> Option<Cached> {
+        (!self.is_empty()).then(|| Cached::Set(Arc::clone(self)))
+    }
+    fn from_cached(cached: Cached) -> Option<Arc<[Binding]>> {
+        match cached {
+            Cached::Set(set) => Some(set),
+            Cached::Ref(_) => None,
+        }
+    }
+}
+
+/// Where the answer of an [`NsHandle::cached`] lookup came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Origin {
+    /// The node's cache, at this generation of the path: the name
+    /// service was not asked, and a target that then fails may merely
+    /// be out of date.
+    Hit(u64),
+    /// The name service, just now; the cache took it at this generation.
+    Installed(u64),
+    /// The name service, just now; the cache did not take it (an
+    /// invalidation raced the lookup, or the answer is not worth
+    /// keeping). Good for this call only.
+    NotKept,
 }
 
 impl NsHandle {
@@ -36,7 +102,14 @@ impl NsHandle {
     pub fn new(ctx: ClientCtx, ns_addr: Addr) -> NsHandle {
         let root = NamingContextClient::attach(ctx.clone(), Self::root_ref(ns_addr))
             .expect("root reference always has the naming type id");
-        NsHandle { ctx, root }
+        let tel = NodeTelemetry::of(&**ctx.rt());
+        let cache = ResolveCache::of(&**ctx.rt());
+        NsHandle {
+            ctx,
+            root,
+            cache,
+            tel,
+        }
     }
 
     /// The client context used for calls.
@@ -51,13 +124,56 @@ impl NsHandle {
 
     /// Resolves a name to a raw object reference.
     pub fn resolve(&self, path: &str) -> Result<ObjRef, NsError> {
-        let tel = NodeTelemetry::of(&**self.ctx.rt());
-        tel.registry.counter("ns.client.lookups").inc();
-        let r = self.root.resolve(path.to_string());
+        self.counted(self.root.resolve(path.to_string()))
+    }
+
+    /// Counts one remote lookup and its outcome.
+    fn counted<T>(&self, r: Result<T, NsError>) -> Result<T, NsError> {
+        self.tel.registry.counter("ns.client.lookups").inc();
         if r.is_err() {
-            tel.registry.counter("ns.client.lookup_errors").inc();
+            self.tel.registry.counter("ns.client.lookup_errors").inc();
         }
         r
+    }
+
+    /// `resolve` (for `V` = [`ObjRef`]) or `list_repl` (`Arc<[Binding]>`)
+    /// of `path` through the node's shared cache (§8.2: "the client side
+    /// of the name service caches resolves"): the cached answer if there
+    /// is one, else the name service's, installed for every other client
+    /// on the node. The caller that finds a cached target dead says so
+    /// with [`NsHandle::invalidate`].
+    pub fn cached<V: Lookup>(&self, path: &str) -> Result<(V, Origin), NsError> {
+        if let Some((gen, hit)) = self.cache.lookup(path) {
+            if let Some(v) = V::from_cached(hit) {
+                self.tel.registry.counter("ns.cache.hits").inc();
+                return Ok((v, Origin::Hit(gen)));
+            }
+        }
+        // Miss: ask the name service. The generation read *before* the
+        // lookup is the install token — if an invalidation lands while
+        // the lookup is in flight, the install is refused (the answer
+        // may carry the very binding whose death caused the
+        // invalidation) and it is used for this call only.
+        self.tel.registry.counter("ns.cache.misses").inc();
+        let gen_before = self.cache.generation(path);
+        let v = V::fetch(self, path)?;
+        let Some(value) = v.to_cached() else {
+            return Ok((v, Origin::NotKept));
+        };
+        if self.cache.install(path, gen_before, value) {
+            Ok((v, Origin::Installed(gen_before)))
+        } else {
+            self.tel.registry.counter("ns.cache.stale_installs").inc();
+            Ok((v, Origin::NotKept))
+        }
+    }
+
+    /// Drops the node's cached answer for `path` — for every client on
+    /// the node — forcing a fresh lookup on next use. Lookups already in
+    /// flight cannot reinstall what was dropped.
+    pub fn invalidate(&self, path: &str) {
+        self.tel.registry.counter("ns.client.invalidations").inc();
+        self.cache.invalidate(path);
     }
 
     /// Resolves a name and binds it to a typed proxy.
@@ -93,7 +209,7 @@ impl NsHandle {
 
     /// Lists all bindings of a replicated context.
     pub fn list_repl(&self, path: &str) -> Result<Vec<Binding>, NsError> {
-        self.root.list_repl(path.to_string())
+        self.counted(self.root.list_repl(path.to_string()))
     }
 
     /// Reports a load hint for a binding (dynamic selectors).
@@ -147,12 +263,9 @@ pub struct Rebinding<C: Proxy + Clone> {
     ns: NsHandle,
     path: String,
     policy: RebindPolicy,
-    /// The node-wide shared path → reference cache; one remote resolve
-    /// serves every proxy on the node.
-    cache: Arc<ResolveCache>,
-    /// This proxy's typed stub plus the shared-cache generation it was
-    /// built at; a generation mismatch means some caller invalidated the
-    /// path since, and the stub must be rebuilt.
+    /// This proxy's typed stub plus the generation of the node's shared
+    /// cache it was built at; a generation mismatch means some caller
+    /// invalidated the path since, and the stub must be rebuilt.
     cached: Mutex<Option<(u64, C)>>,
     /// Context used for the *service* calls (may differ from the naming
     /// context, e.g. when service calls are ticket-signed but naming
@@ -162,24 +275,18 @@ pub struct Rebinding<C: Proxy + Clone> {
     /// sleep instead of placing calls (shedding load off a struggling
     /// service); the breaker's half-open probe re-admits traffic.
     breaker: Option<Arc<CircuitBreaker>>,
-    /// This node's telemetry bundle (retry/rebind/shed counters).
-    tel: Arc<NodeTelemetry>,
 }
 
 impl<C: Proxy + Clone> Rebinding<C> {
     /// Creates a rebinding proxy for `path`.
     pub fn new(ns: NsHandle, path: impl Into<String>, policy: RebindPolicy) -> Rebinding<C> {
-        let tel = NodeTelemetry::of(&**ns.ctx().rt());
-        let cache = ResolveCache::of(&**ns.ctx().rt());
         Rebinding {
             ns,
             path: path.into(),
             policy,
-            cache,
             cached: Mutex::new(None),
             service_ctx: None,
             breaker: None,
-            tel,
         }
     }
 
@@ -188,7 +295,7 @@ impl<C: Proxy + Clone> Rebinding<C> {
     /// one is configured.
     pub fn with_breaker_telemetry(self, service: &str) -> Rebinding<C> {
         if let Some(b) = &self.breaker {
-            ocs_orb::bind_breaker(b, self.ns.ctx().rt(), &self.tel, service);
+            ocs_orb::bind_breaker(b, self.ns.ctx().rt(), self.tel(), service);
         }
         self
     }
@@ -217,6 +324,11 @@ impl<C: Proxy + Clone> Rebinding<C> {
         self.ns.ctx().rt()
     }
 
+    /// This node's telemetry bundle (retry/rebind/shed counters).
+    fn tel(&self) -> &NodeTelemetry {
+        &self.ns.tel
+    }
+
     fn service_ctx(&self) -> ClientCtx {
         self.service_ctx
             .clone()
@@ -226,33 +338,18 @@ impl<C: Proxy + Clone> Rebinding<C> {
     fn get(&self) -> Result<C, NsError> {
         // Fast path: this proxy's stub is still at the path's current
         // generation (no caller has invalidated it since it was built).
-        let cur_gen = self.cache.generation(&self.path);
+        let cur_gen = self.ns.cache.generation(&self.path);
         if let Some((gen, c)) = self.cached.lock().clone() {
             if gen == cur_gen {
                 return Ok(c);
             }
         }
-        // Next: another proxy on this node may already hold a live
-        // binding — adopt it without touching the name service.
-        if let Some((gen, obj)) = self.cache.lookup(&self.path) {
-            self.tel.registry.counter("ns.cache.hits").inc();
-            let c = C::bind_ref(self.service_ctx(), obj).map_err(|err| NsError::Comm { err })?;
-            *self.cached.lock() = Some((gen, c.clone()));
-            return Ok(c);
-        }
-        // Miss: resolve remotely. The generation read *before* the
-        // resolve is the install token — if an invalidation lands while
-        // the resolve is in flight, the install is refused (the resolve
-        // may carry the very binding whose death caused the
-        // invalidation) and the reference is used for this call only.
-        self.tel.registry.counter("ns.cache.misses").inc();
-        let gen_before = cur_gen;
-        let obj = self.ns.resolve(&self.path)?;
+        // Next: the node's cache — another proxy may already hold a live
+        // binding — and only then the name service.
+        let (obj, origin) = self.ns.cached::<ObjRef>(&self.path)?;
         let c = C::bind_ref(self.service_ctx(), obj).map_err(|err| NsError::Comm { err })?;
-        if self.cache.install(&self.path, gen_before, obj) {
-            *self.cached.lock() = Some((gen_before, c.clone()));
-        } else {
-            self.tel.registry.counter("ns.cache.stale_installs").inc();
+        if let Origin::Hit(gen) | Origin::Installed(gen) = origin {
+            *self.cached.lock() = Some((gen, c.clone()));
         }
         Ok(c)
     }
@@ -262,8 +359,7 @@ impl<C: Proxy + Clone> Rebinding<C> {
     /// node — forcing a re-resolve on next use. Resolves already in
     /// flight cannot reinstall the invalidated binding.
     pub fn invalidate(&self) {
-        self.tel.registry.counter("ns.client.invalidations").inc();
-        self.cache.invalidate(&self.path);
+        self.ns.invalidate(&self.path);
         *self.cached.lock() = None;
     }
 
@@ -302,8 +398,8 @@ impl<C: Proxy + Clone> Rebinding<C> {
             // load-shedding from plain unavailability).
             let shed = !admitted;
             if shed {
-                self.tel.registry.counter("orb.rebind.breaker_shed").inc();
-                self.tel.journal.record(
+                self.tel().registry.counter("orb.rebind.breaker_shed").inc();
+                self.tel().journal.record(
                     rt.now(),
                     "orb",
                     format!("breaker shed: call to {} held back", self.path),
@@ -334,8 +430,8 @@ impl<C: Proxy + Clone> Rebinding<C> {
                             if let Some(b) = &self.breaker {
                                 b.on_failure(rt.now());
                             }
-                            self.tel.registry.counter("orb.rebind.rebinds").inc();
-                            self.tel.journal.record(
+                            self.tel().registry.counter("orb.rebind.rebinds").inc();
+                            self.tel().journal.record(
                                 rt.now(),
                                 "orb",
                                 format!("dead reference on {}: rebinding", self.path),
@@ -371,11 +467,11 @@ impl<C: Proxy + Clone> Rebinding<C> {
             }
             let attempt = u32::try_from(rounds).unwrap_or(u32::MAX);
             rounds += 1;
-            self.tel.registry.counter("orb.rebind.retries").inc();
+            self.tel().registry.counter("orb.rebind.retries").inc();
             let now = rt.now();
             if now >= deadline {
-                self.tel.registry.counter("orb.rebind.giveups").inc();
-                self.tel.journal.record(
+                self.tel().registry.counter("orb.rebind.giveups").inc();
+                self.tel().journal.record(
                     now,
                     "orb",
                     format!("retry exhausted on {} after {rounds} rounds", self.path),

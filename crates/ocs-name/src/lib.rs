@@ -29,10 +29,10 @@ mod state;
 mod types;
 mod vsr;
 
-pub use cache::ResolveCache;
+pub use cache::{Cached, ResolveCache};
 pub use client::{
-    acquire_primary, spawn_primary_backup, NsBootstrap, NsHandle, RebindPolicy, Rebinding,
-    SharedRebinding,
+    acquire_primary, spawn_primary_backup, Lookup, NsBootstrap, NsHandle, Origin, RebindPolicy,
+    Rebinding, SharedRebinding,
 };
 pub use iface::{
     NamingContext, NamingContextClient, NamingContextServant, Selector, SelectorClient,

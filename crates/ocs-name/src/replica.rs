@@ -121,8 +121,8 @@ impl NsConfig {
 /// The naming state's driver-side companions: what a commit touches
 /// besides the state itself.
 pub struct NsCtx {
-    /// The node-wide resolve cache; commits invalidate the paths they
-    /// change.
+    /// The node-wide resolve cache; a commit invalidates the path it
+    /// changes and the context that path sits in.
     cache: Arc<ResolveCache>,
     invalidations: Arc<Counter>,
     /// Context ids with an exported servant.
@@ -147,7 +147,10 @@ impl Replicated for NsState {
     }
 
     /// Node-wide resolve-cache invalidation piggybacked on commit
-    /// application, and a servant for every context the step created.
+    /// application — what keeps a client on a replica's node (the MMS's
+    /// cached `svc/mds` set, its Connection Manager references) current
+    /// without asking — and a servant for every context the step
+    /// created.
     fn post_step(&mut self, ctx: &NsCtx, events: &[VsrEvent<NsUpdate>]) {
         let mut ctxs_changed = false;
         for ev in events {
@@ -160,7 +163,7 @@ impl Replicated for NsState {
                         | NsUpdate::NewReplContext { path, .. }
                         | NsUpdate::ReportLoad { path, .. } => path,
                     };
-                    ctx.cache.invalidate(path);
+                    ctx.cache.invalidate_commit(path);
                     ctx.invalidations.inc();
                     ctxs_changed |= matches!(
                         update,

@@ -2,24 +2,42 @@
 //! interleavings of resolve-start / resolve-finish / invalidate,
 //! generations only move forward and the cache never serves a binding
 //! installed by a resolve that began before the path's last
-//! invalidation.
+//! invalidation — whether the answer is a `resolve`'s one reference or
+//! a `list_repl`'s replica set.
 
 use std::collections::HashMap;
 
-use ocs_name::ResolveCache;
+use ocs_name::{Binding, Cached, ResolveCache};
 use ocs_orb::ObjRef;
 use ocs_sim::{Addr, NodeId};
 use proptest::prelude::*;
 
 const PATHS: &[&str] = &["svc/cmgr/0", "svc/cmgr/1", "svc/mms", "svc/mds"];
 
-fn obj(seed: u32) -> ObjRef {
+fn objref(seed: u32) -> ObjRef {
     ObjRef {
         addr: Addr::new(NodeId(seed % 7 + 1), 1),
         incarnation: u64::from(seed) | 1,
         type_id: 3,
         object_id: u64::from(seed),
     }
+}
+
+/// What the lookup `seed` stands for answered: a reference, or (every
+/// fourth seed) a replica set of one to three bindings.
+fn obj(seed: u32) -> Cached {
+    if !seed.is_multiple_of(4) {
+        return Cached::Ref(objref(seed));
+    }
+    Cached::Set(
+        (0..seed / 4 % 3 + 1)
+            .map(|i| Binding {
+                name: i.to_string(),
+                obj: objref(seed.wrapping_add(i)),
+                load: seed % 5,
+            })
+            .collect(),
+    )
 }
 
 /// One step of an interleaved client population. `StartResolve` models a
@@ -53,8 +71,8 @@ proptest! {
     #[test]
     fn interleavings_preserve_generation_safety(ops in prop::collection::vec(arb_op(), 1..60)) {
         let cache = ResolveCache::default();
-        // In-flight resolves: (path index, generation seen at start, ref).
-        let mut inflight: Vec<(usize, u64, ObjRef)> = Vec::new();
+        // In-flight resolves: (path index, generation seen at start, answer).
+        let mut inflight: Vec<(usize, u64, Cached)> = Vec::new();
         // Model state per path.
         let mut last_invalidation: HashMap<usize, u64> = HashMap::new();
         let mut max_seen_gen: HashMap<usize, u64> = HashMap::new();
@@ -69,7 +87,7 @@ proptest! {
                 Op::FinishResolve { pending } => {
                     if inflight.is_empty() { continue; }
                     let (path, gen_seen, r) = inflight.remove(pending % inflight.len());
-                    let landed = cache.install(PATHS[path], gen_seen, r);
+                    let landed = cache.install(PATHS[path], gen_seen, r.clone());
                     let inv = last_invalidation.get(&path).copied().unwrap_or(0);
                     if gen_seen < inv {
                         // Resolve began before the last invalidation: the

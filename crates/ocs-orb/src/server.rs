@@ -40,6 +40,18 @@ pub trait Servant: Send + Sync {
         let _ = method;
         "?"
     }
+
+    /// Whether `method` never waits for another message: no nested call,
+    /// no receive, no sleep, no wait on a sync object — it computes, at
+    /// most takes a lock nobody holds across such a wait, and returns.
+    /// A [`ThreadModel::PerRequest`] ORB lets the runtime run such a
+    /// request where it arrives ([`Endpoint::serve`]'s `inline`) instead
+    /// of in a process of its own. Say `true` only for methods called
+    /// often enough to matter, and keep the promise.
+    fn runs_inline(&self, method: u32) -> bool {
+        let _ = method;
+        false
+    }
 }
 
 /// How the server loop handles concurrent requests.
@@ -55,7 +67,8 @@ pub enum ThreadModel {
     /// both runtimes run it on an OS thread re-used from the previous
     /// request's, and on TCP the connection reader hands the frame to
     /// that thread itself — one hand-off per request, with no server
-    /// process woken in between.
+    /// process woken in between — or, for a method its servant says
+    /// [`runs_inline`](Servant::runs_inline), runs it with none.
     PerRequest,
 }
 
@@ -251,14 +264,36 @@ impl Orb {
                 // the port is open, and an open port must not keep its
                 // ORB alive.
                 let orb = Arc::downgrade(self);
-                let handler = move |from, msg| {
-                    if let Some(orb) = orb.upgrade() {
-                        orb.handle_frame(from, msg);
+                let handler = {
+                    let orb = orb.clone();
+                    move |from, msg| {
+                        if let Some(orb) = orb.upgrade() {
+                            orb.handle_frame(from, msg);
+                        }
                     }
                 };
-                self.ep.serve(&*self.rt, "orb-worker", Arc::new(handler));
+                let inline =
+                    move |frame: &[u8]| orb.upgrade().is_some_and(|orb| orb.runs_inline(frame));
+                self.ep.serve(
+                    &*self.rt,
+                    "orb-worker",
+                    Arc::new(handler),
+                    Some(Arc::new(inline)),
+                );
             }
         }
+    }
+
+    /// Whether `frame` is a request for a method its servant
+    /// [`runs_inline`](Servant::runs_inline).
+    fn runs_inline(&self, frame: &[u8]) -> bool {
+        let Some((object_id, method)) = Request::peek(frame) else {
+            return false;
+        };
+        let objects = self.objects.lock();
+        objects
+            .get(&object_id)
+            .is_some_and(|e| e.servant.runs_inline(method))
     }
 
     fn handle_frame(&self, from: Addr, msg: Bytes) {
@@ -477,6 +512,58 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs(1));
         assert_second_request_untraced(&front);
+    }
+
+    /// Answers with the name of the thread it was dispatched on; method
+    /// 2 promises not to wait.
+    struct WhereAmI;
+
+    impl Servant for WhereAmI {
+        fn type_id(&self) -> u32 {
+            2
+        }
+        fn dispatch(&self, _c: &Caller, _method: u32, _args: &[u8]) -> Result<Bytes, OrbError> {
+            let thread = std::thread::current();
+            Ok(Bytes::from(thread.name().unwrap_or("?").to_string()))
+        }
+        fn runs_inline(&self, method: u32) -> bool {
+            method == 2
+        }
+    }
+
+    #[test]
+    fn real_a_method_that_runs_inline_is_dispatched_on_the_connection_reader() {
+        let net = RealNet::new();
+        let server: Rt = net.add_node("server").unwrap();
+        let client: Rt = net.add_node("c").unwrap();
+        let orb = Orb::new(server.clone(), PortReq::Fixed(100)).unwrap();
+        let obj = orb.export_root(Arc::new(WhereAmI));
+        orb.start();
+        let ctx = ClientCtx::new(client).with_timeout(Duration::from_secs(5));
+        let ran_on = |method| {
+            let body = ctx.call_named(&obj, method, Bytes::new(), "where").unwrap();
+            String::from_utf8(body.to_vec()).unwrap()
+        };
+        // The first frames can reach the port before `serve` has
+        // registered the handler; those are spawned whatever they are.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while ran_on(2) != "conn-reader" {
+            assert!(std::time::Instant::now() < deadline, "never ran inline");
+        }
+        for _ in 0..20 {
+            assert_eq!(ran_on(1), "server-carrier");
+            assert_eq!(ran_on(2), "conn-reader");
+        }
+        // Same checks, same answers as any request: an unknown object is
+        // not inline and is refused by the carrier path.
+        let stranger = ObjRef {
+            object_id: 99,
+            ..obj
+        };
+        assert_eq!(
+            ctx.call_named(&stranger, 2, Bytes::new(), "where"),
+            Err(OrbError::UnknownObject)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 
 use bytes::Bytes;
 use ocs_sim::{Addr, NodeId};
-use ocs_wire::{impl_wire_enum, impl_wire_struct};
+use ocs_wire::{impl_wire_enum, impl_wire_struct, Decoder, Wire};
 
 /// A reference to a remote (or local) object, exactly as §3.2.1 of the
 /// paper describes it:
@@ -314,6 +314,25 @@ impl_wire_struct!(Request {
     body
 });
 
+impl Request {
+    /// The `(object_id, method)` a whole request frame — kind byte
+    /// included — is addressed to, read off its fixed-width head without
+    /// decoding the rest.
+    pub(crate) fn peek(frame: &[u8]) -> Option<(u64, u32)> {
+        let (&kind, rest) = frame.split_first()?;
+        if kind != FRAME_REQUEST {
+            return None;
+        }
+        let d = &mut Decoder::new(rest);
+        let _request_id = u64::decode_from(d).ok()?;
+        let object_id = u64::decode_from(d).ok()?;
+        let _incarnation = u64::decode_from(d).ok()?;
+        let _type_id = u32::decode_from(d).ok()?;
+        let method = u32::decode_from(d).ok()?;
+        Some((object_id, method))
+    }
+}
+
 /// A reply frame: either an application-level body (itself a
 /// wire-encoded `Result<T, E>`) or a system error.
 #[derive(Clone, Debug, PartialEq)]
@@ -358,6 +377,12 @@ mod tests {
             body: Bytes::from_static(b"args"),
         };
         assert_eq!(Request::from_bytes(&req.to_bytes()).unwrap(), req);
+        let mut frame = vec![FRAME_REQUEST];
+        frame.extend_from_slice(&req.to_bytes());
+        assert_eq!(Request::peek(&frame), Some((0, 2)));
+        assert_eq!(Request::peek(&frame[..20]), None);
+        frame[0] = FRAME_REPLY;
+        assert_eq!(Request::peek(&frame), None);
         let rep = Reply {
             request_id: 1,
             result: Err(OrbError::WrongType),

@@ -84,10 +84,13 @@ impl RasMonitor {
     fn poll_loop(self: Arc<Self>, interval: Duration) {
         loop {
             self.rt.sleep(interval);
-            let entities: Vec<EntityId> = {
+            // Each entity is asked about once, however many watch it.
+            let mut entities: Vec<EntityId> = {
                 let watches = self.watches.lock();
                 watches.iter().map(|w| w.entity).collect()
             };
+            entities.sort_unstable();
+            entities.dedup();
             if entities.is_empty() {
                 continue;
             }
@@ -114,5 +117,56 @@ impl RasMonitor {
                 cb();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::{RasApi, RasApiServant, RasError};
+    use ocs_orb::{Caller, Orb};
+    use ocs_sim::{NodeRt, PortReq, Sim, SimTime};
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// A RAS for which everything is dead, and which keeps what it was
+    /// asked.
+    #[derive(Default)]
+    struct Morgue(Mutex<Vec<Vec<EntityId>>>);
+
+    impl RasApi for Morgue {
+        fn check_status(
+            &self,
+            _caller: &Caller,
+            entities: Vec<EntityId>,
+        ) -> Result<Vec<EntityStatus>, RasError> {
+            let verdicts = vec![EntityStatus::Dead; entities.len()];
+            self.0.lock().push(entities);
+            Ok(verdicts)
+        }
+    }
+
+    #[test]
+    fn an_entity_watched_twice_is_asked_about_once_and_fires_both() {
+        let sim = Sim::new(1);
+        let node = sim.add_node("n");
+        let rt: Rt = node.clone();
+        let ras = Arc::new(Morgue::default());
+        let orb = Orb::new(rt.clone(), PortReq::Fixed(13)).unwrap();
+        orb.export_root(Arc::new(RasApiServant(Arc::clone(&ras))));
+        orb.start();
+        let monitor = RasMonitor::start(rt, Addr::new(node.node(), 13), Duration::from_secs(1));
+        let fired = Arc::new(AtomicU32::new(0));
+        for settop in [NodeId(7), NodeId(5), NodeId(7)] {
+            let fired = Arc::clone(&fired);
+            let cb = move || {
+                fired.fetch_add(1, Ordering::Relaxed);
+            };
+            monitor.watch_settop(settop, Box::new(cb));
+        }
+        sim.run_until(SimTime::from_millis(1500));
+        let want = [5, 7].map(|n| EntityId::Settop { node: NodeId(n) });
+        assert_eq!(*ras.0.lock(), vec![want.to_vec()]);
+        assert_eq!(fired.load(Ordering::Relaxed), 3);
+        assert_eq!(monitor.watch_count(), 0);
     }
 }

@@ -26,10 +26,17 @@
 //! endpoint ([`Endpoint::serve`], the ORB's `PerRequest` request port)
 //! has a handler: the reader starts it on a carrier as a task of the
 //! endpoint's owner group, one wake-up from socket to servant, and the
-//! serving task only waits for the port to close. The reader never runs
-//! a handler itself, however short: a servant may place a nested call
-//! whose reply arrives on the very stream this reader is the only one
-//! reading.
+//! serving task only waits for the port to close. The reader does not
+//! run a handler itself because it is short: a servant may place a
+//! nested call whose reply arrives on the very stream this reader is the
+//! only one reading. It runs the frames the endpoint's [`InlineTest`]
+//! passes — those whose handler, by its owner's word, waits for no other
+//! frame (a replica's `prepare` and heartbeat are the ones in the tree):
+//! same task accounting, no carrier, and a stream's inline frames are
+//! handled one at a time in the order they were sent, so a receiver that
+//! fell behind works its backlog off on the one thread instead of
+//! starting a carrier per queued frame. Such a handler's reply is one
+//! `write` on a stream; the write timeout bounds it like any other.
 //!
 //! ## Connection lifetime
 //!
@@ -114,7 +121,9 @@ use crate::backoff::RetryPolicy;
 use crate::carrier::Carriers;
 use crate::fault::{FaultAction, FaultEvent, FaultPlan};
 use crate::kernel::LinkImpairment;
-use crate::rt::{Addr, Endpoint, FrameHandler, NetError, NodeId, NodeRt, PortReq, RecvError};
+use crate::rt::{
+    Addr, Endpoint, FrameHandler, InlineTest, NetError, NodeId, NodeRt, PortReq, RecvError,
+};
 use crate::time::SimTime;
 
 /// Frame kinds on the wire.
@@ -382,11 +391,24 @@ fn cancellable_sleep(d: Duration) {
     }
 }
 
-/// Runs one task on its carrier thread: installs the group as the
-/// thread's cancellation scope, swallows the kill unwind, and retires
-/// the task from the group's live count. A cooperative kill is a quiet
-/// exit; any other panic already ran the panic hook (which printed) and
-/// is journalled here under the task's name, as the simulator does.
+/// Counts one more live task into `group`; `false` if it has been killed
+/// and the task must not start.
+fn join_group(group: &Option<Arc<GroupCore>>) -> bool {
+    if let Some(g) = group {
+        if g.killed() {
+            return false;
+        }
+        g.live.fetch_add(1, Ordering::SeqCst);
+    }
+    true
+}
+
+/// Runs one task on the calling thread — its carrier, or the reader of
+/// an inline frame: installs the group as the thread's cancellation
+/// scope, swallows the kill unwind, and retires the task from the
+/// group's live count. A cooperative kill is a quiet exit; any other
+/// panic already ran the panic hook (which printed) and is journalled
+/// here under the task's name, as the simulator does.
 fn run_in_group(
     sender: &FrameSender,
     name: &str,
@@ -782,6 +804,8 @@ enum Port {
 struct Served {
     task: String,
     handler: FrameHandler,
+    /// Frames this passes run on the reader that read them.
+    inline: Option<InlineTest>,
     /// The group the tasks join: the endpoint's owner when serving began.
     group: Option<Arc<GroupCore>>,
 }
@@ -852,12 +876,18 @@ fn read_frames(stream: &Arc<TcpStream>, peer: &mut Option<NodeId>, sender: &Arc<
                 mailbox.push(Delivered::Msg(from, Bytes::from(payload)));
             }
             (FRAME_MSG, Some(Port::Served(served))) => {
-                // Handed to a carrier, never run here: the servant may
+                // Handed to a carrier, not run here: the servant may
                 // place a nested call whose reply arrives on this stream,
-                // and only this thread reads it.
+                // and only this thread reads it. Unless the port's owner
+                // has said this frame's handler waits for no other.
                 let (handler, msg) = (Arc::clone(&served.handler), Bytes::from(payload));
+                let here = served.inline.as_ref().is_some_and(|test| test(&msg));
                 let run = Box::new(move || handler(from, msg));
-                sender.spawn_task(&served.task, served.group.clone(), run);
+                if here {
+                    sender.run_task_here(&served.task, served.group.clone(), run);
+                } else {
+                    sender.spawn_task(&served.task, served.group.clone(), run);
+                }
             }
             (FRAME_MSG, None) => {
                 // Closed port on a live node: bounce, as the sim does —
@@ -1205,11 +1235,8 @@ impl FrameSender {
         group: Option<Arc<GroupCore>>,
         f: Box<dyn FnOnce() + Send>,
     ) {
-        if let Some(g) = &group {
-            if g.killed() {
-                return; // A dead group spawns nothing.
-            }
-            g.live.fetch_add(1, Ordering::SeqCst);
+        if !join_group(&group) {
+            return; // A dead group spawns nothing.
         }
         let job = {
             let sender = Arc::clone(self);
@@ -1229,6 +1256,24 @@ impl FrameSender {
                 self.journal_as("proc", format!("spawn of '{name}' failed: {e}"));
             }
         }
+    }
+
+    /// Runs `f` as a task of `group`, like [`FrameSender::spawn_task`],
+    /// but on the calling thread — a connection reader with a frame its
+    /// port's [`InlineTest`] passed — and to its end before returning.
+    fn run_task_here(
+        &self,
+        name: &str,
+        group: Option<Arc<GroupCore>>,
+        f: Box<dyn FnOnce() + Send>,
+    ) {
+        if !join_group(&group) {
+            return;
+        }
+        run_in_group(self, name, group, f);
+        // A reader is in no group and under no span between two frames.
+        clear_current_group();
+        crate::trace::set_current_ctx(None);
     }
 
     fn slot(&self, peer: NodeId) -> PeerSlot {
@@ -1484,9 +1529,16 @@ impl Endpoint for RealEndpoint {
     }
 
     /// The connection readers hand each frame for the port straight to a
-    /// carrier; the calling task only waits for the close (and runs the
-    /// handler on whatever reached the mailbox before this call).
-    fn serve(&self, rt: &dyn NodeRt, task_name: &str, handler: FrameHandler) {
+    /// carrier, or run it themselves if `inline` passes it; the calling
+    /// task only waits for the close (and spawns the handler on whatever
+    /// reached the mailbox before this call).
+    fn serve(
+        &self,
+        rt: &dyn NodeRt,
+        task_name: &str,
+        handler: FrameHandler,
+        inline: Option<InlineTest>,
+    ) {
         let group = self.owner_group.lock().as_ref().and_then(Weak::upgrade);
         {
             let mut ports = self.sender.ports.lock();
@@ -1496,6 +1548,7 @@ impl Endpoint for RealEndpoint {
                 let served = Served {
                     task: task_name.to_string(),
                     handler: Arc::clone(&handler),
+                    inline,
                     group,
                 };
                 ports.insert(self.port, Port::Served(Arc::new(served)));
@@ -2143,11 +2196,13 @@ mod tests {
     }
 
     /// Serves `port` of `node` from a group of its own: every frame is
-    /// echoed by a task that first reports the thread it runs on.
+    /// echoed by a task that first reports the thread it runs on. Frames
+    /// `inline` passes may run on the reader.
     fn spawn_served_echo(
         node: &Arc<RealNode>,
         port: u16,
         ran_on: std::sync::mpsc::Sender<String>,
+        inline: Option<InlineTest>,
     ) -> (Arc<dyn crate::rt::ProcGroup>, Addr) {
         let ep = node.open(PortReq::Fixed(port)).unwrap();
         ep.disown();
@@ -2164,7 +2219,7 @@ mod tests {
                     ran_on.lock().send(thread).unwrap();
                     let _ = reply.send(from, msg);
                 };
-                ep.serve(&*rt, "svc-worker", Arc::new(handler));
+                ep.serve(&*rt, "svc-worker", Arc::new(handler), inline);
             }),
         );
         (group, addr)
@@ -2176,7 +2231,7 @@ mod tests {
         let a = net.add_node("a").unwrap();
         let b = net.add_node("b").unwrap();
         let (ran_on_tx, ran_on) = std::sync::mpsc::channel();
-        let (group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx);
+        let (group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx, None);
         let client = a.open(PortReq::Ephemeral).unwrap();
         let call = |msg: &'static [u8]| {
             client.send(b_addr, Bytes::from_static(msg)).unwrap();
@@ -2219,6 +2274,62 @@ mod tests {
         assert!(
             b.sender.ports.lock().is_empty(),
             "the handler outlived its port"
+        );
+    }
+
+    #[test]
+    fn frames_the_inline_test_passes_run_on_the_reader_as_tasks_of_the_group() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        let (ran_on_tx, ran_on) = std::sync::mpsc::channel();
+        let brief: InlineTest = Arc::new(|msg| msg.starts_with(b"brief"));
+        let (group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx, Some(brief));
+        let client = a.open(PortReq::Ephemeral).unwrap();
+        let call = |msg: &'static [u8]| {
+            client.send(b_addr, Bytes::from_static(msg)).unwrap();
+            client.recv(Some(Duration::from_secs(5)))
+        };
+        call(b"warm-up").unwrap();
+        ran_on.recv().unwrap();
+        assert!(eventually(Duration::from_secs(5), || {
+            matches!(b.sender.ports.lock().get(&100), Some(Port::Served(_)))
+        }));
+        for _ in 0..20 {
+            let (from, msg) = call(b"brief ping").unwrap();
+            assert_eq!((from, &msg[..]), (b_addr, &b"brief ping"[..]));
+            assert_eq!(ran_on.recv().unwrap(), "conn-reader");
+            // The frames the test does not pass still get a carrier.
+            call(b"long ping").unwrap();
+            assert_eq!(ran_on.recv().unwrap(), "b-carrier");
+        }
+
+        // A burst nobody waits for: handled one frame at a time, in the
+        // order it was sent, on the one thread, and starts none.
+        let threads = counter(&net, "real.net.threads_spawned");
+        for i in 0..200u8 {
+            let msg = [b"brief ".as_slice(), &[i]].concat();
+            client.send(b_addr, Bytes::from(msg)).unwrap();
+        }
+        for i in 0..200u8 {
+            let (_, msg) = client.recv(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(msg.last(), Some(&i));
+            assert_eq!(ran_on.recv().unwrap(), "conn-reader");
+        }
+        assert_eq!(counter(&net, "real.net.threads_spawned"), threads);
+
+        // An inline frame is a task of the group like any other: a
+        // killed group runs none.
+        assert!(group.alive());
+        group.kill();
+        assert!(eventually(Duration::from_secs(5), || !group.alive()));
+        match call(b"brief, anyone?") {
+            Err(RecvError::Unreachable(addr)) => assert_eq!(addr, b_addr),
+            other => panic!("expected a bounce from the killed group's port, got {other:?}"),
+        }
+        assert!(
+            ran_on.try_recv().is_err(),
+            "a dead group's port ran a handler"
         );
     }
 

@@ -182,7 +182,24 @@ pub trait Endpoint: Send + Sync {
     /// serving one first overrides it: on TCP the connection reader gives
     /// each frame straight to a carrier thread, and the serving process
     /// only waits for the close.
-    fn serve(&self, rt: &dyn NodeRt, task_name: &str, handler: FrameHandler) {
+    ///
+    /// `inline` names the messages whose handler *never waits for another
+    /// message*: no nested call, no receive, no sleep, no wait on a sync
+    /// object — it computes, at most takes a lock nobody holds across
+    /// such a wait, and sends. A runtime may run those where they arrive
+    /// instead of handing them on: on TCP the connection reader runs them
+    /// itself, one after the other in arrival order, with no carrier and
+    /// no wake-up between socket and handler. The process they run as is
+    /// the same either way (group, kill, live count); the simulator
+    /// spawns every message and ignores `inline`.
+    fn serve(
+        &self,
+        rt: &dyn NodeRt,
+        task_name: &str,
+        handler: FrameHandler,
+        inline: Option<InlineTest>,
+    ) {
+        let _ = inline;
         serve_by_recv(self, rt, task_name, &handler);
     }
 }
@@ -190,6 +207,10 @@ pub trait Endpoint: Send + Sync {
 /// What [`Endpoint::serve`] runs per message: the source address and the
 /// payload.
 pub type FrameHandler = Arc<dyn Fn(Addr, Bytes) + Send + Sync>;
+
+/// Whether a message's handler may run on the thread that received it;
+/// see [`Endpoint::serve`] for what it promises.
+pub type InlineTest = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
 
 /// Receives from `ep` until it closes, spawning `handler` on each
 /// message: the provided body of [`Endpoint::serve`].

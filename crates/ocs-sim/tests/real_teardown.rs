@@ -50,7 +50,7 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
                             let _ = server.send(from, msg);
                         }
                     };
-                    server.serve(&*rt, "echo-worker", Arc::new(handler));
+                    server.serve(&*rt, "echo-worker", Arc::new(handler), None);
                 });
             } else {
                 node.spawn_fn("echo", move || {

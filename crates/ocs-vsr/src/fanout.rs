@@ -18,7 +18,8 @@
 //!
 //! **Receiving.** [`PeerServant`] is the one servant of the protocol:
 //! it unmarshals what the sending half marshalled and runs the step on
-//! its [`Replica`]. A group's peer interface differs from another's in
+//! its [`Replica`] — `prepare` and `commit_hb` on the thread that
+//! received them where the runtime has one (`Servant::runs_inline`). A group's peer interface differs from another's in
 //! its wire name ([`Replicated::PEER_INTERFACE`]) and in the op and
 //! snapshot types its frames carry, nothing else: both halves number and
 //! name the methods from [`Method`].
@@ -494,6 +495,19 @@ impl<M: Replicated> Servant for PeerServant<M> {
 
     fn method_name(&self, method: u32) -> &'static str {
         Method::from_id(method).map_or("?", |m| METHODS[m.index()].1)
+    }
+
+    /// The two calls of the steady state — one engine step under the
+    /// engine lock, which nobody holds across a wait — are answered
+    /// where they arrive: a backup takes its primary's prepares in the
+    /// order they were sent, and one that fell behind works the backlog
+    /// off without a process per queued prepare. The rest of the
+    /// protocol calls out or waits for a commit.
+    fn runs_inline(&self, method: u32) -> bool {
+        matches!(
+            Method::from_id(method),
+            Some(Method::Prepare | Method::CommitHb)
+        )
     }
 
     fn dispatch(&self, _caller: &Caller, method: u32, args: &[u8]) -> Result<Bytes, OrbError> {
