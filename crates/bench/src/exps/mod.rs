@@ -100,6 +100,33 @@ pub(crate) fn primary_server_of(cluster: &Cluster, path: &str) -> Option<(usize,
     Some((idx, obj))
 }
 
+/// [`primary_server_of`] `svc/mms`, after moving the primary off server 0
+/// if the start-up bind race left it there (the two instances start
+/// milliseconds apart). Server 0 holds the name-service master in a
+/// fault-free run, and its audit learns of a death on its own server
+/// from the local RAS at once: only a primary elsewhere puts the
+/// RAS-to-RAS poll, the third of §9.7's windows, into a fail-over
+/// measurement. The instance the SSC restarts can win the name back
+/// (with every period at 2 s it always does): after three tries the
+/// primary is reported where it is.
+pub(crate) fn remote_mms_primary(cluster: &Cluster) -> Option<(usize, ocs_orb::ObjRef)> {
+    for _ in 0..3 {
+        let (idx, obj) = primary_server_of(cluster, "svc/mms")?;
+        if idx != 0 {
+            return Some((idx, obj));
+        }
+        let moved = watch_rebind(cluster, "svc/mms", obj);
+        cluster.kill_service(0, "mms");
+        for _ in 0..120 {
+            cluster.sim.run_for(Duration::from_secs(1));
+            if moved.try_recv().is_some() {
+                break;
+            }
+        }
+    }
+    primary_server_of(cluster, "svc/mms")
+}
+
 /// Spawns a watcher that records when `path` resolves to a reference
 /// other than `old` AND the object answers; returns a channel yielding
 /// the virtual time of recovery.

@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use itv_media::{CmApi, CmBudgets, ConnectionManager};
-use ocs_name::{AlwaysAlive, NsConfig, NsHandle, NsReplica, RebindPolicy, Rebinding};
+use ocs_name::{
+    advertise, AlwaysAlive, NsConfig, NsHandle, NsReplica, RebindPolicy, Rebinding, ADVERTISE_EVERY,
+};
 use ocs_orb::{Caller, ClientCtx, ObjRef, Orb, OrbError};
 use ocs_ras::{EntityId, Ras, RasApiClient, RasConfig};
 use ocs_sim::{
@@ -346,10 +348,8 @@ fn storm_once(n_clients: usize, jitter: bool) -> (f64, f64, f64) {
     let sim = Sim::new(600 + n_clients as u64 + jitter as u64);
     let nodes = ns_group(&sim, 1, Duration::from_secs(2));
     let server = sim.add_node("app-server");
-    // Wire a real RAS-like oracle not needed: audit is AlwaysAlive, so
-    // clear the dead binding by running the service under an SSC and
-    // letting rebind_own-style logic replace it. Simpler: the service
-    // itself unbinds + rebinds at start.
+    // The audit is AlwaysAlive, so nothing removes a dead instance's
+    // binding: the restarted one displaces it when it claims the name.
     let svc = ServiceDef {
         name: "echo".into(),
         basic: true,
@@ -381,13 +381,7 @@ fn storm_once(n_clients: usize, jitter: bool) -> (f64, f64, f64) {
                 orb.start();
                 (ctx.notify_ready)(vec![obj]);
                 let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), ns_addr);
-                loop {
-                    let _ = ns.unbind("svc-echo");
-                    if ns.bind("svc-echo", obj).is_ok() {
-                        break;
-                    }
-                    ctx.rt.sleep(Duration::from_millis(500));
-                }
+                advertise(&ns, "svc-echo", obj, ADVERTISE_EVERY, false, || true);
                 loop {
                     ctx.rt.sleep(Duration::from_secs(3600));
                 }

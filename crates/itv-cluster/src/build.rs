@@ -14,7 +14,10 @@ use itv_media::{
 use itv_settop::{AppCtx, AppSlot, Settop, SettopBootInfo, SettopHandle};
 use ocs_auth::AuthService;
 use ocs_db::{Db, DbApiServant, MemStorage, ServicePlacement, Storage, TABLE_SERVICES};
-use ocs_name::{acquire_primary, NsConfig, NsError, NsHandle, NsReplica, SelectorSpec};
+use ocs_name::{
+    acquire_primary, advertise, NsConfig, NsError, NsHandle, NsReplica, SelectorSpec,
+    ADVERTISE_EVERY,
+};
 use ocs_orb::{ClientCtx, ObjRef, Orb};
 use ocs_ras::{Ras, RasConfig, RasOracle, SettopMgr, SettopMgrConfig};
 use ocs_sim::{Addr, LinkParams, NodeId, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimNode};
@@ -200,17 +203,8 @@ impl Cluster {
         // ---- per-server service registries -----------------------------
         let mut servers = Vec::new();
         for (i, node) in servers_nodes.iter().enumerate() {
-            let registry = Cluster::registry_for(
-                i,
-                node,
-                &cfg,
-                &ns_peers,
-                &catalog,
-                &storages,
-                &nbhd_of,
-                &boot_svc,
-                &servers_nodes,
-            );
+            let registry =
+                Cluster::registry_for(i, &cfg, &ns_peers, &catalog, &storages, &nbhd_of, &boot_svc);
             servers.push(ServerHandle {
                 node: Arc::clone(node),
                 replica_id: i as u32,
@@ -307,17 +301,14 @@ impl Cluster {
     }
 
     /// Builds the service registry (the "binaries on disk") for server `i`.
-    #[allow(clippy::too_many_arguments)]
     fn registry_for(
         i: usize,
-        _node: &Arc<SimNode>,
         cfg: &ClusterConfig,
         ns_peers: &[Addr],
         catalog: &Catalog,
         storages: &[Arc<MemStorage>],
         nbhd_of: &Arc<BTreeMap<NodeId, u32>>,
         boot_svc: &Arc<BootSvc>,
-        _servers: &[Arc<SimNode>],
     ) -> Vec<ServiceDef> {
         let my_ns = ns_peers[i];
         let peers = ns_peers.to_vec();
@@ -359,23 +350,15 @@ impl Cluster {
         });
 
         // --- basic: authentication service -------------------------------
-        defs.push(ServiceDef {
-            name: "auth".into(),
-            basic: true,
-            factory: Arc::new(move |ctx: ServiceRunCtx| {
-                let svc =
-                    AuthService::new(ctx.rt.clone(), Bytes::from_static(b"orlando-realm-key"));
-                let Ok(orb) = Orb::new(ctx.rt.clone(), PortReq::Fixed(ports::AUTH)) else {
-                    return;
-                };
-                let obj = orb.export_root(Arc::new(ocs_auth::AuthApiServant(svc)));
-                orb.start();
-                (ctx.notify_ready)(vec![obj]);
-                let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                rebind_own(&ns, &ctx.rt, "svc/auth", obj, true);
-                park(&ctx.rt)
-            }),
-        });
+        // One instance per server, so one name per server under the
+        // replicated `svc/auth`.
+        defs.push(held("auth", true, my_ns, false, |rt| {
+            let svc = AuthService::new(rt.clone(), Bytes::from_static(b"orlando-realm-key"));
+            let orb = Orb::new(rt.clone(), PortReq::Fixed(ports::AUTH)).ok()?;
+            let obj = orb.export_root(Arc::new(ocs_auth::AuthApiServant(svc)));
+            orb.start();
+            Some(vec![(format!("svc/auth/{}", rt.node().0), obj)])
+        }));
 
         // --- basic: RAS ---------------------------------------------------
         {
@@ -419,30 +402,20 @@ impl Cluster {
         // --- basic: database (server 0's disk) ----------------------------
         if i == 0 {
             let storage = Arc::clone(&storages[0]);
-            defs.push(ServiceDef {
-                name: "db".into(),
-                basic: true,
-                factory: Arc::new(move |ctx: ServiceRunCtx| {
-                    let db = Db::new(Arc::clone(&storage) as Arc<dyn Storage>);
-                    let Ok(orb) = Orb::new(ctx.rt.clone(), PortReq::Fixed(ports::DB)) else {
-                        return;
-                    };
-                    let obj = orb.export_root(Arc::new(DbApiServant(db)));
-                    orb.start();
-                    (ctx.notify_ready)(vec![obj]);
-                    let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                    rebind_own(&ns, &ctx.rt, "svc/db", obj, true);
-                    park(&ctx.rt)
-                }),
-            });
+            defs.push(held("db", true, my_ns, true, move |rt| {
+                let db = Db::new(Arc::clone(&storage) as Arc<dyn Storage>);
+                let orb = Orb::new(rt.clone(), PortReq::Fixed(ports::DB)).ok()?;
+                let obj = orb.export_root(Arc::new(DbApiServant(db)));
+                orb.start();
+                Some(vec![("svc/db".into(), obj)])
+            }));
         }
 
         // --- basic: CSC replicas (VSR group) on the first three servers ----
         // The controllers' placement/config table rides the shared VSR
         // log: up to three replicas (deduped on small clusters), all on
         // the CSC port. The group master advertises itself at `svc/csc`
-        // via the stable-binding keeper inside `Csc::run`, mirroring the
-        // CM groups below.
+        // from inside `Csc::run`, as the CM groups below do.
         let csc_peers: Vec<Addr> = {
             let mut nodes = Vec::new();
             for k in 0..3 {
@@ -482,50 +455,30 @@ impl Cluster {
         }
 
         // --- placed: settop manager ---------------------------------------
-        defs.push(ServiceDef {
-            name: "settop-mgr".into(),
-            basic: false,
-            factory: Arc::new(move |ctx: ServiceRunCtx| {
-                let Ok((_mgr, obj)) = SettopMgr::start(
-                    ctx.rt.clone(),
-                    SettopMgrConfig {
-                        port: ports::SETTOP_MGR,
-                        ..SettopMgrConfig::default()
-                    },
-                ) else {
-                    return;
-                };
-                (ctx.notify_ready)(vec![obj]);
-                let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                rebind_own(&ns, &ctx.rt, "svc/settop-mgr", obj, true);
-                park(&ctx.rt)
-            }),
-        });
+        defs.push(held("settop-mgr", false, my_ns, true, |rt| {
+            let cfg = SettopMgrConfig {
+                port: ports::SETTOP_MGR,
+                ..SettopMgrConfig::default()
+            };
+            let (_mgr, obj) = SettopMgr::start(rt.clone(), cfg).ok()?;
+            Some(vec![("svc/settop-mgr".into(), obj)])
+        }));
 
         // --- placed: MDS ----------------------------------------------------
         {
             let catalog = catalog.clone();
             let max_streams = cfg.mds_max_streams;
-            defs.push(ServiceDef {
-                name: "mds".into(),
-                basic: false,
-                factory: Arc::new(move |ctx: ServiceRunCtx| {
-                    let Ok((mds, obj)) =
-                        Mds::serve(ctx.rt.clone(), ports::MDS, catalog.clone(), max_streams)
-                    else {
-                        return;
-                    };
-                    (ctx.notify_ready)(vec![obj]);
-                    let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                    let path = format!("svc/mds/{}", ctx.rt.node().0);
-                    rebind_own(&ns, &ctx.rt, &path, obj, false);
-                    // Report load for dynamic selectors.
-                    loop {
-                        ctx.rt.sleep(Duration::from_secs(5));
-                        let _ = ns.report_load(&path, mds.open_count());
-                    }
-                }),
-            });
+            defs.push(held("mds", false, my_ns, false, move |rt| {
+                let (mds, names) = serve_mds(rt, catalog.clone(), max_streams)?;
+                // Report load for dynamic selectors.
+                let ns = NsHandle::new(ClientCtx::new(rt.clone()), my_ns);
+                let (path, rt2) = (names[0].0.clone(), rt.clone());
+                rt.spawn_fn("mds-load", move || loop {
+                    rt2.sleep(Duration::from_secs(5));
+                    let _ = ns.report_load(&path, mds.open_count());
+                });
+                Some(names)
+            }));
         }
 
         // --- placed: MMS -----------------------------------------------------
@@ -601,62 +554,33 @@ impl Cluster {
                     let obj = rep.root_ref();
                     (ctx.notify_ready)(vec![obj]);
                     let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                    ensure_path(&ns, &ctx.rt, "svc/cmgr");
+                    // The group master holds the name, not the winner of
+                    // a bind race: the binding is a stable reference,
+                    // which the NS audit skips, so a dead master's is
+                    // never audited away — the current master must
+                    // rewrite it. Backups forward ops to the primary, so
+                    // a binding that trails a view change keeps working
+                    // as long as it points at a live replica.
                     let path = format!("svc/cmgr/{n}");
-                    // Master-advertisement loop (replaces acquire_primary):
-                    // the binding is a stable reference, which the NS audit
-                    // skips, so a dead master's binding is never audited
-                    // away — the current master must actively rewrite it.
-                    // Backups forward ops to the primary, so a binding that
-                    // trails a view change keeps working as long as it
-                    // points at a live replica.
-                    loop {
-                        if rep.is_master() && ns.resolve(&path).ok() != Some(obj) {
-                            let _ = ns.unbind(&path);
-                            let _ = ns.bind(&path, obj);
-                        }
-                        ctx.rt.sleep(bind_retry);
-                    }
-                }),
-            });
-            let catalog = catalog.clone();
-            defs.push(ServiceDef {
-                name: format!("rds-{n}"),
-                basic: false,
-                factory: Arc::new(move |ctx: ServiceRunCtx| {
-                    let rds = Rds::new(catalog.clone());
-                    let Ok(obj) = rds.serve(ctx.rt.clone(), 3000 + n as u16) else {
-                        return;
-                    };
-                    (ctx.notify_ready)(vec![obj]);
-                    let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                    rebind_own(&ns, &ctx.rt, &format!("svc/rds/{n}"), obj, false);
+                    advertise(&ns, &path, obj, bind_retry, true, move || rep.is_master());
                     park(&ctx.rt)
                 }),
             });
+            let catalog = catalog.clone();
+            defs.push(held(format!("rds-{n}"), false, my_ns, false, move |rt| {
+                let obj = Rds::new(catalog.clone())
+                    .serve(rt.clone(), 3000 + n as u16)
+                    .ok()?;
+                Some(vec![(format!("svc/rds/{n}"), obj)])
+            }));
         }
 
         // --- placed: shop -----------------------------------------------------
-        defs.push(ServiceDef {
-            name: "shop".into(),
-            basic: false,
-            factory: Arc::new(move |ctx: ServiceRunCtx| {
-                let shop = ShopSvc::new(ctx.rt.clone(), Duration::from_millis(2));
-                let Ok(obj) = shop.serve(ctx.rt.clone(), ports::SHOP) else {
-                    return;
-                };
-                (ctx.notify_ready)(vec![obj]);
-                let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                rebind_own(
-                    &ns,
-                    &ctx.rt,
-                    &format!("svc/shop/{}", ctx.rt.node().0),
-                    obj,
-                    false,
-                );
-                park(&ctx.rt)
-            }),
-        });
+        defs.push(held("shop", false, my_ns, false, |rt| {
+            let shop = ShopSvc::new(rt.clone(), Duration::from_millis(2));
+            let obj = shop.serve(rt.clone(), ports::SHOP).ok()?;
+            Some(vec![(format!("svc/shop/{}", rt.node().0), obj)])
+        }));
 
         // --- placed: KBS -------------------------------------------------------
         {
@@ -681,39 +605,22 @@ impl Cluster {
         // --- placed: boot broadcast (shared plans survive restarts) ------------
         {
             let boot_svc = Arc::clone(boot_svc);
-            defs.push(ServiceDef {
-                name: "boot".into(),
-                basic: false,
-                factory: Arc::new(move |ctx: ServiceRunCtx| {
-                    let Ok(obj) = boot_svc.serve(ctx.rt.clone(), ports::BOOT) else {
-                        return;
-                    };
-                    (ctx.notify_ready)(vec![obj]);
-                    let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                    rebind_own(&ns, &ctx.rt, "svc/boot", obj, true);
-                    park(&ctx.rt)
-                }),
-            });
+            defs.push(held("boot", false, my_ns, true, move |rt| {
+                let obj = boot_svc.serve(rt.clone(), ports::BOOT).ok()?;
+                Some(vec![("svc/boot".into(), obj)])
+            }));
         }
 
         // --- placed: file service -----------------------------------------------
-        defs.push(ServiceDef {
-            name: "file".into(),
-            basic: false,
-            factory: Arc::new(move |ctx: ServiceRunCtx| {
-                let Ok((_svc, root_ref, create_ref)) = FileSvc::serve(ctx.rt.clone(), ports::FILE)
-                else {
-                    return;
-                };
-                (ctx.notify_ready)(vec![root_ref, create_ref]);
-                let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                // The FileSystemContext root goes into the global space
-                // (a remotely implemented context, §4.3).
-                rebind_own(&ns, &ctx.rt, "fs", root_ref, true);
-                rebind_own(&ns, &ctx.rt, "svc/file", create_ref, true);
-                park(&ctx.rt)
-            }),
-        });
+        // The FileSystemContext root goes into the global space (a
+        // remotely implemented context, §4.3).
+        defs.push(held("file", false, my_ns, true, |rt| {
+            let (_svc, root_ref, create_ref) = FileSvc::serve(rt.clone(), ports::FILE).ok()?;
+            Some(vec![
+                ("fs".into(), root_ref),
+                ("svc/file".into(), create_ref),
+            ])
+        }));
 
         defs
     }
@@ -762,6 +669,7 @@ impl Cluster {
                 }
             };
             mk("svc/mds", SelectorSpec::SameServer);
+            mk("svc/auth", SelectorSpec::SameServer);
             mk(
                 "svc/rds",
                 SelectorSpec::Neighborhood {
@@ -914,73 +822,52 @@ pub fn standard_apps(intent: Arc<Mutex<Intent>>) -> Vec<AppSlot> {
 
 /// Parks a service's root process forever (its ORB and loops run in the
 /// same group).
-fn park(rt: &Rt) {
+pub(crate) fn park(rt: &Rt) {
     loop {
         rt.sleep(Duration::from_secs(3600));
     }
 }
 
-/// Creates missing plain parent contexts for `path` (idempotent).
-fn ensure_path(ns: &NsHandle, rt: &Rt, path: &str) {
-    loop {
-        let mut at = String::new();
-        let mut ok = true;
-        for part in path.split('/') {
-            if !at.is_empty() {
-                at.push('/');
-            }
-            at.push_str(part);
-            match ns.bind_new_context(&at) {
-                Ok(_) | Err(NsError::AlreadyBound { .. }) => {}
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            return;
-        }
-        rt.sleep(Duration::from_secs(1));
+/// The names a started service instance holds: `(path, object)`.
+pub(crate) type Names = Vec<(String, ObjRef)>;
+
+/// A service "binary" of the shape most have. `serve` exports the
+/// service on the node and says which names it holds (`None`: the port
+/// is still held by a stale instance — die and let the SSC retry); the
+/// SSC is told, and the root process holds the names until killed.
+fn held(
+    name: impl Into<String>,
+    basic: bool,
+    my_ns: Addr,
+    create_parents: bool,
+    serve: impl Fn(&Rt) -> Option<Names> + Send + Sync + 'static,
+) -> ServiceDef {
+    ServiceDef {
+        name: name.into(),
+        basic,
+        factory: Arc::new(move |ctx: ServiceRunCtx| {
+            let Some(names) = serve(&ctx.rt) else {
+                return;
+            };
+            (ctx.notify_ready)(names.iter().map(|(_, obj)| *obj).collect());
+            hold(&ctx.rt, my_ns, names, create_parents)
+        }),
     }
 }
 
-/// Unbinds any stale binding at `path` (from a previous incarnation of
-/// this same per-node service) and binds `obj`; retries until the name
-/// service accepts. With `create_parents`, missing plain contexts on the
-/// way are created — leave it off for children of replicated contexts,
-/// whose parents the cluster-setup process creates with their selectors.
-fn rebind_own(ns: &NsHandle, rt: &Rt, path: &str, obj: ObjRef, create_parents: bool) {
-    loop {
-        let _ = ns.unbind(path);
-        match ns.bind(path, obj) {
-            Ok(()) => break,
-            Err(NsError::NotFound { .. }) if create_parents => {
-                if let Some((parent, _)) = path.rsplit_once('/') {
-                    ensure_path(ns, rt, parent);
-                }
-            }
-            Err(_) => {}
-        }
-        rt.sleep(Duration::from_secs(2));
+/// Keeps `names` bound through the replica at `my_ns` for as long as the
+/// calling process group lives. `create_parents` as for [`advertise`]:
+/// off for children of the replicated contexts the set-up process makes.
+pub(crate) fn hold(rt: &Rt, my_ns: Addr, names: Names, create_parents: bool) {
+    let ns = NsHandle::new(ClientCtx::new(rt.clone()), my_ns);
+    for (path, obj) in names {
+        advertise(&ns, &path, obj, ADVERTISE_EVERY, create_parents, || true);
     }
-    // Keep the binding asserted for as long as this service instance
-    // lives. The NS audit may reap it spuriously right after a restart —
-    // the audit's RAS verdicts can briefly trail a partition heal — and
-    // a one-shot bind would leave the service unreachable forever. The
-    // keeper inherits the service's process group, so a restarted
-    // instance is not fought by its predecessor's keeper.
-    let ns = ns.clone();
-    let keeper_rt = rt.clone();
-    let path = path.to_string();
-    rt.spawn_fn(&format!("rebind-{path}"), move || loop {
-        keeper_rt.sleep(Duration::from_secs(5));
-        match ns.resolve(&path) {
-            Ok(cur) if cur == obj => {}
-            _ => {
-                let _ = ns.unbind(&path);
-                let _ = ns.bind(&path, obj);
-            }
-        }
-    });
+    park(rt)
+}
+
+/// Starts an MDS on `rt`'s node; it holds `svc/mds/<node>`.
+pub(crate) fn serve_mds(rt: &Rt, catalog: Catalog, max_streams: u32) -> Option<(Arc<Mds>, Names)> {
+    let (mds, obj) = Mds::serve(rt.clone(), ports::MDS, catalog, max_streams).ok()?;
+    Some((mds, vec![(format!("svc/mds/{}", rt.node().0), obj)]))
 }

@@ -24,17 +24,18 @@ use std::time::{Duration, Instant};
 
 use itv_media::{
     ports, Catalog, CmApiClient, CmBudgets, CmUsage, ConnectionManager, Mms, MmsApiClient,
-    MmsConfig, MovieCtlClient, MovieInfo, MovieTicket, Mds, Segment,
+    MmsConfig, MovieCtlClient, MovieInfo, MovieTicket, Segment,
 };
 use ocs_name::{
     acquire_primary, AlwaysAlive, NsConfig, NsHandle, NsReplica, SelectorSpec,
 };
-use ocs_orb::{telemetry_ref, ClientCtx, ObjRef, TelemetryClient};
+use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::real::{RealNet, RealNode};
 use ocs_sim::{Addr, NodeId, NodeRt, PortReq, ProcGroup, Rt};
 use ocs_wire::Wire;
 use parking_lot::Mutex;
 
+use crate::build::{hold, park, serve_mds};
 use crate::telemetry::TelemetrySnapshot;
 
 /// The test movie streamed by campaign viewers: long enough that a
@@ -204,9 +205,7 @@ impl RealCluster {
                 match NsReplica::start(rt.clone(), cfg.clone(), Arc::new(AlwaysAlive)) {
                     Ok(r) => {
                         slots.lock()[i] = Some(r);
-                        loop {
-                            rt.sleep(Duration::from_secs(3600));
-                        }
+                        park(&rt)
                     }
                     Err(_) => rt.sleep(Duration::from_millis(100)),
                 }
@@ -324,9 +323,7 @@ impl RealCluster {
                 };
                 let ns = NsHandle::new(ClientCtx::new(rt.clone()), my_ns);
                 acquire_primary(&ns, &rt, "svc/cmgr/0", obj, Duration::from_millis(500));
-                loop {
-                    rt.sleep(Duration::from_secs(3600));
-                }
+                park(&rt)
             }),
         );
         self.register("cmgr-0", group, node);
@@ -343,15 +340,8 @@ impl RealCluster {
         let group = rt.clone().spawn_group(
             "mds",
             Box::new(move || {
-                let Ok((_mds, obj)) = Mds::serve(rt.clone(), ports::MDS, catalog, 64) else {
-                    return;
-                };
-                let ns = NsHandle::new(ClientCtx::new(rt.clone()), my_ns);
-                let path = format!("svc/mds/{}", rt.node().0);
-                let _ = ns.unbind(&path);
-                let _ = ns.bind(&path, obj);
-                loop {
-                    rt.sleep(Duration::from_secs(3600));
+                if let Some((_mds, names)) = serve_mds(&rt, catalog, 64) {
+                    hold(&rt, my_ns, names, false)
                 }
             }),
         );
@@ -470,37 +460,8 @@ impl RealCluster {
     /// Scrapes every node's telemetry servant from the driver thread and
     /// folds the network's `real.net.*` counters into the merged view.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = TelemetrySnapshot::default();
-        let probe: Rt = self.servers[0].clone();
-        let targets = self
-            .servers
-            .iter()
-            .map(|n| n.node())
-            .collect::<Vec<NodeId>>();
-        for node in targets {
-            let ctx = ClientCtx::new(probe.clone()).with_timeout(Duration::from_millis(1500));
-            let tele = telemetry_ref(Addr::new(node, ports::TELEMETRY));
-            let Ok(client) = TelemetryClient::attach(ctx, tele) else {
-                snap.unreachable.push(node);
-                continue;
-            };
-            let (metrics, spans) = (client.metrics(), client.spans());
-            match metrics {
-                Ok(m) => {
-                    snap.merged.merge(&m);
-                    snap.nodes.insert(node, m);
-                }
-                Err(_) => {
-                    snap.unreachable.push(node);
-                    continue;
-                }
-            }
-            if let Ok(spans) = spans {
-                snap.spans.extend(spans);
-            }
-        }
-        snap.spans
-            .sort_by_key(|s| (s.trace.0, s.start.as_micros(), s.span.0));
+        let targets = self.servers.iter().map(|n| n.node()).collect();
+        let mut snap = TelemetrySnapshot::scrape(self.servers[0].clone(), targets);
         // The transport's own counters live on the network registry, not
         // on any node's telemetry servant: fold them in so campaigns see
         // one merged view.

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use itv_media::ports;
 use ocs_orb::{telemetry_ref, ClientCtx, TelemetryClient};
-use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, SimChan};
+use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, Rt, SimChan};
 use ocs_telemetry::{MetricsSnapshot, Span};
 
 use ocs_telemetry::{merge_journals, render_timeline, Journal, JournalEvent};
@@ -37,6 +37,37 @@ impl TelemetrySnapshot {
         self.merged.counter(name)
     }
 
+    /// Asks the telemetry servant of every node in `targets`, from the
+    /// calling process on `probe`'s node, and merges what answered.
+    pub(crate) fn scrape(probe: Rt, targets: Vec<NodeId>) -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot::default();
+        for node in targets {
+            let ctx = ClientCtx::new(probe.clone()).with_timeout(Duration::from_millis(1500));
+            let tele = telemetry_ref(Addr::new(node, ports::TELEMETRY));
+            let Ok(client) = TelemetryClient::attach(ctx, tele) else {
+                snap.unreachable.push(node);
+                continue;
+            };
+            let (metrics, spans) = (client.metrics(), client.spans());
+            match metrics {
+                Ok(m) => {
+                    snap.merged.merge(&m);
+                    snap.nodes.insert(node, m);
+                }
+                Err(_) => {
+                    snap.unreachable.push(node);
+                    continue;
+                }
+            }
+            if let Ok(spans) = spans {
+                snap.spans.extend(spans);
+            }
+        }
+        snap.spans
+            .sort_by_key(|s| (s.trace.0, s.start.as_micros(), s.span.0));
+        snap
+    }
+
     /// Sum of every merged counter whose name starts with `prefix`.
     pub fn counters_with_prefix(&self, prefix: &str) -> u64 {
         self.merged
@@ -61,32 +92,7 @@ impl Cluster {
         let probe = self.servers[0].node.clone();
         let rt = probe.clone();
         probe.spawn_fn("telemetry-scrape", move || {
-            let mut snap = TelemetrySnapshot::default();
-            for node in targets {
-                let ctx = ClientCtx::new(rt.clone()).with_timeout(Duration::from_millis(1500));
-                let tele = telemetry_ref(Addr::new(node, ports::TELEMETRY));
-                let Ok(client) = TelemetryClient::attach(ctx, tele) else {
-                    snap.unreachable.push(node);
-                    continue;
-                };
-                let (metrics, spans) = (client.metrics(), client.spans());
-                match metrics {
-                    Ok(m) => {
-                        snap.merged.merge(&m);
-                        snap.nodes.insert(node, m);
-                    }
-                    Err(_) => {
-                        snap.unreachable.push(node);
-                        continue;
-                    }
-                }
-                if let Ok(spans) = spans {
-                    snap.spans.extend(spans);
-                }
-            }
-            snap.spans
-                .sort_by_key(|s| (s.trace.0, s.start.as_micros(), s.span.0));
-            out2.send(snap);
+            out2.send(TelemetrySnapshot::scrape(rt, targets));
         });
         // One RPC pair per node plus slack; virtual time is free.
         self.sim

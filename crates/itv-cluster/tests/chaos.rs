@@ -397,7 +397,13 @@ fn same_seed_chaos_run_has_identical_trace_hash() {
 /// probes of an open leave together from one endpoint, and a stream's
 /// process waits its tick out on a wait object `close` bumps instead of
 /// sleeping — fewer frames, other send times, no other behaviour.
-const E15_BASELINE_TRACE_HASH: u64 = 1997775100665662036;
+/// Re-captured when services began holding their names through
+/// `ocs_name::advertise`: a keeper lists its parent context every period
+/// and writes only when its name is gone, where each used to unbind and
+/// re-bind a name it held every 5 s, and the per-server `auth` instances
+/// stopped taking the single `svc/auth` from each other — the cluster's
+/// name-service traffic is a fraction of what it was.
+const E15_BASELINE_TRACE_HASH: u64 = 11283873571967627739;
 
 #[test]
 fn e15_trace_hash_matches_committed_baseline() {

@@ -226,6 +226,29 @@ fn real_net_counters_surface_in_telemetry_snapshot() {
     assert!(resets, "reset storm produced no observed resets");
 }
 
+/// The MDS holds its name on TCP as it does in the simulator: a binding
+/// removed behind its back (an audit on a stale verdict, an operator's
+/// slip) is re-asserted at the keeper's next look, one period later. A
+/// one-shot bind at start never brings it back.
+#[test]
+fn mds_binding_unbound_by_hand_returns_within_one_period() {
+    let cluster = RealCluster::launch(3, 0);
+    cluster.start_mds();
+    let ns = cluster.ns(0);
+    let bound = || ns.list_repl("svc/mds").is_ok_and(|set| set.len() == 1);
+    assert!(
+        cluster.eventually(Duration::from_secs(5), bound),
+        "the MDS never bound itself"
+    );
+    let path = format!("svc/mds/{}", cluster.servers[1].node().0);
+    ns.unbind(&path).expect("unbind by hand");
+    assert!(!bound());
+    assert!(
+        cluster.eventually(ocs_name::ADVERTISE_EVERY + Duration::from_secs(1), bound),
+        "the MDS did not re-assert its binding within a period"
+    );
+}
+
 /// Leg 6 — VSR recovery beyond the log retention window: kill a backup
 /// NS replica's process group (its log dies with it), commit more
 /// updates than the log retains, restart it, and require it to rejoin

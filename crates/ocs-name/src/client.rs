@@ -1,11 +1,12 @@
 //! Client-side naming library: resolution sugar, the §8.2 automatic
-//! rebind loop, and the §5.2 primary-acquisition helper.
+//! rebind loop, and the two ways a service holds a name — the §5.2
+//! primary-acquisition race and the claim-and-keep [`advertise`].
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ocs_orb::{Admission, CircuitBreaker, ClientCtx, ObjRef, Proxy, RetryPolicy, RpcFault};
-use ocs_sim::{Addr, Rt};
+use ocs_sim::{Addr, NodeRtExt, Rt};
 use ocs_telemetry::NodeTelemetry;
 use parking_lot::Mutex;
 
@@ -521,26 +522,124 @@ pub fn acquire_primary(ns: &NsHandle, rt: &Rt, path: &str, obj: ObjRef, retry: D
     }
 }
 
-/// Spawns a standard primary/backup service skeleton: a process that
-/// acquires primacy for `path` then runs `serve` (which should not
-/// return while healthy).
-pub fn spawn_primary_backup(
-    rt: &Rt,
-    ns: NsHandle,
-    name: &str,
-    path: String,
+/// How often a per-node service re-checks the name it holds.
+pub const ADVERTISE_EVERY: Duration = Duration::from_secs(5);
+
+/// How soon a keeper looks again after a look it could not finish (name
+/// service unreachable or between masters, parent context not there
+/// yet): a restarted server is back in the name space this long after
+/// its name-service replica is, not a whole period later.
+const ADVERTISE_RETRY: Duration = Duration::from_secs(1);
+
+/// Claim-and-keep, the other way a service holds a name (the first is
+/// [`acquire_primary`]'s race): spawns a keeper process in the caller's
+/// group that, while `holds()` is true, makes `path` name `obj`. It
+/// displaces whatever is bound there — a previous incarnation's
+/// reference, a deposed master's — and looks again every `every`, for
+/// the audit may reap a live binding on a stale RAS verdict, and a
+/// one-shot bind would then leave the service unreachable for good. The
+/// keeper dies with the caller's process group, so a restarted instance
+/// is not fought by its predecessor's.
+///
+/// `holds` is `|| true` for a per-node service and "I am master" for a
+/// replicated group, whose binding is a stable reference the audit
+/// skips: only the current master can rewrite it. With `create_parents`
+/// missing plain contexts on the way are created; leave it off for a
+/// child of a replicated context, whose parent the set-up process
+/// creates with its selector.
+pub fn advertise(
+    ns: &NsHandle,
+    path: &str,
     obj: ObjRef,
-    retry: Duration,
-    serve: impl FnOnce() + Send + 'static,
+    every: Duration,
+    create_parents: bool,
+    holds: impl Fn() -> bool + Send + 'static,
 ) {
-    let rt2 = rt.clone();
-    rt.spawn(
-        name,
-        Box::new(move || {
-            acquire_primary(&ns, &rt2, &path, obj, retry);
-            serve();
-        }),
-    );
+    // The keeper advances only by sleeping: zero would spin it at one
+    // virtual instant.
+    assert!(!every.is_zero(), "advertise: `every` must be nonzero");
+    let ns = ns.clone();
+    let rt = ns.ctx().rt().clone();
+    let path = path.to_string();
+    rt.clone().spawn_fn(&format!("advertise-{path}"), move || {
+        // The last holder on another node this keeper took the name
+        // from: two claimants of one name show once each in the
+        // journal, not once per period.
+        let mut taken_from = None;
+        let mut first = true;
+        loop {
+            let settled =
+                !holds() || claim(&ns, &path, obj, create_parents, first, &mut taken_from).is_ok();
+            first = false;
+            rt.sleep(if settled {
+                every
+            } else {
+                every.min(ADVERTISE_RETRY)
+            });
+        }
+    });
+}
+
+/// One look of an [`advertise`] keeper: `Ok` once `path` names `obj`.
+///
+/// "Do I hold it?" is asked of the parent's bindings *without
+/// selection* (`list_repl`): a selecting `resolve` cannot answer for a
+/// child of a replicated context — the selector picks a member and the
+/// child's own name is left over. The `first` look does not ask: it
+/// binds, so a starting service is in the name space one round trip
+/// after it serves, and looks only if the name turns out taken.
+fn claim(
+    ns: &NsHandle,
+    path: &str,
+    obj: ObjRef,
+    create_parents: bool,
+    first: bool,
+    taken_from: &mut Option<ObjRef>,
+) -> Result<(), NsError> {
+    let (parent, leaf) = path.rsplit_once('/').unwrap_or(("", path));
+    if first {
+        match bind_under(ns, path, obj, create_parents) {
+            Err(NsError::AlreadyBound { .. }) => {}
+            done => return done,
+        }
+    }
+    let held = match ns.list_repl(parent) {
+        Ok(bound) => bound.iter().find(|b| b.name == leaf).map(|b| b.obj),
+        Err(NsError::NotFound { .. }) if create_parents => None,
+        Err(e) => return Err(e),
+    };
+    match held {
+        Some(cur) if cur == obj => Ok(()),
+        Some(cur) => {
+            if cur.addr.node != obj.addr.node && *taken_from != Some(cur) {
+                *taken_from = Some(cur);
+                let now = ns.ctx.rt().now();
+                let line = format!("advertise: took {path} from {}", cur.addr);
+                ns.tel.journal.record(now, "ns", line);
+            }
+            let _ = ns.unbind(path);
+            ns.bind(path, obj)
+        }
+        // Free, as far as the replica asked knows; the primary decides.
+        // `AlreadyBound` from it means that replica trails — a restarted
+        // server's, still catching up: the next look asks again and
+        // sees whom it is taking the name from.
+        None => bind_under(ns, path, obj, create_parents),
+    }
+}
+
+/// Binds `path`, creating the plain contexts above it first where the
+/// primary says one is missing and `create_parents` allows.
+fn bind_under(ns: &NsHandle, path: &str, obj: ObjRef, create_parents: bool) -> Result<(), NsError> {
+    match ns.bind(path, obj) {
+        Err(NsError::NotFound { .. }) if create_parents => {
+            for (i, _) in path.match_indices('/') {
+                let _ = ns.bind_new_context(&path[..i]);
+            }
+            ns.bind(path, obj)
+        }
+        done => done,
+    }
 }
 
 /// How a client should configure its name-service access, as handed out

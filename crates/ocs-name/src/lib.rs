@@ -31,8 +31,8 @@ mod vsr;
 
 pub use cache::{Cached, ResolveCache};
 pub use client::{
-    acquire_primary, spawn_primary_backup, Lookup, NsBootstrap, NsHandle, Origin, RebindPolicy,
-    Rebinding, SharedRebinding,
+    acquire_primary, advertise, Lookup, NsBootstrap, NsHandle, Origin, RebindPolicy, Rebinding,
+    SharedRebinding, ADVERTISE_EVERY,
 };
 pub use iface::{
     NamingContext, NamingContextClient, NamingContextServant, Selector, SelectorClient,

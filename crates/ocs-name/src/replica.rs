@@ -125,6 +125,9 @@ pub struct NsCtx {
     /// changes and the context that path sits in.
     cache: Arc<ResolveCache>,
     invalidations: Arc<Counter>,
+    /// Committed `Unbind`s: the audit's removals and a keeper's
+    /// displacements — none in an idle cluster.
+    unbinds: Arc<Counter>,
     /// Context ids with an exported servant.
     exported: Mutex<HashSet<CtxId>>,
     /// The replica's service half, which context servants point at.
@@ -165,6 +168,9 @@ impl Replicated for NsState {
                     };
                     ctx.cache.invalidate_commit(path);
                     ctx.invalidations.inc();
+                    if matches!(update, NsUpdate::Unbind { .. }) {
+                        ctx.unbinds.inc();
+                    }
                     ctxs_changed |= matches!(
                         update,
                         NsUpdate::NewContext { .. } | NsUpdate::NewReplContext { .. }
@@ -213,6 +219,8 @@ struct NsCore {
     rr: AtomicU64,
     cpu: Semaphore,
     oracle: Mutex<Arc<dyn LivenessOracle>>,
+    resolves: Arc<Counter>,
+    audit_removed: Arc<Counter>,
 }
 
 /// A running name-service replica. Dereferences to its [`Replica`] for
@@ -242,11 +250,11 @@ impl NsReplica {
         oracle: Arc<dyn LivenessOracle>,
     ) -> Result<Arc<NsReplica>, NetError> {
         let cpu = Semaphore::new(&rt, 1);
+        let registry = &ocs_telemetry::NodeTelemetry::of(&*rt).registry;
         let ctx = NsCtx {
             cache: ResolveCache::of(&*rt),
-            invalidations: ocs_telemetry::NodeTelemetry::of(&*rt)
-                .registry
-                .counter("ns.vsr.cache_invalidations"),
+            invalidations: registry.counter("ns.vsr.cache_invalidations"),
+            unbinds: registry.counter("ns.vsr.unbinds"),
             exported: Mutex::new(HashSet::new()),
             core: OnceLock::new(),
         };
@@ -258,6 +266,8 @@ impl NsReplica {
             rr: AtomicU64::new(0),
             cpu,
             oracle: Mutex::new(oracle),
+            resolves: registry.counter("ns.server.resolves"),
+            audit_removed: registry.counter("ns.server.audit_removed"),
         });
         let _ = rep.ctx().core.set(Arc::downgrade(&core));
         rep.start(Arc::new(NamingContextServant(Arc::new(CtxView {
@@ -345,10 +355,7 @@ impl NsCore {
         name: &str,
         caller: NodeId,
     ) -> Result<ObjRef, NsError> {
-        ocs_telemetry::NodeTelemetry::of(&*self.rt)
-            .registry
-            .counter("ns.server.resolves")
-            .inc();
+        self.resolves.inc();
         self.charge_resolve();
         let ns = self.read_state();
         let ctx_ref = |id: CtxId| self.ctx_objref(id);
@@ -412,10 +419,7 @@ impl NsCore {
             for ((path, _), alive) in leaves.iter().zip(alive) {
                 if !alive {
                     self.rt.trace(&format!("ns: audit removing dead {path}"));
-                    ocs_telemetry::NodeTelemetry::of(&*self.rt)
-                        .registry
-                        .counter("ns.server.audit_removed")
-                        .inc();
+                    self.audit_removed.inc();
                     let _ = self
                         .rep
                         .master_submit(NsUpdate::Unbind { path: path.clone() });

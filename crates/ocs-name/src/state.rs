@@ -480,8 +480,12 @@ impl NsState {
         let _ = naming_type_id;
         // The path names the context *literally*: selectors choose among
         // a replicated context's members on `resolve`, but `list` applies
-        // to the context itself (§4.5).
-        let id = self.walk_ctx(start, path)?;
+        // to the context itself (§4.5). The empty path is `start` itself.
+        let id = if path.is_empty() {
+            start
+        } else {
+            self.walk_ctx(start, path)?
+        };
         let c = self.ctxs.get(&id).ok_or_else(|| NsError::NotFound {
             name: path.to_string(),
         })?;

@@ -3,12 +3,13 @@
 //! the client rebind library (§8.2).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ocs_name::{
-    acquire_primary, AlwaysAlive, LivenessOracle, NsConfig, NsError, NsHandle, NsReplica,
-    RebindPolicy, Rebinding, SelectorSpec,
+    acquire_primary, advertise, AlwaysAlive, LivenessOracle, NsConfig, NsError, NsHandle,
+    NsReplica, RebindPolicy, Rebinding, SelectorSpec,
 };
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, Rt, Sim, SimChan, SimNode, SimTime};
@@ -622,4 +623,274 @@ fn shared_cache_coalesces_resolves_and_invalidation_is_node_wide() {
         "the other 7 proxies each round adopted the shared binding"
     );
     assert_eq!(tel.registry.counter("ns.cache.stale_installs").get(), 0);
+}
+
+// ---- holding a name (`advertise`) -----------------------------------
+
+const EVERY: Duration = Duration::from_secs(5);
+
+impl NsCluster {
+    /// What `path` names in the master's state, read without an RPC.
+    fn bound(&self, path: &str) -> Option<ObjRef> {
+        let master = self.masters()[0] as usize;
+        let replica = self.replicas.lock()[master].clone().expect("started");
+        let leaves = replica.read(|c| c.state().collect_leaves());
+        leaves.into_iter().find(|(p, _)| p == path).map(|(_, o)| o)
+    }
+
+    /// Updates the master has sequenced so far.
+    fn last_seq(&self) -> u64 {
+        let master = self.masters()[0] as usize;
+        self.replicas.lock()[master]
+            .as_ref()
+            .expect("started")
+            .last_seq()
+    }
+}
+
+/// Runs `f` in a process on `node` and gives the simulation a second
+/// to finish it.
+fn run_on(sim: &Sim, node: &Arc<SimNode>, f: impl FnOnce() + Send + 'static) {
+    let done: SimChan<()> = SimChan::new(sim);
+    let done2 = done.clone();
+    node.spawn_fn("step", move || {
+        f();
+        done2.send(());
+    });
+    sim.run_for(Duration::from_secs(1));
+    done.try_recv().expect("step finished");
+}
+
+/// The journal lines `advertise` wrote on `node`.
+fn takeovers(node: &Arc<SimNode>) -> Vec<String> {
+    ocs_telemetry::Journal::of(&**node)
+        .events()
+        .into_iter()
+        .filter(|e| e.category == "ns" && e.detail.starts_with("advertise: took"))
+        .map(|e| e.detail.into_owned())
+        .collect()
+}
+
+type Hosts = [Arc<SimNode>; 2];
+
+/// A three-replica group past its election plus two service hosts, with
+/// `svc/x` a replicated context under the selector `pick` makes.
+fn holders_under(seed: u64, pick: fn(&Hosts) -> SelectorSpec) -> (Sim, NsCluster, Hosts) {
+    let sim = Sim::new(seed);
+    let cluster = build_cluster(&sim, 3, Arc::new(AlwaysAlive));
+    let hosts = [sim.add_node("host-a"), sim.add_node("host-b")];
+    sim.run_until(SimTime::from_secs(10));
+    let ns = cluster.handle_via(&hosts[0], 0);
+    let selector = pick(&hosts);
+    run_on(&sim, &hosts[0], move || {
+        ns.bind_new_context("svc").unwrap();
+        ns.bind_repl_context("svc/x", selector).unwrap();
+    });
+    (sim, cluster, hosts)
+}
+
+#[test]
+fn a_holder_under_any_selector_commits_nothing_once_bound() {
+    // The check must not go through the selector: a selecting resolve of
+    // `svc/x/<i>` picks a member, finds `<i>` left over and can never
+    // say "yes, still mine" — a keeper built on it re-binds every period.
+    let selectors: [fn(&Hosts) -> SelectorSpec; 5] = [
+        |_| SelectorSpec::First,
+        |_| SelectorSpec::RoundRobin,
+        |_| SelectorSpec::SameServer,
+        |hosts| SelectorSpec::Neighborhood {
+            map: hosts.iter().zip(0..).map(|(h, i)| (h.node(), i)).collect(),
+        },
+        |_| SelectorSpec::LeastLoaded,
+    ];
+    for (seed, pick) in (40..).zip(selectors) {
+        let (sim, cluster, hosts) = holders_under(seed, pick);
+        for (i, host) in hosts.iter().enumerate() {
+            let ns = cluster.handle_via(host, i);
+            let obj = leaf(host.node().0, 30);
+            advertise(&ns, &format!("svc/x/{i}"), obj, EVERY, false, || true);
+        }
+        sim.run_for(EVERY + Duration::from_secs(1));
+        for (i, host) in hosts.iter().enumerate() {
+            let held = cluster.bound(&format!("svc/x/{i}"));
+            assert_eq!(held, Some(leaf(host.node().0, 30)), "selector {seed}");
+        }
+        let seq = cluster.last_seq();
+        sim.run_for(EVERY * 10);
+        assert_eq!(cluster.last_seq(), seq, "selector {seed}: ten idle periods");
+    }
+}
+
+#[test]
+fn a_binding_removed_behind_the_holder_is_back_within_one_period() {
+    let (sim, cluster, hosts) = holders_under(46, |_| SelectorSpec::RoundRobin);
+    let obj = leaf(hosts[0].node().0, 30);
+    advertise(
+        &cluster.handle_via(&hosts[0], 0),
+        "svc/x/0",
+        obj,
+        EVERY,
+        false,
+        || true,
+    );
+    sim.run_for(Duration::from_secs(2));
+    assert_eq!(cluster.bound("svc/x/0"), Some(obj));
+    let ns = cluster.handle_via(&hosts[1], 1);
+    run_on(&sim, &hosts[1], move || ns.unbind("svc/x/0").unwrap());
+    assert_eq!(cluster.bound("svc/x/0"), None);
+    sim.run_for(EVERY);
+    assert_eq!(cluster.bound("svc/x/0"), Some(obj));
+}
+
+#[test]
+fn a_predecessors_binding_is_displaced_and_a_foreign_one_is_journalled_once() {
+    let (sim, cluster, hosts) = holders_under(47, |_| SelectorSpec::First);
+    let [a, b] = [leaf(hosts[0].node().0, 30), leaf(hosts[1].node().0, 30)];
+    // What a previous incarnation on the same node left: displaced at
+    // the first attempt, and nothing to report.
+    let stale = ObjRef {
+        incarnation: 41,
+        ..a
+    };
+    let ns = cluster.handle_via(&hosts[0], 0);
+    run_on(&sim, &hosts[0], move || {
+        ns.bind("svc/mine", stale).unwrap();
+        ns.bind("svc/ours", b).unwrap();
+    });
+    advertise(
+        &cluster.handle_via(&hosts[0], 0),
+        "svc/mine",
+        a,
+        EVERY,
+        false,
+        || true,
+    );
+    sim.run_for(Duration::from_secs(1));
+    assert_eq!(cluster.bound("svc/mine"), Some(a));
+    assert_eq!(takeovers(&hosts[0]), Vec::<String>::new());
+    // Two claimants of one name — a deployment mistake — take it from
+    // each other every period, and say so once each, not once a period.
+    advertise(
+        &cluster.handle_via(&hosts[0], 0),
+        "svc/ours",
+        a,
+        EVERY,
+        false,
+        || true,
+    );
+    sim.run_for(Duration::from_secs(1));
+    assert_eq!(cluster.bound("svc/ours"), Some(a));
+    advertise(
+        &cluster.handle_via(&hosts[1], 1),
+        "svc/ours",
+        b,
+        EVERY,
+        false,
+        || true,
+    );
+    sim.run_for(EVERY * 10);
+    for (host, other) in [(&hosts[0], &hosts[1]), (&hosts[1], &hosts[0])] {
+        let want = format!(
+            "advertise: took svc/ours from {}",
+            Addr::new(other.node(), 30)
+        );
+        assert_eq!(takeovers(host), vec![want]);
+    }
+}
+
+#[test]
+fn a_name_already_ours_is_left_alone() {
+    // The first look binds without asking; told `AlreadyBound`, it looks
+    // before it displaces, and does not unbind its own live binding.
+    let (sim, cluster, hosts) = holders_under(50, |_| SelectorSpec::First);
+    let a = leaf(hosts[0].node().0, 30);
+    let ns = cluster.handle_via(&hosts[0], 0);
+    run_on(&sim, &hosts[0], move || ns.bind("svc/mine", a).unwrap());
+    let seq = cluster.last_seq();
+    advertise(
+        &cluster.handle_via(&hosts[0], 0),
+        "svc/mine",
+        a,
+        EVERY,
+        false,
+        || true,
+    );
+    sim.run_for(EVERY * 3);
+    assert_eq!(cluster.bound("svc/mine"), Some(a));
+    // The refused bind is the one update; there is no unbind after it.
+    assert_eq!(cluster.last_seq(), seq + 1);
+    let master = &cluster.nodes[cluster.masters()[0] as usize];
+    let unbinds = ocs_telemetry::NodeTelemetry::of(&**master)
+        .registry
+        .counter("ns.vsr.unbinds");
+    assert_eq!(unbinds.get(), 0);
+}
+
+#[test]
+fn a_holder_that_stops_holding_leaves_the_name_to_its_successor() {
+    let (sim, cluster, hosts) = holders_under(48, |_| SelectorSpec::First);
+    let [a, b] = [leaf(hosts[0].node().0, 30), leaf(hosts[1].node().0, 30)];
+    let master = Arc::new(AtomicBool::new(true));
+    let (is_a, is_b) = (Arc::clone(&master), Arc::clone(&master));
+    let ns_a = cluster.handle_via(&hosts[0], 0);
+    advertise(&ns_a, "svc/m", a, EVERY, false, move || {
+        is_a.load(Ordering::SeqCst)
+    });
+    let ns_b = cluster.handle_via(&hosts[1], 1);
+    let every_b = Duration::from_secs(2);
+    advertise(&ns_b, "svc/m", b, every_b, false, move || {
+        !is_b.load(Ordering::SeqCst)
+    });
+    sim.run_for(EVERY * 2);
+    assert_eq!(cluster.bound("svc/m"), Some(a));
+    master.store(false, Ordering::SeqCst);
+    sim.run_for(every_b + Duration::from_millis(100));
+    assert_eq!(
+        cluster.bound("svc/m"),
+        Some(b),
+        "taken within the successor's period"
+    );
+    let seq = cluster.last_seq();
+    sim.run_for(EVERY * 4);
+    assert_eq!(
+        cluster.bound("svc/m"),
+        Some(b),
+        "the deposed holder does not re-assert"
+    );
+    assert_eq!(cluster.last_seq(), seq);
+}
+
+#[test]
+fn an_unreachable_name_service_costs_retries_not_a_spin() {
+    let sim = Sim::new(49);
+    let server = sim.add_node("server0");
+    let host = sim.add_node("host");
+    let peers = vec![Addr::new(server.node(), NS_PORT)];
+    let ns = NsHandle::new(ClientCtx::new(host.clone()), peers[0]);
+    let obj = leaf(host.node().0, 30);
+    advertise(&ns, "svc/z/0", obj, EVERY, true, || true);
+    // Nobody listens yet: every look fails, and each is followed by a
+    // sleep of at least the 1 s retry — the keeper neither dies nor
+    // spins.
+    sim.run_for(Duration::from_secs(50));
+    let attempts = ocs_telemetry::NodeTelemetry::of(&*host)
+        .registry
+        .counter("ns.client.lookups")
+        .get();
+    assert!((2..=51).contains(&attempts), "{attempts} looks in 50 s");
+    // The name service comes up: the keeper makes the missing plain
+    // parents, as asked, and binds.
+    let replica = NsReplica::start(
+        server.clone(),
+        ns_config(0, peers.clone()),
+        Arc::new(AlwaysAlive),
+    );
+    let cluster = NsCluster {
+        sim: sim.clone(),
+        nodes: vec![server],
+        replicas: Arc::new(Mutex::new(vec![Some(replica.expect("replica starts"))])),
+        peers,
+    };
+    sim.run_for(Duration::from_secs(10) + EVERY);
+    assert_eq!(cluster.bound("svc/z/0"), Some(obj));
 }

@@ -20,9 +20,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ocs_db::{DbApiClient, DbTables, ServicePlacement};
-use ocs_name::{NsHandle, RebindPolicy, Rebinding};
+use ocs_name::{advertise, NsHandle, RebindPolicy, Rebinding};
 use ocs_orb::{Caller, ObjRef, OrbError};
-use ocs_sim::{Addr, NetError, NodeId, NodeRtExt, Rt};
+use ocs_sim::{Addr, NetError, NodeId, Rt};
 use parking_lot::Mutex;
 
 use crate::sscrep::{SscReplica, SscReplicaConfig};
@@ -158,24 +158,19 @@ impl Csc {
         )?;
         *self.rep.lock() = Some(Arc::clone(&rep));
         notify_ready(vec![rep.root_ref()]);
-        // Master-advertisement keeper: the group master holds the
-        // `bind_path` binding (stable ref, so the NS audit skips it);
-        // backups forward sequenced ops to the master, so a marginally
-        // stale binding keeps working through a fail-over.
-        let keeper = Arc::clone(self);
+        // The group master holds `bind_path` (a stable reference, so
+        // only it can rewrite the binding); backups forward sequenced
+        // ops to the master, so a marginally stale binding keeps working
+        // through a fail-over.
         let krep = Arc::clone(&rep);
-        self.rt.spawn_fn("csc-advert", move || loop {
-            if krep.is_master() {
-                let obj = krep.root_ref();
-                if keeper.ns.resolve(&keeper.cfg.bind_path).ok() != Some(obj) {
-                    let _ = keeper.ns.unbind(&keeper.cfg.bind_path);
-                    if keeper.ns.bind(&keeper.cfg.bind_path, obj).is_ok() {
-                        keeper.rt.trace("csc: master advertised itself");
-                    }
-                }
-            }
-            keeper.rt.sleep(keeper.cfg.bind_retry);
-        });
+        advertise(
+            &self.ns,
+            &self.cfg.bind_path,
+            rep.root_ref(),
+            self.cfg.bind_retry,
+            true,
+            move || krep.is_master(),
+        );
         loop {
             if rep.is_master() && !rep.in_probation() {
                 self.seed_from_db(&rep);

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use ocs_name::NsHandle;
+use ocs_name::{advertise, NsHandle, ADVERTISE_EVERY};
 use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
 use ocs_sim::{NetError, NodeRtExt, PortReq, ProcGroup, Rt, SimTime};
 use parking_lot::Mutex;
@@ -99,8 +99,8 @@ impl Ssc {
         ns: NsHandle,
         registry: Vec<ServiceDef>,
     ) -> Result<Arc<Ssc>, NetError> {
-        // The monitor and bind loops advance only by sleeping these
-        // intervals; zero would busy-spin the loop at one virtual
+        // The monitor loop advances only by sleeping these
+        // intervals; zero would busy-spin it at one virtual
         // instant (the same no-clock hazard the CM's `with_lease`
         // refuses). Refuse rather than default silently.
         assert!(
@@ -141,9 +141,9 @@ impl Ssc {
         orb.start();
         let weak = Arc::downgrade(&ssc);
         rt.spawn_fn("ssc-monitor", move || monitor_loop(weak));
-        let weak = Arc::downgrade(&ssc);
-        let rt2 = rt.clone();
-        rt.spawn_fn("ssc-bind", move || bind_loop(rt2, ns, weak, self_ref));
+        // The name service may not even be up yet during §6.3 step 2.
+        let path = format!("{}/{}", cfg.bind_prefix, rt.node().0);
+        advertise(&ns, &path, self_ref, ADVERTISE_EVERY, true, || true);
         Ok(ssc)
     }
 
@@ -234,50 +234,6 @@ impl Ssc {
                 client.objects_down(objs.clone())
             };
         }
-    }
-}
-
-/// Keeps the SSC's name-service binding fresh: unbind any stale binding
-/// from a previous incarnation, bind, and then keep verifying — if the
-/// binding ever disappears (e.g. an over-eager audit during start-up,
-/// or an operator mistake), re-assert it. The name service may not even
-/// be up yet during §6.3 step 2, so everything retries.
-fn bind_loop(rt: Rt, ns: NsHandle, ssc: Weak<Ssc>, self_ref: ObjRef) {
-    let prefix = match ssc.upgrade() {
-        Some(s) => s.cfg.bind_prefix.clone(),
-        None => return,
-    };
-    let path = format!("{}/{}", prefix, rt.node().0);
-    let mut bound = false;
-    loop {
-        if bound {
-            // Periodic verification.
-            rt.sleep(Duration::from_secs(10));
-            match ns.resolve(&path) {
-                Ok(obj) if obj == self_ref => continue,
-                _ => bound = false,
-            }
-        }
-        let _ = ns.unbind(&path);
-        match ns.bind(&path, self_ref) {
-            Ok(()) => {
-                bound = true;
-                continue;
-            }
-            Err(ocs_name::NsError::NotFound { .. }) => {
-                // Parent contexts missing: create them best-effort.
-                let mut at = String::new();
-                for part in prefix.split('/') {
-                    if !at.is_empty() {
-                        at.push('/');
-                    }
-                    at.push_str(part);
-                    let _ = ns.bind_new_context(&at);
-                }
-            }
-            Err(_) => {}
-        }
-        rt.sleep(Duration::from_secs(2));
     }
 }
 
