@@ -160,6 +160,13 @@ pub const GUARDS: &[Guard] = &[
     g(REPL_STORM, "end_to_end/op_p50_us", Le(2200.0)),
     g(REPL_STORM, "per_layer/ocs-vsr.peer_calls_per_commit", Le(2.05)),
     g(REPL_STORM, "per_layer/ocs-sim.msgs_per_op", Le(9.5)),
+    // The backups' `prepare` and `commit_hb` run inline, as their node,
+    // with no process and no thread switch: 0.455 switches per event
+    // (1.158 with a serving process and a worker per request), 10.994
+    // events per op (12.4 when an inline handler's wake-ups are deferred
+    // as though they came from another node).
+    g(REPL_STORM, "per_layer/ocs-sim.switches_per_event", Le(0.6)),
+    g(REPL_STORM, "per_layer/ocs-sim.events_per_op", Le(11.0)),
     // The same log over TCP loopback: a node keeps one stream per peer
     // for life, so the timed phase opens none. A count, not a wall
     // clock: a connection per ORB call reads 5.9 here on any host.

@@ -244,6 +244,14 @@ impl ConnectionManager {
 }
 
 impl CmApi for ConnectionManager {
+    /// Every method takes the table mutex — never held across a wait —
+    /// computes, journals and returns, so the runtime may run each one
+    /// where its request arrives. (The replicated manager's commits wait
+    /// for the log; its view keeps the default.)
+    fn runs_inline(&self, _method: u32) -> bool {
+        true
+    }
+
     fn allocate(
         &self,
         _caller: &Caller,

@@ -224,6 +224,12 @@ impl Mds {
 }
 
 impl MdsApi for Mds {
+    /// `status`, probed on every movie open, reads the stream count and
+    /// returns; `open` and `open_sessions` stay processes of their own.
+    fn runs_inline(&self, method: u32) -> bool {
+        method == STATUS.0
+    }
+
     fn open(
         &self,
         _caller: &Caller,

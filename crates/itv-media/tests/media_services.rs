@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use itv_media::{
-    Catalog, FileApiClient, FileSvc, FileSvcClient, Mds, MdsApiClient, MovieCtlClient, MovieInfo,
-    Segment,
+    Catalog, CmApiClient, CmBudgets, ConnDesc, ConnectionManager, FileApiClient, FileSvc,
+    FileSvcClient, Mds, MdsApiClient, MovieCtlClient, MovieInfo, Segment,
 };
 use ocs_name::{NamingContextClient, NsError};
 use ocs_orb::{ClientCtx, ObjRef};
@@ -245,4 +245,78 @@ fn stale_movie_reference_rejected_after_mds_restart() {
         err.contains("ObjectDead"),
         "stale incarnation must be rejected: {err}"
     );
+}
+
+/// Runs `calls` in a process on `node` to completion; returns how many
+/// processes the run started (the caller's own included) and how many
+/// requests ran inline, with none.
+fn processes_and_inline_runs(
+    sim: &Sim,
+    node: &Rt,
+    calls: impl FnOnce(Rt) + Send + 'static,
+) -> (u64, u64) {
+    let before = sim.kernel_stats();
+    let rt = node.clone();
+    node.spawn_fn("caller", move || calls(rt));
+    sim.run_for(Duration::from_secs(1));
+    let after = sim.kernel_stats();
+    (
+        after.spawns - before.spawns,
+        after.inline_runs - before.inline_runs,
+    )
+}
+
+/// The plain CM says every method `runs_inline`, and the simulator holds
+/// it to that — a method that waited would panic the run: each of the
+/// five runs where its request is delivered, with no process.
+#[test]
+fn the_plain_cm_runs_all_five_methods_inline() {
+    let sim = Sim::new(7);
+    let server: Rt = sim.add_node("server");
+    let settop: Rt = sim.add_node("settop");
+    let cm = ConnectionManager::with_clock(CmBudgets::default(), Some(server.clone()));
+    let cm_ref = cm.serve(server.clone(), 30).unwrap();
+    sim.run_for(Duration::from_millis(1));
+    let (srv, out) = (server.node(), Arc::new(parking_lot::Mutex::new(None)));
+    let slot = Arc::clone(&out);
+    let counts = processes_and_inline_runs(&sim, &settop, move |rt| {
+        let cm = CmApiClient::attach(ClientCtx::new(rt.clone()), cm_ref).unwrap();
+        let conn = cm.allocate(1, rt.node(), srv, 4_000_000).unwrap();
+        let desc = ConnDesc {
+            conn,
+            settop: rt.node(),
+            server: srv,
+            down_bps: 4_000_000,
+        };
+        cm.reassert(desc).unwrap();
+        let live = cm.usage().unwrap().allocations;
+        let rows = cm.accounting().unwrap().len();
+        cm.release(conn).unwrap();
+        *slot.lock() = Some((live, rows));
+    });
+    assert_eq!(*out.lock(), Some((1, 1)));
+    assert_eq!(
+        counts,
+        (1, 5),
+        "the caller's process only; five inline runs"
+    );
+}
+
+/// `status`, probed on every movie open, runs inline; `open_sessions`
+/// stays a process of its own.
+#[test]
+fn mds_status_runs_inline_and_open_sessions_does_not() {
+    let sim = Sim::new(8);
+    let server: Rt = sim.add_node("server");
+    let (_mds, mds_ref) = Mds::serve(server.clone(), 21, catalog(server.node()), 10).unwrap();
+    sim.run_for(Duration::from_millis(1));
+    let probe = move |rt: Rt| MdsApiClient::attach(ClientCtx::new(rt), mds_ref).unwrap();
+    let status = processes_and_inline_runs(&sim, &server, move |rt| {
+        assert_eq!(probe(rt).status().unwrap().open_streams, 0);
+    });
+    assert_eq!(status, (1, 1));
+    let sessions = processes_and_inline_runs(&sim, &server, move |rt| {
+        assert!(probe(rt).open_sessions().unwrap().is_empty());
+    });
+    assert_eq!(sessions, (2, 0));
 }

@@ -18,6 +18,8 @@
 ///
 /// * `pub trait Name: Send + Sync` — implemented by the service; every
 ///   method receives the authenticated [`Caller`](crate::Caller) first.
+///   A provided `runs_inline(method)` (default `false`) is where the
+///   service says which methods never wait for another message.
 /// * `pub struct NameClient` — the proxy; same methods minus the caller,
 ///   returning `Result<Ok, Err>` where transport failures are folded into
 ///   `Err` via [`RpcFault`](crate::RpcFault).
@@ -70,6 +72,14 @@ macro_rules! declare_interface {
                 $(#[$mmeta])*
                 fn $method(&self, caller: &$crate::Caller $(, $arg: $aty)*) -> Result<$ok, $err>;
             )*
+
+            /// Whether `method` (a wire id) never waits for another
+            /// message, so the runtime may run it where it arrives (see
+            /// `ocs_orb::Servant::runs_inline` for the promise).
+            fn runs_inline(&self, method: u32) -> bool {
+                let _ = method;
+                false
+            }
         }
 
         #[doc = concat!("Client proxy for the `", $tyname, "` interface.")]
@@ -165,6 +175,10 @@ macro_rules! declare_interface {
                     $( $mid => stringify!($method), )*
                     _ => "?",
                 }
+            }
+
+            fn runs_inline(&self, method: u32) -> bool {
+                <T as $iface>::runs_inline(&self.0, method)
             }
 
             fn dispatch(

@@ -46,8 +46,10 @@ pub trait Servant: Send + Sync {
     /// most takes a lock nobody holds across such a wait, and returns.
     /// A [`ThreadModel::PerRequest`] ORB lets the runtime run such a
     /// request where it arrives ([`Endpoint::serve`]'s `inline`) instead
-    /// of in a process of its own. Say `true` only for methods called
-    /// often enough to matter, and keep the promise.
+    /// of in a process of its own: on TCP's connection reader, and in the
+    /// simulator on the thread stepping the kernel — which panics if the
+    /// method waits after all. Generated servants forward to the
+    /// interface trait's own `runs_inline`.
     fn runs_inline(&self, method: u32) -> bool {
         let _ = method;
         false
@@ -65,10 +67,13 @@ pub enum ThreadModel {
     /// A fresh process per request ([`Endpoint::serve`]); handlers may
     /// block and make nested calls freely. Only the process is fresh:
     /// both runtimes run it on an OS thread re-used from the previous
-    /// request's, and on TCP the connection reader hands the frame to
-    /// that thread itself — one hand-off per request, with no server
-    /// process woken in between — or, for a method its servant says
-    /// [`runs_inline`](Servant::runs_inline), runs it with none.
+    /// request's, and both start it where the request is delivered — the
+    /// TCP connection reader hands the frame to that thread itself, the
+    /// simulator spawns it at the delivery instant — one hand-off per
+    /// request, with no server process woken in between. A method its
+    /// servant says [`runs_inline`](Servant::runs_inline) gets no process
+    /// at all: it runs on the reader, or on the simulator's stepping
+    /// thread.
     PerRequest,
 }
 
@@ -564,6 +569,45 @@ mod tests {
             ctx.call_named(&stranger, 2, Bytes::new(), "where"),
             Err(OrbError::UnknownObject)
         );
+    }
+
+    /// The simulator's twin of the test above: an inline method runs on
+    /// the thread already stepping the kernel, with no process; any
+    /// other is one process spawned at its delivery, with no serving
+    /// process woken first.
+    #[test]
+    fn sim_a_method_that_runs_inline_is_dispatched_with_no_process() {
+        const CALLS: u64 = 20;
+        let sim = Sim::new(6);
+        let server: Rt = sim.add_node("server");
+        let client: Rt = sim.add_node("c");
+        let orb = Orb::new(server, PortReq::Fixed(100)).unwrap();
+        let obj = orb.export_root(Arc::new(WhereAmI));
+        orb.start();
+        sim.run_for(Duration::from_millis(1));
+        let calls = |method| {
+            let before = sim.kernel_stats();
+            let ctx = ClientCtx::new(client.clone());
+            client.spawn_fn("caller", move || {
+                for _ in 0..CALLS {
+                    ctx.call_named(&obj, method, Bytes::new(), "where").unwrap();
+                }
+            });
+            sim.run_for(Duration::from_secs(1));
+            let after = sim.kernel_stats();
+            let switches = |s: &ocs_sim::KernelStats| s.driver_resumes + s.direct_handoffs;
+            (
+                after.spawns - before.spawns,
+                after.inline_runs - before.inline_runs,
+                switches(&after) - switches(&before),
+            )
+        };
+        // Inline: the caller steps into the handler and on to its own
+        // reply; its one switch is its exit.
+        assert_eq!(calls(2), (1, CALLS, 1));
+        // Spawned: caller → handler → caller, two switches a call (three
+        // when a serving process woke first).
+        assert_eq!(calls(1), (1 + CALLS, 0, 2 * CALLS + 1));
     }
 
     #[test]

@@ -60,6 +60,26 @@
 //! classic always-via-driver handoff and is used as the baseline by the
 //! E18 microbenchmark and the equivalence tests.
 //!
+//! # Serving a port
+//!
+//! A port a process [`serve`](crate::rt::Endpoint::serve)s carries its
+//! handler (`EpState::served`), and a delivery to it runs the handler
+//! at the delivery instant instead of queueing the frame for a receiver:
+//!
+//! * by default it spawns the handler's process on the port's node, in
+//!   the port owner's group — no serving process wakes first;
+//! * a frame the port's inline test passes (its handler waits for
+//!   nothing) becomes a [`Step::Inline`]: whichever thread is stepping
+//!   the shard runs it with the kernel lock released, as the port's node
+//!   (its shard, its node's streams, the owner's group), with no process,
+//!   no carrier and no thread switch. Anything that would wait — a
+//!   blocking call, a receive, opening an endpoint — panics naming the
+//!   task, so the simulator enforces the promise TCP can only trust.
+//!
+//! Either way the handler runs before the next event, exactly when the
+//! worker the serving process used to spawn for it ran, so events, RNG
+//! draws and trace hashes are those of the hand-written receive loop.
+//!
 //! The kernel also owns the network model: nodes, ports, per-link latency
 //! and bandwidth, partitions, message loss, and crash semantics (process
 //! death closes its ports and bounces later messages; node death is
@@ -74,12 +94,12 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::carrier::Carriers;
-use crate::rt::{Addr, NodeId};
+use crate::rt::{Addr, FrameHandler, InlineTest, NodeId};
 use crate::time::SimTime;
 
 pub(crate) type Pid = u64;
@@ -165,9 +185,11 @@ impl Baton {
 }
 
 /// What the scheduler state machine decided: hand the token to a process,
-/// or stop (quiescent / past the run limit).
+/// run a served port's inline handler on the stepping thread, or stop
+/// (quiescent / past the run limit).
 pub(crate) enum Step {
     Run(Pid, Arc<Baton>),
+    Inline(InlineRun),
     Done,
 }
 
@@ -207,11 +229,33 @@ pub(crate) enum Item {
     Unreach(Addr),
 }
 
+/// An open endpoint. A closed one has no entry: a delivery to it
+/// bounces, a receive returns `Closed`, and its port number is free.
 pub(crate) struct EpState {
-    pub open: bool,
     pub owner: Pid,
     pub queue: VecDeque<Item>,
     pub waiters: VecDeque<(Pid, u64)>,
+    /// Set by `serve`: deliveries run the handler instead of queueing.
+    /// Behind a pointer, so an ordinary endpoint does not grow.
+    pub served: Option<Arc<Served>>,
+}
+
+/// A served port's handler and what it runs as (`Endpoint::serve`).
+pub(crate) struct Served {
+    task: String,
+    handler: FrameHandler,
+    /// Frames this passes run inline (`Step::Inline`).
+    inline: Option<InlineTest>,
+    /// The group the handler joins: the port owner's when serving began.
+    group: Option<u64>,
+}
+
+/// One frame for a served port whose handler runs inline.
+pub(crate) struct InlineRun {
+    port: Addr,
+    served: Arc<Served>,
+    from: Addr,
+    msg: Bytes,
 }
 
 pub(crate) struct NodeState {
@@ -349,6 +393,10 @@ pub struct KernelStats {
     /// parked carrier to re-use (see `carrier.rs`). Depends on how the
     /// host schedules threads, unlike every other field.
     pub threads_spawned: u64,
+    /// Processes started (every spawn that found its node up).
+    pub spawns: u64,
+    /// Served-port frames whose handler ran inline, with no process.
+    pub inline_runs: u64,
 }
 
 /// Fault-injection impairment applied on top of a link's base
@@ -754,10 +802,24 @@ pub(crate) struct Kernel {
     /// Sharded-window mode: `next_step` must not bump `now` to the
     /// window edge on Done — the coordinator owns end-of-run time.
     window: bool,
+    /// The inline handler the event just applied queued; `next_step`
+    /// hands it out before it applies another.
+    inline: Option<InlineRun>,
+}
+
+/// What an inline handler runs as while it runs: its port's node and
+/// shard, and its port's `Served` (task name, group).
+struct InlineAs {
+    port: Addr,
+    shard: usize,
+    served: Arc<Served>,
 }
 
 thread_local! {
     static CUR_PID: std::cell::Cell<Option<Pid>> = const { std::cell::Cell::new(None) };
+    /// Set while an inline handler runs on this thread (`CUR_PID` is
+    /// `None` meanwhile).
+    static CUR_INLINE: std::cell::RefCell<Option<InlineAs>> = const { std::cell::RefCell::new(None) };
 }
 
 /// The pid of the simulated process running on this thread, if any.
@@ -770,11 +832,33 @@ pub(crate) fn clear_cur_pid() {
     CUR_PID.with(|c| c.set(None));
 }
 
-/// The shard whose kernel serves this thread: a process's own shard, or
-/// shard 0 for the driver.
+/// The node, shard and group of the inline handler running on this
+/// thread.
+fn cur_inline() -> Option<(NodeId, usize, Option<u64>)> {
+    CUR_INLINE.with(|c| {
+        c.borrow()
+            .as_ref()
+            .map(|i| (i.port.node, i.shard, i.served.group))
+    })
+}
+
+/// Panics if an inline handler runs on this thread: it promised not to
+/// wait, and has no process to wait in.
+pub(crate) fn forbid_inline(what: &str) {
+    let running = CUR_INLINE.with(|c| c.borrow().as_ref().map(|i| (i.served.task.clone(), i.port)));
+    if let Some((task, port)) = running {
+        panic!("inline task '{task}' on {port} may not {what}: it runs with no process of its own");
+    }
+}
+
+/// The shard whose kernel serves this thread: a process's own shard, an
+/// inline handler's port's, or shard 0 for the driver.
 #[inline]
 pub(crate) fn cur_shard() -> usize {
-    cur_pid().map(|p| (p >> SHARD_SHIFT) as usize).unwrap_or(0)
+    match cur_pid() {
+        Some(p) => (p >> SHARD_SHIFT) as usize,
+        None => cur_inline().map_or(0, |(_, shard, _)| shard),
+    }
 }
 
 impl Kernel {
@@ -823,6 +907,7 @@ impl Kernel {
             run_limit: 0,
             limited: false,
             window: false,
+            inline: None,
         }
     }
 
@@ -917,11 +1002,6 @@ impl Kernel {
             let kind = EventKind::Control(op);
             self.route(dest, Event { at, src, sseq, kind });
         }
-    }
-
-    /// The node process `pid` runs on (0 = free-floating).
-    fn node_of(&self, pid: Pid) -> u32 {
-        self.procs.get(&pid).and_then(|p| p.node).map_or(0, |n| n.0)
     }
 
     /// Folds a trace record into the run's event digest. The first word
@@ -1038,8 +1118,7 @@ impl Kernel {
                     self.stats.msgs_dropped += 1;
                     return;
                 }
-                let open = self.endpoints.get(&to).map(|e| e.open).unwrap_or(false);
-                if !open {
+                let Some(ep) = self.endpoints.get_mut(&to) else {
                     // Bounce data messages back to the sender (RST-like);
                     // never bounce a bounce.
                     if let Item::Msg(from, _) = item {
@@ -1067,9 +1146,16 @@ impl Kernel {
                         self.stats.msgs_dropped += 1;
                     }
                     return;
-                }
+                };
                 self.stats.msgs_delivered += 1;
-                let ep = self.endpoints.get_mut(&to).expect("endpoint checked open");
+                if let Some(served) = &ep.served {
+                    // A served port drops bounces, as a receive loop would.
+                    if let Item::Msg(from, msg) = item {
+                        let served = Arc::clone(served);
+                        self.run_served(to, served, from, msg);
+                    }
+                    return;
+                }
                 ep.queue.push_back(item);
                 let waiters = std::mem::take(&mut ep.waiters);
                 let rest = self.wake_one_waiter(waiters, WakeReason::Delivered);
@@ -1079,6 +1165,71 @@ impl Kernel {
                     ep.waiters = rest;
                     ep.waiters.extend(newly);
                 }
+            }
+        }
+    }
+
+    /// Runs a served port's handler on a frame delivered now: queues it
+    /// as the next `Step::Inline` if the port's inline test passes the
+    /// frame, else starts its process.
+    fn run_served(&mut self, port: Addr, served: Arc<Served>, from: Addr, msg: Bytes) {
+        if served.inline.as_ref().is_some_and(|test| test(&msg)) {
+            debug_assert!(self.inline.is_none(), "an inline handler left queued");
+            self.inline = Some(InlineRun {
+                port,
+                served,
+                from,
+                msg,
+            });
+        } else {
+            self.spawn_handler(port, &served, from, msg);
+        }
+    }
+
+    /// Starts a served port's handler on one frame as a process of the
+    /// port's node, in the owner's group.
+    fn spawn_handler(&mut self, port: Addr, served: &Served, from: Addr, msg: Bytes) {
+        let Some(inner) = self.inner.upgrade() else {
+            return;
+        };
+        let handler = Arc::clone(&served.handler);
+        self.spawn_local(
+            &inner,
+            Some(port.node),
+            &served.task,
+            served.group,
+            Box::new(move || handler(from, msg)),
+        );
+    }
+
+    /// Makes `port` a served port: later deliveries run `handler` (as
+    /// `task`, in the port owner's group), and what was queued before is
+    /// spawned now, in arrival order, as the receive loop this replaces
+    /// did (bounces dropped). A closed port stays closed.
+    pub fn serve_port(
+        &mut self,
+        port: Addr,
+        task: &str,
+        handler: FrameHandler,
+        inline: Option<InlineTest>,
+    ) {
+        let Some(owner) = self.endpoints.get(&port).map(|ep| ep.owner) else {
+            return;
+        };
+        let served = Arc::new(Served {
+            task: task.to_string(),
+            handler,
+            inline,
+            group: self.procs.get(&owner).and_then(|p| p.group),
+        });
+        let ep = self
+            .endpoints
+            .get_mut(&port)
+            .expect("endpoint checked open");
+        ep.served = Some(Arc::clone(&served));
+        for item in std::mem::take(&mut ep.queue) {
+            if let Item::Msg(from, msg) = item {
+                self.spawn_handler(port, &served, from, msg);
             }
         }
     }
@@ -1204,6 +1355,10 @@ impl Kernel {
                         self.link_free.retain(|&f| f > now);
                     }
                     self.apply(ev.kind);
+                    if let Some(run) = self.inline.take() {
+                        self.sched.inline_runs += 1;
+                        return Step::Inline(run);
+                    }
                 }
                 _ => {
                     if self.limited && !self.window && self.run_limit > self.now {
@@ -1345,17 +1500,11 @@ impl Kernel {
         );
     }
 
-    /// Closes an endpoint, dropping queued messages and waking blocked
-    /// receivers so they observe `Closed`.
+    /// Closes an endpoint: takes it out of the table, dropping queued
+    /// messages, and wakes blocked receivers so they observe `Closed`.
     pub fn close_endpoint(&mut self, key: EpKey) {
-        if let Some(ep) = self.endpoints.get_mut(&key) {
-            if !ep.open {
-                return;
-            }
-            ep.open = false;
-            ep.queue.clear();
-            let waiters = std::mem::take(&mut ep.waiters);
-            for (pid, gen) in waiters {
+        if let Some(ep) = self.endpoints.remove(&key) {
+            for (pid, gen) in ep.waiters {
                 self.wake(pid, gen, WakeReason::Notified);
             }
         }
@@ -1444,12 +1593,15 @@ impl Kernel {
             }
             self.kill_proc(pid);
         }
-        let eps: Vec<EpKey> = self
+        // In port order, not the table's: which waiter wakes first must
+        // not depend on the table's layout.
+        let mut eps: Vec<EpKey> = self
             .endpoints
             .keys()
             .filter(|a| a.node == node)
             .copied()
             .collect();
+        eps.sort_unstable();
         for key in eps {
             self.close_endpoint(key);
         }
@@ -1590,6 +1742,7 @@ impl Kernel {
             .assign(Box::new(move || proc_main(inner2, pid, f)))
             .expect("failed to spawn simulation thread");
         self.sched.threads_spawned += carrier.started as u64;
+        self.sched.spawns += 1;
         self.procs.insert(
             pid,
             Proc {
@@ -1772,6 +1925,115 @@ impl SimInner {
         panic::resume_unwind(Box::new(KillSignal))
     }
 
+    /// The calling thread's kernel, locked, with the node (raw id, 0 =
+    /// free-floating) and group it acts for: a process's own, or an
+    /// inline handler's port's node and owner group. `None` for the
+    /// driver.
+    fn lock_caller(&self) -> Option<(MutexGuard<'_, Kernel>, u32, Option<u64>)> {
+        if let Some(pid) = cur_pid() {
+            let k = self.shards[(pid >> SHARD_SHIFT) as usize].kernel.lock();
+            let me = k.procs.get(&pid);
+            let node = me.and_then(|p| p.node).map_or(0, |n| n.0);
+            let group = me.and_then(|p| p.group);
+            return Some((k, node, group));
+        }
+        let (node, shard, group) = cur_inline()?;
+        Some((self.shards[shard].kernel.lock(), node.0, group))
+    }
+
+    /// [`Kernel::next_step`] for every loop that steps a shard — a
+    /// blocking process, an exiting one, the driver, a shard worker. Runs
+    /// each inline handler it hands back on this thread with the lock
+    /// released, and returns the process to run next, or `None`: done,
+    /// or an inline handler panicked (the scheduler must see it).
+    fn step<'a>(
+        &'a self,
+        shard: usize,
+        mut k: MutexGuard<'a, Kernel>,
+    ) -> (MutexGuard<'a, Kernel>, Option<(Pid, Arc<Baton>)>) {
+        loop {
+            match k.next_step() {
+                Step::Run(pid, baton) => return (k, Some((pid, baton))),
+                Step::Done => return (k, None),
+                Step::Inline(run) => {
+                    drop(k);
+                    self.run_inline(shard, run);
+                    k = self.shards[shard].kernel.lock();
+                    if !k.panics.is_empty() {
+                        return (k, None);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs one inline handler on the calling thread, as its port's node
+    /// (see the module docs): the thread is no process meanwhile and
+    /// under no span, and a panic is recorded like a process's.
+    fn run_inline(&self, shard: usize, run: InlineRun) {
+        let InlineRun {
+            port,
+            served,
+            from,
+            msg,
+        } = run;
+        let pid = CUR_PID.with(|c| c.replace(None));
+        let span = crate::trace::set_current_ctx(None);
+        let me = InlineAs {
+            port,
+            shard,
+            served: Arc::clone(&served),
+        };
+        CUR_INLINE.with(|c| *c.borrow_mut() = Some(me));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| (served.handler)(from, msg)));
+        CUR_INLINE.with(|c| *c.borrow_mut() = None);
+        crate::trace::set_current_ctx(span);
+        CUR_PID.with(|c| c.set(pid));
+        if let Err(payload) = result {
+            self.record_panic(
+                shard,
+                "inline task",
+                &served.task,
+                Some(port.node),
+                &*payload,
+            );
+        }
+    }
+
+    /// Records the panic of a process or inline handler for the driver
+    /// to re-raise, and dumps its node's journal tail (the black box;
+    /// outside the kernel lock — the journal lives in the node's
+    /// extension map). A kill's unwind is no panic.
+    fn record_panic(
+        &self,
+        shard: usize,
+        kind: &str,
+        name: &str,
+        node: Option<NodeId>,
+        payload: &(dyn std::any::Any + Send),
+    ) {
+        if payload.is::<KillSignal>() {
+            return;
+        }
+        let msg = panic_message(payload);
+        let now = {
+            let mut k = self.shards[shard].kernel.lock();
+            k.panics.push(format!("{kind} '{name}': {msg}"));
+            k.now
+        };
+        if let Some(node) = node {
+            let j = self
+                .node_extensions(node)
+                .get_or_init(|| crate::journal::Journal::new(node));
+            j.record(
+                SimTime::from_micros(now),
+                "proc",
+                format!("panic in '{name}': {msg}"),
+            );
+            j.dump_tail(&format!("panic in '{name}'"));
+        }
+    }
+
     /// Blocks the current process; returns the wake reason.
     ///
     /// `prepare` runs under the kernel lock after the wait generation has
@@ -1786,8 +2048,10 @@ impl SimInner {
     where
         F: FnOnce(&mut Kernel, Pid, u64),
     {
+        forbid_inline("block");
         let pid = cur_pid().expect("blocking call outside a simulated process");
-        let slot = &self.shards[(pid >> SHARD_SHIFT) as usize];
+        let shard = (pid >> SHARD_SHIFT) as usize;
+        let slot = &self.shards[shard];
         let baton;
         let spin;
         // Some(baton): grant a peer directly. None: wake the scheduler.
@@ -1819,16 +2083,18 @@ impl SimInner {
             }
             prepare(&mut k, pid, gen);
             if k.can_inline() {
-                match k.next_step() {
-                    Step::Run(next, _) if next == pid => {
+                let next;
+                (k, next) = self.step(shard, k);
+                match next {
+                    Some((next, _)) if next == pid => {
                         k.sched.self_continues += 1;
                         park = false;
                     }
-                    Step::Run(_, b) => {
+                    Some((_, b)) => {
                         k.sched.direct_handoffs += 1;
                         handoff = Some(b);
                     }
-                    Step::Done => {}
+                    None => {}
                 }
             }
         }
@@ -1877,17 +2143,7 @@ impl SimInner {
     /// free-floating controllers) — the key for caller-stream resource
     /// allocation such as [`SimChan`](crate::sim::SimChan) wait objects.
     pub(crate) fn cur_node_key(&self) -> u32 {
-        match cur_pid() {
-            None => 0,
-            Some(pid) => {
-                let k = self.shards[(pid >> SHARD_SHIFT) as usize].kernel.lock();
-                k.procs
-                    .get(&pid)
-                    .and_then(|p| p.node)
-                    .map(|n| n.0)
-                    .unwrap_or(0)
-            }
-        }
+        self.lock_caller().map_or(0, |(_, node, _)| node)
     }
 
     pub fn rand_for(&self, node: NodeId) -> u64 {
@@ -1983,20 +2239,10 @@ impl SimInner {
     fn waitobj_ctl(&self, id: u64, op: ControlOp) {
         let home_node = (id >> 32) as u32;
         let home = self.shard_ix(home_node);
-        match cur_pid() {
-            None => {
-                self.shards[home].kernel.lock().apply_control(op);
-            }
-            Some(pid) => {
-                let sh = (pid >> SHARD_SHIFT) as usize;
-                let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.node_of(pid);
-                if my_node == home_node {
-                    k.apply_control(op);
-                } else {
-                    k.defer_control(my_node, [(home, op)]);
-                }
-            }
+        match self.lock_caller() {
+            None => self.shards[home].kernel.lock().apply_control(op),
+            Some((mut k, my_node, _)) if my_node == home_node => k.apply_control(op),
+            Some((mut k, my_node, _)) => k.defer_control(my_node, [(home, op)]),
         }
     }
 
@@ -2014,6 +2260,7 @@ impl SimInner {
         timeout: Option<Duration>,
     ) -> Result<(Addr, Bytes), crate::rt::RecvError> {
         use crate::rt::RecvError;
+        forbid_inline("receive");
         let home = self.shard_ix(key.node.0);
         let pid = cur_pid().expect("recv outside a simulated process");
         if self.nshards > 1 && (pid >> SHARD_SHIFT) as usize != home {
@@ -2035,7 +2282,6 @@ impl SimInner {
                 }
                 match k.endpoints.get_mut(&key) {
                     None => return Err(RecvError::Closed),
-                    Some(ep) if !ep.open => return Err(RecvError::Closed),
                     Some(ep) => {
                         if let Some(item) = ep.queue.pop_front() {
                             return match item {
@@ -2062,9 +2308,6 @@ impl SimInner {
                 None => return Err(RecvError::Closed),
                 Some(ep) => {
                     ep.waiters.retain(|(p, _)| *p != pid);
-                    if !ep.open {
-                        return Err(RecvError::Closed);
-                    }
                     if let Some(item) = ep.queue.pop_front() {
                         return match item {
                             Item::Msg(from, msg) => Ok((from, msg)),
@@ -2106,19 +2349,15 @@ impl SimInner {
     ) {
         let target = node.map(|n| n.0).unwrap_or(0);
         let ts = self.shard_ix(target);
-        match cur_pid() {
+        match self.lock_caller() {
             None => {
                 self.shards[ts]
                     .kernel
                     .lock()
                     .spawn_local(self, node, name, group, f);
             }
-            Some(pid) => {
-                let sh = (pid >> SHARD_SHIFT) as usize;
-                let mut k = self.shards[sh].kernel.lock();
-                let me = k.procs.get(&pid);
-                let group = group.or_else(|| me.and_then(|p| p.group));
-                let my_node = me.and_then(|p| p.node).map(|n| n.0).unwrap_or(0);
+            Some((mut k, my_node, my_group)) => {
+                let group = group.or(my_group);
                 if my_node == target {
                     k.spawn_local(self, node, name, group, f);
                 } else {
@@ -2136,14 +2375,9 @@ impl SimInner {
 
     /// Allocates a process-group id from the caller's node stream.
     pub fn alloc_group(&self) -> u64 {
-        match cur_pid() {
+        match self.lock_caller() {
             None => self.shards[0].kernel.lock().alloc_group(0),
-            Some(pid) => {
-                let sh = (pid >> SHARD_SHIFT) as usize;
-                let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.node_of(pid);
-                k.alloc_group(my_node)
-            }
+            Some((mut k, my_node, _)) => k.alloc_group(my_node),
         }
     }
 
@@ -2152,17 +2386,11 @@ impl SimInner {
     /// by one fault-propagation delay (control event).
     pub fn kill_group(&self, group: u64, home: NodeId) {
         let hs = self.shard_ix(home.0);
-        match cur_pid() {
+        match self.lock_caller() {
             None => self.shards[hs].kernel.lock().kill_group(group),
-            Some(pid) => {
-                let sh = (pid >> SHARD_SHIFT) as usize;
-                let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.node_of(pid);
-                if my_node == home.0 {
-                    k.kill_group(group);
-                } else {
-                    k.defer_control(my_node, [(hs, ControlOp::KillGroup(group))]);
-                }
+            Some((mut k, my_node, _)) if my_node == home.0 => k.kill_group(group),
+            Some((mut k, my_node, _)) => {
+                k.defer_control(my_node, [(hs, ControlOp::KillGroup(group))]);
             }
         }
     }
@@ -2192,16 +2420,13 @@ impl SimInner {
                 self.lookahead_us.fetch_min(us, Ordering::AcqRel);
             }
         }
-        match cur_pid() {
+        match self.lock_caller() {
             None => {
                 for s in &self.shards {
                     s.kernel.lock().apply_net(ctl);
                 }
             }
-            Some(pid) => {
-                let sh = (pid >> SHARD_SHIFT) as usize;
-                let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.node_of(pid);
+            Some((mut k, my_node, _)) => {
                 let everywhere = (0..self.nshards).map(|dest| (dest, ControlOp::Net(ctl)));
                 k.defer_control(my_node, everywhere);
             }
@@ -2215,7 +2440,7 @@ impl SimInner {
     /// count. Notes are issued before their fault's control, so the
     /// per-issuer sequence keeps them ordered first in the journal.
     pub fn journal_fault(&self, node: NodeId, detail: String) {
-        match cur_pid() {
+        match self.lock_caller() {
             None => {
                 let now = self.now();
                 let j = self
@@ -2223,11 +2448,8 @@ impl SimInner {
                     .get_or_init(|| crate::journal::Journal::new(node));
                 j.record(now, "fault", detail);
             }
-            Some(pid) => {
-                let sh = (pid >> SHARD_SHIFT) as usize;
+            Some((mut k, my_node, _)) => {
                 let hs = self.shard_ix(node.0);
-                let mut k = self.shards[sh].kernel.lock();
-                let my_node = k.node_of(pid);
                 k.defer_control(my_node, [(hs, ControlOp::Note { node, detail })]);
             }
         }
@@ -2277,6 +2499,8 @@ impl SimInner {
             t.lookahead_stalls += k.sched.lookahead_stalls;
             t.idle_parks += k.sched.idle_parks;
             t.threads_spawned += k.sched.threads_spawned;
+            t.spawns += k.sched.spawns;
+            t.inline_runs += k.sched.inline_runs;
         }
         t.horizon_syncs = self.windows.load(Ordering::Relaxed);
         t
@@ -2321,23 +2545,22 @@ impl SimInner {
             k.run_limit = limit.unwrap_or(0);
         }
         loop {
-            let step = {
-                let mut k = slot.kernel.lock();
-                let step = k.next_step();
-                if let Step::Run(..) = step {
+            let next = {
+                let (mut k, next) = self.step(0, slot.kernel.lock());
+                if next.is_some() {
                     k.sched.driver_resumes += 1;
                 }
-                step
+                next
             };
-            match step {
-                Step::Run(_pid, baton) => {
+            match next {
+                Some((_pid, baton)) => {
                     baton.grant();
                     // On the fast path processes hand the token between
                     // themselves; the gate fires once control is ours.
                     slot.gate.wait();
                     self.check_panics();
                 }
-                Step::Done => break,
+                None => break,
             }
         }
         slot.kernel.lock().in_run = false;
@@ -2431,28 +2654,28 @@ impl SimInner {
         let slot = &self.shards[ix];
         let mut progressed = false;
         loop {
-            let step = {
-                let mut k = slot.kernel.lock();
+            let next = {
+                let k = slot.kernel.lock();
                 if !k.panics.is_empty() {
                     break;
                 }
                 let before = k.sched.events;
-                let step = k.next_step();
+                let (mut k, next) = self.step(ix, k);
                 if k.sched.events != before {
                     progressed = true;
                 }
-                if let Step::Run(..) = step {
+                if next.is_some() {
                     k.sched.driver_resumes += 1;
                     progressed = true;
                 }
-                step
+                next
             };
-            match step {
-                Step::Run(_pid, baton) => {
+            match next {
+                Some((_pid, baton)) => {
                     baton.grant();
                     slot.gate.wait();
                 }
-                Step::Done => break,
+                None => break,
             }
         }
         if !progressed {
@@ -2613,42 +2836,23 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// scheduler first grants the process's baton.
 fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) {
     CUR_PID.with(|c| c.set(Some(pid)));
-    let slot = &inner.shards[(pid >> SHARD_SHIFT) as usize];
+    let shard = (pid >> SHARD_SHIFT) as usize;
+    let slot = &inner.shards[shard];
     let start_killed = {
         let k = slot.kernel.lock();
         k.shutdown || k.procs.get(&pid).map(|p| p.killed).unwrap_or(true)
     };
     if !start_killed {
-        let result = panic::catch_unwind(AssertUnwindSafe(f));
-        if let Err(payload) = result {
-            if !payload.is::<KillSignal>() {
-                let msg = panic_message(&*payload);
-                let (name, node, now) = {
-                    let mut k = slot.kernel.lock();
-                    let name = k
-                        .procs
-                        .get(&pid)
-                        .map(|p| p.name.clone())
-                        .unwrap_or_default();
-                    let node = k.procs.get(&pid).and_then(|p| p.node);
-                    k.panics.push(format!("process '{name}': {msg}"));
-                    (name, node, k.now)
-                };
-                // Black box: a panicking process dumps its node's journal
-                // tail (outside the kernel lock — the journal lives in the
-                // node's extension map).
-                if let Some(node) = node {
-                    let j = inner
-                        .node_extensions(node)
-                        .get_or_init(|| crate::journal::Journal::new(node));
-                    j.record(
-                        crate::time::SimTime::from_micros(now),
-                        "proc",
-                        format!("panic in '{name}': {msg}"),
-                    );
-                    j.dump_tail(&format!("panic in '{name}'"));
-                }
-            }
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
+            let (name, node) = {
+                let k = slot.kernel.lock();
+                let me = k.procs.get(&pid);
+                (
+                    me.map(|p| p.name.clone()).unwrap_or_default(),
+                    me.and_then(|p| p.node),
+                )
+            };
+            inner.record_panic(shard, "process", &name, node, &*payload);
         }
     }
     // Close owned endpoints, leave the process table — nobody joins a
@@ -2671,13 +2875,12 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) {
         }
         k.procs.remove(&pid);
         if k.can_inline() {
-            match k.next_step() {
-                Step::Run(next_pid, b) => {
-                    debug_assert_ne!(next_pid, pid, "dead process scheduled");
-                    k.sched.direct_handoffs += 1;
-                    next = Some(b);
-                }
-                Step::Done => {}
+            let step;
+            (k, step) = inner.step(shard, k);
+            if let Some((next_pid, b)) = step {
+                debug_assert_ne!(next_pid, pid, "dead process scheduled");
+                k.sched.direct_handoffs += 1;
+                next = Some(b);
             }
         }
     }

@@ -176,32 +176,29 @@ pub trait Endpoint: Send + Sync {
     /// [`adopt`](Endpoint::adopt)). Blocks until the endpoint closes, so
     /// callers run it as their process's main; bounces are dropped.
     ///
-    /// The provided body is the receive-and-spawn loop a server would
-    /// write by hand, and is what the simulator runs.
-    /// A runtime that can hand a message to a process without waking the
-    /// serving one first overrides it: on TCP the connection reader gives
-    /// each frame straight to a carrier thread, and the serving process
-    /// only waits for the close.
+    /// Both runtimes hand a message to its process where it is
+    /// delivered, with no serving process woken first: on TCP the
+    /// connection reader gives each frame to a carrier thread; in the
+    /// simulator the kernel spawns the handler's process at the delivery
+    /// instant. The serving process only waits for the close, after
+    /// spawning the handler on whatever was queued before the call.
     ///
     /// `inline` names the messages whose handler *never waits for another
     /// message*: no nested call, no receive, no sleep, no wait on a sync
     /// object — it computes, at most takes a lock nobody holds across
-    /// such a wait, and sends. A runtime may run those where they arrive
-    /// instead of handing them on: on TCP the connection reader runs them
-    /// itself, one after the other in arrival order, with no carrier and
-    /// no wake-up between socket and handler. The process they run as is
-    /// the same either way (group, kill, live count); the simulator
-    /// spawns every message and ignores `inline`.
+    /// such a wait, and sends. Both runtimes run those where they arrive,
+    /// with no process of their own: on TCP the connection reader runs
+    /// them itself, one after the other in arrival order, as tasks of
+    /// the endpoint's group; the simulator runs them on whichever thread
+    /// is stepping the kernel, as the endpoint's node and group, and
+    /// panics, naming `task_name`, if one waits after all.
     fn serve(
         &self,
         rt: &dyn NodeRt,
         task_name: &str,
         handler: FrameHandler,
         inline: Option<InlineTest>,
-    ) {
-        let _ = inline;
-        serve_by_recv(self, rt, task_name, &handler);
-    }
+    );
 }
 
 /// What [`Endpoint::serve`] runs per message: the source address and the
@@ -213,7 +210,9 @@ pub type FrameHandler = Arc<dyn Fn(Addr, Bytes) + Send + Sync>;
 pub type InlineTest = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
 
 /// Receives from `ep` until it closes, spawning `handler` on each
-/// message: the provided body of [`Endpoint::serve`].
+/// message: how TCP's [`Endpoint::serve`] drains what reached the
+/// endpoint's mailbox before the port became served, then waits for the
+/// close.
 pub(crate) fn serve_by_recv<E: Endpoint + ?Sized>(
     ep: &E,
     rt: &dyn NodeRt,

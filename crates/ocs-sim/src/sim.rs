@@ -10,7 +10,9 @@ use crate::kernel::{
     cur_pid, EpState, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats,
     ShardPolicy, SimInner,
 };
-use crate::rt::{Addr, Endpoint, NetError, NodeId, NodeRt, PortReq, RecvError};
+use crate::rt::{
+    Addr, Endpoint, FrameHandler, InlineTest, NetError, NodeId, NodeRt, PortReq, RecvError,
+};
 use crate::time::SimTime;
 
 /// Configuration for a simulation run.
@@ -168,6 +170,7 @@ impl Sim {
     /// thread); root processes spawned with [`Sim::spawn_root`] use this
     /// since they have no node runtime.
     pub fn sleep(&self, d: Duration) {
+        crate::kernel::forbid_inline("sleep");
         assert!(
             cur_pid().is_some(),
             "Sim::sleep must be called from a simulated process"
@@ -332,6 +335,7 @@ impl NodeRt for SimNode {
     }
 
     fn open(&self, port: PortReq) -> Result<Arc<dyn Endpoint>, NetError> {
+        crate::kernel::forbid_inline("open an endpoint");
         let mut k = self.inner.kernel_for(self.id).lock();
         let node_up = k.node(self.id).map(|n| n.up).unwrap_or(false);
         if !node_up {
@@ -340,7 +344,7 @@ impl NodeRt for SimNode {
         let portno = match port {
             PortReq::Fixed(p) => {
                 let key = Addr::new(self.id, p);
-                if k.endpoints.get(&key).map(|e| e.open).unwrap_or(false) {
+                if k.endpoints.contains_key(&key) {
                     return Err(NetError::PortInUse(p));
                 }
                 p
@@ -353,7 +357,7 @@ impl NodeRt for SimNode {
                 };
                 loop {
                     let key = Addr::new(self.id, cand);
-                    if !k.endpoints.get(&key).map(|e| e.open).unwrap_or(false) {
+                    if !k.endpoints.contains_key(&key) {
                         break;
                     }
                     cand = cand.checked_add(1).unwrap_or(crate::kernel::EPHEMERAL_BASE);
@@ -368,10 +372,10 @@ impl NodeRt for SimNode {
         k.endpoints.insert(
             key,
             EpState {
-                open: true,
                 owner,
                 queue: Default::default(),
                 waiters: Default::default(),
+                served: None,
             },
         );
         if owner != 0 {
@@ -512,6 +516,25 @@ impl Endpoint for SimEndpoint {
             .kernel_for(self.addr.node)
             .lock()
             .ep_set_owner(self.addr, None);
+    }
+
+    /// Hands the port to the kernel, which runs each frame's handler at
+    /// its delivery — as a process, or inline if `inline` passes it (the
+    /// kernel's "Serving a port") — and spawns it now on whatever was
+    /// queued before. The calling process only waits for the close.
+    fn serve(
+        &self,
+        _rt: &dyn NodeRt,
+        task_name: &str,
+        handler: FrameHandler,
+        inline: Option<InlineTest>,
+    ) {
+        self.inner
+            .kernel_for(self.addr.node)
+            .lock()
+            .serve_port(self.addr, task_name, handler, inline);
+        // Nothing queues on a served port: this returns at the close.
+        while !matches!(self.recv(None), Err(RecvError::Closed)) {}
     }
 }
 

@@ -171,9 +171,28 @@ proptest! {
     }
 }
 
+/// How the hub answers its port.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Hub {
+    /// Receives and echoes in its own loop.
+    Recv,
+    /// Receives in a loop and spawns a process per echo — what a served
+    /// port's receive loop was before the kernel served it.
+    SpawnLoop,
+    /// `Endpoint::serve`: a process per echo, spawned at delivery.
+    Served,
+    /// `Endpoint::serve` with every frame inline: no process per echo.
+    Inline,
+}
+
 /// The determinism suite's chatty hub workload, parameterized over the
-/// scheduler mode and shard count.
-fn hub_workload(seed: u64, fast: bool, shards: usize) -> (u64, u64, ocs_sim::KernelStats) {
+/// scheduler mode, shard count and how the hub serves its port.
+fn hub_workload(
+    seed: u64,
+    fast: bool,
+    shards: usize,
+    how: Hub,
+) -> (u64, u64, ocs_sim::KernelStats) {
     let sim = Sim::with_config(SimConfig {
         seed,
         fast,
@@ -189,8 +208,29 @@ fn hub_workload(seed: u64, fast: bool, shards: usize) -> (u64, u64, ocs_sim::Ker
         let rt = Arc::clone(&hub);
         hub.spawn_fn("echo", move || {
             let ep = rt.open(PortReq::Fixed(9)).expect("open");
-            while let Ok((from, msg)) = ep.recv(None) {
-                let _ = ep.send(from, msg);
+            let reply = {
+                let ep = Arc::clone(&ep);
+                move |from, msg| {
+                    let _ = ep.send(from, msg);
+                }
+            };
+            match how {
+                Hub::Recv => {
+                    while let Ok((from, msg)) = ep.recv(None) {
+                        reply(from, msg);
+                    }
+                }
+                Hub::SpawnLoop => {
+                    while let Ok((from, msg)) = ep.recv(None) {
+                        let reply = reply.clone();
+                        rt.spawn_fn("echo-worker", move || reply(from, msg));
+                    }
+                }
+                Hub::Served | Hub::Inline => {
+                    let inline: Option<ocs_sim::InlineTest> =
+                        (how == Hub::Inline).then(|| Arc::new(|_: &[u8]| true) as _);
+                    ep.serve(&*rt, "echo-worker", Arc::new(reply), inline);
+                }
             }
         });
     }
@@ -217,8 +257,8 @@ fn hub_workload(seed: u64, fast: bool, shards: usize) -> (u64, u64, ocs_sim::Ker
 
 #[test]
 fn fast_and_slow_hub_workloads_are_trace_identical() {
-    let (fh, fd, fstats) = hub_workload(42, true, 1);
-    let (sh, sd, sstats) = hub_workload(42, false, 1);
+    let (fh, fd, fstats) = hub_workload(42, true, 1, Hub::Recv);
+    let (sh, sd, sstats) = hub_workload(42, false, 1, Hub::Recv);
     assert_eq!(fh, sh, "trace hash must not depend on the scheduler mode");
     assert_eq!(fd, sd);
     assert_eq!(
@@ -229,9 +269,9 @@ fn fast_and_slow_hub_workloads_are_trace_identical() {
 
 #[test]
 fn sharded_hub_workload_is_trace_identical_and_crosses_shards() {
-    let (fh, fd, _) = hub_workload(42, true, 1);
+    let (fh, fd, _) = hub_workload(42, true, 1, Hub::Recv);
     for shards in [2, 4] {
-        let (sh, sd, sstats) = hub_workload(42, true, shards);
+        let (sh, sd, sstats) = hub_workload(42, true, shards, Hub::Recv);
         assert_eq!(
             fh, sh,
             "trace hash must not depend on the shard count ({shards} shards)"
@@ -319,8 +359,8 @@ proptest! {
 
 #[test]
 fn fast_path_actually_elides_driver_round_trips() {
-    let (_, _, fstats) = hub_workload(42, true, 1);
-    let (_, _, sstats) = hub_workload(42, false, 1);
+    let (_, _, fstats) = hub_workload(42, true, 1, Hub::Recv);
+    let (_, _, sstats) = hub_workload(42, false, 1, Hub::Recv);
     assert!(
         fstats.direct_handoffs + fstats.self_continues > 0,
         "fast mode never took the fast path: {fstats:?}"
@@ -334,4 +374,31 @@ fn fast_path_actually_elides_driver_round_trips() {
         fstats.driver_resumes < sstats.driver_resumes / 4,
         "elision should remove most driver resumes: fast {fstats:?} vs slow {sstats:?}"
     );
+}
+
+/// A served hub replays its receive loop: same trace hash, deliveries
+/// and events whether each echo is a process spawned at delivery or runs
+/// inline, in either scheduler mode, on 1, 2 or 4 shards.
+#[test]
+fn a_served_hub_replays_its_receive_loop() {
+    let (hash, delivered, base) = hub_workload(42, true, 1, Hub::Recv);
+    let (_, _, spawned) = hub_workload(42, true, 1, Hub::SpawnLoop);
+    assert_eq!(spawned.spawns, base.spawns + 200, "one process per echo");
+    for how in [Hub::SpawnLoop, Hub::Served, Hub::Inline] {
+        for fast in [true, false] {
+            for shards in [1, 2, 4] {
+                let (h, d, stats) = hub_workload(42, fast, shards, how);
+                let run = format!("{how:?}, fast {fast}, {shards} shards");
+                assert_eq!(h, hash, "trace hash: {run}");
+                assert_eq!(d, delivered, "deliveries: {run}");
+                assert_eq!(stats.events, base.events, "events: {run}");
+                let (spawns, inline) = match how {
+                    Hub::Inline => (base.spawns, 200),
+                    _ => (spawned.spawns, 0),
+                };
+                assert_eq!(stats.spawns, spawns, "processes: {run}");
+                assert_eq!(stats.inline_runs, inline, "inline echoes: {run}");
+            }
+        }
+    }
 }
