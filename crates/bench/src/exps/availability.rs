@@ -23,14 +23,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use itv_cluster::{AvailabilityAuditor, AvailabilityReport, RealCluster};
-use itv_media::ports;
+use itv_cluster::{AvailabilityAuditor, AvailabilityReport};
 use ocs_name::{NsError, NsHandle, NsReplica};
 use ocs_orb::{ClientCtx, ObjRef};
-use ocs_sim::real::{RealNet, RealNode};
-use ocs_sim::{Addr, FaultAction, Nemesis, NodeRt, NodeRtExt, PortReq, Rt, SimTime};
+use ocs_sim::real::RealNet;
+use ocs_sim::{Addr, FaultAction, NodeRt, NodeRtExt, PortReq, Rt, SimTime};
+use ocs_vsr::group::Group;
 
-use super::group::{tuned, Leg, SimGroup};
+use super::failover::ns_group;
+use super::group::{sim_leg, tuned, Leg, TUNED};
 use crate::json::Json;
 use crate::{f, percentile, report, Table};
 
@@ -156,16 +157,36 @@ const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
 /// true view-change window.
 const PEER_COOLDOWN: Duration = Duration::from_secs(2);
 
-/// The tuned NS group, two healthy seconds before each fault.
-const STORM: Leg = Leg {
-    label: "deployed tuning",
-    tuning: tuned,
-    dwell: Duration::from_secs(2),
+/// One leg's storm: `kills` primary kills, then `partitions` primary
+/// partitions, each `leg.dwell` after the group settled, then a healthy
+/// `tail` so the read stream accumulates enough probes to resolve three
+/// nines (and the last blackout closes).
+struct Storm {
+    leg: Leg,
+    kills: usize,
+    partitions: usize,
+    tail: Duration,
+}
+
+/// The simulated leg: two healthy seconds before each of 11 faults.
+const SIM: Storm = Storm {
+    leg: Leg {
+        label: "deployed tuning",
+        tuning: tuned,
+        dwell: Duration::from_secs(2),
+    },
+    kills: 8,
+    partitions: 3,
+    tail: Duration::from_secs(75),
 };
-const SIM_KILL_ROUNDS: usize = 8;
-const SIM_PARTITION_ROUNDS: usize = 3;
-const REAL_KILL_ROUNDS: usize = 5;
-const REAL_PARTITION_ROUNDS: usize = 2;
+
+/// The TCP leg: the same storm, shorter on the wall clock.
+const REAL: Storm = Storm {
+    leg: TUNED,
+    kills: 5,
+    partitions: 2,
+    tail: Duration::from_secs(15),
+};
 
 /// One write-probe round: try each peer (skipping any still in timeout
 /// cooldown), counting a committed bind — or a lost-reply `AlreadyBound`
@@ -215,17 +236,17 @@ fn probe_leaf(peers: &[Addr]) -> ObjRef {
     }
 }
 
-/// The sim leg: a 3-replica tuned NS group, an auditor client node
-/// running both probe streams, and the standard storm (primary kills,
-/// then primary partitions), all in virtual time.
-fn sim_leg(group: &SimGroup<NsReplica>) -> (AvailabilityReport, AvailabilityReport) {
+/// One leg: a 3-replica tuned NS group, both probe streams as processes
+/// on the client node, and the standard storm (primary kills, then
+/// primary partitions) — in virtual time or on TCP, as `group` runs.
+fn storm(group: &Group<NsReplica>, s: &Storm) -> (AvailabilityReport, AvailabilityReport) {
     group.settle("at campaign start");
 
-    let client = &group.client;
+    let client = group.client();
     let reads = Arc::new(AvailabilityAuditor::new());
     let writes = Arc::new(AvailabilityAuditor::new());
     let stop = Arc::new(AtomicBool::new(false));
-    let peers = group.peers.clone();
+    let peers = group.peers().to_vec();
     let leaf = probe_leaf(&peers);
 
     // Seed the read-probe name before any prober starts, so a read
@@ -276,30 +297,30 @@ fn sim_leg(group: &SimGroup<NsReplica>) -> (AvailabilityReport, AvailabilityRepo
     }
 
     let mark = |class: &str| {
-        let now = group.sim.now();
+        let now = group.now();
         reads.record_fault(now, class);
         writes.record_fault(now, class);
     };
 
     // Storm phase 1: repeated primary kills (E20's storm).
-    group.storm(SIM_KILL_ROUNDS, |_, kill| {
+    group.storm(s.kills, s.leg.dwell, |_, kill| {
         mark("crash");
         group.await_successor(kill.victim);
     });
 
     // Storm phase 2: isolate the primary from both backups (it keeps
     // running but loses its majority; the backups elect).
-    for _ in 0..SIM_PARTITION_ROUNDS {
+    for _ in 0..s.partitions {
         group.settle("between partition rounds");
-        group.sim.run_for(STORM.dwell);
+        group.run_for(s.leg.dwell);
         let master = group.masters()[0];
-        let m = group.nodes[master].node();
-        let others: Vec<_> = (0..group.nodes.len())
+        let m = group.node(master);
+        let others: Vec<_> = (0..group.nodes().len())
             .filter(|&i| i != master)
-            .map(|i| group.nodes[i].node())
+            .map(|i| group.node(i))
             .collect();
         for &o in &others {
-            Nemesis::apply(&group.sim, &FaultAction::Partition(m, o));
+            group.fault(FaultAction::Partition(m, o));
         }
         mark("partition");
         assert!(
@@ -309,143 +330,14 @@ fn sim_leg(group: &SimGroup<NsReplica>) -> (AvailabilityReport, AvailabilityRepo
             "no new master after partitioning the primary away"
         );
         for &o in &others {
-            Nemesis::apply(&group.sim, &FaultAction::Heal(m, o));
+            group.fault(FaultAction::Heal(m, o));
         }
-        group.sim.run_for(Duration::from_secs(1));
+        group.run_for(Duration::from_secs(1));
     }
 
-    // A healthy tail so the read stream accumulates enough probes to
-    // resolve three nines (and the last blackout closes).
-    group.sim.run_for(Duration::from_secs(75));
+    group.run_for(s.tail);
     stop.store(true, Ordering::Relaxed);
-    group.sim.run_for(Duration::from_millis(500));
-
-    (reads.report(), writes.report())
-}
-
-/// The real-TCP leg: same storm shape, wall clock, probers on their own
-/// client node in driver threads.
-fn real_leg() -> (AvailabilityReport, AvailabilityReport) {
-    let cluster = RealCluster::launch(3, 0);
-    let prober: Arc<RealNode> = cluster
-        .net()
-        .add_node("auditor")
-        .expect("bind prober node");
-    let peers: Vec<Addr> = cluster
-        .servers
-        .iter()
-        .map(|s| Addr::new(s.node(), ports::NS))
-        .collect();
-    let leaf = probe_leaf(&peers);
-    let reads = Arc::new(AvailabilityAuditor::new());
-    let writes = Arc::new(AvailabilityAuditor::new());
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // Seed the probe name from the driver before the probers start.
-    {
-        let rt: Rt = prober.clone();
-        let mut cd = vec![SimTime::ZERO; peers.len()];
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !try_bind(&peers, &mut cd, &rt, "audit-probe", leaf) {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "probe name never seeded on the real cluster"
-            );
-            std::thread::sleep(Duration::from_millis(100));
-        }
-    }
-
-    let read_thread = {
-        let reads = Arc::clone(&reads);
-        let stop = Arc::clone(&stop);
-        let peers = peers.clone();
-        let rt: Rt = prober.clone();
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let ok = try_resolve(&peers, &rt, "audit-probe");
-                reads.record(rt.now(), ok);
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        })
-    };
-    let write_thread = {
-        let writes = Arc::clone(&writes);
-        let stop = Arc::clone(&stop);
-        let peers = peers.clone();
-        let rt: Rt = prober.clone();
-        std::thread::spawn(move || {
-            let mut cooldown = vec![SimTime::ZERO; peers.len()];
-            let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let ok = try_bind(&peers, &mut cooldown, &rt, &format!("audit-w-{i}"), leaf);
-                writes.record(rt.now(), ok);
-                i += 1;
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        })
-    };
-
-    let mark = |class: &str| {
-        let now = prober.now();
-        reads.record_fault(now, class);
-        writes.record_fault(now, class);
-    };
-    let settled = |cluster: &RealCluster| {
-        cluster.masters().len() == 1
-            && (0..3).all(|i| cluster.replica(i).is_some_and(|r| !r.in_probation()))
-    };
-
-    for _ in 0..REAL_KILL_ROUNDS {
-        assert!(
-            cluster.eventually(Duration::from_secs(15), || settled(&cluster)),
-            "real NS group failed to settle between kill rounds"
-        );
-        std::thread::sleep(Duration::from_secs(1));
-        let master = cluster.master_index().expect("settled");
-        cluster.kill_ns(master);
-        mark("crash");
-        assert!(
-            cluster.eventually(Duration::from_secs(15), || {
-                cluster.masters().first().is_some_and(|m| *m != master)
-            }),
-            "no new master after killing the real primary"
-        );
-        cluster.restart_ns(master);
-    }
-
-    for _ in 0..REAL_PARTITION_ROUNDS {
-        assert!(
-            cluster.eventually(Duration::from_secs(15), || settled(&cluster)),
-            "real NS group failed to settle between partition rounds"
-        );
-        std::thread::sleep(Duration::from_secs(1));
-        let master = cluster.master_index().expect("settled");
-        let m = cluster.servers[master].node();
-        let others: Vec<_> = (0..3)
-            .filter(|&i| i != master)
-            .map(|i| cluster.servers[i].node())
-            .collect();
-        for &o in &others {
-            cluster.net().set_partitioned(m, o, true);
-        }
-        mark("partition");
-        assert!(
-            cluster.eventually(Duration::from_secs(15), || {
-                cluster.masters().iter().any(|&x| x != master)
-            }),
-            "no new master after partitioning the real primary away"
-        );
-        for &o in &others {
-            cluster.net().set_partitioned(m, o, false);
-        }
-        std::thread::sleep(Duration::from_millis(500));
-    }
-
-    // Healthy tail, then stop the probers.
-    std::thread::sleep(Duration::from_secs(15));
-    stop.store(true, Ordering::Relaxed);
-    read_thread.join().expect("read prober");
-    write_thread.join().expect("write prober");
+    group.run_for(Duration::from_millis(500));
 
     (reads.report(), writes.report())
 }
@@ -564,14 +456,10 @@ pub fn e21(sim_only: bool) {
         "paper max",
     ]);
 
-    let (sim_reads, sim_writes) = SimGroup::run_leg(21_001, &STORM, |group| sim_leg(group));
+    let (sim_reads, sim_writes) = sim_leg(21_001, ns_group(&SIM.leg), |group| storm(group, &SIM));
     leg_rows(&mut t, "sim", &sim_reads, &sim_writes);
 
-    let real = if sim_only {
-        None
-    } else {
-        Some(real_leg())
-    };
+    let real = (!sim_only).then(|| storm(&Group::tcp(ns_group(&REAL.leg)), &REAL));
     if let Some((real_reads, real_writes)) = &real {
         leg_rows(&mut t, "real TCP", real_reads, real_writes);
     }

@@ -26,10 +26,11 @@ use itv_media::{
     CmApiClient, CmBudgets, CmReplica, CmReplicaConfig, ConnDesc, ConnectionManager, MediaError,
 };
 use ocs_orb::{ClientCtx, ObjRef};
-use ocs_sim::{Addr, NodeId, NodeRt, Rt, Sim, SimNode};
-use ocs_vsr::{ReplicaConfig, ReplicaStatus};
+use ocs_sim::{Addr, NodeId, Rt, Sim};
+use ocs_vsr::group::{call_on, Group, Spec, STEP};
+use ocs_vsr::ReplicaConfig;
 
-use super::group::{call_on, report_leg, Audit, Leg, Member, SimGroup, PAPER, STEP, TUNED};
+use super::group::{audit, report_leg, sim_leg, Audit, Leg, PAPER, TUNED};
 use crate::json::Json;
 use crate::{report, Table};
 
@@ -38,36 +39,36 @@ const CM_PORT: u16 = 2000;
 /// post-fail-over grant against it is an admission violation.
 const SAT_BPS: u64 = 6_000_000;
 
-impl Member for CmReplica {
-    const NAME: &'static str = "cm";
-    const PORT: u16 = CM_PORT;
-
-    fn start(rt: Rt, r: ReplicaConfig) -> Arc<CmReplica> {
-        let cfg = CmReplicaConfig {
-            heartbeat_interval: r.heartbeat_interval,
-            election_timeout: r.election_timeout,
-            peer_timeout: r.peer_timeout,
-            // Expiry off for the storm so the audit is exact (lease
-            // reclamation is covered by the cm_replica integration tests).
-            lease_ttl: None,
-            ..CmReplicaConfig::paper_defaults(r.replica_id, r.peers, CmBudgets::default())
-        };
-        CmReplica::start(rt, cfg).expect("replica starts")
-    }
-
-    fn engine(&self) -> Option<ReplicaStatus> {
-        Some((**self).status())
+/// The replicated CM's group under `leg`'s timeouts.
+fn cm_group(leg: &Leg) -> Spec<CmReplica> {
+    Spec {
+        name: "cm",
+        port: CM_PORT,
+        tuning: leg.tuning,
+        start: Arc::new(|rt, r: ReplicaConfig| {
+            let cfg = CmReplicaConfig {
+                heartbeat_interval: r.heartbeat_interval,
+                election_timeout: r.election_timeout,
+                peer_timeout: r.peer_timeout,
+                // Expiry off for the storm so the audit is exact (lease
+                // reclamation is covered by the cm_replica integration tests).
+                lease_ttl: None,
+                ..CmReplicaConfig::paper_defaults(r.replica_id, r.peers, CmBudgets::default())
+            };
+            CmReplica::start(rt, cfg)
+        }),
+        status: |r| Some(r.status()),
     }
 }
 
 /// The MMS retry loop in miniature: the same token on every attempt.
 fn allocate(
-    group: &SimGroup<CmReplica>,
+    group: &Group<CmReplica>,
     token: u64,
     settop: NodeId,
     down_bps: u64,
 ) -> Result<u64, MediaError> {
-    let server = group.nodes[0].node();
+    let server = group.node(0);
     group.submit(move |rt, peer, timeout| {
         match cm_at(rt, peer, timeout).allocate(token, settop, server, down_bps) {
             Err(MediaError::NoBandwidth) => Some(Err(MediaError::NoBandwidth)),
@@ -76,7 +77,7 @@ fn allocate(
     })
 }
 
-fn release(group: &SimGroup<CmReplica>, conn: u64) {
+fn release(group: &Group<CmReplica>, conn: u64) {
     group.submit(move |rt, peer, timeout| {
         match cm_at(rt, peer, timeout).release(conn) {
             // UnknownSession: an earlier attempt committed but its reply
@@ -114,18 +115,18 @@ struct StormResult {
 /// grant is recorded client-side; the post-storm audit compares that
 /// record against each healed replica's table, and the reserved-bps
 /// index against a full scan.
-fn replicated_storm(group: &SimGroup<CmReplica>, rounds: usize) -> StormResult {
+fn replicated_storm(group: &Group<CmReplica>, leg: &Leg, rounds: usize) -> StormResult {
     group.settle("at start");
-    let sat_settop = group.client.node();
+    let sat_settop = group.client().node();
     // Pin the saturated settop at its full budget for the whole storm.
     let sat_conn = allocate(group, 1, sat_settop, SAT_BPS).expect("saturating allocate");
     let mut granted: Vec<u64> = vec![sat_conn];
     let mut next_token = 2u64;
     let mut over_admissions = 0u64;
-    let blackouts = group.storm(rounds, |round, kill| {
+    let blackouts = group.storm(rounds, leg.dwell, |round, kill| {
         // The blackout sensor: how long until the next allocate commits
         // on a survivor (spread across settops so budgets never bind).
-        let settop = group.nodes[round % 3].node();
+        let settop = group.node(round % 3);
         let conn = allocate(group, next_token, settop, 100_000).expect("post-kill allocate");
         let blackout = group.since(kill.at);
         granted.push(conn);
@@ -148,11 +149,12 @@ fn replicated_storm(group: &SimGroup<CmReplica>, rounds: usize) -> StormResult {
         }
         blackout
     });
-    let audit = group.audit(granted, |r| {
+    let tables = group.audit(|r| {
         let (indexed, scanned) = r.audit_reserved_bps();
         let conns = r.allocations().iter().map(|d| d.conn).collect();
         Some((conns, indexed == scanned))
     });
+    let audit = audit(granted, tables);
     StormResult {
         blackouts,
         over_admissions,
@@ -167,11 +169,11 @@ fn replicated_storm(group: &SimGroup<CmReplica>, rounds: usize) -> StormResult {
 /// bandwidth keeps flowing with no reservation behind it.
 fn baseline_rounds(rounds: usize) -> (u64, u64) {
     let sim = Sim::new(22_000);
-    let client = sim.add_node("load");
+    let client: Rt = sim.add_node("load");
     let mut over_admissions = 0u64;
     let mut lost_leases = 0u64;
     for round in 0..rounds {
-        let a = sim.add_node(&format!("cm-a{round}"));
+        let a: Rt = sim.add_node(&format!("cm-a{round}"));
         let obj_a = serve_standalone(&sim, &a);
         let settop = client.node();
         let server = a.node();
@@ -191,7 +193,7 @@ fn baseline_rounds(rounds: usize) -> (u64, u64) {
         .expect("baseline saturating allocate");
         sim.crash_node(a.node());
         // §5.2 takeover: the successor starts with an empty table.
-        let b = sim.add_node(&format!("cm-b{round}"));
+        let b: Rt = sim.add_node(&format!("cm-b{round}"));
         let obj_b = serve_standalone(&sim, &b);
         // The recovery-window probe: the successor knows nothing about
         // the saturated settop yet, so this is granted — an admission
@@ -222,7 +224,7 @@ fn baseline_rounds(rounds: usize) -> (u64, u64) {
 }
 
 /// A standalone (§5.2) CM with an empty table, serving on `node`.
-fn serve_standalone(sim: &Sim, node: &Arc<SimNode>) -> ObjRef {
+fn serve_standalone(sim: &Sim, node: &Rt) -> ObjRef {
     call_on(sim, node, STEP, |rt| {
         let cm = ConnectionManager::with_clock(CmBudgets::default(), Some(rt.clone()));
         cm.serve(rt, CM_PORT).expect("baseline cm serves")
@@ -232,7 +234,7 @@ fn serve_standalone(sim: &Sim, node: &Arc<SimNode>) -> ObjRef {
 /// Runs `f` from `node` against the baseline CM at `obj`.
 fn call<T: Send + 'static>(
     sim: &Sim,
-    node: &Arc<SimNode>,
+    node: &Rt,
     obj: ObjRef,
     f: impl FnOnce(CmApiClient) -> T + Send + 'static,
 ) -> T {
@@ -269,7 +271,9 @@ pub fn e22() {
     ]);
 
     let mut storm_leg = |seed, leg: &'static Leg, key, rounds| {
-        let r = SimGroup::run_leg(seed, leg, |group| replicated_storm(group, rounds));
+        let r = sim_leg(seed, cm_group(leg), |group| {
+            replicated_storm(group, leg, rounds)
+        });
         let extra = [r.over_admissions, r.audit.lost, r.audit.doubled].map(|n| n.to_string());
         report_leg(
             &mut t,

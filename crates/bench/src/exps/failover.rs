@@ -1,52 +1,54 @@
 //! E20: name-service view-change latency under primary kills — the
 //! consensus-grade successor to E1's audit-driven fail-over. Kills the
 //! VSR primary mid-load, over and over, and measures how long the group
-//! goes without a master. Three legs:
+//! goes without a master. Three legs, one storm:
 //!
 //! * sim, paper-scale timeouts (2 s heartbeat, 5 s election) — the
 //!   apples-to-apples comparison against the paper's 25 s bound;
 //! * sim, deployed tuning (200 ms heartbeat, 600 ms election) — the
 //!   sub-second claim, in virtual time;
 //! * real TCP runtime, same tuning — the sub-second claim on the wall
-//!   clock (skipped under `--sim-only`).
+//!   clock, members killed for real (skipped under `--sim-only`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use itv_cluster::RealCluster;
 use ocs_name::{AlwaysAlive, NsConfig, NsHandle, NsReplica};
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::{NodeRtExt, Rt};
-use ocs_vsr::{ReplicaConfig, ReplicaStatus};
+use ocs_vsr::group::{retry_over_peers, Group, Spec};
+use ocs_vsr::ReplicaConfig;
 
-use super::group::{report_leg, retry_over_peers, Member, SimGroup, PAPER, TUNED};
+use super::group::{report_leg, sim_leg, Leg, PAPER, TUNED};
 use crate::json::Json;
 use crate::{f, report, Table};
 
-impl Member for NsReplica {
-    const NAME: &'static str = "ns";
-    const PORT: u16 = 10;
-
-    fn start(rt: Rt, r: ReplicaConfig) -> Arc<NsReplica> {
-        let cfg = NsConfig {
-            heartbeat_interval: r.heartbeat_interval,
-            election_timeout: r.election_timeout,
-            peer_timeout: r.peer_timeout,
-            ..NsConfig::paper_defaults(r.replica_id, r.peers)
-        };
-        NsReplica::start(rt, cfg, Arc::new(AlwaysAlive)).expect("replica starts")
-    }
-
-    fn engine(&self) -> Option<ReplicaStatus> {
-        Some((**self).status())
+/// The name service's group under `leg`'s timeouts.
+pub(crate) fn ns_group(leg: &Leg) -> Spec<NsReplica> {
+    Spec {
+        name: "ns",
+        port: 10,
+        tuning: leg.tuning,
+        start: Arc::new(|rt, r: ReplicaConfig| {
+            let cfg = NsConfig {
+                heartbeat_interval: r.heartbeat_interval,
+                election_timeout: r.election_timeout,
+                peer_timeout: r.peer_timeout,
+                ..NsConfig::paper_defaults(r.replica_id, r.peers)
+            };
+            NsReplica::start(rt, cfg, Arc::new(AlwaysAlive))
+        }),
+        status: |r| Some(r.status()),
     }
 }
 
 /// Repeatedly kills the current primary and samples master-outage
-/// windows (crash → a different replica reports `is_master`).
-fn sim_kill_rounds(
-    group: &SimGroup<NsReplica>,
+/// windows (crash → a different replica reports `is_master`). Returns
+/// them and the binds the background load committed meanwhile.
+fn kill_rounds(
+    group: &Group<NsReplica>,
+    leg: &Leg,
     rounds: usize,
     bind_timeout: Duration,
 ) -> (Vec<f64>, u64) {
@@ -57,9 +59,9 @@ fn sim_kill_rounds(
     {
         let binds = Arc::clone(&binds);
         let stop = Arc::clone(&stop);
-        let peers = group.peers.clone();
-        let rt: Rt = group.client.clone();
-        group.client.spawn_fn("ns-load", move || {
+        let peers = group.peers().to_vec();
+        let rt: Rt = group.client().clone();
+        group.client().spawn_fn("ns-load", move || {
             let pause = Duration::from_millis(100);
             let mut i = 0u64;
             while !stop.load(Ordering::Relaxed) {
@@ -87,40 +89,13 @@ fn sim_kill_rounds(
             }
         });
     }
-    let samples = group.storm(rounds, |_, kill| {
+    let samples = group.storm(rounds, leg.dwell, |_, kill| {
         group.await_successor(kill.victim);
         group.since(kill.at)
     });
     stop.store(true, Ordering::Relaxed);
-    group.sim.run_for(Duration::from_millis(200));
+    group.run_for(Duration::from_millis(200));
     (samples, binds.load(Ordering::Relaxed))
-}
-
-/// Kill rounds against the real TCP cluster: wall-clock outage windows.
-fn real_kill_rounds(rounds: usize) -> Vec<f64> {
-    let cluster = RealCluster::launch(3, 0);
-    let mut samples = Vec::new();
-    for _ in 0..rounds {
-        assert!(
-            cluster.eventually(Duration::from_secs(15), || {
-                cluster.masters().len() == 1
-                    && (0..3).all(|i| cluster.replica(i).is_some_and(|r| !r.in_probation()))
-            }),
-            "real NS group failed to settle between kill rounds"
-        );
-        let master = cluster.master_index().expect("settled");
-        cluster.kill_ns(master);
-        let t0 = Instant::now();
-        assert!(
-            cluster.eventually(Duration::from_secs(15), || {
-                cluster.masters().first().is_some_and(|m| *m != master)
-            }),
-            "no new master after killing the real primary"
-        );
-        samples.push(t0.elapsed().as_secs_f64());
-        cluster.restart_ns(master);
-    }
-    samples
 }
 
 /// E20: VSR view-change latency under repeated primary kills.
@@ -149,9 +124,9 @@ pub fn e20(sim_only: bool) {
     };
 
     // Leg 1: paper-scale timeouts, virtual time.
-    let (paper_samples, paper_binds) = SimGroup::run_leg(20_001, &PAPER, |group| {
+    let (paper_samples, paper_binds) = sim_leg(20_001, ns_group(&PAPER), |group| {
         group.step = Duration::from_millis(100);
-        sim_kill_rounds(group, 12, Duration::from_secs(5))
+        kill_rounds(group, &PAPER, 12, Duration::from_secs(5))
     });
     leg(
         "sim, paper timeouts",
@@ -160,26 +135,29 @@ pub fn e20(sim_only: bool) {
     );
 
     // Leg 2: deployed tuning, virtual time.
-    let (tuned_samples, tuned_binds) = SimGroup::run_leg(20_002, &TUNED, |group| {
-        sim_kill_rounds(group, 15, Duration::from_secs(1))
+    let (tuned_samples, tuned_binds) = sim_leg(20_002, ns_group(&TUNED), |group| {
+        kill_rounds(group, &TUNED, 15, Duration::from_secs(1))
     });
     leg("sim, deployed tuning", "sim_view_change", &tuned_samples);
 
-    // Leg 3: the real TCP runtime, wall clock.
-    if sim_only {
+    // Leg 3: the same storm on TCP, wall clock.
+    let real_binds = if sim_only {
         println!("    (--sim-only: skipping the real-runtime leg)");
+        None
     } else {
-        leg(
-            "real TCP runtime",
-            "real_view_change",
-            &real_kill_rounds(10),
-        );
-    }
+        let group = Group::tcp(ns_group(&TUNED));
+        let (samples, binds) = kill_rounds(&group, &TUNED, 10, Duration::from_secs(1));
+        leg("real TCP runtime", "real_view_change", &samples);
+        Some(binds)
+    };
     t.print();
     println!(
         "    background binds committed during the kill storms: {} (paper leg) + {} (tuned leg)",
         paper_binds, tuned_binds
     );
+    if let Some(binds) = real_binds {
+        println!("    ... and {binds} during the real-TCP storm");
+    }
 
     report::put("paper_bound_s", Json::F64(25.0));
     report::put("table", t.to_json());

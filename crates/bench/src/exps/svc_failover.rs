@@ -8,8 +8,8 @@
 //!   against the paper's 25 s fail-over bound;
 //! * replicated, deployed tuning (200 ms / 600 ms) — the sub-second
 //!   blackout;
-//! * real TCP (unless `--sim-only`): the same storm shape with process
-//!   groups actually killed, wall clock.
+//! * real TCP, deployed tuning (unless `--sim-only`): the same storm
+//!   with process groups actually killed, wall clock.
 //!
 //! Every leg ends with the placement audit: each surviving replica's
 //! table must equal the client's record of what committed — no lost
@@ -18,54 +18,44 @@
 //! §6.2 "query every SSC" regeneration round).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ocs_name::NsHandle;
 use ocs_orb::{ClientCtx, ObjRef};
-use ocs_sim::real::RealNet;
-use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, Rt};
+use ocs_sim::{Addr, NodeId, NodeRtExt, Rt};
 use ocs_svcctl::{Csc, CscApiClient, CscConfig, SvcError};
-use ocs_vsr::{ReplicaConfig, ReplicaStatus};
-use parking_lot::Mutex;
+use ocs_vsr::group::{Group, Spec};
+use ocs_vsr::ReplicaConfig;
 
-use super::group::{
-    audit, report_leg, retry_over_peers, tuned, Audit, Leg, Member, SimGroup, PAPER, TUNED,
-};
+use super::group::{audit, report_leg, sim_leg, Audit, Leg, PAPER, TUNED};
 use crate::json::Json;
 use crate::{report, Table};
 
-const CSC_PORT: u16 = 15;
-
-/// A controller for a bench group member: no name service or database
-/// behind it (the storm drives the table through `place_op`, which has
-/// no side effects) — the keeper and DB seeding fail fast against a port
-/// nothing listens on and idle, with a long advert retry so the dead-NS
-/// keeper stays quiet.
-fn new_csc(rt: &Rt, rep: ReplicaConfig) -> Arc<Csc> {
-    let ns = NsHandle::new(ClientCtx::new(rt.clone()), Addr::new(rt.node(), 49));
-    let cfg = CscConfig {
-        bind_retry: Duration::from_secs(60),
-        replica: Some(rep),
-        ..CscConfig::default()
-    };
-    Csc::new(rt.clone(), cfg, ns)
-}
-
-impl Member for Csc {
-    const NAME: &'static str = "csc";
-    const PORT: u16 = CSC_PORT;
-
-    fn start(rt: Rt, cfg: ReplicaConfig) -> Arc<Csc> {
-        let csc = new_csc(&rt, cfg);
-        let run = Arc::clone(&csc);
-        rt.spawn_fn("csc-run", move || {
-            let _ = run.run(|_| {});
-        });
-        csc
-    }
-
-    fn engine(&self) -> Option<ReplicaStatus> {
-        self.replica().map(|r| r.status())
+/// The controllers' group under `leg`'s timeouts. A member has no name
+/// service or database behind it (the storm drives the table through
+/// `place_op`, which has no side effects): the keeper and DB seeding
+/// fail fast against a port nothing listens on and idle, with a long
+/// advert retry so the dead-NS keeper stays quiet.
+fn csc_group(leg: &Leg) -> Spec<Csc> {
+    Spec {
+        name: "csc",
+        port: 15,
+        tuning: leg.tuning,
+        start: Arc::new(|rt: Rt, rep: ReplicaConfig| {
+            let ns = NsHandle::new(ClientCtx::new(rt.clone()), Addr::new(rt.node(), 49));
+            let cfg = CscConfig {
+                bind_retry: Duration::from_secs(60),
+                replica: Some(rep),
+                ..CscConfig::default()
+            };
+            let csc = Csc::new(rt.clone(), cfg, ns);
+            let run = Arc::clone(&csc);
+            rt.spawn_fn("csc-run", move || {
+                let _ = run.run(|_| {});
+            });
+            Ok(csc)
+        }),
+        status: |csc| csc.replica().map(|r| r.status()),
     }
 }
 
@@ -232,113 +222,19 @@ impl StormResult {
 /// Repeated primary kills under placement load. Every committed decision
 /// is recorded client-side; the post-storm audit compares that record
 /// against each healed replica's table.
-fn replicated_storm(group: &SimGroup<Csc>, rounds: usize) -> StormResult {
+fn replicated_storm(group: &Group<Csc>, leg: &Leg, rounds: usize) -> StormResult {
     group.settle("at start");
     let decide = |op: Op| group.submit(move |rt, peer, timeout| op.attempt(rt, peer, timeout));
-    let nodes = group.nodes.iter().map(|n| n.node()).collect();
+    let nodes = group.nodes().iter().map(|n| n.node()).collect();
     let mut load = Placements::seed(&decide, nodes, 6, 2);
-    let blackouts = group.storm(rounds, |round, kill| {
+    let blackouts = group.storm(rounds, leg.dwell, |round, kill| {
         load.sensor(round);
         let blackout = group.since(kill.at);
         load.probes(round);
         blackout
     });
-    let audit = group.audit(load.want(), table_of);
+    let audit = audit(load.want(), group.audit(table_of));
     StormResult::new(blackouts, audit, load.redecided)
-}
-
-/// The real-TCP leg: the same storm shape with process groups actually
-/// killed, wall clock, tuned timeouts (mirroring the cluster harness's
-/// real tuning).
-fn real_leg(rounds: usize) -> StormResult {
-    let net = RealNet::new();
-    let cnodes: Vec<_> = (0..3)
-        .map(|i| net.add_node(&format!("csc{i}")).expect("bind loopback"))
-        .collect();
-    let peers: Vec<Addr> = cnodes
-        .iter()
-        .map(|n| Addr::new(n.node(), CSC_PORT))
-        .collect();
-    let cscs: Arc<Mutex<Vec<Option<Arc<Csc>>>>> = Arc::new(Mutex::new(vec![None; 3]));
-    let start = |i: usize| {
-        let rt: Rt = cnodes[i].clone();
-        let cfg = tuned(i as u32, peers.clone());
-        let slot = Arc::clone(&cscs);
-        cnodes[i].spawn_group(
-            "csc-run",
-            Box::new(move || loop {
-                // Re-ties the fixed port after a kill: retry while the
-                // dying group's listener drains.
-                let csc = new_csc(&rt, cfg.clone());
-                slot.lock()[i] = Some(Arc::clone(&csc));
-                let _ = csc.run(|_| {});
-                rt.sleep(Duration::from_millis(100));
-            }),
-        );
-    };
-    for i in 0..3 {
-        start(i);
-    }
-    let driver = net.add_node("load").expect("bind loopback");
-    let rt: Rt = driver.clone();
-
-    // The settled group's master: exactly one primary, and every
-    // member out of probation.
-    let settled_master = || {
-        let engines: Vec<Option<ReplicaStatus>> = cscs
-            .lock()
-            .iter()
-            .map(|c| c.as_ref().and_then(|c| c.engine()))
-            .collect();
-        let masters: Vec<usize> = (0..3)
-            .filter(|&i| engines[i].as_ref().is_some_and(|s| s.master))
-            .collect();
-        let out_of_probation = |s: &Option<ReplicaStatus>| s.as_ref().is_some_and(|s| !s.probation);
-        (masters.len() == 1 && engines.iter().all(out_of_probation)).then(|| masters[0])
-    };
-    let settle = |what: &str| {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if let Some(master) = settled_master() {
-                return master;
-            }
-            assert!(Instant::now() < deadline, "e23 real leg: {what}");
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    };
-    settle("group never settled at start");
-
-    let decide = |op: Op| {
-        retry_over_peers(&rt, &peers, Duration::from_millis(25), |rt, peer| {
-            op.attempt(rt, peer, Duration::from_millis(450))
-        })
-    };
-    let nodes = cnodes.iter().map(|n| n.node()).collect();
-    let mut load = Placements::seed(&decide, nodes, 3, 1);
-    let mut blackouts = Vec::new();
-    for round in 0..rounds {
-        let victim = settle("group failed to settle between rounds");
-        let t0 = Instant::now();
-        cnodes[victim].kill_all_groups();
-        load.sensor(round);
-        blackouts.push(t0.elapsed().as_secs_f64());
-        load.probes(round);
-        // Heal: the spawn loop on the victim restarts the controller.
-        start(victim);
-    }
-    settle("group failed to heal after the storm");
-    std::thread::sleep(Duration::from_secs(1));
-    let tables: Vec<_> = cscs
-        .lock()
-        .iter()
-        .flatten()
-        .filter_map(|c| table_of(c))
-        .collect();
-    for node in &cnodes {
-        node.stop();
-    }
-    driver.stop();
-    StormResult::new(blackouts, audit(load.want(), tables), load.redecided)
 }
 
 fn leg_row(t: &mut Table, leg: String, key: &str, r: &StormResult) {
@@ -352,8 +248,16 @@ fn leg_row(t: &mut Table, leg: String, key: &str, r: &StormResult) {
 }
 
 /// One simulator leg: the storm on a fresh group with `leg`'s timeouts.
-fn sim_leg(t: &mut Table, seed: u64, leg: &'static Leg, key: &str, rounds: usize) -> StormResult {
-    let r = SimGroup::run_leg(seed, leg, |group| replicated_storm(group, rounds));
+fn replicated_leg(
+    t: &mut Table,
+    seed: u64,
+    leg: &'static Leg,
+    key: &str,
+    rounds: usize,
+) -> StormResult {
+    let r = sim_leg(seed, csc_group(leg), |group| {
+        replicated_storm(group, leg, rounds)
+    });
     leg_row(t, format!("replicated, {}", leg.label), key, &r);
     r
 }
@@ -374,11 +278,11 @@ pub fn e23(sim_only: bool) {
     ]);
 
     let mut legs = vec![
-        sim_leg(&mut t, 23_001, &PAPER, "svc_paper_blackout", 6),
-        sim_leg(&mut t, 23_002, &TUNED, "svc_blackout", 8),
+        replicated_leg(&mut t, 23_001, &PAPER, "svc_paper_blackout", 6),
+        replicated_leg(&mut t, 23_002, &TUNED, "svc_blackout", 8),
     ];
     if !sim_only {
-        let real = real_leg(4);
+        let real = replicated_storm(&Group::tcp(csc_group(&TUNED)), &TUNED, 4);
         leg_row(
             &mut t,
             "real TCP, deployed tuning".into(),

@@ -15,7 +15,13 @@
 //! The layout is fixed and small (this is a fault-parity harness, not a
 //! load rig): server 0 carries the connection manager, server 1 the
 //! MDS, server 2 the MMS; every server runs a name-service replica and
-//! a telemetry exporter, and each settop is its own node.
+//! a telemetry exporter, and each settop is its own node. The
+//! name-service replicas are an `ocs_vsr::group` [`Group`] with server 0
+//! as its client node: the group crashes, restarts and settles them.
+//! Its `kill(i)` is a host crash — it kills every process group on
+//! server `i`, so the CM, MDS or MMS placed there dies too — and its
+//! `restart(i)` brings back only the name-service replica; a co-located
+//! service is restarted by starting it again.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,6 +38,8 @@ use ocs_name::{
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::real::{RealNet, RealNode};
 use ocs_sim::{Addr, NodeId, NodeRt, PortReq, ProcGroup, Rt};
+use ocs_vsr::group::{Group, Spec};
+use ocs_vsr::ReplicaConfig;
 use ocs_wire::Wire;
 use parking_lot::Mutex;
 
@@ -43,10 +51,6 @@ use crate::telemetry::TelemetrySnapshot;
 pub const MOVIE_TITLE: &str = "campaign-movie";
 const MOVIE_BITRATE_BPS: u64 = 800_000;
 const MOVIE_DURATION_MS: u64 = 600_000;
-
-/// How long `RealCluster` operations wait for an outcome before giving
-/// up (elections, rebinds). Campaign assertions use their own bounds.
-const SETTLE_TIMEOUT: Duration = Duration::from_secs(15);
 
 /// Counters a viewer group updates while it streams.
 #[derive(Default)]
@@ -77,10 +81,11 @@ pub struct RealCluster {
     pub servers: Vec<Arc<RealNode>>,
     /// Settop nodes (each runs at most one viewer group).
     pub settops: Vec<Arc<RealNode>>,
-    /// The NS replica handles, index-aligned with `servers`. A slot is
-    /// `None` while that replica is killed (see [`RealCluster::kill_ns`]).
-    replicas: Arc<Mutex<Vec<Option<Arc<NsReplica>>>>>,
-    ns_peers: Vec<Addr>,
+    /// The name service: replica `i` on `servers[i]`, each in its own
+    /// process group. `kill(i)` crashes all of server `i` — every
+    /// process group on it, services included — and `restart(i)`
+    /// restarts the name-service replica alone.
+    pub ns_group: Group<NsReplica>,
     catalog: Catalog,
     nbhd_of: Arc<BTreeMap<NodeId, u32>>,
     services: Mutex<BTreeMap<String, RealService>>,
@@ -101,11 +106,6 @@ impl RealCluster {
         let settops: Vec<Arc<RealNode>> = (0..n_settops)
             .map(|i| net.add_node(&format!("settop{i}")).expect("bind loopback"))
             .collect();
-        let ns_peers: Vec<Addr> = servers
-            .iter()
-            .map(|n| Addr::new(n.node(), ports::NS))
-            .collect();
-        let replicas = Arc::new(Mutex::new(vec![None; n_servers]));
         for node in &servers {
             let rt: Rt = node.clone();
             ocs_orb::export_telemetry(rt, ports::TELEMETRY).expect("telemetry exporter");
@@ -124,34 +124,17 @@ impl RealCluster {
             duration_ms: MOVIE_DURATION_MS,
             replicas: vec![servers[1].node()],
         });
+        let ns_group = Group::on_tcp(servers.clone(), Arc::clone(&servers[0]), ns_spec());
+        ns_group.settle("at launch");
         let cluster = RealCluster {
             net,
             servers,
             settops,
-            replicas,
-            ns_peers,
+            ns_group,
             catalog,
             nbhd_of,
             services: Mutex::new(BTreeMap::new()),
         };
-        for i in 0..n_servers {
-            cluster.start_ns(i);
-        }
-        cluster.await_single_master();
-        // Don't hand the cluster over while any replica is still in
-        // recovery probation: a test that immediately kills a replica
-        // would otherwise strand the group with fewer than a recovery
-        // quorum of participants (two unavailable replicas is beyond
-        // the f=1 fault model for three replicas).
-        assert!(
-            cluster.eventually(SETTLE_TIMEOUT, || {
-                let slots = cluster.replicas.lock();
-                slots
-                    .iter()
-                    .all(|r| r.as_ref().is_some_and(|r| !r.in_probation()))
-            }),
-            "an NS replica never left start-up probation"
-        );
         // Seed the name space from the driver thread.
         let ns = cluster.ns(0);
         ns.bind_new_context("svc").expect("mk svc");
@@ -169,115 +152,7 @@ impl RealCluster {
     /// A name-service handle talking to the replica on server `i`.
     pub fn ns(&self, i: usize) -> NsHandle {
         let rt: Rt = self.servers[i].clone();
-        NsHandle::new(ClientCtx::new(rt), self.ns_peers[i])
-    }
-
-    /// The wall-clock-friendly NS replica configuration (the paper's
-    /// 10 s scales are for humans; the campaign budget is seconds). The
-    /// short log retention keeps the snapshot-transfer recovery path
-    /// reachable inside a test's write budget.
-    fn real_ns_config(&self, i: usize) -> NsConfig {
-        let mut cfg = NsConfig::paper_defaults(i as u32, self.ns_peers.clone());
-        cfg.heartbeat_interval = Duration::from_millis(200);
-        cfg.election_timeout = Duration::from_millis(600);
-        cfg.audit_interval = Duration::from_secs(2);
-        cfg.resolve_cost = Duration::ZERO;
-        cfg.log_retention = 64;
-        // Must scale down with the heartbeat: peer RPCs run sequentially
-        // in the heartbeat round, so one dead peer stalling for the
-        // default 800 ms would starve the live backups of heartbeats
-        // past their suspect timeouts and livelock the view change.
-        cfg.peer_timeout = Duration::from_millis(150);
-        cfg
-    }
-
-    /// Starts NS replica `i` in its own killable `ns-<i>` process group
-    /// and publishes its handle. Retries while the fixed NS port is
-    /// still held by a dying predecessor.
-    fn start_ns(&self, i: usize) {
-        let rt: Rt = self.servers[i].clone();
-        let node = self.servers[i].node();
-        let cfg = self.real_ns_config(i);
-        let slots = Arc::clone(&self.replicas);
-        let group = rt.clone().spawn_group(
-            &format!("ns-{i}"),
-            Box::new(move || loop {
-                match NsReplica::start(rt.clone(), cfg.clone(), Arc::new(AlwaysAlive)) {
-                    Ok(r) => {
-                        slots.lock()[i] = Some(r);
-                        park(&rt)
-                    }
-                    Err(_) => rt.sleep(Duration::from_millis(100)),
-                }
-            }),
-        );
-        self.register(&format!("ns-{i}"), group, node);
-    }
-
-    /// Kills NS replica `i`'s process group (its log dies with it) and
-    /// clears its handle so `masters()` no longer consults the corpse.
-    pub fn kill_ns(&self, i: usize) {
-        self.kill_service(&format!("ns-{i}"));
-        self.replicas.lock()[i] = None;
-    }
-
-    /// Restarts NS replica `i` after [`RealCluster::kill_ns`]: a fresh
-    /// process group, an empty log, and the VSR recovery-probation walk
-    /// back into the group. Blocks until the new handle is published.
-    pub fn restart_ns(&self, i: usize) {
-        let name = format!("ns-{i}");
-        if self.services.lock().contains_key(&name) && self.service(&name).alive() {
-            self.kill_ns(i);
-        }
-        assert!(
-            self.eventually(SETTLE_TIMEOUT, || !self.service(&name).alive()),
-            "old ns-{i} group did not die"
-        );
-        self.start_ns(i);
-        assert!(
-            self.eventually(SETTLE_TIMEOUT, || self.replicas.lock()[i].is_some()),
-            "restarted ns-{i} never published its handle"
-        );
-    }
-
-    /// The live NS replica handle on server `i`, if any.
-    pub fn replica(&self, i: usize) -> Option<Arc<NsReplica>> {
-        self.replicas.lock()[i].clone()
-    }
-
-    /// Indices of the replicas that currently believe they are master.
-    pub fn masters(&self) -> Vec<usize> {
-        self.replicas
-            .lock()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().filter(|r| r.is_master()).map(|_| i))
-            .collect()
-    }
-
-    /// Blocks until exactly one NS replica believes it is master.
-    pub fn await_single_master(&self) {
-        assert!(
-            self.eventually(SETTLE_TIMEOUT, || self.masters().len() == 1),
-            "NS election did not settle to one master"
-        );
-    }
-
-    /// Index of the current NS master replica.
-    pub fn master_index(&self) -> Option<usize> {
-        self.masters().first().copied()
-    }
-
-    /// Polls `cond` every 25 ms until true or `timeout` elapses.
-    pub fn eventually(&self, timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if cond() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        cond()
+        NsHandle::new(ClientCtx::new(rt), self.ns_group.peers()[i])
     }
 
     fn register(&self, name: &str, group: Arc<dyn ProcGroup>, node: NodeId) {
@@ -308,7 +183,7 @@ impl RealCluster {
     /// given lease TTL, bound at `svc/cmgr/0`.
     pub fn start_cm(&self, lease_ttl: Duration) {
         let rt: Rt = self.servers[0].clone();
-        let my_ns = self.ns_peers[0];
+        let my_ns = self.ns_group.peers()[0];
         let node = self.servers[0].node();
         let group = rt.clone().spawn_group(
             "cmgr-0",
@@ -334,7 +209,7 @@ impl RealCluster {
     /// again (the fixed MDS port must be free first).
     pub fn start_mds(&self) {
         let rt: Rt = self.servers[1].clone();
-        let my_ns = self.ns_peers[1];
+        let my_ns = self.ns_group.peers()[1];
         let node = self.servers[1].node();
         let catalog = self.catalog.clone();
         let group = rt.clone().spawn_group(
@@ -352,7 +227,7 @@ impl RealCluster {
     /// connection leases every `reassert_interval`.
     pub fn start_mms(&self, reassert_interval: Duration) {
         let rt: Rt = self.servers[2].clone();
-        let my_ns = self.ns_peers[2];
+        let my_ns = self.ns_group.peers()[2];
         let node = self.servers[2].node();
         let catalog = self.catalog.clone();
         let nbhd_of = Arc::clone(&self.nbhd_of);
@@ -386,7 +261,7 @@ impl RealCluster {
     /// Returns the stats the driver asserts on.
     pub fn start_viewer(&self, i: usize) -> Arc<ViewerStats> {
         let rt: Rt = self.settops[i].clone();
-        let my_ns = self.ns_peers[i % self.ns_peers.len()];
+        let my_ns = self.ns_group.peers()[i % self.ns_group.peers().len()];
         let node = self.settops[i].node();
         let stats = Arc::new(ViewerStats::default());
         let stats2 = Arc::clone(&stats);
@@ -398,7 +273,7 @@ impl RealCluster {
                 };
                 let ns = NsHandle::new(ClientCtx::new(rt.clone()), my_ns);
                 // The MMS may still be racing for primacy: retry resolve.
-                let deadline = Instant::now() + SETTLE_TIMEOUT;
+                let deadline = Instant::now() + Duration::from_secs(15);
                 let ticket = loop {
                     if let Ok(mms_ref) = ns.resolve("svc/mms") {
                         let ctx =
@@ -488,6 +363,51 @@ impl RealCluster {
     /// [`Cluster::postmortem`]: crate::Cluster::postmortem
     pub fn postmortem(&self) -> String {
         ocs_telemetry::render_timeline(&ocs_telemetry::merge_journals(self.journal_events()))
+    }
+}
+
+/// The name service's replicas: the deployed tuning, a modelled resolve
+/// cost of zero (the wall clock charges the real one), and the audit
+/// every 2 s.
+fn ns_spec() -> Spec<NsReplica> {
+    Spec {
+        name: "ns",
+        port: ports::NS,
+        tuning: ns_tuning,
+        start: Arc::new(|rt, r: ReplicaConfig| {
+            let cfg = NsConfig {
+                replica_id: r.replica_id,
+                peers: r.peers,
+                heartbeat_interval: r.heartbeat_interval,
+                election_timeout: r.election_timeout,
+                peer_timeout: r.peer_timeout,
+                log_retention: r.log_retention,
+                audit_interval: Duration::from_secs(2),
+                resolve_cost: Duration::ZERO,
+            };
+            NsReplica::start(rt, cfg, Arc::new(AlwaysAlive))
+        }),
+        status: |r| Some(r.status()),
+    }
+}
+
+/// The paper's 10 s scales are for humans; the campaign budget is
+/// seconds.
+fn ns_tuning(i: u32, peers: Vec<Addr>) -> ReplicaConfig {
+    ReplicaConfig {
+        heartbeat_interval: Duration::from_millis(200),
+        election_timeout: Duration::from_millis(600),
+        // A broadcast round waits up to one `peer_timeout` for a silent
+        // peer, and the primary's next heartbeat round starts after it.
+        // Under the 200 ms heartbeat, a partitioned backup does not
+        // stretch the heartbeats the live one hears past its suspect
+        // timeout (the default 800 ms would, and the view would change
+        // under a healthy primary).
+        peer_timeout: Duration::from_millis(150),
+        // Short, so the snapshot-transfer recovery path is reachable
+        // inside a test's write budget.
+        log_retention: 64,
+        ..ReplicaConfig::paper_defaults(i, peers)
     }
 }
 

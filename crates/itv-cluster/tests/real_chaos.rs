@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use itv_cluster::RealCluster;
 use ocs_sim::fault::FaultPlan;
-use ocs_sim::real::RealNemesis;
+use ocs_sim::real::{eventually, RealNemesis};
 use ocs_sim::{NodeRt, SimTime};
 
 /// One fully-assembled campaign cluster: NS × 3, CM (short leases), MDS,
@@ -34,7 +34,7 @@ fn campaign_cluster() -> (RealCluster, std::sync::Arc<itv_cluster::ViewerStats>)
     cluster.start_mms(Duration::from_millis(500));
     let viewer = cluster.start_viewer(0);
     assert!(
-        cluster.eventually(Duration::from_secs(15), || viewer
+        eventually(Duration::from_secs(15), || viewer
             .playing
             .load(Ordering::SeqCst)),
         "viewer never started streaming"
@@ -47,7 +47,7 @@ fn campaign_cluster() -> (RealCluster, std::sync::Arc<itv_cluster::ViewerStats>)
 #[test]
 fn ns_master_reelects_after_node_crash() {
     let cluster = RealCluster::launch(3, 0);
-    let master = cluster.master_index().expect("settled election");
+    let master = cluster.ns_group.masters()[0];
     // Isolate the master instead of killing its group: the paper's
     // master loss is a connectivity loss as much as a process death, and
     // this leg also wants the old master back to watch it step down.
@@ -59,8 +59,8 @@ fn ns_master_reelects_after_node_crash() {
         }
     }
     let t0 = Instant::now();
-    let reelected = cluster.eventually(Duration::from_secs(10), || {
-        cluster.masters().iter().any(|&i| i != master)
+    let reelected = eventually(Duration::from_secs(10), || {
+        cluster.ns_group.masters().iter().any(|&i| i != master)
     });
     assert!(reelected, "no new master within 10 s of isolating the old");
     let elapsed = t0.elapsed();
@@ -70,8 +70,9 @@ fn ns_master_reelects_after_node_crash() {
             cluster.net().set_partitioned(m, s.node(), false);
         }
     }
+    let one_master = || cluster.ns_group.masters().len() == 1;
     assert!(
-        cluster.eventually(Duration::from_secs(10), || cluster.masters().len() == 1),
+        eventually(Duration::from_secs(10), one_master),
         "cluster did not settle back to one master after heal"
     );
     // A resolve through any replica works again.
@@ -90,14 +91,14 @@ fn cm_leases_expire_after_mms_kill() {
     assert!(viewer.ticket.lock().is_some());
     cluster.kill_service("mms");
     assert!(
-        cluster.eventually(Duration::from_secs(5), || !cluster
+        eventually(Duration::from_secs(5), || !cluster
             .service("mms")
             .alive()),
         "killed MMS group still alive"
     );
     // Lease TTL is 2 s; expiry is lazy (runs at the top of the usage
     // call), so polling usage() is itself the trigger.
-    let expired = cluster.eventually(Duration::from_secs(10), || {
+    let expired = eventually(Duration::from_secs(10), || {
         cluster
             .cm_usage()
             .is_some_and(|u| u.expired >= 1 && u.allocations == 0)
@@ -112,7 +113,7 @@ fn cm_leases_expire_after_mms_kill() {
 fn mds_abandons_stream_after_settop_reset() {
     let (cluster, viewer) = campaign_cluster();
     assert!(
-        cluster.eventually(Duration::from_secs(10), || viewer
+        eventually(Duration::from_secs(10), || viewer
             .segments
             .load(Ordering::Relaxed)
             >= 2),
@@ -120,7 +121,7 @@ fn mds_abandons_stream_after_settop_reset() {
     );
     cluster.kill_service("viewer-0");
     // 6 bounces at one 500 ms tick each, plus slack.
-    let abandoned = cluster.eventually(Duration::from_secs(15), || {
+    let abandoned = eventually(Duration::from_secs(15), || {
         let snap = cluster.telemetry_snapshot();
         snap.counter("mds.stream.abandoned") >= 1
     });
@@ -174,7 +175,7 @@ fn partition_heals_mid_campaign() {
         "call through the partition should have failed"
     );
     // Healed: the same call now answers.
-    let healed = cluster.eventually(Duration::from_secs(10), || {
+    let healed = eventually(Duration::from_secs(10), || {
         let Some(obj) = cluster.mms_ref() else {
             return false;
         };
@@ -194,7 +195,7 @@ fn real_net_counters_surface_in_telemetry_snapshot() {
     let (cluster, _viewer) = campaign_cluster();
     cluster.kill_service("viewer-0");
     assert!(
-        cluster.eventually(Duration::from_secs(5), || !cluster
+        eventually(Duration::from_secs(5), || !cluster
             .service("viewer-0")
             .alive()),
         "killed viewer still alive"
@@ -219,7 +220,7 @@ fn real_net_counters_surface_in_telemetry_snapshot() {
     cluster.net().set_reset_storm(a, b, true);
     let rt: ocs_sim::Rt = cluster.servers[0].clone();
     let _ = rt; // driver-side; storm applies to CM<->MMS chatter
-    let resets = cluster.eventually(Duration::from_secs(10), || {
+    let resets = eventually(Duration::from_secs(10), || {
         cluster.telemetry_snapshot().counter("real.net.resets") >= 1
     });
     cluster.net().set_reset_storm(a, b, false);
@@ -237,14 +238,14 @@ fn mds_binding_unbound_by_hand_returns_within_one_period() {
     let ns = cluster.ns(0);
     let bound = || ns.list_repl("svc/mds").is_ok_and(|set| set.len() == 1);
     assert!(
-        cluster.eventually(Duration::from_secs(5), bound),
+        eventually(Duration::from_secs(5), bound),
         "the MDS never bound itself"
     );
     let path = format!("svc/mds/{}", cluster.servers[1].node().0);
     ns.unbind(&path).expect("unbind by hand");
     assert!(!bound());
     assert!(
-        cluster.eventually(ocs_name::ADVERTISE_EVERY + Duration::from_secs(1), bound),
+        eventually(ocs_name::ADVERTISE_EVERY + Duration::from_secs(1), bound),
         "the MDS did not re-assert its binding within a period"
     );
 }
@@ -256,13 +257,11 @@ fn mds_binding_unbound_by_hand_returns_within_one_period() {
 #[test]
 fn killed_ns_replica_recovers_via_snapshot_transfer() {
     let cluster = RealCluster::launch(3, 0);
-    let master = cluster.master_index().expect("settled election");
+    let master = cluster.ns_group.masters()[0];
     let victim = (0..3).find(|i| *i != master).unwrap();
-    cluster.kill_ns(victim);
+    cluster.ns_group.kill(victim);
     assert!(
-        cluster.eventually(Duration::from_secs(5), || !cluster
-            .service(&format!("ns-{victim}"))
-            .alive()),
+        eventually(Duration::from_secs(5), || !cluster.ns_group.running(victim)),
         "killed ns-{victim} group still alive"
     );
     // Commit past the retention window (64) while the victim is down.
@@ -280,7 +279,7 @@ fn killed_ns_replica_recovers_via_snapshot_transfer() {
             object_id: i,
         };
         let path = format!("deep-{i}");
-        let bound = cluster.eventually(Duration::from_secs(10), || {
+        let bound = eventually(Duration::from_secs(10), || {
             matches!(
                 ns.bind(&path, leaf),
                 Ok(()) | Err(ocs_name::NsError::AlreadyBound { .. })
@@ -289,7 +288,7 @@ fn killed_ns_replica_recovers_via_snapshot_transfer() {
         if !bound {
             let mut dump = String::new();
             for i in 0..3 {
-                match cluster.replica(i) {
+                match cluster.ns_group.member(i) {
                     Some(r) => dump.push_str(&format!("\n  ns-{i}: {}", r.status())),
                     None => dump.push_str(&format!("\n  ns-{i}: <dead>")),
                 }
@@ -297,10 +296,10 @@ fn killed_ns_replica_recovers_via_snapshot_transfer() {
             panic!("bind {path} kept failing while victim down; engine state:{dump}");
         }
     }
-    cluster.restart_ns(victim);
+    cluster.ns_group.restart(victim);
     // The restarted replica walks probation → snapshot transfer and
     // then answers deep resolves from its own state.
-    let caught_up = cluster.eventually(Duration::from_secs(15), || {
+    let caught_up = eventually(Duration::from_secs(15), || {
         cluster
             .ns(victim)
             .resolve(&format!("deep-{}", ops - 1))
@@ -324,7 +323,11 @@ fn killed_ns_replica_recovers_via_snapshot_transfer() {
         "view gauge missing from merged snapshot"
     );
     // And the group is whole again: one master, all three in one view.
-    cluster.await_single_master();
+    let one_master = || cluster.ns_group.masters().len() == 1;
+    assert!(
+        eventually(Duration::from_secs(15), one_master),
+        "NS election did not settle to one master"
+    );
 }
 
 /// The tier-1 smoke: one kill + one partition-heal cycle, bounded.
@@ -335,7 +338,7 @@ fn smoke_kill_and_partition_heal_cycle() {
     // Kill: the viewer group dies within the cancellation bound.
     cluster.kill_service("viewer-0");
     assert!(
-        cluster.eventually(Duration::from_secs(5), || !cluster
+        eventually(Duration::from_secs(5), || !cluster
             .service("viewer-0")
             .alive()),
         "killed viewer group still alive"
@@ -348,7 +351,7 @@ fn smoke_kill_and_partition_heal_cycle() {
     cluster.net().set_partitioned(a, b, true);
     cluster.net().set_partitioned(a, b, false);
     assert!(
-        cluster.eventually(Duration::from_secs(10), || cluster
+        eventually(Duration::from_secs(10), || cluster
             .ns(0)
             .resolve("svc")
             .is_ok()),

@@ -13,6 +13,7 @@ use std::time::Duration;
 use itv_cluster::real::{RealCluster, MOVIE_TITLE};
 use itv_media::{MmsApiClient, MovieCtlClient};
 use ocs_orb::ClientCtx;
+use ocs_sim::real::eventually;
 use ocs_sim::Rt;
 
 fn threads() -> usize {
@@ -31,7 +32,7 @@ fn open_close_cycles_leave_the_thread_count_flat() {
     let ctx = ClientCtx::new(rt).with_timeout(Duration::from_secs(3));
     let mut mms = None;
     assert!(
-        cluster.eventually(Duration::from_secs(15), || {
+        eventually(Duration::from_secs(15), || {
             mms = cluster
                 .mms_ref()
                 .and_then(|m| MmsApiClient::attach(ctx.clone(), m).ok());
@@ -51,7 +52,7 @@ fn open_close_cycles_leave_the_thread_count_flat() {
     // The first cycles bring the carrier pools to size (and the MMS may
     // still be recovering its state).
     assert!(
-        cluster.eventually(Duration::from_secs(15), cycle),
+        eventually(Duration::from_secs(15), cycle),
         "warm-up cycle never succeeded"
     );
     for _ in 0..20 {

@@ -6,9 +6,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use ocs_auth::{AuthApiServant, AuthClientHandle, AuthService, RealmServerAuth};
-use ocs_orb::{
-    declare_interface, impl_rpc_fault, Caller, ClientCtx, ObjRef, Orb, OrbError, ThreadModel,
-};
+use ocs_orb::{declare_interface, impl_rpc_fault, Caller, ClientCtx, ObjRef, Orb, OrbError};
 use ocs_sim::{NodeRtExt, PortReq, Rt, Sim, SimChan, SimTime};
 use ocs_wire::impl_wire_enum;
 
@@ -45,7 +43,6 @@ fn setup(sim: &Sim) -> (Arc<ocs_sim::SimNode>, ObjRef, ObjRef, Arc<AuthService>)
     let who_orb = Orb::build(
         rt.clone(),
         PortReq::Fixed(100),
-        ThreadModel::PerRequest,
         None,
         Arc::new(RealmServerAuth::new(
             rt.clone(),

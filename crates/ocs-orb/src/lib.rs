@@ -30,7 +30,7 @@ pub use resilience::{
     Admission, BreakerObserver, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy,
 };
 pub use scatter::{Gather, Scatter};
-pub use server::{Orb, Servant, ThreadModel};
+pub use server::{Orb, Servant};
 pub use telemetry::{
     bind_breaker, export_telemetry, telemetry_ref, NodeTelemetryService, TelemetryApi,
     TelemetryClient, TelemetryError, TelemetryServant,

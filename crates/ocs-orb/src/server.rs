@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use ocs_sim::{Addr, Endpoint, NetError, PortReq, RecvError, Rt};
+use ocs_sim::{Addr, Endpoint, NetError, PortReq, Rt};
 use ocs_telemetry::{CtxGuard, NodeTelemetry, Span, SpanCtx, SpanId, TraceId};
 use ocs_wire::Wire;
 
@@ -44,8 +44,7 @@ pub trait Servant: Send + Sync {
     /// Whether `method` never waits for another message: no nested call,
     /// no receive, no sleep, no wait on a sync object — it computes, at
     /// most takes a lock nobody holds across such a wait, and returns.
-    /// A [`ThreadModel::PerRequest`] ORB lets the runtime run such a
-    /// request where it arrives ([`Endpoint::serve`]'s `inline`) instead
+    /// The ORB lets the runtime run such a request where it arrives ([`Endpoint::serve`]'s `inline`) instead
     /// of in a process of its own: on TCP's connection reader, and in the
     /// simulator on the thread stepping the kernel — which panics if the
     /// method waits after all. Generated servants forward to the
@@ -56,37 +55,25 @@ pub trait Servant: Send + Sync {
     }
 }
 
-/// How the server loop handles concurrent requests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ThreadModel {
-    /// One request at a time. Simple, but the process cannot respond
-    /// while a handler blocks — the behaviour that defeated ping-based
-    /// liveness checks in the paper (§7.2). Services whose handlers make
-    /// nested remote calls should not use this model.
-    SingleThreaded,
-    /// A fresh process per request ([`Endpoint::serve`]); handlers may
-    /// block and make nested calls freely. Only the process is fresh:
-    /// both runtimes run it on an OS thread re-used from the previous
-    /// request's, and both start it where the request is delivered — the
-    /// TCP connection reader hands the frame to that thread itself, the
-    /// simulator spawns it at the delivery instant — one hand-off per
-    /// request, with no server process woken in between. A method its
-    /// servant says [`runs_inline`](Servant::runs_inline) gets no process
-    /// at all: it runs on the reader, or on the simulator's stepping
-    /// thread.
-    PerRequest,
-}
-
 struct Exported {
     servant: Arc<dyn Servant>,
 }
 
 /// The per-process object request broker.
+///
+/// Every request runs in a fresh process ([`Endpoint::serve`]); handlers
+/// may block and make nested calls freely. Only the process is fresh:
+/// both runtimes run it on an OS thread re-used from the previous
+/// request's, and both start it where the request is delivered — the TCP
+/// connection reader hands the frame to that thread itself, the
+/// simulator spawns it at the delivery instant — one hand-off per
+/// request, with no server process woken in between. A method its
+/// servant says [`runs_inline`](Servant::runs_inline) gets no process at
+/// all: it runs on the reader, or on the simulator's stepping thread.
 pub struct Orb {
     rt: Rt,
     ep: Arc<dyn Endpoint>,
     incarnation: u64,
-    threading: ThreadModel,
     auth: Arc<dyn ServerAuth>,
     objects: parking_lot::Mutex<std::collections::HashMap<u64, Exported>>,
     next_obj: AtomicU64,
@@ -104,17 +91,16 @@ pub struct Orb {
 impl Orb {
     /// Creates an ORB listening on `port` with a fresh random incarnation.
     pub fn new(rt: Rt, port: PortReq) -> Result<Arc<Orb>, NetError> {
-        Orb::build(rt, port, ThreadModel::PerRequest, None, Arc::new(NoAuth))
+        Orb::build(rt, port, None, Arc::new(NoAuth))
     }
 
-    /// Creates an ORB with full control over threading, incarnation and
+    /// Creates an ORB with full control over incarnation and
     /// authentication. Pass `incarnation: Some(ObjRef::STABLE)` for
     /// services (like the name service) whose references must survive
     /// restarts.
     pub fn build(
         rt: Rt,
         port: PortReq,
-        threading: ThreadModel,
         incarnation: Option<u64>,
         auth: Arc<dyn ServerAuth>,
     ) -> Result<Arc<Orb>, NetError> {
@@ -135,7 +121,6 @@ impl Orb {
             rt,
             ep,
             incarnation,
-            threading,
             auth,
             objects: parking_lot::Mutex::new(Default::default()),
             next_obj: AtomicU64::new(1),
@@ -249,44 +234,24 @@ impl Orb {
     /// tests and custom service mains can run it as their process's main.
     pub fn serve_loop(self: &Arc<Self>) {
         self.ep.adopt();
-        match self.threading {
-            ThreadModel::SingleThreaded => loop {
-                // Dispatch entry is a cancellation point: a killed process
-                // group stops taking requests even if its endpoint raced
-                // ahead of the close.
-                if self.rt.cancelled() {
-                    return;
+        // Weak: the runtime may keep the handler for as long as the port
+        // is open, and an open port must not keep its ORB alive.
+        let orb = Arc::downgrade(self);
+        let handler = {
+            let orb = orb.clone();
+            move |from, msg| {
+                if let Some(orb) = orb.upgrade() {
+                    orb.handle_frame(from, msg);
                 }
-                match self.ep.recv(None) {
-                    Ok((from, msg)) => self.handle_frame(from, msg),
-                    Err(RecvError::Unreachable(_)) => continue,
-                    Err(RecvError::TimedOut) => continue,
-                    Err(RecvError::Closed) => return,
-                }
-            },
-            ThreadModel::PerRequest => {
-                // Weak: the runtime may keep the handler for as long as
-                // the port is open, and an open port must not keep its
-                // ORB alive.
-                let orb = Arc::downgrade(self);
-                let handler = {
-                    let orb = orb.clone();
-                    move |from, msg| {
-                        if let Some(orb) = orb.upgrade() {
-                            orb.handle_frame(from, msg);
-                        }
-                    }
-                };
-                let inline =
-                    move |frame: &[u8]| orb.upgrade().is_some_and(|orb| orb.runs_inline(frame));
-                self.ep.serve(
-                    &*self.rt,
-                    "orb-worker",
-                    Arc::new(handler),
-                    Some(Arc::new(inline)),
-                );
             }
-        }
+        };
+        let inline = move |frame: &[u8]| orb.upgrade().is_some_and(|orb| orb.runs_inline(frame));
+        self.ep.serve(
+            &*self.rt,
+            "orb-worker",
+            Arc::new(handler),
+            Some(Arc::new(inline)),
+        );
     }
 
     /// Whether `frame` is a request for a method its servant

@@ -19,7 +19,7 @@ use ocs_telemetry::{MetricsSnapshot, NodeTelemetry, Span};
 
 use crate::auth::NoAuth;
 use crate::resilience::{BreakerState, CircuitBreaker};
-use crate::server::{Orb, ThreadModel};
+use crate::server::Orb;
 use crate::types::{Caller, ObjRef, OrbError};
 use crate::{declare_interface, impl_rpc_fault};
 use ocs_wire::impl_wire_enum;
@@ -91,7 +91,6 @@ pub fn export_telemetry(rt: Rt, port: u16) -> Result<ObjRef, NetError> {
     let orb = Orb::build(
         rt.clone(),
         PortReq::Fixed(port),
-        ThreadModel::PerRequest,
         Some(ObjRef::STABLE),
         Arc::new(NoAuth),
     )?;

@@ -1,6 +1,6 @@
 //! End-to-end tests of the object exchange layer over the simulated
 //! runtime: calls, errors, dead references, incarnation invalidation,
-//! threading models and dynamic objects.
+//! overlapping requests and dynamic objects.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use ocs_orb::{
     declare_interface, impl_rpc_fault, Caller, ClientCtx, ObjRef, Orb, OrbError, Servant,
-    ThreadModel,
 };
 use ocs_sim::{NodeRt, NodeRtExt, PortReq, Sim, SimChan, SimTime};
 use ocs_wire::impl_wire_enum;
@@ -61,16 +60,9 @@ impl Echo for EchoImpl {
 }
 
 /// Starts an echo service on `node`, returning its reference.
-fn start_echo(node: &Arc<ocs_sim::SimNode>, port: u16, threading: ThreadModel) -> ObjRef {
+fn start_echo(node: &Arc<ocs_sim::SimNode>, port: u16) -> ObjRef {
     let rt: ocs_sim::Rt = node.clone();
-    let orb = Orb::build(
-        rt.clone(),
-        PortReq::Fixed(port),
-        threading,
-        None,
-        Arc::new(ocs_orb::NoAuth),
-    )
-    .unwrap();
+    let orb = Orb::new(rt.clone(), PortReq::Fixed(port)).unwrap();
     let obj = orb.export_root(Arc::new(EchoServant(Arc::new(EchoImpl {
         rt,
         calls: AtomicU64::new(0),
@@ -90,7 +82,7 @@ fn basic_call_round_trips() {
     let results2 = results.clone();
     let settop_rt: ocs_sim::Rt = settop.clone();
     server.spawn_fn("boot", move || {
-        let obj = start_echo(&server2, 100, ThreadModel::PerRequest);
+        let obj = start_echo(&server2, 100);
         // Client on the settop.
         let ctx = ClientCtx::new(settop_rt.clone());
         let settop_rt2 = settop_rt.clone();
@@ -124,7 +116,7 @@ fn thousand_calls_start_a_handful_of_threads() {
     let answered2 = answered.clone();
     let settop_rt: ocs_sim::Rt = settop.clone();
     server.spawn_fn("boot", move || {
-        let obj = start_echo(&server2, 100, ThreadModel::PerRequest);
+        let obj = start_echo(&server2, 100);
         let ctx = ClientCtx::new(settop_rt.clone());
         settop_rt.spawn(
             "client",
@@ -159,7 +151,7 @@ fn app_errors_travel() {
     let server2 = server.clone();
     let results2 = results.clone();
     server.spawn_fn("boot", move || {
-        let obj = start_echo(&server2, 100, ThreadModel::PerRequest);
+        let obj = start_echo(&server2, 100);
         let ctx = ClientCtx::new(server2.clone());
         let client = EchoClient::attach(ctx, obj).unwrap();
         results2.send(client.reject().unwrap_err());
@@ -176,7 +168,7 @@ fn wrong_type_rejected_at_bind() {
     let server2 = server.clone();
     let results2 = results.clone();
     server.spawn_fn("boot", move || {
-        let mut obj = start_echo(&server2, 100, ThreadModel::PerRequest);
+        let mut obj = start_echo(&server2, 100);
         obj.type_id ^= 0xffff; // Corrupt the type id.
         let ctx = ClientCtx::new(server2.clone());
         results2.send(matches!(
@@ -196,7 +188,7 @@ fn unknown_method_and_object() {
     let server2 = server.clone();
     let results2 = results.clone();
     server.spawn_fn("boot", move || {
-        let obj = start_echo(&server2, 100, ThreadModel::PerRequest);
+        let obj = start_echo(&server2, 100);
         let ctx = ClientCtx::new(server2.clone());
         // Raw call with a bogus method id.
         let r = ctx.call(&obj, 999, bytes::Bytes::new());
@@ -280,7 +272,7 @@ fn dead_node_gives_timeout() {
     let obj_slot: Arc<parking_lot::Mutex<Option<ObjRef>>> = Default::default();
     let slot2 = Arc::clone(&obj_slot);
     server.spawn_fn("boot", move || {
-        *slot2.lock() = Some(start_echo(&server2, 100, ThreadModel::PerRequest));
+        *slot2.lock() = Some(start_echo(&server2, 100));
     });
     let results2 = results.clone();
     let cl = client_node.clone();
@@ -322,7 +314,7 @@ fn restarted_service_rejects_stale_incarnation() {
             let s2 = Arc::clone(&slot);
             let srv = server2.clone();
             server2.spawn_fn("boot1", move || {
-                *s2.lock() = Some(start_echo(&srv, 100, ThreadModel::PerRequest));
+                *s2.lock() = Some(start_echo(&srv, 100));
             });
             // Let it start.
             let rt = sim2.clone();
@@ -342,7 +334,7 @@ fn restarted_service_rejects_stale_incarnation() {
         sim2.restart_node(server_id);
         let srv = server2.clone();
         server2.spawn_fn("boot2", move || {
-            let _ = start_echo(&srv, 100, ThreadModel::PerRequest);
+            let _ = start_echo(&srv, 100);
         });
         server2.sleep(Duration::from_secs(1));
         // A call on the OLD reference reaches the NEW process (same
@@ -359,35 +351,6 @@ fn restarted_service_rejects_stale_incarnation() {
 }
 
 #[test]
-fn single_threaded_server_serializes_requests() {
-    let sim = Sim::new(8);
-    let server = sim.add_node("server");
-    let results: SimChan<u64> = SimChan::new(&sim);
-    let server2 = server.clone();
-    let results2 = results.clone();
-    server.spawn_fn("boot", move || {
-        let obj = start_echo(&server2, 100, ThreadModel::SingleThreaded);
-        for i in 0..2 {
-            let ctx = ClientCtx::new(server2.clone()).with_timeout(Duration::from_secs(30));
-            let results3 = results2.clone();
-            server2.spawn_fn(&format!("c{i}"), move || {
-                let client = EchoClient::attach(ctx, obj).unwrap();
-                results3.send(client.slow(1000).unwrap());
-            });
-        }
-    });
-    sim.run_until(SimTime::from_secs(30));
-    let mut done = [
-        results.try_recv().unwrap() / 1000,
-        results.try_recv().unwrap() / 1000,
-    ];
-    done.sort();
-    // Second request waits for the first: finish times ~1s and ~2s.
-    assert_eq!(done[0], 1000);
-    assert_eq!(done[1], 2000);
-}
-
-#[test]
 fn per_request_server_overlaps_requests() {
     let sim = Sim::new(9);
     let server = sim.add_node("server");
@@ -395,7 +358,7 @@ fn per_request_server_overlaps_requests() {
     let server2 = server.clone();
     let results2 = results.clone();
     server.spawn_fn("boot", move || {
-        let obj = start_echo(&server2, 100, ThreadModel::PerRequest);
+        let obj = start_echo(&server2, 100);
         for i in 0..2 {
             let ctx = ClientCtx::new(server2.clone()).with_timeout(Duration::from_secs(30));
             let results3 = results2.clone();
@@ -496,7 +459,7 @@ fn rpc_spans_link_client_and_server() {
     let server2 = server.clone();
     let settop_rt: ocs_sim::Rt = settop.clone();
     server.spawn_fn("boot", move || {
-        let obj = start_echo(&server2, 100, ThreadModel::PerRequest);
+        let obj = start_echo(&server2, 100);
         let ctx = ClientCtx::new(settop_rt.clone());
         settop_rt.spawn(
             "client",

@@ -9,9 +9,8 @@ use std::time::{Duration, Instant};
 
 use ocs_orb::{
     declare_interface, impl_rpc_fault, Caller, ClientCtx, Gather, ObjRef, Orb, OrbError,
-    ThreadModel,
 };
-use ocs_sim::real::RealNet;
+use ocs_sim::real::{eventually, RealNet};
 use ocs_sim::{LinkParams, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimChan, SimTime};
 use ocs_wire::{impl_wire_enum, Wire};
 
@@ -49,7 +48,6 @@ fn start_tag(rt: Rt, tag: u64, hold: Duration) -> (Arc<Orb>, ObjRef) {
     let orb = Orb::build(
         rt.clone(),
         PortReq::Fixed(PORT),
-        ThreadModel::PerRequest,
         None,
         Arc::new(ocs_orb::NoAuth),
     )
@@ -259,15 +257,6 @@ fn real_rig(holds_ms: [u64; 3]) -> (Arc<RealNet>, Rt, Vec<Arc<Orb>>, Vec<ObjRef>
     (net, client, orbs, targets)
 }
 
-/// Polls `cond` for up to five seconds.
-fn eventually(mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !cond() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
-}
-
 #[test]
 fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
     let (net, client, _orbs, targets) = real_rig([60, 0, 30]);
@@ -356,7 +345,7 @@ fn real_shutdown_unregisters_the_handler_and_frees_the_orb() {
     let gone = Arc::downgrade(&orb);
     drop(orb);
     assert!(
-        eventually(|| gone.upgrade().is_none()),
+        eventually(Duration::from_secs(5), || gone.upgrade().is_none()),
         "something keeps the ORB alive"
     );
 }
@@ -372,7 +361,8 @@ fn real_call_to_a_stopped_node_fails_well_inside_its_timeout() {
     assert_eq!(call(1), Ok(1));
     server.stop();
     // The client's reader of the stream sees it end.
-    assert!(eventually(|| counter(&net, "real.net.resets") >= 1));
+    let reset = || counter(&net, "real.net.resets") >= 1;
+    assert!(eventually(Duration::from_secs(5), reset));
     let started = Instant::now();
     let refused = call(2);
     assert!(

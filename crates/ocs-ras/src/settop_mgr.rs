@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ocs_orb::{Caller, ClientCtx, ObjRef, Orb, ThreadModel};
+use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
 use ocs_sim::{Addr, NetError, NodeId, NodeRtExt, PortReq, Rt};
 use parking_lot::Mutex;
 
@@ -156,10 +156,16 @@ pub struct AgentRunner;
 pub const SETTOP_AGENT_PORT: u16 = 99;
 
 impl AgentRunner {
-    /// Opens the agent endpoint and serves pings in a background process.
+    /// Opens the agent endpoint and serves pings where they arrive.
     pub fn start(rt: Rt, port: u16) -> Result<ObjRef, NetError> {
         struct AgentImpl;
         impl SettopAgent for AgentImpl {
+            /// `ping` echoes its argument and holds no state: it never
+            /// waits, and there is nothing to serialise.
+            fn runs_inline(&self, _method: u32) -> bool {
+                true
+            }
+
             fn ping(&self, _caller: &Caller, seq: u64) -> Result<u64, RasError> {
                 Ok(seq)
             }
@@ -167,7 +173,6 @@ impl AgentRunner {
         let orb = Orb::build(
             rt,
             PortReq::Fixed(port),
-            ThreadModel::SingleThreaded,
             Some(ObjRef::STABLE),
             Arc::new(ocs_orb::NoAuth),
         )?;

@@ -17,29 +17,17 @@
 #![cfg(feature = "real_chaos")]
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ocs_name::{AlwaysAlive, NsConfig, NsHandle, NsReplica};
 use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
 use ocs_ras::{EntityId, EntityStatus, Ras, RasApiClient, RasConfig, RasOracle};
-use ocs_sim::real::RealNet;
+use ocs_sim::real::{eventually, RealNet};
 use ocs_sim::{Addr, NodeRt, PortReq, Rt};
 use ocs_svcctl::{ServiceDef, ServiceRunCtx, Ssc, SscApiClient, SscConfig};
 
 const NS_PORT: u16 = 10;
 const RAS_PORT: u16 = 13;
-
-/// Polls `cond` every 25 ms until true or `timeout` elapses.
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    cond()
-}
 
 /// A service that exports an object and registers it, then idles until
 /// its group is killed.

@@ -1632,6 +1632,20 @@ impl RealNemesis {
     }
 }
 
+/// The wall-clock wait: polls `cond` every 5 ms until it holds or
+/// `limit` has passed, and returns whether it held. What a driver thread
+/// waits on where the simulator's would step virtual time.
+pub fn eventually(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + limit;
+    while Instant::now() < deadline {
+        if cond() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    cond()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1694,18 +1708,6 @@ mod tests {
         let ep = a.open(PortReq::Ephemeral).unwrap();
         let r = ep.recv(Some(Duration::from_millis(20)));
         assert_eq!(r.unwrap_err(), RecvError::TimedOut);
-    }
-
-    /// Waits up to `timeout` for `cond` to become true.
-    fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if cond() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        cond()
     }
 
     fn counter(net: &RealNet, name: &str) -> u64 {

@@ -16,31 +16,20 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ocs_name::{AlwaysAlive, NsConfig, NsError, NsHandle, NsReplica};
 use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
-use ocs_sim::real::RealNet;
+use ocs_sim::real::{eventually, RealNet};
 use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq, Rt};
 use ocs_svcctl::{
     csc_client, Csc, CscConfig, ServiceDef, ServiceRunCtx, Ssc, SscApiClient, SscCallback,
     SscCallbackServant, SscConfig, SscReplicaConfig, SvcError,
 };
+use ocs_vsr::group::{Group, Spec};
 use parking_lot::Mutex;
 
 const NS_PORT: u16 = 10;
-
-/// Polls `cond` every 25 ms until true or `timeout` elapses.
-fn eventually(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    cond()
-}
 
 /// A service whose first `die_first_n` instances exit shortly after
 /// starting (the group dies and the SSC notices); later ones settle.
@@ -194,44 +183,47 @@ fn csc_group_survives_primary_kill_on_real_runtime() {
     );
 
     // Three controller replicas, timeouts scaled down with the real
-    // transport (mirroring the cluster harness's real NS tuning).
+    // transport (mirroring the cluster harness's real NS tuning), each in
+    // a process group of its own, so the kill below closes its endpoints
+    // and unwinds its threads like a dead controller process.
     let cnodes: Vec<_> = (0..3)
         .map(|i| net.add_node(&format!("csc{i}")).expect("bind loopback"))
         .collect();
-    let csc_port = CscConfig::default().port;
-    let peers: Vec<Addr> = cnodes.iter().map(|n| Addr::new(n.node(), csc_port)).collect();
-    let mut cscs = Vec::new();
-    for (i, node) in cnodes.iter().enumerate() {
-        let rt: Rt = node.clone();
-        let ns = NsHandle::new(ClientCtx::new(rt.clone()), ns_addr);
-        let mut rc = SscReplicaConfig::paper_defaults(i as u32, peers.clone());
-        rc.heartbeat_interval = Duration::from_millis(200);
-        rc.election_timeout = Duration::from_millis(600);
-        rc.peer_timeout = Duration::from_millis(150);
-        let ccfg = CscConfig {
-            ping_interval: Duration::from_millis(500),
-            bind_retry: Duration::from_millis(500),
-            replica: Some(rc),
-            ..CscConfig::default()
-        };
-        let csc = Csc::new(rt.clone(), ccfg, ns);
-        let runner = Arc::clone(&csc);
-        // A real process group, so the kill below closes its endpoints
-        // and unwinds its threads like a dead controller process.
-        node.spawn_group(
-            "csc-run",
-            Box::new(move || {
-                let _ = runner.run(|_| {});
+    let group = Group::on_tcp(
+        cnodes,
+        ns_node,
+        Spec {
+            name: "csc",
+            port: CscConfig::default().port,
+            tuning: |i, peers| {
+                let mut rc = SscReplicaConfig::paper_defaults(i, peers);
+                rc.heartbeat_interval = Duration::from_millis(200);
+                rc.election_timeout = Duration::from_millis(600);
+                rc.peer_timeout = Duration::from_millis(150);
+                rc
+            },
+            start: Arc::new(move |rt: Rt, rc| {
+                let ns = NsHandle::new(ClientCtx::new(rt.clone()), ns_addr);
+                let ccfg = CscConfig {
+                    ping_interval: Duration::from_millis(500),
+                    bind_retry: Duration::from_millis(500),
+                    replica: Some(rc),
+                    ..CscConfig::default()
+                };
+                let csc = Csc::new(rt.clone(), ccfg, ns);
+                let runner = Arc::clone(&csc);
+                rt.spawn_fn("csc-run", move || {
+                    let _ = runner.run(|_| {});
+                });
+                Ok(csc)
             }),
-        );
-        cscs.push(csc);
-    }
+            status: |csc| csc.replica().map(|r| r.status()),
+        },
+    );
 
     // A single master emerges and advertises itself in the NS.
     assert!(
-        eventually(Duration::from_secs(15), || {
-            cscs.iter().filter(|c| c.is_primary()).count() == 1
-        }),
+        group.run_until(Duration::from_secs(15), || group.masters().len() == 1),
         "no unique CSC master elected"
     );
     assert!(
@@ -242,9 +234,9 @@ fn csc_group_survives_primary_kill_on_real_runtime() {
 
     // Sequence a definition and one explicit placement, with
     // client-chosen retry tokens.
-    let target = cnodes[2].node();
+    let target = group.node(2);
     let define_epoch = client
-        .define_service(0x1001, "web".to_string(), vec![cnodes[1].node()])
+        .define_service(0x1001, "web".to_string(), vec![group.node(1)])
         .expect("define accepted");
     let place_epoch = client
         .place_op(0x1002, "web".to_string(), target, true)
@@ -254,30 +246,22 @@ fn csc_group_survives_primary_kill_on_real_runtime() {
     // Kill the primary's process group outright: endpoints force-close,
     // peers observe resets, member threads unwind at the next
     // cancellation point.
-    let master = cscs.iter().position(|c| c.is_primary()).unwrap();
-    cnodes[master].kill_all_groups();
+    let master = group.masters()[0];
+    group.kill(master);
 
     // The survivors re-elect a new master within the tuned timeouts...
-    let reelected = eventually(Duration::from_secs(20), || {
-        cscs.iter()
-            .enumerate()
-            .any(|(i, c)| i != master && c.is_primary())
-    });
-    if !reelected {
-        for (i, c) in cscs.iter().enumerate() {
-            if let Some(rep) = c.replica() {
-                eprintln!("replica {i}: {}", rep.status());
-            }
-        }
-        panic!("no new master after the primary kill");
-    }
+    assert!(
+        group.run_until(Duration::from_secs(20), || {
+            group.masters().iter().any(|&i| i != master)
+        }),
+        "no new master after the primary kill: {:?}",
+        group.statuses()
+    );
     // ...and the placement table survived the fail-over intact on every
     // surviving replica: `web` is still placed where it was put, with no
     // regeneration round.
-    for (i, csc) in cscs.iter().enumerate() {
-        if i == master {
-            continue;
-        }
+    for i in (0..3).filter(|&i| i != master) {
+        let csc = group.member(i).expect("a survivor is up");
         let rep = csc.replica().expect("replica started");
         assert!(
             eventually(Duration::from_secs(10), || rep.is_placed("web", target)),
@@ -298,8 +282,4 @@ fn csc_group_survives_primary_kill_on_real_runtime() {
         }),
         "tokened retry after fail-over did not return the original epoch"
     );
-    for node in &cnodes {
-        node.stop();
-    }
-    ns_node.stop();
 }

@@ -7,8 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ocs_orb::{Caller, OrbError, Servant};
-use ocs_sim::{Addr, NodeRt, NodeRtExt, Rt, Sim, SimChan, SimNode};
+use ocs_sim::Addr;
 use ocs_svcctl::{CscApiClient, SscReplica, SscReplicaConfig, SscUpdate};
+use ocs_vsr::group::{Group, Spec};
 
 const CSC_PORT: u16 = 2100;
 
@@ -34,22 +35,17 @@ fn tuned(i: u32, peers: Vec<Addr>) -> SscReplicaConfig {
     cfg
 }
 
-fn build(sim: &Sim) -> (Vec<Arc<SimNode>>, Vec<Arc<SscReplica>>) {
-    let nodes: Vec<Arc<SimNode>> = (0..3).map(|i| sim.add_node(&format!("csc{i}"))).collect();
-    let peers: Vec<Addr> = nodes
-        .iter()
-        .map(|n| Addr::new(n.node(), CSC_PORT))
-        .collect();
-    let replicas = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let rt: Rt = node.clone();
-            SscReplica::start(rt, tuned(i as u32, peers.clone()), Arc::new(NoRoot))
-                .expect("svc replica starts")
-        })
-        .collect();
-    (nodes, replicas)
+fn build(seed: u64) -> Group<SscReplica> {
+    Group::sim(
+        seed,
+        Spec {
+            name: "csc",
+            port: CSC_PORT,
+            tuning: tuned,
+            start: Arc::new(|rt, cfg| SscReplica::start(rt, cfg, Arc::new(NoRoot))),
+            status: |r| Some(r.status()),
+        },
+    )
 }
 
 /// Degraded mode costs nothing: with one backup silent — wherever it
@@ -60,29 +56,23 @@ fn build(sim: &Sim) -> (Vec<Arc<SimNode>>, Vec<Arc<SscReplica>>) {
 #[test]
 fn silent_backup_costs_a_decision_nothing_in_either_peer_order() {
     for (seed, victim_is_first) in [(9_010, true), (9_011, false)] {
-        let sim = Sim::new(seed);
-        let (nodes, replicas) = build(&sim);
-        sim.run_for(Duration::from_secs(2));
+        let group = build(seed);
+        group.run_for(Duration::from_secs(2));
         let master = (0..3)
-            .find(|i| replicas[*i].is_master())
+            .find(|i| group.member(*i).is_some_and(|r| r.is_master()))
             .expect("a master after start-up");
-        assert!(replicas.iter().all(|r| !r.in_probation()));
+        assert!(group.live().iter().all(|r| !r.in_probation()));
         let backups: Vec<usize> = (0..3).filter(|i| *i != master).collect();
         let victim = if victim_is_first {
             backups[0]
         } else {
             backups[1]
         };
-        sim.crash_node(nodes[victim].node());
+        group.kill(victim);
 
-        let took: SimChan<Duration> = SimChan::new(&sim);
-        let (took2, rt, rep) = (
-            took.clone(),
-            nodes[master].clone(),
-            Arc::clone(&replicas[master]),
-        );
-        let placed_on = nodes[master].node();
-        nodes[master].spawn_fn("decide", move || {
+        let rep = group.member(master).expect("the master is up");
+        let placed_on = group.node(master);
+        let took = group.on(&group.nodes()[master], move |rt| {
             let t0 = rt.now();
             rep.submit(SscUpdate::Define {
                 token: 1,
@@ -91,10 +81,8 @@ fn silent_backup_costs_a_decision_nothing_in_either_peer_order() {
                 now_us: 0,
             })
             .expect("decision commits on the surviving majority");
-            took2.send(rt.now().saturating_since(t0));
+            rt.now().saturating_since(t0)
         });
-        sim.run_for(Duration::from_secs(1));
-        let took = took.try_recv().expect("decision completed");
         assert!(
             took < Duration::from_millis(10),
             "decision with backup {victim} silent (first={victim_is_first}) took {took:?}"

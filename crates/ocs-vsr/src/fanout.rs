@@ -18,8 +18,10 @@
 //!
 //! **Receiving.** [`PeerServant`] is the one servant of the protocol:
 //! it unmarshals what the sending half marshalled and runs the step on
-//! its [`Replica`] — `prepare` and `commit_hb` on the thread that
-//! received them where the runtime has one (`Servant::runs_inline`). A group's peer interface differs from another's in
+//! its [`Replica`] — `prepare` and `commit_hb` where they arrive, with no
+//! process of their own (`Servant::runs_inline`): on TCP's connection
+//! reader, in the simulator on the thread stepping the kernel. A group's
+//! peer interface differs from another's in
 //! its wire name ([`Replicated::PEER_INTERFACE`]) and in the op and
 //! snapshot types its frames carry, nothing else: both halves number and
 //! name the methods from [`Method`].

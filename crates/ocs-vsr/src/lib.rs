@@ -22,6 +22,11 @@
 //!   [`Replicated`], the handful of places where one group differs from
 //!   another.
 //!
+//! [`group`] puts a group of any such service on either runtime — the
+//! simulator or loopback TCP — with a client node, and kills, restarts
+//! and partitions its members: the one harness of every fail-over
+//! experiment and group test.
+//!
 //! Protocol outline:
 //!
 //! * **Normal operation** — the primary of view `v` (replica `v mod n`)
@@ -54,6 +59,7 @@
 //!   dropped them (`log_retention`).
 
 mod fanout;
+pub mod group;
 mod replica;
 
 pub use replica::{Replica, ReplicaConfig, ReplicaStatus};

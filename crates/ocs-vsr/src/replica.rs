@@ -22,7 +22,7 @@ use std::fmt::{self, Display};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use ocs_orb::{NoAuth, ObjRef, Orb, Servant, ThreadModel};
+use ocs_orb::{NoAuth, ObjRef, Orb, Servant};
 use ocs_sim::{Addr, NetError, NodeRtExt, PortReq, Rt, SimTime};
 use ocs_telemetry::{Counter, Gauge, Histo, Journal, NodeTelemetry};
 use parking_lot::Mutex;
@@ -261,7 +261,6 @@ impl<M: Replicated> Replica<M> {
         let orb = Orb::build(
             self.rt.clone(),
             PortReq::Fixed(self.addr().port),
-            ThreadModel::PerRequest,
             Some(ObjRef::STABLE),
             Arc::new(NoAuth),
         )?;

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use itv_system::auth::{AuthApiServant, AuthClientHandle, AuthService, RealmServerAuth};
 use itv_system::media::{ports, ShopApiClient, ShopApiServant, ShopSvc};
 use itv_system::name::{AlwaysAlive, NsConfig, NsHandle, NsReplica, RebindPolicy, Rebinding};
-use itv_system::orb::{ClientCtx, Orb, ThreadModel};
+use itv_system::orb::{ClientCtx, Orb};
 use itv_system::sim::real::RealNet;
 use itv_system::sim::{Addr, NodeRt, PortReq, Rt};
 
@@ -65,7 +65,6 @@ fn main() {
     let shop_orb = Orb::build(
         rt1.clone(),
         PortReq::Fixed(ports::SHOP),
-        ThreadModel::PerRequest,
         None,
         Arc::new(RealmServerAuth::new(
             rt1.clone(),
@@ -114,7 +113,6 @@ fn main() {
     let shop_orb2 = Orb::build(
         rt1.clone(),
         PortReq::Fixed(ports::SHOP),
-        ThreadModel::PerRequest,
         None,
         Arc::new(RealmServerAuth::new(
             rt1.clone(),
