@@ -47,13 +47,10 @@ fn cm_group(leg: &Leg) -> Spec<CmReplica> {
         tuning: leg.tuning,
         start: Arc::new(|rt, r: ReplicaConfig| {
             let cfg = CmReplicaConfig {
-                heartbeat_interval: r.heartbeat_interval,
-                election_timeout: r.election_timeout,
-                peer_timeout: r.peer_timeout,
                 // Expiry off for the storm so the audit is exact (lease
                 // reclamation is covered by the cm_replica integration tests).
                 lease_ttl: None,
-                ..CmReplicaConfig::paper_defaults(r.replica_id, r.peers, CmBudgets::default())
+                ..CmReplicaConfig::with_replication(r, CmBudgets::default())
             };
             CmReplica::start(rt, cfg)
         }),

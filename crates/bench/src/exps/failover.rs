@@ -31,13 +31,7 @@ pub(crate) fn ns_group(leg: &Leg) -> Spec<NsReplica> {
         port: 10,
         tuning: leg.tuning,
         start: Arc::new(|rt, r: ReplicaConfig| {
-            let cfg = NsConfig {
-                heartbeat_interval: r.heartbeat_interval,
-                election_timeout: r.election_timeout,
-                peer_timeout: r.peer_timeout,
-                ..NsConfig::paper_defaults(r.replica_id, r.peers)
-            };
-            NsReplica::start(rt, cfg, Arc::new(AlwaysAlive))
+            NsReplica::start(rt, NsConfig::with_replication(r), Arc::new(AlwaysAlive))
         }),
         status: |r| Some(r.status()),
     }

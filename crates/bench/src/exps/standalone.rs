@@ -17,8 +17,11 @@ use ocs_ras::{EntityId, Ras, RasApiClient, RasConfig};
 use ocs_sim::{
     Addr, NodeId, NodeRt, NodeRtExt, PortReq, RecvError, Rt, Sim, SimChan, SimNode, SimTime,
 };
+use ocs_vsr::group::Group;
 use parking_lot::Mutex;
 
+use super::failover;
+use super::group::PAPER;
 use crate::{f, Stats, Table};
 
 pub(crate) const NS_PORT: u16 = 10;
@@ -478,56 +481,32 @@ pub fn e9() {
         let nodes: Vec<Arc<SimNode>> = (0..replicas)
             .map(|i| sim.add_node(&format!("ns{i}")))
             .collect();
-        let peers: Vec<Addr> = nodes
-            .iter()
-            .map(|nd| Addr::new(nd.node(), NS_PORT))
-            .collect();
-        let mut reps = Vec::new();
-        for (i, node) in nodes.iter().enumerate() {
-            reps.push(
-                NsReplica::start(
-                    node.clone() as Rt,
-                    NsConfig::paper_defaults(i as u32, peers.clone()),
-                    Arc::new(AlwaysAlive),
-                )
-                .unwrap(),
-            );
-        }
-        let mut cold = f64::NAN;
-        for _ in 0..300 {
-            sim.run_for(Duration::from_millis(100));
-            if reps.iter().any(|r| r.is_master()) {
-                cold = sim.now().as_secs_f64();
-                break;
-            }
-        }
+        let client = Arc::clone(&nodes[0]);
+        let mut group = Group::on_sim(sim, nodes, client, failover::ns_group(&PAPER));
+        group.step = Duration::from_millis(100);
+        let elected = |limit| group.run_until(limit, || !group.masters().is_empty());
+        let cold = if elected(Duration::from_secs(30)) {
+            group.now().as_secs_f64()
+        } else {
+            f64::NAN
+        };
         // Let every replica finish its recovery probation before the
         // crash: killing the primary while a backup is still probing
         // would leave fewer than a recovery quorum of participants.
-        for _ in 0..300 {
-            if reps.iter().all(|r| !r.in_probation()) {
-                break;
-            }
-            sim.run_for(Duration::from_millis(100));
-        }
+        group.run_until(Duration::from_secs(30), || {
+            group.live().iter().all(|r| !r.in_probation())
+        });
         // Crash the master; time the takeover.
-        let master = reps.iter().position(|r| r.is_master()).unwrap();
-        sim.crash_node(nodes[master].node());
-        let t0 = sim.now();
-        let mut reelect = f64::NAN;
-        for _ in 0..600 {
-            sim.run_for(Duration::from_millis(100));
-            if reps
-                .iter()
-                .enumerate()
-                .any(|(i, r)| i != master && r.is_master())
-            {
-                reelect = sim.now().saturating_since(t0).as_secs_f64();
-                break;
-            }
-        }
+        let master = group.masters()[0];
+        group.kill(master);
+        let t0 = group.now();
+        let reelect = if elected(Duration::from_secs(60)) {
+            group.since(t0)
+        } else {
+            f64::NAN
+        };
         t.row(&[replicas.to_string(), f(cold, 1), f(reelect, 1)]);
-        crate::report::add_virtual_secs(sim.now().as_secs_f64());
+        crate::report::add_virtual_secs(group.now().as_secs_f64());
     }
     t.print();
     crate::report::put("table", t.to_json());

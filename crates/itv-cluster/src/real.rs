@@ -376,14 +376,9 @@ fn ns_spec() -> Spec<NsReplica> {
         tuning: ns_tuning,
         start: Arc::new(|rt, r: ReplicaConfig| {
             let cfg = NsConfig {
-                replica_id: r.replica_id,
-                peers: r.peers,
-                heartbeat_interval: r.heartbeat_interval,
-                election_timeout: r.election_timeout,
-                peer_timeout: r.peer_timeout,
-                log_retention: r.log_retention,
                 audit_interval: Duration::from_secs(2),
                 resolve_cost: Duration::ZERO,
+                ..NsConfig::with_replication(r)
             };
             NsReplica::start(rt, cfg, Arc::new(AlwaysAlive))
         }),

@@ -69,7 +69,11 @@ impl CmReplicaConfig {
         peers: Vec<Addr>,
         budgets: CmBudgets,
     ) -> CmReplicaConfig {
-        let r = ReplicaConfig::paper_defaults(replica_id, peers);
+        CmReplicaConfig::with_replication(ReplicaConfig::paper_defaults(replica_id, peers), budgets)
+    }
+
+    /// A member replicating under `r`, with `budgets` and a 20 s lease.
+    pub fn with_replication(r: ReplicaConfig, budgets: CmBudgets) -> CmReplicaConfig {
         CmReplicaConfig {
             replica_id: r.replica_id,
             peers: r.peers,

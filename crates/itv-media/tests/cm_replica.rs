@@ -36,13 +36,10 @@ fn build(seed: u64, lease_ttl: Option<Duration>) -> Group<CmReplica> {
             port: CM_PORT,
             tuning: tuned,
             start: Arc::new(move |rt, r: ReplicaConfig| {
-                let mut cfg =
-                    CmReplicaConfig::paper_defaults(r.replica_id, r.peers, CmBudgets::default());
-                cfg.heartbeat_interval = r.heartbeat_interval;
-                cfg.election_timeout = r.election_timeout;
-                cfg.peer_timeout = r.peer_timeout;
-                cfg.log_retention = r.log_retention;
-                cfg.lease_ttl = lease_ttl;
+                let cfg = CmReplicaConfig {
+                    lease_ttl,
+                    ..CmReplicaConfig::with_replication(r, CmBudgets::default())
+                };
                 CmReplica::start(rt, cfg)
             }),
             status: |r| Some(r.status()),

@@ -92,7 +92,12 @@ pub struct NsConfig {
 impl NsConfig {
     /// The paper's deployed parameters (§9.7) for a replica group.
     pub fn paper_defaults(replica_id: u32, peers: Vec<Addr>) -> NsConfig {
-        let r = ReplicaConfig::paper_defaults(replica_id, peers);
+        NsConfig::with_replication(ReplicaConfig::paper_defaults(replica_id, peers))
+    }
+
+    /// A member replicating under `r`, with the paper's audit interval
+    /// and modelled resolve cost.
+    pub fn with_replication(r: ReplicaConfig) -> NsConfig {
         NsConfig {
             replica_id: r.replica_id,
             peers: r.peers,

@@ -284,9 +284,6 @@ pub enum ShardPolicy {
     /// and CM servers interleave).
     #[default]
     RoundRobin,
-    /// `(node / span) % nshards` — keeps blocks of `span` consecutive
-    /// node ids on one shard, for topologies with strong locality.
-    Block(u32),
 }
 
 
@@ -299,7 +296,6 @@ pub(crate) fn shard_index(policy: ShardPolicy, nshards: usize, node: u32) -> usi
     }
     match policy {
         ShardPolicy::RoundRobin => node as usize % nshards,
-        ShardPolicy::Block(span) => (node / span.max(1)) as usize % nshards,
     }
 }
 

@@ -33,7 +33,7 @@ pub struct SimConfig {
     /// single-threaded scheduler; N > 1 partitions nodes across N
     /// OS threads that advance in conservative-lookahead windows.
     /// Virtual-time behaviour — including the trace hash — is identical
-    /// for every value. Overridable via `OCS_SHARDS`.
+    /// for every value.
     pub shards: usize,
     /// How nodes map to shards when `shards > 1`.
     pub policy: ShardPolicy,
@@ -46,11 +46,7 @@ impl Default for SimConfig {
             net: NetConfig::default(),
             trace: std::env::var_os("OCS_TRACE").is_some(),
             fast: true,
-            shards: std::env::var("OCS_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(1)
-                .max(1),
+            shards: 1,
             policy: ShardPolicy::default(),
         }
     }

@@ -15,7 +15,8 @@
 //! The runtime is picked by the constructor, and the two differ only in
 //! how time passes and what a crash is:
 //!
-//! * [`Group::sim`]: virtual time, stepped by the driver. A member
+//! * [`Group::sim`] / [`Group::on_sim`]: virtual time, stepped by the
+//!   driver. A member
 //!   starts from the driver; a crash is [`Nemesis::apply`], and the node
 //!   comes back bare, so a restart starts the member afresh.
 //! * [`Group::tcp`] / [`Group::on_tcp`]: OS threads and loopback TCP on
@@ -31,7 +32,7 @@ use std::time::Duration;
 
 use ocs_sim::real::{eventually, RealNemesis, RealNet, RealNode};
 use ocs_sim::{
-    Addr, FaultAction, Nemesis, NetError, NodeId, NodeRtExt, ProcGroup, Rt, Sim, SimTime,
+    Addr, FaultAction, Nemesis, NetError, NodeId, NodeRtExt, ProcGroup, Rt, Sim, SimNode, SimTime,
 };
 use parking_lot::Mutex;
 
@@ -48,8 +49,9 @@ pub type Start<R> = Arc<dyn Fn(Rt, ReplicaConfig) -> Result<Arc<R>, NetError> + 
 
 /// What a replicated service brings to a group.
 pub struct Spec<R> {
-    /// Node-name prefix: the harness's nodes are `<name>0`, `<name>1`, …;
-    /// on TCP member `i` runs in process group `<name>-<i>`.
+    /// Node-name prefix: the nodes [`Group::sim`] and [`Group::tcp`] make
+    /// are `<name>0`, `<name>1`, …; on TCP member `i` runs in process
+    /// group `<name>-<i>`.
     pub name: &'static str,
     /// The group's request port.
     pub port: u16,
@@ -100,10 +102,23 @@ impl<R: Send + Sync + 'static> Group<R> {
     /// Three members and a client node (`load`) in a fresh simulator.
     pub fn sim(seed: u64, spec: Spec<R>) -> Group<R> {
         let sim = Sim::new(seed);
-        let nodes = (0..3)
-            .map(|i| sim.add_node(&format!("{}{i}", spec.name)) as Rt)
+        let hosts = (0..3)
+            .map(|i| sim.add_node(&format!("{}{i}", spec.name)))
             .collect();
         let client = sim.add_node("load");
+        Group::on_sim(sim, hosts, client, spec)
+    }
+
+    /// One member on each of `hosts` in `sim`, driven from `client`
+    /// (which may be one of them). The members start before this
+    /// returns, without virtual time passing.
+    pub fn on_sim(
+        sim: Sim,
+        hosts: Vec<Arc<SimNode>>,
+        client: Arc<SimNode>,
+        spec: Spec<R>,
+    ) -> Group<R> {
+        let nodes = hosts.into_iter().map(|h| h as Rt).collect();
         Group::build(Runtime::Sim(sim), nodes, client, spec)
     }
 

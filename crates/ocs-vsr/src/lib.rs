@@ -23,9 +23,13 @@
 //!   another.
 //!
 //! [`group`] puts a group of any such service on either runtime — the
-//! simulator or loopback TCP — with a client node, and kills, restarts
-//! and partitions its members: the one harness of every fail-over
-//! experiment and group test.
+//! simulator or loopback TCP, on nodes it makes or the caller's
+//! (`Group::on_sim` beside `Group::on_tcp`) — with a client node, and
+//! kills, restarts and partitions its members: the one harness of every
+//! replica group that is crashed or restarted, in experiments (E9,
+//! E20–E23), tests and the TCP cluster. A group whose test kills a
+//! member's process group rather than its host (the MMS tests' CM), and
+//! single name servers started as infrastructure, are built directly.
 //!
 //! Protocol outline:
 //!

@@ -13,46 +13,28 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use itv_system::auth::{AuthApiServant, AuthClientHandle, AuthService, RealmServerAuth};
+use itv_system::cluster::RealCluster;
 use itv_system::media::{ports, ShopApiClient, ShopApiServant, ShopSvc};
-use itv_system::name::{AlwaysAlive, NsConfig, NsHandle, NsReplica, RebindPolicy, Rebinding};
+use itv_system::name::{NsHandle, RebindPolicy, Rebinding};
 use itv_system::orb::{ClientCtx, Orb};
-use itv_system::sim::real::RealNet;
-use itv_system::sim::{Addr, NodeRt, PortReq, Rt};
+use itv_system::sim::{PortReq, Rt};
 
 const REALM_KEY: &[u8] = b"orlando-realm-key";
 
 fn main() {
-    let net = RealNet::new();
-    // Three "servers" (all threads in this process, talking over TCP).
-    let nodes: Vec<_> = (0..3)
-        .map(|i| net.add_node(&format!("server{i}")).expect("bind loopback"))
-        .collect();
-    let peers: Vec<Addr> = nodes
-        .iter()
-        .map(|n| Addr::new(n.node(), ports::NS))
-        .collect();
-
+    // Three "servers" and a settop (all threads in this process, talking
+    // over TCP); the servers run a 3-replica name service, settled, with
+    // `svc` bound.
     println!("starting a 3-replica name service over TCP...");
-    let mut replicas = Vec::new();
-    for (i, node) in nodes.iter().enumerate() {
-        let rt: Rt = node.clone();
-        let mut cfg = NsConfig::paper_defaults(i as u32, peers.clone());
-        // Tighter timings: this runs in wall-clock time.
-        cfg.heartbeat_interval = Duration::from_millis(200);
-        cfg.election_timeout = Duration::from_millis(600);
-        cfg.audit_interval = Duration::from_secs(2);
-        cfg.resolve_cost = Duration::ZERO;
-        replicas.push(NsReplica::start(rt, cfg, Arc::new(AlwaysAlive)).expect("replica"));
-    }
-    std::thread::sleep(Duration::from_secs(2));
-    let masters = replicas.iter().filter(|r| r.is_master()).count();
+    let cluster = RealCluster::launch(3, 1);
     println!(
-        "election settled: {masters} master ({} replicas)",
-        replicas.len()
+        "election settled: {} master ({} replicas)",
+        cluster.ns_group.masters().len(),
+        cluster.ns_group.peers().len()
     );
 
     // Authentication service on server 0.
-    let rt0: Rt = nodes[0].clone();
+    let rt0: Rt = cluster.servers[0].clone();
     let auth_svc = AuthService::new(rt0.clone(), Bytes::from_static(REALM_KEY));
     auth_svc.register_principal("settop-1", Bytes::from_static(b"k1"));
     let auth_orb = Orb::new(rt0.clone(), PortReq::Fixed(ports::AUTH)).expect("auth orb");
@@ -60,7 +42,7 @@ fn main() {
     auth_orb.start();
 
     // A protected shop service on server 1.
-    let rt1: Rt = nodes[1].clone();
+    let rt1: Rt = cluster.servers[1].clone();
     let shop = ShopSvc::new(rt1.clone(), Duration::ZERO);
     let shop_orb = Orb::build(
         rt1.clone(),
@@ -76,16 +58,15 @@ fn main() {
     shop_orb.start();
 
     // Bind both into the name space.
-    let ns = NsHandle::new(ClientCtx::new(rt0.clone()), peers[0]);
-    ns.bind_new_context("svc").expect("mkdir svc");
+    let ns = cluster.ns(0);
     ns.bind("svc/auth", auth_ref).expect("bind auth");
     ns.bind("svc/shop", shop_ref).expect("bind shop");
     println!("services bound: svc/auth, svc/shop");
 
     // A "settop" on its own node logs in and makes signed calls.
-    let settop = net.add_node("settop").expect("settop node");
-    let srt: Rt = settop.clone();
-    let settop_ns = NsHandle::new(ClientCtx::new(srt.clone()), peers[2]); // any replica
+    let srt: Rt = cluster.settops[0].clone();
+    let any_replica = cluster.ns_group.peers()[2];
+    let settop_ns = NsHandle::new(ClientCtx::new(srt.clone()), any_replica);
     let auth_found = settop_ns.resolve("svc/auth").expect("resolve auth");
     let login = AuthClientHandle::login(
         ClientCtx::new(srt.clone()),
@@ -127,7 +108,7 @@ fn main() {
 
     // Naming traffic stays unsigned; the shop calls carry the ticket.
     let rebinding: Rebinding<ShopApiClient> = Rebinding::new(
-        NsHandle::new(ClientCtx::new(srt.clone()), peers[2]),
+        NsHandle::new(ClientCtx::new(srt.clone()), any_replica),
         "svc/shop",
         RebindPolicy {
             retry_interval: Duration::from_millis(200),
