@@ -167,6 +167,11 @@ pub const GUARDS: &[Guard] = &[
     // as though they came from another node).
     g(REPL_STORM, "per_layer/ocs-sim.switches_per_event", Le(0.6)),
     g(REPL_STORM, "per_layer/ocs-sim.events_per_op", Le(11.0)),
+    // An encode writes into a buffer with room and a pooled frame costs
+    // one copy: 7.338 allocator calls per event, exact for the seed on
+    // any host (11.449 when every write could copy a shared buffer and
+    // every call copied its principal).
+    g(REPL_STORM, "per_layer/ocs-sim.allocs_per_event", Le(7.7)),
     // The same log over TCP loopback: a node keeps one stream per peer
     // for life, so the timed phase opens none. A count, not a wall
     // clock: a connection per ORB call reads 5.9 here on any host.

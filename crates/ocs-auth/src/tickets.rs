@@ -125,8 +125,8 @@ impl TicketClientAuth {
 }
 
 impl ClientAuth for TicketClientAuth {
-    fn principal(&self) -> String {
-        self.principal.clone()
+    fn principal(&self) -> &str {
+        &self.principal
     }
 
     fn seal(&self, body: Bytes) -> (Bytes, Bytes) {

@@ -191,8 +191,8 @@ fn stolen_ticket_with_wrong_principal_fails() {
         // Impersonation wrapper: same sealing, different claimed name.
         struct Impersonator(Arc<ocs_auth::TicketClientAuth>);
         impl ocs_orb::ClientAuth for Impersonator {
-            fn principal(&self) -> String {
-                "bob".to_string()
+            fn principal(&self) -> &str {
+                "bob"
             }
             fn seal(&self, body: bytes::Bytes) -> (bytes::Bytes, bytes::Bytes) {
                 self.0.seal(body)

@@ -13,7 +13,7 @@ use bytes::Bytes;
 /// (possibly transformed, e.g. encrypted) body for each outgoing request.
 pub trait ClientAuth: Send + Sync {
     /// The principal this client authenticates as.
-    fn principal(&self) -> String;
+    fn principal(&self) -> &str;
 
     /// Seals a request body: returns `(body', auth_blob)`. For
     /// signature-only schemes `body'` is the input unchanged.
@@ -44,8 +44,8 @@ pub trait ServerAuth: Send + Sync {
 pub struct NoAuth;
 
 impl ClientAuth for NoAuth {
-    fn principal(&self) -> String {
-        "anonymous".to_string()
+    fn principal(&self) -> &str {
+        "anonymous"
     }
 
     fn seal(&self, body: Bytes) -> (Bytes, Bytes) {
@@ -64,8 +64,8 @@ impl ServerAuth for NoAuth {
 pub struct NamedPrincipal(pub String);
 
 impl ClientAuth for NamedPrincipal {
-    fn principal(&self) -> String {
-        self.0.clone()
+    fn principal(&self) -> &str {
+        &self.0
     }
 
     fn seal(&self, body: Bytes) -> (Bytes, Bytes) {

@@ -53,8 +53,8 @@ pub struct ClientCtx {
     calls: Arc<Counter>,
     errors: Arc<Counter>,
     latency: Arc<Histo>,
-    /// Node-shared encoder free-list; request frames reuse one arena
-    /// instead of allocating a fresh buffer per call.
+    /// Node-shared encoder free-list; a request is written into a reused
+    /// buffer instead of one grown afresh per call.
     pool: Arc<ocs_wire::BufPool>,
 }
 

@@ -83,8 +83,8 @@ pub struct Orb {
     /// per-request path never takes the registry's name-lookup lock.
     requests: Arc<ocs_telemetry::Counter>,
     deadline_shed: Arc<ocs_telemetry::Counter>,
-    /// Node-shared encoder free-list; reply frames reuse one arena
-    /// instead of allocating a fresh buffer per request.
+    /// Node-shared encoder free-list; a reply is written into a reused
+    /// buffer instead of one grown afresh per request.
     pool: Arc<ocs_wire::BufPool>,
 }
 
@@ -282,10 +282,13 @@ impl Orb {
         self.handle_request(from, req);
     }
 
-    fn handle_request(&self, from: Addr, req: Request) {
+    fn handle_request(&self, from: Addr, mut req: Request) {
         let oneway = req.oneway;
         let request_id = req.request_id;
-        let principal = req.principal.clone();
+        let caller = Caller {
+            principal: std::mem::take(&mut req.principal),
+            node: from.node,
+        };
         // The one object-table lookup of the request.
         let servant = self
             .objects
@@ -310,7 +313,7 @@ impl Orb {
         });
         let result = {
             let _guard = span.as_ref().map(|(ctx, _, _, _)| CtxGuard::enter(*ctx));
-            self.dispatch_request(from, req, servant)
+            self.dispatch_request(&caller, req, servant)
         };
         if let Some((ctx, parent, name, start)) = span {
             self.tel.tracer.record(Span {
@@ -327,7 +330,7 @@ impl Orb {
         if oneway {
             return;
         }
-        let result = result.map(|body| self.auth.seal_reply(&principal, body));
+        let result = result.map(|body| self.auth.seal_reply(&caller.principal, body));
         let reply = Reply { request_id, result };
         let mut e = self.pool.encoder(64);
         e.put_u8(FRAME_REPLY);
@@ -337,7 +340,7 @@ impl Orb {
 
     fn dispatch_request(
         &self,
-        from: Addr,
+        caller: &Caller,
         req: Request,
         servant: Option<Arc<dyn Servant>>,
     ) -> Result<Bytes, OrbError> {
@@ -357,7 +360,7 @@ impl Orb {
             self.tel.journal.record(
                 self.rt.now(),
                 "orb",
-                format!("deadline shed: method {} from {}", req.method, from.node),
+                format!("deadline shed: method {} from {}", req.method, caller.node),
             );
             return Err(OrbError::DeadlineExpired);
         }
@@ -368,17 +371,13 @@ impl Orb {
         }
         let body = self
             .auth
-            .unseal(&req.principal, &req.auth, req.body)
+            .unseal(&caller.principal, &req.auth, req.body)
             .ok_or(OrbError::AuthFailed)?;
         let servant = servant.ok_or(OrbError::UnknownObject)?;
         if servant.type_id() != req.type_id {
             return Err(OrbError::WrongType);
         }
-        let caller = Caller {
-            principal: req.principal,
-            node: from.node,
-        };
-        servant.dispatch(&caller, req.method, &body)
+        servant.dispatch(caller, req.method, &body)
     }
 }
 
@@ -438,7 +437,7 @@ mod tests {
             deadline_us: 0,
             trace_id: trace,
             span_id: trace,
-            principal: "tester".into(),
+            principal: "tester",
             auth: Bytes::new(),
             body: Bytes::new(),
         }

@@ -5,7 +5,7 @@ use std::fmt;
 
 use bytes::Bytes;
 use ocs_sim::{Addr, NodeId};
-use ocs_wire::{impl_wire_enum, impl_wire_struct, Decoder, Wire};
+use ocs_wire::{impl_wire_enum, impl_wire_struct, Decoder, Encoder, Wire};
 
 /// A reference to a remote (or local) object, exactly as §3.2.1 of the
 /// paper describes it:
@@ -272,9 +272,11 @@ pub trait Proxy: Sized {
 pub(crate) const FRAME_REQUEST: u8 = 1;
 pub(crate) const FRAME_REPLY: u8 = 2;
 
-/// A request frame as carried on the wire.
+/// A request frame as carried on the wire. A server decodes one with an
+/// owned principal; a client writes a `Request<&str>`, borrowing the name
+/// from its [`ClientAuth`](crate::ClientAuth).
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Request {
+pub(crate) struct Request<P = String> {
     pub request_id: u64,
     pub object_id: u64,
     pub incarnation: u64,
@@ -294,7 +296,7 @@ pub(crate) struct Request {
     pub trace_id: u64,
     /// The client span this call was made under (0 = none).
     pub span_id: u64,
-    pub principal: String,
+    pub principal: P,
     pub auth: Bytes,
     pub body: Bytes,
 }
@@ -313,6 +315,40 @@ impl_wire_struct!(Request {
     auth,
     body
 });
+
+impl Request<&str> {
+    /// Writes the bytes the owned `Request` encodes to, so placing a call
+    /// copies no principal.
+    pub(crate) fn encode_into(&self, e: &mut Encoder) {
+        let Request {
+            request_id,
+            object_id,
+            incarnation,
+            type_id,
+            method,
+            oneway,
+            deadline_us,
+            trace_id,
+            span_id,
+            principal,
+            auth,
+            body,
+        } = self;
+        request_id.encode_into(e);
+        object_id.encode_into(e);
+        incarnation.encode_into(e);
+        type_id.encode_into(e);
+        method.encode_into(e);
+        oneway.encode_into(e);
+        deadline_us.encode_into(e);
+        trace_id.encode_into(e);
+        span_id.encode_into(e);
+        e.put_len(principal.len());
+        e.put_raw(principal.as_bytes());
+        auth.encode_into(e);
+        body.encode_into(e);
+    }
+}
 
 impl Request {
     /// The `(object_id, method)` a whole request frame — kind byte
@@ -377,6 +413,24 @@ mod tests {
             body: Bytes::from_static(b"args"),
         };
         assert_eq!(Request::from_bytes(&req.to_bytes()).unwrap(), req);
+        // What a client writes, from a borrowed principal: the same bytes.
+        let mut e = Encoder::new();
+        Request {
+            request_id: 1,
+            object_id: 0,
+            incarnation: 5,
+            type_id: 9,
+            method: 2,
+            oneway: false,
+            deadline_us: 7_000_000,
+            trace_id: 0x42,
+            span_id: 0x43,
+            principal: "settop-12",
+            auth: Bytes::from_static(b"sig"),
+            body: Bytes::from_static(b"args"),
+        }
+        .encode_into(&mut e);
+        assert_eq!(e.finish(), req.to_bytes());
         let mut frame = vec![FRAME_REQUEST];
         frame.extend_from_slice(&req.to_bytes());
         assert_eq!(Request::peek(&frame), Some((0, 2)));

@@ -733,8 +733,14 @@ impl<M: Machine> VsrCore<M> {
                 break;
             }
         }
+        // Results are keyed by op number, so the expired ones are a prefix.
         let floor = self.commit_num.saturating_sub(RESULT_WINDOW);
-        self.results.retain(|op, _| *op > floor);
+        while let Some(oldest) = self.results.first_entry() {
+            if *oldest.key() > floor {
+                break;
+            }
+            oldest.remove();
+        }
     }
 
     fn try_commit(&mut self) {
@@ -1401,6 +1407,30 @@ mod tests {
         assert_eq!(cores[0].outcome_of(0, op1), OpOutcome::Done(Ok(7)));
         assert_eq!(cores[0].outcome_of(0, op2), OpOutcome::Done(Ok(12)));
         assert_eq!(cores[0].state().total, 12);
+    }
+
+    #[test]
+    fn result_window_keeps_the_newest_results() {
+        let mut cores = trio();
+        for _ in 0..3 * RESULT_WINDOW {
+            replicate(&mut cores, 0, 1);
+        }
+        // Backups learn the last commit from the next prepare, so each
+        // core is checked against its own commit number.
+        for core in &cores {
+            let commit = core.commit_num();
+            assert!(commit >= 3 * RESULT_WINDOW - 1);
+            for op in 1..=commit + 2 {
+                let want = if op > commit {
+                    OpOutcome::Pending
+                } else if op > commit - RESULT_WINDOW {
+                    OpOutcome::Done(Ok(op))
+                } else {
+                    OpOutcome::Superseded
+                };
+                assert_eq!(core.outcome_of(0, op), want, "op {op} at commit {commit}");
+            }
+        }
     }
 
     #[test]

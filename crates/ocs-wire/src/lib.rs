@@ -29,15 +29,13 @@ use bytes::{Bytes, BytesMut};
 use ocs_sim::{Addr, NodeId, SimTime, SpanId, TraceId};
 
 /// A free-list of encoder buffers, shared per node (see
-/// [`ocs_sim::Extensions`]) so the RPC hot path reuses one arena instead
-/// of allocating a fresh `BytesMut` per message.
+/// [`ocs_sim::Extensions`]) so the RPC hot path reuses a buffer instead
+/// of growing a fresh one per message.
 ///
 /// Lifecycle: [`BufPool::encoder`] pops a buffer (or starts an empty
-/// one); [`Encoder::finish`] splits the written prefix off as the frozen
-/// frame and returns the *remainder* handle to the pool. The next
-/// `reserve` on that handle reclaims the whole allocation once the
-/// in-flight frame has been consumed and dropped — the standard `bytes`
-/// arena idiom, so a pooled encode is amortized allocation-free.
+/// one); [`Encoder::finish`] copies the written frame out — the one
+/// allocation of a pooled encode — and returns the cleared buffer to
+/// the pool. A buffer that grew past [`POOL_BUF_CAP`] is dropped instead.
 #[derive(Default)]
 pub struct BufPool {
     free: parking_lot::Mutex<Vec<BytesMut>>,
@@ -45,6 +43,10 @@ pub struct BufPool {
 
 /// Free-list depth cap; beyond this, returned buffers are simply dropped.
 const POOL_MAX: usize = 64;
+
+/// Largest buffer the pool keeps: a state-transfer frame must not pin
+/// its size on every node for the rest of the run.
+pub const POOL_BUF_CAP: usize = 4096;
 
 impl BufPool {
     /// Creates an empty pool.
@@ -68,7 +70,11 @@ impl BufPool {
         self.free.lock().len()
     }
 
-    fn put_back(&self, buf: BytesMut) {
+    fn put_back(&self, mut buf: BytesMut) {
+        if buf.capacity() > POOL_BUF_CAP {
+            return;
+        }
+        buf.clear();
         let mut free = self.free.lock();
         if free.len() < POOL_MAX {
             free.push(buf);
@@ -116,14 +122,23 @@ impl std::error::Error for WireError {}
 
 /// An append-only encoder over a growable buffer, optionally checked out
 /// of a [`BufPool`].
-#[derive(Default)]
 pub struct Encoder {
     buf: BytesMut,
     pool: Option<Arc<BufPool>>,
 }
 
+/// Room a new encoder starts with: a call's arguments or reply fit, so
+/// encoding one writes without growing the buffer.
+const SMALL_FRAME: usize = 128;
+
+impl Default for Encoder {
+    fn default() -> Encoder {
+        Encoder::with_capacity(SMALL_FRAME)
+    }
+}
+
 impl Encoder {
-    /// Creates an empty encoder.
+    /// Creates an empty encoder with room for a typical call's frame.
     pub fn new() -> Encoder {
         Encoder::default()
     }
@@ -138,7 +153,7 @@ impl Encoder {
 
     /// Appends one raw byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.extend_from_slice(&[v]);
+        self.buf.put_u8(v);
     }
 
     /// Appends raw bytes without a length prefix.
@@ -151,19 +166,14 @@ impl Encoder {
         (n as u32).encode_into(self);
     }
 
-    /// Finishes encoding, returning the frozen buffer. A pooled encoder
-    /// splits the frame off and parks the backing buffer for reuse.
+    /// Finishes encoding, returning the frame. A pooled encoder copies
+    /// the frame out and parks its buffer for reuse.
     pub fn finish(self) -> Bytes {
-        match self.pool {
-            None => self.buf.freeze(),
-            Some(pool) => {
-                let mut buf = self.buf;
-                let n = buf.len();
-                let out = buf.split_to(n).freeze();
-                pool.put_back(buf);
-                out
-            }
+        let out = Bytes::copy_from_slice(&self.buf);
+        if let Some(pool) = self.pool {
+            pool.put_back(self.buf);
         }
+        out
     }
 
     /// Number of bytes written so far.
