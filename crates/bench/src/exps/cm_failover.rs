@@ -23,7 +23,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use itv_media::{
-    CmApiClient, CmBudgets, CmReplica, CmReplicaConfig, ConnDesc, ConnectionManager, MediaError,
+    ports, CmApiClient, CmBudgets, CmReplica, CmReplicaConfig, ConnDesc, ConnectionManager,
+    MediaError,
 };
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::{Addr, NodeId, Rt, Sim};
@@ -34,7 +35,6 @@ use super::group::{audit, report_leg, sim_leg, Audit, Leg, PAPER, TUNED};
 use crate::json::Json;
 use crate::{report, Table};
 
-const CM_PORT: u16 = 2000;
 /// The settop kept at its full 6 Mbit/s budget through every kill: any
 /// post-fail-over grant against it is an admission violation.
 const SAT_BPS: u64 = 6_000_000;
@@ -43,7 +43,7 @@ const SAT_BPS: u64 = 6_000_000;
 fn cm_group(leg: &Leg) -> Spec<CmReplica> {
     Spec {
         name: "cm",
-        port: CM_PORT,
+        port: ports::CMGR,
         tuning: leg.tuning,
         start: Arc::new(|rt, r: ReplicaConfig| {
             let cfg = CmReplicaConfig {
@@ -224,7 +224,7 @@ fn baseline_rounds(rounds: usize) -> (u64, u64) {
 fn serve_standalone(sim: &Sim, node: &Rt) -> ObjRef {
     call_on(sim, node, STEP, |rt| {
         let cm = ConnectionManager::with_clock(CmBudgets::default(), Some(rt.clone()));
-        cm.serve(rt, CM_PORT).expect("baseline cm serves")
+        cm.serve(rt, ports::CMGR).expect("baseline cm serves")
     })
 }
 

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use itv_media::ports;
 use ocs_name::{AlwaysAlive, NsConfig, NsHandle, NsReplica};
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::{NodeRtExt, Rt};
@@ -28,7 +29,7 @@ use crate::{f, report, Table};
 pub(crate) fn ns_group(leg: &Leg) -> Spec<NsReplica> {
     Spec {
         name: "ns",
-        port: 10,
+        port: ports::NS,
         tuning: leg.tuning,
         start: Arc::new(|rt, r: ReplicaConfig| {
             NsReplica::start(rt, NsConfig::with_replication(r), Arc::new(AlwaysAlive))

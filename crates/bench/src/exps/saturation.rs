@@ -23,7 +23,7 @@
 
 use std::time::Duration;
 
-use itv_media::{CmApi, CmApiClient, CmBudgets, ConnectionManager};
+use itv_media::{ports, CmApi, CmApiClient, CmBudgets, ConnectionManager};
 use ocs_name::{NsHandle, RebindPolicy, Rebinding};
 use ocs_orb::{Caller, ClientCtx};
 use ocs_sim::{Addr, LinkParams, NodeId, NodeRt, NodeRtExt, Rt, Sim, SimChan, SimTime};
@@ -31,7 +31,7 @@ use ocs_sim::{Addr, LinkParams, NodeId, NodeRt, NodeRtExt, Rt, Sim, SimChan, Sim
 use crate::json::Json;
 use crate::{f, report, Table};
 
-use super::standalone::{ns_group, NS_PORT};
+use super::standalone::ns_group;
 
 /// Neighborhood count (each gets its own CM servant, as in the trial's
 /// per-neighborhood partitioning).
@@ -93,7 +93,7 @@ pub(crate) fn storm_with(seed: u64, settops: usize, fast: bool, shards: usize) -
         ..ocs_sim::SimConfig::default()
     });
     let ns_nodes = ns_group(&sim, 1, Duration::from_secs(3600));
-    let ns_addr = Addr::new(ns_nodes[0].node(), NS_PORT);
+    let ns_addr = Addr::new(ns_nodes[0].node(), ports::NS);
 
     // Per-neighborhood CM hosts. Head-end trunk capacity is effectively
     // unconstrained at this scale — the experiment measures throughput,
@@ -112,7 +112,7 @@ pub(crate) fn storm_with(seed: u64, settops: usize, fast: bool, shards: usize) -
             Some(Duration::from_secs(600)),
         );
         let obj = cm
-            .serve(node.clone() as Rt, 2000 + n as u16)
+            .serve(node.clone() as Rt, ports::CMGR + n as u16)
             .expect("cm serves");
         servers.push(node.node());
         // Bind the servant once the (single-replica) master is elected.

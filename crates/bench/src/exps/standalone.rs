@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use itv_media::{CmApi, CmBudgets, ConnectionManager};
+use itv_media::{ports, CmApi, CmBudgets, ConnectionManager};
 use ocs_name::{
     advertise, AlwaysAlive, NsConfig, NsHandle, NsReplica, RebindPolicy, Rebinding, ADVERTISE_EVERY,
 };
@@ -24,14 +24,12 @@ use super::failover;
 use super::group::PAPER;
 use crate::{f, Stats, Table};
 
-pub(crate) const NS_PORT: u16 = 10;
-
 /// Starts `n` name-service replicas on fresh nodes; returns their nodes.
 pub(crate) fn ns_group(sim: &Sim, n: usize, audit: Duration) -> Vec<Arc<SimNode>> {
     let nodes: Vec<Arc<SimNode>> = (0..n).map(|i| sim.add_node(&format!("ns{i}"))).collect();
     let peers: Vec<Addr> = nodes
         .iter()
-        .map(|nd| Addr::new(nd.node(), NS_PORT))
+        .map(|nd| Addr::new(nd.node(), ports::NS))
         .collect();
     for (i, node) in nodes.iter().enumerate() {
         let mut cfg = NsConfig::paper_defaults(i as u32, peers.clone());
@@ -44,7 +42,7 @@ pub(crate) fn ns_group(sim: &Sim, n: usize, audit: Duration) -> Vec<Arc<SimNode>
 fn handle(node: &Arc<SimNode>) -> NsHandle {
     NsHandle::new(
         ClientCtx::new(node.clone()),
-        Addr::new(node.node(), NS_PORT),
+        Addr::new(node.node(), ports::NS),
     )
 }
 
@@ -357,7 +355,7 @@ fn storm_once(n_clients: usize, jitter: bool) -> (f64, f64, f64) {
         name: "echo".into(),
         basic: true,
         factory: Arc::new({
-            let ns_addr = Addr::new(nodes[0].node(), NS_PORT);
+            let ns_addr = Addr::new(nodes[0].node(), ports::NS);
             move |ctx: ServiceRunCtx| {
                 let orb = match Orb::new(ctx.rt.clone(), PortReq::Ephemeral) {
                     Ok(o) => o,
@@ -395,11 +393,10 @@ fn storm_once(n_clients: usize, jitter: bool) -> (f64, f64, f64) {
         server.clone() as Rt,
         SscConfig {
             restart_delay: Duration::from_millis(2000),
-            ..SscConfig::default()
         },
         NsHandle::new(
             ClientCtx::new(server.clone()),
-            Addr::new(nodes[0].node(), NS_PORT),
+            Addr::new(nodes[0].node(), ports::NS),
         ),
         vec![svc],
     )
@@ -412,7 +409,7 @@ fn storm_once(n_clients: usize, jitter: bool) -> (f64, f64, f64) {
         let node = &client_nodes[c % client_nodes.len()];
         let ns = NsHandle::new(
             ClientCtx::new(node.clone()),
-            Addr::new(nodes[0].node(), NS_PORT),
+            Addr::new(nodes[0].node(), ports::NS),
         );
         let outages = Arc::clone(&outages);
         let rt: Rt = node.clone();
@@ -608,7 +605,7 @@ pub fn e11() {
     );
     sim.run_until(SimTime::from_secs(5));
     // 100 clients each ask about their own entity every 10 s.
-    let ras_addr = Addr::new(server.node(), RasConfig::default().port);
+    let ras_addr = Addr::new(server.node(), ports::RAS);
     for i in 0..100u32 {
         let node = sim.add_node(&format!("asker{i}"));
         let rt: Rt = node.clone();

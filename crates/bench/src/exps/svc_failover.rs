@@ -20,6 +20,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use itv_media::ports;
 use ocs_name::NsHandle;
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::{Addr, NodeId, NodeRtExt, Rt};
@@ -39,14 +40,13 @@ use crate::{report, Table};
 fn csc_group(leg: &Leg) -> Spec<Csc> {
     Spec {
         name: "csc",
-        port: 15,
+        port: ports::CSC,
         tuning: leg.tuning,
         start: Arc::new(|rt: Rt, rep: ReplicaConfig| {
             let ns = NsHandle::new(ClientCtx::new(rt.clone()), Addr::new(rt.node(), 49));
             let cfg = CscConfig {
                 bind_retry: Duration::from_secs(60),
                 replica: Some(rep),
-                ..CscConfig::default()
             };
             let csc = Csc::new(rt.clone(), cfg, ns);
             let run = Arc::clone(&csc);

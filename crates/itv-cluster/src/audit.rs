@@ -129,11 +129,6 @@ impl AvailabilityAuditor {
         });
     }
 
-    /// Probes recorded so far.
-    pub fn probe_count(&self) -> u64 {
-        self.inner.lock().probes.len() as u64
-    }
-
     /// Derives the campaign report from everything recorded so far.
     pub fn report(&self) -> AvailabilityReport {
         let (mut probes, mut faults) = {

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use itv_media::{
-    ports, BootSvc, Catalog, CmBudgets, CmReplica, CmReplicaConfig, DownloadInfo, FileSvc,
+    names, ports, BootSvc, Catalog, CmBudgets, CmReplica, CmReplicaConfig, DownloadInfo, FileSvc,
     KernelSvc, Mds, Mms, MmsConfig, MovieInfo, Rds, SettopPlan, ShopSvc,
 };
 use itv_settop::{AppCtx, AppSlot, Settop, SettopBootInfo, SettopHandle};
@@ -19,7 +19,7 @@ use ocs_name::{
     ADVERTISE_EVERY,
 };
 use ocs_orb::{ClientCtx, ObjRef, Orb};
-use ocs_ras::{Ras, RasConfig, RasOracle, SettopMgr, SettopMgrConfig};
+use ocs_ras::{Ras, RasConfig, RasOracle, SettopMgr};
 use ocs_sim::{Addr, LinkParams, NodeId, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimNode};
 use ocs_svcctl::{
     Csc, CscConfig, ServiceDef, ServiceRunCtx, Ssc, SscApiClient, SscConfig, SscReplicaConfig,
@@ -115,7 +115,7 @@ impl Cluster {
         for a in &servers_nodes {
             for b in &servers_nodes {
                 if a.node() != b.node() {
-                    sim.set_link(a.node(), b.node(), cfg.server_link);
+                    sim.set_link(a.node(), b.node(), ClusterConfig::SERVER_LINK);
                 }
             }
             for s in &settop_nodes {
@@ -123,8 +123,8 @@ impl Cluster {
                     a.node(),
                     s.node(),
                     LinkParams {
-                        latency: cfg.settop_latency,
-                        bandwidth: Some(cfg.settop_down_bps / 8),
+                        latency: ClusterConfig::SETTOP_LATENCY,
+                        bandwidth: Some(ClusterConfig::SETTOP_DOWN_BPS / 8),
                         loss: 0.0,
                     },
                 );
@@ -132,8 +132,8 @@ impl Cluster {
                     s.node(),
                     a.node(),
                     LinkParams {
-                        latency: cfg.settop_latency,
-                        bandwidth: Some(cfg.settop_up_bps / 8),
+                        latency: ClusterConfig::SETTOP_LATENCY,
+                        bandwidth: Some(ClusterConfig::SETTOP_UP_BPS / 8),
                         loss: 0.0,
                     },
                 );
@@ -153,7 +153,7 @@ impl Cluster {
             catalog.add_movie(MovieInfo {
                 title: format!("movie-{m}"),
                 bitrate_bps: cfg.movie_bitrate_bps,
-                duration_ms: cfg.movie_duration_ms,
+                duration_ms: ClusterConfig::MOVIE_DURATION_MS,
                 replicas,
             });
         }
@@ -167,7 +167,7 @@ impl Cluster {
         });
         catalog.add_download(DownloadInfo {
             name: "shop".into(),
-            size: cfg.shop_app_size,
+            size: ClusterConfig::SHOP_APP_SIZE,
         });
         let nbhds = cfg.neighborhoods().max(1);
         let mut nbhd_map = BTreeMap::new();
@@ -186,7 +186,7 @@ impl Cluster {
         }
 
         // ---- boot broadcast plans -------------------------------------
-        let boot_svc = BootSvc::new(cfg.kernel_size);
+        let boot_svc = BootSvc::new(ClusterConfig::KERNEL_SIZE);
         for (i, s) in settop_nodes.iter().enumerate() {
             let nbhd = i as u32 % nbhds;
             // Each settop uses the name-service replica on "its" server.
@@ -357,7 +357,7 @@ impl Cluster {
             let orb = Orb::new(rt.clone(), PortReq::Fixed(ports::AUTH)).ok()?;
             let obj = orb.export_root(Arc::new(ocs_auth::AuthApiServant(svc)));
             orb.start();
-            Some(vec![(format!("svc/auth/{}", rt.node().0), obj)])
+            Some(vec![(format!("{}/{}", names::AUTH, rt.node().0), obj)])
         }));
 
         // --- basic: RAS ---------------------------------------------------
@@ -369,9 +369,7 @@ impl Cluster {
                 factory: Arc::new(move |ctx: ServiceRunCtx| {
                     let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
                     let rc = RasConfig {
-                        peer_poll_interval: ras_poll,
-                        settop_poll_interval: ras_poll,
-                        ..RasConfig::default()
+                        poll_interval: ras_poll,
                     };
                     let Ok((_ras, ras_ref, cb_ref)) = Ras::start(ctx.rt.clone(), rc, ns) else {
                         return;
@@ -407,7 +405,7 @@ impl Cluster {
                 let orb = Orb::new(rt.clone(), PortReq::Fixed(ports::DB)).ok()?;
                 let obj = orb.export_root(Arc::new(DbApiServant(db)));
                 orb.start();
-                Some(vec![("svc/db".into(), obj)])
+                Some(vec![(names::DB.into(), obj)])
             }));
         }
 
@@ -445,7 +443,6 @@ impl Cluster {
                             id as u32,
                             csc_peers.clone(),
                         )),
-                        ..CscConfig::default()
                     };
                     let csc = Csc::new(ctx.rt.clone(), cc, ns);
                     let notify = ctx.notify_ready.clone();
@@ -456,28 +453,23 @@ impl Cluster {
 
         // --- placed: settop manager ---------------------------------------
         defs.push(held("settop-mgr", false, my_ns, true, |rt| {
-            let cfg = SettopMgrConfig {
-                port: ports::SETTOP_MGR,
-                ..SettopMgrConfig::default()
-            };
-            let (_mgr, obj) = SettopMgr::start(rt.clone(), cfg).ok()?;
-            Some(vec![("svc/settop-mgr".into(), obj)])
+            let (_mgr, obj) = SettopMgr::start(rt.clone()).ok()?;
+            Some(vec![(names::SETTOP_MGR.into(), obj)])
         }));
 
         // --- placed: MDS ----------------------------------------------------
         {
             let catalog = catalog.clone();
-            let max_streams = cfg.mds_max_streams;
             defs.push(held("mds", false, my_ns, false, move |rt| {
-                let (mds, names) = serve_mds(rt, catalog.clone(), max_streams)?;
+                let (mds, bound) = serve_mds(rt, catalog.clone(), ClusterConfig::MDS_MAX_STREAMS)?;
                 // Report load for dynamic selectors.
                 let ns = NsHandle::new(ClientCtx::new(rt.clone()), my_ns);
-                let (path, rt2) = (names[0].0.clone(), rt.clone());
+                let (path, rt2) = (bound[0].0.clone(), rt.clone());
                 rt.spawn_fn("mds-load", move || loop {
                     rt2.sleep(Duration::from_secs(5));
                     let _ = ns.report_load(&path, mds.open_count());
                 });
-                Some(names)
+                Some(bound)
             }));
         }
 
@@ -496,10 +488,6 @@ impl Cluster {
                         ctx.rt.clone(),
                         ns,
                         MmsConfig {
-                            port: ports::MMS,
-                            bind_path: "svc/mms".into(),
-                            mds_ctx: "svc/mds".into(),
-                            cmgr_prefix: "svc/cmgr".into(),
                             bind_retry,
                             ras_poll,
                             reassert_interval: Duration::from_secs(5),
@@ -515,7 +503,6 @@ impl Cluster {
 
         // --- placed: per-neighborhood CM and RDS ------------------------------
         for n in 0..cfg.neighborhoods() {
-            let budgets: CmBudgets = cfg.cm_budgets;
             let bind_retry = cfg.bind_retry;
             // The replica group mirrors the placement table: home server
             // first, then the next two (deduped on small clusters), all
@@ -531,7 +518,7 @@ impl Cluster {
                 }
                 nodes
                     .into_iter()
-                    .map(|nd| Addr::new(nd, 2000 + n as u16))
+                    .map(|nd| Addr::new(nd, ports::CMGR + n as u16))
                     .collect()
             };
             defs.push(ServiceDef {
@@ -547,7 +534,11 @@ impl Cluster {
                     // The lease table is VSR-replicated across the group,
                     // so a fail-over inherits the admission state instead
                     // of waiting for reassertion.
-                    let rc = CmReplicaConfig::paper_defaults(id as u32, cm_peers.clone(), budgets);
+                    let rc = CmReplicaConfig::paper_defaults(
+                        id as u32,
+                        cm_peers.clone(),
+                        CmBudgets::default(),
+                    );
                     let Ok(rep) = CmReplica::start(ctx.rt.clone(), rc) else {
                         return; // Port busy (stale instance); die and retry.
                     };
@@ -561,7 +552,7 @@ impl Cluster {
                     // rewrite it. Backups forward ops to the primary, so
                     // a binding that trails a view change keeps working
                     // as long as it points at a live replica.
-                    let path = format!("svc/cmgr/{n}");
+                    let path = format!("{}/{n}", names::CMGR);
                     advertise(&ns, &path, obj, bind_retry, true, move || rep.is_master());
                     park(&ctx.rt)
                 }),
@@ -569,9 +560,9 @@ impl Cluster {
             let catalog = catalog.clone();
             defs.push(held(format!("rds-{n}"), false, my_ns, false, move |rt| {
                 let obj = Rds::new(catalog.clone())
-                    .serve(rt.clone(), 3000 + n as u16)
+                    .serve(rt.clone(), ports::RDS + n as u16)
                     .ok()?;
-                Some(vec![(format!("svc/rds/{n}"), obj)])
+                Some(vec![(format!("{}/{n}", names::RDS), obj)])
             }));
         }
 
@@ -579,24 +570,23 @@ impl Cluster {
         defs.push(held("shop", false, my_ns, false, |rt| {
             let shop = ShopSvc::new(rt.clone(), Duration::from_millis(2));
             let obj = shop.serve(rt.clone(), ports::SHOP).ok()?;
-            Some(vec![(format!("svc/shop/{}", rt.node().0), obj)])
+            Some(vec![(format!("{}/{}", names::SHOP, rt.node().0), obj)])
         }));
 
         // --- placed: KBS -------------------------------------------------------
         {
-            let kernel_size = cfg.kernel_size;
             let bind_retry = cfg.bind_retry;
             defs.push(ServiceDef {
                 name: "kbs".into(),
                 basic: false,
                 factory: Arc::new(move |ctx: ServiceRunCtx| {
-                    let kbs = KernelSvc::new(kernel_size);
+                    let kbs = KernelSvc::new(ClusterConfig::KERNEL_SIZE);
                     let Ok(obj) = kbs.serve(ctx.rt.clone(), ports::KBS) else {
                         return;
                     };
                     (ctx.notify_ready)(vec![obj]);
                     let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
-                    acquire_primary(&ns, &ctx.rt, "svc/kbs", obj, bind_retry);
+                    acquire_primary(&ns, &ctx.rt, names::KBS, obj, bind_retry);
                     park(&ctx.rt)
                 }),
             });
@@ -607,7 +597,7 @@ impl Cluster {
             let boot_svc = Arc::clone(boot_svc);
             defs.push(held("boot", false, my_ns, true, move |rt| {
                 let obj = boot_svc.serve(rt.clone(), ports::BOOT).ok()?;
-                Some(vec![("svc/boot".into(), obj)])
+                Some(vec![(names::BOOT.into(), obj)])
             }));
         }
 
@@ -618,7 +608,7 @@ impl Cluster {
             let (_svc, root_ref, create_ref) = FileSvc::serve(rt.clone(), ports::FILE).ok()?;
             Some(vec![
                 ("fs".into(), root_ref),
-                ("svc/file".into(), create_ref),
+                (names::FILE.into(), create_ref),
             ])
         }));
 
@@ -635,10 +625,7 @@ impl Cluster {
         );
         let ssc = Ssc::start(
             server.node.clone(),
-            SscConfig {
-                port: ports::SSC,
-                ..SscConfig::default()
-            },
+            SscConfig::default(),
             ns,
             server.registry.clone(),
         )
@@ -668,17 +655,17 @@ impl Cluster {
                     Err(_) => node.sleep(Duration::from_secs(1)),
                 }
             };
-            mk("svc/mds", SelectorSpec::SameServer);
-            mk("svc/auth", SelectorSpec::SameServer);
+            mk(names::MDS, SelectorSpec::SameServer);
+            mk(names::AUTH, SelectorSpec::SameServer);
             mk(
-                "svc/rds",
+                names::RDS,
                 SelectorSpec::Neighborhood {
                     map: nbhd_map.clone(),
                 },
             );
-            mk("svc/shop", SelectorSpec::RoundRobin);
+            mk(names::SHOP, SelectorSpec::RoundRobin);
             loop {
-                match ns.bind_new_context("svc/cmgr") {
+                match ns.bind_new_context(names::CMGR) {
                     Ok(_) | Err(NsError::AlreadyBound { .. }) => break,
                     Err(_) => node.sleep(Duration::from_secs(1)),
                 }
@@ -869,5 +856,5 @@ pub(crate) fn hold(rt: &Rt, my_ns: Addr, names: Names, create_parents: bool) {
 /// Starts an MDS on `rt`'s node; it holds `svc/mds/<node>`.
 pub(crate) fn serve_mds(rt: &Rt, catalog: Catalog, max_streams: u32) -> Option<(Arc<Mds>, Names)> {
     let (mds, obj) = Mds::serve(rt.clone(), ports::MDS, catalog, max_streams).ok()?;
-    Some((mds, vec![(format!("svc/mds/{}", rt.node().0), obj)]))
+    Some((mds, vec![(format!("{}/{}", names::MDS, rt.node().0), obj)]))
 }

@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use itv_media::CmBudgets;
 use ocs_sim::LinkParams;
 
 /// Everything needed to build a cluster.
@@ -15,36 +14,15 @@ pub struct ClusterConfig {
     pub neighborhoods_per_server: u32,
     /// Number of settops to create.
     pub settops: usize,
-    /// Settop downstream link (bits/s). §9.3 cites a download bandwidth
-    /// of 1 MByte/s; §3.1 caps streams at 6 Mbit/s — we use 8 Mbit/s as
-    /// the line rate and let the Connection Manager enforce 6 Mbit/s for
-    /// media.
-    pub settop_down_bps: u64,
-    /// Settop upstream link (bits/s; the trial: 50 kbit/s).
-    pub settop_up_bps: u64,
-    /// Settop link one-way latency.
-    pub settop_latency: Duration,
-    /// Server-to-server (FDDI) link.
-    pub server_link: LinkParams,
     /// Movies in the catalog.
     pub movies: usize,
     /// Movie bit rate (bits/s).
     pub movie_bitrate_bps: u64,
-    /// Movie duration (ms).
-    pub movie_duration_ms: u64,
     /// Content replicas per movie.
     pub movie_replicas: usize,
-    /// Settop kernel image size (bytes).
-    pub kernel_size: u64,
     /// VOD application binary size (bytes). §9.3's "rich" apps take
     /// 2–4 s at 1 MB/s, i.e. 2–4 MB.
     pub vod_app_size: u64,
-    /// Shopping application binary size (bytes).
-    pub shop_app_size: u64,
-    /// MDS stream slots per server.
-    pub mds_max_streams: u32,
-    /// Connection Manager budgets.
-    pub cm_budgets: CmBudgets,
     /// §9.7 knob: backup bind retry interval (10 s deployed).
     pub bind_retry: Duration,
     /// §9.7 knob: name service → RAS audit interval (10 s deployed).
@@ -61,23 +39,10 @@ impl Default for ClusterConfig {
             servers: 3,
             neighborhoods_per_server: 2,
             settops: 12,
-            settop_down_bps: 8_000_000,
-            settop_up_bps: 50_000,
-            settop_latency: Duration::from_millis(2),
-            server_link: LinkParams {
-                latency: Duration::from_micros(300),
-                bandwidth: Some(100_000_000 / 8), // FDDI, bytes/s
-                loss: 0.0,
-            },
             movies: 8,
             movie_bitrate_bps: 4_000_000,
-            movie_duration_ms: 2 * 3600 * 1000,
             movie_replicas: 2,
-            kernel_size: 500_000,
             vod_app_size: 2_500_000,
-            shop_app_size: 1_000_000,
-            mds_max_streams: 40,
-            cm_budgets: CmBudgets::default(),
             bind_retry: Duration::from_secs(10),
             ns_audit: Duration::from_secs(10),
             ras_poll: Duration::from_secs(5),
@@ -108,6 +73,30 @@ impl ClusterConfig {
     pub fn neighborhoods(&self) -> u32 {
         self.servers as u32 * self.neighborhoods_per_server
     }
+
+    /// Settop downstream link (bits/s). §9.3 cites a download bandwidth
+    /// of 1 MByte/s; §3.1 caps streams at 6 Mbit/s — we use 8 Mbit/s as
+    /// the line rate and let the Connection Manager enforce 6 Mbit/s for
+    /// media.
+    pub const SETTOP_DOWN_BPS: u64 = 8_000_000;
+    /// Settop upstream link (bits/s; the trial: 50 kbit/s).
+    pub const SETTOP_UP_BPS: u64 = 50_000;
+    /// Settop link one-way latency.
+    pub const SETTOP_LATENCY: Duration = Duration::from_millis(2);
+    /// Server-to-server (FDDI) link.
+    pub const SERVER_LINK: LinkParams = LinkParams {
+        latency: Duration::from_micros(300),
+        bandwidth: Some(100_000_000 / 8), // FDDI, bytes/s
+        loss: 0.0,
+    };
+    /// Movie duration (ms).
+    pub const MOVIE_DURATION_MS: u64 = 2 * 3600 * 1000;
+    /// Settop kernel image size (bytes).
+    pub const KERNEL_SIZE: u64 = 500_000;
+    /// Shopping application binary size (bytes).
+    pub const SHOP_APP_SIZE: u64 = 1_000_000;
+    /// MDS stream slots per server.
+    pub const MDS_MAX_STREAMS: u32 = 40;
 
     /// Channel numbers for the built-in applications.
     pub const CHANNEL_NAVIGATOR: u32 = 2;

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use itv_media::{
-    ports, Catalog, CmApiClient, CmBudgets, CmUsage, ConnectionManager, Mms, MmsApiClient,
+    names, ports, Catalog, CmApiClient, CmBudgets, CmUsage, ConnectionManager, Mms, MmsApiClient,
     MmsConfig, MovieCtlClient, MovieInfo, MovieTicket, Segment,
 };
 use ocs_name::{
@@ -138,9 +138,9 @@ impl RealCluster {
         // Seed the name space from the driver thread.
         let ns = cluster.ns(0);
         ns.bind_new_context("svc").expect("mk svc");
-        ns.bind_repl_context("svc/mds", SelectorSpec::First)
-            .expect("mk svc/mds");
-        ns.bind_new_context("svc/cmgr").expect("mk svc/cmgr");
+        ns.bind_repl_context(names::MDS, SelectorSpec::First)
+            .expect("mk mds context");
+        ns.bind_new_context(names::CMGR).expect("mk cmgr context");
         cluster
     }
 
@@ -193,11 +193,11 @@ impl RealCluster {
                     Some(rt.clone()),
                     Some(lease_ttl),
                 );
-                let Ok(obj) = cm.serve(rt.clone(), 2000) else {
+                let Ok(obj) = cm.serve(rt.clone(), ports::CMGR) else {
                     return;
                 };
                 let ns = NsHandle::new(ClientCtx::new(rt.clone()), my_ns);
-                acquire_primary(&ns, &rt, "svc/cmgr/0", obj, Duration::from_millis(500));
+                acquire_primary(&ns, &rt, &cm_path(), obj, Duration::from_millis(500));
                 park(&rt)
             }),
         );
@@ -239,10 +239,6 @@ impl RealCluster {
                     rt.clone(),
                     ns,
                     MmsConfig {
-                        port: ports::MMS,
-                        bind_path: "svc/mms".into(),
-                        mds_ctx: "svc/mds".into(),
-                        cmgr_prefix: "svc/cmgr".into(),
                         bind_retry: Duration::from_millis(500),
                         ras_poll: Duration::from_secs(1),
                         reassert_interval,
@@ -275,7 +271,7 @@ impl RealCluster {
                 // The MMS may still be racing for primacy: retry resolve.
                 let deadline = Instant::now() + Duration::from_secs(15);
                 let ticket = loop {
-                    if let Ok(mms_ref) = ns.resolve("svc/mms") {
+                    if let Ok(mms_ref) = ns.resolve(names::MMS) {
                         let ctx =
                             ClientCtx::new(rt.clone()).with_timeout(Duration::from_secs(3));
                         if let Ok(mms) = MmsApiClient::attach(ctx, mms_ref) {
@@ -321,7 +317,7 @@ impl RealCluster {
     /// the driver thread.
     pub fn cm_usage(&self) -> Option<CmUsage> {
         let rt: Rt = self.servers[0].clone();
-        let obj = self.ns(0).resolve("svc/cmgr/0").ok()?;
+        let obj = self.ns(0).resolve(&cm_path()).ok()?;
         let ctx = ClientCtx::new(rt).with_timeout(Duration::from_secs(2));
         let cm = CmApiClient::attach(ctx, obj).ok()?;
         cm.usage().ok()
@@ -329,7 +325,7 @@ impl RealCluster {
 
     /// The MMS's current binding (primary reference) if bound.
     pub fn mms_ref(&self) -> Option<ObjRef> {
-        self.ns(0).resolve("svc/mms").ok()
+        self.ns(0).resolve(names::MMS).ok()
     }
 
     /// Scrapes every node's telemetry servant from the driver thread and
@@ -364,6 +360,12 @@ impl RealCluster {
     pub fn postmortem(&self) -> String {
         ocs_telemetry::render_timeline(&ocs_telemetry::merge_journals(self.journal_events()))
     }
+}
+
+/// Where neighbourhood 0's connection manager, the campaign's one, is
+/// bound.
+fn cm_path() -> String {
+    format!("{}/0", names::CMGR)
 }
 
 /// The name service's replicas: the deployed tuning, a modelled resolve

@@ -67,16 +67,6 @@ impl TelemetrySnapshot {
             .sort_by_key(|s| (s.trace.0, s.start.as_micros(), s.span.0));
         snap
     }
-
-    /// Sum of every merged counter whose name starts with `prefix`.
-    pub fn counters_with_prefix(&self, prefix: &str) -> u64 {
-        self.merged
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| *v)
-            .sum()
-    }
 }
 
 impl Cluster {

@@ -48,5 +48,6 @@ pub use mms::{Mms, MmsApi, MmsApiClient, MmsApiServant, MmsConfig};
 pub use rds::{Rds, RdsApi, RdsApiClient, RdsApiServant};
 pub use shop::{ShopApi, ShopApiClient, ShopApiServant, ShopSvc};
 pub use types::{
-    ports, BootParams, CmUsage, ConnDesc, MdsSession, MdsStatus, MediaError, MovieTicket, Segment,
+    names, ports, BootParams, CmUsage, ConnDesc, MdsSession, MdsStatus, MediaError, MovieTicket,
+    Segment,
 };

@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 use crate::cmgr::CmApiClient;
 use crate::content::{Catalog, MovieInfo};
 use crate::mds::{MdsApiClient, STATUS};
-use crate::types::{ports, ConnDesc, MdsStatus, MediaError, MovieTicket};
+use crate::types::{names, ports, ConnDesc, MdsStatus, MediaError, MovieTicket};
 
 declare_interface! {
     /// The Media Management Service interface.
@@ -50,17 +50,11 @@ declare_interface! {
     }
 }
 
-/// MMS tuning knobs.
+/// MMS tuning knobs. It serves at [`ports::MMS`], races for
+/// [`names::MMS`], and finds its MDS replicas under [`names::MDS`] and
+/// its Connection Managers under [`names::CMGR`].
 #[derive(Clone)]
 pub struct MmsConfig {
-    /// Request port.
-    pub port: u16,
-    /// Primary/backup bind path.
-    pub bind_path: String,
-    /// Replicated context listing the MDS replicas.
-    pub mds_ctx: String,
-    /// Prefix of the per-neighborhood Connection Managers.
-    pub cmgr_prefix: String,
     /// Bind retry interval while backup (§9.7: 10 s).
     pub bind_retry: Duration,
     /// RAS poll interval for settop liveness ("the MMS periodically
@@ -119,7 +113,7 @@ impl Mms {
     /// Service main: export, race for primacy, recover state from the
     /// MDS replicas, then serve until killed.
     pub fn run(self: &Arc<Self>, notify_ready: impl Fn(Vec<ObjRef>)) -> Result<(), MediaError> {
-        let orb = Orb::new(self.rt.clone(), PortReq::Fixed(self.cfg.port)).map_err(|e| {
+        let orb = Orb::new(self.rt.clone(), PortReq::Fixed(ports::MMS)).map_err(|e| {
             MediaError::Dependency {
                 what: e.to_string(),
             }
@@ -130,7 +124,7 @@ impl Mms {
         acquire_primary(
             &self.ns,
             &self.rt,
-            &self.cfg.bind_path,
+            names::MMS,
             self_ref,
             self.cfg.bind_retry,
         );
@@ -143,7 +137,7 @@ impl Mms {
             mms.reassert_all();
             // The replica set is listed afresh once a round: what bounds
             // its age on a node no name-service replica invalidates for.
-            mms.ns.invalidate(&mms.cfg.mds_ctx);
+            mms.ns.invalidate(names::MDS);
             mms.audit_sessions();
         });
         // This process parks; the ORB serves. If it is killed, the whole
@@ -169,7 +163,7 @@ impl Mms {
     /// whether the cache — not the name service, just now — supplied it.
     /// No answer is an empty set.
     fn mds_set(&self) -> (Arc<[Binding]>, bool) {
-        match self.ns.cached::<Arc<[Binding]>>(&self.cfg.mds_ctx) {
+        match self.ns.cached::<Arc<[Binding]>>(names::MDS) {
             Ok((set, origin)) => (set, matches!(origin, Origin::Hit(_))),
             Err(_) => (Arc::from([]), false),
         }
@@ -251,7 +245,7 @@ impl Mms {
         deadline: Option<SimTime>,
         call: impl Fn(&CmApiClient) -> Result<R, MediaError>,
     ) -> Result<R, MediaError> {
-        let path = format!("{}/{}", self.cfg.cmgr_prefix, nbhd);
+        let path = format!("{}/{nbhd}", names::CMGR);
         let dep = |e: &dyn std::fmt::Display| MediaError::Dependency {
             what: e.to_string(),
         };
@@ -509,7 +503,7 @@ impl MmsApi for Mms {
         if from_cache && doubt {
             // The cached set may simply be old. Drop it; and if it left
             // this open with nothing to try, list afresh — once.
-            self.ns.invalidate(&self.cfg.mds_ctx);
+            self.ns.invalidate(names::MDS);
             if candidates.is_empty() {
                 from_cache = false;
                 candidates = self.probe(&self.mds_set().0, &info, budget).0;
@@ -565,7 +559,7 @@ impl MmsApi for Mms {
                     // here — so it goes out under no deadline.
                     let _ = self.with_cm(nbhd, None, |cm| cm.release(conn_id));
                     if from_cache && target_in_doubt(&e) {
-                        self.ns.invalidate(&self.cfg.mds_ctx);
+                        self.ns.invalidate(names::MDS);
                     }
                     last_err = e;
                 }

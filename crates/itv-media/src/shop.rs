@@ -15,7 +15,6 @@ use std::time::Duration;
 
 use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
 use ocs_sim::{NetError, PortReq, Rt, Semaphore};
-use parking_lot::RwLock;
 
 use crate::types::MediaError;
 
@@ -33,7 +32,7 @@ declare_interface! {
 /// The interactive application service.
 pub struct ShopSvc {
     rt: Rt,
-    products: RwLock<Vec<String>>,
+    products: Vec<String>,
     /// Modelled CPU per interaction, serialized per replica.
     service_time: Duration,
     cpu: Semaphore,
@@ -46,19 +45,14 @@ impl ShopSvc {
         Arc::new(ShopSvc {
             cpu: Semaphore::new(&rt, 1),
             rt,
-            products: RwLock::new(vec![
+            products: vec![
                 "sweater".to_string(),
                 "sneakers".to_string(),
                 "pizza".to_string(),
-            ]),
+            ],
             service_time,
             interactions: AtomicU64::new(0),
         })
-    }
-
-    /// Adds a product.
-    pub fn add_product(&self, name: &str) {
-        self.products.write().push(name.to_string());
     }
 
     /// Interactions served (throughput metric for E4).
@@ -84,7 +78,7 @@ impl ShopApi for ShopSvc {
         }
         self.interactions.fetch_add(1, Ordering::Relaxed);
         // A tiny deterministic "screen" state machine.
-        let products = self.products.read();
+        let products = &self.products;
         let screen = match input.as_str() {
             "home" => "menu:browse,search,cart".to_string(),
             "browse" => format!("list:{}", products.join(",")),
@@ -100,7 +94,7 @@ impl ShopApi for ShopSvc {
     }
 
     fn catalog(&self, _caller: &Caller) -> Result<Vec<String>, MediaError> {
-        Ok(self.products.read().clone())
+        Ok(self.products.clone())
     }
 }
 

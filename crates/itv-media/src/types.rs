@@ -1,4 +1,5 @@
-//! Shared wire types, errors and port conventions of the ITV services.
+//! Shared wire types, errors, and the port and name conventions of the
+//! ITV services.
 
 use std::fmt;
 
@@ -8,7 +9,8 @@ use ocs_sim::{Addr, NodeId};
 use ocs_wire::{impl_wire_enum, impl_wire_struct};
 
 /// Well-known service ports, identical on every server (the cluster's
-/// address plan).
+/// address plan). A port an OCS service opens by itself is defined in
+/// its crate and re-exported here.
 pub mod ports {
     /// Name service replicas.
     pub const NS: u16 = 10;
@@ -17,21 +19,23 @@ pub mod ports {
     /// Database service.
     pub const DB: u16 = 12;
     /// Resource Audit Service.
-    pub const RAS: u16 = 13;
-    /// Server Service Controller.
-    pub const SSC: u16 = 14;
-    /// Cluster Service Controller.
-    pub const CSC: u16 = 15;
+    pub use ocs_ras::RAS_PORT as RAS;
     /// Settop Manager.
-    pub const SETTOP_MGR: u16 = 16;
-    /// Connection Manager.
-    pub const CMGR: u16 = 20;
+    pub use ocs_ras::SETTOP_MGR_PORT as SETTOP_MGR;
+    /// Cluster Service Controller.
+    pub use ocs_svcctl::CSC_PORT as CSC;
+    /// Server Service Controller.
+    pub use ocs_svcctl::SSC_PORT as SSC;
+    /// Connection Managers: neighbourhood `n`'s replicas listen at
+    /// `CMGR + n`.
+    pub const CMGR: u16 = 2000;
     /// Media Delivery Service.
     pub const MDS: u16 = 21;
     /// Media Management Service.
     pub const MMS: u16 = 22;
-    /// Reliable Delivery Service.
-    pub const RDS: u16 = 23;
+    /// Reliable Delivery Services: neighbourhood `n`'s listens at
+    /// `RDS + n`.
+    pub const RDS: u16 = 3000;
     /// Boot Broadcast Service.
     pub const BOOT: u16 = 24;
     /// Kernel Broadcast Service.
@@ -45,7 +49,43 @@ pub mod ports {
     /// Settop: media stream receive port.
     pub const SETTOP_STREAM: u16 = 98;
     /// Settop: liveness agent port.
-    pub const SETTOP_AGENT: u16 = 99;
+    pub use ocs_ras::SETTOP_AGENT_PORT as SETTOP_AGENT;
+}
+
+/// Well-known names: where each singleton service, and each context of
+/// per-node or per-neighbourhood services, is bound. Like [`ports`], it
+/// re-exports the OCS services' own.
+pub mod names {
+    /// The Media Management Service primary (§5.2 bind race).
+    pub const MMS: &str = "svc/mms";
+    /// Replicated context of the MDS replicas, `svc/mds/<node>` each.
+    pub const MDS: &str = "svc/mds";
+    /// Context of the Connection Managers, `svc/cmgr/<n>` per
+    /// neighbourhood.
+    pub const CMGR: &str = "svc/cmgr";
+    /// Replicated context of the Reliable Delivery Services,
+    /// `svc/rds/<n>` per neighbourhood, resolved by neighbourhood.
+    pub const RDS: &str = "svc/rds";
+    /// Replicated context of the shopping back ends, `svc/shop/<node>`
+    /// each, resolved round-robin.
+    pub const SHOP: &str = "svc/shop";
+    /// Replicated context of the authentication services,
+    /// `svc/auth/<node>` each.
+    pub const AUTH: &str = "svc/auth";
+    /// The Kernel Broadcast Service primary.
+    pub const KBS: &str = "svc/kbs";
+    /// The Boot Broadcast Service.
+    pub const BOOT: &str = "svc/boot";
+    /// The file service's context-creation object.
+    pub const FILE: &str = "svc/file";
+    /// The database service.
+    pub use ocs_db::DB_PATH as DB;
+    /// The Settop Manager.
+    pub use ocs_ras::SETTOP_MGR_PATH as SETTOP_MGR;
+    /// The Cluster Service Controller group's master.
+    pub use ocs_svcctl::CSC_PATH as CSC;
+    /// Context of the Server Service Controllers, `svc/ssc/<node>` each.
+    pub use ocs_svcctl::SSC_CTX as SSC;
 }
 
 /// Errors shared by the media-path services.

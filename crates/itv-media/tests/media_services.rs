@@ -1,18 +1,22 @@
 //! Direct integration tests of the media services over the simulated
 //! runtime: MDS stream delivery and movie-object lifecycle, capacity
-//! limits, session recovery data, and the file service's naming face.
+//! limits, session recovery data, the file service's naming face, and
+//! the well-known port table.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use itv_media::{
-    Catalog, CmApiClient, CmBudgets, ConnDesc, ConnectionManager, FileApiClient, FileSvc,
-    FileSvcClient, Mds, MdsApiClient, MovieCtlClient, MovieInfo, Segment,
+    ports, Catalog, CmApiClient, CmBudgets, ConnDesc, ConnectionManager, FileApiClient, FileSvc,
+    FileSvcClient, Mds, MdsApiClient, Mms, MmsApiClient, MmsConfig, MovieCtlClient, MovieInfo,
+    Segment,
 };
-use ocs_name::{NamingContextClient, NsError};
-use ocs_orb::{ClientCtx, ObjRef};
-use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimChan, SimTime};
+use ocs_name::{AlwaysAlive, NamingContextClient, NsConfig, NsError, NsHandle, NsReplica};
+use ocs_orb::{ClientCtx, ObjRef, Proxy};
+use ocs_ras::{Ras, RasApiClient, RasConfig, SettopMgr, SettopMgrClient};
+use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimChan, SimTime};
+use ocs_svcctl::{Csc, CscApiClient, CscConfig, Ssc, SscApiClient, SscConfig};
 use ocs_wire::Wire;
 
 fn catalog(server: ocs_sim::NodeId) -> Catalog {
@@ -319,4 +323,139 @@ fn mds_status_runs_inline_and_open_sessions_does_not() {
         assert!(probe(rt).open_sessions().unwrap().is_empty());
     });
     assert_eq!(sessions, (2, 0));
+}
+
+/// A proxy for the root object at `port` on `node`, built from the
+/// address alone.
+fn root_at<P: Proxy>(rt: &Rt, node: NodeId, port: u16) -> P {
+    let target = ObjRef {
+        addr: Addr::new(node, port),
+        incarnation: ObjRef::STABLE,
+        type_id: P::TYPE_ID,
+        object_id: 0,
+    };
+    P::bind_ref(ClientCtx::new(rt.clone()), target).unwrap()
+}
+
+/// The services that open their own port listen where `ports` says:
+/// RAS, SSC, Settop Manager, CSC and MMS are started without naming a
+/// port, and each root object is at, and answers at, its table entry.
+/// The table itself gives no two services one port and puts none inside
+/// the per-neighbourhood CM and RDS ranges.
+#[test]
+fn services_listen_at_the_well_known_ports() {
+    let fixed = [
+        ports::NS,
+        ports::AUTH,
+        ports::DB,
+        ports::RAS,
+        ports::SSC,
+        ports::CSC,
+        ports::SETTOP_MGR,
+        ports::TELEMETRY,
+        ports::MDS,
+        ports::MMS,
+        ports::BOOT,
+        ports::KBS,
+        ports::FILE,
+        ports::SHOP,
+        ports::SETTOP_STREAM,
+        ports::SETTOP_AGENT,
+    ];
+    let mut distinct = fixed.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        fixed.len(),
+        "a port is taken twice: {fixed:?}"
+    );
+    let width = ports::RDS - ports::CMGR;
+    for base in [ports::CMGR, ports::RDS] {
+        let range = base..base + width;
+        assert!(
+            !fixed.iter().any(|p| range.contains(p)),
+            "a port inside {range:?}"
+        );
+    }
+
+    let sim = Sim::new(9);
+    let server = sim.add_node("server");
+    let client = sim.add_node("client");
+    let rt: Rt = server.clone();
+    let ns_addr = Addr::new(server.node(), ports::NS);
+    let ns_cfg = NsConfig::paper_defaults(0, vec![ns_addr]);
+    NsReplica::start(rt.clone(), ns_cfg, Arc::new(AlwaysAlive)).unwrap();
+    let ns = NsHandle::new(ClientCtx::new(rt.clone()), ns_addr);
+    let ssc = Ssc::start(rt.clone(), SscConfig::default(), ns.clone(), vec![]).unwrap();
+    let (_ras, ras_ref, _) = Ras::start(rt.clone(), RasConfig::default(), ns.clone()).unwrap();
+    let (_mgr, mgr_ref) = SettopMgr::start(rt.clone()).unwrap();
+    let csc = Csc::new(rt.clone(), CscConfig::default(), ns.clone());
+    let mms_cfg = MmsConfig {
+        bind_retry: Duration::from_secs(10),
+        ras_poll: Duration::from_secs(10),
+        reassert_interval: Duration::from_secs(5),
+        nbhd_of: Arc::default(),
+    };
+    let mms = Mms::new(rt.clone(), ns, mms_cfg, Catalog::new());
+    let roots: Arc<parking_lot::Mutex<Vec<ObjRef>>> = Arc::default();
+    let slot = Arc::clone(&roots);
+    server.spawn_fn("csc", move || {
+        let _ = csc.run(|objs| slot.lock().extend(objs));
+    });
+    let slot = Arc::clone(&roots);
+    server.spawn_fn("mms", move || {
+        let _ = mms.run(|objs| slot.lock().extend(objs));
+    });
+    sim.run_until(SimTime::from_secs(10));
+
+    let srv = server.node();
+    let mut started: Vec<(u16, ObjRef)> = vec![
+        (ports::SSC, ssc.self_ref()),
+        (ports::RAS, ras_ref),
+        (ports::SETTOP_MGR, mgr_ref),
+    ];
+    let roots = roots.lock().clone();
+    assert_eq!(roots.len(), 2, "the CSC and the MMS each reported one root");
+    for (port, type_id) in [
+        (ports::CSC, CscApiClient::TYPE_ID),
+        (ports::MMS, MmsApiClient::TYPE_ID),
+    ] {
+        let root = roots
+            .iter()
+            .find(|o| o.type_id == type_id)
+            .expect("reported");
+        started.push((port, *root));
+    }
+    for (port, obj) in started {
+        assert_eq!(obj.addr, Addr::new(srv, port), "{obj:?}");
+    }
+    let answered: SimChan<Vec<bool>> = SimChan::new(&sim);
+    let out = answered.clone();
+    let crt: Rt = client.clone();
+    client.spawn_fn("ask", move || {
+        out.send(vec![
+            root_at::<SscApiClient>(&crt, srv, ports::SSC)
+                .ping()
+                .is_ok(),
+            root_at::<RasApiClient>(&crt, srv, ports::RAS)
+                .check_status(vec![])
+                .is_ok(),
+            root_at::<SettopMgrClient>(&crt, srv, ports::SETTOP_MGR)
+                .status(vec![])
+                .is_ok(),
+            root_at::<CscApiClient>(&crt, srv, ports::CSC)
+                .cluster_status()
+                .is_ok(),
+            root_at::<MmsApiClient>(&crt, srv, ports::MMS)
+                .session_count()
+                .is_ok(),
+        ]);
+    });
+    sim.run_for(Duration::from_secs(5));
+    assert_eq!(
+        answered.try_recv(),
+        Some(vec![true; 5]),
+        "SSC, RAS, manager, CSC, MMS"
+    );
 }

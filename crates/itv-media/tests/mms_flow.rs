@@ -29,7 +29,7 @@ use ocs_wire::Wire;
 use parking_lot::Mutex;
 
 const TITLE: &str = "t";
-const CM_PORT: u16 = 2000;
+const CM_PORT: u16 = ports::CMGR;
 const CM_PATH: &str = "svc/cmgr/0";
 /// The MDS's delivery tick.
 const TICK: Duration = Duration::from_millis(500);
@@ -130,10 +130,6 @@ impl World {
             mms_node.clone() as Rt,
             NsHandle::new(ClientCtx::new(mms_node.clone() as Rt), ns_addr),
             MmsConfig {
-                port: ports::MMS,
-                bind_path: "svc/mms".into(),
-                mds_ctx: "svc/mds".into(),
-                cmgr_prefix: "svc/cmgr".into(),
                 bind_retry: Duration::from_millis(500),
                 ras_poll: Duration::from_secs(1),
                 reassert_interval: Duration::from_secs(3600),

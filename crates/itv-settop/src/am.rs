@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use itv_media::{verify_kernel, BootApiClient, KbsApiClient, MediaError, RdsApiClient};
+use itv_media::{names, verify_kernel, BootApiClient, KbsApiClient, MediaError, RdsApiClient};
 use ocs_name::{NsHandle, RebindPolicy, Rebinding};
 use ocs_orb::{BreakerPolicy, CircuitBreaker, ClientCtx, ObjRef, RpcFault};
 use ocs_ras::{AgentRunner, SettopMgrClient, SETTOP_AGENT_PORT};
@@ -115,7 +115,7 @@ fn settop_main(
 ) {
     // 0. The liveness agent, so the Settop Manager can ping us, and the
     //    telemetry servant, so scrapers can poll our counters and spans.
-    let _ = AgentRunner::start(rt.clone(), SETTOP_AGENT_PORT);
+    let _ = AgentRunner::start(rt.clone());
     let _ = ocs_orb::export_telemetry(rt.clone(), itv_media::ports::TELEMETRY);
 
     // 1. Boot parameters (retry until the head end answers).
@@ -138,7 +138,7 @@ fn settop_main(
     // 2. Kernel download + secure-boot verification. The kernel is
     //    large; give the call a transfer-sized timeout.
     let kernel_ok = loop {
-        let kbs: Result<KbsApiClient, _> = ns.resolve_as("svc/kbs");
+        let kbs: Result<KbsApiClient, _> = ns.resolve_as(names::KBS);
         if let Ok(kbs) = kbs {
             let kbs = KbsApiClient::attach(
                 ClientCtx::new(rt.clone()).with_timeout(Duration::from_secs(60)),
@@ -158,7 +158,7 @@ fn settop_main(
 
     // 3. Register with the Settop Manager so the RAS can track us.
     loop {
-        if let Ok(mgr) = ns.resolve_as::<SettopMgrClient>("svc/settop-mgr") {
+        if let Ok(mgr) = ns.resolve_as::<SettopMgrClient>(names::SETTOP_MGR) {
             if mgr.register(rt.node(), SETTOP_AGENT_PORT).is_ok() {
                 break;
             }
@@ -181,7 +181,7 @@ fn settop_main(
     );
     let rds: Rebinding<RdsApiClient> = Rebinding::new(
         ns_long,
-        "svc/rds",
+        names::RDS,
         RebindPolicy {
             retry_interval: Duration::from_secs(1),
             backoff_cap: Duration::from_secs(8),

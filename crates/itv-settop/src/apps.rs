@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use std::sync::Arc;
 
-use itv_media::{ports, MmsApiClient, MovieCtlClient, RdsApiClient, Segment, ShopApiClient};
+use itv_media::{names, ports, MmsApiClient, MovieCtlClient, RdsApiClient, Segment, ShopApiClient};
 use ocs_name::{RebindPolicy, Rebinding};
 use ocs_orb::{BreakerPolicy, CircuitBreaker, ClientCtx, OrbError, RpcFault};
 use ocs_sim::{PortReq, RecvError};
@@ -40,7 +40,7 @@ pub fn run_vod(ctx: &AppCtx, title: &str, watch_ms: u64) -> VodOutcome {
     let metrics = &ctx.metrics;
     let mms: Rebinding<MmsApiClient> = Rebinding::new(
         ctx.ns.clone(),
-        "svc/mms",
+        names::MMS,
         RebindPolicy {
             retry_interval: Duration::from_secs(1),
             backoff_cap: Duration::from_secs(4),
@@ -164,7 +164,7 @@ pub fn run_vod(ctx: &AppCtx, title: &str, watch_ms: u64) -> VodOutcome {
 /// deliver and records the catalog in the settop log.
 pub fn run_navigator(ctx: &AppCtx) -> Vec<String> {
     let rds: Rebinding<RdsApiClient> =
-        Rebinding::new(ctx.ns.clone(), "svc/rds", RebindPolicy::default());
+        Rebinding::new(ctx.ns.clone(), names::RDS, RebindPolicy::default());
     match rds.call(|c| c.list()) {
         Ok(apps) => {
             *ctx.catalog_cache.lock() = apps.clone();
@@ -197,7 +197,7 @@ pub fn run_navigator(ctx: &AppCtx) -> Vec<String> {
 pub fn run_shopping(ctx: &AppCtx, interactions: u32, think: Duration) -> u32 {
     let shop: Rebinding<ShopApiClient> = Rebinding::new(
         ctx.ns.clone(),
-        "svc/shop",
+        names::SHOP,
         RebindPolicy {
             retry_interval: Duration::from_secs(1),
             backoff_cap: Duration::from_secs(4),

@@ -93,11 +93,6 @@ impl SettopMetrics {
     pub fn dropped_events(&self) -> u64 {
         self.events.lock().dropped()
     }
-
-    /// Adds a duration in µs to a counter.
-    pub fn add_us(counter: &Counter, us: u64) {
-        counter.add(us);
-    }
 }
 
 #[cfg(test)]

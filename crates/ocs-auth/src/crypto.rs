@@ -208,18 +208,13 @@ pub fn digest_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-fn hex(digest: &[u8]) -> String {
-    digest.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Hex rendering of a digest (diagnostics and key fingerprints).
-pub fn digest_hex(digest: &[u8]) -> String {
-    hex(digest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(digest: &[u8]) -> String {
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     // FIPS 180-2 test vectors.
     #[test]

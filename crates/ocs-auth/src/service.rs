@@ -96,11 +96,6 @@ impl AuthService {
     pub fn register_principal(&self, principal: &str, key: Bytes) {
         self.principals.lock().insert(principal.to_string(), key);
     }
-
-    /// Number of registered principals.
-    pub fn principal_count(&self) -> usize {
-        self.principals.lock().len()
-    }
 }
 
 impl AuthApi for AuthService {

@@ -89,7 +89,8 @@ impl_wire_struct!(CallBlob {
 pub struct TicketClientAuth {
     rt: Rt,
     principal: String,
-    ticket: Mutex<(Bytes, Bytes)>, // (sealed ticket, session key)
+    sealed_ticket: Bytes,
+    session_key: Bytes,
     /// Encrypt call bodies as well as signing them (§3.3: off by
     /// default, avoiding "the overhead of encryption").
     pub encrypt: bool,
@@ -109,18 +110,10 @@ impl TicketClientAuth {
             nonce: Mutex::new(rt.rand_u64()),
             rt,
             principal,
-            ticket: Mutex::new((sealed_ticket, session_key)),
+            sealed_ticket,
+            session_key,
             encrypt,
         }
-    }
-
-    /// Installs a refreshed ticket (after re-login on expiry).
-    pub fn refresh(&self, sealed_ticket: Bytes, session_key: Bytes) {
-        *self.ticket.lock() = (sealed_ticket, session_key);
-    }
-
-    fn session_key(&self) -> Bytes {
-        self.ticket.lock().1.clone()
     }
 }
 
@@ -130,7 +123,7 @@ impl ClientAuth for TicketClientAuth {
     }
 
     fn seal(&self, body: Bytes) -> (Bytes, Bytes) {
-        let (sealed_ticket, session_key) = self.ticket.lock().clone();
+        let session_key = &self.session_key;
         let nonce = {
             let mut n = self.nonce.lock();
             *n = n.wrapping_add(1);
@@ -139,14 +132,14 @@ impl ClientAuth for TicketClientAuth {
         let _ = &self.rt;
         let body = if self.encrypt {
             let mut b = body.to_vec();
-            keystream_xor(&session_key, nonce, &mut b);
+            keystream_xor(session_key, nonce, &mut b);
             Bytes::from(b)
         } else {
             body
         };
-        let mac = hmac_sha256(&session_key, &body);
+        let mac = hmac_sha256(session_key, &body);
         let blob = CallBlob {
-            sealed_ticket,
+            sealed_ticket: self.sealed_ticket.clone(),
             body_mac: Bytes::copy_from_slice(&mac),
             encrypted: self.encrypt,
             nonce,
@@ -160,8 +153,7 @@ impl ClientAuth for TicketClientAuth {
             return None;
         }
         let (payload, mac) = body.split_at(body.len() - 32);
-        let key = self.session_key();
-        if !digest_eq(&hmac_sha256(&key, payload), mac) {
+        if !digest_eq(&hmac_sha256(&self.session_key, payload), mac) {
             return None;
         }
         Some(Bytes::copy_from_slice(payload))

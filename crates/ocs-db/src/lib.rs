@@ -316,7 +316,10 @@ impl DbApi for Db {
     }
 }
 
-// ---- well-known cluster tables -----------------------------------------
+// ---- well-known name and cluster tables ---------------------------------
+
+/// Name the database service is bound at.
+pub const DB_PATH: &str = "svc/db";
 
 /// Table holding the CSC's static service-placement configuration (§6.2).
 pub const TABLE_SERVICES: &str = "services";
@@ -370,11 +373,6 @@ impl DbTables {
                 })
             })
             .collect()
-    }
-
-    /// Writes one application catalog row.
-    pub fn put_app(db: &DbApiClient, a: &AppEntry) -> Result<(), DbError> {
-        db.put(TABLE_APPS.to_string(), a.name.clone(), a.to_bytes())
     }
 
     /// Reads the application catalog.

@@ -27,7 +27,6 @@ mod replica;
 mod selector;
 mod state;
 mod types;
-mod vsr;
 
 pub use cache::{Cached, ResolveCache};
 pub use client::{

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 
 use ocs_orb::ObjRef;
 use ocs_sim::NodeId;
+use ocs_vsr::Machine;
 use ocs_wire::{impl_wire_enum, impl_wire_struct};
 
 use crate::types::{split_path, Binding, NsError, NsUpdate, SelectorSpec};
@@ -618,6 +619,31 @@ impl NsState {
         self.ctxs.entry(ROOT_CTX).or_insert_with(Context::plain);
         self.next_ctx = snap.next_ctx;
         self.last_seq = snap.last_seq;
+    }
+}
+
+/// The name service's replicated update log is the `ocs-vsr` engine
+/// over this machine: majority commit, view change, state transfer and
+/// recovery probation all live there.
+impl Machine for NsState {
+    type Op = NsUpdate;
+    type Outcome = Result<(), NsError>;
+    type Snap = Snapshot;
+
+    fn apply(&mut self, seq: u64, op: &NsUpdate) -> Result<(), NsError> {
+        NsState::apply(self, seq, op)
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        NsState::snapshot(self)
+    }
+
+    fn restore(&mut self, snap: Snapshot) {
+        NsState::restore(self, snap)
+    }
+
+    fn snap_seq(snap: &Snapshot) -> u64 {
+        snap.last_seq
     }
 }
 

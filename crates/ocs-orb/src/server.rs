@@ -191,11 +191,6 @@ impl Orb {
         self.objects.lock().remove(&object_id);
     }
 
-    /// Number of currently exported objects.
-    pub fn exported_count(&self) -> usize {
-        self.objects.lock().len()
-    }
-
     fn objref_for(&self, object_id: u64, type_id: u32) -> ObjRef {
         ObjRef {
             addr: self.ep.local(),

@@ -23,6 +23,7 @@ use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
 use ocs_sim::{Addr, NetError, NodeId, NodeRtExt, PortReq, Rt};
 use parking_lot::Mutex;
 
+use crate::settop_mgr::SETTOP_MGR_PATH;
 use crate::types::{
     EntityId, EntityStatus, RasApi, RasApiClient, RasApiServant, RasError, SettopMgrClient,
 };
@@ -50,34 +51,28 @@ impl ocs_svcctl::SscCallback for SvcCallbackFace {
     }
 }
 
+/// Request port of the RAS ORB (the same on every server, so the
+/// peer-poll path can construct addresses from node ids).
+pub const RAS_PORT: u16 = 13;
+
+/// Consecutive failed peer polls before a remote node's tracked objects
+/// are declared dead.
+const PEER_POLL_FAILURES: u32 = 2;
+
 /// RAS tuning knobs.
 #[derive(Clone, Debug)]
 pub struct RasConfig {
-    /// Request port of the RAS ORB (the same on every server, so the
-    /// peer-poll path can construct addresses from node ids).
-    pub port: u16,
     /// How often this instance polls peer RAS instances about remote
     /// objects ("currently, each RAS instance polls the others every
-    /// five seconds", §7.2.1).
-    pub peer_poll_interval: Duration,
-    /// How often tracked settops are re-checked against the Settop
-    /// Manager.
-    pub settop_poll_interval: Duration,
-    /// Consecutive failed peer polls before a remote node's tracked
-    /// objects are declared dead.
-    pub peer_poll_failures: u32,
-    /// Name the Settop Manager is bound at.
-    pub settop_mgr_path: String,
+    /// five seconds", §7.2.1), and the Settop Manager about tracked
+    /// settops.
+    pub poll_interval: Duration,
 }
 
 impl Default for RasConfig {
     fn default() -> RasConfig {
         RasConfig {
-            port: 13,
-            peer_poll_interval: Duration::from_secs(5),
-            settop_poll_interval: Duration::from_secs(5),
-            peer_poll_failures: 2,
-            settop_mgr_path: "svc/settop-mgr".to_string(),
+            poll_interval: Duration::from_secs(5),
         }
     }
 }
@@ -124,7 +119,7 @@ impl Ras {
                 peer_failures: HashMap::new(),
             }),
         });
-        let orb = Orb::new(rt.clone(), PortReq::Fixed(cfg.port))?;
+        let orb = Orb::new(rt.clone(), PortReq::Fixed(RAS_PORT))?;
         let ras_ref = orb.export_root(Arc::new(RasApiServant(Arc::clone(&ras))));
         let cb_ref = orb.export(Arc::new(ocs_svcctl::SscCallbackServant(Arc::new(
             SvcCallbackFace(Arc::clone(&ras)),
@@ -184,7 +179,7 @@ impl Ras {
     /// Polls peer RAS instances about tracked remote objects.
     fn peer_poll_loop(self: Arc<Self>) {
         loop {
-            self.rt.sleep(self.cfg.peer_poll_interval);
+            self.rt.sleep(self.cfg.poll_interval);
             // Group tracked remote objects by their home node.
             let by_node: HashMap<NodeId, Vec<EntityId>> = {
                 let st = self.state.lock();
@@ -204,13 +199,12 @@ impl Ras {
             by_node.sort_by_key(|(n, _)| n.0);
             for (node, entities) in by_node {
                 let peer_ref = ObjRef {
-                    addr: Addr::new(node, self.cfg.port),
+                    addr: Addr::new(node, RAS_PORT),
                     incarnation: ObjRef::STABLE,
                     type_id: RasApiClient::TYPE_ID,
                     object_id: 0,
                 };
-                let ctx =
-                    ClientCtx::new(self.rt.clone()).with_timeout(self.cfg.peer_poll_interval / 2);
+                let ctx = ClientCtx::new(self.rt.clone()).with_timeout(self.cfg.poll_interval / 2);
                 let result = RasApiClient::attach(ctx, peer_ref).and_then(|peer| {
                     peer.check_status(entities.clone()).map_err(|e| match e {
                         RasError::Comm { err } => err,
@@ -240,7 +234,7 @@ impl Ras {
                     Err(_) => {
                         let fails = st.peer_failures.entry(node).or_insert(0);
                         *fails += 1;
-                        if *fails >= self.cfg.peer_poll_failures {
+                        if *fails >= PEER_POLL_FAILURES {
                             // The whole server is unreachable: its
                             // objects are dead (§3.5: server crash).
                             for e in &entities {
@@ -258,7 +252,7 @@ impl Ras {
     /// Polls the Settop Manager about tracked settops.
     fn settop_poll_loop(self: Arc<Self>) {
         loop {
-            self.rt.sleep(self.cfg.settop_poll_interval);
+            self.rt.sleep(self.cfg.poll_interval);
             let settops: Vec<NodeId> = {
                 let st = self.state.lock();
                 st.tracked
@@ -272,10 +266,7 @@ impl Ras {
             if settops.is_empty() {
                 continue;
             }
-            let Ok(mgr) = self
-                .ns
-                .resolve_as::<SettopMgrClient>(&self.cfg.settop_mgr_path)
-            else {
+            let Ok(mgr) = self.ns.resolve_as::<SettopMgrClient>(SETTOP_MGR_PATH) else {
                 continue;
             };
             let Ok(statuses) = mgr.status(settops.clone()) else {

@@ -14,26 +14,20 @@ use crate::types::{
     SettopMgrServant,
 };
 
-/// Settop Manager tuning knobs.
-#[derive(Clone, Debug)]
-pub struct SettopMgrConfig {
-    /// Request port of the manager's ORB.
-    pub port: u16,
-    /// Ping period per registered settop.
-    pub ping_interval: Duration,
-    /// Consecutive missed pings before a settop is declared dead.
-    pub ping_failures: u32,
-}
+/// Request port of the manager's ORB.
+pub const SETTOP_MGR_PORT: u16 = 16;
 
-impl Default for SettopMgrConfig {
-    fn default() -> SettopMgrConfig {
-        SettopMgrConfig {
-            port: 16,
-            ping_interval: Duration::from_secs(5),
-            ping_failures: 2,
-        }
-    }
-}
+/// Name the manager is bound at.
+pub const SETTOP_MGR_PATH: &str = "svc/settop-mgr";
+
+/// Port of the liveness agent on every settop.
+pub const SETTOP_AGENT_PORT: u16 = 99;
+
+/// Ping period per registered settop.
+const PING_INTERVAL: Duration = Duration::from_secs(5);
+
+/// Consecutive missed pings before a settop is declared dead.
+const PING_FAILURES: u32 = 2;
 
 struct SettopEntry {
     agent_port: u16,
@@ -45,19 +39,17 @@ struct SettopEntry {
 /// The Settop Manager service.
 pub struct SettopMgr {
     rt: Rt,
-    cfg: SettopMgrConfig,
     settops: Mutex<HashMap<NodeId, SettopEntry>>,
 }
 
 impl SettopMgr {
     /// Starts the manager; returns the instance and its object reference.
-    pub fn start(rt: Rt, cfg: SettopMgrConfig) -> Result<(Arc<SettopMgr>, ObjRef), NetError> {
+    pub fn start(rt: Rt) -> Result<(Arc<SettopMgr>, ObjRef), NetError> {
         let mgr = Arc::new(SettopMgr {
             rt: rt.clone(),
-            cfg: cfg.clone(),
             settops: Mutex::new(HashMap::new()),
         });
-        let orb = Orb::new(rt.clone(), PortReq::Fixed(cfg.port))?;
+        let orb = Orb::new(rt.clone(), PortReq::Fixed(SETTOP_MGR_PORT))?;
         let mgr_ref = orb.export_root(Arc::new(SettopMgrServant(Arc::clone(&mgr))));
         orb.start();
         let m = Arc::clone(&mgr);
@@ -72,7 +64,7 @@ impl SettopMgr {
 
     fn ping_loop(self: Arc<Self>) {
         loop {
-            self.rt.sleep(self.cfg.ping_interval);
+            self.rt.sleep(PING_INTERVAL);
             let mut targets: Vec<(NodeId, u16, u64)> = {
                 let settops = self.settops.lock();
                 settops
@@ -90,7 +82,7 @@ impl SettopMgr {
                     type_id: SettopAgentClient::TYPE_ID,
                     object_id: 0,
                 };
-                let ctx = ClientCtx::new(self.rt.clone()).with_timeout(self.cfg.ping_interval / 2);
+                let ctx = ClientCtx::new(self.rt.clone()).with_timeout(PING_INTERVAL / 2);
                 let alive = SettopAgentClient::attach(ctx, agent_ref)
                     .and_then(|a| {
                         a.ping(seq).map_err(|e| match e {
@@ -106,7 +98,7 @@ impl SettopMgr {
                         e.status = EntityStatus::Alive;
                     } else {
                         e.failures += 1;
-                        if e.failures >= self.cfg.ping_failures {
+                        if e.failures >= PING_FAILURES {
                             e.status = EntityStatus::Dead;
                         }
                     }
@@ -152,12 +144,10 @@ impl SettopMgrApi for SettopMgr {
 /// so a settop "crash" (group kill) silences it.
 pub struct AgentRunner;
 
-/// Default agent port on settops.
-pub const SETTOP_AGENT_PORT: u16 = 99;
-
 impl AgentRunner {
-    /// Opens the agent endpoint and serves pings where they arrive.
-    pub fn start(rt: Rt, port: u16) -> Result<ObjRef, NetError> {
+    /// Opens the agent endpoint at [`SETTOP_AGENT_PORT`] and serves pings
+    /// where they arrive.
+    pub fn start(rt: Rt) -> Result<ObjRef, NetError> {
         struct AgentImpl;
         impl SettopAgent for AgentImpl {
             /// `ping` echoes its argument and holds no state: it never
@@ -172,7 +162,7 @@ impl AgentRunner {
         }
         let orb = Orb::build(
             rt,
-            PortReq::Fixed(port),
+            PortReq::Fixed(SETTOP_AGENT_PORT),
             Some(ObjRef::STABLE),
             Arc::new(ocs_orb::NoAuth),
         )?;

@@ -11,13 +11,12 @@ use ocs_name::{NsConfig, NsHandle, NsReplica};
 use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
 use ocs_ras::{
     AgentRunner, EntityId, EntityStatus, Ras, RasApiClient, RasConfig, RasMonitor, RasOracle,
-    SettopMgr, SettopMgrClient, SettopMgrConfig, SETTOP_AGENT_PORT,
+    SettopMgr, SettopMgrClient, RAS_PORT, SETTOP_AGENT_PORT, SETTOP_MGR_PATH,
 };
 use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimChan, SimNode, SimTime};
 use ocs_svcctl::{ServiceDef, ServiceRunCtx, Ssc, SscApiClient, SscConfig};
 
 const NS_PORT: u16 = 10;
-const RAS_PORT: u16 = 13;
 
 struct Server {
     node: Arc<SimNode>,
@@ -213,7 +212,7 @@ fn settops_tracked_via_settop_manager() {
     let server = boot_server(&sim, "s0", 0, &mut peers, vec![]);
     // Settop manager on the server, bound into the name space.
     let rt: Rt = server.node.clone();
-    let (_mgr, mgr_ref) = SettopMgr::start(rt.clone(), SettopMgrConfig::default()).unwrap();
+    let (_mgr, mgr_ref) = SettopMgr::start(rt.clone()).unwrap();
     let ns = server.ns.clone();
     let node2 = server.node.clone();
     let ssc_ref = server.ssc.self_ref();
@@ -225,7 +224,7 @@ fn settops_tracked_via_settop_manager() {
             .unwrap();
         loop {
             let _ = ns.bind_new_context("svc");
-            if ns.bind("svc/settop-mgr", mgr_ref).is_ok() {
+            if ns.bind(SETTOP_MGR_PATH, mgr_ref).is_ok() {
                 return;
             }
             node2.sleep(Duration::from_secs(1));
@@ -238,7 +237,7 @@ fn settops_tracked_via_settop_manager() {
     let group = settop.spawn_group(
         "settop-sw",
         Box::new(move || {
-            AgentRunner::start(st2.clone(), SETTOP_AGENT_PORT).unwrap();
+            AgentRunner::start(st2.clone()).unwrap();
             loop {
                 st2.sleep(Duration::from_secs(3600));
             }
@@ -248,7 +247,7 @@ fn settops_tracked_via_settop_manager() {
     let ns = server.ns.clone();
     let node2 = server.node.clone();
     server.node.spawn_fn("register", move || loop {
-        if let Ok(mgr) = ns.resolve_as::<SettopMgrClient>("svc/settop-mgr") {
+        if let Ok(mgr) = ns.resolve_as::<SettopMgrClient>(SETTOP_MGR_PATH) {
             if mgr.register(settop_id, SETTOP_AGENT_PORT).is_ok() {
                 return;
             }

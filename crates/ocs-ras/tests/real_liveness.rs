@@ -21,13 +21,12 @@ use std::time::Duration;
 
 use ocs_name::{AlwaysAlive, NsConfig, NsHandle, NsReplica};
 use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
-use ocs_ras::{EntityId, EntityStatus, Ras, RasApiClient, RasConfig, RasOracle};
+use ocs_ras::{EntityId, EntityStatus, Ras, RasApiClient, RasConfig, RasOracle, RAS_PORT};
 use ocs_sim::real::{eventually, RealNet};
 use ocs_sim::{Addr, NodeRt, PortReq, Rt};
 use ocs_svcctl::{ServiceDef, ServiceRunCtx, Ssc, SscApiClient, SscConfig};
 
 const NS_PORT: u16 = 10;
-const RAS_PORT: u16 = 13;
 
 /// A service that exports an object and registers it, then idles until
 /// its group is killed.

@@ -744,13 +744,6 @@ impl RealNet {
         self.refresh_any_faults(&t);
     }
 
-    /// Clears every installed fault (the end-of-campaign guarantee).
-    pub fn heal_all(&self) {
-        let mut t = self.faults.lock();
-        *t = FaultTable::default();
-        self.refresh_any_faults(&t);
-    }
-
     /// Rolls the dice for one frame on `a — b`. Only called while some
     /// fault is installed.
     fn link_verdict(&self, a: NodeId, b: NodeId) -> LinkVerdict {

@@ -203,11 +203,6 @@ impl<T> Queue<T> {
         }
     }
 
-    /// Non-blocking dequeue.
-    pub fn try_pop(&self) -> Option<T> {
-        self.items.lock().pop_front()
-    }
-
     /// Number of queued items.
     pub fn len(&self) -> usize {
         self.items.lock().len()

@@ -19,45 +19,39 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ocs_db::{DbApiClient, DbTables, ServicePlacement};
+use ocs_db::{DbApiClient, DbTables, ServicePlacement, DB_PATH};
 use ocs_name::{advertise, NsHandle, RebindPolicy, Rebinding};
-use ocs_orb::{Caller, ObjRef, OrbError};
+use ocs_orb::{Caller, ObjRef};
 use ocs_sim::{Addr, NetError, NodeId, Rt};
 use parking_lot::Mutex;
 
+use crate::ssc::SSC_CTX;
 use crate::sscrep::{SscReplica, SscReplicaConfig};
 use crate::ssctable::SscUpdate;
 use crate::types::{CscApi, CscApiServant, NodeServices, SscApiClient, SvcError};
 
+/// Request port of every CSC replica's ORB.
+pub const CSC_PORT: u16 = 15;
+
+/// Name under which the group master advertises itself.
+pub const CSC_PATH: &str = "svc/csc";
+
+/// How often the master pings SSCs and reconciles placement.
+const PING_INTERVAL: Duration = Duration::from_secs(2);
+
 /// CSC tuning knobs.
 #[derive(Clone, Debug)]
 pub struct CscConfig {
-    /// Request port of the CSC replica's ORB (used when `replica` is
-    /// `None` and a single-member group is derived at start).
-    pub port: u16,
-    /// Name under which the group master advertises itself.
-    pub bind_path: String,
-    /// Context that holds one SSC binding per node.
-    pub ssc_prefix: String,
-    /// Name the database service is bound at.
-    pub db_path: String,
-    /// How often the master pings SSCs and reconciles placement.
-    pub ping_interval: Duration,
     /// Master-advertisement keeper interval (§9.7: 10 s).
     pub bind_retry: Duration,
     /// The VSR group membership; `None` runs a single-member group on
-    /// this node's `port` (the small-test configuration).
+    /// this node's [`CSC_PORT`] (the small-test configuration).
     pub replica: Option<SscReplicaConfig>,
 }
 
 impl Default for CscConfig {
     fn default() -> CscConfig {
         CscConfig {
-            port: 15,
-            bind_path: "svc/csc".to_string(),
-            ssc_prefix: "svc/ssc".to_string(),
-            db_path: "svc/db".to_string(),
-            ping_interval: Duration::from_secs(2),
             bind_retry: Duration::from_secs(10),
             replica: None,
         }
@@ -95,7 +89,7 @@ impl Csc {
     pub fn new(rt: Rt, cfg: CscConfig, ns: NsHandle) -> Arc<Csc> {
         let db = Rebinding::new(
             ns.clone(),
-            cfg.db_path.clone(),
+            DB_PATH,
             RebindPolicy {
                 retry_interval: Duration::from_secs(1),
                 backoff_cap: Duration::from_secs(4),
@@ -141,15 +135,15 @@ impl Csc {
     /// spawns the master-advertisement keeper, then reconciles while
     /// master until killed. Run inside an SSC-managed process group.
     pub fn run(self: &Arc<Self>, notify_ready: impl Fn(Vec<ObjRef>)) -> Result<(), NetError> {
-        // The reconcile and keeper loops sleep these intervals between
-        // passes; zero would busy-spin the loop at one virtual instant
-        // (the same no-clock hazard the CM's `with_lease` refuses).
+        // The keeper loop sleeps this interval between passes; zero would
+        // busy-spin it at one virtual instant (the same no-clock hazard
+        // the CM's `with_lease` refuses).
         assert!(
-            !self.cfg.ping_interval.is_zero() && !self.cfg.bind_retry.is_zero(),
-            "csc: ping_interval and bind_retry must be nonzero"
+            !self.cfg.bind_retry.is_zero(),
+            "csc: bind_retry must be nonzero"
         );
         let rep_cfg = self.cfg.replica.clone().unwrap_or_else(|| {
-            SscReplicaConfig::paper_defaults(0, vec![Addr::new(self.rt.node(), self.cfg.port)])
+            SscReplicaConfig::paper_defaults(0, vec![Addr::new(self.rt.node(), CSC_PORT)])
         });
         let rep = SscReplica::start(
             self.rt.clone(),
@@ -158,14 +152,14 @@ impl Csc {
         )?;
         *self.rep.lock() = Some(Arc::clone(&rep));
         notify_ready(vec![rep.root_ref()]);
-        // The group master holds `bind_path` (a stable reference, so
+        // The group master holds `svc/csc` (a stable reference, so
         // only it can rewrite the binding); backups forward sequenced
         // ops to the master, so a marginally stale binding keeps working
         // through a fail-over.
         let krep = Arc::clone(&rep);
         advertise(
             &self.ns,
-            &self.cfg.bind_path,
+            CSC_PATH,
             rep.root_ref(),
             self.cfg.bind_retry,
             true,
@@ -176,13 +170,13 @@ impl Csc {
                 self.seed_from_db(&rep);
                 self.reconcile(&rep);
             }
-            self.rt.sleep(self.cfg.ping_interval);
+            self.rt.sleep(PING_INTERVAL);
         }
     }
 
     /// SSC bindings as `(node, client)`, from the name service.
     fn sscs(&self) -> Vec<(NodeId, SscApiClient)> {
-        let Ok(bindings) = self.ns.list(&self.cfg.ssc_prefix) else {
+        let Ok(bindings) = self.ns.list(SSC_CTX) else {
             return Vec::new();
         };
         bindings
@@ -331,7 +325,7 @@ impl Csc {
                 }
                 Err(e) => last = e,
             }
-            self.rt.sleep(self.cfg.ping_interval / 4);
+            self.rt.sleep(PING_INTERVAL / 4);
         }
         Err(last)
     }
@@ -486,18 +480,12 @@ impl CscApi for Csc {
 }
 
 /// Convenience: resolve the primary CSC through the name service.
-pub fn csc_client(ns: &NsHandle, path: &str) -> Result<crate::types::CscApiClient, SvcError> {
-    ns.resolve_as::<crate::types::CscApiClient>(path)
+pub fn csc_client(ns: &NsHandle) -> Result<crate::types::CscApiClient, SvcError> {
+    ns.resolve_as::<crate::types::CscApiClient>(CSC_PATH)
         .map_err(|e| match e {
             ocs_name::NsError::Comm { err } => SvcError::Comm { err },
             other => SvcError::Dependency {
                 what: other.to_string(),
             },
         })
-}
-
-/// Guard against accidentally unused import of OrbError in signatures.
-#[allow(dead_code)]
-fn _orb_error_is_used(e: OrbError) -> OrbError {
-    e
 }

@@ -18,8 +18,8 @@ mod sscrep;
 mod ssctable;
 mod types;
 
-pub use csc::{csc_client, Csc, CscConfig};
-pub use ssc::{ServiceDef, ServiceFactory, ServiceRunCtx, Ssc, SscConfig};
+pub use csc::{csc_client, Csc, CscConfig, CSC_PATH, CSC_PORT};
+pub use ssc::{ServiceDef, ServiceFactory, ServiceRunCtx, Ssc, SscConfig, SSC_CTX, SSC_PORT};
 pub use sscrep::{SscReplica, SscReplicaConfig};
 pub use ssctable::{DownMark, SscSnapshot, SscTable, SscUpdate, SvcRecord, TOKEN_WINDOW};
 pub use types::{

@@ -43,28 +43,27 @@ pub struct ServiceDef {
     pub basic: bool,
 }
 
+/// Request port of the SSC's ORB.
+pub const SSC_PORT: u16 = 14;
+
+/// Context that holds one SSC binding per server, `"<ctx>/<node-id>"`.
+pub const SSC_CTX: &str = "svc/ssc";
+
+/// Monitor loop period (service-death detection latency is at most this
+/// plus the restart delay).
+const MONITOR_INTERVAL: Duration = Duration::from_secs(1);
+
 /// SSC tuning knobs.
 #[derive(Clone, Debug)]
 pub struct SscConfig {
-    /// Request port of the SSC's ORB.
-    pub port: u16,
-    /// Monitor loop period (service-death detection latency is at most
-    /// this plus the restart delay).
-    pub monitor_interval: Duration,
     /// Grace period before restarting a dead service.
     pub restart_delay: Duration,
-    /// Path prefix under which the SSC binds itself (the full name is
-    /// `"<prefix>/<node-id>"`).
-    pub bind_prefix: String,
 }
 
 impl Default for SscConfig {
     fn default() -> SscConfig {
         SscConfig {
-            port: 14,
-            monitor_interval: Duration::from_millis(1000),
-            restart_delay: Duration::from_millis(1000),
-            bind_prefix: "svc/ssc".to_string(),
+            restart_delay: Duration::from_secs(1),
         }
     }
 }
@@ -92,20 +91,18 @@ pub struct Ssc {
 impl Ssc {
     /// Starts the SSC: opens its ORB, spawns the monitor loop, launches
     /// the basic services, and keeps (re)binding itself into the name
-    /// service as `"<prefix>/<node-id>"`.
+    /// service as `svc/ssc/<node-id>`.
     pub fn start(
         rt: Rt,
         cfg: SscConfig,
         ns: NsHandle,
         registry: Vec<ServiceDef>,
     ) -> Result<Arc<Ssc>, NetError> {
-        // The monitor loop advances only by sleeping these
-        // intervals; zero would busy-spin it at one virtual
-        // instant (the same no-clock hazard the CM's `with_lease`
-        // refuses). Refuse rather than default silently.
+        // Zero would leave a crash-looping service no grace period at
+        // all; refuse it rather than default silently.
         assert!(
-            !cfg.monitor_interval.is_zero() && !cfg.restart_delay.is_zero(),
-            "ssc: monitor_interval and restart_delay must be nonzero"
+            !cfg.restart_delay.is_zero(),
+            "ssc: restart_delay must be nonzero"
         );
         let ssc = Arc::new(Ssc {
             started_at: rt.now(),
@@ -134,7 +131,7 @@ impl Ssc {
             callbacks: Mutex::new(Vec::new()),
             self_ref: Mutex::new(None),
         });
-        let orb = Orb::new(rt.clone(), PortReq::Fixed(cfg.port))?;
+        let orb = Orb::new(rt.clone(), PortReq::Fixed(SSC_PORT))?;
         let self_ref =
             orb.export_root(Arc::new(SscApiServant(Arc::new(SscFace(Arc::clone(&ssc))))));
         *ssc.self_ref.lock() = Some(self_ref);
@@ -142,7 +139,7 @@ impl Ssc {
         let weak = Arc::downgrade(&ssc);
         rt.spawn_fn("ssc-monitor", move || monitor_loop(weak));
         // The name service may not even be up yet during §6.3 step 2.
-        let path = format!("{}/{}", cfg.bind_prefix, rt.node().0);
+        let path = format!("{SSC_CTX}/{}", rt.node().0);
         advertise(&ns, &path, self_ref, ADVERTISE_EVERY, true, || true);
         Ok(ssc)
     }
@@ -240,7 +237,6 @@ impl Ssc {
 fn monitor_loop(ssc: Weak<Ssc>) {
     let Some(first) = ssc.upgrade() else { return };
     let rt = first.rt.clone();
-    let interval = first.cfg.monitor_interval;
     let restart_delay = first.cfg.restart_delay;
     // Launch basic services immediately (§6.3 step 2).
     let mut basics: Vec<String> = first
@@ -258,7 +254,7 @@ fn monitor_loop(ssc: Weak<Ssc>) {
     }
     drop(first);
     loop {
-        rt.sleep(interval);
+        rt.sleep(MONITOR_INTERVAL);
         let Some(ssc) = ssc.upgrade() else { return };
         let now = rt.now();
         // Collect deaths and restarts under the lock; fire callbacks and

@@ -193,31 +193,30 @@ fn ssc_stop_service_kills_group_and_reports_down() {
     assert_eq!(lives.load(Ordering::Relaxed), 1);
 }
 
-// The controllers' loops advance only by sleeping their configured
-// intervals; a zero interval would busy-spin at one virtual instant
-// (the no-clock hazard the CM's `with_lease` refuses). Both must be
-// refused loudly at start, not defaulted silently.
+// A zero restart delay or keeper interval is refused loudly at start,
+// not defaulted silently: the first would give a crash-looping service
+// no grace period, the second would busy-spin the keeper at one virtual
+// instant (the no-clock hazard the CM's `with_lease` refuses).
 #[test]
-#[should_panic(expected = "ssc: monitor_interval and restart_delay must be nonzero")]
-fn ssc_refuses_zero_monitor_interval() {
+#[should_panic(expected = "ssc: restart_delay must be nonzero")]
+fn ssc_refuses_zero_restart_delay() {
     let sim = Sim::new(9);
     let server = sim.add_node("server0");
     let ns = ns_handle(&server, Addr::new(server.node(), NS_PORT));
     let cfg = SscConfig {
-        monitor_interval: Duration::ZERO,
-        ..SscConfig::default()
+        restart_delay: Duration::ZERO,
     };
     let _ = Ssc::start(server.clone() as Rt, cfg, ns, vec![]);
 }
 
 #[test]
-#[should_panic(expected = "csc: ping_interval and bind_retry must be nonzero")]
-fn csc_refuses_zero_ping_interval() {
+#[should_panic(expected = "csc: bind_retry must be nonzero")]
+fn csc_refuses_zero_bind_retry() {
     let sim = Sim::new(10);
     let server = sim.add_node("server0");
     let ns = ns_handle(&server, Addr::new(server.node(), NS_PORT));
     let cfg = CscConfig {
-        ping_interval: Duration::ZERO,
+        bind_retry: Duration::ZERO,
         ..CscConfig::default()
     };
     let csc = Csc::new(server.clone() as Rt, cfg, ns);
@@ -332,7 +331,7 @@ fn csc_places_services_and_handles_node_recovery() {
     let done2 = done.clone();
     let (from, to) = (n1.node(), n0.node());
     n0.spawn_fn("operator", move || {
-        let csc = ocs_svcctl::csc_client(&ns0, "svc/csc").unwrap();
+        let csc = ocs_svcctl::csc_client(&ns0).unwrap();
         done2.send(csc.move_service("worker".to_string(), from, to));
     });
     sim.run_until(SimTime::from_secs(120));

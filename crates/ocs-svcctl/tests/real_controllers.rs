@@ -24,7 +24,7 @@ use ocs_sim::real::{eventually, RealNet};
 use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq, Rt};
 use ocs_svcctl::{
     csc_client, Csc, CscConfig, ServiceDef, ServiceRunCtx, Ssc, SscApiClient, SscCallback,
-    SscCallbackServant, SscConfig, SscReplicaConfig, SvcError,
+    SscCallbackServant, SscConfig, SscReplicaConfig, SvcError, CSC_PORT,
 };
 use ocs_vsr::group::{Group, Spec};
 use parking_lot::Mutex;
@@ -194,7 +194,7 @@ fn csc_group_survives_primary_kill_on_real_runtime() {
         ns_node,
         Spec {
             name: "csc",
-            port: CscConfig::default().port,
+            port: CSC_PORT,
             tuning: |i, peers| {
                 let mut rc = SscReplicaConfig::paper_defaults(i, peers);
                 rc.heartbeat_interval = Duration::from_millis(200);
@@ -205,10 +205,8 @@ fn csc_group_survives_primary_kill_on_real_runtime() {
             start: Arc::new(move |rt: Rt, rc| {
                 let ns = NsHandle::new(ClientCtx::new(rt.clone()), ns_addr);
                 let ccfg = CscConfig {
-                    ping_interval: Duration::from_millis(500),
                     bind_retry: Duration::from_millis(500),
                     replica: Some(rc),
-                    ..CscConfig::default()
                 };
                 let csc = Csc::new(rt.clone(), ccfg, ns);
                 let runner = Arc::clone(&csc);
@@ -227,10 +225,10 @@ fn csc_group_survives_primary_kill_on_real_runtime() {
         "no unique CSC master elected"
     );
     assert!(
-        eventually(Duration::from_secs(10), || csc_client(&ns0, "svc/csc").is_ok()),
+        eventually(Duration::from_secs(10), || csc_client(&ns0).is_ok()),
         "master never advertised at svc/csc"
     );
-    let client = csc_client(&ns0, "svc/csc").unwrap();
+    let client = csc_client(&ns0).unwrap();
 
     // Sequence a definition and one explicit placement, with
     // client-chosen retry tokens.
@@ -272,7 +270,7 @@ fn csc_group_survives_primary_kill_on_real_runtime() {
     // original decision epoch: the placement was not doubled.
     assert!(
         eventually(Duration::from_secs(10), || {
-            let Ok(fresh) = csc_client(&ns0, "svc/csc") else {
+            let Ok(fresh) = csc_client(&ns0) else {
                 return false;
             };
             matches!(
