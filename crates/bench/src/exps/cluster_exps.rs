@@ -275,6 +275,8 @@ pub fn e13() {
     println!("\nE13. Settop-crash resource reclamation vs MMS RAS-poll interval (§3.5.1)");
     println!("    chain: settop-mgr pings -> RAS -> MMS poll -> close movie + release VC\n");
     let mut t = Table::new(&["mms poll (s)", "reclaimed after (s)"]);
+    // Per poll interval; NaN where `usage()` never reached 0 allocations.
+    let mut reclaims = Vec::new();
     for poll in [5u64, 10, 20] {
         let mut cfg = ClusterConfig::small();
         cfg.mms_ras_poll = Duration::from_secs(poll);
@@ -309,10 +311,15 @@ pub fn e13() {
             }
         }
         t.row(&[poll.to_string(), f(reclaimed, 0)]);
+        reclaims.push(reclaimed);
         report::put_metrics("metrics", &cluster.telemetry_snapshot().merged);
         report::add_virtual_secs(sim.now().as_secs_f64());
     }
     t.print();
+    let unreclaimed = reclaims.iter().filter(|r| r.is_nan()).count();
+    let max = reclaims.iter().copied().fold(f64::NAN, f64::max);
+    report::put("max_reclaim_s", Json::F64(max));
+    report::put("unreclaimed", Json::U64(unreclaimed as u64));
     report::put("table", t.to_json());
     println!("    shape: mid-stream crashes hit the delivery-failure fast path,");
     println!("    so reclamation beats the poll chain regardless of the interval.");
@@ -341,6 +348,12 @@ pub fn e14() {
     sim.run_for(Duration::from_secs(60));
     let m = &settop.handle.metrics;
     let after = m.interactions.get();
+    let errors = m
+        .events
+        .lock()
+        .iter()
+        .filter(|(_, e)| e.contains("shopping failed"))
+        .count();
     let mut t = Table::new(&[
         "interactions before kill",
         "after both restarts",
@@ -351,14 +364,10 @@ pub fn e14() {
         before.to_string(),
         after.to_string(),
         m.rebinds.get().to_string(),
-        (m.events
-            .lock()
-            .iter()
-            .filter(|(_, e)| e.contains("shopping failed"))
-            .count())
-        .to_string(),
+        errors.to_string(),
     ]);
     t.print();
+    report::put("client_errors", Json::U64(errors as u64));
     report::put_metrics("metrics", &cluster.telemetry_snapshot().merged);
     report::add_virtual_secs(sim.now().as_secs_f64());
     report::put("table", t.to_json());

@@ -246,8 +246,8 @@ impl ConnectionManager {
 impl CmApi for ConnectionManager {
     /// Every method takes the table mutex — never held across a wait —
     /// computes, journals and returns, so the runtime may run each one
-    /// where its request arrives. (The replicated manager's commits wait
-    /// for the log; its view keeps the default.)
+    /// where its request arrives. (So does the replicated manager's:
+    /// its updates are answered by the ack that commits them.)
     fn runs_inline(&self, _method: u32) -> bool {
         true
     }

@@ -31,9 +31,10 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ocs_orb::Caller;
+use ocs_orb::{Caller, OrbError};
 use ocs_sim::{Addr, NetError, NodeId, Rt, SimTime};
 use ocs_vsr::{Refusal, Replica, ReplicaConfig, Replicated, VsrEvent};
+use ocs_wire::Wire;
 use parking_lot::Mutex;
 
 use crate::cmgr::{CmAccountRow, CmApi, CmApiServant, CmBudgets, CmMetrics};
@@ -227,65 +228,101 @@ impl CmReplica {
     }
 }
 
-/// Servant view of the client-facing `CmApi`.
+/// Servant view of the client-facing `CmApi`. All five methods run where
+/// the request arrives: the two reads answer at once from local state,
+/// and the three updates are answered by the ack that commits them.
 struct ApiView {
     rep: Arc<Replica<CmTable>>,
 }
 
+impl ApiView {
+    /// Submits `op` and, once it is decided, answers the request with
+    /// `finish(outcome)` through its reply. The view is only served over
+    /// the ORB, so there is always a reply to take.
+    fn commit<T: Wire + Default + Send + 'static>(
+        &self,
+        caller: &Caller,
+        op: CmUpdate,
+        finish: impl FnOnce(&Replica<CmTable>, CmOutcome) -> Result<T, MediaError> + Send + 'static,
+    ) -> Result<T, MediaError> {
+        let reply = caller.reply_later().ok_or_else(|| MediaError::Comm {
+            err: OrbError::Internal {
+                what: "an update needs a request's reply to answer at commit".to_string(),
+            },
+        })?;
+        let done = move |rep: &Replica<CmTable>, out| reply.send(finish(rep, out));
+        self.rep.submit_then(op, Box::new(done));
+        Ok(T::default()) // Not sent: the commit answers.
+    }
+}
+
+/// What one committed `CmUpdate` yields.
+type CmOutcome = Result<u64, MediaError>;
+
 impl CmApi for ApiView {
+    fn runs_inline(&self, _method: u32) -> bool {
+        true
+    }
+
     fn allocate(
         &self,
-        _caller: &Caller,
+        caller: &Caller,
         token: u64,
         settop: NodeId,
         server: NodeId,
         down_bps: u64,
     ) -> Result<u64, MediaError> {
-        let out = self.rep.submit(CmUpdate::Allocate {
+        let op = CmUpdate::Allocate {
             token,
             settop,
             server,
             down_bps,
             now_us: 0,
-        });
-        match &out {
-            Ok(conn) => {
-                self.rep.ctx().metrics.accepted.inc();
-                self.rep.ctx().metrics.journal.record(
-                    self.rep.rt().now(),
+        };
+        self.commit(caller, op, move |rep, out| {
+            let metrics = &rep.ctx().metrics;
+            match &out {
+                Ok(conn) => {
+                    metrics.accepted.inc();
+                    metrics.journal.record(
+                        rep.rt().now(),
+                        "cm",
+                        format!("lease granted: conn {conn} settop {settop} {down_bps} bps"),
+                    );
+                }
+                Err(MediaError::NoBandwidth) => metrics.rejected.inc(),
+                Err(_) => {}
+            }
+            out
+        })
+    }
+
+    fn release(&self, caller: &Caller, conn: u64) -> Result<(), MediaError> {
+        self.commit(caller, CmUpdate::Release { conn, now_us: 0 }, |rep, out| {
+            if out.is_ok() {
+                rep.ctx().metrics.released.inc();
+            }
+            out.map(|_| ())
+        })
+    }
+
+    fn reassert(&self, caller: &Caller, desc: ConnDesc) -> Result<(), MediaError> {
+        let known = self.rep.read(|c| c.state().allocation(desc.conn).is_some());
+        let (conn, settop) = (desc.conn, desc.settop);
+        let op = CmUpdate::Reassert { desc, now_us: 0 };
+        self.commit(caller, op, move |rep, out| {
+            if out.is_ok() && !known {
+                rep.ctx().metrics.reasserted.inc();
+                rep.ctx().metrics.journal.record(
+                    rep.rt().now(),
                     "cm",
-                    format!("lease granted: conn {conn} settop {settop} {down_bps} bps"),
+                    format!(
+                        "lease reasserted: conn {conn} settop {settop} re-admitted after restart"
+                    ),
                 );
             }
-            Err(MediaError::NoBandwidth) => self.rep.ctx().metrics.rejected.inc(),
-            Err(_) => {}
-        }
-        out
-    }
-
-    fn release(&self, _caller: &Caller, conn: u64) -> Result<(), MediaError> {
-        let out = self.rep.submit(CmUpdate::Release { conn, now_us: 0 });
-        if out.is_ok() {
-            self.rep.ctx().metrics.released.inc();
-        }
-        out.map(|_| ())
-    }
-
-    fn reassert(&self, _caller: &Caller, desc: ConnDesc) -> Result<(), MediaError> {
-        let known = self.rep.read(|c| c.state().allocation(desc.conn).is_some());
-        let out = self.rep.submit(CmUpdate::Reassert { desc, now_us: 0 });
-        if out.is_ok() && !known {
-            self.rep.ctx().metrics.reasserted.inc();
-            self.rep.ctx().metrics.journal.record(
-                self.rep.rt().now(),
-                "cm",
-                format!(
-                    "lease reasserted: conn {} settop {} re-admitted after restart",
-                    desc.conn, desc.settop
-                ),
-            );
-        }
-        out.map(|_| ())
+            out.map(|_| ())
+        })
     }
 
     fn usage(&self, _caller: &Caller) -> Result<CmUsage, MediaError> {

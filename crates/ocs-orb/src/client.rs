@@ -159,9 +159,10 @@ impl ClientCtx {
                     what: e.to_string(),
                 })?;
             let (deadline, _) = self.effective_deadline()?;
-            let r = self.send_request(&*ep, target, method, args, true, deadline, ctx);
+            let request_id = self.rt.rand_u64();
+            let r = self.send_request(&*ep, request_id, target, method, args, true, deadline, ctx);
             ep.close();
-            r.map(|_| ())
+            r
         })();
         self.finish_span(ctx, parent, "notify", start, r.is_err());
         r
@@ -225,19 +226,21 @@ impl ClientCtx {
         }
     }
 
+    /// Sends one request frame from `ep`; its reply, if any, comes back
+    /// to `ep` under `request_id` (a draw from the node's random stream).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_request(
         &self,
         ep: &dyn ocs_sim::Endpoint,
+        request_id: u64,
         target: &ObjRef,
         method: u32,
         args: Bytes,
         oneway: bool,
         deadline: SimTime,
         span: SpanCtx,
-    ) -> Result<u64, OrbError> {
+    ) -> Result<(), OrbError> {
         let (body, auth_blob) = self.auth.seal(args);
-        let request_id = self.rt.rand_u64();
         let req = Request {
             request_id,
             object_id: target.object_id,
@@ -264,8 +267,7 @@ impl ClientCtx {
             err => OrbError::Transport {
                 what: err.to_string(),
             },
-        })?;
-        Ok(request_id)
+        })
     }
 
     fn call_on(
@@ -285,7 +287,8 @@ impl ClientCtx {
                 OrbError::Timeout
             }
         };
-        let request_id = self.send_request(ep, target, method, args, oneway, deadline, span)?;
+        let request_id = self.rt.rand_u64();
+        self.send_request(ep, request_id, target, method, args, oneway, deadline, span)?;
         loop {
             let now = self.rt.now();
             if now >= deadline {

@@ -17,9 +17,12 @@
 /// Generates:
 ///
 /// * `pub trait Name: Send + Sync` — implemented by the service; every
-///   method receives the authenticated [`Caller`](crate::Caller) first.
-///   A provided `runs_inline(method)` (default `false`) is where the
-///   service says which methods never wait for another message.
+///   method receives the authenticated [`Caller`](crate::Caller) first,
+///   and may take the request's reply from it to answer later
+///   ([`Caller::reply_later`](crate::Caller::reply_later), typed
+///   `Result<Ok, Err>`). A provided `runs_inline(method)` (default
+///   `false`) is where the service says which methods never wait for
+///   another message.
 /// * `pub struct NameClient` — the proxy; same methods minus the caller,
 ///   returning `Result<Ok, Err>` where transport failures are folded into
 ///   `Err` via [`RpcFault`](crate::RpcFault).
@@ -202,6 +205,9 @@ macro_rules! declare_interface {
                                 what: e.to_string(),
                             })?;
                             let r: Result<$ok, $err> = self.0.$method(caller $(, $arg)*);
+                            if caller.replies_later() {
+                                return Ok($crate::bytes::Bytes::new()); // Not sent.
+                            }
                             Ok($crate::ocs_wire::Wire::to_bytes(&r))
                         }
                     )*

@@ -18,6 +18,7 @@
 mod auth;
 mod client;
 mod interface;
+mod port;
 mod resilience;
 mod scatter;
 mod server;
@@ -26,6 +27,7 @@ mod types;
 
 pub use auth::{ClientAuth, NamedPrincipal, NoAuth, ServerAuth};
 pub use client::{CallOpts, ClientCtx};
+pub use port::{CallPort, OnReply};
 pub use resilience::{
     Admission, BreakerObserver, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy,
 };
@@ -35,7 +37,7 @@ pub use telemetry::{
     bind_breaker, export_telemetry, telemetry_ref, NodeTelemetryService, TelemetryApi,
     TelemetryClient, TelemetryError, TelemetryServant,
 };
-pub use types::{Caller, ObjRef, OrbError, Proxy, RpcFault};
+pub use types::{Caller, ObjRef, OrbError, Proxy, ReplyTo, RpcFault};
 
 // Re-exported so generated code can reference them from user crates.
 pub use bytes;

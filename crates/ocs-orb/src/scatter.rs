@@ -10,15 +10,9 @@
 //! to a closure in arrival order until the closure says
 //! [`Gather::Enough`]. A quorum caller stops at the first majority and
 //! never waits on a slow, partitioned or dead peer.
-//!
-//! Replies still owed when the caller has heard enough need not bounce
-//! off a closed port: [`Scatter::park`] detaches the endpoint from the
-//! calling process, and whoever holds the parked scatter drains it later
-//! with [`Scatter::poll`] (non-blocking) until [`Scatter::is_done`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use ocs_sim::{Addr, Endpoint, PortReq, RecvError, SimTime};
@@ -59,10 +53,6 @@ pub struct Scatter {
     waiting: Vec<Waiting>,
     /// Outcomes decided but not yet handed to a closure.
     ready: VecDeque<(usize, Result<Bytes, OrbError>)>,
-    /// Whether outcomes still record client spans (until parked).
-    traced: bool,
-    /// Parked and not yet adopted by a polling process.
-    parked: bool,
 }
 
 impl ClientCtx {
@@ -103,8 +93,6 @@ impl ClientCtx {
             },
             waiting: Vec::with_capacity(targets.len()),
             ready: VecDeque::new(),
-            traced: true,
-            parked: false,
         };
         for (index, target) in targets.iter().enumerate() {
             let (span, parent) = self.span_for_call();
@@ -115,8 +103,19 @@ impl ClientCtx {
                 span,
                 parent,
             };
-            match self.send_request(&*sc.ep, target, method, args.clone(), false, deadline, span) {
-                Ok(request_id) => sc.waiting.push(w(request_id)),
+            let request_id = self.rt.rand_u64();
+            let sent = self.send_request(
+                &*sc.ep,
+                request_id,
+                target,
+                method,
+                args.clone(),
+                false,
+                deadline,
+                span,
+            );
+            match sent {
+                Ok(()) => sc.waiting.push(w(request_id)),
                 Err(e) => sc.settle(w(0), Err(e)),
             }
         }
@@ -131,54 +130,13 @@ impl Scatter {
     /// then told `Timeout`/`DeadlineExpired`). May be called again to
     /// resume.
     pub fn gather(&mut self, mut on_reply: impl FnMut(usize, Result<Bytes, OrbError>) -> Gather) {
-        self.pump(true, &mut on_reply);
-    }
-
-    /// Hands over whatever has arrived since the last call, without
-    /// blocking; past the deadline, the silent targets time out. The
-    /// first poll of a parked scatter adopts its endpoint into the
-    /// polling process.
-    pub fn poll(&mut self, mut on_reply: impl FnMut(usize, Result<Bytes, OrbError>)) {
-        if std::mem::take(&mut self.parked) {
-            self.ep.adopt();
-        }
-        self.pump(false, &mut |i, r| {
-            on_reply(i, r);
-            Gather::More
-        });
-    }
-
-    /// Whether every target's outcome has been delivered.
-    pub fn is_done(&self) -> bool {
-        self.waiting.is_empty() && self.ready.is_empty()
-    }
-
-    /// Detaches the scatter from the calling process so it outlives it:
-    /// the caller has its answer, and the replies still owed are to be
-    /// [`poll`](Scatter::poll)ed by someone else instead of bouncing.
-    /// The outstanding targets' client spans end here — the call is over
-    /// as far as its caller is concerned.
-    pub fn park(&mut self) {
-        self.close_spans(false);
-        self.ep.disown();
-        self.parked = true;
-    }
-
-    fn close_spans(&mut self, err: bool) {
-        if std::mem::take(&mut self.traced) {
-            for w in &self.waiting {
-                self.ctx
-                    .finish_span(w.span, w.parent, &self.op, self.start, err);
-            }
-        }
+        self.pump(&mut on_reply);
     }
 
     /// Records a target's outcome and queues it for delivery.
     fn settle(&mut self, w: Waiting, result: Result<Bytes, OrbError>) {
-        if self.traced {
-            self.ctx
-                .finish_span(w.span, w.parent, &self.op, self.start, result.is_err());
-        }
+        self.ctx
+            .finish_span(w.span, w.parent, &self.op, self.start, result.is_err());
         self.ready.push_back((w.index, result));
     }
 
@@ -192,11 +150,7 @@ impl Scatter {
         }
     }
 
-    fn pump(
-        &mut self,
-        block: bool,
-        on_reply: &mut dyn FnMut(usize, Result<Bytes, OrbError>) -> Gather,
-    ) {
+    fn pump(&mut self, on_reply: &mut dyn FnMut(usize, Result<Bytes, OrbError>) -> Gather) {
         loop {
             while let Some((index, result)) = self.ready.pop_front() {
                 if on_reply(index, result) == Gather::Enough {
@@ -212,12 +166,7 @@ impl Scatter {
                 self.settle_where(|_| true, &expired);
                 continue;
             }
-            let wait = if block {
-                self.deadline - now
-            } else {
-                Duration::ZERO
-            };
-            match self.ep.recv(Some(wait)) {
+            match self.ep.recv(Some(self.deadline - now)) {
                 Ok((_from, msg)) => {
                     let Some(reply) = parse_reply(&msg) else {
                         continue; // Stray or corrupt frame.
@@ -238,11 +187,7 @@ impl Scatter {
                 Err(RecvError::Unreachable(addr)) => {
                     self.settle_where(|w| w.addr == addr, &OrbError::ObjectDead);
                 }
-                Err(RecvError::TimedOut) => {
-                    if !block {
-                        return;
-                    }
-                }
+                Err(RecvError::TimedOut) => {}
                 Err(RecvError::Closed) => {
                     let closed = OrbError::Transport {
                         what: "reply endpoint closed".to_string(),
@@ -257,7 +202,10 @@ impl Scatter {
 impl Drop for Scatter {
     fn drop(&mut self) {
         // Targets abandoned without an outcome count as failed calls.
-        self.close_spans(true);
+        for w in &self.waiting {
+            self.ctx
+                .finish_span(w.span, w.parent, &self.op, self.start, true);
+        }
         self.ep.close();
     }
 }

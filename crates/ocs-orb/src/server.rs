@@ -8,10 +8,10 @@
 //! §3.2.1 lifetime rule for object references.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
-use ocs_sim::{Addr, Endpoint, NetError, PortReq, Rt};
+use ocs_sim::{Addr, Endpoint, NetError, PortReq, Rt, SimTime};
 use ocs_telemetry::{CtxGuard, NodeTelemetry, Span, SpanCtx, SpanId, TraceId};
 use ocs_wire::Wire;
 
@@ -26,7 +26,10 @@ pub trait Servant: Send + Sync {
     fn type_id(&self) -> u32;
 
     /// Unmarshals arguments, invokes the method, and returns the
-    /// marshalled reply body (a wire-encoded `Result<T, E>`).
+    /// marshalled reply body (a wire-encoded `Result<T, E>`) — unless
+    /// the method took the reply to answer later
+    /// ([`Caller::reply_later`]), in which case what it returns is not
+    /// sent.
     fn dispatch(&self, caller: &Caller, method: u32, args: &[u8]) -> Result<Bytes, OrbError>;
 
     /// The interface's type name string, for server span names
@@ -43,7 +46,9 @@ pub trait Servant: Send + Sync {
 
     /// Whether `method` never waits for another message: no nested call,
     /// no receive, no sleep, no wait on a sync object — it computes, at
-    /// most takes a lock nobody holds across such a wait, and returns.
+    /// most takes a lock nobody holds across such a wait, sends, and
+    /// returns. A method that takes its reply to answer when some later
+    /// message arrives ([`Caller::reply_later`]) waits for nothing.
     /// The ORB lets the runtime run such a request where it arrives ([`Endpoint::serve`]'s `inline`) instead
     /// of in a process of its own: on TCP's connection reader, and in the
     /// simulator on the thread stepping the kernel — which panics if the
@@ -59,6 +64,59 @@ struct Exported {
     servant: Arc<dyn Servant>,
 }
 
+/// The reply a request is owed: where it goes, and the server span that
+/// ends when it leaves. The ORB sends it when the servant returns, or the
+/// servant takes it to send later ([`Caller::reply_later`]).
+pub(crate) struct Answer {
+    orb: Weak<Orb>,
+    to: Addr,
+    request_id: u64,
+    oneway: bool,
+    span: Option<ServerSpan>,
+}
+
+/// A traced request's server span, open until its reply leaves.
+struct ServerSpan {
+    ctx: SpanCtx,
+    parent: SpanId,
+    name: String,
+    start: SimTime,
+}
+
+impl Answer {
+    /// Ends the server span and sends `result` to the caller (nothing
+    /// for a one-way request, or once the ORB is gone).
+    pub(crate) fn send(self, principal: &str, result: Result<Bytes, OrbError>) {
+        let Some(orb) = self.orb.upgrade() else {
+            return;
+        };
+        if let Some(s) = self.span {
+            orb.tel.tracer.record(Span {
+                trace: s.ctx.trace,
+                span: s.ctx.span,
+                parent: s.parent,
+                name: s.name,
+                node: orb.rt.node(),
+                start: s.start,
+                end: orb.rt.now(),
+                err: result.is_err(),
+            });
+        }
+        if self.oneway {
+            return;
+        }
+        let result = result.map(|body| orb.auth.seal_reply(principal, body));
+        let reply = Reply {
+            request_id: self.request_id,
+            result,
+        };
+        let mut e = orb.pool.encoder(64);
+        e.put_u8(FRAME_REPLY);
+        reply.encode_into(&mut e);
+        let _ = orb.ep.send(self.to, e.finish());
+    }
+}
+
 /// The per-process object request broker.
 ///
 /// Every request runs in a fresh process ([`Endpoint::serve`]); handlers
@@ -70,6 +128,8 @@ struct Exported {
 /// request, with no server process woken in between. A method its
 /// servant says [`runs_inline`](Servant::runs_inline) gets no process at
 /// all: it runs on the reader, or on the simulator's stepping thread.
+/// Either way the reply leaves when the method returns, or — if the
+/// method took it ([`Caller::reply_later`]) — whenever it is sent.
 pub struct Orb {
     rt: Rt,
     ep: Arc<dyn Endpoint>,
@@ -261,7 +321,7 @@ impl Orb {
             .is_some_and(|e| e.servant.runs_inline(method))
     }
 
-    fn handle_frame(&self, from: Addr, msg: Bytes) {
+    fn handle_frame(self: &Arc<Self>, from: Addr, msg: Bytes) {
         let Some(&kind) = msg.first() else {
             return;
         };
@@ -277,13 +337,7 @@ impl Orb {
         self.handle_request(from, req);
     }
 
-    fn handle_request(&self, from: Addr, mut req: Request) {
-        let oneway = req.oneway;
-        let request_id = req.request_id;
-        let caller = Caller {
-            principal: std::mem::take(&mut req.principal),
-            node: from.node,
-        };
+    fn handle_request(self: &Arc<Self>, from: Addr, mut req: Request) {
         // The one object-table lookup of the request.
         let servant = self
             .objects
@@ -304,33 +358,30 @@ impl Orb {
                 Some(s) => format!("server:{}.{}", s.type_name(), s.method_name(req.method)),
                 None => format!("server:obj{}.m{}", req.object_id, req.method),
             };
-            (ctx, parent.span, name, self.rt.now())
+            ServerSpan {
+                ctx,
+                parent: parent.span,
+                name,
+                start: self.rt.now(),
+            }
         });
+        let guard_ctx = span.as_ref().map(|s| s.ctx);
+        let answer = Answer {
+            orb: Arc::downgrade(self),
+            to: from,
+            request_id: req.request_id,
+            oneway: req.oneway,
+            span,
+        };
+        let caller = Caller::serving(std::mem::take(&mut req.principal), from.node, Some(answer));
         let result = {
-            let _guard = span.as_ref().map(|(ctx, _, _, _)| CtxGuard::enter(*ctx));
+            let _guard = guard_ctx.map(CtxGuard::enter);
             self.dispatch_request(&caller, req, servant)
         };
-        if let Some((ctx, parent, name, start)) = span {
-            self.tel.tracer.record(Span {
-                trace: ctx.trace,
-                span: ctx.span,
-                parent,
-                name,
-                node: self.rt.node(),
-                start,
-                end: self.rt.now(),
-                err: result.is_err(),
-            });
+        // Unless the servant took the reply to answer later.
+        if let Some(answer) = caller.take_answer() {
+            answer.send(&caller.principal, result);
         }
-        if oneway {
-            return;
-        }
-        let result = result.map(|body| self.auth.seal_reply(&caller.principal, body));
-        let reply = Reply { request_id, result };
-        let mut e = self.pool.encoder(64);
-        e.put_u8(FRAME_REPLY);
-        reply.encode_into(&mut e);
-        let _ = self.ep.send(from, e.finish());
     }
 
     fn dispatch_request(

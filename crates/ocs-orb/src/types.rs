@@ -2,10 +2,15 @@
 //! references, callers, errors and the request/reply frames.
 
 use std::fmt;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use bytes::Bytes;
 use ocs_sim::{Addr, NodeId};
 use ocs_wire::{impl_wire_enum, impl_wire_struct, Decoder, Encoder, Wire};
+use parking_lot::Mutex;
+
+use crate::server::Answer;
 
 /// A reference to a remote (or local) object, exactly as §3.2.1 of the
 /// paper describes it:
@@ -56,23 +61,107 @@ impl_wire_struct!(ObjRef {
 
 /// The authenticated identity of a request's sender, surfaced to every
 /// servant method (the paper: "each incoming call on an object contains
-/// the caller's identity", §9.2).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// the caller's identity", §9.2) — and the request's reply, which a
+/// method may take to answer later ([`Caller::reply_later`]).
 pub struct Caller {
     /// Verified principal name ("anonymous" when authentication is off).
     pub principal: String,
     /// The node the request arrived from; selectors use this the way the
     /// paper's selectors use the caller's IP address (§5.1).
     pub node: NodeId,
+    /// The reply the ORB sends when the method returns, unless the
+    /// method took it. Empty for an in-process call.
+    reply: Mutex<Option<Answer>>,
+    /// Whether the method took it ([`Caller::reply_later`]).
+    taken: AtomicBool,
 }
 
 impl Caller {
-    /// A caller value for in-process (non-RPC) invocations.
+    /// A caller value for in-process (non-RPC) invocations: there is no
+    /// reply to take, so a method answers by returning.
     pub fn local(node: NodeId) -> Caller {
+        Caller::serving("local".to_string(), node, None)
+    }
+
+    pub(crate) fn serving(principal: String, node: NodeId, reply: Option<Answer>) -> Caller {
         Caller {
-            principal: "local".to_string(),
+            principal,
             node,
+            reply: Mutex::new(reply),
+            taken: AtomicBool::new(false),
         }
+    }
+
+    /// Takes the reply of the request being served, so the method can
+    /// return now and answer later — from any thread of its node —
+    /// through the handle. `R` is the method's declared result, whose
+    /// bytes the handle sends (`Result<Ok, Err>` for a
+    /// [`declare_interface!`](crate::declare_interface) method). Once the
+    /// reply is taken, what the method returns is not sent.
+    ///
+    /// `None` when there is no reply to take: an in-process call
+    /// ([`Caller::local`]), or one already taken.
+    pub fn reply_later<R: Wire>(&self) -> Option<ReplyTo<R>> {
+        let answer = self.reply.lock().take()?;
+        self.taken.store(true, Ordering::Relaxed);
+        Some(ReplyTo {
+            answer,
+            principal: self.principal.clone(),
+            _result: PhantomData,
+        })
+    }
+
+    /// Whether the method took the request's reply — never so for an
+    /// in-process call, which answers by returning.
+    pub fn replies_later(&self) -> bool {
+        self.taken.load(Ordering::Relaxed)
+    }
+
+    /// The reply the ORB still owes when the method has returned.
+    pub(crate) fn take_answer(&self) -> Option<Answer> {
+        self.reply.lock().take()
+    }
+}
+
+/// A copy is the same identity with no reply to take.
+impl Clone for Caller {
+    fn clone(&self) -> Caller {
+        Caller::serving(self.principal.clone(), self.node, None)
+    }
+}
+
+impl PartialEq for Caller {
+    fn eq(&self, other: &Caller) -> bool {
+        (&self.principal, self.node) == (&other.principal, other.node)
+    }
+}
+
+impl Eq for Caller {}
+
+impl fmt::Debug for Caller {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Caller")
+            .field("principal", &self.principal)
+            .field("node", &self.node)
+            .finish()
+    }
+}
+
+/// A request's reply, taken by its servant ([`Caller::reply_later`]) to
+/// be sent when the answer is known. It sends the bytes the generated
+/// dispatch would have sent for the same `R`, and ends the request's
+/// server span as it leaves. Dropped unsent, it sends nothing: the
+/// caller sees what a servant that died mid-request leaves it.
+pub struct ReplyTo<R> {
+    answer: Answer,
+    principal: String,
+    _result: PhantomData<fn(R)>,
+}
+
+impl<R: Wire> ReplyTo<R> {
+    /// Sends the answer.
+    pub fn send(self, result: R) {
+        self.answer.send(&self.principal, Ok(result.to_bytes()));
     }
 }
 

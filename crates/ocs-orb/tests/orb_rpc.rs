@@ -10,7 +10,7 @@ use ocs_orb::{
     declare_interface, impl_rpc_fault, Caller, ClientCtx, ObjRef, Orb, OrbError, Servant,
 };
 use ocs_sim::{NodeRt, NodeRtExt, PortReq, Sim, SimChan, SimTime};
-use ocs_wire::impl_wire_enum;
+use ocs_wire::{impl_wire_enum, Encoder, Wire};
 
 #[derive(Debug, PartialEq, Clone)]
 pub enum EchoError {
@@ -141,6 +141,25 @@ fn thousand_calls_start_a_handful_of_threads() {
     // client and one worker at a time, not a thread per request.
     let threads = sim.kernel_stats().threads_spawned;
     assert!(threads < 10, "{threads} threads for {served} request processes");
+}
+
+/// An in-process dispatch has no reply to take: the generated servant
+/// returns the method's encoded result, as it does over the ORB.
+#[test]
+fn an_in_process_dispatch_answers_by_returning() {
+    let sim = Sim::new(12);
+    let node = sim.add_node("server");
+    let servant = EchoServant(Arc::new(EchoImpl {
+        rt: node.clone(),
+        calls: AtomicU64::new(0),
+    }));
+    let mut args = Encoder::new();
+    20u64.encode_into(&mut args);
+    22u64.encode_into(&mut args);
+    let caller = Caller::local(node.node());
+    let body = servant.dispatch(&caller, 2, &args.finish()).unwrap();
+    assert!(!caller.replies_later());
+    assert_eq!(<Result<u64, EchoError>>::from_bytes(&body), Ok(Ok(42)));
 }
 
 #[test]

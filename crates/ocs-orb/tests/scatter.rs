@@ -1,18 +1,20 @@
 //! The ORB's scatter-gather call on both runtimes: arrival-order
-//! delivery, early stop without a bounce, a dead target that does not
-//! abort the gather, and one deadline for the whole call. (The
-//! stale-reply case needs hand-built frames and lives beside the
-//! implementation, in `src/scatter.rs`.)
+//! delivery, early stop, a dead target that does not abort the gather,
+//! and one deadline for the whole call — and the same calls from a `CallPort`,
+//! whose replies are handled where they land. (The stale-reply case
+//! needs hand-built frames and lives beside the implementation, in
+//! `src/scatter.rs`.)
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ocs_orb::{
-    declare_interface, impl_rpc_fault, Caller, ClientCtx, Gather, ObjRef, Orb, OrbError,
+    declare_interface, impl_rpc_fault, CallPort, Caller, ClientCtx, Gather, ObjRef, Orb, OrbError,
 };
 use ocs_sim::real::{eventually, RealNet};
 use ocs_sim::{LinkParams, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimChan, SimTime};
 use ocs_wire::{impl_wire_enum, Wire};
+use parking_lot::Mutex;
 
 #[derive(Debug, PartialEq, Clone)]
 pub enum TagError {
@@ -117,7 +119,6 @@ fn sim_replies_are_delivered_in_arrival_order() {
             out2.send((i, answer(reply), rt.now().as_micros()));
             Gather::More
         });
-        assert!(sc.is_done());
     });
     rig.sim.run_until(SimTime::from_secs(1));
     let got: Vec<_> = std::iter::from_fn(|| out.try_recv()).collect();
@@ -130,50 +131,81 @@ fn sim_replies_are_delivered_in_arrival_order() {
 }
 
 #[test]
-fn sim_early_stop_parks_the_stragglers_and_bounces_nothing() {
-    let rig = sim_rig(2);
-    let parked: Arc<parking_lot::Mutex<Option<ocs_orb::Scatter>>> = Default::default();
-    let first: SimChan<(usize, u64)> = SimChan::new(&rig.sim);
-    let (first2, slot, targets, rt) = (
-        first.clone(),
-        Arc::clone(&parked),
-        rig.targets.clone(),
-        rig.client.clone() as Rt,
-    );
-    // The caller hears one answer, parks the rest and exits — which
-    // would close an endpoint it still owned.
-    rig.client.spawn_fn("caller", move || {
+fn sim_gather_returns_at_the_first_answer_when_told_enough() {
+    let rig = sim_rig(5);
+    let out: SimChan<(usize, Result<u64, OrbError>, u64)> = SimChan::new(&rig.sim);
+    let returned: SimChan<u64> = SimChan::new(&rig.sim);
+    let (out2, returned2) = (out.clone(), returned.clone());
+    let (targets, rt) = (rig.targets.clone(), rig.client.clone() as Rt);
+    rig.client.spawn_fn("client", move || {
         let ctx = ClientCtx::new(rt.clone());
         let mut sc = ctx
-            .scatter(&targets, TAG_METHOD, salt(0), "test.tag.tag")
+            .scatter(&targets, TAG_METHOD, salt(4), "test.tag.tag")
             .unwrap();
-        sc.gather(|i, _| {
-            first2.send((i, rt.now().as_micros()));
+        sc.gather(|i, reply| {
+            out2.send((i, answer(reply), rt.now().as_micros()));
             Gather::Enough
         });
-        assert!(!sc.is_done());
-        sc.park();
-        *slot.lock() = Some(sc);
-    });
-    rig.sim.run_until(SimTime::from_millis(3));
-    assert_eq!(first.try_recv(), Some((1, 2_000)));
-    assert_eq!(first.try_recv(), None, "gather stopped at the first answer");
-
-    // Someone else drains it: nothing yet at 3 ms, the rest by 10 ms.
-    let late: SimChan<(usize, Result<u64, OrbError>)> = SimChan::new(&rig.sim);
-    let (late2, slot, rt) = (late.clone(), Arc::clone(&parked), rig.client.clone() as Rt);
-    rig.client.spawn_fn("drainer", move || {
-        let mut sc = slot.lock().take().expect("parked scatter");
-        sc.poll(|i, reply| late2.send((i, answer(reply))));
-        assert!(!sc.is_done(), "stragglers still in flight");
-        rt.sleep(Duration::from_millis(7));
-        sc.poll(|i, reply| late2.send((i, answer(reply))));
-        assert!(sc.is_done());
+        returned2.send(rt.now().as_micros());
     });
     rig.sim.run_until(SimTime::from_secs(1));
-    let got: Vec<_> = std::iter::from_fn(|| late.try_recv()).collect();
-    assert_eq!(got, vec![(2, Ok(20)), (0, Ok(0))]);
-    assert_eq!(rig.sim.net_stats().bounces, 0, "no reply met a closed port");
+    let got: Vec<_> = std::iter::from_fn(|| out.try_recv()).collect();
+    // The stragglers' replies land at 4 and 6 ms: neither is handed
+    // over, and the gather does not wait for them.
+    assert_eq!(got, vec![(1, Ok(14), 2_000)]);
+    assert_eq!(returned.try_recv(), Some(2_000));
+}
+
+/// What a test port's handler saw: each call's token, its answer, and
+/// when (virtual µs, or the thread it ran on over TCP).
+type Landed<W> = Arc<Mutex<Vec<(usize, Result<u64, OrbError>, W)>>>;
+
+/// A `CallPort` on `rt` whose handler records what lands, stamped by
+/// `when`.
+fn port_on<W: Send + 'static>(
+    ctx: ClientCtx,
+    when: impl Fn() -> W + Send + Sync + 'static,
+) -> (Arc<CallPort<usize>>, Landed<W>) {
+    let landed: Landed<W> = Arc::default();
+    let log = Arc::clone(&landed);
+    let on_reply = move |i, reply| log.lock().push((i, answer(reply), when()));
+    (CallPort::open(ctx, Box::new(on_reply)).unwrap(), landed)
+}
+
+/// The same three calls from a `CallPort`: each reply is handed over at
+/// its arrival with no process waiting for it, a dead target's bounce
+/// settles that call alone, and a silent one times out when its owner
+/// expires it.
+#[test]
+fn sim_call_port_hands_each_reply_over_where_it_lands() {
+    let rig = sim_rig(2);
+    rig.orbs[1].shutdown();
+    rig.sim.crash_node(rig.servers[2].node());
+    let rt = rig.client.clone() as Rt;
+    let ctx = ClientCtx::new(rt.clone()).with_timeout(Duration::from_millis(200));
+    let (port, landed) = port_on(ctx, move || rt.now().as_micros());
+    let op: Arc<str> = Arc::from("test.tag.tag");
+    for (i, target) in rig.targets.iter().enumerate() {
+        port.call(target, TAG_METHOD, salt(3), &op, i);
+    }
+    let spawns = rig.sim.kernel_stats().spawns;
+    rig.sim.run_until(SimTime::from_millis(199));
+    port.expire(SimTime::from_millis(199));
+    assert_eq!(
+        *landed.lock(),
+        vec![(1, Err(OrbError::ObjectDead), 2_000), (0, Ok(3), 6_000)]
+    );
+    assert_eq!(
+        rig.sim.kernel_stats().spawns - spawns,
+        1,
+        "only server 0's handler"
+    );
+    rig.sim.run_until(SimTime::from_millis(200));
+    port.expire(rig.sim.now());
+    assert_eq!(
+        landed.lock().last(),
+        Some(&(2, Err(OrbError::Timeout), 200_000))
+    );
 }
 
 #[test]
@@ -218,7 +250,6 @@ fn sim_one_deadline_bounds_the_whole_call() {
             out2.send((i, answer(reply), rt.now().as_micros()));
             Gather::More
         });
-        assert!(sc.is_done());
     });
     rig.sim.run_until(SimTime::from_secs(1));
     let got: Vec<_> = std::iter::from_fn(|| out.try_recv()).collect();
@@ -258,11 +289,11 @@ fn real_rig(holds_ms: [u64; 3]) -> (Arc<RealNet>, Rt, Vec<Arc<Orb>>, Vec<ObjRef>
 }
 
 #[test]
-fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
+fn real_arrival_order_and_replies_that_land_on_the_reader() {
     let (net, client, _orbs, targets) = real_rig([60, 0, 30]);
     let ctx = ClientCtx::new(client);
     // A full round first, so the client holds its stream with every
-    // server and the counts below see only this call's own.
+    // server and the counts below see only the port's own.
     let mut order = Vec::new();
     let mut sc = ctx
         .scatter(&targets, TAG_METHOD, salt(5), "test.tag.tag")
@@ -276,30 +307,49 @@ fn real_arrival_order_and_early_stop_without_a_bounce_connection() {
 
     let before = conn_opens(&net);
     assert_eq!(before, 3, "one stream per target, replies on it too");
+    let thread = || std::thread::current().name().unwrap_or("?").to_string();
+    let (port, landed) = port_on(ctx, thread);
+    let op: Arc<str> = Arc::from("test.tag.tag");
+    for (i, target) in targets.iter().enumerate() {
+        port.call(target, TAG_METHOD, salt(0), &op, i);
+    }
+    assert!(eventually(Duration::from_secs(5), || landed.lock().len() == 3));
+    let reader = || "conn-reader".to_string();
+    assert_eq!(
+        *landed.lock(),
+        vec![
+            (1, Ok(10), reader()),
+            (2, Ok(20), reader()),
+            (0, Ok(0), reader())
+        ]
+    );
+    assert_eq!(
+        conn_opens(&net),
+        before,
+        "a new endpoint sends over the node's streams"
+    );
+}
+
+#[test]
+fn real_gather_returns_at_the_first_answer_when_told_enough() {
+    // Servers 0 and 2 answer 300 and 200 ms after server 1.
+    let (_net, client, _orbs, targets) = real_rig([300, 0, 200]);
+    let ctx = ClientCtx::new(client);
+    let started = Instant::now();
+    let mut got = Vec::new();
     let mut sc = ctx
-        .scatter(&targets, TAG_METHOD, salt(0), "test.tag.tag")
+        .scatter(&targets, TAG_METHOD, salt(4), "test.tag.tag")
         .unwrap();
-    let mut first = None;
-    sc.gather(|i, _| {
-        first = Some(i);
+    sc.gather(|i, reply| {
+        got.push((i, answer(reply)));
         Gather::Enough
     });
-    assert_eq!(first, Some(1));
-    sc.park();
-    let sent = conn_opens(&net);
-    assert_eq!(sent, before, "a new endpoint sends over the node's streams");
-    let mut late = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !sc.is_done() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-        sc.poll(|i, reply| late.push((i, answer(reply))));
-    }
-    assert_eq!(late, vec![(2, Ok(20)), (0, Ok(0))]);
-    drop(sc);
-    // Both stragglers were received above, so nothing was left to
-    // bounce; and nothing the parked call did opened a connection.
-    std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(conn_opens(&net), sent);
+    let took = started.elapsed();
+    assert_eq!(got, vec![(1, Ok(14))]);
+    assert!(
+        took < Duration::from_millis(150),
+        "gather waited for the stragglers: took {took:?}"
+    );
 }
 
 #[test]
@@ -444,7 +494,6 @@ fn real_dead_target_and_one_deadline() {
         Gather::More
     });
     let took = started.elapsed();
-    assert!(sc.is_done());
     assert_eq!(
         got,
         vec![

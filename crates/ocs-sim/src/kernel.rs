@@ -74,7 +74,10 @@
 //!   (its shard, its node's streams, the owner's group), with no process,
 //!   no carrier and no thread switch. Anything that would wait — a
 //!   blocking call, a receive, opening an endpoint — panics naming the
-//!   task, so the simulator enforces the promise TCP can only trust.
+//!   task, so the simulator enforces the promise TCP can only trust;
+//! * a port served with `serve_inline` runs every frame that way, and
+//!   every bounce too (a `serve`d port drops bounces, as a receive loop
+//!   would).
 //!
 //! Either way the handler runs before the next event, exactly when the
 //! worker the serving process used to spawn for it ran, so events, RNG
@@ -99,7 +102,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::carrier::Carriers;
-use crate::rt::{Addr, FrameHandler, InlineTest, NodeId};
+use crate::rt::{Addr, FrameHandler, InlineTest, LandingHandler, NodeId, RecvError};
 use crate::time::SimTime;
 
 pub(crate) type Pid = u64;
@@ -229,6 +232,16 @@ pub(crate) enum Item {
     Unreach(Addr),
 }
 
+impl Item {
+    /// What a receive of this item returns.
+    pub(crate) fn into_recv(self) -> Result<(Addr, Bytes), RecvError> {
+        match self {
+            Item::Msg(from, msg) => Ok((from, msg)),
+            Item::Unreach(addr) => Err(RecvError::Unreachable(addr)),
+        }
+    }
+}
+
 /// An open endpoint. A closed one has no entry: a delivery to it
 /// bounces, a receive returns `Closed`, and its port number is free.
 pub(crate) struct EpState {
@@ -240,22 +253,32 @@ pub(crate) struct EpState {
     pub served: Option<Arc<Served>>,
 }
 
-/// A served port's handler and what it runs as (`Endpoint::serve`).
+/// A served port's handler and what it runs as.
 pub(crate) struct Served {
     task: String,
-    handler: FrameHandler,
-    /// Frames this passes run inline (`Step::Inline`).
-    inline: Option<InlineTest>,
+    serving: Serving,
     /// The group the handler joins: the port owner's when serving began.
     group: Option<u64>,
 }
 
-/// One frame for a served port whose handler runs inline.
+/// How a served port runs what lands on it.
+pub(crate) enum Serving {
+    /// `Endpoint::serve`: a frame starts `handler`'s process, or runs
+    /// inline (`Step::Inline`) if `inline` passes it; bounces are dropped,
+    /// as a receive loop would drop them.
+    Spawn {
+        handler: FrameHandler,
+        inline: Option<InlineTest>,
+    },
+    /// `Endpoint::serve_inline`: frames and bounces alike run inline.
+    Inline(LandingHandler),
+}
+
+/// One frame or bounce for a served port whose handler runs inline.
 pub(crate) struct InlineRun {
     port: Addr,
     served: Arc<Served>,
-    from: Addr,
-    msg: Bytes,
+    item: Item,
 }
 
 pub(crate) struct NodeState {
@@ -1145,11 +1168,8 @@ impl Kernel {
                 };
                 self.stats.msgs_delivered += 1;
                 if let Some(served) = &ep.served {
-                    // A served port drops bounces, as a receive loop would.
-                    if let Item::Msg(from, msg) = item {
-                        let served = Arc::clone(served);
-                        self.run_served(to, served, from, msg);
-                    }
+                    let served = Arc::clone(served);
+                    self.run_served(to, served, item);
                     return;
                 }
                 ep.queue.push_back(item);
@@ -1165,30 +1185,33 @@ impl Kernel {
         }
     }
 
-    /// Runs a served port's handler on a frame delivered now: queues it
-    /// as the next `Step::Inline` if the port's inline test passes the
-    /// frame, else starts its process.
-    fn run_served(&mut self, port: Addr, served: Arc<Served>, from: Addr, msg: Bytes) {
-        if served.inline.as_ref().is_some_and(|test| test(&msg)) {
+    /// Runs a served port's handler on what was delivered now: queues it
+    /// as the next `Step::Inline` if it runs inline, else starts its
+    /// process.
+    fn run_served(&mut self, port: Addr, served: Arc<Served>, item: Item) {
+        let inline = match (&served.serving, &item) {
+            (Serving::Inline(_), _) => true,
+            (Serving::Spawn { inline, .. }, Item::Msg(_, msg)) => {
+                inline.as_ref().is_some_and(|test| test(msg))
+            }
+            (Serving::Spawn { .. }, Item::Unreach(_)) => return,
+        };
+        if inline {
             debug_assert!(self.inline.is_none(), "an inline handler left queued");
-            self.inline = Some(InlineRun {
-                port,
-                served,
-                from,
-                msg,
-            });
-        } else {
+            self.inline = Some(InlineRun { port, served, item });
+        } else if let Item::Msg(from, msg) = item {
             self.spawn_handler(port, &served, from, msg);
         }
     }
 
-    /// Starts a served port's handler on one frame as a process of the
+    /// Starts a `serve`d port's handler on one frame as a process of the
     /// port's node, in the owner's group.
     fn spawn_handler(&mut self, port: Addr, served: &Served, from: Addr, msg: Bytes) {
-        let Some(inner) = self.inner.upgrade() else {
+        let (Some(inner), Serving::Spawn { handler, .. }) = (self.inner.upgrade(), &served.serving)
+        else {
             return;
         };
-        let handler = Arc::clone(&served.handler);
+        let handler = Arc::clone(handler);
         self.spawn_local(
             &inner,
             Some(port.node),
@@ -1198,24 +1221,18 @@ impl Kernel {
         );
     }
 
-    /// Makes `port` a served port: later deliveries run `handler` (as
-    /// `task`, in the port owner's group), and what was queued before is
-    /// spawned now, in arrival order, as the receive loop this replaces
-    /// did (bounces dropped). A closed port stays closed.
-    pub fn serve_port(
-        &mut self,
-        port: Addr,
-        task: &str,
-        handler: FrameHandler,
-        inline: Option<InlineTest>,
-    ) {
+    /// Makes `port` a served port: later deliveries run its handler (as
+    /// `task`, in the port owner's group). What was queued before is
+    /// spawned now, in arrival order, bounces dropped, as the receive
+    /// loop `serve` replaces did — or, for `serve_inline`, returned for
+    /// the caller to hand to the handler. A closed port stays closed.
+    pub fn serve_port(&mut self, port: Addr, task: &str, serving: Serving) -> VecDeque<Item> {
         let Some(owner) = self.endpoints.get(&port).map(|ep| ep.owner) else {
-            return;
+            return VecDeque::new();
         };
         let served = Arc::new(Served {
             task: task.to_string(),
-            handler,
-            inline,
+            serving,
             group: self.procs.get(&owner).and_then(|p| p.group),
         });
         let ep = self
@@ -1223,11 +1240,16 @@ impl Kernel {
             .get_mut(&port)
             .expect("endpoint checked open");
         ep.served = Some(Arc::clone(&served));
-        for item in std::mem::take(&mut ep.queue) {
+        let queued = std::mem::take(&mut ep.queue);
+        if let Serving::Inline(_) = served.serving {
+            return queued;
+        }
+        for item in queued {
             if let Item::Msg(from, msg) = item {
                 self.spawn_handler(port, &served, from, msg);
             }
         }
+        VecDeque::new()
     }
 
     /// Applies the replica share of a network control on this shard; the
@@ -1967,12 +1989,7 @@ impl SimInner {
     /// (see the module docs): the thread is no process meanwhile and
     /// under no span, and a panic is recorded like a process's.
     fn run_inline(&self, shard: usize, run: InlineRun) {
-        let InlineRun {
-            port,
-            served,
-            from,
-            msg,
-        } = run;
+        let InlineRun { port, served, item } = run;
         let pid = CUR_PID.with(|c| c.replace(None));
         let span = crate::trace::set_current_ctx(None);
         let me = InlineAs {
@@ -1981,7 +1998,11 @@ impl SimInner {
             served: Arc::clone(&served),
         };
         CUR_INLINE.with(|c| *c.borrow_mut() = Some(me));
-        let result = panic::catch_unwind(AssertUnwindSafe(|| (served.handler)(from, msg)));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| match (&served.serving, item) {
+            (Serving::Spawn { handler, .. }, Item::Msg(from, msg)) => handler(from, msg),
+            (Serving::Spawn { .. }, Item::Unreach(_)) => {}
+            (Serving::Inline(handler), item) => handler(item.into_recv()),
+        }));
         CUR_INLINE.with(|c| *c.borrow_mut() = None);
         crate::trace::set_current_ctx(span);
         CUR_PID.with(|c| c.set(pid));
@@ -2254,8 +2275,7 @@ impl SimInner {
         &self,
         key: EpKey,
         timeout: Option<Duration>,
-    ) -> Result<(Addr, Bytes), crate::rt::RecvError> {
-        use crate::rt::RecvError;
+    ) -> Result<(Addr, Bytes), RecvError> {
         forbid_inline("receive");
         let home = self.shard_ix(key.node.0);
         let pid = cur_pid().expect("recv outside a simulated process");
@@ -2280,10 +2300,7 @@ impl SimInner {
                     None => return Err(RecvError::Closed),
                     Some(ep) => {
                         if let Some(item) = ep.queue.pop_front() {
-                            return match item {
-                                Item::Msg(from, msg) => Ok((from, msg)),
-                                Item::Unreach(addr) => Err(RecvError::Unreachable(addr)),
-                            };
+                            return item.into_recv();
                         }
                     }
                 }
@@ -2305,10 +2322,7 @@ impl SimInner {
                 Some(ep) => {
                     ep.waiters.retain(|(p, _)| *p != pid);
                     if let Some(item) = ep.queue.pop_front() {
-                        return match item {
-                            Item::Msg(from, msg) => Ok((from, msg)),
-                            Item::Unreach(addr) => Err(RecvError::Unreachable(addr)),
-                        };
+                        return item.into_recv();
                     }
                 }
             }

@@ -35,8 +35,18 @@
 //! same task accounting, no carrier, and a stream's inline frames are
 //! handled one at a time in the order they were sent, so a receiver that
 //! fell behind works its backlog off on the one thread instead of
-//! starting a carrier per queued frame. Such a handler's reply is one
-//! `write` on a stream; the write timeout bounds it like any other.
+//! starting a carrier per queued frame. A port served with
+//! [`Endpoint::serve_inline`] has every frame, and every bounce of a
+//! frame it sent, run that way.
+//!
+//! An inline handler writes: its reply, on the stream its request came
+//! on, and whatever else it sends, on other streams; the write timeout
+//! bounds each like any other. What it never does is wait to connect:
+//! a reader's send writes only into a stream the node already holds
+//! with the peer, and hands a frame that finds none — or whose write
+//! fails — to a carrier, which dials and backs off as any sender does.
+//! A frame every attempt was refused for comes back to its port as a
+//! bounce.
 //!
 //! ## Connection lifetime
 //!
@@ -104,7 +114,7 @@
 //! Service code written against [`NodeRt`] runs unchanged on either
 //! runtime; see `examples/tcp_cluster.rs` for a full cluster on TCP.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -122,7 +132,8 @@ use crate::carrier::Carriers;
 use crate::fault::{FaultAction, FaultEvent, FaultPlan};
 use crate::kernel::LinkImpairment;
 use crate::rt::{
-    Addr, Endpoint, FrameHandler, InlineTest, NetError, NodeId, NodeRt, PortReq, RecvError,
+    Addr, Endpoint, FrameHandler, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq,
+    RecvError,
 };
 use crate::time::SimTime;
 
@@ -251,6 +262,9 @@ thread_local! {
     /// The process group of the current thread, inherited across
     /// [`NodeRt::spawn`] like a fork.
     static CURRENT_GROUP: RefCell<Option<Arc<GroupCore>>> = const { RefCell::new(None) };
+    /// Set on a connection reader's thread: its sends never wait to dial
+    /// (`FrameSender::send_bytes`).
+    static ON_READER: Cell<bool> = const { Cell::new(false) };
 }
 
 fn current_group() -> Option<Arc<GroupCore>> {
@@ -796,11 +810,21 @@ enum Port {
 
 struct Served {
     task: String,
-    handler: FrameHandler,
-    /// Frames this passes run on the reader that read them.
-    inline: Option<InlineTest>,
+    serving: Serving,
     /// The group the tasks join: the endpoint's owner when serving began.
     group: Option<Arc<GroupCore>>,
+}
+
+/// How a served port runs what lands on it.
+enum Serving {
+    /// [`Endpoint::serve`]: a frame runs `handler` on a carrier, or on the
+    /// reader that read it if `inline` passes it; bounces are dropped.
+    Spawn {
+        handler: FrameHandler,
+        inline: Option<InlineTest>,
+    },
+    /// [`Endpoint::serve_inline`]: frames and bounces alike, on the reader.
+    Inline(LandingHandler),
 }
 
 type PortMap = Arc<Mutex<HashMap<u16, Port>>>;
@@ -863,37 +887,24 @@ fn read_frames(stream: &Arc<TcpStream>, peer: &mut Option<NodeId>, sender: &Arc<
         }
         let from = Addr::new(src_node, src_port);
         let port = sender.ports.lock().get(&dst_port).cloned();
-        match (kind, port) {
-            (FRAME_MSG, Some(Port::Mailbox(mailbox))) => {
+        let item = match kind {
+            FRAME_MSG => Delivered::Msg(from, Bytes::from(payload)),
+            FRAME_UNREACH => Delivered::Unreach(from),
+            _ => continue,
+        };
+        match (port, item) {
+            (Some(Port::Mailbox(mailbox)), item) => {
                 sender.net.frames_queued.fetch_add(1, Ordering::Relaxed);
-                mailbox.push(Delivered::Msg(from, Bytes::from(payload)));
+                mailbox.push(item);
             }
-            (FRAME_MSG, Some(Port::Served(served))) => {
-                // Handed to a carrier, not run here: the servant may
-                // place a nested call whose reply arrives on this stream,
-                // and only this thread reads it. Unless the port's owner
-                // has said this frame's handler waits for no other.
-                let (handler, msg) = (Arc::clone(&served.handler), Bytes::from(payload));
-                let here = served.inline.as_ref().is_some_and(|test| test(&msg));
-                let run = Box::new(move || handler(from, msg));
-                if here {
-                    sender.run_task_here(&served.task, served.group.clone(), run);
-                } else {
-                    sender.spawn_task(&served.task, served.group.clone(), run);
-                }
-            }
-            (FRAME_MSG, None) => {
+            (Some(Port::Served(served)), item) => sender.run_served(&served, item),
+            (None, Delivered::Msg(..)) => {
                 // Closed port on a live node: bounce, as the sim does —
                 // over the node's stream to the sender, like any frame
                 // (so a cut or lossy link drops bounces too).
                 let _ = sender.send_bytes(dst_port, from, FRAME_UNREACH, &[]);
             }
-            (FRAME_UNREACH, Some(Port::Mailbox(mailbox))) => {
-                sender.net.frames_queued.fetch_add(1, Ordering::Relaxed);
-                mailbox.push(Delivered::Unreach(from));
-            }
-            // A served port drops bounces, as the receive loop would.
-            _ => {}
+            (None, Delivered::Unreach(_)) => {}
         }
     }
 }
@@ -1251,9 +1262,38 @@ impl FrameSender {
         }
     }
 
+    /// Runs a served port's handler on what this connection reader read.
+    fn run_served(self: &Arc<Self>, served: &Served, item: Delivered) {
+        let group = served.group.clone();
+        match (&served.serving, item) {
+            (Serving::Spawn { handler, inline }, Delivered::Msg(from, msg)) => {
+                // Handed to a carrier, not run here: the servant may
+                // place a nested call whose reply arrives on this stream,
+                // and only this thread reads it. Unless the port's owner
+                // has said this frame's handler waits for no other.
+                let here = inline.as_ref().is_some_and(|test| test(&msg));
+                let handler = Arc::clone(handler);
+                let run = Box::new(move || handler(from, msg));
+                if here {
+                    self.run_task_here(&served.task, group, run);
+                } else {
+                    self.spawn_task(&served.task, group, run);
+                }
+            }
+            // A port served by `serve` drops bounces, as the receive loop
+            // would.
+            (Serving::Spawn { .. }, Delivered::Unreach(_)) => {}
+            (Serving::Inline(handler), item) => {
+                let handler = Arc::clone(handler);
+                let run = Box::new(move || handler(deliver(item)));
+                self.run_task_here(&served.task, group, run);
+            }
+        }
+    }
+
     /// Runs `f` as a task of `group`, like [`FrameSender::spawn_task`],
     /// but on the calling thread — a connection reader with a frame its
-    /// port's [`InlineTest`] passed — and to its end before returning.
+    /// port runs inline — and to its end before returning.
     fn run_task_here(
         &self,
         name: &str,
@@ -1297,6 +1337,7 @@ impl FrameSender {
         let reader = std::thread::Builder::new()
             .name("conn-reader".into())
             .spawn(move || {
+                ON_READER.with(|r| r.set(true));
                 reader_main(&theirs, peer, &sender);
                 sender.unregister_stream(&theirs);
             });
@@ -1379,6 +1420,43 @@ impl FrameSender {
             }
             dup = v.dup;
         }
+        if ON_READER.with(Cell::get) {
+            // A connection reader neither dials nor backs off: the frames
+            // queued behind it on its own stream would wait all the
+            // while. It writes into a stream the node already has with
+            // the peer — a reply rides the stream its request came on —
+            // and leaves anything harder to a carrier. That includes a
+            // slot another sender holds: it may be dialling under it.
+            if let Some(mut conn) = slot.try_lock() {
+                if conn.is_some()
+                    && !self.stopped.load(Ordering::SeqCst)
+                    && self.write_on(&mut conn, to, &frame, dup).is_ok()
+                {
+                    return Ok(());
+                }
+            }
+            let sender = Arc::clone(self);
+            let send = move || {
+                if let Err(NetError::PeerRefused(_)) = sender.write_frame(&slot, to, &frame, dup) {
+                    sender.bounce_here(from_port, to);
+                }
+            };
+            self.spawn_task("conn-send", current_group(), Box::new(send));
+            return Ok(());
+        }
+        self.write_frame(&slot, to, &frame, dup)
+    }
+
+    /// Writes `frame` into the node's stream with `to`, dialling when
+    /// there is none: [`RECONNECT_ATTEMPTS`] attempts, backing off
+    /// between them.
+    fn write_frame(
+        self: &Arc<Self>,
+        slot: &PeerSlot,
+        to: Addr,
+        frame: &[u8],
+        dup: bool,
+    ) -> Result<(), NetError> {
         let mut last_err = String::from("no attempt made");
         let mut ever_connected = false;
         for attempt in 0..RECONNECT_ATTEMPTS {
@@ -1418,27 +1496,9 @@ impl FrameSender {
                 }
             }
             ever_connected = true;
-            let mut stream: &TcpStream = conn.as_deref().expect("just connected");
-            let wrote = stream.write_all(&frame).and_then(|_| {
-                if dup {
-                    stream.write_all(&frame)
-                } else {
-                    Ok(())
-                }
-            });
-            match wrote {
+            match self.write_on(&mut conn, to, frame, dup) {
                 Ok(()) => return Ok(()),
-                Err(e) => {
-                    // A failed write on an established connection is the
-                    // RST-shaped failure: drop the stream (its reader
-                    // too) and reconnect.
-                    last_err = e.to_string();
-                    if let Some(broken) = conn.take() {
-                        let _ = broken.shutdown(Shutdown::Both);
-                    }
-                    self.net.counter_add("real.net.resets", 1);
-                    self.journal(format!("reset on conn to {}: {e}", to.node));
-                }
+                Err(e) => last_err = e,
             }
         }
         if ever_connected {
@@ -1450,6 +1510,46 @@ impl FrameSender {
         } else {
             // Every attempt was refused outright: nothing listens there.
             Err(NetError::PeerRefused(to.node))
+        }
+    }
+
+    /// One `write` of `frame` (two when the link duplicates) into the
+    /// stream `conn` holds. A failed write on an established connection
+    /// is the RST-shaped failure: the stream is dropped (its reader too)
+    /// and the next frame dials.
+    fn write_on(
+        &self,
+        conn: &mut Option<Arc<TcpStream>>,
+        to: Addr,
+        frame: &[u8],
+        dup: bool,
+    ) -> Result<(), String> {
+        let mut stream: &TcpStream = conn.as_deref().expect("a stream to write on");
+        let mut wrote = stream.write_all(frame);
+        if dup && wrote.is_ok() {
+            wrote = stream.write_all(frame);
+        }
+        wrote.map_err(|e| {
+            if let Some(broken) = conn.take() {
+                let _ = broken.shutdown(Shutdown::Both);
+            }
+            self.net.counter_add("real.net.resets", 1);
+            self.journal(format!("reset on conn to {}: {e}", to.node));
+            e.to_string()
+        })
+    }
+
+    /// A frame from `port` that nothing would accept at `to` comes back
+    /// to the port as a bounce, as a closed port's would.
+    fn bounce_here(self: &Arc<Self>, port: u16, to: Addr) {
+        let entry = self.ports.lock().get(&port).cloned();
+        match entry {
+            Some(Port::Mailbox(mailbox)) => {
+                self.net.frames_queued.fetch_add(1, Ordering::Relaxed);
+                mailbox.push(Delivered::Unreach(to));
+            }
+            Some(Port::Served(served)) => self.run_served(&served, Delivered::Unreach(to)),
+            None => {}
         }
     }
 }
@@ -1532,22 +1632,38 @@ impl Endpoint for RealEndpoint {
         handler: FrameHandler,
         inline: Option<InlineTest>,
     ) {
-        let group = self.owner_group.lock().as_ref().and_then(Weak::upgrade);
-        {
-            let mut ports = self.sender.ports.lock();
-            // The entry of an open endpoint is its own; a closed one has
-            // none, and must not take a successor's.
-            if !self.mailbox.closed.load(Ordering::SeqCst) {
-                let served = Served {
-                    task: task_name.to_string(),
-                    handler: Arc::clone(&handler),
-                    inline,
-                    group,
-                };
-                ports.insert(self.port, Port::Served(Arc::new(served)));
-            }
-        }
+        let serving = Serving::Spawn {
+            handler: Arc::clone(&handler),
+            inline,
+        };
+        self.become_served(task_name, serving);
         crate::rt::serve_by_recv(self, rt, task_name, &handler);
+    }
+
+    fn serve_inline(&self, task_name: &str, handler: LandingHandler) {
+        self.become_served(task_name, Serving::Inline(Arc::clone(&handler)));
+        let queued = std::mem::take(&mut *self.mailbox.queue.lock());
+        for item in queued {
+            handler(deliver(item));
+        }
+    }
+}
+
+impl RealEndpoint {
+    /// Points the port's entry at its handler, in the owner's group.
+    fn become_served(&self, task_name: &str, serving: Serving) {
+        let group = self.owner_group.lock().as_ref().and_then(Weak::upgrade);
+        let mut ports = self.sender.ports.lock();
+        // The entry of an open endpoint is its own; a closed one has
+        // none, and must not take a successor's.
+        if !self.mailbox.closed.load(Ordering::SeqCst) {
+            let served = Served {
+                task: task_name.to_string(),
+                serving,
+                group,
+            };
+            ports.insert(self.port, Port::Served(Arc::new(served)));
+        }
     }
 }
 
@@ -2329,6 +2445,101 @@ mod tests {
             ran_on.try_recv().is_err(),
             "a dead group's port ran a handler"
         );
+    }
+
+    /// A connection reader never waits to connect: an inline handler's
+    /// send to a peer the node holds no stream with goes to a carrier,
+    /// so the reader is back at its stream at once — and a peer nothing
+    /// listens at bounces the frame back to the port it left from.
+    #[test]
+    fn a_reader_hands_a_send_it_cannot_write_at_once_to_a_carrier() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        let gone = net.add_node("gone").unwrap();
+        let gone_addr = Addr::new(gone.node(), 9);
+        gone.stop();
+        let relay = b.open(PortReq::Fixed(100)).unwrap();
+        let (tx, landed) = std::sync::mpsc::channel();
+        let (out, tx) = (Arc::clone(&relay), Mutex::new(tx));
+        relay.serve_inline(
+            "relay",
+            Arc::new(move |item| {
+                let thread = std::thread::current().name().unwrap_or("?").to_string();
+                let t0 = Instant::now();
+                if item.is_ok() {
+                    out.send(gone_addr, Bytes::from_static(b"onward")).unwrap();
+                }
+                let _ = tx
+                    .lock()
+                    .send((item.map(|(_, msg)| msg), thread, t0.elapsed()));
+            }),
+        );
+        let client = a.open(PortReq::Ephemeral).unwrap();
+        client
+            .send(Addr::new(b.node(), 100), Bytes::from_static(b"go"))
+            .unwrap();
+        let (item, thread, took) = landed.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            (item, thread.as_str()),
+            (Ok(Bytes::from_static(b"go")), "conn-reader")
+        );
+        assert!(
+            took < Duration::from_millis(5),
+            "the reader waited {took:?} to send"
+        );
+        let (item, _, _) = landed.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(item, Err(RecvError::Unreachable(gone_addr)));
+    }
+
+    /// Nor does it wait on a peer's slot another sender holds, which may
+    /// be dialling under it: the frame goes to a carrier, and leaves
+    /// when the slot is free.
+    #[test]
+    fn a_reader_does_not_wait_on_a_slot_another_sender_holds() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        let c = net.add_node("c").unwrap();
+        let sink = c.open(PortReq::Fixed(9)).unwrap();
+        let sink_addr = Addr::new(c.node(), 9);
+        let relay = b.open(PortReq::Fixed(100)).unwrap();
+        // The stream b → c exists before the slot is held.
+        relay.send(sink_addr, Bytes::from_static(b"warm")).unwrap();
+        let (_, warm) = sink.recv(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(&warm[..], b"warm");
+        let (tx, landed) = std::sync::mpsc::channel();
+        let (out, tx) = (Arc::clone(&relay), Mutex::new(tx));
+        relay.serve_inline(
+            "relay",
+            Arc::new(move |item| {
+                let thread = std::thread::current().name().unwrap_or("?").to_string();
+                let t0 = Instant::now();
+                if item.is_ok() {
+                    out.send(sink_addr, Bytes::from_static(b"onward")).unwrap();
+                }
+                let _ = tx.lock().send((thread, t0.elapsed()));
+            }),
+        );
+        let slot = b.sender.slot(c.node());
+        let held = slot.lock();
+        let client = a.open(PortReq::Ephemeral).unwrap();
+        client
+            .send(Addr::new(b.node(), 100), Bytes::from_static(b"go"))
+            .unwrap();
+        let (thread, took) = landed.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(thread, "conn-reader");
+        assert!(
+            took < Duration::from_millis(5),
+            "the reader waited {took:?} on a held slot"
+        );
+        assert!(
+            sink.recv(Some(Duration::from_millis(50))).is_err(),
+            "nothing leaves while the slot is held"
+        );
+        drop(held);
+        let (_, onward) = sink.recv(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(&onward[..], b"onward");
     }
 
     #[test]

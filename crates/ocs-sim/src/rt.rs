@@ -199,6 +199,17 @@ pub trait Endpoint: Send + Sync {
         handler: FrameHandler,
         inline: Option<InlineTest>,
     );
+
+    /// Serves the endpoint with no process at all: every message that
+    /// lands — and every bounce of a message sent from it — runs
+    /// `handler` with what a [`recv`](Endpoint::recv) would have
+    /// returned, where and as [`serve`](Endpoint::serve)'s inline frames
+    /// run (TCP's connection reader; the simulator's stepping thread, as
+    /// the endpoint's node), under the same promise: the handler waits
+    /// for nothing. What reached the endpoint before the call is handed
+    /// to `handler` on the calling thread. Returns at once; the endpoint
+    /// closes as any other does.
+    fn serve_inline(&self, task_name: &str, handler: LandingHandler);
 }
 
 /// What [`Endpoint::serve`] runs per message: the source address and the
@@ -208,6 +219,9 @@ pub type FrameHandler = Arc<dyn Fn(Addr, Bytes) + Send + Sync>;
 /// Whether a message's handler may run on the thread that received it;
 /// see [`Endpoint::serve`] for what it promises.
 pub type InlineTest = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
+
+/// What [`Endpoint::serve_inline`] runs per message or bounce.
+pub type LandingHandler = Arc<dyn Fn(Result<(Addr, Bytes), RecvError>) + Send + Sync>;
 
 /// Receives from `ep` until it closes, spawning `handler` on each
 /// message: how TCP's [`Endpoint::serve`] drains what reached the

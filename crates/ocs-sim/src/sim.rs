@@ -8,10 +8,11 @@ use bytes::Bytes;
 
 use crate::kernel::{
     cur_pid, EpState, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats,
-    ShardPolicy, SimInner,
+    Serving, ShardPolicy, SimInner,
 };
 use crate::rt::{
-    Addr, Endpoint, FrameHandler, InlineTest, NetError, NodeId, NodeRt, PortReq, RecvError,
+    Addr, Endpoint, FrameHandler, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq,
+    RecvError,
 };
 use crate::time::SimTime;
 
@@ -525,12 +526,25 @@ impl Endpoint for SimEndpoint {
         handler: FrameHandler,
         inline: Option<InlineTest>,
     ) {
+        let serving = Serving::Spawn { handler, inline };
         self.inner
             .kernel_for(self.addr.node)
             .lock()
-            .serve_port(self.addr, task_name, handler, inline);
+            .serve_port(self.addr, task_name, serving);
         // Nothing queues on a served port: this returns at the close.
         while !matches!(self.recv(None), Err(RecvError::Closed)) {}
+    }
+
+    fn serve_inline(&self, task_name: &str, handler: LandingHandler) {
+        let serving = Serving::Inline(Arc::clone(&handler));
+        let queued = self
+            .inner
+            .kernel_for(self.addr.node)
+            .lock()
+            .serve_port(self.addr, task_name, serving);
+        for item in queued {
+            handler(item.into_recv());
+        }
     }
 }
 

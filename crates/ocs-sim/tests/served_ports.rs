@@ -2,14 +2,16 @@
 //! each frame's handler at its delivery — a process of the port's node
 //! and owner group, or, for a frame the port's inline test passes, no
 //! process at all — and the result must be what the hand-written
-//! receive loop it replaces would have done.
+//! receive loop it replaces would have done. A port served inline
+//! (`Endpoint::serve_inline`) is handed its bounces as well.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use ocs_sim::{
-    Addr, FrameHandler, InlineTest, NetStats, NodeRt, NodeRtExt, PortReq, RecvError, Sim, SimTime,
+    Addr, FrameHandler, InlineTest, LandingHandler, NetStats, NodeRt, NodeRtExt, PortReq,
+    RecvError, Sim, SimTime,
 };
 use parking_lot::Mutex;
 
@@ -132,6 +134,74 @@ fn a_bounce_to_a_served_port_is_dropped_and_counted_as_by_a_receive_loop() {
     }
 }
 
+/// A port served inline runs every frame, and every bounce of a frame it
+/// sent, where it lands and with no process: what queued before the
+/// call is handed over then, on the calling thread, the rest at its
+/// delivery.
+#[test]
+fn a_port_served_inline_sees_frames_and_bounces_where_they_land() {
+    let sim = Sim::new(3);
+    let client = sim.add_node("client");
+    let server = sim.add_node("server");
+    let to = Addr::new(server.node(), PORT);
+    let node = server.node();
+    let dead = move |port| Addr::new(node, port);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let (rt, log) = (server.clone(), Arc::clone(&seen));
+    server.spawn_fn("svc", move || {
+        let ep = rt.open(PortReq::Fixed(PORT)).unwrap();
+        ep.send(dead(555), Bytes::from_static(b"x")).unwrap();
+        rt.sleep(Duration::from_secs(1));
+        let (clock, reply) = (rt.clone(), Arc::clone(&ep));
+        let handler: LandingHandler = Arc::new(move |landed| {
+            let what = match landed {
+                Ok((_, msg)) => String::from_utf8(msg.to_vec()).unwrap(),
+                Err(e) => e.to_string(),
+            };
+            if what == "bounce-me" {
+                reply.send(dead(556), Bytes::new()).unwrap();
+            }
+            log.lock().push((what, clock.now()));
+        });
+        ep.serve_inline("svc-worker", handler);
+        // The port is this process's: it lives while the process does.
+        rt.sleep(Duration::from_secs(3600));
+    });
+    let rt = client.clone();
+    client.spawn_fn("client", move || {
+        let ep = rt.open(PortReq::Ephemeral).unwrap();
+        for m in ["a", "b"] {
+            ep.send(to, Bytes::from_static(m.as_bytes())).unwrap();
+            rt.sleep(ms(1));
+        }
+        rt.sleep(Duration::from_secs(3) - ms(2));
+        ep.send(to, Bytes::from_static(b"bounce-me")).unwrap();
+    });
+    sim.run_until(SimTime::from_secs(5));
+    let at = |us| SimTime::from_micros(us);
+    let landed = format!("{:?}", seen.lock());
+    let want = [
+        (
+            format!("destination {} unreachable", dead(555)),
+            at(1_000_000),
+        ),
+        ("a".to_string(), at(1_000_000)),
+        ("b".to_string(), at(1_000_000)),
+        ("bounce-me".to_string(), at(3_000_500)),
+        (
+            format!("destination {} unreachable", dead(556)),
+            at(3_000_540),
+        ),
+    ];
+    assert_eq!(landed, format!("{want:?}"));
+    assert_eq!(
+        sim.kernel_stats().spawns,
+        2,
+        "the server's and the client's"
+    );
+    assert_eq!(sim.kernel_stats().inline_runs, 2);
+}
+
 /// Sends one frame to `to` from a process on `from`; what came back
 /// within a second.
 fn probe(sim: &Sim, from: &Arc<ocs_sim::SimNode>, to: Addr) -> Result<(Addr, Bytes), RecvError> {
@@ -232,12 +302,12 @@ fn an_inline_handler_that_waits_panics_with_its_task_name() {
 }
 
 /// The prototype's bug, kept out: an inline handler acts as its port's
-/// node, whichever thread steps the kernel. A backup's inline `prepare`
-/// bumps its replica's progress object; a process of the backup's node
-/// waiting on it wakes at the delivery instant. (Run as the stepping
-/// process's node, the bump came "from another node" and was deferred
-/// one fault-propagation delay as a control event — an extra event per
-/// prepare.)
+/// node, whichever thread steps the kernel. An inline handler that
+/// decides an op bumps the wait object a blocking submitter of that node
+/// waits on, and the submitter wakes at the delivery instant. (Run as
+/// the stepping process's node, the bump came "from another node" and
+/// was deferred one fault-propagation delay as a control event — an
+/// extra event per op.)
 #[test]
 fn an_inline_handler_wakes_a_same_node_waiter_at_the_same_instant() {
     let sim = Sim::new(6);

@@ -1,45 +1,41 @@
 //! The VSR peer protocol, both halves, written once.
 //!
-//! **Sending.** Every broadcast — `prepare`, `commit_hb`,
-//! `start_view_change`, `view_change_go`, `start_view`, `get_state` —
-//! goes to all peers at the same instant through one ORB [`Scatter`], so
-//! a round costs one round trip and at most one `peer_timeout`, however
-//! many peers are slow, partitioned or dead. [`PeerFanout::replicate`]
-//! is the commit path: it returns the moment the engine reports the op's
-//! viewstamped outcome (the first ack of a 3-replica group), which makes
-//! the cost of a dead backup zero instead of one `peer_timeout` per op.
-//! The three calls with one addressee — a re-sent `prepare`,
-//! `do_view_change`, `forward_op` — are plain blocking calls.
-//!
-//! Acks still owed when `replicate` returns are not bounced off a closed
-//! port: the finished scatter is parked, and [`PeerFanout::drain`] —
-//! called from the next `replicate` and from the driver's tick loop —
-//! feeds the stragglers to `on_ack` and closes the endpoint.
+//! **Sending.** Every broadcast — `commit_hb`, `start_view_change`,
+//! `view_change_go`, `start_view`, `get_state` — goes to all peers at the
+//! same instant through one ORB [`Scatter`], so a round costs one round
+//! trip and at most one `peer_timeout`, however many peers are slow,
+//! partitioned or dead. The commit path waits for nothing: a freshly
+//! sequenced op's `prepare` (to every backup at once) and a backup's
+//! `forward_op` (to the primary) leave from the replica's one long-lived
+//! peer endpoint, a [`CallPort`], and their replies are handled where
+//! they land — an ack fed to the engine, a forwarded op's outcome
+//! handed to its client — by the replica (`replica.rs`). The other calls
+//! with one addressee — a re-sent `prepare`, `do_view_change` — are
+//! plain calls, waited for by the process that places them.
 //!
 //! **Receiving.** [`PeerServant`] is the one servant of the protocol:
 //! it unmarshals what the sending half marshalled and runs the step on
-//! its [`Replica`] — `prepare` and `commit_hb` where they arrive, with no
-//! process of their own (`Servant::runs_inline`): on TCP's connection
-//! reader, in the simulator on the thread stepping the kernel. A group's
-//! peer interface differs from another's in
-//! its wire name ([`Replicated::PEER_INTERFACE`]) and in the op and
-//! snapshot types its frames carry, nothing else: both halves number and
-//! name the methods from [`Method`].
+//! its [`Replica`] — `prepare`, `commit_hb`, `forward_op` and `get_state`
+//! where they arrive, with no process of their own (`Servant::runs_inline`): on
+//! TCP's connection reader, in the simulator on the thread stepping the
+//! kernel. A forwarded op is answered by the ack that commits it. A
+//! group's peer interface differs from another's in its wire name
+//! ([`Replicated::PEER_INTERFACE`]) and in the op and snapshot types its
+//! frames carry, nothing else: both halves number and name the methods
+//! from [`Method`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ocs_orb::bytes::Bytes;
-use ocs_orb::{Caller, ClientCtx, Gather, ObjRef, OrbError, Scatter, Servant};
-use ocs_sim::sync::SyncObj;
-use ocs_sim::{Addr, Rt};
+use ocs_orb::{CallPort, Caller, ClientCtx, Gather, ObjRef, OnReply, OrbError, Scatter, Servant};
+use ocs_sim::{Addr, NetError, Rt, SimTime};
 use ocs_wire::{type_id_of, Decoder, Encoder, Wire};
-use parking_lot::Mutex;
 
 use crate::replica::Replica;
 use crate::{
-    DoViewChange, LogEntry, OpNum, OpOutcome, PeerAck, Prepare, Replicated, StartView,
-    StateTransfer, SvcAck, View,
+    DoViewChange, LogEntry, OpNum, PeerAck, Prepare, Replicated, StartView, StateTransfer, SvcAck,
+    View,
 };
 
 /// Object id of the peer servant on every replica's ORB (the service's
@@ -103,26 +99,26 @@ impl Method {
 /// reply body is a `Result`.
 type Reply<T> = Result<T, OrbError>;
 
-/// Straggler scatters the commit path polls itself; the tick loop sweeps
-/// the rest. A straggler ack arrives within a round trip of the first,
-/// so only the newest few parked scatters can have anything queued — and
-/// with a dead peer the list grows to `rate × peer_timeout`, which a
-/// per-op sweep must not walk.
-const DRAIN_PER_OP: usize = 4;
+/// A call from the replica's peer endpoint, by what its reply is for.
+pub(crate) enum PeerCall {
+    /// A `prepare` to this backup: the reply is its ack.
+    Prepare(u32),
+    /// The client op the replica forwarded to the primary under this
+    /// number: the reply is its outcome.
+    Forward(u64),
+}
 
 /// One replica's calls to its peers.
 pub struct PeerFanout {
     ctx: ClientCtx,
-    peer_timeout: Duration,
     /// Every other replica's id, and — same order — its peer servant.
     ids: Vec<u32>,
     targets: Vec<ObjRef>,
     /// Client span names, `"<interface>.<method>"`, in [`METHODS`] order.
-    ops: Vec<String>,
-    /// Bumped whenever the engine may have advanced a waiting op.
-    progress: Arc<dyn SyncObj>,
-    /// Finished `prepare` scatters still owed straggler acks.
-    parked: Mutex<Vec<Scatter>>,
+    ops: Vec<Arc<str>>,
+    /// The long-lived peer endpoint the commit path sends from; opened
+    /// by [`PeerFanout::open`] at [`Replica::start`].
+    port: OnceLock<Arc<CallPort<PeerCall>>>,
 }
 
 impl PeerFanout {
@@ -149,16 +145,14 @@ impl PeerFanout {
             })
             .unzip();
         PeerFanout {
-            progress: rt.make_sync(),
             ctx: ClientCtx::new(rt).with_timeout(peer_timeout),
-            peer_timeout,
             ids,
             targets,
             ops: METHODS
                 .iter()
-                .map(|(_, name)| format!("{iface}.{name}"))
+                .map(|(_, name)| Arc::from(format!("{iface}.{name}")))
                 .collect(),
-            parked: Mutex::new(Vec::new()),
+            port: OnceLock::new(),
         }
     }
 
@@ -212,97 +206,71 @@ impl PeerFanout {
 
     // ---- the commit path -------------------------------------------------
 
-    /// Replicates a sequenced op: sends the `prepare` to every backup at
-    /// the same instant, feeds each ack to `on_ack`, and returns as soon
-    /// as `outcome` — the engine's `outcome_of(view, op)` — is no longer
-    /// `Pending`. When the replies alone do not decide it (both prepares
-    /// were buffered behind a gap another op's ack will close), waits for
-    /// [`PeerFanout::progressed`] instead of polling. Returns `Pending`
-    /// if the op is still undecided `2 × peer_timeout` after sequencing:
-    /// no quorum is reachable.
-    pub fn replicate<Op: Wire, Out>(
-        &self,
-        prep: &Prepare<Op>,
-        on_ack: impl Fn(u32, &PeerAck),
-        outcome: impl Fn() -> OpOutcome<Out>,
-    ) -> OpOutcome<Out> {
-        let rt = self.ctx.rt();
-        let deadline = rt.now() + self.peer_timeout * 2;
-        self.drain(DRAIN_PER_OP, &on_ack);
-        let mut out = outcome();
-        if !matches!(out, OpOutcome::Pending) {
-            return out; // A group of one commits at sequencing.
+    /// Opens the peer endpoint; the outcome of every call sent from it
+    /// goes to `on_reply`, on the thread it lands on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called twice.
+    pub(crate) fn open(&self, on_reply: OnReply<PeerCall>) -> Result<(), NetError> {
+        let port = CallPort::open(self.ctx.clone(), on_reply)?;
+        assert!(self.port.set(port).is_ok(), "peer endpoint opened twice");
+        Ok(())
+    }
+
+    /// Ties the peer endpoint to the calling process (the driver loop).
+    pub(crate) fn adopt(&self) {
+        if let Some(port) = self.port.get() {
+            port.adopt();
         }
+    }
+
+    /// Sends a freshly sequenced op's `prepare` to every backup at the
+    /// same instant; each ack lands as [`PeerCall::Prepare`].
+    pub(crate) fn prepare<Op: Wire>(&self, prep: &Prepare<Op>) {
+        let Some(port) = self.port.get() else { return };
         // Sender view and entry view coincide for a fresh op.
         let args = prepare_args(prep.view, prep.view, prep.op_num, prep.commit_num, &prep.update);
-        if let Some(mut sc) = self.scatter(&self.targets, Method::Prepare, args) {
-            sc.gather(|i, reply| {
-                self.feed_ack(&on_ack, i, reply);
-                out = outcome();
-                match out {
-                    OpOutcome::Pending => Gather::More,
-                    _ => Gather::Enough,
-                }
-            });
-            // The other ack is usually in already: take it now and the
-            // endpoint closes here instead of waiting for a drain.
-            sc.poll(|i, reply| self.feed_ack(&on_ack, i, reply));
-            if !sc.is_done() {
-                sc.park();
-                self.parked.lock().push(sc);
-            }
-        }
-        loop {
-            let seen = self.progress.generation();
-            out = outcome();
-            let now = rt.now();
-            if !matches!(out, OpOutcome::Pending) || now >= deadline {
-                return out;
-            }
-            self.progress.wait_newer(seen, Some(deadline - now));
+        let (method, args) = (Method::Prepare, args.finish());
+        for (id, target) in self.ids.iter().zip(&self.targets) {
+            let op = &self.ops[method.index()];
+            port.call(target, method as u32, args.clone(), op, PeerCall::Prepare(*id));
         }
     }
 
-    /// Hands peer `i`'s `prepare` reply to `on_ack`, if it is an ack.
-    fn feed_ack(&self, on_ack: &impl Fn(u32, &PeerAck), i: usize, reply: Result<Bytes, OrbError>) {
-        if let Some(ack) = decode::<PeerAck>(reply) {
-            on_ack(self.ids[i], &ack);
-        }
+    /// Forwards client op number `n` to the primary; its outcome, or why
+    /// the call failed, lands as [`PeerCall::Forward`].
+    pub(crate) fn forward<Op: Wire>(&self, primary: u32, op: &Op, n: u64) -> Result<(), OrbError> {
+        let port = self.port.get().ok_or_else(|| OrbError::Transport {
+            what: "replica not started".to_string(),
+        })?;
+        let target = self.target(primary).ok_or(OrbError::UnknownObject)?;
+        let mut args = Encoder::new();
+        op.encode_into(&mut args);
+        let method = Method::ForwardOp;
+        let name = &self.ops[method.index()];
+        port.call(target, method as u32, args.finish(), name, PeerCall::Forward(n));
+        Ok(())
     }
 
-    /// Wakes every `replicate` waiting on the engine. The driver calls
-    /// this after any engine step that produced events (a commit, a view
-    /// change): that is when an op's outcome can have changed.
-    pub fn progressed(&self) {
-        self.progress.bump();
-    }
-
-    /// Feeds straggler acks of finished `replicate`s to `on_ack` without
-    /// blocking, newest `limit` parked scatters only, and closes the
-    /// scatters that are complete or past their deadline. The tick loop
-    /// sweeps with `usize::MAX`.
-    pub fn drain(&self, limit: usize, on_ack: impl Fn(u32, &PeerAck)) {
-        let mut taken = {
-            let mut parked = self.parked.lock();
-            let keep = parked.len().saturating_sub(limit);
-            parked.split_off(keep)
-        };
-        if taken.is_empty() {
-            return;
+    /// Times out the calls from the peer endpoint due at `now`.
+    pub(crate) fn expire(&self, now: SimTime) {
+        if let Some(port) = self.port.get() {
+            port.expire(now);
         }
-        taken.retain_mut(|sc| {
-            sc.poll(|i, reply| self.feed_ack(&on_ack, i, reply));
-            !sc.is_done()
-        });
-        self.parked.lock().append(&mut taken);
     }
 
     // ---- calls with one addressee ------------------------------------------
 
+    /// Peer `peer`'s servant.
+    fn target(&self, peer: u32) -> Option<&ObjRef> {
+        let at = self.ids.iter().position(|id| *id == peer)?;
+        Some(&self.targets[at])
+    }
+
     /// One blocking `method(args)` call to `peer`.
     fn call(&self, peer: u32, method: Method, args: Encoder) -> Result<Bytes, OrbError> {
-        let at = self.ids.iter().position(|id| *id == peer);
-        let target = at.map(|i| &self.targets[i]).ok_or(OrbError::UnknownObject)?;
+        let target = self.target(peer).ok_or(OrbError::UnknownObject)?;
         self.ctx
             .call_named(target, method as u32, args.finish(), &self.ops[method.index()])
     }
@@ -326,17 +294,6 @@ impl PeerFanout {
         let mut args = Encoder::new();
         dvc.encode_into(&mut args);
         let _ = self.call(primary, Method::DoViewChange, args);
-    }
-
-    /// Forwards a client op to the primary and returns its outcome, or
-    /// why the call itself failed.
-    pub fn forward_op<Op: Wire, Out: Wire>(&self, primary: u32, op: &Op) -> Result<Out, OrbError> {
-        let mut args = Encoder::new();
-        op.encode_into(&mut args);
-        let body = self.call(primary, Method::ForwardOp, args)?;
-        Out::from_bytes(&body).map_err(|e| OrbError::Decode {
-            what: e.to_string(),
-        })
     }
 
     // ---- the rounds --------------------------------------------------------
@@ -479,7 +436,7 @@ fn prepare_args<Op: Wire>(
 /// A peer's successful answer, or `None` for any failure (transport,
 /// decode, or an error the servant returned) — the rounds treat them
 /// all as silence.
-fn decode<T: Wire>(reply: Result<Bytes, OrbError>) -> Option<T> {
+pub(crate) fn decode<T: Wire>(reply: Result<Bytes, OrbError>) -> Option<T> {
     <Reply<T>>::from_bytes(&reply.ok()?).ok()?.ok()
 }
 
@@ -499,20 +456,22 @@ impl<M: Replicated> Servant for PeerServant<M> {
         Method::from_id(method).map_or("?", |m| METHODS[m.index()].1)
     }
 
-    /// The two calls of the steady state — one engine step under the
-    /// engine lock, which nobody holds across a wait — are answered
-    /// where they arrive: a backup takes its primary's prepares in the
-    /// order they were sent, and one that fell behind works the backlog
-    /// off without a process per queued prepare. The rest of the
-    /// protocol calls out or waits for a commit.
+    /// The calls of the steady state — one engine step under the engine
+    /// lock, which nobody holds across a wait — are answered where they
+    /// arrive: a backup takes its primary's prepares in the order they
+    /// were sent, and one that fell behind works the backlog off without
+    /// a process per queued prepare; a forwarded op is sequenced there
+    /// and answered by the ack that commits it. A state poll is one read
+    /// under the same lock, answered there too. The rest of the protocol
+    /// calls out.
     fn runs_inline(&self, method: u32) -> bool {
         matches!(
             Method::from_id(method),
-            Some(Method::Prepare | Method::CommitHb)
+            Some(Method::Prepare | Method::CommitHb | Method::ForwardOp | Method::GetState)
         )
     }
 
-    fn dispatch(&self, _caller: &Caller, method: u32, args: &[u8]) -> Result<Bytes, OrbError> {
+    fn dispatch(&self, caller: &Caller, method: u32, args: &[u8]) -> Result<Bytes, OrbError> {
         fn arg<T: Wire>(d: &mut Decoder<'_>) -> Result<T, OrbError> {
             T::decode_from(d).map_err(|e| OrbError::Decode {
                 what: e.to_string(),
@@ -569,7 +528,11 @@ impl<M: Replicated> Servant for PeerServant<M> {
             Method::ForwardOp => {
                 let op = arg(d)?;
                 end(d)?;
-                rep.master_submit(op).to_bytes()
+                let reply = caller.reply_later().ok_or_else(|| OrbError::Internal {
+                    what: "forward_op needs a request's reply to answer at commit".to_string(),
+                })?;
+                rep.master_submit_then(op, Box::new(move |_, out: M::Outcome| reply.send(out)));
+                Bytes::new() // Not sent: the commit answers.
             }
             Method::ViewChangeGo => {
                 let view = arg(d)?;

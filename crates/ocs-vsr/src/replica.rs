@@ -6,32 +6,48 @@
 //! objects on it: the service's own client-facing root servant (handed
 //! in by the service) and the VSR peer servant (`fanout.rs`). One
 //! process runs [`Replica::vsr_loop`] — recovery probe, heartbeat round,
-//! catch-up or view change, whichever the engine's state calls for —
-//! and client ops enter through [`Replica::submit`]: the view primary
-//! stamps the op, sequences it, sends `prepare` to every backup at once
-//! and answers at the majority commit with the viewstamped outcome; a
-//! backup forwards to the primary.
+//! catch-up or view change, whichever the engine's state calls for.
+//!
+//! Client ops enter through [`Replica::submit_then`], which waits for
+//! nothing: the view primary stamps the op, sequences it, sends
+//! `prepare` to every backup at once from its peer endpoint and owes the
+//! op's continuation the viewstamped outcome; a backup forwards the op
+//! to the primary from the same endpoint. The ack that commits the op —
+//! or the primary's reply to a forward — is handled where it lands, and
+//! answers. [`Replica::submit`] is the same path plus a wait, for the
+//! callers that block anyway. A second process, [`Replica::expiry_loop`],
+//! runs while ops are owed and refuses what no quorum decided in time.
 //!
 //! Every engine step goes through [`Replica::with_engine`], which turns
 //! the events the step produced into the group's `<group>.vsr.*`
 //! metrics and `<group>-vsr` journal lines, runs the machine's
-//! [`Replicated::post_step`], and wakes the ops waiting on the engine.
+//! [`Replicated::post_step`], and answers the ops the step decided.
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt::{self, Display};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use ocs_orb::{NoAuth, ObjRef, Orb, Servant};
+use ocs_orb::bytes::Bytes;
+use ocs_orb::{NoAuth, ObjRef, Orb, OrbError, Servant};
+use ocs_sim::sync::SyncObj;
 use ocs_sim::{Addr, NetError, NodeRtExt, PortReq, Rt, SimTime};
 use ocs_telemetry::{Counter, Gauge, Histo, Journal, NodeTelemetry};
+use ocs_wire::Wire;
 use parking_lot::Mutex;
 
-use crate::fanout::{PeerFanout, PeerServant, PEER_OBJ};
+use crate::fanout::{decode, PeerCall, PeerFanout, PeerServant, PEER_OBJ};
 use crate::{
-    DoViewChange, OpNum, OpOutcome, Prepare, Refusal, Replicated, StartView, SubmitRoute, View,
-    VsrCore, VsrEvent, VsrStatus,
+    DoViewChange, Machine, OpNum, OpOutcome, PeerAck, Refusal, Replicated, StartView, SubmitRoute,
+    View, VsrCore, VsrEvent, VsrStatus,
 };
+
+/// A client op's continuation: called once, with the op's outcome, on
+/// whichever thread decides it — the one an ack or a forwarded op's
+/// reply landed on, the expiry loop's, or the submitter's own when the
+/// op is refused or commits at once.
+pub type Done<M> = Box<dyn FnOnce(&Replica<M>, <M as Machine>::Outcome) + Send>;
 
 /// Entries re-sent to one lagging backup per heartbeat round.
 const RESEND_BATCH: usize = 32;
@@ -183,10 +199,48 @@ pub struct Replica<M: Replicated> {
     metrics: Metrics,
     /// Every call to the other replicas goes through here.
     fan: PeerFanout,
+    /// The client ops this replica still owes an outcome. Locked under
+    /// `st` where both are held.
+    owed: Mutex<Owed<M>>,
+    /// Bumped whenever an op a blocking [`Replica::submit`] waits for is
+    /// answered.
+    settled: Arc<dyn SyncObj>,
+    /// This replica, for the expiry loop it starts on demand.
+    me: Weak<Replica<M>>,
     /// Set by [`Replica::start`]: the root object's reference, and the
     /// ORB — weakly, because the ORB owns the servants and the servants
     /// own the replica. Its serving process keeps the ORB alive.
     started: OnceLock<(ObjRef, Weak<Orb>)>,
+}
+
+/// The client ops a replica owes an outcome, each with when it is
+/// refused if still undecided. Each map's keys grow with time, so its
+/// first entry is the first due.
+struct Owed<M: Replicated> {
+    /// Sequenced here as the view primary, by viewstamp: refused
+    /// `NoQuorum` `2 × peer_timeout` after sequencing.
+    sequenced: BTreeMap<(View, OpNum), Waiter<M>>,
+    /// Forwarded to the primary, by the number its call carries: refused
+    /// `Comm { Timeout }` one `peer_timeout` after forwarding.
+    forwarded: BTreeMap<u64, Waiter<M>>,
+    next_forward: u64,
+    /// Whether no expiry loop runs: the next op owed starts one.
+    idle: bool,
+}
+
+/// An owed op's continuation and deadline.
+struct Waiter<M: Replicated> {
+    deadline: SimTime,
+    done: Done<M>,
+}
+
+impl<M: Replicated> Owed<M> {
+    /// When the first owed op is due.
+    fn next_deadline(&self) -> Option<SimTime> {
+        let sequenced = self.sequenced.values().next().map(|w| w.deadline);
+        let forwarded = self.forwarded.values().next().map(|w| w.deadline);
+        sequenced.into_iter().chain(forwarded).min()
+    }
 }
 
 impl<M: Replicated> Replica<M> {
@@ -228,8 +282,16 @@ impl<M: Replicated> Replica<M> {
             cfg.suspect_timeout(),
             now,
         );
-        Arc::new(Replica {
+        Arc::new_cyclic(|me| Replica {
+            me: me.clone(),
             metrics: Metrics::of(&rt, group),
+            settled: rt.make_sync(),
+            owed: Mutex::new(Owed {
+                sequenced: BTreeMap::new(),
+                forwarded: BTreeMap::new(),
+                next_forward: 0,
+                idle: true,
+            }),
             fan: PeerFanout::new(
                 rt.clone(),
                 cfg.peer_timeout,
@@ -252,7 +314,8 @@ impl<M: Replicated> Replica<M> {
 
     /// Opens the replica's endpoint, exports `root` — the service's
     /// client-facing servant — as the stable root object and the peer
-    /// servant next to it, and spawns the driver loop.
+    /// servant next to it, opens the peer endpoint the commit path sends
+    /// from, and spawns the driver loop.
     ///
     /// # Panics
     ///
@@ -270,6 +333,12 @@ impl<M: Replicated> Replica<M> {
             self.started.set((root, Arc::downgrade(&orb))).is_ok(),
             "Replica::start called twice"
         );
+        let me = Arc::downgrade(self);
+        self.fan.open(Box::new(move |call, reply| {
+            if let Some(me) = me.upgrade() {
+                me.on_reply(call, reply);
+            }
+        }))?;
         orb.start();
         if self.in_probation() {
             self.journal(format!(
@@ -368,31 +437,42 @@ impl<M: Replicated> Replica<M> {
     // ---- engine access -------------------------------------------------
 
     /// Runs `f` against the engine, then post-processes the events it
-    /// produced. Never call engine methods while making RPCs — every
-    /// peer call in this module happens with the lock released.
+    /// produced and answers the ops it decided. Never call engine
+    /// methods while making RPCs — every peer call in this module
+    /// happens with the lock released.
     pub(crate) fn with_engine<R>(&self, f: impl FnOnce(&mut VsrCore<M>) -> R) -> R {
-        let (out, events, probation_ended) = {
+        let (out, events, probation_ended, decided) = {
             let mut st = self.st.lock();
             let before = st.in_probation();
             let out = f(&mut st);
             let ended = before && !st.in_probation();
             let events = st.take_events();
+            let mut decided = Vec::new();
             if !events.is_empty() {
                 st.state_mut().post_step(&self.ctx, &events);
+                // An op's outcome can have changed: a commit, a view
+                // change, an installed state.
+                let commit = st.commit_num();
+                decided.extend(
+                    self.owed
+                        .lock()
+                        .sequenced
+                        .extract_if(.., |&(_, op), _| op <= commit)
+                        .map(|((view, op), w)| (w.done, st.outcome_of(view, op))),
+                );
             }
-            (out, events, ended)
+            (out, events, ended, decided)
         };
         if probation_ended {
             // Both exit paths (recovery-quorum probe and StartView) funnel
             // through here, so the flight recorder sees every one.
             self.journal("recovery probation ended");
         }
-        if !events.is_empty() {
-            for ev in events {
-                self.note_event(ev);
-            }
-            // An op's outcome can have changed: wake the commit path.
-            self.fan.progressed();
+        for ev in events {
+            self.note_event(ev);
+        }
+        for (done, fate) in decided {
+            done(self, self.outcome(fate));
         }
         out
     }
@@ -456,62 +536,229 @@ impl<M: Replicated> Replica<M> {
 
     // ---- update path ---------------------------------------------------
 
-    /// Replicates an op this replica sequenced as the view primary: one
-    /// prepare to every backup at once, answered at the majority commit.
-    /// The outcome is keyed by the viewstamp `(view, op)` we sequenced,
-    /// never the op number alone: if we are deposed mid-wait and a view
-    /// change commits a *different* update at our op number, the client
-    /// must hear failure — its write may be lost, and it retries
+    /// Routes a client op — sequenced here if this replica is the view
+    /// primary, forwarded to the primary if it is a backup — and hands
+    /// `done` its outcome when that is decided; waits for nothing. Fails
+    /// fast mid-view-change; the client (or its rebind library, §8.2)
+    /// retries.
+    pub fn submit_then(&self, op: M::Op, done: Done<M>) {
+        self.route(op, done, true);
+    }
+
+    /// [`Replica::submit_then`] as primary, without forwarding — what a
+    /// forwarded op goes through.
+    pub(crate) fn master_submit_then(&self, op: M::Op, done: Done<M>) {
+        self.route(op, done, false);
+    }
+
+    /// [`Replica::submit_then`], waiting for the outcome.
+    pub fn submit(&self, op: M::Op) -> M::Outcome {
+        self.wait_for(|done| self.submit_then(op, done))
+    }
+
+    /// [`Replica::submit`] as primary, without forwarding — what the
+    /// machine's own master-side ops (audit unbinds, expiry ticks) go
+    /// through.
+    pub fn master_submit(&self, op: M::Op) -> M::Outcome {
+        self.wait_for(|done| self.master_submit_then(op, done))
+    }
+
+    /// The primary stamps the op and sequences it, owing `done` the
+    /// outcome keyed by the viewstamp `(view, op)` it assigned — never
+    /// the op number alone: if we are deposed mid-wait and a view change
+    /// commits a *different* update at our op number, the client must
+    /// hear failure — its write may be lost, and it retries
     /// (idempotently, where the machine's ops carry a token) — not the
-    /// replacement's success.
-    fn drive_prepare(&self, prep: Prepare<M::Op>) -> M::Outcome {
-        let out = self.fan.replicate(
-            &prep,
-            |i, ack| self.with_engine(|c| c.on_ack(i, ack)),
-            || self.st.lock().outcome_of(prep.view, prep.op_num),
-        );
-        match out {
+    /// replacement's success. Then one `prepare` goes to every backup at
+    /// once.
+    fn route(&self, mut op: M::Op, done: Done<M>, forward: bool) {
+        let now = self.rt.now();
+        M::stamp(&mut op, now.as_micros());
+        let kept = forward.then(|| op.clone());
+        let routed = self.with_engine(move |c| match c.client_op(op) {
+            Ok(prep) => {
+                // Owed before the prepares leave: the ack that commits
+                // the op may land on another thread before they are out.
+                let deadline = now + self.cfg.peer_timeout * 2;
+                let idle = self.owe(|owed| {
+                    let key = (prep.view, prep.op_num);
+                    owed.sequenced.insert(key, Waiter { deadline, done });
+                });
+                Ok((prep, idle))
+            }
+            Err(route) => Err((route, done)),
+        });
+        let done = match routed {
+            Ok((prep, idle)) => {
+                self.fan.prepare(&prep);
+                return self.expire_from(idle);
+            }
+            Err((SubmitRoute::Forward(primary), done)) => match kept {
+                Some(op) => return self.forward(primary, &op, done),
+                None => done,
+            },
+            Err((SubmitRoute::Unavailable, done)) => done,
+        };
+        done(self, M::refused(Refusal::NoMaster));
+    }
+
+    /// Forwards `op` to the primary from the peer endpoint, owing `done`
+    /// the outcome its reply brings.
+    fn forward(&self, primary: u32, op: &M::Op, done: Done<M>) {
+        let deadline = self.rt.now() + self.cfg.peer_timeout;
+        let mut n = 0;
+        let idle = self.owe(|owed| {
+            n = owed.next_forward;
+            owed.next_forward += 1;
+            owed.forwarded.insert(n, Waiter { deadline, done });
+        });
+        if let Err(err) = self.fan.forward(primary, op, n) {
+            let w = self.owed.lock().forwarded.remove(&n);
+            if let Some(w) = w {
+                (w.done)(self, M::refused(Refusal::Comm { err }));
+            }
+        }
+        self.expire_from(idle);
+    }
+
+    /// Records an owed op; whether no expiry loop ran, so that one must
+    /// be started for it ([`Replica::expire_from`]).
+    fn owe(&self, add: impl FnOnce(&mut Owed<M>)) -> bool {
+        let mut owed = self.owed.lock();
+        add(&mut owed);
+        std::mem::take(&mut owed.idle)
+    }
+
+    /// Starts the expiry loop if none runs (`idle`). A group of one
+    /// commits at sequencing: nothing of its comes due.
+    fn expire_from(&self, idle: bool) {
+        let me = self
+            .me
+            .upgrade()
+            .filter(|_| idle && self.cfg.peers.len() > 1);
+        if let Some(me) = me {
+            self.rt.spawn_fn(M::CHANNEL, move || me.expiry_loop());
+        }
+    }
+
+    /// What an op's viewstamped fate tells its client. `Pending` is an op
+    /// sequenced but not committed in time: no quorum is reachable. It
+    /// may still commit after a heal; clients treat this like a master
+    /// outage and retry.
+    fn outcome(&self, fate: OpOutcome<M::Outcome>) -> M::Outcome {
+        match fate {
             OpOutcome::Done(result) => result,
             OpOutcome::Superseded => {
                 self.metrics.superseded.inc();
                 M::refused(Refusal::Superseded)
             }
-            // Sequenced but not committed: no quorum reachable. The op
-            // may still commit after a heal; clients treat this like a
-            // master outage and retry.
             OpOutcome::Pending => M::refused(Refusal::NoQuorum),
         }
     }
 
-    /// Sequences an op on this replica as primary, without forwarding —
-    /// what a forwarded op and the machine's own master-side ops (audit
-    /// unbinds, expiry ticks) go through.
-    pub fn master_submit(&self, mut op: M::Op) -> M::Outcome {
-        M::stamp(&mut op, self.rt.now().as_micros());
-        match self.with_engine(|c| c.client_op(op)) {
-            Ok(prep) => self.drive_prepare(prep),
-            Err(_) => M::refused(Refusal::NoMaster),
+    /// What a call from the peer endpoint came back with, where it
+    /// landed: a backup's ack goes to the engine (and so answers what it
+    /// commits), a forwarded op's outcome to its continuation.
+    fn on_reply(&self, call: PeerCall, reply: Result<Bytes, OrbError>) {
+        match call {
+            PeerCall::Prepare(peer) => {
+                if let Some(ack) = decode::<PeerAck>(reply) {
+                    self.with_engine(|c| c.on_ack(peer, &ack));
+                }
+            }
+            PeerCall::Forward(n) => {
+                // Gone if it timed out first.
+                let Some(w) = self.owed.lock().forwarded.remove(&n) else {
+                    return;
+                };
+                let out = reply.and_then(|body| {
+                    M::Outcome::from_bytes(&body).map_err(|e| OrbError::Decode {
+                        what: e.to_string(),
+                    })
+                });
+                (w.done)(
+                    self,
+                    out.unwrap_or_else(|err| M::refused(Refusal::Comm { err })),
+                );
+            }
         }
     }
 
-    /// Routes a client op: sequence here if primary, forward to the
-    /// primary if backup. Fails fast mid-view-change; the client (or its
-    /// rebind library, §8.2) retries.
-    pub fn submit(&self, mut op: M::Op) -> M::Outcome {
-        M::stamp(&mut op, self.rt.now().as_micros());
-        match self.with_engine(|c| c.client_op(op.clone())) {
-            Ok(prep) => self.drive_prepare(prep),
-            Err(SubmitRoute::Forward(primary)) => self
-                .fan
-                .forward_op(primary, &op)
-                .unwrap_or_else(|err| M::refused(Refusal::Comm { err })),
-            Err(SubmitRoute::Unavailable) => M::refused(Refusal::NoMaster),
+    /// Starts an op with a continuation that wakes this thread, and
+    /// waits for its outcome: by `2 × peer_timeout` it is decided or
+    /// refused; past one more, the replica is taken to have died with the
+    /// op (`NoQuorum`).
+    fn wait_for(&self, start: impl FnOnce(Done<M>)) -> M::Outcome {
+        let slot: Arc<Mutex<Option<M::Outcome>>> = Arc::default();
+        let (put, settled) = (Arc::clone(&slot), Arc::clone(&self.settled));
+        start(Box::new(move |_, out| {
+            *put.lock() = Some(out);
+            settled.bump();
+        }));
+        let give_up = self.rt.now() + self.cfg.peer_timeout * 3;
+        loop {
+            let seen = self.settled.generation();
+            if let Some(out) = slot.lock().take() {
+                return out;
+            }
+            let now = self.rt.now();
+            if now >= give_up {
+                return M::refused(Refusal::NoQuorum);
+            }
+            self.settled.wait_newer(seen, Some(give_up - now));
+        }
+    }
+
+    /// Refuses the owed ops nothing decided in time: a sequenced one
+    /// still undecided `2 × peer_timeout` after sequencing (`NoQuorum`),
+    /// a forwarded one unanswered one `peer_timeout` after forwarding
+    /// (`Comm { Timeout }`). Sleeps to the next deadline, but never
+    /// longer than one `peer_timeout` — whatever becomes owed meanwhile
+    /// is due no sooner than it looks again — and so wakes nobody while
+    /// ops come. Found nothing owed twice running, it ends, and the next
+    /// op owed starts it again: an idle group runs no expiry loop.
+    fn expiry_loop(&self) {
+        let most = self.cfg.peer_timeout;
+        let mut quiet = false;
+        loop {
+            let now = self.rt.now();
+            let (due, next) = {
+                let st = self.st.lock();
+                let mut owed = self.owed.lock();
+                let mut due: Vec<(Done<M>, OpOutcome<M::Outcome>)> = owed
+                    .sequenced
+                    .extract_if(.., |_, w| w.deadline <= now)
+                    .map(|((view, op), w)| (w.done, st.outcome_of(view, op)))
+                    .collect();
+                let timeout = || {
+                    M::refused(Refusal::Comm {
+                        err: OrbError::Timeout,
+                    })
+                };
+                due.extend(
+                    owed.forwarded
+                        .extract_if(.., |_, w| w.deadline <= now)
+                        .map(|(_, w)| (w.done, OpOutcome::Done(timeout()))),
+                );
+                let next = owed.next_deadline();
+                owed.idle = next.is_none() && quiet;
+                quiet = next.is_none();
+                let look = next.map_or(now + most, |at| at.min(now + most));
+                (due, (!owed.idle).then_some(look))
+            };
+            for (done, fate) in due {
+                done(self, self.outcome(fate));
+            }
+            let Some(look) = next else { return };
+            self.rt.sleep(look.saturating_since(now));
         }
     }
 
     // ---- the driver loop -----------------------------------------------
 
     fn vsr_loop(&self) {
+        // The peer endpoint lives as long as the driver does.
+        self.fan.adopt();
         let tick = self.cfg.heartbeat_interval / 4;
         // Desynchronize the replicas' ticks.
         self.rt.sleep(self.rt.rand_jitter(tick));
@@ -556,9 +803,9 @@ impl<M: Replicated> Replica<M> {
                 Act::Nothing => {}
             }
             M::master_tick(self);
-            // Straggler acks of commits answered at the first ack.
-            self.fan
-                .drain(usize::MAX, |i, ack| self.with_engine(|c| c.on_ack(i, ack)));
+            // The peer endpoint's calls no reply came for end here (a
+            // forwarded op's client was answered at its own deadline).
+            self.fan.expire(self.rt.now());
             {
                 let st = self.st.lock();
                 self.metrics.view.set(st.view() as i64);

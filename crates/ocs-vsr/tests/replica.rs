@@ -8,26 +8,65 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ocs_orb::bytes::Bytes;
-use ocs_orb::{Caller, OrbError, Servant};
-use ocs_sim::Addr;
+use ocs_orb::{Caller, ClientCtx, ObjRef, OrbError, Servant};
+use ocs_sim::{Addr, FaultAction, LinkParams, NodeRtExt, Rt, Sim, SimTime};
 use ocs_vsr::group::{Group, Spec};
 use ocs_vsr::{CounterMachine, Refusal, Replica, ReplicaConfig};
+use ocs_wire::{type_id_of, Wire};
+use parking_lot::Mutex;
 
 const PORT: u16 = 2300;
 /// One link round trip at the simulator's default 500 µs latency.
 const ROUND_TRIP: Duration = Duration::from_millis(1);
+/// Ten of them: the bound a commit that waits on no timeout stays under.
+const TEN_ROUND_TRIPS: Duration = Duration::from_millis(10);
+/// The tuned `peer_timeout`.
+const PEER_TIMEOUT: Duration = Duration::from_millis(150);
 
-/// The group's root object: the tests drive the log through
-/// `Replica::submit`, so nothing calls it.
-struct NoRoot;
+/// The root object's one method, `add(amount)`.
+const ADD: u32 = 1;
 
-impl Servant for NoRoot {
+/// What `add` answers: the op's outcome, and the name of the thread its
+/// commit was decided on.
+type Added = (Result<u64, Refusal>, String);
+
+/// The group's root object. `add` runs where its request lands, as the
+/// replicated CM's updates do, and is answered by whatever decides its
+/// commit. (Most tests drive the log through `Replica::submit` instead.)
+struct Adder(Arc<Replica<CounterMachine>>);
+
+impl Servant for Adder {
     fn type_id(&self) -> u32 {
-        0
+        type_id_of("test.adder")
     }
-    fn dispatch(&self, _c: &Caller, _m: u32, _a: &[u8]) -> Result<Bytes, OrbError> {
-        Err(OrbError::UnknownMethod)
+    fn runs_inline(&self, _method: u32) -> bool {
+        true
     }
+    fn dispatch(&self, caller: &Caller, _method: u32, args: &[u8]) -> Result<Bytes, OrbError> {
+        let amount = u64::from_bytes(args).map_err(|e| OrbError::Decode {
+            what: e.to_string(),
+        })?;
+        let reply = caller
+            .reply_later::<Added>()
+            .ok_or(OrbError::UnknownMethod)?;
+        self.0.submit_then(
+            amount,
+            Box::new(move |_, out| {
+                let thread = std::thread::current().name().unwrap_or("?").to_string();
+                reply.send((out, thread));
+            }),
+        );
+        Ok(Bytes::new())
+    }
+}
+
+/// `add(amount)` on `target` from `rt`.
+fn add(rt: &Rt, target: ObjRef, amount: u64) -> Added {
+    let ctx = ClientCtx::new(rt.clone()).with_timeout(Duration::from_secs(5));
+    let body = ctx
+        .call_named(&target, ADD, amount.to_bytes(), "test.adder.add")
+        .expect("add answers");
+    Added::from_bytes(&body).expect("reply decodes")
 }
 
 /// Deployed-tuning timeouts, so a fail-over completes in about a second.
@@ -35,7 +74,7 @@ fn tuned(i: u32, peers: Vec<Addr>) -> ReplicaConfig {
     let mut cfg = ReplicaConfig::paper_defaults(i, peers);
     cfg.heartbeat_interval = Duration::from_millis(200);
     cfg.election_timeout = Duration::from_millis(600);
-    cfg.peer_timeout = Duration::from_millis(150);
+    cfg.peer_timeout = PEER_TIMEOUT;
     cfg.log_retention = 4;
     cfg
 }
@@ -49,19 +88,28 @@ fn counters() -> Spec<Replica<CounterMachine>> {
         tuning: tuned,
         start: Arc::new(|rt, cfg| {
             let rep = Replica::new(rt, cfg, CounterMachine::default(), ());
-            rep.start(Arc::new(NoRoot))?;
+            rep.start(Arc::new(Adder(Arc::clone(&rep))))?;
             Ok(rep)
         }),
         status: |r| Some(r.status()),
     }
 }
 
+/// [`build`], and a handle on its simulator.
+fn build_sim(seed: u64) -> (Sim, Counters) {
+    let sim = Sim::new(seed);
+    let hosts = (0..3).map(|i| sim.add_node(&format!("r{i}"))).collect();
+    let client = sim.add_node("load");
+    let handle = sim.clone();
+    let group = Group::on_sim(sim, hosts, client, counters());
+    group.settle("at start");
+    (handle, group)
+}
+
 /// Three replicas in the simulator, settled: one master, nobody in
 /// probation.
 fn build(seed: u64) -> Counters {
-    let group = Group::sim(seed, counters());
-    group.settle("at start");
-    group
+    build_sim(seed).1
 }
 
 /// The one replica that believes it is master, if there is exactly one.
@@ -79,6 +127,22 @@ fn submit(group: &Counters, at: usize, amount: u64) -> (Result<u64, Refusal>, Du
         let out = rep.submit(amount);
         (out, rt.now().saturating_since(t0))
     })
+}
+
+/// What [`submit_later`] fills in: the outcome, and when it came.
+type Later = Arc<Mutex<Option<(Result<u64, Refusal>, SimTime)>>>;
+
+/// Submits `amount` at replica `at` from a process of its own and
+/// returns at once.
+fn submit_later(group: &Counters, at: usize, amount: u64) -> Later {
+    let rep = group.member(at).expect("replica is up");
+    let slot: Later = Arc::default();
+    let (out, rt) = (Arc::clone(&slot), group.nodes()[at].clone());
+    group.nodes()[at].spawn_fn("submit", move || {
+        let got = rep.submit(amount);
+        *out.lock() = Some((got, rt.now()));
+    });
+    slot
 }
 
 fn totals(group: &Counters) -> Vec<u64> {
@@ -193,4 +257,171 @@ fn restarted_replica_leaves_probation_and_catches_up() {
         .registry
         .counter("counter.vsr.state_transfer_snapshot");
     assert!(by_snapshot.get() >= 1, "ten ops behind with four retained");
+}
+
+/// Processes started while `adds` run `add(1..=adds)` against `target`
+/// from one client process, after a first `add` that woke the group
+/// from quiet, and the inline runs meanwhile.
+fn started_for(sim: &Sim, group: &Counters, target: ObjRef, adds: u64) -> (u64, u64) {
+    group.on_client(move |rt| add(&rt, target, 0).0.expect("the first add commits"));
+    let before = sim.kernel_stats();
+    let last = group.on_client(move |rt| {
+        (1..=adds)
+            .map(|i| add(&rt, target, i).0)
+            .collect::<Vec<_>>()
+    });
+    let after = sim.kernel_stats();
+    assert_eq!(last.last(), Some(&Ok(adds * (adds + 1) / 2)));
+    (
+        after.spawns - before.spawns,
+        after.inline_runs - before.inline_runs,
+    )
+}
+
+/// In the simulator a commit at the primary starts no process: the
+/// client's `add` runs where it lands, so do the backups' `prepare`s
+/// and the acks that come back, and the first ack's commit sends the
+/// reply. The one process is the client's. (The first op after a quiet
+/// spell starts the replica's expiry loop, which then runs while ops
+/// come.)
+#[test]
+fn a_commit_at_the_primary_starts_no_process() {
+    let (sim, group) = build_sim(14_005);
+    let master = sole_master(&group).unwrap();
+    let target = group.member(master).unwrap().root_ref();
+    let (spawns, inline_runs) = started_for(&sim, &group, target, 20);
+    assert_eq!(spawns, 1, "the client's process alone");
+    // Per add: the request, two prepares, two acks.
+    assert!(inline_runs >= 5 * 20);
+}
+
+/// An op sent to a backup goes to the primary from the backup's peer
+/// endpoint, runs where it lands there, and its outcome comes back the
+/// same way: no process on either side.
+#[test]
+fn a_forwarded_op_starts_no_process_on_either_side() {
+    let (sim, group) = build_sim(14_006);
+    let backup = (sole_master(&group).unwrap() + 1) % 3;
+    let target = group.member(backup).unwrap().root_ref();
+    let (spawns, _) = started_for(&sim, &group, target, 10);
+    assert_eq!(spawns, 1, "the client's process alone");
+}
+
+/// On TCP the commit is decided on a connection reader — the one that
+/// read the first backup's ack — and the reply leaves from there.
+#[test]
+fn a_commit_on_tcp_is_decided_on_a_connection_reader() {
+    let group = Group::tcp(counters());
+    group.settle("at start");
+    let master = sole_master(&group).unwrap();
+    let target = group.member(master).unwrap().root_ref();
+    let client = group.client().clone();
+    let mut total = 0;
+    for amount in 1..=20 {
+        total += amount;
+        assert_eq!(
+            add(&client, target, amount),
+            (Ok(total), "conn-reader".to_string())
+        );
+    }
+}
+
+/// With both backups cut off, an op is refused `NoQuorum` exactly two
+/// peer timeouts after it was sequenced, in virtual time.
+#[test]
+fn no_quorum_comes_exactly_two_peer_timeouts_after_sequencing() {
+    let group = build(14_007);
+    let master = sole_master(&group).unwrap();
+    for backup in (0..3).filter(|i| *i != master) {
+        group.fault(FaultAction::Partition(
+            group.node(master),
+            group.node(backup),
+        ));
+    }
+    let (out, took) = submit(&group, master, 1);
+    assert_eq!(out, Err(Refusal::NoQuorum));
+    assert_eq!(took, 2 * PEER_TIMEOUT);
+}
+
+/// A primary deposed while an op it sequenced waits is told so by the
+/// state it catches up to, long before the op's own deadline: a new view
+/// committed another op at its number, and the op is `Superseded`.
+#[test]
+fn a_primary_deposed_mid_wait_answers_superseded() {
+    let mut spec = counters();
+    // Room for a view change, a commit in the new view and the heal
+    // before the op's `2 × peer_timeout` runs out.
+    spec.tuning = |i, peers| ReplicaConfig {
+        peer_timeout: Duration::from_secs(3),
+        ..tuned(i, peers)
+    };
+    let sim = Sim::new(14_008);
+    let hosts = (0..3).map(|i| sim.add_node(&format!("r{i}"))).collect();
+    let client = sim.add_node("load");
+    let group = Group::on_sim(sim, hosts, client, spec);
+    group.settle("at start");
+    let old = sole_master(&group).unwrap();
+    let cut: Vec<(ocs_sim::NodeId, ocs_sim::NodeId)> = (0..3)
+        .filter(|i| *i != old)
+        .map(|b| (group.node(old), group.node(b)))
+        .collect();
+    for &(a, b) in &cut {
+        group.fault(FaultAction::Partition(a, b));
+    }
+    let t0 = group.now();
+    let waiting = submit_later(&group, old, 1);
+    // The old primary, cut off, still believes it is master.
+    let successor = || group.masters().into_iter().find(|m| *m != old);
+    assert!(
+        group.run_until(Duration::from_secs(5), || successor().is_some()),
+        "the cut-off backups elected no new primary: {:?}",
+        group.statuses()
+    );
+    let new = successor().unwrap();
+    assert_eq!(
+        submit(&group, new, 7).0,
+        Ok(7),
+        "the new view commits another op"
+    );
+    for &(a, b) in &cut {
+        group.fault(FaultAction::Heal(a, b));
+    }
+    assert!(group.run_until(Duration::from_secs(8), || waiting.lock().is_some()));
+    let (out, at) = waiting.lock().take().unwrap();
+    assert_eq!(out, Err(Refusal::Superseded));
+    assert!(
+        at.saturating_since(t0) < Duration::from_secs(6),
+        "answered at the deadline"
+    );
+}
+
+/// A prepare that reaches a backup out of order is buffered and acked
+/// only with the one it waited for; with the other backup silent, that
+/// later ack is the op's commit, and answers it then — not when the op's
+/// own call to the silent backup would have timed out, one
+/// `peer_timeout` later.
+#[test]
+fn a_reordered_prepare_commits_without_waiting_out_the_silent_backup() {
+    let (sim, group) = build_sim(14_009);
+    let master = sole_master(&group).unwrap();
+    let backups: Vec<usize> = (0..3).filter(|i| *i != master).collect();
+    let (slow, silent) = (backups[0], backups[1]);
+    group.kill(silent);
+    // The first op's prepare takes 5 ms to reach the slow backup; the
+    // second's the usual 500 µs, so it arrives first and waits there.
+    let (p, s) = (group.node(master), group.node(slow));
+    sim.set_link(p, s, LinkParams::latency_only(5 * ROUND_TRIP));
+    let first = submit_later(&group, master, 1);
+    sim.run_for(Duration::from_micros(100));
+    sim.set_link(p, s, LinkParams::latency_only(ROUND_TRIP / 2));
+    let (out, took) = submit(&group, master, 2);
+    assert_eq!(out, Ok(3));
+    assert!(
+        took < TEN_ROUND_TRIPS,
+        "the reordered op's commit took {took:?}, want under {TEN_ROUND_TRIPS:?}"
+    );
+    assert_eq!(
+        first.lock().as_ref().map(|(out, _)| out.clone()),
+        Some(Ok(1))
+    );
 }
