@@ -73,6 +73,9 @@ const fn g(run: Run, field: &'static str, cmp: Cmp) -> Guard {
 
 const E1: Run = Run::Exp("e1");
 const E2: Run = Run::Exp("e2");
+const E9: Run = Run::Exp("e9");
+const E11: Run = Run::Exp("e11");
+const E12: Run = Run::Exp("e12");
 const E17_4K: Run = Run::Exp("e17 --settops 4000");
 const E17_2SHARD: Run = Run::Exp("e17 --settops 4000 --shards 2");
 const E13: Run = Run::Exp("e13");
@@ -101,6 +104,17 @@ pub const GUARDS: &[Guard] = &[
     g(E13, "max_reclaim_s", Lt(25.0)),
     g(E13, "unreclaimed", Eq(0.0)),
     g(E14, "client_errors", Eq(0.0)),
+    // The same, virtual time, on groups and services of their own: an NS
+    // master re-elected inside §9.7's 25 s at 3, 5 and 7 replicas (9.1 s
+    // worst), a restarted RAS that knows every entity again within one
+    // 10 s asking period, and pings that false-kill a busy single-threaded
+    // service (none idle, some at 60 and 90 % busy) where its process
+    // group's liveness, the SSC's signal, never does.
+    g(E9, "reelect_max_s", Lt(25.0)),
+    g(E11, "relearned_all_s", Le(10.0)),
+    g(E12, "ping_false_deads_idle", Eq(0.0)),
+    g(E12, "ping_false_deads_busy", Ge(1.0)),
+    g(E12, "callback_false_deads", Eq(0.0)),
     // An idle cluster's name-service log carries what changed — load
     // reports, the backups' bind retries: 36 a minute per replica at the
     // deployed intervals, a virtual-time count, exact for the seed on
@@ -186,7 +200,7 @@ pub const GUARDS: &[Guard] = &[
     // An encode writes into a buffer with room and a pooled frame costs
     // one copy: 7.242 allocator calls per event — 68.8 per op, exact for
     // the seed to a few hundredths on any host (80.7 per op with a
-    // process, an endpoint and a scatter per commit; 11.449 per event
+    // process and a gathering endpoint per commit; 11.449 per event
     // when every write could copy a shared buffer and every call copied
     // its principal). The ceiling is 3.4 allocations per op above.
     g(REPL_STORM, "per_layer/ocs-sim.allocs_per_event", Le(7.6)),

@@ -22,6 +22,7 @@ use parking_lot::Mutex;
 
 use super::failover;
 use super::group::PAPER;
+use crate::json::Json;
 use crate::{f, Stats, Table};
 
 /// Starts `n` name-service replicas on fresh nodes; returns their nodes.
@@ -473,6 +474,7 @@ pub fn e9() {
         "cold-start election (s)",
         "re-election after crash (s)",
     ]);
+    let mut reelect_max = 0.0f64;
     for replicas in [3usize, 5, 7] {
         let sim = Sim::new(900 + replicas as u64);
         let nodes: Vec<Arc<SimNode>> = (0..replicas)
@@ -504,9 +506,16 @@ pub fn e9() {
         };
         t.row(&[replicas.to_string(), f(cold, 1), f(reelect, 1)]);
         crate::report::add_virtual_secs(group.now().as_secs_f64());
+        // A size that elected nobody makes the maximum NaN: no number.
+        reelect_max = if reelect.is_nan() {
+            f64::NAN
+        } else {
+            reelect_max.max(reelect)
+        };
     }
     t.print();
     crate::report::put("table", t.to_json());
+    crate::report::put("reelect_max_s", Json::F64(reelect_max));
     println!("    (VSR view change: staggered 5s+ suspect timeouts; crash detection dominates)");
 }
 
@@ -532,7 +541,8 @@ pub fn e10() {
         let attempts = Arc::new(AtomicU64::new(0));
         let blocked = Arc::new(AtomicU64::new(0));
         let server_id = server.node();
-        // Each settop: think exp(60s), hold exp(90s), 4 Mb/s per stream.
+        // Each settop: think uniform on [30, 90) s, hold uniform on
+        // [45, 135) s (means 60 and 90), 4 Mb/s per stream.
         for i in 0..settops {
             let node = sim.add_node(&format!("st{i}"));
             let cm = Arc::clone(&cm);
@@ -575,8 +585,9 @@ pub fn e10() {
     }
     t.print();
     crate::report::put("table", t.to_json());
-    println!("    shape: negligible blocking below ~50 erlang (the 50-stream budget),");
-    println!("    rising steeply past it — the Erlang-B knee.");
+    println!("    shape: negligible blocking well below the 50-stream budget, rising");
+    println!("    steeply as offered load nears it (finite sources: a blocked settop");
+    println!("    goes back to thinking, an Engset system).");
 }
 
 /// E11 (§7.2): RAS stateless recovery — a restarted instance relearns
@@ -673,6 +684,7 @@ pub fn e11() {
     t.row(&[tracked_before.to_string(), f(half, 0), f(full, 0)]);
     t.print();
     crate::report::put("table", t.to_json());
+    crate::report::put("relearned_all_s", Json::F64(full));
     println!("    (clients re-ask every 10s; the tracking set rebuilds within one period)");
 }
 
@@ -687,37 +699,42 @@ pub fn e12() {
         "ping false-deads / 10min",
         "callback false-deads",
     ]);
+    let (mut idle_pings, mut busy_pings, mut callbacks) = (0, u64::MAX, 0);
     for busy_pct in [0u64, 30, 60, 90] {
         let sim = Sim::new(1200 + busy_pct);
         let server = sim.add_node("server");
-        // The single-threaded service: alternates busy work and serving.
+        // The single-threaded service, a process group as the SSC runs
+        // one: alternates busy work and serving.
         let rt: Rt = server.clone();
-        server.spawn_fn("busy-svc", move || {
-            let Ok(ep) = rt.open(PortReq::Fixed(88)) else {
-                return;
-            };
-            let cycle = Duration::from_secs(4);
-            let busy = cycle.mul_f64(busy_pct as f64 / 100.0);
-            let idle = cycle - busy;
-            loop {
-                if !busy.is_zero() {
-                    rt.busy(busy); // Cannot answer pings meanwhile.
-                }
-                let deadline = rt.now() + idle;
+        let svc = server.spawn_group(
+            "busy-svc",
+            Box::new(move || {
+                let Ok(ep) = rt.open(PortReq::Fixed(88)) else {
+                    return;
+                };
+                let cycle = Duration::from_secs(4);
+                let busy = cycle.mul_f64(busy_pct as f64 / 100.0);
+                let idle = cycle - busy;
                 loop {
-                    let now = rt.now();
-                    if now >= deadline {
-                        break;
+                    if !busy.is_zero() {
+                        rt.busy(busy); // Cannot answer pings meanwhile.
                     }
-                    match ep.recv(Some(deadline - now)) {
-                        Ok((from, msg)) => {
-                            let _ = ep.send(from, msg);
+                    let deadline = rt.now() + idle;
+                    loop {
+                        let now = rt.now();
+                        if now >= deadline {
+                            break;
                         }
-                        Err(_) => break,
+                        match ep.recv(Some(deadline - now)) {
+                            Ok((from, msg)) => {
+                                let _ = ep.send(from, msg);
+                            }
+                            Err(_) => break,
+                        }
                     }
                 }
-            }
-        });
+            }),
+        );
         // Ping-based checker: 2s period, 1s timeout, 2 misses => dead.
         let false_deads = Arc::new(AtomicU64::new(0));
         let fd = Arc::clone(&false_deads);
@@ -766,18 +783,44 @@ pub fn e12() {
                 rt.sleep(Duration::from_secs(2));
             }
         });
+        // The SSC-callback design's signal for the same service: its
+        // process group's `alive()`, what the SSC's monitor acts on,
+        // polled on the pinger's schedule under the same two-miss rule.
+        let group_deads = Arc::new(AtomicU64::new(0));
+        let gd = Arc::clone(&group_deads);
+        let rt: Rt = server.clone();
+        server.spawn_fn("group-watch", move || {
+            let mut misses = 0u32;
+            loop {
+                if svc.alive() {
+                    misses = 0;
+                } else {
+                    misses += 1;
+                    if misses == 2 {
+                        gd.fetch_add(1, Ordering::Relaxed);
+                        misses = 0;
+                    }
+                }
+                rt.sleep(Duration::from_secs(2));
+            }
+        });
         sim.run_until(SimTime::from_secs(600));
         crate::report::add_virtual_secs(sim.now().as_secs_f64());
-        // The SSC-callback design never false-positives here: the
-        // process group is alive the whole time.
-        t.row(&[
-            format!("{busy_pct}%"),
-            false_deads.load(Ordering::Relaxed).to_string(),
-            "0".to_string(),
-        ]);
+        let pings = false_deads.load(Ordering::Relaxed);
+        let group = group_deads.load(Ordering::Relaxed);
+        match busy_pct {
+            0 => idle_pings = pings,
+            60 | 90 => busy_pings = busy_pings.min(pings),
+            _ => {}
+        }
+        callbacks += group;
+        t.row(&[format!("{busy_pct}%"), pings.to_string(), group.to_string()]);
     }
     t.print();
     crate::report::put("table", t.to_json());
+    crate::report::put("ping_false_deads_idle", Json::U64(idle_pings));
+    crate::report::put("ping_false_deads_busy", Json::U64(busy_pings));
+    crate::report::put("callback_false_deads", Json::U64(callbacks));
     println!("    shape: false deaths appear as busy time approaches the ping window,");
     println!("    while group-liveness callbacks never misfire — the paper's fix.");
 }

@@ -60,7 +60,7 @@ declare_interface! {
     }
 }
 
-/// `MdsApi::status` as [`ClientCtx::scatter`](ocs_orb::ClientCtx::scatter)
+/// `MdsApi::status` as [`CallPort::gather`](ocs_orb::CallPort::gather)
 /// takes it — wire method id and client span name — for the MMS, which
 /// probes every candidate replica at once instead of through the stub.
 pub(crate) const STATUS: (u32, &str) = (3, "itv.mds.status");

@@ -25,7 +25,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use ocs_name::{acquire_primary, Binding, NsHandle, Origin};
-use ocs_orb::{declare_interface, Caller, ClientCtx, Gather, ObjRef, Orb, OrbError, RpcFault};
+use ocs_orb::{
+    declare_interface, CallPort, Caller, ClientCtx, Gather, ObjRef, Orb, OrbError, RpcFault,
+};
 use ocs_ras::{EntityId, RasMonitor};
 use ocs_sim::{Addr, NodeId, NodeRtExt, PortReq, Rt, SimTime};
 use ocs_wire::Wire;
@@ -206,28 +208,30 @@ impl Mms {
         }
         let mut usable: Vec<(u32, ObjRef)> = Vec::new();
         let mut doubt = false;
-        let sent = self
-            .mds_ctx(Some(budget))
-            .scatter(&storing, STATUS.0, Bytes::new(), STATUS.1);
-        match sent {
-            Ok(mut probes) => probes.gather(|i, reply| {
-                let status = reply
-                    .ok()
-                    .and_then(|body| <Result<MdsStatus, MediaError>>::from_bytes(&body).ok())
-                    .and_then(Result::ok);
-                match status {
-                    Some(st) if st.open_streams < st.max_streams => {
-                        usable.push((st.open_streams, storing[i]));
-                    }
-                    // Full.
-                    Some(_) => {}
-                    // Dead or restarting replica; skip (§3.5.2).
-                    None => doubt = true,
+        // A port per probe, under this open's budget; it closes with the
+        // probe, and a reply that comes later bounces.
+        let Ok(port) = CallPort::<()>::open(self.mds_ctx(Some(budget)), Box::new(|_, _| {})) else {
+            return (usable, true);
+        };
+        port.adopt();
+        let op: Arc<str> = Arc::from(STATUS.1);
+        port.gather(&storing, STATUS.0, Bytes::new(), &op, |i, reply| {
+            let status = reply
+                .ok()
+                .and_then(|body| <Result<MdsStatus, MediaError>>::from_bytes(&body).ok())
+                .and_then(Result::ok);
+            match status {
+                Some(st) if st.open_streams < st.max_streams => {
+                    usable.push((st.open_streams, storing[i]));
                 }
-                Gather::More
-            }),
-            Err(_) => doubt = true, // The budget is already spent.
-        }
+                // Full.
+                Some(_) => {}
+                // Dead or restarting replica, or the budget is already
+                // spent; skip (§3.5.2).
+                None => doubt = true,
+            }
+            Gather::More
+        });
         usable.sort_by_key(|(load, obj)| (*load, obj.addr.node.0));
         (usable, doubt)
     }

@@ -3,7 +3,9 @@
 //! [`ClientCtx`] bundles everything a client stub needs: the node
 //! runtime, the authentication hook and call options. Generated stubs
 //! (see [`declare_interface!`](crate::declare_interface)) call
-//! [`ClientCtx::call`] with a method id and marshalled arguments.
+//! [`ClientCtx::call_named`] with a method id and marshalled arguments;
+//! calls answered where their replies land leave from a
+//! [`CallPort`](crate::CallPort).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,20 +110,15 @@ impl ClientCtx {
     }
 
     /// Invokes `method` on `target` with pre-marshalled `args`, returning
-    /// the raw reply body (a wire-encoded `Result<T, E>`).
+    /// the raw reply body (a wire-encoded `Result<T, E>`). `op` names the
+    /// client span (generated stubs pass `"<interface>.<method>"`). Every
+    /// invocation records a span: a child of the caller's current trace
+    /// context when one exists, otherwise the root of a fresh trace.
     ///
     /// Failure mapping:
     /// * transport bounce (peer process died)  → [`OrbError::ObjectDead`]
     /// * stale incarnation rejected by server  → [`OrbError::ObjectDead`]
     /// * no reply within the timeout           → [`OrbError::Timeout`]
-    pub fn call(&self, target: &ObjRef, method: u32, args: Bytes) -> Result<Bytes, OrbError> {
-        self.call_named(target, method, args, "call")
-    }
-
-    /// [`ClientCtx::call`] with an operation name for the client span
-    /// (generated stubs pass `"<interface>.<method>"`). Every invocation
-    /// records a span: a child of the caller's current trace context when
-    /// one exists, otherwise the root of a fresh trace.
     pub fn call_named(
         &self,
         target: &ObjRef,
@@ -138,34 +135,12 @@ impl ClientCtx {
                 .map_err(|e| OrbError::Transport {
                     what: e.to_string(),
                 })?;
-            let result = self.call_on(&*ep, target, method, args, false, ctx);
+            let result = self.call_on(&*ep, target, method, args, ctx);
             ep.close();
             result
         })();
         self.finish_span(ctx, parent, op, start, result.is_err());
         result
-    }
-
-    /// Fire-and-forget invocation: the server dispatches the method but
-    /// sends no reply. Used for notifications and broadcast-style calls.
-    pub fn notify(&self, target: &ObjRef, method: u32, args: Bytes) -> Result<(), OrbError> {
-        let (ctx, parent) = self.span_for_call();
-        let start = self.rt.now();
-        let r = (|| {
-            let ep = self
-                .rt
-                .open(PortReq::Ephemeral)
-                .map_err(|e| OrbError::Transport {
-                    what: e.to_string(),
-                })?;
-            let (deadline, _) = self.effective_deadline()?;
-            let request_id = self.rt.rand_u64();
-            let r = self.send_request(&*ep, request_id, target, method, args, true, deadline, ctx);
-            ep.close();
-            r
-        })();
-        self.finish_span(ctx, parent, "notify", start, r.is_err());
-        r
     }
 
     /// Allocates the span for one outgoing call: a child of the calling
@@ -236,7 +211,6 @@ impl ClientCtx {
         target: &ObjRef,
         method: u32,
         args: Bytes,
-        oneway: bool,
         deadline: SimTime,
         span: SpanCtx,
     ) -> Result<(), OrbError> {
@@ -247,7 +221,7 @@ impl ClientCtx {
             incarnation: target.incarnation,
             type_id: target.type_id,
             method,
-            oneway,
+            oneway: false,
             deadline_us: deadline.as_micros(),
             trace_id: span.trace.0,
             span_id: span.span.0,
@@ -276,7 +250,6 @@ impl ClientCtx {
         target: &ObjRef,
         method: u32,
         args: Bytes,
-        oneway: bool,
         span: SpanCtx,
     ) -> Result<Bytes, OrbError> {
         let (deadline, budget_bound) = self.effective_deadline()?;
@@ -288,7 +261,7 @@ impl ClientCtx {
             }
         };
         let request_id = self.rt.rand_u64();
-        self.send_request(ep, request_id, target, method, args, oneway, deadline, span)?;
+        self.send_request(ep, request_id, target, method, args, deadline, span)?;
         loop {
             let now = self.rt.now();
             if now >= deadline {

@@ -20,18 +20,16 @@ mod client;
 mod interface;
 mod port;
 mod resilience;
-mod scatter;
 mod server;
 pub mod telemetry;
 mod types;
 
 pub use auth::{ClientAuth, NamedPrincipal, NoAuth, ServerAuth};
 pub use client::{CallOpts, ClientCtx};
-pub use port::{CallPort, OnReply};
+pub use port::{CallPort, Gather, OnReply};
 pub use resilience::{
     Admission, BreakerObserver, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy,
 };
-pub use scatter::{Gather, Scatter};
 pub use server::{Orb, Servant};
 pub use telemetry::{
     bind_breaker, export_telemetry, telemetry_ref, NodeTelemetryService, TelemetryApi,

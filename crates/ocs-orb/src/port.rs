@@ -1,20 +1,30 @@
-//! Calls answered where their replies land.
+//! Calls from one long-lived endpoint.
 //!
-//! [`ClientCtx::call_named`] and [`Scatter::gather`](crate::Scatter)
-//! wait in the calling process for their replies. A [`CallPort`] waits
-//! nowhere: it is one long-lived endpoint, served inline
-//! ([`Endpoint::serve_inline`]), from which any number of calls go out
-//! at once, each with a token. A reply — or the bounce or the timeout
-//! that stands for one — is handed with its call's token to the port's
-//! handler on the thread it lands on: TCP's connection reader, the
-//! simulator's stepping thread. The handler, like any inline handler,
-//! waits for nothing. Nothing blocks, so nothing times out by itself:
-//! the port's owner runs [`CallPort::expire`] on its own clock.
+//! [`ClientCtx::call_named`] places one call from an endpoint of its own
+//! and waits there for the reply. A [`CallPort`] is one long-lived
+//! endpoint, served inline ([`Endpoint::serve_inline`]), from which any
+//! number of calls go out at once. A reply — or the bounce or the
+//! timeout that stands for one — is matched to its call where it lands:
+//! on TCP's connection reader, on the simulator's stepping thread. What
+//! happens there depends on how the call was placed:
+//!
+//! - [`CallPort::call`]: the outcome goes with the call's token to the
+//!   port's handler, on that thread. The handler, like any inline
+//!   handler, waits for nothing. Nothing blocks, so nothing times out by
+//!   itself: the port's owner runs [`CallPort::expire`] on its own clock.
+//! - [`CallPort::gather`]: one request to a set of targets, and the
+//!   calling process blocks. A landing only queues the outcome for it and
+//!   wakes it; it hands the outcomes to a closure in arrival order, under
+//!   one deadline for the set, until the closure says [`Gather::Enough`].
+//!   A quorum caller stops at the first majority and never waits on a
+//!   slow, partitioned or dead peer. Its calls still owed stay owed until
+//!   they are answered or expire; a late reply is dropped at the port.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
+use ocs_sim::sync::SyncObj;
 use ocs_sim::{Addr, Endpoint, NetError, PortReq, RecvError, SimTime};
 use ocs_telemetry::{SpanCtx, SpanId};
 use parking_lot::Mutex;
@@ -25,14 +35,38 @@ use crate::types::{ObjRef, OrbError};
 /// What a [`CallPort`] does with each call's outcome.
 pub type OnReply<T> = Box<dyn Fn(T, Result<Bytes, OrbError>) + Send + Sync>;
 
+/// What a [`CallPort::gather`] closure tells the port after each outcome.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Gather {
+    /// Keep delivering outcomes.
+    More,
+    /// The caller has what it needs; return now.
+    Enough,
+}
+
 /// A long-lived endpoint whose calls are answered where their replies
 /// land (see the module docs).
 pub struct CallPort<T> {
     ctx: ClientCtx,
     ep: Arc<dyn Endpoint>,
     /// Calls still owed an outcome, in the order they were sent.
-    calls: Mutex<VecDeque<Pending<T>>>,
+    calls: Mutex<Vec<Pending<T>>>,
     on_reply: OnReply<T>,
+    /// Bumped whenever an outcome is queued for a gather.
+    landed: Arc<dyn SyncObj>,
+}
+
+/// The outcomes of one gather not yet handed to its closure, each with
+/// its target's index.
+type Round = Mutex<VecDeque<(usize, Result<Bytes, OrbError>)>>;
+
+/// Who a call's outcome goes to.
+enum Owner<T> {
+    /// The port's handler, with the call's token.
+    Handler(T),
+    /// The gather that sent it, as its target's index; gone once that
+    /// gather has returned.
+    Gather(Weak<Round>, usize),
 }
 
 /// One call still owed an outcome.
@@ -46,19 +80,20 @@ struct Pending<T> {
     deadline: SimTime,
     /// Whether `deadline` is the context's budget rather than its timeout.
     budget: bool,
-    token: T,
+    owner: Owner<T>,
 }
 
 impl<T: Send + 'static> CallPort<T> {
-    /// Opens a port on `ctx`'s node whose calls' outcomes go to
-    /// `on_reply`. The endpoint belongs to no process until one
-    /// [`adopt`](CallPort::adopt)s it.
+    /// Opens a port on `ctx`'s node whose [`call`](CallPort::call)s'
+    /// outcomes go to `on_reply`. The endpoint belongs to no process
+    /// until one [`adopt`](CallPort::adopt)s it.
     pub fn open(ctx: ClientCtx, on_reply: OnReply<T>) -> Result<Arc<CallPort<T>>, NetError> {
         let ep = ctx.rt.open(PortReq::Ephemeral)?;
         let port = Arc::new(CallPort {
+            landed: ctx.rt.make_sync(),
             ctx,
             ep: Arc::clone(&ep),
-            calls: Mutex::new(VecDeque::new()),
+            calls: Mutex::new(Vec::new()),
             on_reply,
         });
         // Weak: the runtime keeps the handler while the port is open, and
@@ -87,6 +122,79 @@ impl<T: Send + 'static> CallPort<T> {
     /// with the same `op`. Returns at once; a call that cannot be sent
     /// has its error handed to the handler before this returns.
     pub fn call(&self, target: &ObjRef, method: u32, args: Bytes, op: &Arc<str>, token: T) {
+        let deadline = self.ctx.effective_deadline();
+        self.send(target, method, args, op, deadline, Owner::Handler(token));
+    }
+
+    /// Sends `method(args)` to every target at once under one deadline,
+    /// each call with its own request id and client span, and blocks,
+    /// handing each target's outcome — its reply, an `ObjectDead` bounce,
+    /// or the timeout when the deadline passes — to `on_reply` with the
+    /// target's index, in arrival order, until `on_reply` returns
+    /// [`Gather::Enough`] or every target has an outcome. A target whose
+    /// send fails has that failure as its outcome.
+    pub fn gather(
+        &self,
+        targets: &[ObjRef],
+        method: u32,
+        args: Bytes,
+        op: &Arc<str>,
+        mut on_reply: impl FnMut(usize, Result<Bytes, OrbError>) -> Gather,
+    ) {
+        let round: Arc<Round> = Arc::default();
+        let deadline = self.ctx.effective_deadline();
+        for (index, target) in targets.iter().enumerate() {
+            let owner = Owner::Gather(Arc::downgrade(&round), index);
+            self.send(target, method, args.clone(), op, deadline.clone(), owner);
+        }
+        let until = deadline.map_or(SimTime::ZERO, |(at, _)| at);
+        let mut owed = targets.len();
+        while owed > 0 {
+            let seen = self.landed.generation();
+            let next = round.lock().pop_front();
+            if let Some((index, result)) = next {
+                owed -= 1;
+                if on_reply(index, result) == Gather::Enough {
+                    return;
+                }
+                continue;
+            }
+            let now = self.ctx.rt.now();
+            if now >= until {
+                self.expire(now);
+                continue;
+            }
+            self.landed.wait_newer(seen, Some(until - now));
+        }
+    }
+
+    /// Times out every call whose deadline is `now` or past.
+    pub fn expire(&self, now: SimTime) {
+        let due: Vec<Pending<T>> = self
+            .calls
+            .lock()
+            .extract_if(.., |p| p.deadline <= now)
+            .collect();
+        for pending in due {
+            let expired = if pending.budget {
+                OrbError::DeadlineExpired
+            } else {
+                OrbError::Timeout
+            };
+            self.settle(pending, Err(expired));
+        }
+    }
+
+    /// Sends one call from the port, owed to `owner` until its outcome.
+    fn send(
+        &self,
+        target: &ObjRef,
+        method: u32,
+        args: Bytes,
+        op: &Arc<str>,
+        deadline: Result<(SimTime, bool), OrbError>,
+        owner: Owner<T>,
+    ) {
         let (span, parent) = self.ctx.span_for_call();
         let start = self.ctx.rt.now();
         let mut pending = Pending {
@@ -98,9 +206,9 @@ impl<T: Send + 'static> CallPort<T> {
             start,
             deadline: start,
             budget: false,
-            token,
+            owner,
         };
-        let (deadline, budget) = match self.ctx.effective_deadline() {
+        let (deadline, budget) = match deadline {
             Ok(d) => d,
             Err(e) => return self.settle(pending, Err(e)),
         };
@@ -110,35 +218,14 @@ impl<T: Send + 'static> CallPort<T> {
         pending.budget = budget;
         // Owed before it is sent: the reply may land on another thread
         // before `send_request` returns.
-        self.calls.lock().push_back(pending);
-        let sent = self.ctx.send_request(
-            &*self.ep, request_id, target, method, args, false, deadline, span,
-        );
+        self.calls.lock().push(pending);
+        let sent = self
+            .ctx
+            .send_request(&*self.ep, request_id, target, method, args, deadline, span);
         if let Err(e) = sent {
             if let Some(pending) = self.take(|p| p.request_id == request_id) {
                 self.settle(pending, Err(e));
             }
-        }
-    }
-
-    /// Times out every call whose deadline is `now` or past. Calls share
-    /// the context's timeout, so they come due in the order they left.
-    pub fn expire(&self, now: SimTime) {
-        loop {
-            let due = {
-                let mut calls = self.calls.lock();
-                match calls.front() {
-                    Some(p) if p.deadline <= now => calls.pop_front(),
-                    _ => None,
-                }
-            };
-            let Some(pending) = due else { return };
-            let expired = if pending.budget {
-                OrbError::DeadlineExpired
-            } else {
-                OrbError::Timeout
-            };
-            self.settle(pending, Err(expired));
         }
     }
 
@@ -166,7 +253,7 @@ impl<T: Send + 'static> CallPort<T> {
                 let Some(at) = calls.iter().position(|p| p.to == addr) else {
                     return;
                 };
-                let pending = calls.remove(at).expect("position is in range");
+                let pending = calls.remove(at);
                 drop(calls);
                 (pending, Err(OrbError::ObjectDead))
             }
@@ -179,14 +266,22 @@ impl<T: Send + 'static> CallPort<T> {
     fn take(&self, pick: impl Fn(&Pending<T>) -> bool) -> Option<Pending<T>> {
         let mut calls = self.calls.lock();
         let at = calls.iter().rposition(pick)?;
-        calls.remove(at)
+        Some(calls.remove(at))
     }
 
-    /// Ends a call's client span and hands its outcome to the handler.
+    /// Ends a call's client span and hands its outcome to its owner.
     fn settle(&self, p: Pending<T>, result: Result<Bytes, OrbError>) {
         self.ctx
             .finish_span(p.span, p.parent, &p.op, p.start, result.is_err());
-        (self.on_reply)(p.token, result);
+        match p.owner {
+            Owner::Handler(token) => (self.on_reply)(token, result),
+            Owner::Gather(round, index) => {
+                if let Some(round) = round.upgrade() {
+                    round.lock().push_back((index, result));
+                    self.landed.bump();
+                }
+            }
+        }
     }
 }
 
@@ -199,5 +294,68 @@ impl<T> Drop for CallPort<T> {
                 .finish_span(p.span, p.parent, &p.op, p.start, true);
         }
         self.ep.close();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::{Reply, Request, FRAME_REPLY};
+    use ocs_sim::{NodeRt, NodeRtExt, Rt, Sim, SimChan};
+    use ocs_wire::{Encoder, Wire};
+
+    fn reply_frame(request_id: u64, body: &'static [u8]) -> Bytes {
+        let mut e = Encoder::new();
+        e.put_u8(FRAME_REPLY);
+        Reply {
+            request_id,
+            result: Ok(Bytes::from_static(body)),
+        }
+        .encode_into(&mut e);
+        e.finish()
+    }
+
+    #[test]
+    fn replies_under_another_request_id_are_ignored() {
+        let sim = Sim::new(9);
+        let server = sim.add_node("server");
+        let client = sim.add_node("client");
+        let target = ObjRef {
+            addr: Addr::new(server.node(), 100),
+            incarnation: ObjRef::STABLE,
+            type_id: 1,
+            object_id: 0,
+        };
+        // A hand-rolled server: answers first under a request id nobody
+        // is waiting for (a reply that outlived its call), then properly.
+        let ep = server.open(PortReq::Fixed(100)).unwrap();
+        ep.disown();
+        server.spawn_fn("server", move || {
+            ep.adopt();
+            let (from, msg) = ep.recv(None).unwrap();
+            let req = Request::from_frame(&msg.slice(1..)).unwrap();
+            ep.send(from, reply_frame(req.request_id ^ 1, b"stale"))
+                .unwrap();
+            ep.send(from, reply_frame(req.request_id, b"fresh"))
+                .unwrap();
+        });
+        let out: SimChan<(usize, Result<Bytes, OrbError>)> = SimChan::new(&sim);
+        let (out2, rt) = (out.clone(), client.clone() as Rt);
+        client.spawn_fn("client", move || {
+            let port = CallPort::<()>::open(ClientCtx::new(rt), Box::new(|_, _| {})).unwrap();
+            port.gather(
+                &[target],
+                1,
+                Bytes::new(),
+                &Arc::from("test"),
+                |i, reply| {
+                    out2.send((i, reply));
+                    Gather::More
+                },
+            );
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(out.try_recv(), Some((0, Ok(Bytes::from_static(b"fresh")))));
+        assert_eq!(out.try_recv(), None);
     }
 }

@@ -469,8 +469,8 @@ mod tests {
         obj
     }
 
-    /// One request to `target` under `trace` (0: untraced), answered.
-    fn exchange(client: &Rt, target: &ObjRef, trace: u64) {
+    /// A request frame for `target` under `trace` (0: untraced).
+    fn request(target: &ObjRef, trace: u64, oneway: bool) -> Bytes {
         let mut e = Encoder::new();
         e.put_u8(FRAME_REQUEST);
         Request {
@@ -479,7 +479,7 @@ mod tests {
             incarnation: target.incarnation,
             type_id: target.type_id,
             method: 1,
-            oneway: false,
+            oneway,
             deadline_us: 0,
             trace_id: trace,
             span_id: trace,
@@ -488,10 +488,39 @@ mod tests {
             body: Bytes::new(),
         }
         .encode_into(&mut e);
+        e.finish()
+    }
+
+    /// One request to `target` under `trace` (0: untraced), answered.
+    fn exchange(client: &Rt, target: &ObjRef, trace: u64) {
         let ep = client.open(PortReq::Ephemeral).unwrap();
-        ep.send(target.addr, e.finish()).unwrap();
+        ep.send(target.addr, request(target, trace, false)).unwrap();
         let (_, reply) = ep.recv(Some(Duration::from_secs(5))).expect("a reply");
         assert_eq!(reply.first(), Some(&FRAME_REPLY));
+    }
+
+    /// A one-way request from the wire is dispatched and not answered.
+    #[test]
+    fn sim_a_one_way_request_is_dispatched_without_a_reply() {
+        let sim = Sim::new(11);
+        let server: Rt = sim.add_node("server");
+        let client: Rt = sim.add_node("c");
+        let target = start_noting(&server, None);
+        let answered = ocs_sim::SimChan::new(&sim);
+        let (answered2, client2) = (answered.clone(), client.clone());
+        client.spawn_fn("client", move || {
+            let ep = client2.open(PortReq::Ephemeral).unwrap();
+            ep.send(target.addr, request(&target, 0, true)).unwrap();
+            answered2.send(ep.recv(Some(Duration::from_secs(1))).is_ok());
+        });
+        sim.run_until(SimTime::from_secs(2));
+        let served = Journal::of(&*server)
+            .events()
+            .iter()
+            .filter(|e| e.category == "test")
+            .count();
+        assert_eq!(served, 1);
+        assert_eq!(answered.try_recv(), Some(false), "no reply frame");
     }
 
     /// What the traced-then-untraced pair must have left on `front`.

@@ -210,12 +210,12 @@ fn unknown_method_and_object() {
         let obj = start_echo(&server2, 100);
         let ctx = ClientCtx::new(server2.clone());
         // Raw call with a bogus method id.
-        let r = ctx.call(&obj, 999, bytes::Bytes::new());
+        let r = ctx.call_named(&obj, 999, bytes::Bytes::new(), "call");
         results2.send(r.unwrap_err());
         // Raw call with a bogus object id.
         let mut obj2 = obj;
         obj2.object_id = 77;
-        let r = ctx.call(&obj2, 1, bytes::Bytes::new());
+        let r = ctx.call_named(&obj2, 1, bytes::Bytes::new(), "call");
         results2.send(r.unwrap_err());
     });
     sim.run_until(SimTime::from_secs(2));
@@ -428,46 +428,6 @@ fn dynamic_objects_export_and_unexport() {
     let (ok, err) = results.try_recv().unwrap();
     assert_eq!(ok, "dynamic");
     assert_eq!(err, OrbError::UnknownObject);
-}
-
-#[test]
-fn oneway_notify_dispatches_without_reply() {
-    let sim = Sim::new(11);
-    let server = sim.add_node("server");
-    let counted = Arc::new(AtomicU64::new(0));
-    let counted2 = Arc::clone(&counted);
-    let server2 = server.clone();
-    server.spawn_fn("boot", move || {
-        let rt: ocs_sim::Rt = server2.clone();
-        let orb = Orb::new(rt.clone(), PortReq::Fixed(100)).unwrap();
-        let servant = Arc::new(EchoImpl {
-            rt: rt.clone(),
-            calls: AtomicU64::new(0),
-        });
-        struct CountingServant(Arc<EchoImpl>, Arc<AtomicU64>);
-        impl Servant for CountingServant {
-            fn type_id(&self) -> u32 {
-                ocs_wire::type_id_of("test.echo")
-            }
-            fn dispatch(
-                &self,
-                caller: &Caller,
-                method: u32,
-                args: &[u8],
-            ) -> Result<bytes::Bytes, OrbError> {
-                self.1.fetch_add(1, Ordering::Relaxed);
-                EchoServant(Arc::clone(&self.0)).dispatch(caller, method, args)
-            }
-        }
-        let obj = orb.export_root(Arc::new(CountingServant(servant, counted2)));
-        orb.start();
-        let ctx = ClientCtx::new(rt.clone());
-        let mut e = ocs_wire::Encoder::new();
-        ocs_wire::Wire::encode_into(&"fire".to_string(), &mut e);
-        ctx.notify(&obj, 1, e.finish()).unwrap();
-    });
-    sim.run_until(SimTime::from_secs(2));
-    assert_eq!(counted.load(Ordering::Relaxed), 1);
 }
 
 #[test]

@@ -1,17 +1,18 @@
 //! The VSR peer protocol, both halves, written once.
 //!
-//! **Sending.** Every broadcast — `commit_hb`, `start_view_change`,
-//! `view_change_go`, `start_view`, `get_state` — goes to all peers at the
-//! same instant through one ORB [`Scatter`], so a round costs one round
-//! trip and at most one `peer_timeout`, however many peers are slow,
-//! partitioned or dead. The commit path waits for nothing: a freshly
+//! **Sending.** Every call a replica makes to its peers leaves from its
+//! one long-lived peer endpoint, a [`CallPort`], opened at
+//! [`Replica::start`]. The commit path waits for nothing: a freshly
 //! sequenced op's `prepare` (to every backup at once) and a backup's
-//! `forward_op` (to the primary) leave from the replica's one long-lived
-//! peer endpoint, a [`CallPort`], and their replies are handled where
-//! they land — an ack fed to the engine, a forwarded op's outcome
-//! handed to its client — by the replica (`replica.rs`). The other calls
-//! with one addressee — a re-sent `prepare`, `do_view_change` — are
-//! plain calls, waited for by the process that places them.
+//! `forward_op` (to the primary) are answered where their replies land —
+//! an ack fed to the engine, a forwarded op's outcome handed to its
+//! client — by the replica (`replica.rs`). The rounds — `commit_hb`,
+//! `start_view_change`, `view_change_go`, `start_view`, `get_state` — go
+//! to their peers at the same instant and the process that runs them
+//! waits for the answers ([`CallPort::gather`]), so a round costs one
+//! round trip and at most one `peer_timeout`, however many peers are
+//! slow, partitioned or dead. A re-sent `prepare` and `do_view_change`
+//! are rounds of one.
 //!
 //! **Receiving.** [`PeerServant`] is the one servant of the protocol:
 //! it unmarshals what the sending half marshalled and runs the step on
@@ -28,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ocs_orb::bytes::Bytes;
-use ocs_orb::{CallPort, Caller, ClientCtx, Gather, ObjRef, OnReply, OrbError, Scatter, Servant};
+use ocs_orb::{CallPort, Caller, ClientCtx, Gather, ObjRef, OnReply, OrbError, Servant};
 use ocs_sim::{Addr, NetError, Rt, SimTime};
 use ocs_wire::{type_id_of, Decoder, Encoder, Wire};
 
@@ -116,8 +117,8 @@ pub struct PeerFanout {
     targets: Vec<ObjRef>,
     /// Client span names, `"<interface>.<method>"`, in [`METHODS`] order.
     ops: Vec<Arc<str>>,
-    /// The long-lived peer endpoint the commit path sends from; opened
-    /// by [`PeerFanout::open`] at [`Replica::start`].
+    /// The long-lived peer endpoint every call leaves from; opened by
+    /// [`PeerFanout::open`] at [`Replica::start`].
     port: OnceLock<Arc<CallPort<PeerCall>>>,
 }
 
@@ -162,43 +163,44 @@ impl PeerFanout {
         group / 2 + 1
     }
 
-    /// Sends `method(args)` to `targets` at once.
-    fn scatter(&self, targets: &[ObjRef], method: Method, args: Encoder) -> Option<Scatter> {
-        if targets.is_empty() {
-            return None;
-        }
-        self.ctx
-            .scatter(targets, method as u32, args.finish(), &self.ops[method.index()])
-            .ok()
-    }
-
-    /// Sends `method(args)` to every peer at once and hands each
-    /// successful answer to `on_reply` in arrival order, until it says
-    /// [`Gather::Enough`] or one `peer_timeout` has passed. Peers that
-    /// fail or stay silent are simply not reported.
-    fn broadcast<T: Wire>(
+    /// Sends `method(args)` from the peer endpoint to the peers among
+    /// `to` at once and hands each successful answer to `on_reply` in
+    /// arrival order, until it says [`Gather::Enough`] or one
+    /// `peer_timeout` has passed. Peers that fail or stay silent are
+    /// simply not reported.
+    fn round<T: Wire>(
         &self,
+        to: &[u32],
         method: Method,
         args: Encoder,
         mut on_reply: impl FnMut(u32, T) -> Gather,
     ) {
-        let Some(mut sc) = self.scatter(&self.targets, method, args) else {
-            return;
-        };
-        sc.gather(|i, reply| match decode::<T>(reply) {
-            Some(answer) => on_reply(self.ids[i], answer),
-            None => Gather::More,
-        });
+        let Some(port) = self.port.get() else { return };
+        let (ids, targets): (Vec<u32>, Vec<ObjRef>) = (self.ids.iter().zip(&self.targets))
+            .filter(|(id, _)| to.contains(id))
+            .map(|(id, target)| (*id, *target))
+            .unzip();
+        let op = &self.ops[method.index()];
+        port.gather(
+            &targets,
+            method as u32,
+            args.finish(),
+            op,
+            |i, reply| match decode::<T>(reply) {
+                Some(answer) => on_reply(ids[i], answer),
+                None => Gather::More,
+            },
+        );
     }
 
-    /// [`PeerFanout::broadcast`] for the rounds that hear everyone out.
+    /// [`PeerFanout::round`] to every peer, hearing everyone out.
     fn broadcast_all<T: Wire>(
         &self,
         method: Method,
         args: Encoder,
         mut on_reply: impl FnMut(u32, T),
     ) {
-        self.broadcast(method, args, |i, answer| {
+        self.round(&self.ids, method, args, |i, answer| {
             on_reply(i, answer);
             Gather::More
         });
@@ -260,19 +262,12 @@ impl PeerFanout {
         }
     }
 
-    // ---- calls with one addressee ------------------------------------------
+    // ---- the rounds --------------------------------------------------------
 
     /// Peer `peer`'s servant.
     fn target(&self, peer: u32) -> Option<&ObjRef> {
         let at = self.ids.iter().position(|id| *id == peer)?;
         Some(&self.targets[at])
-    }
-
-    /// One blocking `method(args)` call to `peer`.
-    fn call(&self, peer: u32, method: Method, args: Encoder) -> Result<Bytes, OrbError> {
-        let target = self.target(peer).ok_or(OrbError::UnknownObject)?;
-        self.ctx
-            .call_named(target, method as u32, args.finish(), &self.ops[method.index()])
     }
 
     /// Re-sends one log entry to a lagging backup. The sender's view and
@@ -286,17 +281,22 @@ impl PeerFanout {
         commit_num: OpNum,
     ) -> Option<PeerAck> {
         let args = prepare_args(view, entry.view, entry.op, commit_num, &entry.update);
-        decode(self.call(peer, Method::Prepare, args))
+        let mut ack = None;
+        self.round(&[peer], Method::Prepare, args, |_, answer| {
+            ack = Some(answer);
+            Gather::Enough
+        });
+        ack
     }
 
     /// Hands this replica's `DoViewChange` to the new primary.
     pub fn do_view_change<Op: Wire, Snap: Wire>(&self, primary: u32, dvc: &DoViewChange<Op, Snap>) {
         let mut args = Encoder::new();
         dvc.encode_into(&mut args);
-        let _ = self.call(primary, Method::DoViewChange, args);
+        self.round(&[primary], Method::DoViewChange, args, |_, ()| {
+            Gather::Enough
+        });
     }
-
-    // ---- the rounds --------------------------------------------------------
 
     /// One heartbeat to every backup; every ack is reported.
     pub fn commit_hb(&self, view: View, commit_num: OpNum, mut on_ack: impl FnMut(u32, &PeerAck)) {
@@ -320,33 +320,32 @@ impl PeerFanout {
         view.encode_into(&mut args);
         forced.encode_into(&mut args);
         let mut joiners = Vec::new();
-        self.broadcast(Method::StartViewChange, args, |i, ack: SvcAck| {
-            if ack.joined {
-                joiners.push(i);
-            } else {
-                declined(ack.view);
-            }
-            if joiners.len() + 1 >= self.majority() {
-                Gather::Enough
-            } else {
-                Gather::More
-            }
-        });
+        self.round(
+            &self.ids,
+            Method::StartViewChange,
+            args,
+            |i, ack: SvcAck| {
+                if ack.joined {
+                    joiners.push(i);
+                } else {
+                    declined(ack.view);
+                }
+                if joiners.len() + 1 >= self.majority() {
+                    Gather::Enough
+                } else {
+                    Gather::More
+                }
+            },
+        );
         joiners
     }
 
     /// Tells the `joiners` of `view` to release their `DoViewChange`s,
     /// all at once; returns when each has answered or timed out.
     pub fn view_change_go(&self, joiners: &[u32], view: View) {
-        let to: Vec<ObjRef> = (self.ids.iter().zip(&self.targets))
-            .filter(|(id, _)| joiners.contains(id))
-            .map(|(_, target)| *target)
-            .collect();
         let mut args = Encoder::new();
         view.encode_into(&mut args);
-        if let Some(mut sc) = self.scatter(&to, Method::ViewChangeGo, args) {
-            sc.gather(|_, _| Gather::More);
-        }
+        self.round(joiners, Method::ViewChangeGo, args, |_, ()| Gather::More);
     }
 
     /// Announces the new view's chosen log to every backup; every ack is

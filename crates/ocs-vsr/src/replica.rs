@@ -314,8 +314,8 @@ impl<M: Replicated> Replica<M> {
 
     /// Opens the replica's endpoint, exports `root` — the service's
     /// client-facing servant — as the stable root object and the peer
-    /// servant next to it, opens the peer endpoint the commit path sends
-    /// from, and spawns the driver loop.
+    /// servant next to it, opens the peer endpoint every call to the
+    /// other replicas leaves from, and spawns the driver loop.
     ///
     /// # Panics
     ///

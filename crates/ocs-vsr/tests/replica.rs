@@ -425,3 +425,123 @@ fn a_reordered_prepare_commits_without_waiting_out_the_silent_backup() {
         Some(Ok(1))
     );
 }
+
+/// Five replicas in the simulator, settled, and a handle on it.
+fn build_five(seed: u64) -> (Sim, Counters) {
+    let sim = Sim::new(seed);
+    let hosts = (0..5).map(|i| sim.add_node(&format!("r{i}"))).collect();
+    let client = sim.add_node("load");
+    let handle = sim.clone();
+    let group = Group::on_sim(sim, hosts, client, counters());
+    group.settle("at start");
+    (handle, group)
+}
+
+/// A view change's `start_view_change` round returns at its join
+/// majority; a joiner whose answer comes later is still owed on the
+/// replica's peer endpoint, and its reply is dropped there — not bounced
+/// back over the network, as it was when each round had an endpoint of
+/// its own that closed with the round.
+#[test]
+fn a_stragglers_join_is_dropped_at_the_peer_endpoint() {
+    let (sim, group) = build_five(14_010);
+    let old = sole_master(&group).unwrap();
+    // The lowest live backup suspects first and proposes; the highest
+    // one's answers reach it 5 ms late, after the other two joiners'.
+    let backups: Vec<usize> = (0..5).filter(|i| *i != old).collect();
+    let (proposer, late) = (backups[0], backups[3]);
+    sim.set_link(
+        group.node(late),
+        group.node(proposer),
+        LinkParams::latency_only(5 * ROUND_TRIP),
+    );
+    let bounces = sim.net_stats().bounces;
+    // A crashed host answers nothing, bounces included.
+    group.fault(FaultAction::CrashNode(group.node(old)));
+    let new_master = || {
+        let masters = group.masters();
+        masters.iter().any(|m| *m != old)
+    };
+    assert!(
+        group.run_until(Duration::from_secs(10), new_master),
+        "no new master: {:?}",
+        group.statuses()
+    );
+    group.run_for(Duration::from_secs(1));
+    assert_eq!(sim.net_stats().bounces - bounces, 0, "a reply bounced");
+}
+
+/// Every frame a replica sends its peers — the start-up state polls, a
+/// view change's rounds, heartbeats, prepares — leaves from one address,
+/// its peer endpoint: a replica opens one client endpoint for life.
+/// Member 4 of five is a spy that notes each frame's sender and answers
+/// none; the four real members still form a majority.
+#[test]
+fn every_call_to_a_peer_leaves_from_the_replicas_one_endpoint() {
+    let sim = Sim::new(14_011);
+    let hosts: Vec<Rt> = (0..5)
+        .map(|i| sim.add_node(&format!("r{i}")) as Rt)
+        .collect();
+    let peers: Vec<Addr> = hosts.iter().map(|h| Addr::new(h.node(), PORT)).collect();
+    let seen: Arc<Mutex<Vec<Addr>>> = Arc::default();
+    let spy = hosts[4].open(ocs_sim::PortReq::Fixed(PORT)).unwrap();
+    let log = Arc::clone(&seen);
+    spy.serve_inline(
+        "spy",
+        Arc::new(move |item| {
+            if let Ok((from, _)) = item {
+                log.lock().push(from);
+            }
+        }),
+    );
+    let reps: Vec<Arc<Replica<CounterMachine>>> = (0..4)
+        .map(|i| {
+            let cfg = tuned(i as u32, peers.clone());
+            let rep = Replica::new(hosts[i].clone(), cfg, CounterMachine::default(), ());
+            rep.start(Arc::new(Adder(Arc::clone(&rep)))).unwrap();
+            rep
+        })
+        .collect();
+    let run_until = |cond: &dyn Fn() -> bool| {
+        for _ in 0..1_000 {
+            if cond() {
+                return;
+            }
+            sim.run_for(Duration::from_millis(10));
+        }
+        panic!("the group never got there");
+    };
+    let submit = |at: usize| {
+        let rep = Arc::clone(&reps[at]);
+        hosts[at].spawn_fn("submit", move || {
+            rep.submit(1).expect("the op commits");
+        });
+        sim.run_for(Duration::from_secs(1));
+    };
+    let from = |node: usize| -> Vec<Addr> {
+        seen.lock()
+            .iter()
+            .copied()
+            .filter(|a| a.node == hosts[node].node())
+            .collect()
+    };
+    run_until(&|| reps[0].is_master() && reps.iter().all(|r| !r.in_probation()));
+    submit(0);
+    let before_kill = from(1).len();
+    sim.crash_node(hosts[0].node());
+    run_until(&|| reps[1].is_master());
+    let view_change = from(1).len() - before_kill;
+    submit(1);
+    for node in [0, 1] {
+        let mut addrs = from(node);
+        assert!(
+            addrs.len() > 2,
+            "replica {node} sent {} frames",
+            addrs.len()
+        );
+        addrs.dedup();
+        assert_eq!(addrs.len(), 1, "replica {node} sent from {addrs:?}");
+        assert_ne!(addrs[0].port, PORT, "its ORB's port");
+    }
+    assert!(view_change >= 1, "the view change reached the spy");
+}
