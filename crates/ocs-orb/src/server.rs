@@ -121,13 +121,14 @@ impl Answer {
 ///
 /// Every request runs in a fresh process ([`Endpoint::serve`]); handlers
 /// may block and make nested calls freely. Only the process is fresh:
-/// both runtimes run it on an OS thread re-used from the previous
-/// request's, and both start it where the request is delivered — the TCP
+/// TCP runs it on an OS thread re-used from the previous request's, the
+/// simulator on a re-used stack, and both start it where the request is
+/// delivered — the TCP
 /// connection reader hands the frame to that thread itself, the
 /// simulator spawns it at the delivery instant — one hand-off per
 /// request, with no server process woken in between. A method its
 /// servant says [`runs_inline`](Servant::runs_inline) gets no process at
-/// all: it runs on the reader, or on the simulator's stepping thread.
+/// all: it runs on the reader, or on the simulator's stepping context.
 /// Either way the reply leaves when the method returns, or — if the
 /// method took it ([`Caller::reply_later`]) — whenever it is sent.
 pub struct Orb {
@@ -430,8 +431,9 @@ impl Orb {
 #[cfg(test)]
 mod tests {
     //! Both runtimes run consecutive `orb-worker` processes on one
-    //! re-used OS thread; what a request leaves in the thread must not
-    //! reach the next one. An untraced request cannot be made through
+    //! re-used OS thread (TCP) or stack (the simulator); what a request
+    //! leaves in its thread-locals must not reach the next one. An
+    //! untraced request cannot be made through
     //! `ClientCtx` (every call roots a trace), hence the hand-built
     //! frames.
 

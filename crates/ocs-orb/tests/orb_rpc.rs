@@ -137,10 +137,10 @@ fn thousand_calls_start_a_handful_of_threads() {
         .counter("orb.server.requests")
         .get();
     assert!(served >= 1_000, "{served} requests served");
-    // ...on the thread the previous one left: boot, the serve loop, the
-    // client and one worker at a time, not a thread per request.
-    let threads = sim.kernel_stats().threads_spawned;
-    assert!(threads < 10, "{threads} threads for {served} request processes");
+    // ...on the stack the previous one left: boot, the serve loop, the
+    // client and one worker at a time, not a stack per request.
+    let stacks = sim.kernel_stats().stacks_mapped;
+    assert!(stacks < 10, "{stacks} stacks for {served} request processes");
 }
 
 /// An in-process dispatch has no reply to take: the generated servant

@@ -1,18 +1,18 @@
-//! Carrier threads: the OS threads under spawned processes.
+//! Carrier threads: the OS threads under the real runtime's tasks.
 //!
-//! A *process* — a simulated one, or a task of the real runtime — is a
-//! fresh closure with a fresh pid or group membership every time. The OS
-//! thread it runs on need not be fresh: cloning and reaping a thread per
-//! ORB request costs several times what the request itself does. Both
-//! runtimes therefore take the thread from a [`Carriers`] pool: a LIFO of
-//! parked threads, so a closed-loop workload keeps re-using one warm
-//! stack, grown on demand when none is idle.
+//! A task of the real runtime is a fresh closure with a fresh group
+//! membership every time. The OS thread it runs on need not be fresh:
+//! cloning and reaping a thread per ORB request costs several times what
+//! the request itself does. The runtime therefore takes the thread from
+//! a [`Carriers`] pool: a LIFO of parked threads, so a closed-loop
+//! workload keeps re-using one warm stack, grown on demand when none is
+//! idle. (The simulator's processes own no thread: they run on stacks of
+//! their own, `coro.rs`.)
 //!
 //! Re-use must not be observable. Every job starts from the state a new
-//! thread would have: the crate's three thread-locals (the simulator's
-//! current pid, the real runtime's process group, the span context) are
-//! cleared before it runs, and a job that unwinds leaves its carrier
-//! usable.
+//! thread would have: the thread-locals a task sees (the real runtime's
+//! process group, the span context) are cleared before it runs, and a
+//! job that unwinds leaves its carrier usable.
 //!
 //! The pool lock is a leaf: nothing else is taken under it and no holder
 //! waits, so it is safe to call into the pool under a kernel lock.
@@ -27,20 +27,20 @@ use parking_lot::Mutex;
 
 use crate::kernel::Baton;
 
-/// What a carrier runs: one process, start to finish.
+/// What a carrier runs: one task, start to finish.
 pub(crate) type Job = Box<dyn FnOnce() + Send>;
 
-/// Parked carriers kept for re-use. A burst of concurrent processes
+/// Parked carriers kept for re-use. A burst of concurrent tasks
 /// starts as many carriers as it needs; once it is over, carriers beyond
 /// this many exit instead of parking, so the burst does not pin its
 /// stacks for good.
 const MAX_IDLE: usize = 256;
 
-/// One carrier's mailbox. The carrier parks on `wake`; whoever fills
-/// `job` decides when to grant it.
+/// One carrier's mailbox. The carrier parks on `wake` until a job is
+/// placed in `job`.
 struct Seat {
     job: Mutex<Option<Job>>,
-    wake: Arc<Baton>,
+    wake: Baton,
 }
 
 struct Pool {
@@ -55,16 +55,6 @@ struct Shared {
     name: String,
     stack_size: Option<usize>,
     pool: Mutex<Pool>,
-}
-
-/// A job placed on a carrier that has not been told to start it yet.
-pub(crate) struct Assigned {
-    /// Granting this starts the job. The carrier parks on nothing else,
-    /// so the simulator uses it as the process's own baton: a spawn costs
-    /// no wake-up until the scheduler first grants the process.
-    pub wake: Arc<Baton>,
-    /// Whether an OS thread was started for it (no carrier was idle).
-    pub started: bool,
 }
 
 /// A pool of re-usable OS threads; see the module docs.
@@ -89,25 +79,21 @@ impl Carriers {
         }
     }
 
-    /// Places `job` on the most recently parked carrier, or on a new one
-    /// if none is idle, without starting it: the job runs once the
-    /// returned baton is granted. Fails, dropping the job, only when the
-    /// OS refuses a new thread.
-    pub fn assign(&self, job: Job) -> io::Result<Assigned> {
+    /// Starts `job` on the most recently parked carrier, or on a new one
+    /// if none is idle. Returns whether an OS thread was started for it.
+    /// Fails, dropping the job, only when the OS refuses a new thread.
+    pub fn run(&self, job: Job) -> io::Result<bool> {
         let mut pool = self.shared.pool.lock();
         if let Some(seat) = pool.idle.pop() {
             drop(pool);
             *seat.job.lock() = Some(job);
-            return Ok(Assigned {
-                wake: Arc::clone(&seat.wake),
-                started: false,
-            });
+            seat.wake.grant();
+            return Ok(false);
         }
         let seat = Arc::new(Seat {
             job: Mutex::new(Some(job)),
-            wake: Arc::new(Baton::new()),
+            wake: Baton::new(),
         });
-        let wake = Arc::clone(&seat.wake);
         let shared = Arc::clone(&self.shared);
         let mut builder = std::thread::Builder::new().name(self.shared.name.clone());
         if let Some(bytes) = self.shared.stack_size {
@@ -119,25 +105,13 @@ impl Carriers {
         if !pool.retired {
             pool.threads.insert(handle.thread().id(), handle);
         }
-        Ok(Assigned {
-            wake,
-            started: true,
-        })
-    }
-
-    /// [`assign`](Self::assign)s `job` and starts it at once. Returns
-    /// whether an OS thread was started for it.
-    pub fn run(&self, job: Job) -> io::Result<bool> {
-        let assigned = self.assign(job)?;
-        assigned.wake.grant();
-        Ok(assigned.started)
+        Ok(true)
     }
 
     /// Winds the pool down: parked carriers exit now, busy ones after
     /// their current job instead of parking. Returns the handles of all
-    /// of them, to join (the simulator, whose processes have all been
-    /// drained) or to drop (the real runtime, where a task may block for
-    /// ever). Idempotent; a job submitted afterwards gets a thread of
+    /// of them, to join or to drop (the real runtime drops them: a task
+    /// may block for ever). Idempotent; a job submitted afterwards gets a thread of
     /// its own.
     pub fn retire(&self) -> Vec<JoinHandle<()>> {
         let (idle, threads) = {
@@ -164,14 +138,12 @@ impl Carriers {
 
 /// Puts the calling thread in the state a newly started one has.
 fn clean_thread_state() {
-    crate::kernel::clear_cur_pid();
     crate::real::clear_current_group();
     crate::trace::set_current_ctx(None);
 }
 
 fn carrier_main(shared: Arc<Shared>, seat: Arc<Seat>) {
     loop {
-        seat.wake.wait();
         let Some(job) = seat.job.lock().take() else {
             return; // Retired while parked.
         };
@@ -189,6 +161,8 @@ fn carrier_main(shared: Arc<Shared>, seat: Arc<Seat>) {
             return;
         }
         pool.idle.push(Arc::clone(&seat));
+        drop(pool);
+        seat.wake.wait();
     }
 }
 

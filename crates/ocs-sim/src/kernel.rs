@@ -1,12 +1,14 @@
 //! The discrete-event kernel: virtual time, processes, endpoints, links.
 //!
-//! Every simulated *process* is backed by an OS thread (a carrier that
-//! the next process re-uses, see `carrier.rs`), but within one
-//! **shard** the kernel runs exactly one of them at a time: a single
-//! "active" token moves between the shard's scheduler (the driver thread
-//! for shard 0, a worker thread otherwise) and the process threads
-//! through per-process batons. Blocking operations (sleep, receive,
-//! wait) register a wakeup in the event queue and pass the token on.
+//! Every simulated *process* runs on a stack of its own (`coro.rs`; the
+//! next process re-uses it), and no process owns an OS thread: each
+//! **shard** is stepped by one thread — the thread driving the `Sim` for
+//! shard 0, a worker thread otherwise — which runs exactly one context
+//! at a time, the shard's scheduler or one of its processes, and
+//! switches between them in user space. Blocking operations (sleep,
+//! receive, wait) register a wakeup in the event queue and switch to
+//! whatever runs next. A process never moves to another OS thread, so a
+//! shard 0 with suspended processes may not be driven from another.
 //! Events are ordered by `(time, source node, per-source seq)`, a key
 //! that is independent of how nodes are packed into shards, so a run is
 //! fully deterministic given its seed — with one shard or many.
@@ -43,22 +45,23 @@
 //!
 //! In the default fast mode a blocking process runs the scheduler state
 //! machine ([`Kernel::next_step`]) itself, under the kernel lock, instead
-//! of waking the driver thread:
+//! of switching to the shard's scheduler context:
 //!
 //! * if the next runnable process is the caller itself (its timeout or a
 //!   same-instant delivery woke it), it simply keeps running — zero
-//!   thread switches;
-//! * if it is another process, the baton is granted directly — one
-//!   thread switch instead of the two a driver round-trip costs;
+//!   switches;
+//! * if it is another process, it switches to that process's stack
+//!   directly — one switch instead of the two a scheduler round-trip
+//!   costs;
 //! * only quiescence, shutdown, a recorded panic, or `fast = false`
-//!   return the token to the driver.
+//!   switch back to the scheduler.
 //!
 //! The state machine and every data structure consulted are identical in
-//! both modes; only the OS thread executing them changes, so virtual-time
+//! both modes; only the context executing them changes, so virtual-time
 //! behaviour (event order, RNG draws, trace hashes) is bit-identical with
 //! the fast path on or off. `SimConfig { fast: false, .. }` forces the
-//! classic always-via-driver handoff and is used as the baseline by the
-//! E18 microbenchmark and the equivalence tests.
+//! classic always-via-scheduler handoff and is used as the baseline by
+//! the E18 microbenchmark and the equivalence tests.
 //!
 //! # Serving a port
 //!
@@ -72,7 +75,7 @@
 //!   nothing) becomes a [`Step::Inline`]: whichever thread is stepping
 //!   the shard runs it with the kernel lock released, as the port's node
 //!   (its shard, its node's streams, the owner's group), with no process,
-//!   no carrier and no thread switch. Anything that would wait — a
+//!   no stack and no switch. Anything that would wait — a
 //!   blocking call, a receive, opening an endpoint — panics naming the
 //!   task, so the simulator enforces the promise TCP can only trust;
 //! * a port served with `serve_inline` runs every frame that way, and
@@ -101,14 +104,14 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::carrier::Carriers;
+use crate::coro::{self, Handle, Stack, StackPool};
 use crate::rt::{Addr, FrameHandler, InlineTest, LandingHandler, NodeId, RecvError};
 use crate::time::SimTime;
 
 pub(crate) type Pid = u64;
 pub(crate) type EpKey = Addr;
 
-/// Unwind payload used to terminate a killed process's thread quietly.
+/// Unwind payload used to terminate a killed process quietly.
 pub(crate) struct KillSignal;
 
 /// First non-ephemeral port number handed out for `PortReq::Ephemeral`.
@@ -118,32 +121,14 @@ pub(crate) const EPHEMERAL_BASE: u16 = 32768;
 /// kernel without a global map: `pid = shard << SHARD_SHIFT | counter`.
 pub(crate) const SHARD_SHIFT: u32 = 48;
 
-/// One-shot-per-handoff wakeup flag. Unlike a turn-based condvar pair, a
-/// grant may arrive before the owner starts waiting (direct handoffs race
-/// the granting thread against the waking one); the flag absorbs that.
+/// One-shot-per-handoff wakeup flag between two OS threads: a shard
+/// worker and the coordinator, or a real-runtime carrier and whoever
+/// hands it a job. A grant may arrive before the owner starts waiting;
+/// the flag absorbs that.
 pub(crate) struct Baton {
     ready: AtomicBool,
     m: Mutex<()>,
     cv: Condvar,
-}
-
-/// How many `spin_loop` iterations a fast-path waiter burns before
-/// falling back to the condvar. A direct handoff's grant arrives after
-/// the peer's next scheduler step — typically well under a microsecond —
-/// so catching it in the spin window skips the futex round trip that
-/// otherwise dominates per-event cost. Bounded, so a waiter whose grant
-/// is genuinely far away wastes at most a few microseconds of one core.
-const SPIN_WAITS: u32 = 128;
-
-/// Spinning only pays when another core can be running the granting
-/// peer; on a single-CPU host the grant cannot arrive while we hold the
-/// core, so the whole spin window is wasted and we park immediately.
-fn spin_budget() -> u32 {
-    static SPIN: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *SPIN.get_or_init(|| match std::thread::available_parallelism() {
-        Ok(n) if n.get() > 1 => SPIN_WAITS,
-        _ => 0,
-    })
 }
 
 impl Baton {
@@ -165,33 +150,20 @@ impl Baton {
         self.cv.notify_one();
     }
 
-    /// Owner side: block until granted, consuming the grant. Spins up to
-    /// `spin` iterations on the flag before sleeping on the condvar.
-    pub(crate) fn wait_spin(&self, spin: u32) {
-        for _ in 0..spin {
-            if self.ready.swap(false, Ordering::Acquire) {
-                return;
-            }
-            std::hint::spin_loop();
-        }
+    /// Owner side: block until granted, consuming the grant.
+    pub(crate) fn wait(&self) {
         let mut g = self.m.lock();
         while !self.ready.swap(false, Ordering::Acquire) {
             self.cv.wait(&mut g);
         }
     }
-
-    /// Park immediately — the classic pre-fast-path behaviour, kept for
-    /// the driver gate and for `fast: false` baseline runs.
-    pub(crate) fn wait(&self) {
-        self.wait_spin(0);
-    }
 }
 
-/// What the scheduler state machine decided: hand the token to a process,
-/// run a served port's inline handler on the stepping thread, or stop
-/// (quiescent / past the run limit).
+/// What the scheduler state machine decided: switch to a process's
+/// stack, run a served port's inline handler on the stepping context, or
+/// stop (quiescent / past the run limit).
 pub(crate) enum Step {
-    Run(Pid, Arc<Baton>),
+    Run(Pid, Handle),
     Inline(InlineRun),
     Done,
 }
@@ -218,7 +190,8 @@ pub(crate) struct Proc {
     /// Process group (inherited from the spawner), the unit of service
     /// lifetime the Server Service Controller manages.
     pub group: Option<u64>,
-    pub baton: Arc<Baton>,
+    /// The stack the process runs on; the scheduler switches to it.
+    pub stack: Stack,
     pub state: PState,
     pub wait_gen: u64,
     pub killed: bool,
@@ -389,13 +362,13 @@ pub struct NetStats {
 pub struct KernelStats {
     /// Events popped off the queue (timer wakeups + network deliveries).
     pub events: u64,
-    /// Baton grants issued by the shard scheduler thread (one pair of OS
-    /// context switches each).
+    /// Switches from the shard's scheduler to a process (a pair of
+    /// switches each: there and back).
     pub driver_resumes: u64,
-    /// Process-to-process baton grants that skipped the driver (one
+    /// Process-to-process switches that skipped the scheduler (one
     /// switch each).
     pub direct_handoffs: u64,
-    /// Blocking calls where the caller continued inline with zero thread
+    /// Blocking calls where the caller continued inline with zero
     /// switches (its own timeout or a same-instant delivery was next).
     pub self_continues: u64,
     /// Synchronization horizons the sharded coordinator executed
@@ -408,10 +381,9 @@ pub struct KernelStats {
     pub lookahead_stalls: u64,
     /// Times a shard worker parked waiting for the next horizon grant.
     pub idle_parks: u64,
-    /// OS threads started to carry processes: a spawn that found no
-    /// parked carrier to re-use (see `carrier.rs`). Depends on how the
-    /// host schedules threads, unlike every other field.
-    pub threads_spawned: u64,
+    /// Stacks mapped for processes: a spawn that found no idle stack to
+    /// re-use (see `coro.rs`). No process starts an OS thread.
+    pub stacks_mapped: u64,
     /// Processes started (every spawn that found its node up).
     pub spawns: u64,
     /// Served-port frames whose handler ran inline, with no process.
@@ -811,7 +783,7 @@ pub(crate) struct Kernel {
     waitobjs: HashMap<u64, WaitObjState>,
     pub trace: bool,
     /// Fast-path toggle (see the module docs); `false` forces every
-    /// handoff through the driver thread.
+    /// handoff through the shard's scheduler.
     pub fast: bool,
     /// Whether a scheduler is currently inside `run_until`.
     in_run: bool,
@@ -824,6 +796,19 @@ pub(crate) struct Kernel {
     /// The inline handler the event just applied queued; `next_step`
     /// hands it out before it applies another.
     inline: Option<InlineRun>,
+    /// Idle stacks for this shard's next spawns.
+    stacks: StackPool,
+    /// The stack of the process that exited last, until the context it
+    /// switched to returns it to `stacks`: a process cannot free the
+    /// stack it is still running on, and its last `step` may run an
+    /// inline handler whose spawn would prime the stack under it.
+    dead: Option<Stack>,
+    /// Processes whose stacks have been entered and not yet left: while
+    /// any are, the shard may be stepped only from `home`.
+    entered: usize,
+    /// The OS thread that last drove the simulation (shard 0 only: the
+    /// workers step the other shards for life; see `claim_driver`).
+    home: Option<std::thread::ThreadId>,
 }
 
 /// What an inline handler runs as while it runs: its port's node and
@@ -846,9 +831,18 @@ pub(crate) fn cur_pid() -> Option<Pid> {
     CUR_PID.with(|c| c.get())
 }
 
-/// Makes this thread no process's: a carrier between two of them.
-pub(crate) fn clear_cur_pid() {
-    CUR_PID.with(|c| c.set(None));
+/// Suspends the running context — a process, or a shard's scheduler —
+/// in `from` and resumes `to` on this thread. The per-process
+/// thread-locals, `CUR_PID` and the span context, travel with the
+/// context: each gets back its own when it resumes, and a fresh process
+/// starts with neither.
+fn switch(from: Handle, to: Handle) {
+    debug_assert!(cur_inline().is_none(), "an inline handler switched");
+    let pid = CUR_PID.with(|c| c.replace(None));
+    let span = crate::trace::set_current_ctx(None);
+    coro::switch(from, to);
+    CUR_PID.with(|c| c.set(pid));
+    crate::trace::set_current_ctx(span);
 }
 
 /// The node, shard and group of the inline handler running on this
@@ -927,6 +921,26 @@ impl Kernel {
             limited: false,
             window: false,
             inline: None,
+            stacks: StackPool::default(),
+            dead: None,
+            entered: 0,
+            home: None,
+        }
+    }
+
+    /// Parks the exiting process's stack until another context runs.
+    fn park_dead(&mut self, stack: Stack) {
+        // An earlier one still parked is not running: only the caller is.
+        if let Some(old) = self.dead.replace(stack) {
+            self.stacks.give(old);
+        }
+    }
+
+    /// Called by every context that a switch resumes: the stack of the
+    /// process that exited before it, if any, is free now.
+    fn resumed(&mut self) {
+        if let Some(stack) = self.dead.take() {
+            self.stacks.give(stack);
         }
     }
 
@@ -1354,7 +1368,7 @@ impl Kernel {
                 if let Some(p) = self.procs.get_mut(&pid) {
                     if p.state == PState::Runnable {
                         p.state = PState::Running;
-                        return Step::Run(pid, Arc::clone(&p.baton));
+                        return Step::Run(pid, p.stack.handle());
                     }
                 }
             }
@@ -1721,9 +1735,8 @@ impl Kernel {
     }
 
     /// Inserts a new process into this shard: allocates a shard-tagged
-    /// pid, seats it on a carrier thread, and makes it runnable. The
-    /// carrier stays parked on the process's baton until the scheduler
-    /// first grants it, so a spawn wakes nobody. Group
+    /// pid, primes a stack with its body, and makes it runnable. Nothing
+    /// runs until the scheduler first switches to the stack. Group
     /// inheritance is resolved by the *caller* before routing (the
     /// spawner may live on another shard).
     pub(crate) fn spawn_local(
@@ -1754,12 +1767,13 @@ impl Kernel {
         }
         let pid = ((self.shard as u64) << SHARD_SHIFT) | self.next_pid;
         self.next_pid += 1;
-        let inner2 = Arc::clone(inner);
-        let carrier = inner
-            .carriers
-            .assign(Box::new(move || proc_main(inner2, pid, f)))
-            .expect("failed to spawn simulation thread");
-        self.sched.threads_spawned += carrier.started as u64;
+        let (stack, mapped) = self
+            .stacks
+            .take()
+            .expect("failed to map a simulation stack");
+        let inner = Arc::clone(inner);
+        stack.prime(move || proc_main(inner, pid, f));
+        self.sched.stacks_mapped += mapped as u64;
         self.sched.spawns += 1;
         self.procs.insert(
             pid,
@@ -1767,7 +1781,7 @@ impl Kernel {
                 name: name.to_string(),
                 node,
                 group,
-                baton: carrier.wake,
+                stack,
                 state: PState::Runnable,
                 wait_gen: 0,
                 killed: false,
@@ -1779,14 +1793,15 @@ impl Kernel {
     }
 }
 
-/// One shard's scheduling surface: its kernel, its token-return gate,
+/// One shard's scheduling surface: its kernel, its scheduler's context,
 /// the coordinator handshake batons, and its cross-shard inbox.
 pub(crate) struct ShardSlot {
     pub kernel: Mutex<Kernel>,
     now_cache: Arc<AtomicU64>,
-    /// Woken when a process returns the active token to this shard's
-    /// scheduler (quiescence, shutdown, panic, or fast path disabled).
-    gate: Baton,
+    /// The scheduler loop's context while a process runs: a process
+    /// switches back to it at quiescence, shutdown, a panic, or with the
+    /// fast path disabled.
+    sched: coro::Context,
     /// Coordinator → worker: run one window (or exit if `stop` is set).
     go: Baton,
     /// Worker → coordinator: window complete.
@@ -1820,10 +1835,9 @@ pub(crate) struct SimInner {
     /// Shard worker threads (shards 1..n; shard 0 is driven inline by
     /// the coordinator).
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Tells parked workers to exit at the next `go` grant.
+    /// Tells parked workers to drain their shards and exit at the next
+    /// `go` grant.
     stop: AtomicBool,
-    /// The OS threads under every process of every shard.
-    carriers: Carriers,
 }
 
 impl SimInner {
@@ -1846,7 +1860,7 @@ impl SimInner {
             shards.push(ShardSlot {
                 kernel: Mutex::new(kernel),
                 now_cache,
-                gate: Baton::new(),
+                sched: coro::Context::new(),
                 go: Baton::new(),
                 done: Baton::new(),
                 inbox: Arc::clone(&inboxes[ix]),
@@ -1863,7 +1877,6 @@ impl SimInner {
             ext: Mutex::new(BTreeMap::new()),
             workers: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
-            carriers: Carriers::new("sim-carrier", Some(512 * 1024)),
         });
         for s in &inner.shards {
             s.kernel.lock().inner = Arc::downgrade(&inner);
@@ -1938,7 +1951,7 @@ impl SimInner {
 
     // ---- process-side primitives -------------------------------------
 
-    /// Unwinds the current process thread with the kill signal.
+    /// Unwinds the current process with the kill signal.
     fn kill_unwind() -> ! {
         panic::resume_unwind(Box::new(KillSignal))
     }
@@ -1960,18 +1973,18 @@ impl SimInner {
     }
 
     /// [`Kernel::next_step`] for every loop that steps a shard — a
-    /// blocking process, an exiting one, the driver, a shard worker. Runs
-    /// each inline handler it hands back on this thread with the lock
-    /// released, and returns the process to run next, or `None`: done,
-    /// or an inline handler panicked (the scheduler must see it).
+    /// blocking process, an exiting one, the scheduler. Runs each inline
+    /// handler it hands back on this context with the lock released, and
+    /// returns the process to switch to next, or `None`: done, or an
+    /// inline handler panicked (the scheduler must see it).
     fn step<'a>(
         &'a self,
         shard: usize,
         mut k: MutexGuard<'a, Kernel>,
-    ) -> (MutexGuard<'a, Kernel>, Option<(Pid, Arc<Baton>)>) {
+    ) -> (MutexGuard<'a, Kernel>, Option<(Pid, Handle)>) {
         loop {
             match k.next_step() {
-                Step::Run(pid, baton) => return (k, Some((pid, baton))),
+                Step::Run(pid, to) => return (k, Some((pid, to))),
                 Step::Done => return (k, None),
                 Step::Inline(run) => {
                     drop(k);
@@ -2059,8 +2072,8 @@ impl SimInner {
     ///
     /// On the fast path the caller runs the scheduler itself: if the next
     /// runnable process turns out to be the caller (its own timeout or a
-    /// same-instant delivery), it continues with no thread switch at all;
-    /// otherwise it grants the next process's baton directly and parks.
+    /// same-instant delivery), it continues with no switch at all;
+    /// otherwise it switches to the next process's stack directly.
     fn block_current<F>(&self, wake_at: Option<u64>, prepare: F) -> WakeReason
     where
         F: FnOnce(&mut Kernel, Pid, u64),
@@ -2069,11 +2082,10 @@ impl SimInner {
         let pid = cur_pid().expect("blocking call outside a simulated process");
         let shard = (pid >> SHARD_SHIFT) as usize;
         let slot = &self.shards[shard];
-        let baton;
-        let spin;
-        // Some(baton): grant a peer directly. None: wake the scheduler.
-        let mut handoff: Option<Arc<Baton>> = None;
-        let mut park = true;
+        let me;
+        // Where to switch to: a peer directly, or the scheduler. `None`:
+        // the caller runs on.
+        let mut to = Some(slot.sched.handle());
         {
             let mut k = slot.kernel.lock();
             if k.shutdown {
@@ -2089,12 +2101,8 @@ impl SimInner {
             let gen = p.wait_gen;
             p.state = PState::Blocked;
             p.wake_reason = WakeReason::None;
-            baton = Arc::clone(&p.baton);
+            me = p.stack.handle();
             let src = p.node.map(|n| n.0).unwrap_or(0);
-            // Fast mode: the wake usually comes from a peer's direct
-            // handoff moments later, so spin briefly before parking. The
-            // baseline keeps the classic park-immediately behaviour.
-            spin = if k.fast { spin_budget() } else { 0 };
             if let Some(at) = wake_at {
                 k.push_local(at, src, EventKind::Wake { pid, gen });
             }
@@ -2105,25 +2113,22 @@ impl SimInner {
                 match next {
                     Some((next, _)) if next == pid => {
                         k.sched.self_continues += 1;
-                        park = false;
+                        to = None;
                     }
-                    Some((_, b)) => {
+                    Some((_, peer)) => {
                         k.sched.direct_handoffs += 1;
-                        handoff = Some(b);
+                        to = Some(peer);
                     }
                     None => {}
                 }
             }
         }
-        if park {
-            match handoff {
-                Some(b) => b.grant(),
-                None => slot.gate.grant(),
-            }
-            baton.wait_spin(spin);
+        if let Some(to) = to {
+            switch(me, to);
         }
         let reason = {
-            let k = slot.kernel.lock();
+            let mut k = slot.kernel.lock();
+            k.resumed();
             let p = k.procs.get(&pid).expect("current process missing");
             if k.shutdown || p.killed {
                 WakeReason::Killed
@@ -2269,7 +2274,7 @@ impl SimInner {
     }
 
     /// Receives from an endpoint with an optional timeout. An item
-    /// already queued is returned immediately — no baton handoff, no
+    /// already queued is returned immediately — no switch, no
     /// scheduler involvement (the receive-side half of handoff elision).
     pub fn ep_recv(
         &self,
@@ -2508,7 +2513,7 @@ impl SimInner {
             t.xshard_msgs += k.sched.xshard_msgs;
             t.lookahead_stalls += k.sched.lookahead_stalls;
             t.idle_parks += k.sched.idle_parks;
-            t.threads_spawned += k.sched.threads_spawned;
+            t.stacks_mapped += k.sched.stacks_mapped;
             t.spawns += k.sched.spawns;
             t.inline_runs += k.sched.inline_runs;
         }
@@ -2537,6 +2542,7 @@ impl SimInner {
     ///
     /// Re-raises the first panic observed in any simulated process.
     pub fn run_until(&self, limit: Option<u64>) {
+        self.claim_driver();
         if self.nshards == 1 {
             self.run_classic(limit);
         } else {
@@ -2544,8 +2550,37 @@ impl SimInner {
         }
     }
 
+    /// Makes the calling thread the one shard 0's processes run on.
+    ///
+    /// # Panics
+    ///
+    /// If another thread drove the simulation while it started processes
+    /// that are suspended now: they stay on the thread they started on.
+    fn claim_driver(&self) {
+        let me = std::thread::current().id();
+        let mut k = self.shards[0].kernel.lock();
+        if k.entered > 0 && k.home != Some(me) {
+            let n = k.entered;
+            drop(k);
+            panic!(
+                "a simulation with {n} suspended processes was driven from another OS thread: \
+                 a process runs on the thread that started it, so run, shut down and drop \
+                 the Sim on the thread that ran it"
+            );
+        }
+        k.home = Some(me);
+    }
+
+    /// Switches from shard `ix`'s scheduler to a process, and returns
+    /// once a process switches back.
+    fn resume_from_scheduler(&self, ix: usize, to: Handle) {
+        let slot = &self.shards[ix];
+        switch(slot.sched.handle(), to);
+        slot.kernel.lock().resumed();
+    }
+
     /// The classic single-shard loop, byte-for-byte the pre-sharding
-    /// scheduler: one token, the driver thread granting it.
+    /// scheduler: one context at a time, the driver thread stepping them.
     fn run_classic(&self, limit: Option<u64>) {
         let slot = &self.shards[0];
         {
@@ -2563,11 +2598,10 @@ impl SimInner {
                 next
             };
             match next {
-                Some((_pid, baton)) => {
-                    baton.grant();
-                    // On the fast path processes hand the token between
-                    // themselves; the gate fires once control is ours.
-                    slot.gate.wait();
+                Some((_, to)) => {
+                    // On the fast path processes switch between
+                    // themselves; this returns once control is ours.
+                    self.resume_from_scheduler(0, to);
                     self.check_panics();
                 }
                 None => break,
@@ -2681,10 +2715,7 @@ impl SimInner {
                 next
             };
             match next {
-                Some((_pid, baton)) => {
-                    baton.grant();
-                    slot.gate.wait();
-                }
+                Some((_, to)) => self.resume_from_scheduler(ix, to),
                 None => break,
             }
         }
@@ -2707,13 +2738,14 @@ impl SimInner {
         }
     }
 
-    /// Shuts the simulation down: kills every process, drains each
-    /// shard, and retires the shard workers and the carrier threads (all
-    /// idle by then, so the joins return at once). With `shutdown` set every
-    /// handoff routes through the scheduler, so the drain sequencing
-    /// matches the classic path exactly. Driver context only — no
-    /// window is open, so all processes are parked.
+    /// Shuts the simulation down: kills every process, has each shard
+    /// drained on the thread its processes run on — shard 0 here, the
+    /// others by their workers, which then exit — and joins the workers.
+    /// With `shutdown` set every handoff routes through the scheduler, so
+    /// the drain sequencing matches the classic path exactly. Driver
+    /// context only — no window is open, so all processes are suspended.
     pub fn shutdown(&self) {
+        self.claim_driver();
         for s in &self.shards {
             let mut k = s.kernel.lock();
             k.shutdown = true;
@@ -2722,9 +2754,7 @@ impl SimInner {
                 k.kill_proc(pid);
             }
         }
-        for ix in 0..self.nshards {
-            self.drain_shard(ix);
-        }
+        self.drain_shard(0);
         if self.nshards > 1 {
             self.stop.store(true, Ordering::Release);
             for s in &self.shards[1..] {
@@ -2734,14 +2764,12 @@ impl SimInner {
                 let _ = j.join();
             }
         }
-        for j in self.carriers.retire() {
-            let _ = j.join();
-        }
     }
 
     /// Drains one shard's processes after `shutdown` has marked them
     /// killed: resume every runnable process so it unwinds, then wake
-    /// and drain any still blocked. Ignores panics recorded during
+    /// and drain any still blocked, and unmap the idle stacks — no
+    /// process starts after shutdown. Ignores panics recorded during
     /// shutdown.
     fn drain_shard(&self, ix: usize) {
         let slot = &self.shards[ix];
@@ -2754,7 +2782,7 @@ impl SimInner {
                     if let Some(p) = k.procs.get_mut(&pid) {
                         if p.state == PState::Runnable {
                             p.state = PState::Running;
-                            found = Some(Arc::clone(&p.baton));
+                            found = Some(p.stack.handle());
                             break;
                         }
                     }
@@ -2762,10 +2790,7 @@ impl SimInner {
                 found
             };
             match step {
-                Some(baton) => {
-                    baton.grant();
-                    slot.gate.wait();
-                }
+                Some(to) => self.resume_from_scheduler(ix, to),
                 None => break,
             }
         }
@@ -2787,11 +2812,11 @@ impl SimInner {
                         p.wake_reason = WakeReason::Killed;
                     }
                 }
-                let runnable: Vec<(Pid, Arc<Baton>)> = k
+                let runnable: Vec<Pid> = k
                     .procs
                     .iter()
                     .filter(|(_, p)| p.state == PState::Runnable)
-                    .map(|(pid, p)| (*pid, Arc::clone(&p.baton)))
+                    .map(|(pid, _)| *pid)
                     .collect();
                 k.runnable.clear();
                 k.panics.clear();
@@ -2800,29 +2825,33 @@ impl SimInner {
             if step.is_empty() {
                 break;
             }
-            for (pid, baton) in step {
-                {
+            for pid in step {
+                let to = {
                     let mut k = slot.kernel.lock();
                     match k.procs.get_mut(&pid) {
-                        Some(p) if p.state == PState::Runnable => p.state = PState::Running,
+                        Some(p) if p.state == PState::Runnable => {
+                            p.state = PState::Running;
+                            p.stack.handle()
+                        }
                         _ => continue,
                     }
-                }
-                baton.grant();
-                slot.gate.wait();
+                };
+                self.resume_from_scheduler(ix, to);
             }
         }
+        slot.kernel.lock().stacks.clear();
     }
 }
 
 /// Shard worker loop (shards 1..n): park until the coordinator opens a
-/// window, run the shard's share of it, report done. Workers never
-/// panic past this frame — process panics are recorded in the kernel
-/// and re-raised on the coordinator.
+/// window, run the shard's share of it, report done; at shutdown, drain
+/// the shard and exit. Workers never panic past this frame — process
+/// panics are recorded in the kernel and re-raised on the coordinator.
 fn worker_main(inner: Arc<SimInner>, ix: usize) {
     loop {
         inner.shards[ix].go.wait();
         if inner.stop.load(Ordering::Acquire) {
+            inner.drain_shard(ix);
             break;
         }
         inner.shards[ix].kernel.lock().sched.idle_parks += 1;
@@ -2842,14 +2871,19 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The body of every simulated process, run by its carrier once the
-/// scheduler first grants the process's baton.
-fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) {
+/// The body of every simulated process, run on its stack once the
+/// scheduler first switches to it. Returns the context to switch to
+/// when it is done; the stack's entry function makes that last switch,
+/// from a frame that owns nothing (`inner` is dropped by then).
+fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Handle {
     CUR_PID.with(|c| c.set(Some(pid)));
+    crate::trace::set_current_ctx(None);
     let shard = (pid >> SHARD_SHIFT) as usize;
     let slot = &inner.shards[shard];
     let start_killed = {
-        let k = slot.kernel.lock();
+        let mut k = slot.kernel.lock();
+        k.resumed();
+        k.entered += 1;
         k.shutdown || k.procs.get(&pid).map(|p| p.killed).unwrap_or(true)
     };
     if !start_killed {
@@ -2866,36 +2900,84 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) {
         }
     }
     // Close owned endpoints, leave the process table — nobody joins a
-    // process, so nothing needs its entry once it is done — and pass the
-    // token on: to the next process directly on the fast path (the
-    // exiting process touches no kernel state afterwards; its carrier
-    // parks only then), else to the shard's scheduler. A
-    // recorded panic disables the fast path, so the scheduler observes
-    // it immediately.
-    let mut next: Option<Arc<Baton>> = None;
-    {
-        let mut k = slot.kernel.lock();
-        let eps = k
-            .procs
-            .get_mut(&pid)
-            .map(|p| std::mem::take(&mut p.endpoints))
-            .unwrap_or_default();
-        for key in eps {
-            k.close_endpoint(key);
-        }
-        k.procs.remove(&pid);
-        if k.can_inline() {
-            let step;
-            (k, step) = inner.step(shard, k);
-            if let Some((next_pid, b)) = step {
-                debug_assert_ne!(next_pid, pid, "dead process scheduled");
-                k.sched.direct_handoffs += 1;
-                next = Some(b);
-            }
+    // process, so nothing needs its entry once it is done — park the
+    // stack for whoever runs next to free, and pass control on: to the
+    // next process directly on the fast path, else to the shard's
+    // scheduler. A recorded panic disables the fast path, so the
+    // scheduler observes it immediately.
+    let mut k = slot.kernel.lock();
+    let eps = k
+        .procs
+        .get_mut(&pid)
+        .map(|p| std::mem::take(&mut p.endpoints))
+        .unwrap_or_default();
+    for key in eps {
+        k.close_endpoint(key);
+    }
+    if let Some(me) = k.procs.remove(&pid) {
+        k.park_dead(me.stack);
+    }
+    k.entered -= 1;
+    let mut next = slot.sched.handle();
+    if k.can_inline() {
+        let step;
+        (k, step) = inner.step(shard, k);
+        if let Some((next_pid, to)) = step {
+            debug_assert_ne!(next_pid, pid, "dead process scheduled");
+            k.sched.direct_handoffs += 1;
+            next = to;
         }
     }
-    match next {
-        Some(b) => b.grant(),
-        None => slot.gate.grant(),
+    next
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use parking_lot::Mutex;
+
+    use super::cur_pid;
+    use crate::trace::{current_ctx, set_current_ctx, SpanCtx, SpanId, TraceId};
+    use crate::{NodeRt, NodeRtExt, Sim, SimTime};
+
+    #[test]
+    fn each_process_keeps_its_own_pid_and_span_across_a_switch() {
+        let sim = Sim::new(5);
+        let node = sim.add_node("n");
+        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+        for i in 1..=2u64 {
+            let (rt, seen) = (node.clone(), std::sync::Arc::clone(&seen));
+            node.spawn_fn("p", move || {
+                // A new process starts under no span.
+                let fresh = current_ctx();
+                let ctx = SpanCtx {
+                    trace: TraceId(i),
+                    span: SpanId(10 * i),
+                };
+                set_current_ctx(Some(ctx));
+                let pid = cur_pid();
+                // Both block at once, so each wakes after the other ran.
+                rt.sleep(Duration::from_micros(i));
+                let kept = (pid == cur_pid(), current_ctx() == Some(ctx));
+                seen.lock().push((i, fresh, pid, kept));
+            });
+        }
+        let mine = SpanCtx {
+            trace: TraceId(9),
+            span: SpanId(99),
+        };
+        set_current_ctx(Some(mine));
+        sim.run_until(SimTime::from_millis(1));
+        // The driver's own context is untouched by the processes it ran.
+        assert_eq!(set_current_ctx(None), Some(mine));
+        assert_eq!(cur_pid(), None);
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 2);
+        assert_ne!(seen[0].2, seen[1].2, "two processes, one pid");
+        for (i, (n, fresh, pid, kept)) in seen.iter().enumerate() {
+            assert_eq!((*n, *fresh, *kept), (i as u64 + 1, None, (true, true)));
+            assert!(pid.is_some());
+        }
     }
 }

@@ -4,15 +4,15 @@
 //! service in the workspace runs on:
 //!
 //! * **The deterministic discrete-event simulation** ([`Sim`]): virtual
-//!   time, every simulated process on an OS thread of its own (taken
-//!   from a pool of parked carriers) but exactly one runnable at a time,
-//!   a network model with per-link latency/bandwidth/loss,
+//!   time, every simulated process on a stack of its own (taken from a
+//!   pool), switched to in user space by the thread stepping its shard,
+//!   exactly one running at a time per shard, a network model with per-link latency/bandwidth/loss,
 //!   partitions, and node/process crash injection. Runs are reproducible
 //!   from a seed, and a "25-second fail-over" completes in microseconds of
 //!   wall time — which is what makes the paper's §9.7 experiments
 //!   practical to sweep.
-//! * **The real runtime** ([`real::RealNet`]): OS threads (the same
-//!   carrier pool under every spawned task), the wall clock, and TCP on
+//! * **The real runtime** ([`real::RealNet`]): OS threads (a pool of
+//!   carrier threads under the spawned tasks), the wall clock, and TCP on
 //!   the loopback interface.
 //!
 //! Services are written once against [`NodeRt`]/[`Endpoint`] and run
@@ -21,7 +21,11 @@
 //! IRIX: a *bounce* ([`RecvError::Unreachable`]) when the peer process
 //! died but its host is alive, and silence (a timeout) when the host died.
 
+#![deny(unsafe_code)]
+
 mod carrier;
+#[allow(unsafe_code)]
+mod coro;
 mod kernel;
 mod rt;
 mod sim;

@@ -44,9 +44,11 @@
 //! bounds each like any other. What it never does is wait to connect:
 //! a reader's send writes only into a stream the node already holds
 //! with the peer, and hands a frame that finds none — or whose write
-//! fails — to a carrier, which dials and backs off as any sender does.
-//! A frame every attempt was refused for comes back to its port as a
-//! bounce.
+//! fails, or whose peer slot another sender holds — to a carrier, which
+//! dials and backs off as any sender does. The reader's later frames to
+//! that peer queue behind it for the same carrier, so a deferred frame
+//! is never overtaken. A frame every attempt was refused for comes back
+//! to its port as a bounce.
 //!
 //! ## Connection lifetime
 //!
@@ -265,6 +267,26 @@ thread_local! {
     /// Set on a connection reader's thread: its sends never wait to dial
     /// (`FrameSender::send_bytes`).
     static ON_READER: Cell<bool> = const { Cell::new(false) };
+    /// A connection reader's frames it handed to a carrier, per peer.
+    static DEFERRED: RefCell<HashMap<NodeId, Arc<Mutex<Backlog>>>> = RefCell::new(HashMap::new());
+}
+
+/// Frames one connection reader handed to a carrier for one peer,
+/// oldest first, and whether the carrier is still writing them out.
+/// While it is, the reader's later frames to the peer join the queue:
+/// written directly, they would overtake it.
+#[derive(Default)]
+struct Backlog {
+    frames: VecDeque<Deferred>,
+    draining: bool,
+}
+
+/// A frame a reader handed to a carrier, and the port it left from.
+struct Deferred {
+    from_port: u16,
+    to: Addr,
+    frame: Vec<u8>,
+    dup: bool,
 }
 
 fn current_group() -> Option<Arc<GroupCore>> {
@@ -1427,24 +1449,61 @@ impl FrameSender {
             // the peer — a reply rides the stream its request came on —
             // and leaves anything harder to a carrier. That includes a
             // slot another sender holds: it may be dialling under it.
-            if let Some(mut conn) = slot.try_lock() {
-                if conn.is_some()
-                    && !self.stopped.load(Ordering::SeqCst)
-                    && self.write_on(&mut conn, to, &frame, dup).is_ok()
-                {
-                    return Ok(());
+            // Once it has handed a frame to a carrier, its later frames to
+            // that peer follow it there, so per-stream order holds.
+            let backlog = DEFERRED.with(|d| Arc::clone(d.borrow_mut().entry(to.node).or_default()));
+            let mut queue = backlog.lock();
+            if !queue.draining {
+                if let Some(mut conn) = slot.try_lock() {
+                    if conn.is_some()
+                        && !self.stopped.load(Ordering::SeqCst)
+                        && self.write_on(&mut conn, to, &frame, dup).is_ok()
+                    {
+                        return Ok(());
+                    }
                 }
             }
-            let sender = Arc::clone(self);
-            let send = move || {
-                if let Err(NetError::PeerRefused(_)) = sender.write_frame(&slot, to, &frame, dup) {
-                    sender.bounce_here(from_port, to);
-                }
-            };
-            self.spawn_task("conn-send", current_group(), Box::new(send));
+            queue.frames.push_back(Deferred {
+                from_port,
+                to,
+                frame,
+                dup,
+            });
+            if !std::mem::replace(&mut queue.draining, true) {
+                drop(queue);
+                let sender = Arc::clone(self);
+                let drain = move || sender.drain(&slot, &backlog);
+                // In no group: a frame handed over leaves even if its
+                // sender's group dies meanwhile, as one in a socket
+                // buffer would, and the frames queued behind it with it.
+                self.spawn_task("conn-send", None, Box::new(drain));
+            }
             return Ok(());
         }
         self.write_frame(&slot, to, &frame, dup)
+    }
+
+    /// Writes out a reader's deferred frames to one peer, oldest first,
+    /// as any sender would — dialling and backing off as it must — and
+    /// bounces each frame every attempt was refused for.
+    fn drain(self: &Arc<Self>, slot: &PeerSlot, backlog: &Mutex<Backlog>) {
+        loop {
+            let next = {
+                let mut queue = backlog.lock();
+                match queue.frames.pop_front() {
+                    Some(next) => next,
+                    None => {
+                        queue.draining = false;
+                        return;
+                    }
+                }
+            };
+            if let Err(NetError::PeerRefused(_)) =
+                self.write_frame(slot, next.to, &next.frame, next.dup)
+            {
+                self.bounce_here(next.from_port, next.to);
+            }
+        }
     }
 
     /// Writes `frame` into the node's stream with `to`, dialling when
@@ -2540,6 +2599,45 @@ mod tests {
         drop(held);
         let (_, onward) = sink.recv(Some(Duration::from_secs(5))).unwrap();
         assert_eq!(&onward[..], b"onward");
+    }
+
+    /// What a reader cannot write at once keeps its place: once a frame
+    /// for a peer is deferred, the reader's later frames to that peer
+    /// queue behind it instead of overtaking it, and one carrier takes
+    /// them all. The peer's slot is held across the burst, so every
+    /// reply is deferred.
+    #[test]
+    fn a_reader_keeps_the_order_of_the_frames_it_defers() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        let (ran_on_tx, ran_on) = std::sync::mpsc::channel();
+        let brief: InlineTest = Arc::new(|msg| msg.starts_with(b"brief"));
+        let (_group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx, Some(brief));
+        let client = a.open(PortReq::Ephemeral).unwrap();
+        client.send(b_addr, Bytes::from_static(b"warm-up")).unwrap();
+        client.recv(Some(Duration::from_secs(5))).unwrap();
+        ran_on.recv().unwrap();
+        assert!(eventually(Duration::from_secs(5), || {
+            matches!(b.sender.ports.lock().get(&100), Some(Port::Served(_)))
+        }));
+        let threads = counter(&net, "real.net.threads_spawned");
+        let slot = b.sender.slot(a.node());
+        let held = slot.lock();
+        for i in 0..50u8 {
+            let msg = [b"brief ".as_slice(), &[i]].concat();
+            client.send(b_addr, Bytes::from(msg)).unwrap();
+        }
+        for _ in 0..50 {
+            assert_eq!(ran_on.recv().unwrap(), "conn-reader");
+        }
+        drop(held);
+        for i in 0..50u8 {
+            let (_, msg) = client.recv(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(msg.last(), Some(&i), "a deferred reply was overtaken");
+        }
+        let started = counter(&net, "real.net.threads_spawned") - threads;
+        assert!(started <= 1, "{started} carriers for one peer's replies");
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! DAG, so runtime-level code — the flight-recorder journal
 //! ([`crate::journal`]), fault injection, the real transport — can stamp
 //! records with the trace that was active when they fired. The
-//! thread-local is sound because every process has an OS thread to
-//! itself for as long as it lives — a carrier (`carrier.rs`) that clears
-//! the context before the next process starts on it.
+//! thread-local is per process: a real-runtime task has its carrier
+//! thread to itself for as long as it runs (`carrier.rs` clears the
+//! context before the next task), and the simulator saves and restores
+//! it with the rest of a process's context at every switch between
+//! process stacks, starting each new process with none.
 //!
 //! Identifiers embed the allocating node in the high bits and a per-node
 //! sequence in the low bits: unique cluster-wide, and — because neither
@@ -45,8 +47,7 @@ thread_local! {
     static CURRENT: Cell<SpanCtx> = const { Cell::new(SpanCtx { trace: TraceId(0), span: SpanId(0) }) };
 }
 
-/// The calling thread's (= simulated process's) current trace context,
-/// if any.
+/// The calling process's current trace context, if any.
 pub fn current_ctx() -> Option<SpanCtx> {
     let c = CURRENT.get();
     if c.is_traced() {

@@ -486,11 +486,140 @@ fn a_process_that_panics_or_is_killed_gives_its_carrier_back() {
         assert!(!victim.alive());
     }
     assert_eq!(sim.live_processes(), 0);
-    // Twenty processes, none alive beside another: one carrier carries
-    // them all (a spawn that races a carrier still parking starts one
-    // more, hence the slack).
-    let threads = sim.kernel_stats().threads_spawned;
-    assert!((1..=4).contains(&threads), "{threads} threads for 20 processes");
+    // Twenty processes, none alive beside another: one stack carries
+    // them all.
+    let stacks = sim.kernel_stats().stacks_mapped;
+    assert_eq!(stacks, 1, "{stacks} stacks for 20 processes");
+}
+
+/// The address of a local of the caller's frame.
+fn here() -> usize {
+    let local = 0u8;
+    std::hint::black_box(&local) as *const u8 as usize
+}
+
+#[test]
+fn a_process_killed_while_suspended_unwinds_its_own_stack_and_returns_it() {
+    struct OnUnwind(Arc<parking_lot::Mutex<Vec<(&'static str, usize)>>>);
+    impl Drop for OnUnwind {
+        fn drop(&mut self) {
+            self.0.lock().push(("unwound", here()));
+        }
+    }
+    let sim = Sim::new(22);
+    let a = sim.add_node("a");
+    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (rt, log) = (a.clone(), Arc::clone(&seen));
+    let victim = a.spawn_group(
+        "victim",
+        Box::new(move || {
+            let _guard = OnUnwind(Arc::clone(&log));
+            log.lock().push(("asleep", here()));
+            rt.sleep(secs(3600));
+            log.lock().push(("woke", here()));
+        }),
+    );
+    sim.run_for(Duration::from_millis(1));
+    victim.kill();
+    sim.run_for(Duration::from_millis(1));
+    assert!(!victim.alive());
+    let log = Arc::clone(&seen);
+    a.spawn_fn("next", move || log.lock().push(("next", here())));
+    sim.run_for(Duration::from_millis(1));
+    let seen = seen.lock().clone();
+    let names: Vec<&str> = seen.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, ["asleep", "unwound", "next"]);
+    // The unwind ran on the victim's stack, not the driver's, and the
+    // next process got that stack back from the pool.
+    let near = |x: usize, y: usize| x.abs_diff(y) < 512 * 1024;
+    let (asleep, unwound, next) = (seen[0].1, seen[1].1, seen[2].1);
+    assert!(near(asleep, unwound), "{asleep:#x} vs {unwound:#x}");
+    assert!(!near(unwound, here()), "unwound on the driver's stack");
+    assert!(near(asleep, next), "{asleep:#x} vs {next:#x}");
+    assert_eq!(sim.kernel_stats().stacks_mapped, 1);
+}
+
+#[test]
+fn a_process_may_exit_into_an_inline_handler_that_spawns() {
+    // `exiting` wakes and ends at the instant a frame from `b` lands on a
+    // port of `a` served inline (same time, lower source node: the wake
+    // goes first). Its last scheduler step runs the handler, on its own
+    // stack, and the handler's spawn must not be primed onto that stack.
+    let sim = Sim::new(25);
+    let a = sim.add_node("a");
+    let b = sim.add_node("b");
+    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (rt, log) = (a.clone(), Arc::clone(&seen));
+    let port = a.open(PortReq::Fixed(7)).unwrap();
+    port.serve_inline(
+        "spawner",
+        Arc::new(move |item: Result<(Addr, Bytes), RecvError>| {
+            if item.is_ok() {
+                let log = Arc::clone(&log);
+                rt.spawn_fn("child", move || log.lock().push(("child", here())));
+            }
+        }),
+    );
+    let (rt, to, log) = (b.clone(), Addr::new(a.node(), 7), Arc::clone(&seen));
+    b.spawn_fn("sender", move || {
+        let ep = rt.open(PortReq::Ephemeral).unwrap();
+        ep.send(to, Bytes::from_static(b"spawn")).unwrap();
+        log.lock().push(("sender", here()));
+    });
+    let (rt, log) = (a.clone(), Arc::clone(&seen));
+    a.spawn_fn("exiting", move || {
+        rt.sleep(Duration::from_micros(500));
+        log.lock().push(("exiting", here()));
+    });
+    sim.run_until(SimTime::from_millis(1));
+    let seen = seen.lock().clone();
+    let names: Vec<&str> = seen.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, ["sender", "exiting", "child"]);
+    // The child got the sender's stack back, not the one still running.
+    let near = |x: usize, y: usize| x.abs_diff(y) < 512 * 1024;
+    let (sender, exiting, child) = (seen[0].1, seen[1].1, seen[2].1);
+    assert!(!near(exiting, child), "{exiting:#x} vs {child:#x}");
+    assert!(near(sender, child), "{sender:#x} vs {child:#x}");
+    assert_eq!(sim.kernel_stats().stacks_mapped, 2);
+}
+
+#[test]
+fn driving_a_sim_from_another_thread_while_processes_are_suspended_panics() {
+    let sim = Sim::new(23);
+    let a = sim.add_node("a");
+    let rt = a.clone();
+    a.spawn_fn("sleeper", move || rt.sleep(secs(3600)));
+    sim.run_for(Duration::from_millis(1));
+    let report = std::thread::scope(|s| {
+        s.spawn(|| sim.run_for(Duration::from_millis(1)))
+            .join()
+            .expect_err("a second thread drove suspended processes")
+    });
+    let msg = report.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(
+        msg.contains("1 suspended processes was driven from another OS thread"),
+        "{msg}"
+    );
+    // The thread that started them still can, and the drop unwinds them.
+    sim.run_for(Duration::from_millis(1));
+    assert_eq!(sim.live_processes(), 1);
+}
+
+#[test]
+fn a_sim_whose_processes_are_all_done_may_move_to_another_thread() {
+    let sim = Sim::new(24);
+    let a = sim.add_node("a");
+    let rt = a.clone();
+    a.spawn_fn("brief", move || rt.sleep(secs(1)));
+    sim.run_for(secs(2));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let rt = a.clone();
+            a.spawn_fn("elsewhere", move || rt.sleep(secs(1)));
+            sim.run_for(secs(2));
+        });
+    });
+    assert_eq!(sim.live_processes(), 0);
 }
 
 #[test]

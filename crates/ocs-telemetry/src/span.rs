@@ -5,9 +5,10 @@
 //! ORB request frame; the callee records its server span with the
 //! client's span as parent, and any nested calls the servant makes while
 //! handling the request become children of the server span — the
-//! propagation rides a thread-local, which is sound because every
-//! simulated process is its own OS thread and the kernel runs exactly
-//! one at a time.
+//! propagation rides a thread-local, which is sound because the
+//! simulator saves and restores it with each process at every switch
+//! between process stacks, and a real-runtime task has its thread to
+//! itself while it runs (`ocs_sim::trace`).
 //!
 //! Identifiers embed the allocating node in the high bits and a per-node
 //! sequence in the low bits: unique cluster-wide, and — because neither
