@@ -73,20 +73,25 @@ const fn g(run: Run, field: &'static str, cmp: Cmp) -> Guard {
 
 const E1: Run = Run::Exp("e1");
 const E2: Run = Run::Exp("e2");
+const E3: Run = Run::Exp("e3");
+const E4: Run = Run::Exp("e4");
 const E7: Run = Run::Exp("e7");
 const E8: Run = Run::Exp("e8");
 const E9: Run = Run::Exp("e9");
+const E10: Run = Run::Exp("e10");
 const E11: Run = Run::Exp("e11");
 const E12: Run = Run::Exp("e12");
 const E17_4K: Run = Run::Exp("e17 --settops 4000");
 const E17_2SHARD: Run = Run::Exp("e17 --settops 4000 --shards 2");
 const E13: Run = Run::Exp("e13");
 const E14: Run = Run::Exp("e14");
+const E16: Run = Run::Exp("e16");
 const E18: Run = Run::Exp("e18 --settops 800");
 const E20: Run = Run::Exp("e20 --sim-only");
 const E21: Run = Run::Exp("e21 --sim-only");
 const E22: Run = Run::Exp("e22");
 const E23: Run = Run::Exp("e23 --sim-only");
+const STORM: Run = Run::Workload("sim_storm --seconds 2 --trace 1");
 const REPL_STORM: Run = Run::Workload("sim_repl_storm --seconds 2 --trace 0");
 const TCP_ADMIT: Run = Run::Workload("tcp_repl_admit --seconds 2 --trace 1");
 const TCP_OPEN: Run = Run::Workload("tcp_movie_open --seconds 2 --trace 1");
@@ -106,6 +111,13 @@ pub const GUARDS: &[Guard] = &[
     g(E13, "max_reclaim_s", Lt(25.0)),
     g(E13, "unreclaimed", Eq(0.0)),
     g(E14, "client_errors", Eq(0.0)),
+    // One causal tree per movie open, virtual time, exact for the seed:
+    // the cold and the warm tree, rendered from the spans every node
+    // recorded, exactly as committed — each call one `client:` and one
+    // `server:<interface>.<method>` span, at the same offsets. Adds under
+    // 0.1 s.
+    g(E16, "slowest_movie_open_tree", EqCommitted),
+    g(E16, "warm_movie_open_tree", EqCommitted),
     // The same, virtual time, on groups and services of their own: an NS
     // master re-elected inside §9.7's 25 s at 3, 5 and 7 replicas (9.1 s
     // worst), a restarted RAS that knows every entity again within one
@@ -128,6 +140,27 @@ pub const GUARDS: &[Guard] = &[
     // deployed intervals, a virtual-time count, exact for the seed on
     // any host. Services re-binding names they already hold read 228.
     g(E2, "idle_ns_updates_per_min", Lt(60.0)),
+    // §7.1's recovery designs cost what their closed forms say, virtual
+    // time, exact for the seed: S × N / P renewals a second for short
+    // leases, twice that for per-service pings, 2 × N / P for the RAS
+    // whatever S is (200 clients, P = 5 s; all three read 0 error). Adds
+    // 0.2 s.
+    g(E3, "lease_msgs_rel_err", Le(0.01)),
+    g(E3, "ping_msgs_rel_err", Le(0.01)),
+    g(E3, "ras_msgs_rel_err", Le(0.01)),
+    // §9.6's linear capacity: shop interactions per server flat within
+    // 2 % from one server to four (96.2 to 96.3 a second: 0.0003).
+    // Adds 1.4 s.
+    g(E4, "per_server_spread", Le(0.02)),
+    // §3.1's admission control is a finite-source loss system: at each
+    // load the blocked count after a 300 s warm-up lies in the central
+    // 99 % binomial interval of the Engset call congestion (N − 1
+    // sources, hold/think 90/60, 50 streams): 0, 0, 0 and 107 of 865
+    // against 0.00, 0.00, 0.00 and 10.19 %. Adds under 0.1 s.
+    g(E10, "blocked_in_engset_99/40", IsTrue),
+    g(E10, "blocked_in_engset_99/50", IsTrue),
+    g(E10, "blocked_in_engset_99/60", IsTrue),
+    g(E10, "blocked_in_engset_99/80", IsTrue),
     // Saturation: virtual ops/sec is deterministic for a settop count
     // and scale-invariant by design (E17's point), so the 4k smoke may
     // not fall more than 20% below the committed 50k run, on any host.
@@ -205,15 +238,26 @@ pub const GUARDS: &[Guard] = &[
     // though they came from another node).
     g(REPL_STORM, "per_layer/ocs-sim.switches_per_event", Le(0.21)),
     g(REPL_STORM, "per_layer/ocs-sim.events_per_op", Le(9.6)),
-    // An encode writes into a buffer with room and a pooled frame costs
-    // one copy: 7.236 allocator calls per event — 68.7 per op, exact for
-    // the seed to a few hundredths on any host (7.242 when a spawn boxed
-    // its process's closure instead of writing it onto the stack; 80.7
-    // per op with a process and a gathering endpoint per commit; 11.449
-    // per event when every write could copy a shared buffer and every
-    // call copied its principal). The ceiling is 3.5 allocations per op
-    // above.
-    g(REPL_STORM, "per_layer/ocs-sim.allocs_per_event", Le(7.6)),
+    // An encode writes into a pooled buffer and a frame costs one copy;
+    // a call waits on its process's one reply endpoint, and its spans'
+    // names are static strings: 3.710 allocator calls per event, exact
+    // for the seed to a few hundredths on any host (7.236 with an
+    // endpoint per call, formatted span names, unpooled stub and servant
+    // encoders, and a principal and a process name copied per request;
+    // 7.242 when a spawn boxed its process's closure instead of writing
+    // it onto the stack; 11.449 when every write could copy a shared
+    // buffer). The ceiling is 0.4 above.
+    g(REPL_STORM, "per_layer/ocs-sim.allocs_per_event", Le(4.1)),
+    // The unreplicated storm, where a null ORB call is most of the cost:
+    // 3.420 events per op, the 3.411 messages plus the timeouts that
+    // fire (4.153 when a wait a reply ended left its timeout in the event
+    // queue to pop), and 7.08 allocator calls per null call (18.1 with an
+    // endpoint per call, two formatted span names, unpooled stub and
+    // servant encoders, and a principal and a process name copied per
+    // request). Counts, on any host; the run adds 2.7 s.
+    g(STORM, "failed", Eq(0.0)),
+    g(STORM, "per_layer/ocs-sim.events_per_op", Le(3.43)),
+    g(STORM, "per_layer/ocs-orb.allocs_per_call", Le(7.6)),
     // The same log over TCP loopback: a node keeps one stream per peer
     // for life, so the timed phase opens none. A count, not a wall
     // clock: a connection per ORB call reads 5.9 here on any host.

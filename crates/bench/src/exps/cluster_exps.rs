@@ -126,6 +126,8 @@ pub fn e2() {
 
 /// E4 (§1, §9.6): aggregate interactive throughput vs number of servers
 /// — "system capacity grows linearly with the number of servers".
+/// `per_server_spread` is (max − min) / min of the per-server rates:
+/// linear scaling keeps it near 0.
 pub fn e4() {
     println!("\nE4. Capacity scaling with servers (§9.6): shop interactions/s\n");
     let mut t = Table::new(&[
@@ -136,6 +138,7 @@ pub fn e4() {
         "scaling",
     ]);
     let mut base = 0.0;
+    let mut per_server = Vec::new();
     for servers in [1usize, 2, 3, 4] {
         let mut cfg = ClusterConfig::small();
         cfg.servers = servers;
@@ -161,6 +164,7 @@ pub fn e4() {
         if servers == 1 {
             base = rate;
         }
+        per_server.push(rate / servers as f64);
         t.row(&[
             servers.to_string(),
             cluster.cfg.settops.to_string(),
@@ -173,6 +177,10 @@ pub fn e4() {
     }
     t.print();
     report::put("table", t.to_json());
+    let (lo, hi) = per_server
+        .iter()
+        .fold((f64::INFINITY, 0f64), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+    report::put("per_server_spread", Json::F64((hi - lo) / lo));
     println!("    shape: per-server rate roughly flat => linear scaling.");
 }
 

@@ -49,6 +49,11 @@ fn handle(node: &Arc<SimNode>) -> NsHandle {
 
 /// E3 (§7.1): the four resource-recovery designs — network messages per
 /// second and worst-case leaked resource-time, as services multiply.
+/// Each measured rate is checked against its closed form, with S
+/// services and N clients per period P: S × N / P renewals for short
+/// leases, twice that (a ping and its answer) for per-service pings, and
+/// 2 × N / P for the RAS whatever S is; `*_msgs_rel_err` is the largest
+/// relative error of a mechanism over the service counts.
 pub fn e3() {
     println!("\nE3. Resource-recovery alternatives (§7.1): messages vs leakage");
     println!("    200 clients, 20% crash mid-run; lease/poll period 5s\n");
@@ -62,6 +67,9 @@ pub fn e3() {
         "worst leak (s)",
         "paper verdict",
     ]);
+    let per_period = n_clients as f64 / period.as_secs_f64();
+    let (mut lease_err, mut ping_err, mut ras_err) = (0f64, 0f64, 0f64);
+    let rel_err = |measured: f64, closed_form: f64| (measured - closed_form).abs() / closed_form;
     for services in [1usize, 4, 8] {
         // (1) Duration timeout: no traffic; leak = remaining TTL.
         t.row(&[
@@ -73,6 +81,7 @@ pub fn e3() {
         ]);
         // (2) Short leases: every client renews with every service.
         let msgs = measure_periodic_traffic(n_clients, services, period, Mechanism::Lease);
+        lease_err = lease_err.max(rel_err(msgs, services as f64 * per_period));
         t.row(&[
             "short leases".into(),
             services.to_string(),
@@ -82,6 +91,7 @@ pub fn e3() {
         ]);
         // (3) Per-service tracking: every service pings every client.
         let msgs = measure_periodic_traffic(n_clients, services, period, Mechanism::PerService);
+        ping_err = ping_err.max(rel_err(msgs, 2.0 * services as f64 * per_period));
         t.row(&[
             "per-service pings".into(),
             services.to_string(),
@@ -91,6 +101,7 @@ pub fn e3() {
         ]);
         // (4) RAS: one tracker pings clients; services check locally.
         let msgs = measure_periodic_traffic(n_clients, services, period, Mechanism::Ras);
+        ras_err = ras_err.max(rel_err(msgs, 2.0 * per_period));
         t.row(&[
             "RAS (chosen)".into(),
             services.to_string(),
@@ -101,6 +112,9 @@ pub fn e3() {
     }
     t.print();
     crate::report::put("table", t.to_json());
+    crate::report::put("lease_msgs_rel_err", Json::F64(lease_err));
+    crate::report::put("ping_msgs_rel_err", Json::F64(ping_err));
+    crate::report::put("ras_msgs_rel_err", Json::F64(ras_err));
     let _ = crash_frac;
     println!("    shape: lease/per-service traffic grows with services x clients;");
     println!("    the RAS's stays flat in services (checks are node-local).");
@@ -520,17 +534,27 @@ pub fn e9() {
 }
 
 /// E10 (§3.1): Connection Manager admission control — blocking
-/// probability vs offered load against a server egress budget.
+/// probability vs offered load against a server egress budget. A blocked
+/// settop goes back to thinking: a finite-source loss system, so each
+/// load is checked against its Engset call congestion. Attempts count
+/// from the end of a warm-up, since every settop starts idle at once.
 pub fn e10() {
     println!("\nE10. Admission control at the Connection Manager (§3.1)");
     println!("    server egress 200 Mb/s => 50 x 4 Mb/s streams; sessions ~ Poisson\n");
+    const STREAMS: usize = 50;
+    // Mean hold over mean think.
+    const BETA: f64 = 90.0 / 60.0;
+    const WARM_UP: SimTime = SimTime::from_secs(300);
     let mut t = Table::new(&[
         "settops",
         "offered (erlang)",
         "attempts",
         "blocked",
         "blocking %",
+        "Engset %",
+        "99% interval",
     ]);
+    let mut in_interval = Vec::new();
     for &settops in &[40usize, 50, 60, 80] {
         let sim = Sim::new(1000 + settops as u64);
         let server = sim.add_node("server");
@@ -554,7 +578,8 @@ pub fn e10() {
                 loop {
                     let think = Duration::from_micros(30_000_000 + rt.rand_u64() % 60_000_000);
                     rt.sleep(think);
-                    attempts.fetch_add(1, Ordering::Relaxed);
+                    let counted = u64::from(rt.now() >= WARM_UP);
+                    attempts.fetch_add(counted, Ordering::Relaxed);
                     match cm.allocate(&caller, 0, rt.node(), server_id, 4_000_000) {
                         Ok(conn) => {
                             let hold =
@@ -563,7 +588,7 @@ pub fn e10() {
                             let _ = cm.release(&caller, conn);
                         }
                         Err(_) => {
-                            blocked.fetch_add(1, Ordering::Relaxed);
+                            blocked.fetch_add(counted, Ordering::Relaxed);
                         }
                     }
                 }
@@ -575,19 +600,64 @@ pub fn e10() {
         let b = blocked.load(Ordering::Relaxed);
         // offered erlangs ~ settops * hold/(hold+think) with means 90/60.
         let offered = settops as f64 * 90.0 / 150.0;
+        let engset = engset_call_congestion(settops, STREAMS, BETA);
+        let (lo, hi) = binomial_99(a, engset);
+        in_interval.push((settops.to_string(), Json::Bool((lo..=hi).contains(&b))));
         t.row(&[
             settops.to_string(),
             f(offered, 1),
             a.to_string(),
             b.to_string(),
             f(100.0 * b as f64 / a.max(1) as f64, 1),
+            f(100.0 * engset, 2),
+            format!("{lo}-{hi}"),
         ]);
     }
     t.print();
     crate::report::put("table", t.to_json());
+    crate::report::put("blocked_in_engset_99", Json::obj(in_interval));
     println!("    shape: negligible blocking well below the 50-stream budget, rising");
     println!("    steeply as offered load nears it (finite sources: a blocked settop");
     println!("    goes back to thinking, an Engset system).");
+}
+
+/// The Engset call congestion of `n` sources sharing `c` servers, where
+/// `beta` is a source's mean hold over its mean think: the chance that a
+/// request finds every server busy, which is the time congestion of the
+/// other `n − 1` sources. It depends on the two means alone.
+fn engset_call_congestion(n: usize, c: usize, beta: f64) -> f64 {
+    let others = n.saturating_sub(1);
+    if others < c {
+        return 0.0;
+    }
+    // C(others, k) × beta^k for k = 0..=c; the last over their sum.
+    let (mut term, mut sum) = (1.0, 1.0);
+    for k in 1..=c {
+        term *= (others - k + 1) as f64 / k as f64 * beta;
+        sum += term;
+    }
+    term / sum
+}
+
+/// The central 99 % interval `[lo, hi]` of a Binomial(`n`, `p`) count:
+/// at most 0.5 % of the mass lies below `lo`, and at most 0.5 % above
+/// `hi`.
+fn binomial_99(n: u64, p: f64) -> (u64, u64) {
+    if p <= 0.0 {
+        return (0, 0);
+    }
+    let (mut pmf, mut cdf, mut lo) = ((1.0 - p).powf(n as f64), 0.0, None);
+    for k in 0..=n {
+        cdf += pmf;
+        if cdf > 0.005 && lo.is_none() {
+            lo = Some(k);
+        }
+        if cdf >= 0.995 {
+            return (lo.unwrap_or(k), k);
+        }
+        pmf *= (n - k) as f64 / (k + 1) as f64 * p / (1.0 - p);
+    }
+    (lo.unwrap_or(0), n)
 }
 
 /// E11 (§7.2): RAS stateless recovery — a restarted instance relearns

@@ -26,7 +26,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use ocs_name::{acquire_primary, Binding, NsHandle, Origin};
 use ocs_orb::{
-    declare_interface, CallPort, Caller, ClientCtx, Gather, ObjRef, Orb, OrbError, RpcFault,
+    declare_interface, CallPort, Caller, ClientCtx, Gather, ObjRef, OpName, Orb, OrbError,
+    RpcFault,
 };
 use ocs_ras::{EntityId, RasMonitor};
 use ocs_sim::{Addr, NodeId, NodeRtExt, PortReq, Rt, SimTime};
@@ -214,8 +215,8 @@ impl Mms {
             return (usable, true);
         };
         port.adopt();
-        let op: Arc<str> = Arc::from(STATUS.1);
-        port.gather(&storing, STATUS.0, Bytes::new(), &op, |i, reply| {
+        let op = OpName::from(STATUS.1);
+        port.gather(&storing, STATUS.0, Bytes::new(), op, |i, reply| {
             let status = reply
                 .ok()
                 .and_then(|body| <Result<MdsStatus, MediaError>>::from_bytes(&body).ok())

@@ -11,9 +11,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use ocs_sim::{PortReq, RecvError, Rt, SimTime};
-use ocs_telemetry::{current_ctx, Counter, Histo, NodeTelemetry, Span, SpanCtx, SpanId};
-use ocs_wire::Wire;
+use ocs_sim::{RecvError, Rt, SimTime};
+use ocs_telemetry::{
+    current_ctx, CallSpan, Counter, Histo, NodeTelemetry, OpName, Side, SpanCtx, SpanId,
+};
+use ocs_wire::{Encoder, Wire};
 
 use crate::auth::{ClientAuth, NoAuth};
 use crate::types::{ObjRef, OrbError, Reply, Request, FRAME_REPLY, FRAME_REQUEST};
@@ -109,11 +111,21 @@ impl ClientCtx {
         self.opts
     }
 
+    /// An encoder over a buffer from the node's pool, for a call's
+    /// arguments: the frame it finishes is its one allocation.
+    pub fn encoder(&self) -> Encoder {
+        self.pool.encoder(128)
+    }
+
     /// Invokes `method` on `target` with pre-marshalled `args`, returning
     /// the raw reply body (a wire-encoded `Result<T, E>`). `op` names the
     /// client span (generated stubs pass `"<interface>.<method>"`). Every
     /// invocation records a span: a child of the caller's current trace
     /// context when one exists, otherwise the root of a fresh trace.
+    ///
+    /// The call waits on the calling process's
+    /// [`reply_endpoint`](ocs_sim::NodeRt::reply_endpoint), and closes it
+    /// if the call fails: a reply or a bounce may still be owed to it.
     ///
     /// Failure mapping:
     /// * transport bounce (peer process died)  → [`OrbError::ObjectDead`]
@@ -124,22 +136,23 @@ impl ClientCtx {
         target: &ObjRef,
         method: u32,
         args: Bytes,
-        op: &str,
+        op: &'static str,
     ) -> Result<Bytes, OrbError> {
         let (ctx, parent) = self.span_for_call();
         let start = self.rt.now();
-        let result = (|| {
-            let ep = self
-                .rt
-                .open(PortReq::Ephemeral)
-                .map_err(|e| OrbError::Transport {
-                    what: e.to_string(),
-                })?;
-            let result = self.call_on(&*ep, target, method, args, ctx);
-            ep.close();
-            result
-        })();
-        self.finish_span(ctx, parent, op, start, result.is_err());
+        let result = match self.rt.reply_endpoint() {
+            Ok(ep) => {
+                let result = self.call_on(&*ep, target, method, args, ctx);
+                if result.is_err() {
+                    ep.close();
+                }
+                result
+            }
+            Err(e) => Err(OrbError::Transport {
+                what: e.to_string(),
+            }),
+        };
+        self.finish_span(ctx, parent, op.into(), start, result.is_err());
         result
     }
 
@@ -156,7 +169,7 @@ impl ClientCtx {
         &self,
         ctx: SpanCtx,
         parent: SpanId,
-        op: &str,
+        op: OpName,
         start: SimTime,
         err: bool,
     ) {
@@ -167,12 +180,11 @@ impl ClientCtx {
         let end = self.rt.now();
         self.latency
             .observe(end.as_micros().saturating_sub(start.as_micros()));
-        self.tel.tracer.record(Span {
-            trace: ctx.trace,
-            span: ctx.span,
+        self.tel.tracer.record_call(CallSpan {
+            ctx,
             parent,
-            name: format!("client:{op}"),
-            node: self.rt.node(),
+            side: Side::Client,
+            op,
             start,
             end,
             err,
@@ -310,6 +322,62 @@ pub(crate) fn parse_reply(msg: &Bytes) -> Option<Reply> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Request;
+    use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq, Sim, SimChan};
+    use ocs_wire::Encoder;
+
+    /// A process's calls leave from one reply port; a call that fails
+    /// closes it, and the next call waits on a fresh one.
+    #[test]
+    fn a_process_keeps_its_reply_port_until_a_call_fails() {
+        let sim = Sim::new(3);
+        let server = sim.add_node("server");
+        let client = sim.add_node("client");
+        let target = ObjRef {
+            addr: Addr::new(server.node(), 100),
+            incarnation: ObjRef::STABLE,
+            type_id: 1,
+            object_id: 0,
+        };
+        // A hand-rolled server noting where each request came from; it
+        // answers the third 1.5 s late.
+        let ports: SimChan<u16> = SimChan::new(&sim);
+        let (ports2, rt) = (ports.clone(), server.clone());
+        server.spawn_fn("server", move || {
+            let ep = rt.open(PortReq::Fixed(100)).unwrap();
+            for n in 1.. {
+                let Ok((from, msg)) = ep.recv(None) else { return };
+                ports2.send(from.port);
+                if n == 3 {
+                    rt.sleep(Duration::from_millis(1_500));
+                }
+                let req = Request::from_frame(&msg.slice(1..)).unwrap();
+                let mut e = Encoder::new();
+                e.put_u8(FRAME_REPLY);
+                let reply = Reply {
+                    request_id: req.request_id,
+                    result: Ok(Bytes::new()),
+                };
+                reply.encode_into(&mut e);
+                let _ = ep.send(from, e.finish());
+            }
+        });
+        let outcomes: SimChan<Result<Bytes, OrbError>> = SimChan::new(&sim);
+        let (outcomes2, ctx) = (outcomes.clone(), ClientCtx::new(client.clone()));
+        client.spawn_fn("client", move || {
+            let ctx = ctx.with_timeout(Duration::from_secs(1));
+            for _ in 0..4 {
+                outcomes2.send(ctx.call_named(&target, 1, Bytes::new(), "test.call"));
+            }
+        });
+        sim.run_until(SimTime::from_secs(10));
+        let outcomes: Vec<_> = std::iter::from_fn(|| outcomes.try_recv()).collect();
+        let ok = Ok(Bytes::new());
+        assert_eq!(outcomes, [ok.clone(), ok.clone(), Err(OrbError::Timeout), ok]);
+        let ports: Vec<u16> = std::iter::from_fn(|| ports.try_recv()).collect();
+        assert_eq!(ports[..3], [ports[0]; 3]);
+        assert_ne!(ports[3], ports[0]);
+    }
 
     #[test]
     fn default_timeout_is_seconds_scale() {

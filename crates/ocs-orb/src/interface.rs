@@ -124,7 +124,7 @@ macro_rules! declare_interface {
                 $(#[$mmeta])*
                 pub fn $method(&self $(, $arg: $aty)*) -> Result<$ok, $err> {
                     #[allow(unused_mut)]
-                    let mut e = $crate::ocs_wire::Encoder::new();
+                    let mut e = self.ctx.encoder();
                     $( $crate::ocs_wire::Wire::encode_into(&$arg, &mut e); )*
                     match self.ctx.call_named(
                         &self.target,
@@ -208,7 +208,9 @@ macro_rules! declare_interface {
                             if caller.replies_later() {
                                 return Ok($crate::bytes::Bytes::new()); // Not sent.
                             }
-                            Ok($crate::ocs_wire::Wire::to_bytes(&r))
+                            let mut e = caller.encoder();
+                            $crate::ocs_wire::Wire::encode_into(&r, &mut e);
+                            Ok(e.finish())
                         }
                     )*
                     _ => Err($crate::OrbError::UnknownMethod),

@@ -35,8 +35,10 @@ pub use telemetry::{
     bind_breaker, export_telemetry, telemetry_ref, NodeTelemetryService, TelemetryApi,
     TelemetryClient, TelemetryError, TelemetryServant,
 };
-pub use types::{Caller, ObjRef, OrbError, Proxy, ReplyTo, RpcFault};
+pub use types::{Caller, ObjRef, OrbError, Principal, Proxy, ReplyTo, RpcFault};
 
+// Names a `CallPort` call's client span.
+pub use ocs_telemetry::OpName;
 // Re-exported so generated code can reference them from user crates.
 pub use bytes;
 pub use ocs_wire;

@@ -1,9 +1,9 @@
 //! Calls from one long-lived endpoint.
 //!
-//! [`ClientCtx::call_named`] places one call from an endpoint of its own
-//! and waits there for the reply. A [`CallPort`] is one long-lived
-//! endpoint, served inline ([`Endpoint::serve_inline`]), from which any
-//! number of calls go out at once. A reply — or the bounce or the
+//! [`ClientCtx::call_named`] places one call from the calling process's
+//! reply endpoint and waits there for the reply. A [`CallPort`] is one
+//! long-lived endpoint, served inline ([`Endpoint::serve_inline`]), from
+//! which any number of calls go out at once. A reply — or the bounce or the
 //! timeout that stands for one — is matched to its call where it lands:
 //! on TCP's connection reader, on the simulator's stepping thread. What
 //! happens there depends on how the call was placed:
@@ -26,7 +26,7 @@ use std::sync::{Arc, Weak};
 use bytes::Bytes;
 use ocs_sim::sync::SyncObj;
 use ocs_sim::{Addr, Endpoint, NetError, PortReq, RecvError, SimTime};
-use ocs_telemetry::{SpanCtx, SpanId};
+use ocs_telemetry::{OpName, SpanCtx, SpanId};
 use parking_lot::Mutex;
 
 use crate::client::{parse_reply, ClientCtx};
@@ -73,7 +73,7 @@ enum Owner<T> {
 struct Pending<T> {
     request_id: u64,
     to: Addr,
-    op: Arc<str>,
+    op: OpName,
     span: SpanCtx,
     parent: SpanId,
     start: SimTime,
@@ -121,7 +121,7 @@ impl<T: Send + 'static> CallPort<T> {
     /// a client span named like a [`call_named`](ClientCtx::call_named)
     /// with the same `op`. Returns at once; a call that cannot be sent
     /// has its error handed to the handler before this returns.
-    pub fn call(&self, target: &ObjRef, method: u32, args: Bytes, op: &Arc<str>, token: T) {
+    pub fn call(&self, target: &ObjRef, method: u32, args: Bytes, op: OpName, token: T) {
         let deadline = self.ctx.effective_deadline();
         self.send(target, method, args, op, deadline, Owner::Handler(token));
     }
@@ -138,7 +138,7 @@ impl<T: Send + 'static> CallPort<T> {
         targets: &[ObjRef],
         method: u32,
         args: Bytes,
-        op: &Arc<str>,
+        op: OpName,
         mut on_reply: impl FnMut(usize, Result<Bytes, OrbError>) -> Gather,
     ) {
         let round: Arc<Round> = Arc::default();
@@ -191,7 +191,7 @@ impl<T: Send + 'static> CallPort<T> {
         target: &ObjRef,
         method: u32,
         args: Bytes,
-        op: &Arc<str>,
+        op: OpName,
         deadline: Result<(SimTime, bool), OrbError>,
         owner: Owner<T>,
     ) {
@@ -200,7 +200,7 @@ impl<T: Send + 'static> CallPort<T> {
         let mut pending = Pending {
             request_id: 0,
             to: target.addr,
-            op: Arc::clone(op),
+            op,
             span,
             parent,
             start,
@@ -272,7 +272,7 @@ impl<T: Send + 'static> CallPort<T> {
     /// Ends a call's client span and hands its outcome to its owner.
     fn settle(&self, p: Pending<T>, result: Result<Bytes, OrbError>) {
         self.ctx
-            .finish_span(p.span, p.parent, &p.op, p.start, result.is_err());
+            .finish_span(p.span, p.parent, p.op, p.start, result.is_err());
         match p.owner {
             Owner::Handler(token) => (self.on_reply)(token, result),
             Owner::Gather(round, index) => {
@@ -291,7 +291,7 @@ impl<T> Drop for CallPort<T> {
         // owner is gone, so nobody is told.
         for p in self.calls.get_mut().drain(..) {
             self.ctx
-                .finish_span(p.span, p.parent, &p.op, p.start, true);
+                .finish_span(p.span, p.parent, p.op, p.start, true);
         }
         self.ep.close();
     }
@@ -347,7 +347,7 @@ mod tests {
                 &[target],
                 1,
                 Bytes::new(),
-                &Arc::from("test"),
+                OpName::from("test"),
                 |i, reply| {
                     out2.send((i, reply));
                     Gather::More

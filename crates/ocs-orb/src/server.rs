@@ -12,7 +12,9 @@ use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
 use ocs_sim::{Addr, Endpoint, NetError, PortReq, Rt, SimTime};
-use ocs_telemetry::{CtxGuard, NodeTelemetry, Span, SpanCtx, SpanId, TraceId};
+use ocs_telemetry::{
+    CallSpan, CtxGuard, NodeTelemetry, OpName, Side, Span, SpanCtx, SpanId, TraceId,
+};
 use ocs_wire::Wire;
 
 use crate::auth::{NoAuth, ServerAuth};
@@ -79,7 +81,9 @@ pub(crate) struct Answer {
 struct ServerSpan {
     ctx: SpanCtx,
     parent: SpanId,
-    name: String,
+    /// The servant's `<interface>.<method>`, or the object id and method
+    /// a request for no exported object named.
+    op: Result<OpName, (u64, u32)>,
     start: SimTime,
 }
 
@@ -91,16 +95,28 @@ impl Answer {
             return;
         };
         if let Some(s) = self.span {
-            orb.tel.tracer.record(Span {
-                trace: s.ctx.trace,
-                span: s.ctx.span,
-                parent: s.parent,
-                name: s.name,
-                node: orb.rt.node(),
-                start: s.start,
-                end: orb.rt.now(),
-                err: result.is_err(),
-            });
+            let (end, err) = (orb.rt.now(), result.is_err());
+            match s.op {
+                Ok(op) => orb.tel.tracer.record_call(CallSpan {
+                    ctx: s.ctx,
+                    parent: s.parent,
+                    side: Side::Server,
+                    op,
+                    start: s.start,
+                    end,
+                    err,
+                }),
+                Err((object, method)) => orb.tel.tracer.record(Span {
+                    trace: s.ctx.trace,
+                    span: s.ctx.span,
+                    parent: s.parent,
+                    name: format!("server:obj{object}.m{method}"),
+                    node: orb.rt.node(),
+                    start: s.start,
+                    end,
+                    err,
+                }),
+            }
         }
         if self.oneway {
             return;
@@ -338,7 +354,7 @@ impl Orb {
         self.handle_request(from, req);
     }
 
-    fn handle_request(self: &Arc<Self>, from: Addr, mut req: Request) {
+    fn handle_request(self: &Arc<Self>, from: Addr, req: Request) {
         // The one object-table lookup of the request.
         let servant = self
             .objects
@@ -355,14 +371,14 @@ impl Orb {
                 span: SpanId(req.span_id),
             };
             let ctx = self.tel.tracer.child_of(parent);
-            let name = match &servant {
-                Some(s) => format!("server:{}.{}", s.type_name(), s.method_name(req.method)),
-                None => format!("server:obj{}.m{}", req.object_id, req.method),
+            let op = match &servant {
+                Some(s) => Ok(OpName::of(s.type_name(), s.method_name(req.method))),
+                None => Err((req.object_id, req.method)),
             };
             ServerSpan {
                 ctx,
                 parent: parent.span,
-                name,
+                op,
                 start: self.rt.now(),
             }
         });
@@ -374,7 +390,8 @@ impl Orb {
             oneway: req.oneway,
             span,
         };
-        let caller = Caller::serving(std::mem::take(&mut req.principal), from.node, Some(answer));
+        let pool = Some(Arc::clone(&self.pool));
+        let caller = Caller::serving(req.principal.clone(), from.node, Some(answer), pool);
         let result = {
             let _guard = guard_ctx.map(CtxGuard::enter);
             self.dispatch_request(&caller, req, servant)

@@ -3,11 +3,13 @@
 
 use std::fmt;
 use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use ocs_sim::{Addr, NodeId};
-use ocs_wire::{impl_wire_enum, impl_wire_struct, Decoder, Encoder, Wire};
+use ocs_wire::{impl_wire_enum, impl_wire_struct, BufPool, Decoder, Encoder, Wire, WireError};
 use parking_lot::Mutex;
 
 use crate::server::Answer;
@@ -59,13 +61,57 @@ impl_wire_struct!(ObjRef {
     object_id
 });
 
+/// A principal name: UTF-8 held as the bytes of the request frame it
+/// arrived in, so serving a request copies no name. Reads as a `str`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Principal(Bytes);
+
+impl Deref for Principal {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("a principal is checked UTF-8")
+    }
+}
+
+impl From<&'static str> for Principal {
+    fn from(name: &'static str) -> Principal {
+        Principal(Bytes::from_static(name.as_bytes()))
+    }
+}
+
+impl fmt::Display for Principal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl fmt::Debug for Principal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Encoded as a `String` is.
+impl Wire for Principal {
+    fn encode_into(&self, e: &mut Encoder) {
+        self.0.encode_into(e);
+    }
+
+    fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        let name = Bytes::decode_from(d)?;
+        std::str::from_utf8(&name).map_err(|_| WireError::BadUtf8)?;
+        Ok(Principal(name))
+    }
+}
+
 /// The authenticated identity of a request's sender, surfaced to every
 /// servant method (the paper: "each incoming call on an object contains
 /// the caller's identity", §9.2) — and the request's reply, which a
 /// method may take to answer later ([`Caller::reply_later`]).
 pub struct Caller {
     /// Verified principal name ("anonymous" when authentication is off).
-    pub principal: String,
+    pub principal: Principal,
     /// The node the request arrived from; selectors use this the way the
     /// paper's selectors use the caller's IP address (§5.1).
     pub node: NodeId,
@@ -74,21 +120,39 @@ pub struct Caller {
     reply: Mutex<Option<Answer>>,
     /// Whether the method took it ([`Caller::reply_later`]).
     taken: AtomicBool,
+    /// The serving ORB's buffer pool, for the reply's bytes.
+    pool: Option<Arc<BufPool>>,
 }
 
 impl Caller {
     /// A caller value for in-process (non-RPC) invocations: there is no
     /// reply to take, so a method answers by returning.
     pub fn local(node: NodeId) -> Caller {
-        Caller::serving("local".to_string(), node, None)
+        Caller::serving("local".into(), node, None, None)
     }
 
-    pub(crate) fn serving(principal: String, node: NodeId, reply: Option<Answer>) -> Caller {
+    pub(crate) fn serving(
+        principal: Principal,
+        node: NodeId,
+        reply: Option<Answer>,
+        pool: Option<Arc<BufPool>>,
+    ) -> Caller {
         Caller {
             principal,
             node,
             reply: Mutex::new(reply),
             taken: AtomicBool::new(false),
+            pool,
+        }
+    }
+
+    /// An encoder for the method's result: over a buffer from the
+    /// serving ORB's pool, so the reply body it finishes is its one
+    /// allocation.
+    pub fn encoder(&self) -> Encoder {
+        match &self.pool {
+            Some(pool) => pool.encoder(128),
+            None => Encoder::new(),
         }
     }
 
@@ -106,7 +170,7 @@ impl Caller {
         self.taken.store(true, Ordering::Relaxed);
         Some(ReplyTo {
             answer,
-            principal: self.principal.clone(),
+            caller: self.clone(),
             _result: PhantomData,
         })
     }
@@ -126,7 +190,7 @@ impl Caller {
 /// A copy is the same identity with no reply to take.
 impl Clone for Caller {
     fn clone(&self) -> Caller {
-        Caller::serving(self.principal.clone(), self.node, None)
+        Caller::serving(self.principal.clone(), self.node, None, self.pool.clone())
     }
 }
 
@@ -154,14 +218,17 @@ impl fmt::Debug for Caller {
 /// caller sees what a servant that died mid-request leaves it.
 pub struct ReplyTo<R> {
     answer: Answer,
-    principal: String,
+    /// The request's caller, with no reply of its own.
+    caller: Caller,
     _result: PhantomData<fn(R)>,
 }
 
 impl<R: Wire> ReplyTo<R> {
     /// Sends the answer.
     pub fn send(self, result: R) {
-        self.answer.send(&self.principal, Ok(result.to_bytes()));
+        let mut e = self.caller.encoder();
+        result.encode_into(&mut e);
+        self.answer.send(&self.caller.principal, Ok(e.finish()));
     }
 }
 
@@ -361,11 +428,11 @@ pub trait Proxy: Sized {
 pub(crate) const FRAME_REQUEST: u8 = 1;
 pub(crate) const FRAME_REPLY: u8 = 2;
 
-/// A request frame as carried on the wire. A server decodes one with an
-/// owned principal; a client writes a `Request<&str>`, borrowing the name
-/// from its [`ClientAuth`](crate::ClientAuth).
+/// A request frame as carried on the wire. A server decodes one with its
+/// principal a slice of the frame; a client writes a `Request<&str>`,
+/// borrowing the name from its [`ClientAuth`](crate::ClientAuth).
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Request<P = String> {
+pub(crate) struct Request<P = Principal> {
     pub request_id: u64,
     pub object_id: u64,
     pub incarnation: u64,

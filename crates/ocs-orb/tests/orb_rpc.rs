@@ -9,7 +9,7 @@ use std::time::Duration;
 use ocs_orb::{
     declare_interface, impl_rpc_fault, Caller, ClientCtx, ObjRef, Orb, OrbError, Servant,
 };
-use ocs_sim::{NodeRt, NodeRtExt, PortReq, Sim, SimChan, SimTime};
+use ocs_sim::{Addr, LinkParams, NodeRt, NodeRtExt, PortReq, Sim, SimChan, SimTime};
 use ocs_wire::{impl_wire_enum, Encoder, Wire};
 
 #[derive(Debug, PartialEq, Clone)]
@@ -111,6 +111,7 @@ fn thousand_calls_start_a_handful_of_threads() {
     let settop = sim.add_node("settop");
     let _bystander = sim.add_node("bystander");
     let answered: SimChan<u64> = SimChan::new(&sim);
+    let before = sim.kernel_stats();
 
     let server2 = server.clone();
     let answered2 = answered.clone();
@@ -130,7 +131,13 @@ fn thousand_calls_start_a_handful_of_threads() {
         );
     });
     sim.run_until(SimTime::from_secs(60));
+    let after = sim.kernel_stats();
     assert_eq!(answered.try_recv(), Some(1_000));
+    // Boot, the serve loop, the client and a handler per request; each
+    // call is two switches, caller → handler → caller.
+    let switches = |s: &ocs_sim::KernelStats| s.driver_resumes + s.direct_handoffs;
+    assert_eq!(after.spawns - before.spawns, 3 + 1_000);
+    assert_eq!(switches(&after) - switches(&before), 3 + 2 * 1_000);
     // Every request ran as a process of its own...
     let served = ocs_telemetry::NodeTelemetry::of(&*server)
         .registry
@@ -464,4 +471,133 @@ fn rpc_spans_link_client_and_server() {
     assert_eq!(s.trace, c.trace, "one causal trace across both nodes");
     assert_eq!(s.parent, c.span, "server span is the client span's child");
     assert!(s.start >= c.start && s.end <= c.end, "causal nesting in time");
+}
+
+/// A reply and a bounce owed to a call that timed out arrive while the
+/// same process's next call waits, and answer nothing: each call gets
+/// its own outcome, and the leftovers are turned away at a closed port.
+#[test]
+fn leftovers_of_a_timed_out_call_answer_no_later_call() {
+    let sim = Sim::new(13);
+    let server = sim.add_node("server");
+    let client_node = sim.add_node("client");
+    let half_second = LinkParams::latency_only(Duration::from_millis(500));
+    sim.set_link(client_node.node(), server.node(), half_second);
+    sim.set_link(server.node(), client_node.node(), half_second);
+    let echo = start_echo(&server, 100);
+    // Closed until 0.6 s, then the same interface.
+    let late = ObjRef {
+        addr: Addr::new(server.node(), 200),
+        incarnation: ObjRef::STABLE,
+        ..echo
+    };
+    let rt: ocs_sim::Rt = server.clone();
+    server.spawn_fn("late-start", move || {
+        rt.sleep(Duration::from_millis(600));
+        let auth = Arc::new(ocs_orb::NoAuth);
+        let orb = Orb::build(rt.clone(), PortReq::Fixed(200), Some(ObjRef::STABLE), auth).unwrap();
+        orb.export_root(Arc::new(EchoServant(Arc::new(EchoImpl {
+            rt,
+            calls: AtomicU64::new(0),
+        }))));
+        orb.serve_loop();
+    });
+    let results: SimChan<Vec<Result<String, EchoError>>> = SimChan::new(&sim);
+    let (results2, cl) = (results.clone(), client_node.clone());
+    client_node.spawn_fn("client", move || {
+        // A round trip is 1 s: a short call times out before its reply
+        // or bounce is back, a long one does not.
+        let ctx = ClientCtx::new(cl.clone());
+        let short = ctx.clone().with_timeout(Duration::from_millis(800));
+        let attach = |ctx: &ClientCtx, to| EchoClient::attach(ctx.clone(), to).unwrap();
+        results2.send(vec![
+            // Reaches the closed port at 0.5 s; its bounce lands at 1.0 s,
+            // while the next call waits.
+            attach(&short, late).echo("first".into()),
+            attach(&ctx, late).echo("second".into()),
+            // Answered at 3.5 s, while the next call waits.
+            attach(&short, echo).slow(700).map(|_| String::new()),
+            attach(&ctx, echo).echo("fourth".into()),
+        ]);
+    });
+    sim.run_until(SimTime::from_secs(10));
+    let timeout = Err(EchoError::Comm {
+        err: OrbError::Timeout,
+    });
+    assert_eq!(
+        results.try_recv().unwrap(),
+        vec![timeout.clone(), Ok("second".into()), timeout, Ok("fourth".into())]
+    );
+    // The request to the closed port, and the late reply at the port its
+    // call waited on.
+    assert_eq!(sim.net_stats().bounces, 2);
+}
+
+#[derive(Debug, PartialEq, Clone)]
+pub enum RelayError {
+    Comm { err: OrbError },
+}
+impl_wire_enum!(RelayError { 0 => Comm { err } });
+impl_rpc_fault!(RelayError);
+
+declare_interface! {
+    /// Passes a message on to an echo service.
+    pub interface Relay [RelayClient, RelayServant]: "test.relay" {
+        1 => fn relay(&self, msg: String) -> Result<String, RelayError>;
+    }
+}
+
+struct RelayImpl {
+    to: EchoClient,
+}
+
+impl Relay for RelayImpl {
+    fn relay(&self, _c: &Caller, msg: String) -> Result<String, RelayError> {
+        self.to.echo(msg).map_err(|e| match e {
+            EchoError::Comm { err } => RelayError::Comm { err },
+            EchoError::Rejected => RelayError::Comm {
+                err: OrbError::Internal {
+                    what: "rejected".into(),
+                },
+            },
+        })
+    }
+}
+
+/// A nested call through a generated stub records exactly one span a
+/// side per call, named `<side>:<interface>.<method>`, linked into one
+/// trace.
+#[test]
+fn a_nested_stub_call_records_one_named_span_a_side() {
+    let sim = Sim::new(14);
+    let (front, back) = (sim.add_node("front"), sim.add_node("back"));
+    let settop = sim.add_node("settop");
+    let echo = start_echo(&back, 100);
+    let rt: ocs_sim::Rt = front.clone();
+    let orb = Orb::new(rt.clone(), PortReq::Fixed(100)).unwrap();
+    let to = EchoClient::attach(ClientCtx::new(rt), echo).unwrap();
+    let relay = orb.export_root(Arc::new(RelayServant(Arc::new(RelayImpl { to }))));
+    orb.start();
+    let ctx = ClientCtx::new(settop.clone());
+    settop.spawn_fn("settop", move || {
+        let relay = RelayClient::attach(ctx, relay).unwrap();
+        assert_eq!(relay.relay("nested".into()).unwrap(), "nested");
+    });
+    sim.run_until(SimTime::from_secs(1));
+    let spans = |node: &Arc<ocs_sim::SimNode>| {
+        ocs_telemetry::NodeTelemetry::of(&**node).tracer.finished()
+    };
+    let names = |node| spans(node).into_iter().map(|s| s.name).collect::<Vec<_>>();
+    assert_eq!(names(&settop), ["client:test.relay.relay"]);
+    // The nested call ends first.
+    assert_eq!(names(&front), ["client:test.echo.echo", "server:test.relay.relay"]);
+    assert_eq!(names(&back), ["server:test.echo.echo"]);
+    let (root, front, back) = (&spans(&settop)[0], spans(&front), &spans(&back)[0]);
+    let (nested, served) = (&front[0], &front[1]);
+    assert_eq!(served.parent, root.span);
+    assert_eq!(nested.parent, served.span);
+    assert_eq!(back.parent, nested.span);
+    for s in [served, nested, back] {
+        assert_eq!(s.trace, root.trace);
+    }
 }

@@ -9,7 +9,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ocs_orb::{
-    declare_interface, impl_rpc_fault, CallPort, Caller, ClientCtx, Gather, ObjRef, Orb, OrbError,
+    declare_interface, impl_rpc_fault, CallPort, Caller, ClientCtx, Gather, ObjRef, OpName, Orb,
+    OrbError,
 };
 use ocs_sim::real::{eventually, RealNet};
 use ocs_sim::{LinkParams, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimChan, SimTime};
@@ -71,8 +72,8 @@ fn answer(reply: Result<bytes::Bytes, OrbError>) -> Result<u64, OrbError> {
     })
 }
 
-fn op() -> Arc<str> {
-    Arc::from("test.tag.tag")
+fn op() -> OpName {
+    OpName::from("test.tag.tag")
 }
 
 /// A port for gathers only: its handler is never called.
@@ -121,7 +122,7 @@ fn sim_replies_are_delivered_in_arrival_order() {
     let (out2, targets, rt) = (out.clone(), rig.targets.clone(), rig.client.clone() as Rt);
     rig.client.spawn_fn("client", move || {
         let port = gather_port(ClientCtx::new(rt.clone()));
-        port.gather(&targets, TAG_METHOD, salt(5), &op(), |i, reply| {
+        port.gather(&targets, TAG_METHOD, salt(5), op(), |i, reply| {
             out2.send((i, answer(reply), rt.now().as_micros()));
             Gather::More
         });
@@ -147,7 +148,7 @@ fn sim_gather_returns_at_the_first_answer_when_told_enough() {
     let port = gather_port(ClientCtx::new(rt.clone()));
     let port2 = Arc::clone(&port);
     rig.client.spawn_fn("client", move || {
-        port2.gather(&targets, TAG_METHOD, salt(4), &op(), |i, reply| {
+        port2.gather(&targets, TAG_METHOD, salt(4), op(), |i, reply| {
             out2.send((i, answer(reply), rt.now().as_micros()));
             Gather::Enough
         });
@@ -179,7 +180,7 @@ fn sim_gathers_on_one_port_see_only_their_own_calls() {
             Arc::clone(&port),
         );
         rig.client.spawn_fn("client", move || {
-            port.gather(&targets, TAG_METHOD, salt(s), &op(), |i, reply| {
+            port.gather(&targets, TAG_METHOD, salt(s), op(), |i, reply| {
                 out2.send((s, i, answer(reply), rt.now().as_micros()));
                 Gather::More
             });
@@ -235,7 +236,7 @@ fn sim_call_port_hands_each_reply_over_where_it_lands() {
     let ctx = ClientCtx::new(rt.clone()).with_timeout(Duration::from_millis(200));
     let (port, landed) = port_on(ctx, move || rt.now().as_micros());
     for (i, target) in rig.targets.iter().enumerate() {
-        port.call(target, TAG_METHOD, salt(3), &op(), i);
+        port.call(target, TAG_METHOD, salt(3), op(), i);
     }
     let spawns = rig.sim.kernel_stats().spawns;
     rig.sim.run_until(SimTime::from_millis(199));
@@ -266,7 +267,7 @@ fn sim_dead_target_is_object_dead_and_the_gather_goes_on() {
     let (out2, targets, rt) = (out.clone(), rig.targets.clone(), rig.client.clone() as Rt);
     rig.client.spawn_fn("client", move || {
         let port = gather_port(ClientCtx::new(rt));
-        port.gather(&targets, TAG_METHOD, salt(1), &op(), |i, reply| {
+        port.gather(&targets, TAG_METHOD, salt(1), op(), |i, reply| {
             out2.send((i, answer(reply)));
             Gather::More
         });
@@ -290,7 +291,7 @@ fn sim_one_deadline_bounds_the_whole_call() {
     rig.client.spawn_fn("client", move || {
         let ctx = ClientCtx::new(rt.clone()).with_timeout(Duration::from_millis(200));
         let port = gather_port(ctx);
-        port.gather(&targets, TAG_METHOD, salt(2), &op(), |i, reply| {
+        port.gather(&targets, TAG_METHOD, salt(2), op(), |i, reply| {
             out2.send((i, answer(reply), rt.now().as_micros()));
             Gather::More
         });
@@ -340,7 +341,7 @@ fn real_arrival_order_and_replies_that_land_on_the_reader() {
     // A full round first, so the client holds its stream with every
     // server and the counts below see only the calls' own.
     let mut order = Vec::new();
-    port.gather(&targets, TAG_METHOD, salt(5), &op(), |i, reply| {
+    port.gather(&targets, TAG_METHOD, salt(5), op(), |i, reply| {
         order.push((i, answer(reply)));
         Gather::More
     });
@@ -353,7 +354,7 @@ fn real_arrival_order_and_replies_that_land_on_the_reader() {
     let before = conn_opens(&net);
     assert_eq!(before, 3, "one stream per target, replies on it too");
     for (i, target) in targets.iter().enumerate() {
-        port.call(target, TAG_METHOD, salt(0), &op(), i);
+        port.call(target, TAG_METHOD, salt(0), op(), i);
     }
     assert!(eventually(Duration::from_secs(5), || landed.lock().len() == 3));
     let reader = || "conn-reader".to_string();
@@ -379,7 +380,7 @@ fn real_gather_returns_at_the_first_answer_when_told_enough() {
     let port = gather_port(ClientCtx::new(client));
     let started = Instant::now();
     let mut got = Vec::new();
-    port.gather(&targets, TAG_METHOD, salt(4), &op(), |i, reply| {
+    port.gather(&targets, TAG_METHOD, salt(4), op(), |i, reply| {
         got.push((i, answer(reply)));
         Gather::Enough
     });
@@ -525,7 +526,7 @@ fn real_dead_target_and_one_deadline() {
     let port = gather_port(ClientCtx::new(client).with_timeout(Duration::from_millis(100)));
     let started = Instant::now();
     let mut got = Vec::new();
-    port.gather(&targets, TAG_METHOD, salt(1), &op(), |i, reply| {
+    port.gather(&targets, TAG_METHOD, salt(1), op(), |i, reply| {
         got.push((i, answer(reply)));
         Gather::More
     });

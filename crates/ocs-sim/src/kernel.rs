@@ -6,8 +6,9 @@
 //! shard 0, a worker thread otherwise — which runs exactly one context
 //! at a time, the shard's scheduler or one of its processes, and
 //! switches between them in user space. Blocking operations (sleep,
-//! receive, wait) register a wakeup in the event queue and switch to
-//! whatever runs next. A process never moves to another OS thread, so a
+//! receive, wait) switch to whatever runs next; a timed one's timeout
+//! waits beside the event queue, keyed like an event, and leaves with
+//! the wait however it ends. A process never moves to another OS thread, so a
 //! shard 0 with suspended processes may not be driven from another.
 //! Events are ordered by `(time, source node, per-source seq)`, a key
 //! that is independent of how nodes are packed into shards, so a run is
@@ -105,7 +106,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::coro::{self, Handle, Stack, StackPool};
-use crate::rt::{Addr, FrameHandler, InlineTest, LandingHandler, NodeId, RecvError};
+use crate::rt::{Addr, Endpoint, FrameHandler, InlineTest, LandingHandler, NodeId, RecvError};
 use crate::time::SimTime;
 
 pub(crate) type Pid = u64;
@@ -185,7 +186,8 @@ pub(crate) enum WakeReason {
 }
 
 pub(crate) struct Proc {
-    pub name: String,
+    /// Shared with its served port's task name for a handler's process.
+    pub name: Arc<str>,
     pub node: Option<NodeId>,
     /// Process group (inherited from the spawner), the unit of service
     /// lifetime the Server Service Controller manages.
@@ -196,8 +198,31 @@ pub(crate) struct Proc {
     pub wait_gen: u64,
     pub killed: bool,
     pub wake_reason: WakeReason,
+    /// The pending timeout of the timed wait the process is blocked in.
+    pub timer: Option<TimerKey>,
     /// Endpoints opened by this process; closed when it dies.
     pub endpoints: Vec<EpKey>,
+    /// The endpoint its calls wait on for their replies
+    /// (`NodeRt::reply_endpoint`): one of `endpoints`, and gone when it
+    /// closes.
+    pub reply: Option<Arc<dyn Endpoint>>,
+}
+
+/// A pending timeout's key, `(at, src, sseq)` like an event's: drawn from
+/// the same per-source stream, so timeouts and events pop in the order
+/// one queue holding both would pop them.
+pub(crate) type TimerKey = (u64, u32, u64);
+
+/// Makes a blocked process runnable for `reason`, and withdraws the
+/// timeout of its wait, if it had one: a wait that ends takes its timer
+/// with it, so no dead timeout is left to pop.
+fn unblock(p: &mut Proc, timers: &mut BTreeMap<TimerKey, Pid>, reason: WakeReason) {
+    p.wait_gen += 1;
+    p.state = PState::Runnable;
+    p.wake_reason = reason;
+    if let Some(key) = p.timer.take() {
+        timers.remove(&key);
+    }
 }
 
 pub(crate) enum Item {
@@ -228,7 +253,7 @@ pub(crate) struct EpState {
 
 /// A served port's handler and what it runs as.
 pub(crate) struct Served {
-    task: String,
+    task: Arc<str>,
     serving: Serving,
     /// The group the handler joins: the port owner's when serving began.
     group: Option<u64>,
@@ -360,7 +385,8 @@ pub struct NetStats {
 /// run. In sharded runs the per-shard counters are summed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Events popped off the queue (timer wakeups + network deliveries).
+    /// Events popped off the queue (timeouts that fired, network
+    /// deliveries, control events).
     pub events: u64,
     /// Switches from the shard's scheduler to a process (a pair of
     /// switches each: there and back).
@@ -388,6 +414,10 @@ pub struct KernelStats {
     pub spawns: u64,
     /// Served-port frames whose handler ran inline, with no process.
     pub inline_runs: u64,
+    /// Timeouts pending now, one per timed wait still blocked: a gauge,
+    /// where every field above is a count. A wait that ends early takes
+    /// its timeout with it, so this stays flat however many waits end.
+    pub timers: u64,
 }
 
 /// Fault-injection impairment applied on top of a link's base
@@ -670,7 +700,7 @@ pub(crate) enum ControlOp {
     Net(NetCtl),
     Spawn {
         node: Option<NodeId>,
-        name: String,
+        name: Arc<str>,
         group: Option<u64>,
         f: Box<dyn FnOnce() + Send>,
     },
@@ -681,7 +711,6 @@ pub(crate) enum ControlOp {
 }
 
 enum EventKind {
-    Wake { pid: Pid, gen: u64 },
     Deliver { to: Addr, item: Item },
     Control(ControlOp),
 }
@@ -747,6 +776,9 @@ pub(crate) struct Kernel {
     /// (spawning a process, journaling a fault note).
     inner: Weak<SimInner>,
     events: BinaryHeap<Event>,
+    /// Pending timeouts of blocked processes, beside `events` and popped
+    /// in the same key order; a wait that ends early removes its own.
+    timers: BTreeMap<TimerKey, Pid>,
     pub procs: BTreeMap<Pid, Proc>,
     /// Local pid counter; issued pids are `shard << SHARD_SHIFT | n` so
     /// they are unique and shard-derivable without coordination.
@@ -893,6 +925,7 @@ impl Kernel {
             outboxes: Vec::new(),
             inner: Weak::new(),
             events: BinaryHeap::new(),
+            timers: BTreeMap::new(),
             procs: BTreeMap::new(),
             next_pid: 1,
             runnable: VecDeque::new(),
@@ -1003,15 +1036,27 @@ impl Kernel {
         }
     }
 
-    /// Pushes an event for this shard, keyed on `src`'s stream.
-    fn push_local(&mut self, at: u64, src: u32, kind: EventKind) {
-        let sseq = self.next_sseq(src);
-        self.events.push(Event {
-            at,
-            src,
-            sseq,
-            kind,
-        });
+    /// Arms a timeout for the blocked process `pid`, keyed on `src`'s
+    /// stream.
+    fn arm_timer(&mut self, pid: Pid, at: u64, src: u32) {
+        let key = (at, src, self.next_sseq(src));
+        self.timers.insert(key, pid);
+        if let Some(p) = self.procs.get_mut(&pid) {
+            p.timer = Some(key);
+        }
+    }
+
+    /// The key of what is due next, the next event or the next timeout,
+    /// and whether it is the timeout. Both keys come from the same
+    /// streams, so this is the order one queue holding both would pop.
+    fn next_due(&self) -> Option<(TimerKey, bool)> {
+        let event = self.events.peek().map(|e| (e.at, e.src, e.sseq));
+        let timer = self.timers.first_key_value().map(|(k, _)| *k);
+        match (event, timer) {
+            (Some(e), Some(t)) if t < e => Some((t, true)),
+            (Some(e), _) => Some((e, false)),
+            (None, t) => t.map(|t| (t, true)),
+        }
     }
 
     /// Virtual-time delay between a control action's issue and its
@@ -1108,9 +1153,7 @@ impl Kernel {
     fn wake(&mut self, pid: Pid, gen: u64, reason: WakeReason) -> bool {
         if let Some(p) = self.procs.get_mut(&pid) {
             if p.state == PState::Blocked && p.wait_gen == gen {
-                p.wait_gen += 1;
-                p.state = PState::Runnable;
-                p.wake_reason = reason;
+                unblock(p, &mut self.timers, reason);
                 self.runnable.push_back(pid);
                 return true;
             }
@@ -1134,9 +1177,6 @@ impl Kernel {
 
     fn apply(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Wake { pid, gen } => {
-                self.wake(pid, gen, WakeReason::Timeout);
-            }
             EventKind::Control(op) => {
                 self.apply_control(op);
             }
@@ -1229,7 +1269,7 @@ impl Kernel {
         self.spawn_local(
             &inner,
             Some(port.node),
-            &served.task,
+            Arc::clone(&served.task),
             served.group,
             Box::new(move || handler(from, msg)),
         );
@@ -1245,7 +1285,7 @@ impl Kernel {
             return VecDeque::new();
         };
         let served = Arc::new(Served {
-            task: task.to_string(),
+            task: Arc::from(task),
             serving,
             group: self.procs.get(&owner).and_then(|p| p.group),
         });
@@ -1340,7 +1380,7 @@ impl Kernel {
                 f,
             } => {
                 if let Some(inner) = self.inner.upgrade() {
-                    self.spawn_local(&inner, node, &name, group, f);
+                    self.spawn_local(&inner, node, name, group, f);
                 }
             }
             ControlOp::KillGroup(g) => self.kill_group(g),
@@ -1372,11 +1412,10 @@ impl Kernel {
                     }
                 }
             }
-            match self.events.peek() {
-                Some(ev) if !self.limited || ev.at <= self.run_limit => {
-                    let ev = self.events.pop().expect("peeked");
-                    debug_assert!(ev.at >= self.now, "event in the past");
-                    self.now = ev.at.max(self.now);
+            match self.next_due() {
+                Some(((at, ..), timer)) if !self.limited || at <= self.run_limit => {
+                    debug_assert!(at >= self.now, "event in the past");
+                    self.now = at.max(self.now);
                     self.now_shared.store(self.now, Ordering::Release);
                     self.sched.events += 1;
                     // Amortized link_free pruning: entries at or behind
@@ -1386,7 +1425,12 @@ impl Kernel {
                         let now = self.now;
                         self.link_free.retain(|&f| f > now);
                     }
-                    self.apply(ev.kind);
+                    if timer {
+                        self.fire_timer();
+                    } else {
+                        let ev = self.events.pop().expect("peeked");
+                        self.apply(ev.kind);
+                    }
                     if let Some(run) = self.inline.take() {
                         self.sched.inline_runs += 1;
                         return Step::Inline(run);
@@ -1401,6 +1445,19 @@ impl Kernel {
                 }
             }
         }
+    }
+
+    /// Wakes the process whose timeout is due first: a pending timeout
+    /// always belongs to a process still blocked in its wait.
+    fn fire_timer(&mut self) {
+        let Some((_, pid)) = self.timers.pop_first() else {
+            return;
+        };
+        let p = self.procs.get_mut(&pid).expect("a timeout outlived its process");
+        debug_assert_eq!(p.state, PState::Blocked, "a timeout outlived its wait");
+        p.timer = None;
+        unblock(p, &mut self.timers, WakeReason::Timeout);
+        self.runnable.push_back(pid);
     }
 
     /// Whether a blocking process may run the scheduler inline instead of
@@ -1536,8 +1593,32 @@ impl Kernel {
     /// messages, and wakes blocked receivers so they observe `Closed`.
     pub fn close_endpoint(&mut self, key: EpKey) {
         if let Some(ep) = self.endpoints.remove(&key) {
+            self.drop_reply(ep.owner, key);
             for (pid, gen) in ep.waiters {
                 self.wake(pid, gen, WakeReason::Notified);
+            }
+        }
+    }
+
+    /// `pid`'s reply endpoint, if it has one on `node`, emptied of
+    /// whatever earlier calls left on it: a reply or a bounce owed to a
+    /// call that is over answers no later one.
+    pub fn reply_endpoint(&mut self, pid: Pid, node: NodeId) -> Option<Arc<dyn Endpoint>> {
+        let ep = self.procs.get(&pid)?.reply.as_ref()?;
+        let addr = ep.local();
+        if addr.node != node {
+            return None;
+        }
+        self.endpoints.get_mut(&addr)?.queue.clear();
+        Some(Arc::clone(ep))
+    }
+
+    /// Forgets `key` as `owner`'s reply endpoint, if it is: the process
+    /// no longer has it (closed, or handed on).
+    fn drop_reply(&mut self, owner: Pid, key: EpKey) {
+        if let Some(p) = self.procs.get_mut(&owner) {
+            if p.reply.as_ref().is_some_and(|r| r.local() == key) {
+                p.reply = None;
             }
         }
     }
@@ -1571,6 +1652,7 @@ impl Kernel {
         let old = ep.owner;
         ep.owner = new_owner.unwrap_or(0);
         if old != 0 {
+            self.drop_reply(old, key);
             if let Some(p) = self.procs.get_mut(&old) {
                 p.endpoints.retain(|k| *k != key);
             }
@@ -1592,9 +1674,7 @@ impl Kernel {
         }
         p.killed = true;
         if p.state == PState::Blocked {
-            p.wait_gen += 1;
-            p.state = PState::Runnable;
-            p.wake_reason = WakeReason::Killed;
+            unblock(p, &mut self.timers, WakeReason::Killed);
             self.runnable.push_back(pid);
         }
         // Runnable / Running processes observe the flag at their next
@@ -1743,7 +1823,7 @@ impl Kernel {
         &mut self,
         inner: &Arc<SimInner>,
         node: Option<NodeId>,
-        name: &str,
+        name: Arc<str>,
         group: Option<u64>,
         f: Box<dyn FnOnce() + Send>,
     ) {
@@ -1778,7 +1858,7 @@ impl Kernel {
         self.procs.insert(
             pid,
             Proc {
-                name: name.to_string(),
+                name,
                 node,
                 group,
                 stack,
@@ -1786,7 +1866,9 @@ impl Kernel {
                 wait_gen: 0,
                 killed: false,
                 wake_reason: WakeReason::None,
+                timer: None,
                 endpoints: Vec::new(),
+                reply: None,
             },
         );
         self.runnable.push_back(pid);
@@ -2104,7 +2186,7 @@ impl SimInner {
             me = p.stack.handle();
             let src = p.node.map(|n| n.0).unwrap_or(0);
             if let Some(at) = wake_at {
-                k.push_local(at, src, EventKind::Wake { pid, gen });
+                k.arm_timer(pid, at, src);
             }
             prepare(&mut k, pid, gen);
             if k.can_inline() {
@@ -2369,16 +2451,16 @@ impl SimInner {
                 self.shards[ts]
                     .kernel
                     .lock()
-                    .spawn_local(self, node, name, group, f);
+                    .spawn_local(self, node, Arc::from(name), group, f);
             }
             Some((mut k, my_node, my_group)) => {
                 let group = group.or(my_group);
                 if my_node == target {
-                    k.spawn_local(self, node, name, group, f);
+                    k.spawn_local(self, node, Arc::from(name), group, f);
                 } else {
                     let op = ControlOp::Spawn {
                         node,
-                        name: name.to_string(),
+                        name: Arc::from(name),
                         group,
                         f,
                     };
@@ -2516,6 +2598,7 @@ impl SimInner {
             t.stacks_mapped += k.sched.stacks_mapped;
             t.spawns += k.sched.spawns;
             t.inline_runs += k.sched.inline_runs;
+            t.timers += k.timers.len() as u64;
         }
         t.horizon_syncs = self.windows.load(Ordering::Relaxed);
         t
@@ -2637,9 +2720,9 @@ impl SimInner {
                         k.events.push(ev);
                     }
                 }
-                let heap_front = k.events.peek().map(|e| e.at);
                 let run_floor = if k.runnable.is_empty() { None } else { Some(k.now) };
-                for c in [heap_front, run_floor].into_iter().flatten() {
+                let due = k.next_due().map(|((at, ..), _)| at);
+                for c in [due, run_floor].into_iter().flatten() {
                     active = Some(active.map_or(c, |a| a.min(c)));
                 }
             }
@@ -2805,11 +2888,10 @@ impl SimInner {
                     .filter(|(_, p)| p.state == PState::Blocked)
                     .map(|(pid, _)| *pid)
                     .collect();
+                let k = &mut *k;
                 for pid in &blocked {
                     if let Some(p) = k.procs.get_mut(pid) {
-                        p.wait_gen += 1;
-                        p.state = PState::Runnable;
-                        p.wake_reason = WakeReason::Killed;
+                        unblock(p, &mut k.timers, WakeReason::Killed);
                     }
                 }
                 let runnable: Vec<Pid> = k
@@ -2892,7 +2974,7 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Han
                 let k = slot.kernel.lock();
                 let me = k.procs.get(&pid);
                 (
-                    me.map(|p| p.name.clone()).unwrap_or_default(),
+                    me.map_or_else(String::new, |p| p.name.to_string()),
                     me.and_then(|p| p.node),
                 )
             };

@@ -141,8 +141,9 @@ impl std::error::Error for RecvError {}
 
 /// A message endpoint: the unit of addressability on a node.
 ///
-/// Endpoints are cheap; the ORB opens one per outstanding client call for
-/// reply delivery and one well-known endpoint per exported service.
+/// Endpoints are cheap; the ORB waits for a call's reply on the calling
+/// process's [`reply_endpoint`](NodeRt::reply_endpoint) and serves each
+/// exported service on one well-known endpoint.
 pub trait Endpoint: Send + Sync {
     /// Sends `msg` to `to`. Datagram semantics: delivery is not
     /// acknowledged, and loss surfaces at the receiver as a timeout or an
@@ -347,6 +348,17 @@ pub trait NodeRt: Send + Sync {
 
     /// Opens a message endpoint on this node.
     fn open(&self, port: PortReq) -> Result<Arc<dyn Endpoint>, NetError>;
+
+    /// The endpoint a call from the calling process sends its request
+    /// from and waits on for the reply. By default a fresh one, which
+    /// closes when its last handle drops, as TCP's do. The simulator
+    /// keeps one per process: opened at its first call, closed when the
+    /// process exits or is killed, and handed out empty. A caller whose
+    /// call ended without its reply closes it, so a reply or a bounce
+    /// still owed to that call reaches no later one.
+    fn reply_endpoint(&self) -> Result<Arc<dyn Endpoint>, NetError> {
+        self.open(PortReq::Ephemeral)
+    }
 
     /// This node's identifier.
     fn node(&self) -> NodeId;

@@ -387,6 +387,30 @@ impl NodeRt for SimNode {
         }))
     }
 
+    /// The calling process's own reply endpoint on this node, opened at
+    /// its first call there; it closes one the process kept on another
+    /// node.
+    fn reply_endpoint(&self) -> Result<Arc<dyn Endpoint>, NetError> {
+        crate::kernel::forbid_inline("wait for a reply");
+        let Some(pid) = cur_pid() else {
+            return self.open(PortReq::Ephemeral);
+        };
+        let kernel = self.inner.kernel_here();
+        if let Some(ep) = kernel.lock().reply_endpoint(pid, self.id) {
+            return Ok(ep);
+        }
+        let ep = self.open(PortReq::Ephemeral)?;
+        let old = kernel
+            .lock()
+            .procs
+            .get_mut(&pid)
+            .and_then(|p| p.reply.replace(Arc::clone(&ep)));
+        if let Some(old) = old {
+            old.close();
+        }
+        Ok(ep)
+    }
+
     fn node(&self) -> NodeId {
         self.id
     }

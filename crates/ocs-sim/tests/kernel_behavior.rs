@@ -739,3 +739,156 @@ fn group_dies_when_root_and_children_exit() {
     sim.run_until(SimTime::from_secs(5));
     assert!(!group.alive());
 }
+
+// ---- timeouts --------------------------------------------------------------
+
+/// An echo server on `node`'s port 7 that answers every request except
+/// each `drop_every`-th (0: none).
+fn echo_server(node: &Arc<ocs_sim::SimNode>, drop_every: u64) -> Addr {
+    let rt = node.clone();
+    node.spawn_fn("echo", move || {
+        let ep = rt.open(PortReq::Fixed(7)).unwrap();
+        let mut n = 0;
+        while let Ok((from, msg)) = ep.recv(None) {
+            n += 1;
+            if drop_every == 0 || n % drop_every != 0 {
+                let _ = ep.send(from, msg);
+            }
+        }
+    });
+    Addr::new(node.node(), 7)
+}
+
+/// A call answered before its timeout leaves no timeout behind: 10,000
+/// of them keep the pending count flat, and nothing pops but the
+/// 20,000 frames.
+#[test]
+fn calls_answered_before_their_timeout_leave_no_timer_behind() {
+    const CALLS: u64 = 10_000;
+    let sim = Sim::new(31);
+    let (client, server) = (sim.add_node("client"), sim.add_node("server"));
+    let to = echo_server(&server, 0);
+    let pending = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (rt, seen, handle) = (client.clone(), Arc::clone(&pending), sim.clone());
+    client.spawn_fn("caller", move || {
+        let ep = rt.open(PortReq::Ephemeral).unwrap();
+        for i in 1..=CALLS {
+            ep.send(to, Bytes::from_static(b"ping")).unwrap();
+            ep.recv(Some(secs(3))).expect("answered well inside its timeout");
+            if i % 1_000 == 0 {
+                seen.lock().push(handle.kernel_stats().timers);
+            }
+        }
+    });
+    let events = sim.kernel_stats().events;
+    sim.run_until(SimTime::from_secs(3_600));
+    assert_eq!(*pending.lock(), vec![0; 10], "pending timeouts every 1,000 calls");
+    assert_eq!(sim.kernel_stats().events - events, 2 * CALLS);
+    assert_eq!(sim.kernel_stats().timers, 0);
+}
+
+/// Runs `setup` to 1 s (its wait ends there), then to 20 s, past the
+/// 10 s timeout the wait began with: the timeout is gone by 2 s, and no
+/// event pops after that.
+fn old_timeout_never_fires(setup: impl FnOnce(&Sim, &Arc<ocs_sim::SimNode>)) {
+    let sim = Sim::new(32);
+    let node = sim.add_node("waiter");
+    setup(&sim, &node);
+    sim.run_until(SimTime::from_secs(2));
+    let stats = sim.kernel_stats();
+    assert_eq!(stats.timers, 0, "the ended wait's timeout is still pending");
+    sim.run_until(SimTime::from_secs(20));
+    assert_eq!(sim.kernel_stats().events, stats.events, "an event popped after the wait ended");
+}
+
+/// A receive that waits 10 s.
+fn wait_ten_seconds(rt: &Arc<ocs_sim::SimNode>) -> RecvError {
+    let ep = rt.open(PortReq::Fixed(9)).unwrap();
+    ep.recv(Some(secs(10))).expect_err("the wait ends without a message")
+}
+
+#[test]
+fn a_wait_woken_by_a_message_takes_its_timeout_with_it() {
+    old_timeout_never_fires(|_, node| {
+        let rt = node.clone();
+        node.spawn_fn("waiter", move || {
+            let ep = rt.open(PortReq::Fixed(9)).unwrap();
+            assert!(ep.recv(Some(secs(10))).is_ok());
+        });
+        let rt = node.clone();
+        node.spawn_fn("sender", move || {
+            rt.sleep(secs(1));
+            let ep = rt.open(PortReq::Ephemeral).unwrap();
+            ep.send(Addr::new(rt.node(), 9), Bytes::from_static(b"hi")).unwrap();
+        });
+    });
+}
+
+#[test]
+fn a_wait_killed_takes_its_timeout_with_it() {
+    old_timeout_never_fires(|sim, node| {
+        let rt = node.clone();
+        let group = node.spawn_group(
+            "waiter",
+            Box::new(move || {
+                wait_ten_seconds(&rt);
+                unreachable!("killed in its wait");
+            }),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        group.kill();
+    });
+}
+
+#[test]
+fn a_wait_on_a_crashed_node_takes_its_timeout_with_it() {
+    old_timeout_never_fires(|sim, node| {
+        let rt = node.clone();
+        node.spawn_fn("waiter", move || {
+            wait_ten_seconds(&rt);
+            unreachable!("its node crashed under it");
+        });
+        sim.run_until(SimTime::from_secs(1));
+        sim.crash_node(node.node());
+    });
+}
+
+/// Timed waits that end every way — answered, timed out, killed with a
+/// group — on two shards: trace, events and pending timeouts equal the
+/// one-shard run's.
+#[test]
+fn timeouts_pop_in_the_same_order_on_one_shard_and_two() {
+    let run = |shards: usize| {
+        let sim = Sim::with_config(ocs_sim::SimConfig {
+            seed: 33,
+            shards,
+            ..ocs_sim::SimConfig::default()
+        });
+        let server = sim.add_node("server");
+        let to = echo_server(&server, 5);
+        let mut groups = Vec::new();
+        for i in 0..4u64 {
+            let node = sim.add_node(&format!("c{i}"));
+            let rt = node.clone();
+            groups.push(node.spawn_group(
+                "caller",
+                Box::new(move || {
+                    let ep = rt.open(PortReq::Ephemeral).unwrap();
+                    loop {
+                        ep.send(to, Bytes::from_static(b"ping")).unwrap();
+                        let _ = ep.recv(Some(Duration::from_millis(2 + i)));
+                        rt.sleep(Duration::from_micros(100 + rt.rand_u64() % 900));
+                    }
+                }),
+            ));
+        }
+        sim.run_until(SimTime::from_secs(1));
+        groups[0].kill();
+        sim.run_until(SimTime::from_secs(2));
+        let stats = sim.kernel_stats();
+        (sim.trace_hash(), stats.events, stats.timers)
+    };
+    let one = run(1);
+    assert_eq!(run(2), one);
+    assert!(one.1 > 1_000, "{one:?}");
+}

@@ -35,8 +35,8 @@ pub use metrics::{Counter, Gauge, Histo, HistoSnapshot, MetricsSnapshot, Registr
 pub use ocs_sim::journal::{merge_journals, render_timeline, Journal, JournalEvent};
 pub use ocs_sim::ring::RingLog;
 pub use span::{
-    current_ctx, render_span_trees, set_current_ctx, slowest_traces, span_forest, CtxGuard, Span,
-    SpanCtx, SpanId, TraceId, Tracer,
+    current_ctx, render_span_trees, set_current_ctx, slowest_traces, span_forest, CallSpan,
+    CtxGuard, OpName, Side, Span, SpanCtx, SpanId, TraceId, Tracer,
 };
 
 use std::sync::Arc;

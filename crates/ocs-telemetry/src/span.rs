@@ -14,9 +14,14 @@
 //! sequence in the low bits: unique cluster-wide, and — because neither
 //! the RNG nor the wall clock is involved — identical across same-seed
 //! runs.
+//!
+//! A call span's name is made of static strings — the side, the
+//! interface and the method ([`CallSpan`]) — and the tracer keeps it as
+//! those parts: an ORB call formats nothing, and a [`Span`]'s `name` is
+//! rendered only when the span is read.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ocs_sim::{NodeId, RingLog, SimTime};
@@ -68,6 +73,102 @@ impl Span {
     }
 }
 
+/// Which end of a call a span covers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// The caller's span, `client:<op>`.
+    Client,
+    /// The callee's span, `server:<op>`.
+    Server,
+}
+
+/// An operation's name, `<interface>.<method>`, as the static strings it
+/// is made of: a generated stub's whole `"itv.mms.open"`, or an
+/// interface and a method named apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpName {
+    iface: &'static str,
+    method: Option<&'static str>,
+}
+
+impl OpName {
+    /// The operation `<iface>.<method>`.
+    pub const fn of(iface: &'static str, method: &'static str) -> OpName {
+        OpName {
+            iface,
+            method: Some(method),
+        }
+    }
+}
+
+/// An operation named whole, e.g. `"itv.mms.open"`.
+impl From<&'static str> for OpName {
+    fn from(op: &'static str) -> OpName {
+        OpName {
+            iface: op,
+            method: None,
+        }
+    }
+}
+
+impl fmt::Display for OpName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.method {
+            Some(method) => write!(f, "{}.{method}", self.iface),
+            None => f.write_str(self.iface),
+        }
+    }
+}
+
+/// A finished call span as the ORB records it ([`Tracer::record_call`]):
+/// a [`Span`] of the tracer's node named `<side>:<op>`.
+#[derive(Clone, Copy, Debug)]
+pub struct CallSpan {
+    /// The span's trace and id.
+    pub ctx: SpanCtx,
+    /// Parent span id (0 for a root).
+    pub parent: SpanId,
+    /// Which end of the call.
+    pub side: Side,
+    /// The operation called.
+    pub op: OpName,
+    /// Start time.
+    pub start: SimTime,
+    /// End time.
+    pub end: SimTime,
+    /// Whether the call failed.
+    pub err: bool,
+}
+
+/// A retained span: a [`CallSpan`] as recorded, or a [`Span`] recorded
+/// whole. Rendered into a [`Span`] when read.
+#[derive(Clone)]
+enum Rec {
+    Call(CallSpan),
+    Whole(Span),
+}
+
+impl Rec {
+    fn render(&self, node: NodeId) -> Span {
+        match self {
+            Rec::Whole(span) => span.clone(),
+            Rec::Call(c) => Span {
+                trace: c.ctx.trace,
+                span: c.ctx.span,
+                parent: c.parent,
+                name: match c.side {
+                    Side::Client => format!("client:{}", c.op),
+                    Side::Server => format!("server:{}", c.op),
+                },
+                node,
+                start: c.start,
+                end: c.end,
+                err: c.err,
+            },
+        }
+    }
+}
+
 /// How many spans a node retains (ring buffer; older spans are evicted
 /// and counted, see [`Tracer::dropped`]).
 const SPAN_BUF_CAP: usize = 65_536;
@@ -76,7 +177,7 @@ const SPAN_BUF_CAP: usize = 65_536;
 pub struct Tracer {
     node: NodeId,
     seq: AtomicU64,
-    buf: Mutex<RingLog<Span>>,
+    buf: Mutex<RingLog<Rec>>,
 }
 
 impl Tracer {
@@ -120,12 +221,17 @@ impl Tracer {
 
     /// Records a finished span.
     pub fn record(&self, span: Span) {
-        self.buf.lock().push(span);
+        self.buf.lock().push(Rec::Whole(span));
+    }
+
+    /// Records a finished call span of this node, formatting nothing.
+    pub fn record_call(&self, span: CallSpan) {
+        self.buf.lock().push(Rec::Call(span));
     }
 
     /// Copies out the retained finished spans, oldest first.
     pub fn finished(&self) -> Vec<Span> {
-        self.buf.lock().to_vec()
+        self.buf.lock().iter().map(|r| r.render(self.node)).collect()
     }
 
     /// Spans evicted from the ring since creation.
@@ -296,6 +402,28 @@ mod tests {
             .find(|l| l.contains("server:slow.op"))
             .unwrap();
         assert!(child_line.starts_with("    "), "{out}");
+    }
+
+    #[test]
+    fn a_call_span_reads_back_under_its_rendered_name() {
+        let t = Tracer::new(NodeId(4));
+        let ctx = t.new_root();
+        let call = |side, op| CallSpan {
+            ctx,
+            parent: SpanId(0),
+            side,
+            op,
+            start: SimTime::from_micros(1),
+            end: SimTime::from_micros(3),
+            err: false,
+        };
+        t.record_call(call(Side::Client, OpName::from("itv.mms.open")));
+        t.record_call(call(Side::Server, OpName::of("itv.cm-peer", "prepare")));
+        t.record(span(9, 9, 0, "whole", 0, 1));
+        let names: Vec<String> = t.finished().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["client:itv.mms.open", "server:itv.cm-peer.prepare", "whole"]);
+        let first = &t.finished()[0];
+        assert_eq!((first.node, first.trace, first.dur_us()), (NodeId(4), ctx.trace, 2));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ocs_orb::bytes::Bytes;
-use ocs_orb::{CallPort, Caller, ClientCtx, Gather, ObjRef, OnReply, OrbError, Servant};
+use ocs_orb::{CallPort, Caller, ClientCtx, Gather, ObjRef, OnReply, OpName, OrbError, Servant};
 use ocs_sim::{Addr, NetError, Rt, SimTime};
 use ocs_wire::{type_id_of, Decoder, Encoder, Wire};
 
@@ -84,7 +84,7 @@ const METHODS: [(Method, &str); 8] = [
 ];
 
 impl Method {
-    /// Index into [`METHODS`] (and `PeerFanout::ops`).
+    /// Index into [`METHODS`].
     fn index(self) -> usize {
         self as usize - 1
     }
@@ -115,8 +115,8 @@ pub struct PeerFanout {
     /// Every other replica's id, and — same order — its peer servant.
     ids: Vec<u32>,
     targets: Vec<ObjRef>,
-    /// Client span names, `"<interface>.<method>"`, in [`METHODS`] order.
-    ops: Vec<Arc<str>>,
+    /// The peer interface's wire name, which client spans are named in.
+    iface: &'static str,
     /// The long-lived peer endpoint every call leaves from; opened by
     /// [`PeerFanout::open`] at [`Replica::start`].
     port: OnceLock<Arc<CallPort<PeerCall>>>,
@@ -130,7 +130,7 @@ impl PeerFanout {
         peer_timeout: Duration,
         replica_id: u32,
         peers: &[Addr],
-        iface: &str,
+        iface: &'static str,
     ) -> PeerFanout {
         let (ids, targets) = (0u32..)
             .zip(peers)
@@ -149,12 +149,14 @@ impl PeerFanout {
             ctx: ClientCtx::new(rt).with_timeout(peer_timeout),
             ids,
             targets,
-            ops: METHODS
-                .iter()
-                .map(|(_, name)| Arc::from(format!("{iface}.{name}")))
-                .collect(),
+            iface,
             port: OnceLock::new(),
         }
+    }
+
+    /// The client span name of a call of `method`.
+    fn op(&self, method: Method) -> OpName {
+        OpName::of(self.iface, METHODS[method.index()].1)
     }
 
     /// A majority of the group (the peers plus this replica).
@@ -180,12 +182,11 @@ impl PeerFanout {
             .filter(|(id, _)| to.contains(id))
             .map(|(id, target)| (*id, *target))
             .unzip();
-        let op = &self.ops[method.index()];
         port.gather(
             &targets,
             method as u32,
             args.finish(),
-            op,
+            self.op(method),
             |i, reply| match decode::<T>(reply) {
                 Some(answer) => on_reply(ids[i], answer),
                 None => Gather::More,
@@ -235,8 +236,7 @@ impl PeerFanout {
         let args = prepare_args(prep.view, prep.view, prep.op_num, prep.commit_num, &prep.update);
         let (method, args) = (Method::Prepare, args.finish());
         for (id, target) in self.ids.iter().zip(&self.targets) {
-            let op = &self.ops[method.index()];
-            port.call(target, method as u32, args.clone(), op, PeerCall::Prepare(*id));
+            port.call(target, method as u32, args.clone(), self.op(method), PeerCall::Prepare(*id));
         }
     }
 
@@ -250,8 +250,7 @@ impl PeerFanout {
         let mut args = Encoder::new();
         op.encode_into(&mut args);
         let method = Method::ForwardOp;
-        let name = &self.ops[method.index()];
-        port.call(target, method as u32, args.finish(), name, PeerCall::Forward(n));
+        port.call(target, method as u32, args.finish(), self.op(method), PeerCall::Forward(n));
         Ok(())
     }
 
