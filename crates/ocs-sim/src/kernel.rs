@@ -16,14 +16,17 @@
 //!
 //! # Sharded execution
 //!
-//! With `SimConfig { shards: n > 1, .. }` the node set is partitioned
-//! across `n` kernels, each with its own event heap, process set and
-//! network tables, driven by `n` OS threads between conservative
-//! synchronization horizons (classic Chandy–Misra lookahead):
+//! The node set is partitioned across `SimConfig::shards` kernels, each
+//! with its own event heap, process set and network tables, driven by
+//! one OS thread each between conservative synchronization horizons
+//! (classic Chandy–Misra lookahead). `run_until` is one loop for every
+//! shard count:
 //!
 //! * the coordinator computes `A`, the earliest pending activity across
 //!   all shards, and opens a window `[A, A + L)` where `L` is the
-//!   minimum cross-node link latency seen so far;
+//!   minimum cross-node link latency seen so far — the shortest delay
+//!   of an event that can cross shards. With one shard no event can, so
+//!   `L` is unbounded and the window runs to the run's limit;
 //! * every shard runs its events strictly inside the window in
 //!   parallel; any event it emits for another shard is at least one
 //!   cross-node latency in the future, hence at or beyond the horizon,
@@ -31,7 +34,8 @@
 //! * cross-shard events travel through per-shard inboxes and are merged
 //!   into the destination heap at the next horizon; the `(at, src,
 //!   sseq)` key makes the merge order — and therefore every RNG draw
-//!   and trace record — identical to the 1-shard schedule.
+//!   and trace record — identical to the 1-shard schedule;
+//! * when the run ends, every shard's clock is levelled to its limit.
 //!
 //! Determinism across shard counts additionally requires that every
 //! id-allocation stream is keyed to a node (or to the shard that owns
@@ -41,6 +45,14 @@
 //! (crash, restart, link changes) issued from inside a process are
 //! broadcast as *control events* that every shard applies at the same
 //! virtual instant, one fault-propagation delay after issue.
+//!
+//! # Waiting
+//!
+//! A process waits in one of two places: on an endpoint, for a delivery,
+//! or on a wait object, for its generation to pass one it has seen
+//! (`waitobj_wait_newer`; `bump` advances it and wakes every waiter).
+//! `SyncObj` and every primitive built on it, `SimChan` included, wait
+//! the second way.
 //!
 //! # Fast path
 //!
@@ -54,15 +66,15 @@
 //! * if it is another process, it switches to that process's stack
 //!   directly — one switch instead of the two a scheduler round-trip
 //!   costs;
-//! * only quiescence, shutdown, a recorded panic, or `fast = false`
-//!   switch back to the scheduler.
+//! * only the window's end, shutdown, a recorded panic, or
+//!   `fast = false` switch back to the scheduler.
 //!
 //! The state machine and every data structure consulted are identical in
 //! both modes; only the context executing them changes, so virtual-time
 //! behaviour (event order, RNG draws, trace hashes) is bit-identical with
-//! the fast path on or off. `SimConfig { fast: false, .. }` forces the
-//! classic always-via-scheduler handoff and is used as the baseline by
-//! the E18 microbenchmark and the equivalence tests.
+//! the fast path on or off. `SimConfig { fast: false, .. }` sends every
+//! handoff through the scheduler and is used as the baseline by the E18
+//! microbenchmark and the equivalence tests.
 //!
 //! # Serving a port
 //!
@@ -705,7 +717,6 @@ pub(crate) enum ControlOp {
         f: Box<dyn FnOnce() + Send>,
     },
     KillGroup(u64),
-    Notify { id: u64, n: usize },
     Bump(u64),
     Note { node: NodeId, detail: String },
 }
@@ -819,12 +830,9 @@ pub(crate) struct Kernel {
     pub fast: bool,
     /// Whether a scheduler is currently inside `run_until`.
     in_run: bool,
-    /// Run limit for the current run or window (valid when `limited`).
+    /// Last instant of the current window (inclusive): `next_step`
+    /// applies nothing due later.
     run_limit: u64,
-    limited: bool,
-    /// Sharded-window mode: `next_step` must not bump `now` to the
-    /// window edge on Done — the coordinator owns end-of-run time.
-    window: bool,
     /// The inline handler the event just applied queued; `next_step`
     /// hands it out before it applies another.
     inline: Option<InlineRun>,
@@ -951,8 +959,6 @@ impl Kernel {
             fast,
             in_run: false,
             run_limit: 0,
-            limited: false,
-            window: false,
             inline: None,
             stacks: StackPool::default(),
             dead: None,
@@ -1384,7 +1390,6 @@ impl Kernel {
                 }
             }
             ControlOp::KillGroup(g) => self.kill_group(g),
-            ControlOp::Notify { id, n } => self.waitobj_notify(id, n),
             ControlOp::Bump(id) => self.waitobj_bump(id),
             ControlOp::Note { node, detail } => {
                 if let Some(inner) = self.inner.upgrade() {
@@ -1413,7 +1418,7 @@ impl Kernel {
                 }
             }
             match self.next_due() {
-                Some(((at, ..), timer)) if !self.limited || at <= self.run_limit => {
+                Some(((at, ..), timer)) if at <= self.run_limit => {
                     debug_assert!(at >= self.now, "event in the past");
                     self.now = at.max(self.now);
                     self.now_shared.store(self.now, Ordering::Release);
@@ -1436,13 +1441,7 @@ impl Kernel {
                         return Step::Inline(run);
                     }
                 }
-                _ => {
-                    if self.limited && !self.window && self.run_limit > self.now {
-                        self.now = self.run_limit;
-                        self.now_shared.store(self.now, Ordering::Release);
-                    }
-                    return Step::Done;
-                }
+                _ => return Step::Done,
             }
         }
     }
@@ -1462,7 +1461,7 @@ impl Kernel {
 
     /// Whether a blocking process may run the scheduler inline instead of
     /// waking the driver. Shutdown drains and recorded panics always
-    /// route through the driver so their classic sequencing holds.
+    /// route through the scheduler, as with the fast path off.
     #[inline]
     pub(crate) fn can_inline(&self) -> bool {
         self.fast
@@ -1791,27 +1790,6 @@ impl Kernel {
 
     pub fn waitobj_generation(&self, id: u64) -> u64 {
         self.waitobjs.get(&id).map(|w| w.generation).unwrap_or(0)
-    }
-
-    pub fn waitobj_notify(&mut self, id: u64, n: usize) {
-        let Some(w) = self.waitobjs.get_mut(&id) else {
-            return;
-        };
-        let mut waiters = std::mem::take(&mut w.waiters);
-        let mut woken = 0;
-        while woken < n {
-            let Some((pid, gen)) = waiters.pop_front() else {
-                break;
-            };
-            if self.wake(pid, gen, WakeReason::Notified) {
-                woken += 1;
-            }
-        }
-        if let Some(w) = self.waitobjs.get_mut(&id) {
-            let newly = std::mem::take(&mut w.waiters);
-            w.waiters = waiters;
-            w.waiters.extend(newly);
-        }
     }
 
     /// Inserts a new process into this shard: allocates a shard-tagged
@@ -2265,32 +2243,6 @@ impl SimInner {
         self.shard_ix((id >> 32) as u32)
     }
 
-    /// Waits on a wait object. Returns true if notified, false on
-    /// timeout. The waiter must be co-sharded with the object's home
-    /// node: a cross-shard blocking wait would need two kernels locked
-    /// at once, which the windowed protocol forbids.
-    pub fn waitobj_wait(&self, id: u64, timeout: Option<Duration>) -> bool {
-        let home = self.waitobj_shard(id);
-        if self.nshards > 1 && cur_shard() != home {
-            panic!(
-                "cross-shard blocking wait: wait object {id:#x} lives on shard {home} \
-                 but the waiter runs on shard {}; home the object on the waiting \
-                 node (SimNode::make_sync) or run with shards = 1",
-                cur_shard()
-            );
-        }
-        let wake_at = timeout.map(|t| {
-            let k = self.shards[home].kernel.lock();
-            k.now + t.as_micros() as u64
-        });
-        let reason = self.block_current(wake_at, |k, pid, gen| {
-            if let Some(w) = k.waitobjs.get_mut(&id) {
-                w.waiters.push_back((pid, gen));
-            }
-        });
-        reason == WakeReason::Notified
-    }
-
     /// Blocks until the wait object's generation exceeds `seen` (or the
     /// timeout elapses); returns the generation observed on wake.
     pub fn waitobj_wait_newer(&self, id: u64, seen: u64, timeout: Option<Duration>) -> u64 {
@@ -2331,16 +2283,7 @@ impl SimInner {
     /// fault-propagation delay as a control event, so the timing is the
     /// same under any shard count.
     pub fn waitobj_bump(&self, id: u64) {
-        self.waitobj_ctl(id, ControlOp::Bump(id));
-    }
-
-    /// Wakes up to `n` waiters of a wait object (see `waitobj_bump` for
-    /// the cross-node timing rule).
-    pub fn waitobj_notify(&self, id: u64, n: usize) {
-        self.waitobj_ctl(id, ControlOp::Notify { id, n });
-    }
-
-    fn waitobj_ctl(&self, id: u64, op: ControlOp) {
+        let op = ControlOp::Bump(id);
         let home_node = (id >> 32) as u32;
         let home = self.shard_ix(home_node);
         match self.lock_caller() {
@@ -2619,18 +2562,90 @@ impl SimInner {
     // ---- scheduler ----------------------------------------------------
 
     /// Runs the simulation until virtual time reaches `limit` (inclusive
-    /// of events at `limit`), or until quiescence if `limit` is `None`.
+    /// of events at `limit`), or until quiescence if `limit` is `None`,
+    /// in conservative windows between synchronization horizons (see the
+    /// module docs). Each iteration merges the cross-shard inboxes,
+    /// finds the earliest pending activity `A` over all shards, opens
+    /// the window `[A, A + lookahead)`, and lets every shard run it in
+    /// parallel (shard 0 inline on this thread, the rest on their
+    /// workers). One shard has one window per run.
     ///
     /// # Panics
     ///
     /// Re-raises the first panic observed in any simulated process.
     pub fn run_until(&self, limit: Option<u64>) {
         self.claim_driver();
-        if self.nshards == 1 {
-            self.run_classic(limit);
-        } else {
-            self.run_windowed(limit);
+        let sharded = self.nshards > 1;
+        // Exclusive; no window reaches past it.
+        let stop = limit.map_or(u64::MAX, |l| l.saturating_add(1));
+        for s in &self.shards {
+            s.kernel.lock().in_run = true;
         }
+        loop {
+            // Merge inboxes and find the activity floor. A shard with a
+            // runnable process counts at its local clock: driver-spawned
+            // processes haven't produced an event yet but will run at
+            // their shard's `now`, even past the limit.
+            let mut active: Option<u64> = None;
+            let mut runnable = false;
+            for s in &self.shards {
+                let mut k = s.kernel.lock();
+                k.events.extend(s.inbox.lock().drain(..));
+                let busy = !k.runnable.is_empty();
+                runnable |= busy;
+                let run_floor = busy.then_some(k.now);
+                let due = k.next_due().map(|((at, ..), _)| at);
+                for c in [due, run_floor].into_iter().flatten() {
+                    active = Some(active.map_or(c, |a| a.min(c)));
+                }
+            }
+            let Some(base) = active else { break };
+            if base >= stop && !runnable {
+                break;
+            }
+            // The shortest delay of an event that can cross shards: with
+            // one shard none can, and the window runs to the limit.
+            let lookahead = if sharded {
+                self.lookahead_us.load(Ordering::Acquire).max(1)
+            } else {
+                u64::MAX
+            };
+            let horizon = base.saturating_add(lookahead).min(stop);
+            for s in &self.shards {
+                s.kernel.lock().run_limit = horizon - 1; // inclusive
+            }
+            if sharded {
+                self.windows.fetch_add(1, Ordering::Relaxed);
+            }
+            for s in &self.shards[1..] {
+                s.go.grant();
+            }
+            self.run_window(0);
+            for s in &self.shards[1..] {
+                s.done.wait();
+            }
+            self.check_panics();
+        }
+        // Level every shard to a common end time so post-run reads and
+        // spawns are shard-invariant.
+        let end = match limit {
+            Some(l) => l,
+            None => self
+                .shards
+                .iter()
+                .map(|s| s.kernel.lock().now)
+                .max()
+                .unwrap_or(0),
+        };
+        for s in &self.shards {
+            let mut k = s.kernel.lock();
+            if end > k.now {
+                k.now = end;
+                k.now_shared.store(end, Ordering::Release);
+            }
+            k.in_run = false;
+        }
+        self.check_panics();
     }
 
     /// Makes the calling thread the one shard 0's processes run on.
@@ -2662,121 +2677,9 @@ impl SimInner {
         slot.kernel.lock().resumed();
     }
 
-    /// The classic single-shard loop, byte-for-byte the pre-sharding
-    /// scheduler: one context at a time, the driver thread stepping them.
-    fn run_classic(&self, limit: Option<u64>) {
-        let slot = &self.shards[0];
-        {
-            let mut k = slot.kernel.lock();
-            k.in_run = true;
-            k.limited = limit.is_some();
-            k.run_limit = limit.unwrap_or(0);
-        }
-        loop {
-            let next = {
-                let (mut k, next) = self.step(0, slot.kernel.lock());
-                if next.is_some() {
-                    k.sched.driver_resumes += 1;
-                }
-                next
-            };
-            match next {
-                Some((_, to)) => {
-                    // On the fast path processes switch between
-                    // themselves; this returns once control is ours.
-                    self.resume_from_scheduler(0, to);
-                    self.check_panics();
-                }
-                None => break,
-            }
-        }
-        slot.kernel.lock().in_run = false;
-        self.check_panics();
-    }
-
-    /// The sharded loop: conservative windows between synchronization
-    /// horizons. Each iteration merges cross-shard inboxes, finds the
-    /// earliest pending activity `A` over all shards, opens the window
-    /// `[A, A + lookahead)`, and lets every shard run it in parallel
-    /// (shard 0 inline on this thread, the rest on their workers).
-    fn run_windowed(&self, limit: Option<u64>) {
-        for s in &self.shards {
-            let mut k = s.kernel.lock();
-            k.in_run = true;
-            k.limited = true;
-            k.window = true;
-        }
-        loop {
-            // Merge inboxes and find the activity floor. A shard with a
-            // runnable process counts at its local clock: driver-spawned
-            // processes haven't produced an event yet but will run at
-            // their shard's `now`.
-            let mut active: Option<u64> = None;
-            for s in &self.shards {
-                let mut k = s.kernel.lock();
-                {
-                    let mut inbox = s.inbox.lock();
-                    for ev in inbox.drain(..) {
-                        k.events.push(ev);
-                    }
-                }
-                let run_floor = if k.runnable.is_empty() { None } else { Some(k.now) };
-                let due = k.next_due().map(|((at, ..), _)| at);
-                for c in [due, run_floor].into_iter().flatten() {
-                    active = Some(active.map_or(c, |a| a.min(c)));
-                }
-            }
-            let Some(base) = active else { break };
-            if let Some(lim) = limit {
-                if base > lim {
-                    break;
-                }
-            }
-            let lw = self.lookahead_us.load(Ordering::Acquire).max(1);
-            let mut horizon = base.saturating_add(lw); // exclusive
-            if let Some(lim) = limit {
-                horizon = horizon.min(lim.saturating_add(1));
-            }
-            for s in &self.shards {
-                s.kernel.lock().run_limit = horizon - 1; // inclusive
-            }
-            self.windows.fetch_add(1, Ordering::Relaxed);
-            for s in &self.shards[1..] {
-                s.go.grant();
-            }
-            self.run_window(0);
-            for s in &self.shards[1..] {
-                s.done.wait();
-            }
-            self.check_panics();
-        }
-        // Level every shard to a common end time so post-run reads and
-        // spawns are shard-invariant (matches the classic Done bump).
-        let end = match limit {
-            Some(l) => l,
-            None => self
-                .shards
-                .iter()
-                .map(|s| s.kernel.lock().now)
-                .max()
-                .unwrap_or(0),
-        };
-        for s in &self.shards {
-            let mut k = s.kernel.lock();
-            if end > k.now {
-                k.now = end;
-                k.now_shared.store(end, Ordering::Release);
-            }
-            k.in_run = false;
-            k.window = false;
-        }
-        self.check_panics();
-    }
-
     /// Runs one shard's share of the current window to completion. Runs
     /// on the coordinator thread for shard 0 and on the shard's worker
-    /// otherwise — the same loop as `run_classic`, bounded by the
-    /// window's `run_limit`.
+    /// otherwise.
     fn run_window(&self, ix: usize) {
         let slot = &self.shards[ix];
         let mut progressed = false;
@@ -2802,7 +2705,7 @@ impl SimInner {
                 None => break,
             }
         }
-        if !progressed {
+        if !progressed && self.nshards > 1 {
             slot.kernel.lock().sched.lookahead_stalls += 1;
         }
     }
@@ -2825,7 +2728,7 @@ impl SimInner {
     /// drained on the thread its processes run on — shard 0 here, the
     /// others by their workers, which then exit — and joins the workers.
     /// With `shutdown` set every handoff routes through the scheduler, so
-    /// the drain sequencing matches the classic path exactly. Driver
+    /// the drain sequencing matches the fast path off exactly. Driver
     /// context only — no window is open, so all processes are suspended.
     pub fn shutdown(&self) {
         self.claim_driver();

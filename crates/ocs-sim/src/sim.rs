@@ -26,15 +26,15 @@ pub struct SimConfig {
     /// Emit a trace line per message send and lifecycle event.
     pub trace: bool,
     /// Scheduler fast path (handoff elision + direct process-to-process
-    /// baton grants). Virtual-time behaviour is identical either way;
-    /// `false` forces the classic always-via-driver handoff and exists
-    /// for baseline benchmarking and equivalence tests.
+    /// switches). Virtual-time behaviour is identical either way;
+    /// `false` sends every handoff through the shard's scheduler and
+    /// exists for baseline benchmarking and equivalence tests.
     pub fast: bool,
-    /// Number of kernel shards. 1 (the default) runs the classic
-    /// single-threaded scheduler; N > 1 partitions nodes across N
-    /// OS threads that advance in conservative-lookahead windows.
-    /// Virtual-time behaviour — including the trace hash — is identical
-    /// for every value.
+    /// Number of kernel shards: nodes are partitioned across this many
+    /// OS threads that advance in conservative-lookahead windows. With
+    /// 1 (the default) no event crosses shards, so each `run_until` is
+    /// one window, stepped on the calling thread. Virtual-time behaviour
+    /// — including the trace hash — is identical for every value.
     pub shards: usize,
     /// How nodes map to shards when `shards > 1`.
     pub policy: ShardPolicy,
@@ -573,7 +573,8 @@ impl Endpoint for SimEndpoint {
 }
 
 /// An in-simulation channel for coordinating processes (not part of the
-/// modelled network; carries no latency and sends no messages).
+/// modelled network; carries no latency and sends no messages): a
+/// [`Queue`](crate::sync::Queue) on the simulation's clock.
 ///
 /// Useful for workload generators and test harnesses that need to hand
 /// results between simulated processes. The channel's wait object lives
@@ -582,8 +583,7 @@ impl Endpoint for SimEndpoint {
 /// (`try_recv` works from anywhere, including the driver).
 pub struct SimChan<T> {
     inner: Arc<SimInner>,
-    queue: Arc<parking_lot::Mutex<std::collections::VecDeque<T>>>,
-    waitobj: u64,
+    queue: Arc<crate::sync::Queue<T>>,
 }
 
 impl<T> Clone for SimChan<T> {
@@ -591,7 +591,6 @@ impl<T> Clone for SimChan<T> {
         SimChan {
             inner: Arc::clone(&self.inner),
             queue: Arc::clone(&self.queue),
-            waitobj: self.waitobj,
         }
     }
 }
@@ -600,37 +599,29 @@ impl<T: Send + 'static> SimChan<T> {
     /// Creates a channel bound to a simulation.
     pub fn new(sim: &Sim) -> SimChan<T> {
         let inner = Arc::clone(sim.inner());
-        let home = inner.cur_node_key();
-        let waitobj = inner.waitobj_create(home);
+        let obj = SimSyncObj {
+            id: inner.waitobj_create(inner.cur_node_key()),
+            inner: Arc::clone(&inner),
+        };
         SimChan {
             inner,
-            queue: Arc::new(parking_lot::Mutex::new(Default::default())),
-            waitobj,
+            queue: Arc::new(crate::sync::Queue::on(Arc::new(obj))),
         }
     }
 
-    /// Enqueues a value and wakes one waiting receiver.
+    /// Enqueues a value and wakes the waiting receivers.
     pub fn send(&self, v: T) {
-        self.queue.lock().push_back(v);
-        self.inner.waitobj_notify(self.waitobj, 1);
+        self.queue.push(v);
     }
 
     /// Dequeues a value, blocking the calling process up to `timeout`
     /// (forever if `None`). Returns `None` on timeout.
     pub fn recv(&self, timeout: Option<Duration>) -> Option<T> {
-        loop {
-            if let Some(v) = self.queue.lock().pop_front() {
-                return Some(v);
-            }
-            if !self.inner.waitobj_wait(self.waitobj, timeout) {
-                // Timed out; one last check for a raced-in value.
-                return self.queue.lock().pop_front();
-            }
-        }
+        self.queue.pop_by(|| self.inner.now(), timeout)
     }
 
     /// Non-blocking dequeue.
     pub fn try_recv(&self) -> Option<T> {
-        self.queue.lock().pop_front()
+        self.queue.try_pop()
     }
 }

@@ -14,6 +14,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::rt::Rt;
+use crate::time::SimTime;
 
 /// A generation-counting wait/notify object.
 ///
@@ -168,13 +169,18 @@ pub struct Queue<T> {
 impl<T> Queue<T> {
     /// Creates an empty queue.
     pub fn new(rt: &Rt) -> Queue<T> {
+        Queue::on(rt.make_sync())
+    }
+
+    /// Creates an empty queue that waits on `obj`.
+    pub(crate) fn on(obj: Arc<dyn SyncObj>) -> Queue<T> {
         Queue {
             items: Mutex::new(std::collections::VecDeque::new()),
-            obj: rt.make_sync(),
+            obj,
         }
     }
 
-    /// Enqueues a value, waking one waiter.
+    /// Enqueues a value, waking the waiters.
     pub fn push(&self, v: T) {
         self.items.lock().push_back(v);
         self.obj.bump();
@@ -183,7 +189,16 @@ impl<T> Queue<T> {
     /// Dequeues, blocking up to `timeout` (forever if `None`). Returns
     /// `None` on timeout.
     pub fn pop(&self, rt: &Rt, timeout: Option<Duration>) -> Option<T> {
-        let deadline = timeout.map(|t| rt.now() + t);
+        self.pop_by(|| rt.now(), timeout)
+    }
+
+    /// [`pop`](Queue::pop) with the timeout read on `clock`.
+    pub(crate) fn pop_by(
+        &self,
+        clock: impl Fn() -> SimTime,
+        timeout: Option<Duration>,
+    ) -> Option<T> {
+        let deadline = timeout.map(|t| clock() + t);
         loop {
             let gen = self.obj.generation();
             if let Some(v) = self.items.lock().pop_front() {
@@ -192,7 +207,7 @@ impl<T> Queue<T> {
             let remaining = match deadline {
                 None => None,
                 Some(d) => {
-                    let now = rt.now();
+                    let now = clock();
                     if now >= d {
                         return self.items.lock().pop_front();
                     }
@@ -201,6 +216,11 @@ impl<T> Queue<T> {
             };
             self.obj.wait_newer(gen, remaining);
         }
+    }
+
+    /// Dequeues without blocking.
+    pub(crate) fn try_pop(&self) -> Option<T> {
+        self.items.lock().pop_front()
     }
 
     /// Number of queued items.

@@ -49,9 +49,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Runs the scenario under one scheduler mode and shard count,
-/// returning the receiver's delivery log (virtual micros, tag) and the
-/// kernel trace hash.
-fn run_scenario(ops: &[Op], fast: bool, shards: usize) -> (Vec<(u64, u32)>, u64) {
+/// returning the receiver's delivery log (virtual micros, tag), the
+/// kernel trace hash and the number of events popped.
+fn run_scenario(ops: &[Op], fast: bool, shards: usize) -> (Vec<(u64, u32)>, u64, u64) {
     let sim = Sim::with_config(SimConfig {
         seed: 0x5EED,
         fast,
@@ -120,7 +120,7 @@ fn run_scenario(ops: &[Op], fast: bool, shards: usize) -> (Vec<(u64, u32)>, u64)
     sim.run_until(SimTime::from_millis(cursor_ms + 1_000));
     let hash = sim.trace_hash();
     let out = log.lock().unwrap().clone();
-    (out, hash)
+    (out, hash, sim.kernel_stats().events)
 }
 
 /// The reference model: deliveries ordered by `(arrival time, source
@@ -158,14 +158,14 @@ proptest! {
     #[test]
     fn delivery_order_matches_btreemap_oracle(ops in prop::collection::vec(op_strategy(), 1..40)) {
         let want = oracle(&ops);
-        let (fast_log, fast_hash) = run_scenario(&ops, true, 1);
-        let (slow_log, slow_hash) = run_scenario(&ops, false, 1);
+        let (fast_log, fast_hash, _) = run_scenario(&ops, true, 1);
+        let (slow_log, slow_hash, _) = run_scenario(&ops, false, 1);
         prop_assert_eq!(&fast_log, &want, "fast path diverged from the oracle");
         prop_assert_eq!(&slow_log, &want, "classic path diverged from the oracle");
         prop_assert_eq!(fast_hash, slow_hash, "trace hashes diverged between modes");
         // The sharded kernel must replay the identical timeline: same
         // deliveries at the same virtual instants, same trace digest.
-        let (sharded_log, sharded_hash) = run_scenario(&ops, true, 3);
+        let (sharded_log, sharded_hash, _) = run_scenario(&ops, true, 3);
         prop_assert_eq!(&sharded_log, &want, "sharded kernel diverged from the oracle");
         prop_assert_eq!(sharded_hash, fast_hash, "trace hashes diverged across shard counts");
     }
@@ -402,3 +402,43 @@ fn a_served_hub_replays_its_receive_loop() {
         }
     }
 }
+
+/// One shard pinned to literals read from the single-shard scheduler
+/// loop that preceded the windowed one: the equivalence tests above
+/// compare shard counts that now run one loop, so these figures are what
+/// still ties that loop to the old one. The scenario's `run_until` cursor
+/// slices its run into many short runs.
+#[test]
+fn one_shard_replays_the_pinned_trace() {
+    let (hash, delivered, stats) = hub_workload(42, true, 1, Hub::Recv);
+    assert_eq!(
+        (hash, delivered, stats.events),
+        (HUB_HASH, HUB_DELIVERED, HUB_EVENTS)
+    );
+    let ops = [
+        Op::Send { s: 0, tag: 1 },
+        Op::Send { s: 2, tag: 2 },
+        Op::Sleep { ms: 5 },
+        Op::Send { s: 1, tag: 3 },
+        Op::Crash { s: 0 },
+        Op::Sleep { ms: 17 },
+        Op::Send { s: 0, tag: 4 },
+        Op::Send { s: 2, tag: 5 },
+        Op::Restart { s: 0 },
+        Op::Sleep { ms: 30 },
+        Op::Send { s: 0, tag: 6 },
+        Op::Send { s: 1, tag: 7 },
+        Op::Crash { s: 2 },
+        Op::Sleep { ms: 1 },
+        Op::Send { s: 1, tag: 8 },
+    ];
+    let (log, hash, events) = run_scenario(&ops, true, 1);
+    assert_eq!(log, oracle(&ops));
+    assert_eq!((hash, events), (SCENARIO_HASH, SCENARIO_EVENTS));
+}
+
+const HUB_HASH: u64 = 1_172_620_786_949_139_311;
+const HUB_DELIVERED: u64 = 400;
+const HUB_EVENTS: u64 = 600;
+const SCENARIO_HASH: u64 = 17_491_229_906_475_510_951;
+const SCENARIO_EVENTS: u64 = 7;

@@ -384,6 +384,43 @@ fn sim_chan_coordinates_processes() {
     assert_eq!(*out.lock(), vec![(0, 1), (1, 2), (2, 3)]);
 }
 
+/// A send wakes every receiver blocked on the channel; the first to wait
+/// takes the value and the rest wait again. So each value is received
+/// once, in send order, and a timed receive woken for nothing still
+/// returns at its own deadline. (The driver made the channel, so a send
+/// from node `a` wakes it one control delay, 500 µs, later.)
+#[test]
+fn sim_chan_hands_each_value_to_one_receiver() {
+    let sim = Sim::new(14);
+    let a = sim.add_node("a");
+    let ch: SimChan<u64> = SimChan::new(&sim);
+    let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    for (name, timeout) in [("r0", None), ("r1", None), ("r2", Some(secs(5)))] {
+        let (ch, got, rt) = (ch.clone(), Arc::clone(&got), a.clone());
+        a.spawn_fn(name, move || {
+            let v = ch.recv(timeout);
+            got.lock().push((name, v, rt.now()));
+        });
+    }
+    let (tx, rt) = (ch.clone(), a.clone());
+    a.spawn_fn("sender", move || {
+        rt.sleep(secs(1));
+        tx.send(10);
+        rt.sleep(secs(2));
+        tx.send(11);
+    });
+    sim.run_until(SimTime::from_secs(10));
+    assert_eq!(
+        *got.lock(),
+        vec![
+            ("r0", Some(10), SimTime::from_micros(1_000_500)),
+            ("r1", Some(11), SimTime::from_micros(3_000_500)),
+            ("r2", None, SimTime::from_secs(5)),
+        ]
+    );
+    assert_eq!(ch.try_recv(), None);
+}
+
 #[test]
 fn deterministic_with_same_seed() {
     fn run(seed: u64) -> (u64, Vec<u64>) {

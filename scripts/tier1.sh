@@ -3,8 +3,9 @@
 # the repo benchmark, a workspace of its own), a clean clippy run, the
 # complete workspace test suite, a real-runtime chaos smoke, and the
 # bench guards — one table, `GUARDS` in crates/bench/src/check.rs, that
-# `experiments check` evaluates against fresh runs of E2/E17/E18/E20-E23
-# and three benchmark workloads and against the committed BENCH_e*.json.
+# `experiments check` evaluates against fresh runs of the experiments
+# and benchmark workloads its rows name, and against the committed
+# BENCH_e*.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
