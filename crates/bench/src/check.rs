@@ -86,6 +86,7 @@ const E17_4K: Run = Run::Exp("e17 --settops 4000");
 const E17_2SHARD: Run = Run::Exp("e17 --settops 4000 --shards 2");
 const E13: Run = Run::Exp("e13");
 const E14: Run = Run::Exp("e14");
+const E15: Run = Run::Exp("e15");
 const E16: Run = Run::Exp("e16");
 const E18: Run = Run::Exp("e18 --settops 800");
 const E20: Run = Run::Exp("e20 --sim-only");
@@ -103,15 +104,22 @@ const TCP_OPEN: Run = Run::Workload("tcp_movie_open --seconds 2 --trace 1");
 #[rustfmt::skip] // one guard, one line
 pub const GUARDS: &[Guard] = &[
     // The paper's verdicts whose runs commit through the CM, NS and SSC
-    // groups on the full cluster, virtual time, exact for their seeds:
-    // MMS fail-over inside §9.7's 25 s (20.4 s worst of six), a crashed
-    // settop's bandwidth back within 25 s at every MMS poll interval
-    // (12 s: the stream's orphan reclamation, not the poll chain), and a
-    // rolling upgrade no client sees (0 errors).
+    // groups on the full cluster, virtual time, exact for their seeds,
+    // each read by the promise watch: MMS fail-over inside §9.7's 25 s
+    // (22.0 s worst of six), a crashed settop's allocation, stream and
+    // session gone within 25 s at every MMS poll interval (7 s: the
+    // stream's orphan reclamation, not the poll chain), and a rolling
+    // upgrade no client sees (0 errors, counted where the shop app fails).
     g(E1, "failover_seconds/max", Lt(25.0)),
     g(E13, "max_reclaim_s", Lt(25.0)),
     g(E13, "unreclaimed", Eq(0.0)),
     g(E14, "client_errors", Eq(0.0)),
+    // §7 under fault storms: every one of the 12 seeded campaigns has
+    // each settop streaming again, for good, within 25 s of its heal
+    // point (22.7 s worst) — because the settop tunes in again after a
+    // give-up, not because the harness re-tunes it. Adds ≈ 0.9 s.
+    g(E15, "converged", Ge(12.0)),
+    g(E15, "max_recovery_s", Lt(25.0)),
     // One causal tree per movie open, virtual time, exact for the seed:
     // the cold and the warm tree, rendered from the spans every node
     // recorded, exactly as committed — each call one `client:` and one

@@ -5,12 +5,12 @@
 
 use std::time::Duration;
 
-use itv_cluster::{ClusterConfig, TelemetrySnapshot};
-use itv_media::{CmApiClient, MmsApiClient};
+use itv_cluster::{ClusterConfig, Promise, TelemetrySnapshot, Watch};
+use itv_media::{names, MmsApiClient};
 use ocs_sim::{FaultPlan, NodeRt, SimTime};
 use ocs_telemetry::{render_span_trees, span_forest, MetricsSnapshot, NodeTelemetry, Span};
 
-use crate::exps::{primary_server_of, probe, ready_cluster, remote_mms_primary, watch_rebind};
+use crate::exps::{primary_server_of, probe, ready_cluster, remote_mms_primary};
 use crate::json::Json;
 use crate::{f, report, Stats, Table};
 
@@ -24,16 +24,16 @@ pub fn e1() {
     let trials = 6;
     for k in 0..trials {
         let (sim, cluster) = ready_cluster(1000 + k, ClusterConfig::small());
-        let Some((primary, old_ref)) = remote_mms_primary(&cluster) else {
+        let Some(primary) = remote_mms_primary(&cluster) else {
             continue;
         };
         // Spread the crash instant across the polling phase.
         sim.run_for(Duration::from_millis(1700 * k));
-        let watcher = watch_rebind(&cluster, "svc/mms", old_ref);
+        let mut watch = Watch::new(&cluster, &[Promise::Rebind(names::MMS)]);
         cluster.kill_service(primary, "mms");
         let t0 = sim.now();
-        sim.run_for(Duration::from_secs(60));
-        if let Some(at) = watcher.try_recv() {
+        watch.run_for(Duration::from_secs(60));
+        if let Some(at) = watch.recovered(Promise::Rebind(names::MMS), t0) {
             samples.push(at.saturating_since(t0).as_secs_f64());
         }
         if k == trials - 1 {
@@ -79,7 +79,7 @@ pub fn e2() {
         cfg.ras_poll = Duration::from_secs_f64(ras);
         cfg.mms_ras_poll = Duration::from_secs_f64(audit);
         let (sim, cluster) = ready_cluster(2000 + retry as u64, cfg);
-        let Some((primary, old_ref)) = remote_mms_primary(&cluster) else {
+        let Some(primary) = remote_mms_primary(&cluster) else {
             continue;
         };
         // Steady-state message rate over a quiet minute, and what one
@@ -101,14 +101,13 @@ pub fn e2() {
             report::put("bg_msgs_per_s_deployed", rate.into());
         }
         // One fail-over measurement.
-        let watcher = watch_rebind(&cluster, "svc/mms", old_ref);
+        let mut watch = Watch::new(&cluster, &[Promise::Rebind(names::MMS)]);
         cluster.kill_service(primary, "mms");
         let t0 = sim.now();
-        sim.run_for(Duration::from_secs(90));
-        let failover = watcher
-            .try_recv()
-            .map(|at| at.saturating_since(t0).as_secs_f64())
-            .unwrap_or(f64::NAN);
+        watch.run_for(Duration::from_secs(90));
+        let failover = watch
+            .recovered(Promise::Rebind(names::MMS), t0)
+            .map_or(f64::NAN, |at| at.saturating_since(t0).as_secs_f64());
         // The paper's bound: retry + audit + ras/2-ish; report retry+audit+ras.
         t.row(&[
             format!("{retry:.0}/{audit:.0}/{ras:.1}"),
@@ -148,12 +147,7 @@ pub fn e4() {
         let (sim, cluster) = ready_cluster(4000 + servers as u64, cfg);
         // Every settop shops hard for a fixed window.
         for s in &cluster.settops {
-            {
-                let mut i = s.intent.lock();
-                i.interactions = 1_000_000;
-                i.think = Duration::from_millis(20);
-            }
-            s.handle.tune(ClusterConfig::CHANNEL_SHOP);
+            s.shop(1_000_000, Duration::from_millis(20));
         }
         // Downloads settle (~1 s for the shop binary), then measure.
         sim.run_for(Duration::from_secs(10));
@@ -197,12 +191,7 @@ pub fn e7() {
         cfg.vod_app_size = (size_mb * 1e6) as u64;
         let (sim, cluster) = ready_cluster(7000 + (size_mb * 10.0) as u64, cfg);
         let settop = &cluster.settops[0];
-        {
-            let mut i = settop.intent.lock();
-            i.title = "movie-0".into();
-            i.watch_ms = 2_000;
-        }
-        settop.handle.tune(ClusterConfig::CHANNEL_VOD);
+        settop.watch_movie("movie-0", 2_000);
         sim.run_for(Duration::from_secs(30));
         let m = &settop.handle.metrics;
         let cover = m.last_cover_us.get() as f64 / 1e6;
@@ -239,12 +228,7 @@ pub fn e8() {
         cfg.movie_replicas = 2;
         let (sim, cluster) = ready_cluster(8000 + k, cfg);
         let settop = &cluster.settops[0];
-        {
-            let mut i = settop.intent.lock();
-            i.title = "movie-0".into();
-            i.watch_ms = 120_000;
-        }
-        settop.handle.tune(ClusterConfig::CHANNEL_VOD);
+        settop.watch_movie("movie-0", 120_000);
         sim.run_for(Duration::from_secs(15) + Duration::from_millis(700 * k));
         cluster.kill_service((k % 2) as usize, "mds");
         sim.run_for(Duration::from_secs(150));
@@ -287,41 +271,25 @@ pub fn e13() {
     println!("\nE13. Settop-crash resource reclamation vs MMS RAS-poll interval (§3.5.1)");
     println!("    chain: settop-mgr pings -> RAS -> MMS poll -> close movie + release VC\n");
     let mut t = Table::new(&["mms poll (s)", "reclaimed after (s)"]);
-    // Per poll interval; NaN where `usage()` never reached 0 allocations.
+    // Per poll interval; NaN where the reclaim promise never held again.
     let mut reclaims = Vec::new();
     for poll in [5u64, 10, 20] {
         let mut cfg = ClusterConfig::small();
         cfg.mms_ras_poll = Duration::from_secs(poll);
         let (sim, cluster) = ready_cluster(13_000 + poll, cfg);
         let settop = &cluster.settops[0];
-        {
-            let mut i = settop.intent.lock();
-            i.title = "movie-0".into();
-            i.watch_ms = 3_600_000;
-        }
-        settop.handle.tune(ClusterConfig::CHANNEL_VOD);
+        settop.watch_movie("movie-0", 3_600_000);
         sim.run_for(Duration::from_secs(25));
-        let nbhd = settop.neighborhood;
+        // Until its allocation, stream and session are gone, the dead
+        // settop holds what it does not use.
+        let mut watch = Watch::new(&cluster, &[Promise::Reclaim]);
         settop.handle.group.kill();
         let t0 = sim.now();
-        let mut reclaimed = f64::NAN;
-        for _ in 0..40 {
-            sim.run_for(Duration::from_secs(3));
-            let ns = cluster.ns(0);
-            let node = cluster.servers[0].node.clone();
-            let usage = probe(&sim, &node, Duration::from_secs(1), move || {
-                ns.resolve_as::<CmApiClient>(&format!("svc/cmgr/{nbhd}"))
-                    .ok()
-                    .and_then(|cm| cm.usage().ok())
-            })
-            .flatten();
-            if let Some(u) = usage {
-                if u.allocations == 0 {
-                    reclaimed = sim.now().saturating_since(t0).as_secs_f64();
-                    break;
-                }
-            }
-        }
+        watch.run_for(Watch::PERIOD);
+        watch.run_while_broken(Duration::from_secs(160));
+        let reclaimed = watch
+            .recovered(Promise::Reclaim, t0)
+            .map_or(f64::NAN, |at| at.saturating_since(t0).as_secs_f64());
         t.row(&[poll.to_string(), f(reclaimed, 0)]);
         reclaims.push(reclaimed);
         report::put_metrics("metrics", &cluster.telemetry_snapshot().merged);
@@ -344,28 +312,23 @@ pub fn e14() {
     println!("    paper: \"clients using the service see no disruption\"\n");
     let (sim, cluster) = ready_cluster(14_000, ClusterConfig::small());
     let settop = &cluster.settops[0];
-    {
-        let mut i = settop.intent.lock();
-        i.interactions = 500;
-        i.think = Duration::from_millis(500);
-    }
-    settop.handle.tune(ClusterConfig::CHANNEL_SHOP);
+    settop.shop(500, Duration::from_millis(500));
     sim.run_for(Duration::from_secs(10));
     let before = settop.handle.metrics.interactions.get();
     // "Copy a corrected binary and kill the service" on both servers in
     // sequence (the RoundRobin selector spreads clients over replicas).
+    let mut watch = Watch::new(&cluster, &[Promise::Upgrade]);
+    let errors_before = cluster.client_errors();
     cluster.kill_service(0, "shop");
-    sim.run_for(Duration::from_secs(20));
+    watch.run_for(Duration::from_secs(20));
     cluster.kill_service(1, "shop");
-    sim.run_for(Duration::from_secs(60));
+    watch.run_for(Duration::from_secs(60));
     let m = &settop.handle.metrics;
     let after = m.interactions.get();
-    let errors = m
-        .events
-        .lock()
-        .iter()
-        .filter(|(_, e)| e.contains("shopping failed"))
-        .count();
+    let errors = cluster.client_errors() - errors_before;
+    for lapse in watch.lapses() {
+        println!("    {} promise broken at {}: {}", lapse.promise, lapse.broke, lapse.cause);
+    }
     let mut t = Table::new(&[
         "interactions before kill",
         "after both restarts",
@@ -379,7 +342,7 @@ pub fn e14() {
         errors.to_string(),
     ]);
     t.print();
-    report::put("client_errors", Json::U64(errors as u64));
+    report::put("client_errors", Json::U64(errors));
     report::put_metrics("metrics", &cluster.telemetry_snapshot().merged);
     report::add_virtual_secs(sim.now().as_secs_f64());
     report::put("table", t.to_json());
@@ -406,14 +369,17 @@ pub fn e14() {
 }
 
 /// E15: fault-storm convergence — how long after the last fault heals
-/// until every settop can stream again, as the number of seeded faults
-/// per campaign grows. Exercises the whole resilience stack at once:
-/// retry/deadline budgets, circuit breakers, primary/backup fail-over,
-/// CM allocation leases and MDS delivery-failure reclamation.
+/// until every settop that wants a stream has one again (the stream
+/// promise, §7), as the number of seeded faults per campaign grows.
+/// Exercises the whole resilience stack at once: retry/deadline budgets,
+/// circuit breakers, primary/backup fail-over, CM allocation leases, MDS
+/// delivery-failure reclamation, and the settop's own retry of a tune-in
+/// that gave up. Each settop tunes in once, before the storm, to a movie
+/// that outlasts the run; the harness only watches.
 pub fn e15() {
     println!("\nE15. Fault-storm convergence: recovery time vs fault rate");
     println!("    seeded random campaigns (crashes, partitions, impairments)");
-    println!("    recovery = heal point -> all settops streaming a fresh movie\n");
+    println!("    recovery = heal point -> every settop streaming again, for good\n");
     let mut t = Table::new(&[
         "faults/storm",
         "trials",
@@ -422,6 +388,7 @@ pub fn e15() {
         "max (s)",
     ]);
     let mut storm_metrics = MetricsSnapshot::default();
+    let (mut converged, mut max_recovery) = (0u64, 0f64);
     for faults in [1u32, 3, 6] {
         let trials = 4u64;
         let mut samples = Vec::new();
@@ -432,39 +399,33 @@ pub fn e15() {
             // The storms crash server 1 only: keep the MMS primary there,
             // whichever instance bound first.
             let _ = remote_mms_primary(&cluster);
-            // A live workload for the storm to land on.
+            // A live workload for the storm to land on: the settops tune
+            // in a second apart, so each open sees the last one's load and
+            // the streams spread over both MDS replicas.
+            let mut watch = Watch::new(&cluster, &[Promise::Stream]);
             for s in &cluster.settops {
-                {
-                    let mut i = s.intent.lock();
-                    i.title = "movie-0".to_string();
-                    i.watch_ms = 20_000;
-                }
-                s.handle.tune(ClusterConfig::CHANNEL_VOD);
+                s.watch_movie("movie-0", 3_600_000);
+                watch.run_for(Duration::from_secs(1));
             }
-            sim.run_for(Duration::from_secs(2));
             let start = sim.now() + Duration::from_secs(2);
             let mut spec = cluster.chaos_spec(start, start + Duration::from_secs(30));
             spec.faults = faults;
             let plan = FaultPlan::random(k + 1, &spec);
-            let outcome = cluster.run_fault_plan(&plan);
-            // From the heal point, time how long until every settop has
-            // opened (and can therefore finish) a fresh short session.
-            let before = cluster.settop_totals();
-            for s in &cluster.settops {
-                {
-                    let mut i = s.intent.lock();
-                    i.title = "movie-0".to_string();
-                    i.watch_ms = 2_000;
-                }
-                s.handle.tune(ClusterConfig::CHANNEL_VOD);
-            }
-            let t0 = outcome.healed_at.max(sim.now());
-            let want = cluster.settops.len() as u64;
-            for _ in 0..150 {
-                sim.run_for(Duration::from_secs(1));
-                if cluster.settop_totals().movies_opened - before.movies_opened >= want {
-                    samples.push(sim.now().saturating_since(t0).as_secs_f64());
-                    break;
+            let heal = watch.run_fault_plan(&plan).healed_at.max(sim.now());
+            watch.run_until(heal + Duration::from_secs(120));
+            match watch.recovered(Promise::Stream, heal) {
+                Some(at) => samples.push(at.saturating_since(heal).as_secs_f64()),
+                None => {
+                    // A miss names its cause: the watch's journal lines
+                    // and the state the last check found.
+                    println!("    miss: {faults} faults, trial {k}:");
+                    let timeline = cluster.postmortem();
+                    for line in timeline.lines().filter(|l| l.contains(" promise ")) {
+                        println!("      {line}");
+                    }
+                    for lapse in watch.broken() {
+                        println!("      still broken: {}", lapse.cause);
+                    }
                 }
             }
             // Fold this storm's cluster-wide counters into the E15
@@ -473,6 +434,8 @@ pub fn e15() {
             report::add_virtual_secs(sim.now().as_secs_f64());
         }
         let s = Stats::of(&samples);
+        converged += s.n as u64;
+        max_recovery = samples.iter().copied().fold(max_recovery, f64::max);
         t.row(&[
             faults.to_string(),
             trials.to_string(),
@@ -483,6 +446,8 @@ pub fn e15() {
     }
     t.print();
     report::put("table", t.to_json());
+    report::put("converged", Json::U64(converged));
+    report::put("max_recovery_s", Json::F64(max_recovery));
     println!("    shape: recovery stays bounded as the storm intensifies;");
     println!("    misses would show as converged < trials.");
 
@@ -525,12 +490,7 @@ fn breaker_leg() -> (String, TelemetrySnapshot) {
     cfg.movie_replicas = 2;
     let (sim, cluster) = ready_cluster(15_999, cfg);
     for s in &cluster.settops {
-        {
-            let mut i = s.intent.lock();
-            i.title = "movie-0".to_string();
-            i.watch_ms = 20_000;
-        }
-        s.handle.tune(ClusterConfig::CHANNEL_VOD);
+        s.watch_movie("movie-0", 20_000);
     }
     sim.run_for(Duration::from_secs(2));
     let (a, b) = (
@@ -539,7 +499,7 @@ fn breaker_leg() -> (String, TelemetrySnapshot) {
     );
     // Cut the settop whose home server is NOT the MMS primary off from
     // the primary; its home name service stays reachable throughout.
-    let primary = primary_server_of(&cluster, "svc/mms").map_or(0, |(idx, _)| idx);
+    let primary = primary_server_of(&cluster, names::MMS).unwrap_or(0);
     let victim = cluster.settops[1 - (primary % 2)].node.node();
     let primary_node = cluster.servers[primary].node.node();
     let plan = FaultPlan::new()
@@ -586,12 +546,7 @@ pub fn e16(top_n: usize) {
     cfg.settops = 1;
     let (sim, cluster) = ready_cluster(16_000, cfg);
     let settop = &cluster.settops[0];
-    {
-        let mut i = settop.intent.lock();
-        i.title = "movie-0".to_string();
-        i.watch_ms = 10_000;
-    }
-    settop.handle.tune(ClusterConfig::CHANNEL_VOD);
+    settop.watch_movie("movie-0", 10_000);
     // (Stopping between two of the MDSs' 5 s load reports, each of which
     // drops the cached `svc/mds` set.)
     sim.run_for(Duration::from_millis(62_500));

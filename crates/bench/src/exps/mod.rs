@@ -24,7 +24,9 @@ pub use svc_failover::e23;
 use std::sync::Arc;
 use std::time::Duration;
 
-use itv_cluster::{Cluster, ClusterConfig};
+use itv_cluster::{Cluster, ClusterConfig, Promise, Watch};
+use itv_media::names;
+use ocs_sim::{NodeRt, NodeRtExt, Sim, SimChan, SimTime};
 
 /// What the command line can set for the experiments that take it.
 pub struct Args {
@@ -68,36 +70,22 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("e22", |_| e22()),
     ("e23", |a| e23(a.sim_only)),
 ];
-use ocs_sim::{NodeRt, NodeRtExt, Sim, SimChan, SimTime};
-
 /// Builds a cluster and runs it to the fully-ready state (services
 /// placed, settops booted).
 pub(crate) fn ready_cluster(seed: u64, cfg: ClusterConfig) -> (Sim, Cluster) {
     let sim = Sim::new(seed);
-    let mut cluster = Cluster::build(&sim, cfg);
-    sim.run_until(SimTime::from_secs(40));
-    cluster.boot_settops();
-    sim.run_until(SimTime::from_secs(75));
+    let cluster = Cluster::ready(&sim, cfg, SimTime::from_secs(75));
     (sim, cluster)
 }
 
-/// Finds which server a primary/backup service's binding points at.
-pub(crate) fn primary_server_of(cluster: &Cluster, path: &str) -> Option<(usize, ocs_orb::ObjRef)> {
-    let ns = cluster.ns(0);
-    let out: SimChan<Option<ocs_orb::ObjRef>> = SimChan::new(&cluster.sim);
-    let out2 = out.clone();
-    let node = cluster.servers[0].node.clone();
-    let path = path.to_string();
-    node.spawn_fn("find-primary", move || {
-        out2.send(ns.resolve(&path).ok());
-    });
-    cluster.sim.run_for(Duration::from_secs(1));
-    let obj = out.try_recv().flatten()?;
-    let idx = cluster
+/// Which server a primary/backup service's binding points at, read from
+/// the name service's committed state in place.
+pub(crate) fn primary_server_of(cluster: &Cluster, path: &str) -> Option<usize> {
+    let obj = cluster.binding(path)?;
+    cluster
         .servers
         .iter()
-        .position(|s| s.node.node() == obj.addr.node)?;
-    Some((idx, obj))
+        .position(|s| s.node.node() == obj.addr.node)
 }
 
 /// [`primary_server_of`] `svc/mms`, after moving the primary off server 0
@@ -109,48 +97,17 @@ pub(crate) fn primary_server_of(cluster: &Cluster, path: &str) -> Option<(usize,
 /// measurement. The instance the SSC restarts can win the name back
 /// (with every period at 2 s it always does): after three tries the
 /// primary is reported where it is.
-pub(crate) fn remote_mms_primary(cluster: &Cluster) -> Option<(usize, ocs_orb::ObjRef)> {
+pub(crate) fn remote_mms_primary(cluster: &Cluster) -> Option<usize> {
     for _ in 0..3 {
-        let (idx, obj) = primary_server_of(cluster, "svc/mms")?;
-        if idx != 0 {
-            return Some((idx, obj));
+        if primary_server_of(cluster, names::MMS)? != 0 {
+            break;
         }
-        let moved = watch_rebind(cluster, "svc/mms", obj);
+        let mut watch = Watch::new(cluster, &[Promise::Rebind(names::MMS)]);
         cluster.kill_service(0, "mms");
-        for _ in 0..120 {
-            cluster.sim.run_for(Duration::from_secs(1));
-            if moved.try_recv().is_some() {
-                break;
-            }
-        }
+        watch.run_for(Watch::PERIOD);
+        watch.run_while_broken(Duration::from_secs(120));
     }
-    primary_server_of(cluster, "svc/mms")
-}
-
-/// Spawns a watcher that records when `path` resolves to a reference
-/// other than `old` AND the object answers; returns a channel yielding
-/// the virtual time of recovery.
-pub(crate) fn watch_rebind(
-    cluster: &Cluster,
-    path: &str,
-    old: ocs_orb::ObjRef,
-) -> SimChan<SimTime> {
-    let out: SimChan<SimTime> = SimChan::new(&cluster.sim);
-    let out2 = out.clone();
-    let ns = cluster.ns(0);
-    let node = cluster.servers[0].node.clone();
-    let node2 = node.clone();
-    let path = path.to_string();
-    node.spawn_fn("watch-rebind", move || loop {
-        if let Ok(r) = ns.resolve(&path) {
-            if r != old {
-                out2.send(node2.now());
-                return;
-            }
-        }
-        node2.sleep(Duration::from_millis(200));
-    });
-    out
+    primary_server_of(cluster, names::MMS)
 }
 
 /// Runs `f` inside a fresh process on `node`, returning its result

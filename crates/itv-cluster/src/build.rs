@@ -3,7 +3,7 @@
 //! §6.3 start-up sequence plus failure-injection and metric helpers.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -20,9 +20,10 @@ use ocs_name::{
 };
 use ocs_orb::{ClientCtx, ObjRef, Orb};
 use ocs_ras::{Ras, RasConfig, RasOracle, SettopMgr};
-use ocs_sim::{Addr, LinkParams, NodeId, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimNode};
+use ocs_sim::{Addr, LinkParams, NodeId, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimNode, SimTime};
 use ocs_svcctl::{
-    Csc, CscConfig, ServiceDef, ServiceRunCtx, Ssc, SscApiClient, SscConfig, SscReplicaConfig,
+    Csc, CscConfig, ServiceDef, ServiceRunCtx, ServiceStatus, Ssc, SscApiClient, SscConfig,
+    SscReplicaConfig,
 };
 use ocs_wire::Wire;
 use parking_lot::Mutex;
@@ -63,6 +64,47 @@ pub struct ServerHandle {
     /// The current SSC ("init" restarts it on reboot).
     pub ssc: Mutex<Option<Arc<Ssc>>>,
     registry: Vec<ServiceDef>,
+    started: Arc<Mutex<Started>>,
+}
+
+/// The service objects the newest instance of each of a server's
+/// services started, to be read in place from outside the simulation
+/// (the promise [`Watch`](crate::Watch) does). Weak: an instance's
+/// objects die with its process group, as they would without this record.
+#[derive(Default)]
+pub(crate) struct Started {
+    pub(crate) ns: Weak<NsReplica>,
+    pub(crate) csc: Weak<Csc>,
+    pub(crate) mms: Weak<Mms>,
+    pub(crate) mds: Weak<Mds>,
+    /// By neighborhood.
+    pub(crate) cm: BTreeMap<u32, Weak<CmReplica>>,
+}
+
+impl ServerHandle {
+    /// What the server's SSC reports of its services (nothing while the
+    /// server is down).
+    pub fn statuses(&self) -> Vec<ServiceStatus> {
+        match self.ssc.lock().as_ref() {
+            Some(ssc) if self.node.sim().node_up(self.node.node()) => ssc.statuses(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Whether the server is up and its SSC runs `service`.
+    pub fn runs(&self, service: &str) -> bool {
+        let statuses = self.statuses();
+        statuses.iter().any(|st| st.name == service && st.running)
+    }
+
+    /// `read` of what `service`'s instance started, if the server runs it.
+    pub(crate) fn started<T>(
+        &self,
+        service: &str,
+        read: impl FnOnce(&Started) -> Option<T>,
+    ) -> Option<T> {
+        self.runs(service).then(|| read(&self.started.lock()))?
+    }
 }
 
 /// One settop.
@@ -75,6 +117,29 @@ pub struct SettopCtl {
     pub neighborhood: u32,
     /// What its apps should do when launched.
     pub intent: Arc<Mutex<Intent>>,
+}
+
+impl SettopCtl {
+    /// The viewer tunes to video on demand to watch `watch_ms` of `title`.
+    pub fn watch_movie(&self, title: &str, watch_ms: u64) {
+        {
+            let mut i = self.intent.lock();
+            i.title = title.to_string();
+            i.watch_ms = watch_ms;
+        }
+        self.handle.tune(ClusterConfig::CHANNEL_VOD);
+    }
+
+    /// The viewer tunes to the shopping channel for `interactions`
+    /// interactions, `think` apart.
+    pub fn shop(&self, interactions: u32, think: Duration) {
+        {
+            let mut i = self.intent.lock();
+            i.interactions = interactions;
+            i.think = think;
+        }
+        self.handle.tune(ClusterConfig::CHANNEL_SHOP);
+    }
 }
 
 /// A fully assembled cluster.
@@ -203,13 +268,16 @@ impl Cluster {
         // ---- per-server service registries -----------------------------
         let mut servers = Vec::new();
         for (i, node) in servers_nodes.iter().enumerate() {
-            let registry =
-                Cluster::registry_for(i, &cfg, &ns_peers, &catalog, &storages, &nbhd_of, &boot_svc);
+            let started = Arc::new(Mutex::new(Started::default()));
+            let registry = Cluster::registry_for(
+                i, &cfg, &ns_peers, &catalog, &storages, &nbhd_of, &boot_svc, &started,
+            );
             servers.push(ServerHandle {
                 node: Arc::clone(node),
                 replica_id: i as u32,
                 ssc: Mutex::new(None),
                 registry,
+                started,
             });
         }
 
@@ -231,6 +299,16 @@ impl Cluster {
         }
         // ---- cluster namespace setup (contexts + selectors) ------------
         cluster.spawn_namespace_setup();
+        cluster
+    }
+
+    /// [`build`](Cluster::build), 40 s of virtual time to elect and
+    /// place, [`boot_settops`](Cluster::boot_settops), and on to `at`.
+    pub fn ready(sim: &Sim, cfg: ClusterConfig, at: SimTime) -> Cluster {
+        let mut cluster = Cluster::build(sim, cfg);
+        sim.run_until(SimTime::from_secs(40));
+        cluster.boot_settops();
+        sim.run_until(at);
         cluster
     }
 
@@ -300,7 +378,9 @@ impl Cluster {
         out
     }
 
-    /// Builds the service registry (the "binaries on disk") for server `i`.
+    /// Builds the service registry (the "binaries on disk") for server `i`;
+    /// the instances record what they start in `started`.
+    #[allow(clippy::too_many_arguments)]
     fn registry_for(
         i: usize,
         cfg: &ClusterConfig,
@@ -309,6 +389,7 @@ impl Cluster {
         storages: &[Arc<MemStorage>],
         nbhd_of: &Arc<BTreeMap<NodeId, u32>>,
         boot_svc: &Arc<BootSvc>,
+        started: &Arc<Mutex<Started>>,
     ) -> Vec<ServiceDef> {
         let my_ns = ns_peers[i];
         let peers = ns_peers.to_vec();
@@ -318,6 +399,7 @@ impl Cluster {
         {
             let peers = peers.clone();
             let audit = cfg.ns_audit;
+            let started = Arc::clone(started);
             defs.push(ServiceDef {
                 name: "ns".into(),
                 basic: true,
@@ -326,7 +408,8 @@ impl Cluster {
                     nc.audit_interval = audit;
                     let oracle =
                         RasOracle::new(ctx.rt.clone(), Addr::new(ctx.rt.node(), ports::RAS));
-                    if NsReplica::start(ctx.rt.clone(), nc, oracle).is_ok() {
+                    if let Ok(ns) = NsReplica::start(ctx.rt.clone(), nc, oracle) {
+                        started.lock().ns = Arc::downgrade(&ns);
                         (ctx.notify_ready)(Vec::new());
                         park(&ctx.rt)
                     }
@@ -429,6 +512,7 @@ impl Cluster {
         };
         if csc_peers.iter().any(|p| p.node == ns_peers[i].node) {
             let bind_retry = cfg.bind_retry;
+            let started = Arc::clone(started);
             defs.push(ServiceDef {
                 name: "csc".into(),
                 basic: true,
@@ -445,6 +529,7 @@ impl Cluster {
                         )),
                     };
                     let csc = Csc::new(ctx.rt.clone(), cc, ns);
+                    started.lock().csc = Arc::downgrade(&csc);
                     let notify = ctx.notify_ready.clone();
                     let _ = csc.run(move |objs| notify(objs));
                 }),
@@ -460,8 +545,10 @@ impl Cluster {
         // --- placed: MDS ----------------------------------------------------
         {
             let catalog = catalog.clone();
+            let started = Arc::clone(started);
             defs.push(held("mds", false, my_ns, false, move |rt| {
                 let (mds, bound) = serve_mds(rt, catalog.clone(), ClusterConfig::MDS_MAX_STREAMS)?;
+                started.lock().mds = Arc::downgrade(&mds);
                 // Report load for dynamic selectors.
                 let ns = NsHandle::new(ClientCtx::new(rt.clone()), my_ns);
                 let (path, rt2) = (bound[0].0.clone(), rt.clone());
@@ -479,6 +566,7 @@ impl Cluster {
             let nbhd_of = Arc::clone(nbhd_of);
             let bind_retry = cfg.bind_retry;
             let ras_poll = cfg.mms_ras_poll;
+            let started = Arc::clone(started);
             defs.push(ServiceDef {
                 name: "mms".into(),
                 basic: false,
@@ -495,6 +583,7 @@ impl Cluster {
                         },
                         catalog.clone(),
                     );
+                    started.lock().mms = Arc::downgrade(&mms);
                     let notify = ctx.notify_ready.clone();
                     let _ = mms.run(move |objs| notify(objs));
                 }),
@@ -504,6 +593,7 @@ impl Cluster {
         // --- placed: per-neighborhood CM and RDS ------------------------------
         for n in 0..cfg.neighborhoods() {
             let bind_retry = cfg.bind_retry;
+            let started = Arc::clone(started);
             // The replica group mirrors the placement table: home server
             // first, then the next two (deduped on small clusters), all
             // on the neighborhood's CM port.
@@ -542,6 +632,7 @@ impl Cluster {
                     let Ok(rep) = CmReplica::start(ctx.rt.clone(), rc) else {
                         return; // Port busy (stale instance); die and retry.
                     };
+                    started.lock().cm.insert(n, Arc::downgrade(&rep));
                     let obj = rep.root_ref();
                     (ctx.notify_ready)(vec![obj]);
                     let ns = NsHandle::new(ClientCtx::new(ctx.rt.clone()), my_ns);
@@ -679,7 +770,7 @@ impl Cluster {
     pub fn boot_settops(&mut self) {
         let bbs_addr = Addr::new(self.servers[0].node.node(), ports::BOOT);
         let nodes = self.settop_nodes.clone();
-        for (i, node) in nodes.into_iter().enumerate() {
+        for node in nodes {
             let intent = Arc::new(Mutex::new(Intent::default()));
             let apps = standard_apps(Arc::clone(&intent));
             let handle = Settop::boot(node.clone(), SettopBootInfo { bbs_addr }, apps);
@@ -690,7 +781,6 @@ impl Cluster {
                 neighborhood,
                 intent,
             });
-            let _ = i;
         }
     }
 
@@ -779,7 +869,8 @@ pub fn standard_apps(intent: Arc<Mutex<Intent>>) -> Vec<AppSlot> {
             channel: ClusterConfig::CHANNEL_NAVIGATOR,
             binary: "navigator".into(),
             main: Arc::new(|ctx: &AppCtx| {
-                let _ = itv_settop::run_navigator(ctx);
+                itv_settop::run_navigator(ctx);
+                true
             }),
         },
         AppSlot {
@@ -790,7 +881,7 @@ pub fn standard_apps(intent: Arc<Mutex<Intent>>) -> Vec<AppSlot> {
                     let i = vod_intent.lock();
                     (i.title.clone(), i.watch_ms)
                 };
-                let _ = itv_settop::run_vod(ctx, &title, watch_ms);
+                itv_settop::run_vod(ctx, &title, watch_ms).completed
             }),
         },
         AppSlot {
@@ -801,7 +892,8 @@ pub fn standard_apps(intent: Arc<Mutex<Intent>>) -> Vec<AppSlot> {
                     let i = shop_intent.lock();
                     (i.interactions, i.think)
                 };
-                let _ = itv_settop::run_shopping(ctx, n, think);
+                itv_settop::run_shopping(ctx, n, think);
+                true
             }),
         },
     ]

@@ -32,6 +32,16 @@ impl Cluster {
     /// machine — restarts the SSC of any server the plan brings back up.
     /// The workload keeps running between actions.
     pub fn run_fault_plan(&self, plan: &FaultPlan) -> ChaosOutcome {
+        self.drive_fault_plan(plan, |t| self.sim.run_until(t))
+    }
+
+    /// [`run_fault_plan`](Cluster::run_fault_plan) with `advance` moving
+    /// the simulation to each action's time.
+    pub(crate) fn drive_fault_plan(
+        &self,
+        plan: &FaultPlan,
+        mut advance: impl FnMut(SimTime),
+    ) -> ChaosOutcome {
         let mut applied = 0;
         let mut healed_at = self.sim.now();
         // Randomized plans may overlap two crash/recovery pairs on one
@@ -39,7 +49,7 @@ impl Cluster {
         let mut downed: BTreeSet<NodeId> = BTreeSet::new();
         for ev in plan.sorted_events() {
             if ev.at > self.sim.now() {
-                self.sim.run_until(ev.at);
+                advance(ev.at);
             }
             Nemesis::apply(&self.sim, &ev.action);
             match ev.action {

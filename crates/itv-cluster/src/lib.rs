@@ -11,6 +11,7 @@ mod chaos;
 mod config;
 pub mod real;
 mod telemetry;
+mod watch;
 mod workload;
 
 pub use audit::{AvailabilityAuditor, AvailabilityReport, BlackoutWindow, MttrRow};
@@ -19,4 +20,5 @@ pub use chaos::ChaosOutcome;
 pub use real::{RealCluster, RealService, ViewerStats};
 pub use config::ClusterConfig;
 pub use telemetry::TelemetrySnapshot;
+pub use watch::{Lapse, Promise, Watch};
 pub use workload::{exp_sample, EveningWorkload, PlannedSession, Zipf};

@@ -1,101 +1,79 @@
 //! Chaos campaigns: seeded fault plans — node crashes with restarts,
 //! link partitions with heals, loss/duplication/reordering — against the
-//! full cluster while the standard workload runs, asserting the system
-//! converges after the last fault heals: every settop can open a movie
-//! again, no Connection Manager allocation is leaked, every server's
-//! basic services are running, and all of it inside a bounded window.
+//! full cluster while every settop watches a movie, asserting the system
+//! converges after the last fault heals: the promise watch finds every
+//! settop streaming again, no settop holding what it does not use,
+//! `svc/mms` naming a live MMS and every replica's audit exact, every
+//! server's basic services running, all inside a bounded window.
 //!
 //! The campaigns are reproducible: identical seeds yield identical
 //! kernel trace hashes even at full-cluster scale.
 
 use std::time::Duration;
 
-use itv_cluster::{Cluster, ClusterConfig};
-use itv_media::{CmApiClient, CmUsage};
-use ocs_sim::{FaultPlan, LinkImpairment, NodeRt, NodeRtExt, Sim, SimChan, SimTime};
+use itv_cluster::{Cluster, ClusterConfig, Promise, Watch};
+use itv_media::names;
+use ocs_sim::{FaultPlan, LinkImpairment, NodeRt, Sim, SimTime};
 
-/// Builds a cluster, runs the §6.3 start-up, and boots the settops.
+/// A cluster up, its settops booted, at 70 s.
 fn ready_cluster(sim: &Sim, cfg: ClusterConfig) -> Cluster {
-    let mut cluster = Cluster::build(sim, cfg);
-    sim.run_until(SimTime::from_secs(40));
-    cluster.boot_settops();
-    sim.run_until(SimTime::from_secs(70));
-    cluster
-}
-
-fn cm_usage(cluster: &Cluster, nbhd: u32) -> CmUsage {
-    let ns = cluster.ns(0);
-    let out: SimChan<CmUsage> = SimChan::new(&cluster.sim);
-    let out2 = out.clone();
-    let node = cluster.servers[0].node.clone();
-    node.spawn_fn("usage-probe", move || {
-        let cm: CmApiClient = ns.resolve_as(&format!("svc/cmgr/{nbhd}")).unwrap();
-        out2.send(cm.usage().unwrap());
-    });
-    cluster.sim.run_for(Duration::from_secs(2));
-    out.try_recv().expect("usage probe answered")
+    Cluster::ready(sim, cfg, SimTime::from_secs(70))
 }
 
 /// Puts every settop into a short VOD session (the workload that runs
 /// *under* the fault plan).
 fn start_workload(cluster: &Cluster, watch_ms: u64) {
     for s in &cluster.settops {
-        {
-            let mut i = s.intent.lock();
-            i.title = "movie-0".to_string();
-            i.watch_ms = watch_ms;
-        }
-        s.handle.tune(ClusterConfig::CHANNEL_VOD);
+        s.watch_movie("movie-0", watch_ms);
     }
 }
 
-/// The post-heal convergence invariants (the campaign's acceptance):
-/// within `recovery_bound` of the heal point, every settop opens a fresh
-/// movie (so each one re-bound its service references), all sessions
-/// then close without leaking a Connection Manager allocation, and every
-/// server's basic services are back up.
-fn assert_converged(cluster: &Cluster, recovery_bound: Duration) {
-    let sim = &cluster.sim;
-    let before = cluster.settop_totals();
-    start_workload(cluster, 2_000);
-    sim.run_for(recovery_bound);
-    let after = cluster.settop_totals();
-    let want = cluster.settops.len() as u64;
-    let opened = after.movies_opened - before.movies_opened;
-    if opened < want {
-        for (i, s) in cluster.settops.iter().enumerate() {
-            eprintln!("settop {i} log: {:?}", s.handle.metrics.events.lock());
-        }
-        for n in 0..cluster.cfg.neighborhoods() {
-            eprintln!("cm {n}: {:?}", cm_usage(cluster, n));
-        }
-        eprintln!("--- postmortem timeline ---\n{}", cluster.postmortem());
-        panic!(
-            "all {want} settops should re-open movies within {recovery_bound:?} \
-             of heal; only {opened} did (before={before:?} after={after:?})"
-        );
+/// What a campaign must keep: every promise but the upgrade's (a fault
+/// shows clients errors, and may).
+const KEPT: &[Promise] = &[
+    Promise::Rebind(names::MMS),
+    Promise::Stream,
+    Promise::Reclaim,
+    Promise::Audit,
+];
+
+/// Watches what a campaign must keep for 5 s while the settops tune in
+/// to a movie that outlasts the campaign, `apart` from each other: far
+/// enough apart, each open sees the last one's load and the streams
+/// spread over the MDS replicas.
+fn watched(cluster: &Cluster, apart: Duration) -> Watch<'_> {
+    let mut watch = Watch::new(cluster, KEPT);
+    let end = cluster.sim.now() + Duration::from_secs(5);
+    for s in &cluster.settops {
+        s.watch_movie("movie-0", 600_000);
+        watch.run_for(apart);
     }
-    // The sessions above were short; after a grace period every one must
-    // have closed and released its bandwidth (no RAS-leaked resources).
-    sim.run_for(Duration::from_secs(30));
-    for n in 0..cluster.cfg.neighborhoods() {
-        let usage = cm_usage(cluster, n);
-        assert_eq!(
-            usage.allocations, 0,
-            "neighborhood {n} leaked an allocation: {usage:?}"
-        );
+    watch.run_until(end);
+    watch
+}
+
+/// Settops a second apart.
+const SPREAD: Duration = Duration::from_secs(1);
+
+/// The post-heal convergence invariants (the campaign's acceptance):
+/// every promise holds again within its bound of the heal point — each
+/// settop streams within 25 s, no settop holds what it does not use,
+/// `svc/mms` names a live MMS, every replica audits exact — and still
+/// holds 130 s after it (a 40 s settle and 90 s more), when every
+/// server's basic services are back up.
+fn assert_converged(watch: &mut Watch, cluster: &Cluster, heal: SimTime) {
+    watch.run_until(heal + Duration::from_secs(130));
+    for &p in KEPT {
+        let back = watch.recovered(p, heal).map(|t| t.saturating_since(heal));
+        if back.is_none_or(|b| b > p.bound()) {
+            eprintln!("--- postmortem timeline ---\n{}", cluster.postmortem());
+            panic!("{p} held again {back:?} after the heal: {:#?}", watch.lapses());
+        }
     }
     // No stuck services: every server's SSC reports its basic stack up.
     for (i, server) in cluster.servers.iter().enumerate() {
-        let ssc = server.ssc.lock();
-        let statuses = ssc.as_ref().unwrap().statuses();
         for name in ["ns", "auth", "ras"] {
-            let running = statuses
-                .iter()
-                .find(|s| s.name == name)
-                .map(|s| s.running)
-                .unwrap_or(false);
-            assert!(running, "server {i}: {name} should run after the campaign");
+            assert!(server.runs(name), "server {i}: {name} should run after the campaign");
         }
     }
 }
@@ -106,8 +84,7 @@ fn crash_and_restart_campaign_converges() {
     let mut cfg = ClusterConfig::small();
     cfg.movie_replicas = 2;
     let cluster = ready_cluster(&sim, cfg);
-    start_workload(&cluster, 20_000);
-    sim.run_for(Duration::from_secs(5));
+    let mut watch = watched(&cluster, SPREAD);
     // Crash the non-bootstrap server twice; the runner re-runs "init"
     // (SSC restart) at each RestartNode, and the CSC re-places services.
     let s1 = cluster.servers[1].node.node();
@@ -115,11 +92,9 @@ fn crash_and_restart_campaign_converges() {
         .crash(s1, SimTime::from_secs(78), SimTime::from_secs(90))
         .crash(s1, SimTime::from_secs(100), SimTime::from_secs(108));
     assert!(plan.fully_healed());
-    let outcome = cluster.run_fault_plan(&plan);
+    let outcome = watch.run_fault_plan(&plan);
     assert_eq!(outcome.applied, 4);
-    // Let the restarted stack re-elect and re-place before the check.
-    sim.run_until(outcome.healed_at + Duration::from_secs(40));
-    assert_converged(&cluster, Duration::from_secs(90));
+    assert_converged(&mut watch, &cluster, outcome.healed_at);
 }
 
 #[test]
@@ -128,8 +103,9 @@ fn partition_and_heal_campaign_converges() {
     let mut cfg = ClusterConfig::small();
     cfg.movie_replicas = 2;
     let cluster = ready_cluster(&sim, cfg);
-    start_workload(&cluster, 20_000);
-    sim.run_for(Duration::from_secs(5));
+    // Both streams start from one MDS, so the cut below also stalls the
+    // victim's and its re-opens meet the cut.
+    let mut watch = watched(&cluster, Duration::ZERO);
     // Split the two servers apart (both directions die: bind races,
     // MDS↔MMS traffic, RAS peer polls), then heal.
     let (a, b) = (
@@ -143,17 +119,7 @@ fn partition_and_heal_campaign_converges() {
     // breaker through a full open → half-open → closed cycle. Settop i
     // homes on server i, so the victim is the settop homed opposite the
     // MMS primary.
-    let mms_server = {
-        let ns = cluster.ns(0);
-        let out: SimChan<ocs_sim::NodeId> = SimChan::new(&sim);
-        let out2 = out.clone();
-        let node = cluster.servers[0].node.clone();
-        node.spawn_fn("mms-probe", move || {
-            out2.send(ns.resolve("svc/mms").unwrap().addr.node);
-        });
-        sim.run_for(Duration::from_secs(2));
-        out.try_recv().expect("svc/mms resolved")
-    };
+    let mms_server = cluster.binding(names::MMS).expect("svc/mms bound").addr.node;
     let victim = if mms_server == a {
         cluster.settops[1].node.node()
     } else {
@@ -168,9 +134,8 @@ fn partition_and_heal_campaign_converges() {
             SimTime::from_secs(115),
         );
     assert!(plan.fully_healed());
-    let outcome = cluster.run_fault_plan(&plan);
-    sim.run_until(outcome.healed_at + Duration::from_secs(40));
-    assert_converged(&cluster, Duration::from_secs(90));
+    let outcome = watch.run_fault_plan(&plan);
+    assert_converged(&mut watch, &cluster, outcome.healed_at);
     // Breaker observability (satellite of the telemetry PR): the settop's
     // breaker tripped during the partition, probed half-open, and closed
     // again; the transition counters and state gauges record the cycle.
@@ -210,8 +175,7 @@ fn loss_duplication_reorder_campaign_converges() {
     let mut cfg = ClusterConfig::small();
     cfg.movie_replicas = 2;
     let cluster = ready_cluster(&sim, cfg);
-    start_workload(&cluster, 20_000);
-    sim.run_for(Duration::from_secs(5));
+    let mut watch = watched(&cluster, SPREAD);
     // Degrade the inter-server link and one settop's access link with
     // loss, duplication and reordering at once; the retry/deadline layer
     // has to carry the workload through it.
@@ -236,9 +200,8 @@ fn loss_duplication_reorder_campaign_converges() {
             SimTime::from_secs(98),
         );
     assert!(plan.fully_healed());
-    let outcome = cluster.run_fault_plan(&plan);
-    sim.run_until(outcome.healed_at + Duration::from_secs(20));
-    assert_converged(&cluster, Duration::from_secs(90));
+    let outcome = watch.run_fault_plan(&plan);
+    assert_converged(&mut watch, &cluster, outcome.healed_at);
 }
 
 #[test]
@@ -251,15 +214,13 @@ fn randomized_seeded_campaigns_converge() {
         let mut cfg = ClusterConfig::small();
         cfg.movie_replicas = 2;
         let cluster = ready_cluster(&sim, cfg);
-        start_workload(&cluster, 20_000);
-        sim.run_for(Duration::from_secs(5));
+        let mut watch = watched(&cluster, SPREAD);
         let spec = cluster.chaos_spec(SimTime::from_secs(77), SimTime::from_secs(105));
         let plan = FaultPlan::random(seed, &spec);
         assert!(plan.fully_healed(), "seed {seed}: generator must heal");
         assert!(!plan.is_empty(), "seed {seed}: plan should do something");
-        let outcome = cluster.run_fault_plan(&plan);
-        sim.run_until(outcome.healed_at + Duration::from_secs(40));
-        assert_converged(&cluster, Duration::from_secs(90));
+        let outcome = watch.run_fault_plan(&plan);
+        assert_converged(&mut watch, &cluster, outcome.healed_at);
     }
 }
 
@@ -274,7 +235,8 @@ fn healed_partition_does_not_trigger_spurious_view_change() {
     let sim = Sim::new(306);
     let cfg = ClusterConfig::orlando(); // three servers → three NS replicas
     let cluster = ready_cluster(&sim, cfg);
-    sim.run_for(Duration::from_secs(8)); // steady state, past boot elections
+    let mut watch = watched(&cluster, Duration::ZERO);
+    watch.run_for(Duration::from_secs(3)); // steady state, past boot elections
 
     let before = cluster.telemetry_snapshot();
     let view_before: Vec<i64> = cluster
@@ -298,8 +260,8 @@ fn healed_partition_does_not_trigger_spurious_view_change() {
         .partition(a, c, SimTime::from_secs(85), SimTime::from_secs(117))
         .partition(b, c, SimTime::from_secs(85), SimTime::from_secs(117));
     assert!(plan.fully_healed());
-    let outcome = cluster.run_fault_plan(&plan);
-    sim.run_until(outcome.healed_at + Duration::from_secs(40));
+    let outcome = watch.run_fault_plan(&plan);
+    watch.run_until(outcome.healed_at + Duration::from_secs(40));
 
     let after = cluster.telemetry_snapshot();
     let view_after: Vec<i64> = cluster
@@ -327,16 +289,18 @@ fn healed_partition_does_not_trigger_spurious_view_change() {
         "its joiner-less proposals should have aborted"
     );
     // And it is a functioning backup again: the whole cluster converges.
-    assert_converged(&cluster, Duration::from_secs(90));
+    assert_converged(&mut watch, &cluster, outcome.healed_at);
 }
 
 /// One full chaos run, returning the kernel's event-trace hash.
 fn chaos_trace(sim_seed: u64, plan_seed: u64) -> u64 {
-    chaos_trace_with(sim_seed, plan_seed, true)
+    chaos_trace_with(sim_seed, plan_seed, true, false)
 }
 
-/// [`chaos_trace`] with explicit control over the scheduler fast path.
-fn chaos_trace_with(sim_seed: u64, plan_seed: u64, fast: bool) -> u64 {
+/// [`chaos_trace`] with explicit control over the scheduler fast path,
+/// and with the run advancing through a [`Watch`] of every promise
+/// when `watched`.
+fn chaos_trace_with(sim_seed: u64, plan_seed: u64, fast: bool, watched: bool) -> u64 {
     let sim = Sim::with_config(ocs_sim::SimConfig {
         seed: sim_seed,
         fast,
@@ -346,11 +310,23 @@ fn chaos_trace_with(sim_seed: u64, plan_seed: u64, fast: bool) -> u64 {
     cfg.movie_replicas = 2;
     let cluster = ready_cluster(&sim, cfg);
     start_workload(&cluster, 10_000);
-    sim.run_for(Duration::from_secs(5));
     let spec = cluster.chaos_spec(SimTime::from_secs(77), SimTime::from_secs(100));
     let plan = FaultPlan::random(plan_seed, &spec);
-    cluster.run_fault_plan(&plan);
-    sim.run_until(SimTime::from_secs(130));
+    if watched {
+        let every = [KEPT, &[Promise::Upgrade]].concat();
+        let mut watch = Watch::new(&cluster, &every);
+        watch.run_for(Duration::from_secs(5));
+        watch.run_fault_plan(&plan);
+        watch.run_until(SimTime::from_secs(130));
+        assert!(
+            !watch.lapses().is_empty(),
+            "the campaign breaks a promise the watch sees"
+        );
+    } else {
+        sim.run_for(Duration::from_secs(5));
+        cluster.run_fault_plan(&plan);
+        sim.run_until(SimTime::from_secs(130));
+    }
     sim.trace_hash()
 }
 
@@ -437,10 +413,21 @@ fn fast_path_preserves_chaos_trace_hash() {
     // optimizations: the full-cluster chaos campaign must replay the
     // exact same event trace whether or not the scheduler fast path is
     // enabled.
-    let fast = chaos_trace_with(305, 7, true);
-    let slow = chaos_trace_with(305, 7, false);
+    let fast = chaos_trace_with(305, 7, true, false);
+    let slow = chaos_trace_with(305, 7, false, false);
     assert_eq!(
         fast, slow,
         "scheduler fast path must not change virtual-time behaviour"
+    );
+}
+
+#[test]
+fn the_watch_adds_no_event() {
+    // A watch reads state in place between the simulation's slices: reading
+    // every promise at every period replays the unwatched trace.
+    assert_eq!(
+        chaos_trace_with(305, 7, true, true),
+        chaos_trace(305, 7),
+        "the watch must not change virtual-time behaviour"
     );
 }

@@ -1,33 +1,31 @@
 //! Full-system tests: the §3.4 end-to-end flows (boot, download, play)
-//! and the §3.5 failure scenarios, on a complete cluster.
+//! and the §3.5 failure scenarios, on a complete cluster — each failure
+//! breaks one of the paper's promises on purpose, and the promise
+//! [`Watch`] reports the break, its cause and its end.
 
 use std::time::Duration;
 
-use itv_cluster::{Cluster, ClusterConfig};
-use itv_media::{CmApiClient, CmUsage};
-use ocs_sim::{NodeRt, NodeRtExt, Sim, SimChan, SimTime};
+use itv_cluster::{Cluster, ClusterConfig, Lapse, Promise, Watch};
+use itv_media::names;
+use ocs_sim::{FaultPlan, NodeRt, Sim, SimTime};
 
-/// Builds a cluster, runs the §6.3 start-up, and boots the settops.
+/// A cluster up, its settops booted, at 70 s.
 fn ready_cluster(sim: &Sim, cfg: ClusterConfig) -> Cluster {
-    let mut cluster = Cluster::build(sim, cfg);
-    // Election + CSC placement + service binds.
-    sim.run_until(SimTime::from_secs(40));
-    cluster.boot_settops();
-    sim.run_until(SimTime::from_secs(70));
-    cluster
+    Cluster::ready(sim, cfg, SimTime::from_secs(70))
 }
 
-fn cm_usage(cluster: &Cluster, nbhd: u32) -> CmUsage {
-    let ns = cluster.ns(0);
-    let out: SimChan<CmUsage> = SimChan::new(&cluster.sim);
-    let out2 = out.clone();
-    let node = cluster.servers[0].node.clone();
-    node.spawn_fn("usage-probe", move || {
-        let cm: CmApiClient = ns.resolve_as(&format!("svc/cmgr/{nbhd}")).unwrap();
-        out2.send(cm.usage().unwrap());
-    });
-    cluster.sim.run_for(Duration::from_secs(2));
-    out.try_recv().expect("usage probe answered")
+/// The one lapse of `p` the watch recorded, ended or not.
+fn only_lapse(watch: &Watch, p: Promise) -> Lapse {
+    let lapses: Vec<&Lapse> = watch.lapses().iter().filter(|l| l.promise == p).collect();
+    assert_eq!(lapses.len(), 1, "one lapse of {p}: {lapses:#?}");
+    lapses[0].clone()
+}
+
+/// Cuts settop `i` off from every server between `at` and `until`.
+fn isolate(cluster: &Cluster, i: usize, at: SimTime, until: SimTime) -> FaultPlan {
+    let settop = cluster.settops[i].node.node();
+    let servers = cluster.servers.iter().map(|s| s.node.node());
+    servers.fold(FaultPlan::new(), |plan, s| plan.partition(s, settop, at, until))
 }
 
 #[test]
@@ -41,14 +39,8 @@ fn cluster_boots_and_settops_come_up() {
     );
     // Every server's SSC reports its basic services running.
     for (i, server) in cluster.servers.iter().enumerate() {
-        let ssc = server.ssc.lock();
-        let statuses = ssc.as_ref().unwrap().statuses();
         for name in ["ns", "auth", "ras"] {
-            let s = statuses.iter().find(|s| s.name == name);
-            assert!(
-                s.map(|s| s.running).unwrap_or(false),
-                "server {i}: {name} should be running"
-            );
+            assert!(server.runs(name), "server {i}: {name} should be running");
         }
     }
 }
@@ -58,13 +50,9 @@ fn settop_plays_a_movie_end_to_end() {
     let sim = Sim::new(102);
     let cluster = ready_cluster(&sim, ClusterConfig::small());
     let settop = &cluster.settops[0];
-    {
-        let mut intent = settop.intent.lock();
-        intent.title = "movie-0".to_string();
-        intent.watch_ms = 10_000;
-    }
-    settop.handle.tune(ClusterConfig::CHANNEL_VOD);
-    sim.run_for(Duration::from_secs(60));
+    settop.watch_movie("movie-0", 10_000);
+    let mut watch = Watch::new(&cluster, &[Promise::Stream, Promise::Reclaim]);
+    watch.run_for(Duration::from_secs(60));
     let m = &settop.handle.metrics;
     assert!(
         m.movies_opened.get() >= 1,
@@ -84,9 +72,12 @@ fn settop_plays_a_movie_end_to_end() {
         (1_000_000..8_000_000).contains(&start_us),
         "app start {start_us}µs"
     );
-    // Session closed cleanly afterwards: the CM shows no allocations.
-    let usage = cm_usage(&cluster, settop.neighborhood);
-    assert_eq!(usage.allocations, 0, "connection released: {usage:?}");
+    // Session closed cleanly afterwards: the settop, done watching,
+    // holds no CM allocation, MDS stream or MMS session; and the one
+    // stretch without a stream was the download and the open.
+    assert_eq!(watch.broken().count(), 0, "{:#?}", watch.lapses());
+    let wait = only_lapse(&watch, Promise::Stream);
+    assert!(wait.held.unwrap() - wait.broke < Duration::from_secs(8), "{wait:?}");
 }
 
 #[test]
@@ -96,26 +87,16 @@ fn mds_crash_midstream_recovers_on_another_replica() {
     cfg.movie_replicas = 2; // Stored on both servers.
     let cluster = ready_cluster(&sim, cfg);
     let settop = &cluster.settops[0];
-    {
-        let mut intent = settop.intent.lock();
-        intent.title = "movie-0".to_string();
-        intent.watch_ms = 60_000;
-    }
-    settop.handle.tune(ClusterConfig::CHANNEL_VOD);
+    settop.watch_movie("movie-0", 60_000);
     // Let playback get going.
     sim.run_for(Duration::from_secs(20));
     let m = &settop.handle.metrics;
     assert!(m.segments.get() > 0, "stream started");
-    // Kill the MDS on whichever server is serving: kill both candidates'
-    // mds services is too blunt — find the serving one by checking open
-    // sessions... simplest deterministic approach: kill mds on both
-    // servers one after the other; the session must survive by moving.
+    // Kill server 0's MDS. The CSC restarts it (placement says all
+    // servers); a player it served stalls and re-opens on server 1 or on
+    // the restarted replica. Playback must reach the target.
     cluster.kill_service(0, "mds");
-    sim.run_for(Duration::from_secs(30));
-    // The CSC restarts the killed replica (placement says all servers),
-    // and the player recovered either on server 1 or on the restarted
-    // replica. Playback must reach the target.
-    sim.run_for(Duration::from_secs(90));
+    sim.run_for(Duration::from_secs(120));
     assert!(
         m.position_ms.get() >= 60_000,
         "playback completed after MDS failure; at {}ms, stalls={}, log: {:?}",
@@ -130,27 +111,25 @@ fn settop_crash_reclaims_movie_and_bandwidth() {
     let sim = Sim::new(104);
     let cluster = ready_cluster(&sim, ClusterConfig::small());
     let settop = &cluster.settops[0];
-    {
-        let mut intent = settop.intent.lock();
-        intent.title = "movie-0".to_string();
-        intent.watch_ms = 3_600_000; // Would watch for an hour.
-    }
-    settop.handle.tune(ClusterConfig::CHANNEL_VOD);
-    sim.run_for(Duration::from_secs(30));
-    let nbhd = settop.neighborhood;
-    let usage = cm_usage(&cluster, nbhd);
-    assert_eq!(usage.allocations, 1, "stream allocated: {usage:?}");
+    settop.watch_movie("movie-0", 3_600_000); // Would watch for an hour.
+    let mut watch = Watch::new(&cluster, &[Promise::Reclaim]);
+    watch.run_for(Duration::from_secs(30));
+    // Streaming: one allocation, stream and session, which it may hold.
+    assert_eq!(watch.lapses().len(), 0, "{:#?}", watch.lapses());
     // Power cut: the settop process group dies without closing anything
     // (§3.5.1).
     settop.handle.group.kill();
-    // Settop Manager misses pings (~10 s), RAS follows (~5 s), the MMS's
-    // RAS poll fires (~10 s) and reclaims — well within a minute.
-    sim.run_for(Duration::from_secs(90));
-    let usage = cm_usage(&cluster, nbhd);
+    let t_kill = sim.now();
+    watch.run_for(Duration::from_secs(90));
+    let leak = only_lapse(&watch, Promise::Reclaim);
+    // The stream reaps itself on bounced segments first; the session
+    // and the allocation go with the MMS's reclamation.
     assert_eq!(
-        usage.allocations, 0,
-        "bandwidth reclaimed after settop crash: {usage:?}"
+        leak.cause,
+        "settop 0 (dead) holds 1 CM allocations, 0 MDS streams, 1 MMS sessions"
     );
+    let reclaimed = leak.held.expect("reclaimed") - t_kill;
+    assert!(reclaimed <= Promise::Reclaim.bound(), "reclaimed after {reclaimed:?}");
 }
 
 #[test]
@@ -158,43 +137,74 @@ fn mms_failover_to_backup_within_25s() {
     let sim = Sim::new(105);
     let cluster = ready_cluster(&sim, ClusterConfig::small());
     // Find which server runs the MMS primary (bound in the NS).
-    let ns = cluster.ns(0);
-    let out: SimChan<ocs_orb::ObjRef> = SimChan::new(&sim);
-    let out2 = out.clone();
-    let node = cluster.servers[0].node.clone();
-    node.spawn_fn("find-mms", move || {
-        out2.send(ns.resolve("svc/mms").unwrap());
-    });
-    sim.run_for(Duration::from_secs(2));
-    let mms_ref = out.try_recv().unwrap();
+    let mms_ref = cluster.binding(names::MMS).expect("svc/mms bound");
     let primary_server = cluster
         .servers
         .iter()
         .position(|s| s.node.node() == mms_ref.addr.node)
         .expect("mms runs on a server");
-    // Kill it and measure how long a settop-side open takes to succeed
-    // again (§9.7: bounded by bind retry 10 s + audit 10 s + RAS 5 s).
+    // Kill it with the controllers stopped, so that nothing re-places
+    // it: the name is stale until the backup binds it (§9.7: bounded by
+    // bind retry 10 s + audit 10 s + RAS 5 s).
+    for i in 0..cluster.servers.len() {
+        cluster.kill_service(i, "csc");
+    }
+    sim.run_for(Duration::from_secs(1));
+    let mut watch = Watch::new(&cluster, &[Promise::Rebind(names::MMS)]);
     cluster.kill_service(primary_server, "mms");
     let t_kill = sim.now();
     let settop = &cluster.settops[0];
-    {
-        let mut intent = settop.intent.lock();
-        intent.title = "movie-0".to_string();
-        intent.watch_ms = 5_000;
-    }
-    settop.handle.tune(ClusterConfig::CHANNEL_VOD);
-    sim.run_for(Duration::from_secs(60));
+    settop.watch_movie("movie-0", 5_000);
+    watch.run_for(Duration::from_secs(60));
     let m = &settop.handle.metrics;
     assert!(
         m.movies_opened.get() >= 1,
         "movie opened after MMS fail-over; log: {:?}",
         m.events.lock()
     );
-    // The paper's bound: ≤ 25 s of unavailability (the download itself
-    // adds a few seconds on top).
-    let recovered_by = sim.now();
-    assert!(
-        recovered_by.saturating_since(t_kill) <= Duration::from_secs(60),
-        "sanity: recovery inside the run window"
-    );
+    let lapse = only_lapse(&watch, Promise::Rebind(names::MMS));
+    // It broke on the dead reference; the audit then unbound it.
+    let dead = format!("broken: rebind svc/mms (§9.7, bound 25 s): svc/mms names an object on {}", mms_ref.addr);
+    assert!(cluster.postmortem().contains(&dead), "{lapse:?}");
+    assert_eq!(lapse.cause, "svc/mms is not bound");
+    let rebound = lapse.held.expect("rebound") - t_kill;
+    assert!(rebound <= Promise::Rebind(names::MMS).bound(), "rebound after {rebound:?}");
+}
+
+#[test]
+fn a_settop_cut_off_has_no_stream_until_it_heals() {
+    let sim = Sim::new(106);
+    let cluster = ready_cluster(&sim, ClusterConfig::small());
+    let settop = &cluster.settops[0];
+    settop.watch_movie("movie-0", 3_600_000);
+    sim.run_for(Duration::from_secs(20));
+    let mut watch = Watch::new(&cluster, &[Promise::Stream]);
+    let (at, heal) = (sim.now() + Duration::from_secs(1), sim.now() + Duration::from_secs(41));
+    watch.run_fault_plan(&isolate(&cluster, 0, at, heal));
+    watch.run_for(Duration::from_secs(60));
+    // Stalled, the player gave up re-opening; the Application Manager
+    // tuned in again until the heal let it through.
+    let cut = &watch.lapses()[0];
+    assert_eq!(cut.promise, Promise::Stream);
+    assert!(cut.cause.starts_with("settop 0 has no stream (last: vod: open failed"), "{cut:?}");
+    let back = watch.recovered(Promise::Stream, heal).expect("streaming again") - heal;
+    assert!(back <= Promise::Stream.bound(), "streaming {back:?} after the heal");
+}
+
+#[test]
+fn a_failed_interaction_breaks_the_upgrade_promise_for_good() {
+    let sim = Sim::new(107);
+    let cluster = ready_cluster(&sim, ClusterConfig::small());
+    let settop = &cluster.settops[0];
+    settop.shop(500, Duration::from_millis(500));
+    sim.run_for(Duration::from_secs(10));
+    let mut watch = Watch::new(&cluster, &[Promise::Upgrade]);
+    // Cut off for longer than the shop client's 30 s of retrying.
+    let (at, heal) = (sim.now() + Duration::from_secs(1), sim.now() + Duration::from_secs(45));
+    watch.run_fault_plan(&isolate(&cluster, 0, at, heal));
+    watch.run_for(Duration::from_secs(20));
+    let lapse = only_lapse(&watch, Promise::Upgrade);
+    assert_eq!(lapse.cause, "1 client errors since the watch began");
+    assert_eq!(lapse.held, None, "an error once shown stays shown");
+    assert_eq!(settop.handle.metrics.shop_failures.get(), 1);
 }

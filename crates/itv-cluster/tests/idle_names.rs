@@ -39,10 +39,7 @@ fn probe(
 #[test]
 fn an_idle_minute_commits_only_what_changed_and_no_name_goes_missing() {
     let sim = Sim::new(601);
-    let mut cluster = Cluster::build(&sim, ClusterConfig::small());
-    sim.run_until(SimTime::from_secs(40));
-    cluster.boot_settops();
-    sim.run_until(SimTime::from_secs(75));
+    let cluster = Cluster::ready(&sim, ClusterConfig::small(), SimTime::from_secs(75));
     let before = cluster.telemetry_snapshot();
 
     // The idle minute starts where the first scrape ended (t = 83 s).

@@ -16,17 +16,9 @@ fn storm_postmortem(sim_seed: u64, plan_seed: u64) -> (String, FaultPlan) {
     let sim = Sim::new(sim_seed);
     let mut cfg = ClusterConfig::small();
     cfg.movie_replicas = 2;
-    let mut cluster = Cluster::build(&sim, cfg);
-    sim.run_until(SimTime::from_secs(40));
-    cluster.boot_settops();
-    sim.run_until(SimTime::from_secs(70));
+    let cluster = Cluster::ready(&sim, cfg, SimTime::from_secs(70));
     for s in &cluster.settops {
-        {
-            let mut i = s.intent.lock();
-            i.title = "movie-0".to_string();
-            i.watch_ms = 10_000;
-        }
-        s.handle.tune(ClusterConfig::CHANNEL_VOD);
+        s.watch_movie("movie-0", 10_000);
     }
     sim.run_for(Duration::from_secs(5));
     let spec = cluster.chaos_spec(SimTime::from_secs(77), SimTime::from_secs(100));

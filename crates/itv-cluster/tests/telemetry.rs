@@ -13,17 +13,9 @@ use ocs_telemetry::{render_span_trees, span_forest};
 /// returns the cluster-wide telemetry snapshot plus the open count.
 fn movie_run(seed: u64) -> (TelemetrySnapshot, u64) {
     let sim = Sim::new(seed);
-    let mut cluster = Cluster::build(&sim, ClusterConfig::small());
-    sim.run_until(SimTime::from_secs(40));
-    cluster.boot_settops();
-    sim.run_until(SimTime::from_secs(70));
+    let cluster = Cluster::ready(&sim, ClusterConfig::small(), SimTime::from_secs(70));
     let settop = &cluster.settops[0];
-    {
-        let mut intent = settop.intent.lock();
-        intent.title = "movie-0".to_string();
-        intent.watch_ms = 10_000;
-    }
-    settop.handle.tune(ClusterConfig::CHANNEL_VOD);
+    settop.watch_movie("movie-0", 10_000);
     sim.run_for(Duration::from_secs(60));
     let opened = settop.handle.metrics.movies_opened.get();
     (cluster.telemetry_snapshot(), opened)

@@ -116,6 +116,14 @@ struct Baseline {
     seq: u64,
 }
 
+/// A Connection Manager's counters and gauge, on its node's registry.
+///
+/// The registry is per node, not per replica group: a server that hosts
+/// members of two groups (on `ClusterConfig::small` both servers host
+/// `cmgr-0` and `cmgr-1`) adds both groups' events into one set of
+/// counters, and `cm.active_allocs` holds whichever group stepped last.
+/// Read a group's allocations from its `CmReplica::usage`; metric names
+/// per group wait for the operator surface's naming pass.
 pub(crate) struct CmMetrics {
     pub(crate) accepted: Arc<ocs_telemetry::Counter>,
     pub(crate) rejected: Arc<ocs_telemetry::Counter>,

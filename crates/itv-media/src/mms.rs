@@ -423,6 +423,14 @@ impl Mms {
         }
     }
 
+    /// The settop of each session this instance holds, in ascending
+    /// order (one entry per session).
+    pub fn session_settops(&self) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = self.sessions.lock().values().map(|s| s.settop).collect();
+        out.sort_unstable();
+        out
+    }
+
     /// Settops currently watched for death (diagnostics).
     pub fn watch_count(&self) -> usize {
         self.monitor.watch_count()

@@ -7,10 +7,20 @@ use itv_media::{names, verify_kernel, BootApiClient, KbsApiClient, MediaError, R
 use ocs_name::{NsHandle, RebindPolicy, Rebinding};
 use ocs_orb::{BreakerPolicy, CircuitBreaker, ClientCtx, ObjRef, RpcFault};
 use ocs_ras::{AgentRunner, SettopMgrClient, SETTOP_AGENT_PORT};
-use ocs_sim::{Addr, ProcGroup, Queue, Rt};
+use ocs_sim::{Addr, ProcGroup, Queue, RetryPolicy, Rt};
 use parking_lot::Mutex;
 
 use crate::metrics::SettopMetrics;
+
+/// How the Application Manager retries a tune-in that failed (the
+/// download, or the application gave up), as a viewer would press the
+/// button again: jittered back-off from 1 s, at most 8 s apart, until it
+/// works or the viewer tunes elsewhere or powers off. An application
+/// that downloaded and then gave up runs again from memory.
+const TUNE_RETRY: RetryPolicy = RetryPolicy {
+    base: Duration::from_secs(1),
+    cap: Duration::from_secs(8),
+};
 
 /// What a settop knows before it boots (its "firmware" configuration):
 /// where the Boot Broadcast Service answers.
@@ -38,8 +48,10 @@ pub struct AppSlot {
     /// Name of the binary downloaded through the RDS.
     pub binary: String,
     /// The app main (receives the settop context; returns when the user
-    /// leaves the app).
-    pub main: Arc<dyn Fn(&AppCtx) + Send + Sync>,
+    /// leaves the app). It returns whether the app gave the viewer what
+    /// the tune-in asked for; `false` (it gave up on a failure) makes the
+    /// Application Manager tune in again.
+    pub main: Arc<dyn Fn(&AppCtx) -> bool + Send + Sync>,
 }
 
 /// Everything an application gets from the Application Manager.
@@ -205,56 +217,113 @@ fn settop_main(
         events: Arc::clone(&events),
         catalog_cache: Arc::new(Mutex::new(Vec::new())),
     };
+    let mut retry: Option<Retry> = None;
     loop {
-        let Some(event) = events.pop(&rt, None) else {
+        let backoff = retry.map(|r| TUNE_RETRY.backoff(r.failures - 1, rt.rand_u64()));
+        let (number, again) = match events.pop(&rt, backoff) {
+            Some(SettopEvent::PowerOff) => {
+                metrics.tuned.set(0);
+                return;
+            }
+            Some(SettopEvent::Channel { number }) => (number, None),
+            None => match retry {
+                Some(r) => (r.channel, Some(r)),
+                None => continue,
+            },
+        };
+        retry = None;
+        metrics.tuned.set(number as i64);
+        let Some(slot) = apps.iter().find(|a| a.channel == number) else {
+            metrics.log(rt.now(), format!("channel {number}: nothing there"));
+            metrics.tuned.set(0);
             continue;
         };
-        match event {
-            SettopEvent::PowerOff => return,
-            SettopEvent::Channel { number } => {
-                let Some(slot) = apps.iter().find(|a| a.channel == number) else {
-                    metrics.log(rt.now(), format!("channel {number}: nothing there"));
-                    continue;
-                };
-                let t0 = rt.now();
-                // Cover (a still image or settop-generated animation) is
-                // displayed immediately — this is what makes the user-
-                // visible response beat 0.5 s while the download runs
-                // (§9.3).
-                metrics
-                    .last_cover_us
-                    .set(((rt.now() - t0).as_micros() as u64) as i64);
-                // Download the application binary via the RDS. The call
-                // timeout must cover the transfer (1 MB/s downlink).
-                let binary = slot.binary.clone();
-                let download: Result<bytes::Bytes, MediaError> =
-                    rds.call(|c| c.open_data(binary.clone()));
-                match download {
-                    Ok(image) => {
-                        let elapsed = (rt.now() - t0).as_micros() as u64;
-                        metrics.app_downloads.inc();
-                        metrics
-                            .app_download_us
-                            .add(elapsed);
-                        metrics.last_app_start_us.set((elapsed) as i64);
-                        metrics.log(
-                            rt.now(),
-                            format!("app {} ({} bytes) started", slot.binary, image.len()),
-                        );
-                        (slot.main)(&app_ctx);
-                    }
-                    Err(e) => {
-                        if e.orb_error().is_some() {
-                            metrics.rebinds.inc();
-                        }
-                        // Graceful degradation: the cover stays on screen
-                        // and the AM returns to its event loop instead of
-                        // wedging — the user can tune elsewhere.
-                        metrics.degraded.inc();
-                        metrics.log(rt.now(), format!("app download failed: {e}"));
-                    }
-                }
+        let downloaded = again.is_some_and(|r| r.downloaded);
+        match tune_in(&rt, &metrics, &rds, slot, &app_ctx, downloaded) {
+            TuneIn::Done => metrics.tuned.set(0),
+            failed => {
+                retry = Some(Retry {
+                    channel: number,
+                    failures: again.map_or(1, |r| r.failures + 1),
+                    downloaded: failed == TuneIn::AppFailed,
+                })
             }
         }
+    }
+}
+
+/// A tune-in the Application Manager will try again.
+#[derive(Clone, Copy)]
+struct Retry {
+    channel: u32,
+    /// Times in a row it failed.
+    failures: u32,
+    /// Its application is in memory: the next try runs it again without
+    /// downloading it.
+    downloaded: bool,
+}
+
+/// How a tune-in ended.
+#[derive(PartialEq)]
+enum TuneIn {
+    /// The application gave the viewer what the tune-in asked for.
+    Done,
+    /// The application ran and gave up.
+    AppFailed,
+    /// Its binary did not arrive.
+    DownloadFailed,
+}
+
+/// One tune-in: shows the cover, downloads the channel's application
+/// unless it is `downloaded` already, and runs it.
+fn tune_in(
+    rt: &Rt,
+    metrics: &SettopMetrics,
+    rds: &Rebinding<RdsApiClient>,
+    slot: &AppSlot,
+    app_ctx: &AppCtx,
+    downloaded: bool,
+) -> TuneIn {
+    let t0 = rt.now();
+    // Cover (a still image or settop-generated animation) is displayed
+    // immediately — this is what makes the user-visible response beat
+    // 0.5 s while the download runs (§9.3).
+    metrics
+        .last_cover_us
+        .set(((rt.now() - t0).as_micros() as u64) as i64);
+    if !downloaded {
+        // Download the application binary via the RDS. The call timeout
+        // must cover the transfer (1 MB/s downlink).
+        let binary = slot.binary.clone();
+        let download: Result<bytes::Bytes, MediaError> =
+            rds.call(|c| c.open_data(binary.clone()));
+        match download {
+            Ok(image) => {
+                let elapsed = (rt.now() - t0).as_micros() as u64;
+                metrics.app_downloads.inc();
+                metrics.app_download_us.add(elapsed);
+                metrics.last_app_start_us.set((elapsed) as i64);
+                metrics.log(
+                    rt.now(),
+                    format!("app {} ({} bytes) started", slot.binary, image.len()),
+                );
+            }
+            Err(e) => {
+                if e.orb_error().is_some() {
+                    metrics.rebinds.inc();
+                }
+                // Graceful degradation: the cover stays on screen and the
+                // AM returns to its event loop instead of wedging — the
+                // user can tune elsewhere, or the AM tunes in again.
+                metrics.degraded.inc();
+                metrics.log(rt.now(), format!("app download failed: {e}"));
+                return TuneIn::DownloadFailed;
+            }
+        }
+    }
+    if (slot.main)(app_ctx) {
+        TuneIn::Done
+    } else {
+        TuneIn::AppFailed
     }
 }

@@ -34,7 +34,8 @@ pub struct VodOutcome {
 /// closing and re-opening at the remembered position (§10.1.1).
 ///
 /// Returns when `watch_ms` of content has played, the movie ends, or
-/// recovery fails for longer than the rebind policy tolerates.
+/// recovery fails for longer than the rebind policy tolerates (then
+/// `completed` is false and the Application Manager tunes in again).
 pub fn run_vod(ctx: &AppCtx, title: &str, watch_ms: u64) -> VodOutcome {
     let rt = &ctx.rt;
     let metrics = &ctx.metrics;
@@ -74,8 +75,8 @@ pub fn run_vod(ctx: &AppCtx, title: &str, watch_ms: u64) -> VodOutcome {
                 metrics.movie_failures.inc();
                 if matches!(e.orb_error(), Some(OrbError::CircuitOpen)) {
                     // Paused-playback degradation: the MMS circuit is
-                    // open, so keep the position and stop cleanly; the
-                    // next tune-in resumes from here (§10.1.1).
+                    // open, so stop cleanly and let the Application
+                    // Manager tune in again later.
                     metrics.degraded.inc();
                     metrics.log(
                         rt.now(),
@@ -118,6 +119,7 @@ pub fn run_vod(ctx: &AppCtx, title: &str, watch_ms: u64) -> VodOutcome {
                     position_ms = seg.position_ms;
                     metrics.position_ms.set((position_ms) as i64);
                     metrics.segments.inc();
+                    metrics.streaming.set(1);
                     if position_ms >= watch_ms || seg.last {
                         completed = true;
                         let _ = mms.call(|m| m.close(ticket.session));
@@ -139,11 +141,8 @@ pub fn run_vod(ctx: &AppCtx, title: &str, watch_ms: u64) -> VodOutcome {
                     metrics
                         .interruption_us
                         .add(STALL_TIMEOUT.as_micros() as u64);
-                    let t_stall = rt.now();
+                    metrics.streaming.set(0);
                     let _ = mms.call(|m| m.close(ticket.session));
-                    // Remember when the outage began for the resume
-                    // measurement.
-                    let _ = t_stall;
                     continue 'sessions;
                 }
                 Err(RecvError::Unreachable(_)) => continue,
@@ -152,6 +151,7 @@ pub fn run_vod(ctx: &AppCtx, title: &str, watch_ms: u64) -> VodOutcome {
         }
     }
     stream.close();
+    metrics.streaming.set(0);
     VodOutcome {
         completed,
         stalls,
@@ -219,6 +219,7 @@ pub fn run_shopping(ctx: &AppCtx, interactions: u32, think: Duration) -> u32 {
                 if e.orb_error().is_some() {
                     ctx.metrics.rebinds.inc();
                 }
+                ctx.metrics.shop_failures.inc();
                 ctx.metrics
                     .log(ctx.rt.now(), format!("shopping failed: {e}"));
                 break;

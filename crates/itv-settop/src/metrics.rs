@@ -41,6 +41,17 @@ pub struct SettopMetrics {
     pub segments: Arc<Counter>,
     /// Shopping interactions completed.
     pub interactions: Arc<Counter>,
+    /// Shopping interactions that failed: each one a client-visible
+    /// error (§9.5's rolling upgrade must show none).
+    pub shop_failures: Arc<Counter>,
+    /// The channel whose application the viewer is still waiting on
+    /// (0: none): set by a tune-in, cleared when its application returns
+    /// done or the settop powers off, kept while the Application Manager
+    /// retries a tune-in that failed.
+    pub tuned: Arc<Gauge>,
+    /// 1 while segments of the VOD application's current session arrive;
+    /// 0 from a stall, or from the session's end, until the next segment.
+    pub streaming: Arc<Gauge>,
     /// Times the settop had to rebind a service reference (§8.2).
     pub rebinds: Arc<Counter>,
     /// Times an application fell back to degraded behaviour instead of
@@ -76,6 +87,9 @@ impl SettopMetrics {
             interruption_us: reg.counter("settop.interruption_us"),
             segments: reg.counter("settop.segments"),
             interactions: reg.counter("settop.interactions"),
+            shop_failures: reg.counter("settop.shop_failures"),
+            tuned: reg.gauge("settop.tuned"),
+            streaming: reg.gauge("settop.streaming"),
             rebinds: reg.counter("settop.rebinds"),
             degraded: reg.counter("settop.degraded"),
             position_ms: reg.gauge("settop.position_ms"),
