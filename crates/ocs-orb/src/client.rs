@@ -51,34 +51,55 @@ pub struct ClientCtx {
     pub(crate) rt: Rt,
     pub(crate) auth: Arc<dyn ClientAuth>,
     opts: CallOpts,
+    node: Arc<ClientNode>,
+}
+
+/// What every client context on one node shares, resolved once per node
+/// (kept in [`ocs_sim::Extensions`]): building a context looks nothing up
+/// by name and allocates nothing but its handle.
+struct ClientNode {
     tel: Arc<NodeTelemetry>,
-    /// Per-call metric handles resolved once here — the call hot path
-    /// must not take the registry's name-lookup lock per invocation.
+    /// Per-call metric handles — the call hot path must not take the
+    /// registry's name-lookup lock per invocation.
     calls: Arc<Counter>,
     errors: Arc<Counter>,
     latency: Arc<Histo>,
     /// Node-shared encoder free-list; a request is written into a reused
     /// buffer instead of one grown afresh per call.
     pool: Arc<ocs_wire::BufPool>,
+    /// The pass-through authentication every new context starts with.
+    no_auth: Arc<dyn ClientAuth>,
+}
+
+impl ClientNode {
+    fn of(rt: &Rt) -> Arc<ClientNode> {
+        if let Some(node) = rt.extensions().get() {
+            return node;
+        }
+        // Built outside `get_or_init`, which holds the extension map's
+        // lock while it runs: the parts are extensions too.
+        let tel = NodeTelemetry::of(&**rt);
+        let node = ClientNode {
+            calls: tel.registry.counter("orb.client.calls"),
+            errors: tel.registry.counter("orb.client.errors"),
+            latency: tel.registry.histo("orb.client.latency_us"),
+            pool: rt.extensions().get_or_init(ocs_wire::BufPool::new),
+            no_auth: Arc::new(NoAuth),
+            tel,
+        };
+        rt.extensions().get_or_init(|| node)
+    }
 }
 
 impl ClientCtx {
     /// A context with pass-through authentication and default options.
     pub fn new(rt: Rt) -> ClientCtx {
-        let tel = NodeTelemetry::of(&*rt);
-        let calls = tel.registry.counter("orb.client.calls");
-        let errors = tel.registry.counter("orb.client.errors");
-        let latency = tel.registry.histo("orb.client.latency_us");
-        let pool = rt.extensions().get_or_init(ocs_wire::BufPool::new);
+        let node = ClientNode::of(&rt);
         ClientCtx {
             rt,
-            auth: Arc::new(NoAuth),
+            auth: Arc::clone(&node.no_auth),
             opts: CallOpts::default(),
-            tel,
-            calls,
-            errors,
-            latency,
-            pool,
+            node,
         }
     }
 
@@ -114,7 +135,7 @@ impl ClientCtx {
     /// An encoder over a buffer from the node's pool, for a call's
     /// arguments: the frame it finishes is its one allocation.
     pub fn encoder(&self) -> Encoder {
-        self.pool.encoder(128)
+        self.node.pool.encoder(128)
     }
 
     /// Invokes `method` on `target` with pre-marshalled `args`, returning
@@ -160,8 +181,8 @@ impl ClientCtx {
     /// process's current context, or a fresh root trace.
     pub(crate) fn span_for_call(&self) -> (SpanCtx, SpanId) {
         match current_ctx() {
-            Some(cur) => (self.tel.tracer.child_of(cur), cur.span),
-            None => (self.tel.tracer.new_root(), SpanId(0)),
+            Some(cur) => (self.node.tel.tracer.child_of(cur), cur.span),
+            None => (self.node.tel.tracer.new_root(), SpanId(0)),
         }
     }
 
@@ -173,14 +194,14 @@ impl ClientCtx {
         start: SimTime,
         err: bool,
     ) {
-        self.calls.inc();
+        self.node.calls.inc();
         if err {
-            self.errors.inc();
+            self.node.errors.inc();
         }
         let end = self.rt.now();
-        self.latency
+        self.node.latency
             .observe(end.as_micros().saturating_sub(start.as_micros()));
-        self.tel.tracer.record_call(CallSpan {
+        self.node.tel.tracer.record_call(CallSpan {
             ctx,
             parent,
             side: Side::Client,
@@ -241,7 +262,7 @@ impl ClientCtx {
             auth: auth_blob,
             body,
         };
-        let mut e = self.pool.encoder(req.body.len() + 64);
+        let mut e = self.node.pool.encoder(req.body.len() + 64);
         e.put_u8(FRAME_REQUEST);
         req.encode_into(&mut e);
         ep.send(target.addr, e.finish()).map_err(|err| match err {
@@ -377,6 +398,24 @@ mod tests {
         let ports: Vec<u16> = std::iter::from_fn(|| ports.try_recv()).collect();
         assert_eq!(ports[..3], [ports[0]; 3]);
         assert_ne!(ports[3], ports[0]);
+    }
+
+    /// Every context built on one node shares the node's handles and its
+    /// pass-through authentication; another node has its own.
+    #[test]
+    fn contexts_on_one_node_share_one_handle() {
+        let sim = Sim::new(4);
+        let (a, b) = (sim.add_node("a"), sim.add_node("b"));
+        let (a1, a2, b1) = (
+            ClientCtx::new(a.clone()),
+            ClientCtx::new(a.clone()),
+            ClientCtx::new(b.clone()),
+        );
+        assert!(Arc::ptr_eq(&a1.node, &a2.node));
+        assert!(Arc::ptr_eq(&a1.auth, &a2.auth));
+        assert!(!Arc::ptr_eq(&a1.node, &b1.node));
+        let calls = NodeTelemetry::of(&*a).registry.counter("orb.client.calls");
+        assert!(Arc::ptr_eq(&a1.node.calls, &calls), "the node's registry counts the calls");
     }
 
     #[test]

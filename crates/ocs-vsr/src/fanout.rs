@@ -11,8 +11,9 @@
 //! to their peers at the same instant and the process that runs them
 //! waits for the answers ([`CallPort::gather`]), so a round costs one
 //! round trip and at most one `peer_timeout`, however many peers are
-//! slow, partitioned or dead. A re-sent `prepare` and `do_view_change`
-//! are rounds of one.
+//! slow, partitioned or dead. A re-sent `prepare`, a `do_view_change`
+//! and the `get_state` that fetches what a poll could not carry are
+//! rounds of one.
 //!
 //! **Receiving.** [`PeerServant`] is the one servant of the protocol:
 //! it unmarshals what the sending half marshalled and runs the step on
@@ -61,7 +62,8 @@ enum Method {
     /// New primary → backups: the chosen log for the new view; the ack
     /// doubles as a prepare-ok for the carried tail.
     StartView = 5,
-    /// State-transfer request from a lagging or recovering replica.
+    /// State-transfer request from a lagging or recovering replica:
+    /// `(from_op, snapshot_ok)`.
     GetState = 6,
     /// Backup → primary: sequence a client op on my behalf; the reply is
     /// the committed outcome.
@@ -289,7 +291,7 @@ impl PeerFanout {
     }
 
     /// Hands this replica's `DoViewChange` to the new primary.
-    pub fn do_view_change<Op: Wire, Snap: Wire>(&self, primary: u32, dvc: &DoViewChange<Op, Snap>) {
+    pub fn do_view_change<Op: Wire>(&self, primary: u32, dvc: &DoViewChange<Op>) {
         let mut args = Encoder::new();
         dvc.encode_into(&mut args);
         self.round(&[primary], Method::DoViewChange, args, |_, ()| {
@@ -349,9 +351,9 @@ impl PeerFanout {
 
     /// Announces the new view's chosen log to every backup; every ack is
     /// reported.
-    pub fn start_view<Op: Wire, Snap: Wire>(
+    pub fn start_view<Op: Wire>(
         &self,
-        sv: &StartView<Op, Snap>,
+        sv: &StartView<Op>,
         mut on_ack: impl FnMut(u32, &PeerAck),
     ) {
         let mut args = Encoder::new();
@@ -359,43 +361,56 @@ impl PeerFanout {
         self.broadcast_all(Method::StartView, args, |i, ack| on_ack(i, &ack));
     }
 
-    /// Collects `get_state` answers from every reachable peer. Only
+    /// Collects `get_state` answers from every reachable peer, asking for
+    /// the log suffix after `from_op` and no snapshot. Only
     /// *authoritative* answers (Normal, out-of-probation responders)
     /// count toward `countable` and compete for `best`: a probationary
     /// or view-changing peer's log proves nothing about what committed.
     /// Genuinely cold answers (empty, view 0 — a cold-starting group)
     /// count toward `countable` but carry no state. Among authoritative
-    /// answers the `(view, op_num, commit_num)` maximum is taken, which
+    /// answers the [`StateTransfer::freshness`] maximum is taken, which
     /// is the latest-view primary's log whenever the primary answered
     /// (a backup never out-runs its primary within a view) — the VSR
     /// recovery preference.
     pub fn poll_state<Op: Wire, Snap: Wire>(&self, from_op: OpNum) -> PeerPoll<Op, Snap> {
         let mut poll = PeerPoll {
-            answers: 0,
             countable: 0,
             best: None,
         };
-        let mut args = Encoder::new();
-        from_op.encode_into(&mut args);
-        self.broadcast_all(Method::GetState, args, |_, st| poll.note(st));
+        self.broadcast_all(Method::GetState, state_args(from_op, false), |i, st| {
+            poll.note(i, st)
+        });
         poll
+    }
+
+    /// One `get_state(from_op, snapshot_ok)` to `peer`; `None` if it
+    /// failed or stayed silent.
+    pub fn get_state<Op: Wire, Snap: Wire>(
+        &self,
+        peer: u32,
+        from_op: OpNum,
+        snapshot_ok: bool,
+    ) -> Option<StateTransfer<Op, Snap>> {
+        let mut answer = None;
+        self.round(&[peer], Method::GetState, state_args(from_op, snapshot_ok), |_, st| {
+            answer = Some(st);
+            Gather::Enough
+        });
+        answer
     }
 }
 
 /// Result of one `get_state` sweep over the peer set.
 pub struct PeerPoll<Op, Snap> {
-    /// Peers that answered at all (reachability signal).
-    pub answers: usize,
     /// Answers that count toward a recovery quorum: authoritative
     /// (Normal) ones plus genuinely cold ones.
     pub countable: usize,
-    /// Freshest authoritative answer by `(view, op_num, commit_num)`.
-    pub best: Option<StateTransfer<Op, Snap>>,
+    /// Freshest authoritative answer, and who sent it.
+    pub best: Option<(u32, StateTransfer<Op, Snap>)>,
 }
 
 impl<Op, Snap> PeerPoll<Op, Snap> {
-    fn note(&mut self, st: StateTransfer<Op, Snap>) {
-        self.answers += 1;
+    fn note(&mut self, from: u32, st: StateTransfer<Op, Snap>) {
         if st.is_cold() {
             self.countable += 1;
             return;
@@ -407,11 +422,19 @@ impl<Op, Snap> PeerPoll<Op, Snap> {
         let fresher = self
             .best
             .as_ref()
-            .is_none_or(|b| (st.view, st.op_num, st.commit_num) > (b.view, b.op_num, b.commit_num));
+            .is_none_or(|(_, b)| st.freshness() > b.freshness());
         if fresher {
-            self.best = Some(st);
+            self.best = Some((from, st));
         }
     }
+}
+
+/// The arguments of a `get_state`.
+fn state_args(from_op: OpNum, snapshot_ok: bool) -> Encoder {
+    let mut args = Encoder::new();
+    from_op.encode_into(&mut args);
+    snapshot_ok.encode_into(&mut args);
+    args
 }
 
 /// The arguments of a `prepare`.
@@ -519,9 +542,9 @@ impl<M: Replicated> Servant for PeerServant<M> {
                 ok(rep.with_engine(|c| c.on_start_view(sv, now)))
             }
             Method::GetState => {
-                let from_op = arg(d)?;
+                let (from_op, snapshot_ok) = (arg(d)?, arg(d)?);
                 end(d)?;
-                ok(rep.read(|c| c.on_get_state(from_op)))
+                ok(rep.serve_state(from_op, snapshot_ok))
             }
             Method::ForwardOp => {
                 let op = arg(d)?;

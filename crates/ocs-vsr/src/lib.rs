@@ -45,22 +45,33 @@
 //!   too* (or are already view-changing) — the sticky-primary rule that
 //!   keeps a partitioned-then-healed replica from deposing a healthy
 //!   primary. Only once the initiator has observed a majority of joins
-//!   does anyone emit `DoViewChange` (log tail + committed snapshot) to
-//!   the new primary — the VSR-revisited rule: a `DoViewChange` is a
-//!   promise that a majority left the old view, so no op can commit
-//!   there concurrently. The new primary adopts the log with the
-//!   largest [`ViewStamp`] `(last_normal, op)` and broadcasts
-//!   `StartView`. An initiator that fails to gather a majority
+//!   does anyone emit `DoViewChange` (its commit number and the log
+//!   entries after it — never the committed state) to the new primary —
+//!   the VSR-revisited rule: a `DoViewChange` is a promise that a
+//!   majority left the old view, so no op can commit there
+//!   concurrently. The new primary chooses the log with the largest
+//!   [`ViewStamp`] `(last_normal, op)`. If its own commit reaches the
+//!   chosen log's, it lays the chosen entries over its own state;
+//!   otherwise it first fetches state from the chosen log's sender
+//!   (`get_state`) and goes on only if that still matches the chosen log
+//!   (else the attempt is dropped and the change retries). It then
+//!   broadcasts `StartView` with the entries after the lowest commit
+//!   among the `DoViewChange` senders; a backup whose commit falls short
+//!   of the first carried entry refuses it and catches up by state
+//!   transfer. An initiator that fails to gather a majority
 //!   *reverts* to its last normal view — unless it has emitted a
 //!   `DoViewChange` above that view, in which case reverting could
 //!   contradict a view change its payload later completes: it stays
 //!   between views and re-proposes with the sticky rule waived
 //!   (`forced`), so peers let it back in.
 //! * **State transfer / recovery** — a replica that detects a gap (or a
-//!   rejoining, restarted replica) requests state from a peer: a log
-//!   suffix when the peer still retains the needed entries, or a full
-//!   committed snapshot plus uncommitted tail once compaction has
-//!   dropped them (`log_retention`).
+//!   rejoining, restarted replica) polls its peers with `get_state`:
+//!   each answers with its view and log position, plus the log suffix
+//!   the asker lacks when it still retains it. Only if the freshest
+//!   authoritative answer could not carry the suffix (compaction,
+//!   `log_retention`, dropped the entries) does the replica ask that one
+//!   peer again with `snapshot_ok` set, for its committed state plus
+//!   uncommitted tail: one snapshot per transfer.
 
 mod fanout;
 pub mod group;
@@ -249,12 +260,12 @@ pub struct PeerAck {
 
 impl_wire_struct!(PeerAck { accepted, view, op_num });
 
-/// A joiner's contribution to a view change: its log, split into the
-/// committed part (as a snapshot — committed state is deterministic, so
-/// any snapshot at the same sequence number is identical) and the
-/// uncommitted tail.
+/// A joiner's contribution to a view change: where its committed prefix
+/// ends and the log entries after it. The committed state itself stays
+/// home — any two replicas' states at the same commit number are
+/// identical, and a new primary that lacks some fetches it from one peer.
 #[derive(Clone, Debug, PartialEq)]
-pub struct DoViewChange<Op, Snap> {
+pub struct DoViewChange<Op> {
     /// The view being changed to.
     pub view: View,
     /// The sender's replica id.
@@ -265,20 +276,17 @@ pub struct DoViewChange<Op, Snap> {
     pub op_num: OpNum,
     /// The sender's commit number.
     pub commit_num: OpNum,
-    /// Committed state at `commit_num`.
-    pub snapshot: Snap,
     /// Log entries `commit_num+1 ..= op_num`.
     pub tail: Vec<LogEntry<Op>>,
 }
 
-impl<Op: Wire, Snap: Wire> Wire for DoViewChange<Op, Snap> {
+impl<Op: Wire> Wire for DoViewChange<Op> {
     fn encode_into(&self, e: &mut Encoder) {
         self.view.encode_into(e);
         self.from.encode_into(e);
         self.last_normal.encode_into(e);
         self.op_num.encode_into(e);
         self.commit_num.encode_into(e);
-        self.snapshot.encode_into(e);
         self.tail.encode_into(e);
     }
     fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
@@ -288,7 +296,6 @@ impl<Op: Wire, Snap: Wire> Wire for DoViewChange<Op, Snap> {
             last_normal: Wire::decode_from(d)?,
             op_num: Wire::decode_from(d)?,
             commit_num: Wire::decode_from(d)?,
-            snapshot: Wire::decode_from(d)?,
             tail: Wire::decode_from(d)?,
         })
     }
@@ -296,36 +303,55 @@ impl<Op: Wire, Snap: Wire> Wire for DoViewChange<Op, Snap> {
 
 /// The new primary's announcement of the chosen log for a view.
 #[derive(Clone, Debug, PartialEq)]
-pub struct StartView<Op, Snap> {
+pub struct StartView<Op> {
     /// The new view.
     pub view: View,
     /// Log end of the chosen log.
     pub op_num: OpNum,
     /// Commit number carried into the view.
     pub commit_num: OpNum,
-    /// Committed state at `commit_num`.
-    pub snapshot: Snap,
-    /// Uncommitted entries `commit_num+1 ..= op_num`.
-    pub tail: Vec<LogEntry<Op>>,
+    /// The chosen log's entries after the lowest commit among the
+    /// `DoViewChange` senders (from the oldest the primary retains, if
+    /// that is later) through `op_num`.
+    pub entries: Vec<LogEntry<Op>>,
 }
 
-impl<Op: Wire, Snap: Wire> Wire for StartView<Op, Snap> {
+impl<Op: Wire> Wire for StartView<Op> {
     fn encode_into(&self, e: &mut Encoder) {
         self.view.encode_into(e);
         self.op_num.encode_into(e);
         self.commit_num.encode_into(e);
-        self.snapshot.encode_into(e);
-        self.tail.encode_into(e);
+        self.entries.encode_into(e);
     }
     fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(StartView {
             view: Wire::decode_from(d)?,
             op_num: Wire::decode_from(d)?,
             commit_num: Wire::decode_from(d)?,
-            snapshot: Wire::decode_from(d)?,
-            tail: Wire::decode_from(d)?,
+            entries: Wire::decode_from(d)?,
         })
     }
+}
+
+/// What the new primary does next with the `DoViewChange`s it holds.
+#[derive(Clone, Debug, PartialEq)]
+pub enum DvcStep<Op> {
+    /// Not a majority of payloads yet (or not a change this replica
+    /// leads).
+    Wait,
+    /// Its committed state is behind the chosen log's: ask `peer`, the
+    /// chosen log's sender, for the state after `from_op` with the
+    /// snapshot allowed, and hand the answer — or `None` if the call
+    /// failed — to [`VsrCore::on_chosen_state`] before announcing
+    /// anything.
+    Fetch {
+        /// The chosen log's sender.
+        peer: u32,
+        /// This replica's commit number.
+        from_op: OpNum,
+    },
+    /// The view started: broadcast this.
+    Start(StartView<Op>),
 }
 
 /// Reply to a `start_view_change` proposal. Joining no longer carries a
@@ -341,8 +367,10 @@ pub struct SvcAck {
 
 impl_wire_struct!(SvcAck { joined, view });
 
-/// Reply to `get_state`: a log suffix when the peer retains the needed
-/// entries, otherwise a committed snapshot plus its uncommitted tail.
+/// Reply to `get_state(from_op, snapshot_ok)`: the responder's view and
+/// log position, plus the log suffix after `from_op` when it retains it;
+/// otherwise, if the asker allowed it, its committed snapshot plus the
+/// uncommitted tail, and if not, nothing more.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StateTransfer<Op, Snap> {
     /// The responder's view.
@@ -355,9 +383,11 @@ pub struct StateTransfer<Op, Snap> {
     /// The responder's commit number.
     pub commit_num: OpNum,
     /// Present when the suffix alone cannot bridge the gap (compaction
-    /// dropped the needed entries): the full committed state.
+    /// dropped the needed entries) and the asker set `snapshot_ok`: the
+    /// full committed state.
     pub snapshot: Option<Snap>,
-    /// Log entries after the requested op (or after `snapshot`).
+    /// Log entries after the requested op (or after `snapshot`); empty
+    /// when neither fits.
     pub tail: Vec<LogEntry<Op>>,
 }
 
@@ -399,6 +429,19 @@ impl<Op, Snap> StateTransfer<Op, Snap> {
     /// held state never answers cold again.
     pub fn is_cold(&self) -> bool {
         !self.normal && self.view == 0 && self.op_num == 0 && self.commit_num == 0
+    }
+
+    /// Whether this answer brings a replica whose log is complete through
+    /// `from_op` up to the responder's log end: it carries a snapshot, or
+    /// every entry after `from_op`.
+    pub fn bridges(&self, from_op: OpNum) -> bool {
+        self.snapshot.is_some() || self.op_num <= from_op + self.tail.len() as u64
+    }
+
+    /// The order answers are preferred in: latest view, then longest log,
+    /// then furthest commit.
+    pub fn freshness(&self) -> (View, OpNum, OpNum) {
+        (self.view, self.op_num, self.commit_num)
     }
 }
 
@@ -464,6 +507,18 @@ pub enum VsrEvent<Op> {
     CaughtUp { via_snapshot: bool },
 }
 
+/// A view change's chosen log, while the new primary fetches the
+/// committed state it lacks from the log's sender.
+struct Chosen {
+    /// The view being started.
+    view: View,
+    /// The chosen log's end.
+    op_num: OpNum,
+    /// The lowest commit number among the `DoViewChange` senders: the
+    /// `StartView` carries the entries after it.
+    low_commit: OpNum,
+}
+
 /// The VSR replica engine. All methods are synchronous and free of I/O;
 /// `now` is the caller's clock (virtual in the simulator, wall on the
 /// real runtime).
@@ -503,7 +558,10 @@ pub struct VsrCore<M: Machine> {
     /// When the current view change began (for `vc_stuck`).
     vc_since: SimTime,
     /// DoViewChange payloads collected for `view` (new primary only).
-    dvc: BTreeMap<u32, DoViewChange<M::Op, M::Snap>>,
+    dvc: BTreeMap<u32, DoViewChange<M::Op>>,
+    /// New primary only: the chosen log whose state is being fetched
+    /// from its sender before the view is announced.
+    chosen: Option<Chosen>,
     /// Highest view for which this replica handed out a `DoViewChange`
     /// payload. Having emitted one for view `v`, the replica must never
     /// again run Normal in a view `< v`: the payload may yet complete
@@ -570,6 +628,7 @@ impl<M: Machine> VsrCore<M> {
             last_pm: now,
             vc_since: now,
             dvc: BTreeMap::new(),
+            chosen: None,
             dvc_emitted: 0,
             seen_view: 0,
             needs_catchup: false,
@@ -1062,7 +1121,7 @@ impl<M: Machine> VsrCore<M> {
     /// older views, which is what makes it safe for the new primary to
     /// choose a log from `f+1` of them. Emission is recorded so
     /// [`VsrCore::abort_view_change`] can refuse to revert below it.
-    pub fn emit_dvc(&mut self, view: View) -> Option<DoViewChange<M::Op, M::Snap>> {
+    pub fn emit_dvc(&mut self, view: View) -> Option<DoViewChange<M::Op>> {
         if self.status != VsrStatus::ViewChange || self.view != view {
             return None; // Reverted or overtaken: the promise is off.
         }
@@ -1071,36 +1130,34 @@ impl<M: Machine> VsrCore<M> {
     }
 
     /// This replica's own `DoViewChange` payload for its current view.
-    pub fn dvc_payload(&self) -> DoViewChange<M::Op, M::Snap> {
+    pub fn dvc_payload(&self) -> DoViewChange<M::Op> {
         DoViewChange {
             view: self.view,
             from: self.id,
             last_normal: self.last_normal,
             op_num: self.op_num,
             commit_num: self.commit_num,
-            snapshot: self.state.snapshot(),
             tail: self.entries_from(self.commit_num + 1).unwrap_or_default(),
         }
     }
 
     /// Handles a `DoViewChange` as the proposed view's primary. Once a
-    /// majority of payloads (its own included) arrived, adopts the log
-    /// with the largest `(last_normal, op_num)` viewstamp and returns
-    /// the `StartView` for the driver to broadcast.
-    pub fn on_do_view_change(
-        &mut self,
-        dvc: DoViewChange<M::Op, M::Snap>,
-        now: SimTime,
-    ) -> Option<StartView<M::Op, M::Snap>> {
+    /// majority of payloads (its own included) arrived, chooses the log
+    /// with the largest `(last_normal, op_num)` viewstamp. If this
+    /// replica's commit reaches the chosen log's, it lays the chosen
+    /// entries over its own state and returns the `StartView` to
+    /// broadcast; otherwise it asks the driver to fetch the state it
+    /// lacks from the chosen log's sender first ([`DvcStep::Fetch`]).
+    pub fn on_do_view_change(&mut self, dvc: DoViewChange<M::Op>, now: SimTime) -> DvcStep<M::Op> {
         if dvc.view < self.view || self.primary_of(dvc.view) != self.id {
-            return None;
+            return DvcStep::Wait;
         }
         if dvc.view > self.view {
             // Join the change ourselves — but only if we suspect the old
             // primary or are already between views; a healthy primary
             // connection is not overridden by a single straggler.
             if !(self.suspects(now) || self.status == VsrStatus::ViewChange) {
-                return None;
+                return DvcStep::Wait;
             }
             self.view = dvc.view;
             self.status = VsrStatus::ViewChange;
@@ -1108,22 +1165,68 @@ impl<M: Machine> VsrCore<M> {
             self.dvc.clear();
             self.events.push(VsrEvent::Suspected { view: dvc.view });
         }
-        if self.status != VsrStatus::ViewChange {
-            // Duplicate DVC for the view we already lead.
-            return None;
+        let fetching = self.chosen.as_ref().is_some_and(|c| c.view == self.view);
+        if self.status != VsrStatus::ViewChange || fetching {
+            // Duplicate DVC for the view we already lead, or one that
+            // arrived while the chosen log's state is on its way.
+            return DvcStep::Wait;
         }
-        self.dvc.insert(self.id, self.dvc_payload());
+        if !self.dvc.contains_key(&self.id) {
+            let own = self.dvc_payload();
+            self.dvc.insert(self.id, own);
+        }
         self.dvc.insert(dvc.from, dvc);
         if self.dvc.len() < self.majority() {
+            return DvcStep::Wait;
+        }
+        let dvcs = std::mem::take(&mut self.dvc);
+        let low_commit = dvcs.values().map(|d| d.commit_num).min().expect("non-empty");
+        let best = dvcs
+            .into_values()
+            .max_by_key(|d| ViewStamp::new(d.last_normal, d.op_num))
+            .expect("non-empty");
+        if self.commit_num >= best.commit_num {
+            self.install(None, best.commit_num, best.tail);
+            return DvcStep::Start(self.start_view(low_commit, now));
+        }
+        self.chosen = Some(Chosen {
+            view: self.view,
+            op_num: best.op_num,
+            low_commit,
+        });
+        DvcStep::Fetch {
+            peer: best.from,
+            from_op: self.commit_num,
+        }
+    }
+
+    /// Takes the answer to a [`DvcStep::Fetch`] (`None`: the call
+    /// failed) and, if it still shows the chosen log — the sender is in
+    /// the same view with the same log end — installs it and returns the
+    /// `StartView` to broadcast. Anything else drops the attempt; the
+    /// view change retries.
+    pub fn on_chosen_state(
+        &mut self,
+        st: Option<StateTransfer<M::Op, M::Snap>>,
+        now: SimTime,
+    ) -> Option<StartView<M::Op>> {
+        let chosen = self.chosen.take()?;
+        if self.status != VsrStatus::ViewChange || self.view != chosen.view {
             return None;
         }
-        let best = self
-            .dvc
-            .values()
-            .max_by_key(|d| ViewStamp::new(d.last_normal, d.op_num))
-            .expect("non-empty")
-            .clone();
-        self.install(best.op_num, best.commit_num, Some(&best.snapshot), &best.tail);
+        let st = st.filter(|st| {
+            st.view == chosen.view && st.op_num == chosen.op_num && st.bridges(self.commit_num)
+        })?;
+        self.events.push(VsrEvent::CaughtUp {
+            via_snapshot: st.snapshot.is_some(),
+        });
+        self.install(st.snapshot, st.commit_num, st.tail);
+        Some(self.start_view(chosen.low_commit, now))
+    }
+
+    /// Enters the current view as its primary, over the log just
+    /// installed, and announces it with the entries after `low_commit`.
+    fn start_view(&mut self, low_commit: OpNum, now: SimTime) -> StartView<M::Op> {
         let view = self.view;
         self.status = VsrStatus::Normal;
         self.last_normal = view;
@@ -1131,23 +1234,26 @@ impl<M: Machine> VsrCore<M> {
         self.acks.clear();
         self.missed_rounds = 0;
         self.quorum_ok = true;
-        self.dvc.clear();
         self.events.push(VsrEvent::ViewChanged {
             view,
             primary: self.id,
         });
-        Some(StartView {
+        let first = self.log.front().map_or(self.op_num + 1, |e| e.op);
+        StartView {
             view,
             op_num: self.op_num,
             commit_num: self.commit_num,
-            snapshot: self.state.snapshot(),
-            tail: self.entries_from(self.commit_num + 1).unwrap_or_default(),
-        })
+            entries: self
+                .entries_from((low_commit + 1).max(first))
+                .unwrap_or_default(),
+        }
     }
 
     /// Handles the new primary's `StartView`: installs the chosen log
-    /// and enters the view as a backup.
-    pub fn on_start_view(&mut self, sv: StartView<M::Op, M::Snap>, now: SimTime) -> PeerAck {
+    /// and enters the view as a backup. A backup whose commit falls short
+    /// of the first entry carried cannot be brought up to date from them:
+    /// it refuses, and catches up by state transfer.
+    pub fn on_start_view(&mut self, sv: StartView<M::Op>, now: SimTime) -> PeerAck {
         let stale = sv.view < self.view
             || (sv.view == self.view && self.status == VsrStatus::Normal);
         if stale {
@@ -1157,7 +1263,12 @@ impl<M: Machine> VsrCore<M> {
                 op_num: self.op_num,
             };
         }
-        self.install(sv.op_num, sv.commit_num, Some(&sv.snapshot), &sv.tail);
+        let first = sv.entries.first().map_or(sv.op_num + 1, |e| e.op);
+        if self.commit_num + 1 < first {
+            self.needs_catchup = true;
+            return self.reject();
+        }
+        self.install(None, sv.commit_num, sv.entries);
         self.view = sv.view;
         self.status = VsrStatus::Normal;
         self.last_normal = sv.view;
@@ -1165,8 +1276,9 @@ impl<M: Machine> VsrCore<M> {
         self.vc_since = now;
         self.dvc.clear();
         self.needs_catchup = false;
-        // A StartView is a quorum artifact carrying the full chosen log:
-        // installing it is as good as a completed recovery.
+        // A StartView is a quorum artifact carrying every entry this
+        // replica lacks of the chosen log: installing it is as good as a
+        // completed recovery.
         self.probation = false;
         self.events.push(VsrEvent::ViewChanged {
             view: sv.view,
@@ -1181,35 +1293,37 @@ impl<M: Machine> VsrCore<M> {
 
     // ---- state transfer ------------------------------------------------
 
-    /// Serves a peer's state request: a log suffix after `from_op` when
-    /// still retained, otherwise snapshot + tail.
-    pub fn on_get_state(&self, from_op: OpNum) -> StateTransfer<M::Op, M::Snap> {
-        let normal = self.status == VsrStatus::Normal && !self.probation;
-        match self.entries_from(from_op + 1) {
-            Some(tail) => StateTransfer {
-                view: self.view,
-                normal,
-                op_num: self.op_num,
-                commit_num: self.commit_num,
-                snapshot: None,
-                tail,
-            },
-            None => StateTransfer {
-                view: self.view,
-                normal,
-                op_num: self.op_num,
-                commit_num: self.commit_num,
-                snapshot: Some(self.state.snapshot()),
-                tail: self.entries_from(self.commit_num + 1).unwrap_or_default(),
-            },
+    /// Serves a peer's state request: the log suffix after `from_op`
+    /// when still retained; otherwise, if `snapshot_ok`, the committed
+    /// snapshot plus the uncommitted tail, and if not, just the header.
+    pub fn on_get_state(&self, from_op: OpNum, snapshot_ok: bool) -> StateTransfer<M::Op, M::Snap> {
+        let (snapshot, tail) = match self.entries_from(from_op + 1) {
+            Some(tail) => (None, tail),
+            None if snapshot_ok => (
+                Some(self.state.snapshot()),
+                self.entries_from(self.commit_num + 1).unwrap_or_default(),
+            ),
+            None => (None, Vec::new()),
+        };
+        StateTransfer {
+            view: self.view,
+            normal: self.status == VsrStatus::Normal && !self.probation,
+            op_num: self.op_num,
+            commit_num: self.commit_num,
+            snapshot,
+            tail,
         }
     }
 
-    /// Installs a state-transfer reply, if it is ahead of us. Returns
-    /// whether anything was installed. A recovered replica that finds
-    /// itself primary of the transferred view does *not* resume primacy
-    /// (its log may have been lost): it re-enters via a view change.
+    /// Installs a state-transfer reply, if it is ahead of us and carries
+    /// what we lack. Returns whether anything was installed. A recovered
+    /// replica that finds itself primary of the transferred view does
+    /// *not* resume primacy (its log may have been lost): it re-enters
+    /// via a view change.
     pub fn on_state_transfer(&mut self, st: StateTransfer<M::Op, M::Snap>, now: SimTime) -> bool {
+        if !st.bridges(self.commit_num) {
+            return false;
+        }
         let ahead = st.view > self.view
             || (st.view == self.view && st.op_num > self.op_num)
             || (st.view == self.view && st.commit_num > self.commit_num);
@@ -1218,7 +1332,7 @@ impl<M: Machine> VsrCore<M> {
             return false;
         }
         let via_snapshot = st.snapshot.is_some();
-        self.install(st.op_num, st.commit_num, st.snapshot.as_ref(), &st.tail);
+        self.install(st.snapshot, st.commit_num, st.tail);
         self.view = st.view;
         self.last_normal = st.view;
         self.last_pm = now;
@@ -1237,62 +1351,35 @@ impl<M: Machine> VsrCore<M> {
         true
     }
 
-    /// Replaces log and committed state with an authoritative image:
-    /// `snapshot` (if newer than our commit) plus the uncommitted
-    /// `tail`, then applies through `commit_num`.
+    /// Lays an authoritative log over ours: restores `snapshot` if it is
+    /// past our commit, replaces everything after the commit point with
+    /// `entries` (those above it, contiguous), then applies through
+    /// `commit_num`.
     fn install(
         &mut self,
-        op_num: OpNum,
+        snapshot: Option<M::Snap>,
         commit_num: OpNum,
-        snapshot: Option<&M::Snap>,
-        tail: &[LogEntry<M::Op>],
+        entries: Vec<LogEntry<M::Op>>,
     ) {
-        if let Some(snap) = snapshot {
-            if M::snap_seq(snap) > self.commit_num {
-                self.state.restore(snap.clone());
-                self.commit_num = M::snap_seq(snap);
-                // Results for the skipped range are unknown: polling
-                // clients observe `Superseded` and retry (never a
-                // fabricated success).
-                self.results.clear();
-            }
-            // The snapshot is the authoritative base: rebuild the log
-            // from the tail alone.
+        if let Some(snap) = snapshot.filter(|snap| M::snap_seq(snap) > self.commit_num) {
+            self.commit_num = M::snap_seq(&snap);
+            self.state.restore(snap);
+            // Results for the skipped range are unknown: polling
+            // clients observe `Superseded` and retry (never a
+            // fabricated success). The log restarts at the snapshot.
+            self.results.clear();
             self.log.clear();
-            for e in tail {
-                if e.op > self.commit_num && self.log.back().map(|b| b.op + 1 == e.op).unwrap_or(true)
-                {
-                    self.log.push_back(e.clone());
-                }
-            }
-        } else {
-            // Suffix append: drop any conflicting uncommitted tail, then
-            // extend contiguously.
-            while self.log.back().map(|b| b.op > self.commit_num).unwrap_or(false) {
-                let keep = tail.first().map(|t| self.log.back().unwrap().op < t.op);
-                if keep == Some(true) {
-                    break;
-                }
-                self.log.pop_back();
-            }
-            for e in tail {
-                let next = self
-                    .log
-                    .back()
-                    .map(|b| b.op + 1)
-                    .unwrap_or(self.commit_num + 1);
-                if e.op == next {
-                    self.log.push_back(e.clone());
-                }
+        }
+        while self.log.back().is_some_and(|b| b.op > self.commit_num) {
+            self.log.pop_back();
+        }
+        for e in entries {
+            let next = self.log.back().map_or(self.commit_num + 1, |b| b.op + 1);
+            if e.op == next {
+                self.log.push_back(e);
             }
         }
-        self.op_num = self
-            .log
-            .back()
-            .map(|e| e.op)
-            .unwrap_or(self.commit_num)
-            .max(self.commit_num);
-        debug_assert!(op_num >= self.commit_num);
+        self.op_num = self.log.back().map_or(self.commit_num, |e| e.op).max(self.commit_num);
         self.pending.clear();
         self.apply_through(commit_num);
     }
@@ -1403,15 +1490,21 @@ mod tests {
         prep.op_num
     }
 
+    /// The `StartView` of a change that completed at once.
+    fn started(step: DvcStep<u64>) -> StartView<u64> {
+        match step {
+            DvcStep::Start(sv) => sv,
+            other => panic!("the view change did not start: {other:?}"),
+        }
+    }
+
     /// Moves replicas 1 and 2 to view 1 without replica 0, replica 1
     /// leading; returns replica 2's `StartView` ack.
     fn depose_replica_zero(cores: &mut [VsrCore<CounterMachine>], now: SimTime) -> PeerAck {
         let v = cores[1].begin_view_change(now);
         cores[2].on_start_view_change(v, false, now);
         let dvc2 = cores[2].emit_dvc(v).unwrap();
-        let sv = cores[1]
-            .on_do_view_change(dvc2, now)
-            .expect("change completes");
+        let sv = started(cores[1].on_do_view_change(dvc2, now));
         cores[2].on_start_view(sv, now)
     }
 
@@ -1524,7 +1617,7 @@ mod tests {
         let dvc = cores[2].emit_dvc(v).unwrap();
         // The joiner's DVC plus the initiator's own (inserted
         // automatically) complete the quorum at the new primary.
-        let sv = cores[1].on_do_view_change(dvc, late).expect("majority");
+        let sv = started(cores[1].on_do_view_change(dvc, late));
         assert!(cores[1].is_master());
         assert_eq!(cores[1].view(), 1);
         // Op 2 committed only at the dead primary, so it rides the tail
@@ -1555,16 +1648,76 @@ mod tests {
         let v = cores[1].begin_view_change(late);
         cores[2].on_start_view_change(v, false, late);
         let dvc2 = cores[2].emit_dvc(v).unwrap();
-        let sv = cores[1]
-            .on_do_view_change(dvc2, late)
-            .expect("change completes");
+        let sv = started(cores[1].on_do_view_change(dvc2, late));
         // The tail rode along: new primary has op 1 in its log.
         assert_eq!(cores[1].op_num(), 1);
-        assert_eq!(sv.tail.len(), 1);
+        assert_eq!(sv.entries.len(), 1);
         // The StartView ack doubles as a prepare-ok in the new view.
         let ack = cores[2].on_start_view(sv, late);
         cores[1].on_ack(2, &ack);
         assert_eq!(cores[1].commit_num(), 1, "tail committed in the new view");
+    }
+
+    /// Op rounds from primary 0 that reach only backup `to`.
+    fn replicate_to(cores: &mut [VsrCore<CounterMachine>], to: usize, amounts: &[u64]) {
+        for amount in amounts {
+            let prep = cores[0].client_op(*amount).unwrap();
+            let ack = cores[to].on_prepare(0, 0, prep.op_num, prep.commit_num, prep.update, t(1));
+            cores[0].on_ack(to as u32, &ack);
+        }
+        let commit = cores[0].commit_num();
+        cores[to].on_commit_hb(0, commit, t(2));
+    }
+
+    #[test]
+    fn a_new_primary_behind_the_chosen_log_fetches_it_before_announcing() {
+        let mut cores = trio();
+        // Replica 1, view 1's primary, misses every prepare.
+        replicate_to(&mut cores, 2, &[3, 4, 5]);
+        let late = t(10_000);
+        let v = cores[1].begin_view_change(late);
+        assert!(cores[2].on_start_view_change(v, false, late).joined);
+        let dvc = cores[2].emit_dvc(v).unwrap();
+        assert_eq!((dvc.commit_num, dvc.tail.len()), (3, 0), "no table rides along");
+        let step = cores[1].on_do_view_change(dvc.clone(), late);
+        assert_eq!(step, DvcStep::Fetch { peer: 2, from_op: 0 });
+        // An answer that no longer shows the chosen log drops the attempt.
+        let moved = StateTransfer {
+            op_num: 4,
+            ..cores[2].on_get_state(0, true)
+        };
+        assert_eq!(cores[1].on_chosen_state(Some(moved), late), None);
+        assert_eq!(cores[1].status(), VsrStatus::ViewChange);
+        // The payload again, and this time the answer matches.
+        assert!(matches!(cores[1].on_do_view_change(dvc, late), DvcStep::Fetch { .. }));
+        let st = cores[2].on_get_state(0, true);
+        let sv = cores[1].on_chosen_state(Some(st), late).expect("the view starts");
+        assert!(cores[1].is_master());
+        assert_eq!(cores[1].state().total, 12);
+        assert_eq!(sv.entries.len(), 3, "the entries after the lowest commit sent, its own");
+        assert!(cores[2].on_start_view(sv, late).accepted);
+    }
+
+    #[test]
+    fn a_backup_short_of_the_carried_entries_refuses_the_start_view() {
+        let mut cores = replicas(2);
+        // Replica 2 misses ten ops; replica 1's log keeps only the last few.
+        replicate_to(&mut cores, 1, &[1; 10]);
+        let late = t(10_000);
+        let v = cores[1].begin_view_change(late);
+        assert!(cores[2].on_start_view_change(v, false, late).joined);
+        let dvc = cores[2].emit_dvc(v).unwrap();
+        let sv = started(cores[1].on_do_view_change(dvc, late));
+        assert!(sv.entries[0].op > 1, "the entries after commit 0 are compacted");
+        let ack = cores[2].on_start_view(sv, late);
+        assert!(!ack.accepted);
+        assert!(cores[2].needs_catchup());
+        // Its catch-up: the poll's answer is a header, the fetch a snapshot.
+        assert!(!cores[1].on_get_state(0, false).bridges(0));
+        let st = cores[1].on_get_state(0, true);
+        assert!(cores[2].on_state_transfer(st, late));
+        assert_eq!(cores[2].state().total, 10);
+        assert_eq!((cores[2].view(), cores[2].status()), (1, VsrStatus::Normal));
     }
 
     #[test]
@@ -1622,8 +1775,9 @@ mod tests {
         // primary still retains everything.
         let mut fresh: VsrCore<CounterMachine> =
             VsrCore::new(2, 3, 64, Duration::from_secs(5), t(0));
-        let st = cores[0].on_get_state(fresh.commit_num());
+        let st = cores[0].on_get_state(fresh.commit_num(), false);
         assert!(st.snapshot.is_none(), "within retention: log replay");
+        assert!(st.bridges(fresh.commit_num()));
         assert!(fresh.on_state_transfer(st, t(1)));
         assert_eq!(fresh.op_num(), cores[0].op_num());
         assert_eq!(fresh.commit_num(), cores[0].commit_num());
@@ -1643,7 +1797,12 @@ mod tests {
         }
         let mut fresh: VsrCore<CounterMachine> =
             VsrCore::new(2, 3, 2, Duration::from_secs(5), t(0));
-        let st = cores[0].on_get_state(fresh.commit_num());
+        // A poll does not ask for the snapshot: the answer is its header.
+        let st = cores[0].on_get_state(fresh.commit_num(), false);
+        assert!(st.snapshot.is_none() && st.tail.is_empty());
+        assert!(!st.bridges(fresh.commit_num()), "past retention");
+        assert!(!fresh.on_state_transfer(st, t(1)), "a header installs nothing");
+        let st = cores[0].on_get_state(fresh.commit_num(), true);
         assert!(st.snapshot.is_some(), "past retention: snapshot transfer");
         assert!(fresh.on_state_transfer(st, t(1)));
         assert_eq!(fresh.commit_num(), cores[0].commit_num());
@@ -1669,7 +1828,7 @@ mod tests {
             "an empty restart must not resume mastership before recovery"
         );
         assert_eq!(reborn.recovery_quorum(), 2, "f+1 peer answers for n=3");
-        let st = cores[1].on_get_state(reborn.commit_num());
+        let st = cores[1].on_get_state(reborn.commit_num(), false);
         assert!(reborn.on_state_transfer(st, t(1)));
         assert_eq!(reborn.commit_num(), cores[1].commit_num(), "log recovered");
         assert_eq!(reborn.op_num(), cores[1].op_num());
@@ -1701,7 +1860,7 @@ mod tests {
         assert_eq!(cores[1].commit_num(), 1);
         // The stale primary catches up; its own op must read as
         // superseded, never as a success.
-        let st = cores[1].on_get_state(cores[0].commit_num());
+        let st = cores[1].on_get_state(cores[0].commit_num(), false);
         assert!(st.authoritative());
         assert!(cores[0].on_state_transfer(st, late));
         assert_eq!(cores[0].commit_num(), 1);
@@ -1789,16 +1948,16 @@ mod tests {
         // group can bootstrap.
         let mut cores = trio();
         replicate(&mut cores, 0, 1);
-        let st = cores[0].on_get_state(0);
+        let st = cores[0].on_get_state(0, false);
         assert!(st.authoritative() && !st.is_cold());
         cores[2].begin_view_change(t(10_000));
-        let st = cores[2].on_get_state(0);
+        let st = cores[2].on_get_state(0, false);
         assert!(
             !st.authoritative() && !st.is_cold(),
             "view-changing peers do not count"
         );
         let fresh: VsrCore<CounterMachine> = VsrCore::new(2, 3, 64, Duration::from_secs(5), t(0));
-        let st = fresh.on_get_state(0);
+        let st = fresh.on_get_state(0, false);
         assert!(
             !st.authoritative() && st.is_cold(),
             "cold peers count but carry no state"

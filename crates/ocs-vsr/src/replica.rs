@@ -39,8 +39,8 @@ use parking_lot::Mutex;
 
 use crate::fanout::{decode, PeerCall, PeerFanout, PeerServant, PEER_OBJ};
 use crate::{
-    DoViewChange, Machine, OpNum, OpOutcome, PeerAck, Refusal, Replicated, StartView, SubmitRoute,
-    View, VsrCore, VsrEvent, VsrStatus,
+    DoViewChange, DvcStep, Machine, OpNum, OpOutcome, PeerAck, Refusal, Replicated, StartView,
+    StateTransfer, SubmitRoute, View, VsrCore, VsrEvent, VsrStatus,
 };
 
 /// A client op's continuation: called once, with the op's outcome, on
@@ -103,6 +103,8 @@ struct Metrics {
     vc_aborted: Arc<Counter>,
     state_transfer_snapshot: Arc<Counter>,
     state_transfer_log: Arc<Counter>,
+    /// `get_state` answers this replica sent with its committed state.
+    snapshots_sent: Arc<Counter>,
     superseded: Arc<Counter>,
     view: Arc<Gauge>,
     commit_gap: Arc<Gauge>,
@@ -123,6 +125,7 @@ impl Metrics {
             vc_aborted: counter("vc_aborted"),
             state_transfer_snapshot: counter("state_transfer_snapshot"),
             state_transfer_log: counter("state_transfer_log"),
+            snapshots_sent: counter("snapshots_sent"),
             superseded: counter("superseded"),
             view: tel.registry.gauge(&name("view")),
             commit_gap: tel.registry.gauge(&name("commit_gap")),
@@ -901,7 +904,7 @@ impl<M: Replicated> Replica<M> {
 
     /// Routes a `DoViewChange` to its view's primary — locally when
     /// that is this replica, by RPC otherwise.
-    pub(crate) fn deliver_dvc(&self, dvc: DoViewChange<M::Op, M::Snap>) {
+    pub(crate) fn deliver_dvc(&self, dvc: DoViewChange<M::Op>) {
         let new_primary = (dvc.view % self.cfg.peers.len() as u64) as u32;
         if new_primary == self.cfg.replica_id {
             self.accept_dvc(dvc);
@@ -911,20 +914,62 @@ impl<M: Replicated> Replica<M> {
     }
 
     /// Takes a `DoViewChange` as the new primary; with a majority of
-    /// them in, announces the chosen log.
-    pub(crate) fn accept_dvc(&self, dvc: DoViewChange<M::Op, M::Snap>) {
+    /// them in, announces the chosen log — after fetching the committed
+    /// state it lacks from the chosen log's sender, if it lacks any.
+    pub(crate) fn accept_dvc(&self, dvc: DoViewChange<M::Op>) {
         let now = self.rt.now();
-        if let Some(sv) = self.with_engine(|c| c.on_do_view_change(dvc, now)) {
-            self.broadcast_start_view(sv);
-        }
+        let sv = match self.with_engine(|c| c.on_do_view_change(dvc, now)) {
+            DvcStep::Wait => return,
+            DvcStep::Start(sv) => sv,
+            DvcStep::Fetch { peer, from_op } => {
+                let st = self.fan.get_state(peer, from_op, true);
+                let now = self.rt.now();
+                let Some(sv) = self.with_engine(|c| c.on_chosen_state(st, now)) else {
+                    return;
+                };
+                sv
+            }
+        };
+        self.broadcast_start_view(sv);
     }
 
     /// New primary → backups: announce the chosen log. The acks double
     /// as prepare-oks, so the carried tail usually commits in-round.
-    fn broadcast_start_view(&self, sv: StartView<M::Op, M::Snap>) {
+    fn broadcast_start_view(&self, sv: StartView<M::Op>) {
         self.fan
             .start_view(&sv, |i, ack| self.with_engine(|c| c.on_ack(i, ack)));
         self.drv.lock().last_hb_round = self.rt.now();
+    }
+
+    /// Answers a peer's `get_state`, counting the answers that carry the
+    /// committed state.
+    pub(crate) fn serve_state(
+        &self,
+        from_op: OpNum,
+        snapshot_ok: bool,
+    ) -> StateTransfer<M::Op, M::Snap> {
+        let st = self.read(|c| c.on_get_state(from_op, snapshot_ok));
+        if st.snapshot.is_some() {
+            self.metrics.snapshots_sent.inc();
+        }
+        st
+    }
+
+    /// The freshest authoritative answer of a poll, `best` from `peer`,
+    /// made whole: as it came if it carries what a replica at `from_op`
+    /// lacks, else that one peer's answer to the same question with the
+    /// snapshot allowed — if it is still authoritative and no older.
+    fn bridged(
+        &self,
+        (peer, best): (u32, StateTransfer<M::Op, M::Snap>),
+        from_op: OpNum,
+    ) -> Option<StateTransfer<M::Op, M::Snap>> {
+        if best.bridges(from_op) {
+            return Some(best);
+        }
+        let st = self.fan.get_state(peer, from_op, true)?;
+        (st.authoritative() && st.bridges(from_op) && st.freshness() >= best.freshness())
+            .then_some(st)
     }
 
     /// Routine state transfer for a replica that saw a gap or a higher
@@ -932,15 +977,13 @@ impl<M: Replicated> Replica<M> {
     fn catch_up(&self) {
         let commit = self.st.lock().commit_num();
         let poll = self.fan.poll_state(commit);
-        if poll.answers == 0 {
-            return; // Nobody reachable; retry next tick.
-        }
-        if let Some(best) = poll.best {
-            let now = self.rt.now();
-            self.with_engine(|c| {
-                c.on_state_transfer(best, now);
-            });
-        }
+        let Some(st) = poll.best.and_then(|best| self.bridged(best, commit)) else {
+            return; // Nobody reachable, or nothing to install; retry next tick.
+        };
+        let now = self.rt.now();
+        self.with_engine(|c| {
+            c.on_state_transfer(st, now);
+        });
     }
 
     /// Start-up recovery: a (re)starting replica's log may have died
@@ -960,12 +1003,19 @@ impl<M: Replicated> Replica<M> {
         if poll.countable < required {
             return; // Keep probing; StartView can also end probation.
         }
+        let best = match poll.best {
+            Some(best) => match self.bridged(best, commit) {
+                Some(st) => Some(st),
+                None => return, // The fetch failed: probe again.
+            },
+            None => None,
+        };
         let now = self.rt.now();
         self.with_engine(|c| {
             if !c.in_probation() {
                 return;
             }
-            if let Some(best) = poll.best {
+            if let Some(best) = best {
                 c.on_state_transfer(best, now);
             }
             c.end_probation(now);

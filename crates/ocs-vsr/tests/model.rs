@@ -7,7 +7,9 @@
 //! with a manual clock, then drives them through arbitrary
 //! interleavings of client ops, ticks, crashes (log loss), restarts
 //! (probation + recovery probe) and pairwise partitions — mirroring the
-//! driver loop in `src/replica.rs` step for step, minus the transport.
+//! driver loop in `src/replica.rs` step for step, minus the transport:
+//! state polls that carry no snapshot and the one fetch that does, a new
+//! primary's fetch of the chosen log's state, a refused `StartView`.
 //! It is generic over the machine; a machine contributes an op generator
 //! ([`Model`]) and nothing else, which is the proof that no protocol
 //! invariant leans on anything machine-specific — and that no machine's
@@ -33,8 +35,8 @@ use ocs_orb::ObjRef;
 use ocs_sim::{Addr, NodeId, SimTime};
 use ocs_svcctl::{SscTable, SscUpdate};
 use ocs_vsr::{
-    CounterMachine, DoViewChange, Machine, Replicated, StateTransfer, SubmitRoute, VsrCore,
-    VsrEvent,
+    CounterMachine, DoViewChange, DvcStep, Machine, Replicated, StateTransfer, SubmitRoute,
+    VsrCore, VsrEvent,
 };
 use proptest::prelude::*;
 
@@ -71,6 +73,10 @@ enum Act {
     Part(u8, u8),
     /// Heal the link between two replicas.
     Heal(u8, u8),
+    /// Crash a replica the next time a peer fetches state from it —
+    /// between the poll or `DoViewChange` that chose it and the fetch —
+    /// under the rule of [`Act::Crash`].
+    CrashOnFetch(u8),
 }
 
 fn op_act() -> impl Strategy<Value = Act> {
@@ -110,11 +116,33 @@ fn arb_act() -> impl Strategy<Value = Act> {
         (0u8..N as u8, 0u8..N as u8).prop_map(|(a, b)| Act::Part(a, b)),
         heal_act(),
         heal_act(),
+        (0u8..N as u8).prop_map(Act::CrashOnFetch),
     ]
 }
 
 /// A state-transfer answer for the harness's machine type.
 type Xfer<M> = StateTransfer<<M as Machine>::Op, <M as Machine>::Snap>;
+
+/// How often a run took each of the driver's state-moving branches.
+#[derive(Clone, Copy, Debug, Default)]
+struct Branches {
+    /// A new primary behind the chosen log fetched its state and started
+    /// the view.
+    primary_fetched: u32,
+    /// A new primary's fetch failed or no longer matched the chosen log:
+    /// the attempt was dropped.
+    primary_fetch_dropped: u32,
+    /// A backup refused a `StartView` whose entries began past its
+    /// commit point.
+    start_view_refused: u32,
+    /// ... and then installed state through its catch-up.
+    refused_then_caught_up: u32,
+    /// A poll's freshest answer could not bridge a recovering replica's
+    /// gap, and the fetch from that peer did.
+    recovery_fetched: u32,
+    /// The peer chosen to fetch from crashed before the fetch.
+    fetch_peer_crashed: u32,
+}
 
 struct Harness<M: Model> {
     engines: Vec<Option<VsrCore<M>>>,
@@ -123,6 +151,11 @@ struct Harness<M: Model> {
     /// The global committed log: op → update, first committer wins and
     /// everyone else must agree.
     committed: BTreeMap<u64, M::Op>,
+    /// The replica [`Act::CrashOnFetch`] armed.
+    crash_on_fetch: Option<usize>,
+    /// Replicas that refused a `StartView` and have not caught up since.
+    refused: [bool; N],
+    branches: Branches,
 }
 
 impl<M: Model> Harness<M> {
@@ -132,6 +165,9 @@ impl<M: Model> Harness<M> {
             conn: [[true; N]; N],
             now: SimTime::ZERO,
             committed: BTreeMap::new(),
+            crash_on_fetch: None,
+            refused: [false; N],
+            branches: Branches::default(),
         };
         h.engines = (0..N).map(|i| Some(h.fresh(i))).collect();
         // Cold start: run the recovery probes so every replica leaves
@@ -257,18 +293,19 @@ impl<M: Model> Harness<M> {
         }
     }
 
-    /// Mirrors the driver's `PeerFanout::poll_state`: only authoritative
-    /// (Normal) answers count toward the recovery quorum and compete
-    /// for `best`; genuinely cold answers count but carry no state.
-    fn poll_state(&mut self, i: usize) -> (usize, Option<Xfer<M>>) {
+    /// Mirrors the driver's `PeerFanout::poll_state`: no snapshot asked
+    /// for; only authoritative (Normal) answers count toward the recovery
+    /// quorum and compete for `best`; genuinely cold answers count but
+    /// carry no state.
+    fn poll_state(&mut self, i: usize) -> (usize, Option<(usize, Xfer<M>)>) {
         let commit = self.engines[i].as_ref().unwrap().commit_num();
         let mut countable = 0;
-        let mut best: Option<Xfer<M>> = None;
+        let mut best: Option<(usize, Xfer<M>)> = None;
         for j in 0..N {
             if !self.reachable(i, j) {
                 continue;
             }
-            let st = self.engines[j].as_ref().unwrap().on_get_state(commit);
+            let st = self.engines[j].as_ref().unwrap().on_get_state(commit, false);
             if st.is_cold() {
                 countable += 1;
                 continue;
@@ -277,38 +314,80 @@ impl<M: Model> Harness<M> {
                 continue;
             }
             countable += 1;
-            let better = match &best {
-                None => true,
-                Some(b) => (st.view, st.op_num, st.commit_num) > (b.view, b.op_num, b.commit_num),
-            };
-            if better {
-                best = Some(st);
+            if best.as_ref().is_none_or(|(_, b)| st.freshness() > b.freshness()) {
+                best = Some((j, st));
             }
         }
         (countable, best)
     }
 
-    fn probe(&mut self, i: usize) {
-        let required = self.engines[i].as_ref().unwrap().recovery_quorum();
-        let (countable, best) = self.poll_state(i);
-        if countable >= required {
-            let engine = self.engines[i].as_mut().unwrap();
-            if let Some(best) = best {
-                engine.on_state_transfer(best, self.now);
-            }
-            engine.end_probation(self.now);
-            self.drain(i);
+    /// Replica `i`'s `get_state` to `j`, the snapshot allowed — unless
+    /// `j` was armed to crash first.
+    fn fetch(&mut self, i: usize, j: usize, from_op: u64) -> Option<Xfer<M>> {
+        if self.crash_on_fetch == Some(j) && self.may_crash(j) {
+            self.crash_on_fetch = None;
+            self.crash(j);
+            self.branches.fetch_peer_crashed += 1;
         }
+        if !self.reachable(i, j) {
+            return None;
+        }
+        Some(self.engines[j].as_ref().unwrap().on_get_state(from_op, true))
+    }
+
+    /// Mirrors the driver's `Replica::bridged`: the poll's best answer if
+    /// it carries what a replica at `from_op` lacks, else the fetch from
+    /// its sender, if still authoritative and no older.
+    fn bridged(&mut self, i: usize, (j, best): (usize, Xfer<M>), from_op: u64) -> Option<Xfer<M>> {
+        if best.bridges(from_op) {
+            return Some(best);
+        }
+        let st = self.fetch(i, j, from_op)?;
+        (st.authoritative() && st.bridges(from_op) && st.freshness() >= best.freshness())
+            .then_some(st)
+    }
+
+    fn probe(&mut self, i: usize) {
+        let (required, commit) = {
+            let e = self.engines[i].as_ref().unwrap();
+            (e.recovery_quorum(), e.commit_num())
+        };
+        let (countable, best) = self.poll_state(i);
+        if countable < required {
+            return;
+        }
+        let best = match best {
+            Some(best) => {
+                let fetches = !best.1.bridges(commit);
+                let Some(st) = self.bridged(i, best, commit) else {
+                    return;
+                };
+                self.branches.recovery_fetched += u32::from(fetches);
+                Some(st)
+            }
+            None => None,
+        };
+        let engine = self.engines[i].as_mut().unwrap();
+        if let Some(best) = best {
+            engine.on_state_transfer(best, self.now);
+        }
+        engine.end_probation(self.now);
+        self.drain(i);
     }
 
     fn catch_up(&mut self, i: usize) {
+        let commit = self.engines[i].as_ref().unwrap().commit_num();
         let (_, best) = self.poll_state(i);
-        if let Some(best) = best {
-            self.engines[i]
-                .as_mut()
-                .unwrap()
-                .on_state_transfer(best, self.now);
-            self.drain(i);
+        let Some(st) = best.and_then(|best| self.bridged(i, best, commit)) else {
+            return;
+        };
+        let installed = self.engines[i]
+            .as_mut()
+            .unwrap()
+            .on_state_transfer(st, self.now);
+        self.drain(i);
+        if installed && std::mem::take(&mut self.refused[i]) {
+            self.branches.refused_then_caught_up += 1;
         }
     }
 
@@ -417,7 +496,7 @@ impl<M: Model> Harness<M> {
         }
     }
 
-    fn deliver_dvc(&mut self, from: usize, view: u64, dvc: DoViewChange<M::Op, M::Snap>) {
+    fn deliver_dvc(&mut self, from: usize, view: u64, dvc: DoViewChange<M::Op>) {
         let p = (view % N as u64) as usize;
         if p != from && !self.reachable(from, p) {
             return;
@@ -425,21 +504,38 @@ impl<M: Model> Harness<M> {
         let Some(primary) = self.engines[p].as_mut() else {
             return;
         };
-        let sv = primary.on_do_view_change(dvc, self.now);
+        let step = primary.on_do_view_change(dvc, self.now);
         self.drain(p);
-        if let Some(sv) = sv {
-            for j in 0..N {
-                if !self.reachable(p, j) {
-                    continue;
-                }
-                let ack = self.engines[j]
-                    .as_mut()
-                    .unwrap()
-                    .on_start_view(sv.clone(), self.now);
-                self.drain(j);
-                self.engines[p].as_mut().unwrap().on_ack(j as u32, &ack);
+        let sv = match step {
+            DvcStep::Wait => return,
+            DvcStep::Start(sv) => sv,
+            DvcStep::Fetch { peer, from_op } => {
+                let st = self.fetch(p, peer as usize, from_op);
+                let sv = self.engines[p].as_mut().unwrap().on_chosen_state(st, self.now);
                 self.drain(p);
+                let Some(sv) = sv else {
+                    self.branches.primary_fetch_dropped += 1;
+                    return;
+                };
+                self.branches.primary_fetched += 1;
+                sv
             }
+        };
+        for j in 0..N {
+            if !self.reachable(p, j) {
+                continue;
+            }
+            let ack = self.engines[j]
+                .as_mut()
+                .unwrap()
+                .on_start_view(sv.clone(), self.now);
+            self.drain(j);
+            if !ack.accepted && ack.view <= sv.view {
+                self.branches.start_view_refused += 1;
+                self.refused[j] = true;
+            }
+            self.engines[p].as_mut().unwrap().on_ack(j as u32, &ack);
+            self.drain(p);
         }
     }
 
@@ -462,16 +558,9 @@ impl<M: Model> Harness<M> {
             Act::Op { at, a, b, c } => self.submit(*at as usize % N, M::op(*a, *b, *c)),
             Act::Tick => self.step_all(),
             Act::Crash(i) => {
-                // VSR tolerates at most f simultaneous log losses, and a
-                // restarted replica counts as failed until its recovery
-                // probation completes. Crash only when every other
-                // replica is up and recovered (f = 1 here).
                 let i = *i as usize % N;
-                let others_recovered = (0..N)
-                    .filter(|&j| j != i)
-                    .all(|j| self.engines[j].as_ref().is_some_and(|e| !e.in_probation()));
-                if others_recovered {
-                    self.engines[i] = None;
+                if self.may_crash(i) {
+                    self.crash(i);
                 }
             }
             Act::Restart(i) => {
@@ -490,13 +579,33 @@ impl<M: Model> Harness<M> {
                 self.conn[a][b] = true;
                 self.conn[b][a] = true;
             }
+            Act::CrashOnFetch(i) => self.crash_on_fetch = Some(*i as usize % N),
         }
     }
 
-    /// Heals everything, restarts the dead, and runs the drivers until
-    /// the group settles (or the step budget proves it cannot).
+    /// VSR tolerates at most f simultaneous log losses, and a restarted
+    /// replica counts as failed until its recovery probation completes:
+    /// replica `i` may crash only when it is up and every other replica
+    /// is up and recovered (f = 1 here).
+    fn may_crash(&self, i: usize) -> bool {
+        self.engines[i].is_some()
+            && (0..N)
+                .filter(|&j| j != i)
+                .all(|j| self.engines[j].as_ref().is_some_and(|e| !e.in_probation()))
+    }
+
+    /// Replica `i` dies with its log.
+    fn crash(&mut self, i: usize) {
+        self.engines[i] = None;
+        self.refused[i] = false;
+    }
+
+    /// Heals everything, restarts the dead, disarms a crash, and runs
+    /// the drivers until the group settles (or the step budget proves it
+    /// cannot).
     fn quiesce(&mut self) {
         self.conn = [[true; N]; N];
+        self.crash_on_fetch = None;
         for i in 0..N {
             if self.engines[i].is_none() {
                 self.engines[i] = Some(self.fresh(i));
@@ -785,6 +894,88 @@ fn probationary_replica_cannot_vote_an_empty_log_in() {
     agrees_with_oracle::<CmTable>(&acts);
 }
 
+/// `n` distinct client ops submitted at replica `at`: more than [`RETAIN`]
+/// of them push what a lagging replica misses out of every log.
+fn ops(at: u8, n: u8) -> impl Iterator<Item = Act> {
+    (0..n).map(move |k| Act::Op {
+        at,
+        a: k,
+        b: k.wrapping_mul(3),
+        c: k.wrapping_mul(7),
+    })
+}
+
+/// Runs `schedule` to quiescence against the oracle and reports the
+/// branches it took.
+fn branches_of<M: Model>(schedule: &[Act]) -> Branches {
+    agrees_with_oracle::<M>(schedule).branches
+}
+
+/// One schedule per state-moving branch of the driver, each checked
+/// against the oracle on every machine and shown to take its branch:
+///
+/// * the would-be primary of the next view is cut off from the prepares
+///   before the primary dies: it is chosen primary with the other
+///   backup's log, fetches that backup's state and starts the view — and
+///   the dead primary, restarted past retention, recovers by a poll and
+///   one fetch;
+/// * the same with the primary cut off rather than dead, and the chosen
+///   log's sender crashing before the fetch: the attempt is dropped, and
+///   a later view change completes;
+/// * a backup cut off from the prepares is still a `DoViewChange` sender
+///   when the primary is cut off too: the `StartView` carries only the
+///   entries its new primary retains, and the backup refuses it and
+///   catches up;
+/// * a backup cut off from the prepares past retention is healed: its
+///   catch-up poll chooses the primary, which crashes before the fetch;
+///   the group goes on without it, and the primary, restarted, recovers
+///   by a poll and one fetch.
+#[test]
+fn every_state_moving_branch_is_taken() {
+    let tick = |n| std::iter::repeat_n(Act::Tick, n);
+    let missed = |cut: Act| [cut].into_iter().chain(ops(0, 2 * RETAIN as u8)).chain([Act::Tick]);
+    let cut_off_successor: Vec<Act> = missed(Act::Part(0, 1))
+        .chain([Act::Crash(0)])
+        .chain(tick(8))
+        .collect();
+    let chosen_sender_dies: Vec<Act> = missed(Act::Part(0, 1))
+        .chain([Act::Part(0, 2), Act::CrashOnFetch(2)])
+        .chain(tick(8))
+        .collect();
+    let lagging_sender: Vec<Act> = missed(Act::Part(0, 2))
+        .chain([Act::Part(0, 1)])
+        .chain(tick(8))
+        .collect();
+    let crash_before_fetch: Vec<Act> = missed(Act::Part(0, 2))
+        .chain([Act::Heal(0, 2), Act::CrashOnFetch(0)])
+        .chain(tick(3))
+        .collect();
+    let schedules = [
+        &cut_off_successor,
+        &chosen_sender_dies,
+        &lagging_sender,
+        &crash_before_fetch,
+    ];
+    let runs = [
+        schedules.map(|acts| branches_of::<CounterMachine>(acts)),
+        schedules.map(|acts| branches_of::<NsState>(acts)),
+        schedules.map(|acts| branches_of::<SscTable>(acts)),
+        schedules.map(|acts| branches_of::<CmTable>(acts)),
+    ];
+    for (machine, [successor, sender_dies, lagging, crash]) in
+        ["counter", "ns", "ssc", "cm"].into_iter().zip(runs)
+    {
+        let all = [successor, sender_dies, lagging, crash];
+        assert!(successor.primary_fetched >= 1, "{machine}: {all:?}");
+        assert!(successor.recovery_fetched >= 1, "{machine}: {all:?}");
+        assert!(sender_dies.primary_fetch_dropped >= 1, "{machine}: {all:?}");
+        assert!(lagging.start_view_refused >= 1, "{machine}: {all:?}");
+        assert!(lagging.refused_then_caught_up >= 1, "{machine}: {all:?}");
+        assert!(crash.fetch_peer_crashed >= 1, "{machine}: {all:?}");
+        assert!(crash.recovery_fetched >= 1, "{machine}: {all:?}");
+    }
+}
+
 proptest! {
     /// A machine with nothing in common with any service: the engine is
     /// state-machine-agnostic.
@@ -839,3 +1030,4 @@ proptest! {
         fault_free_commits_everything::<CmTable>(n_ops);
     }
 }
+

@@ -259,6 +259,51 @@ fn restarted_replica_leaves_probation_and_catches_up() {
     assert!(by_snapshot.get() >= 1, "ten ops behind with four retained");
 }
 
+/// Snapshots the group's replicas have sent, all told.
+fn snapshots_sent(group: &Counters) -> u64 {
+    group
+        .nodes()
+        .iter()
+        .map(|node| {
+            ocs_telemetry::NodeTelemetry::of(&**node)
+                .registry
+                .counter("counter.vsr.snapshots_sent")
+                .get()
+        })
+        .sum()
+}
+
+/// A fail-over moves no table: the view change carries log entries, and
+/// the backups hold the committed state already. The old primary,
+/// restarted after the group's log has moved past its retention, polls
+/// without asking for a snapshot and then fetches exactly one.
+#[test]
+fn a_fail_over_sends_no_snapshot_and_a_restart_past_retention_one() {
+    let group = build(14_012);
+    let old = sole_master(&group).unwrap();
+    for amount in 1..=3 {
+        assert!(submit(&group, old, amount).0.is_ok());
+    }
+    group.kill(old);
+    assert!(
+        group.run_until(Duration::from_secs(30), || sole_master(&group).is_some()),
+        "no new master after the primary kill"
+    );
+    let new = sole_master(&group).unwrap();
+    assert_eq!(snapshots_sent(&group), 0, "the view change sent a table");
+    for amount in 4..=10 {
+        assert!(submit(&group, new, amount).0.is_ok());
+    }
+    group.restart(old);
+    group.settle("after the restart");
+    assert!(
+        group.run_until(Duration::from_secs(5), || totals(&group) == [55, 55, 55]),
+        "the restarted replica did not catch up: {:?}",
+        group.statuses()
+    );
+    assert_eq!(snapshots_sent(&group), 1);
+}
+
 /// Processes started while `adds` run `add(1..=adds)` against `target`
 /// from one client process, after a first `add` that woke the group
 /// from quiet, and the inline runs meanwhile.

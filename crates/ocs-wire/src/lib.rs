@@ -97,6 +97,9 @@ pub enum WireError {
     BadBool(u8),
     /// Input remained after the top-level value was decoded.
     TrailingBytes(usize),
+    /// A map's keys were not strictly increasing: a duplicate or an
+    /// out-of-order key (element `at`, 0-based). A map has one encoding.
+    UnorderedKey { at: usize },
 }
 
 impl fmt::Display for WireError {
@@ -114,6 +117,9 @@ impl fmt::Display for WireError {
             ),
             WireError::BadBool(b) => write!(f, "invalid bool byte {b}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
+            WireError::UnorderedKey { at } => {
+                write!(f, "map key {at} does not follow its predecessor")
+            }
         }
     }
 }
@@ -429,15 +435,20 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
             v.encode_into(e);
         }
     }
+    /// Keys arrive in the order the encoder wrote them, strictly
+    /// increasing; the map is built from the sorted pairs in one bulk
+    /// pass instead of one descent per insert.
     fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         let n = d.len_prefix(2)?;
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
+        let mut pairs: Vec<(K, V)> = Vec::with_capacity(n.min(4096));
+        for at in 0..n {
             let k = K::decode_from(d)?;
-            let v = V::decode_from(d)?;
-            out.insert(k, v);
+            if pairs.last().is_some_and(|(prev, _)| *prev >= k) {
+                return Err(WireError::UnorderedKey { at });
+            }
+            pairs.push((k, V::decode_from(d)?));
         }
-        Ok(out)
+        Ok(BTreeMap::from_iter(pairs))
     }
 }
 
@@ -697,6 +708,41 @@ mod tests {
         m.insert("b".to_string(), 2);
         round_trip(m);
         round_trip((1u8, "two".to_string(), 3u64));
+    }
+
+    /// A map frame written by hand: `pairs` in the given order.
+    fn map_frame(pairs: &[(u32, u8)]) -> Bytes {
+        let mut e = Encoder::new();
+        e.put_len(pairs.len());
+        for (k, v) in pairs {
+            k.encode_into(&mut e);
+            v.encode_into(&mut e);
+        }
+        e.finish()
+    }
+
+    #[test]
+    fn a_map_with_a_duplicate_key_is_refused() {
+        let frame = map_frame(&[(1, 10), (2, 20), (2, 21)]);
+        assert_eq!(
+            BTreeMap::<u32, u8>::from_bytes(&frame),
+            Err(WireError::UnorderedKey { at: 2 })
+        );
+    }
+
+    #[test]
+    fn a_map_with_an_out_of_order_key_is_refused() {
+        let frame = map_frame(&[(5, 1), (3, 2)]);
+        assert_eq!(
+            BTreeMap::<u32, u8>::from_bytes(&frame),
+            Err(WireError::UnorderedKey { at: 1 })
+        );
+    }
+
+    #[test]
+    fn a_ten_thousand_entry_map_round_trips() {
+        let m: BTreeMap<u64, String> = (0..10_000u64).map(|k| (k * 7, format!("v{k}"))).collect();
+        round_trip(m);
     }
 
     #[test]
