@@ -2,7 +2,7 @@
 //!
 //! * E19 distills the PR 5 real-runtime chaos work into a committed
 //!   artifact: the process-group kill latency (kill() -> last member
-//!   thread gone, endpoints closed) as a histogram with p50/p99, on the
+//!   task gone, endpoints closed) as a histogram with p50/p99, on the
 //!   real TCP runtime. The chaos-parity *tests* live in
 //!   `ocs-sim/tests/real_chaos.rs`; this bench records the numbers.
 //!
@@ -47,11 +47,11 @@ const KILL_BUCKETS_US: [u64; 9] = [
 ];
 
 /// E19: how long a `ProcGroup::kill` takes to tear the group down —
-/// kill() to the last member thread exiting (which closes the group's
+/// kill() to the last member task exiting (which closes the group's
 /// endpoints and stamps `real.net.kill_latency_us`).
 pub fn e19() {
     println!("\nE19. Process-group kill latency on the real runtime (wall clock)");
-    println!("    window = kill() -> last member thread gone, endpoints closed");
+    println!("    window = kill() -> last member task gone, endpoints closed");
     println!("    each victim group: one blocking-recv member + one sleeping child\n");
 
     let net = RealNet::new();
@@ -90,7 +90,7 @@ pub fn e19() {
         }
     }
 
-    // The latency stamp lands just *after* the last member thread
+    // The latency stamp lands just *after* the last member task
     // drops the group's live count, so give the final stamp a beat.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let samples_us = loop {

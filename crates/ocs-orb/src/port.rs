@@ -5,8 +5,9 @@
 //! long-lived endpoint, served inline ([`Endpoint::serve_inline`]), from
 //! which any number of calls go out at once. A reply — or the bounce or the
 //! timeout that stands for one — is matched to its call where it lands:
-//! on TCP's connection reader, on the simulator's stepping thread. What
-//! happens there depends on how the call was placed:
+//! in a task TCP's node loop starts where it read the reply, on the
+//! simulator's stepping thread. What happens there depends on how the
+//! call was placed:
 //!
 //! - [`CallPort::call`]: the outcome goes with the call's token to the
 //!   port's handler, on that thread. The handler, like any inline

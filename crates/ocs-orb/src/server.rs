@@ -51,11 +51,13 @@ pub trait Servant: Send + Sync {
     /// most takes a lock nobody holds across such a wait, sends, and
     /// returns. A method that takes its reply to answer when some later
     /// message arrives ([`Caller::reply_later`]) waits for nothing.
-    /// The ORB lets the runtime run such a request where it arrives ([`Endpoint::serve`]'s `inline`) instead
-    /// of in a process of its own: on TCP's connection reader, and in the
-    /// simulator on the thread stepping the kernel — which panics if the
-    /// method waits after all. Generated servants forward to the
-    /// interface trait's own `runs_inline`.
+    /// The ORB lets the simulator run such a request where it arrives
+    /// ([`Endpoint::serve`]'s `inline`), on the thread stepping the kernel,
+    /// instead of in a process of its own — and the simulator panics if
+    /// the method waits after all. TCP starts every request's task where
+    /// its node's loop read it, so the promise changes nothing there.
+    /// Generated servants forward to the interface trait's own
+    /// `runs_inline`.
     fn runs_inline(&self, method: u32) -> bool {
         let _ = method;
         false
@@ -137,16 +139,14 @@ impl Answer {
 ///
 /// Every request runs in a fresh process ([`Endpoint::serve`]); handlers
 /// may block and make nested calls freely. Only the process is fresh:
-/// TCP runs it on an OS thread re-used from the previous request's, the
-/// simulator on a re-used stack, and both start it where the request is
-/// delivered — the TCP
-/// connection reader hands the frame to that thread itself, the
-/// simulator spawns it at the delivery instant — one hand-off per
-/// request, with no server process woken in between. A method its
-/// servant says [`runs_inline`](Servant::runs_inline) gets no process at
-/// all: it runs on the reader, or on the simulator's stepping context.
-/// Either way the reply leaves when the method returns, or — if the
-/// method took it ([`Caller::reply_later`]) — whenever it is sent.
+/// both runtimes run it on a re-used stack, and both start it where the
+/// request is delivered — TCP's node loop where it read the frame, the
+/// simulator at the delivery instant — with no server process woken in
+/// between. In the simulator a method its servant says
+/// [`runs_inline`](Servant::runs_inline) gets no process at all: it runs
+/// on the stepping context. Either way the reply leaves when the method
+/// returns, or — if the method took it ([`Caller::reply_later`]) —
+/// whenever it is sent.
 pub struct Orb {
     rt: Rt,
     ep: Arc<dyn Endpoint>,
@@ -595,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn real_a_method_that_runs_inline_is_dispatched_on_the_connection_reader() {
+    fn real_every_method_is_dispatched_on_the_server_nodes_loop() {
         let net = RealNet::new();
         let server: Rt = net.add_node("server").unwrap();
         let client: Rt = net.add_node("c").unwrap();
@@ -607,18 +607,16 @@ mod tests {
             let body = ctx.call_named(&obj, method, Bytes::new(), "where").unwrap();
             String::from_utf8(body.to_vec()).unwrap()
         };
-        // The first frames can reach the port before `serve` has
-        // registered the handler; those are spawned whatever they are.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while ran_on(2) != "conn-reader" {
-            assert!(std::time::Instant::now() < deadline, "never ran inline");
-        }
+        // A method that promises not to wait and one that may: both run
+        // where the server's loop read their requests, and start no
+        // thread.
         for _ in 0..20 {
-            assert_eq!(ran_on(1), "server-carrier");
-            assert_eq!(ran_on(2), "conn-reader");
+            assert_eq!(ran_on(1), "server-loop");
+            assert_eq!(ran_on(2), "server-loop");
         }
+        assert_eq!(net.counters().get("real.net.threads_spawned"), Some(&2));
         // Same checks, same answers as any request: an unknown object is
-        // not inline and is refused by the carrier path.
+        // refused.
         let stranger = ObjRef {
             object_id: 99,
             ..obj

@@ -334,7 +334,7 @@ fn real_rig(holds_ms: [u64; 3]) -> (Arc<RealNet>, Rt, Vec<Arc<Orb>>, Vec<ObjRef>
 }
 
 #[test]
-fn real_arrival_order_and_replies_that_land_on_the_reader() {
+fn real_arrival_order_and_replies_that_land_on_the_client_loop() {
     let (net, client, _orbs, targets) = real_rig([60, 0, 30]);
     let thread = || std::thread::current().name().unwrap_or("?").to_string();
     let (port, landed) = port_on(ClientCtx::new(client), thread);
@@ -357,13 +357,14 @@ fn real_arrival_order_and_replies_that_land_on_the_reader() {
         port.call(target, TAG_METHOD, salt(0), op(), i);
     }
     assert!(eventually(Duration::from_secs(5), || landed.lock().len() == 3));
-    let reader = || "conn-reader".to_string();
+    // Each reply is handed over by the client node's loop, which read it.
+    let client_loop = || "client-loop".to_string();
     assert_eq!(
         *landed.lock(),
         vec![
-            (1, Ok(10), reader()),
-            (2, Ok(20), reader()),
-            (0, Ok(0), reader())
+            (1, Ok(10), client_loop()),
+            (2, Ok(20), client_loop()),
+            (0, Ok(0), client_loop())
         ]
     );
     assert_eq!(
@@ -416,8 +417,8 @@ fn real_thousand_calls_queue_only_their_replies() {
     for i in 1..=1_000 {
         assert_eq!(call(i), Ok(i));
     }
-    // A request goes from the connection reader to its `orb-worker`
-    // with no queue, and no `orb-server` thread, in between.
+    // A request goes from the server's loop to its `orb-worker` task
+    // with no queue, and no `orb-server` task, in between.
     assert_eq!(queued() - before, 1_000);
 }
 
@@ -450,7 +451,7 @@ fn real_call_to_a_stopped_node_fails_well_inside_its_timeout() {
     let call = |i| answer(ctx.call_named(&target, TAG_METHOD, salt(i), "test.tag.tag"));
     assert_eq!(call(1), Ok(1));
     server.stop();
-    // The client's reader of the stream sees it end.
+    // The client's loop sees the stream end.
     let reset = || counter(&net, "real.net.resets") >= 1;
     assert!(eventually(Duration::from_secs(5), reset));
     let started = Instant::now();
@@ -477,14 +478,13 @@ fn real_thousand_calls_start_no_threads() {
     let threads = || counter(&net, "real.net.threads_spawned");
     assert_eq!(call(0), Ok(0)); // warm-up: the server's first worker
     let before = threads();
+    assert_eq!(before, 4, "one loop per node");
     for i in 1..=1_000 {
         assert_eq!(call(i), Ok(i));
     }
-    // A thousand `orb-worker` tasks on the first one's thread. (A request
-    // that overtakes its predecessor's carrier on the way back to the
-    // pool starts one more, hence the slack.)
+    // A thousand `orb-worker` tasks, all on the server's loop.
     let started = threads() - before;
-    assert!(started <= 4, "{started} threads started for 1,000 calls");
+    assert_eq!(started, 0, "{started} threads started for 1,000 calls");
 }
 
 #[test]

@@ -2,9 +2,11 @@
 //!
 //! A simulated process runs on a [`Stack`] of its own, not on an OS
 //! thread: the thread that steps the process's shard switches to the
-//! stack and back in user space, with no system call and no wake-up. This
-//! module is the only place in the crate that uses `unsafe`; the kernel
-//! sees three safe operations:
+//! stack and back in user space, with no system call and no wake-up. A
+//! real-runtime task runs the same way on its node's loop thread
+//! (`real.rs`). This module and `poll.rs` are the only places in the
+//! crate that use `unsafe`; the kernel and the loops see three safe
+//! operations:
 //!
 //! * [`Stack::prime`] writes a closure onto a stack and arranges for the
 //!   first switch to the stack to run it;
@@ -91,9 +93,9 @@ pub(crate) struct Context {
 
 // SAFETY: `sp` is the only field. It is read and written only by
 // `switch` and `Stack::prime`, on the thread stepping the context's
-// shard, and the kernel lock orders a prime on another thread (a spawn
-// from the driver onto a shard's worker) before the worker's first
-// switch to the stack.
+// shard or running its node's loop, and the kernel lock orders a prime on
+// another thread (a spawn from the driver onto a shard's worker) before
+// the worker's first switch to the stack.
 unsafe impl Send for Context {}
 // SAFETY: as for `Send`: no two threads touch one `sp` without the
 // kernel lock ordering them.

@@ -135,9 +135,8 @@ pub(crate) const EPHEMERAL_BASE: u16 = 32768;
 pub(crate) const SHARD_SHIFT: u32 = 48;
 
 /// One-shot-per-handoff wakeup flag between two OS threads: a shard
-/// worker and the coordinator, or a real-runtime carrier and whoever
-/// hands it a job. A grant may arrive before the owner starts waiting;
-/// the flag absorbs that.
+/// worker and the coordinator. A grant may arrive before the owner
+/// starts waiting; the flag absorbs that.
 pub(crate) struct Baton {
     ready: AtomicBool,
     m: Mutex<()>,

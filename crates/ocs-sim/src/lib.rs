@@ -11,9 +11,10 @@
 //!   from a seed, and a "25-second fail-over" completes in microseconds of
 //!   wall time — which is what makes the paper's §9.7 experiments
 //!   practical to sweep.
-//! * **The real runtime** ([`real::RealNet`]): OS threads (a pool of
-//!   carrier threads under the spawned tasks), the wall clock, and TCP on
-//!   the loopback interface.
+//! * **The real runtime** ([`real::RealNet`]): one loop thread per node
+//!   running the node's tasks on pooled stacks of their own, as the
+//!   simulator runs its processes, the wall clock, and TCP on the
+//!   loopback interface.
 //!
 //! Services are written once against [`NodeRt`]/[`Endpoint`] and run
 //! unchanged on both. The message model is datagram-like with two failure
@@ -23,10 +24,11 @@
 
 #![deny(unsafe_code)]
 
-mod carrier;
 #[allow(unsafe_code)]
 mod coro;
 mod kernel;
+#[allow(unsafe_code)]
+mod poll;
 mod rt;
 mod sim;
 mod time;

@@ -1,138 +1,108 @@
-//! The real runtime: OS threads, the wall clock, and TCP on loopback.
+//! The real runtime: one loop thread per node, the wall clock, and TCP on
+//! loopback.
 //!
 //! [`RealNet`] plays the role of the simulated network: it maps [`NodeId`]s
-//! to TCP listeners on `127.0.0.1`. Each node runs a router thread that
-//! accepts connections, and every stream — accepted or dialled — has a
-//! `conn-reader` thread that delivers its length-prefixed frames to the
-//! node's ports. Endpoint semantics mirror the simulation: datagram-like
-//! sends, blocking receives with timeouts, and `Unreachable` bounces when
-//! a frame arrives for a closed port.
+//! to TCP listeners on `127.0.0.1`. Endpoint semantics mirror the
+//! simulation: datagram-like sends, blocking receives with timeouts, and
+//! `Unreachable` bounces when a frame arrives for a closed port.
 //!
-//! ## Tasks and threads
+//! ## One loop per node
 //!
-//! Every [`NodeRt::spawn`] is a task of its own — its own closure, group
-//! membership and live count — on an OS thread taken from the node's
-//! carrier pool (`carrier.rs`): the thread the previous task left, or a
-//! new one when none is parked. `alive()`, kill latency and the
-//! `real.net.kills` counters are all per task. The router, the
-//! connection readers and the delay line are not tasks and keep threads
-//! of their own. `real.net.threads_spawned` counts the threads the pools
-//! had to start, `real.net.spawn_failed` the tasks lost because the OS
-//! refused one (journalled on the node's `proc` channel).
+//! A [`RealNode`] runs exactly one OS thread, its loop, whatever its peers
+//! and requests. The loop waits on one epoll set (`poll.rs`) holding the
+//! node's listener, every stream it dialled or accepted, and an eventfd
+//! other threads ring when they post to it, with a timer map beside it.
+//! Every [`NodeRt::spawn`] is a task — its own closure, group membership
+//! and live count — on a pooled `coro.rs` stack, which the loop switches
+//! to as the simulator switches to a process. A task that waits
+//! ([`NodeRt::sleep`], [`Endpoint::recv`], a [`crate::sync::SyncObj`]
+//! wait, so every ORB call) switches back to the loop, taking its group
+//! and span context with it. So a long computation holds up its whole
+//! node until it waits, and no lock may be held across a wait. A thread
+//! that belongs to no node (a test driver, a benchmark's main thread)
+//! blocks its own OS thread on the same mailboxes and sync objects.
+//! `real.net.threads_spawned` counts loop threads, and
+//! `real.net.spawn_failed` the tasks lost for want of a stack.
 //!
-//! A port is one of two things to a reader. An endpoint somebody
-//! [`recv`](Endpoint::recv)s from has a mailbox: the reader queues the
-//! frame (`real.net.frames_queued`) and wakes the receiver. A *served*
-//! endpoint ([`Endpoint::serve`], the ORB's `PerRequest` request port)
-//! has a handler: the reader starts it on a carrier as a task of the
-//! endpoint's owner group, one wake-up from socket to servant, and the
-//! serving task only waits for the port to close. The reader does not
-//! run a handler itself because it is short: a servant may place a
-//! nested call whose reply arrives on the very stream this reader is the
-//! only one reading. It runs the frames the endpoint's [`InlineTest`]
-//! passes — those whose handler, by its owner's word, waits for no other
-//! frame (a replica's `prepare` and heartbeat are the ones in the tree):
-//! same task accounting, no carrier, and a stream's inline frames are
-//! handled one at a time in the order they were sent, so a receiver that
-//! fell behind works its backlog off on the one thread instead of
-//! starting a carrier per queued frame. A port served with
-//! [`Endpoint::serve_inline`] has every frame, and every bounce of a
-//! frame it sent, run that way.
-//!
-//! An inline handler writes: its reply, on the stream its request came
-//! on, and whatever else it sends, on other streams; the write timeout
-//! bounds each like any other. What it never does is wait to connect:
-//! a reader's send writes only into a stream the node already holds
-//! with the peer, and hands a frame that finds none — or whose write
-//! fails, or whose peer slot another sender holds — to a carrier, which
-//! dials and backs off as any sender does. The reader's later frames to
-//! that peer queue behind it for the same carrier, so a deferred frame
-//! is never overtaken. A frame every attempt was refused for comes back
-//! to its port as a bounce.
+//! An endpoint somebody [`recv`](Endpoint::recv)s from has a mailbox: the
+//! loop queues its frames (`real.net.frames_queued`) and wakes the
+//! receiver. A *served* endpoint ([`Endpoint::serve`],
+//! [`Endpoint::serve_inline`]) has a handler: the loop starts its task,
+//! in the endpoint's owner group, where it read the frame — a stream's
+//! frames in the order they were sent — and runs it until it first waits.
 //!
 //! ## Connection lifetime
 //!
 //! Two nodes share one `TcpStream`, used both ways by every endpoint,
-//! RPC, reply and bounce between them. A node sends to a peer over the
-//! stream it has with it — dialled or accepted — and dials only when it
-//! has none ([`FrameSender`]'s slot for the peer is empty): the first
-//! frame there opens the stream, and the first frame *on* an accepted
-//! stream tells the accepting node who dialled, so its frames to that
-//! peer go back out on it. Replies therefore ride the stream the request
-//! came on, and a reply carries the request's TCP ACK instead of each
-//! drawing one of its own. Two nodes that dial each other at the same
-//! instant end up with two streams; both stay read at both ends, each
-//! node writes on the one it accepted, and nothing is lost or doubled.
-//! A frame is one `write` under the peer's slot lock, so frames of
-//! concurrent senders never interleave, and per-stream order is send
-//! order.
+//! RPC, reply and bounce between them: a node dials only when it has no
+//! stream with the peer, and the first frame on an accepted stream names
+//! the dialler, so replies ride the stream their request came on (two
+//! simultaneous dials leave two streams, both read to their end). Streams
+//! are non-blocking, and no sender ever waits on one: a frame is written
+//! under the peer's slot lock as far as the socket takes it, and what it
+//! cannot take waits in the stream's unsent bytes, which the stream's
+//! loop writes out as room appears (it watches the stream for room while
+//! any are left, and later frames queue behind them). So per-stream
+//! order is send order, and two loops sending each other more than the
+//! socket buffers hold, or a task sending its own node as much, go on
+//! reading while they send. A task or a thread that must dial backs off
+//! between attempts, holding no lock; the loop itself (a bounce) tries
+//! once. Order to a peer is not kept across that back-off: a frame sent
+//! meanwhile by another task or thread may dial and go first.
 //!
-//! * A **kill** closes the group's *ports*; the node's streams stay up
-//!   for its sibling groups, and frames for the dead ports bounce.
-//! * A **reset storm** or a failed write shuts the stream down — both
-//!   directions of it; the frame in hand is resent over a fresh one
-//!   (counted in `real.net.resets` and journalled with its reconnect),
-//!   and the peer, whose reader sees the stream end, dials for its next.
-//! * A reader that reaches the end of its stream takes the stream out of
-//!   the peer's slot (`real.net.resets`, `conn to <peer> closed by the
-//!   peer` in the journal), so no frame is written into a stream known
-//!   to be dead.
+//! * A **kill** closes the group's *ports*; the streams stay up for the
+//!   node's other groups, and frames for the dead ports bounce.
+//! * A **reset storm** or a failed write shuts the stream down both ways;
+//!   the frame is resent over a fresh one (`real.net.resets`, journalled
+//!   with its reconnect), and the peer, whose loop reads the end, dials
+//!   for its next. A loop that reads a stream's end clears the peer's
+//!   slot (`conn to <peer> closed by the peer`), so no frame is written
+//!   into a stream known to be dead.
 //! * [`RealNode::stop`] (or dropping the node) closes the listener, then
-//!   shuts every stream the node dialled or accepted: its router and
-//!   reader threads and its parked carriers exit, and the peers' readers
-//!   of those streams see EOF and clear their slots. A peer's next frame
-//!   to the node dials, is refused, and surfaces
-//!   [`NetError::PeerRefused`] (or [`NetError::SendFailed`]) within the
-//!   reconnect budget — the first frame, not some later one, so an ORB
-//!   call to a stopped node fails at once instead of timing out.
+//!   shuts every stream, so a peer's next frame dials, is refused and
+//!   fails at once ([`NetError::PeerRefused`] or
+//!   [`NetError::SendFailed`]). The loop thread exits with its last task.
 //!
 //! ## Fault parity with the simulator
 //!
-//! The same failure machinery the simulator exposes works here, in wall
-//! time:
-//!
-//! * **Cooperative kill.** [`crate::rt::ProcGroup::kill`] is real: every
-//!   thread of the group unwinds at its next cancellation point — a
-//!   [`NodeRt::sleep`], a blocking [`Endpoint::recv`], a
-//!   [`crate::sync::SyncObj`] wait, or an explicit
-//!   [`NodeRt::cancelled`] poll — and the group's endpoints close
-//!   immediately, so in-flight frames from peers bounce
-//!   ([`RecvError::Unreachable`]) rather than time out. The unwind rides
-//!   a private panic payload through `resume_unwind` (no panic hook, no
-//!   spew), exactly like the simulator's kill path.
+//! * **Cooperative kill.** [`crate::rt::ProcGroup::kill`] closes the
+//!   group's endpoints at once, so peers see bounces
+//!   ([`RecvError::Unreachable`]) rather than silence, and wakes every
+//!   task of the group to unwind where it waits — a running one at its
+//!   next wait or [`NodeRt::cancelled`] poll; code that spins is not
+//!   reached. The unwind is the simulator's: a private payload through
+//!   `resume_unwind`, no panic hook.
 //! * **Link faults.** [`RealNet::set_partitioned`],
-//!   [`RealNet::set_impairment`] and [`RealNet::set_reset_storm`]
-//!   install per-node-pair faults applied under every send: partitions
-//!   drop silently (an RPC sees a timeout, as across a real cut),
-//!   impairments drop/duplicate/delay frames on a monotonic-clock delay
-//!   line, and reset storms tear down the node's stream with the peer
-//!   before every send.
-//!   The table is guarded by one relaxed atomic, so the fault-free send
-//!   path pays a single load.
-//! * **[`RealNemesis`]** replays a [`FaultPlan`] against the real
-//!   network over the wall clock, mapping link actions onto the fault
-//!   table and handing node lifecycle actions to the campaign driver.
+//!   [`RealNet::set_impairment`] and [`RealNet::set_reset_storm`] apply
+//!   per node pair under every send: partitions drop silently,
+//!   impairments drop, duplicate or delay frames (on the sender's loop
+//!   timers), reset storms tear the pair's stream down before each send.
+//!   The fault-free path pays one relaxed load.
+//! * **[`RealNemesis`]** replays a [`FaultPlan`] over the wall clock.
 //!
 //! Service code written against [`NodeRt`] runs unchanged on either
 //! runtime; see `examples/tcp_cluster.rs` for a full cluster on TCP.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::io::{BufReader, Read, Write};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::{Rng, RngExt};
 
 use crate::backoff::RetryPolicy;
-use crate::carrier::Carriers;
+use crate::coro::{self, Handle, Stack, StackPool};
 use crate::fault::{FaultAction, FaultEvent, FaultPlan};
-use crate::kernel::LinkImpairment;
+use crate::kernel::{KillSignal, LinkImpairment};
+use crate::poll::{self, Poller};
 use crate::rt::{
     Addr, Endpoint, FrameHandler, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq,
     RecvError,
@@ -143,14 +113,12 @@ use crate::time::SimTime;
 const FRAME_MSG: u8 = 0;
 const FRAME_UNREACH: u8 = 1;
 
-/// Header byte 13, bit 0: the frame came over a stream its sender closes
-/// behind it (the delay line's), so nothing may be written back on it.
-const FLAG_ONE_SHOT: u8 = 1;
+/// Bytes of a frame's header: kind, payload length, source node, source
+/// port, destination port, two reserved.
+const HEADER: usize = 15;
 
-/// How often blocked group members wake to poll their kill flag. Bounds
-/// the cooperative-kill latency of a thread parked in a receive or sync
-/// wait that nothing else will interrupt.
-const KILL_POLL: Duration = Duration::from_millis(25);
+/// A longer payload is taken for corruption and ends its stream.
+const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 
 /// Reconnect attempts per send before giving up on the peer.
 const RECONNECT_ATTEMPTS: u32 = 4;
@@ -162,153 +130,436 @@ const RECONNECT_POLICY: RetryPolicy = RetryPolicy {
     cap: Duration::from_millis(50),
 };
 
-enum Delivered {
-    Msg(Addr, Bytes),
-    Unreach(Addr),
-}
+/// How long a stream's unsent bytes may sit without one of them going
+/// out before the stream counts as broken; the next frame for it finds
+/// out, resets it and dials. Loops read their streams whenever they
+/// wait, so only a wedged peer gets here.
+const WRITE_STALL: Duration = Duration::from_secs(5);
 
-fn deliver(item: Delivered) -> Result<(Addr, Bytes), RecvError> {
-    match item {
-        Delivered::Msg(from, msg) => Ok((from, msg)),
-        Delivered::Unreach(addr) => Err(RecvError::Unreachable(addr)),
-    }
-}
+/// Poller tokens of the loop's eventfd and listener; a stream's token is
+/// its descriptor.
+const BELL: u64 = u64::MAX;
+const LISTENER: u64 = u64::MAX - 1;
 
-/// Until when a blocked thread may sleep before it looks at its kill
-/// flag and its deadline again: the deadline, but for a group member no
-/// later than [`KILL_POLL`] from `now`. `None`: until it is woken.
-fn next_look(in_group: bool, deadline: Option<Instant>, now: Instant) -> Option<Instant> {
-    let poll = in_group.then(|| now + KILL_POLL);
-    match (poll, deadline) {
-        (Some(p), Some(d)) => Some(p.min(d)),
-        (p, d) => p.or(d),
-    }
-}
-
-/// Where the frames for an endpoint that `recv`s wait for it.
-struct Mailbox {
-    queue: Mutex<VecDeque<Delivered>>,
-    cv: Condvar,
-    /// Set when the endpoint closes or its owning group is killed.
-    closed: AtomicBool,
-}
-
-impl Mailbox {
-    fn new() -> Arc<Mailbox> {
-        Arc::new(Mailbox {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            closed: AtomicBool::new(false),
-        })
-    }
-
-    fn push(&self, item: Delivered) {
-        self.queue.lock().push_back(item);
-        self.cv.notify_one();
-    }
-
-    /// Closes the mailbox and wakes its receivers; whether it was open.
-    fn close(&self) -> bool {
-        // Under the queue lock, or a receiver between its check of the
-        // flag and its wait would sleep through the wake-up.
-        let _queue = self.queue.lock();
-        let was_open = !self.closed.swap(true, Ordering::SeqCst);
-        self.cv.notify_all();
-        was_open
-    }
-
-    /// The one blocking receive: honours the deadline, the close, and —
-    /// for a group member, within [`KILL_POLL`] even if nothing else
-    /// wakes it — the kill.
-    fn pop(&self, timeout: Option<Duration>) -> Result<Delivered, RecvError> {
-        let group = current_group();
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut queue = self.queue.lock();
-        loop {
-            if group.as_ref().is_some_and(|g| g.killed()) {
-                drop(queue);
-                panic::resume_unwind(Box::new(KillSignal));
-            }
-            if self.closed.load(Ordering::Relaxed) {
-                return Err(RecvError::Closed);
-            }
-            // Before the deadline, so a zero-timeout poll still sees
-            // what is queued.
-            if let Some(item) = queue.pop_front() {
-                return Ok(item);
-            }
-            let now = Instant::now();
-            if deadline.is_some_and(|d| now >= d) {
-                return Err(RecvError::TimedOut);
-            }
-            match next_look(group.is_some(), deadline, now) {
-                Some(t) => {
-                    let _ = self.cv.wait_until(&mut queue, t);
-                }
-                None => self.cv.wait(&mut queue),
-            }
-        }
-    }
-}
+/// What landed at a port, as a receive returns it: a frame, or the
+/// bounce of one sent from the port.
+type Landing = Result<(Addr, Bytes), RecvError>;
 
 // ---------------------------------------------------------------------------
-// Cooperative kill: process groups as cancellation scopes.
+// Tasks: closures on pooled stacks, run by their node's loop.
 
-/// Panic payload carried by `resume_unwind` to tear down a thread whose
-/// group was killed. `resume_unwind` does not run the panic hook, so a
-/// kill produces no panic output; the spawn wrappers catch and swallow
-/// it.
-struct KillSignal;
+type TaskId = u64;
+type Job = Box<dyn FnOnce() + Send>;
+
+/// Names a task from any thread: its node, and its number there.
+#[derive(Clone)]
+struct TaskRef {
+    node: Arc<NodeCore>,
+    id: TaskId,
+}
+
+impl TaskRef {
+    /// Makes the task runnable if it waits: its loop runs it next.
+    fn wake(&self) {
+        self.node.post(Post::Wake(self.id));
+    }
+
+    fn is(&self, other: &TaskRef) -> bool {
+        self.id == other.id && Arc::ptr_eq(&self.node, &other.node)
+    }
+}
+
+/// The running task's own state, which its switches save and restore.
+struct Current {
+    task: TaskRef,
+    stack: Handle,
+    group: Option<Arc<GroupCore>>,
+}
 
 thread_local! {
-    /// The process group of the current thread, inherited across
-    /// [`NodeRt::spawn`] like a fork.
-    static CURRENT_GROUP: RefCell<Option<Arc<GroupCore>>> = const { RefCell::new(None) };
-    /// Set on a connection reader's thread: its sends never wait to dial
-    /// (`FrameSender::send_bytes`).
-    static ON_READER: Cell<bool> = const { Cell::new(false) };
-    /// A connection reader's frames it handed to a carrier, per peer.
-    static DEFERRED: RefCell<HashMap<NodeId, Arc<Mutex<Backlog>>>> = RefCell::new(HashMap::new());
+    /// The task running on this thread; `None` on a loop between tasks
+    /// and on threads that belong to no node.
+    static CURRENT: RefCell<Option<Current>> = const { RefCell::new(None) };
+    /// What only the loop thread of a node touches.
+    static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
 }
 
-/// Frames one connection reader handed to a carrier for one peer,
-/// oldest first, and whether the carrier is still writing them out.
-/// While it is, the reader's later frames to the peer join the queue:
-/// written directly, they would overtake it.
-#[derive(Default)]
-struct Backlog {
-    frames: VecDeque<Deferred>,
-    draining: bool,
-}
-
-/// A frame a reader handed to a carrier, and the port it left from.
-struct Deferred {
-    from_port: u16,
-    to: Addr,
-    frame: Vec<u8>,
-    dup: bool,
+fn current<R>(f: impl FnOnce(&Current) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_ref().map(f))
 }
 
 fn current_group() -> Option<Arc<GroupCore>> {
-    CURRENT_GROUP.with(|g| g.borrow().clone())
-}
-
-/// Takes this thread out of any group: a carrier between two tasks.
-pub(crate) fn clear_current_group() {
-    CURRENT_GROUP.with(|g| *g.borrow_mut() = None);
+    current(|c| c.group.clone()).flatten()
 }
 
 fn group_killed() -> bool {
-    CURRENT_GROUP.with(|g| g.borrow().as_ref().is_some_and(|g| g.killed()))
+    current(|c| c.group.as_ref().is_some_and(|g| g.killed())) == Some(true)
 }
 
-/// Unwinds the calling thread if its group has been killed: the explicit
+/// Unwinds the calling task if its group has been killed: the explicit
 /// cancellation point, also reachable through [`NodeRt::cancelled`].
 fn check_killed() {
     if group_killed() {
         panic::resume_unwind(Box::new(KillSignal));
     }
 }
+
+/// A task may wait, and so may a thread that is no loop; a loop between
+/// two tasks may not.
+fn may_wait() -> bool {
+    current(|_| ()).is_some() || LOCAL.with(|l| l.borrow().is_none())
+}
+
+fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
+    LOCAL.with(|l| f(l.borrow_mut().as_mut().expect("on a node's loop")))
+}
+
+/// Suspends the running context in `from` and resumes `to` — a task and
+/// its loop, either way round — carrying [`Current`] and the span context
+/// with the context, as the simulator's switch does.
+fn switch(from: Handle, to: Handle) {
+    let current = CURRENT.with(|c| c.borrow_mut().take());
+    let span = crate::trace::set_current_ctx(None);
+    coro::switch(from, to);
+    CURRENT.with(|c| *c.borrow_mut() = current);
+    crate::trace::set_current_ctx(span);
+}
+
+/// Parks the running task until it is woken or `deadline` passes; the
+/// wait's timer goes with the wait.
+fn suspend(deadline: Option<Instant>) {
+    let (node, id, me) =
+        current(|c| (Arc::clone(&c.task.node), c.task.id, c.stack)).expect("only a task waits");
+    with_local(|l| {
+        l.next_timer += 1;
+        let timer = deadline.map(|at| (at, l.next_timer));
+        if let Some(key) = timer {
+            l.timers.insert(key, id);
+        }
+        let task = l.tasks.get_mut(&id).expect("the running task");
+        (task.state, task.timer) = (State::Waiting, timer);
+    });
+    switch(me, node.sched.handle());
+    with_local(|l| {
+        if let Some(key) = l.tasks.get_mut(&id).and_then(|t| t.timer.take()) {
+            l.timers.remove(&key);
+        }
+    });
+}
+
+/// Sleeps `d`, unwinding early if the calling task's group is killed
+/// meanwhile. Threads that belong to no node sleep plainly.
+fn cancellable_sleep(d: Duration) {
+    if current(|_| ()).is_none() {
+        return std::thread::sleep(d);
+    }
+    let deadline = Instant::now() + d;
+    loop {
+        check_killed();
+        if Instant::now() >= deadline {
+            return;
+        }
+        suspend(Some(deadline));
+    }
+}
+
+/// The body of every task, on its stack: runs `f` as a member of
+/// `group`, swallows the kill unwind, journals any other panic under the
+/// task's name (the hook printed it), as the simulator does.
+fn run_task(task: TaskRef, stack: Handle, name: &str, group: Option<Arc<GroupCore>>, f: Job) {
+    if let Some(g) = &group {
+        g.tasks.lock().push(task.clone());
+    }
+    let (node, id) = (Arc::clone(&task.node), task.id);
+    let me = Current {
+        task: task.clone(),
+        stack,
+        group: group.clone(),
+    };
+    CURRENT.with(|c| *c.borrow_mut() = Some(me));
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        check_killed();
+        f()
+    }));
+    CURRENT.with(|c| c.borrow_mut().take());
+    crate::trace::set_current_ctx(None);
+    if let Some(g) = &group {
+        g.tasks.lock().retain(|t| !t.is(&task));
+        g.task_exit();
+    }
+    if let Err(payload) = result {
+        if !payload.is::<KillSignal>() {
+            let msg = crate::kernel::panic_message(&*payload);
+            node.journal_as("proc", format!("panic in '{name}': {msg}"));
+        }
+    }
+    with_local(|l| l.tasks.get_mut(&id).expect("the running task").state = State::Done);
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum State {
+    Ready,
+    Waiting,
+    Done,
+}
+
+struct Task {
+    stack: Stack,
+    state: State,
+    /// The timer of the wait it is parked in, if that has a deadline.
+    timer: Option<(Instant, u64)>,
+}
+
+/// A stream the loop reads: who is at the other end, once known, and
+/// the start of a frame not yet whole.
+struct Reading {
+    conn: Arc<Conn>,
+    peer: Option<NodeId>,
+    partial: Vec<u8>,
+}
+
+struct Local {
+    poller: Poller,
+    tasks: HashMap<TaskId, Task>,
+    next_task: TaskId,
+    runnable: VecDeque<TaskId>,
+    /// The deadlines of the waits tasks are parked in.
+    timers: BTreeMap<(Instant, u64), TaskId>,
+    next_timer: u64,
+    stacks: StackPool,
+    streams: HashMap<u64, Reading>,
+    /// Where a read lands before its bytes are framed.
+    scratch: Vec<u8>,
+}
+
+impl Local {
+    fn wake(&mut self, id: TaskId) {
+        if let Some(task) = self.tasks.get_mut(&id) {
+            if task.state == State::Waiting {
+                task.state = State::Ready;
+                self.runnable.push_back(id);
+            }
+        }
+    }
+}
+
+/// What other threads — and the loop's own tasks — hand the loop.
+enum Post {
+    /// A task to start, already counted into its group.
+    Spawn(Arc<str>, Option<Arc<GroupCore>>, Job),
+    Wake(TaskId),
+    /// A stream to read, and its peer if the node dialled it.
+    Stream(Arc<Conn>, Option<NodeId>),
+    /// A stream a sender left unsent bytes in: the loop writes them out.
+    Flush(Arc<Conn>),
+    /// The node stopped: the loop looks whether it may exit.
+    Stop,
+}
+
+#[derive(Default)]
+struct Inbox {
+    posts: Vec<Post>,
+    /// Set while the loop blocks for readiness: a post rings the bell.
+    parked: bool,
+    /// The loop's eventfd; `None` once the loop thread has exited.
+    bell: Option<File>,
+}
+
+/// The loop: runs what was posted and what became runnable, fires the due
+/// timers, then waits for readiness; exits once the node has stopped and
+/// its last task ended.
+fn run_loop(node: Arc<NodeCore>, poller: Poller) {
+    LOCAL.with(|l| {
+        *l.borrow_mut() = Some(Local {
+            poller,
+            tasks: HashMap::new(),
+            next_task: 0,
+            runnable: VecDeque::new(),
+            timers: BTreeMap::new(),
+            next_timer: 0,
+            stacks: StackPool::default(),
+            streams: HashMap::new(),
+            scratch: vec![0; 64 * 1024],
+        })
+    });
+    let mut ready = Vec::new();
+    loop {
+        let posts = std::mem::take(&mut node.inbox.lock().posts);
+        for post in posts {
+            node.handle(post);
+        }
+        while let Some(id) = with_local(|l| l.runnable.pop_front()) {
+            node.resume(id);
+        }
+        let (woken, idle, next) = with_local(|l| {
+            let now = Instant::now();
+            while let Some(due) = l.timers.first_entry().filter(|e| e.key().0 <= now) {
+                let id = due.remove();
+                l.wake(id);
+            }
+            let next = l.timers.keys().next().map(|k| k.0);
+            (!l.runnable.is_empty(), l.tasks.is_empty(), next)
+        });
+        if woken {
+            continue;
+        }
+        {
+            let mut inbox = node.inbox.lock();
+            if !inbox.posts.is_empty() {
+                continue;
+            }
+            if idle && node.stopped.load(Ordering::SeqCst) {
+                inbox.bell = None;
+                break;
+            }
+            inbox.parked = true;
+        }
+        let timeout = next.map(|at| at.saturating_duration_since(Instant::now()));
+        with_local(|l| l.poller.wait(timeout, &mut ready)).expect("a wait on the loop's own set");
+        node.inbox.lock().parked = false;
+        for &poll::Ready { token, read, write } in &ready {
+            match token {
+                BELL => {
+                    if let Some(bell) = &node.inbox.lock().bell {
+                        poll::clear(bell);
+                    }
+                }
+                LISTENER => node.accept(),
+                fd => {
+                    if write {
+                        node.flush_stream(fd);
+                    }
+                    if read {
+                        node.read_stream(fd);
+                    }
+                }
+            }
+        }
+    }
+    // The epoll set and the idle stacks go with the loop's state, the
+    // streams with the node's registry.
+    LOCAL.with(|l| l.borrow_mut().take());
+    node.conns.lock().clear();
+    node.streams.lock().clear();
+}
+
+// ---------------------------------------------------------------------------
+// Waiting: mailboxes and sync objects, for tasks and threads alike.
+
+/// A state under a lock and who waits for it to change: tasks by
+/// reference, threads that belong to no node on the condvar.
+struct Waitable<S> {
+    state: Mutex<Waiting<S>>,
+    cv: Condvar,
+}
+
+struct Waiting<S> {
+    now: S,
+    tasks: Vec<TaskRef>,
+}
+
+impl<S> Waitable<S> {
+    fn new(now: S) -> Waitable<S> {
+        let tasks = Vec::new();
+        Waitable {
+            state: Mutex::new(Waiting { now, tasks }),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Waiting<S>> {
+        self.state.lock()
+    }
+
+    /// Releases the lock held over a change, then wakes every waiter.
+    fn notify(&self, mut w: MutexGuard<'_, Waiting<S>>) {
+        let tasks = std::mem::take(&mut w.tasks);
+        drop(w);
+        for task in tasks {
+            task.wake();
+        }
+        self.cv.notify_all();
+    }
+
+    /// Waits until `ready` finds what it wants, or `deadline` passes
+    /// (`None`). A task suspends, and unwinds if its group is killed
+    /// meanwhile; a thread blocks on the condvar.
+    fn wait<T>(
+        &self,
+        deadline: Option<Instant>,
+        mut ready: impl FnMut(&mut S) -> Option<T>,
+    ) -> Option<T> {
+        let me = current(|c| c.task.clone());
+        let mut w = self.lock();
+        loop {
+            if group_killed() {
+                drop(w);
+                panic::resume_unwind(Box::new(KillSignal));
+            }
+            if let Some(found) = ready(&mut w.now) {
+                return Some(found);
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return None;
+            }
+            match (&me, deadline) {
+                (Some(task), _) => {
+                    w.tasks.push(task.clone());
+                    drop(w);
+                    suspend(deadline);
+                    w = self.lock();
+                    w.tasks.retain(|t| !t.is(task));
+                }
+                (None, Some(d)) => {
+                    let _ = self.cv.wait_until(&mut w, d);
+                }
+                (None, None) => self.cv.wait(&mut w),
+            }
+        }
+    }
+}
+
+/// Where the frames for an endpoint that `recv`s wait for it; `closed`
+/// once the endpoint closes or its owning group is killed.
+struct Mailbox(Waitable<(VecDeque<Landing>, bool)>);
+
+impl Mailbox {
+    fn new() -> Arc<Mailbox> {
+        Arc::new(Mailbox(Waitable::new((VecDeque::new(), false))))
+    }
+
+    fn push(&self, item: Landing) {
+        let mut w = self.0.lock();
+        w.now.0.push_back(item);
+        self.0.notify(w);
+    }
+
+    /// Closes the mailbox and wakes its receivers; whether it was open.
+    fn close(&self) -> bool {
+        let mut w = self.0.lock();
+        if std::mem::replace(&mut w.now.1, true) {
+            return false;
+        }
+        self.0.notify(w);
+        true
+    }
+
+    /// The one blocking receive: honours the kill, the close and the
+    /// deadline, in that order, but sees what is queued before the
+    /// deadline, so a zero-timeout poll still gets it.
+    fn pop(&self, timeout: Option<Duration>) -> Landing {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        self.0
+            .wait(deadline, |(queue, closed)| match closed {
+                true => Some(Err(RecvError::Closed)),
+                false => queue.pop_front(),
+            })
+            .unwrap_or(Err(RecvError::TimedOut))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Cooperative kill: process groups as cancellation scopes.
 
 /// Everything an endpoint needs closed when its owning group dies. A
 /// detached handle (rather than the endpoint itself) so the group
@@ -332,7 +583,7 @@ fn close_port(ports: &PortMap, port: u16, mailbox: &Mailbox) {
 }
 
 /// Shared state of one real process group: the cancellation token, the
-/// live-thread count, and the endpoints to close on kill.
+/// live-task count, the tasks to wake and the endpoints to close on kill.
 struct GroupCore {
     id: u64,
     /// The node the group is rooted on (its flight recorder logs kills).
@@ -346,9 +597,8 @@ struct GroupCore {
     killed_at: Mutex<Option<Instant>>,
     /// Endpoints owned by this group; closed on kill.
     eps: Mutex<Vec<EpHandle>>,
-    /// Wakes group members out of cancellable sleeps.
-    lock: Mutex<()>,
-    cv: Condvar,
+    /// The group's started tasks, woken on kill to unwind where they wait.
+    tasks: Mutex<Vec<TaskRef>>,
     net: Weak<RealNet>,
 }
 
@@ -366,39 +616,20 @@ impl GroupCore {
             net.journal(self.node, "proc", format!("group {} killed", self.id));
         }
         // Close every endpoint the group owns, so peers observe bounces
-        // immediately — before the member threads have even reached
-        // their next cancellation point.
+        // immediately — before the member tasks have even unwound.
         let eps = std::mem::take(&mut *self.eps.lock());
         for ep in eps {
             close_port(&ep.ports, ep.port, &ep.mailbox);
         }
-        // Wake sleepers so they observe the flag and unwind.
-        let _guard = self.lock.lock();
-        self.cv.notify_all();
-    }
-
-    /// Cancellable sleep on the group's condvar (kill notifies it).
-    fn sleep(&self, d: Duration) {
-        let deadline = Instant::now() + d;
-        let mut guard = self.lock.lock();
-        loop {
-            if self.killed() {
-                drop(guard);
-                panic::resume_unwind(Box::new(KillSignal));
-            }
-            if self.cv.wait_until(&mut guard, deadline).timed_out() {
-                break;
-            }
-        }
-        drop(guard);
-        if self.killed() {
-            panic::resume_unwind(Box::new(KillSignal));
+        let tasks = self.tasks.lock().clone();
+        for task in tasks {
+            task.wake();
         }
     }
 
     /// Called as each member task ends; the last one out of a killed
     /// group stamps the kill-latency metric.
-    fn thread_exit(&self) {
+    fn task_exit(&self) {
         if self.live.fetch_sub(1, Ordering::SeqCst) == 1 && self.killed() {
             if let (Some(at), Some(net)) = (*self.killed_at.lock(), self.net.upgrade()) {
                 let latency_us = (at.elapsed().as_micros() as u64).max(1);
@@ -418,15 +649,6 @@ impl GroupCore {
     }
 }
 
-/// Sleeps `d`, unwinding early if the calling thread's group is killed
-/// meanwhile. Threads outside any group sleep plainly.
-fn cancellable_sleep(d: Duration) {
-    match current_group() {
-        None => std::thread::sleep(d),
-        Some(g) => g.sleep(d),
-    }
-}
-
 /// Counts one more live task into `group`; `false` if it has been killed
 /// and the task must not start.
 fn join_group(group: &Option<Arc<GroupCore>>) -> bool {
@@ -439,31 +661,7 @@ fn join_group(group: &Option<Arc<GroupCore>>) -> bool {
     true
 }
 
-/// Runs one task on the calling thread — its carrier, or the reader of
-/// an inline frame: installs the group as the thread's cancellation
-/// scope, swallows the kill unwind, and retires the task from the
-/// group's live count. A cooperative kill is a quiet exit; any other
-/// panic already ran the panic hook (which printed) and is journalled
-/// here under the task's name, as the simulator does.
-fn run_in_group(
-    sender: &FrameSender,
-    name: &str,
-    group: Option<Arc<GroupCore>>,
-    f: Box<dyn FnOnce() + Send>,
-) {
-    CURRENT_GROUP.with(|g| *g.borrow_mut() = group.clone());
-    let result = panic::catch_unwind(AssertUnwindSafe(f));
-    if let Some(g) = &group {
-        g.thread_exit();
-    }
-    if let Err(payload) = result {
-        if !payload.is::<KillSignal>() {
-            let msg = crate::kernel::panic_message(&*payload);
-            sender.journal_as("proc", format!("panic in '{name}': {msg}"));
-        }
-    }
-}
-
+// ---------------------------------------------------------------------------
 // ---------------------------------------------------------------------------
 // Link faults: partitions, impairments, reset storms.
 
@@ -501,93 +699,6 @@ struct LinkVerdict {
     delay: Option<Duration>,
     reset: bool,
 }
-
-/// A frame parked on the delay line until its due time.
-struct DelayedFrame {
-    due: Instant,
-    seq: u64,
-    to: SocketAddr,
-    bytes: Vec<u8>,
-}
-
-impl PartialEq for DelayedFrame {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for DelayedFrame {}
-impl PartialOrd for DelayedFrame {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayedFrame {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the earliest due.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// Monotonic-clock frame scheduler for impaired links: delayed frames
-/// are heaped by due time and written late over fresh connections by a
-/// single background thread. Each connection closes behind its frame, so
-/// the frame is marked [`FLAG_ONE_SHOT`]: the receiver must not take the
-/// stream for its own to the sender.
-struct DelayLine {
-    heap: Mutex<BinaryHeap<DelayedFrame>>,
-    cv: Condvar,
-    seq: AtomicU64,
-}
-
-impl DelayLine {
-    fn start() -> Arc<DelayLine> {
-        let line = Arc::new(DelayLine {
-            heap: Mutex::new(BinaryHeap::new()),
-            cv: Condvar::new(),
-            seq: AtomicU64::new(0),
-        });
-        let worker = Arc::clone(&line);
-        let _ = std::thread::Builder::new()
-            .name("delay-line".into())
-            .spawn(move || worker.run());
-        line
-    }
-
-    fn push(&self, due: Instant, to: SocketAddr, mut bytes: Vec<u8>) {
-        bytes[13] |= FLAG_ONE_SHOT;
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.heap.lock().push(DelayedFrame {
-            due,
-            seq,
-            to,
-            bytes,
-        });
-        self.cv.notify_one();
-    }
-
-    fn run(&self) {
-        let mut heap = self.heap.lock();
-        loop {
-            match heap.peek() {
-                None => self.cv.wait(&mut heap),
-                Some(top) if top.due <= Instant::now() => {
-                    let f = heap.pop().expect("peeked");
-                    drop(heap);
-                    // Best effort, like any frame: the peer may be gone.
-                    if let Ok(mut s) = TcpStream::connect(f.to) {
-                        let _ = s.write_all(&f.bytes);
-                    }
-                    heap = self.heap.lock();
-                }
-                Some(top) => {
-                    let due = top.due;
-                    let _ = self.cv.wait_until(&mut heap, due);
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The network registry.
 
@@ -599,7 +710,7 @@ pub struct RealNet {
     epoch: Instant,
     directory: Mutex<HashMap<NodeId, SocketAddr>>,
     nodes: Mutex<HashMap<NodeId, Weak<RealNode>>>,
-    next_node: Mutex<u32>,
+    next_node: AtomicU32,
     next_group: AtomicU64,
     counters: Mutex<std::collections::BTreeMap<String, u64>>,
     /// Frames placed in an endpoint's mailbox (`real.net.frames_queued`
@@ -615,7 +726,6 @@ pub struct RealNet {
     /// True only while any fault is installed: the fault-free send path
     /// pays exactly this one relaxed load.
     any_faults: AtomicBool,
-    delay: Mutex<Option<Arc<DelayLine>>>,
 }
 
 impl RealNet {
@@ -625,7 +735,7 @@ impl RealNet {
             epoch: Instant::now(),
             directory: Mutex::new(HashMap::new()),
             nodes: Mutex::new(HashMap::new()),
-            next_node: Mutex::new(1),
+            next_node: AtomicU32::new(1),
             next_group: AtomicU64::new(1),
             counters: Mutex::new(Default::default()),
             frames_queued: AtomicU64::new(0),
@@ -633,48 +743,37 @@ impl RealNet {
             trace: std::env::var_os("OCS_TRACE").is_some(),
             faults: Mutex::new(FaultTable::default()),
             any_faults: AtomicBool::new(false),
-            delay: Mutex::new(None),
         })
     }
 
     /// Creates a node: binds a listener on an OS-assigned loopback port
-    /// and starts its router thread.
+    /// and starts the node's loop thread.
     pub fn add_node(self: &Arc<Self>, name: &str) -> std::io::Result<Arc<RealNode>> {
-        let id = {
-            let mut n = self.next_node.lock();
-            let id = NodeId(*n);
-            *n += 1;
-            id
-        };
+        let id = NodeId(self.next_node.fetch_add(1, Ordering::Relaxed));
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        self.directory.lock().insert(id, local);
-        let ext = Arc::new(crate::rt::Extensions::new());
-        let node = Arc::new(RealNode {
+        let core = Arc::new(NodeCore {
             net: Arc::clone(self),
             id,
+            ext: Arc::new(crate::rt::Extensions::new()),
+            stopped: AtomicBool::new(false),
+            ports: Arc::new(Mutex::new(HashMap::new())),
+            conns: Mutex::new(HashMap::new()),
+            streams: Mutex::new(Vec::new()),
+            listener: Mutex::new(Some(listener)),
+            sched: coro::Context::new(),
+            inbox: Mutex::new(Inbox::default()),
+        });
+        core.start_loop(name)?;
+        self.directory.lock().insert(id, local);
+        let node = Arc::new(RealNode {
             name: name.to_string(),
             next_ephemeral: Mutex::new(crate::kernel::EPHEMERAL_BASE),
-            sender: Arc::new(FrameSender {
-                net: Arc::clone(self),
-                id,
-                ext: Arc::clone(&ext),
-                stopped: AtomicBool::new(false),
-                ports: Arc::new(Mutex::new(HashMap::new())),
-                conns: Mutex::new(HashMap::new()),
-                streams: Mutex::new(Vec::new()),
-                carriers: Carriers::new(&format!("{name}-carrier"), None),
-            }),
-            router: Mutex::new(None),
+            core,
             groups: Mutex::new(Vec::new()),
-            ext,
         });
         self.nodes.lock().insert(id, Arc::downgrade(&node));
-        let sender = Arc::clone(&node.sender);
-        let router = std::thread::Builder::new()
-            .name(format!("router-{name}"))
-            .spawn(move || router_main(listener, sender))?;
-        *node.router.lock() = Some(router);
         Ok(node)
     }
 
@@ -732,7 +831,10 @@ impl RealNet {
     /// this; everything above the runtime uses `Journal::of` directly.
     pub(crate) fn journal(&self, node: NodeId, category: &'static str, detail: String) {
         if let Some(n) = self.node_handle(node) {
-            let j = n.ext.get_or_init(|| crate::journal::Journal::new(node));
+            let j = n
+                .core
+                .ext
+                .get_or_init(|| crate::journal::Journal::new(node));
             j.record(self.now(), category, detail);
         }
     }
@@ -809,16 +911,6 @@ impl RealNet {
         }
         v
     }
-
-    /// Parks a raw frame on the delay line until `due`.
-    fn delay_frame(&self, due: Instant, to: SocketAddr, bytes: Vec<u8>) {
-        let line = {
-            let mut slot = self.delay.lock();
-            Arc::clone(slot.get_or_insert_with(DelayLine::start))
-        };
-        line.push(due, to, bytes);
-        self.counter_add("real.net.delayed", 1);
-    }
 }
 
 /// What a node does with a frame for one of its open ports.
@@ -826,12 +918,12 @@ impl RealNet {
 enum Port {
     /// Queues it for the endpoint's next `recv`.
     Mailbox(Arc<Mailbox>),
-    /// Runs the handler on it in a task of its own ([`Endpoint::serve`]).
+    /// Runs the handler on it in a task of its own.
     Served(Arc<Served>),
 }
 
 struct Served {
-    task: String,
+    task: Arc<str>,
     serving: Serving,
     /// The group the tasks join: the endpoint's owner when serving began.
     group: Option<Arc<GroupCore>>,
@@ -839,96 +931,38 @@ struct Served {
 
 /// How a served port runs what lands on it.
 enum Serving {
-    /// [`Endpoint::serve`]: a frame runs `handler` on a carrier, or on the
-    /// reader that read it if `inline` passes it; bounces are dropped.
-    Spawn {
-        handler: FrameHandler,
-        inline: Option<InlineTest>,
-    },
-    /// [`Endpoint::serve_inline`]: frames and bounces alike, on the reader.
-    Inline(LandingHandler),
+    /// [`Endpoint::serve`]: a frame runs the handler; bounces are dropped.
+    Frames(FrameHandler),
+    /// [`Endpoint::serve_inline`]: frames and bounces alike.
+    Landings(LandingHandler),
 }
 
 type PortMap = Arc<Mutex<HashMap<u16, Port>>>;
 
-fn router_main(listener: TcpListener, sender: Arc<FrameSender>) {
-    // Accept until the node stops; each stream gets a reader thread that
-    // lives as long as the stream does.
-    for conn in listener.incoming() {
-        if sender.stopped.load(Ordering::SeqCst) {
+/// Parses every whole frame at the front of `buf` into `frames` — each
+/// its source node, its destination port and what lands there — and
+/// says how many bytes they took; `None` if one is corrupt.
+fn parse_frames(buf: &[u8], frames: &mut Vec<(NodeId, u16, Landing)>) -> Option<usize> {
+    let mut at = 0;
+    while buf.len() - at >= HEADER {
+        let h = &buf[at..at + HEADER];
+        let len = u32::from_le_bytes([h[1], h[2], h[3], h[4]]) as usize;
+        if len > MAX_PAYLOAD {
+            return None;
+        }
+        if buf.len() - at - HEADER < len {
             break;
         }
-        let Ok(stream) = conn else { continue };
-        // Who dialled is in the first frame, not in the socket address.
-        let _ = sender.adopt_stream(stream, None);
-    }
-}
-
-/// Reads `stream` to its end. `peer` is the node at the other end, once
-/// known: from the start on a stream this node dialled, from the first
-/// frame on one it accepted.
-fn reader_main(stream: &Arc<TcpStream>, mut peer: Option<NodeId>, sender: &Arc<FrameSender>) {
-    read_frames(stream, &mut peer, sender);
-    // EOF, a read error or `stop`: nothing written to it will arrive.
-    if let Some(peer) = peer {
-        sender.forget_stream(peer, stream);
-    }
-}
-
-fn read_frames(stream: &Arc<TcpStream>, peer: &mut Option<NodeId>, sender: &Arc<FrameSender>) {
-    // Buffered: a small frame's header and payload arrive in one read.
-    let mut reader = BufReader::new(&**stream);
-    let mut hdr = [0u8; 15];
-    loop {
-        // The stream was registered before this check and `stop` raises
-        // the flag before it shuts the registered streams, so one of the
-        // two ends us.
-        if sender.stopped.load(Ordering::SeqCst) {
-            return;
-        }
-        if reader.read_exact(&mut hdr).is_err() {
-            return;
-        }
-        let kind = hdr[0];
-        let len = u32::from_le_bytes([hdr[1], hdr[2], hdr[3], hdr[4]]) as usize;
-        let src_node = NodeId(u32::from_le_bytes([hdr[5], hdr[6], hdr[7], hdr[8]]));
-        let src_port = u16::from_le_bytes([hdr[9], hdr[10]]);
-        let dst_port = u16::from_le_bytes([hdr[11], hdr[12]]);
-        if len > 64 * 1024 * 1024 {
-            return; // Corrupt frame; drop the connection.
-        }
-        let mut payload = vec![0u8; len];
-        if reader.read_exact(&mut payload).is_err() {
-            return;
-        }
-        if peer.is_none() {
-            *peer = Some(src_node);
-            if hdr[13] & FLAG_ONE_SHOT == 0 {
-                sender.offer_stream(src_node, stream);
-            }
-        }
-        let from = Addr::new(src_node, src_port);
-        let port = sender.ports.lock().get(&dst_port).cloned();
-        let item = match kind {
-            FRAME_MSG => Delivered::Msg(from, Bytes::from(payload)),
-            FRAME_UNREACH => Delivered::Unreach(from),
-            _ => continue,
+        let src = NodeId(u32::from_le_bytes([h[5], h[6], h[7], h[8]]));
+        let from = Addr::new(src, u16::from_le_bytes([h[9], h[10]]));
+        let landing = match h[0] {
+            FRAME_MSG => Ok((from, Bytes::copy_from_slice(&buf[at + HEADER..][..len]))),
+            _ => Err(RecvError::Unreachable(from)),
         };
-        match (port, item) {
-            (Some(Port::Mailbox(mailbox)), item) => {
-                sender.net.frames_queued.fetch_add(1, Ordering::Relaxed);
-                mailbox.push(item);
-            }
-            (Some(Port::Served(served)), item) => sender.run_served(&served, item),
-            (None, Delivered::Msg(..)) => {
-                // Closed port on a live node: bounce, as the sim does —
-                // over the node's stream to the sender, like any frame
-                // (so a cut or lossy link drops bounces too).
-                let _ = sender.send_bytes(dst_port, from, FRAME_UNREACH, &[]);
-            }
-            (None, Delivered::Unreach(_)) => {}
-        }
+        frames.push((src, u16::from_le_bytes([h[11], h[12]]), landing));
+        at += HEADER + len;
     }
+    Some(at)
 }
 
 /// A complete wire frame as one buffer, so it goes out as one `write`.
@@ -939,284 +973,87 @@ fn frame_bytes(
     dst_port: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(15 + payload.len());
+    let mut buf = Vec::with_capacity(HEADER + payload.len());
     buf.push(kind);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&src_node.0.to_le_bytes());
     buf.extend_from_slice(&src_port.to_le_bytes());
     buf.extend_from_slice(&dst_port.to_le_bytes());
-    buf.extend_from_slice(&[0, 0]); // flags, reserved
+    buf.extend_from_slice(&[0, 0]); // reserved
     buf.extend_from_slice(payload);
     buf
 }
 
-/// A host on the real runtime. Implements [`NodeRt`].
-pub struct RealNode {
-    net: Arc<RealNet>,
-    id: NodeId,
-    name: String,
-    next_ephemeral: Mutex<u16>,
-    /// The node's ports, streams and carriers, shared with its endpoints
-    /// and readers.
-    sender: Arc<FrameSender>,
-    /// The accept loop's thread, which owns the listener.
-    router: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Every group ever rooted on this node, for node-level crash.
-    groups: Mutex<Vec<Weak<GroupCore>>>,
-    ext: Arc<crate::rt::Extensions>,
+/// One of a node's streams, and the bytes of its frames the socket has
+/// not taken yet.
+struct Conn {
+    stream: TcpStream,
+    out: Mutex<Unsent>,
 }
 
-impl RealNode {
-    /// Takes the node off the network: closes the listener and every
-    /// stream the node dialled or accepted, so its router and reader
-    /// threads (and the peers' readers of the same streams) exit. Later sends
-    /// from its endpoints fail; nothing more arrives at them. The node's
-    /// parked carrier threads exit too, and a busy one when its task
-    /// ends: a task spawned afterwards runs on a thread of its own. Also
-    /// runs when the node is dropped.
-    pub fn stop(&self) {
-        if self.sender.stopped.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Not joined: a task outside any group may block for ever.
-        drop(self.sender.carriers.retire());
-        // The listener goes first, so a peer that sees its stream end
-        // and dials again is refused rather than left in the backlog:
-        // poke it so the accept loop observes the flag, and wait for the
-        // loop to drop it.
-        let poked = self.net.lookup(self.id).map(TcpStream::connect);
-        if let (Some(Ok(_)), Some(router)) = (poked, self.router.lock().take()) {
-            let _ = router.join();
-        }
-        // Each reader drops its stream from the registry, and from the
-        // peer's slot, as the shutdown ends it.
-        for stream in self.sender.streams.lock().iter() {
-            let _ = stream.shutdown(Shutdown::Both);
+#[derive(Default)]
+struct Unsent {
+    bytes: Vec<u8>,
+    /// When the last of them went out, or the first came in.
+    moved: Option<Instant>,
+    /// Whether the loop watches the stream for room.
+    watched: bool,
+}
+
+/// Writes as much of `buf` as `stream` takes without blocking; how much.
+fn write_some(mut stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
+    let mut at = 0;
+    while at < buf.len() {
+        match stream.write(&buf[at..]) {
+            Ok(n) => at += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
+    Ok(at)
+}
 
-    /// The node's human-readable name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The network this node belongs to.
-    pub fn net(&self) -> &Arc<RealNet> {
-        &self.net
-    }
-
-    /// Kills every process group rooted on this node — the real-runtime
-    /// counterpart of the simulator's `CrashNode`. The router stays up,
-    /// so frames to the dead services bounce (host alive, process dead).
-    pub fn kill_all_groups(&self) {
-        let groups: Vec<_> = self.groups.lock().clone();
-        for g in groups {
-            if let Some(g) = g.upgrade() {
-                g.kill();
+impl Conn {
+    /// Writes `frame` behind the stream's unsent bytes, leaving what the
+    /// socket does not take with them; whether it left the first of them
+    /// (the loop must be told). A stream whose unsent bytes have not
+    /// moved for [`WRITE_STALL`] is broken.
+    fn send(&self, frame: &[u8]) -> io::Result<bool> {
+        let mut out = self.out.lock();
+        if !out.bytes.is_empty() {
+            if out.moved.is_some_and(|t| t.elapsed() > WRITE_STALL) {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "peer reads nothing",
+                ));
             }
+            out.bytes.extend_from_slice(frame);
+            return Ok(false);
         }
-    }
-
-    fn new_group(&self) -> Arc<GroupCore> {
-        let core = Arc::new(GroupCore {
-            id: self.net.next_group.fetch_add(1, Ordering::Relaxed),
-            node: self.id,
-            killed: AtomicBool::new(false),
-            live: AtomicUsize::new(0),
-            killed_at: Mutex::new(None),
-            eps: Mutex::new(Vec::new()),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-            net: Arc::downgrade(&self.net),
-        });
-        self.groups.lock().push(Arc::downgrade(&core));
-        core
-    }
-}
-
-impl Drop for RealNode {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl NodeRt for RealNode {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.net.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn sleep(&self, d: Duration) {
-        cancellable_sleep(d);
-    }
-
-    fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) {
-        // Like fork: the child joins the spawner's group (if any).
-        self.sender.spawn_task(name, current_group(), f);
-    }
-
-    fn spawn_group(
-        &self,
-        name: &str,
-        f: Box<dyn FnOnce() + Send>,
-    ) -> Arc<dyn crate::rt::ProcGroup> {
-        let core = self.new_group();
-        self.sender.spawn_task(name, Some(Arc::clone(&core)), f);
-        Arc::new(RealProcGroup {
-            core,
-            ext: Arc::clone(&self.ext),
-        })
-    }
-
-    fn open(&self, port: PortReq) -> Result<Arc<dyn Endpoint>, NetError> {
-        let mut ports = self.sender.ports.lock();
-        let portno = match port {
-            PortReq::Fixed(p) => {
-                if ports.contains_key(&p) {
-                    return Err(NetError::PortInUse(p));
-                }
-                p
-            }
-            PortReq::Ephemeral => {
-                let mut next = self.next_ephemeral.lock();
-                let mut cand = *next;
-                while ports.contains_key(&cand) {
-                    cand = cand.checked_add(1).unwrap_or(crate::kernel::EPHEMERAL_BASE);
-                }
-                *next = cand.checked_add(1).unwrap_or(crate::kernel::EPHEMERAL_BASE);
-                cand
-            }
-        };
-        let mailbox = Mailbox::new();
-        ports.insert(portno, Port::Mailbox(Arc::clone(&mailbox)));
-        drop(ports);
-        let ep = Arc::new(RealEndpoint {
-            node: self.id,
-            port: portno,
-            mailbox,
-            sender: Arc::clone(&self.sender),
-            owner_group: Mutex::new(None),
-        });
-        // The opener's group owns the endpoint until adopt/disown says
-        // otherwise: killing the group closes it.
-        ep.register_current_group();
-        Ok(ep)
-    }
-
-    fn node(&self) -> NodeId {
-        self.id
-    }
-
-    fn rand_u64(&self) -> u64 {
-        rand::rng().next_u64()
-    }
-
-    fn cancelled(&self) -> bool {
-        group_killed()
-    }
-
-    fn trace(&self, msg: &str) {
-        if self.net.trace {
-            eprintln!("[{}] {}: {}", self.now(), self.id, msg);
+        let n = write_some(&self.stream, frame)?;
+        if n == frame.len() {
+            return Ok(false);
         }
-    }
-
-    fn make_sync(&self) -> Arc<dyn crate::sync::SyncObj> {
-        Arc::new(RealSyncObj {
-            gen: Mutex::new(0),
-            cv: parking_lot::Condvar::new(),
-        })
-    }
-
-    fn extensions(&self) -> Arc<crate::rt::Extensions> {
-        Arc::clone(&self.ext)
+        out.bytes.extend_from_slice(&frame[n..]);
+        out.moved = Some(Instant::now());
+        Ok(true)
     }
 }
 
-/// Process-group handle for the real runtime: a cooperative cancellation
-/// scope over the group's threads and endpoints.
-struct RealProcGroup {
-    core: Arc<GroupCore>,
-    /// The owning node's extension map, for the black-box dump.
-    ext: Arc<crate::rt::Extensions>,
-}
+type PeerSlot = Arc<Mutex<Option<Arc<Conn>>>>;
 
-impl crate::rt::ProcGroup for RealProcGroup {
-    fn alive(&self) -> bool {
-        !self.core.killed() && self.core.live.load(Ordering::SeqCst) > 0
-    }
-
-    fn kill(&self) {
-        let was_alive = !self.core.killed();
-        self.core.kill();
-        if was_alive {
-            // Black box: dump the node's journal tail at the kill.
-            let node = self.core.node;
-            self.ext
-                .get_or_init(|| crate::journal::Journal::new(node))
-                .dump_tail(&format!("group {} kill", self.core.id));
-        }
-    }
-
-    fn id(&self) -> u64 {
-        self.core.id
-    }
-}
-
-/// Condvar-backed wait/notify object for the real runtime. Group members
-/// poll their kill flag while waiting, so a kill cancels the wait within
-/// [`KILL_POLL`].
-struct RealSyncObj {
-    gen: Mutex<u64>,
-    cv: parking_lot::Condvar,
-}
-
-impl crate::sync::SyncObj for RealSyncObj {
-    fn generation(&self) -> u64 {
-        *self.gen.lock()
-    }
-
-    fn wait_newer(&self, seen: u64, timeout: Option<Duration>) -> u64 {
-        let group = current_group();
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut g = self.gen.lock();
-        while *g <= seen {
-            if let Some(grp) = &group {
-                if grp.killed() {
-                    drop(g);
-                    panic::resume_unwind(Box::new(KillSignal));
-                }
-            }
-            let now = Instant::now();
-            if deadline.is_some_and(|d| now >= d) {
-                break;
-            }
-            match next_look(group.is_some(), deadline, now) {
-                Some(t) => {
-                    let _ = self.cv.wait_until(&mut g, t);
-                }
-                None => self.cv.wait(&mut g),
-            }
-        }
-        *g
-    }
-
-    fn bump(&self) {
-        *self.gen.lock() += 1;
-        self.cv.notify_all();
-    }
-}
-
-/// What a node's handle, endpoints and stream readers share: its port
-/// map, its streams and its carrier threads.
+/// What a node's handle, endpoints, tasks and loop share: its ports, its
+/// streams and its loop's inbox.
 ///
 /// `conns` maps each peer to its own lock slot, holding the stream this
 /// node writes to that peer on. The map lock is held only long enough to
 /// find or insert the slot; the `connect` and the frame write happen
 /// under that peer's lock alone, and the back-off between reconnect
-/// attempts under no lock at all — so one dead or slow peer stalls
-/// neither sends to the others nor, beyond its own refused `connect`s,
-/// the other senders to itself.
-struct FrameSender {
+/// attempts under no lock at all — so one dead peer stalls neither sends
+/// to the others nor, beyond its own refused `connect`s, the other
+/// senders to itself.
+struct NodeCore {
     net: Arc<RealNet>,
     id: NodeId,
     /// The node's extension map, for its flight recorder.
@@ -1225,25 +1062,20 @@ struct FrameSender {
     stopped: AtomicBool,
     ports: PortMap,
     conns: Mutex<HashMap<NodeId, PeerSlot>>,
-    /// Every stream with a reader on it, dialled or accepted, so that
-    /// [`RealNode::stop`] can shut them all.
-    streams: Mutex<Vec<Arc<TcpStream>>>,
-    /// The OS threads under the node's spawned tasks.
-    carriers: Carriers,
+    /// Every stream the node holds, so that [`RealNode::stop`] can shut
+    /// them all.
+    streams: Mutex<Vec<Arc<Conn>>>,
+    /// Taken and closed by [`RealNode::stop`].
+    listener: Mutex<Option<TcpListener>>,
+    /// The loop's own context: where a task that waits switches to.
+    sched: coro::Context,
+    inbox: Mutex<Inbox>,
 }
 
-type PeerSlot = Arc<Mutex<Option<Arc<TcpStream>>>>;
-
-/// How long one frame write may stall on a full socket buffer before the
-/// stream counts as broken. Readers drain their streams unconditionally,
-/// so only a wedged peer gets here; the bound keeps it from wedging us.
-const WRITE_STALL: Duration = Duration::from_secs(5);
-
-impl FrameSender {
+impl NodeCore {
     /// Appends to the node's flight recorder. Not through
-    /// [`RealNet::journal`]: that upgrades the node handle, and a sender
-    /// must never become the node's last owner — dropping it stops the
-    /// node, which takes the slot lock the sender may be holding.
+    /// [`RealNet::journal`]: that upgrades the node handle, and a loop
+    /// must never become the node's last owner.
     fn journal(&self, detail: String) {
         self.journal_as("real.net", detail);
     }
@@ -1254,81 +1086,265 @@ impl FrameSender {
             .record(self.net.now(), category, detail);
     }
 
-    /// Starts `f` as a task in `group` on one of the node's carriers.
-    fn spawn_task(
+    /// Starts the node's loop thread, named `<name>-loop`.
+    fn start_loop(self: &Arc<Self>, name: &str) -> io::Result<()> {
+        let poller = Poller::new()?;
+        let bell = poll::new_bell()?;
+        poller.add(bell.as_raw_fd(), BELL)?;
+        if let Some(listener) = self.listener.lock().as_ref() {
+            poller.add(listener.as_raw_fd(), LISTENER)?;
+        }
+        self.inbox.lock().bell = Some(bell);
+        let node = Arc::clone(self);
+        std::thread::Builder::new()
+            .name(format!("{name}-loop"))
+            .spawn(move || run_loop(node, poller))?;
+        self.net.counter_add("real.net.threads_spawned", 1);
+        Ok(())
+    }
+
+    /// Hands the loop `post`, ringing its bell if it blocks. After the
+    /// loop has exited — the node stopped and its last task ended —
+    /// nothing runs what is posted: a spawn is journalled as failed.
+    fn post(self: &Arc<Self>, post: Post) {
+        let mut inbox = self.inbox.lock();
+        let inbox = &mut *inbox;
+        match (&inbox.bell, post) {
+            (None, Post::Spawn(name, group, _)) => {
+                self.spawn_failed(&name, &group, "node stopped");
+            }
+            (None, _) => {}
+            (Some(bell), post) => {
+                inbox.posts.push(post);
+                if std::mem::take(&mut inbox.parked) {
+                    poll::ring(bell);
+                }
+            }
+        }
+    }
+
+    /// Gives up a task its group counted already.
+    fn spawn_failed(&self, name: &str, group: &Option<Arc<GroupCore>>, why: &str) {
+        if let Some(g) = group {
+            g.live.fetch_sub(1, Ordering::SeqCst);
+        }
+        self.net.counter_add("real.net.spawn_failed", 1);
+        self.journal_as("proc", format!("spawn of '{name}' failed: {why}"));
+    }
+
+    fn handle(self: &Arc<Self>, post: Post) {
+        match post {
+            Post::Spawn(name, group, f) => {
+                if let Some(id) = self.new_task(&name, group, f) {
+                    with_local(|l| l.runnable.push_back(id));
+                }
+            }
+            Post::Wake(id) => with_local(|l| l.wake(id)),
+            Post::Stream(conn, peer) => with_local(|l| {
+                let fd = conn.stream.as_raw_fd();
+                if l.poller.add(fd, fd as u64).is_ok() {
+                    let partial = Vec::new();
+                    let reading = Reading {
+                        conn,
+                        peer,
+                        partial,
+                    };
+                    l.streams.insert(fd as u64, reading);
+                }
+            }),
+            Post::Flush(conn) => self.flush(&conn),
+            Post::Stop => {}
+        }
+    }
+
+    /// Primes a stack on this loop to run `f` as a task of `group`, which
+    /// has counted it already; `None` if no stack could be mapped.
+    fn new_task(
         self: &Arc<Self>,
-        name: &str,
+        name: &Arc<str>,
         group: Option<Arc<GroupCore>>,
-        f: Box<dyn FnOnce() + Send>,
-    ) {
-        if !join_group(&group) {
-            return; // A dead group spawns nothing.
-        }
-        let job = {
-            let sender = Arc::clone(self);
-            let task = name.to_string();
-            let group = group.clone();
-            Box::new(move || run_in_group(&sender, &task, group, f))
-        };
-        match self.carriers.run(job) {
-            Ok(false) => {}
-            Ok(true) => self.net.counter_add("real.net.threads_spawned", 1),
+        f: Job,
+    ) -> Option<TaskId> {
+        let stack = match with_local(|l| l.stacks.take()) {
+            Ok((stack, _)) => stack,
             Err(e) => {
-                // The closure — somebody's request — is gone.
-                if let Some(g) = &group {
-                    g.live.fetch_sub(1, Ordering::SeqCst);
+                self.spawn_failed(name, &group, &e.to_string());
+                return None;
+            }
+        };
+        let id = with_local(|l| {
+            l.next_task += 1;
+            l.next_task
+        });
+        let node = Arc::clone(self);
+        let (handle, name, sched) = (stack.handle(), Arc::clone(name), self.sched.handle());
+        stack.prime(move || {
+            run_task(TaskRef { node, id }, handle, &name, group, f);
+            sched
+        });
+        let task = Task {
+            stack,
+            state: State::Ready,
+            timer: None,
+        };
+        with_local(|l| l.tasks.insert(id, task));
+        Some(id)
+    }
+
+    /// Runs task `id` until it waits or ends, if it is ready to run.
+    fn resume(self: &Arc<Self>, id: TaskId) {
+        let to = with_local(|l| {
+            let task = l.tasks.get(&id)?;
+            (task.state == State::Ready).then(|| task.stack.handle())
+        });
+        let Some(to) = to else { return };
+        switch(self.sched.handle(), to);
+        with_local(|l| {
+            if l.tasks.get(&id).is_some_and(|t| t.state == State::Done) {
+                let task = l.tasks.remove(&id).expect("just seen");
+                l.stacks.give(task.stack);
+            }
+        });
+    }
+
+    fn accept(self: &Arc<Self>) {
+        let accepted = match self.listener.lock().as_ref() {
+            Some(listener) => listener.accept(),
+            None => return,
+        };
+        // Who dialled is in the first frame, not in the address.
+        if let Ok((stream, _)) = accepted {
+            let _ = self.adopt_stream(stream, None);
+        }
+    }
+
+    /// Reads what the stream with descriptor `fd` has — the poller says it
+    /// has something, so the read does not block — and delivers every
+    /// whole frame.
+    fn read_stream(self: &Arc<Self>, fd: u64) {
+        let mut frames = Vec::new();
+        let open = with_local(|l| {
+            let Local {
+                streams, scratch, ..
+            } = l;
+            let Some(r) = streams.get_mut(&fd) else {
+                return true;
+            };
+            let n = match (&r.conn.stream).read(scratch) {
+                Ok(n) => n,
+                Err(e) => {
+                    let kind = e.kind();
+                    return kind == io::ErrorKind::WouldBlock || kind == io::ErrorKind::Interrupted;
                 }
-                self.net.counter_add("real.net.spawn_failed", 1);
-                self.journal_as("proc", format!("spawn of '{name}' failed: {e}"));
+            };
+            r.partial.extend_from_slice(&scratch[..n]);
+            let whole = parse_frames(&r.partial, &mut frames);
+            r.partial.drain(..whole.unwrap_or(0));
+            if let (None, Some(&(peer, ..))) = (r.peer, frames.first()) {
+                // The first frame on an accepted stream names the peer.
+                r.peer = Some(peer);
+                self.offer_stream(peer, &r.conn);
+            }
+            n > 0 && whole.is_some()
+        });
+        for (_, port, landing) in frames {
+            self.deliver(port, landing);
+        }
+        if !open {
+            // The end, an error, corruption or `stop`: nothing written to
+            // the stream arrives any more.
+            with_local(|l| {
+                let Some(r) = l.streams.remove(&fd) else {
+                    return;
+                };
+                let _ = l.poller.remove(r.conn.stream.as_raw_fd());
+                if let Some(peer) = r.peer {
+                    self.forget_stream(peer, &r.conn);
+                }
+                self.streams.lock().retain(|s| !Arc::ptr_eq(s, &r.conn));
+            });
+        }
+    }
+
+    /// The stream with descriptor `fd` has room: writes its unsent bytes.
+    fn flush_stream(&self, fd: u64) {
+        if let Some(conn) = with_local(|l| l.streams.get(&fd).map(|r| Arc::clone(&r.conn))) {
+            self.flush(&conn);
+        }
+    }
+
+    /// Writes out as much of `conn`'s unsent bytes as its socket takes,
+    /// and has the loop watch it for room while any are left. A failed
+    /// write is a reset: the stream is shut down, and the loop reads its
+    /// end.
+    fn flush(&self, conn: &Conn) {
+        let mut out = conn.out.lock();
+        match write_some(&conn.stream, &out.bytes) {
+            Ok(0) => {}
+            Ok(n) => {
+                out.bytes.drain(..n);
+                out.moved = Some(Instant::now());
+            }
+            Err(e) => {
+                out.bytes = Vec::new();
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                self.net.counter_add("real.net.resets", 1);
+                self.journal(format!("reset on a conn with unsent bytes: {e}"));
+            }
+        }
+        let want = !out.bytes.is_empty();
+        if want != out.watched {
+            let fd = conn.stream.as_raw_fd();
+            out.watched =
+                with_local(|l| l.poller.watch_writable(fd, fd as u64, want)).is_ok() && want;
+        }
+    }
+
+    /// Hands a frame to its port: its mailbox, or its handler's task,
+    /// started here and run until it first waits.
+    fn deliver(self: &Arc<Self>, port: u16, landing: Landing) {
+        let entry = self.ports.lock().get(&port).cloned();
+        let (served, job): (_, Job) = match (entry, landing) {
+            (Some(Port::Mailbox(mailbox)), landing) => {
+                self.net.frames_queued.fetch_add(1, Ordering::Relaxed);
+                return mailbox.push(landing);
+            }
+            (Some(Port::Served(served)), landing) => match (&served.serving, landing) {
+                (Serving::Frames(handler), Ok((from, msg))) => {
+                    let handler = Arc::clone(handler);
+                    (served, Box::new(move || handler(from, msg)))
+                }
+                // A port served by `serve` drops bounces, as the receive
+                // loop would.
+                (Serving::Frames(_), Err(_)) => return,
+                (Serving::Landings(handler), landing) => {
+                    let handler = Arc::clone(handler);
+                    (served, Box::new(move || handler(landing)))
+                }
+            },
+            (None, Ok((from, _))) => {
+                // Closed port on a live node: bounce, as the sim does —
+                // over the node's stream to the sender, like any frame
+                // (so a cut or lossy link drops bounces too).
+                let _ = self.send_bytes(port, from, FRAME_UNREACH, &[]);
+                return;
+            }
+            (None, Err(_)) => return,
+        };
+        if join_group(&served.group) {
+            if let Some(id) = self.new_task(&served.task, served.group.clone(), job) {
+                self.resume(id);
             }
         }
     }
 
-    /// Runs a served port's handler on what this connection reader read.
-    fn run_served(self: &Arc<Self>, served: &Served, item: Delivered) {
-        let group = served.group.clone();
-        match (&served.serving, item) {
-            (Serving::Spawn { handler, inline }, Delivered::Msg(from, msg)) => {
-                // Handed to a carrier, not run here: the servant may
-                // place a nested call whose reply arrives on this stream,
-                // and only this thread reads it. Unless the port's owner
-                // has said this frame's handler waits for no other.
-                let here = inline.as_ref().is_some_and(|test| test(&msg));
-                let handler = Arc::clone(handler);
-                let run = Box::new(move || handler(from, msg));
-                if here {
-                    self.run_task_here(&served.task, group, run);
-                } else {
-                    self.spawn_task(&served.task, group, run);
-                }
-            }
-            // A port served by `serve` drops bounces, as the receive loop
-            // would.
-            (Serving::Spawn { .. }, Delivered::Unreach(_)) => {}
-            (Serving::Inline(handler), item) => {
-                let handler = Arc::clone(handler);
-                let run = Box::new(move || handler(deliver(item)));
-                self.run_task_here(&served.task, group, run);
-            }
-        }
-    }
+    // -- The senders' side: any thread. -------------------------------------
 
-    /// Runs `f` as a task of `group`, like [`FrameSender::spawn_task`],
-    /// but on the calling thread — a connection reader with a frame its
-    /// port runs inline — and to its end before returning.
-    fn run_task_here(
-        &self,
-        name: &str,
-        group: Option<Arc<GroupCore>>,
-        f: Box<dyn FnOnce() + Send>,
-    ) {
-        if !join_group(&group) {
-            return;
+    /// Starts `f` as a task in `group` on the node's loop.
+    fn spawn_task(self: &Arc<Self>, name: &str, group: Option<Arc<GroupCore>>, f: Job) {
+        if join_group(&group) {
+            self.post(Post::Spawn(Arc::from(name), group, f));
         }
-        run_in_group(self, name, group, f);
-        // A reader is in no group and under no span between two frames.
-        clear_current_group();
-        crate::trace::set_current_ctx(None);
     }
 
     fn slot(&self, peer: NodeId) -> PeerSlot {
@@ -1336,64 +1352,50 @@ impl FrameSender {
     }
 
     /// Makes `stream` one of the node's own: sets it up for small frames
-    /// both ways, registers it for [`RealNode::stop`] and starts the
-    /// thread that reads it to its end.
+    /// both ways and for sends that never block, registers it for
+    /// [`RealNode::stop`] and hands it to the loop to read to its end.
     fn adopt_stream(
         self: &Arc<Self>,
         stream: TcpStream,
         peer: Option<NodeId>,
-    ) -> std::io::Result<Arc<TcpStream>> {
+    ) -> io::Result<Arc<Conn>> {
         stream.set_nodelay(true).ok();
-        stream.set_write_timeout(Some(WRITE_STALL)).ok();
-        let stream = Arc::new(stream);
+        stream.set_nonblocking(true)?;
+        let out = Mutex::new(Unsent::default());
+        let stream = Arc::new(Conn { stream, out });
         {
             let mut streams = self.streams.lock();
             // `stop` raises the flag before it takes this lock, so either
             // it finds the stream here or we see the flag.
             if self.stopped.load(Ordering::SeqCst) {
-                return Err(std::io::Error::other("node stopped"));
+                return Err(io::Error::other("node stopped"));
             }
             streams.push(Arc::clone(&stream));
         }
-        let (sender, theirs) = (Arc::clone(self), Arc::clone(&stream));
-        let reader = std::thread::Builder::new()
-            .name("conn-reader".into())
-            .spawn(move || {
-                ON_READER.with(|r| r.set(true));
-                reader_main(&theirs, peer, &sender);
-                sender.unregister_stream(&theirs);
-            });
-        if let Err(e) = reader {
-            self.unregister_stream(&stream);
-            return Err(e);
-        }
+        self.post(Post::Stream(Arc::clone(&stream), peer));
         Ok(stream)
-    }
-
-    fn unregister_stream(&self, stream: &Arc<TcpStream>) {
-        self.streams.lock().retain(|s| !Arc::ptr_eq(s, stream));
     }
 
     /// The first frame on an accepted stream named `peer`: this node's
     /// frames to `peer` go out on that stream from now on. Whatever the
     /// slot held loses: the peer dials only when it has no stream with
-    /// us, so that one is either dead — torn down at the peer, its EOF
+    /// us, so that one is either dead — torn down at the peer, its end
     /// not yet read here — or, when both sides dialled at once, as good
     /// as this one. It stays read to its end either way.
-    fn offer_stream(&self, peer: NodeId, stream: &Arc<TcpStream>) {
+    fn offer_stream(&self, peer: NodeId, stream: &Arc<Conn>) {
         *self.slot(peer).lock() = Some(Arc::clone(stream));
     }
 
-    /// `stream`'s reader is done with it. If `peer`'s slot still holds
-    /// it, the next frame for `peer` dials instead of vanishing into it.
-    fn forget_stream(&self, peer: NodeId, stream: &Arc<TcpStream>) {
+    /// The loop is done with `stream`. If `peer`'s slot still holds it,
+    /// the next frame for `peer` dials instead of vanishing into it.
+    fn forget_stream(&self, peer: NodeId, stream: &Arc<Conn>) {
         let slot = self.slot(peer);
-        let mut conn = slot.lock();
-        if !conn.as_ref().is_some_and(|held| Arc::ptr_eq(held, stream)) {
+        let mut held = slot.lock();
+        if !held.as_ref().is_some_and(|h| Arc::ptr_eq(h, stream)) {
             return;
         }
-        *conn = None;
-        drop(conn);
+        *held = None;
+        drop(held);
         if !self.stopped.load(Ordering::SeqCst) {
             self.net.counter_add("real.net.resets", 1);
             self.journal(format!("conn to {peer} closed by the peer"));
@@ -1424,91 +1426,33 @@ impl FrameSender {
                 // both directions of it — so both ends see a mid-stream
                 // reset and must reconnect.
                 if let Some(s) = slot.lock().take() {
-                    let _ = s.shutdown(Shutdown::Both);
+                    let _ = s.stream.shutdown(Shutdown::Both);
                     self.net.counter_add("real.net.resets", 1);
                     self.journal(format!("reset storm: tore down conn to {}", to.node));
                 }
             }
             if let Some(d) = v.delay {
-                let Some(sockaddr) = self.net.lookup(to.node) else {
-                    return Ok(());
-                };
-                if v.dup {
-                    self.net
-                        .delay_frame(Instant::now() + d, sockaddr, frame.clone());
-                }
-                self.net.delay_frame(Instant::now() + d, sockaddr, frame);
+                // The frame waits its delay out in a task of its own.
+                let node = Arc::clone(self);
+                self.spawn_task(
+                    "delayed-frame",
+                    None,
+                    Box::new(move || {
+                        cancellable_sleep(d);
+                        let _ = node.write_frame(&node.slot(to.node), to, &frame, v.dup);
+                    }),
+                );
+                self.net.counter_add("real.net.delayed", 1);
                 return Ok(());
             }
             dup = v.dup;
         }
-        if ON_READER.with(Cell::get) {
-            // A connection reader neither dials nor backs off: the frames
-            // queued behind it on its own stream would wait all the
-            // while. It writes into a stream the node already has with
-            // the peer — a reply rides the stream its request came on —
-            // and leaves anything harder to a carrier. That includes a
-            // slot another sender holds: it may be dialling under it.
-            // Once it has handed a frame to a carrier, its later frames to
-            // that peer follow it there, so per-stream order holds.
-            let backlog = DEFERRED.with(|d| Arc::clone(d.borrow_mut().entry(to.node).or_default()));
-            let mut queue = backlog.lock();
-            if !queue.draining {
-                if let Some(mut conn) = slot.try_lock() {
-                    if conn.is_some()
-                        && !self.stopped.load(Ordering::SeqCst)
-                        && self.write_on(&mut conn, to, &frame, dup).is_ok()
-                    {
-                        return Ok(());
-                    }
-                }
-            }
-            queue.frames.push_back(Deferred {
-                from_port,
-                to,
-                frame,
-                dup,
-            });
-            if !std::mem::replace(&mut queue.draining, true) {
-                drop(queue);
-                let sender = Arc::clone(self);
-                let drain = move || sender.drain(&slot, &backlog);
-                // In no group: a frame handed over leaves even if its
-                // sender's group dies meanwhile, as one in a socket
-                // buffer would, and the frames queued behind it with it.
-                self.spawn_task("conn-send", None, Box::new(drain));
-            }
-            return Ok(());
-        }
         self.write_frame(&slot, to, &frame, dup)
-    }
-
-    /// Writes out a reader's deferred frames to one peer, oldest first,
-    /// as any sender would — dialling and backing off as it must — and
-    /// bounces each frame every attempt was refused for.
-    fn drain(self: &Arc<Self>, slot: &PeerSlot, backlog: &Mutex<Backlog>) {
-        loop {
-            let next = {
-                let mut queue = backlog.lock();
-                match queue.frames.pop_front() {
-                    Some(next) => next,
-                    None => {
-                        queue.draining = false;
-                        return;
-                    }
-                }
-            };
-            if let Err(NetError::PeerRefused(_)) =
-                self.write_frame(slot, next.to, &next.frame, next.dup)
-            {
-                self.bounce_here(next.from_port, next.to);
-            }
-        }
     }
 
     /// Writes `frame` into the node's stream with `to`, dialling when
     /// there is none: [`RECONNECT_ATTEMPTS`] attempts, backing off
-    /// between them.
+    /// between them — one attempt on the loop itself, which never waits.
     fn write_frame(
         self: &Arc<Self>,
         slot: &PeerSlot,
@@ -1516,9 +1460,10 @@ impl FrameSender {
         frame: &[u8],
         dup: bool,
     ) -> Result<(), NetError> {
+        let attempts = if may_wait() { RECONNECT_ATTEMPTS } else { 1 };
         let mut last_err = String::from("no attempt made");
         let mut ever_connected = false;
-        for attempt in 0..RECONNECT_ATTEMPTS {
+        for attempt in 0..attempts {
             if attempt > 0 {
                 // Back off with jitter instead of hammering a dead peer;
                 // cancellable, so a killed group's senders don't linger.
@@ -1529,7 +1474,7 @@ impl FrameSender {
             check_killed();
             let mut conn = slot.lock();
             // Under the slot lock, so `stop` either sees this stream in
-            // the cache or this send sees the flag.
+            // the node's registry or this send sees the flag.
             if self.stopped.load(Ordering::SeqCst) {
                 return Err(NetError::SendFailed(format!("{} has stopped", self.id)));
             }
@@ -1564,7 +1509,7 @@ impl FrameSender {
             // The peer accepted at some point and the connection broke:
             // a reset-shaped transient, worth retrying at a higher layer.
             Err(NetError::SendFailed(format!(
-                "connection failed after {RECONNECT_ATTEMPTS} attempts: {last_err}"
+                "connection failed after {attempts} attempts: {last_err}"
             )))
         } else {
             // Every attempt was refused outright: nothing listens there.
@@ -1572,44 +1517,251 @@ impl FrameSender {
         }
     }
 
-    /// One `write` of `frame` (two when the link duplicates) into the
-    /// stream `conn` holds. A failed write on an established connection
-    /// is the RST-shaped failure: the stream is dropped (its reader too)
+    /// Sends `frame` (twice when the link duplicates) on the stream
+    /// `conn` holds, telling the loop when it left unsent bytes. A failed
+    /// write on an established connection, or a stalled one, is the
+    /// RST-shaped failure: the stream is shut down (its loop forgets it)
     /// and the next frame dials.
     fn write_on(
-        &self,
-        conn: &mut Option<Arc<TcpStream>>,
+        self: &Arc<Self>,
+        conn: &mut Option<Arc<Conn>>,
         to: Addr,
         frame: &[u8],
         dup: bool,
     ) -> Result<(), String> {
-        let mut stream: &TcpStream = conn.as_deref().expect("a stream to write on");
-        let mut wrote = stream.write_all(frame);
-        if dup && wrote.is_ok() {
-            wrote = stream.write_all(frame);
+        let c = conn.as_ref().expect("a stream to write on");
+        let mut wrote = c.send(frame);
+        if dup {
+            wrote = wrote.and_then(|left| Ok(c.send(frame)? || left));
         }
-        wrote.map_err(|e| {
+        if let Ok(true) = wrote {
+            self.post(Post::Flush(Arc::clone(c)));
+        }
+        wrote.map(drop).map_err(|e| {
             if let Some(broken) = conn.take() {
-                let _ = broken.shutdown(Shutdown::Both);
+                let _ = broken.stream.shutdown(Shutdown::Both);
             }
             self.net.counter_add("real.net.resets", 1);
             self.journal(format!("reset on conn to {}: {e}", to.node));
             e.to_string()
         })
     }
+}
 
-    /// A frame from `port` that nothing would accept at `to` comes back
-    /// to the port as a bounce, as a closed port's would.
-    fn bounce_here(self: &Arc<Self>, port: u16, to: Addr) {
-        let entry = self.ports.lock().get(&port).cloned();
-        match entry {
-            Some(Port::Mailbox(mailbox)) => {
-                self.net.frames_queued.fetch_add(1, Ordering::Relaxed);
-                mailbox.push(Delivered::Unreach(to));
-            }
-            Some(Port::Served(served)) => self.run_served(&served, Delivered::Unreach(to)),
-            None => {}
+/// A host on the real runtime. Implements [`NodeRt`].
+pub struct RealNode {
+    name: String,
+    next_ephemeral: Mutex<u16>,
+    /// The node's network, id, ports, streams and loop, shared with its
+    /// endpoints and tasks.
+    core: Arc<NodeCore>,
+    /// Every group ever rooted on this node, for node-level crash.
+    groups: Mutex<Vec<Weak<GroupCore>>>,
+}
+
+impl RealNode {
+    /// Takes the node off the network: closes the listener and every
+    /// stream the node dialled or accepted, so the peers' loops see them
+    /// end. Later sends from its endpoints fail; nothing more arrives at
+    /// them. The node's loop thread exits once its last task has ended;
+    /// a task spawned after that never runs (`real.net.spawn_failed`).
+    /// Also runs when the node is dropped.
+    pub fn stop(&self) {
+        if self.core.stopped.swap(true, Ordering::SeqCst) {
+            return;
         }
+        // The listener goes first, so a peer that sees its stream end and
+        // dials again is refused rather than left in the backlog.
+        drop(self.core.listener.lock().take());
+        for conn in self.core.streams.lock().iter() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        self.core.post(Post::Stop);
+    }
+
+    /// The node's human-readable name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The network this node belongs to.
+    pub fn net(&self) -> &Arc<RealNet> {
+        &self.core.net
+    }
+
+    /// Kills every process group rooted on this node — the real-runtime
+    /// counterpart of the simulator's `CrashNode`. The loop stays up, so
+    /// frames to the dead services bounce (host alive, process dead).
+    pub fn kill_all_groups(&self) {
+        let groups: Vec<_> = self.groups.lock().clone();
+        for g in groups {
+            if let Some(g) = g.upgrade() {
+                g.kill();
+            }
+        }
+    }
+
+    fn new_group(&self) -> Arc<GroupCore> {
+        let core = Arc::new(GroupCore {
+            id: self.core.net.next_group.fetch_add(1, Ordering::Relaxed),
+            node: self.core.id,
+            killed: AtomicBool::new(false),
+            live: AtomicUsize::new(0),
+            killed_at: Mutex::new(None),
+            eps: Mutex::new(Vec::new()),
+            tasks: Mutex::new(Vec::new()),
+            net: Arc::downgrade(&self.core.net),
+        });
+        self.groups.lock().push(Arc::downgrade(&core));
+        core
+    }
+}
+
+impl Drop for RealNode {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+impl NodeRt for RealNode {
+    fn now(&self) -> SimTime {
+        self.core.net.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        cancellable_sleep(d);
+    }
+
+    fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) {
+        // Like fork: the child joins the spawner's group (if any).
+        self.core.spawn_task(name, current_group(), f);
+    }
+
+    fn spawn_group(
+        &self,
+        name: &str,
+        f: Box<dyn FnOnce() + Send>,
+    ) -> Arc<dyn crate::rt::ProcGroup> {
+        let core = self.new_group();
+        self.core.spawn_task(name, Some(Arc::clone(&core)), f);
+        Arc::new(RealProcGroup {
+            core,
+            ext: Arc::clone(&self.core.ext),
+        })
+    }
+
+    fn open(&self, port: PortReq) -> Result<Arc<dyn Endpoint>, NetError> {
+        let mut ports = self.core.ports.lock();
+        let portno = match port {
+            PortReq::Fixed(p) => {
+                if ports.contains_key(&p) {
+                    return Err(NetError::PortInUse(p));
+                }
+                p
+            }
+            PortReq::Ephemeral => {
+                let mut next = self.next_ephemeral.lock();
+                let mut cand = *next;
+                while ports.contains_key(&cand) {
+                    cand = cand.checked_add(1).unwrap_or(crate::kernel::EPHEMERAL_BASE);
+                }
+                *next = cand.checked_add(1).unwrap_or(crate::kernel::EPHEMERAL_BASE);
+                cand
+            }
+        };
+        let mailbox = Mailbox::new();
+        ports.insert(portno, Port::Mailbox(Arc::clone(&mailbox)));
+        drop(ports);
+        let ep = Arc::new(RealEndpoint {
+            node: self.core.id,
+            port: portno,
+            mailbox,
+            core: Arc::clone(&self.core),
+            owner_group: Mutex::new(None),
+        });
+        // The opener's group owns the endpoint until adopt/disown says
+        // otherwise: killing the group closes it.
+        ep.register_current_group();
+        Ok(ep)
+    }
+
+    fn node(&self) -> NodeId {
+        self.core.id
+    }
+
+    fn rand_u64(&self) -> u64 {
+        rand::rng().next_u64()
+    }
+
+    fn cancelled(&self) -> bool {
+        group_killed()
+    }
+
+    fn trace(&self, msg: &str) {
+        if self.core.net.trace {
+            eprintln!("[{}] {}: {}", self.now(), self.core.id, msg);
+        }
+    }
+
+    fn make_sync(&self) -> Arc<dyn crate::sync::SyncObj> {
+        Arc::new(RealSyncObj(Waitable::new(0)))
+    }
+
+    fn extensions(&self) -> Arc<crate::rt::Extensions> {
+        Arc::clone(&self.core.ext)
+    }
+}
+
+/// Process-group handle for the real runtime: a cooperative cancellation
+/// scope over the group's tasks and endpoints.
+struct RealProcGroup {
+    core: Arc<GroupCore>,
+    /// The owning node's extension map, for the black-box dump.
+    ext: Arc<crate::rt::Extensions>,
+}
+
+impl crate::rt::ProcGroup for RealProcGroup {
+    fn alive(&self) -> bool {
+        !self.core.killed() && self.core.live.load(Ordering::SeqCst) > 0
+    }
+
+    fn kill(&self) {
+        let was_alive = !self.core.killed();
+        self.core.kill();
+        if was_alive {
+            // Black box: dump the node's journal tail at the kill.
+            let node = self.core.node;
+            self.ext
+                .get_or_init(|| crate::journal::Journal::new(node))
+                .dump_tail(&format!("group {} kill", self.core.id));
+        }
+    }
+
+    fn id(&self) -> u64 {
+        self.core.id
+    }
+}
+
+/// The wait/notify object of the real runtime: a generation that tasks
+/// and threads wait on alike; a kill wakes a task out of the wait.
+struct RealSyncObj(Waitable<u64>);
+
+impl crate::sync::SyncObj for RealSyncObj {
+    fn generation(&self) -> u64 {
+        self.0.lock().now
+    }
+
+    fn wait_newer(&self, seen: u64, timeout: Option<Duration>) -> u64 {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        self.0
+            .wait(deadline, |gen| (*gen > seen).then_some(*gen))
+            .unwrap_or_else(|| self.generation())
+    }
+
+    fn bump(&self) {
+        let mut w = self.0.lock();
+        w.now += 1;
+        self.0.notify(w);
     }
 }
 
@@ -1618,7 +1770,7 @@ pub struct RealEndpoint {
     node: NodeId,
     port: u16,
     mailbox: Arc<Mailbox>,
-    sender: Arc<FrameSender>,
+    core: Arc<NodeCore>,
     /// The group whose kill closes this endpoint; adopt/disown move it.
     owner_group: Mutex<Option<Weak<GroupCore>>>,
 }
@@ -1628,11 +1780,11 @@ impl RealEndpoint {
         EpHandle {
             port: self.port,
             mailbox: Arc::clone(&self.mailbox),
-            ports: Arc::clone(&self.sender.ports),
+            ports: Arc::clone(&self.core.ports),
         }
     }
 
-    /// Registers the endpoint with the calling thread's group (after
+    /// Registers the endpoint with the calling task's group (after
     /// deregistering from any previous owner).
     fn register_current_group(&self) {
         self.unregister();
@@ -1652,15 +1804,31 @@ impl RealEndpoint {
             g.eps.lock().retain(|h| h.port != self.port);
         }
     }
+
+    /// Points the port's entry at its handler, in the owner's group.
+    fn become_served(&self, task_name: &str, serving: Serving) {
+        let group = self.owner_group.lock().as_ref().and_then(Weak::upgrade);
+        let mut ports = self.core.ports.lock();
+        // The entry of an open endpoint is its own; a closed one has
+        // none, and must not take a successor's.
+        if !self.mailbox.0.lock().now.1 {
+            let served = Served {
+                task: Arc::from(task_name),
+                serving,
+                group,
+            };
+            ports.insert(self.port, Port::Served(Arc::new(served)));
+        }
+    }
 }
 
 impl Endpoint for RealEndpoint {
     fn send(&self, to: Addr, msg: Bytes) -> Result<(), NetError> {
-        self.sender.send_bytes(self.port, to, FRAME_MSG, &msg)
+        self.core.send_bytes(self.port, to, FRAME_MSG, &msg)
     }
 
     fn recv(&self, timeout: Option<Duration>) -> Result<(Addr, Bytes), RecvError> {
-        self.mailbox.pop(timeout).and_then(deliver)
+        self.mailbox.pop(timeout)
     }
 
     fn local(&self) -> Addr {
@@ -1668,7 +1836,7 @@ impl Endpoint for RealEndpoint {
     }
 
     fn close(&self) {
-        close_port(&self.sender.ports, self.port, &self.mailbox);
+        close_port(&self.core.ports, self.port, &self.mailbox);
         self.unregister();
     }
 
@@ -1680,48 +1848,31 @@ impl Endpoint for RealEndpoint {
         self.unregister();
     }
 
-    /// The connection readers hand each frame for the port straight to a
-    /// carrier, or run it themselves if `inline` passes it; the calling
-    /// task only waits for the close (and spawns the handler on whatever
-    /// reached the mailbox before this call).
+    /// The loop starts each frame's task where it reads the frame —
+    /// whatever `inline` says: that costs no hand-off. The calling task
+    /// spawns the handler on what reached the mailbox before this call,
+    /// then only waits for the close.
     fn serve(
         &self,
         rt: &dyn NodeRt,
         task_name: &str,
         handler: FrameHandler,
-        inline: Option<InlineTest>,
+        _inline: Option<InlineTest>,
     ) {
-        let serving = Serving::Spawn {
-            handler: Arc::clone(&handler),
-            inline,
-        };
-        self.become_served(task_name, serving);
-        crate::rt::serve_by_recv(self, rt, task_name, &handler);
+        self.become_served(task_name, Serving::Frames(Arc::clone(&handler)));
+        let queued = std::mem::take(&mut self.mailbox.0.lock().now.0);
+        for (from, msg) in queued.into_iter().flatten() {
+            let handler = Arc::clone(&handler);
+            rt.spawn(task_name, Box::new(move || handler(from, msg)));
+        }
+        while !matches!(self.mailbox.pop(None), Err(RecvError::Closed)) {}
     }
 
     fn serve_inline(&self, task_name: &str, handler: LandingHandler) {
-        self.become_served(task_name, Serving::Inline(Arc::clone(&handler)));
-        let queued = std::mem::take(&mut *self.mailbox.queue.lock());
-        for item in queued {
-            handler(deliver(item));
-        }
-    }
-}
-
-impl RealEndpoint {
-    /// Points the port's entry at its handler, in the owner's group.
-    fn become_served(&self, task_name: &str, serving: Serving) {
-        let group = self.owner_group.lock().as_ref().and_then(Weak::upgrade);
-        let mut ports = self.sender.ports.lock();
-        // The entry of an open endpoint is its own; a closed one has
-        // none, and must not take a successor's.
-        if !self.mailbox.closed.load(Ordering::SeqCst) {
-            let served = Served {
-                task: task_name.to_string(),
-                serving,
-                group,
-            };
-            ports.insert(self.port, Port::Served(Arc::new(served)));
+        self.become_served(task_name, Serving::Landings(Arc::clone(&handler)));
+        let queued = std::mem::take(&mut self.mailbox.0.lock().now.0);
+        for landing in queued {
+            handler(landing);
         }
     }
 }
@@ -1739,11 +1890,11 @@ impl Drop for RealEndpoint {
 ///
 /// Link actions (partition/heal, impair/clear) map directly onto the
 /// network's fault table. Node lifecycle actions map `CrashNode` onto
-/// [`RealNode::kill_all_groups`] (the router stays up, so the crash
-/// looks like every process dying on a live host); `RestartNode` is the
-/// campaign driver's job — re-initialising software is an operator
-/// action, exactly as in the simulator — so it only reaches the
-/// `on_action` callback.
+/// [`RealNode::kill_all_groups`] (the node's loop and listener stay up,
+/// so the crash looks like every process dying on a live host);
+/// `RestartNode` is the campaign driver's job — re-initialising software
+/// is an operator action, exactly as in the simulator — so it only
+/// reaches the `on_action` callback.
 pub struct RealNemesis;
 
 impl RealNemesis {
@@ -1776,7 +1927,7 @@ impl RealNemesis {
             }
             FaultAction::RestartNode(n) => {
                 // Software re-initialisation is the driver's job; the
-                // host itself (router, listener) never went away.
+                // host itself (the node's loop and listener) never went away.
                 net.counter_add("nemesis.restart", 1);
                 let _ = n;
             }
@@ -1950,8 +2101,13 @@ mod tests {
         );
     }
 
+    /// The name of the thread the caller runs on.
+    fn thread_name() -> String {
+        std::thread::current().name().unwrap_or("?").to_string()
+    }
+
     #[test]
-    fn a_killed_groups_carrier_serves_its_sibling_clean() {
+    fn a_killed_groups_sibling_runs_clean_on_the_same_loop() {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
         let rt: Arc<dyn NodeRt> = a.clone();
@@ -1959,51 +2115,46 @@ mod tests {
         let group_a = a.spawn_group("victim", {
             let (rt, tx) = (Arc::clone(&rt), tx.clone());
             Box::new(move || {
-                tx.send((std::thread::current().id(), rt.cancelled()))
-                    .unwrap();
+                tx.send((thread_name(), rt.cancelled())).unwrap();
                 rt.sleep(Duration::from_secs(3600)); // killed in here
             })
         });
-        let (carrier, cancelled) = rx.recv().unwrap();
-        assert!(!cancelled);
+        assert_eq!(rx.recv().unwrap(), ("a-loop".to_string(), false));
         group_a.kill();
         assert!(eventually(Duration::from_secs(5), || !group_a.alive()));
-        assert!(eventually(Duration::from_secs(5), || a
-            .sender
-            .carriers
-            .parked()
-            == 1));
-        // The node's one carrier is the victim's; the sibling gets it,
-        // and must not inherit the kill with it.
+        // The sibling runs on the node's one loop, as the victim did, and
+        // must not inherit the kill from it.
         let group_b = a.spawn_group("sibling", {
             let rt = Arc::clone(&rt);
             Box::new(move || {
                 rt.sleep(Duration::from_millis(1)); // a cancellation point
-                tx.send((std::thread::current().id(), rt.cancelled()))
-                    .unwrap();
+                tx.send((thread_name(), rt.cancelled())).unwrap();
             })
         });
-        assert_eq!(rx.recv().unwrap(), (carrier, false));
+        assert_eq!(rx.recv().unwrap(), ("a-loop".to_string(), false));
         assert!(eventually(Duration::from_secs(5), || !group_b.alive()));
-        assert_eq!(counter(&net, "real.net.threads_spawned"), 1);
-        // Stamped once, for the victim: a task's exit, not a thread's.
+        assert_eq!(
+            counter(&net, "real.net.threads_spawned"),
+            1,
+            "the loop alone"
+        );
+        // Stamped once, for the victim: a task's exit.
         assert_eq!(counter(&net, "real.net.kills"), 1);
         assert_eq!(net.samples("real.net.kill_latency_us").len(), 1);
         assert!(counter(&net, "real.net.kill_latency_us") >= 1);
     }
 
     #[test]
-    fn a_panicking_task_is_journalled_by_name_and_frees_its_carrier() {
+    fn a_panicking_task_is_journalled_by_name_and_its_loop_runs_on() {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
         // A panic without the hook's stderr line: same payload, same path.
         a.spawn_fn("fragile", || {
             panic::resume_unwind(Box::new("out of luck".to_string()))
         });
-        assert!(
-            eventually(Duration::from_secs(5), || a.sender.carriers.parked() == 1),
-            "the carrier died with its task"
-        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        a.spawn_fn("next", move || tx.send(thread_name()).unwrap());
+        assert_eq!(rx.recv().unwrap(), "a-loop", "the loop died with the task");
         let lines: Vec<String> = crate::journal::Journal::of(&*a)
             .events()
             .iter()
@@ -2011,9 +2162,6 @@ mod tests {
             .map(|e| e.detail.to_string())
             .collect();
         assert_eq!(lines, vec!["panic in 'fragile': out of luck".to_string()]);
-        let (tx, rx) = std::sync::mpsc::channel();
-        a.spawn_fn("next", move || tx.send(()).unwrap());
-        rx.recv().unwrap();
         assert_eq!(counter(&net, "real.net.threads_spawned"), 1);
     }
 
@@ -2161,13 +2309,11 @@ mod tests {
         let b = net.add_node("b").unwrap();
         let b_id = b.node();
         b.stop();
-        // Give the router a beat to actually release the listener.
-        std::thread::sleep(Duration::from_millis(50));
         drop(b);
         let client = a.open(PortReq::Ephemeral).unwrap();
         let started = Instant::now();
         let r = client.send(Addr::new(b_id, 100), Bytes::from_static(b"x"));
-        // The listener closed with the router, so every attempt is
+        // `stop` closed the listener, so every attempt is
         // refused (unless a parallel test's node was just handed the
         // port) — either way the send must return within the bounded
         // backoff budget, not hang.
@@ -2369,8 +2515,7 @@ mod tests {
     }
 
     /// Serves `port` of `node` from a group of its own: every frame is
-    /// echoed by a task that first reports the thread it runs on. Frames
-    /// `inline` passes may run on the reader.
+    /// echoed by a task that first reports the thread it runs on.
     fn spawn_served_echo(
         node: &Arc<RealNode>,
         port: u16,
@@ -2388,8 +2533,7 @@ mod tests {
                 ep.adopt();
                 let reply = Arc::clone(&ep);
                 let handler = move |from, msg| {
-                    let thread = std::thread::current().name().unwrap_or("?").to_string();
-                    ran_on.lock().send(thread).unwrap();
+                    ran_on.lock().send(thread_name()).unwrap();
                     let _ = reply.send(from, msg);
                 };
                 ep.serve(&*rt, "svc-worker", Arc::new(handler), inline);
@@ -2398,8 +2542,16 @@ mod tests {
         (group, addr)
     }
 
+    /// Waits until `node`'s `port` is served: before that, a frame waits
+    /// in the mailbox for the serving task.
+    fn wait_served(node: &RealNode, port: u16) {
+        assert!(eventually(Duration::from_secs(5), || {
+            matches!(node.core.ports.lock().get(&port), Some(Port::Served(_)))
+        }));
+    }
+
     #[test]
-    fn a_served_port_runs_frames_on_carriers_and_queues_none() {
+    fn a_served_port_runs_frames_on_its_loop_and_queues_none() {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
         let b = net.add_node("b").unwrap();
@@ -2410,27 +2562,24 @@ mod tests {
             client.send(b_addr, Bytes::from_static(msg)).unwrap();
             client.recv(Some(Duration::from_secs(5)))
         };
-        // Until the group's main has registered the handler, a frame
-        // waits in the mailbox for it; not after.
         call(b"warm-up").unwrap();
         ran_on.recv().unwrap();
-        assert!(eventually(Duration::from_secs(5), || {
-            matches!(b.sender.ports.lock().get(&100), Some(Port::Served(_)))
-        }));
+        wait_served(&b, 100);
         let queued = counter(&net, "real.net.frames_queued");
         for _ in 0..100 {
             let (from, msg) = call(b"ping").unwrap();
             assert_eq!((from, &msg[..]), (b_addr, &b"ping"[..]));
-            assert_eq!(
-                ran_on.recv().unwrap(),
-                "b-carrier",
-                "the reader ran a handler"
-            );
+            assert_eq!(ran_on.recv().unwrap(), "b-loop");
         }
         assert_eq!(
             counter(&net, "real.net.frames_queued") - queued,
             100,
             "the replies queue at the client; the requests queue nowhere"
+        );
+        assert_eq!(
+            counter(&net, "real.net.threads_spawned"),
+            2,
+            "the two loops"
         );
 
         // Killing the group closes the port: bounces, and no more tasks.
@@ -2445,13 +2594,13 @@ mod tests {
             "a dead group's port ran a handler"
         );
         assert!(
-            b.sender.ports.lock().is_empty(),
+            b.core.ports.lock().is_empty(),
             "the handler outlived its port"
         );
     }
 
     #[test]
-    fn frames_the_inline_test_passes_run_on_the_reader_as_tasks_of_the_group() {
+    fn served_frames_start_in_arrival_order_on_the_loop_whatever_the_inline_test() {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
         let b = net.add_node("b").unwrap();
@@ -2465,33 +2614,32 @@ mod tests {
         };
         call(b"warm-up").unwrap();
         ran_on.recv().unwrap();
-        assert!(eventually(Duration::from_secs(5), || {
-            matches!(b.sender.ports.lock().get(&100), Some(Port::Served(_)))
-        }));
+        wait_served(&b, 100);
         for _ in 0..20 {
-            let (from, msg) = call(b"brief ping").unwrap();
-            assert_eq!((from, &msg[..]), (b_addr, &b"brief ping"[..]));
-            assert_eq!(ran_on.recv().unwrap(), "conn-reader");
-            // The frames the test does not pass still get a carrier.
+            call(b"brief ping").unwrap();
+            assert_eq!(ran_on.recv().unwrap(), "b-loop");
             call(b"long ping").unwrap();
-            assert_eq!(ran_on.recv().unwrap(), "b-carrier");
+            assert_eq!(ran_on.recv().unwrap(), "b-loop");
         }
 
-        // A burst nobody waits for: handled one frame at a time, in the
-        // order it was sent, on the one thread, and starts none.
-        let threads = counter(&net, "real.net.threads_spawned");
+        // A burst nobody waits for: started in the order it was sent, on
+        // the one loop, and its replies come back in that order.
         for i in 0..200u8 {
-            let msg = [b"brief ".as_slice(), &[i]].concat();
+            let msg = [b"burst ".as_slice(), &[i]].concat();
             client.send(b_addr, Bytes::from(msg)).unwrap();
         }
         for i in 0..200u8 {
             let (_, msg) = client.recv(Some(Duration::from_secs(5))).unwrap();
             assert_eq!(msg.last(), Some(&i));
-            assert_eq!(ran_on.recv().unwrap(), "conn-reader");
+            assert_eq!(ran_on.recv().unwrap(), "b-loop");
         }
-        assert_eq!(counter(&net, "real.net.threads_spawned"), threads);
+        assert_eq!(
+            counter(&net, "real.net.threads_spawned"),
+            2,
+            "the two loops"
+        );
 
-        // An inline frame is a task of the group like any other: a
+        // A frame's task is a task of the group like any other: a
         // killed group runs none.
         assert!(group.alive());
         group.kill();
@@ -2506,12 +2654,11 @@ mod tests {
         );
     }
 
-    /// A connection reader never waits to connect: an inline handler's
-    /// send to a peer the node holds no stream with goes to a carrier,
-    /// so the reader is back at its stream at once — and a peer nothing
-    /// listens at bounces the frame back to the port it left from.
+    /// A handler that dials a peer nothing listens at waits out its
+    /// reconnect back-off in its own task, and is told `PeerRefused`;
+    /// the loop serves the node's other frames meanwhile.
     #[test]
-    fn a_reader_hands_a_send_it_cannot_write_at_once_to_a_carrier() {
+    fn a_handler_backing_off_from_a_dead_peer_holds_up_no_other_frame() {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
         let b = net.add_node("b").unwrap();
@@ -2524,120 +2671,115 @@ mod tests {
         relay.serve_inline(
             "relay",
             Arc::new(move |item| {
-                let thread = std::thread::current().name().unwrap_or("?").to_string();
+                let Ok((_, msg)) = item else { return };
                 let t0 = Instant::now();
-                if item.is_ok() {
-                    out.send(gone_addr, Bytes::from_static(b"onward")).unwrap();
-                }
-                let _ = tx
-                    .lock()
-                    .send((item.map(|(_, msg)| msg), thread, t0.elapsed()));
+                let sent = if &msg[..] == b"onward" {
+                    Some(out.send(gone_addr, msg.clone()))
+                } else {
+                    None
+                };
+                let _ = tx.lock().send((msg, sent, thread_name(), t0.elapsed()));
             }),
         );
         let client = a.open(PortReq::Ephemeral).unwrap();
-        client
-            .send(Addr::new(b.node(), 100), Bytes::from_static(b"go"))
-            .unwrap();
-        let (item, thread, took) = landed.recv_timeout(Duration::from_secs(5)).unwrap();
+        let to = Addr::new(b.node(), 100);
+        client.send(to, Bytes::from_static(b"onward")).unwrap();
+        client.send(to, Bytes::from_static(b"beside")).unwrap();
+        let (msg, sent, thread, took) = landed.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(
-            (item, thread.as_str()),
-            (Ok(Bytes::from_static(b"go")), "conn-reader")
+            (&msg[..], sent, thread.as_str()),
+            (&b"beside"[..], None, "b-loop")
+        );
+        assert!(took < Duration::from_millis(5));
+        let (msg, sent, thread, took) = landed.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            (&msg[..], sent, thread.as_str()),
+            (
+                &b"onward"[..],
+                Some(Err(NetError::PeerRefused(gone.node()))),
+                "b-loop"
+            )
         );
         assert!(
-            took < Duration::from_millis(5),
-            "the reader waited {took:?} to send"
+            took >= RECONNECT_POLICY.base * (RECONNECT_ATTEMPTS - 1),
+            "the sender backed off for {took:?}"
         );
-        let (item, _, _) = landed.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(item, Err(RecvError::Unreachable(gone_addr)));
     }
 
-    /// Nor does it wait on a peer's slot another sender holds, which may
-    /// be dialling under it: the frame goes to a carrier, and leaves
-    /// when the slot is free.
+    /// Larger than a loopback stream's socket buffers can hold unread.
+    const BIG: usize = 8 << 20;
+
+    /// Sends `BIG` bytes to `to` from a task on `node`, once `start`
+    /// lets it.
+    fn send_big_from_a_task(node: &Arc<RealNode>, to: Addr, start: Arc<std::sync::Barrier>) {
+        let rt = Arc::clone(node) as Arc<dyn NodeRt>;
+        node.spawn_fn("big", move || {
+            let ep = rt.open(PortReq::Ephemeral).unwrap();
+            start.wait();
+            ep.send(to, Bytes::from(vec![7; BIG])).unwrap();
+        });
+    }
+
+    fn recv_big(ep: &Arc<dyn Endpoint>) {
+        let (_, got) = ep
+            .recv(Some(Duration::from_secs(3)))
+            .expect("the big frame, well inside WRITE_STALL");
+        assert!(got.len() == BIG && got.iter().all(|&b| b == 7));
+    }
+
     #[test]
-    fn a_reader_does_not_wait_on_a_slot_another_sender_holds() {
+    fn two_loops_sending_each_other_a_frame_their_buffers_cannot_hold_both_get_through() {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
         let b = net.add_node("b").unwrap();
-        let c = net.add_node("c").unwrap();
-        let sink = c.open(PortReq::Fixed(9)).unwrap();
-        let sink_addr = Addr::new(c.node(), 9);
-        let relay = b.open(PortReq::Fixed(100)).unwrap();
-        // The stream b → c exists before the slot is held.
-        relay.send(sink_addr, Bytes::from_static(b"warm")).unwrap();
-        let (_, warm) = sink.recv(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(&warm[..], b"warm");
-        let (tx, landed) = std::sync::mpsc::channel();
-        let (out, tx) = (Arc::clone(&relay), Mutex::new(tx));
-        relay.serve_inline(
-            "relay",
-            Arc::new(move |item| {
-                let thread = std::thread::current().name().unwrap_or("?").to_string();
-                let t0 = Instant::now();
-                if item.is_ok() {
-                    out.send(sink_addr, Bytes::from_static(b"onward")).unwrap();
-                }
-                let _ = tx.lock().send((thread, t0.elapsed()));
-            }),
+        let (at_a, at_b) = (
+            a.open(PortReq::Fixed(60)).unwrap(),
+            b.open(PortReq::Fixed(60)).unwrap(),
         );
-        let slot = b.sender.slot(c.node());
-        let held = slot.lock();
-        let client = a.open(PortReq::Ephemeral).unwrap();
-        client
-            .send(Addr::new(b.node(), 100), Bytes::from_static(b"go"))
+        at_a.send(at_b.local(), Bytes::from_static(b"hello"))
             .unwrap();
-        let (thread, took) = landed.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(thread, "conn-reader");
-        assert!(
-            took < Duration::from_millis(5),
-            "the reader waited {took:?} on a held slot"
-        );
-        assert!(
-            sink.recv(Some(Duration::from_millis(50))).is_err(),
-            "nothing leaves while the slot is held"
-        );
-        drop(held);
-        let (_, onward) = sink.recv(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(&onward[..], b"onward");
+        at_b.recv(Some(Duration::from_secs(5))).unwrap();
+        // Both loops are in their sends at once.
+        let start = Arc::new(std::sync::Barrier::new(2));
+        send_big_from_a_task(&a, at_b.local(), Arc::clone(&start));
+        send_big_from_a_task(&b, at_a.local(), start);
+        recv_big(&at_a);
+        recv_big(&at_b);
+        assert_eq!(conn_opens(&net), 1);
+        assert_eq!(counter(&net, "real.net.resets"), 0);
     }
 
-    /// What a reader cannot write at once keeps its place: once a frame
-    /// for a peer is deferred, the reader's later frames to that peer
-    /// queue behind it instead of overtaking it, and one carrier takes
-    /// them all. The peer's slot is held across the burst, so every
-    /// reply is deferred.
     #[test]
-    fn a_reader_keeps_the_order_of_the_frames_it_defers() {
+    fn a_task_sends_its_own_node_a_frame_the_buffers_cannot_hold() {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
-        let b = net.add_node("b").unwrap();
-        let (ran_on_tx, ran_on) = std::sync::mpsc::channel();
-        let brief: InlineTest = Arc::new(|msg| msg.starts_with(b"brief"));
-        let (_group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx, Some(brief));
-        let client = a.open(PortReq::Ephemeral).unwrap();
-        client.send(b_addr, Bytes::from_static(b"warm-up")).unwrap();
-        client.recv(Some(Duration::from_secs(5))).unwrap();
-        ran_on.recv().unwrap();
-        assert!(eventually(Duration::from_secs(5), || {
-            matches!(b.sender.ports.lock().get(&100), Some(Port::Served(_)))
-        }));
-        let threads = counter(&net, "real.net.threads_spawned");
-        let slot = b.sender.slot(a.node());
-        let held = slot.lock();
-        for i in 0..50u8 {
-            let msg = [b"brief ".as_slice(), &[i]].concat();
-            client.send(b_addr, Bytes::from(msg)).unwrap();
-        }
-        for _ in 0..50 {
-            assert_eq!(ran_on.recv().unwrap(), "conn-reader");
-        }
-        drop(held);
-        for i in 0..50u8 {
-            let (_, msg) = client.recv(Some(Duration::from_secs(5))).unwrap();
-            assert_eq!(msg.last(), Some(&i), "a deferred reply was overtaken");
-        }
-        let started = counter(&net, "real.net.threads_spawned") - threads;
-        assert!(started <= 1, "{started} carriers for one peer's replies");
+        let at_a = a.open(PortReq::Fixed(60)).unwrap();
+        send_big_from_a_task(&a, at_a.local(), Arc::new(std::sync::Barrier::new(1)));
+        recv_big(&at_a);
+        assert_eq!(counter(&net, "real.net.resets"), 0);
+    }
+
+    /// A peer that takes a stream and never reads it: the unsent bytes
+    /// stop moving, and the first frame after `WRITE_STALL` resets the
+    /// stream and dials again.
+    #[test]
+    fn a_stream_whose_unsent_bytes_stop_moving_is_reset_at_the_next_frame() {
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        // The kernel completes the handshake; nothing ever reads.
+        let wedged = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let peer = NodeId(999);
+        net.directory
+            .lock()
+            .insert(peer, wedged.local_addr().unwrap());
+        let (ep, to) = (a.open(PortReq::Ephemeral).unwrap(), Addr::new(peer, 1));
+        ep.send(to, Bytes::from(vec![7; BIG])).unwrap();
+        std::thread::sleep(WRITE_STALL + Duration::from_millis(100));
+        ep.send(to, Bytes::from_static(b"next")).unwrap();
+        assert_eq!(conn_opens(&net), 2);
+        let reset = format!("reset on conn to {peer}: peer reads nothing");
+        let lines = crate::journal::Journal::of(&*a).events();
+        assert!(lines.iter().any(|e| *e.detail == reset), "{lines:?}");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! * the deterministic discrete-event runtime ([`crate::Sim`]), where time
 //!   is virtual and every run is reproducible from a seed, and
-//! * the real runtime ([`crate::real::RealNet`]), where processes are OS
-//!   threads and messages travel over TCP on the loopback interface.
+//! * the real runtime ([`crate::real::RealNet`]), where processes are
+//!   tasks on their node's one loop thread and messages travel over TCP
+//!   on the loopback interface.
 //!
 //! The message model is datagram-like (as the paper's object exchange layer
 //! is): a node opens numbered *endpoints* (ports), sends byte messages to
@@ -178,8 +179,8 @@ pub trait Endpoint: Send + Sync {
     /// callers run it as their process's main; bounces are dropped.
     ///
     /// Both runtimes hand a message to its process where it is
-    /// delivered, with no serving process woken first: on TCP the
-    /// connection reader gives each frame to a carrier thread; in the
+    /// delivered, with no serving process woken first: on TCP the node's
+    /// loop starts the handler's task where it read the frame; in the
     /// simulator the kernel spawns the handler's process at the delivery
     /// instant. The serving process only waits for the close, after
     /// spawning the handler on whatever was queued before the call.
@@ -187,12 +188,11 @@ pub trait Endpoint: Send + Sync {
     /// `inline` names the messages whose handler *never waits for another
     /// message*: no nested call, no receive, no sleep, no wait on a sync
     /// object — it computes, at most takes a lock nobody holds across
-    /// such a wait, and sends. Both runtimes run those where they arrive,
-    /// with no process of their own: on TCP the connection reader runs
-    /// them itself, one after the other in arrival order, as tasks of
-    /// the endpoint's group; the simulator runs them on whichever thread
-    /// is stepping the kernel, as the endpoint's node and group, and
-    /// panics, naming `task_name`, if one waits after all.
+    /// such a wait, and sends. The simulator runs those with no process
+    /// of their own, on whichever thread is stepping the kernel, as the
+    /// endpoint's node and group, and panics, naming `task_name`, if one
+    /// waits after all. TCP gives every message a task, which costs no
+    /// hand-off there.
     fn serve(
         &self,
         rt: &dyn NodeRt,
@@ -201,15 +201,14 @@ pub trait Endpoint: Send + Sync {
         inline: Option<InlineTest>,
     );
 
-    /// Serves the endpoint with no process at all: every message that
+    /// Serves the endpoint with no serving process: every message that
     /// lands — and every bounce of a message sent from it — runs
     /// `handler` with what a [`recv`](Endpoint::recv) would have
-    /// returned, where and as [`serve`](Endpoint::serve)'s inline frames
-    /// run (TCP's connection reader; the simulator's stepping thread, as
-    /// the endpoint's node), under the same promise: the handler waits
-    /// for nothing. What reached the endpoint before the call is handed
-    /// to `handler` on the calling thread. Returns at once; the endpoint
-    /// closes as any other does.
+    /// returned, under the inline promise: the handler waits for nothing.
+    /// The simulator runs it as an inline frame runs; TCP in a task its
+    /// node's loop starts where it read the frame. What reached the
+    /// endpoint before the call is handed to `handler` on the calling
+    /// thread. Returns at once; the endpoint closes as any other does.
     fn serve_inline(&self, task_name: &str, handler: LandingHandler);
 }
 
@@ -224,42 +223,16 @@ pub type InlineTest = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
 /// What [`Endpoint::serve_inline`] runs per message or bounce.
 pub type LandingHandler = Arc<dyn Fn(Result<(Addr, Bytes), RecvError>) + Send + Sync>;
 
-/// Receives from `ep` until it closes, spawning `handler` on each
-/// message: how TCP's [`Endpoint::serve`] drains what reached the
-/// endpoint's mailbox before the port became served, then waits for the
-/// close.
-pub(crate) fn serve_by_recv<E: Endpoint + ?Sized>(
-    ep: &E,
-    rt: &dyn NodeRt,
-    task_name: &str,
-    handler: &FrameHandler,
-) {
-    loop {
-        // A cancellation point: a killed process group stops taking
-        // messages even if its endpoint raced ahead of the close.
-        if rt.cancelled() {
-            return;
-        }
-        match ep.recv(None) {
-            Ok((from, msg)) => {
-                let handler = Arc::clone(handler);
-                rt.spawn(task_name, Box::new(move || handler(from, msg)));
-            }
-            Err(RecvError::Unreachable(_) | RecvError::TimedOut) => continue,
-            Err(RecvError::Closed) => return,
-        }
-    }
-}
-
 /// A handle on a spawned process group — the unit of service lifetime.
 ///
 /// Mirrors what the paper's Server Service Controller gets from UNIX: it
 /// can tell whether the service (all its processes) is still alive, and
 /// kill it. The simulation kills the whole group at its next scheduling
-/// point; the real runtime kills cooperatively — every member thread
+/// point; the real runtime kills cooperatively — every member task
 /// unwinds at its next cancellation point (sleep, receive, sync wait,
-/// ORB dispatch entry) and the group's endpoints close immediately, so
-/// peers observe bounces rather than silence.
+/// ORB dispatch entry), the one it is suspended in at once, and the
+/// group's endpoints close immediately, so peers observe bounces rather
+/// than silence.
 pub trait ProcGroup: Send + Sync {
     /// Whether any process of the group is alive.
     fn alive(&self) -> bool;
@@ -371,7 +344,7 @@ pub trait NodeRt: Send + Sync {
     /// the ORB's dispatch path) poll this between units of work. The
     /// simulation always returns `false` — a killed simulated process
     /// never runs again, so it can never observe the flag — and the
-    /// real runtime returns the calling thread's group-cancellation
+    /// real runtime returns the calling task's group-cancellation
     /// token.
     fn cancelled(&self) -> bool {
         false

@@ -6,11 +6,9 @@
 //! DAG, so runtime-level code — the flight-recorder journal
 //! ([`crate::journal`]), fault injection, the real transport — can stamp
 //! records with the trace that was active when they fired. The
-//! thread-local is per process: a real-runtime task has its carrier
-//! thread to itself for as long as it runs (`carrier.rs` clears the
-//! context before the next task), and the simulator saves and restores
-//! it with the rest of a process's context at every switch between
-//! process stacks, starting each new process with none.
+//! thread-local is per process: both runtimes save and restore it with
+//! the rest of a process's (or task's) context at every switch between
+//! stacks, starting each new one with none.
 //!
 //! Identifiers embed the allocating node in the high bits and a per-node
 //! sequence in the low bits: unique cluster-wide, and — because neither

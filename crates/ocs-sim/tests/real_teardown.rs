@@ -34,7 +34,7 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
         // An echo service on every node, answering each request from a
         // task of its own as the ORB does — two of them through `serve`,
         // two through a receive loop of their own; every node calls
-        // every other, so each pair holds a stream, with a reader at
+        // every other, so each pair holds a stream, read by the loops at
         // both ends.
         let mut served = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
@@ -82,16 +82,10 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
             clients[0].recv(Some(Duration::from_secs(5))).unwrap();
         }
         let during = footprint();
-        // 4 routers + 4 echo threads + 12 readers + the workers' carriers;
-        // 4 listeners + 6 streams with two ends each.
-        assert!(
-            during.0 >= before.0 + 20,
-            "threads: {before:?} -> {during:?}"
-        );
-        assert!(
-            during.0 < before.0 + 100,
-            "threads: {before:?} -> {during:?}"
-        );
+        // One loop thread per node, whatever its streams and tasks; 4
+        // listeners + 6 streams with two ends each (+ each loop's epoll
+        // set and eventfd).
+        assert_eq!(during.0, before.0 + 4, "threads: {before:?} -> {during:?}");
         assert!(
             during.1 >= before.1 + 16,
             "descriptors: {before:?} -> {during:?}"
@@ -110,8 +104,7 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
         }
     }
     // The echo loops leave at their next receive timeout, the serving
-    // tasks at the close, the parked carriers as soon as `stop` wakes
-    // them.
+    // tasks at the close, and each node's loop thread with its last task.
     let deadline = Instant::now() + Duration::from_secs(5);
     while footprint() != before && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));

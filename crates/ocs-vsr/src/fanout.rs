@@ -18,10 +18,11 @@
 //! **Receiving.** [`PeerServant`] is the one servant of the protocol:
 //! it unmarshals what the sending half marshalled and runs the step on
 //! its [`Replica`] — `prepare`, `commit_hb`, `forward_op` and `get_state`
-//! where they arrive, with no process of their own (`Servant::runs_inline`): on
-//! TCP's connection reader, in the simulator on the thread stepping the
-//! kernel. A forwarded op is answered by the ack that commits it. A
-//! group's peer interface differs from another's in its wire name
+//! where they arrive — in the simulator with no process of their own
+//! (`Servant::runs_inline`), on the thread stepping the kernel; on TCP in
+//! a task the node's loop starts where it read the frame. A forwarded op
+//! is answered by the ack that commits it. A group's peer interface
+//! differs from another's in its wire name
 //! ([`Replicated::PEER_INTERFACE`]) and in the op and snapshot types its
 //! frames carry, nothing else: both halves number and name the methods
 //! from [`Method`].

@@ -352,10 +352,11 @@ fn a_forwarded_op_starts_no_process_on_either_side() {
     assert_eq!(spawns, 1, "the client's process alone");
 }
 
-/// On TCP the commit is decided on a connection reader — the one that
-/// read the first backup's ack — and the reply leaves from there.
+/// On TCP the commit is decided on the primary's loop — the one thread
+/// its node runs, which read the first backup's ack — and the reply
+/// leaves from there.
 #[test]
-fn a_commit_on_tcp_is_decided_on_a_connection_reader() {
+fn a_commit_on_tcp_is_decided_on_the_primarys_loop() {
     let group = Group::tcp(counters());
     group.settle("at start");
     let master = sole_master(&group).unwrap();
@@ -366,7 +367,7 @@ fn a_commit_on_tcp_is_decided_on_a_connection_reader() {
         total += amount;
         assert_eq!(
             add(&client, target, amount),
-            (Ok(total), "conn-reader".to_string())
+            (Ok(total), format!("r{master}-loop"))
         );
     }
 }

@@ -31,8 +31,9 @@ cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 cargo clippy -q --offline --workspace --all-targets \
     --features ocs-ras/real_chaos,ocs-svcctl/real_chaos,itv-cluster/real_chaos -- -D warnings
 cargo test --offline --workspace -q
-# The simulator switches process stacks with unsafe code (ocs-sim's
-# only); its tests run optimized too, where the compiler is freest.
+# Both runtimes switch process stacks with unsafe code (ocs-sim's only,
+# with the real runtime's epoll calls); its tests run optimized too,
+# where the compiler is freest.
 cargo test --release --offline -p ocs-sim -q
 
 # Real-runtime chaos smoke (E19): one cooperative kill plus one
