@@ -246,6 +246,11 @@ pub fn e5() {
     ]);
     let mut base_r = 0.0;
     let mut base_w = 0.0;
+    // The verdict's two numbers: the worst resolves/s against replicas ×
+    // the one-replica rate, and the spread of the update rate over the
+    // replicated rows (one replica commits with no peer to wait for).
+    let mut resolve_scaling_min = f64::INFINITY;
+    let mut replicated_w: Vec<f64> = Vec::new();
     for replicas in [1usize, 2, 3, 5] {
         let sim = Sim::new(500 + replicas as u64);
         let nodes = ns_group(&sim, replicas, Duration::from_secs(3600));
@@ -315,7 +320,10 @@ pub fn e5() {
         if replicas == 1 {
             base_r = r;
             base_w = w;
+        } else {
+            replicated_w.push(w);
         }
+        resolve_scaling_min = resolve_scaling_min.min(r / (replicas as f64 * base_r));
         t.row(&[
             replicas.to_string(),
             f(r, 0),
@@ -326,6 +334,13 @@ pub fn e5() {
     }
     t.print();
     crate::report::put("table", t.to_json());
+    let (w_min, w_max) = replicated_w
+        .iter()
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), &w| {
+            (lo.min(w), hi.max(w))
+        });
+    crate::report::put("resolve_scaling_min", Json::F64(resolve_scaling_min));
+    crate::report::put("update_spread", Json::F64((w_max - w_min) / w_max));
     println!("    shape: resolves/s grows ~linearly with replicas; update rate stays flat.");
 }
 

@@ -20,7 +20,9 @@ use ocs_name::{
 };
 use ocs_orb::{ClientCtx, ObjRef, Orb};
 use ocs_ras::{Ras, RasConfig, RasOracle, SettopMgr};
-use ocs_sim::{Addr, LinkParams, NodeId, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimNode, SimTime};
+use ocs_sim::{
+    Addr, FaultAction, LinkParams, NodeId, NodeRt, NodeRtExt, PortReq, Rt, Sim, SimNode, SimTime,
+};
 use ocs_svcctl::{
     Csc, CscConfig, ServiceDef, ServiceRunCtx, ServiceStatus, Ssc, SscApiClient, SscConfig,
     SscReplicaConfig,
@@ -792,15 +794,16 @@ impl Cluster {
         )
     }
 
-    /// Crashes a server machine.
+    /// Crashes a server machine (journalled under `fault`, as every
+    /// injected fault is).
     pub fn crash_server(&self, i: usize) {
-        self.sim.crash_node(self.servers[i].node.node());
+        FaultAction::CrashNode(self.servers[i].node.node()).apply(&self.sim);
     }
 
     /// Restarts a crashed server: node up, then "init" starts the SSC,
     /// which starts the basic services; the CSC re-places the rest.
     pub fn restart_server(&self, i: usize) {
-        self.sim.restart_node(self.servers[i].node.node());
+        FaultAction::RestartNode(self.servers[i].node.node()).apply(&self.sim);
         self.start_ssc(i);
     }
 

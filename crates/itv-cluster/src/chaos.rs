@@ -3,16 +3,17 @@
 //! any server the plan reboots (restarting its SSC, §6.3 step 1), so the
 //! software stack actually recovers rather than just the bare node.
 //!
-//! The runner advances the simulation from the test driver instead of a
-//! nemesis process: a `RestartNode` needs `&Cluster` to re-run init, and
-//! the driver is the only place that has it. Because every step is
-//! `run_until` on the deterministic kernel, a chaos run is exactly as
-//! reproducible as a fault-free one — identical seed and plan yield an
-//! identical [`Sim::trace_hash`](ocs_sim::Sim::trace_hash).
+//! The runner is [`FaultPlan::run`] with the test driver advancing the
+//! simulation instead of a nemesis process: a `RestartNode` needs
+//! `&Cluster` to re-run init, and the driver is the only place that has
+//! it. Because every step is `run_until` on the deterministic kernel, a
+//! chaos run is exactly as reproducible as a fault-free one — identical
+//! seed and plan yield an identical
+//! [`Sim::trace_hash`](ocs_sim::Sim::trace_hash).
 
 use std::collections::BTreeSet;
 
-use ocs_sim::{FaultAction, FaultPlan, FaultPlanSpec, Nemesis, NodeId, NodeRt, SimTime};
+use ocs_sim::{FaultAction, FaultPlan, FaultPlanSpec, NodeId, NodeRt, SimTime};
 
 use crate::build::Cluster;
 
@@ -42,31 +43,30 @@ impl Cluster {
         plan: &FaultPlan,
         mut advance: impl FnMut(SimTime),
     ) -> ChaosOutcome {
-        let mut applied = 0;
-        let mut healed_at = self.sim.now();
+        let began = self.sim.now();
         // Randomized plans may overlap two crash/recovery pairs on one
         // node; init runs once, on the first restart after a crash.
         let mut downed: BTreeSet<NodeId> = BTreeSet::new();
-        for ev in plan.sorted_events() {
-            if ev.at > self.sim.now() {
-                advance(ev.at);
+        let wait = |t: SimTime| {
+            if t > self.sim.now() {
+                advance(t);
             }
-            Nemesis::apply(&self.sim, &ev.action);
-            match ev.action {
-                FaultAction::CrashNode(n) => {
-                    downed.insert(n);
-                }
-                FaultAction::RestartNode(n) if downed.remove(&n) => {
-                    if let Some(i) = self.servers.iter().position(|s| s.node.node() == n) {
-                        self.start_ssc(i);
-                    }
-                }
-                _ => {}
+        };
+        plan.run(&self.sim, wait, |ev| match ev.action {
+            FaultAction::CrashNode(n) => {
+                downed.insert(n);
             }
-            applied += 1;
-            healed_at = healed_at.max(ev.at);
+            FaultAction::RestartNode(n) if downed.remove(&n) => {
+                if let Some(i) = self.servers.iter().position(|s| s.node.node() == n) {
+                    self.start_ssc(i);
+                }
+            }
+            _ => {}
+        });
+        ChaosOutcome {
+            applied: plan.len(),
+            healed_at: began.max(plan.horizon()),
         }
-        ChaosOutcome { applied, healed_at }
     }
 
     /// A randomized-campaign spec over this cluster's topology between

@@ -130,6 +130,13 @@ fn settop_crash_reclaims_movie_and_bandwidth() {
     );
     let reclaimed = leak.held.expect("reclaimed") - t_kill;
     assert!(reclaimed <= Promise::Reclaim.bound(), "reclaimed after {reclaimed:?}");
+    // Both journalled what they did: the MDS the stream it abandoned,
+    // then the MMS the session its audit found gone there (before the
+    // settop's RAS watch fired).
+    let timeline = cluster.postmortem();
+    let abandon_line = timeline.find(" mds       stream ").expect("no abandon line");
+    let reclaim_line = timeline.find("gone at its mds; reclaiming").expect("no reclaim line");
+    assert!(abandon_line < reclaim_line, "{timeline}");
 }
 
 #[test]
@@ -169,6 +176,15 @@ fn mms_failover_to_backup_within_25s() {
     assert_eq!(lapse.cause, "svc/mms is not bound");
     let rebound = lapse.held.expect("rebound") - t_kill;
     assert!(rebound <= Promise::Rebind(names::MMS).bound(), "rebound after {rebound:?}");
+    // The NS audit journalled its removal of the dead name, and the
+    // backup that took over its promotion.
+    let successor = cluster.binding(names::MMS).expect("svc/mms bound again").addr.node;
+    assert_ne!(successor, mms_ref.addr.node);
+    let timeline = cluster.postmortem();
+    let removed = timeline.find("audit removing dead svc/mms").expect("no audit line");
+    let on_successor = format!(" {successor} mms       promoted to primary");
+    let promoted = timeline.find(&on_successor).expect("no promotion line");
+    assert!(removed < promoted, "{timeline}");
 }
 
 #[test]

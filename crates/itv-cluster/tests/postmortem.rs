@@ -70,6 +70,11 @@ fn postmortem_lists_injected_faults_in_order() {
         timeline.lines().any(|l| l.contains(" ssc-vsr ")),
         "timeline should carry ssc-vsr journal lines:\n{timeline}"
     );
+    // And each server's SSC journals the services it starts.
+    assert!(
+        timeline.contains(" ssc       started mms (group "),
+        "timeline should carry the SSCs' service starts:\n{timeline}"
+    );
 }
 
 #[test]

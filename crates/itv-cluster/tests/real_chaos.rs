@@ -22,8 +22,16 @@ use std::time::{Duration, Instant};
 
 use itv_cluster::RealCluster;
 use ocs_sim::fault::FaultPlan;
-use ocs_sim::real::{eventually, RealNemesis};
-use ocs_sim::{NodeRt, SimTime};
+use ocs_sim::real::{eventually, wall_clock};
+use ocs_sim::{FaultRt, NodeRt, SimTime};
+
+/// Waits for the last task of a killed group to stamp the kill in the
+/// `real.net.*` counters, which it does just after `alive()` turns false.
+fn await_kill_stamped(cluster: &RealCluster) {
+    eventually(Duration::from_secs(5), || {
+        cluster.net().counters().contains_key("real.net.kill_latency_us")
+    });
+}
 
 /// One fully-assembled campaign cluster: NS × 3, CM (short leases), MDS,
 /// MMS, one streaming viewer.
@@ -133,16 +141,15 @@ fn mds_abandons_stream_after_settop_reset() {
     );
 }
 
-/// Leg 4 — partition and heal mid-campaign, driven by a FaultPlan
-/// through the real nemesis: calls fail during the cut and succeed
-/// after the heal.
+/// Leg 4 — partition and heal mid-campaign, driven by a FaultPlan on
+/// the wall clock: calls fail during the cut and succeed after the heal.
 #[test]
 fn partition_heals_mid_campaign() {
     let (cluster, _viewer) = campaign_cluster();
     let driver = cluster.servers[0].node();
     let mms_node = cluster.servers[2].node();
     // Cut server0 (driver + CM + NS replica 0) off from the MMS server
-    // from t=0, heal at t=1s — wall clock via RealNemesis.
+    // from t=0, heal at t=1s.
     let plan = FaultPlan::new().partition(
         driver,
         mms_node,
@@ -154,7 +161,7 @@ fn partition_heals_mid_campaign() {
     let cluster_ref = &cluster;
     std::thread::scope(|s| {
         s.spawn(|| {
-            RealNemesis::run_blocking(cluster_ref.net(), &plan, |ev| {
+            plan.run(&**cluster_ref.net(), wall_clock(), |ev| {
                 if matches!(ev.action, ocs_sim::FaultAction::Partition(_, _)) {
                     // While cut: resolving the MMS from server 0 and
                     // calling it must fail (frames are dropped).
@@ -200,6 +207,7 @@ fn real_net_counters_surface_in_telemetry_snapshot() {
             .alive()),
         "killed viewer still alive"
     );
+    await_kill_stamped(&cluster);
     let snap = cluster.telemetry_snapshot();
     assert!(
         snap.counter("real.net.conn_open") > 0,
@@ -330,6 +338,42 @@ fn killed_ns_replica_recovers_via_snapshot_transfer() {
     );
 }
 
+/// The TCP postmortem lists the faults a plan injected, as the
+/// simulator's does: each action, on each node it hits, under `fault`,
+/// in the order the plan applied them.
+#[test]
+fn postmortem_lists_injected_faults_in_order_on_tcp() {
+    let cluster = RealCluster::launch(3, 0);
+    let [a, b, c] = [0, 1, 2].map(|i| cluster.servers[i].node());
+    let ms = SimTime::from_millis;
+    let plan = FaultPlan::new()
+        .partition(a, b, ms(0), ms(200))
+        .crash(c, ms(400), ms(600));
+    plan.run(&**cluster.net(), wall_clock(), |_| {});
+    let timeline = cluster.postmortem();
+    let mut lines = timeline.lines();
+    for ev in plan.sorted_events() {
+        let desc = ev.action.describe();
+        assert!(
+            lines.any(|l| l.contains(" fault ") && l.contains(&desc)),
+            "{desc} missing (or out of order) in the postmortem:\n{timeline}"
+        );
+    }
+    let events = cluster.journal_events();
+    let journalled = |node, desc: &str| {
+        events
+            .iter()
+            .any(|e| e.node == node && e.category == "fault" && e.detail == desc)
+    };
+    let partition = format!("partition {a}-{b}");
+    assert!(
+        journalled(a, &partition) && journalled(b, &partition),
+        "{timeline}"
+    );
+    assert!(journalled(c, &format!("crash {c}")), "{timeline}");
+    assert!(!cluster.ns_group.running(2), "the crash left server 2's replica up");
+}
+
 /// The tier-1 smoke: one kill + one partition-heal cycle, bounded.
 /// Everything here must finish well inside the script's 60 s timeout.
 #[test]
@@ -343,6 +387,7 @@ fn smoke_kill_and_partition_heal_cycle() {
             .alive()),
         "killed viewer group still alive"
     );
+    await_kill_stamped(&cluster);
     let _ = viewer;
     // Partition + heal: NS resolve from server 0 to the master fails
     // during the cut (when the master is remote) and works after.

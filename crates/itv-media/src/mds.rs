@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
 use ocs_sim::sync::SyncObj;
-use ocs_sim::{Addr, NetError, NodeRtExt, PortReq, RecvError, Rt};
+use ocs_sim::{Addr, Journal, NetError, NodeRtExt, PortReq, RecvError, Rt};
 use ocs_wire::Wire;
 use parking_lot::Mutex;
 
@@ -178,7 +178,8 @@ impl Mds {
                 }
                 if bounced >= ABANDON_BOUNCES {
                     let id = *movie.object_id.lock();
-                    rt.trace(&format!("mds: stream {id} bounced {bounced}x; abandoning"));
+                    let line = format!("stream {id} bounced {bounced}x; abandoning");
+                    Journal::note(&*rt, "mds", line);
                     ocs_telemetry::NodeTelemetry::of(&*rt)
                         .registry
                         .counter("mds.stream.abandoned")

@@ -30,7 +30,7 @@ use ocs_orb::{
     RpcFault,
 };
 use ocs_ras::{EntityId, RasMonitor};
-use ocs_sim::{Addr, NodeId, NodeRtExt, PortReq, Rt, SimTime};
+use ocs_sim::{Addr, Journal, NodeId, NodeRtExt, PortReq, Rt, SimTime};
 use ocs_wire::Wire;
 use parking_lot::Mutex;
 
@@ -131,7 +131,7 @@ impl Mms {
             self_ref,
             self.cfg.bind_retry,
         );
-        self.rt.trace("mms: promoted to primary");
+        Journal::note(&*self.rt, "mms", "promoted to primary");
         self.recover_state();
         // Periodic reassertion of connections (also heals CM fail-over).
         let mms = Arc::clone(self);
@@ -319,9 +319,8 @@ impl Mms {
             }
         }
         if recovered > 0 {
-            self.rt.trace(&format!(
-                "mms: recovered {recovered} sessions from MDS replicas"
-            ));
+            let line = format!("recovered {recovered} sessions from MDS replicas");
+            Journal::note(&*self.rt, "mms", line);
         }
     }
 
@@ -374,9 +373,8 @@ impl Mms {
             };
             for (id, obj) in sess {
                 if !open.iter().any(|o| o.object_id == obj) {
-                    self.rt.trace(&format!(
-                        "mms: session {id} gone at its mds; reclaiming"
-                    ));
+                    let line = format!("session {id} gone at its mds; reclaiming");
+                    Journal::note(&*self.rt, "mms", line);
                     let _ = self.close_session(id);
                 }
             }
@@ -416,9 +414,8 @@ impl Mms {
         // Fixed order, as in `reassert_all`.
         held.sort_unstable();
         for session in held {
-            self.rt.trace(&format!(
-                "mms: settop {settop} died; reclaiming session {session}"
-            ));
+            let line = format!("settop {settop} died; reclaiming session {session}");
+            Journal::note(&*self.rt, "mms", line);
             let _ = self.close_session(session);
         }
     }

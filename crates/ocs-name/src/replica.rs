@@ -34,7 +34,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use ocs_orb::{Caller, ClientCtx, ObjRef};
-use ocs_sim::{Addr, NetError, NodeId, NodeRtExt, Rt, Semaphore};
+use ocs_sim::{Addr, Journal, NetError, NodeId, NodeRtExt, Rt, Semaphore};
 use ocs_telemetry::Counter;
 use ocs_vsr::{Refusal, Replica, ReplicaConfig, Replicated, VsrEvent, VsrStatus};
 use parking_lot::Mutex;
@@ -423,7 +423,7 @@ impl NsCore {
             let alive = oracle.check(&leaves);
             for ((path, _), alive) in leaves.iter().zip(alive) {
                 if !alive {
-                    self.rt.trace(&format!("ns: audit removing dead {path}"));
+                    Journal::note(&*self.rt, "ns", format!("audit removing dead {path}"));
                     self.audit_removed.inc();
                     let _ = self
                         .rep

@@ -8,12 +8,16 @@
 //! with a recovery action before the plan's horizon, so a run that
 //! executes the whole plan always ends with the network healed.
 //!
-//! A [`Nemesis`] executes the plan as an ordinary simulated process on
-//! the kernel: it sleeps to each action's time and applies it through
-//! the [`Sim`] handle. Because the nemesis is scheduled by the same
-//! deterministic kernel as the workload, a run under a plan is exactly
-//! as reproducible as a fault-free run — `Sim::trace_hash` over two runs
-//! with identical seeds and plans yields identical digests.
+//! Every fault, on either runtime, goes through [`FaultAction::apply`]:
+//! it journals the action under `fault` on every node it hits, then acts
+//! on the [`FaultRt`] — the simulator or a TCP network. Every plan runs
+//! through [`FaultPlan::run`], whoever waits between its actions: a
+//! simulated process that sleeps ([`Nemesis`]), a driver that steps
+//! virtual time, or a thread on the wall clock. Because the nemesis is
+//! scheduled by the same deterministic kernel as the workload, a
+//! simulated run under a plan is exactly as reproducible as a fault-free
+//! run — `Sim::trace_hash` over two runs with identical seeds and plans
+//! yields identical digests.
 
 use std::time::Duration;
 
@@ -25,7 +29,7 @@ use crate::rt::NodeId;
 use crate::sim::Sim;
 use crate::time::SimTime;
 
-/// One fault (or recovery) action a nemesis can take.
+/// One fault (or recovery) action.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultAction {
     /// Kill every process on the node and close its endpoints.
@@ -85,6 +89,42 @@ impl FaultAction {
             | FaultAction::ClearImpair(a, b) => vec![a, b],
         }
     }
+
+    /// Applies the action on `rt`: journals it under `fault` on every
+    /// node it hits, *before* acting, so the record lands in the victim's
+    /// black box ahead of the fault itself, then acts. The one place a
+    /// fault becomes runtime calls. A journal write is trace-invisible:
+    /// the simulator's event-trace hash is the same with or without it.
+    pub fn apply(&self, rt: &dyn FaultRt) {
+        for n in self.journal_targets() {
+            rt.journal_fault(n, self.describe());
+        }
+        match *self {
+            FaultAction::CrashNode(n) => rt.crash_node(n),
+            FaultAction::RestartNode(n) => rt.restart_node(n),
+            FaultAction::Partition(a, b) => rt.set_partitioned(a, b, true),
+            FaultAction::Heal(a, b) => rt.set_partitioned(a, b, false),
+            FaultAction::Impair(a, b, imp) => rt.set_impairment(a, b, imp),
+            FaultAction::ClearImpair(a, b) => rt.clear_impairment(a, b),
+        }
+    }
+}
+
+/// What a [`FaultAction`] acts on: the simulator ([`Sim`]) or a TCP
+/// network ([`crate::real::RealNet`]).
+pub trait FaultRt {
+    /// Appends `detail` to `node`'s journal under `fault`.
+    fn journal_fault(&self, node: NodeId, detail: String);
+    /// Kills every process on the node and closes its endpoints.
+    fn crash_node(&self, node: NodeId);
+    /// Brings a crashed node back up, bare.
+    fn restart_node(&self, node: NodeId);
+    /// Cuts (`true`) or heals the symmetric link between two nodes.
+    fn set_partitioned(&self, a: NodeId, b: NodeId, on: bool);
+    /// Installs a link impairment between two nodes.
+    fn set_impairment(&self, a: NodeId, b: NodeId, imp: LinkImpairment);
+    /// Removes any impairment between two nodes.
+    fn clear_impairment(&self, a: NodeId, b: NodeId);
 }
 
 /// A [`FaultAction`] pinned to a virtual time.
@@ -258,6 +298,24 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
+    /// Runs the plan on `rt`: for each action in time order, `wait`
+    /// brings the caller to the action's time (it returns at once for a
+    /// time already past), the action is [applied](FaultAction::apply),
+    /// and `after` sees it — where a driver re-initialises the software
+    /// of a node the plan brought back up.
+    pub fn run(
+        &self,
+        rt: &dyn FaultRt,
+        mut wait: impl FnMut(SimTime),
+        mut after: impl FnMut(&FaultEvent),
+    ) {
+        for ev in self.sorted_events() {
+            wait(ev.at);
+            ev.action.apply(rt);
+            after(&ev);
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -288,75 +346,18 @@ impl FaultPlan {
 pub struct Nemesis;
 
 impl Nemesis {
-    /// Spawns the nemesis process. It sleeps to each action's time and
-    /// applies it; `on_action` (if any) runs inside the nemesis process
-    /// right after each action, letting campaign drivers piggyback
-    /// software re-initialisation (e.g. restarting a service controller
-    /// after a node restart).
+    /// Spawns the nemesis process: it sleeps to each action's time and
+    /// applies it.
     pub fn spawn(sim: &Sim, plan: FaultPlan) {
-        Nemesis::spawn_with(sim, plan, |_, _| {});
-    }
-
-    /// Like [`Nemesis::spawn`], with a per-action callback.
-    pub fn spawn_with<F>(sim: &Sim, plan: FaultPlan, mut on_action: F)
-    where
-        F: FnMut(&Sim, &FaultEvent) + Send + 'static,
-    {
         let sim = sim.clone();
-        let events = plan.sorted_events();
-        let sim2 = sim.clone();
-        sim2.spawn_root("nemesis", move || {
-            for ev in events {
-                let now = sim.now();
-                if ev.at > now {
-                    sim.sleep(ev.at - now);
+        sim.clone().spawn_root("nemesis", move || {
+            let wait = |at: SimTime| {
+                if at > sim.now() {
+                    sim.sleep(at - sim.now());
                 }
-                Nemesis::apply(&sim, &ev.action);
-                on_action(&sim, &ev);
-            }
+            };
+            plan.run(&sim, wait, |_| {});
         });
-    }
-
-    /// Applies one action to the simulation (usable from any simulated
-    /// process or, except for `CrashNode` of the caller's own node, from
-    /// the driver thread).
-    pub fn apply(sim: &Sim, action: &FaultAction) {
-        // Journal the injection on every affected node *before* applying,
-        // so the record lands in the victim's black box ahead of the
-        // fault itself. `journal_fault` routes through the kernel's
-        // control stream under a sharded run (same virtual timestamp on
-        // every shard layout) but the journal write itself is
-        // trace-invisible: the event-trace hash is identical with or
-        // without the recorder.
-        for n in action.journal_targets() {
-            sim.journal_fault(n, action.describe());
-        }
-        match *action {
-            FaultAction::CrashNode(n) => {
-                sim.counter_add("nemesis.crash", 1);
-                sim.crash_node(n);
-            }
-            FaultAction::RestartNode(n) => {
-                sim.counter_add("nemesis.restart", 1);
-                sim.restart_node(n);
-            }
-            FaultAction::Partition(a, b) => {
-                sim.counter_add("nemesis.partition", 1);
-                sim.set_partitioned(a, b, true);
-            }
-            FaultAction::Heal(a, b) => {
-                sim.counter_add("nemesis.heal", 1);
-                sim.set_partitioned(a, b, false);
-            }
-            FaultAction::Impair(a, b, imp) => {
-                sim.counter_add("nemesis.impair", 1);
-                sim.set_impairment(a, b, imp);
-            }
-            FaultAction::ClearImpair(a, b) => {
-                sim.counter_add("nemesis.clear_impair", 1);
-                sim.clear_impairment(a, b);
-            }
-        }
     }
 }
 

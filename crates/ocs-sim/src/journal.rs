@@ -114,6 +114,16 @@ impl Journal {
         rt.extensions().get_or_init(|| Journal::new(node))
     }
 
+    /// Appends to `rt`'s node journal, stamped with the runtime's clock:
+    /// what a service records a transition with.
+    pub fn note<R: NodeRt + ?Sized>(
+        rt: &R,
+        category: &'static str,
+        detail: impl Into<Cow<'static, str>>,
+    ) {
+        Journal::of(rt).record(rt.now(), category, detail);
+    }
+
     /// The node this journal belongs to.
     pub fn node(&self) -> NodeId {
         self.node

@@ -1873,7 +1873,7 @@ pub(crate) struct ShardSlot {
 }
 
 /// Shared simulation state: the shard set plus everything that is global
-/// across shards (extensions, counters, the conservative lookahead).
+/// across shards (extensions, the conservative lookahead).
 pub(crate) struct SimInner {
     shards: Vec<ShardSlot>,
     nshards: usize,
@@ -1884,9 +1884,6 @@ pub(crate) struct SimInner {
     lookahead_us: AtomicU64,
     /// Horizon windows executed by sharded runs.
     windows: AtomicU64,
-    /// Named counters (`Sim::counter_add`); global across shards, sums
-    /// only, so cross-shard add order cannot be observed.
-    counters: Mutex<BTreeMap<String, u64>>,
     /// Per-node extension maps (see [`crate::rt::Extensions`]). Outside
     /// the kernel locks: extensions are touched from running processes
     /// and must not contend with the schedulers.
@@ -1932,7 +1929,6 @@ impl SimInner {
             policy,
             lookahead_us: AtomicU64::new(lookahead),
             windows: AtomicU64::new(0),
-            counters: Mutex::new(BTreeMap::new()),
             ext: Mutex::new(BTreeMap::new()),
             workers: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
@@ -1994,18 +1990,6 @@ impl SimInner {
             id = Some(got);
         }
         id.expect("at least one shard")
-    }
-
-    pub fn counter_add(&self, name: &str, v: u64) {
-        *self.counters.lock().entry(name.to_string()).or_insert(0) += v;
-    }
-
-    pub fn counter_get(&self, name: &str) -> u64 {
-        self.counters.lock().get(name).copied().unwrap_or(0)
-    }
-
-    pub fn counters_snapshot(&self) -> BTreeMap<String, u64> {
-        self.counters.lock().clone()
     }
 
     // ---- process-side primitives -------------------------------------

@@ -42,7 +42,7 @@ pub mod sync;
 pub mod trace;
 
 pub use backoff::RetryPolicy;
-pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultPlanSpec, Nemesis};
+pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultPlanSpec, FaultRt, Nemesis};
 pub use journal::{merge_journals, render_timeline, Journal, JournalEvent};
 pub use kernel::{KernelStats, LinkImpairment, LinkParams, NetConfig, NetStats, ShardPolicy};
 pub use ring::RingLog;
@@ -52,5 +52,5 @@ pub use rt::{
     NodeRtExt, PortReq, ProcGroup, RecvError, Rt,
 };
 pub use sim::{Sim, SimChan, SimConfig, SimNode};
-pub use sync::{Gate, Queue, Semaphore, SyncObj};
+pub use sync::{Queue, Semaphore, SyncObj};
 pub use time::SimTime;

@@ -72,13 +72,19 @@
 //!   next wait or [`NodeRt::cancelled`] poll; code that spins is not
 //!   reached. The unwind is the simulator's: a private payload through
 //!   `resume_unwind`, no panic hook.
-//! * **Link faults.** [`RealNet::set_partitioned`],
-//!   [`RealNet::set_impairment`] and [`RealNet::set_reset_storm`] apply
-//!   per node pair under every send: partitions drop silently,
-//!   impairments drop, duplicate or delay frames (on the sender's loop
-//!   timers), reset storms tear the pair's stream down before each send.
-//!   The fault-free path pays one relaxed load.
-//! * **[`RealNemesis`]** replays a [`FaultPlan`] over the wall clock.
+//! * **Faults.** [`RealNet`] is a [`FaultRt`]: a
+//!   [`FaultAction`](crate::FaultAction) applies to it as to the
+//!   simulator, journalled under `fault` on every node it hits. A crash
+//!   kills every process group on the node
+//!   ([`RealNode::kill_all_groups`]) while its loop and listener stay
+//!   up; a restart only journals, since starting the software again is
+//!   the driver's job. Partitions, impairments and
+//!   [`RealNet::set_reset_storm`] apply per node pair under every send:
+//!   partitions drop silently, impairments drop, duplicate or delay
+//!   frames (on the sender's loop timers), reset storms tear the pair's
+//!   stream down before each send. The fault-free path pays one relaxed
+//!   load. [`FaultPlan::run`](crate::FaultPlan::run) with [`wall_clock`]
+//!   replays a plan, its times read as wall durations from the call.
 //!
 //! Service code written against [`NodeRt`] runs unchanged on either
 //! runtime; see `examples/tcp_cluster.rs` for a full cluster on TCP.
@@ -100,7 +106,7 @@ use rand::{Rng, RngExt};
 
 use crate::backoff::RetryPolicy;
 use crate::coro::{self, Handle, Stack, StackPool};
-use crate::fault::{FaultAction, FaultEvent, FaultPlan};
+use crate::fault::FaultRt;
 use crate::kernel::{KillSignal, LinkImpairment};
 use crate::poll::{self, Poller};
 use crate::rt::{
@@ -721,7 +727,6 @@ pub struct RealNet {
     /// Raw per-observation samples (e.g. kill latencies), kept alongside
     /// the summed counters so campaigns can build histograms/percentiles.
     samples: Mutex<std::collections::BTreeMap<String, Vec<u64>>>,
-    trace: bool,
     faults: Mutex<FaultTable>,
     /// True only while any fault is installed: the fault-free send path
     /// pays exactly this one relaxed load.
@@ -740,7 +745,6 @@ impl RealNet {
             counters: Mutex::new(Default::default()),
             frames_queued: AtomicU64::new(0),
             samples: Mutex::new(Default::default()),
-            trace: std::env::var_os("OCS_TRACE").is_some(),
             faults: Mutex::new(FaultTable::default()),
             any_faults: AtomicBool::new(false),
         })
@@ -841,33 +845,6 @@ impl RealNet {
 
     fn refresh_any_faults(&self, t: &FaultTable) {
         self.any_faults.store(t.any(), Ordering::SeqCst);
-    }
-
-    /// Installs or heals a symmetric partition between `a` and `b`.
-    /// Takes effect on the next frame either way — partitions heal
-    /// mid-campaign without touching connections.
-    pub fn set_partitioned(&self, a: NodeId, b: NodeId, on: bool) {
-        let mut t = self.faults.lock();
-        if on {
-            t.cut.insert(pair_key(a, b));
-        } else {
-            t.cut.remove(&pair_key(a, b));
-        }
-        self.refresh_any_faults(&t);
-    }
-
-    /// Installs a loss/dup/reorder/latency impairment on `a — b`.
-    pub fn set_impairment(&self, a: NodeId, b: NodeId, imp: LinkImpairment) {
-        let mut t = self.faults.lock();
-        t.impair.insert(pair_key(a, b), imp);
-        self.refresh_any_faults(&t);
-    }
-
-    /// Removes any impairment on `a — b`.
-    pub fn clear_impairment(&self, a: NodeId, b: NodeId) {
-        let mut t = self.faults.lock();
-        t.impair.remove(&pair_key(a, b));
-        self.refresh_any_faults(&t);
     }
 
     /// Starts or stops a connection-reset storm on `a — b`: while on,
@@ -1697,12 +1674,6 @@ impl NodeRt for RealNode {
         group_killed()
     }
 
-    fn trace(&self, msg: &str) {
-        if self.core.net.trace {
-            eprintln!("[{}] {}: {}", self.now(), self.core.id, msg);
-        }
-    }
-
     fn make_sync(&self) -> Arc<dyn crate::sync::SyncObj> {
         Arc::new(RealSyncObj(Waitable::new(0)))
     }
@@ -1884,69 +1855,59 @@ impl Drop for RealEndpoint {
 }
 
 // ---------------------------------------------------------------------------
-// The real-runtime nemesis.
+// Faults.
 
-/// Replays a [`FaultPlan`] against a [`RealNet`] over the wall clock.
-///
-/// Link actions (partition/heal, impair/clear) map directly onto the
-/// network's fault table. Node lifecycle actions map `CrashNode` onto
-/// [`RealNode::kill_all_groups`] (the node's loop and listener stay up,
-/// so the crash looks like every process dying on a live host);
-/// `RestartNode` is the campaign driver's job — re-initialising software
-/// is an operator action, exactly as in the simulator — so it only
-/// reaches the `on_action` callback.
-pub struct RealNemesis;
+impl FaultRt for RealNet {
+    fn journal_fault(&self, node: NodeId, detail: String) {
+        self.journal(node, "fault", detail);
+    }
 
-impl RealNemesis {
-    /// Runs the plan to completion on the calling thread, sleeping to
-    /// each action's time (the plan's virtual times are read as wall
-    /// durations from now). `on_action` runs after each applied action.
-    pub fn run_blocking<F>(net: &Arc<RealNet>, plan: &FaultPlan, mut on_action: F)
-    where
-        F: FnMut(&FaultEvent),
-    {
-        let start = Instant::now();
-        for ev in plan.sorted_events() {
-            let due = Duration::from_micros(ev.at.as_micros());
-            if let Some(wait) = due.checked_sub(start.elapsed()) {
-                std::thread::sleep(wait);
-            }
-            RealNemesis::apply(net, &ev.action);
-            on_action(&ev);
+    /// Kills every process group on the node; its loop and listener stay
+    /// up, so the crash looks like every process dying on a live host.
+    fn crash_node(&self, node: NodeId) {
+        if let Some(n) = self.node_handle(node) {
+            n.kill_all_groups();
         }
     }
 
-    /// Applies one action to the real network.
-    pub fn apply(net: &Arc<RealNet>, action: &FaultAction) {
-        match *action {
-            FaultAction::CrashNode(n) => {
-                net.counter_add("nemesis.crash", 1);
-                if let Some(node) = net.node_handle(n) {
-                    node.kill_all_groups();
-                }
-            }
-            FaultAction::RestartNode(n) => {
-                // Software re-initialisation is the driver's job; the
-                // host itself (the node's loop and listener) never went away.
-                net.counter_add("nemesis.restart", 1);
-                let _ = n;
-            }
-            FaultAction::Partition(a, b) => {
-                net.counter_add("nemesis.partition", 1);
-                net.set_partitioned(a, b, true);
-            }
-            FaultAction::Heal(a, b) => {
-                net.counter_add("nemesis.heal", 1);
-                net.set_partitioned(a, b, false);
-            }
-            FaultAction::Impair(a, b, imp) => {
-                net.counter_add("nemesis.impair", 1);
-                net.set_impairment(a, b, imp);
-            }
-            FaultAction::ClearImpair(a, b) => {
-                net.counter_add("nemesis.clear_impair", 1);
-                net.clear_impairment(a, b);
-            }
+    /// The host — its loop and listener — never went away; starting its
+    /// software again is the driver's job, as in the simulator.
+    fn restart_node(&self, _node: NodeId) {}
+
+    /// Takes effect on the next frame either way — partitions heal
+    /// mid-campaign without touching connections.
+    fn set_partitioned(&self, a: NodeId, b: NodeId, on: bool) {
+        let mut t = self.faults.lock();
+        if on {
+            t.cut.insert(pair_key(a, b));
+        } else {
+            t.cut.remove(&pair_key(a, b));
+        }
+        self.refresh_any_faults(&t);
+    }
+
+    fn set_impairment(&self, a: NodeId, b: NodeId, imp: LinkImpairment) {
+        let mut t = self.faults.lock();
+        t.impair.insert(pair_key(a, b), imp);
+        self.refresh_any_faults(&t);
+    }
+
+    fn clear_impairment(&self, a: NodeId, b: NodeId) {
+        let mut t = self.faults.lock();
+        t.impair.remove(&pair_key(a, b));
+        self.refresh_any_faults(&t);
+    }
+}
+
+/// The wall-clock wait of [`FaultPlan::run`](crate::FaultPlan::run):
+/// sleeps the calling thread until the plan time it is given, read as a
+/// wall duration from this call.
+pub fn wall_clock() -> impl FnMut(SimTime) {
+    let start = Instant::now();
+    move |at| {
+        let due = Duration::from_micros(at.as_micros());
+        if let Some(wait) = due.checked_sub(start.elapsed()) {
+            std::thread::sleep(wait);
         }
     }
 }
@@ -2834,17 +2795,28 @@ mod tests {
         let net = RealNet::new();
         let a = net.add_node("a").unwrap();
         let b = net.add_node("b").unwrap();
-        let plan = FaultPlan::new().partition(
+        let plan = crate::fault::FaultPlan::new().partition(
             a.node(),
             b.node(),
             SimTime::from_micros(0),
             SimTime::from_micros(1_000),
         );
-        RealNemesis::run_blocking(&net, &plan, |_| {});
-        // Plan fully executed: partition installed, then healed.
-        let counters = net.counters();
-        assert_eq!(counters.get("nemesis.partition"), Some(&1));
-        assert_eq!(counters.get("nemesis.heal"), Some(&1));
+        plan.run(&*net, wall_clock(), |_| {});
+        // Plan fully executed: partition installed, then healed, and both
+        // journalled on both nodes.
         assert!(!net.faults.lock().any(), "plan left faults installed");
+        let want = [
+            format!("partition {}-{}", a.node(), b.node()),
+            format!("heal {}-{}", a.node(), b.node()),
+        ];
+        for node in [&a, &b] {
+            let lines: Vec<String> = crate::journal::Journal::of(&**node)
+                .events()
+                .iter()
+                .filter(|e| e.category == "fault")
+                .map(|e| e.detail.to_string())
+                .collect();
+            assert_eq!(lines, want, "{}'s journal", node.node());
+        }
     }
 }

@@ -350,9 +350,6 @@ pub trait NodeRt: Send + Sync {
         false
     }
 
-    /// Emits a trace line attributed to this node, if tracing is enabled.
-    fn trace(&self, msg: &str);
-
     /// Creates a wait/notify synchronization object (see
     /// [`crate::sync::SyncObj`]) safe to block on from this runtime.
     fn make_sync(&self) -> Arc<dyn crate::sync::SyncObj>;

@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
+use crate::fault::FaultRt;
 use crate::kernel::{
     cur_pid, EpState, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats,
     Serving, ShardPolicy, SimInner,
@@ -245,30 +246,6 @@ impl Sim {
         self.inner.kernel_stats()
     }
 
-    /// Adds to a named counter (shared metric registry).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        self.inner.counter_add(name, delta);
-    }
-
-    /// Reads a named counter (0 if never written).
-    pub fn counter_get(&self, name: &str) -> u64 {
-        self.inner.counter_get(name)
-    }
-
-    /// Snapshot of all counters.
-    pub fn counters(&self) -> std::collections::BTreeMap<String, u64> {
-        self.inner.counters_snapshot()
-    }
-
-    /// Records a fault-injection note in `node`'s flight-recorder
-    /// journal. From the driver the record lands immediately; from a
-    /// simulated process it rides the kernel's control stream to the
-    /// node's shard (one fault-propagation delay, ordered ahead of any
-    /// fault issued by the same caller afterwards).
-    pub(crate) fn journal_fault(&self, node: NodeId, detail: String) {
-        self.inner.journal_fault(node, detail);
-    }
-
     /// Number of live (non-dead) processes, for tests and diagnostics.
     pub fn live_processes(&self) -> usize {
         self.inner.live_processes()
@@ -284,6 +261,37 @@ impl Drop for Sim {
         if self.owner {
             self.inner.shutdown();
         }
+    }
+}
+
+/// Faults act on the simulator through the methods above. A note is
+/// journalled at once from the driver; from a simulated process it rides
+/// the kernel's control stream to the node's shard (one
+/// fault-propagation delay, ordered ahead of any fault the same caller
+/// issues afterwards).
+impl FaultRt for Sim {
+    fn journal_fault(&self, node: NodeId, detail: String) {
+        self.inner.journal_fault(node, detail);
+    }
+
+    fn crash_node(&self, node: NodeId) {
+        Sim::crash_node(self, node);
+    }
+
+    fn restart_node(&self, node: NodeId) {
+        Sim::restart_node(self, node);
+    }
+
+    fn set_partitioned(&self, a: NodeId, b: NodeId, on: bool) {
+        Sim::set_partitioned(self, a, b, on);
+    }
+
+    fn set_impairment(&self, a: NodeId, b: NodeId, imp: LinkImpairment) {
+        Sim::set_impairment(self, a, b, imp);
+    }
+
+    fn clear_impairment(&self, a: NodeId, b: NodeId) {
+        Sim::clear_impairment(self, a, b);
     }
 }
 
@@ -417,13 +425,6 @@ impl NodeRt for SimNode {
 
     fn rand_u64(&self) -> u64 {
         self.inner.rand_for(self.id)
-    }
-
-    fn trace(&self, msg: &str) {
-        let k = self.inner.kernel_here().lock();
-        if k.trace {
-            eprintln!("[{}] {}: {}", SimTime::from_micros(k.now), self.id, msg);
-        }
     }
 
     fn make_sync(&self) -> Arc<dyn crate::sync::SyncObj> {

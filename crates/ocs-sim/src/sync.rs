@@ -4,9 +4,9 @@
 //! operation that yields to the simulation scheduler — a thread parked on
 //! an OS lock never hands the baton back and the whole simulation
 //! deadlocks. [`SyncObj`] is the portable wait/notify primitive both
-//! runtimes implement safely; [`Semaphore`] and [`Gate`] are built on it
-//! and are what services use for admission control and capacity
-//! modelling (e.g. a service's CPU, a link's stream slots).
+//! runtimes implement safely; [`Semaphore`] and [`Queue`] are built on it
+//! and are what services use for admission control, capacity modelling
+//! (e.g. a service's CPU, a link's stream slots) and work hand-off.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,23 +76,6 @@ impl Semaphore {
         }
     }
 
-    /// Acquires one permit, giving up after `timeout`. Returns whether a
-    /// permit was obtained.
-    pub fn acquire_timeout(&self, rt: &Rt, timeout: Duration) -> bool {
-        let deadline = rt.now() + timeout;
-        loop {
-            let gen = self.obj.generation();
-            if self.try_acquire() {
-                return true;
-            }
-            let now = rt.now();
-            if now >= deadline {
-                return false;
-            }
-            self.obj.wait_newer(gen, Some(deadline - now));
-        }
-    }
-
     /// Returns one permit, waking a waiter.
     pub fn release(&self) {
         *self.permits.lock() += 1;
@@ -110,51 +93,6 @@ impl Semaphore {
         let r = f();
         self.release();
         r
-    }
-}
-
-/// A one-shot gate: processes wait until it opens.
-pub struct Gate {
-    open: Mutex<bool>,
-    obj: Arc<dyn SyncObj>,
-}
-
-impl Gate {
-    /// Creates a closed gate.
-    pub fn new(rt: &Rt) -> Gate {
-        Gate {
-            open: Mutex::new(false),
-            obj: rt.make_sync(),
-        }
-    }
-
-    /// Opens the gate, releasing all current and future waiters.
-    pub fn open(&self) {
-        *self.open.lock() = true;
-        self.obj.bump();
-    }
-
-    /// Whether the gate is open.
-    pub fn is_open(&self) -> bool {
-        *self.open.lock()
-    }
-
-    /// Blocks until the gate opens or `timeout` elapses; returns whether
-    /// it is open.
-    pub fn wait(&self, timeout: Option<Duration>) -> bool {
-        loop {
-            let gen = self.obj.generation();
-            if *self.open.lock() {
-                return true;
-            }
-            let woken_gen = self.obj.wait_newer(gen, timeout);
-            if *self.open.lock() {
-                return true;
-            }
-            if woken_gen == gen {
-                return false; // Timed out without a bump.
-            }
-        }
     }
 }
 
@@ -268,51 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn semaphore_timeout() {
-        let sim = Sim::new(2);
-        let node = sim.add_node("a");
-        let rt: Rt = node.clone();
-        let sem = Arc::new(Semaphore::new(&rt, 1));
-        let got = Arc::new(AtomicU64::new(99));
-        sem.acquire();
-        let got2 = Arc::clone(&got);
-        let sem2 = Arc::clone(&sem);
-        let rt2 = rt.clone();
-        node.spawn_fn("w", move || {
-            let ok = sem2.acquire_timeout(&rt2, Duration::from_secs(2));
-            got2.store(ok as u64, Ordering::Relaxed);
-        });
-        sim.run_until(SimTime::from_secs(5));
-        assert_eq!(got.load(Ordering::Relaxed), 0);
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn gate_releases_waiters() {
-        let sim = Sim::new(3);
-        let node = sim.add_node("a");
-        let rt: Rt = node.clone();
-        let gate = Arc::new(Gate::new(&rt));
-        let released_at = Arc::new(AtomicU64::new(0));
-        let g2 = Arc::clone(&gate);
-        let r2 = Arc::clone(&released_at);
-        let rt2 = rt.clone();
-        node.spawn_fn("waiter", move || {
-            assert!(g2.wait(None));
-            r2.store(rt2.now().as_micros(), Ordering::Relaxed);
-        });
-        let g3 = Arc::clone(&gate);
-        let rt3 = rt.clone();
-        node.spawn_fn("opener", move || {
-            rt3.sleep(Duration::from_secs(3));
-            g3.open();
-        });
-        sim.run_until(SimTime::from_secs(10));
-        assert_eq!(released_at.load(Ordering::Relaxed), 3_000_000);
-        assert!(gate.is_open());
-    }
-
-    #[test]
     fn queue_hands_items_across_processes() {
         let sim = Sim::new(5);
         let node = sim.add_node("a");
@@ -338,24 +231,5 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs(10));
         assert_eq!(out.load(Ordering::Relaxed), 42);
-    }
-
-    #[test]
-    fn gate_wait_timeout() {
-        let sim = Sim::new(4);
-        let node = sim.add_node("a");
-        let rt: Rt = node.clone();
-        let gate = Arc::new(Gate::new(&rt));
-        let got = Arc::new(AtomicU64::new(99));
-        let g2 = Arc::clone(&gate);
-        let got2 = Arc::clone(&got);
-        node.spawn_fn("waiter", move || {
-            got2.store(
-                g2.wait(Some(Duration::from_secs(1))) as u64,
-                Ordering::Relaxed,
-            );
-        });
-        sim.run_until(SimTime::from_secs(5));
-        assert_eq!(got.load(Ordering::Relaxed), 0);
     }
 }

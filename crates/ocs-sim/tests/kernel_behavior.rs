@@ -453,16 +453,6 @@ fn deterministic_with_same_seed() {
 }
 
 #[test]
-fn counters_accumulate() {
-    let sim = Sim::new(14);
-    sim.counter_add("x", 2);
-    sim.counter_add("x", 3);
-    assert_eq!(sim.counter_get("x"), 5);
-    assert_eq!(sim.counter_get("missing"), 0);
-    assert_eq!(sim.counters().len(), 1);
-}
-
-#[test]
 fn busy_occupies_the_process() {
     // A single-threaded server that is busy cannot answer: model check.
     let sim = Sim::new(15);

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use ocs_name::{advertise, NsHandle, ADVERTISE_EVERY};
 use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
-use ocs_sim::{NetError, NodeRtExt, PortReq, ProcGroup, Rt, SimTime};
+use ocs_sim::{Journal, NetError, NodeRtExt, PortReq, ProcGroup, Rt, SimTime};
 use parking_lot::Mutex;
 
 use crate::types::{ServiceStatus, SscApi, SscApiServant, SscCallbackClient, SvcError};
@@ -196,8 +196,8 @@ impl Ssc {
         let group = self
             .rt
             .spawn_group(&format!("svc-{name}"), Box::new(move || factory(ctx)));
-        self.rt
-            .trace(&format!("ssc: started {} (group {})", name, group.id()));
+        let line = format!("started {name} (group {})", group.id());
+        Journal::note(&*self.rt, "ssc", line);
         m.group = Some(group);
         m.dead_since = None;
         Ok(())

@@ -16,23 +16,25 @@
 //! how time passes and what a crash is:
 //!
 //! * [`Group::sim`] / [`Group::on_sim`]: virtual time, stepped by the
-//!   driver. A member
-//!   starts from the driver; a crash is [`Nemesis::apply`], and the node
-//!   comes back bare, so a restart starts the member afresh.
+//!   driver. A member starts from the driver; a crash kills every
+//!   process on the node, which comes back bare, so a restart starts the
+//!   member afresh.
 //! * [`Group::tcp`] / [`Group::on_tcp`]: OS threads and loopback TCP on
 //!   the wall clock. Each member runs in a process group of its own, so
-//!   a crash ([`RealNemesis::apply`]) is a real kill — its threads
-//!   unwind, its sockets close — and a restart starts it in a fresh
-//!   group that waits for the old one to die and retries while the port
-//!   is still held.
+//!   a crash is a real kill — its tasks unwind, its sockets close — and
+//!   a restart starts it in a fresh group that waits for the old one to
+//!   die and retries while the port is still held.
+//!
+//! Either way a fault is a [`FaultAction`] applied to the runtime's
+//! [`FaultRt`], which journals it on the nodes it hits.
 
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ocs_sim::real::{eventually, RealNemesis, RealNet, RealNode};
+use ocs_sim::real::{eventually, RealNet, RealNode};
 use ocs_sim::{
-    Addr, FaultAction, Nemesis, NetError, NodeId, NodeRtExt, ProcGroup, Rt, Sim, SimNode, SimTime,
+    Addr, FaultAction, FaultRt, NetError, NodeId, NodeRtExt, ProcGroup, Rt, Sim, SimNode, SimTime,
 };
 use parking_lot::Mutex;
 
@@ -84,6 +86,8 @@ enum Runtime {
 /// A replica group plus a client node to drive it from.
 pub struct Group<R> {
     runtime: Runtime,
+    /// What [`Group::fault`] acts on: the simulator or the TCP network.
+    faults: Arc<dyn FaultRt + Send + Sync>,
     spec: Spec<R>,
     /// Each member's handle; `None` exactly while it is down.
     members: Arc<Mutex<Vec<Option<Arc<R>>>>>,
@@ -119,7 +123,8 @@ impl<R: Send + Sync + 'static> Group<R> {
         spec: Spec<R>,
     ) -> Group<R> {
         let nodes = hosts.into_iter().map(|h| h as Rt).collect();
-        Group::build(Runtime::Sim(sim), nodes, client, spec)
+        let faults = Arc::new(sim.clone());
+        Group::build(Runtime::Sim(sim), faults, nodes, client, spec)
     }
 
     /// Three members and a client node (`load`) on a fresh loopback
@@ -138,10 +143,17 @@ impl<R: Send + Sync + 'static> Group<R> {
         let procs = Mutex::new(vec![None; hosts.len()]);
         let mut hosts = hosts;
         hosts.push(Arc::clone(&client));
-        Group::build(Runtime::Tcp { hosts, procs }, nodes, client, spec)
+        let faults = Arc::clone(client.net());
+        Group::build(Runtime::Tcp { hosts, procs }, faults, nodes, client, spec)
     }
 
-    fn build(runtime: Runtime, nodes: Vec<Rt>, client: Rt, spec: Spec<R>) -> Group<R> {
+    fn build(
+        runtime: Runtime,
+        faults: Arc<dyn FaultRt + Send + Sync>,
+        nodes: Vec<Rt>,
+        client: Rt,
+        spec: Spec<R>,
+    ) -> Group<R> {
         let peers: Vec<Addr> = nodes
             .iter()
             .map(|n| Addr::new(n.node(), spec.port))
@@ -151,6 +163,7 @@ impl<R: Send + Sync + 'static> Group<R> {
             members: Arc::new(Mutex::new(vec![None; nodes.len()])),
             step: STEP,
             runtime,
+            faults,
             spec,
             nodes,
             peers,
@@ -361,13 +374,10 @@ impl<R: Send + Sync + 'static> Group<R> {
 
     // ---- faults --------------------------------------------------------
 
-    /// Applies `action` through the runtime's nemesis, which journals it
-    /// on the nodes it hits.
+    /// Applies `action` to the group's runtime, journalled on the nodes
+    /// it hits.
     pub fn fault(&self, action: FaultAction) {
-        match &self.runtime {
-            Runtime::Sim(sim) => Nemesis::apply(sim, &action),
-            Runtime::Tcp { hosts, .. } => RealNemesis::apply(hosts[0].net(), &action),
-        }
+        action.apply(&*self.faults);
     }
 
     /// Crashes member `i`'s node.

@@ -480,10 +480,9 @@ impl<M: Replicated> Replica<M> {
         out
     }
 
-    /// One engine event into the metrics, the flight recorder and the
-    /// debug trace.
+    /// One engine event into the metrics and the flight recorder.
     fn note_event(&self, ev: VsrEvent<M::Op>) {
-        let (m, group) = (&self.metrics, self.group);
+        let m = &self.metrics;
         match ev {
             VsrEvent::Committed { .. } => m.commits.inc(),
             VsrEvent::Suspected { view } => {
@@ -497,8 +496,6 @@ impl<M: Replicated> Replica<M> {
                 if first {
                     self.journal(format!("view change started: proposing view {view}"));
                 }
-                self.rt
-                    .trace(&format!("{group}: vsr suspect, proposing view {view}"));
             }
             VsrEvent::ViewChanged { view, primary } => {
                 m.view_changes.inc();
@@ -510,18 +507,12 @@ impl<M: Replicated> Replica<M> {
                 self.journal(format!(
                     "view change committed: view {view} primary {primary}"
                 ));
-                self.rt.trace(&format!(
-                    "{group}: vsr entered view {view} (primary {primary})"
-                ));
             }
             VsrEvent::Aborted { view } => {
                 m.vc_aborted.inc();
                 self.drv.lock().vc_started = None;
                 self.journal(format!(
                     "view change to {view} aborted: primary still healthy"
-                ));
-                self.rt.trace(&format!(
-                    "{group}: vsr view change to {view} aborted (primary still healthy)"
                 ));
             }
             VsrEvent::CaughtUp { via_snapshot: true } => {

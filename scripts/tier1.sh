@@ -37,12 +37,14 @@ cargo test --offline --workspace -q
 cargo test --release --offline -p ocs-sim -q
 
 # Real-runtime chaos smoke (E19): one cooperative kill plus one
-# partition-heal cycle over actual TCP on loopback. Wall-clock timing is
-# not reproducible, so the leg gets a hard 60 s timeout and one retry
-# before it counts as a failure.
+# partition-heal cycle over actual TCP on loopback, and a fault plan whose
+# every action the TCP postmortem must list. Wall-clock timing is not
+# reproducible, so the leg gets a hard 60 s timeout and one retry before
+# it counts as a failure.
 real_chaos_smoke() {
     timeout 60 cargo test --offline -p itv-cluster --features real_chaos \
-        --test real_chaos -q -- --exact smoke_kill_and_partition_heal_cycle
+        --test real_chaos -q -- --exact smoke_kill_and_partition_heal_cycle \
+        postmortem_lists_injected_faults_in_order_on_tcp
 }
 if ! real_chaos_smoke; then
     echo "tier1: real chaos smoke failed once; retrying" >&2
