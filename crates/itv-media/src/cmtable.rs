@@ -18,15 +18,21 @@
 //!   carries a client-chosen `token`, and a token that already maps to a
 //!   live allocation returns the original conn id instead of reserving
 //!   the bandwidth twice.
+//! * **Order is imposed where it is observed.** An op looks up one
+//!   record per allocation and one row per settop and server in maps
+//!   hashed by id; nothing reads their iteration order. Order is made
+//!   where someone sees it: the snapshot ships `BTreeMap`s (so replicas
+//!   produce byte-identical snapshots), the listings sort, and the
+//!   `(renewed at, conn)` lease queue decides which lease expires first.
 //!
 //! The standalone [`crate::ConnectionManager`] wraps this same table
 //! behind a mutex (the paper's reassertion-only baseline); the
 //! replicated [`crate::CmReplica`] drives it through a
 //! [`ocs_vsr::VsrCore`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use ocs_sim::NodeId;
+use ocs_sim::{IdBuild, NodeId};
 use ocs_wire::{impl_wire_enum, impl_wire_struct};
 
 use crate::cmgr::{CmAccountRow, CmBudgets};
@@ -147,8 +153,8 @@ impl CmAccount {
 }
 
 /// A full table snapshot, installed on replicas that fell behind the
-/// log-retention window. Derived indexes (budget sums, the lease queue,
-/// the token reverse map) are rebuilt on restore rather than shipped.
+/// log-retention window. Derived state (budget sums, the lease queue,
+/// each allocation's token) is rebuilt on restore rather than shipped.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CmSnapshot {
     /// Next allocation id.
@@ -180,9 +186,26 @@ impl_wire_struct!(CmSnapshot {
     last_seq
 });
 
-/// The deterministic CM allocation/lease table. All iteration-order-
-/// sensitive state lives in `BTreeMap`/`BTreeSet` so replicas applying
-/// the same log produce byte-identical snapshots.
+/// One live allocation: its descriptor, when its lease was last
+/// renewed, and the retry token it was granted under (0 = none).
+#[derive(Clone, Copy, Debug)]
+struct Live {
+    desc: ConnDesc,
+    asserted_us: u64,
+    token: u64,
+}
+
+/// One settop's row: the bandwidth it holds now, and its account.
+#[derive(Clone, Copy, Debug, Default)]
+struct SettopRow {
+    used: u64,
+    account: CmAccount,
+}
+
+type IdMap<K, V> = HashMap<K, V, IdBuild>;
+
+/// The deterministic CM allocation/lease table (see the module docs for
+/// where its order comes from).
 #[derive(Clone, Debug)]
 pub struct CmTable {
     budgets: CmBudgets,
@@ -190,23 +213,20 @@ pub struct CmTable {
     /// identical on every replica — not part of the snapshot.
     lease_ttl_us: Option<u64>,
     next_conn: u64,
-    allocations: BTreeMap<u64, ConnDesc>,
-    asserted_us: BTreeMap<u64, u64>,
-    /// Leases ordered by renewal time (`(asserted_us, conn)`); derived.
+    live: IdMap<u64, Live>,
+    /// Leases ordered by renewal time (`(asserted_us, conn)`); derived,
+    /// and kept only when a TTL is set.
     lease_q: BTreeSet<(u64, u64)>,
     expired: u64,
     refused: u64,
-    /// Per-endpoint budget sums; derived.
-    settop_used: BTreeMap<NodeId, u64>,
-    server_used: BTreeMap<NodeId, u64>,
+    settops: IdMap<NodeId, SettopRow>,
+    /// Per-server budget sums; derived.
+    server_used: IdMap<NodeId, u64>,
     /// Running total of reserved downstream bandwidth; derived.
     reserved_down_bps: u64,
-    accounts: BTreeMap<NodeId, CmAccount>,
     /// Live retry tokens → conn ids (replicated: a retry must dedup on
     /// the new primary after fail-over).
-    token_conn: BTreeMap<u64, u64>,
-    /// Reverse of `token_conn`; derived.
-    conn_token: BTreeMap<u64, u64>,
+    token_conn: IdMap<u64, u64>,
     last_seq: u64,
     /// Allocations expired since the last [`CmTable::take_expired`] —
     /// a driver-side journal/metrics feed, not replicated state.
@@ -220,17 +240,14 @@ impl CmTable {
             budgets,
             lease_ttl_us,
             next_conn: 1,
-            allocations: BTreeMap::new(),
-            asserted_us: BTreeMap::new(),
+            live: IdMap::default(),
             lease_q: BTreeSet::new(),
             expired: 0,
             refused: 0,
-            settop_used: BTreeMap::new(),
-            server_used: BTreeMap::new(),
+            settops: IdMap::default(),
+            server_used: IdMap::default(),
             reserved_down_bps: 0,
-            accounts: BTreeMap::new(),
-            token_conn: BTreeMap::new(),
-            conn_token: BTreeMap::new(),
+            token_conn: IdMap::default(),
             last_seq: 0,
             expired_log: Vec::new(),
         }
@@ -238,13 +255,13 @@ impl CmTable {
 
     /// Live allocation count.
     pub fn allocations_len(&self) -> usize {
-        self.allocations.len()
+        self.live.len()
     }
 
     /// The utilization snapshot served by `usage`.
     pub fn usage(&self) -> CmUsage {
         CmUsage {
-            allocations: self.allocations.len() as u32,
+            allocations: self.live.len() as u32,
             reserved_down_bps: self.reserved_down_bps,
             refused: self.refused,
             expired: self.expired,
@@ -253,24 +270,26 @@ impl CmTable {
 
     /// One live allocation by id.
     pub fn allocation(&self, conn: u64) -> Option<ConnDesc> {
-        self.allocations.get(&conn).copied()
+        self.live.get(&conn).map(|l| l.desc)
     }
 
     /// All live allocations, in conn-id order (post-storm audits).
     pub fn allocations_list(&self) -> Vec<ConnDesc> {
-        self.allocations.values().copied().collect()
+        let mut list: Vec<ConnDesc> = self.live.values().map(|l| l.desc).collect();
+        list.sort_unstable_by_key(|d| d.conn);
+        list
     }
 
     /// Accounting rows at `now`, heaviest bit-seconds first.
     pub fn accounting(&self, now: u64) -> Vec<CmAccountRow> {
         let mut rows: Vec<CmAccountRow> = self
-            .accounts
+            .settops
             .iter()
-            .map(|(settop, a)| CmAccountRow {
+            .map(|(settop, row)| CmAccountRow {
                 settop: *settop,
-                granted: a.granted,
-                refused: a.refused,
-                bit_seconds: a.bit_seconds(now),
+                granted: row.account.granted,
+                refused: row.account.refused,
+                bit_seconds: row.account.bit_seconds(now),
             })
             .collect();
         rows.sort_by(|a, b| b.bit_seconds.cmp(&a.bit_seconds).then(a.settop.cmp(&b.settop)));
@@ -286,54 +305,67 @@ impl CmTable {
     /// Recomputes the full reserved total by scanning the table — the
     /// audit cross-check against the incrementally maintained indexes.
     pub fn audit_reserved_bps(&self) -> u64 {
-        self.allocations.values().map(|d| d.down_bps).sum()
+        self.live.values().map(|l| l.desc.down_bps).sum()
     }
 
-    fn admit(&mut self, desc: &ConnDesc, now: u64) -> bool {
-        let settop_after =
-            self.settop_used.get(&desc.settop).copied().unwrap_or(0) + desc.down_bps;
-        let server_after =
-            self.server_used.get(&desc.server).copied().unwrap_or(0) + desc.down_bps;
-        if settop_after > self.budgets.settop_down_bps
-            || server_after > self.budgets.server_egress_bps
+    /// Admits `desc` if both budgets allow it, leased from `now`.
+    fn admit(&mut self, desc: &ConnDesc, token: u64, now: u64) -> bool {
+        let settop_used = self.settops.get(&desc.settop).map_or(0, |row| row.used);
+        let server_used = self.server_used.get(&desc.server).copied().unwrap_or(0);
+        if settop_used + desc.down_bps > self.budgets.settop_down_bps
+            || server_used + desc.down_bps > self.budgets.server_egress_bps
         {
             return false;
         }
-        *self.settop_used.entry(desc.settop).or_insert(0) += desc.down_bps;
+        // A refused reassert opens no account: rows appear on a grant.
+        let row = self.settops.entry(desc.settop).or_default();
+        row.used += desc.down_bps;
+        row.account.fold(now);
+        row.account.open_bps += desc.down_bps;
+        row.account.granted += 1;
         *self.server_used.entry(desc.server).or_insert(0) += desc.down_bps;
         self.reserved_down_bps += desc.down_bps;
-        let acc = self.accounts.entry(desc.settop).or_default();
-        acc.fold(now);
-        acc.open_bps += desc.down_bps;
-        self.allocations.insert(desc.conn, *desc);
+        self.live.insert(
+            desc.conn,
+            Live {
+                desc: *desc,
+                asserted_us: now,
+                token,
+            },
+        );
+        if self.lease_ttl_us.is_some() {
+            self.lease_q.insert((now, desc.conn));
+        }
         true
     }
 
-    fn renew_lease(&mut self, conn: u64, now: u64) {
-        if let Some(prev) = self.asserted_us.insert(conn, now) {
-            self.lease_q.remove(&(prev, conn));
+    /// Renews a live allocation's lease; false if `conn` is not live.
+    fn renew_lease(&mut self, conn: u64, now: u64) -> bool {
+        let Some(l) = self.live.get_mut(&conn) else { return false };
+        if self.lease_ttl_us.is_some() {
+            self.lease_q.remove(&(l.asserted_us, conn));
+            self.lease_q.insert((now, conn));
         }
-        self.lease_q.insert((now, conn));
+        l.asserted_us = now;
+        true
     }
 
     fn drop_alloc(&mut self, conn: u64, now: u64) -> Option<ConnDesc> {
-        let desc = self.allocations.remove(&conn)?;
-        if let Some(u) = self.settop_used.get_mut(&desc.settop) {
-            *u = u.saturating_sub(desc.down_bps);
-        }
+        let Live { desc, asserted_us, token } = self.live.remove(&conn)?;
+        let row = self.settops.entry(desc.settop).or_default();
+        row.used = row.used.saturating_sub(desc.down_bps);
+        row.account.fold(now);
+        row.account.open_bps = row.account.open_bps.saturating_sub(desc.down_bps);
         if let Some(u) = self.server_used.get_mut(&desc.server) {
             *u = u.saturating_sub(desc.down_bps);
         }
         self.reserved_down_bps = self.reserved_down_bps.saturating_sub(desc.down_bps);
-        if let Some(at) = self.asserted_us.remove(&conn) {
-            self.lease_q.remove(&(at, conn));
+        if self.lease_ttl_us.is_some() {
+            self.lease_q.remove(&(asserted_us, conn));
         }
-        if let Some(tok) = self.conn_token.remove(&conn) {
-            self.token_conn.remove(&tok);
+        if token != 0 {
+            self.token_conn.remove(&token);
         }
-        let acc = self.accounts.entry(desc.settop).or_default();
-        acc.fold(now);
-        acc.open_bps = acc.open_bps.saturating_sub(desc.down_bps);
         Some(desc)
     }
 
@@ -342,7 +374,7 @@ impl CmTable {
     /// at the same log position.
     fn expire_stale(&mut self, now: u64) {
         let Some(ttl_us) = self.lease_ttl_us else { return };
-        while let Some(&(at, conn)) = self.lease_q.iter().next() {
+        while let Some(&(at, conn)) = self.lease_q.first() {
             if now.saturating_sub(at) <= ttl_us {
                 break;
             }
@@ -361,15 +393,12 @@ impl CmTable {
         down_bps: u64,
         now: u64,
     ) -> Result<u64, MediaError> {
-        if token != 0 {
-            if let Some(&conn) = self.token_conn.get(&token) {
-                // A retry of an op that already committed (the reply was
-                // lost in a fail-over): renew and return the original
-                // grant — the bandwidth is already reserved exactly once.
-                if self.allocations.contains_key(&conn) {
-                    self.renew_lease(conn, now);
-                    return Ok(conn);
-                }
+        if let Some(&conn) = self.token_conn.get(&token) {
+            // A retry of an op that already committed (the reply was
+            // lost in a fail-over): renew and return the original
+            // grant — the bandwidth is already reserved exactly once.
+            if self.renew_lease(conn, now) {
+                return Ok(conn);
             }
         }
         let conn = self.next_conn;
@@ -379,32 +408,26 @@ impl CmTable {
             server,
             down_bps,
         };
-        if !self.admit(&desc, now) {
+        if !self.admit(&desc, token, now) {
             self.refused += 1;
-            self.accounts.entry(settop).or_default().refused += 1;
+            self.settops.entry(settop).or_default().account.refused += 1;
             return Err(MediaError::NoBandwidth);
         }
         self.next_conn += 1;
-        self.accounts.entry(settop).or_default().granted += 1;
-        self.renew_lease(conn, now);
         if token != 0 {
             self.token_conn.insert(token, conn);
-            self.conn_token.insert(conn, token);
         }
         Ok(conn)
     }
 
     fn do_reassert(&mut self, desc: ConnDesc, now: u64) -> Result<u64, MediaError> {
-        if self.allocations.contains_key(&desc.conn) {
-            // Already known (same incarnation): renew the lease.
-            self.renew_lease(desc.conn, now);
+        // Already known (same incarnation): renew the lease.
+        if self.renew_lease(desc.conn, now) {
             return Ok(desc.conn);
         }
-        if !self.admit(&desc, now) {
+        if !self.admit(&desc, 0, now) {
             return Err(MediaError::NoBandwidth);
         }
-        self.renew_lease(desc.conn, now);
-        self.accounts.entry(desc.settop).or_default().granted += 1;
         // Keep conn ids unique past reasserted ones.
         if desc.conn >= self.next_conn {
             self.next_conn = desc.conn + 1;
@@ -445,41 +468,47 @@ impl ocs_vsr::Machine for CmTable {
     fn snapshot(&self) -> CmSnapshot {
         CmSnapshot {
             next_conn: self.next_conn,
-            allocations: self.allocations.clone(),
-            asserted_us: self.asserted_us.clone(),
+            allocations: self.live.iter().map(|(&conn, l)| (conn, l.desc)).collect(),
+            asserted_us: self.live.iter().map(|(&conn, l)| (conn, l.asserted_us)).collect(),
             expired: self.expired,
             refused: self.refused,
-            accounts: self.accounts.clone(),
-            token_conn: self.token_conn.clone(),
+            accounts: self.settops.iter().map(|(&s, row)| (s, row.account)).collect(),
+            token_conn: self.token_conn.iter().map(|(&t, &c)| (t, c)).collect(),
             last_seq: self.last_seq,
         }
     }
 
     fn restore(&mut self, snap: CmSnapshot) {
         self.next_conn = snap.next_conn;
-        self.allocations = snap.allocations;
-        self.asserted_us = snap.asserted_us;
         self.expired = snap.expired;
         self.refused = snap.refused;
-        self.accounts = snap.accounts;
-        self.token_conn = snap.token_conn;
         self.last_seq = snap.last_seq;
         self.expired_log.clear();
-        // Rebuild the derived indexes from the replicated tables.
-        self.lease_q = self
-            .asserted_us
-            .iter()
-            .map(|(&conn, &at)| (at, conn))
+        self.settops = snap
+            .accounts
+            .into_iter()
+            .map(|(settop, account)| (settop, SettopRow { used: 0, account }))
             .collect();
-        self.conn_token = self.token_conn.iter().map(|(&t, &c)| (c, t)).collect();
-        self.settop_used.clear();
         self.server_used.clear();
         self.reserved_down_bps = 0;
-        for desc in self.allocations.values() {
-            *self.settop_used.entry(desc.settop).or_insert(0) += desc.down_bps;
+        self.live.clear();
+        for (conn, desc) in snap.allocations {
+            self.settops.entry(desc.settop).or_default().used += desc.down_bps;
             *self.server_used.entry(desc.server).or_insert(0) += desc.down_bps;
             self.reserved_down_bps += desc.down_bps;
+            let asserted_us = snap.asserted_us.get(&conn).copied().unwrap_or(0);
+            self.live.insert(conn, Live { desc, asserted_us, token: 0 });
         }
+        self.token_conn = snap.token_conn.into_iter().collect();
+        for (&token, conn) in &self.token_conn {
+            if let Some(l) = self.live.get_mut(conn) {
+                l.token = token;
+            }
+        }
+        self.lease_q = match self.lease_ttl_us {
+            Some(_) => self.live.iter().map(|(&conn, l)| (l.asserted_us, conn)).collect(),
+            None => BTreeSet::new(),
+        };
     }
 
     fn snap_seq(snap: &CmSnapshot) -> u64 {
@@ -587,5 +616,177 @@ mod tests {
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.usage(), b.usage());
         assert_eq!(a.reserved_down_bps, a.audit_reserved_bps());
+    }
+
+    /// Tight enough that both the settop and the server caps refuse.
+    const HISTORY_BUDGETS: CmBudgets = CmBudgets {
+        settop_down_bps: 6_000_000,
+        server_egress_bps: 30_000_000,
+    };
+    const HISTORY_TTL_US: u64 = 2_000_000;
+
+    /// A seeded op stream over 24 settops (and a few strays) and 4
+    /// servers, its clock advancing 0–40 ms per op: tokened and untokened
+    /// allocates,
+    /// retries of issued tokens (live or not), releases (some of conns
+    /// never granted), reasserts of granted and of unseen conns, and
+    /// `Expire` ticks. Ops name the conns and tokens earlier outcomes
+    /// handed out, so the stream follows the table it drives.
+    struct History {
+        rng: proptest::test_runner::TestRng,
+        now: u64,
+        next_token: u64,
+        tokens: Vec<u64>,
+        granted: Vec<ConnDesc>,
+    }
+
+    impl History {
+        fn new(seed: u64) -> History {
+            History {
+                rng: proptest::test_runner::TestRng::seeded(seed),
+                now: 0,
+                next_token: 1,
+                tokens: Vec::new(),
+                granted: Vec::new(),
+            }
+        }
+
+        /// A uniformly drawn index below `len`, if there is one.
+        fn pick(&mut self, len: usize) -> Option<usize> {
+            (len > 0).then(|| self.rng.below(len as u64) as usize)
+        }
+
+        fn next_op(&mut self) -> CmUpdate {
+            self.now += self.rng.below(40_000);
+            let now_us = self.now;
+            // Now and then a settop never seen before, whose first op
+            // may be refused.
+            let settop = match self.rng.below(50) {
+                0 => NodeId(1_000 + self.rng.below(10_000) as u32),
+                _ => NodeId(100 + self.rng.below(24) as u32),
+            };
+            let server = NodeId(1 + self.rng.below(4) as u32);
+            let down_bps = [1_500_000, 2_000_000, 3_000_000, 4_000_000][self.rng.below(4) as usize];
+            let allocate = |token| CmUpdate::Allocate { token, settop, server, down_bps, now_us };
+            match self.rng.below(20) {
+                0..=6 => {
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    self.tokens.push(token);
+                    allocate(token)
+                }
+                7..=8 => match self.pick(self.tokens.len()) {
+                    Some(i) => allocate(self.tokens[i]),
+                    None => allocate(0),
+                },
+                9..=10 => allocate(0),
+                11..=13 => {
+                    let conn = match self.pick(self.granted.len()) {
+                        Some(i) if self.rng.below(5) != 0 => self.granted[i].conn,
+                        _ => 1_000_000 + self.rng.below(1_000),
+                    };
+                    CmUpdate::Release { conn, now_us }
+                }
+                14..=17 => {
+                    // A granted allocation (live or not), or a conn id
+                    // just past one, which the reassert may mint.
+                    let desc = match self.pick(self.granted.len()) {
+                        Some(i) if self.rng.below(4) != 0 => self.granted[i],
+                        near => ConnDesc {
+                            conn: near.map_or(1, |i| self.granted[i].conn) + 1 + self.rng.below(3),
+                            settop,
+                            server,
+                            down_bps,
+                        },
+                    };
+                    CmUpdate::Reassert { desc, now_us }
+                }
+                _ => CmUpdate::Expire { now_us },
+            }
+        }
+
+        fn saw(&mut self, op: &CmUpdate, outcome: &Result<u64, MediaError>) {
+            if let (CmUpdate::Allocate { settop, server, down_bps, .. }, Ok(conn)) = (op, outcome) {
+                self.granted.push(ConnDesc {
+                    conn: *conn,
+                    settop: *settop,
+                    server: *server,
+                    down_bps: *down_bps,
+                });
+            }
+        }
+    }
+
+    /// FNV-1a over every outcome of a 5,000-op history and, every 250
+    /// ops, the snapshot's wire bytes, the usage, the accounting rows
+    /// and the allocations expired since the last point.
+    fn golden_history(ttl_us: Option<u64>) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let mut t = CmTable::new(HISTORY_BUDGETS, ttl_us);
+        let mut h = History::new(42);
+        for seq in 1..=5_000 {
+            let op = h.next_op();
+            let outcome = t.apply(seq, &op);
+            mix(&outcome.to_bytes());
+            h.saw(&op, &outcome);
+            if seq % 250 == 0 {
+                mix(&t.snapshot().to_bytes());
+                mix(&t.usage().to_bytes());
+                mix(&t.accounting(h.now).to_bytes());
+                mix(&t.take_expired().to_bytes());
+                assert_eq!(t.audit_reserved_bps(), t.usage().reserved_down_bps);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn golden_history_with_leases() {
+        assert_eq!(golden_history(Some(HISTORY_TTL_US)), 14_429_579_178_683_670_095);
+    }
+
+    #[test]
+    fn golden_history_without_leases() {
+        assert_eq!(golden_history(None), 3_905_164_114_518_877_389);
+    }
+
+    proptest::proptest! {
+        /// A replica that installs a snapshot taken anywhere in a history
+        /// answers the rest of it exactly as the table it was taken from.
+        #[test]
+        fn a_restored_table_answers_like_its_source(
+            seed in proptest::prelude::any::<u64>(),
+            cut in 0u64..600,
+            leases in proptest::prelude::any::<bool>(),
+        ) {
+            let ttl_us = leases.then_some(HISTORY_TTL_US);
+            let mut h = History::new(seed);
+            let mut a = CmTable::new(HISTORY_BUDGETS, ttl_us);
+            for seq in 1..=cut {
+                let op = h.next_op();
+                let outcome = a.apply(seq, &op);
+                h.saw(&op, &outcome);
+            }
+            let mut b = CmTable::new(HISTORY_BUDGETS, ttl_us);
+            b.restore(CmSnapshot::from_bytes(&a.snapshot().to_bytes()).unwrap());
+            for seq in cut + 1..=cut + 300 {
+                let op = h.next_op();
+                let outcome = a.apply(seq, &op);
+                proptest::prop_assert_eq!(&b.apply(seq, &op), &outcome);
+                h.saw(&op, &outcome);
+            }
+            proptest::prop_assert_eq!(a.snapshot().to_bytes(), b.snapshot().to_bytes());
+            proptest::prop_assert_eq!(a.usage(), b.usage());
+            proptest::prop_assert_eq!(a.accounting(h.now), b.accounting(h.now));
+            proptest::prop_assert_eq!(a.allocations_list(), b.allocations_list());
+            for t in [&a, &b] {
+                proptest::prop_assert_eq!(t.audit_reserved_bps(), t.usage().reserved_down_bps);
+            }
+        }
     }
 }

@@ -323,6 +323,8 @@ impl NsCore {
 
     // ---- read path -----------------------------------------------------
 
+    /// The committed name space, shared: one `Arc` clone, which a resolve
+    /// may hold across a remote selector call while updates land.
     fn read_state(&self) -> NsState {
         self.rep.read(|c| c.state().clone())
     }

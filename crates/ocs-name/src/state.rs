@@ -7,6 +7,7 @@
 //! never mutate and can run at any replica.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ocs_orb::ObjRef;
 use ocs_sim::NodeId;
@@ -147,10 +148,12 @@ impl_wire_struct!(Snapshot {
     last_seq
 });
 
-/// The naming tree plus replication bookkeeping.
+/// The naming tree plus replication bookkeeping. The contexts sit behind
+/// an `Arc`, so a reader's copy of the state is one reference count: an
+/// update copies the tree only while some reader still holds the old one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NsState {
-    ctxs: BTreeMap<CtxId, Context>,
+    ctxs: Arc<BTreeMap<CtxId, Context>>,
     next_ctx: CtxId,
     /// Sequence number of the last applied update (0 = none).
     pub last_seq: u64,
@@ -168,7 +171,7 @@ impl NsState {
         let mut ctxs = BTreeMap::new();
         ctxs.insert(ROOT_CTX, Context::plain());
         NsState {
-            ctxs,
+            ctxs: Arc::new(ctxs),
             next_ctx: 1,
             last_seq: 0,
         }
@@ -182,6 +185,11 @@ impl NsState {
     /// Looks up a context by id.
     pub fn context(&self, id: CtxId) -> Option<&Context> {
         self.ctxs.get(&id)
+    }
+
+    /// The contexts, for a mutation: copied first if a reader shares them.
+    fn ctxs_mut(&mut self) -> &mut BTreeMap<CtxId, Context> {
+        Arc::make_mut(&mut self.ctxs)
     }
 
     /// Applies one update, advancing `last_seq`.
@@ -203,7 +211,7 @@ impl NsState {
                 // Paths arrive from remote callers: a coherence slip
                 // between walk and lookup must surface as an RPC error,
                 // never panic the replica.
-                let Some(c) = self.ctxs.get_mut(&ctx) else {
+                let Some(c) = self.ctxs_mut().get_mut(&ctx) else {
                     return Err(NsError::NotFound { name: path.clone() });
                 };
                 if c.bindings.contains_key(&name) {
@@ -214,7 +222,7 @@ impl NsState {
             }
             NsUpdate::Unbind { path } => {
                 let (ctx, name) = self.walk_parent(path)?;
-                let Some(c) = self.ctxs.get_mut(&ctx) else {
+                let Some(c) = self.ctxs_mut().get_mut(&ctx) else {
                     return Err(NsError::NotFound { name: path.clone() });
                 };
                 match c.bindings.remove(&name) {
@@ -232,7 +240,7 @@ impl NsState {
             }
             NsUpdate::ReportLoad { path, load } => {
                 let (ctx, name) = self.walk_parent(path)?;
-                let Some(c) = self.ctxs.get_mut(&ctx) else {
+                let Some(c) = self.ctxs_mut().get_mut(&ctx) else {
                     return Err(NsError::NotFound { name: path.clone() });
                 };
                 match c.bindings.get_mut(&name) {
@@ -252,7 +260,7 @@ impl NsState {
         let not_found = || NsError::NotFound {
             name: path.to_string(),
         };
-        let p = self.ctxs.get_mut(&parent).ok_or_else(not_found)?;
+        let p = self.ctxs.get(&parent).ok_or_else(not_found)?;
         if p.bindings.contains_key(&name) {
             return Err(NsError::AlreadyBound {
                 name: path.to_string(),
@@ -260,14 +268,15 @@ impl NsState {
         }
         let id = self.next_ctx;
         self.next_ctx += 1;
-        self.ctxs.insert(id, ctx);
-        let p = self.ctxs.get_mut(&parent).ok_or_else(not_found)?;
+        let ctxs = self.ctxs_mut();
+        ctxs.insert(id, ctx);
+        let p = ctxs.get_mut(&parent).ok_or_else(not_found)?;
         p.bindings.insert(name, Entry::Ctx { id });
         Ok(())
     }
 
     fn drop_ctx_tree(&mut self, id: CtxId) {
-        let Some(ctx) = self.ctxs.remove(&id) else {
+        let Some(ctx) = self.ctxs_mut().remove(&id) else {
             return;
         };
         for entry in ctx.bindings.values() {
@@ -602,7 +611,7 @@ impl NsState {
 
     /// Replaces this state with a snapshot's contents.
     pub fn restore(&mut self, snap: Snapshot) {
-        self.ctxs = snap
+        let mut ctxs: BTreeMap<CtxId, Context> = snap
             .ctxs
             .into_iter()
             .map(|sc| {
@@ -616,7 +625,8 @@ impl NsState {
                 )
             })
             .collect();
-        self.ctxs.entry(ROOT_CTX).or_insert_with(Context::plain);
+        ctxs.entry(ROOT_CTX).or_insert_with(Context::plain);
+        self.ctxs = Arc::new(ctxs);
         self.next_ctx = snap.next_ctx;
         self.last_seq = snap.last_seq;
     }
@@ -1042,6 +1052,40 @@ mod tests {
         let mut st2 = NsState::new();
         st2.restore(snap);
         assert_eq!(st, st2);
+    }
+
+    #[test]
+    fn a_held_read_is_unchanged_by_later_updates() {
+        let mut st = NsState::new();
+        apply_seq(
+            &mut st,
+            &[
+                NsUpdate::NewContext { path: "svc".into() },
+                NsUpdate::Bind {
+                    path: "svc/mms".into(),
+                    obj: obj(1, 22),
+                },
+            ],
+        );
+        let held = st.clone();
+        assert!(Arc::ptr_eq(&held.ctxs, &st.ctxs), "a read copies no context");
+        let before = held.snapshot();
+        let mds = NsUpdate::Bind {
+            path: "svc/mds".into(),
+            obj: obj(2, 23),
+        };
+        st.apply(3, &mds).unwrap();
+        st.apply(4, &NsUpdate::Unbind { path: "svc/mms".into() }).unwrap();
+        assert_eq!(held.snapshot(), before);
+        assert_eq!(resolve(&held, "svc/mms").unwrap(), ResolveOut::Obj(obj(1, 22)));
+        assert!(resolve(&held, "svc/mds").is_err());
+        assert!(resolve(&st, "svc/mms").is_err());
+        assert_eq!(resolve(&st, "svc/mds").unwrap(), ResolveOut::Obj(obj(2, 23)));
+        // Once the reader lets go, an update mutates in place again.
+        drop(held);
+        let tree = Arc::as_ptr(&st.ctxs);
+        st.apply(5, &NsUpdate::Unbind { path: "svc/mds".into() }).unwrap();
+        assert_eq!(Arc::as_ptr(&st.ctxs), tree);
     }
 
     #[test]

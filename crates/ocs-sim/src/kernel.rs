@@ -644,14 +644,15 @@ impl PairBits {
     }
 }
 
-/// One-shot multiplicative hasher for [`Addr`] endpoint keys: the
-/// delivery path hashes an address per message, so the default SipHash
-/// is measurable overhead for zero benefit (keys come from the kernel,
-/// not the network).
+/// One-shot multiplicative hasher for id keys — endpoint addresses here,
+/// allocation, settop and retry-token ids in the replicated tables: a
+/// path that hashes a key per message or per op pays measurably for the
+/// default SipHash and gains nothing by it (the cluster's own services
+/// mint these ids; no subscriber chooses one).
 #[derive(Clone, Copy, Default)]
-pub(crate) struct AddrHash(u64);
+pub struct IdHasher(u64);
 
-impl std::hash::Hasher for AddrHash {
+impl std::hash::Hasher for IdHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
@@ -679,7 +680,7 @@ impl std::hash::Hasher for AddrHash {
     }
 }
 
-impl AddrHash {
+impl IdHasher {
     #[inline]
     fn mix(&mut self, v: u64) {
         self.0 = (self.0 ^ v)
@@ -688,7 +689,8 @@ impl AddrHash {
     }
 }
 
-type AddrBuild = std::hash::BuildHasherDefault<AddrHash>;
+/// The [`IdHasher`] builder: `HashMap<K, V, IdBuild>`.
+pub type IdBuild = std::hash::BuildHasherDefault<IdHasher>;
 
 /// Cluster-wide network control action. Issued by a fault API; from a
 /// process it is broadcast to every shard as a control event so all
@@ -807,7 +809,7 @@ pub(crate) struct Kernel {
     /// sequentially from 1 and never removed). Replicated on every
     /// shard; the per-node streams are only touched by the owner.
     nodes: Vec<NodeState>,
-    pub endpoints: HashMap<EpKey, EpState, AddrBuild>,
+    pub endpoints: HashMap<EpKey, EpState, IdBuild>,
     pub net_cfg: NetConfig,
     pub link_overrides: PairTable<LinkParams>,
     link_free: PairTable<u64>,

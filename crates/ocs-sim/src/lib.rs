@@ -44,7 +44,9 @@ pub mod trace;
 pub use backoff::RetryPolicy;
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultPlanSpec, FaultRt, Nemesis};
 pub use journal::{merge_journals, render_timeline, Journal, JournalEvent};
-pub use kernel::{KernelStats, LinkImpairment, LinkParams, NetConfig, NetStats, ShardPolicy};
+pub use kernel::{
+    IdBuild, IdHasher, KernelStats, LinkImpairment, LinkParams, NetConfig, NetStats, ShardPolicy,
+};
 pub use ring::RingLog;
 pub use trace::{current_ctx, set_current_ctx, CtxGuard, SpanCtx, SpanId, TraceId};
 pub use rt::{

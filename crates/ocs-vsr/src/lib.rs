@@ -540,11 +540,12 @@ pub struct VsrCore<M: Machine> {
     pending: BTreeMap<OpNum, LogEntry<M::Op>>,
     /// The replicated application state (committed prefix applied).
     state: M,
-    /// Apply results of recently committed ops, for client threads,
-    /// keyed by op number and stamped with the committed entry's
-    /// *original* view so a deposed primary cannot mistake a
-    /// replacement entry's result for its own.
-    results: BTreeMap<OpNum, (View, M::Outcome)>,
+    /// Apply results of the newest committed ops, for client threads:
+    /// a ring of `(op, view, outcome)` whose ops run contiguously up to
+    /// `commit_num`, each stamped with the committed entry's *original*
+    /// view so a deposed primary cannot mistake a replacement entry's
+    /// result for its own.
+    results: VecDeque<(OpNum, View, M::Outcome)>,
     /// Primary only: per-backup cumulative ack watermark.
     acks: BTreeMap<u32, OpNum>,
     /// Primary only: heartbeat rounds without a majority of acks.
@@ -621,7 +622,7 @@ impl<M: Machine> VsrCore<M> {
             log: VecDeque::new(),
             pending: BTreeMap::new(),
             state: machine,
-            results: BTreeMap::new(),
+            results: VecDeque::new(),
             acks: BTreeMap::new(),
             missed_rounds: 0,
             quorum_ok: true,
@@ -727,8 +728,9 @@ impl<M: Machine> VsrCore<M> {
         if op > self.commit_num {
             return OpOutcome::Pending;
         }
-        match self.results.get(&op) {
-            Some((v, result)) if *v == view => OpOutcome::Done(result.clone()),
+        let first = self.results.front().map_or(0, |r| r.0);
+        match op.checked_sub(first).and_then(|i| self.results.get(i as usize)) {
+            Some((o, v, result)) if *o == op && *v == view => OpOutcome::Done(result.clone()),
             _ => OpOutcome::Superseded,
         }
     }
@@ -774,7 +776,7 @@ impl<M: Machine> VsrCore<M> {
                 .expect("uncommitted entries are never compacted")
                 .clone();
             let result = self.state.apply(next, &entry.update);
-            self.results.insert(next, (entry.view, result));
+            self.results.push_back((next, entry.view, result));
             self.commit_num = next;
             self.events.push(VsrEvent::Committed {
                 op: next,
@@ -792,13 +794,9 @@ impl<M: Machine> VsrCore<M> {
                 break;
             }
         }
-        // Results are keyed by op number, so the expired ones are a prefix.
         let floor = self.commit_num.saturating_sub(RESULT_WINDOW);
-        while let Some(oldest) = self.results.first_entry() {
-            if *oldest.key() > floor {
-                break;
-            }
-            oldest.remove();
+        while self.results.front().is_some_and(|r| r.0 <= floor) {
+            self.results.pop_front();
         }
     }
 
@@ -1598,6 +1596,40 @@ mod tests {
                 };
                 assert_eq!(core.outcome_of(0, op), want, "op {op} at commit {commit}");
             }
+        }
+    }
+
+    #[test]
+    fn result_ring_restarts_after_a_snapshot_gap() {
+        let mut cores = replicas(2);
+        for _ in 0..3 {
+            replicate(&mut cores, 0, 1);
+        }
+        // Replica 2 misses nine ops, more than the primary retains, and
+        // catches up by snapshot: its results for ops 1 and 2 go too.
+        replicate_to(&mut cores, 1, &[1; 9]);
+        assert_eq!(cores[2].outcome_of(0, 2), OpOutcome::Done(Ok(2)));
+        let st = cores[0].on_get_state(cores[2].commit_num(), true);
+        assert!(st.snapshot.is_some());
+        assert!(cores[2].on_state_transfer(st, t(3)));
+        let installed = cores[2].commit_num();
+        assert_eq!(installed, 12);
+        for _ in 0..3 {
+            replicate(&mut cores, 0, 1);
+        }
+        // The last prepare carried commit 14; op 15 is not committed yet.
+        let core = &cores[2];
+        let commit = core.commit_num();
+        assert_eq!((commit, core.op_num()), (14, 15));
+        for op in 1..=commit + 2 {
+            let want = if op > commit {
+                OpOutcome::Pending
+            } else if op > installed {
+                OpOutcome::Done(Ok(op))
+            } else {
+                OpOutcome::Superseded
+            };
+            assert_eq!(core.outcome_of(0, op), want, "op {op}");
         }
     }
 
