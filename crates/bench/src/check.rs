@@ -97,6 +97,7 @@ const E22: Run = Run::Exp("e22");
 const E23: Run = Run::Exp("e23 --sim-only");
 const STORM: Run = Run::Workload("sim_storm --seconds 2 --trace 1");
 const REPL_STORM: Run = Run::Workload("sim_repl_storm --seconds 2 --trace 0");
+const FAILOVER: Run = Run::Workload("sim_failover --seconds 2 --trace 0");
 const TCP_ADMIT: Run = Run::Workload("tcp_repl_admit --seconds 2 --trace 1");
 const TCP_OPEN: Run = Run::Workload("tcp_movie_open --seconds 2 --trace 1");
 
@@ -302,6 +303,16 @@ pub const GUARDS: &[Guard] = &[
     // scheduler round trip of its own. 0.5050 switches per event, exact
     // for the seed; one extra round trip per slice adds ≈ 0.04.
     g(STORM, "per_layer/ocs-sim.switches_per_event", Le(0.52)),
+    // The same group with its primary killed under open-loop probes,
+    // virtual time, exact for the seed: the p50 op is the blackout a
+    // kill leaves, 818,000 us (810–818 ms over seeds 1–4), ceiling 10 %
+    // above; a fail-over sends the table once, 198,503 bytes per op
+    // (381 KB when a view change carried a snapshot and recovery
+    // fetched one per peer), ceiling 21 % above. Adds 2.2 s.
+    g(FAILOVER, "failed", Eq(0.0)),
+    g(FAILOVER, "correct", IsTrue),
+    g(FAILOVER, "end_to_end/op_p50_us", Le(900_000.0)),
+    g(FAILOVER, "per_layer/ocs-wire.bytes_per_op", Le(240_000.0)),
     // The same log over TCP loopback: a node keeps one stream per peer
     // for life, so the timed phase opens none. A count, not a wall
     // clock: a connection per ORB call reads 5.9 here on any host.

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
-use ocs_sim::{NetError, NodeId, PortReq, Rt};
+use ocs_sim::{NetError, NodeId, PortReq, Rt, SimTime};
 use ocs_vsr::Machine;
 use parking_lot::Mutex;
 
@@ -124,14 +124,18 @@ struct Baseline {
 /// counters, and `cm.active_allocs` holds whichever group stepped last.
 /// Read a group's allocations from its `CmReplica::usage`; metric names
 /// per group wait for the operator surface's naming pass.
+///
+/// Both drivers, the standalone manager and the replicated one, report
+/// an op's effects through the `on_*` methods, so the counters and the
+/// journal lines are written once; each keeps `cm.active_allocs` itself.
 pub(crate) struct CmMetrics {
-    pub(crate) accepted: Arc<ocs_telemetry::Counter>,
-    pub(crate) rejected: Arc<ocs_telemetry::Counter>,
-    pub(crate) released: Arc<ocs_telemetry::Counter>,
-    pub(crate) reasserted: Arc<ocs_telemetry::Counter>,
-    pub(crate) expired: Arc<ocs_telemetry::Counter>,
+    accepted: Arc<ocs_telemetry::Counter>,
+    rejected: Arc<ocs_telemetry::Counter>,
+    released: Arc<ocs_telemetry::Counter>,
+    reasserted: Arc<ocs_telemetry::Counter>,
+    expired: Arc<ocs_telemetry::Counter>,
     pub(crate) active_allocs: Arc<ocs_telemetry::Gauge>,
-    pub(crate) journal: Arc<ocs_telemetry::Journal>,
+    journal: Arc<ocs_telemetry::Journal>,
 }
 
 impl CmMetrics {
@@ -147,6 +151,51 @@ impl CmMetrics {
             active_allocs: reg.gauge("cm.active_allocs"),
             journal: Arc::clone(&tel.journal),
         }
+    }
+
+    /// An allocate's outcome: a lease granted, or refused for want of
+    /// bandwidth (the table's only refusal).
+    pub(crate) fn on_allocate(
+        &self,
+        now: SimTime,
+        out: &Result<u64, MediaError>,
+        settop: NodeId,
+        down_bps: u64,
+    ) {
+        match out {
+            Ok(conn) => {
+                self.accepted.inc();
+                let line = format!("lease granted: conn {conn} settop {settop} {down_bps} bps");
+                self.journal.record(now, "cm", line);
+            }
+            Err(MediaError::NoBandwidth) => self.rejected.inc(),
+            Err(_) => {}
+        }
+    }
+
+    /// A release's outcome.
+    pub(crate) fn on_release(&self, out: &Result<u64, MediaError>) {
+        if out.is_ok() {
+            self.released.inc();
+        }
+    }
+
+    /// A reassertion that re-admitted a lease the table did not hold.
+    pub(crate) fn on_readmit(&self, now: SimTime, conn: u64, settop: NodeId) {
+        self.reasserted.inc();
+        let line =
+            format!("lease reasserted: conn {conn} settop {settop} re-admitted after restart");
+        self.journal.record(now, "cm", line);
+    }
+
+    /// A lease the table reclaimed at its expiry.
+    pub(crate) fn on_expire(&self, now: SimTime, d: &ConnDesc) {
+        self.expired.inc();
+        let line = format!(
+            "lease expired: conn {} (settop {}, {} bps reclaimed)",
+            d.conn, d.settop, d.down_bps
+        );
+        self.journal.record(now, "cm", line);
     }
 }
 
@@ -198,26 +247,16 @@ impl ConnectionManager {
         self.rt.as_ref().map(|rt| rt.now().as_micros()).unwrap_or(0)
     }
 
-    /// Bumps one of the pre-resolved counters. Managers built without a
-    /// runtime (unit tests) have no node registry, so this is a no-op.
-    fn count(&self, pick: impl FnOnce(&CmMetrics) -> &ocs_telemetry::Counter) {
-        if let Some(m) = &self.metrics {
-            pick(m).inc();
-        }
+    /// The metrics and the clock to report an op's effects to. Managers
+    /// built without a runtime (unit tests) have neither.
+    fn observe(&self) -> Option<(&CmMetrics, SimTime)> {
+        Some((self.metrics.as_ref()?, self.rt.as_ref()?.now()))
     }
 
     /// Publishes the current allocation-table size as a gauge.
     fn track_allocs(&self, n: usize) {
         if let Some(m) = &self.metrics {
             m.active_allocs.set(n as i64);
-        }
-    }
-
-    /// Drops a lease-lifecycle event into the node's flight recorder.
-    /// Managers without a runtime (unit tests) have no journal — no-op.
-    fn journal(&self, detail: String) {
-        if let (Some(m), Some(rt)) = (&self.metrics, &self.rt) {
-            m.journal.record(rt.now(), "cm", detail);
         }
     }
 
@@ -240,12 +279,10 @@ impl ConnectionManager {
         let expired = st.table.take_expired();
         let live = st.table.allocations_len();
         drop(st);
-        for d in expired {
-            self.count(|m| &m.expired);
-            self.journal(format!(
-                "lease expired: conn {} (settop {}, {} bps reclaimed)",
-                d.conn, d.settop, d.down_bps
-            ));
+        if let Some((m, now)) = self.observe() {
+            for d in &expired {
+                m.on_expire(now, d);
+            }
         }
         (out, live)
     }
@@ -275,15 +312,11 @@ impl CmApi for ConnectionManager {
             down_bps,
             now_us: self.now_us(),
         });
-        match &out {
-            Ok(conn) => {
-                self.count(|m| &m.accepted);
-                self.track_allocs(live);
-                self.journal(format!(
-                    "lease granted: conn {conn} settop {settop} {down_bps} bps"
-                ));
-            }
-            Err(_) => self.count(|m| &m.rejected),
+        if let Some((m, now)) = self.observe() {
+            m.on_allocate(now, &out, settop, down_bps);
+        }
+        if out.is_ok() {
+            self.track_allocs(live);
         }
         out
     }
@@ -293,8 +326,8 @@ impl CmApi for ConnectionManager {
             conn,
             now_us: self.now_us(),
         });
-        if out.is_ok() {
-            self.count(|m| &m.released);
+        if let Some((m, _)) = self.observe() {
+            m.on_release(&out);
         }
         self.track_allocs(live);
         out.map(|_| ())
@@ -307,12 +340,10 @@ impl CmApi for ConnectionManager {
             now_us: self.now_us(),
         });
         if out.is_ok() && !known {
-            self.count(|m| &m.reasserted);
+            if let Some((m, now)) = self.observe() {
+                m.on_readmit(now, desc.conn, desc.settop);
+            }
             self.track_allocs(live);
-            self.journal(format!(
-                "lease reasserted: conn {} settop {} re-admitted after restart",
-                desc.conn, desc.settop
-            ));
         }
         out.map(|_| ())
     }

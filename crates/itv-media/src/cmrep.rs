@@ -133,15 +133,7 @@ impl Replicated for CmTable {
     /// the live-allocation gauge current.
     fn post_step(&mut self, ctx: &CmCtx, _events: &[VsrEvent<CmUpdate>]) {
         for d in self.take_expired() {
-            ctx.metrics.expired.inc();
-            ctx.metrics.journal.record(
-                ctx.rt.now(),
-                "cm",
-                format!(
-                    "lease expired: conn {} (settop {}, {} bps reclaimed)",
-                    d.conn, d.settop, d.down_bps
-                ),
-            );
+            ctx.metrics.on_expire(ctx.rt.now(), &d);
         }
         ctx.metrics.active_allocs.set(self.allocations_len() as i64);
     }
@@ -280,28 +272,15 @@ impl CmApi for ApiView {
             now_us: 0,
         };
         self.commit(caller, op, move |rep, out| {
-            let metrics = &rep.ctx().metrics;
-            match &out {
-                Ok(conn) => {
-                    metrics.accepted.inc();
-                    metrics.journal.record(
-                        rep.rt().now(),
-                        "cm",
-                        format!("lease granted: conn {conn} settop {settop} {down_bps} bps"),
-                    );
-                }
-                Err(MediaError::NoBandwidth) => metrics.rejected.inc(),
-                Err(_) => {}
-            }
+            let now = rep.rt().now();
+            rep.ctx().metrics.on_allocate(now, &out, settop, down_bps);
             out
         })
     }
 
     fn release(&self, caller: &Caller, conn: u64) -> Result<(), MediaError> {
         self.commit(caller, CmUpdate::Release { conn, now_us: 0 }, |rep, out| {
-            if out.is_ok() {
-                rep.ctx().metrics.released.inc();
-            }
+            rep.ctx().metrics.on_release(&out);
             out.map(|_| ())
         })
     }
@@ -312,14 +291,7 @@ impl CmApi for ApiView {
         let op = CmUpdate::Reassert { desc, now_us: 0 };
         self.commit(caller, op, move |rep, out| {
             if out.is_ok() && !known {
-                rep.ctx().metrics.reasserted.inc();
-                rep.ctx().metrics.journal.record(
-                    rep.rt().now(),
-                    "cm",
-                    format!(
-                        "lease reasserted: conn {conn} settop {settop} re-admitted after restart"
-                    ),
-                );
+                rep.ctx().metrics.on_readmit(rep.rt().now(), conn, settop);
             }
             out.map(|_| ())
         })

@@ -214,7 +214,6 @@ impl Mms {
         let Ok(port) = CallPort::<()>::open(self.mds_ctx(Some(budget)), Box::new(|_, _| {})) else {
             return (usable, true);
         };
-        port.adopt();
         let op = OpName::from(STATUS.1);
         port.gather(&storing, STATUS.0, Bytes::new(), op, |i, reply| {
             let status = reply

@@ -150,7 +150,6 @@ pub fn run_vod(ctx: &AppCtx, title: &str, watch_ms: u64) -> VodOutcome {
             }
         }
     }
-    stream.close();
     metrics.streaming.set(0);
     VodOutcome {
         completed,

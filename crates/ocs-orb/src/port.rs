@@ -2,12 +2,12 @@
 //!
 //! [`ClientCtx::call_named`] places one call from the calling process's
 //! reply endpoint and waits there for the reply. A [`CallPort`] is one
-//! long-lived endpoint, served inline ([`Endpoint::serve_inline`]), from
-//! which any number of calls go out at once. A reply — or the bounce or the
-//! timeout that stands for one — is matched to its call where it lands:
-//! in a task TCP's node loop starts where it read the reply, on the
-//! simulator's stepping thread. What happens there depends on how the
-//! call was placed:
+//! long-lived endpoint, every landing on it served inline
+//! ([`Endpoint::serve`]), from which any number of calls go out at once.
+//! A reply — or the bounce or the timeout that stands for one — is
+//! matched to its call where it lands: in a task TCP's node loop starts
+//! where it read the reply, on the simulator's stepping thread. What
+//! happens there depends on how the call was placed:
 //!
 //! - [`CallPort::call`]: the outcome goes with the call's token to the
 //!   port's handler, on that thread. The handler, like any inline
@@ -86,8 +86,9 @@ struct Pending<T> {
 
 impl<T: Send + 'static> CallPort<T> {
     /// Opens a port on `ctx`'s node whose [`call`](CallPort::call)s'
-    /// outcomes go to `on_reply`. The endpoint belongs to no process
-    /// until one [`adopt`](CallPort::adopt)s it.
+    /// outcomes go to `on_reply`. The endpoint belongs to the calling
+    /// process's group, and closes when the port drops or that group is
+    /// killed.
     pub fn open(ctx: ClientCtx, on_reply: OnReply<T>) -> Result<Arc<CallPort<T>>, NetError> {
         let ep = ctx.rt.open(PortReq::Ephemeral)?;
         let port = Arc::new(CallPort {
@@ -100,22 +101,16 @@ impl<T: Send + 'static> CallPort<T> {
         // Weak: the runtime keeps the handler while the port is open, and
         // an open port must not keep its owner alive.
         let weak = Arc::downgrade(&port);
-        ep.serve_inline(
+        ep.serve(
             "orb-replies",
             Arc::new(move |item| {
                 if let Some(port) = weak.upgrade() {
                     port.land(item);
                 }
             }),
+            Arc::new(|_| true),
         );
-        ep.disown();
         Ok(port)
-    }
-
-    /// Ties the port's lifetime to the calling process: it closes when
-    /// that process dies, as an endpoint the process opened would.
-    pub fn adopt(&self) {
-        self.ep.adopt();
     }
 
     /// Sends `method(args)` to `target` under the context's timeout, with
@@ -294,7 +289,6 @@ impl<T> Drop for CallPort<T> {
             self.ctx
                 .finish_span(p.span, p.parent, p.op, p.start, true);
         }
-        self.ep.close();
     }
 }
 
@@ -330,9 +324,7 @@ mod tests {
         // A hand-rolled server: answers first under a request id nobody
         // is waiting for (a reply that outlived its call), then properly.
         let ep = server.open(PortReq::Fixed(100)).unwrap();
-        ep.disown();
         server.spawn_fn("server", move || {
-            ep.adopt();
             let (from, msg) = ep.recv(None).unwrap();
             let req = Request::from_frame(&msg.slice(1..)).unwrap();
             ep.send(from, reply_frame(req.request_id ^ 1, b"stale"))

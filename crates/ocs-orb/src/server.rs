@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
-use ocs_sim::{Addr, Endpoint, NetError, PortReq, Rt, SimTime};
+use ocs_sim::{Addr, Endpoint, NetError, PortReq, RecvError, Rt, SimTime};
 use ocs_telemetry::{
     CallSpan, CtxGuard, NodeTelemetry, OpName, Side, Span, SpanCtx, SpanId, TraceId,
 };
@@ -181,11 +181,10 @@ impl Orb {
         incarnation: Option<u64>,
         auth: Arc<dyn ServerAuth>,
     ) -> Result<Arc<Orb>, NetError> {
+        // The endpoint belongs to the calling process's group, which
+        // `start` spawns the serving process into: it closes when that
+        // group is killed, or when the ORB is shut down.
         let ep = rt.open(port)?;
-        // The endpoint must track the lifetime of the *serving* process,
-        // not whichever boot code constructed the ORB: detach it now and
-        // let the serve loop adopt it.
-        ep.disown();
         let incarnation = incarnation.unwrap_or_else(|| {
             // Random, but never the STABLE sentinel.
             rt.rand_u64() | 1
@@ -304,26 +303,24 @@ impl Orb {
 
     /// Serves requests until the request endpoint closes; public so
     /// tests and custom service mains can run it as their process's main.
+    /// The waiting process keeps the ORB, and its group, alive.
     pub fn serve_loop(self: &Arc<Self>) {
-        self.ep.adopt();
         // Weak: the runtime may keep the handler for as long as the port
         // is open, and an open port must not keep its ORB alive.
         let orb = Arc::downgrade(self);
         let handler = {
             let orb = orb.clone();
-            move |from, msg| {
-                if let Some(orb) = orb.upgrade() {
+            move |landing: Result<(Addr, Bytes), RecvError>| {
+                // A bounce of a reply whose caller is gone: nobody to tell.
+                if let (Ok((from, msg)), Some(orb)) = (landing, orb.upgrade()) {
                     orb.handle_frame(from, msg);
                 }
             }
         };
         let inline = move |frame: &[u8]| orb.upgrade().is_some_and(|orb| orb.runs_inline(frame));
-        self.ep.serve(
-            &*self.rt,
-            "orb-worker",
-            Arc::new(handler),
-            Some(Arc::new(inline)),
-        );
+        self.ep.serve("orb-worker", Arc::new(handler), Arc::new(inline));
+        // Nothing queues on a served port: this returns at the close.
+        while !matches!(self.ep.recv(None), Err(RecvError::Closed)) {}
     }
 
     /// Whether `frame` is a request for a method its servant

@@ -76,36 +76,52 @@
 //! handoff through the scheduler and is used as the baseline by the E18
 //! microbenchmark and the equivalence tests.
 //!
+//! # Endpoints
+//!
+//! An endpoint belongs to the group of the process that opened it
+//! (`EpState::group`) and lives as it does on TCP: it closes when closed,
+//! when its last handle drops (`SimEndpoint`'s `Drop`), at once when its
+//! group is killed, and when its node crashes. A kill or a crash closes
+//! the endpoints in port order before any process has unwound, so a frame
+//! for a dead service bounces from the kill instant on. Each open gets a
+//! fresh id, and a handle closes only the endpoint it opened: a stale
+//! handle dropped after its fixed port was opened again leaves the
+//! successor alone. A process's reply endpoint is one more handle
+//! (`Proc::reply`), dropped when the process exits.
+//!
+//! No endpoint handle may drop under the kernel lock, since the drop
+//! takes it. What the kernel lets go of under its lock — a closed port's
+//! handler, a spawn it refused — waits in `Kernel::dropped` until the
+//! lock is released (`unlock`, and every step of a shard).
+//!
 //! # Serving a port
 //!
 //! A port a process [`serve`](crate::rt::Endpoint::serve)s carries its
 //! handler (`EpState::served`), and a delivery to it runs the handler
 //! at the delivery instant instead of queueing the frame for a receiver:
 //!
-//! * by default it spawns the handler's process on the port's node, in
-//!   the port owner's group — no serving process wakes first;
-//! * a frame the port's inline test passes (its handler waits for
-//!   nothing) becomes a [`Step::Inline`]: whichever thread is stepping
-//!   the shard runs it with the kernel lock released, as the port's node
-//!   (its shard, its node's streams, the owner's group), with no process,
-//!   no stack and no switch. Anything that would wait — a
+//! * a bounce, or a frame the port's inline test passes (its handler
+//!   waits for nothing), becomes a [`Step::Inline`]: whichever thread is
+//!   stepping the shard runs it with the kernel lock released, as the
+//!   port's node (its shard, its node's streams, the port's group), with
+//!   no process, no stack and no switch. Anything that would wait — a
 //!   blocking call, a receive, opening an endpoint — panics naming the
 //!   task, so the simulator enforces the promise TCP can only trust;
-//! * a port served with `serve_inline` runs every frame that way, and
-//!   every bounce too (a `serve`d port drops bounces, as a receive loop
-//!   would).
+//! * any other frame spawns the handler's process on the port's node,
+//!   in the port's group — no serving process wakes first.
 //!
 //! Either way the handler runs before the next event, exactly when the
-//! worker the serving process used to spawn for it ran, so events, RNG
-//! draws and trace hashes are those of the hand-written receive loop.
+//! worker a serving process would spawn for it ran, so events, RNG draws
+//! and trace hashes are those of a hand-written receive loop.
 //!
 //! The kernel also owns the network model: nodes, ports, per-link latency
-//! and bandwidth, partitions, message loss, and crash semantics (process
-//! death closes its ports and bounces later messages; node death is
+//! and bandwidth, partitions, message loss, and crash semantics (a kill
+//! closes the group's ports and bounces later messages; node death is
 //! silence). Node state lives in a dense vector indexed by `NodeId` and
 //! link state in flat per-pair tables, so the per-message path does no
 //! hashing in the default configuration.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -118,7 +134,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::coro::{self, Handle, Stack, StackPool};
-use crate::rt::{Addr, Endpoint, FrameHandler, InlineTest, LandingHandler, NodeId, RecvError};
+use crate::rt::{Addr, Endpoint, InlineTest, LandingHandler, NodeId, RecvError};
+use crate::sim::SimEndpoint;
 use crate::time::SimTime;
 
 pub(crate) type Pid = u64;
@@ -211,12 +228,9 @@ pub(crate) struct Proc {
     pub wake_reason: WakeReason,
     /// The pending timeout of the timed wait the process is blocked in.
     pub timer: Option<TimerKey>,
-    /// Endpoints opened by this process; closed when it dies.
-    pub endpoints: Vec<EpKey>,
     /// The endpoint its calls wait on for their replies
-    /// (`NodeRt::reply_endpoint`): one of `endpoints`, and gone when it
-    /// closes.
-    pub reply: Option<Arc<dyn Endpoint>>,
+    /// (`NodeRt::reply_endpoint`); dropped when the process exits.
+    pub reply: Option<Arc<SimEndpoint>>,
 }
 
 /// A pending timeout's key, `(at, src, sseq)` like an event's: drawn from
@@ -254,7 +268,10 @@ impl Item {
 /// An open endpoint. A closed one has no entry: a delivery to it
 /// bounces, a receive returns `Closed`, and its port number is free.
 pub(crate) struct EpState {
-    pub owner: Pid,
+    /// Which open of the port this is; a handle closes only its own.
+    pub id: u64,
+    /// The opener's group, whose kill closes the endpoint.
+    pub group: Option<u64>,
     pub queue: VecDeque<Item>,
     pub waiters: VecDeque<(Pid, u64)>,
     /// Set by `serve`: deliveries run the handler instead of queueing.
@@ -265,22 +282,21 @@ pub(crate) struct EpState {
 /// A served port's handler and what it runs as.
 pub(crate) struct Served {
     task: Arc<str>,
-    serving: Serving,
-    /// The group the handler joins: the port owner's when serving began.
+    handler: LandingHandler,
+    /// Which frames run inline; bounces always do.
+    inline: InlineTest,
+    /// The group the handler joins: the port's.
     group: Option<u64>,
 }
 
-/// How a served port runs what lands on it.
-pub(crate) enum Serving {
-    /// `Endpoint::serve`: a frame starts `handler`'s process, or runs
-    /// inline (`Step::Inline`) if `inline` passes it; bounces are dropped,
-    /// as a receive loop would drop them.
-    Spawn {
-        handler: FrameHandler,
-        inline: Option<InlineTest>,
-    },
-    /// `Endpoint::serve_inline`: frames and bounces alike run inline.
-    Inline(LandingHandler),
+impl Served {
+    /// Whether `item` runs where it lands rather than in a process.
+    fn runs_inline(&self, item: &Item) -> bool {
+        match item {
+            Item::Msg(_, msg) => (self.inline)(msg),
+            Item::Unreach(_) => true,
+        }
+    }
 }
 
 /// One frame or bounce for a served port whose handler runs inline.
@@ -810,6 +826,12 @@ pub(crate) struct Kernel {
     /// shard; the per-node streams are only touched by the owner.
     nodes: Vec<NodeState>,
     pub endpoints: HashMap<EpKey, EpState, IdBuild>,
+    /// The id of the last endpoint opened on this shard.
+    pub last_ep: u64,
+    /// What the kernel let go of under its lock — a closed port's
+    /// handler, a refused spawn's body — until the lock is released (see
+    /// the module docs): either may hold an endpoint handle.
+    dropped: Vec<Box<dyn Any + Send>>,
     pub net_cfg: NetConfig,
     pub link_overrides: PairTable<LinkParams>,
     link_free: PairTable<u64>,
@@ -946,6 +968,8 @@ impl Kernel {
             anon_next_waitobj: 1,
             nodes: Vec::new(),
             endpoints: HashMap::default(),
+            last_ep: 0,
+            dropped: Vec::new(),
             net_cfg,
             link_overrides: PairTable::new(),
             link_free: PairTable::new(),
@@ -1250,67 +1274,61 @@ impl Kernel {
     /// as the next `Step::Inline` if it runs inline, else starts its
     /// process.
     fn run_served(&mut self, port: Addr, served: Arc<Served>, item: Item) {
-        let inline = match (&served.serving, &item) {
-            (Serving::Inline(_), _) => true,
-            (Serving::Spawn { inline, .. }, Item::Msg(_, msg)) => {
-                inline.as_ref().is_some_and(|test| test(msg))
-            }
-            (Serving::Spawn { .. }, Item::Unreach(_)) => return,
-        };
-        if inline {
+        if served.runs_inline(&item) {
             debug_assert!(self.inline.is_none(), "an inline handler left queued");
             self.inline = Some(InlineRun { port, served, item });
-        } else if let Item::Msg(from, msg) = item {
-            self.spawn_handler(port, &served, from, msg);
+        } else {
+            self.spawn_handler(port, &served, item);
         }
     }
 
-    /// Starts a `serve`d port's handler on one frame as a process of the
-    /// port's node, in the owner's group.
-    fn spawn_handler(&mut self, port: Addr, served: &Served, from: Addr, msg: Bytes) {
-        let (Some(inner), Serving::Spawn { handler, .. }) = (self.inner.upgrade(), &served.serving)
-        else {
+    /// Starts a served port's handler on one landing as a process of the
+    /// port's node, in the port's group.
+    fn spawn_handler(&mut self, port: Addr, served: &Served, item: Item) {
+        let Some(inner) = self.inner.upgrade() else {
             return;
         };
-        let handler = Arc::clone(handler);
+        let handler = Arc::clone(&served.handler);
         self.spawn_local(
             &inner,
             Some(port.node),
             Arc::clone(&served.task),
             served.group,
-            Box::new(move || handler(from, msg)),
+            Box::new(move || handler(item.into_recv())),
         );
     }
 
-    /// Makes `port` a served port: later deliveries run its handler (as
-    /// `task`, in the port owner's group). What was queued before is
-    /// spawned now, in arrival order, bounces dropped, as the receive
-    /// loop `serve` replaces did — or, for `serve_inline`, returned for
-    /// the caller to hand to the handler. A closed port stays closed.
-    pub fn serve_port(&mut self, port: Addr, task: &str, serving: Serving) -> VecDeque<Item> {
-        let Some(owner) = self.endpoints.get(&port).map(|ep| ep.owner) else {
-            return VecDeque::new();
+    /// Makes `port` a served port: later landings run `handler` (as
+    /// `task`, in the port's group). Of what was queued before, the
+    /// frames that do not run inline are spawned now, in arrival order;
+    /// the rest is returned, in order, for the caller to hand to the
+    /// handler. A closed port stays closed.
+    pub fn serve_port(
+        &mut self,
+        port: Addr,
+        task: &str,
+        handler: LandingHandler,
+        inline: InlineTest,
+    ) -> Vec<Item> {
+        let Some(ep) = self.endpoints.get_mut(&port) else {
+            return Vec::new();
         };
         let served = Arc::new(Served {
             task: Arc::from(task),
-            serving,
-            group: self.procs.get(&owner).and_then(|p| p.group),
+            handler,
+            inline,
+            group: ep.group,
         });
-        let ep = self
-            .endpoints
-            .get_mut(&port)
-            .expect("endpoint checked open");
         ep.served = Some(Arc::clone(&served));
-        let queued = std::mem::take(&mut ep.queue);
-        if let Serving::Inline(_) = served.serving {
-            return queued;
-        }
-        for item in queued {
-            if let Item::Msg(from, msg) = item {
-                self.spawn_handler(port, &served, from, msg);
+        let mut here = Vec::new();
+        for item in std::mem::take(&mut ep.queue) {
+            if served.runs_inline(&item) {
+                here.push(item);
+            } else {
+                self.spawn_handler(port, &served, item);
             }
         }
-        VecDeque::new()
+        here
     }
 
     /// Applies the replica share of a network control on this shard; the
@@ -1591,12 +1609,30 @@ impl Kernel {
 
     /// Closes an endpoint: takes it out of the table, dropping queued
     /// messages, and wakes blocked receivers so they observe `Closed`.
+    /// Its handler, if it was served, drops once the lock is released.
     pub fn close_endpoint(&mut self, key: EpKey) {
         if let Some(ep) = self.endpoints.remove(&key) {
-            self.drop_reply(ep.owner, key);
             for (pid, gen) in ep.waiters {
                 self.wake(pid, gen, WakeReason::Notified);
             }
+            if let Some(served) = ep.served {
+                self.dropped.push(Box::new(served));
+            }
+        }
+    }
+
+    /// Closes, in port order, every endpoint `pick` accepts: which waiter
+    /// wakes first must not depend on the table's layout.
+    fn close_endpoints(&mut self, pick: impl Fn(&EpKey, &EpState) -> bool) {
+        let mut eps: Vec<EpKey> = self
+            .endpoints
+            .iter()
+            .filter(|(key, ep)| pick(key, ep))
+            .map(|(key, _)| *key)
+            .collect();
+        eps.sort_unstable();
+        for key in eps {
+            self.close_endpoint(key);
         }
     }
 
@@ -1605,25 +1641,16 @@ impl Kernel {
     /// call that is over answers no later one.
     pub fn reply_endpoint(&mut self, pid: Pid, node: NodeId) -> Option<Arc<dyn Endpoint>> {
         let ep = self.procs.get(&pid)?.reply.as_ref()?;
-        let addr = ep.local();
-        if addr.node != node {
+        if ep.addr.node != node {
             return None;
         }
-        self.endpoints.get_mut(&addr)?.queue.clear();
-        Some(Arc::clone(ep))
+        let state = self.endpoints.get_mut(&ep.addr).filter(|s| s.id == ep.id)?;
+        state.queue.clear();
+        Some(Arc::clone(ep) as Arc<dyn Endpoint>)
     }
 
-    /// Forgets `key` as `owner`'s reply endpoint, if it is: the process
-    /// no longer has it (closed, or handed on).
-    fn drop_reply(&mut self, owner: Pid, key: EpKey) {
-        if let Some(p) = self.procs.get_mut(&owner) {
-            if p.reply.as_ref().is_some_and(|r| r.local() == key) {
-                p.reply = None;
-            }
-        }
-    }
-
-    /// Kills every live member of a process group (this shard's share).
+    /// Kills every live member of a process group (this shard's share)
+    /// and closes the endpoints they opened, before any has unwound.
     pub fn kill_group(&mut self, group: u64) {
         let pids: Vec<Pid> = self
             .procs
@@ -1634,6 +1661,7 @@ impl Kernel {
         for pid in pids {
             self.kill_proc(pid);
         }
+        self.close_endpoints(|_, ep| ep.group == Some(group));
     }
 
     /// Whether any member of a process group is still alive.
@@ -1641,27 +1669,6 @@ impl Kernel {
         self.procs
             .values()
             .any(|p| p.group == Some(group) && !p.killed)
-    }
-
-    /// Reassigns an endpoint's owning process: `None` detaches it (it
-    /// survives any process exit), `Some(pid)` ties it to that process.
-    pub fn ep_set_owner(&mut self, key: EpKey, new_owner: Option<Pid>) {
-        let Some(ep) = self.endpoints.get_mut(&key) else {
-            return;
-        };
-        let old = ep.owner;
-        ep.owner = new_owner.unwrap_or(0);
-        if old != 0 {
-            self.drop_reply(old, key);
-            if let Some(p) = self.procs.get_mut(&old) {
-                p.endpoints.retain(|k| *k != key);
-            }
-        }
-        if let Some(pid) = new_owner {
-            if let Some(p) = self.procs.get_mut(&pid) {
-                p.endpoints.push(key);
-            }
-        }
     }
 
     /// Marks a process as killed and schedules it to unwind.
@@ -1705,18 +1712,7 @@ impl Kernel {
             }
             self.kill_proc(pid);
         }
-        // In port order, not the table's: which waiter wakes first must
-        // not depend on the table's layout.
-        let mut eps: Vec<EpKey> = self
-            .endpoints
-            .keys()
-            .filter(|a| a.node == node)
-            .copied()
-            .collect();
-        eps.sort_unstable();
-        for key in eps {
-            self.close_endpoint(key);
-        }
+        self.close_endpoints(|key, _| key.node == node);
         if self_on_node {
             if let Some(p) = self.procs.get_mut(&me.expect("checked")) {
                 p.killed = true;
@@ -1807,6 +1803,7 @@ impl Kernel {
         f: Box<dyn FnOnce() + Send>,
     ) {
         if self.shutdown {
+            self.dropped.push(Box::new(f));
             return;
         }
         if let Some(n) = node {
@@ -1821,6 +1818,7 @@ impl Kernel {
                         n
                     );
                 }
+                self.dropped.push(Box::new(f));
                 return;
             }
         }
@@ -1846,7 +1844,6 @@ impl Kernel {
                 killed: false,
                 wake_reason: WakeReason::None,
                 timer: None,
-                endpoints: Vec::new(),
                 reply: None,
             },
         );
@@ -2028,7 +2025,12 @@ impl SimInner {
         mut k: MutexGuard<'a, Kernel>,
     ) -> (MutexGuard<'a, Kernel>, Option<(Pid, Handle)>) {
         loop {
-            match k.next_step() {
+            let step = k.next_step();
+            if !k.dropped.is_empty() {
+                unlock(k);
+                k = self.shards[shard].kernel.lock();
+            }
+            match step {
                 Step::Run(pid, to) => return (k, Some((pid, to))),
                 Step::Done => return (k, None),
                 Step::Inline(run) => {
@@ -2056,11 +2058,7 @@ impl SimInner {
             served: Arc::clone(&served),
         };
         CUR_INLINE.with(|c| *c.borrow_mut() = Some(me));
-        let result = panic::catch_unwind(AssertUnwindSafe(|| match (&served.serving, item) {
-            (Serving::Spawn { handler, .. }, Item::Msg(from, msg)) => handler(from, msg),
-            (Serving::Spawn { .. }, Item::Unreach(_)) => {}
-            (Serving::Inline(handler), item) => handler(item.into_recv()),
-        }));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| (served.handler)(item.into_recv())));
         CUR_INLINE.with(|c| *c.borrow_mut() = None);
         crate::trace::set_current_ctx(span);
         CUR_PID.with(|c| c.set(pid));
@@ -2376,10 +2374,9 @@ impl SimInner {
         let ts = self.shard_ix(target);
         match self.lock_caller() {
             None => {
-                self.shards[ts]
-                    .kernel
-                    .lock()
-                    .spawn_local(self, node, Arc::from(name), group, f);
+                let mut k = self.shards[ts].kernel.lock();
+                k.spawn_local(self, node, Arc::from(name), group, f);
+                unlock(k);
             }
             Some((mut k, my_node, my_group)) => {
                 let group = group.or(my_group);
@@ -2394,6 +2391,7 @@ impl SimInner {
                     };
                     k.defer_control(my_node, [(ts, op)]);
                 }
+                unlock(k);
             }
         }
     }
@@ -2412,8 +2410,15 @@ impl SimInner {
     pub fn kill_group(&self, group: u64, home: NodeId) {
         let hs = self.shard_ix(home.0);
         match self.lock_caller() {
-            None => self.shards[hs].kernel.lock().kill_group(group),
-            Some((mut k, my_node, _)) if my_node == home.0 => k.kill_group(group),
+            None => {
+                let mut k = self.shards[hs].kernel.lock();
+                k.kill_group(group);
+                unlock(k);
+            }
+            Some((mut k, my_node, _)) if my_node == home.0 => {
+                k.kill_group(group);
+                unlock(k);
+            }
             Some((mut k, my_node, _)) => {
                 k.defer_control(my_node, [(hs, ControlOp::KillGroup(group))]);
             }
@@ -2448,7 +2453,9 @@ impl SimInner {
         match self.lock_caller() {
             None => {
                 for s in &self.shards {
-                    s.kernel.lock().apply_net(ctl);
+                    let mut k = s.kernel.lock();
+                    k.apply_net(ctl);
+                    unlock(k);
                 }
             }
             Some((mut k, my_node, _)) => {
@@ -2711,7 +2718,9 @@ impl SimInner {
 
     /// Shuts the simulation down: kills every process, has each shard
     /// drained on the thread its processes run on — shard 0 here, the
-    /// others by their workers, which then exit — and joins the workers.
+    /// others by their workers, which then exit — joins the workers, and
+    /// closes every endpoint still open, so no handler a served port
+    /// holds keeps the simulation alive.
     /// With `shutdown` set every handoff routes through the scheduler, so
     /// the drain sequencing matches the fast path off exactly. Driver
     /// context only — no window is open, so all processes are suspended.
@@ -2734,6 +2743,12 @@ impl SimInner {
             for j in self.workers.lock().drain(..) {
                 let _ = j.join();
             }
+        }
+        for s in &self.shards {
+            let mut k = s.kernel.lock();
+            let open = std::mem::take(&mut k.endpoints);
+            unlock(k);
+            drop(open);
         }
     }
 
@@ -2830,6 +2845,14 @@ fn worker_main(inner: Arc<SimInner>, ix: usize) {
     }
 }
 
+/// Releases a kernel's lock, then drops what the kernel let go of under
+/// it (see the module docs).
+pub(crate) fn unlock(mut k: MutexGuard<'_, Kernel>) {
+    let dropped = std::mem::take(&mut k.dropped);
+    drop(k);
+    drop(dropped);
+}
+
 /// What a caught panic said, for both runtimes' postmortems.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -2856,33 +2879,30 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Han
         k.entered += 1;
         k.shutdown || k.procs.get(&pid).map(|p| p.killed).unwrap_or(true)
     };
-    if !start_killed {
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-            let (name, node) = {
-                let k = slot.kernel.lock();
-                let me = k.procs.get(&pid);
-                (
-                    me.map_or_else(String::new, |p| p.name.to_string()),
-                    me.and_then(|p| p.node),
-                )
-            };
-            inner.record_panic(shard, "process", &name, node, &*payload);
-        }
+    if start_killed {
+        drop(f);
+    } else if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
+        let (name, node) = {
+            let k = slot.kernel.lock();
+            let me = k.procs.get(&pid);
+            (
+                me.map_or_else(String::new, |p| p.name.to_string()),
+                me.and_then(|p| p.node),
+            )
+        };
+        inner.record_panic(shard, "process", &name, node, &*payload);
     }
-    // Close owned endpoints, leave the process table — nobody joins a
-    // process, so nothing needs its entry once it is done — park the
-    // stack for whoever runs next to free, and pass control on: to the
-    // next process directly on the fast path, else to the shard's
-    // scheduler. A recorded panic disables the fast path, so the
-    // scheduler observes it immediately.
+    // Drop the reply endpoint — outside the lock, which its drop takes —
+    // leave the process table — nobody joins a process, so nothing needs
+    // its entry once it is done — park the stack for whoever runs next
+    // to free, and pass control on: to the next process directly on the
+    // fast path, else to the shard's scheduler. A recorded panic
+    // disables the fast path, so the scheduler observes it immediately.
     let mut k = slot.kernel.lock();
-    let eps = k
-        .procs
-        .get_mut(&pid)
-        .map(|p| std::mem::take(&mut p.endpoints))
-        .unwrap_or_default();
-    for key in eps {
-        k.close_endpoint(key);
+    if let Some(reply) = k.procs.get_mut(&pid).and_then(|p| p.reply.take()) {
+        drop(k);
+        drop(reply);
+        k = slot.kernel.lock();
     }
     if let Some(me) = k.procs.remove(&pid) {
         k.park_dead(me.stack);

@@ -50,8 +50,8 @@ pub use kernel::{
 pub use ring::RingLog;
 pub use trace::{current_ctx, set_current_ctx, CtxGuard, SpanCtx, SpanId, TraceId};
 pub use rt::{
-    Addr, Endpoint, Extensions, FrameHandler, InlineTest, LandingHandler, NetError, NodeId, NodeRt,
-    NodeRtExt, PortReq, ProcGroup, RecvError, Rt,
+    Addr, Endpoint, Extensions, InlineTest, LandingHandler, NetError, NodeId, NodeRt, NodeRtExt,
+    PortReq, ProcGroup, RecvError, Rt,
 };
 pub use sim::{Sim, SimChan, SimConfig, SimNode};
 pub use sync::{Queue, Semaphore, SyncObj};

@@ -26,10 +26,16 @@
 //!
 //! An endpoint somebody [`recv`](Endpoint::recv)s from has a mailbox: the
 //! loop queues its frames (`real.net.frames_queued`) and wakes the
-//! receiver. A *served* endpoint ([`Endpoint::serve`],
-//! [`Endpoint::serve_inline`]) has a handler: the loop starts its task,
-//! in the endpoint's owner group, where it read the frame — a stream's
-//! frames in the order they were sent — and runs it until it first waits.
+//! receiver. A *served* endpoint ([`Endpoint::serve`]) has a handler: for
+//! every landing, a frame or a bounce, the loop starts its task, in the
+//! endpoint's group, where it read it — a stream's frames in the order
+//! they were sent — and runs it until it first waits.
+//!
+//! An endpoint belongs to the group of the task that opened it, fixed at
+//! the open, and closes when closed, when its last handle drops, and at
+//! once when that group is killed — the simulator's rule too. A handle
+//! closes only its own open: a stale one dropped after its fixed port was
+//! opened again leaves the successor alone.
 //!
 //! ## Connection lifetime
 //!
@@ -110,8 +116,7 @@ use crate::fault::FaultRt;
 use crate::kernel::{KillSignal, LinkImpairment};
 use crate::poll::{self, Poller};
 use crate::rt::{
-    Addr, Endpoint, FrameHandler, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq,
-    RecvError,
+    Addr, Endpoint, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq, RecvError,
 };
 use crate::time::SimTime;
 
@@ -580,11 +585,14 @@ struct EpHandle {
 /// Closes an endpoint: receives return `Closed` from now on, frames
 /// arriving for the port bounce `Unreachable`, and a served port runs no
 /// more handlers. Idempotent — only the first close owns the port map
-/// entry; a later one would remove a successor's. The node's streams are
-/// not the endpoint's to close: the rest of the node is sending over them.
+/// entry; a later one would remove a successor's. The entry drops after
+/// the map's lock is released: a served port's handler may hold an
+/// endpoint of the node. The node's streams are not the endpoint's to
+/// close: the rest of the node is sending over them.
 fn close_port(ports: &PortMap, port: u16, mailbox: &Mailbox) {
     if mailbox.close() {
-        ports.lock().remove(&port);
+        let entry = ports.lock().remove(&port);
+        drop(entry);
     }
 }
 
@@ -899,19 +907,14 @@ enum Port {
     Served(Arc<Served>),
 }
 
+/// A served port's handler and what its tasks run as. Every landing gets
+/// a task, so its inline test, which only sorts what queued before the
+/// serve, is not kept.
 struct Served {
     task: Arc<str>,
-    serving: Serving,
-    /// The group the tasks join: the endpoint's owner when serving began.
+    handler: LandingHandler,
+    /// The group the tasks join: the endpoint's.
     group: Option<Arc<GroupCore>>,
-}
-
-/// How a served port runs what lands on it.
-enum Serving {
-    /// [`Endpoint::serve`]: a frame runs the handler; bounces are dropped.
-    Frames(FrameHandler),
-    /// [`Endpoint::serve_inline`]: frames and bounces alike.
-    Landings(LandingHandler),
 }
 
 type PortMap = Arc<Mutex<HashMap<u16, Port>>>;
@@ -1286,19 +1289,10 @@ impl NodeCore {
                 self.net.frames_queued.fetch_add(1, Ordering::Relaxed);
                 return mailbox.push(landing);
             }
-            (Some(Port::Served(served)), landing) => match (&served.serving, landing) {
-                (Serving::Frames(handler), Ok((from, msg))) => {
-                    let handler = Arc::clone(handler);
-                    (served, Box::new(move || handler(from, msg)))
-                }
-                // A port served by `serve` drops bounces, as the receive
-                // loop would.
-                (Serving::Frames(_), Err(_)) => return,
-                (Serving::Landings(handler), landing) => {
-                    let handler = Arc::clone(handler);
-                    (served, Box::new(move || handler(landing)))
-                }
-            },
+            (Some(Port::Served(served)), landing) => {
+                let handler = Arc::clone(&served.handler);
+                (served, Box::new(move || handler(landing)))
+            }
             (None, Ok((from, _))) => {
                 // Closed port on a live node: bounce, as the sim does —
                 // over the node's stream to the sender, like any frame
@@ -1649,16 +1643,23 @@ impl NodeRt for RealNode {
         let mailbox = Mailbox::new();
         ports.insert(portno, Port::Mailbox(Arc::clone(&mailbox)));
         drop(ports);
+        // The opener's group owns the endpoint: killing the group closes it.
+        let group = current_group();
         let ep = Arc::new(RealEndpoint {
             node: self.core.id,
             port: portno,
             mailbox,
             core: Arc::clone(&self.core),
-            owner_group: Mutex::new(None),
+            owner_group: group.as_ref().map(Arc::downgrade),
         });
-        // The opener's group owns the endpoint until adopt/disown says
-        // otherwise: killing the group closes it.
-        ep.register_current_group();
+        if let Some(g) = group {
+            g.eps.lock().push(ep.handle());
+            if g.killed() {
+                // Lost the race with a concurrent kill: close now, the
+                // drain may already have passed us by.
+                ep.close();
+            }
+        }
         Ok(ep)
     }
 
@@ -1736,14 +1737,14 @@ impl crate::sync::SyncObj for RealSyncObj {
     }
 }
 
-/// A TCP-backed message endpoint.
+/// A TCP-backed message endpoint. It closes when its last handle drops.
 pub struct RealEndpoint {
     node: NodeId,
     port: u16,
     mailbox: Arc<Mailbox>,
     core: Arc<NodeCore>,
-    /// The group whose kill closes this endpoint; adopt/disown move it.
-    owner_group: Mutex<Option<Weak<GroupCore>>>,
+    /// The opener's group, whose kill closes this endpoint.
+    owner_group: Option<Weak<GroupCore>>,
 }
 
 impl RealEndpoint {
@@ -1752,43 +1753,6 @@ impl RealEndpoint {
             port: self.port,
             mailbox: Arc::clone(&self.mailbox),
             ports: Arc::clone(&self.core.ports),
-        }
-    }
-
-    /// Registers the endpoint with the calling task's group (after
-    /// deregistering from any previous owner).
-    fn register_current_group(&self) {
-        self.unregister();
-        if let Some(g) = current_group() {
-            g.eps.lock().push(self.handle());
-            *self.owner_group.lock() = Some(Arc::downgrade(&g));
-            if g.killed() {
-                // Lost the race with a concurrent kill: close now, the
-                // drain may already have passed us by.
-                self.close();
-            }
-        }
-    }
-
-    fn unregister(&self) {
-        if let Some(g) = self.owner_group.lock().take().and_then(|w| w.upgrade()) {
-            g.eps.lock().retain(|h| h.port != self.port);
-        }
-    }
-
-    /// Points the port's entry at its handler, in the owner's group.
-    fn become_served(&self, task_name: &str, serving: Serving) {
-        let group = self.owner_group.lock().as_ref().and_then(Weak::upgrade);
-        let mut ports = self.core.ports.lock();
-        // The entry of an open endpoint is its own; a closed one has
-        // none, and must not take a successor's.
-        if !self.mailbox.0.lock().now.1 {
-            let served = Served {
-                task: Arc::from(task_name),
-                serving,
-                group,
-            };
-            ports.insert(self.port, Port::Served(Arc::new(served)));
         }
     }
 }
@@ -1808,42 +1772,46 @@ impl Endpoint for RealEndpoint {
 
     fn close(&self) {
         close_port(&self.core.ports, self.port, &self.mailbox);
-        self.unregister();
-    }
-
-    fn adopt(&self) {
-        self.register_current_group();
-    }
-
-    fn disown(&self) {
-        self.unregister();
-    }
-
-    /// The loop starts each frame's task where it reads the frame —
-    /// whatever `inline` says: that costs no hand-off. The calling task
-    /// spawns the handler on what reached the mailbox before this call,
-    /// then only waits for the close.
-    fn serve(
-        &self,
-        rt: &dyn NodeRt,
-        task_name: &str,
-        handler: FrameHandler,
-        _inline: Option<InlineTest>,
-    ) {
-        self.become_served(task_name, Serving::Frames(Arc::clone(&handler)));
-        let queued = std::mem::take(&mut self.mailbox.0.lock().now.0);
-        for (from, msg) in queued.into_iter().flatten() {
-            let handler = Arc::clone(&handler);
-            rt.spawn(task_name, Box::new(move || handler(from, msg)));
+        if let Some(g) = self.owner_group.as_ref().and_then(Weak::upgrade) {
+            g.eps
+                .lock()
+                .retain(|h| !Arc::ptr_eq(&h.mailbox, &self.mailbox));
         }
-        while !matches!(self.mailbox.pop(None), Err(RecvError::Closed)) {}
     }
 
-    fn serve_inline(&self, task_name: &str, handler: LandingHandler) {
-        self.become_served(task_name, Serving::Landings(Arc::clone(&handler)));
-        let queued = std::mem::take(&mut self.mailbox.0.lock().now.0);
+    /// Points the port's entry at the handler, in the endpoint's group:
+    /// from now on the loop starts a task for each landing where it reads
+    /// it, whatever `inline` says — that costs no hand-off. Of what
+    /// reached the mailbox before, the frames `inline` does not pass
+    /// start tasks of their own; the rest runs here.
+    fn serve(&self, task_name: &str, handler: LandingHandler, inline: InlineTest) {
+        let task: Arc<str> = Arc::from(task_name);
+        let group = self.owner_group.as_ref().and_then(Weak::upgrade);
+        let queued = {
+            let mut ports = self.core.ports.lock();
+            let mut mailbox = self.mailbox.0.lock();
+            // The entry of an open endpoint is its own; a closed one has
+            // none, and must not take a successor's.
+            if mailbox.now.1 {
+                return;
+            }
+            let served = Served {
+                task: Arc::clone(&task),
+                handler: Arc::clone(&handler),
+                group: group.clone(),
+            };
+            ports.insert(self.port, Port::Served(Arc::new(served)));
+            std::mem::take(&mut mailbox.now.0)
+        };
         for landing in queued {
-            handler(landing);
+            match landing {
+                Ok((from, msg)) if !inline(&msg) => {
+                    let handler = Arc::clone(&handler);
+                    let job: Job = Box::new(move || handler(Ok((from, msg))));
+                    self.core.spawn_task(&task, group.clone(), job);
+                }
+                landing => handler(landing),
+            }
         }
     }
 }
@@ -2481,23 +2449,23 @@ mod tests {
         node: &Arc<RealNode>,
         port: u16,
         ran_on: std::sync::mpsc::Sender<String>,
-        inline: Option<InlineTest>,
+        inline: InlineTest,
     ) -> (Arc<dyn crate::rt::ProcGroup>, Addr) {
-        let ep = node.open(PortReq::Fixed(port)).unwrap();
-        ep.disown();
-        let addr = ep.local();
+        let addr = Addr::new(node.node(), port);
         let rt = Arc::clone(node) as Arc<dyn NodeRt>;
         let ran_on = Mutex::new(ran_on);
         let group = node.spawn_group(
             "svc",
             Box::new(move || {
-                ep.adopt();
+                let ep = rt.open(PortReq::Fixed(port)).unwrap();
                 let reply = Arc::clone(&ep);
-                let handler = move |from, msg| {
+                let handler = move |landing: Result<(Addr, Bytes), RecvError>| {
+                    let Ok((from, msg)) = landing else { return };
                     ran_on.lock().send(thread_name()).unwrap();
                     let _ = reply.send(from, msg);
                 };
-                ep.serve(&*rt, "svc-worker", Arc::new(handler), inline);
+                ep.serve("svc-worker", Arc::new(handler), inline);
+                while !matches!(ep.recv(None), Err(RecvError::Closed)) {}
             }),
         );
         (group, addr)
@@ -2517,7 +2485,7 @@ mod tests {
         let a = net.add_node("a").unwrap();
         let b = net.add_node("b").unwrap();
         let (ran_on_tx, ran_on) = std::sync::mpsc::channel();
-        let (group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx, None);
+        let (group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx, Arc::new(|_| false));
         let client = a.open(PortReq::Ephemeral).unwrap();
         let call = |msg: &'static [u8]| {
             client.send(b_addr, Bytes::from_static(msg)).unwrap();
@@ -2567,7 +2535,7 @@ mod tests {
         let b = net.add_node("b").unwrap();
         let (ran_on_tx, ran_on) = std::sync::mpsc::channel();
         let brief: InlineTest = Arc::new(|msg| msg.starts_with(b"brief"));
-        let (group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx, Some(brief));
+        let (group, b_addr) = spawn_served_echo(&b, 100, ran_on_tx, brief);
         let client = a.open(PortReq::Ephemeral).unwrap();
         let call = |msg: &'static [u8]| {
             client.send(b_addr, Bytes::from_static(msg)).unwrap();
@@ -2629,7 +2597,7 @@ mod tests {
         let relay = b.open(PortReq::Fixed(100)).unwrap();
         let (tx, landed) = std::sync::mpsc::channel();
         let (out, tx) = (Arc::clone(&relay), Mutex::new(tx));
-        relay.serve_inline(
+        relay.serve(
             "relay",
             Arc::new(move |item| {
                 let Ok((_, msg)) = item else { return };
@@ -2641,6 +2609,7 @@ mod tests {
                 };
                 let _ = tx.lock().send((msg, sent, thread_name(), t0.elapsed()));
             }),
+            Arc::new(|_| true),
         );
         let client = a.open(PortReq::Ephemeral).unwrap();
         let to = Addr::new(b.node(), 100);

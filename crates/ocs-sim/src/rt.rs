@@ -160,84 +160,61 @@ pub trait Endpoint: Send + Sync {
 
     /// Closes the endpoint; subsequent receives return
     /// [`RecvError::Closed`], and messages sent to it bounce.
+    ///
+    /// An endpoint has one lifetime on both runtimes: it closes here,
+    /// when its last handle drops, at once when the group of the process
+    /// that opened it is killed, and when its node crashes. Closing a
+    /// handle whose port has been closed and opened again since leaves
+    /// the new endpoint open.
     fn close(&self);
 
-    /// Transfers ownership of the endpoint to the calling process, so it
-    /// closes when that process dies (simulation only; no-op on the real
-    /// runtime, where endpoints close on drop).
-    fn adopt(&self) {}
-
-    /// Detaches the endpoint from its owning process so it survives the
-    /// opener's exit until adopted (simulation only; no-op on the real
-    /// runtime).
-    fn disown(&self) {}
-
-    /// Serves the endpoint: every message that arrives runs
-    /// `handler(from, msg)` in a process of its own named `task_name`,
-    /// spawned into the group that owns the endpoint (the caller's, after
-    /// [`adopt`](Endpoint::adopt)). Blocks until the endpoint closes, so
-    /// callers run it as their process's main; bounces are dropped.
+    /// Serves the endpoint: everything that lands on it — a message, or
+    /// the bounce of a message sent from it — runs `handler` with what a
+    /// [`recv`](Endpoint::recv) would have returned. Returns at once;
+    /// the endpoint closes as any other does, and a receive on it waits
+    /// for that close.
     ///
-    /// Both runtimes hand a message to its process where it is
-    /// delivered, with no serving process woken first: on TCP the node's
-    /// loop starts the handler's task where it read the frame; in the
-    /// simulator the kernel spawns the handler's process at the delivery
-    /// instant. The serving process only waits for the close, after
-    /// spawning the handler on whatever was queued before the call.
+    /// A bounce, or a message that `inline` passes, runs where it lands;
+    /// any other message starts the handler in a process of its own named
+    /// `task_name`, in the endpoint's group, with no serving process
+    /// woken first. What reached the endpoint before the call is handled
+    /// the same way, in arrival order, on the calling thread.
     ///
     /// `inline` names the messages whose handler *never waits for another
     /// message*: no nested call, no receive, no sleep, no wait on a sync
     /// object — it computes, at most takes a lock nobody holds across
-    /// such a wait, and sends. The simulator runs those with no process
-    /// of their own, on whichever thread is stepping the kernel, as the
-    /// endpoint's node and group, and panics, naming `task_name`, if one
-    /// waits after all. TCP gives every message a task, which costs no
-    /// hand-off there.
-    fn serve(
-        &self,
-        rt: &dyn NodeRt,
-        task_name: &str,
-        handler: FrameHandler,
-        inline: Option<InlineTest>,
-    );
-
-    /// Serves the endpoint with no serving process: every message that
-    /// lands — and every bounce of a message sent from it — runs
-    /// `handler` with what a [`recv`](Endpoint::recv) would have
-    /// returned, under the inline promise: the handler waits for nothing.
-    /// The simulator runs it as an inline frame runs; TCP in a task its
-    /// node's loop starts where it read the frame. What reached the
-    /// endpoint before the call is handed to `handler` on the calling
-    /// thread. Returns at once; the endpoint closes as any other does.
-    fn serve_inline(&self, task_name: &str, handler: LandingHandler);
+    /// such a wait, and sends. A bounce is held to the same promise. The
+    /// simulator runs those with no process of their own, on whichever
+    /// thread is stepping the kernel, as the endpoint's node and group,
+    /// and panics, naming `task_name`, if one waits after all. TCP's node
+    /// loop starts a task for every landing where it read it, which
+    /// costs no hand-off there.
+    fn serve(&self, task_name: &str, handler: LandingHandler, inline: InlineTest);
 }
 
-/// What [`Endpoint::serve`] runs per message: the source address and the
-/// payload.
-pub type FrameHandler = Arc<dyn Fn(Addr, Bytes) + Send + Sync>;
-
-/// Whether a message's handler may run on the thread that received it;
-/// see [`Endpoint::serve`] for what it promises.
+/// Whether a message's handler may run where it lands; see
+/// [`Endpoint::serve`] for what it promises.
 pub type InlineTest = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
 
-/// What [`Endpoint::serve_inline`] runs per message or bounce.
+/// What [`Endpoint::serve`] runs per message or bounce.
 pub type LandingHandler = Arc<dyn Fn(Result<(Addr, Bytes), RecvError>) + Send + Sync>;
 
 /// A handle on a spawned process group — the unit of service lifetime.
 ///
 /// Mirrors what the paper's Server Service Controller gets from UNIX: it
 /// can tell whether the service (all its processes) is still alive, and
-/// kill it. The simulation kills the whole group at its next scheduling
-/// point; the real runtime kills cooperatively — every member task
-/// unwinds at its next cancellation point (sleep, receive, sync wait,
-/// ORB dispatch entry), the one it is suspended in at once, and the
-/// group's endpoints close immediately, so peers observe bounces rather
-/// than silence.
+/// kill it. On both runtimes the group's endpoints close immediately, so
+/// peers observe bounces rather than silence, and the members unwind
+/// afterwards: in the simulation at their next scheduling point, on the
+/// real runtime cooperatively — every member task unwinds at its next
+/// cancellation point (sleep, receive, sync wait, ORB dispatch entry),
+/// the one it is suspended in at once.
 pub trait ProcGroup: Send + Sync {
     /// Whether any process of the group is alive.
     fn alive(&self) -> bool;
 
-    /// Kills every process in the group and closes its endpoints.
+    /// Kills every process in the group and closes the endpoints its
+    /// processes opened, before any of them has unwound.
     fn kill(&self);
 
     /// An opaque id for logging.
@@ -316,7 +293,7 @@ pub trait NodeRt: Send + Sync {
 
     /// Spawns `f` as the root of a *new* process group and returns its
     /// handle. Everything it transitively spawns joins the group; killing
-    /// the group kills them all and closes their endpoints.
+    /// the group kills them all and closes the endpoints they opened.
     fn spawn_group(&self, name: &str, f: Box<dyn FnOnce() + Send>) -> Arc<dyn ProcGroup>;
 
     /// Opens a message endpoint on this node.
@@ -324,11 +301,11 @@ pub trait NodeRt: Send + Sync {
 
     /// The endpoint a call from the calling process sends its request
     /// from and waits on for the reply. By default a fresh one, which
-    /// closes when its last handle drops, as TCP's do. The simulator
-    /// keeps one per process: opened at its first call, closed when the
-    /// process exits or is killed, and handed out empty. A caller whose
-    /// call ended without its reply closes it, so a reply or a bounce
-    /// still owed to that call reaches no later one.
+    /// closes when its last handle drops. The simulator keeps one per
+    /// process: opened at its first call, dropped when the process exits,
+    /// and handed out empty. A caller whose call ended without its reply
+    /// closes it, so a reply or a bounce still owed to that call reaches
+    /// no later one.
     fn reply_endpoint(&self) -> Result<Arc<dyn Endpoint>, NetError> {
         self.open(PortReq::Ephemeral)
     }

@@ -8,12 +8,11 @@ use bytes::Bytes;
 
 use crate::fault::FaultRt;
 use crate::kernel::{
-    cur_pid, EpState, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats,
-    Serving, ShardPolicy, SimInner,
+    cur_pid, unlock, EpState, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats,
+    ShardPolicy, SimInner,
 };
 use crate::rt::{
-    Addr, Endpoint, FrameHandler, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq,
-    RecvError,
+    Addr, Endpoint, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq, RecvError,
 };
 use crate::time::SimTime;
 
@@ -310,36 +309,9 @@ impl SimNode {
             owner: false,
         }
     }
-}
 
-impl NodeRt for SimNode {
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn sleep(&self, d: Duration) {
-        self.inner.sleep(d);
-    }
-
-    fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) {
-        self.inner.spawn(Some(self.id), name, f);
-    }
-
-    fn spawn_group(
-        &self,
-        name: &str,
-        f: Box<dyn FnOnce() + Send>,
-    ) -> Arc<dyn crate::rt::ProcGroup> {
-        let gid = self.inner.alloc_group();
-        self.inner.spawn_in(Some(self.id), name, Some(gid), f);
-        Arc::new(SimProcGroup {
-            inner: Arc::clone(&self.inner),
-            gid,
-            node: self.id,
-        })
-    }
-
-    fn open(&self, port: PortReq) -> Result<Arc<dyn Endpoint>, NetError> {
+    /// Opens an endpoint owned by the calling process's group.
+    fn open_sim(&self, port: PortReq) -> Result<Arc<SimEndpoint>, NetError> {
         crate::kernel::forbid_inline("open an endpoint");
         let mut k = self.inner.kernel_for(self.id).lock();
         let node_up = k.node(self.id).map(|n| n.up).unwrap_or(false);
@@ -373,31 +345,62 @@ impl NodeRt for SimNode {
             }
         };
         let key = Addr::new(self.id, portno);
-        let owner = cur_pid().unwrap_or(0);
+        let group = cur_pid().and_then(|pid| k.procs.get(&pid)?.group);
+        k.last_ep += 1;
+        let id = k.last_ep;
         k.endpoints.insert(
             key,
             EpState {
-                owner,
+                id,
+                group,
                 queue: Default::default(),
                 waiters: Default::default(),
                 served: None,
             },
         );
-        if owner != 0 {
-            if let Some(p) = k.procs.get_mut(&owner) {
-                p.endpoints.push(key);
-            }
-        }
         drop(k);
         Ok(Arc::new(SimEndpoint {
             inner: Arc::clone(&self.inner),
             addr: key,
+            id,
         }))
+    }
+}
+
+impl NodeRt for SimNode {
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.inner.sleep(d);
+    }
+
+    fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) {
+        self.inner.spawn(Some(self.id), name, f);
+    }
+
+    fn spawn_group(
+        &self,
+        name: &str,
+        f: Box<dyn FnOnce() + Send>,
+    ) -> Arc<dyn crate::rt::ProcGroup> {
+        let gid = self.inner.alloc_group();
+        self.inner.spawn_in(Some(self.id), name, Some(gid), f);
+        Arc::new(SimProcGroup {
+            inner: Arc::clone(&self.inner),
+            gid,
+            node: self.id,
+        })
+    }
+
+    fn open(&self, port: PortReq) -> Result<Arc<dyn Endpoint>, NetError> {
+        Ok(self.open_sim(port)?)
     }
 
     /// The calling process's own reply endpoint on this node, opened at
-    /// its first call there; it closes one the process kept on another
-    /// node.
+    /// its first call there; the one it kept on another node drops, and
+    /// so closes, here.
     fn reply_endpoint(&self) -> Result<Arc<dyn Endpoint>, NetError> {
         crate::kernel::forbid_inline("wait for a reply");
         let Some(pid) = cur_pid() else {
@@ -407,15 +410,13 @@ impl NodeRt for SimNode {
         if let Some(ep) = kernel.lock().reply_endpoint(pid, self.id) {
             return Ok(ep);
         }
-        let ep = self.open(PortReq::Ephemeral)?;
+        let ep = self.open_sim(PortReq::Ephemeral)?;
         let old = kernel
             .lock()
             .procs
             .get_mut(&pid)
             .and_then(|p| p.reply.replace(Arc::clone(&ep)));
-        if let Some(old) = old {
-            old.close();
-        }
+        drop(old);
         Ok(ep)
     }
 
@@ -493,10 +494,12 @@ impl crate::rt::ProcGroup for SimProcGroup {
     }
 }
 
-/// A simulated message endpoint.
+/// A simulated message endpoint. It closes when its last handle drops.
 pub struct SimEndpoint {
     inner: Arc<SimInner>,
-    addr: Addr,
+    pub(crate) addr: Addr,
+    /// Which open of `addr` this handle is (`EpState::id`).
+    pub(crate) id: u64,
 }
 
 impl Endpoint for SimEndpoint {
@@ -520,56 +523,35 @@ impl Endpoint for SimEndpoint {
 
     fn close(&self) {
         let mut k = self.inner.kernel_for(self.addr.node).lock();
-        k.ep_set_owner(self.addr, None);
-        k.close_endpoint(self.addr);
-    }
-
-    fn adopt(&self) {
-        if let Some(pid) = cur_pid() {
-            self.inner
-                .kernel_for(self.addr.node)
-                .lock()
-                .ep_set_owner(self.addr, Some(pid));
+        if k.endpoints
+            .get(&self.addr)
+            .is_some_and(|ep| ep.id == self.id)
+        {
+            k.close_endpoint(self.addr);
         }
+        unlock(k);
     }
 
-    fn disown(&self) {
-        self.inner
-            .kernel_for(self.addr.node)
-            .lock()
-            .ep_set_owner(self.addr, None);
-    }
-
-    /// Hands the port to the kernel, which runs each frame's handler at
-    /// its delivery — as a process, or inline if `inline` passes it (the
-    /// kernel's "Serving a port") — and spawns it now on whatever was
-    /// queued before. The calling process only waits for the close.
-    fn serve(
-        &self,
-        _rt: &dyn NodeRt,
-        task_name: &str,
-        handler: FrameHandler,
-        inline: Option<InlineTest>,
-    ) {
-        let serving = Serving::Spawn { handler, inline };
-        self.inner
-            .kernel_for(self.addr.node)
-            .lock()
-            .serve_port(self.addr, task_name, serving);
-        // Nothing queues on a served port: this returns at the close.
-        while !matches!(self.recv(None), Err(RecvError::Closed)) {}
-    }
-
-    fn serve_inline(&self, task_name: &str, handler: LandingHandler) {
-        let serving = Serving::Inline(Arc::clone(&handler));
-        let queued = self
-            .inner
-            .kernel_for(self.addr.node)
-            .lock()
-            .serve_port(self.addr, task_name, serving);
-        for item in queued {
+    /// Hands the port to the kernel, which runs each landing's handler
+    /// at its delivery — inline, or as a process (the kernel's "Serving a
+    /// port") — and spawns it now on whatever queued before that does not
+    /// run inline; the rest runs here.
+    fn serve(&self, task_name: &str, handler: LandingHandler, inline: InlineTest) {
+        let here = self.inner.kernel_for(self.addr.node).lock().serve_port(
+            self.addr,
+            task_name,
+            Arc::clone(&handler),
+            inline,
+        );
+        for item in here {
             handler(item.into_recv());
         }
+    }
+}
+
+impl Drop for SimEndpoint {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 

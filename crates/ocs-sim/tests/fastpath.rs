@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use std::collections::BTreeMap;
 
-use ocs_sim::{Addr, LinkParams, NodeRt, NodeRtExt, PortReq, Sim, SimConfig, SimTime};
+use ocs_sim::{Addr, LinkParams, NodeRt, NodeRtExt, PortReq, RecvError, Sim, SimConfig, SimTime};
 use proptest::prelude::*;
 
 /// One step of the random scenario, executed by the driver at a virtual
@@ -227,9 +227,14 @@ fn hub_workload(
                     }
                 }
                 Hub::Served | Hub::Inline => {
-                    let inline: Option<ocs_sim::InlineTest> =
-                        (how == Hub::Inline).then(|| Arc::new(|_: &[u8]| true) as _);
-                    ep.serve(&*rt, "echo-worker", Arc::new(reply), inline);
+                    let inline = how == Hub::Inline;
+                    let handler = move |landing: Result<_, RecvError>| {
+                        if let Ok((from, msg)) = landing {
+                            reply(from, msg);
+                        }
+                    };
+                    ep.serve("echo-worker", Arc::new(handler), Arc::new(move |_| inline));
+                    while !matches!(ep.recv(None), Err(RecvError::Closed)) {}
                 }
             }
         });

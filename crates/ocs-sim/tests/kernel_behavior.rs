@@ -578,7 +578,7 @@ fn a_process_may_exit_into_an_inline_handler_that_spawns() {
     let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let (rt, log) = (a.clone(), Arc::clone(&seen));
     let port = a.open(PortReq::Fixed(7)).unwrap();
-    port.serve_inline(
+    port.serve(
         "spawner",
         Arc::new(move |item: Result<(Addr, Bytes), RecvError>| {
             if item.is_ok() {
@@ -586,6 +586,7 @@ fn a_process_may_exit_into_an_inline_handler_that_spawns() {
                 rt.spawn_fn("child", move || log.lock().push(("child", here())));
             }
         }),
+        Arc::new(|_| true),
     );
     let (rt, to, log) = (b.clone(), Addr::new(a.node(), 7), Arc::clone(&seen));
     b.spawn_fn("sender", move || {

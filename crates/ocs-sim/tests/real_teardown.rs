@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ocs_sim::real::{RealNet, RealNode};
-use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq};
+use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq, RecvError};
 
 fn entries(dir: &str) -> usize {
     std::fs::read_dir(dir).expect("procfs").count()
@@ -45,12 +45,13 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
                 node.spawn_fn("echo", move || {
                     // The handler must not own the endpoint it is kept by.
                     let reply = Arc::downgrade(&server);
-                    let handler = move |from, msg| {
-                        if let Some(server) = reply.upgrade() {
+                    let handler = move |landing: Result<(Addr, Bytes), RecvError>| {
+                        if let (Ok((from, msg)), Some(server)) = (landing, reply.upgrade()) {
                             let _ = server.send(from, msg);
                         }
                     };
-                    server.serve(&*rt, "echo-worker", Arc::new(handler), None);
+                    server.serve("echo-worker", Arc::new(handler), Arc::new(|_| false));
+                    while !matches!(server.recv(None), Err(RecvError::Closed)) {}
                 });
             } else {
                 node.spawn_fn("echo", move || {

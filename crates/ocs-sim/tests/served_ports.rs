@@ -1,17 +1,15 @@
 //! A served port (`Endpoint::serve`) in the simulator: the kernel runs
-//! each frame's handler at its delivery — a process of the port's node
-//! and owner group, or, for a frame the port's inline test passes, no
-//! process at all — and the result must be what the hand-written
-//! receive loop it replaces would have done. A port served inline
-//! (`Endpoint::serve_inline`) is handed its bounces as well.
+//! each landing's handler at its delivery — a process of the port's node
+//! and group for a frame, or, for a bounce or a frame the port's inline
+//! test passes, no process at all — and the result must be what the
+//! hand-written receive loop it replaces would have done.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use ocs_sim::{
-    Addr, FrameHandler, InlineTest, LandingHandler, NetStats, NodeRt, NodeRtExt, PortReq,
-    RecvError, Sim, SimTime,
+    Addr, InlineTest, LandingHandler, NetStats, NodeRt, NodeRtExt, PortReq, RecvError, Sim, SimTime,
 };
 use parking_lot::Mutex;
 
@@ -24,7 +22,7 @@ fn ms(n: u64) -> Duration {
 /// How the server answers its port.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum How {
-    /// By hand: receive, spawn the handler, drop bounces.
+    /// By hand: receive, spawn the handler on a frame, run it on a bounce.
     RecvLoop,
     /// `serve`, each frame a process.
     Served,
@@ -36,35 +34,58 @@ fn every_frame() -> InlineTest {
     Arc::new(|_: &[u8]| true)
 }
 
+fn no_frame() -> InlineTest {
+    Arc::new(|_: &[u8]| false)
+}
+
+/// A handler that sees frames only, as most servers want.
+fn frames(handler: impl Fn(Addr, Bytes) + Send + Sync + 'static) -> LandingHandler {
+    Arc::new(move |landing| {
+        if let Ok((from, msg)) = landing {
+            handler(from, msg);
+        }
+    })
+}
+
 /// Answers `ep` with `handler` the way `how` says; returns at the close.
 fn answer(
     rt: &Arc<ocs_sim::SimNode>,
     ep: &Arc<dyn ocs_sim::Endpoint>,
     how: How,
-    handler: FrameHandler,
+    handler: LandingHandler,
 ) {
     match how {
         How::RecvLoop => loop {
             match ep.recv(None) {
-                Ok((from, msg)) => {
+                Ok(frame) => {
                     let handler = Arc::clone(&handler);
-                    rt.spawn_fn("svc-worker", move || handler(from, msg));
+                    rt.spawn_fn("svc-worker", move || handler(Ok(frame)));
                 }
-                Err(RecvError::Unreachable(_) | RecvError::TimedOut) => {}
                 Err(RecvError::Closed) => return,
+                Err(bounce) => handler(Err(bounce)),
             }
         },
-        How::Served => ep.serve(&**rt, "svc-worker", handler, None),
-        How::Inline => ep.serve(&**rt, "svc-worker", handler, Some(every_frame())),
+        How::Served | How::Inline => {
+            let test = if how == How::Inline {
+                every_frame()
+            } else {
+                no_frame()
+            };
+            ep.serve("svc-worker", handler, test);
+            while !matches!(ep.recv(None), Err(RecvError::Closed)) {}
+        }
     }
 }
+
+/// What a run of [`queued_then_served`] saw: each landing's text and
+/// virtual time, the network's counters, events, spawns, inline runs.
+type Seen = (Vec<(String, SimTime)>, NetStats, u64, u64, u64);
 
 /// The server opens its port, lets a bounce and three frames queue on
 /// it for a second, then answers it `how`; at 3 s a fourth frame makes
 /// the handler send to a dead port from the served endpoint, so a second
-/// bounce reaches the port while it is served. Returns what the handler
-/// saw (payload, virtual time) and the run's counters.
-fn queued_then_served(how: How) -> (Vec<(String, SimTime)>, NetStats, u64) {
+/// bounce reaches the port while it is served.
+fn queued_then_served(how: How) -> Seen {
     let sim = Sim::new(3);
     let client = sim.add_node("client");
     let server = sim.add_node("server");
@@ -78,10 +99,13 @@ fn queued_then_served(how: How) -> (Vec<(String, SimTime)>, NetStats, u64) {
         ep.send(dead(555), Bytes::from_static(b"x")).unwrap();
         rt.sleep(Duration::from_secs(1));
         let (clock, reply) = (rt.clone(), Arc::clone(&ep));
-        let handler: FrameHandler = Arc::new(move |_, msg: Bytes| {
-            let text = String::from_utf8(msg.to_vec()).unwrap();
+        let handler: LandingHandler = Arc::new(move |landing| {
+            let text = match landing {
+                Ok((_, msg)) => String::from_utf8(msg.to_vec()).unwrap(),
+                Err(e) => e.to_string(),
+            };
             if text == "bounce-me" {
-                reply.send(dead(556), msg).unwrap();
+                reply.send(dead(556), Bytes::new()).unwrap();
             }
             log.lock().push((text, clock.now()));
         });
@@ -99,107 +123,47 @@ fn queued_then_served(how: How) -> (Vec<(String, SimTime)>, NetStats, u64) {
     });
     sim.run_until(SimTime::from_secs(5));
     let seen = seen.lock().clone();
-    (seen, sim.net_stats(), sim.kernel_stats().events)
+    let k = sim.kernel_stats();
+    (seen, sim.net_stats(), k.events, k.spawns, k.inline_runs)
 }
 
+/// What queued before the serve — a bounce, then three frames — is
+/// handled first, in arrival order; later landings where they land.
 #[test]
-fn frames_queued_before_serve_run_in_arrival_order() {
-    let second = SimTime::from_secs(1);
-    let last = SimTime::from_secs(3) + Duration::from_micros(500);
-    for how in [How::RecvLoop, How::Served, How::Inline] {
-        let (seen, _, _) = queued_then_served(how);
-        let order: Vec<(&str, SimTime)> = seen.iter().map(|(m, t)| (m.as_str(), *t)).collect();
-        assert_eq!(
-            order,
-            [
-                ("a", second),
-                ("b", second),
-                ("c", second),
-                ("bounce-me", last)
-            ],
-            "{how:?}"
-        );
-    }
-}
-
-#[test]
-fn a_bounce_to_a_served_port_is_dropped_and_counted_as_by_a_receive_loop() {
-    let (_, by_hand, events) = queued_then_served(How::RecvLoop);
-    assert_eq!(by_hand.bounces, 2, "one queued before serve, one after");
-    assert_eq!(by_hand.msgs_delivered, 6, "four frames and both bounces");
-    for how in [How::Served, How::Inline] {
-        let (_, stats, ev) = queued_then_served(how);
-        assert_eq!(stats, by_hand, "{how:?}");
-        assert_eq!(ev, events, "{how:?}");
-    }
-}
-
-/// A port served inline runs every frame, and every bounce of a frame it
-/// sent, where it lands and with no process: what queued before the
-/// call is handed over then, on the calling thread, the rest at its
-/// delivery.
-#[test]
-fn a_port_served_inline_sees_frames_and_bounces_where_they_land() {
-    let sim = Sim::new(3);
-    let client = sim.add_node("client");
-    let server = sim.add_node("server");
-    let to = Addr::new(server.node(), PORT);
-    let node = server.node();
-    let dead = move |port| Addr::new(node, port);
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let (rt, log) = (server.clone(), Arc::clone(&seen));
-    server.spawn_fn("svc", move || {
-        let ep = rt.open(PortReq::Fixed(PORT)).unwrap();
-        ep.send(dead(555), Bytes::from_static(b"x")).unwrap();
-        rt.sleep(Duration::from_secs(1));
-        let (clock, reply) = (rt.clone(), Arc::clone(&ep));
-        let handler: LandingHandler = Arc::new(move |landed| {
-            let what = match landed {
-                Ok((_, msg)) => String::from_utf8(msg.to_vec()).unwrap(),
-                Err(e) => e.to_string(),
-            };
-            if what == "bounce-me" {
-                reply.send(dead(556), Bytes::new()).unwrap();
-            }
-            log.lock().push((what, clock.now()));
-        });
-        ep.serve_inline("svc-worker", handler);
-        // The port is this process's: it lives while the process does.
-        rt.sleep(Duration::from_secs(3600));
-    });
-    let rt = client.clone();
-    client.spawn_fn("client", move || {
-        let ep = rt.open(PortReq::Ephemeral).unwrap();
-        for m in ["a", "b"] {
-            ep.send(to, Bytes::from_static(m.as_bytes())).unwrap();
-            rt.sleep(ms(1));
-        }
-        rt.sleep(Duration::from_secs(3) - ms(2));
-        ep.send(to, Bytes::from_static(b"bounce-me")).unwrap();
-    });
-    sim.run_until(SimTime::from_secs(5));
-    let at = |us| SimTime::from_micros(us);
-    let landed = format!("{:?}", seen.lock());
+fn frames_and_bounces_queued_before_serve_run_in_arrival_order() {
+    let at = SimTime::from_micros;
+    let unreachable = |port| format!("destination n2:{port} unreachable");
     let want = [
-        (
-            format!("destination {} unreachable", dead(555)),
-            at(1_000_000),
-        ),
+        (unreachable(555), at(1_000_000)),
         ("a".to_string(), at(1_000_000)),
         ("b".to_string(), at(1_000_000)),
+        ("c".to_string(), at(1_000_000)),
         ("bounce-me".to_string(), at(3_000_500)),
-        (
-            format!("destination {} unreachable", dead(556)),
-            at(3_000_540),
-        ),
+        (unreachable(556), at(3_000_540)),
     ];
-    assert_eq!(landed, format!("{want:?}"));
-    assert_eq!(
-        sim.kernel_stats().spawns,
-        2,
-        "the server's and the client's"
-    );
-    assert_eq!(sim.kernel_stats().inline_runs, 2);
+    for how in [How::RecvLoop, How::Served, How::Inline] {
+        let (seen, ..) = queued_then_served(how);
+        assert_eq!(seen, want, "{how:?}");
+    }
+}
+
+/// A bounce reaches a served port's handler where it lands, with no
+/// process, and a frame the inline test passes runs the same way; the
+/// network and the event count are those of the receive loop.
+#[test]
+fn a_bounce_reaches_the_handler_where_it_lands_and_starts_no_process() {
+    let (_, by_hand, events, spawns, inline_runs) = queued_then_served(How::RecvLoop);
+    assert_eq!(by_hand.bounces, 2, "one queued before serve, one after");
+    assert_eq!(by_hand.msgs_delivered, 6, "four frames and both bounces");
+    assert_eq!((spawns, inline_runs), (6, 0), "svc, client, a frame each");
+    for (how, want) in [(How::Served, (6, 1)), (How::Inline, (2, 2))] {
+        let (_, stats, ev, spawns, inline_runs) = queued_then_served(how);
+        assert_eq!(stats, by_hand, "{how:?}");
+        assert_eq!(ev, events, "{how:?}");
+        // The bounce after the serve runs inline; so, served inline, does
+        // the frame before it. What queued ran on the serving process.
+        assert_eq!((spawns, inline_runs), want, "{how:?}");
+    }
 }
 
 /// Sends one frame to `to` from a process on `from`; what came back
@@ -229,12 +193,12 @@ fn a_killed_owner_groups_served_port_bounces() {
         Box::new(move || {
             let ep = rt.open(PortReq::Fixed(PORT)).unwrap();
             let (clock, reply) = (rt.clone(), Arc::clone(&ep));
-            let handler: FrameHandler = Arc::new(move |from, msg| {
+            let handler = frames(move |from, msg| {
                 reply.send(from, msg).unwrap();
                 // Still running when the group dies: it is a member.
                 clock.sleep(Duration::from_secs(3600));
             });
-            ep.serve(&*rt, "svc-worker", handler, None);
+            answer(&rt, &ep, How::Served, handler);
         }),
     );
     assert!(
@@ -279,8 +243,8 @@ fn an_inline_handler_that_waits_panics_with_its_task_name() {
         server.spawn_fn("svc", move || {
             let ep = rt.open(PortReq::Fixed(PORT)).unwrap();
             let (node, me) = (rt.clone(), Arc::clone(&ep));
-            let handler: FrameHandler = Arc::new(move |_, _| waits(&node, &me));
-            ep.serve(&*rt, task, handler, Some(every_frame()));
+            let handler = frames(move |_, _| waits(&node, &me));
+            ep.serve(task, handler, every_frame());
         });
         let to = Addr::new(server.node(), PORT);
         let rt = client.clone();
@@ -326,12 +290,12 @@ fn an_inline_handler_wakes_a_same_node_waiter_at_the_same_instant() {
     backup.spawn_fn("peer-orb", move || {
         let ep = rt.open(PortReq::Fixed(PORT)).unwrap();
         let (clock, reply) = (rt.clone(), Arc::clone(&ep));
-        let handler: FrameHandler = Arc::new(move |from, msg| {
+        let handler = frames(move |from, msg| {
             *slot.lock() = Some(clock.now());
             progress.bump();
             reply.send(from, msg).unwrap();
         });
-        ep.serve(&*rt, "prepare", handler, Some(every_frame()));
+        ep.serve("prepare", handler, every_frame());
     });
     let to = Addr::new(backup.node(), PORT);
     let rt = primary.clone();

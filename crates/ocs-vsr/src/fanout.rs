@@ -224,13 +224,6 @@ impl PeerFanout {
         Ok(())
     }
 
-    /// Ties the peer endpoint to the calling process (the driver loop).
-    pub(crate) fn adopt(&self) {
-        if let Some(port) = self.port.get() {
-            port.adopt();
-        }
-    }
-
     /// Sends a freshly sequenced op's `prepare` to every backup at the
     /// same instant; each ack lands as [`PeerCall::Prepare`].
     pub(crate) fn prepare<Op: Wire>(&self, prep: &Prepare<Op>) {

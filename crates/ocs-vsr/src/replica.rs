@@ -751,8 +751,6 @@ impl<M: Replicated> Replica<M> {
     // ---- the driver loop -----------------------------------------------
 
     fn vsr_loop(&self) {
-        // The peer endpoint lives as long as the driver does.
-        self.fan.adopt();
         let tick = self.cfg.heartbeat_interval / 4;
         // Desynchronize the replicas' ticks.
         self.rt.sleep(self.rt.rand_jitter(tick));

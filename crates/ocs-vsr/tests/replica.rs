@@ -532,13 +532,14 @@ fn every_call_to_a_peer_leaves_from_the_replicas_one_endpoint() {
     let seen: Arc<Mutex<Vec<Addr>>> = Arc::default();
     let spy = hosts[4].open(ocs_sim::PortReq::Fixed(PORT)).unwrap();
     let log = Arc::clone(&seen);
-    spy.serve_inline(
+    spy.serve(
         "spy",
         Arc::new(move |item| {
             if let Ok((from, _)) = item {
                 log.lock().push(from);
             }
         }),
+        Arc::new(|_| true),
     );
     let reps: Vec<Arc<Replica<CounterMachine>>> = (0..4)
         .map(|i| {
