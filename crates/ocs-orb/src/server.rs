@@ -137,16 +137,17 @@ impl Answer {
 
 /// The per-process object request broker.
 ///
-/// Every request runs in a fresh process ([`Endpoint::serve`]); handlers
-/// may block and make nested calls freely. Only the process is fresh:
-/// both runtimes run it on a re-used stack, and both start it where the
-/// request is delivered — TCP's node loop where it read the frame, the
-/// simulator at the delivery instant — with no server process woken in
-/// between. In the simulator a method its servant says
-/// [`runs_inline`](Servant::runs_inline) gets no process at all: it runs
-/// on the stepping context. Either way the reply leaves when the method
-/// returns, or — if the method took it ([`Caller::reply_later`]) —
-/// whenever it is sent.
+/// An ORB has no process of its own: [`start`](Orb::start) serves its
+/// endpoint, and every request runs in a fresh process
+/// ([`Endpoint::serve`]); handlers may block and make nested calls
+/// freely. Only the process is fresh: both runtimes run it on a re-used
+/// stack, and both start it where the request is delivered — TCP's node
+/// loop where it read the frame, the simulator at the delivery instant —
+/// with no server process woken in between. In the simulator a method
+/// its servant says [`runs_inline`](Servant::runs_inline) gets no
+/// process at all: it runs on the stepping context. Either way the reply
+/// leaves when the method returns, or — if the method took it
+/// ([`Caller::reply_later`]) — whenever it is sent.
 pub struct Orb {
     rt: Rt,
     ep: Arc<dyn Endpoint>,
@@ -181,9 +182,9 @@ impl Orb {
         incarnation: Option<u64>,
         auth: Arc<dyn ServerAuth>,
     ) -> Result<Arc<Orb>, NetError> {
-        // The endpoint belongs to the calling process's group, which
-        // `start` spawns the serving process into: it closes when that
-        // group is killed, or when the ORB is shut down.
+        // The endpoint belongs to the calling process's group, in which
+        // `start`'s requests run: it closes when that group is killed, or
+        // when the ORB is shut down.
         let ep = rt.open(port)?;
         let incarnation = incarnation.unwrap_or_else(|| {
             // Random, but never the STABLE sentinel.
@@ -276,15 +277,19 @@ impl Orb {
         }
     }
 
-    /// Shuts the ORB down: closes the request endpoint, so the serve
-    /// loop exits and in-flight requests from clients bounce. Used by
-    /// services that terminate deliberately (and by tests simulating a
-    /// service crash).
+    /// Shuts the ORB down: closes the request endpoint, so its handler,
+    /// and with it the ORB, drops and in-flight requests from clients
+    /// bounce. Used by services that terminate deliberately (and by tests
+    /// simulating a service crash).
     pub fn shutdown(&self) {
         self.ep.close();
     }
 
-    /// Starts the request loop in a new process on this node.
+    /// Serves the request endpoint: from now on each request runs where
+    /// it lands ([`Endpoint::serve`]), and no process waits for it. The
+    /// port's handler holds the ORB, so the ORB lives exactly as long as
+    /// its port: until [`shutdown`](Orb::shutdown), the kill of the
+    /// group that built it, or its node's crash or stop.
     ///
     /// # Panics
     ///
@@ -293,34 +298,15 @@ impl Orb {
         let already = self.started.swap(1, Ordering::Relaxed);
         assert_eq!(already, 0, "Orb::start called twice");
         let orb = Arc::clone(self);
-        self.rt.spawn(
-            "orb-server",
-            Box::new(move || {
-                orb.serve_loop();
-            }),
-        );
-    }
-
-    /// Serves requests until the request endpoint closes; public so
-    /// tests and custom service mains can run it as their process's main.
-    /// The waiting process keeps the ORB, and its group, alive.
-    pub fn serve_loop(self: &Arc<Self>) {
-        // Weak: the runtime may keep the handler for as long as the port
-        // is open, and an open port must not keep its ORB alive.
-        let orb = Arc::downgrade(self);
-        let handler = {
-            let orb = orb.clone();
-            move |landing: Result<(Addr, Bytes), RecvError>| {
-                // A bounce of a reply whose caller is gone: nobody to tell.
-                if let (Ok((from, msg)), Some(orb)) = (landing, orb.upgrade()) {
-                    orb.handle_frame(from, msg);
-                }
+        let handler = move |landing: Result<(Addr, Bytes), RecvError>| {
+            // A bounce of a reply whose caller is gone: nobody to tell.
+            if let Ok((from, msg)) = landing {
+                orb.handle_frame(from, msg);
             }
         };
-        let inline = move |frame: &[u8]| orb.upgrade().is_some_and(|orb| orb.runs_inline(frame));
+        let orb = Arc::clone(self);
+        let inline = move |frame: &[u8]| orb.runs_inline(frame);
         self.ep.serve("orb-worker", Arc::new(handler), Arc::new(inline));
-        // Nothing queues on a served port: this returns at the close.
-        while !matches!(self.ep.recv(None), Err(RecvError::Closed)) {}
     }
 
     /// Whether `frame` is a request for a method its servant

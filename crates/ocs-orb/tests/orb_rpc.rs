@@ -133,19 +133,19 @@ fn thousand_calls_start_a_handful_of_threads() {
     sim.run_until(SimTime::from_secs(60));
     let after = sim.kernel_stats();
     assert_eq!(answered.try_recv(), Some(1_000));
-    // Boot, the serve loop, the client and a handler per request; each
-    // call is two switches, caller → handler → caller.
+    // Boot, the client and a handler per request — no process serves
+    // the port; each call is two switches, caller → handler → caller.
     let switches = |s: &ocs_sim::KernelStats| s.driver_resumes + s.direct_handoffs;
-    assert_eq!(after.spawns - before.spawns, 3 + 1_000);
-    assert_eq!(switches(&after) - switches(&before), 3 + 2 * 1_000);
+    assert_eq!(after.spawns - before.spawns, 2 + 1_000);
+    assert_eq!(switches(&after) - switches(&before), 2 + 2 * 1_000);
     // Every request ran as a process of its own...
     let served = ocs_telemetry::NodeTelemetry::of(&*server)
         .registry
         .counter("orb.server.requests")
         .get();
     assert!(served >= 1_000, "{served} requests served");
-    // ...on the stack the previous one left: boot, the serve loop, the
-    // client and one worker at a time, not a stack per request.
+    // ...on the stack the previous one left: boot, the client and one
+    // worker at a time, not a stack per request.
     let stacks = sim.kernel_stats().stacks_mapped;
     assert!(stacks < 10, "{stacks} stacks for {served} request processes");
 }
@@ -250,14 +250,11 @@ fn dead_service_gives_object_dead_quickly() {
             calls: AtomicU64::new(0),
         }))));
         *slot2.lock() = Some(obj);
-        // Serve inline so this process IS the service; die after 5s.
-        let orb2 = Arc::clone(&orb);
-        rt.spawn("serve", Box::new(move || orb2.serve_loop()));
+        // The served port keeps the ORB, past this process's exit.
+        orb.start();
         rt.sleep(Duration::from_secs(5));
-        // Kill the whole service by crashing... actually exit is enough:
-        // the server loop process owns the endpoint.
     });
-    // The serve process owns the endpoint; kill it via node crash later.
+    // The port outlives its opener; the node's crash closes it later.
     let results2 = results.clone();
     let slot3 = Arc::clone(&obj_slot);
     let cl = client_node.clone();
@@ -500,7 +497,7 @@ fn leftovers_of_a_timed_out_call_answer_no_later_call() {
             rt,
             calls: AtomicU64::new(0),
         }))));
-        orb.serve_loop();
+        orb.start();
     });
     let results: SimChan<Vec<Result<String, EchoError>>> = SimChan::new(&sim);
     let (results2, cl) = (results.clone(), client_node.clone());

@@ -410,15 +410,14 @@ fn real_thousand_calls_queue_only_their_replies() {
     let ctx = ClientCtx::new(client);
     let call = |i| answer(ctx.call_named(&targets[0], TAG_METHOD, salt(i), "test.tag.tag"));
     let queued = || counter(&net, "real.net.frames_queued");
-    // Warm-up: a request that beats the server's `serve` to the port
-    // waits in its mailbox for it.
+    // Warm-up: the first call dials the server.
     assert_eq!(call(0), Ok(0));
     let before = queued();
     for i in 1..=1_000 {
         assert_eq!(call(i), Ok(i));
     }
     // A request goes from the server's loop to its `orb-worker` task
-    // with no queue, and no `orb-server` task, in between.
+    // with no queue in between.
     assert_eq!(queued() - before, 1_000);
 }
 
@@ -431,8 +430,8 @@ fn real_shutdown_unregisters_the_handler_and_frees_the_orb() {
     let orb = orbs.remove(0);
     orb.shutdown();
     assert_eq!(call(2), Err(OrbError::ObjectDead), "the port still answers");
-    // The serving process has returned from `serve_loop`, and whatever
-    // the runtime kept of the handler holds no ORB.
+    // The closed port's handler, which held the ORB, is gone, and
+    // nothing else holds it.
     let gone = Arc::downgrade(&orb);
     drop(orb);
     assert!(

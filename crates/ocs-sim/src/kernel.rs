@@ -78,6 +78,11 @@
 //!
 //! # Endpoints
 //!
+//! A process group lives on one node, its home: a process spawned, or
+//! an endpoint opened, through another node's runtime belongs to no
+//! group. So a group's members and endpoints share one shard, and its
+//! kill reaches all of them on every shard count.
+//!
 //! An endpoint belongs to the group of the process that opened it
 //! (`EpState::group`) and lives as it does on TCP: it closes when closed,
 //! when its last handle drops (`SimEndpoint`'s `Drop`), at once when its
@@ -588,78 +593,6 @@ impl<T: Copy> PairTable<T> {
     }
 }
 
-/// Directed node-pair membership as a bitset (used for partitions): one
-/// lazily-grown bit row per source node, with the same hash spill as
-/// [`PairTable`] for out-of-range ids.
-pub(crate) struct PairBits {
-    rows: Vec<Vec<u64>>,
-    spill: std::collections::HashSet<(u32, u32)>,
-    count: usize,
-}
-
-impl PairBits {
-    fn new() -> PairBits {
-        PairBits {
-            rows: Vec::new(),
-            spill: std::collections::HashSet::new(),
-            count: 0,
-        }
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    #[inline]
-    pub fn get(&self, a: NodeId, b: NodeId) -> bool {
-        if self.count == 0 {
-            return false;
-        }
-        let (ai, bi) = (a.0 as usize, b.0 as usize);
-        if ai < DENSE_NODES && bi < DENSE_NODES {
-            self.rows
-                .get(ai)
-                .and_then(|r| r.get(bi / 64))
-                .is_some_and(|w| w & (1u64 << (bi % 64)) != 0)
-        } else {
-            self.spill.contains(&(a.0, b.0))
-        }
-    }
-
-    pub fn set(&mut self, a: NodeId, b: NodeId, on: bool) {
-        let (ai, bi) = (a.0 as usize, b.0 as usize);
-        if ai < DENSE_NODES && bi < DENSE_NODES {
-            if !on {
-                if let Some(w) = self.rows.get_mut(ai).and_then(|r| r.get_mut(bi / 64)) {
-                    if *w & (1u64 << (bi % 64)) != 0 {
-                        *w &= !(1u64 << (bi % 64));
-                        self.count -= 1;
-                    }
-                }
-                return;
-            }
-            if self.rows.len() <= ai {
-                self.rows.resize_with(ai + 1, Vec::new);
-            }
-            let row = &mut self.rows[ai];
-            if row.len() <= bi / 64 {
-                row.resize(bi / 64 + 1, 0);
-            }
-            if row[bi / 64] & (1u64 << (bi % 64)) == 0 {
-                row[bi / 64] |= 1u64 << (bi % 64);
-                self.count += 1;
-            }
-        } else if on {
-            if self.spill.insert((a.0, b.0)) {
-                self.count += 1;
-            }
-        } else if self.spill.remove(&(a.0, b.0)) {
-            self.count -= 1;
-        }
-    }
-}
-
 /// One-shot multiplicative hasher for id keys — endpoint addresses here,
 /// allocation, settop and retry-token ids in the replicated tables: a
 /// path that hashes a key per message or per op pays measurably for the
@@ -835,7 +768,7 @@ pub(crate) struct Kernel {
     pub net_cfg: NetConfig,
     pub link_overrides: PairTable<LinkParams>,
     link_free: PairTable<u64>,
-    pub partitions: PairBits,
+    pub partitions: PairTable<()>,
     pub impairments: PairTable<LinkImpairment>,
     /// Commutative digest of the observable event trace (sends,
     /// deliveries, fault actions): the sum of per-record FNV-1a hashes.
@@ -973,7 +906,7 @@ impl Kernel {
             net_cfg,
             link_overrides: PairTable::new(),
             link_free: PairTable::new(),
-            partitions: PairBits::new(),
+            partitions: PairTable::new(),
             impairments: PairTable::new(),
             trace_digest: 0,
             stats: NetStats::default(),
@@ -1361,10 +1294,10 @@ impl Kernel {
                     self.trace_note(&[if on { 5 } else { 6 }, now, a.0 as u64, b.0 as u64]);
                 }
                 if on {
-                    self.partitions.set(a, b, true);
+                    self.partitions.insert(a, b, ());
                 } else {
-                    self.partitions.set(a, b, false);
-                    self.partitions.set(b, a, false);
+                    self.partitions.remove(a, b);
+                    self.partitions.remove(b, a);
                 }
             }
             NetCtl::SetImpairment(a, b, imp) => {
@@ -1516,8 +1449,8 @@ impl Kernel {
             );
         }
         let dest_up = self.node(to.node).map(|n| n.up).unwrap_or(false);
-        let partitioned = !self.partitions.is_empty()
-            && (self.partitions.get(from.node, to.node) || self.partitions.get(to.node, from.node));
+        let partitioned = self.partitions.get(from.node, to.node).is_some()
+            || self.partitions.get(to.node, from.node).is_some();
         if !dest_up || partitioned {
             self.stats.msgs_dropped += 1;
             return;
@@ -1649,8 +1582,9 @@ impl Kernel {
         Some(Arc::clone(ep) as Arc<dyn Endpoint>)
     }
 
-    /// Kills every live member of a process group (this shard's share)
-    /// and closes the endpoints they opened, before any has unwound.
+    /// Kills every live member of a process group and closes the
+    /// endpoints they opened, before any has unwound. A group lives on
+    /// its home node, so every member and endpoint is on this shard.
     pub fn kill_group(&mut self, group: u64) {
         let pids: Vec<Pid> = self
             .procs
@@ -2351,18 +2285,20 @@ impl SimInner {
     // ---- spawning -----------------------------------------------------
 
     /// Spawns a process. `node` of `None` is a free-floating controller.
-    /// The process joins the spawner's process group unless `group`
-    /// overrides it.
+    /// The process joins the spawner's process group if it lands on the
+    /// spawner's node, and no group otherwise.
     pub fn spawn(self: &Arc<Self>, node: Option<NodeId>, name: &str, f: Box<dyn FnOnce() + Send>) {
         self.spawn_in(node, name, None, f);
     }
 
-    /// Spawns a process into an explicit group (`Some`) or inheriting the
-    /// current process's group (`None`). Same-node spawns (and any spawn
-    /// from the driver) start immediately; a process spawning onto
-    /// *another* node defers by one fault-propagation delay, carried as
-    /// a control event to the target's shard — the same virtual timing
-    /// under every shard count.
+    /// Spawns a process into an explicit group (`Some`, whose home is
+    /// `node`) or, with `None`, into the current process's group if it
+    /// lands on that process's node: a group lives on one node, so its
+    /// kill reaches every member on that node's shard. Same-node spawns
+    /// (and any spawn from the driver) start immediately; a process
+    /// spawning onto *another* node defers by one fault-propagation
+    /// delay, carried as a control event to the target's shard — the
+    /// same virtual timing under every shard count.
     pub fn spawn_in(
         self: &Arc<Self>,
         node: Option<NodeId>,
@@ -2379,8 +2315,8 @@ impl SimInner {
                 unlock(k);
             }
             Some((mut k, my_node, my_group)) => {
-                let group = group.or(my_group);
                 if my_node == target {
+                    let group = group.or(my_group);
                     k.spawn_local(self, node, Arc::from(name), group, f);
                 } else {
                     let op = ControlOp::Spawn {
@@ -2404,9 +2340,9 @@ impl SimInner {
         }
     }
 
-    /// Kills every member of a group living on `home`'s shard. Same-node
-    /// and driver callers apply immediately; a cross-node process defers
-    /// by one fault-propagation delay (control event).
+    /// Kills every member of a group whose home is `home`. Same-node and
+    /// driver callers apply immediately; a cross-node process defers by
+    /// one fault-propagation delay (control event).
     pub fn kill_group(&self, group: u64, home: NodeId) {
         let hs = self.shard_ix(home.0);
         match self.lock_caller() {
@@ -2425,7 +2361,7 @@ impl SimInner {
         }
     }
 
-    /// Whether any member of a group on `home`'s shard is alive. From a
+    /// Whether any member of a group whose home is `home` is alive. From a
     /// foreign-shard process this is a racy read (monitoring only).
     pub fn group_alive(&self, group: u64, home: NodeId) -> bool {
         self.shards[self.shard_ix(home.0)]

@@ -31,11 +31,15 @@
 //! endpoint's group, where it read it — a stream's frames in the order
 //! they were sent — and runs it until it first waits.
 //!
+//! A process group lives on one node, its home: a task spawned, or an
+//! endpoint opened, through another node's runtime belongs to no group.
 //! An endpoint belongs to the group of the task that opened it, fixed at
-//! the open, and closes when closed, when its last handle drops, and at
-//! once when that group is killed — the simulator's rule too. A handle
-//! closes only its own open: a stale one dropped after its fixed port was
-//! opened again leaves the successor alone.
+//! the open in its entry of the node's port table — the one record of
+//! what a group owns — and closes when closed, when its last handle
+//! drops, at once when that group is killed, and when its node stops:
+//! the simulator's rule too. A handle closes only its own open: a stale
+//! one dropped after its fixed port was opened again leaves the
+//! successor alone.
 //!
 //! ## Connection lifetime
 //!
@@ -56,8 +60,10 @@
 //! once. Order to a peer is not kept across that back-off: a frame sent
 //! meanwhile by another task or thread may dial and go first.
 //!
-//! * A **kill** closes the group's *ports*; the streams stay up for the
-//!   node's other groups, and frames for the dead ports bounce.
+//! * A **kill** closes the group's *ports*, found in its home node's
+//!   port table and closed in port order, as the simulator's kill does;
+//!   the streams stay up for the node's other groups, and frames for the
+//!   dead ports bounce.
 //! * A **reset storm** or a failed write shuts the stream down both ways;
 //!   the frame is resent over a fresh one (`real.net.resets`, journalled
 //!   with its reconnect), and the peer, whose loop reads the end, dials
@@ -67,12 +73,14 @@
 //! * [`RealNode::stop`] (or dropping the node) closes the listener, then
 //!   shuts every stream, so a peer's next frame dials, is refused and
 //!   fails at once ([`NetError::PeerRefused`] or
-//!   [`NetError::SendFailed`]). The loop thread exits with its last task.
+//!   [`NetError::SendFailed`]), and then closes every port still open.
+//!   Nothing waits to keep a port open, so the loop thread exits with
+//!   its last task.
 //!
 //! ## Fault parity with the simulator
 //!
 //! * **Cooperative kill.** [`crate::rt::ProcGroup::kill`] closes the
-//!   group's endpoints at once, so peers see bounces
+//!   group's endpoints at once, in port order, so peers see bounces
 //!   ([`RecvError::Unreachable`]) rather than silence, and wakes every
 //!   task of the group to unwind where it waits — a running one at its
 //!   next wait or [`NodeRt::cancelled`] poll; code that spins is not
@@ -197,10 +205,6 @@ thread_local! {
 
 fn current<R>(f: impl FnOnce(&Current) -> R) -> Option<R> {
     CURRENT.with(|c| c.borrow().as_ref().map(f))
-}
-
-fn current_group() -> Option<Arc<GroupCore>> {
-    current(|c| c.group.clone()).flatten()
 }
 
 fn group_killed() -> bool {
@@ -572,16 +576,6 @@ impl Mailbox {
 // ---------------------------------------------------------------------------
 // Cooperative kill: process groups as cancellation scopes.
 
-/// Everything an endpoint needs closed when its owning group dies. A
-/// detached handle (rather than the endpoint itself) so the group
-/// registry imposes no lifetime on endpoints.
-#[derive(Clone)]
-struct EpHandle {
-    port: u16,
-    mailbox: Arc<Mailbox>,
-    ports: PortMap,
-}
-
 /// Closes an endpoint: receives return `Closed` from now on, frames
 /// arriving for the port bounce `Unreachable`, and a served port runs no
 /// more handlers. Idempotent — only the first close owns the port map
@@ -597,11 +591,14 @@ fn close_port(ports: &PortMap, port: u16, mailbox: &Mailbox) {
 }
 
 /// Shared state of one real process group: the cancellation token, the
-/// live-task count, the tasks to wake and the endpoints to close on kill.
+/// live-task count and the tasks to wake on kill. Its endpoints are the
+/// ports of its home node's table that name it.
 struct GroupCore {
     id: u64,
     /// The node the group is rooted on (its flight recorder logs kills).
     node: NodeId,
+    /// That node, whose port table a kill closes the group's ports from.
+    home: Weak<NodeCore>,
     killed: AtomicBool,
     /// Tasks currently running in the group (incremented by the
     /// spawner before the task starts, so `alive` never reads a false
@@ -609,8 +606,6 @@ struct GroupCore {
     live: AtomicUsize,
     /// When `kill` was called, for the kill-latency metric.
     killed_at: Mutex<Option<Instant>>,
-    /// Endpoints owned by this group; closed on kill.
-    eps: Mutex<Vec<EpHandle>>,
     /// The group's started tasks, woken on kill to unwind where they wait.
     tasks: Mutex<Vec<TaskRef>>,
     net: Weak<RealNet>,
@@ -631,9 +626,8 @@ impl GroupCore {
         }
         // Close every endpoint the group owns, so peers observe bounces
         // immediately — before the member tasks have even unwound.
-        let eps = std::mem::take(&mut *self.eps.lock());
-        for ep in eps {
-            close_port(&ep.ports, ep.port, &ep.mailbox);
+        if let Some(home) = self.home.upgrade() {
+            home.close_ports(|p| p.group.as_ref().is_some_and(|g| g.id == self.id));
         }
         let tasks = self.tasks.lock().clone();
         for task in tasks {
@@ -898,13 +892,16 @@ impl RealNet {
     }
 }
 
-/// What a node does with a frame for one of its open ports.
-#[derive(Clone)]
-enum Port {
-    /// Queues it for the endpoint's next `recv`.
-    Mailbox(Arc<Mailbox>),
-    /// Runs the handler on it in a task of its own.
-    Served(Arc<Served>),
+/// One of a node's open ports: the one record of whose it is and of
+/// what keeps it open.
+struct Port {
+    /// Its open's mailbox, closed with it: a frame for an unserved port
+    /// queues here for the endpoint's next `recv`.
+    mailbox: Arc<Mailbox>,
+    /// The opener's group, whose kill closes the port.
+    group: Option<Arc<GroupCore>>,
+    /// Set by `serve`: the loop runs the handler on each frame instead.
+    served: Option<Arc<Served>>,
 }
 
 /// A served port's handler and what its tasks run as. Every landing gets
@@ -913,7 +910,7 @@ enum Port {
 struct Served {
     task: Arc<str>,
     handler: LandingHandler,
-    /// The group the tasks join: the endpoint's.
+    /// The group the tasks join: the port's.
     group: Option<Arc<GroupCore>>,
 }
 
@@ -1283,13 +1280,16 @@ impl NodeCore {
     /// Hands a frame to its port: its mailbox, or its handler's task,
     /// started here and run until it first waits.
     fn deliver(self: &Arc<Self>, port: u16, landing: Landing) {
-        let entry = self.ports.lock().get(&port).cloned();
+        let entry = self.ports.lock().get(&port).map(|p| match &p.served {
+            Some(served) => Ok(Arc::clone(served)),
+            None => Err(Arc::clone(&p.mailbox)),
+        });
         let (served, job): (_, Job) = match (entry, landing) {
-            (Some(Port::Mailbox(mailbox)), landing) => {
+            (Some(Err(mailbox)), landing) => {
                 self.net.frames_queued.fetch_add(1, Ordering::Relaxed);
                 return mailbox.push(landing);
             }
-            (Some(Port::Served(served)), landing) => {
+            (Some(Ok(served)), landing) => {
                 let handler = Arc::clone(&served.handler);
                 (served, Box::new(move || handler(landing)))
             }
@@ -1306,6 +1306,18 @@ impl NodeCore {
             if let Some(id) = self.new_task(&served.task, served.group.clone(), job) {
                 self.resume(id);
             }
+        }
+    }
+
+    /// Closes, in port order, every port `pick` accepts.
+    fn close_ports(&self, pick: impl Fn(&Port) -> bool) {
+        let mut doomed: Vec<(u16, Arc<Mailbox>)> = (self.ports.lock().iter())
+            .filter(|(_, p)| pick(p))
+            .map(|(&port, p)| (port, Arc::clone(&p.mailbox)))
+            .collect();
+        doomed.sort_unstable_by_key(|&(port, _)| port);
+        for (port, mailbox) in doomed {
+            close_port(&self.ports, port, &mailbox);
         }
     }
 
@@ -1533,10 +1545,13 @@ pub struct RealNode {
 impl RealNode {
     /// Takes the node off the network: closes the listener and every
     /// stream the node dialled or accepted, so the peers' loops see them
-    /// end. Later sends from its endpoints fail; nothing more arrives at
-    /// them. The node's loop thread exits once its last task has ended;
-    /// a task spawned after that never runs (`real.net.spawn_failed`).
-    /// Also runs when the node is dropped.
+    /// end, and then every port still open, as the simulator's shutdown
+    /// closes every endpoint — a served port's handler, and whatever it
+    /// holds, drops with it. Later sends from its endpoints fail, and
+    /// later opens fail with [`NetError::NodeDown`]. The node's loop
+    /// thread exits once its last task has ended; a task spawned after
+    /// that never runs (`real.net.spawn_failed`). Also runs when the node
+    /// is dropped.
     pub fn stop(&self) {
         if self.core.stopped.swap(true, Ordering::SeqCst) {
             return;
@@ -1547,6 +1562,7 @@ impl RealNode {
         for conn in self.core.streams.lock().iter() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
+        self.core.close_ports(|_| true);
         self.core.post(Post::Stop);
     }
 
@@ -1572,14 +1588,22 @@ impl RealNode {
         }
     }
 
+    /// The calling task's group if its home is this node: a group lives
+    /// on one node, so a task spawned or an endpoint opened through
+    /// another node's runtime belongs to no group.
+    fn home_group(&self) -> Option<Arc<GroupCore>> {
+        let group = current(|c| c.group.clone()).flatten();
+        group.filter(|g| Weak::as_ptr(&g.home) == Arc::as_ptr(&self.core))
+    }
+
     fn new_group(&self) -> Arc<GroupCore> {
         let core = Arc::new(GroupCore {
             id: self.core.net.next_group.fetch_add(1, Ordering::Relaxed),
             node: self.core.id,
+            home: Arc::downgrade(&self.core),
             killed: AtomicBool::new(false),
             live: AtomicUsize::new(0),
             killed_at: Mutex::new(None),
-            eps: Mutex::new(Vec::new()),
             tasks: Mutex::new(Vec::new()),
             net: Arc::downgrade(&self.core.net),
         });
@@ -1604,8 +1628,9 @@ impl NodeRt for RealNode {
     }
 
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) {
-        // Like fork: the child joins the spawner's group (if any).
-        self.core.spawn_task(name, current_group(), f);
+        // Like fork: the child joins the spawner's group, if it has one
+        // on this node.
+        self.core.spawn_task(name, self.home_group(), f);
     }
 
     fn spawn_group(
@@ -1622,7 +1647,14 @@ impl NodeRt for RealNode {
     }
 
     fn open(&self, port: PortReq) -> Result<Arc<dyn Endpoint>, NetError> {
+        // The opener's group owns the endpoint, if it lives on this node:
+        // killing the group closes it.
+        let group = self.home_group();
         let mut ports = self.core.ports.lock();
+        // Under the lock `stop` closes the ports with, so it misses none.
+        if self.core.stopped.load(Ordering::SeqCst) {
+            return Err(NetError::NodeDown);
+        }
         let portno = match port {
             PortReq::Fixed(p) => {
                 if ports.contains_key(&p) {
@@ -1641,24 +1673,24 @@ impl NodeRt for RealNode {
             }
         };
         let mailbox = Mailbox::new();
-        ports.insert(portno, Port::Mailbox(Arc::clone(&mailbox)));
+        let killed = group.as_ref().is_some_and(|g| g.killed());
+        let entry = Port {
+            mailbox: Arc::clone(&mailbox),
+            group,
+            served: None,
+        };
+        ports.insert(portno, entry);
         drop(ports);
-        // The opener's group owns the endpoint: killing the group closes it.
-        let group = current_group();
         let ep = Arc::new(RealEndpoint {
             node: self.core.id,
             port: portno,
             mailbox,
             core: Arc::clone(&self.core),
-            owner_group: group.as_ref().map(Arc::downgrade),
         });
-        if let Some(g) = group {
-            g.eps.lock().push(ep.handle());
-            if g.killed() {
-                // Lost the race with a concurrent kill: close now, the
-                // drain may already have passed us by.
-                ep.close();
-            }
+        if killed {
+            // The group's kill came first; its scan of the ports may
+            // already have passed this one.
+            ep.close();
         }
         Ok(ep)
     }
@@ -1743,18 +1775,6 @@ pub struct RealEndpoint {
     port: u16,
     mailbox: Arc<Mailbox>,
     core: Arc<NodeCore>,
-    /// The opener's group, whose kill closes this endpoint.
-    owner_group: Option<Weak<GroupCore>>,
-}
-
-impl RealEndpoint {
-    fn handle(&self) -> EpHandle {
-        EpHandle {
-            port: self.port,
-            mailbox: Arc::clone(&self.mailbox),
-            ports: Arc::clone(&self.core.ports),
-        }
-    }
 }
 
 impl Endpoint for RealEndpoint {
@@ -1772,11 +1792,6 @@ impl Endpoint for RealEndpoint {
 
     fn close(&self) {
         close_port(&self.core.ports, self.port, &self.mailbox);
-        if let Some(g) = self.owner_group.as_ref().and_then(Weak::upgrade) {
-            g.eps
-                .lock()
-                .retain(|h| !Arc::ptr_eq(&h.mailbox, &self.mailbox));
-        }
     }
 
     /// Points the port's entry at the handler, in the endpoint's group:
@@ -1786,22 +1801,21 @@ impl Endpoint for RealEndpoint {
     /// start tasks of their own; the rest runs here.
     fn serve(&self, task_name: &str, handler: LandingHandler, inline: InlineTest) {
         let task: Arc<str> = Arc::from(task_name);
-        let group = self.owner_group.as_ref().and_then(Weak::upgrade);
-        let queued = {
+        let (group, queued) = {
             let mut ports = self.core.ports.lock();
             let mut mailbox = self.mailbox.0.lock();
             // The entry of an open endpoint is its own; a closed one has
             // none, and must not take a successor's.
-            if mailbox.now.1 {
+            let Some(entry) = ports.get_mut(&self.port).filter(|_| !mailbox.now.1) else {
                 return;
-            }
+            };
             let served = Served {
                 task: Arc::clone(&task),
                 handler: Arc::clone(&handler),
-                group: group.clone(),
+                group: entry.group.clone(),
             };
-            ports.insert(self.port, Port::Served(Arc::new(served)));
-            std::mem::take(&mut mailbox.now.0)
+            entry.served = Some(Arc::new(served));
+            (entry.group.clone(), std::mem::take(&mut mailbox.now.0))
         };
         for landing in queued {
             match landing {
@@ -2475,7 +2489,7 @@ mod tests {
     /// in the mailbox for the serving task.
     fn wait_served(node: &RealNode, port: u16) {
         assert!(eventually(Duration::from_secs(5), || {
-            matches!(node.core.ports.lock().get(&port), Some(Port::Served(_)))
+            (node.core.ports.lock().get(&port)).is_some_and(|p| p.served.is_some())
         }));
     }
 

@@ -163,7 +163,8 @@ pub trait Endpoint: Send + Sync {
     ///
     /// An endpoint has one lifetime on both runtimes: it closes here,
     /// when its last handle drops, at once when the group of the process
-    /// that opened it is killed, and when its node crashes. Closing a
+    /// that opened it is killed, and when its node crashes or is shut
+    /// down (TCP's `RealNode::stop`, the simulation's end). Closing a
     /// handle whose port has been closed and opened again since leaves
     /// the new endpoint open.
     fn close(&self);
@@ -203,18 +204,22 @@ pub type LandingHandler = Arc<dyn Fn(Result<(Addr, Bytes), RecvError>) + Send + 
 ///
 /// Mirrors what the paper's Server Service Controller gets from UNIX: it
 /// can tell whether the service (all its processes) is still alive, and
-/// kill it. On both runtimes the group's endpoints close immediately, so
-/// peers observe bounces rather than silence, and the members unwind
-/// afterwards: in the simulation at their next scheduling point, on the
-/// real runtime cooperatively — every member task unwinds at its next
-/// cancellation point (sleep, receive, sync wait, ORB dispatch entry),
-/// the one it is suspended in at once.
+/// kill it. A group lives on the node it was spawned on, as a UNIX
+/// process tree lives on its host: its members and endpoints are the
+/// ones spawned and opened there by its members, so a kill finds them
+/// all in that node's own tables. On both runtimes the group's
+/// endpoints close immediately, so peers observe bounces rather than
+/// silence, and the members unwind afterwards: in the simulation at
+/// their next scheduling point, on the real runtime cooperatively —
+/// every member task unwinds at its next cancellation point (sleep,
+/// receive, sync wait, ORB dispatch entry), the one it is suspended in
+/// at once.
 pub trait ProcGroup: Send + Sync {
     /// Whether any process of the group is alive.
     fn alive(&self) -> bool;
 
     /// Kills every process in the group and closes the endpoints its
-    /// processes opened, before any of them has unwound.
+    /// processes opened, in port order, before any of them has unwound.
     fn kill(&self);
 
     /// An opaque id for logging.
@@ -288,15 +293,20 @@ pub trait NodeRt: Send + Sync {
     }
 
     /// Spawns a new process on this node running `f`. The process joins
-    /// the calling process's group (like `fork`).
+    /// the calling process's group (like `fork`) if that process lives on
+    /// this node; spawned through another node's runtime, it belongs to
+    /// no group.
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>);
 
-    /// Spawns `f` as the root of a *new* process group and returns its
-    /// handle. Everything it transitively spawns joins the group; killing
-    /// the group kills them all and closes the endpoints they opened.
+    /// Spawns `f` as the root of a *new* process group on this node and
+    /// returns its handle. Everything it transitively spawns on this node
+    /// joins the group; killing the group kills them all and closes the
+    /// endpoints they opened here.
     fn spawn_group(&self, name: &str, f: Box<dyn FnOnce() + Send>) -> Arc<dyn ProcGroup>;
 
-    /// Opens a message endpoint on this node.
+    /// Opens a message endpoint on this node. It belongs to the calling
+    /// process's group if that process lives on this node, and to no
+    /// group otherwise.
     fn open(&self, port: PortReq) -> Result<Arc<dyn Endpoint>, NetError>;
 
     /// The endpoint a call from the calling process sends its request

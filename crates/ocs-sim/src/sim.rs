@@ -310,7 +310,8 @@ impl SimNode {
         }
     }
 
-    /// Opens an endpoint owned by the calling process's group.
+    /// Opens an endpoint owned by the calling process's group if that
+    /// process lives on this node, and by no group otherwise.
     fn open_sim(&self, port: PortReq) -> Result<Arc<SimEndpoint>, NetError> {
         crate::kernel::forbid_inline("open an endpoint");
         let mut k = self.inner.kernel_for(self.id).lock();
@@ -345,7 +346,10 @@ impl SimNode {
             }
         };
         let key = Addr::new(self.id, portno);
-        let group = cur_pid().and_then(|pid| k.procs.get(&pid)?.group);
+        let opener = cur_pid().and_then(|pid| k.procs.get(&pid));
+        let group = opener
+            .filter(|p| p.node == Some(self.id))
+            .and_then(|p| p.group);
         k.last_ep += 1;
         let id = k.last_ep;
         k.endpoints.insert(

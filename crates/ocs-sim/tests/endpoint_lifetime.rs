@@ -1,7 +1,10 @@
 //! One endpoint lifetime on both runtimes: an endpoint closes when
 //! closed, when its last handle drops, at once when the group of the
-//! process that opened it is killed, and when its node crashes. The same
-//! body runs in a simulated process and on a thread beside a TCP node.
+//! process that opened it is killed, and when its node crashes. A group
+//! lives on its home node: what a member spawns or opens through another
+//! node's runtime is no member of it. The same body runs in a simulated
+//! process — on one shard and on two, the nodes on different shards —
+//! and on a thread beside two TCP nodes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -9,7 +12,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use ocs_sim::real::RealNet;
-use ocs_sim::{Addr, Endpoint, NodeRt, NodeRtExt, PortReq, Queue, RecvError, Rt, Sim, SimTime};
+use ocs_sim::{
+    Addr, Endpoint, NodeRt, NodeRtExt, PortReq, Queue, RecvError, Rt, Sim, SimConfig, SimTime,
+};
 use parking_lot::Mutex;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -48,10 +53,11 @@ impl Drop for Unwound {
     }
 }
 
-/// The rule, case by case, on `rt`'s node. `instant`: the runtime runs
-/// nothing else until the body waits (the simulator), so a killed member
-/// is certainly still blocked when `kill` returns.
-fn one_lifetime(rt: &Rt, instant: bool) {
+/// The rule, case by case, on `rt`'s node, with `other` as the node a
+/// group member reaches across to. `instant`: the runtime runs nothing
+/// else on `rt`'s node until the body waits (the simulator), so a killed
+/// member is certainly still blocked when `kill` returns.
+fn one_lifetime(rt: &Rt, other: &Rt, instant: bool) {
     // (a) The last handle drops: a frame sent to it bounces.
     let ep = rt.open(PortReq::Ephemeral).unwrap();
     let gone = ep.local();
@@ -164,27 +170,90 @@ fn one_lifetime(rt: &Rt, instant: bool) {
         Err(RecvError::Unreachable(echo)),
         "(e) killed"
     );
+
+    // (f) A member spawns a process and opens an endpoint at home and
+    // through the other node's runtime. The kill ends every member and
+    // closes every port at home; the process and the port away belong
+    // to no group, and it leaves them alone.
+    let (home, away) = (Addr::new(rt.node(), 65), Addr::new(other.node(), 65));
+    let ready: Arc<Queue<()>> = Arc::new(Queue::new(rt));
+    let child_unwound = Arc::new(AtomicBool::new(false));
+    let (node, far, up) = (rt.clone(), other.clone(), Arc::clone(&ready));
+    let flag = Arc::clone(&child_unwound);
+    let group = rt.spawn_group(
+        "roamer",
+        Box::new(move || {
+            let ep = node.open(PortReq::Fixed(home.port)).unwrap();
+            let child = node.clone();
+            node.spawn_fn("child", move || {
+                let _guard = Unwound(flag);
+                child.sleep(Duration::from_secs(3600));
+            });
+            let stray = far.open(PortReq::Fixed(away.port)).unwrap();
+            far.spawn_fn("stray", move || {
+                while let Ok((from, msg)) = stray.recv(None) {
+                    let _ = stray.send(from, msg);
+                }
+            });
+            up.push(());
+            let _ = ep.recv(None);
+        }),
+    );
+    assert!(ready.pop(rt, Some(WAIT)).is_some(), "(f) the member opened");
+    let echoed = |what| {
+        let answer = probe(rt, away).map(|(from, _)| from);
+        assert_eq!(answer, Ok(away), "(f) {what}");
+    };
+    echoed("the stray echoes before the kill");
+    group.kill();
+    assert_eq!(
+        probe(rt, home),
+        Err(RecvError::Unreachable(home)),
+        "(f) the home port closed"
+    );
+    until(rt, "(f) every member ends", || {
+        !group.alive() && child_unwound.load(Ordering::SeqCst)
+    });
+    echoed("the stray and its port outlive the kill");
 }
 
-#[test]
-fn sim_an_endpoint_closes_by_the_one_rule() {
-    let sim = Sim::new(43);
+/// The body in a process on node `a` of a simulation on `shards`
+/// shards; the run's trace hash.
+fn sim_leg(shards: usize) -> u64 {
+    let sim = Sim::with_config(SimConfig {
+        seed: 43,
+        shards,
+        ..SimConfig::default()
+    });
     let node = sim.add_node("a");
+    let other: Rt = sim.add_node("b");
+    if shards == 2 {
+        assert_eq!(sim.shard_count(), 2);
+    }
     let done = Arc::new(AtomicBool::new(false));
     let (rt, flag) = (node.clone() as Rt, Arc::clone(&done));
     node.spawn_fn("body", move || {
-        one_lifetime(&rt, true);
+        one_lifetime(&rt, &other, true);
         flag.store(true, Ordering::SeqCst);
     });
     sim.run_until(SimTime::from_secs(60));
     assert!(done.load(Ordering::SeqCst), "the body finished");
+    sim.trace_hash()
+}
+
+#[test]
+fn sim_an_endpoint_closes_by_the_one_rule() {
+    // Round-robin placement puts `a` (node 1) and `b` (node 2) on
+    // different shards of two.
+    assert_eq!(sim_leg(1), sim_leg(2), "the same run on one shard and two");
 }
 
 #[test]
 fn real_an_endpoint_closes_by_the_one_rule() {
     let net = RealNet::new();
     let node: Rt = net.add_node("a").unwrap();
-    one_lifetime(&node, false);
+    let other: Rt = net.add_node("b").unwrap();
+    one_lifetime(&node, &other, false);
 }
 
 /// What the simulator lets go of under its lock drops after it: a port

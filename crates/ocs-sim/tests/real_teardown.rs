@@ -26,6 +26,8 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
     // The client endpoints outlive their nodes: it is `stop` that must
     // close the streams, not the last endpoint going away.
     let mut clients = Vec::new();
+    // Held by every served port's handler.
+    let held = Arc::new(());
     {
         let net = RealNet::new();
         let nodes: Vec<Arc<RealNode>> = (0..4)
@@ -36,23 +38,21 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
         // two through a receive loop of their own; every node calls
         // every other, so each pair holds a stream, read by the loops at
         // both ends.
-        let mut served = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
             let server = node.open(PortReq::Fixed(100)).unwrap();
             let rt = Arc::clone(node);
             if i % 2 == 0 {
-                served.push(Arc::clone(&server));
-                node.spawn_fn("echo", move || {
-                    // The handler must not own the endpoint it is kept by.
-                    let reply = Arc::downgrade(&server);
-                    let handler = move |landing: Result<(Addr, Bytes), RecvError>| {
-                        if let (Ok((from, msg)), Some(server)) = (landing, reply.upgrade()) {
-                            let _ = server.send(from, msg);
-                        }
-                    };
-                    server.serve("echo-worker", Arc::new(handler), Arc::new(|_| false));
-                    while !matches!(server.recv(None), Err(RecvError::Closed)) {}
-                });
+                // Served from this thread, by no process, and the handler
+                // holds its own endpoint, as an ORB's holds the ORB: only
+                // the port's close lets either go.
+                let (me, token) = (Arc::clone(&server), Arc::clone(&held));
+                let handler = move |landing: Result<(Addr, Bytes), RecvError>| {
+                    let _ = &token;
+                    if let Ok((from, msg)) = landing {
+                        let _ = me.send(from, msg);
+                    }
+                };
+                server.serve("echo-worker", Arc::new(handler), Arc::new(|_| false));
             } else {
                 node.spawn_fn("echo", move || {
                     while let Ok((from, msg)) = server.recv(Some(Duration::from_millis(200))) {
@@ -95,21 +95,23 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
             during.1 < before.1 + 28,
             "descriptors: {before:?} -> {during:?}"
         );
-        // A served port's process waits for the close, as an ORB's does
-        // for `shutdown`.
-        for server in served {
-            server.close();
-        }
+        // Nothing is closed first: `stop` closes the served ports, and
+        // with them the handlers that hold them.
         for node in &nodes {
             node.stop();
         }
     }
-    // The echo loops leave at their next receive timeout, the serving
-    // tasks at the close, and each node's loop thread with its last task.
+    // The echo loops leave at the close, and each node's loop thread
+    // with its last task.
     let deadline = Instant::now() + Duration::from_secs(5);
     while footprint() != before && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
+    assert_eq!(
+        Arc::strong_count(&held),
+        1,
+        "a served port's handler outlived stop"
+    );
     assert_eq!(
         footprint(),
         before,

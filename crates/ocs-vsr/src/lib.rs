@@ -85,7 +85,7 @@ use std::time::Duration;
 
 use ocs_orb::OrbError;
 use ocs_sim::SimTime;
-use ocs_wire::{impl_wire_enum, impl_wire_struct, Decoder, Encoder, ViewStamp, Wire, WireError};
+use ocs_wire::{impl_wire_enum, impl_wire_struct, ViewStamp, Wire};
 
 /// A view number. The primary of view `v` is replica `v mod n`.
 pub type View = u64;
@@ -231,20 +231,7 @@ pub struct LogEntry<Op> {
     pub update: Op,
 }
 
-impl<Op: Wire> Wire for LogEntry<Op> {
-    fn encode_into(&self, e: &mut Encoder) {
-        self.op.encode_into(e);
-        self.view.encode_into(e);
-        self.update.encode_into(e);
-    }
-    fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(LogEntry {
-            op: Wire::decode_from(d)?,
-            view: Wire::decode_from(d)?,
-            update: Wire::decode_from(d)?,
-        })
-    }
-}
+impl_wire_struct!(LogEntry<Op> { op, view, update });
 
 /// Reply to `prepare`, `commit_hb` and `start_view`: the callee's view
 /// and log end. `op_num` acknowledges every op `≤ op_num`.
@@ -280,26 +267,7 @@ pub struct DoViewChange<Op> {
     pub tail: Vec<LogEntry<Op>>,
 }
 
-impl<Op: Wire> Wire for DoViewChange<Op> {
-    fn encode_into(&self, e: &mut Encoder) {
-        self.view.encode_into(e);
-        self.from.encode_into(e);
-        self.last_normal.encode_into(e);
-        self.op_num.encode_into(e);
-        self.commit_num.encode_into(e);
-        self.tail.encode_into(e);
-    }
-    fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(DoViewChange {
-            view: Wire::decode_from(d)?,
-            from: Wire::decode_from(d)?,
-            last_normal: Wire::decode_from(d)?,
-            op_num: Wire::decode_from(d)?,
-            commit_num: Wire::decode_from(d)?,
-            tail: Wire::decode_from(d)?,
-        })
-    }
-}
+impl_wire_struct!(DoViewChange<Op> { view, from, last_normal, op_num, commit_num, tail });
 
 /// The new primary's announcement of the chosen log for a view.
 #[derive(Clone, Debug, PartialEq)]
@@ -316,22 +284,7 @@ pub struct StartView<Op> {
     pub entries: Vec<LogEntry<Op>>,
 }
 
-impl<Op: Wire> Wire for StartView<Op> {
-    fn encode_into(&self, e: &mut Encoder) {
-        self.view.encode_into(e);
-        self.op_num.encode_into(e);
-        self.commit_num.encode_into(e);
-        self.entries.encode_into(e);
-    }
-    fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(StartView {
-            view: Wire::decode_from(d)?,
-            op_num: Wire::decode_from(d)?,
-            commit_num: Wire::decode_from(d)?,
-            entries: Wire::decode_from(d)?,
-        })
-    }
-}
+impl_wire_struct!(StartView<Op> { view, op_num, commit_num, entries });
 
 /// What the new primary does next with the `DoViewChange`s it holds.
 #[derive(Clone, Debug, PartialEq)]
@@ -391,26 +344,7 @@ pub struct StateTransfer<Op, Snap> {
     pub tail: Vec<LogEntry<Op>>,
 }
 
-impl<Op: Wire, Snap: Wire> Wire for StateTransfer<Op, Snap> {
-    fn encode_into(&self, e: &mut Encoder) {
-        self.view.encode_into(e);
-        self.normal.encode_into(e);
-        self.op_num.encode_into(e);
-        self.commit_num.encode_into(e);
-        self.snapshot.encode_into(e);
-        self.tail.encode_into(e);
-    }
-    fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(StateTransfer {
-            view: Wire::decode_from(d)?,
-            normal: Wire::decode_from(d)?,
-            op_num: Wire::decode_from(d)?,
-            commit_num: Wire::decode_from(d)?,
-            snapshot: Wire::decode_from(d)?,
-            tail: Wire::decode_from(d)?,
-        })
-    }
-}
+impl_wire_struct!(StateTransfer<Op, Snap> { view, normal, op_num, commit_num, snapshot, tail });
 
 impl<Op, Snap> StateTransfer<Op, Snap> {
     /// Whether this answer carries authoritative state: only a Normal,

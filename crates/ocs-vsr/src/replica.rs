@@ -212,7 +212,7 @@ pub struct Replica<M: Replicated> {
     me: Weak<Replica<M>>,
     /// Set by [`Replica::start`]: the root object's reference, and the
     /// ORB — weakly, because the ORB owns the servants and the servants
-    /// own the replica. Its serving process keeps the ORB alive.
+    /// own the replica. Its served port keeps the ORB alive.
     started: OnceLock<(ObjRef, Weak<Orb>)>,
 }
 
@@ -386,7 +386,7 @@ impl<M: Replicated> Replica<M> {
         self.started.get().expect("replica not started").0
     }
 
-    /// The replica's ORB, while its serving process lives.
+    /// The replica's ORB, while its port is open.
     pub fn orb(&self) -> Option<Arc<Orb>> {
         self.started.get()?.1.upgrade()
     }

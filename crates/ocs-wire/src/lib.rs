@@ -569,7 +569,8 @@ impl std::fmt::Display for ViewStamp {
 }
 
 /// Implements [`Wire`] for a struct from its field list, in declaration
-/// order — the stand-in for IDL-compiled struct marshalling.
+/// order — the stand-in for IDL-compiled struct marshalling. A generic
+/// struct names its type parameters, each of which must be [`Wire`].
 ///
 /// # Examples
 ///
@@ -582,11 +583,18 @@ impl std::fmt::Display for ViewStamp {
 ///
 /// let m = Movie { title: "T2".into(), bitrate: 4_000_000 };
 /// assert_eq!(Movie::from_bytes(&m.to_bytes()).unwrap(), m);
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tagged<T> { tag: u8, value: T }
+/// impl_wire_struct!(Tagged<T> { tag, value });
+///
+/// let t = Tagged { tag: 7, value: m };
+/// assert_eq!(Tagged::<Movie>::from_bytes(&t.to_bytes()).unwrap(), t);
 /// ```
 #[macro_export]
 macro_rules! impl_wire_struct {
-    ($name:ident { $($field:ident),* $(,)? }) => {
-        impl $crate::Wire for $name {
+    ($name:ident $(<$($param:ident),+>)? { $($field:ident),* $(,)? }) => {
+        impl $(<$($param: $crate::Wire),+>)? $crate::Wire for $name $(<$($param),+>)? {
             fn encode_into(&self, e: &mut $crate::Encoder) {
                 $( $crate::Wire::encode_into(&self.$field, e); )*
             }

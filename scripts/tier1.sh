@@ -32,9 +32,10 @@ cargo clippy -q --offline --workspace --all-targets \
     --features ocs-ras/real_chaos,ocs-svcctl/real_chaos,itv-cluster/real_chaos -- -D warnings
 cargo test --offline --workspace -q
 # Both runtimes switch process stacks with unsafe code (ocs-sim's only,
-# with the real runtime's epoll calls); its tests run optimized too,
-# where the compiler is freest.
-cargo test --release --offline -p ocs-sim -q
+# with the real runtime's epoll calls); its tests, and the ORB's, whose
+# requests run where they land on both runtimes' switched stacks, run
+# optimized too, where the compiler is freest.
+cargo test --release --offline -p ocs-sim -p ocs-orb -q
 
 # Real-runtime chaos smoke (E19): one cooperative kill plus one
 # partition-heal cycle over actual TCP on loopback, and a fault plan whose
