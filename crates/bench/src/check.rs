@@ -279,10 +279,12 @@ pub const GUARDS: &[Guard] = &[
     // An encode writes into a pooled buffer and a frame costs one copy;
     // a call waits on its process's one reply endpoint, and its spans'
     // names are static strings; the admission table keeps a hashed record
-    // per allocation and per settop, and the log's result window is a
-    // ring: 3.435 allocator calls per event, exact for the seed to a few
-    // hundredths on any host (3.710 with the table and the window in
-    // B-trees; 7.236 with an endpoint per call, formatted span names,
+    // per allocation and per settop, the log's result window is a ring,
+    // and a lease's journal line is a template and numbers: 3.335
+    // allocator calls per event, exact for the seed to a few hundredths
+    // on any host (3.435 with the line formatted into a `String`; 3.710
+    // with the table and the window in B-trees; 7.236 with an endpoint
+    // per call, formatted span names,
     // unpooled stub and servant encoders, and a principal and a process
     // name copied per request; 7.242 when a spawn boxed its process's
     // closure instead of writing it onto the stack; 11.449 when every
@@ -313,6 +315,13 @@ pub const GUARDS: &[Guard] = &[
     g(FAILOVER, "correct", IsTrue),
     g(FAILOVER, "end_to_end/op_p50_us", Le(900_000.0)),
     g(FAILOVER, "per_layer/ocs-wire.bytes_per_op", Le(240_000.0)),
+    // Telemetry records are fixed-size and heap-free: a retained span is
+    // 48 bytes with its operation an id in the tracer's op table, a
+    // journal entry 48 bytes with its line a template and numbers. The
+    // first round peaks at 20.1 MB resident on a 2-vCPU x86-64 host
+    // (28.9 MB with 80-byte spans naming their op with two `&str`s and
+    // a heap `String` per journal line); ceiling 15 % above.
+    g(FAILOVER, "end_to_end/peak_rss_mb", Le(23.0)),
     // The same log over TCP loopback: a node keeps one stream per peer
     // for life, so the timed phase opens none. A count, not a wall
     // clock: a connection per ORB call reads 5.9 here on any host.

@@ -165,8 +165,12 @@ impl CmMetrics {
         match out {
             Ok(conn) => {
                 self.accepted.inc();
-                let line = format!("lease granted: conn {conn} settop {settop} {down_bps} bps");
-                self.journal.record(now, "cm", line);
+                self.journal.record_fmt(
+                    now,
+                    "cm",
+                    "lease granted: conn {} settop {} {} bps",
+                    &[(*conn).into(), settop.into(), down_bps.into()],
+                );
             }
             Err(MediaError::NoBandwidth) => self.rejected.inc(),
             Err(_) => {}
@@ -183,19 +187,23 @@ impl CmMetrics {
     /// A reassertion that re-admitted a lease the table did not hold.
     pub(crate) fn on_readmit(&self, now: SimTime, conn: u64, settop: NodeId) {
         self.reasserted.inc();
-        let line =
-            format!("lease reasserted: conn {conn} settop {settop} re-admitted after restart");
-        self.journal.record(now, "cm", line);
+        self.journal.record_fmt(
+            now,
+            "cm",
+            "lease reasserted: conn {} settop {} re-admitted after restart",
+            &[conn.into(), settop.into()],
+        );
     }
 
     /// A lease the table reclaimed at its expiry.
     pub(crate) fn on_expire(&self, now: SimTime, d: &ConnDesc) {
         self.expired.inc();
-        let line = format!(
+        self.journal.record_fmt(
+            now,
+            "cm",
             "lease expired: conn {} (settop {}, {} bps reclaimed)",
-            d.conn, d.settop, d.down_bps
+            &[d.conn.into(), d.settop.into(), d.down_bps.into()],
         );
-        self.journal.record(now, "cm", line);
     }
 }
 
@@ -409,6 +417,40 @@ mod tests {
             cm.allocate(&c, 0, NodeId(102), server, 4_000_000)
                 .unwrap_err(),
             MediaError::NoBandwidth
+        );
+    }
+
+    /// The three lease lines are templates rendered on read; they read
+    /// exactly as the `format!` strings they replaced.
+    #[test]
+    fn lease_lines_read_as_before() {
+        let sim = ocs_sim::Sim::new(1);
+        let rt: Rt = sim.add_node("cm");
+        let m = CmMetrics::of(&rt);
+        let t = SimTime::from_micros(5);
+        let (conn, settop, down_bps) = (17u64, NodeId(4_000_001), 6_000_000u64);
+        m.on_allocate(t, &Ok(conn), settop, down_bps);
+        m.on_allocate(t, &Err(MediaError::NoBandwidth), settop, down_bps);
+        m.on_readmit(t, u64::MAX, NodeId(0));
+        let d = ConnDesc {
+            conn,
+            settop,
+            server: NodeId(1),
+            down_bps,
+        };
+        m.on_expire(t, &d);
+        let lines: Vec<String> = ocs_telemetry::Journal::of(&*rt)
+            .events()
+            .into_iter()
+            .map(|e| format!("{} {}", e.category, e.detail))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "cm lease granted: conn 17 settop n4000001 6000000 bps",
+                "cm lease reasserted: conn 18446744073709551615 settop n0 re-admitted after restart",
+                "cm lease expired: conn 17 (settop n4000001, 6000000 bps reclaimed)",
+            ]
         );
     }
 

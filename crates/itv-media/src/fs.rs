@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
-use ocs_name::{Binding, NamingContext, NamingContextServant, NsError, SelectorSpec};
+use ocs_name::{Binding, CommitPoint, NamingContext, NamingContextServant, NsError, SelectorSpec};
 use ocs_orb::{declare_interface, Caller, ObjRef, Orb};
 use ocs_sim::{NetError, PortReq, Rt};
 use parking_lot::Mutex;
@@ -347,6 +347,22 @@ impl NamingContext for FsCtx {
 
     fn report_load(&self, _c: &Caller, name: String, _load: u32) -> Result<(), NsError> {
         Err(NsError::BadName { name })
+    }
+
+    fn resolve_here(
+        &self,
+        caller: &Caller,
+        name: String,
+    ) -> Result<(ObjRef, CommitPoint), NsError> {
+        Ok((self.resolve(caller, name)?, None))
+    }
+
+    fn list_repl_here(
+        &self,
+        caller: &Caller,
+        name: String,
+    ) -> Result<(Vec<Binding>, CommitPoint), NsError> {
+        Ok((self.list(caller, name)?, None))
     }
 }
 

@@ -98,6 +98,11 @@ pub struct Mds {
     /// Bumped by every `close`: delivery processes wait their tick out
     /// on it, so a closed stream's process ends at once.
     closing: Arc<dyn SyncObj>,
+    /// Stream metric handles, resolved once: an open or a close looks
+    /// no metric up by name.
+    opened: Arc<ocs_telemetry::Counter>,
+    closed: Arc<ocs_telemetry::Counter>,
+    open_streams: Arc<ocs_telemetry::Gauge>,
 }
 
 impl Mds {
@@ -109,6 +114,7 @@ impl Mds {
         catalog: Catalog,
         max_streams: u32,
     ) -> Result<(Arc<Mds>, ObjRef), NetError> {
+        let reg = &ocs_telemetry::NodeTelemetry::of(&*rt).registry;
         let mds = Arc::new(Mds {
             rt: rt.clone(),
             catalog,
@@ -117,6 +123,9 @@ impl Mds {
             me: Mutex::new(Weak::new()),
             movies: Mutex::new(HashMap::new()),
             closing: rt.make_sync(),
+            opened: reg.counter("mds.stream.opened"),
+            closed: reg.counter("mds.stream.closed"),
+            open_streams: reg.gauge("mds.open_streams"),
         });
         *mds.me.lock() = Arc::downgrade(&mds);
         let orb = Orb::new(rt, PortReq::Fixed(port))?;
@@ -216,10 +225,7 @@ impl Mds {
             if let Some(orb) = self.orb.lock().upgrade() {
                 orb.unexport(object_id);
             }
-            ocs_telemetry::NodeTelemetry::of(&*self.rt)
-                .registry
-                .gauge("mds.open_streams")
-                .set(self.open_count() as i64);
+            self.open_streams.set(self.open_count() as i64);
         }
     }
 }
@@ -280,11 +286,8 @@ impl MdsApi for Mds {
             (Arc::clone(&movie), obj)
         };
         let (state, obj) = movie;
-        let tel = ocs_telemetry::NodeTelemetry::of(&*self.rt);
-        tel.registry.counter("mds.stream.opened").inc();
-        tel.registry
-            .gauge("mds.open_streams")
-            .set(self.open_count() as i64);
+        self.opened.inc();
+        self.open_streams.set(self.open_count() as i64);
         let rt = self.rt.clone();
         let me = self.me.lock().clone();
         let closing = Arc::clone(&self.closing);
@@ -306,11 +309,8 @@ impl MdsApi for Mds {
         if let Some(orb) = self.orb.lock().upgrade() {
             orb.unexport(object_id);
         }
-        let tel = ocs_telemetry::NodeTelemetry::of(&*self.rt);
-        tel.registry.counter("mds.stream.closed").inc();
-        tel.registry
-            .gauge("mds.open_streams")
-            .set(self.open_count() as i64);
+        self.closed.inc();
+        self.open_streams.set(self.open_count() as i64);
         Ok(())
     }
 

@@ -93,13 +93,24 @@ pub struct Mms {
     /// Weak self-reference so servant methods (`&self`) can hand the
     /// death callbacks something upgradeable.
     self_weak: Mutex<Option<std::sync::Weak<Mms>>>,
+    /// Session metric handles, resolved once: an open or a close looks
+    /// no metric up by name.
+    open_requests: Arc<ocs_telemetry::Counter>,
+    open_ok: Arc<ocs_telemetry::Counter>,
+    closed: Arc<ocs_telemetry::Counter>,
+    sessions_gauge: Arc<ocs_telemetry::Gauge>,
 }
 
 impl Mms {
     /// Creates the MMS (does not bind or serve yet; see [`Mms::run`]).
     pub fn new(rt: Rt, ns: NsHandle, cfg: MmsConfig, catalog: Catalog) -> Arc<Mms> {
         let monitor = RasMonitor::start(rt.clone(), Addr::new(rt.node(), ports::RAS), cfg.ras_poll);
+        let reg = &ocs_telemetry::NodeTelemetry::of(&*rt).registry;
         let mms = Arc::new(Mms {
+            open_requests: reg.counter("mms.open.requests"),
+            open_ok: reg.counter("mms.open.ok"),
+            closed: reg.counter("mms.closed"),
+            sessions_gauge: reg.gauge("mms.sessions"),
             ctx: ClientCtx::new(rt.clone()),
             rt,
             ns,
@@ -443,9 +454,8 @@ impl Mms {
             }
             (s, sessions.len())
         };
-        let tel = ocs_telemetry::NodeTelemetry::of(&*self.rt);
-        tel.registry.counter("mms.closed").inc();
-        tel.registry.gauge("mms.sessions").set(left as i64);
+        self.closed.inc();
+        self.sessions_gauge.set(left as i64);
         // Tell the MDS to deallocate movie resources: the replica the
         // movie lives on, at the incarnation that created it — both are
         // in the movie reference, so there is nothing to look up (and a
@@ -485,8 +495,7 @@ impl MmsApi for Mms {
         title: String,
         resume_ms: u64,
     ) -> Result<MovieTicket, MediaError> {
-        let tel = ocs_telemetry::NodeTelemetry::of(&*self.rt);
-        tel.registry.counter("mms.open.requests").inc();
+        self.open_requests.inc();
         let settop = caller.node;
         let nbhd = self
             .cfg
@@ -551,10 +560,8 @@ impl MmsApi for Mms {
                             nbhd,
                         },
                     );
-                    tel.registry.counter("mms.open.ok").inc();
-                    tel.registry
-                        .gauge("mms.sessions")
-                        .set(self.sessions.lock().len() as i64);
+                    self.open_ok.inc();
+                    self.sessions_gauge.set(self.sessions.lock().len() as i64);
                     return Ok(MovieTicket {
                         session,
                         movie,

@@ -2,12 +2,12 @@
 //! rebind loop, and the two ways a service holds a name — the §5.2
 //! primary-acquisition race and the claim-and-keep [`advertise`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use ocs_orb::{Admission, CircuitBreaker, ClientCtx, ObjRef, Proxy, RetryPolicy, RpcFault};
-use ocs_sim::{Addr, NodeRtExt, Rt};
-use ocs_telemetry::NodeTelemetry;
+use ocs_sim::{Addr, NodeRt, NodeRtExt, Rt};
+use ocs_telemetry::{Counter, NodeTelemetry};
 use parking_lot::Mutex;
 
 use crate::cache::{Cached, ResolveCache};
@@ -23,8 +23,65 @@ pub struct NsHandle {
     /// The node-wide shared path → answer cache; one remote lookup
     /// serves every client on the node.
     cache: Arc<ResolveCache>,
-    /// This node's telemetry bundle (lookup and cache counters).
+    /// This node's lookup, cache and rebind counters.
+    metrics: Arc<ClientMetrics>,
+}
+
+/// What the naming client counts; each names one counter of
+/// [`COUNTED`].
+#[derive(Clone, Copy)]
+enum Count {
+    Lookups,
+    LookupErrors,
+    CacheHits,
+    CacheMisses,
+    StaleInstalls,
+    Invalidations,
+    BreakerShed,
+    Rebinds,
+    Retries,
+    Giveups,
+}
+
+/// The registry names of the [`Count`]s, in order.
+const COUNTED: [&str; 10] = [
+    "ns.client.lookups",
+    "ns.client.lookup_errors",
+    "ns.cache.hits",
+    "ns.cache.misses",
+    "ns.cache.stale_installs",
+    "ns.client.invalidations",
+    "orb.rebind.breaker_shed",
+    "orb.rebind.rebinds",
+    "orb.rebind.retries",
+    "orb.rebind.giveups",
+];
+
+/// The naming client's counters on one node (kept in the node's
+/// [`ocs_sim::Extensions`]), each looked up by name once, at its first
+/// use: a lookup or a rebind round after that is one atomic add, and a
+/// node's snapshot still lists only what it counted (every settop runs
+/// a naming client).
+struct ClientMetrics {
     tel: Arc<NodeTelemetry>,
+    counters: [OnceLock<Arc<Counter>>; COUNTED.len()],
+}
+
+impl ClientMetrics {
+    fn of(rt: &dyn NodeRt) -> Arc<ClientMetrics> {
+        let tel = NodeTelemetry::of(rt);
+        rt.extensions().get_or_init(|| ClientMetrics {
+            tel: Arc::clone(&tel),
+            counters: Default::default(),
+        })
+    }
+
+    fn inc(&self, c: Count) {
+        let i = c as usize;
+        self.counters[i]
+            .get_or_init(|| self.tel.registry.counter(COUNTED[i]))
+            .inc();
+    }
 }
 
 /// A name-service lookup whose answer the node's [`ResolveCache`] can
@@ -103,13 +160,13 @@ impl NsHandle {
     pub fn new(ctx: ClientCtx, ns_addr: Addr) -> NsHandle {
         let root = NamingContextClient::attach(ctx.clone(), Self::root_ref(ns_addr))
             .expect("root reference always has the naming type id");
-        let tel = NodeTelemetry::of(&**ctx.rt());
+        let metrics = ClientMetrics::of(&**ctx.rt());
         let cache = ResolveCache::of(&**ctx.rt());
         NsHandle {
             ctx,
             root,
             cache,
-            tel,
+            metrics,
         }
     }
 
@@ -130,9 +187,9 @@ impl NsHandle {
 
     /// Counts one remote lookup and its outcome.
     fn counted<T>(&self, r: Result<T, NsError>) -> Result<T, NsError> {
-        self.tel.registry.counter("ns.client.lookups").inc();
+        self.metrics.inc(Count::Lookups);
         if r.is_err() {
-            self.tel.registry.counter("ns.client.lookup_errors").inc();
+            self.metrics.inc(Count::LookupErrors);
         }
         r
     }
@@ -146,7 +203,7 @@ impl NsHandle {
     pub fn cached<V: Lookup>(&self, path: &str) -> Result<(V, Origin), NsError> {
         if let Some((gen, hit)) = self.cache.lookup(path) {
             if let Some(v) = V::from_cached(hit) {
-                self.tel.registry.counter("ns.cache.hits").inc();
+                self.metrics.inc(Count::CacheHits);
                 return Ok((v, Origin::Hit(gen)));
             }
         }
@@ -155,7 +212,7 @@ impl NsHandle {
         // the lookup is in flight, the install is refused (the answer
         // may carry the very binding whose death caused the
         // invalidation) and it is used for this call only.
-        self.tel.registry.counter("ns.cache.misses").inc();
+        self.metrics.inc(Count::CacheMisses);
         let gen_before = self.cache.generation(path);
         let v = V::fetch(self, path)?;
         let Some(value) = v.to_cached() else {
@@ -164,7 +221,7 @@ impl NsHandle {
         if self.cache.install(path, gen_before, value) {
             Ok((v, Origin::Installed(gen_before)))
         } else {
-            self.tel.registry.counter("ns.cache.stale_installs").inc();
+            self.metrics.inc(Count::StaleInstalls);
             Ok((v, Origin::NotKept))
         }
     }
@@ -173,7 +230,7 @@ impl NsHandle {
     /// the node — forcing a fresh lookup on next use. Lookups already in
     /// flight cannot reinstall what was dropped.
     pub fn invalidate(&self, path: &str) {
-        self.tel.registry.counter("ns.client.invalidations").inc();
+        self.metrics.inc(Count::Invalidations);
         self.cache.invalidate(path);
     }
 
@@ -325,9 +382,14 @@ impl<C: Proxy + Clone> Rebinding<C> {
         self.ns.ctx().rt()
     }
 
-    /// This node's telemetry bundle (retry/rebind/shed counters).
+    /// This node's telemetry bundle.
     fn tel(&self) -> &NodeTelemetry {
-        &self.ns.tel
+        &self.ns.metrics.tel
+    }
+
+    /// This node's retry, rebind and shed counters.
+    fn metrics(&self) -> &ClientMetrics {
+        &self.ns.metrics
     }
 
     fn service_ctx(&self) -> ClientCtx {
@@ -399,7 +461,7 @@ impl<C: Proxy + Clone> Rebinding<C> {
             // load-shedding from plain unavailability).
             let shed = !admitted;
             if shed {
-                self.tel().registry.counter("orb.rebind.breaker_shed").inc();
+                self.metrics().inc(Count::BreakerShed);
                 self.tel().journal.record(
                     rt.now(),
                     "orb",
@@ -431,7 +493,7 @@ impl<C: Proxy + Clone> Rebinding<C> {
                             if let Some(b) = &self.breaker {
                                 b.on_failure(rt.now());
                             }
-                            self.tel().registry.counter("orb.rebind.rebinds").inc();
+                            self.metrics().inc(Count::Rebinds);
                             self.tel().journal.record(
                                 rt.now(),
                                 "orb",
@@ -468,10 +530,10 @@ impl<C: Proxy + Clone> Rebinding<C> {
             }
             let attempt = u32::try_from(rounds).unwrap_or(u32::MAX);
             rounds += 1;
-            self.tel().registry.counter("orb.rebind.retries").inc();
+            self.metrics().inc(Count::Retries);
             let now = rt.now();
             if now >= deadline {
-                self.tel().registry.counter("orb.rebind.giveups").inc();
+                self.metrics().inc(Count::Giveups);
                 self.tel().journal.record(
                     now,
                     "orb",
@@ -615,7 +677,7 @@ fn claim(
                 *taken_from = Some(cur);
                 let now = ns.ctx.rt().now();
                 let line = format!("advertise: took {path} from {}", cur.addr);
-                ns.tel.journal.record(now, "ns", line);
+                ns.metrics.tel.journal.record(now, "ns", line);
             }
             let _ = ns.unbind(path);
             ns.bind(path, obj)

@@ -5,7 +5,7 @@
 
 use ocs_orb::declare_interface;
 
-use crate::types::{Binding, NsError, SelectorSpec};
+use crate::types::{Binding, CommitPoint, NsError, SelectorSpec};
 use ocs_orb::ObjRef;
 use ocs_sim::NodeId;
 
@@ -23,7 +23,9 @@ declare_interface! {
     /// `report_load` (dynamic-selector support).
     ///
     /// `resolve`/`list` are served locally by any replica; mutating
-    /// operations are forwarded to the elected master (§4.6).
+    /// operations are forwarded to the elected master (§4.6). A backup
+    /// that may be stale re-asks its primary when `resolve` misses or
+    /// `list_repl` finds nothing, with the `_here` forms.
     pub interface NamingContext [NamingContextClient, NamingContextServant]: "ocs.naming" {
         /// Resolve a (possibly multi-component) name to an object.
         1 => fn resolve(&self, name: String) -> Result<ObjRef, NsError>;
@@ -43,6 +45,13 @@ declare_interface! {
         7 => fn list_repl(&self, name: String) -> Result<Vec<Binding>, NsError>;
         /// Report a load hint for a binding (used by `LeastLoaded`).
         8 => fn report_load(&self, name: String, load: u32) -> Result<(), NsError>;
+        /// `resolve` from the answering replica's own committed state,
+        /// never forwarded, with its commit point: what a stale backup
+        /// asks its primary with, so forwards cannot loop.
+        9 => fn resolve_here(&self, name: String) -> Result<(ObjRef, CommitPoint), NsError>;
+        /// `list_repl` from the answering replica's own committed state,
+        /// never forwarded, with its commit point.
+        10 => fn list_repl_here(&self, name: String) -> Result<(Vec<Binding>, CommitPoint), NsError>;
     }
 }
 

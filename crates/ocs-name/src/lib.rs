@@ -42,4 +42,4 @@ pub use selector::{eval_static, StaticEval};
 pub use state::{
     Context, CtxId, Entry, NsState, ResolveOut, SelectorEval, SnapCtx, Snapshot, ROOT_CTX,
 };
-pub use types::{split_path, Binding, NsError, NsUpdate, SelectorSpec};
+pub use types::{split_path, Binding, CommitPoint, NsError, NsUpdate, SelectorSpec};

@@ -40,10 +40,12 @@ use ocs_vsr::{Refusal, Replica, ReplicaConfig, Replicated, VsrEvent, VsrStatus};
 use parking_lot::Mutex;
 
 use crate::cache::ResolveCache;
-use crate::iface::{NamingContext, NamingContextServant, SelectorClient, NAMING_TYPE_ID};
+use crate::iface::{
+    NamingContext, NamingContextClient, NamingContextServant, SelectorClient, NAMING_TYPE_ID,
+};
 use crate::selector::eval_static;
 use crate::state::{CtxId, NsState, ResolveOut, SelectorEval, ROOT_CTX};
-use crate::types::{Binding, NsError, NsUpdate, SelectorSpec};
+use crate::types::{Binding, CommitPoint, NsError, NsUpdate, SelectorSpec};
 
 /// Object ids of non-root context servants start here.
 const CTX_OBJ_BASE: u64 = 16;
@@ -225,6 +227,7 @@ struct NsCore {
     cpu: Semaphore,
     oracle: Mutex<Arc<dyn LivenessOracle>>,
     resolves: Arc<Counter>,
+    read_forwards: Arc<Counter>,
     audit_removed: Arc<Counter>,
 }
 
@@ -272,6 +275,7 @@ impl NsReplica {
             cpu,
             oracle: Mutex::new(oracle),
             resolves: registry.counter("ns.server.resolves"),
+            read_forwards: registry.counter("ns.vsr.read_forwards"),
             audit_removed: registry.counter("ns.server.audit_removed"),
         });
         let _ = rep.ctx().core.set(Arc::downgrade(&core));
@@ -337,22 +341,56 @@ impl NsCore {
         }
     }
 
-    /// If a local resolve miss on this backup may be stale — it holds
+    /// If a local miss on this backup may be stale — it holds
     /// prepared-but-unapplied ops, so the primary has committed writes
     /// we have not applied yet — returns the primary to re-ask
     /// (read-your-writes for a client that bound through the primary
-    /// and immediately resolves through a backup). Peer replicas never
-    /// get forwarded again, so forwards cannot loop.
-    fn stale_miss_primary(&self, caller: NodeId) -> Option<u32> {
-        if self.rep.peers().iter().any(|p| p.node == caller) {
-            return None;
-        }
+    /// and immediately resolves through a backup, on any node). The
+    /// re-ask uses a `_here` method, which never forwards again, so
+    /// forwards cannot loop; its answer carries the primary's commit
+    /// point, which this backup applies through, so the next read is
+    /// answered here.
+    fn stale_primary(&self) -> Option<u32> {
         self.rep.read(|c| {
             let stale = c.status() == VsrStatus::Normal
                 && !c.is_primary()
                 && !c.in_probation()
                 && c.commit_gap() > 0;
             stale.then(|| c.primary_of(c.view()))
+        })
+    }
+
+    /// When this backup may be stale, asks context `ctx`'s servant on
+    /// the primary with `ask` and catches up to the commit point that
+    /// comes back; returns the answer if `keep` accepts it, counted as a
+    /// read forward.
+    fn ask_primary<T>(
+        &self,
+        ctx: CtxId,
+        ask: impl FnOnce(&NamingContextClient) -> Result<(T, CommitPoint), NsError>,
+        keep: impl FnOnce(&T) -> bool,
+    ) -> Option<T> {
+        let primary = self.stale_primary()?;
+        let mut target = self.ctx_objref(ctx);
+        target.addr = self.rep.peers()[primary as usize];
+        let remote = NamingContextClient::attach(self.client_ctx(), target).ok()?;
+        let (answer, point) = ask(&remote).ok()?;
+        if let Some((view, commit)) = point {
+            self.rep.learn_commit(view, commit);
+        }
+        if !keep(&answer) {
+            return None;
+        }
+        self.read_forwards.inc();
+        Some(answer)
+    }
+
+    /// This replica's `(view, commit)` while it is the primary: what a
+    /// `_here` read sends back to the backup that forwarded it.
+    fn commit_point(&self) -> CommitPoint {
+        self.rep.read(|c| {
+            let primary = c.status() == VsrStatus::Normal && c.is_primary() && !c.in_probation();
+            primary.then(|| (c.view(), c.commit_num()))
         })
     }
 
@@ -473,24 +511,22 @@ struct CtxView {
 impl NamingContext for CtxView {
     fn resolve(&self, caller: &Caller, name: String) -> Result<ObjRef, NsError> {
         let local = self.core.do_resolve(self.ctx, &name, caller.node);
-        if let Err(NsError::NotFound { .. }) = &local {
-            if let Some(primary) = self.core.stale_miss_primary(caller.node) {
-                let mut target = self.core.ctx_objref(self.ctx);
-                target.addr = self.core.rep.peers()[primary as usize];
-                if let Ok(remote) =
-                    crate::iface::NamingContextClient::attach(self.core.client_ctx(), target)
-                {
-                    if let Ok(obj) = remote.resolve(name) {
-                        ocs_telemetry::NodeTelemetry::of(&*self.core.rt)
-                            .registry
-                            .counter("ns.vsr.read_forwards")
-                            .inc();
-                        return Ok(obj);
-                    }
-                }
+        if let Err(NsError::NotFound { .. } | NsError::NoReplicaAvailable { .. }) = &local {
+            let ask = |p: &NamingContextClient| p.resolve_here(name);
+            if let Some(obj) = self.core.ask_primary(self.ctx, ask, |_| true) {
+                return Ok(obj);
             }
         }
         local
+    }
+
+    fn resolve_here(
+        &self,
+        caller: &Caller,
+        name: String,
+    ) -> Result<(ObjRef, CommitPoint), NsError> {
+        let obj = self.core.do_resolve(self.ctx, &name, caller.node)?;
+        Ok((obj, self.core.commit_point()))
     }
 
     fn bind(&self, _caller: &Caller, name: String, obj: ObjRef) -> Result<(), NsError> {
@@ -544,7 +580,27 @@ impl NamingContext for CtxView {
     }
 
     fn list_repl(&self, caller: &Caller, name: String) -> Result<Vec<Binding>, NsError> {
-        self.core.do_list(self.ctx, &name, caller.node, true)
+        let local = self.core.do_list(self.ctx, &name, caller.node, true);
+        let missed = match &local {
+            Ok(set) => set.is_empty(),
+            Err(e) => matches!(e, NsError::NotFound { .. }),
+        };
+        if missed {
+            let ask = |p: &NamingContextClient| p.list_repl_here(name);
+            if let Some(set) = self.core.ask_primary(self.ctx, ask, |set| !set.is_empty()) {
+                return Ok(set);
+            }
+        }
+        local
+    }
+
+    fn list_repl_here(
+        &self,
+        caller: &Caller,
+        name: String,
+    ) -> Result<(Vec<Binding>, CommitPoint), NsError> {
+        let set = self.core.do_list(self.ctx, &name, caller.node, true)?;
+        Ok((set, self.core.commit_point()))
     }
 
     fn report_load(&self, _caller: &Caller, name: String, load: u32) -> Result<(), NsError> {

@@ -8,6 +8,11 @@ use ocs_orb::{impl_rpc_fault, ObjRef, OrbError};
 use ocs_sim::NodeId;
 use ocs_wire::{impl_wire_enum, impl_wire_struct};
 
+/// A primary's `(view, commit)`, sent with its answer to a read a stale
+/// backup forwarded to it, so the backup catches up at once instead of
+/// at the next heartbeat; `None` from a replica that is not the primary.
+pub type CommitPoint = Option<(u64, u64)>;
+
 /// Errors raised by naming operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NsError {

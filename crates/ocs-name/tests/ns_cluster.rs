@@ -633,6 +633,49 @@ fn shared_cache_coalesces_resolves_and_invalidation_is_node_wide() {
 const EVERY: Duration = Duration::from_secs(5);
 
 /// What `path` names in the master's state, read without an RPC.
+/// Read-your-writes through any replica, for a client on any node: a
+/// process on a backup's own node binds through the primary and at once
+/// lists and resolves through that backup. The backup holds the bind
+/// prepared but not yet known committed, so the list re-asks the
+/// primary (`ns.vsr.read_forwards`) instead of answering "empty" until
+/// the next heartbeat — and catches up to the commit point the answer
+/// carries, so the resolve after it is answered locally.
+#[test]
+fn a_stale_backup_re_asks_the_primary_for_a_client_on_its_own_node() {
+    let sim = Sim::new(11);
+    let group = ns_group(&sim, 3, ns_spec(Arc::new(AlwaysAlive)));
+    sim.run_until(SimTime::from_secs(10));
+    let primary = group.masters()[0];
+    let backup = (0..3).find(|i| *i != primary).unwrap();
+    let node = group.nodes()[backup].clone();
+    let via_primary = handle(&group, node.clone(), primary);
+    let via_backup = handle(&group, node.clone(), backup);
+    let setup = via_primary.clone();
+    group.on(&node, move |rt| {
+        setup.bind_new_context("svc").unwrap();
+        setup
+            .bind_repl_context("svc/mds", SelectorSpec::First)
+            .unwrap();
+        rt.sleep(Duration::from_secs(1));
+    });
+    let forwards = ocs_telemetry::NodeTelemetry::of(&*node)
+        .registry
+        .counter("ns.vsr.read_forwards");
+    assert_eq!(forwards.get(), 0);
+    let (set, obj) = group.on(&node, move |_| {
+        via_primary.bind("svc/mds/1", leaf(1, 30)).unwrap();
+        let set = via_backup.list_repl("svc/mds").unwrap();
+        (set, via_backup.resolve("svc/mds"))
+    });
+    assert_eq!(set.iter().map(|b| b.obj).collect::<Vec<_>>(), [leaf(1, 30)]);
+    assert_eq!(obj.unwrap(), leaf(1, 30));
+    assert_eq!(
+        forwards.get(),
+        1,
+        "the list went to the primary, the resolve did not"
+    );
+}
+
 fn bound(group: &NsGroup, path: &str) -> Option<ObjRef> {
     let master = group.member(group.masters()[0]).expect("started");
     let leaves = master.read(|c| c.state().collect_leaves());

@@ -610,6 +610,80 @@ mod tests {
         );
     }
 
+    /// Answers every method, under the names `itv.test.ping` (method 1)
+    /// and `itv.test.?` (any other).
+    struct Named;
+
+    impl Servant for Named {
+        fn type_id(&self) -> u32 {
+            3
+        }
+        fn dispatch(&self, _c: &Caller, _method: u32, _args: &[u8]) -> Result<Bytes, OrbError> {
+            Ok(Bytes::new())
+        }
+        fn type_name(&self) -> &'static str {
+            "itv.test"
+        }
+        fn method_name(&self, method: u32) -> &'static str {
+            if method == 1 {
+                "ping"
+            } else {
+                "?"
+            }
+        }
+    }
+
+    /// Call spans are fixed-size records named only when read: both
+    /// ends of a call, and a request for no exported object, read back
+    /// as the exact names the ORB has always given them.
+    #[test]
+    fn call_spans_read_back_under_their_names() {
+        let sim = Sim::new(7);
+        let server: Rt = sim.add_node("server");
+        let client: Rt = sim.add_node("client");
+        let orb = Orb::new(server.clone(), PortReq::Fixed(100)).unwrap();
+        let obj = orb.export_root(Arc::new(Named));
+        orb.start();
+        let stranger = ObjRef {
+            object_id: 99,
+            ..obj
+        };
+        let ctx = ClientCtx::new(client.clone());
+        client.spawn_fn("caller", move || {
+            for (method, op) in [(1, "itv.test.ping"), (2, "itv.test.other")] {
+                ctx.call_named(&obj, method, Bytes::new(), op).unwrap();
+            }
+            let refused = ctx.call_named(&stranger, 4, Bytes::new(), "itv.test.gone");
+            assert_eq!(refused, Err(OrbError::UnknownObject));
+        });
+        sim.run_for(Duration::from_secs(1));
+        let read = |rt: &Rt| -> Vec<(String, bool)> {
+            NodeTelemetry::of(&**rt)
+                .tracer
+                .finished()
+                .into_iter()
+                .map(|s| (s.name, s.err))
+                .collect()
+        };
+        let named = |names: [(&str, bool); 3]| names.map(|(n, e)| (n.to_string(), e)).to_vec();
+        assert_eq!(
+            read(&client),
+            named([
+                ("client:itv.test.ping", false),
+                ("client:itv.test.other", false),
+                ("client:itv.test.gone", true),
+            ])
+        );
+        assert_eq!(
+            read(&server),
+            named([
+                ("server:itv.test.ping", false),
+                ("server:itv.test.?", false),
+                ("server:obj99.m4", true),
+            ])
+        );
+    }
+
     /// The simulator's twin of the test above: an inline method runs on
     /// the thread already stepping the kernel, with no process; any
     /// other is one process spawned at its delivery, with no serving

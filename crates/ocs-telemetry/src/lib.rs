@@ -32,11 +32,14 @@ pub use metrics::{Counter, Gauge, Histo, HistoSnapshot, MetricsSnapshot, Registr
 // `RingLog`, the trace-identity types and the flight-recorder journal
 // live in `ocs-sim` (below the codec, so the runtime itself can record);
 // re-exported here so observability users find them in one place.
-pub use ocs_sim::journal::{merge_journals, render_timeline, Journal, JournalEvent};
+pub use ocs_sim::journal::{
+    merge_journals, render_timeline, Journal, JournalEvent, JOURNAL_CAP, JOURNAL_ENTRY_BYTES,
+};
 pub use ocs_sim::ring::RingLog;
 pub use span::{
     current_ctx, render_span_trees, set_current_ctx, slowest_traces, span_forest, CallSpan,
-    CtxGuard, OpName, Side, Span, SpanCtx, SpanId, TraceId, Tracer,
+    CtxGuard, OpName, Side, Span, SpanCtx, SpanId, TraceId, Tracer, SPAN_BUF_CAP,
+    SPAN_RECORD_BYTES,
 };
 
 use std::sync::Arc;

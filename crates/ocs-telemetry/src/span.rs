@@ -16,15 +16,24 @@
 //! runs.
 //!
 //! A call span's name is made of static strings — the side, the
-//! interface and the method ([`CallSpan`]) — and the tracer keeps it as
-//! those parts: an ORB call formats nothing, and a [`Span`]'s `name` is
-//! rendered only when the span is read.
+//! interface and the method ([`CallSpan`]). The tracer keeps each span
+//! as one fixed-size record of at most 48 bytes ([`SPAN_RECORD_BYTES`]):
+//! trace, span and parent ids, start and end, the side and error bits,
+//! and a `u16` id of the operation in a per-tracer op table, entered at
+//! the operation's first use under the ring's lock
+//! ([`ocs_sim::ring::RecordRing`]). An ORB call formats and allocates
+//! nothing, and a [`Span`]'s `name` is rendered only when the span is
+//! read. A span recorded whole ([`Tracer::record`]: a request for no
+//! exported object, a benchmark probe) keeps its [`Span`] in a queue
+//! beside the ring.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ocs_sim::{NodeId, RingLog, SimTime};
+use ocs_sim::ring::{Record, RecordRing, StaticStr};
+use ocs_sim::{NodeId, SimTime};
 use ocs_wire::impl_wire_struct;
 use parking_lot::Mutex;
 
@@ -140,44 +149,137 @@ pub struct CallSpan {
     pub err: bool,
 }
 
-/// A retained span: a [`CallSpan`] as recorded, or a [`Span`] recorded
-/// whole. Rendered into a [`Span`] when read.
-#[derive(Clone)]
-enum Rec {
-    Call(CallSpan),
-    Whole(Span),
+/// A retained span: one fixed-size record. A call span keeps its ids,
+/// times, side and error bits and the `u16` id of its operation in the
+/// tracer's op table; a span recorded whole keeps only its flags here,
+/// and the [`Span`] waits in the ring's payload queue.
+#[derive(Clone, Copy)]
+struct Rec {
+    trace: TraceId,
+    span: SpanId,
+    parent: SpanId,
+    start: SimTime,
+    end: SimTime,
+    op: u16,
+    flags: u8,
+}
+
+/// [`Rec::flags`]: the server side of a call.
+const SERVER: u8 = 1;
+/// [`Rec::flags`]: the call failed.
+const ERR: u8 = 2;
+/// [`Rec::flags`]: the span is the record's payload.
+const WHOLE: u8 = 4;
+
+impl Record for Rec {
+    fn has_payload(&self) -> bool {
+        self.flags & WHOLE != 0
+    }
 }
 
 impl Rec {
-    fn render(&self, node: NodeId) -> Span {
-        match self {
-            Rec::Whole(span) => span.clone(),
-            Rec::Call(c) => Span {
-                trace: c.ctx.trace,
-                span: c.ctx.span,
-                parent: c.parent,
-                name: match c.side {
-                    Side::Client => format!("client:{}", c.op),
-                    Side::Server => format!("server:{}", c.op),
-                },
-                node,
-                start: c.start,
-                end: c.end,
-                err: c.err,
+    /// The record of a span kept whole.
+    const WHOLE: Rec = Rec {
+        trace: TraceId(0),
+        span: SpanId(0),
+        parent: SpanId(0),
+        start: SimTime::ZERO,
+        end: SimTime::ZERO,
+        op: 0,
+        flags: WHOLE,
+    };
+
+    /// The call span this record keeps, its operation being `op`.
+    fn call(&self, op: OpName) -> CallSpan {
+        CallSpan {
+            ctx: SpanCtx {
+                trace: self.trace,
+                span: self.span,
             },
+            parent: self.parent,
+            side: if self.flags & SERVER != 0 {
+                Side::Server
+            } else {
+                Side::Client
+            },
+            op,
+            start: self.start,
+            end: self.end,
+            err: self.flags & ERR != 0,
+        }
+    }
+}
+
+/// An op-table key: an [`OpName`]'s strings by address.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct OpKey {
+    iface: StaticStr,
+    method: Option<StaticStr>,
+}
+
+impl Hash for OpKey {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.iface.hash(h);
+        if let Some(method) = self.method {
+            method.hash(h);
+        }
+    }
+}
+
+impl OpName {
+    fn key(self) -> OpKey {
+        OpKey {
+            iface: StaticStr(self.iface),
+            method: self.method.map(StaticStr),
+        }
+    }
+
+    fn of_key(key: OpKey) -> OpName {
+        OpName {
+            iface: key.iface.0,
+            method: key.method.map(|m| m.0),
+        }
+    }
+}
+
+impl CallSpan {
+    fn name(&self) -> String {
+        match self.side {
+            Side::Client => format!("client:{}", self.op),
+            Side::Server => format!("server:{}", self.op),
+        }
+    }
+
+    fn render(&self, node: NodeId) -> Span {
+        Span {
+            trace: self.ctx.trace,
+            span: self.ctx.span,
+            parent: self.parent,
+            name: self.name(),
+            node,
+            start: self.start,
+            end: self.end,
+            err: self.err,
         }
     }
 }
 
 /// How many spans a node retains (ring buffer; older spans are evicted
 /// and counted, see [`Tracer::dropped`]).
-const SPAN_BUF_CAP: usize = 65_536;
+pub const SPAN_BUF_CAP: usize = 65_536;
+
+/// Bytes one retained span takes in the ring.
+pub const SPAN_RECORD_BYTES: usize = std::mem::size_of::<Rec>();
+
+const _: () = assert!(SPAN_RECORD_BYTES <= 48);
+
+type Ring = RecordRing<Rec, OpKey, Span>;
 
 /// Per-node span id allocator and finished-span sink.
 pub struct Tracer {
     node: NodeId,
     seq: AtomicU64,
-    buf: Mutex<RingLog<Rec>>,
+    ring: Mutex<Ring>,
 }
 
 impl Tracer {
@@ -186,7 +288,7 @@ impl Tracer {
         Tracer {
             node,
             seq: AtomicU64::new(1),
-            buf: Mutex::new(RingLog::new(SPAN_BUF_CAP)),
+            ring: Mutex::new(Ring::new(SPAN_BUF_CAP)),
         }
     }
 
@@ -219,24 +321,54 @@ impl Tracer {
         }
     }
 
-    /// Records a finished span.
+    /// Records a finished span, kept whole.
     pub fn record(&self, span: Span) {
-        self.buf.lock().push(Rec::Whole(span));
+        self.ring.lock().push(Rec::WHOLE, Some(span));
     }
 
-    /// Records a finished call span of this node, formatting nothing.
+    /// Records a finished call span of this node: one record, its
+    /// operation an id in the tracer's op table. Formats nothing, and
+    /// allocates nothing once the operation is in the table and the ring
+    /// has grown to its capacity.
     pub fn record_call(&self, span: CallSpan) {
-        self.buf.lock().push(Rec::Call(span));
+        let mut ring = self.ring.lock();
+        let Some(op) = ring.names().id(span.op.key()) else {
+            // The op table is full: keep this one whole.
+            ring.push(Rec::WHOLE, Some(span.render(self.node)));
+            return;
+        };
+        let side = match span.side {
+            Side::Client => 0,
+            Side::Server => SERVER,
+        };
+        ring.push(
+            Rec {
+                trace: span.ctx.trace,
+                span: span.ctx.span,
+                parent: span.parent,
+                start: span.start,
+                end: span.end,
+                op,
+                flags: side | if span.err { ERR } else { 0 },
+            },
+            None,
+        );
     }
 
     /// Copies out the retained finished spans, oldest first.
     pub fn finished(&self) -> Vec<Span> {
-        self.buf.lock().iter().map(|r| r.render(self.node)).collect()
+        let ring = self.ring.lock();
+        ring.iter()
+            .map(|(r, whole)| match whole {
+                Some(span) => span.clone(),
+                None => r.call(OpName::of_key(ring.name(r.op))).render(self.node),
+            })
+            .collect()
     }
 
     /// Spans evicted from the ring since creation.
     pub fn dropped(&self) -> u64 {
-        self.buf.lock().dropped()
+        self.ring.lock().dropped()
     }
 }
 
@@ -424,6 +556,80 @@ mod tests {
         assert_eq!(names, ["client:itv.mms.open", "server:itv.cm-peer.prepare", "whole"]);
         let first = &t.finished()[0];
         assert_eq!((first.node, first.trace, first.dur_us()), (NodeId(4), ctx.trace, 2));
+    }
+
+    #[test]
+    fn a_span_record_is_48_bytes() {
+        assert_eq!(SPAN_RECORD_BYTES, 48);
+    }
+
+    #[test]
+    fn whole_spans_keep_their_place_and_leave_with_their_records() {
+        let t = Tracer::new(NodeId(2));
+        let call = |n: u64| CallSpan {
+            ctx: SpanCtx {
+                trace: TraceId(n),
+                span: SpanId(n),
+            },
+            parent: SpanId(0),
+            side: Side::Client,
+            op: OpName::from("itv.cmgr.allocate"),
+            start: SimTime::from_micros(n),
+            end: SimTime::from_micros(n + 1),
+            err: n % 2 == 1,
+        };
+        for n in 0..SPAN_BUF_CAP as u64 {
+            if n % 1000 == 0 {
+                t.record(span(n, n, 0, &format!("whole{n}"), n, n + 1));
+            } else {
+                t.record_call(call(n));
+            }
+        }
+        for n in 0..1500 {
+            t.record_call(call(SPAN_BUF_CAP as u64 + n));
+        }
+        assert_eq!(t.dropped(), 1500);
+        let spans = t.finished();
+        assert_eq!(spans.len(), SPAN_BUF_CAP);
+        for s in &spans {
+            let n = s.trace.0;
+            assert_eq!(s.span.0, n);
+            if n % 1000 == 0 && n < SPAN_BUF_CAP as u64 {
+                assert_eq!((s.name.clone(), s.node), (format!("whole{n}"), NodeId(1)));
+            } else {
+                assert_eq!(s.name, "client:itv.cmgr.allocate");
+                assert_eq!((s.node, s.err, s.dur_us()), (NodeId(2), n % 2 == 1, 1));
+            }
+        }
+        assert_eq!(spans[0].trace.0, 1500);
+        assert_eq!(spans[500].name, "whole2000");
+    }
+
+    #[test]
+    fn a_full_op_table_keeps_spans_whole() {
+        let t = Tracer::new(NodeId(5));
+        let call = |op: &'static str| CallSpan {
+            ctx: SpanCtx {
+                trace: TraceId(1),
+                span: SpanId(2),
+            },
+            parent: SpanId(0),
+            side: Side::Server,
+            op: OpName::from(op),
+            start: SimTime::from_micros(1),
+            end: SimTime::from_micros(2),
+            err: true,
+        };
+        for i in 0..u16::MAX {
+            t.record_call(call(Box::leak(format!("op{i}").into_boxed_str())));
+        }
+        t.record_call(call("one.more"));
+        let last = t.finished().pop().unwrap();
+        assert_eq!(
+            (last.name.as_str(), last.node, last.err),
+            ("server:one.more", NodeId(5), true)
+        );
+        assert_eq!(t.finished()[u16::MAX as usize - 1].name, "server:op65534");
     }
 
     #[test]

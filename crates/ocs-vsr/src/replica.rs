@@ -418,6 +418,15 @@ impl<M: Replicated> Replica<M> {
         f(&self.st.lock())
     }
 
+    /// Takes a commit point the primary of `view` reported outside its
+    /// heartbeat — with the answer to a read a stale backup forwarded to
+    /// it — as its heartbeat would be taken: applies what this backup
+    /// holds through `commit`.
+    pub fn learn_commit(&self, view: View, commit: OpNum) {
+        let now = self.rt.now();
+        self.with_engine(|c| c.on_commit_hb(view, commit, now));
+    }
+
     /// The engine's state in one struct.
     pub fn status(&self) -> ReplicaStatus {
         self.read(|c| ReplicaStatus {
