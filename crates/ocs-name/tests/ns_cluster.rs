@@ -423,7 +423,7 @@ fn crashed_replica_catches_up_after_restart() {
 #[test]
 fn restart_beyond_retention_recovers_via_snapshot_transfer() {
     // A replica that stays dead while more updates commit than the VSR
-    // log retains cannot be caught up by log replay: its recovery probe
+    // log retains cannot be caught up by log replay: its recovery poll
     // must pull a full snapshot. (The test above stays within the
     // retention window and exercises the log-replay path.)
     const RETENTION: u64 = 8;

@@ -37,8 +37,8 @@ use ocs_wire::{type_id_of, Decoder, Encoder, Wire};
 
 use crate::replica::Replica;
 use crate::{
-    DoViewChange, LogEntry, OpNum, PeerAck, Prepare, Replicated, StartView, StateTransfer, SvcAck,
-    View,
+    DoViewChange, LogEntry, OpNum, PeerAck, PollAnswers, Prepare, Replicated, StartView,
+    StateTransfer, SvcAck, View,
 };
 
 /// Object id of the peer servant on every replica's ORB (the service's
@@ -105,8 +105,11 @@ type Reply<T> = Result<T, OrbError>;
 
 /// A call from the replica's peer endpoint, by what its reply is for.
 pub(crate) enum PeerCall {
-    /// A `prepare` to this backup: the reply is its ack.
-    Prepare(u32),
+    /// A `prepare` of op `.1` to backup `.0`: the reply is its ack.
+    Prepare(u32, OpNum),
+    /// A log entry re-sent to this backup to refill a gap: the reply is
+    /// its ack.
+    Refill(u32),
     /// The client op the replica forwarded to the primary under this
     /// number: the reply is its outcome.
     Forward(u64),
@@ -232,8 +235,28 @@ impl PeerFanout {
         let args = prepare_args(prep.view, prep.view, prep.op_num, prep.commit_num, &prep.update);
         let (method, args) = (Method::Prepare, args.finish());
         for (id, target) in self.ids.iter().zip(&self.targets) {
-            port.call(target, method as u32, args.clone(), self.op(method), PeerCall::Prepare(*id));
+            let call = PeerCall::Prepare(*id, prep.op_num);
+            port.call(target, method as u32, args.clone(), self.op(method), call);
         }
+    }
+
+    /// Re-sends one log entry to a backup whose log ends just before it;
+    /// the ack lands as [`PeerCall::Refill`]. The sender's view and the
+    /// entry's original view travel separately: a re-send never re-stamps
+    /// the entry.
+    pub(crate) fn refill<Op: Wire>(
+        &self,
+        peer: u32,
+        view: View,
+        entry: &LogEntry<Op>,
+        commit_num: OpNum,
+    ) {
+        let (Some(port), Some(target)) = (self.port.get(), self.target(peer)) else {
+            return;
+        };
+        let args = prepare_args(view, entry.view, entry.op, commit_num, &entry.update);
+        let (method, call) = (Method::Prepare, PeerCall::Refill(peer));
+        port.call(target, method as u32, args.finish(), self.op(method), call);
     }
 
     /// Forwards client op number `n` to the primary; its outcome, or why
@@ -263,25 +286,6 @@ impl PeerFanout {
     fn target(&self, peer: u32) -> Option<&ObjRef> {
         let at = self.ids.iter().position(|id| *id == peer)?;
         Some(&self.targets[at])
-    }
-
-    /// Re-sends one log entry to a lagging backup. The sender's view and
-    /// the entry's original view travel separately: a re-send never
-    /// re-stamps the entry.
-    pub fn resend_prepare<Op: Wire>(
-        &self,
-        peer: u32,
-        view: View,
-        entry: &LogEntry<Op>,
-        commit_num: OpNum,
-    ) -> Option<PeerAck> {
-        let args = prepare_args(view, entry.view, entry.op, commit_num, &entry.update);
-        let mut ack = None;
-        self.round(&[peer], Method::Prepare, args, |_, answer| {
-            ack = Some(answer);
-            Gather::Enough
-        });
-        ack
     }
 
     /// Hands this replica's `DoViewChange` to the new primary.
@@ -355,26 +359,15 @@ impl PeerFanout {
         self.broadcast_all(Method::StartView, args, |i, ack| on_ack(i, &ack));
     }
 
-    /// Collects `get_state` answers from every reachable peer, asking for
-    /// the log suffix after `from_op` and no snapshot. Only
-    /// *authoritative* answers (Normal, out-of-probation responders)
-    /// count toward `countable` and compete for `best`: a probationary
-    /// or view-changing peer's log proves nothing about what committed.
-    /// Genuinely cold answers (empty, view 0 — a cold-starting group)
-    /// count toward `countable` but carry no state. Among authoritative
-    /// answers the [`StateTransfer::freshness`] maximum is taken, which
-    /// is the latest-view primary's log whenever the primary answered
-    /// (a backup never out-runs its primary within a view) — the VSR
-    /// recovery preference.
-    pub fn poll_state<Op: Wire, Snap: Wire>(&self, from_op: OpNum) -> PeerPoll<Op, Snap> {
-        let mut poll = PeerPoll {
-            countable: 0,
-            best: None,
-        };
+    /// Every reachable peer's answer to `get_state(from_op)` with no
+    /// snapshot asked for: what they are worth is the engine's to decide
+    /// ([`crate::VsrCore::on_poll`]).
+    pub fn poll_state<Op: Wire, Snap: Wire>(&self, from_op: OpNum) -> PollAnswers<Op, Snap> {
+        let mut answers = Vec::new();
         self.broadcast_all(Method::GetState, state_args(from_op, false), |i, st| {
-            poll.note(i, st)
+            answers.push((i, st))
         });
-        poll
+        answers
     }
 
     /// One `get_state(from_op, snapshot_ok)` to `peer`; `None` if it
@@ -391,35 +384,6 @@ impl PeerFanout {
             Gather::Enough
         });
         answer
-    }
-}
-
-/// Result of one `get_state` sweep over the peer set.
-pub struct PeerPoll<Op, Snap> {
-    /// Answers that count toward a recovery quorum: authoritative
-    /// (Normal) ones plus genuinely cold ones.
-    pub countable: usize,
-    /// Freshest authoritative answer, and who sent it.
-    pub best: Option<(u32, StateTransfer<Op, Snap>)>,
-}
-
-impl<Op, Snap> PeerPoll<Op, Snap> {
-    fn note(&mut self, from: u32, st: StateTransfer<Op, Snap>) {
-        if st.is_cold() {
-            self.countable += 1;
-            return;
-        }
-        if !st.authoritative() {
-            return;
-        }
-        self.countable += 1;
-        let fresher = self
-            .best
-            .as_ref()
-            .is_none_or(|(_, b)| st.freshness() > b.freshness());
-        if fresher {
-            self.best = Some((from, st));
-        }
     }
 }
 

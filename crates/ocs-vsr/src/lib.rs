@@ -38,7 +38,10 @@
 //!   Backups append in order and ack with their log end; an ack for op
 //!   `k` acknowledges *every* op `≤ k` (logs are gap-free within a
 //!   view), so the primary commits the largest op acknowledged by a
-//!   majority and applies committed updates in sequence order.
+//!   majority and applies committed updates in sequence order. A backup
+//!   keeps nothing but its log: a prepare past a gap is refused with the
+//!   backup's log end, and the primary refills the gap from there at
+//!   once, one entry per round trip.
 //! * **View change** — a backup that has not heard from the primary
 //!   within the suspect timeout proposes view `v+1` with
 //!   `StartViewChange`. Peers *join only if they suspect the primary
@@ -67,11 +70,14 @@
 //! * **State transfer / recovery** — a replica that detects a gap (or a
 //!   rejoining, restarted replica) polls its peers with `get_state`:
 //!   each answers with its view and log position, plus the log suffix
-//!   the asker lacks when it still retains it. Only if the freshest
-//!   authoritative answer could not carry the suffix (compaction,
+//!   the asker lacks when it still retains it. The engine weighs the
+//!   answers ([`VsrCore::on_poll`]) and installs the freshest Normal
+//!   one. Only if that could not carry the suffix (compaction,
 //!   `log_retention`, dropped the entries) does the replica ask that one
 //!   peer again with `snapshot_ok` set, for its committed state plus
-//!   uncommitted tail: one snapshot per transfer.
+//!   uncommitted tail: one snapshot per transfer. A restarted replica
+//!   stays in probation until `f+1` peers answered, and leads the view
+//!   it recovered into only if every peer did.
 
 mod fanout;
 pub mod group;
@@ -92,9 +98,6 @@ pub type View = u64;
 /// A position in the replicated update log (1-based; 0 = empty log).
 pub type OpNum = u64;
 
-/// How many prepared-but-unprepared out-of-order entries a backup
-/// buffers while an earlier prepare is still in flight.
-const MAX_PENDING: usize = 128;
 /// Committed results retained for client threads still polling.
 const RESULT_WINDOW: u64 = 256;
 
@@ -237,7 +240,9 @@ impl_wire_struct!(LogEntry<Op> { op, view, update });
 /// and log end. `op_num` acknowledges every op `≤ op_num`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PeerAck {
-    /// Whether the message was accepted (appended / applied).
+    /// Whether the callee took the message as a member of the sender's
+    /// view. A prepare past a gap is taken but not appended: `op_num`
+    /// then falls short of it.
     pub accepted: bool,
     /// The callee's current view.
     pub view: View,
@@ -347,36 +352,44 @@ pub struct StateTransfer<Op, Snap> {
 impl_wire_struct!(StateTransfer<Op, Snap> { view, normal, op_num, commit_num, snapshot, tail });
 
 impl<Op, Snap> StateTransfer<Op, Snap> {
-    /// Whether this answer carries authoritative state: only a Normal,
-    /// out-of-probation responder's log is known to include every op it
-    /// ever acked committed. A probationary or view-changing peer may
-    /// install state over it, but must never be *trusted* with it.
-    pub fn authoritative(&self) -> bool {
-        self.normal
-    }
-
     /// A genuinely cold responder: still in probation with an empty log
     /// and no view history. Cold answers carry no state, but they do
-    /// witness a peer's existence — counting them (and only them) among
-    /// non-authoritative answers lets a cold-started group bootstrap
-    /// out of probation without weakening recovery: a peer that ever
-    /// held state never answers cold again.
-    pub fn is_cold(&self) -> bool {
+    /// witness a peer's existence — counting them (and only them) beside
+    /// Normal answers lets a cold-started group bootstrap out of
+    /// probation without weakening recovery: a peer that ever held state
+    /// never answers cold again.
+    fn is_cold(&self) -> bool {
         !self.normal && self.view == 0 && self.op_num == 0 && self.commit_num == 0
     }
 
     /// Whether this answer brings a replica whose log is complete through
     /// `from_op` up to the responder's log end: it carries a snapshot, or
     /// every entry after `from_op`.
-    pub fn bridges(&self, from_op: OpNum) -> bool {
+    fn bridges(&self, from_op: OpNum) -> bool {
         self.snapshot.is_some() || self.op_num <= from_op + self.tail.len() as u64
     }
 
     /// The order answers are preferred in: latest view, then longest log,
     /// then furthest commit.
-    pub fn freshness(&self) -> (View, OpNum, OpNum) {
+    fn freshness(&self) -> (View, OpNum, OpNum) {
         (self.view, self.op_num, self.commit_num)
     }
+}
+
+/// A state poll's answers, each with its sender, in arrival order.
+pub type PollAnswers<Op, Snap> = Vec<(u32, StateTransfer<Op, Snap>)>;
+
+/// What a replica does next with the answers to its state poll.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum PollStep {
+    /// Nothing more: what could be installed was (the next poll, if one
+    /// is due, tries again).
+    Done,
+    /// The freshest answer could not carry what this replica lacks: ask
+    /// `peer`, its sender, for the state after `poll.from_op` with the
+    /// snapshot allowed, and hand the answer — or `None` if the call
+    /// failed — to [`VsrCore::on_fetched`] with `poll`.
+    Fetch { peer: u32, poll: Poll },
 }
 
 /// Where a client update should go, when this replica cannot sequence
@@ -441,6 +454,21 @@ pub enum VsrEvent<Op> {
     CaughtUp { via_snapshot: bool },
 }
 
+/// A state poll, from [`VsrCore::begin_poll`] to its last step; the
+/// driver hands it back with each step's answers, and the engine keeps
+/// nothing of it between the steps.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Poll {
+    /// The commit number every peer is asked for the suffix after.
+    pub from_op: OpNum,
+    /// Whether it began in probation: a recovery, not a catch-up.
+    recovering: bool,
+    /// Whether every peer's answer counted toward the recovery quorum.
+    heard_all: bool,
+    /// The freshest answer's freshness, which a fetched one must reach.
+    floor: (View, OpNum, OpNum),
+}
+
 /// A view change's chosen log, while the new primary fetches the
 /// committed state it lacks from the log's sender.
 struct Chosen {
@@ -470,8 +498,6 @@ pub struct VsrCore<M: Machine> {
     op_num: OpNum,
     commit_num: OpNum,
     log: VecDeque<LogEntry<M::Op>>,
-    /// Out-of-order prepares buffered until the gap fills (same view).
-    pending: BTreeMap<OpNum, LogEntry<M::Op>>,
     /// The replicated application state (committed prefix applied).
     state: M,
     /// Apply results of the newest committed ops, for client threads:
@@ -500,7 +526,9 @@ pub struct VsrCore<M: Machine> {
     /// Highest view for which this replica handed out a `DoViewChange`
     /// payload. Having emitted one for view `v`, the replica must never
     /// again run Normal in a view `< v`: the payload may yet complete
-    /// view `v` with a log that omits anything acked below it.
+    /// view `v` with a log that omits anything acked below it. A replica
+    /// that recovered into a view it would lead without hearing from
+    /// every peer is bound to the view after it (see [`VsrCore::on_poll`]).
     dvc_emitted: View,
     /// Highest view observed out-of-band (declined proposals, stale
     /// acks); the next proposal starts above it so a replica stranded
@@ -511,10 +539,10 @@ pub struct VsrCore<M: Machine> {
     needs_catchup: bool,
     /// A replica starts (and restarts) in probation: its log may have
     /// been lost in a crash, so it neither acks, leads, nor joins a view
-    /// change until the driver's recovery probe has heard from `f+1`
-    /// peers and installed the freshest state among them (the VSR
-    /// recovery rule — any committed op is in some log of any `f+1`
-    /// peers, assuming at most `f` simultaneous log losses).
+    /// change until a state poll has heard from `f+1` peers and the
+    /// freshest state among them is installed (the VSR recovery rule —
+    /// any committed op is in some log of any `f+1` peers, assuming at
+    /// most `f` simultaneous log losses).
     probation: bool,
     events: Vec<VsrEvent<M::Op>>,
 }
@@ -554,7 +582,6 @@ impl<M: Machine> VsrCore<M> {
             op_num: 0,
             commit_num: 0,
             log: VecDeque::new(),
-            pending: BTreeMap::new(),
             state: machine,
             results: VecDeque::new(),
             acks: BTreeMap::new(),
@@ -572,9 +599,9 @@ impl<M: Machine> VsrCore<M> {
         }
     }
 
-    /// How many *peer* `get_state` answers the recovery probe needs
-    /// before probation can end: `f+1` of the other `n-1` replicas.
-    pub fn recovery_quorum(&self) -> usize {
+    /// How many *peer* `get_state` answers a recovery poll needs before
+    /// probation can end: `f+1` of the other `n-1` replicas.
+    fn recovery_quorum(&self) -> usize {
         (self.n - 1) / 2 + 1
     }
 
@@ -583,8 +610,9 @@ impl<M: Machine> VsrCore<M> {
         self.probation
     }
 
-    /// Ends probation once the driver's probe heard from a recovery
-    /// quorum (having already installed the freshest answer).
+    /// Ends probation without a poll, for engines that start together
+    /// with nothing to recover (unit tests, benchmark probes). A replica
+    /// that may have lost a log leaves it through a poll or a `StartView`.
     pub fn end_probation(&mut self, now: SimTime) {
         self.probation = false;
         self.last_pm = now;
@@ -678,7 +706,8 @@ impl<M: Machine> VsrCore<M> {
         self.n / 2 + 1
     }
 
-    fn entry(&self, op: OpNum) -> Option<&LogEntry<M::Op>> {
+    /// Log entry `op`, if still retained.
+    pub fn entry(&self, op: OpNum) -> Option<&LogEntry<M::Op>> {
         let first = self.log.front()?.op;
         if op < first || op > self.log.back()?.op {
             return None;
@@ -828,33 +857,12 @@ impl<M: Machine> VsrCore<M> {
                 update,
             });
             self.op_num = op;
-            // Drain any buffered successors.
-            while let Some(e) = self.pending.remove(&(self.op_num + 1)) {
-                self.op_num = e.op;
-                self.log.push_back(e);
-            }
-            self.pending.retain(|o, _| *o > self.op_num);
-        } else if op > self.op_num + 1 {
-            // Out of order: buffer briefly; a widening gap means loss —
-            // ask for state transfer.
-            if self.pending.len() < MAX_PENDING {
-                self.pending.insert(
-                    op,
-                    LogEntry {
-                        op,
-                        view: entry_view,
-                        update,
-                    },
-                );
-            } else {
-                self.needs_catchup = true;
-            }
-            self.apply_through(commit);
-            return self.reject();
         }
         // op <= op_num: duplicate of an entry we already hold (same
         // `(entry_view, op)` ⇒ same sequencing primary ⇒ same content)
-        // — ack idempotently.
+        // — ack idempotently. op > op_num + 1: past a gap — refused and
+        // kept nowhere; the ack's log end, short of `op`, has the primary
+        // refill the gap from there.
         self.apply_through(commit);
         PeerAck {
             accepted: true,
@@ -1247,21 +1255,107 @@ impl<M: Machine> VsrCore<M> {
         }
     }
 
-    /// Installs a state-transfer reply, if it is ahead of us and carries
-    /// what we lack. Returns whether anything was installed. A recovered
-    /// replica that finds itself primary of the transferred view does
-    /// *not* resume primacy (its log may have been lost): it re-enters
-    /// via a view change.
-    pub fn on_state_transfer(&mut self, st: StateTransfer<M::Op, M::Snap>, now: SimTime) -> bool {
+    /// Begins a state poll — in probation, or after a gap or a higher
+    /// view: every peer is asked for `get_state(poll.from_op)`, without a
+    /// snapshot.
+    pub fn begin_poll(&self) -> Poll {
+        Poll {
+            from_op: self.commit_num,
+            recovering: self.probation,
+            heard_all: false,
+            floor: (0, 0, 0),
+        }
+    }
+
+    /// Takes a poll's answers. Only a Normal peer's log is trusted (it
+    /// holds every op the peer ever acked); a recovery also needs `f+1`
+    /// answers that are Normal or cold. The freshest Normal answer — the
+    /// latest view's primary's log whenever it answered, as a backup never
+    /// runs ahead of its primary within a view — is installed, or its
+    /// sender named to fetch from if it could not carry what this replica
+    /// lacks. A recovered replica that would lead the view it recovered
+    /// into without having heard from every peer does not: the silent
+    /// peer may hold ops it sequenced there before it lost its log, and
+    /// would ack a new op at one of their numbers as a duplicate. It rejoins only through a completed view change, whose
+    /// `StartView` replaces that peer's uncommitted tail.
+    pub fn on_poll(
+        &mut self,
+        poll: Poll,
+        answers: PollAnswers<M::Op, M::Snap>,
+        now: SimTime,
+    ) -> PollStep {
+        let counts = |st: &StateTransfer<_, _>| st.normal || st.is_cold();
+        let counted = answers.iter().filter(|(_, st)| counts(st)).count();
+        if poll.recovering && counted < self.recovery_quorum() {
+            return PollStep::Done; // Poll again; a StartView can also end probation.
+        }
+        let heard_all = counted == self.n - 1;
+        let poll = Poll { heard_all, ..poll };
+        // The freshest Normal answer; of equals, the first that came.
+        let normal = answers.into_iter().filter(|(_, st)| st.normal);
+        match normal.rev().max_by_key(|(_, st)| st.freshness()) {
+            Some((peer, st)) if !st.bridges(poll.from_op) => {
+                let floor = st.freshness();
+                let poll = Poll { floor, ..poll };
+                return PollStep::Fetch { peer, poll };
+            }
+            Some((_, st)) => self.settle(poll, Some(st), now),
+            None if poll.recovering => self.settle(poll, None, now),
+            None => {}
+        }
+        PollStep::Done
+    }
+
+    /// Takes the answer to a [`PollStep::Fetch`] (`None`: the call
+    /// failed) and installs it if it is Normal, carries what this replica
+    /// lacks, and is no older than the poll's; else the next poll retries.
+    pub fn on_fetched(
+        &mut self,
+        poll: Poll,
+        st: Option<StateTransfer<M::Op, M::Snap>>,
+        now: SimTime,
+    ) {
+        let st =
+            st.filter(|st| st.normal && st.bridges(poll.from_op) && st.freshness() >= poll.floor);
+        if st.is_some() {
+            self.settle(poll, st, now);
+        }
+    }
+
+    /// Ends a poll, installing `st`; a recovery also ends probation —
+    /// unless a `StartView` ended it while the poll was out.
+    fn settle(&mut self, poll: Poll, st: Option<StateTransfer<M::Op, M::Snap>>, now: SimTime) {
+        if poll.recovering && !self.probation {
+            return;
+        }
+        if let Some(st) = st {
+            self.transfer(st, now);
+        }
+        if !poll.recovering {
+            return;
+        }
+        self.end_probation(now);
+        if !poll.heard_all && self.primary_of(self.view) == self.id {
+            self.status = VsrStatus::ViewChange;
+            self.vc_since = now;
+            self.dvc_emitted = self.dvc_emitted.max(self.view + 1);
+        }
+    }
+
+    /// Installs a state-transfer answer, if it is ahead of us and carries
+    /// what we lack. A recovered replica that finds itself primary of the
+    /// transferred view does *not* resume primacy (its log may have been
+    /// lost): it re-enters via a view change.
+    fn transfer(&mut self, st: StateTransfer<M::Op, M::Snap>, now: SimTime) {
         if !st.bridges(self.commit_num) {
-            return false;
+            return;
         }
         let ahead = st.view > self.view
             || (st.view == self.view && st.op_num > self.op_num)
             || (st.view == self.view && st.commit_num > self.commit_num);
         if !ahead {
             self.needs_catchup = false;
-            return false;
+            return;
         }
         let via_snapshot = st.snapshot.is_some();
         self.install(st.snapshot, st.commit_num, st.tail);
@@ -1280,7 +1374,6 @@ impl<M: Machine> VsrCore<M> {
             self.status = VsrStatus::Normal;
         }
         self.events.push(VsrEvent::CaughtUp { via_snapshot });
-        true
     }
 
     /// Lays an authoritative log over ours: restores `snapshot` if it is
@@ -1312,7 +1405,6 @@ impl<M: Machine> VsrCore<M> {
             }
         }
         self.op_num = self.log.back().map_or(self.commit_num, |e| e.op).max(self.commit_num);
-        self.pending.clear();
         self.apply_through(commit_num);
     }
 }
@@ -1388,18 +1480,53 @@ mod tests {
         SimTime::from_micros(ms * 1000)
     }
 
-    fn replicas(retention: u64) -> Vec<VsrCore<CounterMachine>> {
-        (0..3)
+    /// A replica `i` of `n` that lost its log: empty, in probation.
+    fn reborn(i: u32, n: usize, retention: u64) -> VsrCore<CounterMachine> {
+        VsrCore::new(i, n, retention, Duration::from_secs(5), t(0))
+    }
+
+    fn group(n: usize, retention: u64) -> Vec<VsrCore<CounterMachine>> {
+        (0..n as u32)
             .map(|i| {
-                let mut c = VsrCore::new(i, 3, retention, Duration::from_secs(5), t(0));
+                let mut c = reborn(i, n, retention);
                 c.end_probation(t(0));
                 c
             })
             .collect()
     }
 
+    fn replicas(retention: u64) -> Vec<VsrCore<CounterMachine>> {
+        group(3, retention)
+    }
+
     fn trio() -> Vec<VsrCore<CounterMachine>> {
         replicas(64)
+    }
+
+    /// One state poll of replica `i`, answered by the replicas `from`,
+    /// and the fetch it asks for, as the driver runs them; returns the
+    /// events they produced.
+    fn poll(
+        cores: &mut [VsrCore<CounterMachine>],
+        i: usize,
+        from: &[usize],
+        now: SimTime,
+    ) -> Vec<VsrEvent<u64>> {
+        let poll = cores[i].begin_poll();
+        let answers = from
+            .iter()
+            .map(|&j| (j as u32, cores[j].on_get_state(poll.from_op, false)))
+            .collect();
+        if let PollStep::Fetch { peer, poll } = cores[i].on_poll(poll, answers, now) {
+            let st = cores[peer as usize].on_get_state(poll.from_op, true);
+            cores[i].on_fetched(poll, Some(st), now);
+        }
+        cores[i].take_events()
+    }
+
+    /// Whether `events` hold a state transfer's install.
+    fn caught_up(events: &[VsrEvent<u64>], via_snapshot: bool) -> bool {
+        events.contains(&VsrEvent::CaughtUp { via_snapshot })
     }
 
     /// Drives one prepare round from primary `p` to every peer.
@@ -1477,18 +1604,41 @@ mod tests {
     #[test]
     fn ack_at_op_k_acknowledges_the_prefix() {
         let mut cores = trio();
-        // Op 1's prepare to backup 1 is lost; op 2 arrives out of order
-        // and is buffered; when op 1 shows up, the single ack at op 2
-        // lets the primary commit both.
+        // Backup 1 takes ops 1 and 2 in order, but op 1's ack is lost:
+        // the single ack at op 2 lets the primary commit both.
+        let p1 = cores[0].client_op(1).unwrap();
+        let p2 = cores[0].client_op(2).unwrap();
+        let lost = cores[1].on_prepare(0, 0, p1.op_num, p1.commit_num, p1.update, t(1));
+        assert!(lost.accepted);
+        let ack = cores[1].on_prepare(0, 0, p2.op_num, p2.commit_num, p2.update, t(1));
+        assert_eq!((ack.accepted, ack.op_num), (true, 2));
+        cores[0].on_ack(1, &ack);
+        assert_eq!(cores[0].commit_num(), 2, "one watermark committed both");
+    }
+
+    #[test]
+    fn a_prepare_past_a_gap_is_refused_and_kept_nowhere() {
+        let mut cores = trio();
+        // Op 1's prepare to backup 1 is lost; op 2's is refused with the
+        // backup's log end, and op 1 arriving later releases nothing.
         let p1 = cores[0].client_op(1).unwrap();
         let p2 = cores[0].client_op(2).unwrap();
         let ack = cores[1].on_prepare(0, 0, p2.op_num, p2.commit_num, p2.update, t(1));
-        assert!(!ack.accepted, "gap is not acked");
+        assert_eq!((ack.accepted, ack.op_num), (true, 0), "short of op 2");
+        assert!(!cores[1].needs_catchup(), "the primary refills a gap");
         let ack = cores[1].on_prepare(0, 0, p1.op_num, p1.commit_num, p1.update, t(1));
-        assert!(ack.accepted);
-        assert_eq!(ack.op_num, 2, "buffered successor drained");
+        assert_eq!((ack.accepted, ack.op_num), (true, 1));
+        // A heartbeat's ack is short of the primary's log end too, and the
+        // primary re-sends from there.
+        let commit = cores[0].commit_num();
+        let hb = cores[1].on_commit_hb(0, commit, t(2));
+        assert_eq!((hb.accepted, hb.op_num), (true, 1));
+        let resent = cores[0].entries_from(hb.op_num + 1).unwrap();
+        assert_eq!(resent.len(), 1);
+        let e = &resent[0];
+        let ack = cores[1].on_prepare(0, e.view, e.op, 0, e.update, t(2));
         cores[0].on_ack(1, &ack);
-        assert_eq!(cores[0].commit_num(), 2, "one watermark committed both");
+        assert_eq!(cores[0].commit_num(), 2);
     }
 
     #[test]
@@ -1543,9 +1693,7 @@ mod tests {
         // catches up by snapshot: its results for ops 1 and 2 go too.
         replicate_to(&mut cores, 1, &[1; 9]);
         assert_eq!(cores[2].outcome_of(0, 2), OpOutcome::Done(Ok(2)));
-        let st = cores[0].on_get_state(cores[2].commit_num(), true);
-        assert!(st.snapshot.is_some());
-        assert!(cores[2].on_state_transfer(st, t(3)));
+        assert!(caught_up(&poll(&mut cores, 2, &[0, 1], t(3)), true));
         let installed = cores[2].commit_num();
         assert_eq!(installed, 12);
         for _ in 0..3 {
@@ -1680,8 +1828,7 @@ mod tests {
         assert!(cores[2].needs_catchup());
         // Its catch-up: the poll's answer is a header, the fetch a snapshot.
         assert!(!cores[1].on_get_state(0, false).bridges(0));
-        let st = cores[1].on_get_state(0, true);
-        assert!(cores[2].on_state_transfer(st, late));
+        assert!(caught_up(&poll(&mut cores, 2, &[0, 1], late), true));
         assert_eq!(cores[2].state().total, 10);
         assert_eq!((cores[2].view(), cores[2].status()), (1, VsrStatus::Normal));
     }
@@ -1737,22 +1884,13 @@ mod tests {
         for i in 0..5 {
             replicate(&mut cores, 0, i);
         }
-        // A fresh replica 2 (restart) catches up via log replay: the
+        // Replica 2 restarts empty and catches up via log replay: the
         // primary still retains everything.
-        let mut fresh: VsrCore<CounterMachine> =
-            VsrCore::new(2, 3, 64, Duration::from_secs(5), t(0));
-        let st = cores[0].on_get_state(fresh.commit_num(), false);
-        assert!(st.snapshot.is_none(), "within retention: log replay");
-        assert!(st.bridges(fresh.commit_num()));
-        assert!(fresh.on_state_transfer(st, t(1)));
-        assert_eq!(fresh.op_num(), cores[0].op_num());
-        assert_eq!(fresh.commit_num(), cores[0].commit_num());
-        assert!(matches!(
-            fresh.take_events().last(),
-            Some(VsrEvent::CaughtUp {
-                via_snapshot: false
-            })
-        ));
+        cores[2] = reborn(2, 3, 64);
+        assert!(caught_up(&poll(&mut cores, 2, &[0, 1], t(1)), false));
+        assert!(!cores[2].in_probation());
+        assert_eq!(cores[2].op_num(), cores[0].op_num());
+        assert_eq!(cores[2].commit_num(), cores[0].commit_num());
     }
 
     #[test]
@@ -1761,22 +1899,39 @@ mod tests {
         for i in 0..12 {
             replicate(&mut cores, 0, i + 1);
         }
-        let mut fresh: VsrCore<CounterMachine> =
-            VsrCore::new(2, 3, 2, Duration::from_secs(5), t(0));
-        // A poll does not ask for the snapshot: the answer is its header.
-        let st = cores[0].on_get_state(fresh.commit_num(), false);
-        assert!(st.snapshot.is_none() && st.tail.is_empty());
-        assert!(!st.bridges(fresh.commit_num()), "past retention");
-        assert!(!fresh.on_state_transfer(st, t(1)), "a header installs nothing");
-        let st = cores[0].on_get_state(fresh.commit_num(), true);
+        cores[2] = reborn(2, 3, 2);
+        // A poll does not ask for the snapshot: each answer is a header,
+        // and the step names the freshest one's sender to fetch from.
+        let poll = cores[2].begin_poll();
+        let answers = |cores: &[VsrCore<CounterMachine>]| -> Vec<_> {
+            (0..2)
+                .map(|j| (j, cores[j as usize].on_get_state(poll.from_op, false)))
+                .collect()
+        };
+        let polled = answers(&cores);
+        let header =
+            |st: &StateTransfer<u64, CounterSnap>| st.snapshot.is_none() && st.tail.is_empty();
+        assert!(polled.iter().all(|(_, st)| header(st)));
+        let PollStep::Fetch { peer, poll: fetch } = cores[2].on_poll(poll, polled, t(1)) else {
+            panic!("a header bridges nothing: the step fetches");
+        };
+        assert_eq!((peer, fetch.from_op), (0, 0));
+        // A failed fetch drops the poll: still in probation, nothing held.
+        cores[2].on_fetched(fetch, None, t(1));
+        assert!(cores[2].in_probation() && cores[2].take_events().is_empty());
+        // The next poll's fetch brings the snapshot.
+        let polled = answers(&cores);
+        let step = cores[2].on_poll(poll, polled, t(2));
+        let PollStep::Fetch { poll: fetch, .. } = step else {
+            panic!("the next poll fetches again");
+        };
+        let st = cores[0].on_get_state(0, true);
         assert!(st.snapshot.is_some(), "past retention: snapshot transfer");
-        assert!(fresh.on_state_transfer(st, t(1)));
-        assert_eq!(fresh.commit_num(), cores[0].commit_num());
-        assert_eq!(fresh.state().snapshot(), cores[0].state().snapshot());
-        assert!(matches!(
-            fresh.take_events().last(),
-            Some(VsrEvent::CaughtUp { via_snapshot: true })
-        ));
+        cores[2].on_fetched(fetch, Some(st), t(2));
+        assert!(caught_up(&cores[2].take_events(), true));
+        assert!(!cores[2].in_probation());
+        assert_eq!(cores[2].commit_num(), cores[0].commit_num());
+        assert_eq!(cores[2].state().snapshot(), cores[0].state().snapshot());
     }
 
     #[test]
@@ -1786,24 +1941,80 @@ mod tests {
             replicate(&mut cores, 0, i);
         }
         // Replica 0 (the view-0 primary) crashes and restarts empty.
-        let mut reborn: VsrCore<CounterMachine> =
-            VsrCore::new(0, 3, 64, Duration::from_secs(5), t(0));
-        assert!(reborn.in_probation());
+        cores[0] = reborn(0, 3, 64);
+        assert!(cores[0].in_probation());
         assert!(
-            !reborn.is_master(),
+            !cores[0].is_master(),
             "an empty restart must not resume mastership before recovery"
         );
-        assert_eq!(reborn.recovery_quorum(), 2, "f+1 peer answers for n=3");
-        let st = cores[1].on_get_state(reborn.commit_num(), false);
-        assert!(reborn.on_state_transfer(st, t(1)));
-        assert_eq!(reborn.commit_num(), cores[1].commit_num(), "log recovered");
-        assert_eq!(reborn.op_num(), cores[1].op_num());
+        assert_eq!(cores[0].recovery_quorum(), 2, "f+1 peer answers for n=3");
+        poll(&mut cores, 0, &[1], t(1));
+        assert!(cores[0].in_probation(), "one answer is not f+1");
+        assert!(caught_up(&poll(&mut cores, 0, &[1, 2], t(1)), false));
+        let recovered = (cores[0].commit_num(), cores[0].op_num());
+        assert_eq!(recovered, (cores[1].commit_num(), cores[1].op_num()));
         assert_eq!(
-            reborn.status(),
+            cores[0].status(),
             VsrStatus::ViewChange,
             "must not resume primacy over a recovered log"
         );
-        assert!(!reborn.is_master());
+        assert!(!cores[0].is_master());
+        assert!(!cores[0].vc_forced(), "every peer answered: it may revert");
+    }
+
+    /// In a group of five a recovery needs three of the four peers. The
+    /// one that did not answer can hold ops the restarted primary
+    /// sequenced before it lost its log; leading the same view again, it
+    /// would number a new op 1 and hear that peer ack it as a duplicate
+    /// of the old one — two ops committed at one slot.
+    #[test]
+    fn a_recovered_primary_that_missed_a_peer_leads_no_more_in_its_view() {
+        let mut cores = group(5, 64);
+        // Ops 1 and 2 reach backup 4 alone; neither commits.
+        for amount in [1, 2] {
+            let prep = cores[0].client_op(amount).unwrap();
+            let ack = cores[4].on_prepare(0, 0, prep.op_num, 0, prep.update, t(1));
+            cores[0].on_ack(4, &ack);
+        }
+        assert_eq!((cores[0].commit_num(), cores[4].op_num()), (0, 2));
+        // Replica 0 restarts; backup 4 is cut off from it.
+        cores[0] = reborn(0, 5, 64);
+        let events = poll(&mut cores, 0, &[1, 2, 3], t(2));
+        assert!(events.is_empty(), "the answering peers hold nothing");
+        assert!(!cores[0].in_probation());
+        assert_eq!(cores[0].status(), VsrStatus::ViewChange);
+        assert!(cores[0].client_op(3).is_err(), "no op sequenced in view 0");
+        // Its proposal is forced: it does not fall back to view 0 when
+        // the proposal stalls, and peers that still trust view 0 join.
+        assert!(cores[0].vc_forced());
+        let late = t(10_000);
+        let v = cores[0].begin_view_change(late);
+        cores[0].abort_view_change(v, late);
+        assert_eq!(cores[0].status(), VsrStatus::ViewChange);
+        assert_eq!(cores[0].view(), v);
+        for j in [1, 2] {
+            assert!(cores[j].on_start_view_change(v, true, late).joined);
+        }
+        // View 1's primary (replica 1) starts it with replica 2's payload
+        // and replica 0's; backup 4 drops the uncommitted old ops.
+        let dvc = cores[2].emit_dvc(v).unwrap();
+        assert_eq!(cores[1].on_do_view_change(dvc, late), DvcStep::Wait);
+        let dvc = cores[0].emit_dvc(v).unwrap();
+        let sv = started(cores[1].on_do_view_change(dvc, late));
+        for j in [2, 4] {
+            let ack = cores[j].on_start_view(sv.clone(), late);
+            assert_eq!((ack.accepted, ack.op_num), (true, 0));
+        }
+        // The new view's op 1 commits as itself everywhere.
+        let prep = cores[1].client_op(3).unwrap();
+        assert_eq!(prep.op_num, 1);
+        for j in [2, 4] {
+            let ack = cores[j].on_prepare(v, v, 1, 0, prep.update, late);
+            cores[1].on_ack(j as u32, &ack);
+        }
+        assert_eq!(cores[1].commit_num(), 1);
+        cores[4].on_commit_hb(v, 1, late);
+        assert_eq!(cores[4].state().total, 3);
     }
 
     #[test]
@@ -1826,9 +2037,7 @@ mod tests {
         assert_eq!(cores[1].commit_num(), 1);
         // The stale primary catches up; its own op must read as
         // superseded, never as a success.
-        let st = cores[1].on_get_state(cores[0].commit_num(), false);
-        assert!(st.authoritative());
-        assert!(cores[0].on_state_transfer(st, late));
+        assert!(caught_up(&poll(&mut cores, 0, &[1, 2], late), false));
         assert_eq!(cores[0].commit_num(), 1);
         assert_eq!(cores[0].outcome_of(0, 1), OpOutcome::Superseded);
         // The replacement's own viewstamp still attests normally.
@@ -1909,25 +2118,22 @@ mod tests {
     #[test]
     fn recovery_counts_only_normal_or_cold_answers() {
         // Probationary or view-changing peers used to count toward the
-        // f+1 recovery quorum; only Normal replicas serve authoritative
-        // state, with genuinely cold peers admitted so a cold-started
-        // group can bootstrap.
+        // f+1 recovery quorum; only Normal replicas serve trusted state,
+        // with genuinely cold peers admitted so a cold-started group can
+        // bootstrap.
         let mut cores = trio();
         replicate(&mut cores, 0, 1);
-        let st = cores[0].on_get_state(0, false);
-        assert!(st.authoritative() && !st.is_cold());
         cores[2].begin_view_change(t(10_000));
-        let st = cores[2].on_get_state(0, false);
+        cores[1] = reborn(1, 3, 64);
+        poll(&mut cores, 1, &[0, 2], t(10_000));
         assert!(
-            !st.authoritative() && !st.is_cold(),
-            "view-changing peers do not count"
+            cores[1].in_probation(),
+            "a view-changing peer's answer does not count"
         );
-        let fresh: VsrCore<CounterMachine> = VsrCore::new(2, 3, 64, Duration::from_secs(5), t(0));
-        let st = fresh.on_get_state(0, false);
-        assert!(
-            !st.authoritative() && st.is_cold(),
-            "cold peers count but carry no state"
-        );
+        let mut cold: Vec<VsrCore<CounterMachine>> = (0..3).map(|i| reborn(i, 3, 64)).collect();
+        let events = poll(&mut cold, 0, &[1, 2], t(1));
+        assert!(events.is_empty(), "cold answers carry nothing");
+        assert!(cold[0].is_master(), "a cold-started group bootstraps");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! A [`Replica`] owns its group member's ORB endpoint and exports two
 //! objects on it: the service's own client-facing root servant (handed
 //! in by the service) and the VSR peer servant (`fanout.rs`). One
-//! process runs [`Replica::vsr_loop`] — recovery probe, heartbeat round,
-//! catch-up or view change, whichever the engine's state calls for.
+//! process runs [`Replica::vsr_loop`] — state poll, heartbeat round or
+//! view change, whichever the engine's state calls for.
 //!
 //! Client ops enter through [`Replica::submit_then`], which waits for
 //! nothing: the view primary stamps the op, sequences it, sends
@@ -39,8 +39,8 @@ use parking_lot::Mutex;
 
 use crate::fanout::{decode, PeerCall, PeerFanout, PeerServant, PEER_OBJ};
 use crate::{
-    DoViewChange, DvcStep, Machine, OpNum, OpOutcome, PeerAck, Refusal, Replicated, StartView,
-    StateTransfer, SubmitRoute, View, VsrCore, VsrEvent, VsrStatus,
+    DoViewChange, DvcStep, Machine, OpNum, OpOutcome, PeerAck, PollStep, Refusal, Replicated,
+    StartView, StateTransfer, SubmitRoute, View, VsrCore, VsrEvent, VsrStatus,
 };
 
 /// A client op's continuation: called once, with the op's outcome, on
@@ -48,9 +48,6 @@ use crate::{
 /// reply landed on, the expiry loop's, or the submitter's own when the
 /// op is refused or commits at once.
 pub type Done<M> = Box<dyn FnOnce(&Replica<M>, <M as Machine>::Outcome) + Send>;
-
-/// Entries re-sent to one lagging backup per heartbeat round.
-const RESEND_BATCH: usize = 32;
 
 /// The replication parameters of one group member — what every group's
 /// configuration has in common.
@@ -142,6 +139,8 @@ struct Driver {
     /// When the ongoing view change was first suspected (fail-over
     /// latency clock, reported on `<group>.vsr.view_change_us`).
     vc_started: Option<SimTime>,
+    /// The backups being refilled, each with the op it is walked up to.
+    refills: BTreeMap<u32, OpNum>,
 }
 
 /// One engine state dump, for test failure diagnostics and — later — a
@@ -309,6 +308,7 @@ impl<M: Replicated> Replica<M> {
             drv: Mutex::new(Driver {
                 last_hb_round: now,
                 vc_started: None,
+                refills: BTreeMap::new(),
             }),
             ctx,
             started: OnceLock::new(),
@@ -476,7 +476,7 @@ impl<M: Replicated> Replica<M> {
             (out, events, ended, decided)
         };
         if probation_ended {
-            // Both exit paths (recovery-quorum probe and StartView) funnel
+            // Both exit paths (a recovery poll and StartView) funnel
             // through here, so the flight recorder sees every one.
             self.journal("recovery probation ended");
         }
@@ -664,9 +664,25 @@ impl<M: Replicated> Replica<M> {
     /// commits), a forwarded op's outcome to its continuation.
     fn on_reply(&self, call: PeerCall, reply: Result<Bytes, OrbError>) {
         match call {
-            PeerCall::Prepare(peer) => {
-                if let Some(ack) = decode::<PeerAck>(reply) {
-                    self.with_engine(|c| c.on_ack(peer, &ack));
+            PeerCall::Prepare(peer, op) => {
+                let Some(ack) = decode::<PeerAck>(reply) else {
+                    return;
+                };
+                self.with_engine(|c| c.on_ack(peer, &ack));
+                if ack.accepted && ack.op_num < op {
+                    self.refill(peer, &ack, Some(op));
+                }
+            }
+            PeerCall::Refill(peer) => {
+                let ack = decode::<PeerAck>(reply);
+                if let Some(ack) = &ack {
+                    self.with_engine(|c| c.on_ack(peer, ack));
+                }
+                match ack.filter(|ack| ack.accepted) {
+                    Some(ack) => self.refill(peer, &ack, None),
+                    None => {
+                        self.drv.lock().refills.remove(&peer);
+                    }
                 }
             }
             PeerCall::Forward(n) => {
@@ -765,23 +781,20 @@ impl<M: Replicated> Replica<M> {
         self.rt.sleep(self.rt.rand_jitter(tick));
         loop {
             enum Act {
-                Probe,
+                Poll,
                 HeartbeatRound,
-                CatchUp,
                 ViewChange,
                 Nothing,
             }
             let act = {
                 let st = self.st.lock();
                 let now = self.rt.now();
-                if st.in_probation() {
-                    Act::Probe
-                } else if st.needs_catchup() {
-                    // Must outrank the heartbeat arm: a stale primary
-                    // that has learned of a higher view would otherwise
-                    // heartbeat its dead view forever instead of
-                    // catching up (found by the model-based proptest).
-                    Act::CatchUp
+                if st.in_probation() || st.needs_catchup() {
+                    // Catching up must outrank the heartbeat arm: a stale
+                    // primary that has learned of a higher view would
+                    // otherwise heartbeat its dead view forever (found by
+                    // the model-based proptest).
+                    Act::Poll
                 } else if st.is_primary() {
                     let mut drv = self.drv.lock();
                     if now.saturating_since(drv.last_hb_round) >= self.cfg.heartbeat_interval {
@@ -797,9 +810,8 @@ impl<M: Replicated> Replica<M> {
                 }
             };
             match act {
-                Act::Probe => self.recovery_probe(),
+                Act::Poll => self.poll(),
                 Act::HeartbeatRound => self.heartbeat_round(),
-                Act::CatchUp => self.catch_up(),
                 Act::ViewChange => self.run_view_change(),
                 Act::Nothing => {}
             }
@@ -817,7 +829,7 @@ impl<M: Replicated> Replica<M> {
     }
 
     /// One primary heartbeat round: broadcast the commit point, absorb
-    /// the watermark acks, re-send log entries to lagging backups, and
+    /// the watermark acks, start a refill walk to each lagging backup, and
     /// track quorum contact (§4.6 step-down on lost quorum).
     fn heartbeat_round(&self) {
         let (view, commit, op_num) = {
@@ -834,37 +846,49 @@ impl<M: Replicated> Replica<M> {
             if ack.view == view && ack.accepted {
                 acked += 1;
                 if ack.op_num < op_num {
-                    lagging.push((i, ack.op_num));
+                    lagging.push((i, *ack));
                 }
             }
         });
-        for (i, from) in lagging {
-            self.resend_to(i, view, from);
+        for (i, ack) in lagging {
+            self.refill(i, &ack, Some(op_num));
         }
         self.with_engine(|c| c.note_round(acked));
     }
 
-    /// Re-sends the log suffix after `from` to one lagging backup
-    /// (bounded per round; state transfer covers bigger gaps).
-    fn resend_to(&self, peer: u32, view: View, from: OpNum) {
-        let entries = {
-            let st = self.st.lock();
-            if !st.is_primary() || st.view() != view {
+    /// Walks a backup whose `ack` fell short of op `upto` — a prepare
+    /// it refused past a gap, or a heartbeat — up to that op: the entry
+    /// after the ack's log end goes out at once, and each of its acks
+    /// sends the next (`upto` `None`), one per round trip from where the
+    /// ack lands. So a gap is refilled without waiting for the next
+    /// heartbeat round, and one entry in flight cannot open a new gap on
+    /// a reordering link. One walk per backup: a short ack while it is
+    /// under way only raises its target.
+    fn refill(&self, peer: u32, ack: &PeerAck, upto: Option<OpNum>) {
+        {
+            let mut drv = self.drv.lock();
+            let under_way = drv.refills.contains_key(&peer);
+            let target = drv.refills.entry(peer).or_insert(0);
+            *target = (*target).max(upto.unwrap_or(0));
+            if under_way && upto.is_some() {
                 return;
             }
-            st.entries_from(from + 1)
+            if ack.op_num >= *target {
+                drv.refills.remove(&peer);
+                return;
+            }
+        }
+        let next = {
+            let st = self.st.lock();
+            let current = st.is_primary() && st.view() == ack.view;
+            // Compacted: the backup will ask for a snapshot itself.
+            let entry = st.entry(ack.op_num + 1).filter(|_| current);
+            entry.map(|e| (e.clone(), st.commit_num()))
         };
-        // `None` means the suffix was compacted: the backup's gap spans
-        // the retention window and it will request a snapshot itself.
-        let Some(entries) = entries else { return };
-        for e in entries.into_iter().take(RESEND_BATCH) {
-            let commit = self.st.lock().commit_num();
-            let Some(ack) = self.fan.resend_prepare(peer, view, &e, commit) else {
-                return;
-            };
-            self.with_engine(|c| c.on_ack(peer, &ack));
-            if !ack.accepted {
-                return;
+        match next {
+            Some((entry, commit)) => self.fan.refill(peer, ack.view, &entry, commit),
+            None => {
+                self.drv.lock().refills.remove(&peer);
             }
         }
     }
@@ -953,70 +977,21 @@ impl<M: Replicated> Replica<M> {
         st
     }
 
-    /// The freshest authoritative answer of a poll, `best` from `peer`,
-    /// made whole: as it came if it carries what a replica at `from_op`
-    /// lacks, else that one peer's answer to the same question with the
-    /// snapshot allowed — if it is still authoritative and no older.
-    fn bridged(
-        &self,
-        (peer, best): (u32, StateTransfer<M::Op, M::Snap>),
-        from_op: OpNum,
-    ) -> Option<StateTransfer<M::Op, M::Snap>> {
-        if best.bridges(from_op) {
-            return Some(best);
-        }
-        let st = self.fan.get_state(peer, from_op, true)?;
-        (st.authoritative() && st.bridges(from_op) && st.freshness() >= best.freshness())
-            .then_some(st)
-    }
-
-    /// Routine state transfer for a replica that saw a gap or a higher
-    /// view. Installs only authoritative (Normal-responder) state.
-    fn catch_up(&self) {
-        let commit = self.st.lock().commit_num();
-        let poll = self.fan.poll_state(commit);
-        let Some(st) = poll.best.and_then(|best| self.bridged(best, commit)) else {
-            return; // Nobody reachable, or nothing to install; retry next tick.
-        };
+    /// A state poll, for a replica in probation or one that saw a gap or
+    /// a higher view: every reachable peer's answer goes to the engine,
+    /// which installs what it trusts — after the one fetch it asks for
+    /// when the freshest answer could not carry what this replica lacks.
+    /// Whatever it could not settle, the next tick polls again.
+    fn poll(&self) {
+        let poll = self.read(|c| c.begin_poll());
+        let answers = self.fan.poll_state(poll.from_op);
         let now = self.rt.now();
-        self.with_engine(|c| {
-            c.on_state_transfer(st, now);
-        });
-    }
-
-    /// Start-up recovery: a (re)starting replica's log may have died
-    /// with it, so it stays in probation — not acking, leading or
-    /// joining view changes — until a recovery quorum of peers has
-    /// answered *authoritatively* and the freshest such answer is
-    /// installed. Any committed op appears in at least one of any `f+1`
-    /// Normal peers' logs; answers from probationary or view-changing
-    /// peers prove nothing and do not count (a group cold-starting in
-    /// unison bootstraps through the cold-answer carve-out instead).
-    fn recovery_probe(&self) {
-        let (required, commit) = {
-            let st = self.st.lock();
-            (st.recovery_quorum(), st.commit_num())
+        let step = self.with_engine(|c| c.on_poll(poll, answers, now));
+        let PollStep::Fetch { peer, poll } = step else {
+            return;
         };
-        let poll = self.fan.poll_state(commit);
-        if poll.countable < required {
-            return; // Keep probing; StartView can also end probation.
-        }
-        let best = match poll.best {
-            Some(best) => match self.bridged(best, commit) {
-                Some(st) => Some(st),
-                None => return, // The fetch failed: probe again.
-            },
-            None => None,
-        };
+        let st = self.fan.get_state(peer, poll.from_op, true);
         let now = self.rt.now();
-        self.with_engine(|c| {
-            if !c.in_probation() {
-                return;
-            }
-            if let Some(best) = best {
-                c.on_state_transfer(best, now);
-            }
-            c.end_probation(now);
-        });
+        self.with_engine(|c| c.on_fetched(poll, st, now));
     }
 }

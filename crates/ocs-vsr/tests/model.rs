@@ -6,11 +6,12 @@
 //! The harness wires three engines to a synchronous in-memory network
 //! with a manual clock, then drives them through arbitrary
 //! interleavings of client ops, ticks, crashes (log loss), restarts
-//! (probation + recovery probe) and pairwise partitions — mirroring the
-//! driver loop in `src/replica.rs` step for step, minus the transport:
-//! state polls that carry no snapshot and the one fetch that does, a new
-//! primary's fetch of the chosen log's state, a refused `StartView`.
-//! It is generic over the machine; a machine contributes an op generator
+//! (probation + recovery poll) and pairwise partitions. It runs the
+//! driver loop's arms of `src/replica.rs` with the transport swapped for
+//! direct calls: it only carries messages, and every decision — what a
+//! poll's answers are worth, which peer to fetch from, when probation
+//! ends — is the engine's, the code the driver runs. It is generic over
+//! the machine; a machine contributes an op generator
 //! ([`Model`]) and nothing else, which is the proof that no protocol
 //! invariant leans on anything machine-specific — and that no machine's
 //! invariant leans on the protocol.
@@ -35,8 +36,8 @@ use ocs_orb::ObjRef;
 use ocs_sim::{Addr, NodeId, SimTime};
 use ocs_svcctl::{SscTable, SscUpdate};
 use ocs_vsr::{
-    CounterMachine, DoViewChange, DvcStep, Machine, Replicated, StateTransfer, SubmitRoute,
-    VsrCore, VsrEvent,
+    CounterMachine, DoViewChange, DvcStep, Machine, PollStep, Replicated, StateTransfer,
+    SubmitRoute, VsrCore, VsrEvent,
 };
 use proptest::prelude::*;
 
@@ -135,10 +136,10 @@ struct Branches {
     /// A backup refused a `StartView` whose entries began past its
     /// commit point.
     start_view_refused: u32,
-    /// ... and then installed state through its catch-up.
+    /// ... and then installed state through a poll.
     refused_then_caught_up: u32,
     /// A poll's freshest answer could not bridge a recovering replica's
-    /// gap, and the fetch from that peer did.
+    /// gap, and the fetch from that peer installed state.
     recovery_fetched: u32,
     /// The peer chosen to fetch from crashed before the fetch.
     fetch_peer_crashed: u32,
@@ -170,7 +171,7 @@ impl<M: Model> Harness<M> {
             branches: Branches::default(),
         };
         h.engines = (0..N).map(|i| Some(h.fresh(i))).collect();
-        // Cold start: run the recovery probes so every replica leaves
+        // Cold start: run the recovery polls so every replica leaves
         // probation, exactly as the driver does at boot.
         for _ in 0..3 {
             h.step_all();
@@ -195,14 +196,16 @@ impl<M: Model> Harness<M> {
     }
 
     /// Drains one engine's events, folding commits into the global log
-    /// and checking agreement.
-    fn drain(&mut self, i: usize) {
+    /// and checking agreement; whether the engine installed a state
+    /// transfer.
+    fn drain(&mut self, i: usize) -> bool {
         let Some(engine) = self.engines[i].as_mut() else {
-            return;
+            return false;
         };
+        let mut caught_up = false;
         for ev in engine.take_events() {
-            if let VsrEvent::Committed { op, update } = ev {
-                match self.committed.get(&op) {
+            match ev {
+                VsrEvent::Committed { op, update } => match self.committed.get(&op) {
                     Some(prev) => assert_eq!(
                         prev, &update,
                         "replica {} committed a different update at op {}",
@@ -211,9 +214,12 @@ impl<M: Model> Harness<M> {
                     None => {
                         self.committed.insert(op, update);
                     }
-                }
+                },
+                VsrEvent::CaughtUp { .. } => caught_up = true,
+                _ => {}
             }
         }
+        caught_up
     }
 
     fn submit(&mut self, at: usize, mut update: M::Op) {
@@ -263,6 +269,11 @@ impl<M: Model> Harness<M> {
                 e.on_ack(j as u32, &ack);
             }
             self.drain(from);
+            if ack.accepted && ack.op_num < op {
+                // Refused past a gap: the driver refills it at once, one
+                // entry per ack — here, with no reordering, in one pass.
+                self.resend(from, j, view, ack.op_num);
+            }
         }
     }
 
@@ -280,45 +291,15 @@ impl<M: Model> Harness<M> {
         let Some(engine) = self.engines[i].as_ref() else {
             return;
         };
-        if engine.in_probation() {
-            self.probe(i);
-        } else if engine.needs_catchup() {
+        if engine.in_probation() || engine.needs_catchup() {
             // Outranks the heartbeat arm, like the driver: a stale
             // primary must catch up, not heartbeat its dead view.
-            self.catch_up(i);
+            self.poll(i);
         } else if engine.is_primary() {
             self.heartbeat_round(i);
         } else if engine.suspects(self.now) || engine.vc_stuck(self.now) {
             self.run_view_change(i);
         }
-    }
-
-    /// Mirrors the driver's `PeerFanout::poll_state`: no snapshot asked
-    /// for; only authoritative (Normal) answers count toward the recovery
-    /// quorum and compete for `best`; genuinely cold answers count but
-    /// carry no state.
-    fn poll_state(&mut self, i: usize) -> (usize, Option<(usize, Xfer<M>)>) {
-        let commit = self.engines[i].as_ref().unwrap().commit_num();
-        let mut countable = 0;
-        let mut best: Option<(usize, Xfer<M>)> = None;
-        for j in 0..N {
-            if !self.reachable(i, j) {
-                continue;
-            }
-            let st = self.engines[j].as_ref().unwrap().on_get_state(commit, false);
-            if st.is_cold() {
-                countable += 1;
-                continue;
-            }
-            if !st.authoritative() {
-                continue;
-            }
-            countable += 1;
-            if best.as_ref().is_none_or(|(_, b)| st.freshness() > b.freshness()) {
-                best = Some((j, st));
-            }
-        }
-        (countable, best)
     }
 
     /// Replica `i`'s `get_state` to `j`, the snapshot allowed — unless
@@ -335,58 +316,29 @@ impl<M: Model> Harness<M> {
         Some(self.engines[j].as_ref().unwrap().on_get_state(from_op, true))
     }
 
-    /// Mirrors the driver's `Replica::bridged`: the poll's best answer if
-    /// it carries what a replica at `from_op` lacks, else the fetch from
-    /// its sender, if still authoritative and no older.
-    fn bridged(&mut self, i: usize, (j, best): (usize, Xfer<M>), from_op: u64) -> Option<Xfer<M>> {
-        if best.bridges(from_op) {
-            return Some(best);
-        }
-        let st = self.fetch(i, j, from_op)?;
-        (st.authoritative() && st.bridges(from_op) && st.freshness() >= best.freshness())
-            .then_some(st)
-    }
-
-    fn probe(&mut self, i: usize) {
-        let (required, commit) = {
-            let e = self.engines[i].as_ref().unwrap();
-            (e.recovery_quorum(), e.commit_num())
-        };
-        let (countable, best) = self.poll_state(i);
-        if countable < required {
-            return;
-        }
-        let best = match best {
-            Some(best) => {
-                let fetches = !best.1.bridges(commit);
-                let Some(st) = self.bridged(i, best, commit) else {
-                    return;
-                };
-                self.branches.recovery_fetched += u32::from(fetches);
-                Some(st)
-            }
-            None => None,
-        };
+    /// Replica `i`'s state poll: every reachable peer's answer, no
+    /// snapshot asked for, then the one fetch the engine may ask for.
+    fn poll(&mut self, i: usize) {
+        let engine = self.engines[i].as_ref().unwrap();
+        let recovering = engine.in_probation();
+        let poll = engine.begin_poll();
+        let answers = (0..N)
+            .filter(|&j| self.reachable(i, j))
+            .map(|j| (j as u32, self.engines[j].as_ref().unwrap()))
+            .map(|(j, peer)| (j, peer.on_get_state(poll.from_op, false)))
+            .collect();
         let engine = self.engines[i].as_mut().unwrap();
-        if let Some(best) = best {
-            engine.on_state_transfer(best, self.now);
+        let step = engine.on_poll(poll, answers, self.now);
+        let mut caught_up = self.drain(i);
+        if let PollStep::Fetch { peer, poll } = step {
+            let st = self.fetch(i, peer as usize, poll.from_op);
+            let engine = self.engines[i].as_mut().unwrap();
+            engine.on_fetched(poll, st, self.now);
+            let fetched = self.drain(i);
+            self.branches.recovery_fetched += u32::from(fetched && recovering);
+            caught_up |= fetched;
         }
-        engine.end_probation(self.now);
-        self.drain(i);
-    }
-
-    fn catch_up(&mut self, i: usize) {
-        let commit = self.engines[i].as_ref().unwrap().commit_num();
-        let (_, best) = self.poll_state(i);
-        let Some(st) = best.and_then(|best| self.bridged(i, best, commit)) else {
-            return;
-        };
-        let installed = self.engines[i]
-            .as_mut()
-            .unwrap()
-            .on_state_transfer(st, self.now);
-        self.drain(i);
-        if installed && std::mem::take(&mut self.refused[i]) {
+        if caught_up && std::mem::take(&mut self.refused[i]) {
             self.branches.refused_then_caught_up += 1;
         }
     }
@@ -887,6 +839,41 @@ fn probationary_replica_cannot_vote_an_empty_log_in() {
         Act::Restart(0),
         Act::Tick,
         Act::Crash(1),
+    ];
+    agrees_with_oracle::<CounterMachine>(&acts);
+    agrees_with_oracle::<NsState>(&acts);
+    agrees_with_oracle::<SscTable>(&acts);
+    agrees_with_oracle::<CmTable>(&acts);
+}
+
+/// Found by this harness at 100,000 cases per property. Primary 0
+/// sequences ops 1 and 2; backup 2 misses op 1, and backup 1 both.
+/// Primary 0 crashes and restarts; its recovery poll finds both peers'
+/// logs empty, so it leads view 0 again and sequences new ops 1 and 2.
+/// Backup 2 used to buffer the old op 2's prepare behind its gap, where
+/// no poll saw it: the new op 1 released it, backup 2 acked the new op 2
+/// as a duplicate of it, and committed the old one at op 2. A backup now
+/// refuses a prepare past a gap and keeps nothing but its log.
+#[test]
+fn a_restarted_primary_cannot_release_an_old_prepare() {
+    let op = |k: u8| Act::Op {
+        at: 0,
+        a: k,
+        b: k,
+        c: k,
+    };
+    let acts = [
+        Act::Part(0, 1),
+        Act::Part(0, 2),
+        op(1),
+        Act::Heal(0, 2),
+        op(2),
+        Act::Crash(0),
+        Act::Heal(0, 1),
+        Act::Restart(0),
+        Act::Tick,
+        op(3),
+        op(4),
     ];
     agrees_with_oracle::<CounterMachine>(&acts);
     agrees_with_oracle::<NsState>(&acts);

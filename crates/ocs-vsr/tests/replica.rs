@@ -441,11 +441,14 @@ fn a_primary_deposed_mid_wait_answers_superseded() {
     );
 }
 
-/// A prepare that reaches a backup out of order is buffered and acked
-/// only with the one it waited for; with the other backup silent, that
-/// later ack is the op's commit, and answers it then — not when the op's
-/// own call to the silent backup would have timed out, one
-/// `peer_timeout` later.
+/// A prepare that reaches a backup out of order — past a gap — is
+/// refused and kept nowhere: the primary refills the gap from the
+/// refusal's log end, one op per round trip, so the backup's log grows
+/// 0, 1, 2 — never straight from 0 to 2, as it would if op 1's landing
+/// released a kept op 2. With the other backup silent, that refill is
+/// the reordered op's commit, and answers it then — not at the next
+/// heartbeat round, nor when the op's own call to the silent backup
+/// would have timed out, one `peer_timeout` later.
 #[test]
 fn a_reordered_prepare_commits_without_waiting_out_the_silent_backup() {
     let (sim, group) = build_sim(14_009);
@@ -453,15 +456,27 @@ fn a_reordered_prepare_commits_without_waiting_out_the_silent_backup() {
     let backups: Vec<usize> = (0..3).filter(|i| *i != master).collect();
     let (slow, silent) = (backups[0], backups[1]);
     group.kill(silent);
+    let log_end = || group.member(slow).unwrap().status().op;
     // The first op's prepare takes 5 ms to reach the slow backup; the
-    // second's the usual 500 µs, so it arrives first and waits there.
+    // second's the usual 500 µs, so it arrives first.
     let (p, s) = (group.node(master), group.node(slow));
     sim.set_link(p, s, LinkParams::latency_only(5 * ROUND_TRIP));
     let first = submit_later(&group, master, 1);
     sim.run_for(Duration::from_micros(100));
     sim.set_link(p, s, LinkParams::latency_only(ROUND_TRIP / 2));
-    let (out, took) = submit(&group, master, 2);
+    let t0 = group.now();
+    let second = submit_later(&group, master, 2);
+    let mut ends = vec![log_end()];
+    while second.lock().is_none() && group.now().saturating_since(t0) < 2 * PEER_TIMEOUT {
+        sim.run_for(Duration::from_micros(50));
+        if ends.last() != Some(&log_end()) {
+            ends.push(log_end());
+        }
+    }
+    assert_eq!(ends, [0, 1, 2], "the slow backup's log end, as it changed");
+    let (out, at) = second.lock().take().expect("decided by its deadline");
     assert_eq!(out, Ok(3));
+    let took = at.saturating_since(t0);
     assert!(
         took < TEN_ROUND_TRIPS,
         "the reordered op's commit took {took:?}, want under {TEN_ROUND_TRIPS:?}"
@@ -470,6 +485,41 @@ fn a_reordered_prepare_commits_without_waiting_out_the_silent_backup() {
         first.lock().as_ref().map(|(out, _)| out.clone()),
         Some(Ok(1))
     );
+}
+
+/// A backup that missed ten prepares refuses each of the next ten past
+/// the gap, and the primary walks it up once: one entry in flight at a
+/// time, not one walk per refusal, so the refill costs one call per op
+/// the backup lacks. (The log is retained long enough to refill from.)
+#[test]
+fn a_backup_behind_a_gap_is_walked_up_once() {
+    let mut spec = counters();
+    spec.tuning = |i, peers| ReplicaConfig {
+        log_retention: 64,
+        ..tuned(i, peers)
+    };
+    let sim = Sim::new(14_013);
+    let hosts = (0..3).map(|i| sim.add_node(&format!("r{i}"))).collect();
+    let client = sim.add_node("load");
+    let group = Group::on_sim(sim.clone(), hosts, client, spec);
+    group.settle("at start");
+    let master = sole_master(&group).unwrap();
+    let behind = (0..3).find(|i| *i != master).unwrap();
+    let (p, b) = (group.node(master), group.node(behind));
+    let link = LinkParams::latency_only(ROUND_TRIP / 2);
+    sim.set_link(p, b, LinkParams { loss: 1.0, ..link });
+    for _ in 0..10 {
+        assert!(submit(&group, master, 1).0.is_ok());
+    }
+    sim.set_link(p, b, link);
+    let sent = sim.net_stats().msgs_sent;
+    let later: Vec<Later> = (0..10).map(|_| submit_later(&group, master, 1)).collect();
+    let log_end = || group.member(behind).unwrap().status().op;
+    assert!(group.run_until(TEN_ROUND_TRIPS * 5, || log_end() == 20));
+    assert!(later.iter().all(|l| l.lock().is_some()));
+    // Ten ops' prepares to two backups and twenty refilled entries.
+    let calls = (sim.net_stats().msgs_sent - sent) / 2;
+    assert!(calls < 50, "{calls} calls to prepare 10 ops and refill 20");
 }
 
 /// Five replicas in the simulator, settled, and a handle on it.
@@ -521,7 +571,9 @@ fn a_stragglers_join_is_dropped_at_the_peer_endpoint() {
 /// view change's rounds, heartbeats, prepares — leaves from one address,
 /// its peer endpoint: a replica opens one client endpoint for life.
 /// Member 4 of five is a spy that notes each frame's sender and answers
-/// none; the four real members still form a majority.
+/// none; the four real members still form a majority. (Replica 0 cannot
+/// tell this cold start from its own restart, and the spy never answers
+/// its recovery poll: the group starts through a view change.)
 #[test]
 fn every_call_to_a_peer_leaves_from_the_replicas_one_endpoint() {
     let sim = Sim::new(14_011);
@@ -572,14 +624,19 @@ fn every_call_to_a_peer_leaves_from_the_replicas_one_endpoint() {
             .filter(|a| a.node == hosts[node].node())
             .collect()
     };
-    run_until(&|| reps[0].is_master() && reps.iter().all(|r| !r.in_probation()));
-    submit(0);
-    let before_kill = from(1).len();
-    sim.crash_node(hosts[0].node());
-    run_until(&|| reps[1].is_master());
-    let view_change = from(1).len() - before_kill;
-    submit(1);
-    for node in [0, 1] {
+    let master = |not: Option<usize>| {
+        (0..4).find(|&i| Some(i) != not && reps[i].is_master() && !reps[i].in_probation())
+    };
+    run_until(&|| master(None).is_some() && reps.iter().all(|r| !r.in_probation()));
+    let first = master(None).unwrap();
+    submit(first);
+    let before_kill: Vec<usize> = (0..4).map(|i| from(i).len()).collect();
+    sim.crash_node(hosts[first].node());
+    run_until(&|| master(Some(first)).is_some());
+    let second = master(Some(first)).unwrap();
+    let view_change = from(second).len() - before_kill[second];
+    submit(second);
+    for node in [first, second] {
         let mut addrs = from(node);
         assert!(
             addrs.len() > 2,
@@ -590,5 +647,5 @@ fn every_call_to_a_peer_leaves_from_the_replicas_one_endpoint() {
         assert_eq!(addrs.len(), 1, "replica {node} sent from {addrs:?}");
         assert_ne!(addrs[0].port, PORT, "its ORB's port");
     }
-    assert!(view_change >= 1, "the view change reached the spy");
+    assert!(view_change >= 1, "the new master's view change reached it");
 }
