@@ -83,16 +83,16 @@
 //! group. So a group's members and endpoints share one shard, and its
 //! kill reaches all of them on every shard count.
 //!
-//! An endpoint belongs to the group of the process that opened it
-//! (`EpState::group`) and lives as it does on TCP: it closes when closed,
-//! when its last handle drops (`SimEndpoint`'s `Drop`), at once when its
-//! group is killed, and when its node crashes. A kill or a crash closes
-//! the endpoints in port order before any process has unwound, so a frame
-//! for a dead service bounces from the kill instant on. Each open gets a
-//! fresh id, and a handle closes only the endpoint it opened: a stale
-//! handle dropped after its fixed port was opened again leaves the
-//! successor alone. A process's reply endpoint is one more handle
-//! (`Proc::reply`), dropped when the process exits.
+//! Each shard keeps one port table for the nodes it owns (`ports.rs`, the
+//! table TCP keeps per node, with its one open-id rule): an endpoint is an
+//! open there, owned by the group of the process that opened it, and
+//! closes when closed, when its last handle drops (`SimEndpoint`'s
+//! `Drop`), at once when its group is killed, and when its node crashes —
+//! in port order, before any process has unwound, so a frame for a dead
+//! service bounces from the kill instant on. A process's reply endpoint is
+//! one more handle (`Proc::reply`), dropped when the process exits. The
+//! simulator's own part of a port is its receive side, `Rx`: the queue,
+//! and the receivers a delivery or the close wakes.
 //!
 //! No endpoint handle may drop under the kernel lock, since the drop
 //! takes it. What the kernel lets go of under its lock — a closed port's
@@ -102,7 +102,7 @@
 //! # Serving a port
 //!
 //! A port a process [`serve`](crate::rt::Endpoint::serve)s carries its
-//! handler (`EpState::served`), and a delivery to it runs the handler
+//! handler (`Port::served`), and a delivery to it runs the handler
 //! at the delivery instant instead of queueing the frame for a receiver:
 //!
 //! * a bounce, or a frame the port's inline test passes (its handler
@@ -139,18 +139,15 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::coro::{self, Handle, Stack, StackPool};
-use crate::rt::{Addr, Endpoint, InlineTest, LandingHandler, NodeId, RecvError};
+use crate::ports::{Landing, Port, PortTable, Served};
+use crate::rt::{Addr, Endpoint, NetError, NodeId, PortReq, RecvError};
 use crate::sim::SimEndpoint;
 use crate::time::SimTime;
 
 pub(crate) type Pid = u64;
-pub(crate) type EpKey = Addr;
 
 /// Unwind payload used to terminate a killed process quietly.
 pub(crate) struct KillSignal;
-
-/// First non-ephemeral port number handed out for `PortReq::Ephemeral`.
-pub(crate) const EPHEMERAL_BASE: u16 = 32768;
 
 /// Pids embed their shard in the top bits so any thread can find its
 /// kernel without a global map: `pid = shard << SHARD_SHIFT | counter`.
@@ -255,67 +252,27 @@ fn unblock(p: &mut Proc, timers: &mut BTreeMap<TimerKey, Pid>, reason: WakeReaso
     }
 }
 
-pub(crate) enum Item {
-    Msg(Addr, Bytes),
-    Unreach(Addr),
-}
-
-impl Item {
-    /// What a receive of this item returns.
-    pub(crate) fn into_recv(self) -> Result<(Addr, Bytes), RecvError> {
-        match self {
-            Item::Msg(from, msg) => Ok((from, msg)),
-            Item::Unreach(addr) => Err(RecvError::Unreachable(addr)),
-        }
-    }
-}
-
-/// An open endpoint. A closed one has no entry: a delivery to it
-/// bounces, a receive returns `Closed`, and its port number is free.
-pub(crate) struct EpState {
-    /// Which open of the port this is; a handle closes only its own.
-    pub id: u64,
-    /// The opener's group, whose kill closes the endpoint.
-    pub group: Option<u64>,
-    pub queue: VecDeque<Item>,
+/// An endpoint's receive side: the landings queued for it, and the
+/// processes blocked receiving, with the wait generation each blocked in.
+#[derive(Default)]
+pub(crate) struct Rx {
+    pub queue: VecDeque<Landing>,
     pub waiters: VecDeque<(Pid, u64)>,
-    /// Set by `serve`: deliveries run the handler instead of queueing.
-    /// Behind a pointer, so an ordinary endpoint does not grow.
-    pub served: Option<Arc<Served>>,
 }
 
-/// A served port's handler and what it runs as.
-pub(crate) struct Served {
-    task: Arc<str>,
-    handler: LandingHandler,
-    /// Which frames run inline; bounces always do.
-    inline: InlineTest,
-    /// The group the handler joins: the port's.
-    group: Option<u64>,
-}
-
-impl Served {
-    /// Whether `item` runs where it lands rather than in a process.
-    fn runs_inline(&self, item: &Item) -> bool {
-        match item {
-            Item::Msg(_, msg) => (self.inline)(msg),
-            Item::Unreach(_) => true,
-        }
-    }
-}
+/// A simulated port is owned by a group id.
+type SimPort = Port<Rx, Option<u64>>;
+type SimServed = Served<Option<u64>>;
 
 /// One frame or bounce for a served port whose handler runs inline.
 pub(crate) struct InlineRun {
     port: Addr,
-    served: Arc<Served>,
-    item: Item,
+    served: Arc<SimServed>,
+    landing: Landing,
 }
 
 pub(crate) struct NodeState {
-    #[allow(dead_code)] // Diagnostic value, surfaced in future tooling.
-    pub name: String,
     pub up: bool,
-    pub next_ephemeral: u16,
     /// Per-node deterministic streams. Keying the RNG, the event
     /// sequence, and the group/wait-object id counters to the node (not
     /// the kernel) makes every draw and every allocated id independent
@@ -326,6 +283,24 @@ pub(crate) struct NodeState {
     pub seq: u64,
     pub next_group: u64,
     pub next_waitobj: u64,
+}
+
+impl NodeState {
+    fn new(rng_seed: u64) -> NodeState {
+        NodeState {
+            up: true,
+            rng: SmallRng::seed_from_u64(rng_seed),
+            seq: 0,
+            next_group: 1,
+            next_waitobj: 1,
+        }
+    }
+}
+
+/// `*counter`, then one past it.
+fn post_inc(counter: &mut u64) -> u64 {
+    *counter += 1;
+    *counter - 1
 }
 
 /// How nodes are mapped to shards. A pure function of the node id, so
@@ -672,7 +647,7 @@ pub(crate) enum ControlOp {
 }
 
 enum EventKind {
-    Deliver { to: Addr, item: Item },
+    Deliver { to: Addr, landing: Landing },
     Control(ControlOp),
 }
 
@@ -705,6 +680,9 @@ impl Ord for Event {
         (other.at, other.src, other.sseq).cmp(&(self.at, self.src, self.sseq))
     }
 }
+
+// An event is what the heap moves on every push and pop.
+const _: () = assert!(std::mem::size_of::<Event>() == 88);
 
 pub(crate) struct WaitObjState {
     waiters: VecDeque<(Pid, u64)>,
@@ -748,19 +726,15 @@ pub(crate) struct Kernel {
     pub shutdown: bool,
     /// Seed all per-node RNGs derive from (replicated).
     master_seed: u64,
-    /// Streams for the anonymous key (driver context, node-less procs).
-    /// Only shard 0 ever draws from these.
-    anon_rng: SmallRng,
-    anon_seq: u64,
-    anon_next_group: u64,
-    anon_next_waitobj: u64,
+    /// The streams of the anonymous key (driver context, node-less
+    /// procs). Only shard 0 ever draws from these.
+    anon: NodeState,
     /// Dense node table indexed by `NodeId - 1` (ids are handed out
     /// sequentially from 1 and never removed). Replicated on every
     /// shard; the per-node streams are only touched by the owner.
     nodes: Vec<NodeState>,
-    pub endpoints: HashMap<EpKey, EpState, IdBuild>,
-    /// The id of the last endpoint opened on this shard.
-    pub last_ep: u64,
+    /// The open ports of the nodes this shard owns.
+    pub ports: PortTable<Rx, Option<u64>>,
     /// What the kernel let go of under its lock — a closed port's
     /// handler, a refused spawn's body — until the lock is released (see
     /// the module docs): either may hold an endpoint handle.
@@ -812,7 +786,7 @@ pub(crate) struct Kernel {
 struct InlineAs {
     port: Addr,
     shard: usize,
-    served: Arc<Served>,
+    served: Arc<SimServed>,
 }
 
 thread_local! {
@@ -895,13 +869,9 @@ impl Kernel {
             runnable: VecDeque::new(),
             shutdown: false,
             master_seed: seed,
-            anon_rng: SmallRng::seed_from_u64(seed),
-            anon_seq: 0,
-            anon_next_group: 1,
-            anon_next_waitobj: 1,
+            anon: NodeState::new(seed),
             nodes: Vec::new(),
-            endpoints: HashMap::default(),
-            last_ep: 0,
+            ports: PortTable::default(),
             dropped: Vec::new(),
             net_cfg,
             link_overrides: PairTable::new(),
@@ -952,38 +922,23 @@ impl Kernel {
         self.shard_of(node) == self.shard
     }
 
+    /// The streams of raw node id `key`: its node's, or the anonymous
+    /// ones for 0 and for ids no node has (synthetic ids used as data).
+    fn streams(&mut self, key: u32) -> &mut NodeState {
+        match key.checked_sub(1).and_then(|i| self.nodes.get_mut(i as usize)) {
+            Some(node) => node,
+            None => &mut self.anon,
+        }
+    }
+
     /// Next sequence number from `node`'s event stream (0 = anonymous).
     fn next_sseq(&mut self, node: u32) -> u64 {
-        if node == 0 {
-            let s = self.anon_seq;
-            self.anon_seq += 1;
-            return s;
-        }
-        match self.nodes.get_mut(node as usize - 1) {
-            Some(n) => {
-                let s = n.seq;
-                n.seq += 1;
-                s
-            }
-            None => {
-                // Synthetic ids (used as plain data) never source events
-                // in practice; fall back to the anonymous stream.
-                let s = self.anon_seq;
-                self.anon_seq += 1;
-                s
-            }
-        }
+        post_inc(&mut self.streams(node).seq)
     }
 
     /// A draw from `node`'s RNG stream (0 = anonymous).
     pub(crate) fn rand_for_node(&mut self, node: u32) -> u64 {
-        if node == 0 {
-            return self.anon_rng.next_u64();
-        }
-        match self.nodes.get_mut(node as usize - 1) {
-            Some(n) => n.rng.next_u64(),
-            None => self.anon_rng.next_u64(),
-        }
+        self.streams(node).rng.next_u64()
     }
 
     fn roll_for(&mut self, node: NodeId) -> f64 {
@@ -1065,7 +1020,7 @@ impl Kernel {
             .or_else(|| self.impairments.get(b, a))
     }
 
-    pub fn add_node(&mut self, name: &str) -> NodeId {
+    pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.nodes.len() as u32 + 1);
         // Derive the node's RNG from the master seed and its id so the
         // stream is identical on every shard layout (and on the inert
@@ -1073,15 +1028,7 @@ impl Kernel {
         let h = (self.master_seed
             ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id.0 as u64 + 1))
         .rotate_left(17);
-        self.nodes.push(NodeState {
-            name: name.to_string(),
-            up: true,
-            next_ephemeral: EPHEMERAL_BASE,
-            rng: SmallRng::seed_from_u64(h),
-            seq: 0,
-            next_group: 1,
-            next_waitobj: 1,
-        });
+        self.nodes.push(NodeState::new(h));
         id
     }
 
@@ -1125,29 +1072,15 @@ impl Kernel {
         false
     }
 
-    /// Pops the first still-valid waiter off `waiters` and wakes it.
-    fn wake_one_waiter(
-        &mut self,
-        mut waiters: VecDeque<(Pid, u64)>,
-        reason: WakeReason,
-    ) -> VecDeque<(Pid, u64)> {
-        while let Some((pid, gen)) = waiters.pop_front() {
-            if self.wake(pid, gen, reason) {
-                break;
-            }
-        }
-        waiters
-    }
-
     fn apply(&mut self, kind: EventKind) {
         match kind {
             EventKind::Control(op) => {
                 self.apply_control(op);
             }
-            EventKind::Deliver { to, item } => {
-                let size = match &item {
-                    Item::Msg(_, m) => m.len() as u64,
-                    Item::Unreach(_) => 0,
+            EventKind::Deliver { to, landing } => {
+                let size = match &landing {
+                    Ok((_, m)) => m.len() as u64,
+                    Err(_) => 0,
                 };
                 self.trace_note(&[2, self.now, to.node.0 as u64, to.port as u64, size]);
                 let node_up = self.node(to.node).map(|n| n.up).unwrap_or(false);
@@ -1155,10 +1088,10 @@ impl Kernel {
                     self.stats.msgs_dropped += 1;
                     return;
                 }
-                let Some(ep) = self.endpoints.get_mut(&to) else {
+                let Some(port) = self.ports.get_mut(&to) else {
                     // Bounce data messages back to the sender (RST-like);
                     // never bounce a bounce.
-                    if let Item::Msg(from, _) = item {
+                    if let Ok((from, _)) = landing {
                         self.stats.bounces += 1;
                         let lat = self.link_params(to.node, from.node).latency;
                         let mut at = self.now + lat.as_micros() as u64;
@@ -1175,7 +1108,7 @@ impl Kernel {
                                 sseq,
                                 kind: EventKind::Deliver {
                                     to: from,
-                                    item: Item::Unreach(to),
+                                    landing: Err(RecvError::Unreachable(to)),
                                 },
                             },
                         );
@@ -1185,83 +1118,39 @@ impl Kernel {
                     return;
                 };
                 self.stats.msgs_delivered += 1;
-                if let Some(served) = &ep.served {
+                if let Some(served) = &port.served {
                     let served = Arc::clone(served);
-                    self.run_served(to, served, item);
+                    if served.runs_inline(&landing) {
+                        debug_assert!(self.inline.is_none(), "an inline handler left queued");
+                        self.inline = Some(InlineRun { port: to, served, landing });
+                    } else {
+                        self.spawn_handler(to, &served, landing);
+                    }
                     return;
                 }
-                ep.queue.push_back(item);
-                let waiters = std::mem::take(&mut ep.waiters);
-                let rest = self.wake_one_waiter(waiters, WakeReason::Delivered);
-                if let Some(ep) = self.endpoints.get_mut(&to) {
-                    // Preserve any remaining (possibly stale) waiters.
-                    let newly = std::mem::take(&mut ep.waiters);
-                    ep.waiters = rest;
-                    ep.waiters.extend(newly);
+                port.rx.queue.push_back(landing);
+                // Wake the first receiver still blocked; keep the rest.
+                let mut waiters = std::mem::take(&mut port.rx.waiters);
+                while let Some((pid, gen)) = waiters.pop_front() {
+                    if self.wake(pid, gen, WakeReason::Delivered) {
+                        break;
+                    }
+                }
+                if let Some(port) = self.ports.get_mut(&to) {
+                    port.rx.waiters = waiters;
                 }
             }
-        }
-    }
-
-    /// Runs a served port's handler on what was delivered now: queues it
-    /// as the next `Step::Inline` if it runs inline, else starts its
-    /// process.
-    fn run_served(&mut self, port: Addr, served: Arc<Served>, item: Item) {
-        if served.runs_inline(&item) {
-            debug_assert!(self.inline.is_none(), "an inline handler left queued");
-            self.inline = Some(InlineRun { port, served, item });
-        } else {
-            self.spawn_handler(port, &served, item);
         }
     }
 
     /// Starts a served port's handler on one landing as a process of the
     /// port's node, in the port's group.
-    fn spawn_handler(&mut self, port: Addr, served: &Served, item: Item) {
+    pub(crate) fn spawn_handler(&mut self, port: Addr, served: &SimServed, landing: Landing) {
         let Some(inner) = self.inner.upgrade() else {
             return;
         };
-        let handler = Arc::clone(&served.handler);
-        self.spawn_local(
-            &inner,
-            Some(port.node),
-            Arc::clone(&served.task),
-            served.group,
-            Box::new(move || handler(item.into_recv())),
-        );
-    }
-
-    /// Makes `port` a served port: later landings run `handler` (as
-    /// `task`, in the port's group). Of what was queued before, the
-    /// frames that do not run inline are spawned now, in arrival order;
-    /// the rest is returned, in order, for the caller to hand to the
-    /// handler. A closed port stays closed.
-    pub fn serve_port(
-        &mut self,
-        port: Addr,
-        task: &str,
-        handler: LandingHandler,
-        inline: InlineTest,
-    ) -> Vec<Item> {
-        let Some(ep) = self.endpoints.get_mut(&port) else {
-            return Vec::new();
-        };
-        let served = Arc::new(Served {
-            task: Arc::from(task),
-            handler,
-            inline,
-            group: ep.group,
-        });
-        ep.served = Some(Arc::clone(&served));
-        let mut here = Vec::new();
-        for item in std::mem::take(&mut ep.queue) {
-            if served.runs_inline(&item) {
-                here.push(item);
-            } else {
-                self.spawn_handler(port, &served, item);
-            }
-        }
-        here
+        let job = served.job(landing);
+        self.spawn_local(&inner, Some(port.node), Arc::clone(&served.task), served.group, job);
     }
 
     /// Applies the replica share of a network control on this shard; the
@@ -1519,7 +1408,7 @@ impl Kernel {
                         sseq,
                         kind: EventKind::Deliver {
                             to,
-                            item: Item::Msg(from, msg.clone()),
+                            landing: Ok((from, msg.clone())),
                         },
                     },
                 );
@@ -1534,38 +1423,37 @@ impl Kernel {
                 sseq,
                 kind: EventKind::Deliver {
                     to,
-                    item: Item::Msg(from, msg),
+                    landing: Ok((from, msg)),
                 },
             },
         );
     }
 
-    /// Closes an endpoint: takes it out of the table, dropping queued
-    /// messages, and wakes blocked receivers so they observe `Closed`.
-    /// Its handler, if it was served, drops once the lock is released.
-    pub fn close_endpoint(&mut self, key: EpKey) {
-        if let Some(ep) = self.endpoints.remove(&key) {
-            for (pid, gen) in ep.waiters {
-                self.wake(pid, gen, WakeReason::Notified);
-            }
-            if let Some(served) = ep.served {
-                self.dropped.push(Box::new(served));
-            }
+    /// Opens a port on `node` (`PortTable::open`) for the calling
+    /// process's group if that process lives on the node, and for no
+    /// group otherwise.
+    pub fn open_port(&mut self, node: NodeId, req: PortReq) -> Result<(Addr, u64), NetError> {
+        if !self.node(node).is_some_and(|n| n.up) {
+            return Err(NetError::NodeDown);
         }
+        let group = cur_pid()
+            .and_then(|pid| self.procs.get(&pid))
+            .filter(|p| p.node == Some(node))
+            .and_then(|p| p.group);
+        self.ports.open(node, req, group, Rx::default())
     }
 
-    /// Closes, in port order, every endpoint `pick` accepts: which waiter
-    /// wakes first must not depend on the table's layout.
-    fn close_endpoints(&mut self, pick: impl Fn(&EpKey, &EpState) -> bool) {
-        let mut eps: Vec<EpKey> = self
-            .endpoints
-            .iter()
-            .filter(|(key, ep)| pick(key, ep))
-            .map(|(key, _)| *key)
-            .collect();
-        eps.sort_unstable();
-        for key in eps {
-            self.close_endpoint(key);
+    /// Lets go of closed ports: wakes their blocked receivers so they
+    /// observe `Closed`, drops their queued landings, and keeps a served
+    /// one's handler until the lock is released.
+    pub fn release(&mut self, closed: impl IntoIterator<Item = SimPort>) {
+        for port in closed {
+            for (pid, gen) in port.rx.waiters {
+                self.wake(pid, gen, WakeReason::Notified);
+            }
+            if let Some(served) = port.served {
+                self.dropped.push(Box::new(served));
+            }
         }
     }
 
@@ -1577,8 +1465,7 @@ impl Kernel {
         if ep.addr.node != node {
             return None;
         }
-        let state = self.endpoints.get_mut(&ep.addr).filter(|s| s.id == ep.id)?;
-        state.queue.clear();
+        self.ports.own(&ep.addr, ep.id)?.rx.queue.clear();
         Some(Arc::clone(ep) as Arc<dyn Endpoint>)
     }
 
@@ -1586,16 +1473,9 @@ impl Kernel {
     /// endpoints they opened, before any has unwound. A group lives on
     /// its home node, so every member and endpoint is on this shard.
     pub fn kill_group(&mut self, group: u64) {
-        let pids: Vec<Pid> = self
-            .procs
-            .iter()
-            .filter(|(_, p)| p.group == Some(group))
-            .map(|(pid, _)| *pid)
-            .collect();
-        for pid in pids {
-            self.kill_proc(pid);
-        }
-        self.close_endpoints(|_, ep| ep.group == Some(group));
+        self.kill_procs(|_, p| p.group == Some(group));
+        let closed = self.ports.close_group(group);
+        self.release(closed.into_iter().map(|(_, port)| port));
     }
 
     /// Whether any member of a process group is still alive.
@@ -1603,6 +1483,17 @@ impl Kernel {
         self.procs
             .values()
             .any(|p| p.group == Some(group) && !p.killed)
+    }
+
+    /// Kills, in pid order, every process `pick` accepts.
+    fn kill_procs(&mut self, pick: impl Fn(Pid, &Proc) -> bool) {
+        let pids: Vec<Pid> = (self.procs.iter())
+            .filter(|&(&pid, p)| pick(pid, p))
+            .map(|(pid, _)| *pid)
+            .collect();
+        for pid in pids {
+            self.kill_proc(pid);
+        }
     }
 
     /// Marks a process as killed and schedules it to unwind.
@@ -1622,56 +1513,33 @@ impl Kernel {
         // kernel interaction.
     }
 
-    /// Kills all processes on `node` and closes the node's endpoints.
-    /// Returns whether the calling process itself was on the node (it is
-    /// then marked killed but left running so it can unwind at its next
-    /// kernel interaction).
-    pub fn crash_node(&mut self, node: NodeId) -> bool {
+    /// Kills all processes on `node` and closes the node's endpoints. The
+    /// calling process, if it is on the node, is marked killed but left
+    /// as it is, to unwind at its next kernel interaction.
+    pub fn crash_node(&mut self, node: NodeId) {
         self.trace_note(&[3, self.now, node.0 as u64]);
         if let Some(n) = self.node_mut(node) {
             n.up = false;
         }
-        let pids: Vec<Pid> = self
-            .procs
-            .iter()
-            .filter(|(_, p)| p.node == Some(node))
-            .map(|(pid, _)| *pid)
-            .collect();
         let me = cur_pid();
-        let mut self_on_node = false;
-        for pid in pids {
-            if Some(pid) == me {
-                self_on_node = true;
-                continue;
-            }
-            self.kill_proc(pid);
+        self.kill_procs(|pid, p| p.node == Some(node) && Some(pid) != me);
+        let closed = self.ports.close_where(|addr, _| addr.node == node);
+        self.release(closed.into_iter().map(|(_, port)| port));
+        let me = me.and_then(|pid| self.procs.get_mut(&pid));
+        if let Some(p) = me.filter(|p| p.node == Some(node)) {
+            p.killed = true;
         }
-        self.close_endpoints(|key, _| key.node == node);
-        if self_on_node {
-            if let Some(p) = self.procs.get_mut(&me.expect("checked")) {
-                p.killed = true;
-            }
-        }
-        self_on_node
     }
 
     /// Allocates a wait object homed on `home` (a raw node id; 0 =
     /// anonymous, shard 0). The id embeds the home node so any caller
     /// can derive the owning shard from the id alone.
     pub fn waitobj_create(&mut self, home: u32) -> u64 {
-        let ctr = if home == 0 {
-            let c = self.anon_next_waitobj;
-            self.anon_next_waitobj += 1;
-            c
-        } else {
-            let n = self
-                .nodes
-                .get_mut(home as usize - 1)
-                .expect("wait object homed on unknown node");
-            let c = n.next_waitobj;
-            n.next_waitobj += 1;
-            c
-        };
+        assert!(
+            home == 0 || self.nodes.len() >= home as usize,
+            "wait object homed on unknown node"
+        );
+        let ctr = post_inc(&mut self.streams(home).next_waitobj);
         let id = ((home as u64) << 32) | (ctr & 0xFFFF_FFFF);
         self.waitobjs.insert(
             id,
@@ -1686,24 +1554,7 @@ impl Kernel {
     /// Allocates a process-group id from `key`'s stream (0 = anonymous).
     /// The id embeds the allocating node so values are shard-invariant.
     pub fn alloc_group(&mut self, key: u32) -> u64 {
-        let ctr = if key == 0 {
-            let c = self.anon_next_group;
-            self.anon_next_group += 1;
-            c
-        } else {
-            match self.nodes.get_mut(key as usize - 1) {
-                Some(n) => {
-                    let c = n.next_group;
-                    n.next_group += 1;
-                    c
-                }
-                None => {
-                    let c = self.anon_next_group;
-                    self.anon_next_group += 1;
-                    c
-                }
-            }
-        };
+        let ctr = post_inc(&mut self.streams(key).next_group);
         ((key as u64) << 32) | (ctr & 0xFFFF_FFFF)
     }
 
@@ -1915,10 +1766,10 @@ impl SimInner {
 
     /// Registers a node on every shard (replicated tables); returns the
     /// id, which is identical on all of them.
-    pub fn add_node(&self, name: &str) -> NodeId {
+    pub fn add_node(&self) -> NodeId {
         let mut id = None;
         for s in &self.shards {
-            let got = s.kernel.lock().add_node(name);
+            let got = s.kernel.lock().add_node();
             debug_assert!(id.is_none() || id == Some(got));
             id = Some(got);
         }
@@ -1983,7 +1834,11 @@ impl SimInner {
     /// (see the module docs): the thread is no process meanwhile and
     /// under no span, and a panic is recorded like a process's.
     fn run_inline(&self, shard: usize, run: InlineRun) {
-        let InlineRun { port, served, item } = run;
+        let InlineRun {
+            port,
+            served,
+            landing,
+        } = run;
         let pid = CUR_PID.with(|c| c.replace(None));
         let span = crate::trace::set_current_ctx(None);
         let me = InlineAs {
@@ -1992,7 +1847,7 @@ impl SimInner {
             served: Arc::clone(&served),
         };
         CUR_INLINE.with(|c| *c.borrow_mut() = Some(me));
-        let result = panic::catch_unwind(AssertUnwindSafe(|| (served.handler)(item.into_recv())));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| (served.handler)(landing)));
         CUR_INLINE.with(|c| *c.borrow_mut() = None);
         crate::trace::set_current_ctx(span);
         CUR_PID.with(|c| c.set(pid));
@@ -2218,11 +2073,7 @@ impl SimInner {
     /// Receives from an endpoint with an optional timeout. An item
     /// already queued is returned immediately — no switch, no
     /// scheduler involvement (the receive-side half of handoff elision).
-    pub fn ep_recv(
-        &self,
-        key: EpKey,
-        timeout: Option<Duration>,
-    ) -> Result<(Addr, Bytes), RecvError> {
+    pub fn ep_recv(&self, key: Addr, id: u64, timeout: Option<Duration>) -> Landing {
         forbid_inline("receive");
         let home = self.shard_ix(key.node.0);
         let pid = cur_pid().expect("recv outside a simulated process");
@@ -2235,6 +2086,7 @@ impl SimInner {
             );
         }
         let slot = &self.shards[home];
+        let mut reason = WakeReason::None;
         loop {
             let wake_at;
             {
@@ -2243,42 +2095,26 @@ impl SimInner {
                     drop(k);
                     Self::kill_unwind();
                 }
-                match k.endpoints.get_mut(&key) {
-                    None => return Err(RecvError::Closed),
-                    Some(ep) => {
-                        if let Some(item) = ep.queue.pop_front() {
-                            return item.into_recv();
-                        }
-                    }
+                let Some(port) = k.ports.own(&key, id) else {
+                    return Err(RecvError::Closed);
+                };
+                // A wait that ended leaves its entry if no delivery took it.
+                port.rx.waiters.retain(|(p, _)| *p != pid);
+                if let Some(landing) = port.rx.queue.pop_front() {
+                    return landing;
                 }
-                if timeout == Some(Duration::ZERO) {
+                if timeout == Some(Duration::ZERO) || reason == WakeReason::Timeout {
                     return Err(RecvError::TimedOut);
                 }
+                // Woken with nothing queued: block again, for the whole
+                // timeout. Such races are rare and deterministic.
                 wake_at = timeout.map(|t| k.now + t.as_micros() as u64);
             }
-            let reason = self.block_current(wake_at, |k, pid, gen| {
-                if let Some(ep) = k.endpoints.get_mut(&key) {
-                    ep.waiters.push_back((pid, gen));
+            reason = self.block_current(wake_at, |k, pid, gen| {
+                if let Some(port) = k.ports.own(&key, id) {
+                    port.rx.waiters.push_back((pid, gen));
                 }
             });
-            // Re-check the queue under the lock; clean our stale waiter
-            // entry if we woke for a timeout.
-            let mut k = slot.kernel.lock();
-            match k.endpoints.get_mut(&key) {
-                None => return Err(RecvError::Closed),
-                Some(ep) => {
-                    ep.waiters.retain(|(p, _)| *p != pid);
-                    if let Some(item) = ep.queue.pop_front() {
-                        return item.into_recv();
-                    }
-                }
-            }
-            if reason == WakeReason::Timeout {
-                return Err(RecvError::TimedOut);
-            }
-            // Spuriously woken (e.g. message raced away); loop and block
-            // again with the remaining... full timeout. Timeout extension
-            // on races is acceptable: races are rare and deterministic.
         }
     }
 
@@ -2665,10 +2501,7 @@ impl SimInner {
         for s in &self.shards {
             let mut k = s.kernel.lock();
             k.shutdown = true;
-            let pids: Vec<Pid> = k.procs.keys().copied().collect();
-            for pid in pids {
-                k.kill_proc(pid);
-            }
+            k.kill_procs(|_, _| true);
         }
         self.drain_shard(0);
         if self.nshards > 1 {
@@ -2682,7 +2515,7 @@ impl SimInner {
         }
         for s in &self.shards {
             let mut k = s.kernel.lock();
-            let open = std::mem::take(&mut k.endpoints);
+            let open = k.ports.close_where(|_, _| true);
             unlock(k);
             drop(open);
         }

@@ -29,6 +29,7 @@ mod coro;
 mod kernel;
 #[allow(unsafe_code)]
 mod poll;
+mod ports;
 mod rt;
 mod sim;
 mod time;

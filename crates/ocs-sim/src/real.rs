@@ -33,13 +33,12 @@
 //!
 //! A process group lives on one node, its home: a task spawned, or an
 //! endpoint opened, through another node's runtime belongs to no group.
-//! An endpoint belongs to the group of the task that opened it, fixed at
-//! the open in its entry of the node's port table — the one record of
-//! what a group owns — and closes when closed, when its last handle
-//! drops, at once when that group is killed, and when its node stops:
-//! the simulator's rule too. A handle closes only its own open: a stale
-//! one dropped after its fixed port was opened again leaves the
-//! successor alone.
+//! An endpoint is an open in the node's port table (`ports.rs`, the one
+//! copy of the port rules, which each simulator shard keeps too): it is
+//! owned by its opener's group, the table being the one record of what a
+//! group owns, and closes when closed, when its last handle drops, at once
+//! when that group is killed, and when its node stops. Only its own
+//! handle closes an open. TCP's own part of a port is its mailbox.
 //!
 //! ## Connection lifetime
 //!
@@ -60,10 +59,8 @@
 //! once. Order to a peer is not kept across that back-off: a frame sent
 //! meanwhile by another task or thread may dial and go first.
 //!
-//! * A **kill** closes the group's *ports*, found in its home node's
-//!   port table and closed in port order, as the simulator's kill does;
-//!   the streams stay up for the node's other groups, and frames for the
-//!   dead ports bounce.
+//! * A **kill** closes the group's ports, not the streams: they stay up
+//!   for the node's other groups, and frames for the dead ports bounce.
 //! * A **reset storm** or a failed write shuts the stream down both ways;
 //!   the frame is resent over a fresh one (`real.net.resets`, journalled
 //!   with its reconnect), and the peer, whose loop reads the end, dials
@@ -123,6 +120,7 @@ use crate::coro::{self, Handle, Stack, StackPool};
 use crate::fault::FaultRt;
 use crate::kernel::{KillSignal, LinkImpairment};
 use crate::poll::{self, Poller};
+use crate::ports::{Landing, Owner, Port, PortTable};
 use crate::rt::{
     Addr, Endpoint, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq, RecvError,
 };
@@ -159,10 +157,6 @@ const WRITE_STALL: Duration = Duration::from_secs(5);
 /// its descriptor.
 const BELL: u64 = u64::MAX;
 const LISTENER: u64 = u64::MAX - 1;
-
-/// What landed at a port, as a receive returns it: a frame, or the
-/// bounce of one sent from the port.
-type Landing = Result<(Addr, Bytes), RecvError>;
 
 // ---------------------------------------------------------------------------
 // Tasks: closures on pooled stacks, run by their node's loop.
@@ -549,14 +543,11 @@ impl Mailbox {
         self.0.notify(w);
     }
 
-    /// Closes the mailbox and wakes its receivers; whether it was open.
-    fn close(&self) -> bool {
+    /// Closes the mailbox and wakes its receivers.
+    fn close(&self) {
         let mut w = self.0.lock();
-        if std::mem::replace(&mut w.now.1, true) {
-            return false;
-        }
+        w.now.1 = true;
         self.0.notify(w);
-        true
     }
 
     /// The one blocking receive: honours the kill, the close and the
@@ -575,20 +566,6 @@ impl Mailbox {
 
 // ---------------------------------------------------------------------------
 // Cooperative kill: process groups as cancellation scopes.
-
-/// Closes an endpoint: receives return `Closed` from now on, frames
-/// arriving for the port bounce `Unreachable`, and a served port runs no
-/// more handlers. Idempotent — only the first close owns the port map
-/// entry; a later one would remove a successor's. The entry drops after
-/// the map's lock is released: a served port's handler may hold an
-/// endpoint of the node. The node's streams are not the endpoint's to
-/// close: the rest of the node is sending over them.
-fn close_port(ports: &PortMap, port: u16, mailbox: &Mailbox) {
-    if mailbox.close() {
-        let entry = ports.lock().remove(&port);
-        drop(entry);
-    }
-}
 
 /// Shared state of one real process group: the cancellation token, the
 /// live-task count and the tasks to wake on kill. Its endpoints are the
@@ -627,7 +604,8 @@ impl GroupCore {
         // Close every endpoint the group owns, so peers observe bounces
         // immediately — before the member tasks have even unwound.
         if let Some(home) = self.home.upgrade() {
-            home.close_ports(|p| p.group.as_ref().is_some_and(|g| g.id == self.id));
+            let closed = home.ports.lock().close_group(self.id);
+            release(closed);
         }
         let tasks = self.tasks.lock().clone();
         for task in tasks {
@@ -764,7 +742,7 @@ impl RealNet {
             id,
             ext: Arc::new(crate::rt::Extensions::new()),
             stopped: AtomicBool::new(false),
-            ports: Arc::new(Mutex::new(HashMap::new())),
+            ports: Mutex::new(Ports::default()),
             conns: Mutex::new(HashMap::new()),
             streams: Mutex::new(Vec::new()),
             listener: Mutex::new(Some(listener)),
@@ -775,7 +753,6 @@ impl RealNet {
         self.directory.lock().insert(id, local);
         let node = Arc::new(RealNode {
             name: name.to_string(),
-            next_ephemeral: Mutex::new(crate::kernel::EPHEMERAL_BASE),
             core,
             groups: Mutex::new(Vec::new()),
         });
@@ -892,29 +869,28 @@ impl RealNet {
     }
 }
 
-/// One of a node's open ports: the one record of whose it is and of
-/// what keeps it open.
-struct Port {
-    /// Its open's mailbox, closed with it: a frame for an unserved port
-    /// queues here for the endpoint's next `recv`.
-    mailbox: Arc<Mailbox>,
-    /// The opener's group, whose kill closes the port.
-    group: Option<Arc<GroupCore>>,
-    /// Set by `serve`: the loop runs the handler on each frame instead.
-    served: Option<Arc<Served>>,
+impl Owner for Option<Arc<GroupCore>> {
+    fn group_id(&self) -> Option<u64> {
+        self.as_ref().map(|g| g.id)
+    }
 }
 
-/// A served port's handler and what its tasks run as. Every landing gets
-/// a task, so its inline test, which only sorts what queued before the
-/// serve, is not kept.
-struct Served {
-    task: Arc<str>,
-    handler: LandingHandler,
-    /// The group the tasks join: the port's.
-    group: Option<Arc<GroupCore>>,
-}
+/// A node's open ports. An unserved one's frames queue in its mailbox for
+/// the endpoint's next `recv`; the loop starts a task for every landing
+/// at a served one, so its inline test only sorts what queued before the
+/// serve.
+type Ports = PortTable<Arc<Mailbox>, Option<Arc<GroupCore>>>;
 
-type PortMap = Arc<Mutex<HashMap<u16, Port>>>;
+/// Lets go of closed ports, in the order given, once the table's lock is
+/// released: receives return `Closed` from now on, and a served port's
+/// handler, which may hold an endpoint of the node, drops. The node's
+/// streams are not a port's to close: the rest of the node sends over
+/// them.
+fn release<G>(closed: impl IntoIterator<Item = (Addr, Port<Arc<Mailbox>, G>)>) {
+    for (_, port) in closed {
+        port.rx.close();
+    }
+}
 
 /// Parses every whole frame at the front of `buf` into `frames` — each
 /// its source node, its destination port and what lands there — and
@@ -1037,7 +1013,7 @@ struct NodeCore {
     ext: Arc<crate::rt::Extensions>,
     /// Set by [`RealNode::stop`]: no stream is opened or written after.
     stopped: AtomicBool,
-    ports: PortMap,
+    ports: Mutex<Ports>,
     conns: Mutex<HashMap<NodeId, PeerSlot>>,
     /// Every stream the node holds, so that [`RealNode::stop`] can shut
     /// them all.
@@ -1280,18 +1256,19 @@ impl NodeCore {
     /// Hands a frame to its port: its mailbox, or its handler's task,
     /// started here and run until it first waits.
     fn deliver(self: &Arc<Self>, port: u16, landing: Landing) {
-        let entry = self.ports.lock().get(&port).map(|p| match &p.served {
+        let addr = Addr::new(self.id, port);
+        let entry = self.ports.lock().get_mut(&addr).map(|p| match &p.served {
             Some(served) => Ok(Arc::clone(served)),
-            None => Err(Arc::clone(&p.mailbox)),
+            None => Err(Arc::clone(&p.rx)),
         });
-        let (served, job): (_, Job) = match (entry, landing) {
+        let (served, job) = match (entry, landing) {
             (Some(Err(mailbox)), landing) => {
                 self.net.frames_queued.fetch_add(1, Ordering::Relaxed);
                 return mailbox.push(landing);
             }
             (Some(Ok(served)), landing) => {
-                let handler = Arc::clone(&served.handler);
-                (served, Box::new(move || handler(landing)))
+                let job = served.job(landing);
+                (served, job)
             }
             (None, Ok((from, _))) => {
                 // Closed port on a live node: bounce, as the sim does —
@@ -1306,18 +1283,6 @@ impl NodeCore {
             if let Some(id) = self.new_task(&served.task, served.group.clone(), job) {
                 self.resume(id);
             }
-        }
-    }
-
-    /// Closes, in port order, every port `pick` accepts.
-    fn close_ports(&self, pick: impl Fn(&Port) -> bool) {
-        let mut doomed: Vec<(u16, Arc<Mailbox>)> = (self.ports.lock().iter())
-            .filter(|(_, p)| pick(p))
-            .map(|(&port, p)| (port, Arc::clone(&p.mailbox)))
-            .collect();
-        doomed.sort_unstable_by_key(|&(port, _)| port);
-        for (port, mailbox) in doomed {
-            close_port(&self.ports, port, &mailbox);
         }
     }
 
@@ -1534,7 +1499,6 @@ impl NodeCore {
 /// A host on the real runtime. Implements [`NodeRt`].
 pub struct RealNode {
     name: String,
-    next_ephemeral: Mutex<u16>,
     /// The node's network, id, ports, streams and loop, shared with its
     /// endpoints and tasks.
     core: Arc<NodeCore>,
@@ -1562,7 +1526,8 @@ impl RealNode {
         for conn in self.core.streams.lock().iter() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
-        self.core.close_ports(|_| true);
+        let closed = self.core.ports.lock().close_where(|_, _| true);
+        release(closed);
         self.core.post(Post::Stop);
     }
 
@@ -1655,35 +1620,13 @@ impl NodeRt for RealNode {
         if self.core.stopped.load(Ordering::SeqCst) {
             return Err(NetError::NodeDown);
         }
-        let portno = match port {
-            PortReq::Fixed(p) => {
-                if ports.contains_key(&p) {
-                    return Err(NetError::PortInUse(p));
-                }
-                p
-            }
-            PortReq::Ephemeral => {
-                let mut next = self.next_ephemeral.lock();
-                let mut cand = *next;
-                while ports.contains_key(&cand) {
-                    cand = cand.checked_add(1).unwrap_or(crate::kernel::EPHEMERAL_BASE);
-                }
-                *next = cand.checked_add(1).unwrap_or(crate::kernel::EPHEMERAL_BASE);
-                cand
-            }
-        };
-        let mailbox = Mailbox::new();
         let killed = group.as_ref().is_some_and(|g| g.killed());
-        let entry = Port {
-            mailbox: Arc::clone(&mailbox),
-            group,
-            served: None,
-        };
-        ports.insert(portno, entry);
+        let mailbox = Mailbox::new();
+        let (addr, id) = ports.open(self.core.id, port, group, Arc::clone(&mailbox))?;
         drop(ports);
         let ep = Arc::new(RealEndpoint {
-            node: self.core.id,
-            port: portno,
+            addr,
+            id,
             mailbox,
             core: Arc::clone(&self.core),
         });
@@ -1771,15 +1714,16 @@ impl crate::sync::SyncObj for RealSyncObj {
 
 /// A TCP-backed message endpoint. It closes when its last handle drops.
 pub struct RealEndpoint {
-    node: NodeId,
-    port: u16,
+    addr: Addr,
+    /// Which open of `addr` this handle is (`Port::id`).
+    id: u64,
     mailbox: Arc<Mailbox>,
     core: Arc<NodeCore>,
 }
 
 impl Endpoint for RealEndpoint {
     fn send(&self, to: Addr, msg: Bytes) -> Result<(), NetError> {
-        self.core.send_bytes(self.port, to, FRAME_MSG, &msg)
+        self.core.send_bytes(self.addr.port, to, FRAME_MSG, &msg)
     }
 
     fn recv(&self, timeout: Option<Duration>) -> Result<(Addr, Bytes), RecvError> {
@@ -1787,45 +1731,35 @@ impl Endpoint for RealEndpoint {
     }
 
     fn local(&self) -> Addr {
-        Addr::new(self.node, self.port)
+        self.addr
     }
 
     fn close(&self) {
-        close_port(&self.core.ports, self.port, &self.mailbox);
+        let closed = self.core.ports.lock().close(&self.addr, self.id);
+        release(closed.map(|port| (self.addr, port)));
     }
 
-    /// Points the port's entry at the handler, in the endpoint's group:
-    /// from now on the loop starts a task for each landing where it reads
-    /// it, whatever `inline` says — that costs no hand-off. Of what
-    /// reached the mailbox before, the frames `inline` does not pass
-    /// start tasks of their own; the rest runs here.
+    /// Serves the port's open (`PortTable::serve`): from now on the loop
+    /// starts a task for each landing where it reads it, whatever `inline`
+    /// says — that costs no hand-off. Of what reached the mailbox before,
+    /// the frames `inline` does not pass start tasks of their own; the
+    /// rest runs here.
     fn serve(&self, task_name: &str, handler: LandingHandler, inline: InlineTest) {
-        let task: Arc<str> = Arc::from(task_name);
-        let (group, queued) = {
+        let (served, queued) = {
             let mut ports = self.core.ports.lock();
-            let mut mailbox = self.mailbox.0.lock();
-            // The entry of an open endpoint is its own; a closed one has
-            // none, and must not take a successor's.
-            let Some(entry) = ports.get_mut(&self.port).filter(|_| !mailbox.now.1) else {
+            let Some((served, mailbox)) =
+                ports.serve(&self.addr, self.id, task_name, handler, inline)
+            else {
                 return;
             };
-            let served = Served {
-                task: Arc::clone(&task),
-                handler: Arc::clone(&handler),
-                group: entry.group.clone(),
-            };
-            entry.served = Some(Arc::new(served));
-            (entry.group.clone(), std::mem::take(&mut mailbox.now.0))
+            let queued = std::mem::take(&mut mailbox.0.lock().now.0);
+            (served, queued)
         };
-        for landing in queued {
-            match landing {
-                Ok((from, msg)) if !inline(&msg) => {
-                    let handler = Arc::clone(&handler);
-                    let job: Job = Box::new(move || handler(Ok((from, msg))));
-                    self.core.spawn_task(&task, group.clone(), job);
-                }
-                landing => handler(landing),
-            }
+        let here = served.split(queued, |landing| {
+            self.core.spawn_task(&served.task, served.group.clone(), served.job(landing));
+        });
+        for landing in here {
+            (served.handler)(landing);
         }
     }
 }
@@ -2489,7 +2423,8 @@ mod tests {
     /// in the mailbox for the serving task.
     fn wait_served(node: &RealNode, port: u16) {
         assert!(eventually(Duration::from_secs(5), || {
-            (node.core.ports.lock().get(&port)).is_some_and(|p| p.served.is_some())
+            let addr = Addr::new(node.core.id, port);
+            (node.core.ports.lock().get_mut(&addr)).is_some_and(|p| p.served.is_some())
         }));
     }
 
@@ -2537,7 +2472,7 @@ mod tests {
             "a dead group's port ran a handler"
         );
         assert!(
-            b.core.ports.lock().is_empty(),
+            b.core.ports.lock().get_mut(&b_addr).is_none(),
             "the handler outlived its port"
         );
     }

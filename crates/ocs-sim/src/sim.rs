@@ -8,7 +8,7 @@ use bytes::Bytes;
 
 use crate::fault::FaultRt;
 use crate::kernel::{
-    cur_pid, unlock, EpState, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats,
+    cur_pid, unlock, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats,
     ShardPolicy, SimInner,
 };
 use crate::rt::{
@@ -113,9 +113,10 @@ impl Sim {
         }
     }
 
-    /// Adds a host to the simulated network and returns its runtime.
-    pub fn add_node(&self, name: &str) -> Arc<SimNode> {
-        let id = self.inner.add_node(name);
+    /// Adds a host to the simulated network and returns its runtime. The
+    /// name is the caller's label; the kernel knows the node by its id.
+    pub fn add_node(&self, _name: &str) -> Arc<SimNode> {
+        let id = self.inner.add_node();
         Arc::new(SimNode {
             inner: Arc::clone(&self.inner),
             id,
@@ -314,58 +315,10 @@ impl SimNode {
     /// process lives on this node, and by no group otherwise.
     fn open_sim(&self, port: PortReq) -> Result<Arc<SimEndpoint>, NetError> {
         crate::kernel::forbid_inline("open an endpoint");
-        let mut k = self.inner.kernel_for(self.id).lock();
-        let node_up = k.node(self.id).map(|n| n.up).unwrap_or(false);
-        if !node_up {
-            return Err(NetError::NodeDown);
-        }
-        let portno = match port {
-            PortReq::Fixed(p) => {
-                let key = Addr::new(self.id, p);
-                if k.endpoints.contains_key(&key) {
-                    return Err(NetError::PortInUse(p));
-                }
-                p
-            }
-            PortReq::Ephemeral => {
-                // Scan from the node's ephemeral cursor for a free port.
-                let mut cand = {
-                    let n = k.node_mut(self.id).expect("node exists");
-                    n.next_ephemeral
-                };
-                loop {
-                    let key = Addr::new(self.id, cand);
-                    if !k.endpoints.contains_key(&key) {
-                        break;
-                    }
-                    cand = cand.checked_add(1).unwrap_or(crate::kernel::EPHEMERAL_BASE);
-                }
-                let n = k.node_mut(self.id).expect("node exists");
-                n.next_ephemeral = cand.checked_add(1).unwrap_or(crate::kernel::EPHEMERAL_BASE);
-                cand
-            }
-        };
-        let key = Addr::new(self.id, portno);
-        let opener = cur_pid().and_then(|pid| k.procs.get(&pid));
-        let group = opener
-            .filter(|p| p.node == Some(self.id))
-            .and_then(|p| p.group);
-        k.last_ep += 1;
-        let id = k.last_ep;
-        k.endpoints.insert(
-            key,
-            EpState {
-                id,
-                group,
-                queue: Default::default(),
-                waiters: Default::default(),
-                served: None,
-            },
-        );
-        drop(k);
+        let (addr, id) = self.inner.kernel_for(self.id).lock().open_port(self.id, port)?;
         Ok(Arc::new(SimEndpoint {
             inner: Arc::clone(&self.inner),
-            addr: key,
+            addr,
             id,
         }))
     }
@@ -502,7 +455,7 @@ impl crate::rt::ProcGroup for SimProcGroup {
 pub struct SimEndpoint {
     inner: Arc<SimInner>,
     pub(crate) addr: Addr,
-    /// Which open of `addr` this handle is (`EpState::id`).
+    /// Which open of `addr` this handle is (`Port::id`).
     pub(crate) id: u64,
 }
 
@@ -518,7 +471,7 @@ impl Endpoint for SimEndpoint {
     }
 
     fn recv(&self, timeout: Option<Duration>) -> Result<(Addr, Bytes), RecvError> {
-        self.inner.ep_recv(self.addr, timeout)
+        self.inner.ep_recv(self.addr, self.id, timeout)
     }
 
     fn local(&self) -> Addr {
@@ -527,28 +480,28 @@ impl Endpoint for SimEndpoint {
 
     fn close(&self) {
         let mut k = self.inner.kernel_for(self.addr.node).lock();
-        if k.endpoints
-            .get(&self.addr)
-            .is_some_and(|ep| ep.id == self.id)
-        {
-            k.close_endpoint(self.addr);
-        }
+        let closed = k.ports.close(&self.addr, self.id);
+        k.release(closed);
         unlock(k);
     }
 
-    /// Hands the port to the kernel, which runs each landing's handler
-    /// at its delivery — inline, or as a process (the kernel's "Serving a
-    /// port") — and spawns it now on whatever queued before that does not
-    /// run inline; the rest runs here.
+    /// Serves the port's open (`PortTable::serve`): the kernel runs each
+    /// landing's handler at its delivery — inline, or as a process (the
+    /// kernel's "Serving a port"). Of what queued before, what does not
+    /// run inline is spawned now; the rest runs here.
     fn serve(&self, task_name: &str, handler: LandingHandler, inline: InlineTest) {
-        let here = self.inner.kernel_for(self.addr.node).lock().serve_port(
-            self.addr,
-            task_name,
-            Arc::clone(&handler),
-            inline,
-        );
-        for item in here {
-            handler(item.into_recv());
+        let mut k = self.inner.kernel_for(self.addr.node).lock();
+        let serving = Arc::clone(&handler);
+        let here = match k.ports.serve(&self.addr, self.id, task_name, serving, inline) {
+            Some((served, rx)) => {
+                let queued = std::mem::take(&mut rx.queue);
+                served.split(queued, |landing| k.spawn_handler(self.addr, &served, landing))
+            }
+            None => Vec::new(),
+        };
+        unlock(k);
+        for landing in here {
+            handler(landing);
         }
     }
 }

@@ -1286,10 +1286,18 @@ impl<M: Machine> VsrCore<M> {
     ) -> PollStep {
         let counts = |st: &StateTransfer<_, _>| st.normal || st.is_cold();
         let counted = answers.iter().filter(|(_, st)| counts(st)).count();
-        if poll.recovering && counted < self.recovery_quorum() {
+        let heard_all = counted == self.n - 1;
+        // A poll that missed a peer counts cold answers only at a cold
+        // start, when every answer is cold: a peer that lost its log
+        // answers cold too, and in a group of five one such answer and two
+        // stale Normal ones would make a quorum without the last commit.
+        let quorum = match heard_all || answers.iter().all(|(_, st)| st.is_cold()) {
+            true => counted,
+            false => answers.iter().filter(|(_, st)| st.normal).count(),
+        };
+        if poll.recovering && quorum < self.recovery_quorum() {
             return PollStep::Done; // Poll again; a StartView can also end probation.
         }
-        let heard_all = counted == self.n - 1;
         let poll = Poll { heard_all, ..poll };
         // The freshest Normal answer; of equals, the first that came.
         let normal = answers.into_iter().filter(|(_, st)| st.normal);

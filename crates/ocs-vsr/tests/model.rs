@@ -3,7 +3,9 @@
 //! [`CounterMachine`], the name service's [`NsState`], the service
 //! controller's [`SscTable`] and the Connection Manager's [`CmTable`].
 //!
-//! The harness wires three engines to a synchronous in-memory network
+//! The harness wires `N` engines (three, and five: a group of five is
+//! the smallest whose recovery poll may end without every peer's answer)
+//! to a synchronous in-memory network
 //! with a manual clock, then drives them through arbitrary
 //! interleavings of client ops, ticks, crashes (log loss), restarts
 //! (probation + recovery poll) and pairwise partitions. It runs the
@@ -41,7 +43,6 @@ use ocs_vsr::{
 };
 use proptest::prelude::*;
 
-const N: usize = 3;
 const HB: Duration = Duration::from_secs(1);
 const RETAIN: u64 = 16;
 
@@ -80,8 +81,8 @@ enum Act {
     CrashOnFetch(u8),
 }
 
-fn op_act() -> impl Strategy<Value = Act> {
-    (0u8..N as u8, 0u8..=255, 0u8..=255, 0u8..=255).prop_map(|(at, a, b, c)| Act::Op {
+fn op_act(n: u8) -> impl Strategy<Value = Act> {
+    (0u8..n, 0u8..=255, 0u8..=255, 0u8..=255).prop_map(|(at, a, b, c)| Act::Op {
         at,
         a,
         b,
@@ -89,35 +90,36 @@ fn op_act() -> impl Strategy<Value = Act> {
     })
 }
 
-fn restart_act() -> impl Strategy<Value = Act> {
-    (0u8..N as u8).prop_map(Act::Restart)
+fn restart_act(n: u8) -> impl Strategy<Value = Act> {
+    (0u8..n).prop_map(Act::Restart)
 }
 
-fn heal_act() -> impl Strategy<Value = Act> {
-    (0u8..N as u8, 0u8..N as u8).prop_map(|(a, b)| Act::Heal(a, b))
+fn heal_act(n: u8) -> impl Strategy<Value = Act> {
+    (0u8..n, 0u8..n).prop_map(|(a, b)| Act::Heal(a, b))
 }
 
-fn arb_act() -> impl Strategy<Value = Act> {
+/// One act for a group of `n` replicas.
+fn arb_act(n: u8) -> impl Strategy<Value = Act> {
     // The vendored proptest's `prop_oneof!` is uniform; weight by
     // repeating arms (ops and ticks dominate, faults are salted in).
     prop_oneof![
-        op_act(),
-        op_act(),
-        op_act(),
-        op_act(),
+        op_act(n),
+        op_act(n),
+        op_act(n),
+        op_act(n),
         Just(Act::Tick),
         Just(Act::Tick),
         Just(Act::Tick),
         Just(Act::Tick),
         Just(Act::Tick),
         Just(Act::Tick),
-        (0u8..N as u8).prop_map(Act::Crash),
-        restart_act(),
-        restart_act(),
-        (0u8..N as u8, 0u8..N as u8).prop_map(|(a, b)| Act::Part(a, b)),
-        heal_act(),
-        heal_act(),
-        (0u8..N as u8).prop_map(Act::CrashOnFetch),
+        (0u8..n).prop_map(Act::Crash),
+        restart_act(n),
+        restart_act(n),
+        (0u8..n, 0u8..n).prop_map(|(a, b)| Act::Part(a, b)),
+        heal_act(n),
+        heal_act(n),
+        (0u8..n).prop_map(Act::CrashOnFetch),
     ]
 }
 
@@ -143,9 +145,12 @@ struct Branches {
     recovery_fetched: u32,
     /// The peer chosen to fetch from crashed before the fetch.
     fetch_peer_crashed: u32,
+    /// A recovery poll ended probation without every peer's answer.
+    recovered_without_a_peer: u32,
 }
 
-struct Harness<M: Model> {
+/// `N` replicas of machine `M`.
+struct Harness<M: Model, const N: usize> {
     engines: Vec<Option<VsrCore<M>>>,
     conn: [[bool; N]; N],
     now: SimTime,
@@ -159,8 +164,8 @@ struct Harness<M: Model> {
     branches: Branches,
 }
 
-impl<M: Model> Harness<M> {
-    fn new() -> Harness<M> {
+impl<M: Model, const N: usize> Harness<M, N> {
+    fn new() -> Harness<M, N> {
         let mut h = Harness {
             engines: Vec::new(),
             conn: [[true; N]; N],
@@ -322,13 +327,17 @@ impl<M: Model> Harness<M> {
         let engine = self.engines[i].as_ref().unwrap();
         let recovering = engine.in_probation();
         let poll = engine.begin_poll();
-        let answers = (0..N)
+        let answers: Vec<_> = (0..N)
             .filter(|&j| self.reachable(i, j))
             .map(|j| (j as u32, self.engines[j].as_ref().unwrap()))
             .map(|(j, peer)| (j, peer.on_get_state(poll.from_op, false)))
             .collect();
+        let heard = answers.len();
         let engine = self.engines[i].as_mut().unwrap();
         let step = engine.on_poll(poll, answers, self.now);
+        if recovering && !engine.in_probation() && heard < N - 1 {
+            self.branches.recovered_without_a_peer += 1;
+        }
         let mut caught_up = self.drain(i);
         if let PollStep::Fetch { peer, poll } = step {
             let st = self.fetch(i, peer as usize, poll.from_op);
@@ -535,15 +544,16 @@ impl<M: Model> Harness<M> {
         }
     }
 
-    /// VSR tolerates at most f simultaneous log losses, and a restarted
-    /// replica counts as failed until its recovery probation completes:
-    /// replica `i` may crash only when it is up and every other replica
-    /// is up and recovered (f = 1 here).
+    /// VSR tolerates at most f = (N - 1) / 2 simultaneous log losses, and
+    /// a restarted replica counts as failed until its recovery probation
+    /// completes: replica `i` may crash only when it is up and fewer than
+    /// f others are down or in probation (with three, none may be).
     fn may_crash(&self, i: usize) -> bool {
-        self.engines[i].is_some()
-            && (0..N)
-                .filter(|&j| j != i)
-                .all(|j| self.engines[j].as_ref().is_some_and(|e| !e.in_probation()))
+        let failed = (0..N)
+            .filter(|&j| j != i)
+            .filter(|&j| self.engines[j].as_ref().is_none_or(|e| e.in_probation()))
+            .count();
+        self.engines[i].is_some() && failed < (N - 1) / 2
     }
 
     /// Replica `i` dies with its log.
@@ -658,7 +668,7 @@ impl<M: Model> Harness<M> {
     }
 }
 
-impl<M: Model> Harness<M> {
+impl<M: Model, const N: usize> Harness<M, N> {
     /// The live replicas' machines.
     fn machines(&self) -> impl Iterator<Item = &M> {
         self.engines.iter().flatten().map(|e| e.state())
@@ -669,7 +679,7 @@ impl<M: Model> Harness<M> {
 /// crash/restart/partition interleavings: committed prefixes always
 /// agree, no view has two masters, and after healing, the group
 /// converges to the single-node oracle's state.
-fn agrees_with_oracle<M: Model>(acts: &[Act]) -> Harness<M> {
+fn agrees_with_oracle<M: Model, const N: usize>(acts: &[Act]) -> Harness<M, N> {
     let mut h = Harness::new();
     h.check_against_oracle(acts);
     h
@@ -678,7 +688,7 @@ fn agrees_with_oracle<M: Model>(acts: &[Act]) -> Harness<M> {
 /// Without faults, every submitted op commits, the cold-start primary
 /// (replica 0) never loses mastership, and its state is the oracle's.
 fn fault_free_commits_everything<M: Model>(n_ops: usize) {
-    let mut h: Harness<M> = Harness::new();
+    let mut h: Harness<M, 3> = Harness::new();
     for k in 0..n_ops {
         h.submit(0, M::op(k as u8, (k / 2) as u8, (k / 3) as u8));
         h.step_all();
@@ -840,10 +850,10 @@ fn probationary_replica_cannot_vote_an_empty_log_in() {
         Act::Tick,
         Act::Crash(1),
     ];
-    agrees_with_oracle::<CounterMachine>(&acts);
-    agrees_with_oracle::<NsState>(&acts);
-    agrees_with_oracle::<SscTable>(&acts);
-    agrees_with_oracle::<CmTable>(&acts);
+    agrees_with_oracle::<CounterMachine, 3>(&acts);
+    agrees_with_oracle::<NsState, 3>(&acts);
+    agrees_with_oracle::<SscTable, 3>(&acts);
+    agrees_with_oracle::<CmTable, 3>(&acts);
 }
 
 /// Found by this harness at 100,000 cases per property. Primary 0
@@ -875,10 +885,10 @@ fn a_restarted_primary_cannot_release_an_old_prepare() {
         op(3),
         op(4),
     ];
-    agrees_with_oracle::<CounterMachine>(&acts);
-    agrees_with_oracle::<NsState>(&acts);
-    agrees_with_oracle::<SscTable>(&acts);
-    agrees_with_oracle::<CmTable>(&acts);
+    agrees_with_oracle::<CounterMachine, 3>(&acts);
+    agrees_with_oracle::<NsState, 3>(&acts);
+    agrees_with_oracle::<SscTable, 3>(&acts);
+    agrees_with_oracle::<CmTable, 3>(&acts);
 }
 
 /// `n` distinct client ops submitted at replica `at`: more than [`RETAIN`]
@@ -894,8 +904,8 @@ fn ops(at: u8, n: u8) -> impl Iterator<Item = Act> {
 
 /// Runs `schedule` to quiescence against the oracle and reports the
 /// branches it took.
-fn branches_of<M: Model>(schedule: &[Act]) -> Branches {
-    agrees_with_oracle::<M>(schedule).branches
+fn branches_of<M: Model, const N: usize>(schedule: &[Act]) -> Branches {
+    agrees_with_oracle::<M, N>(schedule).branches
 }
 
 /// One schedule per state-moving branch of the driver, each checked
@@ -944,10 +954,10 @@ fn every_state_moving_branch_is_taken() {
         &crash_before_fetch,
     ];
     let runs = [
-        schedules.map(|acts| branches_of::<CounterMachine>(acts)),
-        schedules.map(|acts| branches_of::<NsState>(acts)),
-        schedules.map(|acts| branches_of::<SscTable>(acts)),
-        schedules.map(|acts| branches_of::<CmTable>(acts)),
+        schedules.map(|acts| branches_of::<CounterMachine, 3>(acts)),
+        schedules.map(|acts| branches_of::<NsState, 3>(acts)),
+        schedules.map(|acts| branches_of::<SscTable, 3>(acts)),
+        schedules.map(|acts| branches_of::<CmTable, 3>(acts)),
     ];
     for (machine, [successor, sender_dies, lagging, crash]) in
         ["counter", "ns", "ssc", "cm"].into_iter().zip(runs)
@@ -963,50 +973,123 @@ fn every_state_moving_branch_is_taken() {
     }
 }
 
+/// Besides the oracle: the derived per-node index stayed consistent with
+/// the records through every snapshot install and log replay.
+fn ssc_table_agrees<const N: usize>(acts: &[Act]) {
+    let h = agrees_with_oracle::<SscTable, N>(acts);
+    for (i, table) in h.machines().enumerate() {
+        assert!(table.audit_ok(), "replica {i} failed its self-audit");
+    }
+}
+
+/// Besides the oracle: the incrementally maintained reserved-bandwidth
+/// total (rebuilt, not shipped, on snapshot install) matches a scan.
+fn cm_table_agrees<const N: usize>(acts: &[Act]) {
+    let h = agrees_with_oracle::<CmTable, N>(acts);
+    for (i, table) in h.machines().enumerate() {
+        assert_eq!(
+            table.usage().reserved_down_bps,
+            table.audit_reserved_bps(),
+            "replica {i} reserved-bps index drifted from the table"
+        );
+    }
+}
+
+/// Groups of five, where a recovery poll may end without every peer.
+///
+/// * A restarted backup cut off from one peer recovers from the other
+///   three.
+/// * Op 1 commits on replicas 0, 1 and 2 alone, and 0 and 1 lose their
+///   logs; when they restart, 2, the one copy left, is in a view change.
+///   1's cold answer and the stale Normal ones of 3 and 4 must not make a
+///   quorum for 0: it waits until 2's view change brings op 1. (The
+///   model found this at five replicas; 0 recovered empty, and op 1 was
+///   lost.)
+#[test]
+fn a_group_of_five_recovers_without_a_peer_but_not_from_a_lost_log() {
+    let tick = |n| std::iter::repeat_n(Act::Tick, n);
+    let cut_off: Vec<Act> = [Act::Crash(1), Act::Restart(1), Act::Part(1, 4)]
+        .into_iter()
+        .chain(tick(2))
+        .chain(ops(0, 2))
+        .collect();
+    for branches in [
+        branches_of::<CounterMachine, 5>(&cut_off),
+        branches_of::<CmTable, 5>(&cut_off),
+    ] {
+        assert!(branches.recovered_without_a_peer >= 1, "{branches:?}");
+    }
+    let lost_log: Vec<Act> = [Act::Part(0, 3), Act::Part(0, 4)]
+        .into_iter()
+        .chain(ops(0, 1))
+        .chain([Act::Crash(0), Act::Part(2, 4)])
+        .chain(tick(3))
+        .chain([Act::Part(3, 4), Act::Tick, Act::Crash(1)])
+        .chain(tick(8))
+        .collect();
+    agrees_with_oracle::<CounterMachine, 5>(&lost_log);
+    agrees_with_oracle::<CmTable, 5>(&lost_log);
+}
+
 proptest! {
     /// A machine with nothing in common with any service: the engine is
     /// state-machine-agnostic.
     #[test]
     fn counter_agrees_with_single_node_oracle(
-        acts in prop::collection::vec(arb_act(), 0..70),
+        acts in prop::collection::vec(arb_act(3), 0..70),
     ) {
-        agrees_with_oracle::<CounterMachine>(&acts);
+        agrees_with_oracle::<CounterMachine, 3>(&acts);
     }
 
     #[test]
     fn ns_state_agrees_with_single_node_oracle(
-        acts in prop::collection::vec(arb_act(), 0..70),
+        acts in prop::collection::vec(arb_act(3), 0..70),
     ) {
-        agrees_with_oracle::<NsState>(&acts);
+        agrees_with_oracle::<NsState, 3>(&acts);
     }
 
-    /// Besides the oracle: the derived per-node index stayed consistent
-    /// with the records through every snapshot install and log replay.
     #[test]
     fn ssc_table_agrees_with_single_node_oracle(
-        acts in prop::collection::vec(arb_act(), 0..70),
+        acts in prop::collection::vec(arb_act(3), 0..70),
     ) {
-        let h = agrees_with_oracle::<SscTable>(&acts);
-        for (i, table) in h.machines().enumerate() {
-            prop_assert!(table.audit_ok(), "replica {} failed its self-audit", i);
-        }
+        ssc_table_agrees::<3>(&acts);
     }
 
-    /// Besides the oracle: the incrementally maintained reserved-bandwidth
-    /// total (rebuilt, not shipped, on snapshot install) matches a scan.
     #[test]
     fn cm_table_agrees_with_single_node_oracle(
-        acts in prop::collection::vec(arb_act(), 0..70),
+        acts in prop::collection::vec(arb_act(3), 0..70),
     ) {
-        let h = agrees_with_oracle::<CmTable>(&acts);
-        for (i, table) in h.machines().enumerate() {
-            prop_assert_eq!(
-                table.usage().reserved_down_bps,
-                table.audit_reserved_bps(),
-                "replica {} reserved-bps index drifted from the table",
-                i
-            );
-        }
+        cm_table_agrees::<3>(&acts);
+    }
+
+    /// Five replicas: two may be down or recovering at once, and a
+    /// recovery poll may end probation without every peer's answer.
+    #[test]
+    fn counter_of_five_agrees_with_single_node_oracle(
+        acts in prop::collection::vec(arb_act(5), 0..70),
+    ) {
+        agrees_with_oracle::<CounterMachine, 5>(&acts);
+    }
+
+    #[test]
+    fn ns_state_of_five_agrees_with_single_node_oracle(
+        acts in prop::collection::vec(arb_act(5), 0..70),
+    ) {
+        agrees_with_oracle::<NsState, 5>(&acts);
+    }
+
+    #[test]
+    fn ssc_table_of_five_agrees_with_single_node_oracle(
+        acts in prop::collection::vec(arb_act(5), 0..70),
+    ) {
+        ssc_table_agrees::<5>(&acts);
+    }
+
+    #[test]
+    fn cm_table_of_five_agrees_with_single_node_oracle(
+        acts in prop::collection::vec(arb_act(5), 0..70),
+    ) {
+        cm_table_agrees::<5>(&acts);
     }
 
     #[test]
@@ -1017,4 +1100,3 @@ proptest! {
         fault_free_commits_everything::<CmTable>(n_ops);
     }
 }
-

@@ -36,9 +36,12 @@ cargo test --offline --workspace -q
 # requests run where they land on both runtimes' switched stacks, run
 # optimized too, where the compiler is freest.
 cargo test --release --offline -p ocs-sim -p ocs-orb -q
-# The replicated log's model harness at depth: 100,000 schedules per
-# machine (about 5 s on 2 vCPUs; the default 64 cases above are shallow).
-PROPTEST_CASES=100000 cargo test --release --offline -p ocs-vsr --test model -q agrees
+# The replicated log's model harness at depth (the default 64 cases above
+# are shallow): 100,000 schedules per machine for groups of three, and
+# 40,000 for groups of five, the smallest whose recovery poll may end
+# without every peer (about 7 s and 5 s on 2 vCPUs).
+PROPTEST_CASES=100000 cargo test --release --offline -p ocs-vsr --test model -q agrees -- --skip of_five
+PROPTEST_CASES=40000 cargo test --release --offline -p ocs-vsr --test model -q of_five_agrees
 
 # Real-runtime chaos smoke (E19): one cooperative kill plus one
 # partition-heal cycle over actual TCP on loopback, and a fault plan whose
