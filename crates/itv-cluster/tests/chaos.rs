@@ -407,7 +407,14 @@ fn same_seed_chaos_run_has_identical_trace_hash() {
 /// commit point the primary's answer carries: the campaign's servers
 /// now send those forwards and catch up sooner, so later send times
 /// move. With the forward switched off the digest is the one above.
-const E15_BASELINE_TRACE_HASH: u64 = 9615327436134646523;
+/// Re-captured when a backup began to join a view change once its
+/// primary had been silent past the election timeout, the same on every
+/// replica, instead of on its own staggered timer, the next view's
+/// primary began to propose first, and a proposal began to leave at its
+/// deadline rather than on the driver's next tick: the campaign's
+/// fail-overs end sooner, so later send times move. No schedule without
+/// a silent primary moved: every other pinned hash holds.
+const E15_BASELINE_TRACE_HASH: u64 = 127992714114970887;
 
 #[test]
 fn e15_trace_hash_matches_committed_baseline() {

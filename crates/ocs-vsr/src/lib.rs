@@ -42,16 +42,22 @@
 //!   keeps nothing but its log: a prepare past a gap is refused with the
 //!   backup's log end, and the primary refills the gap from there at
 //!   once, one entry per round trip.
-//! * **View change** — a backup that has not heard from the primary
-//!   within the suspect timeout proposes view `v+1` with
-//!   `StartViewChange`. Peers *join only if they suspect the primary
-//!   too* (or are already view-changing) — the sticky-primary rule that
-//!   keeps a partitioned-then-healed replica from deposing a healthy
-//!   primary. Only once the initiator has observed a majority of joins
-//!   does anyone emit `DoViewChange` (its commit number and the log
-//!   entries after it — never the committed state) to the new primary —
-//!   the VSR-revisited rule: a `DoViewChange` is a promise that a
-//!   majority left the old view, so no op can commit there
+//! * **View change** — two rules on one clock, the primary's silence.
+//!   *Joining*: a backup whose primary has been silent past the election
+//!   timeout, the same on every replica, joins a peer's
+//!   `StartViewChange` or `DoViewChange` (as does one already
+//!   view-changing); one that heard the primary within the timeout
+//!   declines. That is the sticky-primary rule: a partitioned-then-healed
+//!   replica cannot depose a primary the others still hear.
+//!   *Proposing*: a backup proposes the next view (above any it has
+//!   seen) at the election timeout plus one stagger step per place it
+//!   stands behind that view's primary — so the replica that will lead
+//!   the view proposes first, and the other survivors, silent as long,
+//!   join it at once. Only once the initiator has observed a majority
+//!   of joins does anyone emit `DoViewChange` (its commit number and the
+//!   log entries after it — never the committed state) to the new
+//!   primary — the VSR-revisited rule: a `DoViewChange` is a promise
+//!   that a majority left the old view, so no op can commit there
 //!   concurrently. The new primary chooses the log with the largest
 //!   [`ViewStamp`] `(last_normal, op)`. If its own commit reaches the
 //!   chosen log's, it lays the chosen entries over its own state;
@@ -491,7 +497,14 @@ pub struct VsrCore<M: Machine> {
     /// catch-up; older entries are compacted away and catch-up falls
     /// back to snapshot transfer.
     retain: u64,
-    suspect_timeout: Duration,
+    /// How long the view's primary may stay silent before a backup takes
+    /// it for failed and joins a peer's view change: the same on every
+    /// replica.
+    election_timeout: Duration,
+    /// How much later each rank proposes a view change: a replica `r`
+    /// places behind the next view's primary waits `r` steps past the
+    /// election timeout (see [`VsrCore::next_deadline`]).
+    stagger: Duration,
     status: VsrStatus,
     view: View,
     last_normal: View,
@@ -551,9 +564,19 @@ impl<M: Machine + Default> VsrCore<M> {
     /// A fresh replica over `M::default()`: Normal in view 0 (whose
     /// primary is replica 0 — cold start needs no election). A replica
     /// restarting after a crash also begins here; the driver's recovery
-    /// probe pulls it forward.
-    pub fn new(id: u32, n: usize, retain: u64, suspect_timeout: Duration, now: SimTime) -> VsrCore<M> {
-        VsrCore::with_machine(M::default(), id, n, retain, suspect_timeout, now)
+    /// probe pulls it forward. Its proposals are not staggered: every
+    /// backup would propose at the election timeout. That suits engines
+    /// stepped by hand (unit tests, benchmark probes); a group's driver
+    /// passes its stagger to [`VsrCore::with_machine`].
+    pub fn new(
+        id: u32,
+        n: usize,
+        retain: u64,
+        election_timeout: Duration,
+        now: SimTime,
+    ) -> VsrCore<M> {
+        let stagger = Duration::ZERO;
+        VsrCore::with_machine(M::default(), id, n, retain, election_timeout, stagger, now)
     }
 }
 
@@ -567,7 +590,8 @@ impl<M: Machine> VsrCore<M> {
         id: u32,
         n: usize,
         retain: u64,
-        suspect_timeout: Duration,
+        election_timeout: Duration,
+        stagger: Duration,
         now: SimTime,
     ) -> VsrCore<M> {
         assert!(n >= 1 && (id as usize) < n);
@@ -575,7 +599,8 @@ impl<M: Machine> VsrCore<M> {
             id,
             n,
             retain,
-            suspect_timeout,
+            election_timeout,
+            stagger,
             status: VsrStatus::Normal,
             view: 0,
             last_normal: 0,
@@ -944,20 +969,58 @@ impl<M: Machine> VsrCore<M> {
 
     // ---- view changes --------------------------------------------------
 
-    /// Whether this backup's primary-suspect timer has fired.
+    /// Whether this is a Normal backup out of probation in a group of
+    /// more than one: a replica whose primary can fall silent.
+    fn follows(&self) -> bool {
+        self.status == VsrStatus::Normal && !self.is_primary() && !self.probation && self.n > 1
+    }
+
+    /// Whether this backup takes its primary for failed: silent past the
+    /// election timeout, the same on every replica. It then joins a
+    /// peer's view change; one that heard the primary within the timeout
+    /// declines (the sticky-primary rule).
+    fn silent(&self, now: SimTime) -> bool {
+        self.follows() && now.saturating_since(self.last_pm) > self.election_timeout
+    }
+
+    /// How long this replica waits before proposing: the election
+    /// timeout plus one stagger step per place it stands behind the
+    /// primary of the view it would propose. So the replica that will
+    /// lead the next view proposes first, and the others, silent as
+    /// long, join it at once.
+    fn patience(&self) -> Duration {
+        let next = self.view.max(self.seen_view) + 1;
+        let n = self.n as u32;
+        let rank = (self.id + n - self.primary_of(next)) % n;
+        self.election_timeout + self.stagger * rank
+    }
+
+    /// The first instant at which [`VsrCore::suspects`] or
+    /// [`VsrCore::vc_stuck`] holds, unless a primary or a `StartView` is
+    /// heard first: this replica's patience past the primary's last
+    /// message or the view change's start. `None` for a replica that
+    /// proposes nothing (a primary, one in probation, a group of one).
+    /// The driver wakes for it, so a proposal leaves on time rather than
+    /// on its next tick.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        let since = match self.status {
+            VsrStatus::ViewChange => self.vc_since,
+            VsrStatus::Normal if self.follows() => self.last_pm,
+            VsrStatus::Normal => return None,
+        };
+        Some(since + self.patience() + Duration::from_micros(1))
+    }
+
+    /// Whether this backup should propose a view change: its primary has
+    /// been silent past this replica's patience.
     pub fn suspects(&self, now: SimTime) -> bool {
-        self.status == VsrStatus::Normal
-            && !self.is_primary()
-            && !self.probation
-            && self.n > 1
-            && now.saturating_since(self.last_pm) > self.suspect_timeout
+        self.status == VsrStatus::Normal && self.next_deadline().is_some_and(|at| now >= at)
     }
 
     /// Whether a joined view change has stalled (no `StartView` within
-    /// the timeout) and the next view should be proposed.
+    /// this replica's patience) and the next view should be proposed.
     pub fn vc_stuck(&self, now: SimTime) -> bool {
-        self.status == VsrStatus::ViewChange
-            && now.saturating_since(self.vc_since) > self.suspect_timeout
+        self.status == VsrStatus::ViewChange && self.next_deadline().is_some_and(|at| now >= at)
     }
 
     /// Begins (or re-begins) a view change: proposes the next view —
@@ -992,13 +1055,12 @@ impl<M: Machine> VsrCore<M> {
     /// deposing a healthy primary.
     ///
     /// The suspicion clock (`last_pm`) is deliberately NOT reset: the
-    /// replica stays suspicious until it actually hears from a primary,
-    /// so it joins a fellow suspect's later proposal instead of
-    /// declining it from inside a grace period. (With staggered suspect
-    /// timeouts, a post-abort grace makes the first and second suspects
-    /// take turns proposing alone — elections thrash for many timeout
-    /// periods. Found by E20.) A healthy primary's next heartbeat
-    /// refreshes `last_pm` and clears the suspicion either way.
+    /// replica stays silent-past-the-timeout until it actually hears from
+    /// a primary, so it joins a fellow suspect's later proposal instead
+    /// of declining it from inside a grace period. (A post-abort grace
+    /// makes two suspects take turns proposing alone — elections thrash
+    /// for many timeout periods. Found by E20.) A healthy primary's next
+    /// heartbeat refreshes `last_pm` and clears the suspicion either way.
     pub fn abort_view_change(&mut self, proposed: View, _now: SimTime) {
         if self.status != VsrStatus::ViewChange || self.view != proposed {
             return; // A competing change overtook us; keep it.
@@ -1019,12 +1081,13 @@ impl<M: Machine> VsrCore<M> {
     }
 
     /// Handles a peer's `start_view_change(view, forced)` proposal.
-    /// Joins only if this replica suspects the primary too (or is
-    /// already view-changing) — unless the proposal is `forced`, from a
-    /// replica that can no longer revert and must be re-admitted
-    /// through a view change. Joining emits nothing: the `DoViewChange`
-    /// is released later, by [`VsrCore::emit_dvc`], once the initiator
-    /// has observed a join majority.
+    /// Joins only if its primary has been silent past the election
+    /// timeout here too (or it is already view-changing) — unless the
+    /// proposal is `forced`, from a replica that can no longer revert
+    /// and must be re-admitted through a view change. Joining emits
+    /// nothing: the `DoViewChange` is released later, by
+    /// [`VsrCore::emit_dvc`], once the initiator has observed a join
+    /// majority.
     ///
     /// A replica in probation never joins, forced or not: its log may be
     /// gone, and a `DoViewChange` built from an empty log would count
@@ -1034,7 +1097,7 @@ impl<M: Machine> VsrCore<M> {
         let already_joined = self.status == VsrStatus::ViewChange && self.view == view;
         let join_higher = view > self.view
             && !self.probation
-            && (forced || self.suspects(now) || self.status == VsrStatus::ViewChange);
+            && (forced || self.silent(now) || self.status == VsrStatus::ViewChange);
         if !already_joined && !join_higher {
             return SvcAck {
                 joined: false,
@@ -1093,10 +1156,11 @@ impl<M: Machine> VsrCore<M> {
             return DvcStep::Wait;
         }
         if dvc.view > self.view {
-            // Join the change ourselves — but only if we suspect the old
-            // primary or are already between views; a healthy primary
-            // connection is not overridden by a single straggler.
-            if !(self.suspects(now) || self.status == VsrStatus::ViewChange) {
+            // Join the change ourselves — but only if the old primary has
+            // been silent past the election timeout or we are already
+            // between views; a healthy primary connection is not
+            // overridden by a single straggler.
+            if !(self.silent(now) || self.status == VsrStatus::ViewChange) {
                 return DvcStep::Wait;
             }
             self.view = dvc.view;
@@ -1867,6 +1931,117 @@ mod tests {
         assert_eq!(cores[2].view(), 0);
         assert_eq!(cores[2].status(), VsrStatus::Normal);
         assert!(cores[0].is_master(), "primary was never deposed");
+    }
+
+    /// A group of `n` out of probation whose proposals are staggered as a
+    /// driver staggers them: election timeout 5 s, one step 1 s.
+    fn staggered(n: usize) -> Vec<VsrCore<CounterMachine>> {
+        (0..n as u32)
+            .map(|i| {
+                let (timeout, step) = (Duration::from_secs(5), Duration::from_secs(1));
+                let machine = CounterMachine::default();
+                let mut c = VsrCore::with_machine(machine, i, n, 64, timeout, step, t(0));
+                c.end_probation(t(0));
+                c
+            })
+            .collect()
+    }
+
+    /// Just past `ms`: the first instant a silence of `ms` counts.
+    fn past(ms: u64) -> SimTime {
+        t(ms) + Duration::from_micros(1)
+    }
+
+    #[test]
+    fn the_next_views_primary_proposes_first_and_each_later_rank_a_step_after() {
+        let deadlines = |cores: &[VsrCore<CounterMachine>]| -> Vec<Option<SimTime>> {
+            cores.iter().map(|c| c.next_deadline()).collect()
+        };
+        // Under primary 0, view 1's primary (replica 1) proposes at the
+        // election timeout; the primary proposes nothing.
+        let trio = staggered(3);
+        assert_eq!(deadlines(&trio), [None, Some(past(5_000)), Some(past(6_000))]);
+        assert!(!trio[1].suspects(t(5_000)) && trio[1].suspects(past(5_000)));
+        assert!(!trio[2].suspects(past(5_000)) && trio[2].suspects(past(6_000)));
+        let five = staggered(5);
+        assert_eq!(
+            deadlines(&five),
+            [None, Some(past(5_000)), Some(past(6_000)), Some(past(7_000)), Some(past(8_000))]
+        );
+        // Once view 1 (primary 1) has started, view 2's primary, replica
+        // 2, is first in line, and each backup after it a step later.
+        let mut five = staggered(5);
+        let now = t(5_001);
+        let v = five[1].begin_view_change(now);
+        let joined: Vec<u32> = (2..5)
+            .filter(|&i| five[i].on_start_view_change(v, false, now).joined)
+            .map(|i| i as u32)
+            .collect();
+        assert_eq!(joined, [2, 3, 4], "every survivor silent as long joins at once");
+        let dvcs: Vec<_> = (2..4).map(|i| five[i].emit_dvc(v).unwrap()).collect();
+        let mut steps = dvcs.into_iter().map(|dvc| five[1].on_do_view_change(dvc, now));
+        assert!(matches!(steps.next(), Some(DvcStep::Wait)));
+        let sv = started(steps.next().unwrap());
+        for backup in &mut five[2..] {
+            assert!(backup.on_start_view(sv.clone(), now).accepted);
+        }
+        assert!(five[1].is_primary());
+        assert_eq!(
+            deadlines(&five[2..]),
+            [Some(past(10_001)), Some(past(11_001)), Some(past(12_001))]
+        );
+    }
+
+    #[test]
+    fn a_view_seen_above_reorders_the_proposals_after_an_abort() {
+        // Replica 2 of three proposes view 1 one step after replica 1,
+        // but a peer declines from view 2: it aborts, and its next
+        // proposal is view 3, whose primary is replica 0. Replica 2 is
+        // two places behind it, so it waits two steps.
+        let mut trio = staggered(3);
+        let now = past(6_000);
+        let v = trio[2].begin_view_change(now);
+        assert_eq!(v, 1);
+        trio[2].note_view(2);
+        trio[2].abort_view_change(v, now);
+        assert_eq!((trio[2].view(), trio[2].status()), (0, VsrStatus::Normal));
+        assert_eq!(trio[2].next_deadline(), Some(past(7_000)));
+        // A peer seen in view 1 puts replica 2 at the head instead: it
+        // would lead view 2, so it proposes at the election timeout.
+        let mut trio = staggered(3);
+        trio[2].note_view(1);
+        assert_eq!(trio[2].next_deadline(), Some(past(5_000)));
+        assert!(trio[2].suspects(past(5_000)));
+        assert_eq!(trio[2].begin_view_change(past(5_000)), 2);
+        // In a group of five, a view 2 seen above makes replica 1 the
+        // fourth in line for view 3 (led by replica 3).
+        let mut five = staggered(5);
+        let now = past(5_000);
+        let v = five[1].begin_view_change(now);
+        five[1].note_view(2);
+        five[1].abort_view_change(v, now);
+        assert_eq!(five[1].next_deadline(), Some(past(8_000)));
+        assert_eq!(five[1].begin_view_change(t(8_001)), 3);
+        // A stalled change is re-proposed in the same order, counted from
+        // its start: replica 1 is two places behind view 4's primary.
+        assert_eq!(five[1].next_deadline(), Some(past(8_001 + 5_000 + 2_000)));
+    }
+
+    #[test]
+    fn a_backup_silent_past_the_election_timeout_joins_before_its_own_deadline() {
+        let mut trio = staggered(3);
+        let now = past(5_000);
+        assert!(trio[1].suspects(now));
+        assert!(!trio[2].suspects(now), "replica 2 would propose a step later");
+        let v = trio[1].begin_view_change(now);
+        assert!(trio[2].on_start_view_change(v, false, now).joined);
+        // One that heard the primary inside the election timeout still
+        // declines, however near its own deadline the proposer is.
+        let mut trio = staggered(3);
+        trio[2].on_commit_hb(0, 0, t(1));
+        let v = trio[1].begin_view_change(now);
+        assert!(!trio[2].on_start_view_change(v, false, now).joined);
+        assert!(trio[2].on_start_view_change(v, false, past(5_001)).joined);
     }
 
     #[test]

@@ -59,9 +59,12 @@ pub struct ReplicaConfig {
     pub peers: Vec<Addr>,
     /// Primary → backup heartbeat period.
     pub heartbeat_interval: Duration,
-    /// Base primary-suspect timeout: how long a backup tolerates primary
-    /// silence before proposing a view change (staggered per replica
-    /// id, see [`ReplicaConfig::suspect_timeout`]).
+    /// How long a backup tolerates primary silence, the same on every
+    /// replica: past it, a backup joins a peer's view change (one that
+    /// heard the primary within it declines — the sticky-primary rule).
+    /// The primary of the next view proposes the change at this timeout,
+    /// and each replica after it in id order (wrapping around) half a
+    /// heartbeat later than the one before.
     pub election_timeout: Duration,
     /// Timeout for replica-to-replica calls.
     pub peer_timeout: Duration,
@@ -81,13 +84,6 @@ impl ReplicaConfig {
             peer_timeout: Duration::from_millis(800),
             log_retention: 512,
         }
-    }
-
-    /// This replica's effective suspect timeout: the base plus an
-    /// id-proportional stagger (half a heartbeat per id), so the lowest
-    /// live backup usually proposes the view change alone.
-    fn suspect_timeout(&self) -> Duration {
-        self.election_timeout + (self.heartbeat_interval / 2) * self.replica_id
     }
 }
 
@@ -281,7 +277,8 @@ impl<M: Replicated> Replica<M> {
             cfg.replica_id,
             cfg.peers.len(),
             cfg.log_retention,
-            cfg.suspect_timeout(),
+            cfg.election_timeout,
+            cfg.heartbeat_interval / 2,
             now,
         );
         Arc::new_cyclic(|me| Replica {
@@ -819,12 +816,20 @@ impl<M: Replicated> Replica<M> {
             // The peer endpoint's calls no reply came for end here (a
             // forwarded op's client was answered at its own deadline).
             self.fan.expire(self.rt.now());
-            {
+            let deadline = {
                 let st = self.st.lock();
                 self.metrics.view.set(st.view() as i64);
                 self.metrics.commit_gap.set(st.commit_gap() as i64);
-            }
-            self.rt.sleep(tick);
+                st.next_deadline()
+            };
+            // A proposal due before the next tick leaves at its deadline;
+            // one already due was acted on above, or a state poll went
+            // first.
+            let now = self.rt.now();
+            let nap = deadline
+                .filter(|at| *at > now)
+                .map_or(tick, |at| tick.min(at.saturating_since(now)));
+            self.rt.sleep(nap);
         }
     }
 

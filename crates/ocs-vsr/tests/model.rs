@@ -45,10 +45,8 @@ use proptest::prelude::*;
 
 const HB: Duration = Duration::from_secs(1);
 const RETAIN: u64 = 16;
-
-fn suspect_timeout(id: u32) -> Duration {
-    Duration::from_secs(3) + (HB / 2) * id
-}
+/// The primary silence past which a backup joins a view change.
+const ELECTION_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// What a machine contributes to the harness. Ops are built from three
 /// raw bytes; generators draw names, nodes and tokens from small pools
@@ -191,7 +189,8 @@ impl<M: Model, const N: usize> Harness<M, N> {
             i as u32,
             N,
             RETAIN,
-            suspect_timeout(i as u32),
+            ELECTION_TIMEOUT,
+            HB / 2,
             self.now,
         )
     }

@@ -22,6 +22,9 @@ const ROUND_TRIP: Duration = Duration::from_millis(1);
 const TEN_ROUND_TRIPS: Duration = Duration::from_millis(10);
 /// The tuned `peer_timeout`.
 const PEER_TIMEOUT: Duration = Duration::from_millis(150);
+/// The tuned heartbeat period and election timeout.
+const HEARTBEAT: Duration = Duration::from_millis(200);
+const ELECTION_TIMEOUT: Duration = Duration::from_millis(600);
 
 /// The root object's one method, `add(amount)`.
 const ADD: u32 = 1;
@@ -72,8 +75,8 @@ fn add(rt: &Rt, target: ObjRef, amount: u64) -> Added {
 /// Deployed-tuning timeouts, so a fail-over completes in about a second.
 fn tuned(i: u32, peers: Vec<Addr>) -> ReplicaConfig {
     let mut cfg = ReplicaConfig::paper_defaults(i, peers);
-    cfg.heartbeat_interval = Duration::from_millis(200);
-    cfg.election_timeout = Duration::from_millis(600);
+    cfg.heartbeat_interval = HEARTBEAT;
+    cfg.election_timeout = ELECTION_TIMEOUT;
     cfg.peer_timeout = PEER_TIMEOUT;
     cfg.log_retention = 4;
     cfg
@@ -228,6 +231,60 @@ fn primary_kill(group: Counters, tail_commit: Duration) {
         rep.status()
     );
     assert_eq!(submit(&group, new, 8).0, Ok(20));
+}
+
+/// A primary kill costs one election timeout, whichever replica was
+/// primary: the next view's primary proposes once the victim has been
+/// silent that long, and every other survivor, silent as long, joins at
+/// once. Each id is killed in turn as primary (a kill's successor is the
+/// next id), in a group of three and in one of five, the victim coming
+/// back before the next kill. The first commit after each kill lands
+/// within `election_timeout + heartbeat/4` of the victim's last message,
+/// its last op's prepares.
+#[test]
+fn a_fail_over_takes_one_election_timeout_whoever_was_primary() {
+    for (sim, group) in [build_sim(14_012), build_five(14_013)] {
+        let n = group.nodes().len();
+        let mut victims = Vec::new();
+        for _ in 0..n {
+            let victim = sole_master(&group).unwrap();
+            victims.push(victim);
+            let (last_sent, _) = submit_timed(&group, victim);
+            group.kill(victim);
+            let successor = loop {
+                if let Some(m) = sole_master(&group) {
+                    break m;
+                }
+                assert!(
+                    sim.now().saturating_since(last_sent) < ELECTION_TIMEOUT * 2,
+                    "no master after killing replica {victim} of {n}: {:?}",
+                    group.statuses()
+                );
+                sim.run_for(Duration::from_millis(1));
+            };
+            assert_eq!(successor, (victim + 1) % n, "the next view's primary leads");
+            let (_, committed) = submit_timed(&group, successor);
+            let blackout = committed.saturating_since(last_sent);
+            assert!(
+                blackout <= ELECTION_TIMEOUT + HEARTBEAT / 4,
+                "replica {victim} of {n} killed: first commit {blackout:?} after its last message"
+            );
+            group.restart(victim);
+            group.settle("after the restart");
+        }
+        assert_eq!(victims, (0..n).collect::<Vec<_>>());
+    }
+}
+
+/// Submits an op at replica `at`, from its own node; returns when it was
+/// sequenced there (its prepares leave then) and when it committed.
+fn submit_timed(group: &Counters, at: usize) -> (SimTime, SimTime) {
+    let rep = group.member(at).expect("replica is up");
+    group.on(&group.nodes()[at], move |rt| {
+        let sent = rt.now();
+        rep.submit(1).expect("the op commits");
+        (sent, rt.now())
+    })
 }
 
 /// A restarted replica comes back empty and in probation, leaves it
@@ -542,10 +599,9 @@ fn build_five(seed: u64) -> (Sim, Counters) {
 fn a_stragglers_join_is_dropped_at_the_peer_endpoint() {
     let (sim, group) = build_five(14_010);
     let old = sole_master(&group).unwrap();
-    // The lowest live backup suspects first and proposes; the highest
-    // one's answers reach it 5 ms late, after the other two joiners'.
-    let backups: Vec<usize> = (0..5).filter(|i| *i != old).collect();
-    let (proposer, late) = (backups[0], backups[3]);
+    // The next view's primary proposes first; the backup furthest
+    // behind it answers 5 ms late, after the other two joiners.
+    let (proposer, late) = ((old + 1) % 5, (old + 4) % 5);
     sim.set_link(
         group.node(late),
         group.node(proposer),
