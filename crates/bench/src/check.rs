@@ -130,6 +130,21 @@ pub const GUARDS: &[Guard] = &[
     // 0.1 s.
     g(E16, "slowest_movie_open_tree", EqCommitted),
     g(E16, "warm_movie_open_tree", EqCommitted),
+    // Each of these runs' committed artifact matches the fresh one's
+    // `metrics` block whole — every counter, gauge and histogram the
+    // run's nodes export, virtual time, exact for the seed (two fresh
+    // runs agree field for field) — so a change that moves one fails
+    // here instead of leaving the artifact stale. Adds no run.
+    g(E1, "metrics", EqCommitted),
+    g(E2, "metrics", EqCommitted),
+    g(E2, "bg_msgs_per_s_deployed", EqCommitted),
+    g(E4, "metrics", EqCommitted),
+    g(E7, "metrics", EqCommitted),
+    g(E8, "metrics", EqCommitted),
+    g(E13, "metrics", EqCommitted),
+    g(E14, "metrics", EqCommitted),
+    g(E15, "metrics", EqCommitted),
+    g(E16, "metrics", EqCommitted),
     // The same, virtual time, on groups and services of their own: an NS
     // master re-elected inside §9.7's 25 s at 3, 5 and 7 replicas (9.1 s
     // worst), a restarted RAS that knows every entity again within one
@@ -198,15 +213,22 @@ pub const GUARDS: &[Guard] = &[
     g(E17_2SHARD, "shard_trace_equivalent", IsTrue),
     g(E17_2SHARD, "horizon_syncs", Ge(1.0)),
     g(E17_2SHARD, "xshard_msgs", Ge(1.0)),
-    // Kernel fast path: fast/slow trace equivalence on all legs, and the
-    // ping-pong leg's virtual-time-derived fields exactly as committed
-    // (it does not scale with --settops). Wall-clock events/sec and the
-    // fast/slow speed-up are informational.
-    g(E18, "trace_equivalent", IsTrue),
+    // The kernel's one handoff path, pinned by what it does: the
+    // ping-pong and fan-in legs' trace hashes, the ping-pong's event
+    // count and rate per virtual ms, its allocations per event, and its
+    // scheduler counts — one driver resume, 20,001 direct handoffs and
+    // 140,000 self-continues over 160,000 events, so a lost elision
+    // fails by count. Neither leg scales with --settops. Wall-clock
+    // events/sec are informational.
     g(E18, "deterministic_rerun", IsTrue),
+    g(E18, "pp_trace_hash", EqCommitted),
+    g(E18, "fanin_trace_hash", EqCommitted),
     g(E18, "pp_events", EqCommitted),
     g(E18, "pp_events_per_virtual_ms", EqCommitted),
-    g(E18, "pp_allocs_per_event_fast", EqCommitted),
+    g(E18, "pp_allocs_per_event", EqCommitted),
+    g(E18, "pp_driver_resumes", EqCommitted),
+    g(E18, "pp_direct_handoffs", EqCommitted),
+    g(E18, "pp_self_continues", EqCommitted),
     // The always-on flight recorder costs at most 5% of ping-pong wall
     // throughput at one write per volley (same-run fresh-vs-fresh).
     g(E18, "pp_journal_overhead_pct", Le(5.0)),
@@ -437,8 +459,13 @@ fn evaluate(g: &Guard, fresh: Option<&Json>, committed: Option<&Json>, cores: us
     fn field<'a>(report: Option<&'a Json>, path: &str) -> Option<&'a Json> {
         path.split('/').try_fold(report?, |j, key| j.get(key))
     }
-    let show =
-        |v: Option<&Json>| v.map_or("missing".to_string(), |v| v.render().trim().to_string());
+    // A whole block reads as its size; a failed match names where it
+    // differs.
+    let show = |v: Option<&Json>| match v {
+        None => "missing".to_string(),
+        Some(Json::Obj(map)) => format!("{{{} keys}}", map.len()),
+        Some(v) => v.render().trim().to_string(),
+    };
     let (fresh, committed) = (field(fresh, g.field), field(committed, g.field));
     let num = |v: Option<&Json>| v.and_then(Json::as_f64);
     let (value, holds, claim) = match g.cmp {
@@ -451,11 +478,16 @@ fn evaluate(g: &Guard, fresh: Option<&Json>, committed: Option<&Json>, cores: us
             fresh == Some(&Json::Bool(true)),
             "is true".to_string(),
         ),
-        EqCommitted => (
-            fresh,
-            fresh.is_some() && fresh == committed,
-            format!("== committed {}", show(committed)),
-        ),
+        EqCommitted => {
+            let at = fresh
+                .zip(committed)
+                .and_then(|(f, c)| first_difference(f, c));
+            let claim = match at.filter(|at| !at.is_empty()) {
+                Some(at) => format!("== committed {}: differs at {at}", show(committed)),
+                None => format!("== committed {}", show(committed)),
+            };
+            (fresh, fresh.is_some() && fresh == committed, claim)
+        }
         GeTimesCommitted(k) => (
             fresh,
             num(fresh)
@@ -475,6 +507,26 @@ fn evaluate(g: &Guard, fresh: Option<&Json>, committed: Option<&Json>, cores: us
     } else {
         Verdict::Failed(line)
     }
+}
+
+/// The path of the first leaf at which two reports differ, `a/b`
+/// style: `None` if they are equal.
+fn first_difference(fresh: &Json, committed: &Json) -> Option<String> {
+    let (Json::Obj(f), Json::Obj(c)) = (fresh, committed) else {
+        return (fresh != committed).then(String::new);
+    };
+    let keys: std::collections::BTreeSet<&String> = f.keys().chain(c.keys()).collect();
+    keys.into_iter().find_map(|k| {
+        let at = match (f.get(k), c.get(k)) {
+            (Some(f), Some(c)) => first_difference(f, c)?,
+            _ => String::new(),
+        };
+        Some(if at.is_empty() {
+            k.clone()
+        } else {
+            format!("{k}/{at}")
+        })
+    })
 }
 
 /// Runs every distinct run of [`GUARDS`] once, prints one line per guard
@@ -595,6 +647,25 @@ mod tests {
         assert!(holds("metrics/ocs-sim.msgs_per_op", Le(9.5), "{}"));
         assert!(holds("metrics/lost", Eq(7.0), "{}"));
         assert!(!holds("table/p99_s", Lt(200.0), "{}"));
+    }
+
+    #[test]
+    fn a_block_matches_whole_and_names_its_first_difference() {
+        let committed = r#"{"metrics": {"lost": 7, "nested_only": 1, "ocs-sim.msgs_per_op": 9.4}}"#;
+        assert!(holds("metrics", EqCommitted, committed));
+        let moved = r#"{"metrics": {"lost": 8, "nested_only": 1, "ocs-sim.msgs_per_op": 9.4}}"#;
+        let Verdict::Failed(line) = verdict("metrics", EqCommitted, moved) else {
+            panic!("a moved counter matched");
+        };
+        assert_eq!(
+            line,
+            "BENCH_e20.json.metrics {3 keys} == committed {3 keys}: differs at lost"
+        );
+        let gone = r#"{"metrics": {"lost": 7, "ocs-sim.msgs_per_op": 9.4}}"#;
+        let Verdict::Failed(line) = verdict("metrics", EqCommitted, gone) else {
+            panic!("a missing counter matched");
+        };
+        assert!(line.ends_with("differs at nested_only"), "{line}");
     }
 
     #[test]

@@ -1,40 +1,42 @@
-//! E18: the kernel fast-path microbenchmark. Measures what the other
-//! experiments only benefit from: the discrete-event kernel's raw
-//! wall-clock event throughput, with the scheduler fast path (handoff
-//! elision, direct process-to-process baton grants, indexed network
-//! state, pooled wire buffers) switched on and off *in the same binary*
-//! so the speedup ratio is machine-independent.
+//! E18: the kernel microbenchmark. Measures what the other experiments
+//! only benefit from: the discrete-event kernel's raw wall-clock event
+//! throughput and allocations per event, with the handoff elision of
+//! the kernel's fast path (see `ocs_sim::kernel`), indexed network
+//! state and pooled wire buffers under it.
 //!
-//! Three legs, each run under both scheduler modes with the same seed:
+//! Three legs, each run once with a fixed seed:
 //!  1. **ping-pong** — two processes volleying a window of messages
 //!     (window `PP_WINDOW`). The first recv of each burst is a blocking
 //!     handoff; the rest arrive at the same virtual instant, so they
 //!     exercise exactly the elision the fast path exists for: a recv
 //!     satisfied by draining the same-timestamp delivery inline, with no
-//!     baton yield at all (the classic kernel pays a full driver round
-//!     trip per message);
+//!     switch at all;
 //!  2. **fan-in** — many senders converging on one receiver; stresses
 //!     the event queue and sleep-wake self-continues;
 //!  3. **settop replay** — the E17 admission storm, i.e. a real
-//!     ORB-over-simulated-network workload, timed wall-clock.
+//!     ORB-over-simulated-network workload, timed wall-clock, and again
+//!     on a sharded kernel, which must replay the 1-shard trace.
 //!
-//! Every leg asserts the two modes replay the *identical* event trace
-//! (same hash, same event count, same virtual end time) — the fast path
-//! must be behaviourally invisible — and a same-seed rerun must
-//! reproduce the trace exactly and the allocation count to within
-//! [`ALLOC_JITTER`] (the trace is exact; the allocator sees a couple of
+//! What the runs pin is what the one handoff path does: the ping-pong
+//! and fan-in trace hashes, the ping-pong's scheduler counts (driver
+//! resumes, direct handoffs, self-continues) and its allocations per
+//! event — neither leg scales with `--settops`. A same-seed rerun of
+//! the ping-pong must reproduce the trace exactly and the allocation
+//! count to within [`ALLOC_JITTER`] (the allocator sees a couple of
 //! schedule-dependent parking allocations).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq, Sim, SimConfig};
+use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq, Sim};
 
 use crate::json::Json;
 use crate::{alloc_track, f, report, Table};
 
 use super::saturation;
 
+/// The seed of the ping-pong and fan-in legs.
+const SEED: u64 = 0xE18;
 /// Ping-pong volleys; each volley is a pipelined burst of `PP_WINDOW`
 /// messages each way (2 × `PP_WINDOW` delivery events per volley).
 const PP_ROUNDS: u32 = 10_000;
@@ -111,21 +113,12 @@ fn run_and_measure(sim: Sim) -> Leg {
     }
 }
 
-fn sim_with(fast: bool) -> Sim {
-    Sim::with_config(SimConfig {
-        seed: 0xE18,
-        fast,
-        ..SimConfig::default()
-    })
-}
-
 /// Leg 1: one client volleys `rounds` bursts of `PP_WINDOW` messages off
-/// an echo server on a second node. Per burst the fast path pays one
+/// an echo server on a second node. Per burst the kernel pays one
 /// direct handoff each way and drains the remaining same-timestamp
-/// deliveries inline; the classic path pays a full driver round trip
-/// (two thread switches) per message.
-fn ping_pong(fast: bool, rounds: u32) -> Leg {
-    ping_pong_inner(fast, rounds, false)
+/// deliveries inline.
+fn ping_pong(rounds: u32) -> Leg {
+    ping_pong_inner(rounds, false)
 }
 
 /// The same volley workload with the flight recorder exercised: one
@@ -133,12 +126,12 @@ fn ping_pong(fast: bool, rounds: u32) -> Leg {
 /// denser than any real instrumentation site journals. The measured
 /// overhead is scaled back to one-write-per-volley density; amplifying
 /// the signal first keeps the estimate well above machine noise.
-fn ping_pong_journaled(fast: bool, rounds: u32) -> Leg {
-    ping_pong_inner(fast, rounds, true)
+fn ping_pong_journaled(rounds: u32) -> Leg {
+    ping_pong_inner(rounds, true)
 }
 
-fn ping_pong_inner(fast: bool, rounds: u32, journal: bool) -> Leg {
-    let sim = sim_with(fast);
+fn ping_pong_inner(rounds: u32, journal: bool) -> Leg {
+    let sim = Sim::new(SEED);
     let a = sim.add_node("a");
     let b = sim.add_node("b");
     let b_id = b.node();
@@ -176,8 +169,8 @@ fn ping_pong_inner(fast: bool, rounds: u32, journal: bool) -> Leg {
 /// Leg 2: `FAN_SENDERS` nodes each fire `FAN_PER_SENDER` messages at
 /// one sink, with a per-message virtual pause so deliveries interleave
 /// across the event queue instead of forming one giant same-time batch.
-fn fan_in(fast: bool) -> Leg {
-    let sim = sim_with(fast);
+fn fan_in() -> Leg {
+    let sim = Sim::new(SEED);
     let sink = sim.add_node("sink");
     let total = FAN_SENDERS as u32 * FAN_PER_SENDER;
     {
@@ -205,35 +198,26 @@ fn fan_in(fast: bool) -> Leg {
     run_and_measure(sim)
 }
 
-/// Leg 3: the E17 settop admission storm under one scheduler mode,
+/// Leg 3: the E17 settop admission storm on `shards` kernel shards,
 /// timed wall-clock.
-fn replay(fast: bool, settops: usize) -> (saturation::StormOut, f64) {
-    replay_sharded(fast, settops, 1)
-}
-
-/// [`replay`] on a sharded kernel (leg 4's speedup measurement).
-fn replay_sharded(fast: bool, settops: usize, shards: usize) -> (saturation::StormOut, f64) {
+fn replay(settops: usize, shards: usize) -> (saturation::StormOut, f64) {
     let t0 = std::time::Instant::now();
-    let out = saturation::storm_with(1717, settops, fast, shards);
+    let out = saturation::storm(1717, settops, shards);
     (out, t0.elapsed().as_secs_f64())
 }
 
-fn leg_rows(t: &mut Table, name: &str, fast: &Leg, slow: &Leg) {
-    let speedup = fast.events_per_sec() / slow.events_per_sec().max(f64::MIN_POSITIVE);
+fn leg_row(t: &mut Table, name: &str, leg: &Leg) {
     t.row(&[
         name.into(),
-        fast.events.to_string(),
-        f(fast.events_per_sec(), 0),
-        f(slow.events_per_sec(), 0),
-        f(speedup, 2),
-        f(fast.allocs_per_event(), 2),
-        f(slow.allocs_per_event(), 2),
+        leg.events.to_string(),
+        f(leg.events_per_sec(), 0),
+        f(leg.allocs_per_event(), 2),
     ]);
 }
 
-/// E18: wall-clock kernel throughput with the fast path on vs off.
+/// E18: wall-clock kernel throughput and allocations per event.
 pub fn e18(settops: usize, shards: usize) {
-    println!("\nE18. Kernel fast path: events/sec with handoff elision on vs off");
+    println!("\nE18. Kernel: events/sec and allocations/event, one handoff path");
     println!(
         "    ping-pong {PP_ROUNDS} volleys x{PP_WINDOW} window, fan-in {FAN_SENDERS}x{FAN_PER_SENDER}, replay {settops} settops\n"
     );
@@ -241,29 +225,21 @@ pub fn e18(settops: usize, shards: usize) {
     // Warmup: touch every lazy static (parking tables, thread-spawn
     // machinery, allocator arenas) so the measured runs — and their
     // allocation counts — start from identical process state.
-    let _ = ping_pong(true, 1_000);
-    let _ = ping_pong(false, 1_000);
+    let _ = ping_pong(1_000);
 
-    // Leg 1: ping-pong, both modes, plus a same-seed rerun of the fast
-    // mode for the determinism assert.
-    let pp_fast = ping_pong(true, PP_ROUNDS);
-    let pp_fast2 = ping_pong(true, PP_ROUNDS);
-    let pp_slow = ping_pong(false, PP_ROUNDS);
-    assert_eq!(
-        pp_fast.hash, pp_slow.hash,
-        "ping-pong: fast path changed the event trace"
-    );
-    assert_eq!(pp_fast.events, pp_slow.events);
-    assert_eq!(pp_fast.virtual_us, pp_slow.virtual_us);
-    let deterministic = pp_fast.hash == pp_fast2.hash
-        && pp_fast.events == pp_fast2.events
-        && pp_fast.virtual_us == pp_fast2.virtual_us
-        && pp_fast.allocs.abs_diff(pp_fast2.allocs) <= ALLOC_JITTER;
+    // Leg 1: ping-pong, plus a same-seed rerun for the determinism
+    // assert.
+    let pp = ping_pong(PP_ROUNDS);
+    let pp2 = ping_pong(PP_ROUNDS);
+    let deterministic = pp.hash == pp2.hash
+        && pp.events == pp2.events
+        && pp.virtual_us == pp2.virtual_us
+        && pp.allocs.abs_diff(pp2.allocs) <= ALLOC_JITTER;
     assert!(
         deterministic,
         "same-seed reruns must match (trace exactly, allocations within \
          {ALLOC_JITTER}): {} vs {} events, {} vs {} allocs",
-        pp_fast.events, pp_fast2.events, pp_fast.allocs, pp_fast2.allocs
+        pp.events, pp2.events, pp.allocs, pp2.allocs
     );
 
     // Journal-overhead leg: the volley workload again with one flight-
@@ -279,11 +255,11 @@ pub fn e18(settops: usize, shards: usize) {
     let mut ratios = Vec::new();
     for pair in 0..5 {
         let (plain, journaled) = if pair % 2 == 0 {
-            let p = ping_pong(true, overhead_rounds);
-            (p, ping_pong_journaled(true, overhead_rounds))
+            let p = ping_pong(overhead_rounds);
+            (p, ping_pong_journaled(overhead_rounds))
         } else {
-            let j = ping_pong_journaled(true, overhead_rounds);
-            (ping_pong(true, overhead_rounds), j)
+            let j = ping_pong_journaled(overhead_rounds);
+            (ping_pong(overhead_rounds), j)
         };
         assert_eq!(
             journaled.hash, plain.hash,
@@ -298,23 +274,11 @@ pub fn e18(settops: usize, shards: usize) {
     // one-write-per-volley density the instrumentation sites use.
     let journal_overhead_pct = dense_overhead_pct / PP_WINDOW as f64;
 
-    // Leg 2: fan-in, both modes.
-    let fan_fast = fan_in(true);
-    let fan_slow = fan_in(false);
-    assert_eq!(
-        fan_fast.hash, fan_slow.hash,
-        "fan-in: fast path changed the event trace"
-    );
-    assert_eq!(fan_fast.events, fan_slow.events);
+    // Leg 2: fan-in.
+    let fan = fan_in();
 
-    // Leg 3: the settop replay, both modes.
-    let (rep_fast, rep_fast_wall) = replay(true, settops);
-    let (rep_slow, rep_slow_wall) = replay(false, settops);
-    assert_eq!(
-        rep_fast.trace_hash, rep_slow.trace_hash,
-        "replay: fast path changed the event trace"
-    );
-    assert_eq!(rep_fast.events, rep_slow.events);
+    // Leg 3: the settop replay, on one shard.
+    let (rep, rep_wall) = replay(settops, 1);
 
     // Leg 4: the same replay on a sharded kernel. Trace equivalence is
     // asserted unconditionally — determinism is a correctness property,
@@ -324,15 +288,15 @@ pub fn e18(settops: usize, shards: usize) {
     // 4-shard run on 1 core measures context-switch overhead, not the
     // kernel).
     let speedup_shards = shards.max(4);
-    let (rep_sharded, rep_sharded_wall) = replay_sharded(true, settops, speedup_shards);
+    let (rep_sharded, rep_sharded_wall) = replay(settops, speedup_shards);
     assert_eq!(
-        rep_sharded.trace_hash, rep_fast.trace_hash,
+        rep_sharded.trace_hash, rep.trace_hash,
         "replay: {speedup_shards}-shard run changed the event trace"
     );
     let cores = report::cores_used();
     let (shard_speedup, shard_speedup_skipped) = if cores >= 4 {
         (
-            Some(rep_fast_wall / rep_sharded_wall.max(f64::MIN_POSITIVE)),
+            Some(rep_wall / rep_sharded_wall.max(f64::MIN_POSITIVE)),
             None,
         )
     } else {
@@ -344,38 +308,22 @@ pub fn e18(settops: usize, shards: usize) {
         )
     };
 
-    let mut t = Table::new(&[
-        "leg",
-        "events",
-        "ev/s fast",
-        "ev/s slow",
-        "speedup",
-        "alloc/ev fast",
-        "alloc/ev slow",
-    ]);
-    leg_rows(&mut t, "ping-pong", &pp_fast, &pp_slow);
-    leg_rows(&mut t, "fan-in", &fan_fast, &fan_slow);
-    let rep_fast_eps = rep_fast.events as f64 / rep_fast_wall.max(f64::MIN_POSITIVE);
-    let rep_slow_eps = rep_slow.events as f64 / rep_slow_wall.max(f64::MIN_POSITIVE);
+    let mut t = Table::new(&["leg", "events", "ev/s", "alloc/ev"]);
+    leg_row(&mut t, "ping-pong", &pp);
+    leg_row(&mut t, "fan-in", &fan);
+    let rep_eps = rep.events as f64 / rep_wall.max(f64::MIN_POSITIVE);
     t.row(&[
         "replay".into(),
-        rep_fast.events.to_string(),
-        f(rep_fast_eps, 0),
-        f(rep_slow_eps, 0),
-        f(rep_fast_eps / rep_slow_eps.max(f64::MIN_POSITIVE), 2),
-        "-".into(),
+        rep.events.to_string(),
+        f(rep_eps, 0),
         "-".into(),
     ]);
     t.print();
 
-    let pp_speedup = pp_fast.events_per_sec() / pp_slow.events_per_sec().max(f64::MIN_POSITIVE);
     println!(
-        "    scheduler: fast mode resumed the driver {} times vs {} in slow mode",
-        pp_fast.stats.driver_resumes, pp_slow.stats.driver_resumes
-    );
-    println!(
-        "    ({} direct handoffs, {} in-process continues across {} events)",
-        pp_fast.stats.direct_handoffs, pp_fast.stats.self_continues, pp_fast.events
+        "    scheduler: ping-pong resumed the driver {} times; {} direct handoffs, \
+         {} in-process continues across {} events",
+        pp.stats.driver_resumes, pp.stats.direct_handoffs, pp.stats.self_continues, pp.events
     );
     println!(
         "    flight recorder: {} writes/volley cost {}% wall overhead; {}% at 1/volley (trace-identical)",
@@ -386,15 +334,12 @@ pub fn e18(settops: usize, shards: usize) {
     println!(
         "    determinism: same-seed rerun identical incl. allocations: {deterministic}"
     );
-    println!(
-        "    trace equivalence: fast == slow hash on all three legs (asserted)"
-    );
     match (&shard_speedup, &shard_speedup_skipped) {
         (Some(sp), _) => println!(
             "    sharding: {speedup_shards} shards replayed the identical trace in {} s \
              vs {} s on 1 shard (x{} speedup, {} horizon syncs, {} cross-shard msgs)",
             f(rep_sharded_wall, 2),
-            f(rep_fast_wall, 2),
+            f(rep_wall, 2),
             f(*sp, 2),
             rep_sharded.stats.horizon_syncs,
             rep_sharded.stats.xshard_msgs
@@ -407,22 +352,20 @@ pub fn e18(settops: usize, shards: usize) {
     }
 
     report::put("pp_window", Json::U64(PP_WINDOW as u64));
-    report::put("pp_events", Json::U64(pp_fast.events));
-    report::put("pp_events_per_sec_fast", Json::F64(pp_fast.events_per_sec()));
-    report::put("pp_events_per_sec_slow", Json::F64(pp_slow.events_per_sec()));
-    report::put("pp_speedup", Json::F64(pp_speedup));
+    report::put("pp_events", Json::U64(pp.events));
+    report::put("pp_trace_hash", Json::U64(pp.hash));
+    report::put("pp_events_per_sec", Json::F64(pp.events_per_sec()));
     report::put(
-        "pp_allocs_per_event_fast",
-        Json::F64(pp_fast.allocs_per_event_coarse()),
-    );
-    report::put(
-        "pp_allocs_per_event_slow",
-        Json::F64(pp_slow.allocs_per_event_coarse()),
+        "pp_allocs_per_event",
+        Json::F64(pp.allocs_per_event_coarse()),
     );
     report::put(
         "pp_events_per_virtual_ms",
-        Json::F64(pp_fast.events_per_virtual_ms()),
+        Json::F64(pp.events_per_virtual_ms()),
     );
+    report::put("pp_driver_resumes", Json::U64(pp.stats.driver_resumes));
+    report::put("pp_direct_handoffs", Json::U64(pp.stats.direct_handoffs));
+    report::put("pp_self_continues", Json::U64(pp.stats.self_continues));
     report::put(
         "pp_journal_records",
         Json::U64(overhead_rounds as u64 * PP_WINDOW as u64),
@@ -432,32 +375,16 @@ pub fn e18(settops: usize, shards: usize) {
         "pp_journal_overhead_pct",
         Json::F64(journal_overhead_pct),
     );
-    report::put("fanin_events", Json::U64(fan_fast.events));
+    report::put("fanin_events", Json::U64(fan.events));
+    report::put("fanin_trace_hash", Json::U64(fan.hash));
+    report::put("fanin_events_per_sec", Json::F64(fan.events_per_sec()));
     report::put(
-        "fanin_events_per_sec_fast",
-        Json::F64(fan_fast.events_per_sec()),
-    );
-    report::put(
-        "fanin_events_per_sec_slow",
-        Json::F64(fan_slow.events_per_sec()),
-    );
-    report::put(
-        "fanin_speedup",
-        Json::F64(fan_fast.events_per_sec() / fan_slow.events_per_sec().max(f64::MIN_POSITIVE)),
-    );
-    report::put(
-        "fanin_allocs_per_event_fast",
-        Json::F64(fan_fast.allocs_per_event_coarse()),
+        "fanin_allocs_per_event",
+        Json::F64(fan.allocs_per_event_coarse()),
     );
     report::put("replay_settops", Json::U64(settops as u64));
-    report::put("replay_events", Json::U64(rep_fast.events));
-    report::put("replay_wall_fast", Json::F64(rep_fast_wall));
-    report::put("replay_wall_slow", Json::F64(rep_slow_wall));
-    report::put(
-        "replay_speedup",
-        Json::F64(rep_slow_wall / rep_fast_wall.max(f64::MIN_POSITIVE)),
-    );
-    report::put("trace_equivalent", Json::from(true));
+    report::put("replay_events", Json::U64(rep.events));
+    report::put("replay_wall", Json::F64(rep_wall));
     report::put("deterministic_rerun", Json::from(deterministic));
     report::put("shard_trace_equivalent", Json::from(true));
     report::put("shard_speedup_shards", Json::U64(speedup_shards as u64));
@@ -468,7 +395,7 @@ pub fn e18(settops: usize, shards: usize) {
     report::put("shard_xshard_msgs", Json::U64(rep_sharded.stats.xshard_msgs));
     match (shard_speedup, shard_speedup_skipped) {
         (Some(sp), _) => {
-            report::put("shard_wall_1", Json::F64(rep_fast_wall));
+            report::put("shard_wall_1", Json::F64(rep_wall));
             report::put("shard_wall_n", Json::F64(rep_sharded_wall));
             report::put("shard_speedup", Json::F64(sp));
         }
@@ -477,6 +404,4 @@ pub fn e18(settops: usize, shards: usize) {
         }
         _ => unreachable!(),
     }
-    println!("    shape: the ping-pong speedup is pure scheduler overhead removed;");
-    println!("    the replay speedup is what real workloads actually reclaim.");
 }

@@ -69,26 +69,19 @@ pub(crate) struct StormOut {
     /// Kernel events processed (E18's replay leg divides wall time by
     /// this).
     pub(crate) events: u64,
-    /// Kernel event-trace hash, for fast-vs-slow and 1-vs-N-shard
-    /// equivalence checks.
+    /// Kernel event-trace hash: the same for every shard count, so
+    /// E17's and E18's 1-vs-N-shard checks compare it.
     pub(crate) trace_hash: u64,
     /// Full kernel counters (horizon syncs, cross-shard traffic, …).
     pub(crate) stats: ocs_sim::KernelStats,
 }
 
-/// Runs the storm at `settops` scale with `seed`; pure virtual-time
-/// measurement (no wall clock touches the outputs).
-fn storm(seed: u64, settops: usize, shards: usize) -> StormOut {
-    storm_with(seed, settops, true, shards)
-}
-
-/// [`storm`] with explicit control over the scheduler fast path and the
-/// kernel shard count — the E18 replay leg runs the same storm under
-/// both scheduler modes, and the sharding legs compare 1 vs N shards.
-pub(crate) fn storm_with(seed: u64, settops: usize, fast: bool, shards: usize) -> StormOut {
+/// Runs the storm at `settops` scale with `seed` on `shards` kernel
+/// shards; pure virtual-time measurement (no wall clock touches the
+/// outputs). E18's replay leg runs it too.
+pub(crate) fn storm(seed: u64, settops: usize, shards: usize) -> StormOut {
     let sim = Sim::with_config(ocs_sim::SimConfig {
         seed,
-        fast,
         shards,
         ..ocs_sim::SimConfig::default()
     });

@@ -294,18 +294,13 @@ fn healed_partition_does_not_trigger_spurious_view_change() {
 
 /// One full chaos run, returning the kernel's event-trace hash.
 fn chaos_trace(sim_seed: u64, plan_seed: u64) -> u64 {
-    chaos_trace_with(sim_seed, plan_seed, true, false)
+    chaos_trace_with(sim_seed, plan_seed, false)
 }
 
-/// [`chaos_trace`] with explicit control over the scheduler fast path,
-/// and with the run advancing through a [`Watch`] of every promise
-/// when `watched`.
-fn chaos_trace_with(sim_seed: u64, plan_seed: u64, fast: bool, watched: bool) -> u64 {
-    let sim = Sim::with_config(ocs_sim::SimConfig {
-        seed: sim_seed,
-        fast,
-        ..ocs_sim::SimConfig::default()
-    });
+/// [`chaos_trace`], with the run advancing through a [`Watch`] of every
+/// promise when `watched`.
+fn chaos_trace_with(sim_seed: u64, plan_seed: u64, watched: bool) -> u64 {
+    let sim = Sim::new(sim_seed);
     let mut cfg = ClusterConfig::small();
     cfg.movie_replicas = 2;
     let cluster = ready_cluster(&sim, cfg);
@@ -426,25 +421,11 @@ fn e15_trace_hash_matches_committed_baseline() {
 }
 
 #[test]
-fn fast_path_preserves_chaos_trace_hash() {
-    // Handoff elision and the indexed network state are pure wall-clock
-    // optimizations: the full-cluster chaos campaign must replay the
-    // exact same event trace whether or not the scheduler fast path is
-    // enabled.
-    let fast = chaos_trace_with(305, 7, true, false);
-    let slow = chaos_trace_with(305, 7, false, false);
-    assert_eq!(
-        fast, slow,
-        "scheduler fast path must not change virtual-time behaviour"
-    );
-}
-
-#[test]
 fn the_watch_adds_no_event() {
     // A watch reads state in place between the simulation's slices: reading
     // every promise at every period replays the unwatched trace.
     assert_eq!(
-        chaos_trace_with(305, 7, true, true),
+        chaos_trace_with(305, 7, true),
         chaos_trace(305, 7),
         "the watch must not change virtual-time behaviour"
     );

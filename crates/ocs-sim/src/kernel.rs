@@ -56,25 +56,26 @@
 //!
 //! # Fast path
 //!
-//! In the default fast mode a blocking process runs the scheduler state
-//! machine ([`Kernel::next_step`]) itself, under the kernel lock, instead
-//! of switching to the shard's scheduler context:
+//! A process that blocks, or exits, runs the scheduler state machine
+//! ([`Kernel::next_step`]) itself, under the kernel lock, instead of
+//! switching to the shard's scheduler context:
 //!
 //! * if the next runnable process is the caller itself (its timeout or a
 //!   same-instant delivery woke it), it simply keeps running — zero
-//!   switches;
+//!   switches (`KernelStats::self_continues`);
 //! * if it is another process, it switches to that process's stack
 //!   directly — one switch instead of the two a scheduler round-trip
-//!   costs;
-//! * only the window's end, shutdown, a recorded panic, or
-//!   `fast = false` switch back to the scheduler.
+//!   costs (`KernelStats::direct_handoffs`);
+//! * an inline handler the state machine hands out runs on the same
+//!   stack, with the lock released, before the next step.
 //!
-//! The state machine and every data structure consulted are identical in
-//! both modes; only the context executing them changes, so virtual-time
-//! behaviour (event order, RNG draws, trace hashes) is bit-identical with
-//! the fast path on or off. `SimConfig { fast: false, .. }` sends every
-//! handoff through the scheduler and is used as the baseline by the E18
-//! microbenchmark and the equivalence tests.
+//! Only three things switch back to the scheduler
+//! (`KernelStats::driver_resumes` counts its resumes): the window's end
+//! (nothing left to run before the horizon), shutdown, whose drain the
+//! scheduler sequences, and a recorded panic, which the scheduler must
+//! re-raise. Whichever context runs it, the state machine and every
+//! structure it consults are the same, so where a handoff runs changes
+//! no event order, RNG draw or trace hash.
 //!
 //! # Endpoints
 //!
@@ -755,9 +756,6 @@ pub(crate) struct Kernel {
     pub panics: Vec<String>,
     waitobjs: HashMap<u64, WaitObjState>,
     pub trace: bool,
-    /// Fast-path toggle (see the module docs); `false` forces every
-    /// handoff through the shard's scheduler.
-    pub fast: bool,
     /// Whether a scheduler is currently inside `run_until`.
     in_run: bool,
     /// Last instant of the current window (inclusive): `next_step`
@@ -849,7 +847,6 @@ impl Kernel {
         seed: u64,
         net_cfg: NetConfig,
         trace: bool,
-        fast: bool,
         shard: usize,
         nshards: usize,
         policy: ShardPolicy,
@@ -884,7 +881,6 @@ impl Kernel {
             panics: Vec::new(),
             waitobjs: HashMap::new(),
             trace,
-            fast,
             in_run: false,
             run_limit: 0,
             inline: None,
@@ -1247,7 +1243,7 @@ impl Kernel {
     /// The scheduler state machine: picks the next process to run, or
     /// applies due events until one becomes runnable, or reports `Done`.
     /// Shared verbatim by the driver loop, the shard workers and the
-    /// in-process fast path so every mode makes identical decisions.
+    /// in-process fast path, so every context makes identical decisions.
     pub(crate) fn next_step(&mut self) -> Step {
         loop {
             while let Some(pid) = self.runnable.pop_front() {
@@ -1301,14 +1297,11 @@ impl Kernel {
     }
 
     /// Whether a blocking process may run the scheduler inline instead of
-    /// waking the driver. Shutdown drains and recorded panics always
-    /// route through the scheduler, as with the fast path off.
+    /// waking the driver: inside a window, outside shutdown, with no
+    /// panic for the scheduler to see (see the module docs).
     #[inline]
     pub(crate) fn can_inline(&self) -> bool {
-        self.fast
-            && self.in_run
-            && !self.shutdown
-            && self.panics.is_empty()
+        self.in_run && !self.shutdown && self.panics.is_empty()
     }
 
     /// Sends a message into the network model. Called with the kernel
@@ -1642,8 +1635,7 @@ pub(crate) struct ShardSlot {
     pub kernel: Mutex<Kernel>,
     now_cache: Arc<AtomicU64>,
     /// The scheduler loop's context while a process runs: a process
-    /// switches back to it at quiescence, shutdown, a panic, or with the
-    /// fast path disabled.
+    /// switches back to it at the window's end, shutdown, or a panic.
     sched: coro::Context,
     /// Coordinator → worker: run one window (or exit if `stop` is set).
     go: Baton,
@@ -1685,7 +1677,6 @@ impl SimInner {
         seed: u64,
         net_cfg: NetConfig,
         trace: bool,
-        fast: bool,
         nshards: usize,
         policy: ShardPolicy,
     ) -> Arc<SimInner> {
@@ -1694,7 +1685,7 @@ impl SimInner {
             (0..nshards).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
         let mut shards = Vec::with_capacity(nshards);
         for ix in 0..nshards {
-            let mut kernel = Kernel::new(seed, net_cfg.clone(), trace, fast, ix, nshards, policy);
+            let mut kernel = Kernel::new(seed, net_cfg.clone(), trace, ix, nshards, policy);
             kernel.outboxes = inboxes.clone();
             let now_cache = Arc::clone(&kernel.now_shared);
             shards.push(ShardSlot {
@@ -1902,7 +1893,7 @@ impl SimInner {
     /// been bumped; it receives the generation so it can register the
     /// process on wait lists. `wake_at` optionally schedules a timeout.
     ///
-    /// On the fast path the caller runs the scheduler itself: if the next
+    /// Inside a window the caller runs the scheduler itself: if the next
     /// runnable process turns out to be the caller (its own timeout or a
     /// same-instant delivery), it continues with no switch at all;
     /// otherwise it switches to the next process's stack directly.
@@ -2493,9 +2484,9 @@ impl SimInner {
     /// others by their workers, which then exit — joins the workers, and
     /// closes every endpoint still open, so no handler a served port
     /// holds keeps the simulation alive.
-    /// With `shutdown` set every handoff routes through the scheduler, so
-    /// the drain sequencing matches the fast path off exactly. Driver
-    /// context only — no window is open, so all processes are suspended.
+    /// With `shutdown` set every handoff routes through the scheduler,
+    /// which sequences the drain. Driver context only — no window is
+    /// open, so all processes are suspended.
     pub fn shutdown(&self) {
         self.claim_driver();
         for s in &self.shards {
@@ -2522,10 +2513,9 @@ impl SimInner {
     }
 
     /// Drains one shard's processes after `shutdown` has marked them
-    /// killed: resume every runnable process so it unwinds, then wake
-    /// and drain any still blocked, and unmap the idle stacks — no
-    /// process starts after shutdown. Ignores panics recorded during
-    /// shutdown.
+    /// killed: resume every runnable process so it unwinds, and unmap the
+    /// idle stacks — no process starts after shutdown. Ignores panics
+    /// recorded during shutdown.
     fn drain_shard(&self, ix: usize) {
         let slot = &self.shards[ix];
         loop {
@@ -2549,51 +2539,14 @@ impl SimInner {
                 None => break,
             }
         }
-        // Any processes still blocked have been marked killed but have no
-        // wakeup; wake-and-drain them explicitly.
-        loop {
-            let step = {
-                let mut k = slot.kernel.lock();
-                let blocked: Vec<Pid> = k
-                    .procs
-                    .iter()
-                    .filter(|(_, p)| p.state == PState::Blocked)
-                    .map(|(pid, _)| *pid)
-                    .collect();
-                let k = &mut *k;
-                for pid in &blocked {
-                    if let Some(p) = k.procs.get_mut(pid) {
-                        unblock(p, &mut k.timers, WakeReason::Killed);
-                    }
-                }
-                let runnable: Vec<Pid> = k
-                    .procs
-                    .iter()
-                    .filter(|(_, p)| p.state == PState::Runnable)
-                    .map(|(pid, _)| *pid)
-                    .collect();
-                k.runnable.clear();
-                k.panics.clear();
-                runnable
-            };
-            if step.is_empty() {
-                break;
-            }
-            for pid in step {
-                let to = {
-                    let mut k = slot.kernel.lock();
-                    match k.procs.get_mut(&pid) {
-                        Some(p) if p.state == PState::Runnable => {
-                            p.state = PState::Running;
-                            p.stack.handle()
-                        }
-                        _ => continue,
-                    }
-                };
-                self.resume_from_scheduler(ix, to);
-            }
-        }
-        slot.kernel.lock().stacks.clear();
+        let mut k = slot.kernel.lock();
+        // `kill_proc` made every blocked process runnable, and a process
+        // unwinds at shutdown before it would block again.
+        debug_assert!(
+            k.procs.values().all(|p| p.state != PState::Blocked),
+            "a process blocked during the shutdown drain"
+        );
+        k.stacks.clear();
     }
 }
 
@@ -2664,9 +2617,9 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Han
     // Drop the reply endpoint — outside the lock, which its drop takes —
     // leave the process table — nobody joins a process, so nothing needs
     // its entry once it is done — park the stack for whoever runs next
-    // to free, and pass control on: to the next process directly on the
-    // fast path, else to the shard's scheduler. A recorded panic
-    // disables the fast path, so the scheduler observes it immediately.
+    // to free, and pass control on: to the next process directly inside
+    // a window, else to the shard's scheduler. A recorded panic goes to
+    // the scheduler, so it observes it immediately.
     let mut k = slot.kernel.lock();
     if let Some(reply) = k.procs.get_mut(&pid).and_then(|p| p.reply.take()) {
         drop(k);

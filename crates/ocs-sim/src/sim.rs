@@ -25,10 +25,10 @@ pub struct SimConfig {
     pub net: NetConfig,
     /// Emit a trace line per message send and lifecycle event.
     pub trace: bool,
-    /// Scheduler fast path (handoff elision + direct process-to-process
-    /// switches). Virtual-time behaviour is identical either way;
-    /// `false` sends every handoff through the shard's scheduler and
-    /// exists for baseline benchmarking and equivalence tests.
+    /// Inert: the kernel has one handoff path (the kernel module's "Fast
+    /// path" docs), whatever this reads. It stays only so that
+    /// configurations that set it keep compiling; it is to be removed, so
+    /// set nothing here.
     pub fast: bool,
     /// Number of kernel shards: nodes are partitioned across this many
     /// OS threads that advance in conservative-lookahead windows. With
@@ -101,14 +101,7 @@ impl Sim {
     /// Creates a simulation with explicit configuration.
     pub fn with_config(cfg: SimConfig) -> Sim {
         Sim {
-            inner: SimInner::new(
-                cfg.seed,
-                cfg.net,
-                cfg.trace,
-                cfg.fast,
-                cfg.shards.max(1),
-                cfg.policy,
-            ),
+            inner: SimInner::new(cfg.seed, cfg.net, cfg.trace, cfg.shards.max(1), cfg.policy),
             owner: true,
         }
     }

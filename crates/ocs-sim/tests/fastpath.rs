@@ -1,14 +1,15 @@
-//! Scheduler fast-path equivalence: handoff elision and the indexed
-//! network state are wall-clock optimizations only, so a workload must
-//! behave identically — same deliveries, same order, same trace hash —
-//! with the fast path on or off.
+//! Scheduler equivalence: handoff elision and the indexed network
+//! state are wall-clock optimizations only, so a workload's deliveries,
+//! their order and its trace hash follow from its events alone.
 //!
-//! Two angles:
+//! Three angles:
 //! * a model-based proptest comparing delivery order against a reference
 //!   `BTreeMap<(time, seq), tag>` oracle over arbitrary send/sleep/crash
-//!   interleavings, run under both scheduler modes;
-//! * direct fast-vs-slow trace-hash comparison on the chatty hub
-//!   workload, plus a check that the fast path actually elides handoffs.
+//!   interleavings, on one shard and on three;
+//! * the chatty hub workload on 1, 2 and 4 shards, however the hub
+//!   serves its port;
+//! * literals: the hub's trace hash and event count, and the handoffs
+//!   its one-shard run elides, pinned by count.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -48,13 +49,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Runs the scenario under one scheduler mode and shard count,
-/// returning the receiver's delivery log (virtual micros, tag), the
-/// kernel trace hash and the number of events popped.
-fn run_scenario(ops: &[Op], fast: bool, shards: usize) -> (Vec<(u64, u32)>, u64, u64) {
+/// Runs the scenario on `shards` shards, returning the receiver's
+/// delivery log (virtual micros, tag), the kernel trace hash and the
+/// number of events popped.
+fn run_scenario(ops: &[Op], shards: usize) -> (Vec<(u64, u32)>, u64, u64) {
     let sim = Sim::with_config(SimConfig {
         seed: 0x5EED,
-        fast,
         shards,
         ..SimConfig::default()
     });
@@ -158,16 +158,13 @@ proptest! {
     #[test]
     fn delivery_order_matches_btreemap_oracle(ops in prop::collection::vec(op_strategy(), 1..40)) {
         let want = oracle(&ops);
-        let (fast_log, fast_hash, _) = run_scenario(&ops, true, 1);
-        let (slow_log, slow_hash, _) = run_scenario(&ops, false, 1);
-        prop_assert_eq!(&fast_log, &want, "fast path diverged from the oracle");
-        prop_assert_eq!(&slow_log, &want, "classic path diverged from the oracle");
-        prop_assert_eq!(fast_hash, slow_hash, "trace hashes diverged between modes");
+        let (log, hash, _) = run_scenario(&ops, 1);
+        prop_assert_eq!(&log, &want, "kernel diverged from the oracle");
         // The sharded kernel must replay the identical timeline: same
         // deliveries at the same virtual instants, same trace digest.
-        let (sharded_log, sharded_hash, _) = run_scenario(&ops, true, 3);
+        let (sharded_log, sharded_hash, _) = run_scenario(&ops, 3);
         prop_assert_eq!(&sharded_log, &want, "sharded kernel diverged from the oracle");
-        prop_assert_eq!(sharded_hash, fast_hash, "trace hashes diverged across shard counts");
+        prop_assert_eq!(sharded_hash, hash, "trace hashes diverged across shard counts");
     }
 }
 
@@ -186,16 +183,10 @@ enum Hub {
 }
 
 /// The determinism suite's chatty hub workload, parameterized over the
-/// scheduler mode, shard count and how the hub serves its port.
-fn hub_workload(
-    seed: u64,
-    fast: bool,
-    shards: usize,
-    how: Hub,
-) -> (u64, u64, ocs_sim::KernelStats) {
+/// shard count and how the hub serves its port.
+fn hub_workload(seed: u64, shards: usize, how: Hub) -> (u64, u64, ocs_sim::KernelStats) {
     let sim = Sim::with_config(SimConfig {
         seed,
-        fast,
         shards,
         ..SimConfig::default()
     });
@@ -261,22 +252,10 @@ fn hub_workload(
 }
 
 #[test]
-fn fast_and_slow_hub_workloads_are_trace_identical() {
-    let (fh, fd, fstats) = hub_workload(42, true, 1, Hub::Recv);
-    let (sh, sd, sstats) = hub_workload(42, false, 1, Hub::Recv);
-    assert_eq!(fh, sh, "trace hash must not depend on the scheduler mode");
-    assert_eq!(fd, sd);
-    assert_eq!(
-        fstats.events, sstats.events,
-        "both modes must process the same event stream"
-    );
-}
-
-#[test]
 fn sharded_hub_workload_is_trace_identical_and_crosses_shards() {
-    let (fh, fd, _) = hub_workload(42, true, 1, Hub::Recv);
+    let (fh, fd, _) = hub_workload(42, 1, Hub::Recv);
     for shards in [2, 4] {
-        let (sh, sd, sstats) = hub_workload(42, true, shards, Hub::Recv);
+        let (sh, sd, sstats) = hub_workload(42, shards, Hub::Recv);
         assert_eq!(
             fh, sh,
             "trace hash must not depend on the shard count ({shards} shards)"
@@ -362,48 +341,43 @@ proptest! {
     }
 }
 
+/// The hub's one-shard run, counted at the commit that deleted the
+/// scheduler's second handoff mode: one window, so the scheduler resumes
+/// once, and every other handoff is a direct switch or the blocking
+/// process running on. A lost elision shows here as a count.
 #[test]
 fn fast_path_actually_elides_driver_round_trips() {
-    let (_, _, fstats) = hub_workload(42, true, 1, Hub::Recv);
-    let (_, _, sstats) = hub_workload(42, false, 1, Hub::Recv);
-    assert!(
-        fstats.direct_handoffs + fstats.self_continues > 0,
-        "fast mode never took the fast path: {fstats:?}"
+    let (_, _, stats) = hub_workload(42, 1, Hub::Recv);
+    let counts = (
+        stats.driver_resumes,
+        stats.direct_handoffs,
+        stats.self_continues,
+        stats.events,
     );
-    assert_eq!(
-        sstats.direct_handoffs + sstats.self_continues,
-        0,
-        "slow mode must never elide the driver: {sstats:?}"
-    );
-    assert!(
-        fstats.driver_resumes < sstats.driver_resumes / 4,
-        "elision should remove most driver resumes: fast {fstats:?} vs slow {sstats:?}"
-    );
+    assert_eq!(counts, (1, 574, 30, HUB_EVENTS), "{stats:?}");
 }
 
 /// A served hub replays its receive loop: same trace hash, deliveries
 /// and events whether each echo is a process spawned at delivery or runs
-/// inline, in either scheduler mode, on 1, 2 or 4 shards.
+/// inline, on 1, 2 or 4 shards.
 #[test]
 fn a_served_hub_replays_its_receive_loop() {
-    let (hash, delivered, base) = hub_workload(42, true, 1, Hub::Recv);
-    let (_, _, spawned) = hub_workload(42, true, 1, Hub::SpawnLoop);
+    let (hash, delivered, base) = hub_workload(42, 1, Hub::Recv);
+    let (_, _, spawned) = hub_workload(42, 1, Hub::SpawnLoop);
     assert_eq!(spawned.spawns, base.spawns + 200, "one process per echo");
     for how in [Hub::SpawnLoop, Hub::Served, Hub::Inline] {
-        for fast in [true, false] {
-            for shards in [1, 2, 4] {
-                let (h, d, stats) = hub_workload(42, fast, shards, how);
-                let run = format!("{how:?}, fast {fast}, {shards} shards");
-                assert_eq!(h, hash, "trace hash: {run}");
-                assert_eq!(d, delivered, "deliveries: {run}");
-                assert_eq!(stats.events, base.events, "events: {run}");
-                let (spawns, inline) = match how {
-                    Hub::Inline => (base.spawns, 200),
-                    _ => (spawned.spawns, 0),
-                };
-                assert_eq!(stats.spawns, spawns, "processes: {run}");
-                assert_eq!(stats.inline_runs, inline, "inline echoes: {run}");
-            }
+        for shards in [1, 2, 4] {
+            let (h, d, stats) = hub_workload(42, shards, how);
+            let run = format!("{how:?}, {shards} shards");
+            assert_eq!(h, hash, "trace hash: {run}");
+            assert_eq!(d, delivered, "deliveries: {run}");
+            assert_eq!(stats.events, base.events, "events: {run}");
+            let (spawns, inline) = match how {
+                Hub::Inline => (base.spawns, 200),
+                _ => (spawned.spawns, 0),
+            };
+            assert_eq!(stats.spawns, spawns, "processes: {run}");
+            assert_eq!(stats.inline_runs, inline, "inline echoes: {run}");
         }
     }
 }
@@ -415,7 +389,7 @@ fn a_served_hub_replays_its_receive_loop() {
 /// slices its run into many short runs.
 #[test]
 fn one_shard_replays_the_pinned_trace() {
-    let (hash, delivered, stats) = hub_workload(42, true, 1, Hub::Recv);
+    let (hash, delivered, stats) = hub_workload(42, 1, Hub::Recv);
     assert_eq!(
         (hash, delivered, stats.events),
         (HUB_HASH, HUB_DELIVERED, HUB_EVENTS)
@@ -437,7 +411,7 @@ fn one_shard_replays_the_pinned_trace() {
         Op::Sleep { ms: 1 },
         Op::Send { s: 1, tag: 8 },
     ];
-    let (log, hash, events) = run_scenario(&ops, true, 1);
+    let (log, hash, events) = run_scenario(&ops, 1);
     assert_eq!(log, oracle(&ops));
     assert_eq!((hash, events), (SCENARIO_HASH, SCENARIO_EVENTS));
 }
