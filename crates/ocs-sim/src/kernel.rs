@@ -85,12 +85,15 @@
 //! kill reaches all of them on every shard count.
 //!
 //! Each shard keeps one port table for the nodes it owns (`ports.rs`, the
-//! table TCP keeps per node, with its one open-id rule): an endpoint is an
-//! open there, owned by the group of the process that opened it, and
-//! closes when closed, when its last handle drops (`SimEndpoint`'s
-//! `Drop`), at once when its group is killed, and when its node crashes —
-//! in port order, before any process has unwound, so a frame for a dead
-//! service bounces from the kill instant on. A process's reply endpoint is
+//! table TCP keeps per node, with its one open-id rule and its one group
+//! record): an endpoint is an open there, owned by the group of the
+//! process that opened it, and closes when closed, when its last handle
+//! drops (`SimEndpoint`'s `Drop`), at once when its group is killed, and
+//! when its node crashes — in port order, before any process has unwound,
+//! so a frame for a dead service bounces from the kill instant on. A
+//! process joins its group's record there when it is spawned and leaves
+//! at its exit, so a kill ends the members in pid order with no scan of
+//! the shard's processes. A process's reply endpoint is
 //! one more handle (`Proc::reply`), dropped when the process exits. The
 //! simulator's own part of a port is its receive side, `Rx`: the queue,
 //! and the receivers a delivery or the close wakes.
@@ -261,14 +264,12 @@ pub(crate) struct Rx {
     pub waiters: VecDeque<(Pid, u64)>,
 }
 
-/// A simulated port is owned by a group id.
-type SimPort = Port<Rx, Option<u64>>;
-type SimServed = Served<Option<u64>>;
+type SimPort = Port<Rx>;
 
 /// One frame or bounce for a served port whose handler runs inline.
 pub(crate) struct InlineRun {
     port: Addr,
-    served: Arc<SimServed>,
+    served: Arc<Served>,
     landing: Landing,
 }
 
@@ -735,7 +736,7 @@ pub(crate) struct Kernel {
     /// shard; the per-node streams are only touched by the owner.
     nodes: Vec<NodeState>,
     /// The open ports of the nodes this shard owns.
-    pub ports: PortTable<Rx, Option<u64>>,
+    pub ports: PortTable<Rx>,
     /// What the kernel let go of under its lock — a closed port's
     /// handler, a refused spawn's body — until the lock is released (see
     /// the module docs): either may hold an endpoint handle.
@@ -784,7 +785,7 @@ pub(crate) struct Kernel {
 struct InlineAs {
     port: Addr,
     shard: usize,
-    served: Arc<SimServed>,
+    served: Arc<Served>,
 }
 
 thread_local! {
@@ -1141,7 +1142,7 @@ impl Kernel {
 
     /// Starts a served port's handler on one landing as a process of the
     /// port's node, in the port's group.
-    pub(crate) fn spawn_handler(&mut self, port: Addr, served: &SimServed, landing: Landing) {
+    pub(crate) fn spawn_handler(&mut self, port: Addr, served: &Served, landing: Landing) {
         let Some(inner) = self.inner.upgrade() else {
             return;
         };
@@ -1462,20 +1463,16 @@ impl Kernel {
         Some(Arc::clone(ep) as Arc<dyn Endpoint>)
     }
 
-    /// Kills every live member of a process group and closes the
-    /// endpoints they opened, before any has unwound. A group lives on
-    /// its home node, so every member and endpoint is on this shard.
+    /// Kills a process group (`PortTable::kill_where`): its members, in pid
+    /// order, and its endpoints, before any member has unwound. A group
+    /// lives on its home node, so every member and endpoint is on this
+    /// shard.
     pub fn kill_group(&mut self, group: u64) {
-        self.kill_procs(|_, p| p.group == Some(group));
-        let closed = self.ports.close_group(group);
+        let (members, closed) = self.ports.kill_where(self.now, |g, _| g == group);
+        for pid in members {
+            self.kill_proc(pid);
+        }
         self.release(closed.into_iter().map(|(_, port)| port));
-    }
-
-    /// Whether any member of a process group is still alive.
-    pub fn group_alive(&self, group: u64) -> bool {
-        self.procs
-            .values()
-            .any(|p| p.group == Some(group) && !p.killed)
     }
 
     /// Kills, in pid order, every process `pick` accepts.
@@ -1506,17 +1503,19 @@ impl Kernel {
         // kernel interaction.
     }
 
-    /// Kills all processes on `node` and closes the node's endpoints. The
-    /// calling process, if it is on the node, is marked killed but left
-    /// as it is, to unwind at its next kernel interaction.
+    /// Kills all processes and groups on `node` and closes the node's
+    /// endpoints. The calling process, if it is on the node, is marked
+    /// killed but left as it is, to unwind at its next kernel interaction.
     pub fn crash_node(&mut self, node: NodeId) {
         self.trace_note(&[3, self.now, node.0 as u64]);
         if let Some(n) = self.node_mut(node) {
             n.up = false;
         }
+        let closed = self.ports.close_where(|addr, _| addr.node == node);
+        // The groups' ports are closed, and their members die below.
+        self.ports.kill_where(self.now, |_, home| home == node);
         let me = cur_pid();
         self.kill_procs(|pid, p| p.node == Some(node) && Some(pid) != me);
-        let closed = self.ports.close_where(|addr, _| addr.node == node);
         self.release(closed.into_iter().map(|(_, port)| port));
         let me = me.and_then(|pid| self.procs.get_mut(&pid));
         if let Some(p) = me.filter(|p| p.node == Some(node)) {
@@ -1571,7 +1570,7 @@ impl Kernel {
     /// pid, primes a stack with its body, and makes it runnable. Nothing
     /// runs until the scheduler first switches to the stack. Group
     /// inheritance is resolved by the *caller* before routing (the
-    /// spawner may live on another shard).
+    /// spawner may live on another shard); a killed group takes none.
     pub(crate) fn spawn_local(
         &mut self,
         inner: &Arc<SimInner>,
@@ -1584,13 +1583,14 @@ impl Kernel {
             self.dropped.push(Box::new(f));
             return;
         }
+        let pid = ((self.shard as u64) << SHARD_SHIFT) | self.next_pid;
         if let Some(n) = node {
             debug_assert!(self.owns(n), "spawn routed to wrong shard");
             let up = self.node(n).map(|s| s.up).unwrap_or(false);
-            if !up {
+            if !up || group.is_some_and(|g| !self.ports.join(n, g, pid)) {
                 if self.trace {
                     eprintln!(
-                        "[{}] spawn of '{}' dropped: {} is down",
+                        "[{}] spawn of '{}' dropped: {} is down or its group killed",
                         SimTime::from_micros(self.now),
                         name,
                         n
@@ -1600,7 +1600,6 @@ impl Kernel {
                 return;
             }
         }
-        let pid = ((self.shard as u64) << SHARD_SHIFT) | self.next_pid;
         self.next_pid += 1;
         let (stack, mapped) = self
             .stacks
@@ -2188,15 +2187,6 @@ impl SimInner {
         }
     }
 
-    /// Whether any member of a group whose home is `home` is alive. From a
-    /// foreign-shard process this is a racy read (monitoring only).
-    pub fn group_alive(&self, group: u64, home: NodeId) -> bool {
-        self.shards[self.shard_ix(home.0)]
-            .kernel
-            .lock()
-            .group_alive(group)
-    }
-
     // ---- fault injection ---------------------------------------------
 
     /// Applies a cluster-wide network control. From the driver it takes
@@ -2546,6 +2536,9 @@ impl SimInner {
             k.procs.values().all(|p| p.state != PState::Blocked),
             "a process blocked during the shutdown drain"
         );
+        // Every process has left its group, and a record goes with the
+        // last member out.
+        debug_assert_eq!(k.ports.groups(), 0, "a group record outlived its members");
         k.stacks.clear();
     }
 }
@@ -2627,6 +2620,9 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Han
         k = slot.kernel.lock();
     }
     if let Some(me) = k.procs.remove(&pid) {
+        if let Some(g) = me.group {
+            k.ports.leave(g, pid);
+        }
         k.park_dead(me.stack);
     }
     k.entered -= 1;

@@ -1,15 +1,17 @@
-//! A node's port table, the one copy of the port rules: the simulator
-//! keeps one per shard, for the nodes it owns, and TCP one per node. A
-//! fixed port already open gives `PortInUse`; an ephemeral open takes the
-//! first free port from the node's cursor, kept here too, wrapping to
-//! [`EPHEMERAL_BASE`]. Every open gets a fresh id, and a handle receives
-//! from, serves or closes only its own open. A group kill, a crash or
-//! stop, and shutdown close their ports in port order. What differs
-//! between the runtimes is a type parameter each: `R`, where an unserved
-//! port's landings wait for a receive, and `G`, how the port's owner group
-//! is held. A closed entry is handed back, never dropped here: a served
-//! port's handler may hold an endpoint whose drop takes the lock the table
-//! sits under.
+//! A node's port table, the one copy of the port and group rules: the
+//! simulator keeps one per shard, for the nodes it owns, and TCP one per
+//! node. A fixed port already open gives `PortInUse`; an ephemeral open
+//! takes the first free port from the node's cursor, kept here too,
+//! wrapping to [`EPHEMERAL_BASE`]. Every open gets a fresh id, and a handle
+//! receives from, serves or closes only its own open. A group kill, a
+//! crash or stop, and shutdown close their ports in port order. Beside a
+//! group's ports sits its record, under the same lock: whether it was
+//! killed, and its members, processes or tasks by id. A killed group takes
+//! no member, and its members' opens are closed at birth. What differs
+//! between the runtimes is a type parameter, `R`, where an unserved port's
+//! landings wait for a receive. A closed entry is handed back, never
+//! dropped here: a served port's handler may hold an endpoint whose drop
+//! takes the lock the table sits under.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,28 +28,17 @@ pub(crate) const EPHEMERAL_BASE: u16 = 32768;
 /// of one sent from the port.
 pub(crate) type Landing = Result<(Addr, Bytes), RecvError>;
 
-/// A port's owner group as a runtime holds it; the table asks only its id.
-pub(crate) trait Owner: Clone {
-    fn group_id(&self) -> Option<u64>;
-}
-
-impl Owner for Option<u64> {
-    fn group_id(&self) -> Option<u64> {
-        *self
-    }
-}
-
 /// A served port's handler and what it runs as.
-pub(crate) struct Served<G> {
+pub(crate) struct Served {
     pub task: Arc<str>,
     pub handler: LandingHandler,
     /// Which frames run where they land; bounces always do.
     inline: InlineTest,
     /// The group the handler joins: the port's.
-    pub group: G,
+    pub group: Option<u64>,
 }
 
-impl<G> Served<G> {
+impl Served {
     /// Whether `landing` runs where it lands rather than in a task.
     pub fn runs_inline(&self, landing: &Landing) -> bool {
         match landing {
@@ -84,31 +75,46 @@ impl<G> Served<G> {
 
 /// An open port. A closed one has no entry: a landing for it bounces, a
 /// receive returns `Closed`, and its number is free.
-pub(crate) struct Port<R, G> {
+pub(crate) struct Port<R> {
     /// Which open of the port this is.
     pub id: u64,
     /// The opener's group, whose kill closes the port.
-    pub group: G,
+    pub group: Option<u64>,
     /// Set by `serve`: landings run the handler instead of queueing.
     /// Behind a pointer, so an ordinary port does not grow.
-    pub served: Option<Arc<Served<G>>>,
+    pub served: Option<Arc<Served>>,
     /// Where an unserved port's landings wait for a receive.
     pub rx: R,
 }
 
-/// The open ports of one or more nodes, keyed by address.
-pub(crate) struct PortTable<R, G> {
-    ports: HashMap<Addr, Port<R, G>, IdBuild>,
+/// A process group with a member: its home node, when it was killed, in
+/// the runtime's own microseconds, and its members in join order.
+struct Group {
+    node: NodeId,
+    killed: Option<u64>,
+    members: Vec<u64>,
+}
+
+/// What a kill ends: the group's members, in join order, and its ports,
+/// in port order.
+pub(crate) type Killed<R> = (Vec<u64>, Vec<(Addr, Port<R>)>);
+
+/// The open ports of one or more nodes, keyed by address, and the groups
+/// homed there.
+pub(crate) struct PortTable<R> {
+    ports: HashMap<Addr, Port<R>, IdBuild>,
+    groups: HashMap<u64, Group, IdBuild>,
     /// Where each node's next ephemeral scan starts.
     cursors: HashMap<NodeId, u16, IdBuild>,
     /// The id of the last open.
     last_id: u64,
 }
 
-impl<R, G> Default for PortTable<R, G> {
-    fn default() -> PortTable<R, G> {
+impl<R> Default for PortTable<R> {
+    fn default() -> PortTable<R> {
         PortTable {
             ports: HashMap::default(),
+            groups: HashMap::default(),
             cursors: HashMap::default(),
             last_id: 0,
         }
@@ -120,15 +126,16 @@ fn after(port: u16) -> u16 {
     port.checked_add(1).unwrap_or(EPHEMERAL_BASE)
 }
 
-impl<R, G: Owner> PortTable<R, G> {
+impl<R> PortTable<R> {
     /// Opens a port on `node` for `group`, its landings waiting in `rx`;
     /// an ephemeral one is scanned for from the node's cursor, which is
-    /// left past it. Returns the address and the open's id.
+    /// left past it. Returns the address and the open's id. If `group` has
+    /// been killed the open is closed at birth: it has no entry.
     pub fn open(
         &mut self,
         node: NodeId,
         req: PortReq,
-        group: G,
+        group: Option<u64>,
         rx: R,
     ) -> Result<(Addr, u64), NetError> {
         let addr = match req {
@@ -151,6 +158,9 @@ impl<R, G: Owner> PortTable<R, G> {
         };
         self.last_id += 1;
         let id = self.last_id;
+        if group.is_some_and(|g| self.killed(g)) {
+            return Ok((addr, id));
+        }
         let port = Port {
             id,
             group,
@@ -163,17 +173,17 @@ impl<R, G: Owner> PortTable<R, G> {
 
     /// Whatever open holds `addr`: where a landing for it goes.
     #[inline]
-    pub fn get_mut(&mut self, addr: &Addr) -> Option<&mut Port<R, G>> {
+    pub fn get_mut(&mut self, addr: &Addr) -> Option<&mut Port<R>> {
         self.ports.get_mut(addr)
     }
 
     /// Open `id` of `addr`, if it is still open.
-    pub fn own(&mut self, addr: &Addr, id: u64) -> Option<&mut Port<R, G>> {
+    pub fn own(&mut self, addr: &Addr, id: u64) -> Option<&mut Port<R>> {
         self.ports.get_mut(addr).filter(|p| p.id == id)
     }
 
     /// Closes open `id` of `addr`, if it is still open.
-    pub fn close(&mut self, addr: &Addr, id: u64) -> Option<Port<R, G>> {
+    pub fn close(&mut self, addr: &Addr, id: u64) -> Option<Port<R>> {
         self.own(addr, id)?;
         self.ports.remove(addr)
     }
@@ -181,16 +191,87 @@ impl<R, G: Owner> PortTable<R, G> {
     /// Closes every port `pick` accepts; returns them in port order.
     pub fn close_where(
         &mut self,
-        mut pick: impl FnMut(&Addr, &Port<R, G>) -> bool,
-    ) -> Vec<(Addr, Port<R, G>)> {
+        mut pick: impl FnMut(&Addr, &Port<R>) -> bool,
+    ) -> Vec<(Addr, Port<R>)> {
         let mut closed: Vec<_> = self.ports.extract_if(|addr, p| pick(addr, p)).collect();
         closed.sort_unstable_by_key(|&(addr, _)| addr);
         closed
     }
 
-    /// Closes the ports `group` owns; returns them in port order.
-    pub fn close_group(&mut self, group: u64) -> Vec<(Addr, Port<R, G>)> {
-        self.close_where(|_, p| p.group.group_id() == Some(group))
+    /// Counts `member` into `group`, homed on `node`; `false`, and no
+    /// member, if the group has been killed.
+    pub fn join(&mut self, node: NodeId, group: u64, member: u64) -> bool {
+        let record = self.groups.entry(group).or_insert_with(|| Group {
+            node,
+            killed: None,
+            members: Vec::new(),
+        });
+        if record.killed.is_some() {
+            return false;
+        }
+        record.members.push(member);
+        true
+    }
+
+    /// Takes `member` out of `group`. The last member out takes the
+    /// record with it; if the group was killed, returns when.
+    pub fn leave(&mut self, group: u64, member: u64) -> Option<u64> {
+        let record = self.groups.get_mut(&group)?;
+        if let Some(at) = record.members.iter().rposition(|&m| m == member) {
+            record.members.remove(at);
+        }
+        if !record.members.is_empty() {
+            return None;
+        }
+        self.groups.remove(&group)?.killed
+    }
+
+    /// Whether `group` is not killed and has a member (a record has one).
+    pub fn alive(&self, group: u64) -> bool {
+        self.groups.get(&group).is_some_and(|g| g.killed.is_none())
+    }
+
+    /// Whether `group` has been killed and has a member left.
+    pub fn killed(&self, group: u64) -> bool {
+        self.groups.get(&group).is_some_and(|g| g.killed.is_some())
+    }
+
+    /// Kills every group `pick` accepts by id and home node at `now`:
+    /// marks it, so it takes no new member, and closes its ports. Returns
+    /// the members, each group's in join order, and the ports, in port
+    /// order; a group killed already gives neither.
+    pub fn kill_where(&mut self, now: u64, pick: impl Fn(u64, NodeId) -> bool) -> Killed<R> {
+        let mut members = Vec::new();
+        for (&id, g) in &mut self.groups {
+            if g.killed.is_none() && pick(id, g.node) {
+                g.killed = Some(now);
+                members.extend_from_slice(&g.members);
+            }
+        }
+        let ports = self.close_where(|addr, p| p.group.is_some_and(|g| pick(g, addr.node)));
+        (members, ports)
+    }
+
+    /// How many groups have a record: none once every member has left.
+    pub fn groups(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The handler of `addr`'s served open, with `member` counted into
+    /// its group; `None` if `addr` has no served open. The join is made
+    /// in the step that finds the port open, and a kill closes the port
+    /// in a step of its own, so the handler never joins a killed group,
+    /// not even one that had no member left to mark. (The simulator
+    /// spawns a handler in the kernel step that finds its port, which
+    /// holds the same.)
+    pub fn join_handler(&mut self, addr: &Addr, member: u64) -> Option<Arc<Served>> {
+        let served = Arc::clone(self.ports.get(addr)?.served.as_ref()?);
+        if let Some(g) = served.group {
+            if !self.join(addr.node, g, member) {
+                return None;
+            }
+        }
+        Some(served)
     }
 
     /// Serves open `id` of `addr`: its landings run `handler` as `task`,
@@ -204,13 +285,13 @@ impl<R, G: Owner> PortTable<R, G> {
         task: &str,
         handler: LandingHandler,
         inline: InlineTest,
-    ) -> Option<(Arc<Served<G>>, &mut R)> {
+    ) -> Option<(Arc<Served>, &mut R)> {
         let port = self.own(addr, id)?;
         let served = Arc::new(Served {
             task: Arc::from(task),
             handler,
             inline,
-            group: port.group.clone(),
+            group: port.group,
         });
         port.served = Some(Arc::clone(&served));
         Some((served, &mut port.rx))
@@ -221,12 +302,16 @@ impl<R, G: Owner> PortTable<R, G> {
 mod tests {
     use super::*;
 
-    type Table = PortTable<(), Option<u64>>;
+    type Table = PortTable<()>;
 
     const N: NodeId = NodeId(1);
 
     fn open(t: &mut Table, req: PortReq, group: Option<u64>) -> (Addr, u64) {
         t.open(N, req, group, ()).unwrap()
+    }
+
+    fn kill(t: &mut Table, group: u64) -> Killed<()> {
+        t.kill_where(5, |g, _| g == group)
     }
 
     #[test]
@@ -274,12 +359,119 @@ mod tests {
     #[test]
     fn a_group_close_takes_its_ports_in_port_order_and_no_others() {
         let mut t = Table::default();
+        for member in [7, 3, 9] {
+            assert!(t.join(N, 1, member));
+        }
+        assert!(t.join(N, 2, 4));
         for (port, group) in [(9, Some(1)), (3, Some(2)), (5, Some(1)), (4, None), (1, Some(1))] {
             open(&mut t, PortReq::Fixed(port), group);
         }
-        let closed: Vec<u16> = t.close_group(1).iter().map(|(addr, _)| addr.port).collect();
-        assert_eq!(closed, [1, 5, 9]);
+        // The kill ends the members in join order and the ports in port
+        // order, once.
+        let (members, closed) = kill(&mut t, 1);
+        let closed: Vec<u16> = closed.iter().map(|(addr, _)| addr.port).collect();
+        assert_eq!((members, closed), (vec![7, 3, 9], vec![1, 5, 9]));
+        let (members, closed) = kill(&mut t, 1);
+        assert!(members.is_empty() && closed.is_empty(), "a second kill");
         let left: Vec<u16> = t.close_where(|_, _| true).iter().map(|(a, _)| a.port).collect();
         assert_eq!(left, [3, 4]);
+    }
+
+    #[test]
+    fn a_killed_group_takes_no_member_and_its_opens_are_closed_at_birth() {
+        let mut t = Table::default();
+        assert!(t.join(N, 1, 10));
+        kill(&mut t, 1);
+        assert!(!t.join(N, 1, 11), "a join after the kill");
+        let (addr, id) = open(&mut t, PortReq::Fixed(90), Some(1));
+        assert!(t.own(&addr, id).is_none(), "the member's open has no entry");
+        // Another group, and no group, open as before.
+        let (other, id) = open(&mut t, PortReq::Fixed(91), Some(2));
+        assert!(t.own(&other, id).is_some());
+        assert!(
+            t.open(N, PortReq::Fixed(90), None, ()).is_ok(),
+            "port 90 is free"
+        );
+    }
+
+    #[test]
+    fn a_group_with_no_member_still_owns_its_served_port_until_a_kill() {
+        let mut t = Table::default();
+        assert!(t.join(N, 1, 10));
+        let (addr, id) = open(&mut t, PortReq::Fixed(80), Some(1));
+        let handler: LandingHandler = Arc::new(|_| {});
+        assert!(t
+            .serve(&addr, id, "orb", handler, Arc::new(|_| true))
+            .is_some());
+        t.leave(1, 10);
+        assert!(t.groups() == 0 && !t.alive(1), "the opener left");
+        let served = t.get_mut(&addr).and_then(|p| p.served.clone());
+        assert_eq!(
+            served.map(|s| s.group),
+            Some(Some(1)),
+            "served, in the group"
+        );
+        // A handler's task joins the group through the open port.
+        assert!(t.join_handler(&addr, 11).is_some());
+        assert!(t.alive(1), "the handler is a member");
+        t.leave(1, 11);
+        let (members, ports) = kill(&mut t, 1);
+        assert!(members.is_empty());
+        assert_eq!(ports.iter().map(|(a, _)| *a).collect::<Vec<_>>(), [addr]);
+        assert!(t.get_mut(&addr).is_none());
+        // The kill had no record to mark, yet no handler joins after it:
+        // the port it joins through is gone.
+        assert!(t.join_handler(&addr, 12).is_none());
+        assert!(!t.alive(1) && t.groups() == 0, "no record after the kill");
+    }
+
+    #[test]
+    fn a_group_is_alive_while_it_has_a_member_and_no_kill() {
+        let mut t = Table::default();
+        assert!(!t.alive(1), "no member yet");
+        t.join(N, 1, 10);
+        t.join(N, 1, 11);
+        assert!(t.alive(1));
+        t.leave(1, 10);
+        assert!(t.alive(1), "one member left");
+        t.leave(1, 11);
+        assert!(!t.alive(1), "no member left");
+        t.join(N, 1, 12);
+        assert!(t.alive(1), "a member again");
+        t.join(N, 1, 13);
+        kill(&mut t, 1);
+        assert!(
+            !t.alive(1) && t.killed(1),
+            "killed, its members still unwinding"
+        );
+        // The last member out of a killed group says when it was killed.
+        assert_eq!((t.leave(1, 13), t.leave(1, 12)), (None, Some(5)));
+        assert!(
+            !t.alive(1) && !t.killed(1) && t.groups() == 0,
+            "no record left"
+        );
+    }
+
+    #[test]
+    fn a_node_kill_ends_every_group_homed_there_and_only_their_ports() {
+        let mut t = Table::default();
+        let far = NodeId(2);
+        t.join(N, 1, 10);
+        t.join(N, 2, 4);
+        t.join(far, 3, 5);
+        open(&mut t, PortReq::Fixed(8), Some(2));
+        open(&mut t, PortReq::Fixed(7), None);
+        // A group with no member left, whose port it still owns.
+        open(&mut t, PortReq::Fixed(6), Some(4));
+        t.open(far, PortReq::Fixed(8), Some(3), ()).unwrap();
+        let (mut members, ports) = t.kill_where(5, |_, node| node == N);
+        let ports: Vec<Addr> = ports.iter().map(|(a, _)| *a).collect();
+        members.sort_unstable();
+        assert_eq!(members, [4, 10]);
+        assert_eq!(ports, [Addr::new(N, 6), Addr::new(N, 8)]);
+        assert!(t.killed(1) && t.killed(2) && t.alive(3));
+        assert!(t.get_mut(&Addr::new(N, 7)).is_some(), "no group's port");
+        let again = t.kill_where(6, |_, node| node == N);
+        assert!(again.0.is_empty() && again.1.is_empty(), "killed already");
     }
 }

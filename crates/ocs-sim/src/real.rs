@@ -12,8 +12,8 @@
 //! and requests. The loop waits on one epoll set (`poll.rs`) holding the
 //! node's listener, every stream it dialled or accepted, and an eventfd
 //! other threads ring when they post to it, with a timer map beside it.
-//! Every [`NodeRt::spawn`] is a task — its own closure, group membership
-//! and live count — on a pooled `coro.rs` stack, which the loop switches
+//! Every [`NodeRt::spawn`] is a task — its own closure, under an id its
+//! group counts — on a pooled `coro.rs` stack, which the loop switches
 //! to as the simulator switches to a process. A task that waits
 //! ([`NodeRt::sleep`], [`Endpoint::recv`], a [`crate::sync::SyncObj`]
 //! wait, so every ORB call) switches back to the loop, taking its group
@@ -34,11 +34,13 @@
 //! A process group lives on one node, its home: a task spawned, or an
 //! endpoint opened, through another node's runtime belongs to no group.
 //! An endpoint is an open in the node's port table (`ports.rs`, the one
-//! copy of the port rules, which each simulator shard keeps too): it is
-//! owned by its opener's group, the table being the one record of what a
-//! group owns, and closes when closed, when its last handle drops, at once
-//! when that group is killed, and when its node stops. Only its own
-//! handle closes an open. TCP's own part of a port is its mailbox.
+//! copy of the port and group rules, which each simulator shard keeps
+//! too): it is owned by its opener's group, and closes when closed, when
+//! its last handle drops, at once when that group is killed, and when its
+//! node stops. Only its own handle closes an open. TCP's own part of a
+//! port is its mailbox. The same table, under the same lock, is the
+//! group's record: its task ids, counted in before the loop starts a
+//! task, and whether it was killed. A task carries only its group's id.
 //!
 //! ## Connection lifetime
 //!
@@ -76,13 +78,14 @@
 //!
 //! ## Fault parity with the simulator
 //!
-//! * **Cooperative kill.** [`crate::rt::ProcGroup::kill`] closes the
-//!   group's endpoints at once, in port order, so peers see bounces
-//!   ([`RecvError::Unreachable`]) rather than silence, and wakes every
-//!   task of the group to unwind where it waits — a running one at its
-//!   next wait or [`NodeRt::cancelled`] poll; code that spins is not
-//!   reached. The unwind is the simulator's: a private payload through
-//!   `resume_unwind`, no panic hook.
+//! * **Cooperative kill.** [`crate::rt::ProcGroup::kill`] marks the
+//!   group's record and closes its endpoints at once, in port order, so
+//!   peers see bounces ([`RecvError::Unreachable`]) rather than silence,
+//!   and wakes every task of the group to unwind where it waits — a
+//!   running one at its next wait or [`NodeRt::cancelled`] poll, each of
+//!   which reads the record; code that spins is not reached. The unwind
+//!   is the simulator's: a private payload through `resume_unwind`, no
+//!   panic hook.
 //! * **Faults.** [`RealNet`] is a [`FaultRt`]: a
 //!   [`FaultAction`](crate::FaultAction) applies to it as to the
 //!   simulator, journalled under `fault` on every node it hits. A crash
@@ -107,7 +110,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -120,7 +123,7 @@ use crate::coro::{self, Handle, Stack, StackPool};
 use crate::fault::FaultRt;
 use crate::kernel::{KillSignal, LinkImpairment};
 use crate::poll::{self, Poller};
-use crate::ports::{Landing, Owner, Port, PortTable};
+use crate::ports::{Killed, Landing, Port, PortTable};
 use crate::rt::{
     Addr, Endpoint, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq, RecvError,
 };
@@ -186,7 +189,8 @@ impl TaskRef {
 struct Current {
     task: TaskRef,
     stack: Handle,
-    group: Option<Arc<GroupCore>>,
+    /// Its group, homed on its node.
+    group: Option<u64>,
 }
 
 thread_local! {
@@ -201,8 +205,11 @@ fn current<R>(f: impl FnOnce(&Current) -> R) -> Option<R> {
     CURRENT.with(|c| c.borrow().as_ref().map(f))
 }
 
+/// Whether the calling task's group has been killed, as its node's table
+/// says. Takes the table's lock, so no caller may hold an endpoint's
+/// mailbox lock: `serve` takes one under the table's.
 fn group_killed() -> bool {
-    current(|c| c.group.as_ref().is_some_and(|g| g.killed())) == Some(true)
+    current(|c| c.group.is_some_and(|g| c.task.node.ports.lock().killed(g))) == Some(true)
 }
 
 /// Unwinds the calling task if its group has been killed: the explicit
@@ -273,18 +280,12 @@ fn cancellable_sleep(d: Duration) {
 }
 
 /// The body of every task, on its stack: runs `f` as a member of
-/// `group`, swallows the kill unwind, journals any other panic under the
-/// task's name (the hook printed it), as the simulator does.
-fn run_task(task: TaskRef, stack: Handle, name: &str, group: Option<Arc<GroupCore>>, f: Job) {
-    if let Some(g) = &group {
-        g.tasks.lock().push(task.clone());
-    }
+/// `group`, which counted it already, swallows the kill unwind, journals
+/// any other panic under the task's name (the hook printed it), as the
+/// simulator does, and leaves the group.
+fn run_task(task: TaskRef, stack: Handle, name: &str, group: Option<u64>, f: Job) {
     let (node, id) = (Arc::clone(&task.node), task.id);
-    let me = Current {
-        task: task.clone(),
-        stack,
-        group: group.clone(),
-    };
+    let me = Current { task, stack, group };
     CURRENT.with(|c| *c.borrow_mut() = Some(me));
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
         check_killed();
@@ -292,10 +293,7 @@ fn run_task(task: TaskRef, stack: Handle, name: &str, group: Option<Arc<GroupCor
     }));
     CURRENT.with(|c| c.borrow_mut().take());
     crate::trace::set_current_ctx(None);
-    if let Some(g) = &group {
-        g.tasks.lock().retain(|t| !t.is(&task));
-        g.task_exit();
-    }
+    node.leave(group, id);
     if let Err(payload) = result {
         if !payload.is::<KillSignal>() {
             let msg = crate::kernel::panic_message(&*payload);
@@ -330,7 +328,6 @@ struct Reading {
 struct Local {
     poller: Poller,
     tasks: HashMap<TaskId, Task>,
-    next_task: TaskId,
     runnable: VecDeque<TaskId>,
     /// The deadlines of the waits tasks are parked in.
     timers: BTreeMap<(Instant, u64), TaskId>,
@@ -354,8 +351,8 @@ impl Local {
 
 /// What other threads — and the loop's own tasks — hand the loop.
 enum Post {
-    /// A task to start, already counted into its group.
-    Spawn(Arc<str>, Option<Arc<GroupCore>>, Job),
+    /// A task to start, its id already counted into its group.
+    Spawn(Arc<str>, Option<u64>, TaskId, Job),
     Wake(TaskId),
     /// A stream to read, and its peer if the node dialled it.
     Stream(Arc<Conn>, Option<NodeId>),
@@ -382,7 +379,6 @@ fn run_loop(node: Arc<NodeCore>, poller: Poller) {
         *l.borrow_mut() = Some(Local {
             poller,
             tasks: HashMap::new(),
-            next_task: 0,
             runnable: VecDeque::new(),
             timers: BTreeMap::new(),
             next_timer: 0,
@@ -492,19 +488,17 @@ impl<S> Waitable<S> {
 
     /// Waits until `ready` finds what it wants, or `deadline` passes
     /// (`None`). A task suspends, and unwinds if its group is killed
-    /// meanwhile; a thread blocks on the condvar.
+    /// meanwhile, checked with the state's lock released; a thread blocks
+    /// on the condvar.
     fn wait<T>(
         &self,
         deadline: Option<Instant>,
         mut ready: impl FnMut(&mut S) -> Option<T>,
     ) -> Option<T> {
         let me = current(|c| c.task.clone());
+        check_killed();
         let mut w = self.lock();
         loop {
-            if group_killed() {
-                drop(w);
-                panic::resume_unwind(Box::new(KillSignal));
-            }
             if let Some(found) = ready(&mut w.now) {
                 return Some(found);
             }
@@ -516,8 +510,9 @@ impl<S> Waitable<S> {
                     w.tasks.push(task.clone());
                     drop(w);
                     suspend(deadline);
+                    self.lock().tasks.retain(|t| !t.is(task));
+                    check_killed();
                     w = self.lock();
-                    w.tasks.retain(|t| !t.is(task));
                 }
                 (None, Some(d)) => {
                     let _ = self.cv.wait_until(&mut w, d);
@@ -564,90 +559,6 @@ impl Mailbox {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Cooperative kill: process groups as cancellation scopes.
-
-/// Shared state of one real process group: the cancellation token, the
-/// live-task count and the tasks to wake on kill. Its endpoints are the
-/// ports of its home node's table that name it.
-struct GroupCore {
-    id: u64,
-    /// The node the group is rooted on (its flight recorder logs kills).
-    node: NodeId,
-    /// That node, whose port table a kill closes the group's ports from.
-    home: Weak<NodeCore>,
-    killed: AtomicBool,
-    /// Tasks currently running in the group (incremented by the
-    /// spawner before the task starts, so `alive` never reads a false
-    /// zero between spawn and first schedule).
-    live: AtomicUsize,
-    /// When `kill` was called, for the kill-latency metric.
-    killed_at: Mutex<Option<Instant>>,
-    /// The group's started tasks, woken on kill to unwind where they wait.
-    tasks: Mutex<Vec<TaskRef>>,
-    net: Weak<RealNet>,
-}
-
-impl GroupCore {
-    fn killed(&self) -> bool {
-        self.killed.load(Ordering::Relaxed)
-    }
-
-    fn kill(&self) {
-        if self.killed.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        *self.killed_at.lock() = Some(Instant::now());
-        if let Some(net) = self.net.upgrade() {
-            net.journal(self.node, "proc", format!("group {} killed", self.id));
-        }
-        // Close every endpoint the group owns, so peers observe bounces
-        // immediately — before the member tasks have even unwound.
-        if let Some(home) = self.home.upgrade() {
-            let closed = home.ports.lock().close_group(self.id);
-            release(closed);
-        }
-        let tasks = self.tasks.lock().clone();
-        for task in tasks {
-            task.wake();
-        }
-    }
-
-    /// Called as each member task ends; the last one out of a killed
-    /// group stamps the kill-latency metric.
-    fn task_exit(&self) {
-        if self.live.fetch_sub(1, Ordering::SeqCst) == 1 && self.killed() {
-            if let (Some(at), Some(net)) = (*self.killed_at.lock(), self.net.upgrade()) {
-                let latency_us = (at.elapsed().as_micros() as u64).max(1);
-                net.counter_add("real.net.kills", 1);
-                // Sum of per-kill latencies; campaigns assert it nonzero
-                // and divide by `real.net.kills` for the average.
-                net.counter_add("real.net.kill_latency_us", latency_us);
-                // The raw sample feeds the kill-latency histogram (E19).
-                net.observe("real.net.kill_latency_us", latency_us);
-                net.journal(
-                    self.node,
-                    "proc",
-                    format!("group {} dead after {latency_us}us", self.id),
-                );
-            }
-        }
-    }
-}
-
-/// Counts one more live task into `group`; `false` if it has been killed
-/// and the task must not start.
-fn join_group(group: &Option<Arc<GroupCore>>) -> bool {
-    if let Some(g) = group {
-        if g.killed() {
-            return false;
-        }
-        g.live.fetch_add(1, Ordering::SeqCst);
-    }
-    true
-}
-
-// ---------------------------------------------------------------------------
 // ---------------------------------------------------------------------------
 // Link faults: partitions, impairments, reset storms.
 
@@ -743,6 +654,7 @@ impl RealNet {
             ext: Arc::new(crate::rt::Extensions::new()),
             stopped: AtomicBool::new(false),
             ports: Mutex::new(Ports::default()),
+            last_task: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
             streams: Mutex::new(Vec::new()),
             listener: Mutex::new(Some(listener)),
@@ -754,7 +666,6 @@ impl RealNet {
         let node = Arc::new(RealNode {
             name: name.to_string(),
             core,
-            groups: Mutex::new(Vec::new()),
         });
         self.nodes.lock().insert(id, Arc::downgrade(&node));
         Ok(node)
@@ -869,24 +780,18 @@ impl RealNet {
     }
 }
 
-impl Owner for Option<Arc<GroupCore>> {
-    fn group_id(&self) -> Option<u64> {
-        self.as_ref().map(|g| g.id)
-    }
-}
-
 /// A node's open ports. An unserved one's frames queue in its mailbox for
 /// the endpoint's next `recv`; the loop starts a task for every landing
 /// at a served one, so its inline test only sorts what queued before the
 /// serve.
-type Ports = PortTable<Arc<Mailbox>, Option<Arc<GroupCore>>>;
+type Ports = PortTable<Arc<Mailbox>>;
 
 /// Lets go of closed ports, in the order given, once the table's lock is
 /// released: receives return `Closed` from now on, and a served port's
 /// handler, which may hold an endpoint of the node, drops. The node's
 /// streams are not a port's to close: the rest of the node sends over
 /// them.
-fn release<G>(closed: impl IntoIterator<Item = (Addr, Port<Arc<Mailbox>, G>)>) {
+fn release(closed: impl IntoIterator<Item = (Addr, Port<Arc<Mailbox>>)>) {
     for (_, port) in closed {
         port.rx.close();
     }
@@ -1013,7 +918,11 @@ struct NodeCore {
     ext: Arc<crate::rt::Extensions>,
     /// Set by [`RealNode::stop`]: no stream is opened or written after.
     stopped: AtomicBool,
+    /// The node's ports and the records of the groups homed here.
     ports: Mutex<Ports>,
+    /// The id of the last task spawned: a task is counted into its group
+    /// by id before its loop starts it.
+    last_task: AtomicU64,
     conns: Mutex<HashMap<NodeId, PeerSlot>>,
     /// Every stream the node holds, so that [`RealNode::stop`] can shut
     /// them all.
@@ -1063,8 +972,8 @@ impl NodeCore {
         let mut inbox = self.inbox.lock();
         let inbox = &mut *inbox;
         match (&inbox.bell, post) {
-            (None, Post::Spawn(name, group, _)) => {
-                self.spawn_failed(&name, &group, "node stopped");
+            (None, Post::Spawn(name, group, id, _)) => {
+                self.spawn_failed(&name, group, id, "node stopped");
             }
             (None, _) => {}
             (Some(bell), post) => {
@@ -1076,19 +985,47 @@ impl NodeCore {
         }
     }
 
-    /// Gives up a task its group counted already.
-    fn spawn_failed(&self, name: &str, group: &Option<Arc<GroupCore>>, why: &str) {
-        if let Some(g) = group {
-            g.live.fetch_sub(1, Ordering::SeqCst);
+    fn next_task(&self) -> TaskId {
+        self.last_task.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Takes task `id` out of its group, if it has one. The last member
+    /// out of a killed group stamps the kill's latency.
+    fn leave(&self, group: Option<u64>, id: TaskId) {
+        let Some(group) = group else { return };
+        let killed_at = self.ports.lock().leave(group, id);
+        if let Some(at) = killed_at {
+            let latency_us = self.net.now().as_micros().saturating_sub(at).max(1);
+            self.net.counter_add("real.net.kills", 1);
+            // Sum of per-kill latencies; campaigns assert it nonzero and
+            // divide by `real.net.kills` for the average.
+            self.net.counter_add("real.net.kill_latency_us", latency_us);
+            // The raw sample feeds the kill-latency histogram (E19).
+            self.net.observe("real.net.kill_latency_us", latency_us);
+            self.journal_as("proc", format!("group {group} dead after {latency_us}us"));
         }
+    }
+
+    /// Ends what a kill returned: closes the ports, then wakes the members
+    /// to unwind where they wait; one not started yet unwinds as it starts.
+    fn end(self: &Arc<Self>, (members, closed): Killed<Arc<Mailbox>>) {
+        release(closed);
+        for id in members {
+            self.post(Post::Wake(id));
+        }
+    }
+
+    /// Gives up a task its group counted already.
+    fn spawn_failed(&self, name: &str, group: Option<u64>, id: TaskId, why: &str) {
+        self.leave(group, id);
         self.net.counter_add("real.net.spawn_failed", 1);
         self.journal_as("proc", format!("spawn of '{name}' failed: {why}"));
     }
 
     fn handle(self: &Arc<Self>, post: Post) {
         match post {
-            Post::Spawn(name, group, f) => {
-                if let Some(id) = self.new_task(&name, group, f) {
+            Post::Spawn(name, group, id, f) => {
+                if self.new_task(id, &name, group, f) {
                     with_local(|l| l.runnable.push_back(id));
                 }
             }
@@ -1110,25 +1047,16 @@ impl NodeCore {
         }
     }
 
-    /// Primes a stack on this loop to run `f` as a task of `group`, which
-    /// has counted it already; `None` if no stack could be mapped.
-    fn new_task(
-        self: &Arc<Self>,
-        name: &Arc<str>,
-        group: Option<Arc<GroupCore>>,
-        f: Job,
-    ) -> Option<TaskId> {
+    /// Primes a stack on this loop to run `f` as task `id` of `group`,
+    /// which has counted it already; `false` if no stack could be mapped.
+    fn new_task(self: &Arc<Self>, id: TaskId, name: &Arc<str>, group: Option<u64>, f: Job) -> bool {
         let stack = match with_local(|l| l.stacks.take()) {
             Ok((stack, _)) => stack,
             Err(e) => {
-                self.spawn_failed(name, &group, &e.to_string());
-                return None;
+                self.spawn_failed(name, group, id, &e.to_string());
+                return false;
             }
         };
-        let id = with_local(|l| {
-            l.next_task += 1;
-            l.next_task
-        });
         let node = Arc::clone(self);
         let (handle, name, sched) = (stack.handle(), Arc::clone(name), self.sched.handle());
         stack.prime(move || {
@@ -1141,7 +1069,7 @@ impl NodeCore {
             timer: None,
         };
         with_local(|l| l.tasks.insert(id, task));
-        Some(id)
+        true
     }
 
     /// Runs task `id` until it waits or ends, if it is ready to run.
@@ -1254,44 +1182,51 @@ impl NodeCore {
     }
 
     /// Hands a frame to its port: its mailbox, or its handler's task,
-    /// started here and run until it first waits.
+    /// started here, in the port's group, and run until it first waits.
+    /// The task joins the group under the lock that finds the port open
+    /// (`PortTable::join_handler`), so no kill comes between.
     fn deliver(self: &Arc<Self>, port: u16, landing: Landing) {
         let addr = Addr::new(self.id, port);
-        let entry = self.ports.lock().get_mut(&addr).map(|p| match &p.served {
-            Some(served) => Ok(Arc::clone(served)),
-            None => Err(Arc::clone(&p.rx)),
-        });
-        let (served, job) = match (entry, landing) {
+        let entry = {
+            let mut ports = self.ports.lock();
+            match ports.get_mut(&addr) {
+                Some(p) if p.served.is_none() => Some(Err(Arc::clone(&p.rx))),
+                Some(_) => {
+                    let id = self.next_task();
+                    ports.join_handler(&addr, id).map(|served| Ok((served, id)))
+                }
+                None => None,
+            }
+        };
+        match (entry, landing) {
             (Some(Err(mailbox)), landing) => {
                 self.net.frames_queued.fetch_add(1, Ordering::Relaxed);
-                return mailbox.push(landing);
+                mailbox.push(landing);
             }
-            (Some(Ok(served)), landing) => {
+            (Some(Ok((served, id))), landing) => {
                 let job = served.job(landing);
-                (served, job)
+                if self.new_task(id, &served.task, served.group, job) {
+                    self.resume(id);
+                }
             }
             (None, Ok((from, _))) => {
                 // Closed port on a live node: bounce, as the sim does —
                 // over the node's stream to the sender, like any frame
                 // (so a cut or lossy link drops bounces too).
                 let _ = self.send_bytes(port, from, FRAME_UNREACH, &[]);
-                return;
             }
-            (None, Err(_)) => return,
-        };
-        if join_group(&served.group) {
-            if let Some(id) = self.new_task(&served.task, served.group.clone(), job) {
-                self.resume(id);
-            }
+            (None, Err(_)) => {}
         }
     }
 
     // -- The senders' side: any thread. -------------------------------------
 
-    /// Starts `f` as a task in `group` on the node's loop.
-    fn spawn_task(self: &Arc<Self>, name: &str, group: Option<Arc<GroupCore>>, f: Job) {
-        if join_group(&group) {
-            self.post(Post::Spawn(Arc::from(name), group, f));
+    /// Starts `f` as a task in `group` on the node's loop, unless the
+    /// group has been killed.
+    fn spawn_task(self: &Arc<Self>, name: &str, group: Option<u64>, f: Job) {
+        let id = self.next_task();
+        if group.is_none_or(|g| self.ports.lock().join(self.id, g, id)) {
+            self.post(Post::Spawn(Arc::from(name), group, id, f));
         }
     }
 
@@ -1499,11 +1434,9 @@ impl NodeCore {
 /// A host on the real runtime. Implements [`NodeRt`].
 pub struct RealNode {
     name: String,
-    /// The node's network, id, ports, streams and loop, shared with its
-    /// endpoints and tasks.
+    /// The node's network, id, ports, groups, streams and loop, shared
+    /// with its endpoints, tasks and group handles.
     core: Arc<NodeCore>,
-    /// Every group ever rooted on this node, for node-level crash.
-    groups: Mutex<Vec<Weak<GroupCore>>>,
 }
 
 impl RealNode {
@@ -1541,39 +1474,42 @@ impl RealNode {
         &self.core.net
     }
 
-    /// Kills every process group rooted on this node — the real-runtime
+    /// Kills every process group homed on this node — the real-runtime
     /// counterpart of the simulator's `CrashNode`. The loop stays up, so
     /// frames to the dead services bounce (host alive, process dead).
     pub fn kill_all_groups(&self) {
-        let groups: Vec<_> = self.groups.lock().clone();
-        for g in groups {
-            if let Some(g) = g.upgrade() {
-                g.kill();
-            }
-        }
+        let now = self.core.net.now().as_micros();
+        let killed = self.core.ports.lock().kill_where(now, |_, _| true);
+        self.core.end(killed);
     }
 
     /// The calling task's group if its home is this node: a group lives
     /// on one node, so a task spawned or an endpoint opened through
     /// another node's runtime belongs to no group.
-    fn home_group(&self) -> Option<Arc<GroupCore>> {
-        let group = current(|c| c.group.clone()).flatten();
-        group.filter(|g| Weak::as_ptr(&g.home) == Arc::as_ptr(&self.core))
+    fn home_group(&self) -> Option<u64> {
+        current(|c| c.group.filter(|_| Arc::ptr_eq(&c.task.node, &self.core))).flatten()
     }
+}
 
-    fn new_group(&self) -> Arc<GroupCore> {
-        let core = Arc::new(GroupCore {
-            id: self.core.net.next_group.fetch_add(1, Ordering::Relaxed),
-            node: self.core.id,
-            home: Arc::downgrade(&self.core),
-            killed: AtomicBool::new(false),
-            live: AtomicUsize::new(0),
-            killed_at: Mutex::new(None),
-            tasks: Mutex::new(Vec::new()),
-            net: Arc::downgrade(&self.core.net),
-        });
-        self.groups.lock().push(Arc::downgrade(&core));
-        core
+impl Drop for NodeCore {
+    /// Every task has ended and left its group by now, and a record goes
+    /// with the last member out. Not at the loop's exit: a `spawn_group`
+    /// from another thread may count a task in just before it, whose
+    /// refused post then takes it out again. The loop thread is most
+    /// often the last owner, where a panic fails nothing, so the count
+    /// also goes to `real.net.groups_outlived`, which a test reads once
+    /// its net has no other owner.
+    fn drop(&mut self) {
+        let left = self.ports.get_mut().groups();
+        if left > 0 {
+            self.net
+                .counter_add("real.net.groups_outlived", left as u64);
+        }
+        // No second panic while a first unwinds: that would abort.
+        debug_assert!(
+            std::thread::panicking() || left == 0,
+            "a group record outlived its node"
+        );
     }
 }
 
@@ -1594,7 +1530,7 @@ impl NodeRt for RealNode {
 
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) {
         // Like fork: the child joins the spawner's group, if it has one
-        // on this node.
+        // on this node and it has not been killed.
         self.core.spawn_task(name, self.home_group(), f);
     }
 
@@ -1603,11 +1539,11 @@ impl NodeRt for RealNode {
         name: &str,
         f: Box<dyn FnOnce() + Send>,
     ) -> Arc<dyn crate::rt::ProcGroup> {
-        let core = self.new_group();
-        self.core.spawn_task(name, Some(Arc::clone(&core)), f);
+        let id = self.core.net.next_group.fetch_add(1, Ordering::Relaxed);
+        self.core.spawn_task(name, Some(id), f);
         Arc::new(RealProcGroup {
-            core,
-            ext: Arc::clone(&self.core.ext),
+            core: Arc::clone(&self.core),
+            id,
         })
     }
 
@@ -1620,22 +1556,20 @@ impl NodeRt for RealNode {
         if self.core.stopped.load(Ordering::SeqCst) {
             return Err(NetError::NodeDown);
         }
-        let killed = group.as_ref().is_some_and(|g| g.killed());
         let mailbox = Mailbox::new();
         let (addr, id) = ports.open(self.core.id, port, group, Arc::clone(&mailbox))?;
+        // A killed group's member opens a port closed at birth.
+        let closed = ports.own(&addr, id).is_none();
         drop(ports);
-        let ep = Arc::new(RealEndpoint {
+        if closed {
+            mailbox.close();
+        }
+        Ok(Arc::new(RealEndpoint {
             addr,
             id,
             mailbox,
             core: Arc::clone(&self.core),
-        });
-        if killed {
-            // The group's kill came first; its scan of the ports may
-            // already have passed this one.
-            ep.close();
-        }
-        Ok(ep)
+        }))
     }
 
     fn node(&self) -> NodeId {
@@ -1660,32 +1594,41 @@ impl NodeRt for RealNode {
 }
 
 /// Process-group handle for the real runtime: a cooperative cancellation
-/// scope over the group's tasks and endpoints.
+/// scope over the group's tasks and endpoints, whose record is its home
+/// node's table.
 struct RealProcGroup {
-    core: Arc<GroupCore>,
-    /// The owning node's extension map, for the black-box dump.
-    ext: Arc<crate::rt::Extensions>,
+    core: Arc<NodeCore>,
+    id: u64,
 }
 
 impl crate::rt::ProcGroup for RealProcGroup {
     fn alive(&self) -> bool {
-        !self.core.killed() && self.core.live.load(Ordering::SeqCst) > 0
+        self.core.ports.lock().alive(self.id)
     }
 
     fn kill(&self) {
-        let was_alive = !self.core.killed();
-        self.core.kill();
+        let now = self.core.net.now().as_micros();
+        let (was_alive, killed) = {
+            let mut ports = self.core.ports.lock();
+            (
+                ports.alive(self.id),
+                ports.kill_where(now, |g, _| g == self.id),
+            )
+        };
+        self.core.end(killed);
         if was_alive {
-            // Black box: dump the node's journal tail at the kill.
-            let node = self.core.node;
-            self.ext
-                .get_or_init(|| crate::journal::Journal::new(node))
-                .dump_tail(&format!("group {} kill", self.core.id));
+            // Black box: journal the kill and dump the node's journal tail.
+            let (core, id) = (&self.core, self.id);
+            let journal = core
+                .ext
+                .get_or_init(|| crate::journal::Journal::new(core.id));
+            journal.record(core.net.now(), "proc", format!("group {id} killed"));
+            journal.dump_tail(&format!("group {id} kill"));
         }
     }
 
     fn id(&self) -> u64 {
-        self.core.id
+        self.id
     }
 }
 
@@ -1745,7 +1688,8 @@ impl Endpoint for RealEndpoint {
     /// the frames `inline` does not pass start tasks of their own; the
     /// rest runs here.
     fn serve(&self, task_name: &str, handler: LandingHandler, inline: InlineTest) {
-        let (served, queued) = {
+        let mut tasks = Vec::new();
+        let (served, here) = {
             let mut ports = self.core.ports.lock();
             let Some((served, mailbox)) =
                 ports.serve(&self.addr, self.id, task_name, handler, inline)
@@ -1753,11 +1697,20 @@ impl Endpoint for RealEndpoint {
                 return;
             };
             let queued = std::mem::take(&mut mailbox.0.lock().now.0);
-            (served, queued)
+            // Each task joins under the lock that served the port, as
+            // `deliver`'s do.
+            let here = served.split(queued, |landing| {
+                let id = self.core.next_task();
+                if ports.join_handler(&self.addr, id).is_some() {
+                    tasks.push((id, served.job(landing)));
+                }
+            });
+            (served, here)
         };
-        let here = served.split(queued, |landing| {
-            self.core.spawn_task(&served.task, served.group.clone(), served.job(landing));
-        });
+        for (id, job) in tasks {
+            let name = Arc::clone(&served.task);
+            self.core.post(Post::Spawn(name, served.group, id, job));
+        }
         for landing in here {
             (served.handler)(landing);
         }

@@ -215,11 +215,13 @@ pub type LandingHandler = Arc<dyn Fn(Result<(Addr, Bytes), RecvError>) + Send + 
 /// receive, sync wait, ORB dispatch entry), the one it is suspended in
 /// at once.
 pub trait ProcGroup: Send + Sync {
-    /// Whether any process of the group is alive.
+    /// Whether the group is alive: not killed, and a process of it left.
     fn alive(&self) -> bool;
 
     /// Kills every process in the group and closes the endpoints its
     /// processes opened, in port order, before any of them has unwound.
+    /// From then on the group takes no new process, and an endpoint a
+    /// member opens is closed at birth; a second kill does nothing.
     fn kill(&self);
 
     /// An opaque id for logging.
@@ -294,8 +296,8 @@ pub trait NodeRt: Send + Sync {
 
     /// Spawns a new process on this node running `f`. The process joins
     /// the calling process's group (like `fork`) if that process lives on
-    /// this node; spawned through another node's runtime, it belongs to
-    /// no group.
+    /// this node, and never starts if that group has been killed; spawned
+    /// through another node's runtime, it belongs to no group.
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>);
 
     /// Spawns `f` as the root of a *new* process group on this node and

@@ -418,12 +418,18 @@ struct SimProcGroup {
 }
 
 impl crate::rt::ProcGroup for SimProcGroup {
+    /// Read from the home node's table; from a process on another shard,
+    /// a racy read (monitoring only).
     fn alive(&self) -> bool {
-        self.inner.group_alive(self.gid, self.node)
+        self.inner
+            .kernel_for(self.node)
+            .lock()
+            .ports
+            .alive(self.gid)
     }
 
     fn kill(&self) {
-        let was_alive = self.inner.group_alive(self.gid, self.node);
+        let was_alive = self.alive();
         self.inner.kill_group(self.gid, self.node);
         // Black box: journal the kill and dump the victim node's tail
         // (the journal lives in the node's extension map, outside the

@@ -28,8 +28,8 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
     let mut clients = Vec::new();
     // Held by every served port's handler.
     let held = Arc::new(());
+    let net = RealNet::new();
     {
-        let net = RealNet::new();
         let nodes: Vec<Arc<RealNode>> = (0..4)
             .map(|i| net.add_node(&format!("n{i}")).unwrap())
             .collect();
@@ -54,14 +54,17 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
                 };
                 server.serve("echo-worker", Arc::new(handler), Arc::new(|_| false));
             } else {
-                node.spawn_fn("echo", move || {
+                // A group of its own, which every worker joins: no group
+                // record outlives its node (checked at the end).
+                let echo = move || {
                     while let Ok((from, msg)) = server.recv(Some(Duration::from_millis(200))) {
                         let server = Arc::clone(&server);
                         rt.spawn_fn("echo-worker", move || {
                             let _ = server.send(from, msg);
                         });
                     }
-                });
+                };
+                node.spawn_group("echo", Box::new(echo));
             }
         }
         for from in &nodes {
@@ -117,4 +120,9 @@ fn a_stopped_net_leaves_no_thread_or_descriptor_behind() {
         before,
         "(threads, descriptors) after stop and drop"
     );
+    // The clients hold the last handles on the nodes' cores; no group
+    // record is left in one.
+    drop(clients);
+    assert_eq!(Arc::strong_count(&net), 1, "a node's core outlived it");
+    assert_eq!(net.counters().get("real.net.groups_outlived"), None);
 }

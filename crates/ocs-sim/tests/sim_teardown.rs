@@ -57,9 +57,13 @@ fn dropped_sims_leave_no_thread_behind() {
                 ran.fetch_add(1, Ordering::Relaxed);
             });
         }
-        // One that never finishes: the drop has to unwind it.
+        // One that never finishes: the drop has to unwind it, and its
+        // group's record goes with it (a debug assertion at the drain).
         let rt = node.clone();
-        node.spawn_fn("stuck", move || rt.sleep(Duration::from_secs(3600)));
+        node.spawn_group(
+            "stuck",
+            Box::new(move || rt.sleep(Duration::from_secs(3600))),
+        );
         sim.run_until(SimTime::from_millis(1));
         // All 51 were alive at once before the first sleep ended.
         assert_eq!(sim.kernel_stats().stacks_mapped, 51, "seed {seed}");
