@@ -10,12 +10,9 @@
 //! machine-readable `BENCH_<exp>.json` with its headline numbers, a
 //! telemetry metrics snapshot where a cluster was involved, and the
 //! wall/virtual run times. `--spans N` sets how many of the slowest
-//! request trees E16's span dump renders;
-//! `--settops N` sets E17's simulated settop population; `--shards N`
-//! sets the kernel shard count E17/E18 run their main legs on (each
-//! also cross-checks against a 1-shard run for trace equality);
-//! `--cores N` overrides the detected host parallelism that artifacts
-//! record and wall-clock legs gate on; `--sim-only` skips the
+//! request trees E16's span dump renders; `--settops N` sets E17's
+//! simulated settop population; `--cores N` overrides the detected host
+//! parallelism that artifacts record; `--sim-only` skips the
 //! real-runtime legs of E20, E21 and E23.
 //!
 //! ```sh
@@ -60,7 +57,6 @@ fn main() {
     let mut a = Args {
         spans: 3,
         settops: 50_000,
-        shards: 1,
         sim_only: false,
     };
     let mut cores: Option<usize> = None;
@@ -70,7 +66,6 @@ fn main() {
             "--sim-only" => a.sim_only = true,
             "--spans" => a.spans = number(&mut args, &arg, 0),
             "--settops" => a.settops = number(&mut args, &arg, 0),
-            "--shards" => a.shards = number(&mut args, &arg, 1),
             "--cores" => cores = Some(number(&mut args, &arg, 1)),
             _ => picked.push(arg),
         }
@@ -80,6 +75,7 @@ fn main() {
     } else {
         picked.iter().map(|s| s.as_str()).collect()
     };
+    report::set_cores(cores);
     println!("ITV system reproduction — experiment suite (virtual-time simulation)");
     for w in which {
         let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == w) else {
@@ -87,7 +83,6 @@ fn main() {
             continue;
         };
         report::begin(w);
-        report::set_run_config(a.shards, cores);
         let wall = std::time::Instant::now();
         run(&a);
         if let Some(path) = report::finish(wall.elapsed().as_secs_f64()) {

@@ -58,17 +58,10 @@ pub struct Guard {
     /// object `a` (the benchmark nests its metrics one level down).
     pub field: &'static str,
     pub cmp: Cmp,
-    /// Skip on a host with fewer cores than this.
-    pub min_cores: usize,
 }
 
 const fn g(run: Run, field: &'static str, cmp: Cmp) -> Guard {
-    Guard {
-        run,
-        field,
-        cmp,
-        min_cores: 1,
-    }
+    Guard { run, field, cmp }
 }
 
 const E1: Run = Run::Exp("e1");
@@ -84,7 +77,6 @@ const E10: Run = Run::Exp("e10");
 const E11: Run = Run::Exp("e11");
 const E12: Run = Run::Exp("e12");
 const E17_4K: Run = Run::Exp("e17 --settops 4000");
-const E17_2SHARD: Run = Run::Exp("e17 --settops 4000 --shards 2");
 const E13: Run = Run::Exp("e13");
 const E14: Run = Run::Exp("e14");
 const E15: Run = Run::Exp("e15");
@@ -208,11 +200,6 @@ pub const GUARDS: &[Guard] = &[
     // and scale-invariant by design (E17's point), so the 4k smoke may
     // not fall more than 20% below the committed 50k run, on any host.
     g(E17_4K, "ops_per_sec", GeTimesCommitted(0.8)),
-    // Sharded kernel: the same storm on two shards replays the 1-shard
-    // trace, and really took the sharded path.
-    g(E17_2SHARD, "shard_trace_equivalent", IsTrue),
-    g(E17_2SHARD, "horizon_syncs", Ge(1.0)),
-    g(E17_2SHARD, "xshard_msgs", Ge(1.0)),
     // The kernel's one handoff path, pinned by what it does: the
     // ping-pong and fan-in legs' trace hashes, the ping-pong's event
     // count and rate per virtual ms, its allocations per event, and its
@@ -232,11 +219,6 @@ pub const GUARDS: &[Guard] = &[
     // The always-on flight recorder costs at most 5% of ping-pong wall
     // throughput at one write per volley (same-run fresh-vs-fresh).
     g(E18, "pp_journal_overhead_pct", Le(5.0)),
-    // The 4-shard replay matches the 1-shard trace on any host; its
-    // wall-clock speed-up only means something with cores under the
-    // shard threads.
-    g(E18, "shard_trace_equivalent", IsTrue),
-    Guard { min_cores: 4, ..g(E18, "shard_speedup", Ge(2.0)) },
     // A cooperative kill on TCP, wall clock: all 40 victim groups (one
     // member parked in a receive, a child in an hour's sleep) die, and
     // the slowest kill() -> last member task gone stays under 50 ms, far
@@ -322,9 +304,9 @@ pub const GUARDS: &[Guard] = &[
     g(STORM, "failed", Eq(0.0)),
     g(STORM, "per_layer/ocs-sim.events_per_op", Le(3.43)),
     g(STORM, "per_layer/ocs-orb.allocs_per_call", Le(7.6)),
-    // One scheduler loop for every shard count: a 1-shard run is one
-    // window, so the storm's run_until every 1 ms slice costs no
-    // scheduler round trip of its own. 0.5050 switches per event, exact
+    // One scheduler loop: each run_until is one pass of it, so the
+    // storm's run_until every 1 ms slice costs no scheduler round trip
+    // of its own. 0.5050 switches per event, exact
     // for the seed; one extra round trip per slice adds ≈ 0.04.
     g(STORM, "per_layer/ocs-sim.switches_per_event", Le(0.52)),
     // The same group with its primary killed under open-loop probes,
@@ -447,15 +429,11 @@ fn first_word(s: &str) -> &str {
 enum Verdict {
     Ok(String),
     Failed(String),
-    Skipped(String),
 }
 
 /// Evaluates one guard against the fresh and the committed report (an
 /// absent report, like an absent field, fails whatever reads it).
-fn evaluate(g: &Guard, fresh: Option<&Json>, committed: Option<&Json>, cores: usize) -> Verdict {
-    if cores < g.min_cores {
-        return Verdict::Skipped(format!("host has {cores} cores, need {}", g.min_cores));
-    }
+fn evaluate(g: &Guard, fresh: Option<&Json>, committed: Option<&Json>) -> Verdict {
     fn field<'a>(report: Option<&'a Json>, path: &str) -> Option<&'a Json> {
         path.split('/').try_fold(report?, |j, key| j.get(key))
     }
@@ -532,7 +510,6 @@ fn first_difference(fresh: &Json, committed: &Json) -> Option<String> {
 /// Runs every distinct run of [`GUARDS`] once, prints one line per guard
 /// and returns the process exit code: non-zero if any guard failed.
 pub fn run() -> i32 {
-    let cores = crate::report::cores_used();
     let tmp = std::env::temp_dir().join(format!("experiments-check-{}", std::process::id()));
     let mut reports: HashMap<Run, (Option<Json>, Option<Json>)> = HashMap::new();
     let mut failed = 0;
@@ -544,9 +521,8 @@ pub fn run() -> i32 {
             let committed = g.run.committed().and_then(|c| c.map_err(complain).ok());
             (fresh.map_err(complain).ok(), committed)
         });
-        match evaluate(g, fresh.as_ref(), committed.as_ref(), cores) {
+        match evaluate(g, fresh.as_ref(), committed.as_ref()) {
             Verdict::Ok(line) => println!("  ok      {line}"),
-            Verdict::Skipped(why) => println!("  SKIPPED {}.{}: {why}", g.run.artifact(), g.field),
             Verdict::Failed(line) => {
                 println!("  FAILED  {line}");
                 failed += 1;
@@ -573,15 +549,11 @@ mod tests {
 
     fn verdict(field: &'static str, cmp: Cmp, committed: &str) -> Verdict {
         let committed = Json::parse(committed).unwrap();
-        evaluate(&g(E20, field, cmp), Some(&report()), Some(&committed), 2)
+        evaluate(&g(E20, field, cmp), Some(&report()), Some(&committed))
     }
 
     fn holds(field: &'static str, cmp: Cmp, committed: &str) -> bool {
-        match verdict(field, cmp, committed) {
-            Verdict::Ok(_) => true,
-            Verdict::Failed(_) => false,
-            Verdict::Skipped(why) => panic!("skipped: {why}"),
-        }
+        matches!(verdict(field, cmp, committed), Verdict::Ok(_))
     }
 
     #[test]
@@ -623,7 +595,7 @@ mod tests {
         assert!(!holds("exact", Ge(0.0), "{}"));
         let guard = g(E20, "p99_s", Lt(2.0));
         assert!(matches!(
-            evaluate(&guard, None, None, 2),
+            evaluate(&guard, None, None),
             Verdict::Failed(_)
         ));
         let line = verdict("no_such", Lt(2.0), "{}");
@@ -669,17 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn min_cores_above_the_host_skips() {
-        let guard = Guard {
-            min_cores: 4,
-            ..g(E18, "no_such", Ge(2.0))
-        };
-        let on = |cores| evaluate(&guard, Some(&report()), None, cores);
-        assert!(matches!(on(2), Verdict::Skipped(_)));
-        assert!(matches!(on(4), Verdict::Failed(_)));
-    }
-
-    #[test]
     fn every_run_names_an_experiment_or_a_workload() {
         let manifest = read_json(&repo_root().join("BENCHMARK.json")).unwrap();
         let Some(Json::Arr(workloads)) = manifest.get("workloads") else {
@@ -700,10 +661,8 @@ mod tests {
 
     /// A renamed field must not silently retire a guard: every field an
     /// experiment guard reads — `a/b` is key `b` of object `a` — exists in
-    /// the committed artifact (unless
-    /// the artifact came from a host the guard skips on), and every
-    /// nested field a workload guard reads is one `BENCHMARK.json`
-    /// declares.
+    /// the committed artifact, and every nested field a workload guard
+    /// reads is one `BENCHMARK.json` declares.
     #[test]
     fn every_guard_field_exists_in_its_committed_artifact() {
         let manifest = read_json(&repo_root().join("BENCHMARK.json")).unwrap();
@@ -712,13 +671,8 @@ mod tests {
             match run.committed() {
                 Some(committed) => {
                     let committed = committed.unwrap();
-                    let cores = committed.get("cores_used").and_then(Json::as_f64).unwrap();
                     let found = field.split('/').try_fold(&committed, |j, key| j.get(key));
-                    assert!(
-                        found.is_some() || (cores as usize) < guard.min_cores,
-                        "{} has no field {field}",
-                        run.artifact()
-                    );
+                    assert!(found.is_some(), "{} has no field {field}", run.artifact());
                 }
                 None => {
                     let Some((section, metric)) = field.split_once('/') else {

@@ -14,8 +14,7 @@
 //!  2. **fan-in** — many senders converging on one receiver; stresses
 //!     the event queue and sleep-wake self-continues;
 //!  3. **settop replay** — the E17 admission storm, i.e. a real
-//!     ORB-over-simulated-network workload, timed wall-clock, and again
-//!     on a sharded kernel, which must replay the 1-shard trace.
+//!     ORB-over-simulated-network workload, timed wall-clock.
 //!
 //! What the runs pin is what the one handoff path does: the ping-pong
 //! and fan-in trace hashes, the ping-pong's scheduler counts (driver
@@ -198,11 +197,10 @@ fn fan_in() -> Leg {
     run_and_measure(sim)
 }
 
-/// Leg 3: the E17 settop admission storm on `shards` kernel shards,
-/// timed wall-clock.
-fn replay(settops: usize, shards: usize) -> (saturation::StormOut, f64) {
+/// Leg 3: the E17 settop admission storm, timed wall-clock.
+fn replay(settops: usize) -> (saturation::StormOut, f64) {
     let t0 = std::time::Instant::now();
-    let out = saturation::storm(1717, settops, shards);
+    let out = saturation::storm(1717, settops);
     (out, t0.elapsed().as_secs_f64())
 }
 
@@ -216,7 +214,7 @@ fn leg_row(t: &mut Table, name: &str, leg: &Leg) {
 }
 
 /// E18: wall-clock kernel throughput and allocations per event.
-pub fn e18(settops: usize, shards: usize) {
+pub fn e18(settops: usize) {
     println!("\nE18. Kernel: events/sec and allocations/event, one handoff path");
     println!(
         "    ping-pong {PP_ROUNDS} volleys x{PP_WINDOW} window, fan-in {FAN_SENDERS}x{FAN_PER_SENDER}, replay {settops} settops\n"
@@ -277,36 +275,8 @@ pub fn e18(settops: usize, shards: usize) {
     // Leg 2: fan-in.
     let fan = fan_in();
 
-    // Leg 3: the settop replay, on one shard.
-    let (rep, rep_wall) = replay(settops, 1);
-
-    // Leg 4: the same replay on a sharded kernel. Trace equivalence is
-    // asserted unconditionally — determinism is a correctness property,
-    // not a performance one. The wall-clock speedup is only *measured*
-    // when the host actually has the cores to run the shards in
-    // parallel; on a smaller machine the timing leg is skipped (a
-    // 4-shard run on 1 core measures context-switch overhead, not the
-    // kernel).
-    let speedup_shards = shards.max(4);
-    let (rep_sharded, rep_sharded_wall) = replay(settops, speedup_shards);
-    assert_eq!(
-        rep_sharded.trace_hash, rep.trace_hash,
-        "replay: {speedup_shards}-shard run changed the event trace"
-    );
-    let cores = report::cores_used();
-    let (shard_speedup, shard_speedup_skipped) = if cores >= 4 {
-        (
-            Some(rep_wall / rep_sharded_wall.max(f64::MIN_POSITIVE)),
-            None,
-        )
-    } else {
-        (
-            None,
-            Some(format!(
-                "host has {cores} core(s); need >= 4 to measure shard speedup"
-            )),
-        )
-    };
+    // Leg 3: the settop replay.
+    let (rep, rep_wall) = replay(settops);
 
     let mut t = Table::new(&["leg", "events", "ev/s", "alloc/ev"]);
     leg_row(&mut t, "ping-pong", &pp);
@@ -334,22 +304,6 @@ pub fn e18(settops: usize, shards: usize) {
     println!(
         "    determinism: same-seed rerun identical incl. allocations: {deterministic}"
     );
-    match (&shard_speedup, &shard_speedup_skipped) {
-        (Some(sp), _) => println!(
-            "    sharding: {speedup_shards} shards replayed the identical trace in {} s \
-             vs {} s on 1 shard (x{} speedup, {} horizon syncs, {} cross-shard msgs)",
-            f(rep_sharded_wall, 2),
-            f(rep_wall, 2),
-            f(*sp, 2),
-            rep_sharded.stats.horizon_syncs,
-            rep_sharded.stats.xshard_msgs
-        ),
-        (_, Some(reason)) => println!(
-            "    sharding: {speedup_shards}-shard trace equivalence asserted; \
-             timing skipped — {reason}"
-        ),
-        _ => unreachable!(),
-    }
 
     report::put("pp_window", Json::U64(PP_WINDOW as u64));
     report::put("pp_events", Json::U64(pp.events));
@@ -386,22 +340,4 @@ pub fn e18(settops: usize, shards: usize) {
     report::put("replay_events", Json::U64(rep.events));
     report::put("replay_wall", Json::F64(rep_wall));
     report::put("deterministic_rerun", Json::from(deterministic));
-    report::put("shard_trace_equivalent", Json::from(true));
-    report::put("shard_speedup_shards", Json::U64(speedup_shards as u64));
-    report::put(
-        "shard_horizon_syncs",
-        Json::U64(rep_sharded.stats.horizon_syncs),
-    );
-    report::put("shard_xshard_msgs", Json::U64(rep_sharded.stats.xshard_msgs));
-    match (shard_speedup, shard_speedup_skipped) {
-        (Some(sp), _) => {
-            report::put("shard_wall_1", Json::F64(rep_wall));
-            report::put("shard_wall_n", Json::F64(rep_sharded_wall));
-            report::put("shard_speedup", Json::F64(sp));
-        }
-        (_, Some(reason)) => {
-            report::put("shard_speedup_skipped", Json::from(reason.as_str()));
-        }
-        _ => unreachable!(),
-    }
 }

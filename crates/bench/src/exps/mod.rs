@@ -34,8 +34,6 @@ pub struct Args {
     pub spans: usize,
     /// E17's simulated settop population (E18: its replay leg's).
     pub settops: usize,
-    /// The kernel shard count E17/E18 run their main legs on.
-    pub shards: usize,
     /// Skip the real-runtime legs of E20, E21 and E23.
     pub sim_only: bool,
 }
@@ -62,8 +60,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("e14", |_| e14()),
     ("e15", |_| e15()),
     ("e16", |a| e16(a.spans)),
-    ("e17", |a| e17(a.settops, a.shards)),
-    ("e18", |a| e18(a.settops, a.shards)),
+    ("e17", |a| e17(a.settops)),
+    ("e18", |a| e18(a.settops)),
     ("e19", |_| e19()),
     ("e20", |a| e20(a.sim_only)),
     ("e21", |a| e21(a.sim_only)),

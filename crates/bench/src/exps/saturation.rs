@@ -39,8 +39,8 @@ const NBHDS: usize = 8;
 
 /// Driver processes for a population size; each owns an equal slice of
 /// the settop id space. The count depends only on the population — never
-/// on shard count or host cores — so the virtual-time trace of a run is
-/// identical no matter how it is executed.
+/// on host cores — so the virtual-time trace of a run is identical no
+/// matter where it is executed.
 fn drivers_for(settops: usize) -> usize {
     if settops >= 200_000 {
         64
@@ -69,22 +69,13 @@ pub(crate) struct StormOut {
     /// Kernel events processed (E18's replay leg divides wall time by
     /// this).
     pub(crate) events: u64,
-    /// Kernel event-trace hash: the same for every shard count, so
-    /// E17's and E18's 1-vs-N-shard checks compare it.
-    pub(crate) trace_hash: u64,
-    /// Full kernel counters (horizon syncs, cross-shard traffic, …).
-    pub(crate) stats: ocs_sim::KernelStats,
 }
 
-/// Runs the storm at `settops` scale with `seed` on `shards` kernel
-/// shards; pure virtual-time measurement (no wall clock touches the
-/// outputs). E18's replay leg runs it too.
-pub(crate) fn storm(seed: u64, settops: usize, shards: usize) -> StormOut {
-    let sim = Sim::with_config(ocs_sim::SimConfig {
-        seed,
-        shards,
-        ..ocs_sim::SimConfig::default()
-    });
+/// Runs the storm at `settops` scale with `seed`; pure virtual-time
+/// measurement (no wall clock touches the outputs). E18's replay leg
+/// runs it too.
+pub(crate) fn storm(seed: u64, settops: usize) -> StormOut {
+    let sim = Sim::new(seed);
     let ns_nodes = ns_group(&sim, 1, Duration::from_secs(3600));
     let ns_addr = Addr::new(ns_nodes[0].node(), ports::NS);
 
@@ -243,8 +234,6 @@ pub(crate) fn storm(seed: u64, settops: usize, shards: usize) -> StormOut {
         cache_misses: drv.counter("ns.cache.misses"),
         cm_accepted: cm.counter("cm.admission.accepted"),
         events: sim.kernel_stats().events,
-        trace_hash: sim.trace_hash(),
-        stats: sim.kernel_stats(),
     }
 }
 
@@ -288,17 +277,17 @@ fn allocate_cost_ns(active: usize, pairs: usize) -> f64 {
 }
 
 /// E17: settop-population saturation (§8.1–§8.2 made quantitative).
-pub fn e17(settops: usize, shards: usize) {
+pub fn e17(settops: usize) {
     let drivers = drivers_for(settops);
     println!("\nE17. Scale saturation: {settops} settops, channel-change + movie-open storm");
     println!(
         "    {NBHDS} neighborhood CMs, {drivers} drivers x {PROXIES_PER_NBHD} proxies/path, \
-         shared resolve cache, {shards} kernel shard(s)\n"
+         shared resolve cache\n"
     );
 
     // Leg 1: the storm at full scale.
     let wall = std::time::Instant::now();
-    let s = storm(1717, settops, shards);
+    let s = storm(1717, settops);
     let storm_wall = wall.elapsed().as_secs_f64();
     let ops_per_sec = s.ops as f64 / s.elapsed_virtual.max(f64::MIN_POSITIVE);
     let p50 = pct(&s.latencies_us, 0.50);
@@ -323,18 +312,12 @@ pub fn e17(settops: usize, shards: usize) {
         s.ns_lookups
     );
     println!("    CM admissions accepted: {}", s.cm_accepted);
-    if shards > 1 {
-        println!(
-            "    sharding: {} horizon syncs, {} cross-shard msgs, {} lookahead stalls",
-            s.stats.horizon_syncs, s.stats.xshard_msgs, s.stats.lookahead_stalls
-        );
-    }
 
     // Leg 2: same-seed determinism at reduced scale — the virtual-time
     // numbers must be bit-identical run to run.
     let check = settops.min(2_000);
-    let a = storm(99, check, 1);
-    let b = storm(99, check, 1);
+    let a = storm(99, check);
+    let b = storm(99, check);
     let deterministic = a.ops == b.ops
         && a.failures == b.failures
         && a.elapsed_virtual == b.elapsed_virtual
@@ -344,27 +327,6 @@ pub fn e17(settops: usize, shards: usize) {
         "same seed must give same virtual-time metrics"
     );
     println!("    determinism: two seed-99 runs at {check} settops identical: {deterministic}");
-
-    // Leg 2b: shard-layout invariance — the same reduced-scale storm on
-    // a sharded kernel must replay the 1-shard event trace bit for bit.
-    let many = storm(99, check, shards.max(2));
-    let shard_trace_equivalent = a.trace_hash == many.trace_hash
-        && a.ops == many.ops
-        && a.elapsed_virtual == many.elapsed_virtual
-        && a.latencies_us == many.latencies_us;
-    assert!(
-        shard_trace_equivalent,
-        "sharded run diverged from the 1-shard trace (hash {:#x} vs {:#x})",
-        many.trace_hash, a.trace_hash
-    );
-    println!(
-        "    shard equivalence: {}-shard rerun trace-identical to 1 shard: {} \
-         ({} horizon syncs, {} cross-shard msgs)",
-        shards.max(2),
-        shard_trace_equivalent,
-        many.stats.horizon_syncs,
-        many.stats.xshard_msgs
-    );
 
     // Leg 3: allocate cost vs active-table size. An O(active) scan in
     // the admission path would scale this ratio with the population;
@@ -396,11 +358,7 @@ pub fn e17(settops: usize, shards: usize) {
     report::put("cache_misses", Json::U64(s.cache_misses));
     report::put("cm_accepted", Json::U64(s.cm_accepted));
     report::put("deterministic_rerun", Json::from(deterministic));
-    report::put("shard_trace_equivalent", Json::from(shard_trace_equivalent));
-    report::put("storm_shards", Json::U64(shards as u64));
     report::put("drivers", Json::U64(drivers as u64));
-    report::put("horizon_syncs", Json::U64(s.stats.horizon_syncs));
-    report::put("xshard_msgs", Json::U64(s.stats.xshard_msgs));
     report::put("wall_alloc_ns_small", Json::F64(small));
     report::put("wall_alloc_ns_large", Json::F64(large));
     report::put("wall_alloc_ratio", Json::F64(ratio));

@@ -19,7 +19,6 @@ static CURRENT: Mutex<Option<Report>> = Mutex::new(None);
 struct Report {
     name: String,
     virtual_secs: f64,
-    shards: usize,
     fields: BTreeMap<String, Json>,
 }
 
@@ -29,30 +28,22 @@ pub fn begin(name: &str) {
     *CURRENT.lock().unwrap() = Some(Report {
         name: name.to_string(),
         virtual_secs: 0.0,
-        shards: 1,
         fields: BTreeMap::new(),
     });
 }
 
 static CORES_OVERRIDE: Mutex<Option<usize>> = Mutex::new(None);
 
-/// Records the suite-level run configuration stamped into every
-/// artifact: the `--shards` setting the experiments ran with, and an
-/// optional `--cores` override of the detected host parallelism (for
-/// exercising the small-runner skip paths on a big machine, or for
-/// honest artifacts from a cgroup-limited container the detection
-/// can't see through).
-pub fn set_run_config(shards: usize, cores: Option<usize>) {
-    if let Some(r) = CURRENT.lock().unwrap().as_mut() {
-        r.shards = shards;
-    }
+/// Records an optional `--cores` override of the detected host
+/// parallelism that every artifact records (for honest artifacts from a
+/// cgroup-limited container the detection can't see through).
+pub fn set_cores(cores: Option<usize>) {
     *CORES_OVERRIDE.lock().unwrap() = cores;
 }
 
-/// The core count experiments gate wall-clock legs on and artifacts
-/// record: the `--cores` override when given, detected parallelism
-/// otherwise.
-pub fn cores_used() -> usize {
+/// The core count artifacts record: the `--cores` override when given,
+/// detected parallelism otherwise.
+fn cores_used() -> usize {
     CORES_OVERRIDE.lock().unwrap().unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -155,7 +146,6 @@ pub fn finish(wall_secs: f64) -> Option<PathBuf> {
         Json::F64(report.virtual_secs),
     );
     fields.insert("cores_used".to_string(), Json::U64(cores_used() as u64));
-    fields.insert("shards".to_string(), Json::U64(report.shards as u64));
     let path = PathBuf::from(format!("BENCH_{}.json", report.name));
     match std::fs::write(&path, Json::Obj(fields).render()) {
         Ok(()) => Some(path),

@@ -96,11 +96,6 @@ impl Cluster {
             ("sim.kernel.driver_resumes", ks.driver_resumes),
             ("sim.kernel.direct_handoffs", ks.direct_handoffs),
             ("sim.kernel.self_continues", ks.self_continues),
-            ("sim.kernel.shard.count", self.sim.shard_count() as u64),
-            ("sim.kernel.shard.horizon_syncs", ks.horizon_syncs),
-            ("sim.kernel.shard.xshard_msgs", ks.xshard_msgs),
-            ("sim.kernel.shard.lookahead_stalls", ks.lookahead_stalls),
-            ("sim.kernel.shard.idle_parks", ks.idle_parks),
         ] {
             snap.merged.gauges.insert(name.to_string(), v as i64);
         }

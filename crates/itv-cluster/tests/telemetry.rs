@@ -83,20 +83,8 @@ fn shared_resolve_cache_shows_up_in_cluster_metrics() {
     );
     // A healthy run (no fail-overs) never refuses an install as stale.
     assert_eq!(m.counter("ns.cache.stale_installs"), 0);
-    // Kernel scheduler health rides along as driver-side gauges,
-    // including the sharded-execution group. This run uses the default
-    // single-shard kernel, so the shard gauges exist but report a quiet
-    // barrier: one shard, no horizon syncs, no cross-shard traffic.
+    // Kernel scheduler health rides along as driver-side gauges.
     assert!(m.gauges.get("sim.kernel.events").copied().unwrap_or(0) > 0);
-    assert_eq!(m.gauges.get("sim.kernel.shard.count").copied(), Some(1));
-    for g in [
-        "sim.kernel.shard.horizon_syncs",
-        "sim.kernel.shard.xshard_msgs",
-        "sim.kernel.shard.lookahead_stalls",
-        "sim.kernel.shard.idle_parks",
-    ] {
-        assert_eq!(m.gauges.get(g).copied(), Some(0), "{g} quiet on 1 shard");
-    }
 }
 
 #[test]

@@ -1,6 +1,5 @@
-//! The replicated Connection Manager (ROADMAP item 1): the allocation/
-//! lease table on the same Viewstamped Replication engine the name
-//! service uses, instead of the §5.2 primary/backup pair that starts
+//! The replicated Connection Manager: the allocation/lease table on the
+//! same Viewstamped Replication engine the name service uses, instead of the §5.2 primary/backup pair that starts
 //! empty and waits for MMS reassertion.
 //!
 //! Three replicas run [`CmTable`] behind an [`ocs_vsr::VsrCore`]. Every

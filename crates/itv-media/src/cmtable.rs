@@ -1,6 +1,6 @@
 //! The Connection Manager's allocation/lease table as a pure, replicated
-//! state machine (ROADMAP item 1: "replicate CM lease state ... over the
-//! NS's VSR core").
+//! state machine: the CM's lease state, replicated over the NS's VSR
+//! core.
 //!
 //! [`CmTable`] implements [`ocs_vsr::Machine`]: every mutation —
 //! allocate, release, reassert, lease expiry — is a [`CmUpdate`] on the

@@ -12,7 +12,7 @@
 //!   flow through a majority-committed update log sequenced by the view
 //!   primary, with sub-second view changes on primary failure and
 //!   snapshot-based state transfer for rejoining replicas — replacing
-//!   the paper's ~25 s master re-election window (§4.6, ROADMAP item 1);
+//!   the paper's ~25 s master re-election window (§4.6);
 //! * *auditing*: the master removes bindings whose objects have died,
 //!   within seconds, driven by a liveness oracle (the Resource Audit
 //!   Service in the full system, §4.7) — which is what lets a §5.2

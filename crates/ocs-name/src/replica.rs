@@ -1,5 +1,5 @@
-//! One name-service replica (§4.6, rebuilt on Viewstamped Replication
-//! per ROADMAP item 1).
+//! One name-service replica (§4.6, rebuilt on Viewstamped
+//! Replication).
 //!
 //! A replica runs on every server node. All replicas answer `resolve`
 //! and `list` from local state; every mutation flows through the

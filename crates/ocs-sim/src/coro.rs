@@ -1,8 +1,8 @@
 //! Process stacks, and the switch between them.
 //!
 //! A simulated process runs on a [`Stack`] of its own, not on an OS
-//! thread: the thread that steps the process's shard switches to the
-//! stack and back in user space, with no system call and no wake-up. A
+//! thread: the thread that drives the simulation switches to the stack
+//! and back in user space, with no system call and no wake-up. A
 //! real-runtime task runs the same way on its node's loop thread
 //! (`real.rs`). This module and `poll.rs` are the only places in the
 //! crate that use `unsafe`; the kernel and the loops see three safe
@@ -85,17 +85,17 @@ extern "C" {
 }
 
 /// Where a suspended context keeps its stack pointer: a process's, at
-/// the top of its stack, or a shard scheduler's. Null while the context
+/// the top of its stack, or the simulation scheduler's. Null while the context
 /// runs, and before a stack is primed.
 pub(crate) struct Context {
     sp: Cell<*mut u8>,
 }
 
 // SAFETY: `sp` is the only field. It is read and written only by
-// `switch` and `Stack::prime`, on the thread stepping the context's
-// shard or running its node's loop, and the kernel lock orders a prime on
-// another thread (a spawn from the driver onto a shard's worker) before
-// the worker's first switch to the stack.
+// `switch` and `Stack::prime`, on the thread driving the simulation or
+// running its node's loop, and the kernel lock orders a prime on another
+// thread (a spawn from a thread other than the one that runs the
+// simulation next) before the first switch to the stack.
 unsafe impl Send for Context {}
 // SAFETY: as for `Send`: no two threads touch one `sp` without the
 // kernel lock ordering them.
@@ -115,8 +115,9 @@ impl Context {
 }
 
 /// Names a [`Context`] to switch from or to. Copyable, so the scheduler
-/// can hand it out of the kernel lock; valid while its context is: a
-/// shard's for the life of the simulation, a stack's while it is mapped.
+/// can hand it out of the kernel lock; valid while its context is: the
+/// scheduler's for the life of the simulation, a stack's while it is
+/// mapped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Handle(NonNull<Context>);
 

@@ -1,50 +1,30 @@
 //! The discrete-event kernel: virtual time, processes, endpoints, links.
 //!
 //! Every simulated *process* runs on a stack of its own (`coro.rs`; the
-//! next process re-uses it), and no process owns an OS thread: each
-//! **shard** is stepped by one thread — the thread driving the `Sim` for
-//! shard 0, a worker thread otherwise — which runs exactly one context
-//! at a time, the shard's scheduler or one of its processes, and
-//! switches between them in user space. Blocking operations (sleep,
-//! receive, wait) switch to whatever runs next; a timed one's timeout
-//! waits beside the event queue, keyed like an event, and leaves with
-//! the wait however it ends. A process never moves to another OS thread, so a
-//! shard 0 with suspended processes may not be driven from another.
-//! Events are ordered by `(time, source node, per-source seq)`, a key
-//! that is independent of how nodes are packed into shards, so a run is
-//! fully deterministic given its seed — with one shard or many.
+//! next process re-uses it), and no process owns an OS thread: the one
+//! thread driving the `Sim` runs exactly one context at a time, the
+//! scheduler or one of the processes, and switches between them in user
+//! space. Blocking operations (sleep, receive, wait) switch to whatever
+//! runs next; a timed one's timeout waits beside the event queue, keyed
+//! like an event, and leaves with the wait however it ends. A process
+//! never moves to another OS thread, so a simulation with suspended
+//! processes may not be driven from another. Events are ordered by
+//! `(time, source node, per-source seq)`, so a run is fully deterministic
+//! given its seed.
 //!
-//! # Sharded execution
+//! # One kernel, one loop
 //!
-//! The node set is partitioned across `SimConfig::shards` kernels, each
-//! with its own event heap, process set and network tables, driven by
-//! one OS thread each between conservative synchronization horizons
-//! (classic Chandy–Misra lookahead). `run_until` is one loop for every
-//! shard count:
-//!
-//! * the coordinator computes `A`, the earliest pending activity across
-//!   all shards, and opens a window `[A, A + L)` where `L` is the
-//!   minimum cross-node link latency seen so far — the shortest delay
-//!   of an event that can cross shards. With one shard no event can, so
-//!   `L` is unbounded and the window runs to the run's limit;
-//! * every shard runs its events strictly inside the window in
-//!   parallel; any event it emits for another shard is at least one
-//!   cross-node latency in the future, hence at or beyond the horizon,
-//!   so no shard can receive an event in its past;
-//! * cross-shard events travel through per-shard inboxes and are merged
-//!   into the destination heap at the next horizon; the `(at, src,
-//!   sseq)` key makes the merge order — and therefore every RNG draw
-//!   and trace record — identical to the 1-shard schedule;
-//! * when the run ends, every shard's clock is levelled to its limit.
-//!
-//! Determinism across shard counts additionally requires that every
-//! id-allocation stream is keyed to a node (or to the shard that owns
-//! it) rather than to a global counter: pids embed their shard, group
-//! and wait-object ids embed their allocating node, and each node owns
-//! its RNG and event-sequence stream. Cluster-wide control actions
-//! (crash, restart, link changes) issued from inside a process are
-//! broadcast as *control events* that every shard applies at the same
-//! virtual instant, one fault-propagation delay after issue.
+//! A simulation is one kernel: one event heap, one process table, one
+//! set of network tables, stepped by `run_until` in one loop on the
+//! driving thread. (A sharded scheduler, which partitioned the nodes
+//! across kernels on worker threads between conservative lookahead
+//! horizons, was measured and deleted: on two cores E17's storm ran 1.6×
+//! slower on two shards than on one at 50k settops, and no faster at a
+//! million.) What a process does to another node — spawn, kill, bump,
+//! journal note, network control — still lands one `control_delay` after
+//! it is issued, as a control event under the issuer's stream, and every
+//! id a node hands out (group, wait object) embeds the node: virtual
+//! timing and the pinned trace hashes depend on both.
 //!
 //! # Waiting
 //!
@@ -58,7 +38,7 @@
 //!
 //! A process that blocks, or exits, runs the scheduler state machine
 //! ([`Kernel::next_step`]) itself, under the kernel lock, instead of
-//! switching to the shard's scheduler context:
+//! switching to the scheduler's context:
 //!
 //! * if the next runnable process is the caller itself (its timeout or a
 //!   same-instant delivery woke it), it simply keeps running — zero
@@ -70,8 +50,8 @@
 //!   stack, with the lock released, before the next step.
 //!
 //! Only three things switch back to the scheduler
-//! (`KernelStats::driver_resumes` counts its resumes): the window's end
-//! (nothing left to run before the horizon), shutdown, whose drain the
+//! (`KernelStats::driver_resumes` counts its resumes): the run's end
+//! (nothing left to run up to its limit), shutdown, whose drain the
 //! scheduler sequences, and a recorded panic, which the scheduler must
 //! re-raise. Whichever context runs it, the state machine and every
 //! structure it consults are the same, so where a handoff runs changes
@@ -81,10 +61,10 @@
 //!
 //! A process group lives on one node, its home: a process spawned, or
 //! an endpoint opened, through another node's runtime belongs to no
-//! group. So a group's members and endpoints share one shard, and its
-//! kill reaches all of them on every shard count.
+//! group. So a group's members and endpoints share one node, and its
+//! kill reaches all of them there.
 //!
-//! Each shard keeps one port table for the nodes it owns (`ports.rs`, the
+//! The kernel keeps one port table for every node (`ports.rs`, the
 //! table TCP keeps per node, with its one open-id rule and its one group
 //! record): an endpoint is an open there, owned by the group of the
 //! process that opened it, and closes when closed, when its last handle
@@ -93,15 +73,15 @@
 //! so a frame for a dead service bounces from the kill instant on. A
 //! process joins its group's record there when it is spawned and leaves
 //! at its exit, so a kill ends the members in pid order with no scan of
-//! the shard's processes. A process's reply endpoint is
-//! one more handle (`Proc::reply`), dropped when the process exits. The
-//! simulator's own part of a port is its receive side, `Rx`: the queue,
-//! and the receivers a delivery or the close wakes.
+//! the process table. A process's reply endpoint is one more handle
+//! (`Proc::reply`), dropped when the process exits. The simulator's own
+//! part of a port is its receive side, `Rx`: the queue, and the
+//! receivers a delivery or the close wakes.
 //!
 //! No endpoint handle may drop under the kernel lock, since the drop
 //! takes it. What the kernel lets go of under its lock — a closed port's
 //! handler, a spawn it refused — waits in `Kernel::dropped` until the
-//! lock is released (`unlock`, and every step of a shard).
+//! lock is released (`unlock`, and every step of the scheduler).
 //!
 //! # Serving a port
 //!
@@ -110,9 +90,9 @@
 //! at the delivery instant instead of queueing the frame for a receiver:
 //!
 //! * a bounce, or a frame the port's inline test passes (its handler
-//!   waits for nothing), becomes a [`Step::Inline`]: whichever thread is
-//!   stepping the shard runs it with the kernel lock released, as the
-//!   port's node (its shard, its node's streams, the port's group), with
+//!   waits for nothing), becomes a [`Step::Inline`]: whichever context is
+//!   stepping the kernel runs it with the kernel lock released, as the
+//!   port's node (its node's streams, the port's group), with
 //!   no process, no stack and no switch. Anything that would wait — a
 //!   blocking call, a receive, opening an endpoint — panics naming the
 //!   task, so the simulator enforces the promise TCP can only trust;
@@ -133,12 +113,12 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -152,47 +132,6 @@ pub(crate) type Pid = u64;
 
 /// Unwind payload used to terminate a killed process quietly.
 pub(crate) struct KillSignal;
-
-/// Pids embed their shard in the top bits so any thread can find its
-/// kernel without a global map: `pid = shard << SHARD_SHIFT | counter`.
-pub(crate) const SHARD_SHIFT: u32 = 48;
-
-/// One-shot-per-handoff wakeup flag between two OS threads: a shard
-/// worker and the coordinator. A grant may arrive before the owner
-/// starts waiting; the flag absorbs that.
-pub(crate) struct Baton {
-    ready: AtomicBool,
-    m: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Baton {
-    pub(crate) fn new() -> Baton {
-        Baton {
-            ready: AtomicBool::new(false),
-            m: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Makes the owner runnable; callable from any thread.
-    pub(crate) fn grant(&self) {
-        self.ready.store(true, Ordering::Release);
-        // The lock orders this grant against a waiter between its last
-        // flag check and `cv.wait`: we can't get the lock until it is
-        // inside `cv.wait` (or past it), so the notify always lands.
-        drop(self.m.lock());
-        self.cv.notify_one();
-    }
-
-    /// Owner side: block until granted, consuming the grant.
-    pub(crate) fn wait(&self) {
-        let mut g = self.m.lock();
-        while !self.ready.swap(false, Ordering::Acquire) {
-            self.cv.wait(&mut g);
-        }
-    }
-}
 
 /// What the scheduler state machine decided: switch to a process's
 /// stack, run a served port's inline handler on the stepping context, or
@@ -275,12 +214,10 @@ pub(crate) struct InlineRun {
 
 pub(crate) struct NodeState {
     pub up: bool,
-    /// Per-node deterministic streams. Keying the RNG, the event
-    /// sequence, and the group/wait-object id counters to the node (not
-    /// the kernel) makes every draw and every allocated id independent
-    /// of how nodes are packed into shards — the heart of the 1-shard ==
-    /// N-shard determinism argument. Only the node's owning shard ever
-    /// touches these; the replicated copies on other shards are inert.
+    /// Per-node deterministic streams: the RNG, the event sequence, and
+    /// the group/wait-object id counters. Keyed to the node, not the
+    /// kernel, so what one node draws or allocates moves no other node's
+    /// ids or draws.
     pub rng: SmallRng,
     pub seq: u64,
     pub next_group: u64,
@@ -303,30 +240,6 @@ impl NodeState {
 fn post_inc(counter: &mut u64) -> u64 {
     *counter += 1;
     *counter - 1
-}
-
-/// How nodes are mapped to shards. A pure function of the node id, so
-/// every shard (and the driver) can route without coordination.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// `node % nshards` — spreads consecutively-numbered nodes evenly,
-    /// the right default when neighbors talk to everyone (E17's drivers
-    /// and CM servers interleave).
-    #[default]
-    RoundRobin,
-}
-
-
-/// Maps a raw node id to its shard. Node 0 (the anonymous/driver key)
-/// always lives on shard 0.
-#[inline]
-pub(crate) fn shard_index(policy: ShardPolicy, nshards: usize, node: u32) -> usize {
-    if nshards <= 1 || node == 0 {
-        return 0;
-    }
-    match policy {
-        ShardPolicy::RoundRobin => node as usize % nshards,
-    }
 }
 
 /// Per-directed-link model parameters.
@@ -391,13 +304,13 @@ pub struct NetStats {
 /// Scheduler and event-loop counters, exposed through
 /// [`Sim::kernel_stats`](crate::Sim::kernel_stats) for the E18 kernel
 /// microbenchmark. Purely observational: reading them never perturbs a
-/// run. In sharded runs the per-shard counters are summed.
+/// run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Events popped off the queue (timeouts that fired, network
     /// deliveries, control events).
     pub events: u64,
-    /// Switches from the shard's scheduler to a process (a pair of
+    /// Switches from the scheduler to a process (a pair of
     /// switches each: there and back).
     pub driver_resumes: u64,
     /// Process-to-process switches that skipped the scheduler (one
@@ -406,16 +319,6 @@ pub struct KernelStats {
     /// Blocking calls where the caller continued inline with zero
     /// switches (its own timeout or a same-instant delivery was next).
     pub self_continues: u64,
-    /// Synchronization horizons the sharded coordinator executed
-    /// (0 in 1-shard runs).
-    pub horizon_syncs: u64,
-    /// Events routed to another shard's inbox (counted at the sender).
-    pub xshard_msgs: u64,
-    /// Windows in which a shard had nothing to do — it advanced only
-    /// because the horizon did.
-    pub lookahead_stalls: u64,
-    /// Times a shard worker parked waiting for the next horizon grant.
-    pub idle_parks: u64,
     /// Stacks mapped for processes: a spawn that found no idle stack to
     /// re-use (see `coro.rs`). No process starts an OS thread.
     pub stacks_mapped: u64,
@@ -619,8 +522,7 @@ impl IdHasher {
 pub type IdBuild = std::hash::BuildHasherDefault<IdHasher>;
 
 /// Cluster-wide network control action. Issued by a fault API; from a
-/// process it is broadcast to every shard as a control event so all
-/// replicas of the node/link tables change at the same virtual instant.
+/// process it lands one control delay later, as a control event.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum NetCtl {
     Crash(NodeId),
@@ -631,10 +533,7 @@ pub(crate) enum NetCtl {
     ClearImpairment(NodeId, NodeId),
 }
 
-/// A deferred kernel operation carried by a control event. `Net` is
-/// broadcast to every shard (each applies its replica share; the owner
-/// of the primary node also does the observable part); the rest are
-/// delivered to a single home shard.
+/// A deferred kernel operation carried by a control event.
 pub(crate) enum ControlOp {
     Net(NetCtl),
     Spawn {
@@ -656,8 +555,7 @@ enum EventKind {
 /// An event, keyed `(at, src, sseq)`: `src` is the raw id of the node
 /// whose stream produced it (0 for the anonymous/driver stream) and
 /// `sseq` the per-source sequence number. Unlike a global counter, the
-/// key is identical however nodes are sharded, so heap pop order — and
-/// with it every observable — survives re-sharding.
+/// key of one node's events moves with nothing another node does.
 struct Event {
     at: u64,
     src: u32,
@@ -691,28 +589,16 @@ pub(crate) struct WaitObjState {
     generation: u64,
 }
 
-/// One shard's kernel: event heap, processes, and a full replica of the
-/// small network tables (node up/down, links, partitions, impairments).
-/// Replicating the tables lets `net_send` run lock-free with respect to
-/// other shards; the control-event broadcast keeps the replicas in sync
-/// at identical virtual instants.
+/// The kernel: event heap, processes, and the network tables (node
+/// up/down, ports, links, partitions, impairments).
 pub(crate) struct Kernel {
     pub now: u64,
     /// Lock-free mirror of `now`, shared with [`SimInner`] so the hot
     /// `now()` read path (journal records, deadline checks in running
-    /// processes) never contends on the kernel mutex. Virtual time only
-    /// advances inside the shard's step loop, while every process of
-    /// the shard is parked, so a relaxed-ish read from a running
-    /// process is always exact.
+    /// processes) never takes the kernel mutex. Virtual time only
+    /// advances inside the step loop, while every process is parked, so
+    /// a read from a running process is always exact.
     now_shared: Arc<AtomicU64>,
-    /// This kernel's shard index and the topology it routes within.
-    shard: usize,
-    nshards: usize,
-    policy: ShardPolicy,
-    /// Peer shard inboxes (leaf locks, never held across other locks);
-    /// `outboxes[shard]` is this shard's own inbox and is not used from
-    /// here.
-    outboxes: Vec<Arc<Mutex<Vec<Event>>>>,
     /// Back-reference for control events that need the whole simulation
     /// (spawning a process, journaling a fault note).
     inner: Weak<SimInner>,
@@ -721,21 +607,19 @@ pub(crate) struct Kernel {
     /// in the same key order; a wait that ends early removes its own.
     timers: BTreeMap<TimerKey, Pid>,
     pub procs: BTreeMap<Pid, Proc>,
-    /// Local pid counter; issued pids are `shard << SHARD_SHIFT | n` so
-    /// they are unique and shard-derivable without coordination.
+    /// The next pid to issue.
     next_pid: Pid,
     pub runnable: VecDeque<Pid>,
     pub shutdown: bool,
-    /// Seed all per-node RNGs derive from (replicated).
+    /// Seed all per-node RNGs derive from.
     master_seed: u64,
     /// The streams of the anonymous key (driver context, node-less
-    /// procs). Only shard 0 ever draws from these.
+    /// procs).
     anon: NodeState,
     /// Dense node table indexed by `NodeId - 1` (ids are handed out
-    /// sequentially from 1 and never removed). Replicated on every
-    /// shard; the per-node streams are only touched by the owner.
+    /// sequentially from 1 and never removed).
     nodes: Vec<NodeState>,
-    /// The open ports of the nodes this shard owns.
+    /// Every node's open ports and group records.
     pub ports: PortTable<Rx>,
     /// What the kernel let go of under its lock — a closed port's
     /// handler, a refused spawn's body — until the lock is released (see
@@ -746,11 +630,11 @@ pub(crate) struct Kernel {
     link_free: PairTable<u64>,
     pub partitions: PairTable<()>,
     pub impairments: PairTable<LinkImpairment>,
-    /// Commutative digest of the observable event trace (sends,
-    /// deliveries, fault actions): the sum of per-record FNV-1a hashes.
-    /// Summing makes the digest independent of how records interleave
-    /// across shards within one instant, while each record's own hash
-    /// still pins its exact field values. See `Sim::trace_hash`.
+    /// Digest of the observable event trace (sends, deliveries, fault
+    /// actions): the sum of per-record FNV-1a hashes, each of which pins
+    /// its record's exact field values. A sum, not a chained hash,
+    /// because the committed trace hashes were pinned as sums. See
+    /// `Sim::trace_hash`.
     pub trace_digest: u64,
     pub stats: NetStats,
     pub sched: KernelStats,
@@ -759,13 +643,13 @@ pub(crate) struct Kernel {
     pub trace: bool,
     /// Whether a scheduler is currently inside `run_until`.
     in_run: bool,
-    /// Last instant of the current window (inclusive): `next_step`
+    /// Last instant of the current run (inclusive): `next_step`
     /// applies nothing due later.
     run_limit: u64,
     /// The inline handler the event just applied queued; `next_step`
     /// hands it out before it applies another.
     inline: Option<InlineRun>,
-    /// Idle stacks for this shard's next spawns.
+    /// Idle stacks for the next spawns.
     stacks: StackPool,
     /// The stack of the process that exited last, until the context it
     /// switched to returns it to `stacks`: a process cannot free the
@@ -773,18 +657,17 @@ pub(crate) struct Kernel {
     /// inline handler whose spawn would prime the stack under it.
     dead: Option<Stack>,
     /// Processes whose stacks have been entered and not yet left: while
-    /// any are, the shard may be stepped only from `home`.
+    /// any are, the kernel may be stepped only from `home`.
     entered: usize,
-    /// The OS thread that last drove the simulation (shard 0 only: the
-    /// workers step the other shards for life; see `claim_driver`).
+    /// The OS thread that last drove the simulation (see
+    /// `claim_driver`).
     home: Option<std::thread::ThreadId>,
 }
 
-/// What an inline handler runs as while it runs: its port's node and
-/// shard, and its port's `Served` (task name, group).
+/// What an inline handler runs as while it runs: its port's node, and
+/// its port's `Served` (task name, group).
 struct InlineAs {
     port: Addr,
-    shard: usize,
     served: Arc<Served>,
 }
 
@@ -800,7 +683,7 @@ pub(crate) fn cur_pid() -> Option<Pid> {
     CUR_PID.with(|c| c.get())
 }
 
-/// Suspends the running context — a process, or a shard's scheduler —
+/// Suspends the running context — a process, or the scheduler —
 /// in `from` and resumes `to` on this thread. The per-process
 /// thread-locals, `CUR_PID` and the span context, travel with the
 /// context: each gets back its own when it resumes, and a fresh process
@@ -814,14 +697,9 @@ fn switch(from: Handle, to: Handle) {
     crate::trace::set_current_ctx(span);
 }
 
-/// The node, shard and group of the inline handler running on this
-/// thread.
-fn cur_inline() -> Option<(NodeId, usize, Option<u64>)> {
-    CUR_INLINE.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map(|i| (i.port.node, i.shard, i.served.group))
-    })
+/// The node and group of the inline handler running on this thread.
+fn cur_inline() -> Option<(NodeId, Option<u64>)> {
+    CUR_INLINE.with(|c| c.borrow().as_ref().map(|i| (i.port.node, i.served.group)))
 }
 
 /// Panics if an inline handler runs on this thread: it promised not to
@@ -833,33 +711,12 @@ pub(crate) fn forbid_inline(what: &str) {
     }
 }
 
-/// The shard whose kernel serves this thread: a process's own shard, an
-/// inline handler's port's, or shard 0 for the driver.
-#[inline]
-pub(crate) fn cur_shard() -> usize {
-    match cur_pid() {
-        Some(p) => (p >> SHARD_SHIFT) as usize,
-        None => cur_inline().map_or(0, |(_, shard, _)| shard),
-    }
-}
-
 impl Kernel {
-    pub fn new(
-        seed: u64,
-        net_cfg: NetConfig,
-        trace: bool,
-        shard: usize,
-        nshards: usize,
-        policy: ShardPolicy,
-    ) -> Kernel {
+    fn new(seed: u64, net_cfg: NetConfig, trace: bool, inner: Weak<SimInner>) -> Kernel {
         Kernel {
             now: 0,
             now_shared: Arc::new(AtomicU64::new(0)),
-            shard,
-            nshards,
-            policy,
-            outboxes: Vec::new(),
-            inner: Weak::new(),
+            inner,
             events: BinaryHeap::new(),
             timers: BTreeMap::new(),
             procs: BTreeMap::new(),
@@ -908,17 +765,6 @@ impl Kernel {
         }
     }
 
-    #[inline]
-    pub(crate) fn shard_of(&self, node: NodeId) -> usize {
-        shard_index(self.policy, self.nshards, node.0)
-    }
-
-    /// Whether this kernel owns (schedules) `node`.
-    #[inline]
-    pub(crate) fn owns(&self, node: NodeId) -> bool {
-        self.shard_of(node) == self.shard
-    }
-
     /// The streams of raw node id `key`: its node's, or the anonymous
     /// ones for 0 and for ids no node has (synthetic ids used as data).
     fn streams(&mut self, key: u32) -> &mut NodeState {
@@ -940,16 +786,6 @@ impl Kernel {
 
     fn roll_for(&mut self, node: NodeId) -> f64 {
         (self.rand_for_node(node.0) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Routes an already-keyed event: own heap, or a peer shard's inbox.
-    fn route(&mut self, dest: usize, ev: Event) {
-        if dest == self.shard {
-            self.events.push(ev);
-        } else {
-            self.sched.xshard_msgs += 1;
-            self.outboxes[dest].lock().push(ev);
-        }
     }
 
     /// Arms a timeout for the blocked process `pid`, keyed on `src`'s
@@ -977,25 +813,25 @@ impl Kernel {
 
     /// Virtual-time delay between a control action's issue and its
     /// cluster-wide application: one default network latency (at least
-    /// 1µs), which also upper-bounds the conservative lookahead so the
-    /// broadcast can never land inside an open window.
+    /// 1µs).
     pub(crate) fn control_delay(&self) -> u64 {
         (self.net_cfg.default.latency.as_micros() as u64).max(1)
     }
 
-    /// Defers control ops issued by a process on `src`: each goes to its
-    /// destination shard as a control event one [`control_delay`] from
-    /// now, all under one key from `src`'s stream — the same virtual
-    /// timing under every shard count.
+    /// Defers a control op issued by a process on `src`: it lands as a
+    /// control event one [`control_delay`] from now, keyed on `src`'s
+    /// stream.
     ///
     /// [`control_delay`]: Kernel::control_delay
-    fn defer_control(&mut self, src: u32, ops: impl IntoIterator<Item = (usize, ControlOp)>) {
+    fn defer_control(&mut self, src: u32, op: ControlOp) {
         let at = self.now + self.control_delay();
         let sseq = self.next_sseq(src);
-        for (dest, op) in ops {
-            let kind = EventKind::Control(op);
-            self.route(dest, Event { at, src, sseq, kind });
-        }
+        self.events.push(Event {
+            at,
+            src,
+            sseq,
+            kind: EventKind::Control(op),
+        });
     }
 
     /// Folds a trace record into the run's event digest. The first word
@@ -1019,9 +855,7 @@ impl Kernel {
 
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.nodes.len() as u32 + 1);
-        // Derive the node's RNG from the master seed and its id so the
-        // stream is identical on every shard layout (and on the inert
-        // replicas, which never draw from it).
+        // Derive the node's RNG from the master seed and its id.
         let h = (self.master_seed
             ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id.0 as u64 + 1))
         .rotate_left(17);
@@ -1095,20 +929,16 @@ impl Kernel {
                         if to.node != from.node && at <= self.now {
                             at = self.now + 1; // cross-node delay floor
                         }
-                        let dest = self.shard_of(from.node);
                         let sseq = self.next_sseq(to.node.0);
-                        self.route(
-                            dest,
-                            Event {
-                                at,
-                                src: to.node.0,
-                                sseq,
-                                kind: EventKind::Deliver {
-                                    to: from,
-                                    landing: Err(RecvError::Unreachable(to)),
-                                },
+                        self.events.push(Event {
+                            at,
+                            src: to.node.0,
+                            sseq,
+                            kind: EventKind::Deliver {
+                                to: from,
+                                landing: Err(RecvError::Unreachable(to)),
                             },
-                        );
+                        });
                     } else {
                         self.stats.msgs_dropped += 1;
                     }
@@ -1150,23 +980,13 @@ impl Kernel {
         self.spawn_local(&inner, Some(port.node), Arc::clone(&served.task), served.group, job);
     }
 
-    /// Applies the replica share of a network control on this shard; the
-    /// shard owning the action's primary node also records the trace
-    /// note and does the heavy part (killing processes, closing ports).
+    /// Applies a network control, with its trace note.
     fn apply_net(&mut self, c: NetCtl) {
+        let now = self.now;
         match c {
-            NetCtl::Crash(n) => {
-                if self.owns(n) {
-                    self.crash_node(n);
-                } else if let Some(s) = self.node_mut(n) {
-                    s.up = false;
-                }
-            }
+            NetCtl::Crash(n) => self.crash_node(n),
             NetCtl::Restart(n) => {
-                if self.owns(n) {
-                    let now = self.now;
-                    self.trace_note(&[4, now, n.0 as u64]);
-                }
+                self.trace_note(&[4, now, n.0 as u64]);
                 if let Some(s) = self.node_mut(n) {
                     s.up = true;
                 }
@@ -1175,10 +995,7 @@ impl Kernel {
                 self.link_overrides.insert(a, b, p);
             }
             NetCtl::SetPartition(a, b, on) => {
-                if self.owns(a) {
-                    let now = self.now;
-                    self.trace_note(&[if on { 5 } else { 6 }, now, a.0 as u64, b.0 as u64]);
-                }
+                self.trace_note(&[if on { 5 } else { 6 }, now, a.0 as u64, b.0 as u64]);
                 if on {
                     self.partitions.insert(a, b, ());
                 } else {
@@ -1187,27 +1004,21 @@ impl Kernel {
                 }
             }
             NetCtl::SetImpairment(a, b, imp) => {
-                if self.owns(a) {
-                    let now = self.now;
-                    self.trace_note(&[
-                        7,
-                        now,
-                        a.0 as u64,
-                        b.0 as u64,
-                        (imp.loss * 1e6) as u64,
-                        (imp.dup * 1e6) as u64,
-                        (imp.reorder * 1e6) as u64,
-                        imp.extra_latency.as_micros() as u64,
-                    ]);
-                }
+                self.trace_note(&[
+                    7,
+                    now,
+                    a.0 as u64,
+                    b.0 as u64,
+                    (imp.loss * 1e6) as u64,
+                    (imp.dup * 1e6) as u64,
+                    (imp.reorder * 1e6) as u64,
+                    imp.extra_latency.as_micros() as u64,
+                ]);
                 self.impairments.remove(b, a);
                 self.impairments.insert(a, b, imp);
             }
             NetCtl::ClearImpairment(a, b) => {
-                if self.owns(a) {
-                    let now = self.now;
-                    self.trace_note(&[8, now, a.0 as u64, b.0 as u64]);
-                }
+                self.trace_note(&[8, now, a.0 as u64, b.0 as u64]);
                 self.impairments.remove(a, b);
                 self.impairments.remove(b, a);
             }
@@ -1243,8 +1054,8 @@ impl Kernel {
 
     /// The scheduler state machine: picks the next process to run, or
     /// applies due events until one becomes runnable, or reports `Done`.
-    /// Shared verbatim by the driver loop, the shard workers and the
-    /// in-process fast path, so every context makes identical decisions.
+    /// Shared verbatim by the driver loop and the in-process fast path,
+    /// so every context makes identical decisions.
     pub(crate) fn next_step(&mut self) -> Step {
         loop {
             while let Some(pid) = self.runnable.pop_front() {
@@ -1298,7 +1109,7 @@ impl Kernel {
     }
 
     /// Whether a blocking process may run the scheduler inline instead of
-    /// waking the driver: inside a window, outside shutdown, with no
+    /// waking the driver: inside a run, outside shutdown, with no
     /// panic for the scheduler to see (see the module docs).
     #[inline]
     pub(crate) fn can_inline(&self) -> bool {
@@ -1306,10 +1117,9 @@ impl Kernel {
     }
 
     /// Sends a message into the network model. Called with the kernel
-    /// lock held, from the sending process's thread (or the driver). All
+    /// lock held, from the sending process (or the driver). All
     /// randomness is drawn from the *sender node's* stream and the
-    /// delivery event is keyed on it, so the receiving shard sees the
-    /// same event whether or not it is the sending shard.
+    /// delivery event is keyed on it.
     pub fn net_send(&mut self, from: Addr, to: Addr, msg: Bytes) {
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += msg.len() as u64;
@@ -1373,14 +1183,12 @@ impl Kernel {
         };
         let mut at = start + ser_us + params.latency.as_micros() as u64;
         if from.node != to.node && at <= self.now {
-            // Cross-node deliveries always take ≥ 1µs: the conservative
-            // window protocol needs a nonzero delay floor, and keeping
-            // the clamp in every mode keeps 1-shard and N-shard
-            // timelines identical. (Serialization delay already clears
-            // the floor for bandwidth-limited zero-latency links.)
+            // Cross-node deliveries always take ≥ 1µs, so no frame
+            // lands at the instant it left another node. (Serialization
+            // delay already clears the floor for bandwidth-limited
+            // zero-latency links.)
             at = self.now + 1;
         }
-        let dest = self.shard_of(to.node);
         if let Some(imp) = imp {
             at += imp.extra_latency.as_micros() as u64;
             if imp.reorder > 0.0 && self.roll_for(from.node) < imp.reorder {
@@ -1394,33 +1202,27 @@ impl Kernel {
                 let echo = at + 1 + self.rand_for_node(from.node.0) % 1_000;
                 self.stats.msgs_duplicated += 1;
                 let sseq = self.next_sseq(from.node.0);
-                self.route(
-                    dest,
-                    Event {
-                        at: echo,
-                        src: from.node.0,
-                        sseq,
-                        kind: EventKind::Deliver {
-                            to,
-                            landing: Ok((from, msg.clone())),
-                        },
+                self.events.push(Event {
+                    at: echo,
+                    src: from.node.0,
+                    sseq,
+                    kind: EventKind::Deliver {
+                        to,
+                        landing: Ok((from, msg.clone())),
                     },
-                );
+                });
             }
         }
         let sseq = self.next_sseq(from.node.0);
-        self.route(
-            dest,
-            Event {
-                at,
-                src: from.node.0,
-                sseq,
-                kind: EventKind::Deliver {
-                    to,
-                    landing: Ok((from, msg)),
-                },
+        self.events.push(Event {
+            at,
+            src: from.node.0,
+            sseq,
+            kind: EventKind::Deliver {
+                to,
+                landing: Ok((from, msg)),
             },
-        );
+        });
     }
 
     /// Opens a port on `node` (`PortTable::open`) for the calling
@@ -1464,9 +1266,7 @@ impl Kernel {
     }
 
     /// Kills a process group (`PortTable::kill_where`): its members, in pid
-    /// order, and its endpoints, before any member has unwound. A group
-    /// lives on its home node, so every member and endpoint is on this
-    /// shard.
+    /// order, and its endpoints, before any member has unwound.
     pub fn kill_group(&mut self, group: u64) {
         let (members, closed) = self.ports.kill_where(self.now, |g, _| g == group);
         for pid in members {
@@ -1524,8 +1324,8 @@ impl Kernel {
     }
 
     /// Allocates a wait object homed on `home` (a raw node id; 0 =
-    /// anonymous, shard 0). The id embeds the home node so any caller
-    /// can derive the owning shard from the id alone.
+    /// anonymous). The id embeds the home node, and a bump from another
+    /// node lands one control delay later.
     pub fn waitobj_create(&mut self, home: u32) -> u64 {
         assert!(
             home == 0 || self.nodes.len() >= home as usize,
@@ -1544,7 +1344,7 @@ impl Kernel {
     }
 
     /// Allocates a process-group id from `key`'s stream (0 = anonymous).
-    /// The id embeds the allocating node so values are shard-invariant.
+    /// The id embeds the allocating node.
     pub fn alloc_group(&mut self, key: u32) -> u64 {
         let ctr = post_inc(&mut self.streams(key).next_group);
         ((key as u64) << 32) | (ctr & 0xFFFF_FFFF)
@@ -1566,11 +1366,10 @@ impl Kernel {
         self.waitobjs.get(&id).map(|w| w.generation).unwrap_or(0)
     }
 
-    /// Inserts a new process into this shard: allocates a shard-tagged
-    /// pid, primes a stack with its body, and makes it runnable. Nothing
-    /// runs until the scheduler first switches to the stack. Group
-    /// inheritance is resolved by the *caller* before routing (the
-    /// spawner may live on another shard); a killed group takes none.
+    /// Inserts a new process: allocates a pid, primes a stack with its
+    /// body, and makes it runnable. Nothing runs until the scheduler
+    /// first switches to the stack. Group inheritance is resolved by the
+    /// *caller*; a killed group takes none.
     pub(crate) fn spawn_local(
         &mut self,
         inner: &Arc<SimInner>,
@@ -1583,9 +1382,8 @@ impl Kernel {
             self.dropped.push(Box::new(f));
             return;
         }
-        let pid = ((self.shard as u64) << SHARD_SHIFT) | self.next_pid;
+        let pid = self.next_pid;
         if let Some(n) = node {
-            debug_assert!(self.owns(n), "spawn routed to wrong shard");
             let up = self.node(n).map(|s| s.up).unwrap_or(false);
             if !up || group.is_some_and(|g| !self.ports.join(n, g, pid)) {
                 if self.trace {
@@ -1628,125 +1426,31 @@ impl Kernel {
     }
 }
 
-/// One shard's scheduling surface: its kernel, its scheduler's context,
-/// the coordinator handshake batons, and its cross-shard inbox.
-pub(crate) struct ShardSlot {
+/// Shared simulation state: the kernel, the scheduler's context, and the
+/// per-node extensions.
+pub(crate) struct SimInner {
     pub kernel: Mutex<Kernel>,
     now_cache: Arc<AtomicU64>,
     /// The scheduler loop's context while a process runs: a process
-    /// switches back to it at the window's end, shutdown, or a panic.
+    /// switches back to it at the run's end, shutdown, or a panic.
     sched: coro::Context,
-    /// Coordinator → worker: run one window (or exit if `stop` is set).
-    go: Baton,
-    /// Worker → coordinator: window complete.
-    done: Baton,
-    /// Events emitted by other shards, merged into the heap between
-    /// windows. A plain Vec under a leaf lock: the heap's
-    /// `(at, src, sseq)` order makes the merge deterministic regardless
-    /// of push interleaving.
-    inbox: Arc<Mutex<Vec<Event>>>,
-}
-
-/// Shared simulation state: the shard set plus everything that is global
-/// across shards (extensions, the conservative lookahead).
-pub(crate) struct SimInner {
-    shards: Vec<ShardSlot>,
-    nshards: usize,
-    policy: ShardPolicy,
-    /// Conservative lookahead in µs: the minimum cross-node link latency
-    /// seen so far. Only ever decreases (`set_link` narrows it at issue
-    /// time — shrinking a window early is always safe).
-    lookahead_us: AtomicU64,
-    /// Horizon windows executed by sharded runs.
-    windows: AtomicU64,
     /// Per-node extension maps (see [`crate::rt::Extensions`]). Outside
-    /// the kernel locks: extensions are touched from running processes
-    /// and must not contend with the schedulers.
+    /// the kernel lock: extensions are touched from running processes
+    /// and must not contend with the scheduler.
     ext: Mutex<BTreeMap<NodeId, Arc<crate::rt::Extensions>>>,
-    /// Shard worker threads (shards 1..n; shard 0 is driven inline by
-    /// the coordinator).
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Tells parked workers to drain their shards and exit at the next
-    /// `go` grant.
-    stop: AtomicBool,
 }
 
 impl SimInner {
-    pub fn new(
-        seed: u64,
-        net_cfg: NetConfig,
-        trace: bool,
-        nshards: usize,
-        policy: ShardPolicy,
-    ) -> Arc<SimInner> {
-        let nshards = nshards.max(1);
-        let inboxes: Vec<Arc<Mutex<Vec<Event>>>> =
-            (0..nshards).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-        let mut shards = Vec::with_capacity(nshards);
-        for ix in 0..nshards {
-            let mut kernel = Kernel::new(seed, net_cfg.clone(), trace, ix, nshards, policy);
-            kernel.outboxes = inboxes.clone();
-            let now_cache = Arc::clone(&kernel.now_shared);
-            shards.push(ShardSlot {
+    pub fn new(seed: u64, net_cfg: NetConfig, trace: bool) -> Arc<SimInner> {
+        Arc::new_cyclic(|inner| {
+            let kernel = Kernel::new(seed, net_cfg, trace, Weak::clone(inner));
+            SimInner {
+                now_cache: Arc::clone(&kernel.now_shared),
                 kernel: Mutex::new(kernel),
-                now_cache,
                 sched: coro::Context::new(),
-                go: Baton::new(),
-                done: Baton::new(),
-                inbox: Arc::clone(&inboxes[ix]),
-            });
-        }
-        let lookahead = (net_cfg.default.latency.as_micros() as u64).max(1);
-        let inner = Arc::new(SimInner {
-            shards,
-            nshards,
-            policy,
-            lookahead_us: AtomicU64::new(lookahead),
-            windows: AtomicU64::new(0),
-            ext: Mutex::new(BTreeMap::new()),
-            workers: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-        });
-        for s in &inner.shards {
-            s.kernel.lock().inner = Arc::downgrade(&inner);
-        }
-        if nshards > 1 {
-            let mut ws = inner.workers.lock();
-            for ix in 1..nshards {
-                let me = Arc::clone(&inner);
-                ws.push(
-                    std::thread::Builder::new()
-                        .name(format!("sim-shard-{ix}"))
-                        .spawn(move || worker_main(me, ix))
-                        .expect("failed to spawn shard worker"),
-                );
+                ext: Mutex::new(BTreeMap::new()),
             }
-        }
-        inner
-    }
-
-    #[inline]
-    pub(crate) fn shards(&self) -> usize {
-        self.nshards
-    }
-
-    /// The shard owning a raw node id.
-    #[inline]
-    pub(crate) fn shard_ix(&self, node: u32) -> usize {
-        shard_index(self.policy, self.nshards, node)
-    }
-
-    /// The kernel owning `node` — lock this to touch the node's state.
-    #[inline]
-    pub(crate) fn kernel_for(&self, node: NodeId) -> &Mutex<Kernel> {
-        &self.shards[self.shard_ix(node.0)].kernel
-    }
-
-    /// The kernel serving the calling thread (a process's own shard, or
-    /// shard 0 for the driver).
-    #[inline]
-    pub(crate) fn kernel_here(&self) -> &Mutex<Kernel> {
-        &self.shards[cur_shard()].kernel
+        })
     }
 
     /// The extension map for `node`, shared by every handle to it.
@@ -1754,16 +1458,9 @@ impl SimInner {
         Arc::clone(self.ext.lock().entry(node).or_default())
     }
 
-    /// Registers a node on every shard (replicated tables); returns the
-    /// id, which is identical on all of them.
+    /// Registers a node; returns its id.
     pub fn add_node(&self) -> NodeId {
-        let mut id = None;
-        for s in &self.shards {
-            let got = s.kernel.lock().add_node();
-            debug_assert!(id.is_none() || id == Some(got));
-            id = Some(got);
-        }
-        id.expect("at least one shard")
+        self.kernel.lock().add_node()
     }
 
     // ---- process-side primitives -------------------------------------
@@ -1773,45 +1470,43 @@ impl SimInner {
         panic::resume_unwind(Box::new(KillSignal))
     }
 
-    /// The calling thread's kernel, locked, with the node (raw id, 0 =
-    /// free-floating) and group it acts for: a process's own, or an
-    /// inline handler's port's node and owner group. `None` for the
-    /// driver.
+    /// The kernel, locked, with the node (raw id, 0 = free-floating) and
+    /// group the calling context acts for: a process's own, or an inline
+    /// handler's port's node and owner group. `None` for the driver.
     fn lock_caller(&self) -> Option<(MutexGuard<'_, Kernel>, u32, Option<u64>)> {
         if let Some(pid) = cur_pid() {
-            let k = self.shards[(pid >> SHARD_SHIFT) as usize].kernel.lock();
+            let k = self.kernel.lock();
             let me = k.procs.get(&pid);
             let node = me.and_then(|p| p.node).map_or(0, |n| n.0);
             let group = me.and_then(|p| p.group);
             return Some((k, node, group));
         }
-        let (node, shard, group) = cur_inline()?;
-        Some((self.shards[shard].kernel.lock(), node.0, group))
+        let (node, group) = cur_inline()?;
+        Some((self.kernel.lock(), node.0, group))
     }
 
-    /// [`Kernel::next_step`] for every loop that steps a shard — a
+    /// [`Kernel::next_step`] for every loop that steps the kernel — a
     /// blocking process, an exiting one, the scheduler. Runs each inline
     /// handler it hands back on this context with the lock released, and
     /// returns the process to switch to next, or `None`: done, or an
     /// inline handler panicked (the scheduler must see it).
     fn step<'a>(
         &'a self,
-        shard: usize,
         mut k: MutexGuard<'a, Kernel>,
     ) -> (MutexGuard<'a, Kernel>, Option<(Pid, Handle)>) {
         loop {
             let step = k.next_step();
             if !k.dropped.is_empty() {
                 unlock(k);
-                k = self.shards[shard].kernel.lock();
+                k = self.kernel.lock();
             }
             match step {
                 Step::Run(pid, to) => return (k, Some((pid, to))),
                 Step::Done => return (k, None),
                 Step::Inline(run) => {
                     drop(k);
-                    self.run_inline(shard, run);
-                    k = self.shards[shard].kernel.lock();
+                    self.run_inline(run);
+                    k = self.kernel.lock();
                     if !k.panics.is_empty() {
                         return (k, None);
                     }
@@ -1823,7 +1518,7 @@ impl SimInner {
     /// Runs one inline handler on the calling thread, as its port's node
     /// (see the module docs): the thread is no process meanwhile and
     /// under no span, and a panic is recorded like a process's.
-    fn run_inline(&self, shard: usize, run: InlineRun) {
+    fn run_inline(&self, run: InlineRun) {
         let InlineRun {
             port,
             served,
@@ -1833,7 +1528,6 @@ impl SimInner {
         let span = crate::trace::set_current_ctx(None);
         let me = InlineAs {
             port,
-            shard,
             served: Arc::clone(&served),
         };
         CUR_INLINE.with(|c| *c.borrow_mut() = Some(me));
@@ -1842,13 +1536,7 @@ impl SimInner {
         crate::trace::set_current_ctx(span);
         CUR_PID.with(|c| c.set(pid));
         if let Err(payload) = result {
-            self.record_panic(
-                shard,
-                "inline task",
-                &served.task,
-                Some(port.node),
-                &*payload,
-            );
+            self.record_panic("inline task", &served.task, Some(port.node), &*payload);
         }
     }
 
@@ -1858,7 +1546,6 @@ impl SimInner {
     /// extension map). A kill's unwind is no panic.
     fn record_panic(
         &self,
-        shard: usize,
         kind: &str,
         name: &str,
         node: Option<NodeId>,
@@ -1869,7 +1556,7 @@ impl SimInner {
         }
         let msg = panic_message(payload);
         let now = {
-            let mut k = self.shards[shard].kernel.lock();
+            let mut k = self.kernel.lock();
             k.panics.push(format!("{kind} '{name}': {msg}"));
             k.now
         };
@@ -1892,7 +1579,7 @@ impl SimInner {
     /// been bumped; it receives the generation so it can register the
     /// process on wait lists. `wake_at` optionally schedules a timeout.
     ///
-    /// Inside a window the caller runs the scheduler itself: if the next
+    /// Inside a run the caller runs the scheduler itself: if the next
     /// runnable process turns out to be the caller (its own timeout or a
     /// same-instant delivery), it continues with no switch at all;
     /// otherwise it switches to the next process's stack directly.
@@ -1902,14 +1589,12 @@ impl SimInner {
     {
         forbid_inline("block");
         let pid = cur_pid().expect("blocking call outside a simulated process");
-        let shard = (pid >> SHARD_SHIFT) as usize;
-        let slot = &self.shards[shard];
         let me;
         // Where to switch to: a peer directly, or the scheduler. `None`:
         // the caller runs on.
-        let mut to = Some(slot.sched.handle());
+        let mut to = Some(self.sched.handle());
         {
-            let mut k = slot.kernel.lock();
+            let mut k = self.kernel.lock();
             if k.shutdown {
                 drop(k);
                 Self::kill_unwind();
@@ -1931,7 +1616,7 @@ impl SimInner {
             prepare(&mut k, pid, gen);
             if k.can_inline() {
                 let next;
-                (k, next) = self.step(shard, k);
+                (k, next) = self.step(k);
                 match next {
                     Some((next, _)) if next == pid => {
                         k.sched.self_continues += 1;
@@ -1949,7 +1634,7 @@ impl SimInner {
             switch(me, to);
         }
         let reason = {
-            let mut k = slot.kernel.lock();
+            let mut k = self.kernel.lock();
             k.resumed();
             let p = k.procs.get(&pid).expect("current process missing");
             if k.shutdown || p.killed {
@@ -1967,22 +1652,19 @@ impl SimInner {
     /// Sleeps the current process for `d` of virtual time.
     pub fn sleep(&self, d: Duration) {
         let at = {
-            let k = self.kernel_here().lock();
+            let k = self.kernel.lock();
             k.now + d.as_micros() as u64
         };
         self.block_current(Some(at), |_, _, _| {});
     }
 
-    /// Current virtual time. Reads the calling shard's lock-free mirror:
-    /// a shard's time advances only in its step loop while its processes
-    /// are parked, so this is always exact for the caller. (The driver
-    /// reads shard 0; between runs the coordinator levels all shards to
-    /// a common time.)
+    /// Current virtual time, read from the kernel's lock-free mirror:
+    /// time advances only in the step loop while every process is
+    /// parked, so this is always exact for the caller.
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.shards[cur_shard()].now_cache.load(Ordering::Acquire))
+        SimTime::from_micros(self.now_cache.load(Ordering::Acquire))
     }
 
-    /// A draw from `node`'s deterministic RNG stream.
     /// Raw id of the calling process's node (0 for the driver and for
     /// free-floating controllers) — the key for caller-stream resource
     /// allocation such as [`SimChan`](crate::sim::SimChan) wait objects.
@@ -1990,38 +1672,24 @@ impl SimInner {
         self.lock_caller().map_or(0, |(_, node, _)| node)
     }
 
+    /// A draw from `node`'s deterministic RNG stream.
     pub fn rand_for(&self, node: NodeId) -> u64 {
-        self.kernel_for(node).lock().rand_for_node(node.0)
+        self.kernel.lock().rand_for_node(node.0)
     }
 
-    /// Creates a wait object homed on `home` (0 = anonymous / shard 0).
+    /// Creates a wait object homed on `home` (0 = anonymous).
     pub fn waitobj_create(&self, home: u32) -> u64 {
-        self.shards[self.shard_ix(home)].kernel.lock().waitobj_create(home)
-    }
-
-    /// The shard owning wait object `id` (encoded in its high bits).
-    #[inline]
-    fn waitobj_shard(&self, id: u64) -> usize {
-        self.shard_ix((id >> 32) as u32)
+        self.kernel.lock().waitobj_create(home)
     }
 
     /// Blocks until the wait object's generation exceeds `seen` (or the
     /// timeout elapses); returns the generation observed on wake.
     pub fn waitobj_wait_newer(&self, id: u64, seen: u64, timeout: Option<Duration>) -> u64 {
-        let home = self.waitobj_shard(id);
-        if self.nshards > 1 && cur_pid().is_some() && cur_shard() != home {
-            panic!(
-                "cross-shard blocking wait: wait object {id:#x} lives on shard {home} \
-                 but the waiter runs on shard {}; home the object on the waiting \
-                 node (SimNode::make_sync) or run with shards = 1",
-                cur_shard()
-            );
-        }
         loop {
             let wake_at;
             {
-                let k = self.shards[home].kernel.lock();
-                let gen = k.waitobjs.get(&id).map(|w| w.generation).unwrap_or(0);
+                let k = self.kernel.lock();
+                let gen = k.waitobj_generation(id);
                 if gen > seen {
                     return gen;
                 }
@@ -2032,8 +1700,7 @@ impl SimInner {
                     w.waiters.push_back((pid, gen));
                 }
             });
-            let k = self.shards[home].kernel.lock();
-            let gen = k.waitobjs.get(&id).map(|w| w.generation).unwrap_or(0);
+            let gen = self.kernel.lock().waitobj_generation(id);
             if gen > seen || reason == WakeReason::Timeout {
                 return gen;
             }
@@ -2042,22 +1709,19 @@ impl SimInner {
 
     /// Bumps a wait object's generation. Same-node (or driver) callers
     /// apply immediately; a process on another node defers it by one
-    /// fault-propagation delay as a control event, so the timing is the
-    /// same under any shard count.
+    /// fault-propagation delay as a control event.
     pub fn waitobj_bump(&self, id: u64) {
         let op = ControlOp::Bump(id);
         let home_node = (id >> 32) as u32;
-        let home = self.shard_ix(home_node);
         match self.lock_caller() {
-            None => self.shards[home].kernel.lock().apply_control(op),
+            None => self.kernel.lock().apply_control(op),
             Some((mut k, my_node, _)) if my_node == home_node => k.apply_control(op),
-            Some((mut k, my_node, _)) => k.defer_control(my_node, [(home, op)]),
+            Some((mut k, my_node, _)) => k.defer_control(my_node, op),
         }
     }
 
     pub fn waitobj_generation(&self, id: u64) -> u64 {
-        let home = self.waitobj_shard(id);
-        self.shards[home].kernel.lock().waitobj_generation(id)
+        self.kernel.lock().waitobj_generation(id)
     }
 
     /// Receives from an endpoint with an optional timeout. An item
@@ -2065,22 +1729,12 @@ impl SimInner {
     /// scheduler involvement (the receive-side half of handoff elision).
     pub fn ep_recv(&self, key: Addr, id: u64, timeout: Option<Duration>) -> Landing {
         forbid_inline("receive");
-        let home = self.shard_ix(key.node.0);
         let pid = cur_pid().expect("recv outside a simulated process");
-        if self.nshards > 1 && (pid >> SHARD_SHIFT) as usize != home {
-            panic!(
-                "cross-shard receive: endpoint {key} lives on shard {home} but the \
-                 receiver runs on shard {}; receive from a process on the \
-                 endpoint's own node",
-                (pid >> SHARD_SHIFT) as usize
-            );
-        }
-        let slot = &self.shards[home];
         let mut reason = WakeReason::None;
         loop {
             let wake_at;
             {
-                let mut k = slot.kernel.lock();
+                let mut k = self.kernel.lock();
                 if k.shutdown || k.procs.get(&pid).map(|p| p.killed).unwrap_or(true) {
                     drop(k);
                     Self::kill_unwind();
@@ -2119,12 +1773,10 @@ impl SimInner {
 
     /// Spawns a process into an explicit group (`Some`, whose home is
     /// `node`) or, with `None`, into the current process's group if it
-    /// lands on that process's node: a group lives on one node, so its
-    /// kill reaches every member on that node's shard. Same-node spawns
-    /// (and any spawn from the driver) start immediately; a process
-    /// spawning onto *another* node defers by one fault-propagation
-    /// delay, carried as a control event to the target's shard — the
-    /// same virtual timing under every shard count.
+    /// lands on that process's node: a group lives on one node. Same-node
+    /// spawns (and any spawn from the driver) start immediately; a
+    /// process spawning onto *another* node defers by one
+    /// fault-propagation delay, carried as a control event.
     pub fn spawn_in(
         self: &Arc<Self>,
         node: Option<NodeId>,
@@ -2133,10 +1785,9 @@ impl SimInner {
         f: Box<dyn FnOnce() + Send>,
     ) {
         let target = node.map(|n| n.0).unwrap_or(0);
-        let ts = self.shard_ix(target);
         match self.lock_caller() {
             None => {
-                let mut k = self.shards[ts].kernel.lock();
+                let mut k = self.kernel.lock();
                 k.spawn_local(self, node, Arc::from(name), group, f);
                 unlock(k);
             }
@@ -2151,7 +1802,7 @@ impl SimInner {
                         group,
                         f,
                     };
-                    k.defer_control(my_node, [(ts, op)]);
+                    k.defer_control(my_node, op);
                 }
                 unlock(k);
             }
@@ -2161,7 +1812,7 @@ impl SimInner {
     /// Allocates a process-group id from the caller's node stream.
     pub fn alloc_group(&self) -> u64 {
         match self.lock_caller() {
-            None => self.shards[0].kernel.lock().alloc_group(0),
+            None => self.kernel.lock().alloc_group(0),
             Some((mut k, my_node, _)) => k.alloc_group(my_node),
         }
     }
@@ -2170,10 +1821,9 @@ impl SimInner {
     /// driver callers apply immediately; a cross-node process defers by
     /// one fault-propagation delay (control event).
     pub fn kill_group(&self, group: u64, home: NodeId) {
-        let hs = self.shard_ix(home.0);
         match self.lock_caller() {
             None => {
-                let mut k = self.shards[hs].kernel.lock();
+                let mut k = self.kernel.lock();
                 k.kill_group(group);
                 unlock(k);
             }
@@ -2181,49 +1831,32 @@ impl SimInner {
                 k.kill_group(group);
                 unlock(k);
             }
-            Some((mut k, my_node, _)) => {
-                k.defer_control(my_node, [(hs, ControlOp::KillGroup(group))]);
-            }
+            Some((mut k, my_node, _)) => k.defer_control(my_node, ControlOp::KillGroup(group)),
         }
     }
 
     // ---- fault injection ---------------------------------------------
 
     /// Applies a cluster-wide network control. From the driver it takes
-    /// effect immediately on every shard (everything is parked); from a
-    /// process it is broadcast as a control event that every shard
-    /// applies one fault-propagation delay later — including the
-    /// issuer's own shard, so 1-shard and N-shard timelines agree.
+    /// effect immediately; from a process it lands as a control event
+    /// one fault-propagation delay later.
     pub(crate) fn net_control(&self, ctl: NetCtl) {
-        if let NetCtl::SetLink(a, b, p) = ctl {
-            if a != b {
-                let us = (p.latency.as_micros() as u64).max(1);
-                // Narrow the lookahead at issue time: the new link can
-                // only constrain windows that open after this point.
-                self.lookahead_us.fetch_min(us, Ordering::AcqRel);
-            }
-        }
         match self.lock_caller() {
             None => {
-                for s in &self.shards {
-                    let mut k = s.kernel.lock();
-                    k.apply_net(ctl);
-                    unlock(k);
-                }
+                let mut k = self.kernel.lock();
+                k.apply_net(ctl);
+                unlock(k);
             }
-            Some((mut k, my_node, _)) => {
-                let everywhere = (0..self.nshards).map(|dest| (dest, ControlOp::Net(ctl)));
-                k.defer_control(my_node, everywhere);
-            }
+            Some((mut k, my_node, _)) => k.defer_control(my_node, ControlOp::Net(ctl)),
         }
     }
 
     /// Records a fault-injection note in `node`'s journal. Driver
-    /// context records immediately; a process routes it as a control
-    /// event to the node's shard so the record lands at the same
-    /// virtual instant as the fault it describes, under any shard
-    /// count. Notes are issued before their fault's control, so the
-    /// per-issuer sequence keeps them ordered first in the journal.
+    /// context records immediately; a process defers it as a control
+    /// event, so the record lands at the same virtual instant as the
+    /// fault it describes. Notes are issued before their fault's
+    /// control, so the per-issuer sequence keeps them ordered first in
+    /// the journal.
     pub fn journal_fault(&self, node: NodeId, detail: String) {
         match self.lock_caller() {
             None => {
@@ -2234,166 +1867,76 @@ impl SimInner {
                 j.record(now, "fault", detail);
             }
             Some((mut k, my_node, _)) => {
-                let hs = self.shard_ix(node.0);
-                k.defer_control(my_node, [(hs, ControlOp::Note { node, detail })]);
+                k.defer_control(my_node, ControlOp::Note { node, detail });
             }
         }
     }
 
-    /// Whether `node` is up, read from its owning shard.
+    /// Whether `node` is up.
     pub fn node_up(&self, node: NodeId) -> bool {
-        self.kernel_for(node)
-            .lock()
-            .node(node)
-            .map(|n| n.up)
-            .unwrap_or(false)
+        self.kernel.lock().node(node).is_some_and(|n| n.up)
     }
 
     // ---- aggregate views ---------------------------------------------
 
     pub fn trace_hash(&self) -> u64 {
-        self.shards
-            .iter()
-            .fold(FNV_OFFSET, |h, s| h.wrapping_add(s.kernel.lock().trace_digest))
+        FNV_OFFSET.wrapping_add(self.kernel.lock().trace_digest)
     }
 
     pub fn net_stats(&self) -> NetStats {
-        let mut t = NetStats::default();
-        for s in &self.shards {
-            let k = s.kernel.lock();
-            t.msgs_sent += k.stats.msgs_sent;
-            t.bytes_sent += k.stats.bytes_sent;
-            t.msgs_delivered += k.stats.msgs_delivered;
-            t.msgs_dropped += k.stats.msgs_dropped;
-            t.bounces += k.stats.bounces;
-            t.msgs_duplicated += k.stats.msgs_duplicated;
-            t.msgs_reordered += k.stats.msgs_reordered;
-        }
-        t
+        self.kernel.lock().stats
     }
 
     pub fn kernel_stats(&self) -> KernelStats {
-        let mut t = KernelStats::default();
-        for s in &self.shards {
-            let k = s.kernel.lock();
-            t.events += k.sched.events;
-            t.driver_resumes += k.sched.driver_resumes;
-            t.direct_handoffs += k.sched.direct_handoffs;
-            t.self_continues += k.sched.self_continues;
-            t.xshard_msgs += k.sched.xshard_msgs;
-            t.lookahead_stalls += k.sched.lookahead_stalls;
-            t.idle_parks += k.sched.idle_parks;
-            t.stacks_mapped += k.sched.stacks_mapped;
-            t.spawns += k.sched.spawns;
-            t.inline_runs += k.sched.inline_runs;
-            t.timers += k.timers.len() as u64;
+        let k = self.kernel.lock();
+        KernelStats {
+            timers: k.timers.len() as u64,
+            ..k.sched
         }
-        t.horizon_syncs = self.windows.load(Ordering::Relaxed);
-        t
     }
 
     pub fn live_processes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.kernel
-                    .lock()
-                    .procs
-                    .len()
-            })
-            .sum()
+        self.kernel.lock().procs.len()
     }
 
     // ---- scheduler ----------------------------------------------------
 
     /// Runs the simulation until virtual time reaches `limit` (inclusive
     /// of events at `limit`), or until quiescence if `limit` is `None`,
-    /// in conservative windows between synchronization horizons (see the
-    /// module docs). Each iteration merges the cross-shard inboxes,
-    /// finds the earliest pending activity `A` over all shards, opens
-    /// the window `[A, A + lookahead)`, and lets every shard run it in
-    /// parallel (shard 0 inline on this thread, the rest on their
-    /// workers). One shard has one window per run.
+    /// then levels the clock to `limit`. Processes the driver spawned
+    /// run at the current instant even when it is past the limit.
     ///
     /// # Panics
     ///
     /// Re-raises the first panic observed in any simulated process.
     pub fn run_until(&self, limit: Option<u64>) {
         self.claim_driver();
-        let sharded = self.nshards > 1;
-        // Exclusive; no window reaches past it.
-        let stop = limit.map_or(u64::MAX, |l| l.saturating_add(1));
-        for s in &self.shards {
-            s.kernel.lock().in_run = true;
+        {
+            let mut k = self.kernel.lock();
+            k.in_run = true;
+            k.run_limit = limit.unwrap_or(u64::MAX);
         }
         loop {
-            // Merge inboxes and find the activity floor. A shard with a
-            // runnable process counts at its local clock: driver-spawned
-            // processes haven't produced an event yet but will run at
-            // their shard's `now`, even past the limit.
-            let mut active: Option<u64> = None;
-            let mut runnable = false;
-            for s in &self.shards {
-                let mut k = s.kernel.lock();
-                k.events.extend(s.inbox.lock().drain(..));
-                let busy = !k.runnable.is_empty();
-                runnable |= busy;
-                let run_floor = busy.then_some(k.now);
-                let due = k.next_due().map(|((at, ..), _)| at);
-                for c in [due, run_floor].into_iter().flatten() {
-                    active = Some(active.map_or(c, |a| a.min(c)));
-                }
-            }
-            let Some(base) = active else { break };
-            if base >= stop && !runnable {
+            let k = self.kernel.lock();
+            if !k.panics.is_empty() {
                 break;
             }
-            // The shortest delay of an event that can cross shards: with
-            // one shard none can, and the window runs to the limit.
-            let lookahead = if sharded {
-                self.lookahead_us.load(Ordering::Acquire).max(1)
-            } else {
-                u64::MAX
-            };
-            let horizon = base.saturating_add(lookahead).min(stop);
-            for s in &self.shards {
-                s.kernel.lock().run_limit = horizon - 1; // inclusive
-            }
-            if sharded {
-                self.windows.fetch_add(1, Ordering::Relaxed);
-            }
-            for s in &self.shards[1..] {
-                s.go.grant();
-            }
-            self.run_window(0);
-            for s in &self.shards[1..] {
-                s.done.wait();
-            }
-            self.check_panics();
-        }
-        // Level every shard to a common end time so post-run reads and
-        // spawns are shard-invariant.
-        let end = match limit {
-            Some(l) => l,
-            None => self
-                .shards
-                .iter()
-                .map(|s| s.kernel.lock().now)
-                .max()
-                .unwrap_or(0),
-        };
-        for s in &self.shards {
-            let mut k = s.kernel.lock();
-            if end > k.now {
-                k.now = end;
-                k.now_shared.store(end, Ordering::Release);
-            }
-            k.in_run = false;
+            let (mut k, next) = self.step(k);
+            let Some((_, to)) = next else { break };
+            k.sched.driver_resumes += 1;
+            drop(k);
+            self.resume_from_scheduler(to);
         }
         self.check_panics();
+        let mut k = self.kernel.lock();
+        if let Some(end) = limit.filter(|&end| end > k.now) {
+            k.now = end;
+            k.now_shared.store(end, Ordering::Release);
+        }
+        k.in_run = false;
     }
 
-    /// Makes the calling thread the one shard 0's processes run on.
+    /// Makes the calling thread the one the processes run on.
     ///
     /// # Panics
     ///
@@ -2401,7 +1944,7 @@ impl SimInner {
     /// that are suspended now: they stay on the thread they started on.
     fn claim_driver(&self) {
         let me = std::thread::current().id();
-        let mut k = self.shards[0].kernel.lock();
+        let mut k = self.kernel.lock();
         if k.entered > 0 && k.home != Some(me) {
             let n = k.entered;
             drop(k);
@@ -2414,103 +1957,40 @@ impl SimInner {
         k.home = Some(me);
     }
 
-    /// Switches from shard `ix`'s scheduler to a process, and returns
-    /// once a process switches back.
-    fn resume_from_scheduler(&self, ix: usize, to: Handle) {
-        let slot = &self.shards[ix];
-        switch(slot.sched.handle(), to);
-        slot.kernel.lock().resumed();
-    }
-
-    /// Runs one shard's share of the current window to completion. Runs
-    /// on the coordinator thread for shard 0 and on the shard's worker
-    /// otherwise.
-    fn run_window(&self, ix: usize) {
-        let slot = &self.shards[ix];
-        let mut progressed = false;
-        loop {
-            let next = {
-                let k = slot.kernel.lock();
-                if !k.panics.is_empty() {
-                    break;
-                }
-                let before = k.sched.events;
-                let (mut k, next) = self.step(ix, k);
-                if k.sched.events != before {
-                    progressed = true;
-                }
-                if next.is_some() {
-                    k.sched.driver_resumes += 1;
-                    progressed = true;
-                }
-                next
-            };
-            match next {
-                Some((_, to)) => self.resume_from_scheduler(ix, to),
-                None => break,
-            }
-        }
-        if !progressed && self.nshards > 1 {
-            slot.kernel.lock().sched.lookahead_stalls += 1;
-        }
+    /// Switches from the scheduler to a process, and returns once a
+    /// process switches back.
+    fn resume_from_scheduler(&self, to: Handle) {
+        switch(self.sched.handle(), to);
+        self.kernel.lock().resumed();
     }
 
     fn check_panics(&self) {
-        let msg = self.shards.iter().find_map(|s| {
-            let mut k = s.kernel.lock();
-            if k.panics.is_empty() {
-                None
-            } else {
-                Some(k.panics.remove(0))
-            }
-        });
+        let msg = {
+            let mut k = self.kernel.lock();
+            (!k.panics.is_empty()).then(|| k.panics.remove(0))
+        };
         if let Some(m) = msg {
             panic!("simulated process panicked: {m}");
         }
     }
 
-    /// Shuts the simulation down: kills every process, has each shard
-    /// drained on the thread its processes run on — shard 0 here, the
-    /// others by their workers, which then exit — joins the workers, and
+    /// Shuts the simulation down: kills every process, resumes each so it
+    /// unwinds — with `shutdown` set every handoff routes through the
+    /// scheduler, which sequences the drain — unmaps the idle stacks, and
     /// closes every endpoint still open, so no handler a served port
-    /// holds keeps the simulation alive.
-    /// With `shutdown` set every handoff routes through the scheduler,
-    /// which sequences the drain. Driver context only — no window is
-    /// open, so all processes are suspended.
+    /// holds keeps the simulation alive. Driver context only — no run is
+    /// open, so all processes are suspended. Ignores panics recorded
+    /// during shutdown.
     pub fn shutdown(&self) {
         self.claim_driver();
-        for s in &self.shards {
-            let mut k = s.kernel.lock();
+        {
+            let mut k = self.kernel.lock();
             k.shutdown = true;
             k.kill_procs(|_, _| true);
         }
-        self.drain_shard(0);
-        if self.nshards > 1 {
-            self.stop.store(true, Ordering::Release);
-            for s in &self.shards[1..] {
-                s.go.grant();
-            }
-            for j in self.workers.lock().drain(..) {
-                let _ = j.join();
-            }
-        }
-        for s in &self.shards {
-            let mut k = s.kernel.lock();
-            let open = k.ports.close_where(|_, _| true);
-            unlock(k);
-            drop(open);
-        }
-    }
-
-    /// Drains one shard's processes after `shutdown` has marked them
-    /// killed: resume every runnable process so it unwinds, and unmap the
-    /// idle stacks — no process starts after shutdown. Ignores panics
-    /// recorded during shutdown.
-    fn drain_shard(&self, ix: usize) {
-        let slot = &self.shards[ix];
         loop {
             let step = {
-                let mut k = slot.kernel.lock();
+                let mut k = self.kernel.lock();
                 k.panics.clear();
                 let mut found = None;
                 while let Some(pid) = k.runnable.pop_front() {
@@ -2525,11 +2005,11 @@ impl SimInner {
                 found
             };
             match step {
-                Some(to) => self.resume_from_scheduler(ix, to),
+                Some(to) => self.resume_from_scheduler(to),
                 None => break,
             }
         }
-        let mut k = slot.kernel.lock();
+        let mut k = self.kernel.lock();
         // `kill_proc` made every blocked process runnable, and a process
         // unwinds at shutdown before it would block again.
         debug_assert!(
@@ -2540,23 +2020,9 @@ impl SimInner {
         // last member out.
         debug_assert_eq!(k.ports.groups(), 0, "a group record outlived its members");
         k.stacks.clear();
-    }
-}
-
-/// Shard worker loop (shards 1..n): park until the coordinator opens a
-/// window, run the shard's share of it, report done; at shutdown, drain
-/// the shard and exit. Workers never panic past this frame — process
-/// panics are recorded in the kernel and re-raised on the coordinator.
-fn worker_main(inner: Arc<SimInner>, ix: usize) {
-    loop {
-        inner.shards[ix].go.wait();
-        if inner.stop.load(Ordering::Acquire) {
-            inner.drain_shard(ix);
-            break;
-        }
-        inner.shards[ix].kernel.lock().sched.idle_parks += 1;
-        inner.run_window(ix);
-        inner.shards[ix].done.grant();
+        let open = k.ports.close_where(|_, _| true);
+        unlock(k);
+        drop(open);
     }
 }
 
@@ -2586,10 +2052,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Handle {
     CUR_PID.with(|c| c.set(Some(pid)));
     crate::trace::set_current_ctx(None);
-    let shard = (pid >> SHARD_SHIFT) as usize;
-    let slot = &inner.shards[shard];
     let start_killed = {
-        let mut k = slot.kernel.lock();
+        let mut k = inner.kernel.lock();
         k.resumed();
         k.entered += 1;
         k.shutdown || k.procs.get(&pid).map(|p| p.killed).unwrap_or(true)
@@ -2598,26 +2062,26 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Han
         drop(f);
     } else if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
         let (name, node) = {
-            let k = slot.kernel.lock();
+            let k = inner.kernel.lock();
             let me = k.procs.get(&pid);
             (
                 me.map_or_else(String::new, |p| p.name.to_string()),
                 me.and_then(|p| p.node),
             )
         };
-        inner.record_panic(shard, "process", &name, node, &*payload);
+        inner.record_panic("process", &name, node, &*payload);
     }
     // Drop the reply endpoint — outside the lock, which its drop takes —
     // leave the process table — nobody joins a process, so nothing needs
     // its entry once it is done — park the stack for whoever runs next
     // to free, and pass control on: to the next process directly inside
-    // a window, else to the shard's scheduler. A recorded panic goes to
-    // the scheduler, so it observes it immediately.
-    let mut k = slot.kernel.lock();
+    // a run, else to the scheduler. A recorded panic goes to the
+    // scheduler, so it observes it immediately.
+    let mut k = inner.kernel.lock();
     if let Some(reply) = k.procs.get_mut(&pid).and_then(|p| p.reply.take()) {
         drop(k);
         drop(reply);
-        k = slot.kernel.lock();
+        k = inner.kernel.lock();
     }
     if let Some(me) = k.procs.remove(&pid) {
         if let Some(g) = me.group {
@@ -2626,10 +2090,10 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Han
         k.park_dead(me.stack);
     }
     k.entered -= 1;
-    let mut next = slot.sched.handle();
+    let mut next = inner.sched.handle();
     if k.can_inline() {
         let step;
-        (k, step) = inner.step(shard, k);
+        (k, step) = inner.step(k);
         if let Some((next_pid, to)) = step {
             debug_assert_ne!(next_pid, pid, "dead process scheduled");
             k.sched.direct_handoffs += 1;

@@ -5,9 +5,10 @@
 //!
 //! * **The deterministic discrete-event simulation** ([`Sim`]): virtual
 //!   time, every simulated process on a stack of its own (taken from a
-//!   pool), switched to in user space by the thread stepping its shard,
-//!   exactly one running at a time per shard, a network model with per-link latency/bandwidth/loss,
-//!   partitions, and node/process crash injection. Runs are reproducible
+//!   pool), switched to in user space by the one thread driving the
+//!   simulation, exactly one running at a time, a network model with
+//!   per-link latency/bandwidth/loss, partitions, and node/process crash
+//!   injection. Runs are reproducible
 //!   from a seed, and a "25-second fail-over" completes in microseconds of
 //!   wall time — which is what makes the paper's §9.7 experiments
 //!   practical to sweep.
@@ -45,15 +46,13 @@ pub mod trace;
 pub use backoff::RetryPolicy;
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultPlanSpec, FaultRt, Nemesis};
 pub use journal::{merge_journals, render_timeline, Journal, JournalEvent};
-pub use kernel::{
-    IdBuild, IdHasher, KernelStats, LinkImpairment, LinkParams, NetConfig, NetStats, ShardPolicy,
-};
+pub use kernel::{IdBuild, IdHasher, KernelStats, LinkImpairment, LinkParams, NetConfig, NetStats};
 pub use ring::RingLog;
 pub use trace::{current_ctx, set_current_ctx, CtxGuard, SpanCtx, SpanId, TraceId};
 pub use rt::{
     Addr, Endpoint, Extensions, InlineTest, LandingHandler, NetError, NodeId, NodeRt, NodeRtExt,
     PortReq, ProcGroup, RecvError, Rt,
 };
-pub use sim::{Sim, SimChan, SimConfig, SimNode};
+pub use sim::{ShardPolicy, Sim, SimChan, SimConfig, SimNode};
 pub use sync::{Queue, Semaphore, SyncObj};
 pub use time::SimTime;

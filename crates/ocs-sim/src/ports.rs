@@ -1,5 +1,5 @@
 //! A node's port table, the one copy of the port and group rules: the
-//! simulator keeps one per shard, for the nodes it owns, and TCP one per
+//! simulator's kernel keeps one for all its nodes, and TCP one per
 //! node. A fixed port already open gives `PortInUse`; an ephemeral open
 //! takes the first free port from the node's cursor, kept here too,
 //! wrapping to [`EPHEMERAL_BASE`]. Every open gets a fresh id, and a handle

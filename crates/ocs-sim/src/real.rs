@@ -34,7 +34,7 @@
 //! A process group lives on one node, its home: a task spawned, or an
 //! endpoint opened, through another node's runtime belongs to no group.
 //! An endpoint is an open in the node's port table (`ports.rs`, the one
-//! copy of the port and group rules, which each simulator shard keeps
+//! copy of the port and group rules, which the simulator's kernel keeps
 //! too): it is owned by its opener's group, and closes when closed, when
 //! its last handle drops, at once when that group is killed, and when its
 //! node stops. Only its own handle closes an open. TCP's own part of a

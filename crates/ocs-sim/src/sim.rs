@@ -8,8 +8,7 @@ use bytes::Bytes;
 
 use crate::fault::FaultRt;
 use crate::kernel::{
-    cur_pid, unlock, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats,
-    ShardPolicy, SimInner,
+    cur_pid, unlock, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats, SimInner,
 };
 use crate::rt::{
     Addr, Endpoint, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq, RecvError,
@@ -30,14 +29,22 @@ pub struct SimConfig {
     /// configurations that set it keep compiling; it is to be removed, so
     /// set nothing here.
     pub fast: bool,
-    /// Number of kernel shards: nodes are partitioned across this many
-    /// OS threads that advance in conservative-lookahead windows. With
-    /// 1 (the default) no event crosses shards, so each `run_until` is
-    /// one window, stepped on the calling thread. Virtual-time behaviour
-    /// — including the trace hash — is identical for every value.
+    /// At most 1: a simulation is one kernel, stepped on the calling
+    /// thread (the kernel module's "One kernel, one loop").
+    /// [`Sim::with_config`] refuses a larger value. It stays, like
+    /// `fast`, only so that configurations that set it keep compiling;
+    /// it is to be removed.
     pub shards: usize,
-    /// How nodes map to shards when `shards > 1`.
+    /// Inert, like `fast`: read by nothing.
     pub policy: ShardPolicy,
+}
+
+/// The inert type of [`SimConfig::policy`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ShardPolicy {
+    /// The only value.
+    #[default]
+    RoundRobin,
 }
 
 impl Default for SimConfig {
@@ -99,9 +106,18 @@ impl Sim {
     }
 
     /// Creates a simulation with explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.shards` is more than 1: the simulator has one kernel.
     pub fn with_config(cfg: SimConfig) -> Sim {
+        assert!(
+            cfg.shards <= 1,
+            "SimConfig::shards is {}, but the simulator runs one kernel: set shards to 1",
+            cfg.shards
+        );
         Sim {
-            inner: SimInner::new(cfg.seed, cfg.net, cfg.trace, cfg.shards.max(1), cfg.policy),
+            inner: SimInner::new(cfg.seed, cfg.net, cfg.trace),
             owner: true,
         }
     }
@@ -127,11 +143,6 @@ impl Sim {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.inner.now()
-    }
-
-    /// Number of kernel shards this simulation runs on.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards()
     }
 
     /// Runs the simulation until virtual time `t`.
@@ -173,9 +184,9 @@ impl Sim {
     /// silences its links (messages in flight are dropped).
     ///
     /// From the driver the crash takes effect immediately. From a
-    /// simulated process it lands after one fault-propagation delay —
-    /// the same virtual timing under every shard count — and a process
-    /// whose own node crashes unwinds at its next kernel interaction.
+    /// simulated process it lands after one fault-propagation delay, and
+    /// a process whose own node crashes unwinds at its next kernel
+    /// interaction.
     pub fn crash_node(&self, node: NodeId) {
         self.inner.net_control(NetCtl::Crash(node));
     }
@@ -191,9 +202,7 @@ impl Sim {
         self.inner.node_up(node)
     }
 
-    /// Overrides the directed link `from -> to`. Lowering a cross-node
-    /// latency also narrows the sharded kernel's conservative lookahead
-    /// from this point on.
+    /// Overrides the directed link `from -> to`.
     pub fn set_link(&self, from: NodeId, to: NodeId, params: LinkParams) {
         self.inner.net_control(NetCtl::SetLink(from, to, params));
     }
@@ -217,11 +226,10 @@ impl Sim {
     }
 
     /// Digest of the run's observable event trace so far (network sends
-    /// and deliveries plus fault actions): a commutative fold of
-    /// per-record FNV-1a hashes, so the value is independent of how
-    /// nodes are sharded. Two runs of the same workload with the same
-    /// seed yield identical digests; any divergence in scheduling or
-    /// faults changes the value.
+    /// and deliveries plus fault actions): the sum of per-record FNV-1a
+    /// hashes. Two runs of the same workload with the same seed yield
+    /// identical digests; any divergence in scheduling or faults changes
+    /// the value.
     pub fn trace_hash(&self) -> u64 {
         self.inner.trace_hash()
     }
@@ -232,9 +240,9 @@ impl Sim {
     }
 
     /// Snapshot of the scheduler/event-loop counters (events applied,
-    /// driver resumes, direct handoffs, zero-switch continues, shard
-    /// horizon syncs / cross-shard messages). Used by the E18 kernel
-    /// microbenchmark and the telemetry snapshot.
+    /// driver resumes, direct handoffs, zero-switch continues, spawns,
+    /// pending timeouts). Used by the E18 kernel microbenchmark and the
+    /// telemetry snapshot.
     pub fn kernel_stats(&self) -> KernelStats {
         self.inner.kernel_stats()
     }
@@ -259,9 +267,8 @@ impl Drop for Sim {
 
 /// Faults act on the simulator through the methods above. A note is
 /// journalled at once from the driver; from a simulated process it rides
-/// the kernel's control stream to the node's shard (one
-/// fault-propagation delay, ordered ahead of any fault the same caller
-/// issues afterwards).
+/// the kernel's control stream (one fault-propagation delay, ordered
+/// ahead of any fault the same caller issues afterwards).
 impl FaultRt for Sim {
     fn journal_fault(&self, node: NodeId, detail: String) {
         self.inner.journal_fault(node, detail);
@@ -308,7 +315,7 @@ impl SimNode {
     /// process lives on this node, and by no group otherwise.
     fn open_sim(&self, port: PortReq) -> Result<Arc<SimEndpoint>, NetError> {
         crate::kernel::forbid_inline("open an endpoint");
-        let (addr, id) = self.inner.kernel_for(self.id).lock().open_port(self.id, port)?;
+        let (addr, id) = self.inner.kernel.lock().open_port(self.id, port)?;
         Ok(Arc::new(SimEndpoint {
             inner: Arc::clone(&self.inner),
             addr,
@@ -356,7 +363,7 @@ impl NodeRt for SimNode {
         let Some(pid) = cur_pid() else {
             return self.open(PortReq::Ephemeral);
         };
-        let kernel = self.inner.kernel_here();
+        let kernel = &self.inner.kernel;
         if let Some(ep) = kernel.lock().reply_endpoint(pid, self.id) {
             return Ok(ep);
         }
@@ -418,14 +425,9 @@ struct SimProcGroup {
 }
 
 impl crate::rt::ProcGroup for SimProcGroup {
-    /// Read from the home node's table; from a process on another shard,
-    /// a racy read (monitoring only).
+    /// Read from the home node's table.
     fn alive(&self) -> bool {
-        self.inner
-            .kernel_for(self.node)
-            .lock()
-            .ports
-            .alive(self.gid)
+        self.inner.kernel.lock().ports.alive(self.gid)
     }
 
     fn kill(&self) {
@@ -433,7 +435,7 @@ impl crate::rt::ProcGroup for SimProcGroup {
         self.inner.kill_group(self.gid, self.node);
         // Black box: journal the kill and dump the victim node's tail
         // (the journal lives in the node's extension map, outside the
-        // kernel locks).
+        // kernel lock).
         if was_alive {
             let now = self.inner.now();
             let j = self
@@ -460,7 +462,7 @@ pub struct SimEndpoint {
 
 impl Endpoint for SimEndpoint {
     fn send(&self, to: Addr, msg: Bytes) -> Result<(), NetError> {
-        let mut k = self.inner.kernel_for(self.addr.node).lock();
+        let mut k = self.inner.kernel.lock();
         let up = k.node(self.addr.node).map(|n| n.up).unwrap_or(false);
         if !up {
             return Err(NetError::NodeDown);
@@ -478,7 +480,7 @@ impl Endpoint for SimEndpoint {
     }
 
     fn close(&self) {
-        let mut k = self.inner.kernel_for(self.addr.node).lock();
+        let mut k = self.inner.kernel.lock();
         let closed = k.ports.close(&self.addr, self.id);
         k.release(closed);
         unlock(k);
@@ -489,7 +491,7 @@ impl Endpoint for SimEndpoint {
     /// kernel's "Serving a port"). Of what queued before, what does not
     /// run inline is spawned now; the rest runs here.
     fn serve(&self, task_name: &str, handler: LandingHandler, inline: InlineTest) {
-        let mut k = self.inner.kernel_for(self.addr.node).lock();
+        let mut k = self.inner.kernel.lock();
         let serving = Arc::clone(&handler);
         let here = match k.ports.serve(&self.addr, self.id, task_name, serving, inline) {
             Some((served, rx)) => {
@@ -516,9 +518,9 @@ impl Drop for SimEndpoint {
 /// [`Queue`](crate::sync::Queue) on the simulation's clock.
 ///
 /// Useful for workload generators and test harnesses that need to hand
-/// results between simulated processes. The channel's wait object lives
-/// on the creating process's shard; under a sharded kernel, blocking
-/// `recv` is only legal from processes on the same node as the creator
+/// results between simulated processes. The channel's wait object is
+/// homed on the creating process's node, so a send from a process on
+/// another node wakes a blocked receiver one control delay later
 /// (`try_recv` works from anywhere, including the driver).
 pub struct SimChan<T> {
     inner: Arc<SimInner>,

@@ -3,8 +3,7 @@
 //! process that opened it is killed, and when its node crashes. A group
 //! lives on its home node: what a member spawns or opens through another
 //! node's runtime is no member of it. The same body runs in a simulated
-//! process — on one shard and on two, the nodes on different shards —
-//! and on a thread beside two TCP nodes.
+//! process and on a thread beside two TCP nodes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -12,9 +11,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use ocs_sim::real::RealNet;
-use ocs_sim::{
-    Addr, Endpoint, NodeRt, NodeRtExt, PortReq, Queue, RecvError, Rt, Sim, SimConfig, SimTime,
-};
+use ocs_sim::{Addr, Endpoint, NodeRt, NodeRtExt, PortReq, Queue, RecvError, Rt, Sim, SimTime};
 use parking_lot::Mutex;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -217,19 +214,12 @@ fn one_lifetime(rt: &Rt, other: &Rt, instant: bool) {
     echoed("the stray and its port outlive the kill");
 }
 
-/// The body in a process on node `a` of a simulation on `shards`
-/// shards; the run's trace hash.
-fn sim_leg(shards: usize) -> u64 {
-    let sim = Sim::with_config(SimConfig {
-        seed: 43,
-        shards,
-        ..SimConfig::default()
-    });
+/// The body in a process on node `a` of a simulation.
+#[test]
+fn sim_an_endpoint_closes_by_the_one_rule() {
+    let sim = Sim::new(43);
     let node = sim.add_node("a");
     let other: Rt = sim.add_node("b");
-    if shards == 2 {
-        assert_eq!(sim.shard_count(), 2);
-    }
     let done = Arc::new(AtomicBool::new(false));
     let (rt, flag) = (node.clone() as Rt, Arc::clone(&done));
     node.spawn_fn("body", move || {
@@ -238,14 +228,6 @@ fn sim_leg(shards: usize) -> u64 {
     });
     sim.run_until(SimTime::from_secs(60));
     assert!(done.load(Ordering::SeqCst), "the body finished");
-    sim.trace_hash()
-}
-
-#[test]
-fn sim_an_endpoint_closes_by_the_one_rule() {
-    // Round-robin placement puts `a` (node 1) and `b` (node 2) on
-    // different shards of two.
-    assert_eq!(sim_leg(1), sim_leg(2), "the same run on one shard and two");
 }
 
 #[test]

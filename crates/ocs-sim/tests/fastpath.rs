@@ -5,18 +5,17 @@
 //! Three angles:
 //! * a model-based proptest comparing delivery order against a reference
 //!   `BTreeMap<(time, seq), tag>` oracle over arbitrary send/sleep/crash
-//!   interleavings, on one shard and on three;
-//! * the chatty hub workload on 1, 2 and 4 shards, however the hub
-//!   serves its port;
+//!   interleavings;
+//! * the chatty hub workload, however the hub serves its port;
 //! * literals: the hub's trace hash and event count, and the handoffs
-//!   its one-shard run elides, pinned by count.
+//!   its run elides, pinned by count.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use std::collections::BTreeMap;
 
-use ocs_sim::{Addr, LinkParams, NodeRt, NodeRtExt, PortReq, RecvError, Sim, SimConfig, SimTime};
+use ocs_sim::{Addr, LinkParams, NodeRt, NodeRtExt, PortReq, RecvError, Sim, SimTime};
 use proptest::prelude::*;
 
 /// One step of the random scenario, executed by the driver at a virtual
@@ -49,15 +48,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Runs the scenario on `shards` shards, returning the receiver's
-/// delivery log (virtual micros, tag), the kernel trace hash and the
-/// number of events popped.
-fn run_scenario(ops: &[Op], shards: usize) -> (Vec<(u64, u32)>, u64, u64) {
-    let sim = Sim::with_config(SimConfig {
-        seed: 0x5EED,
-        shards,
-        ..SimConfig::default()
-    });
+/// Runs the scenario, returning the receiver's delivery log (virtual
+/// micros, tag), the kernel trace hash and the number of events popped.
+fn run_scenario(ops: &[Op]) -> (Vec<(u64, u32)>, u64, u64) {
+    let sim = Sim::new(0x5EED);
     let rx = sim.add_node("rx");
     let senders: Vec<_> = (0..SENDERS)
         .map(|i| sim.add_node(&format!("s{i}")))
@@ -125,8 +119,8 @@ fn run_scenario(ops: &[Op], shards: usize) -> (Vec<(u64, u32)>, u64, u64) {
 
 /// The reference model: deliveries ordered by `(arrival time, source
 /// node, per-source send seq)`, exactly the kernel's event-queue key
-/// (sender `s` is node `s + 2`; the receiver is node 1 — the key is
-/// shard-layout-invariant by construction). A send from an up sender at
+/// (sender `s` is node `s + 2`; the receiver is node 1). A send from an
+/// up sender at
 /// cursor `t` arrives at `t + latency`; crashing a sender suppresses
 /// its later sends but not in-flight ones.
 fn oracle(ops: &[Op]) -> Vec<(u64, u32)> {
@@ -157,14 +151,8 @@ fn oracle(ops: &[Op]) -> Vec<(u64, u32)> {
 proptest! {
     #[test]
     fn delivery_order_matches_btreemap_oracle(ops in prop::collection::vec(op_strategy(), 1..40)) {
-        let want = oracle(&ops);
-        let (log, hash, _) = run_scenario(&ops, 1);
-        prop_assert_eq!(&log, &want, "kernel diverged from the oracle");
-        // The sharded kernel must replay the identical timeline: same
-        // deliveries at the same virtual instants, same trace digest.
-        let (sharded_log, sharded_hash, _) = run_scenario(&ops, 3);
-        prop_assert_eq!(&sharded_log, &want, "sharded kernel diverged from the oracle");
-        prop_assert_eq!(sharded_hash, hash, "trace hashes diverged across shard counts");
+        let (log, _, _) = run_scenario(&ops);
+        prop_assert_eq!(&log, &oracle(&ops), "kernel diverged from the oracle");
     }
 }
 
@@ -182,14 +170,10 @@ enum Hub {
     Inline,
 }
 
-/// The determinism suite's chatty hub workload, parameterized over the
-/// shard count and how the hub serves its port.
-fn hub_workload(seed: u64, shards: usize, how: Hub) -> (u64, u64, ocs_sim::KernelStats) {
-    let sim = Sim::with_config(SimConfig {
-        seed,
-        shards,
-        ..SimConfig::default()
-    });
+/// The determinism suite's chatty hub workload, parameterized over how
+/// the hub serves its port.
+fn hub_workload(seed: u64, how: Hub) -> (u64, u64, ocs_sim::KernelStats) {
+    let sim = Sim::new(seed);
     let hub = sim.add_node("hub");
     let mut others = Vec::new();
     for i in 0..4 {
@@ -251,103 +235,13 @@ fn hub_workload(seed: u64, shards: usize, how: Hub) -> (u64, u64, ocs_sim::Kerne
     )
 }
 
-#[test]
-fn sharded_hub_workload_is_trace_identical_and_crosses_shards() {
-    let (fh, fd, _) = hub_workload(42, 1, Hub::Recv);
-    for shards in [2, 4] {
-        let (sh, sd, sstats) = hub_workload(42, shards, Hub::Recv);
-        assert_eq!(
-            fh, sh,
-            "trace hash must not depend on the shard count ({shards} shards)"
-        );
-        assert_eq!(fd, sd);
-        assert!(
-            sstats.horizon_syncs > 0,
-            "sharded run must advance via windows: {sstats:?}"
-        );
-        assert!(
-            sstats.xshard_msgs > 0,
-            "hub workload must cross shard boundaries: {sstats:?}"
-        );
-    }
-}
-
-/// Random-topology ping mesh under a random seeded fault plan, applied
-/// by a Nemesis *process* (so crash/partition/impairment controls ride
-/// the kernel's broadcast control stream, the interesting cross-shard
-/// path). Returns the full observable surface: trace hash, network
-/// stats, and the final clock.
-fn fault_mesh_workload(
-    seed: u64,
-    plan_seed: u64,
-    nodes: usize,
-    shards: usize,
-) -> (u64, ocs_sim::NetStats, u64) {
-    use ocs_sim::{FaultPlan, FaultPlanSpec, Nemesis, NodeId};
-    let sim = Sim::with_config(SimConfig {
-        seed,
-        shards,
-        ..SimConfig::default()
-    });
-    let hosts: Vec<_> = (0..nodes).map(|i| sim.add_node(&format!("m{i}"))).collect();
-    for (i, h) in hosts.iter().enumerate() {
-        // Echo server on a fixed port.
-        {
-            let rt = Arc::clone(h);
-            h.spawn_fn(&format!("echo{i}"), move || {
-                let ep = rt.open(PortReq::Fixed(9)).expect("open");
-                while let Ok((from, msg)) = ep.recv(None) {
-                    let _ = ep.send(from, msg);
-                }
-            });
-        }
-        // Client pinging the next node around the ring; crashes and
-        // partitions turn replies into timeouts/bounces, all tolerated.
-        let peer = Addr::new(hosts[(i + 1) % nodes].node(), 9);
-        let rt = Arc::clone(h);
-        h.spawn_fn(&format!("ping{i}"), move || {
-            let ep = rt.open(PortReq::Ephemeral).expect("open");
-            for n in 0..40u64 {
-                let _ = ep.send(peer, bytes::Bytes::from(n.to_le_bytes().to_vec()));
-                let _ = ep.recv(Some(Duration::from_millis(50)));
-                rt.sleep(Duration::from_millis(20 + rt.rand_u64() % 60));
-            }
-        });
-    }
-    let ids: Vec<NodeId> = hosts.iter().map(|h| h.node()).collect();
-    let pairs: Vec<(NodeId, NodeId)> = ids
-        .iter()
-        .zip(ids.iter().cycle().skip(1))
-        .map(|(a, b)| (*a, *b))
-        .collect();
-    let spec = FaultPlanSpec::new(ids, pairs);
-    Nemesis::spawn(&sim, FaultPlan::random(plan_seed, &spec));
-    sim.run_until(SimTime::from_secs(8));
-    (sim.trace_hash(), sim.net_stats(), sim.now().as_micros())
-}
-
-proptest! {
-    #[test]
-    fn sharded_fault_plans_replay_bit_identically(
-        seed in any::<u64>(),
-        plan_seed in any::<u64>(),
-        nodes in 3usize..8,
-    ) {
-        let (h1, s1, t1) = fault_mesh_workload(seed, plan_seed, nodes, 1);
-        let (h3, s3, t3) = fault_mesh_workload(seed, plan_seed, nodes, 3);
-        prop_assert_eq!(h1, h3, "trace hash diverged between 1 and 3 shards");
-        prop_assert_eq!(s1, s3, "network stats diverged between 1 and 3 shards");
-        prop_assert_eq!(t1, t3, "final clock diverged between 1 and 3 shards");
-    }
-}
-
-/// The hub's one-shard run, counted at the commit that deleted the
-/// scheduler's second handoff mode: one window, so the scheduler resumes
-/// once, and every other handoff is a direct switch or the blocking
-/// process running on. A lost elision shows here as a count.
+/// The hub's run, counted at the commit that deleted the scheduler's
+/// second handoff mode: one run, so the scheduler resumes once, and
+/// every other handoff is a direct switch or the blocking process
+/// running on. A lost elision shows here as a count.
 #[test]
 fn fast_path_actually_elides_driver_round_trips() {
-    let (_, _, stats) = hub_workload(42, 1, Hub::Recv);
+    let (_, _, stats) = hub_workload(42, Hub::Recv);
     let counts = (
         stats.driver_resumes,
         stats.direct_handoffs,
@@ -359,37 +253,32 @@ fn fast_path_actually_elides_driver_round_trips() {
 
 /// A served hub replays its receive loop: same trace hash, deliveries
 /// and events whether each echo is a process spawned at delivery or runs
-/// inline, on 1, 2 or 4 shards.
+/// inline.
 #[test]
 fn a_served_hub_replays_its_receive_loop() {
-    let (hash, delivered, base) = hub_workload(42, 1, Hub::Recv);
-    let (_, _, spawned) = hub_workload(42, 1, Hub::SpawnLoop);
+    let (hash, delivered, base) = hub_workload(42, Hub::Recv);
+    let (_, _, spawned) = hub_workload(42, Hub::SpawnLoop);
     assert_eq!(spawned.spawns, base.spawns + 200, "one process per echo");
     for how in [Hub::SpawnLoop, Hub::Served, Hub::Inline] {
-        for shards in [1, 2, 4] {
-            let (h, d, stats) = hub_workload(42, shards, how);
-            let run = format!("{how:?}, {shards} shards");
-            assert_eq!(h, hash, "trace hash: {run}");
-            assert_eq!(d, delivered, "deliveries: {run}");
-            assert_eq!(stats.events, base.events, "events: {run}");
-            let (spawns, inline) = match how {
-                Hub::Inline => (base.spawns, 200),
-                _ => (spawned.spawns, 0),
-            };
-            assert_eq!(stats.spawns, spawns, "processes: {run}");
-            assert_eq!(stats.inline_runs, inline, "inline echoes: {run}");
-        }
+        let (h, d, stats) = hub_workload(42, how);
+        assert_eq!(h, hash, "trace hash: {how:?}");
+        assert_eq!(d, delivered, "deliveries: {how:?}");
+        assert_eq!(stats.events, base.events, "events: {how:?}");
+        let (spawns, inline) = match how {
+            Hub::Inline => (base.spawns, 200),
+            _ => (spawned.spawns, 0),
+        };
+        assert_eq!(stats.spawns, spawns, "processes: {how:?}");
+        assert_eq!(stats.inline_runs, inline, "inline echoes: {how:?}");
     }
 }
 
-/// One shard pinned to literals read from the single-shard scheduler
-/// loop that preceded the windowed one: the equivalence tests above
-/// compare shard counts that now run one loop, so these figures are what
-/// still ties that loop to the old one. The scenario's `run_until` cursor
-/// slices its run into many short runs.
+/// Pinned to literals read from the scheduler loop that preceded the
+/// windowed one, which the one kernel's loop must still replay. The
+/// scenario's `run_until` cursor slices its run into many short runs.
 #[test]
 fn one_shard_replays_the_pinned_trace() {
-    let (hash, delivered, stats) = hub_workload(42, 1, Hub::Recv);
+    let (hash, delivered, stats) = hub_workload(42, Hub::Recv);
     assert_eq!(
         (hash, delivered, stats.events),
         (HUB_HASH, HUB_DELIVERED, HUB_EVENTS)
@@ -411,7 +300,7 @@ fn one_shard_replays_the_pinned_trace() {
         Op::Sleep { ms: 1 },
         Op::Send { s: 1, tag: 8 },
     ];
-    let (log, hash, events) = run_scenario(&ops, 1);
+    let (log, hash, events) = run_scenario(&ops);
     assert_eq!(log, oracle(&ops));
     assert_eq!((hash, events), (SCENARIO_HASH, SCENARIO_EVENTS));
 }

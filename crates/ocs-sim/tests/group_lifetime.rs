@@ -3,8 +3,7 @@
 //! the lock its ports are under, so a member that kills its own group and
 //! goes on before it next waits can neither add a process to the group
 //! nor open a port that outlives the kill. The same body runs in a
-//! simulated process — on one shard and on two, the nodes on different
-//! shards — and on a thread beside two TCP nodes.
+//! simulated process and on a thread beside two TCP nodes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -12,9 +11,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ocs_sim::real::RealNet;
-use ocs_sim::{
-    Addr, Endpoint, NodeRtExt, PortReq, ProcGroup, Queue, RecvError, Rt, Sim, SimConfig, SimTime,
-};
+use ocs_sim::{Addr, Endpoint, NodeRtExt, PortReq, ProcGroup, Queue, RecvError, Rt, Sim, SimTime};
 use parking_lot::Mutex;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -134,19 +131,12 @@ fn one_lifetime(rt: &Rt, other: &Rt, window: (bool, bool)) {
     assert_eq!(read, window, "(b) alive() at once and 50 ms later");
 }
 
-/// The body in a process on node `a` of a simulation on `shards`
-/// shards; the run's trace hash.
-fn sim_leg(shards: usize) -> u64 {
-    let sim = Sim::with_config(SimConfig {
-        seed: 45,
-        shards,
-        ..SimConfig::default()
-    });
+/// The body in a process on node `a` of a simulation.
+#[test]
+fn sim_a_killed_group_keeps_nothing() {
+    let sim = Sim::new(45);
     let node = sim.add_node("a");
     let other: Rt = sim.add_node("b");
-    if shards == 2 {
-        assert_eq!(sim.shard_count(), 2);
-    }
     let done = Arc::new(AtomicBool::new(false));
     let (rt, flag) = (node.clone() as Rt, Arc::clone(&done));
     node.spawn_fn("body", move || {
@@ -155,14 +145,6 @@ fn sim_leg(shards: usize) -> u64 {
     });
     sim.run_until(SimTime::from_secs(60));
     assert!(done.load(Ordering::SeqCst), "the body finished");
-    sim.trace_hash()
-}
-
-#[test]
-fn sim_a_killed_group_keeps_nothing() {
-    // Round-robin placement puts `a` (node 1) and `b` (node 2) on
-    // different shards of two.
-    assert_eq!(sim_leg(1), sim_leg(2), "the same run on one shard and two");
 }
 
 #[test]

@@ -882,41 +882,45 @@ fn a_wait_on_a_crashed_node_takes_its_timeout_with_it() {
 }
 
 /// Timed waits that end every way — answered, timed out, killed with a
-/// group — on two shards: trace, events and pending timeouts equal the
-/// one-shard run's.
+/// group — pop in one order: the trace, events and pending timeouts are
+/// literals read before the sharded scheduler was deleted, when a run on
+/// two shards matched them.
 #[test]
-fn timeouts_pop_in_the_same_order_on_one_shard_and_two() {
-    let run = |shards: usize| {
-        let sim = Sim::with_config(ocs_sim::SimConfig {
-            seed: 33,
-            shards,
-            ..ocs_sim::SimConfig::default()
-        });
-        let server = sim.add_node("server");
-        let to = echo_server(&server, 5);
-        let mut groups = Vec::new();
-        for i in 0..4u64 {
-            let node = sim.add_node(&format!("c{i}"));
-            let rt = node.clone();
-            groups.push(node.spawn_group(
-                "caller",
-                Box::new(move || {
-                    let ep = rt.open(PortReq::Ephemeral).unwrap();
-                    loop {
-                        ep.send(to, Bytes::from_static(b"ping")).unwrap();
-                        let _ = ep.recv(Some(Duration::from_millis(2 + i)));
-                        rt.sleep(Duration::from_micros(100 + rt.rand_u64() % 900));
-                    }
-                }),
-            ));
-        }
-        sim.run_until(SimTime::from_secs(1));
-        groups[0].kill();
-        sim.run_until(SimTime::from_secs(2));
-        let stats = sim.kernel_stats();
-        (sim.trace_hash(), stats.events, stats.timers)
-    };
-    let one = run(1);
-    assert_eq!(run(2), one);
-    assert!(one.1 > 1_000, "{one:?}");
+fn timeouts_that_end_every_way_replay_the_pinned_trace() {
+    let sim = Sim::new(33);
+    let server = sim.add_node("server");
+    let to = echo_server(&server, 5);
+    let mut groups = Vec::new();
+    for i in 0..4u64 {
+        let node = sim.add_node(&format!("c{i}"));
+        let rt = node.clone();
+        groups.push(node.spawn_group(
+            "caller",
+            Box::new(move || {
+                let ep = rt.open(PortReq::Ephemeral).unwrap();
+                loop {
+                    ep.send(to, Bytes::from_static(b"ping")).unwrap();
+                    let _ = ep.recv(Some(Duration::from_millis(2 + i)));
+                    rt.sleep(Duration::from_micros(100 + rt.rand_u64() % 900));
+                }
+            }),
+        ));
+    }
+    sim.run_until(SimTime::from_secs(1));
+    groups[0].kill();
+    sim.run_until(SimTime::from_secs(2));
+    let stats = sim.kernel_stats();
+    let got = (sim.trace_hash(), stats.events, stats.timers);
+    assert_eq!(got, (17_879_380_546_042_985_297, 10_265, 3));
+}
+
+/// The simulator is one kernel: a configuration that asks for more
+/// shards is refused, naming the field, rather than run on one.
+#[test]
+#[should_panic(expected = "SimConfig::shards is 2")]
+fn a_config_with_two_shards_is_refused() {
+    let _ = Sim::with_config(ocs_sim::SimConfig {
+        shards: 2,
+        ..ocs_sim::SimConfig::default()
+    });
 }

@@ -1,6 +1,6 @@
-//! The replicated service controller (ROADMAP item 1, controller half):
-//! the placement/config table on the same Viewstamped Replication engine
-//! the name service and the Connection Manager use, instead of the §6.2
+//! The replicated service controller: the placement/config table on the
+//! same Viewstamped Replication engine the name service and the
+//! Connection Manager use, instead of the §6.2
 //! primary/backup CSC that recovers by regeneration.
 //!
 //! Three replicas run [`SscTable`] behind an [`ocs_vsr::VsrCore`]. Every

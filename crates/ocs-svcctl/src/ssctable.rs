@@ -1,6 +1,6 @@
 //! The controllers' service configuration and placement table as a pure,
-//! replicated state machine (ROADMAP item 1, controller half: "replicate
-//! SSC configuration over the shared VSR core").
+//! replicated state machine: the SSC configuration, replicated over the
+//! shared VSR core.
 //!
 //! [`SscTable`] implements [`ocs_vsr::Machine`]: every placement decision
 //! — define, place, unplace, down report, retire — is an [`SscUpdate`] on

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate (see ROADMAP.md): full release build (the workspace and
 # the repo benchmark, a workspace of its own), a clean clippy run, the
-# complete workspace test suite, a real-runtime chaos smoke, and the
+# complete workspace test suite, the mutation corpus, a real-runtime
+# chaos smoke, and the
 # bench guards — one table, `GUARDS` in crates/bench/src/check.rs, that
 # `experiments check` evaluates against fresh runs of the experiments
 # and benchmark workloads its rows name, and against the committed
@@ -42,6 +43,10 @@ cargo test --release --offline -p ocs-sim -p ocs-orb -q
 # without every peer (about 7 s and 5 s on 2 vCPUs).
 PROPTEST_CASES=100000 cargo test --release --offline -p ocs-vsr --test model -q agrees -- --skip of_five
 PROPTEST_CASES=40000 cargo test --release --offline -p ocs-vsr --test model -q of_five_agrees
+# The mutation corpus (tests/mutants/): each bug a test was written to
+# catch, planted again in a copy of the tree under target/mutants, must
+# still fail that test; a patch that no longer applies fails the gate.
+scripts/mutants.sh
 
 # Real-runtime chaos smoke (E19): one cooperative kill plus one
 # partition-heal cycle over actual TCP on loopback, and a fault plan whose
