@@ -22,6 +22,13 @@
 //! answers "do the numbers still hold": it evaluates every row of
 //! [`bench::check::GUARDS`] and exits non-zero if one failed. It takes
 //! no arguments.
+//!
+//! ```sh
+//! cargo run --release -p bench --bin experiments -- loc --rev HEAD~ crates/ocs-sim/src
+//! ```
+//!
+//! counts production lines ([`bench::loc`]): per file and in total, in
+//! the work tree or, with `--rev`, at a git revision.
 
 use bench::exps::{Args, EXPERIMENTS};
 use bench::report;
@@ -53,6 +60,9 @@ fn main() {
             std::process::exit(2);
         }
         std::process::exit(bench::check::run());
+    }
+    if args.peek().is_some_and(|a| a == "loc") {
+        std::process::exit(bench::loc::run(args.skip(1)));
     }
     let mut a = Args {
         spans: 3,

@@ -7,6 +7,7 @@
 pub mod check;
 pub mod exps;
 pub mod json;
+pub mod loc;
 pub mod report;
 
 use std::time::Duration;

@@ -125,7 +125,10 @@ pub(crate) struct Handle(NonNull<Context>);
 unsafe impl Send for Handle {}
 
 /// Suspends the running context into `from` and resumes `to`, on the
-/// calling thread. Returns when something switches back to `from`.
+/// calling thread. Returns when something switches back to `from`. The
+/// span context (`trace.rs`) travels with the context, under both
+/// runtimes: each gets back its own when it resumes, and a fresh stack
+/// starts under none.
 ///
 /// `from` must be the running context's own and `to` a suspended one —
 /// a context switched to from the thread it last ran on, or a freshly
@@ -139,11 +142,13 @@ pub(crate) fn switch(from: Handle, to: Handle) {
         !to_sp.is_null(),
         "switch to a context that is not suspended"
     );
+    let span = crate::trace::set_current_ctx(None);
     // SAFETY: `from`'s slot is live and ours to write; `to_sp` is the
     // stack pointer `swap` itself stored for `to` when it suspended, or
     // the first frame `Stack::prime` laid out, so loading it resumes
     // exactly there.
-    unsafe { swap(from.0.as_ref().sp.as_ptr(), to_sp) }
+    unsafe { swap(from.0.as_ref().sp.as_ptr(), to_sp) };
+    crate::trace::set_current_ctx(span);
 }
 
 /// Saves the callee-saved state on the running stack, stores the stack

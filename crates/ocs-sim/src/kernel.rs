@@ -23,16 +23,23 @@
 //! million.) What a process does to another node — spawn, kill, bump,
 //! journal note, network control — still lands one `control_delay` after
 //! it is issued, as a control event under the issuer's stream, and every
-//! id a node hands out (group, wait object) embeds the node: virtual
-//! timing and the pinned trace hashes depend on both.
+//! group id a node hands out embeds the node: virtual timing and the
+//! pinned trace hashes depend on both.
 //!
 //! # Waiting
 //!
+//! The processes are the kernel's task table (`tasks.rs`, the table TCP
+//! keeps per node loop): a process that waits is blocked there, its
+//! timeout goes into the table's timer map under an `(at, src, sseq)` key
+//! drawn from its node's event stream, and a wake takes it only if it is
+//! still in the wait the wake names, withdrawing the timeout.
+//!
 //! A process waits in one of two places: on an endpoint, for a delivery,
 //! or on a wait object, for its generation to pass one it has seen
-//! (`waitobj_wait_newer`; `bump` advances it and wakes every waiter).
-//! `SyncObj` and every primitive built on it, `SimChan` included, wait
-//! the second way.
+//! (`wait_newer`; a bump advances it and wakes every waiter, in the order
+//! they registered). `SyncObj` and every primitive built on it, `SimChan`
+//! included, wait the second way. A wait object is a record its handles
+//! hold, homed on the node that made it, and goes with the last of them.
 //!
 //! # Fast path
 //!
@@ -126,9 +133,8 @@ use crate::coro::{self, Handle, Stack, StackPool};
 use crate::ports::{Landing, Port, PortTable, Served};
 use crate::rt::{Addr, Endpoint, NetError, NodeId, PortReq, RecvError};
 use crate::sim::SimEndpoint;
+use crate::tasks::{TaskId as Pid, Tasks};
 use crate::time::SimTime;
-
-pub(crate) type Pid = u64;
 
 /// Unwind payload used to terminate a killed process quietly.
 pub(crate) struct KillSignal;
@@ -142,22 +148,6 @@ pub(crate) enum Step {
     Done,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum PState {
-    Runnable,
-    Running,
-    Blocked,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum WakeReason {
-    None,
-    Timeout,
-    Notified,
-    Delivered,
-    Killed,
-}
-
 pub(crate) struct Proc {
     /// Shared with its served port's task name for a handler's process.
     pub name: Arc<str>,
@@ -167,12 +157,7 @@ pub(crate) struct Proc {
     pub group: Option<u64>,
     /// The stack the process runs on; the scheduler switches to it.
     pub stack: Stack,
-    pub state: PState,
-    pub wait_gen: u64,
     pub killed: bool,
-    pub wake_reason: WakeReason,
-    /// The pending timeout of the timed wait the process is blocked in.
-    pub timer: Option<TimerKey>,
     /// The endpoint its calls wait on for their replies
     /// (`NodeRt::reply_endpoint`); dropped when the process exits.
     pub reply: Option<Arc<SimEndpoint>>,
@@ -182,18 +167,6 @@ pub(crate) struct Proc {
 /// the same per-source stream, so timeouts and events pop in the order
 /// one queue holding both would pop them.
 pub(crate) type TimerKey = (u64, u32, u64);
-
-/// Makes a blocked process runnable for `reason`, and withdraws the
-/// timeout of its wait, if it had one: a wait that ends takes its timer
-/// with it, so no dead timeout is left to pop.
-fn unblock(p: &mut Proc, timers: &mut BTreeMap<TimerKey, Pid>, reason: WakeReason) {
-    p.wait_gen += 1;
-    p.state = PState::Runnable;
-    p.wake_reason = reason;
-    if let Some(key) = p.timer.take() {
-        timers.remove(&key);
-    }
-}
 
 /// An endpoint's receive side: the landings queued for it, and the
 /// processes blocked receiving, with the wait generation each blocked in.
@@ -215,13 +188,11 @@ pub(crate) struct InlineRun {
 pub(crate) struct NodeState {
     pub up: bool,
     /// Per-node deterministic streams: the RNG, the event sequence, and
-    /// the group/wait-object id counters. Keyed to the node, not the
-    /// kernel, so what one node draws or allocates moves no other node's
-    /// ids or draws.
+    /// the group id counter. Keyed to the node, not the kernel, so what
+    /// one node draws or allocates moves no other node's ids or draws.
     pub rng: SmallRng,
     pub seq: u64,
     pub next_group: u64,
-    pub next_waitobj: u64,
 }
 
 impl NodeState {
@@ -231,7 +202,6 @@ impl NodeState {
             rng: SmallRng::seed_from_u64(rng_seed),
             seq: 0,
             next_group: 1,
-            next_waitobj: 1,
         }
     }
 }
@@ -543,7 +513,7 @@ pub(crate) enum ControlOp {
         f: Box<dyn FnOnce() + Send>,
     },
     KillGroup(u64),
-    Bump(u64),
+    Bump(Arc<WaitObj>),
     Note { node: NodeId, detail: String },
 }
 
@@ -584,9 +554,38 @@ impl Ord for Event {
 // An event is what the heap moves on every push and pop.
 const _: () = assert!(std::mem::size_of::<Event>() == 88);
 
-pub(crate) struct WaitObjState {
-    waiters: VecDeque<(Pid, u64)>,
-    generation: u64,
+/// A wait object: a generation, and the processes waiting for it to pass
+/// one they saw, each with the wait it is blocked in. Its handles hold
+/// it, as does a bump on its way from another node.
+pub(crate) struct WaitObj {
+    /// Raw id of the node a bump from elsewhere lands on one control
+    /// delay later (0: anonymous).
+    home: u32,
+    state: Mutex<(u64, VecDeque<(Pid, u64)>)>,
+}
+
+impl WaitObj {
+    pub fn new(home: u32) -> WaitObj {
+        let state = Mutex::new((0, VecDeque::new()));
+        WaitObj { home, state }
+    }
+
+    pub fn generation(&self) -> u64 {
+        self.state.lock().0
+    }
+
+    /// Advances the generation and wakes every waiter still in the wait
+    /// it registered for, in the order they registered.
+    fn bump(&self, procs: &mut Tasks<TimerKey, Proc>) {
+        let waiters = {
+            let mut state = self.state.lock();
+            state.0 += 1;
+            std::mem::take(&mut state.1)
+        };
+        for (pid, gen) in waiters {
+            procs.wake(pid, Some(gen));
+        }
+    }
 }
 
 /// The kernel: event heap, processes, and the network tables (node
@@ -603,13 +602,11 @@ pub(crate) struct Kernel {
     /// (spawning a process, journaling a fault note).
     inner: Weak<SimInner>,
     events: BinaryHeap<Event>,
-    /// Pending timeouts of blocked processes, beside `events` and popped
-    /// in the same key order; a wait that ends early removes its own.
-    timers: BTreeMap<TimerKey, Pid>,
-    pub procs: BTreeMap<Pid, Proc>,
+    /// The processes, and the timeouts of their waits, popped beside
+    /// `events` in the same key order.
+    pub procs: Tasks<TimerKey, Proc>,
     /// The next pid to issue.
     next_pid: Pid,
-    pub runnable: VecDeque<Pid>,
     pub shutdown: bool,
     /// Seed all per-node RNGs derive from.
     master_seed: u64,
@@ -639,7 +636,6 @@ pub(crate) struct Kernel {
     pub stats: NetStats,
     pub sched: KernelStats,
     pub panics: Vec<String>,
-    waitobjs: HashMap<u64, WaitObjState>,
     pub trace: bool,
     /// Whether a scheduler is currently inside `run_until`.
     in_run: bool,
@@ -684,17 +680,14 @@ pub(crate) fn cur_pid() -> Option<Pid> {
 }
 
 /// Suspends the running context — a process, or the scheduler —
-/// in `from` and resumes `to` on this thread. The per-process
-/// thread-locals, `CUR_PID` and the span context, travel with the
-/// context: each gets back its own when it resumes, and a fresh process
-/// starts with neither.
+/// in `from` and resumes `to` on this thread. `CUR_PID` travels with the
+/// context, as the span context does with every switch: each gets back
+/// its own when it resumes, and a fresh process starts with neither.
 fn switch(from: Handle, to: Handle) {
     debug_assert!(cur_inline().is_none(), "an inline handler switched");
-    let pid = CUR_PID.with(|c| c.replace(None));
-    let span = crate::trace::set_current_ctx(None);
+    let pid = CUR_PID.take();
     coro::switch(from, to);
-    CUR_PID.with(|c| c.set(pid));
-    crate::trace::set_current_ctx(span);
+    CUR_PID.set(pid);
 }
 
 /// The node and group of the inline handler running on this thread.
@@ -718,10 +711,8 @@ impl Kernel {
             now_shared: Arc::new(AtomicU64::new(0)),
             inner,
             events: BinaryHeap::new(),
-            timers: BTreeMap::new(),
-            procs: BTreeMap::new(),
+            procs: Tasks::default(),
             next_pid: 1,
-            runnable: VecDeque::new(),
             shutdown: false,
             master_seed: seed,
             anon: NodeState::new(seed),
@@ -737,7 +728,6 @@ impl Kernel {
             stats: NetStats::default(),
             sched: KernelStats::default(),
             panics: Vec::new(),
-            waitobjs: HashMap::new(),
             trace,
             in_run: false,
             run_limit: 0,
@@ -788,23 +778,12 @@ impl Kernel {
         (self.rand_for_node(node.0) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Arms a timeout for the blocked process `pid`, keyed on `src`'s
-    /// stream.
-    fn arm_timer(&mut self, pid: Pid, at: u64, src: u32) {
-        let key = (at, src, self.next_sseq(src));
-        self.timers.insert(key, pid);
-        if let Some(p) = self.procs.get_mut(&pid) {
-            p.timer = Some(key);
-        }
-    }
-
     /// The key of what is due next, the next event or the next timeout,
     /// and whether it is the timeout. Both keys come from the same
     /// streams, so this is the order one queue holding both would pop.
     fn next_due(&self) -> Option<(TimerKey, bool)> {
         let event = self.events.peek().map(|e| (e.at, e.src, e.sseq));
-        let timer = self.timers.first_key_value().map(|(k, _)| *k);
-        match (event, timer) {
+        match (event, self.procs.first_timer()) {
             (Some(e), Some(t)) if t < e => Some((t, true)),
             (Some(e), _) => Some((e, false)),
             (None, t) => t.map(|t| (t, true)),
@@ -890,19 +869,6 @@ impl Kernel {
             .unwrap_or(self.net_cfg.default)
     }
 
-    /// Wakes a blocked process if its wait generation still matches.
-    /// Returns true if the process was actually woken.
-    fn wake(&mut self, pid: Pid, gen: u64, reason: WakeReason) -> bool {
-        if let Some(p) = self.procs.get_mut(&pid) {
-            if p.state == PState::Blocked && p.wait_gen == gen {
-                unblock(p, &mut self.timers, reason);
-                self.runnable.push_back(pid);
-                return true;
-            }
-        }
-        false
-    }
-
     fn apply(&mut self, kind: EventKind) {
         match kind {
             EventKind::Control(op) => {
@@ -957,14 +923,10 @@ impl Kernel {
                 }
                 port.rx.queue.push_back(landing);
                 // Wake the first receiver still blocked; keep the rest.
-                let mut waiters = std::mem::take(&mut port.rx.waiters);
-                while let Some((pid, gen)) = waiters.pop_front() {
-                    if self.wake(pid, gen, WakeReason::Delivered) {
+                while let Some((pid, gen)) = port.rx.waiters.pop_front() {
+                    if self.procs.wake(pid, Some(gen)) {
                         break;
                     }
-                }
-                if let Some(port) = self.ports.get_mut(&to) {
-                    port.rx.waiters = waiters;
                 }
             }
         }
@@ -1039,7 +1001,7 @@ impl Kernel {
                 }
             }
             ControlOp::KillGroup(g) => self.kill_group(g),
-            ControlOp::Bump(id) => self.waitobj_bump(id),
+            ControlOp::Bump(obj) => obj.bump(&mut self.procs),
             ControlOp::Note { node, detail } => {
                 if let Some(inner) = self.inner.upgrade() {
                     let now = self.now;
@@ -1058,13 +1020,8 @@ impl Kernel {
     /// so every context makes identical decisions.
     pub(crate) fn next_step(&mut self) -> Step {
         loop {
-            while let Some(pid) = self.runnable.pop_front() {
-                if let Some(p) = self.procs.get_mut(&pid) {
-                    if p.state == PState::Runnable {
-                        p.state = PState::Running;
-                        return Step::Run(pid, p.stack.handle());
-                    }
-                }
+            if let Some((pid, to)) = self.procs.next_runnable(|p| p.stack.handle()) {
+                return Step::Run(pid, to);
             }
             match self.next_due() {
                 Some(((at, ..), timer)) if at <= self.run_limit => {
@@ -1080,7 +1037,7 @@ impl Kernel {
                         self.link_free.retain(|&f| f > now);
                     }
                     if timer {
-                        self.fire_timer();
+                        self.procs.time_out(|_| true);
                     } else {
                         let ev = self.events.pop().expect("peeked");
                         self.apply(ev.kind);
@@ -1093,19 +1050,6 @@ impl Kernel {
                 _ => return Step::Done,
             }
         }
-    }
-
-    /// Wakes the process whose timeout is due first: a pending timeout
-    /// always belongs to a process still blocked in its wait.
-    fn fire_timer(&mut self) {
-        let Some((_, pid)) = self.timers.pop_first() else {
-            return;
-        };
-        let p = self.procs.get_mut(&pid).expect("a timeout outlived its process");
-        debug_assert_eq!(p.state, PState::Blocked, "a timeout outlived its wait");
-        p.timer = None;
-        unblock(p, &mut self.timers, WakeReason::Timeout);
-        self.runnable.push_back(pid);
     }
 
     /// Whether a blocking process may run the scheduler inline instead of
@@ -1233,7 +1177,7 @@ impl Kernel {
             return Err(NetError::NodeDown);
         }
         let group = cur_pid()
-            .and_then(|pid| self.procs.get(&pid))
+            .and_then(|pid| self.procs.get(pid))
             .filter(|p| p.node == Some(node))
             .and_then(|p| p.group);
         self.ports.open(node, req, group, Rx::default())
@@ -1245,7 +1189,7 @@ impl Kernel {
     pub fn release(&mut self, closed: impl IntoIterator<Item = SimPort>) {
         for port in closed {
             for (pid, gen) in port.rx.waiters {
-                self.wake(pid, gen, WakeReason::Notified);
+                self.procs.wake(pid, Some(gen));
             }
             if let Some(served) = port.served {
                 self.dropped.push(Box::new(served));
@@ -1257,7 +1201,7 @@ impl Kernel {
     /// whatever earlier calls left on it: a reply or a bounce owed to a
     /// call that is over answers no later one.
     pub fn reply_endpoint(&mut self, pid: Pid, node: NodeId) -> Option<Arc<dyn Endpoint>> {
-        let ep = self.procs.get(&pid)?.reply.as_ref()?;
+        let ep = self.procs.get(pid)?.reply.as_ref()?;
         if ep.addr.node != node {
             return None;
         }
@@ -1278,8 +1222,8 @@ impl Kernel {
     /// Kills, in pid order, every process `pick` accepts.
     fn kill_procs(&mut self, pick: impl Fn(Pid, &Proc) -> bool) {
         let pids: Vec<Pid> = (self.procs.iter())
-            .filter(|&(&pid, p)| pick(pid, p))
-            .map(|(pid, _)| *pid)
+            .filter(|&(pid, p)| pick(pid, p))
+            .map(|(pid, _)| pid)
             .collect();
         for pid in pids {
             self.kill_proc(pid);
@@ -1288,19 +1232,13 @@ impl Kernel {
 
     /// Marks a process as killed and schedules it to unwind.
     pub fn kill_proc(&mut self, pid: Pid) {
-        let Some(p) = self.procs.get_mut(&pid) else {
+        let Some(p) = self.procs.get_mut(pid).filter(|p| !p.killed) else {
             return;
         };
-        if p.killed {
-            return;
-        }
         p.killed = true;
-        if p.state == PState::Blocked {
-            unblock(p, &mut self.timers, WakeReason::Killed);
-            self.runnable.push_back(pid);
-        }
-        // Runnable / Running processes observe the flag at their next
+        // A runnable or running process observes the flag at its next
         // kernel interaction.
+        self.procs.wake(pid, None);
     }
 
     /// Kills all processes and groups on `node` and closes the node's
@@ -1317,30 +1255,10 @@ impl Kernel {
         let me = cur_pid();
         self.kill_procs(|pid, p| p.node == Some(node) && Some(pid) != me);
         self.release(closed.into_iter().map(|(_, port)| port));
-        let me = me.and_then(|pid| self.procs.get_mut(&pid));
+        let me = me.and_then(|pid| self.procs.get_mut(pid));
         if let Some(p) = me.filter(|p| p.node == Some(node)) {
             p.killed = true;
         }
-    }
-
-    /// Allocates a wait object homed on `home` (a raw node id; 0 =
-    /// anonymous). The id embeds the home node, and a bump from another
-    /// node lands one control delay later.
-    pub fn waitobj_create(&mut self, home: u32) -> u64 {
-        assert!(
-            home == 0 || self.nodes.len() >= home as usize,
-            "wait object homed on unknown node"
-        );
-        let ctr = post_inc(&mut self.streams(home).next_waitobj);
-        let id = ((home as u64) << 32) | (ctr & 0xFFFF_FFFF);
-        self.waitobjs.insert(
-            id,
-            WaitObjState {
-                waiters: VecDeque::new(),
-                generation: 0,
-            },
-        );
-        id
     }
 
     /// Allocates a process-group id from `key`'s stream (0 = anonymous).
@@ -1348,22 +1266,6 @@ impl Kernel {
     pub fn alloc_group(&mut self, key: u32) -> u64 {
         let ctr = post_inc(&mut self.streams(key).next_group);
         ((key as u64) << 32) | (ctr & 0xFFFF_FFFF)
-    }
-
-    /// Increments a wait object's generation and wakes all its waiters.
-    pub fn waitobj_bump(&mut self, id: u64) {
-        let Some(w) = self.waitobjs.get_mut(&id) else {
-            return;
-        };
-        w.generation += 1;
-        let waiters = std::mem::take(&mut w.waiters);
-        for (pid, gen) in waiters {
-            self.wake(pid, gen, WakeReason::Notified);
-        }
-    }
-
-    pub fn waitobj_generation(&self, id: u64) -> u64 {
-        self.waitobjs.get(&id).map(|w| w.generation).unwrap_or(0)
     }
 
     /// Inserts a new process: allocates a pid, primes a stack with its
@@ -1407,22 +1309,16 @@ impl Kernel {
         stack.prime(move || proc_main(inner, pid, f));
         self.sched.stacks_mapped += mapped as u64;
         self.sched.spawns += 1;
-        self.procs.insert(
-            pid,
-            Proc {
-                name,
-                node,
-                group,
-                stack,
-                state: PState::Runnable,
-                wait_gen: 0,
-                killed: false,
-                wake_reason: WakeReason::None,
-                timer: None,
-                reply: None,
-            },
-        );
-        self.runnable.push_back(pid);
+        let p = Proc {
+            name,
+            node,
+            group,
+            stack,
+            killed: false,
+            reply: None,
+        };
+        self.procs.insert(pid, p);
+        self.procs.queue(pid);
     }
 }
 
@@ -1476,7 +1372,7 @@ impl SimInner {
     fn lock_caller(&self) -> Option<(MutexGuard<'_, Kernel>, u32, Option<u64>)> {
         if let Some(pid) = cur_pid() {
             let k = self.kernel.lock();
-            let me = k.procs.get(&pid);
+            let me = k.procs.get(pid);
             let node = me.and_then(|p| p.node).map_or(0, |n| n.0);
             let group = me.and_then(|p| p.group);
             return Some((k, node, group));
@@ -1573,7 +1469,7 @@ impl SimInner {
         }
     }
 
-    /// Blocks the current process; returns the wake reason.
+    /// Blocks the current process; returns whether the wait timed out.
     ///
     /// `prepare` runs under the kernel lock after the wait generation has
     /// been bumped; it receives the generation so it can register the
@@ -1583,7 +1479,7 @@ impl SimInner {
     /// runnable process turns out to be the caller (its own timeout or a
     /// same-instant delivery), it continues with no switch at all;
     /// otherwise it switches to the next process's stack directly.
-    fn block_current<F>(&self, wake_at: Option<u64>, prepare: F) -> WakeReason
+    fn block_current<F>(&self, wake_at: Option<u64>, prepare: F) -> bool
     where
         F: FnOnce(&mut Kernel, Pid, u64),
     {
@@ -1599,20 +1495,15 @@ impl SimInner {
                 drop(k);
                 Self::kill_unwind();
             }
-            let p = k.procs.get_mut(&pid).expect("current process missing");
+            let p = k.procs.get(pid).expect("current process missing");
             if p.killed {
                 drop(k);
                 Self::kill_unwind();
             }
-            p.wait_gen += 1;
-            let gen = p.wait_gen;
-            p.state = PState::Blocked;
-            p.wake_reason = WakeReason::None;
             me = p.stack.handle();
-            let src = p.node.map(|n| n.0).unwrap_or(0);
-            if let Some(at) = wake_at {
-                k.arm_timer(pid, at, src);
-            }
+            let src = p.node.map_or(0, |n| n.0);
+            let timer = wake_at.map(|at| (at, src, k.next_sseq(src)));
+            let gen = k.procs.block(pid, timer);
             prepare(&mut k, pid, gen);
             if k.can_inline() {
                 let next;
@@ -1633,28 +1524,19 @@ impl SimInner {
         if let Some(to) = to {
             switch(me, to);
         }
-        let reason = {
-            let mut k = self.kernel.lock();
-            k.resumed();
-            let p = k.procs.get(&pid).expect("current process missing");
-            if k.shutdown || p.killed {
-                WakeReason::Killed
-            } else {
-                p.wake_reason
-            }
-        };
-        if reason == WakeReason::Killed {
+        let mut k = self.kernel.lock();
+        k.resumed();
+        let (p, timed_out) = k.procs.woken(pid).expect("current process missing");
+        if k.shutdown || p.killed {
+            drop(k);
             Self::kill_unwind();
         }
-        reason
+        timed_out
     }
 
     /// Sleeps the current process for `d` of virtual time.
     pub fn sleep(&self, d: Duration) {
-        let at = {
-            let k = self.kernel.lock();
-            k.now + d.as_micros() as u64
-        };
+        let at = self.now().as_micros() + d.as_micros() as u64;
         self.block_current(Some(at), |_, _, _| {});
     }
 
@@ -1666,8 +1548,8 @@ impl SimInner {
     }
 
     /// Raw id of the calling process's node (0 for the driver and for
-    /// free-floating controllers) — the key for caller-stream resource
-    /// allocation such as [`SimChan`](crate::sim::SimChan) wait objects.
+    /// free-floating controllers): the home of a
+    /// [`SimChan`](crate::sim::SimChan)'s wait object.
     pub(crate) fn cur_node_key(&self) -> u32 {
         self.lock_caller().map_or(0, |(_, node, _)| node)
     }
@@ -1677,51 +1559,34 @@ impl SimInner {
         self.kernel.lock().rand_for_node(node.0)
     }
 
-    /// Creates a wait object homed on `home` (0 = anonymous).
-    pub fn waitobj_create(&self, home: u32) -> u64 {
-        self.kernel.lock().waitobj_create(home)
-    }
-
-    /// Blocks until the wait object's generation exceeds `seen` (or the
-    /// timeout elapses); returns the generation observed on wake.
-    pub fn waitobj_wait_newer(&self, id: u64, seen: u64, timeout: Option<Duration>) -> u64 {
+    /// Blocks until `obj`'s generation exceeds `seen` (or the timeout
+    /// elapses); returns the generation observed on wake.
+    pub fn wait_newer(&self, obj: &WaitObj, seen: u64, timeout: Option<Duration>) -> u64 {
         loop {
-            let wake_at;
-            {
-                let k = self.kernel.lock();
-                let gen = k.waitobj_generation(id);
-                if gen > seen {
-                    return gen;
-                }
-                wake_at = timeout.map(|t| k.now + t.as_micros() as u64);
+            let gen = obj.generation();
+            if gen > seen {
+                return gen;
             }
-            let reason = self.block_current(wake_at, |k, pid, gen| {
-                if let Some(w) = k.waitobjs.get_mut(&id) {
-                    w.waiters.push_back((pid, gen));
-                }
+            let wake_at = timeout.map(|t| self.now().as_micros() + t.as_micros() as u64);
+            let timed_out = self.block_current(wake_at, |_, pid, gen| {
+                obj.state.lock().1.push_back((pid, gen));
             });
-            let gen = self.kernel.lock().waitobj_generation(id);
-            if gen > seen || reason == WakeReason::Timeout {
+            let gen = obj.generation();
+            if gen > seen || timed_out {
                 return gen;
             }
         }
     }
 
-    /// Bumps a wait object's generation. Same-node (or driver) callers
-    /// apply immediately; a process on another node defers it by one
+    /// Bumps `obj`'s generation. Same-node (or driver) callers apply it
+    /// at once; a process on another node defers it by one
     /// fault-propagation delay as a control event.
-    pub fn waitobj_bump(&self, id: u64) {
-        let op = ControlOp::Bump(id);
-        let home_node = (id >> 32) as u32;
+    pub fn bump(&self, obj: &Arc<WaitObj>) {
         match self.lock_caller() {
-            None => self.kernel.lock().apply_control(op),
-            Some((mut k, my_node, _)) if my_node == home_node => k.apply_control(op),
-            Some((mut k, my_node, _)) => k.defer_control(my_node, op),
+            None => obj.bump(&mut self.kernel.lock().procs),
+            Some((mut k, my_node, _)) if my_node == obj.home => obj.bump(&mut k.procs),
+            Some((mut k, my_node, _)) => k.defer_control(my_node, ControlOp::Bump(Arc::clone(obj))),
         }
-    }
-
-    pub fn waitobj_generation(&self, id: u64) -> u64 {
-        self.kernel.lock().waitobj_generation(id)
     }
 
     /// Receives from an endpoint with an optional timeout. An item
@@ -1730,12 +1595,12 @@ impl SimInner {
     pub fn ep_recv(&self, key: Addr, id: u64, timeout: Option<Duration>) -> Landing {
         forbid_inline("receive");
         let pid = cur_pid().expect("recv outside a simulated process");
-        let mut reason = WakeReason::None;
+        let mut timed_out = false;
         loop {
             let wake_at;
             {
                 let mut k = self.kernel.lock();
-                if k.shutdown || k.procs.get(&pid).map(|p| p.killed).unwrap_or(true) {
+                if k.shutdown || k.procs.get(pid).is_none_or(|p| p.killed) {
                     drop(k);
                     Self::kill_unwind();
                 }
@@ -1747,14 +1612,14 @@ impl SimInner {
                 if let Some(landing) = port.rx.queue.pop_front() {
                     return landing;
                 }
-                if timeout == Some(Duration::ZERO) || reason == WakeReason::Timeout {
+                if timeout == Some(Duration::ZERO) || timed_out {
                     return Err(RecvError::TimedOut);
                 }
                 // Woken with nothing queued: block again, for the whole
                 // timeout. Such races are rare and deterministic.
                 wake_at = timeout.map(|t| k.now + t.as_micros() as u64);
             }
-            reason = self.block_current(wake_at, |k, pid, gen| {
+            timed_out = self.block_current(wake_at, |k, pid, gen| {
                 if let Some(port) = k.ports.own(&key, id) {
                     port.rx.waiters.push_back((pid, gen));
                 }
@@ -1890,7 +1755,7 @@ impl SimInner {
     pub fn kernel_stats(&self) -> KernelStats {
         let k = self.kernel.lock();
         KernelStats {
-            timers: k.timers.len() as u64,
+            timers: k.procs.timers() as u64,
             ..k.sched
         }
     }
@@ -1992,30 +1857,17 @@ impl SimInner {
             let step = {
                 let mut k = self.kernel.lock();
                 k.panics.clear();
-                let mut found = None;
-                while let Some(pid) = k.runnable.pop_front() {
-                    if let Some(p) = k.procs.get_mut(&pid) {
-                        if p.state == PState::Runnable {
-                            p.state = PState::Running;
-                            found = Some(p.stack.handle());
-                            break;
-                        }
-                    }
-                }
-                found
+                k.procs.next_runnable(|p| p.stack.handle())
             };
             match step {
-                Some(to) => self.resume_from_scheduler(to),
+                Some((_, to)) => self.resume_from_scheduler(to),
                 None => break,
             }
         }
         let mut k = self.kernel.lock();
         // `kill_proc` made every blocked process runnable, and a process
-        // unwinds at shutdown before it would block again.
-        debug_assert!(
-            k.procs.values().all(|p| p.state != PState::Blocked),
-            "a process blocked during the shutdown drain"
-        );
+        // unwinds at shutdown before it would block again, so each exited.
+        debug_assert!(k.procs.is_empty(), "a process outlived the shutdown drain");
         // Every process has left its group, and a record goes with the
         // last member out.
         debug_assert_eq!(k.ports.groups(), 0, "a group record outlived its members");
@@ -2050,20 +1902,19 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// when it is done; the stack's entry function makes that last switch,
 /// from a frame that owns nothing (`inner` is dropped by then).
 fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Handle {
-    CUR_PID.with(|c| c.set(Some(pid)));
-    crate::trace::set_current_ctx(None);
+    CUR_PID.set(Some(pid));
     let start_killed = {
         let mut k = inner.kernel.lock();
         k.resumed();
         k.entered += 1;
-        k.shutdown || k.procs.get(&pid).map(|p| p.killed).unwrap_or(true)
+        k.shutdown || k.procs.get(pid).is_none_or(|p| p.killed)
     };
     if start_killed {
         drop(f);
     } else if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
         let (name, node) = {
             let k = inner.kernel.lock();
-            let me = k.procs.get(&pid);
+            let me = k.procs.get(pid);
             (
                 me.map_or_else(String::new, |p| p.name.to_string()),
                 me.and_then(|p| p.node),
@@ -2078,12 +1929,12 @@ fn proc_main(inner: Arc<SimInner>, pid: Pid, f: Box<dyn FnOnce() + Send>) -> Han
     // a run, else to the scheduler. A recorded panic goes to the
     // scheduler, so it observes it immediately.
     let mut k = inner.kernel.lock();
-    if let Some(reply) = k.procs.get_mut(&pid).and_then(|p| p.reply.take()) {
+    if let Some(reply) = k.procs.get_mut(pid).and_then(|p| p.reply.take()) {
         drop(k);
         drop(reply);
         k = inner.kernel.lock();
     }
-    if let Some(me) = k.procs.remove(&pid) {
+    if let Some(me) = k.procs.remove(pid) {
         if let Some(g) = me.group {
             k.ports.leave(g, pid);
         }

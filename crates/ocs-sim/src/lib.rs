@@ -33,6 +33,7 @@ mod poll;
 mod ports;
 mod rt;
 mod sim;
+mod tasks;
 mod time;
 
 pub mod backoff;

@@ -11,13 +11,16 @@
 //! A [`RealNode`] runs exactly one OS thread, its loop, whatever its peers
 //! and requests. The loop waits on one epoll set (`poll.rs`) holding the
 //! node's listener, every stream it dialled or accepted, and an eventfd
-//! other threads ring when they post to it, with a timer map beside it.
-//! Every [`NodeRt::spawn`] is a task — its own closure, under an id its
-//! group counts — on a pooled `coro.rs` stack, which the loop switches
-//! to as the simulator switches to a process. A task that waits
-//! ([`NodeRt::sleep`], [`Endpoint::recv`], a [`crate::sync::SyncObj`]
-//! wait, so every ORB call) switches back to the loop, taking its group
-//! and span context with it. So a long computation holds up its whole
+//! other threads ring when they post to it, until the first deadline in
+//! its task table. Every [`NodeRt::spawn`] is a task — its own closure,
+//! under an id its group counts — on a pooled `coro.rs` stack, which the
+//! loop switches to as the simulator switches to a process. The loop's
+//! task table is the simulator's (`tasks.rs`), keyed by `(Instant, id)`:
+//! a task that waits ([`NodeRt::sleep`], [`Endpoint::recv`], a
+//! [`crate::sync::SyncObj`] wait, so every ORB call) is blocked there,
+//! with its deadline, and switches back to the loop, taking its group and
+//! span context with it; a wake names the wait it is for, and a due
+//! deadline wakes the task. So a long computation holds up its whole
 //! node until it waits, and no lock may be held across a wait. A thread
 //! that belongs to no node (a test driver, a benchmark's main thread)
 //! blocks its own OS thread on the same mailboxes and sync objects.
@@ -83,9 +86,11 @@
 //!   peers see bounces ([`RecvError::Unreachable`]) rather than silence,
 //!   and wakes every task of the group to unwind where it waits — a
 //!   running one at its next wait or [`NodeRt::cancelled`] poll, each of
-//!   which reads the record; code that spins is not reached. The unwind
-//!   is the simulator's: a private payload through `resume_unwind`, no
-//!   panic hook.
+//!   which reads the record; code that spins is not reached. A send is
+//!   no wait: a killed task's frames go out, as a killed process's do in
+//!   the simulator, until it next waits — a dial's back-off, which
+//!   sleeps, included. The unwind is the simulator's: a private payload
+//!   through `resume_unwind`, no panic hook.
 //! * **Faults.** [`RealNet`] is a [`FaultRt`]: a
 //!   [`FaultAction`](crate::FaultAction) applies to it as to the
 //!   simulator, journalled under `fault` on every node it hits. A crash
@@ -104,7 +109,7 @@
 //! runtime; see `examples/tcp_cluster.rs` for a full cluster on TCP.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -127,6 +132,7 @@ use crate::ports::{Killed, Landing, Port, PortTable};
 use crate::rt::{
     Addr, Endpoint, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq, RecvError,
 };
+use crate::tasks::{TaskId, Tasks};
 use crate::time::SimTime;
 
 /// Frame kinds on the wire.
@@ -164,7 +170,6 @@ const LISTENER: u64 = u64::MAX - 1;
 // ---------------------------------------------------------------------------
 // Tasks: closures on pooled stacks, run by their node's loop.
 
-type TaskId = u64;
 type Job = Box<dyn FnOnce() + Send>;
 
 /// Names a task from any thread: its node, and its number there.
@@ -175,11 +180,6 @@ struct TaskRef {
 }
 
 impl TaskRef {
-    /// Makes the task runnable if it waits: its loop runs it next.
-    fn wake(&self) {
-        self.node.post(Post::Wake(self.id));
-    }
-
     fn is(&self, other: &TaskRef) -> bool {
         self.id == other.id && Arc::ptr_eq(&self.node, &other.node)
     }
@@ -231,36 +231,23 @@ fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
 }
 
 /// Suspends the running context in `from` and resumes `to` — a task and
-/// its loop, either way round — carrying [`Current`] and the span context
-/// with the context, as the simulator's switch does.
+/// its loop, either way round — carrying [`Current`] with the context, as
+/// the simulator's switch carries its pid.
 fn switch(from: Handle, to: Handle) {
-    let current = CURRENT.with(|c| c.borrow_mut().take());
-    let span = crate::trace::set_current_ctx(None);
+    let current = CURRENT.take();
     coro::switch(from, to);
-    CURRENT.with(|c| *c.borrow_mut() = current);
-    crate::trace::set_current_ctx(span);
+    CURRENT.set(current);
 }
 
-/// Parks the running task until it is woken or `deadline` passes; the
-/// wait's timer goes with the wait.
-fn suspend(deadline: Option<Instant>) {
+/// Parks the running task in a new wait in its loop's table until a wake
+/// names the wait or `deadline` passes. `register` gets the wait's
+/// generation, for the wakes it arranges to name, before the task parks.
+fn suspend(deadline: Option<Instant>, register: impl FnOnce(u64)) {
     let (node, id, me) =
         current(|c| (Arc::clone(&c.task.node), c.task.id, c.stack)).expect("only a task waits");
-    with_local(|l| {
-        l.next_timer += 1;
-        let timer = deadline.map(|at| (at, l.next_timer));
-        if let Some(key) = timer {
-            l.timers.insert(key, id);
-        }
-        let task = l.tasks.get_mut(&id).expect("the running task");
-        (task.state, task.timer) = (State::Waiting, timer);
-    });
+    let timer = deadline.map(|at| (at, id));
+    register(with_local(|l| l.tasks.block(id, timer)));
     switch(me, node.sched.handle());
-    with_local(|l| {
-        if let Some(key) = l.tasks.get_mut(&id).and_then(|t| t.timer.take()) {
-            l.timers.remove(&key);
-        }
-    });
 }
 
 /// Sleeps `d`, unwinding early if the calling task's group is killed
@@ -275,7 +262,7 @@ fn cancellable_sleep(d: Duration) {
         if Instant::now() >= deadline {
             return;
         }
-        suspend(Some(deadline));
+        suspend(Some(deadline), |_| {});
     }
 }
 
@@ -285,14 +272,12 @@ fn cancellable_sleep(d: Duration) {
 /// simulator does, and leaves the group.
 fn run_task(task: TaskRef, stack: Handle, name: &str, group: Option<u64>, f: Job) {
     let (node, id) = (Arc::clone(&task.node), task.id);
-    let me = Current { task, stack, group };
-    CURRENT.with(|c| *c.borrow_mut() = Some(me));
+    CURRENT.set(Some(Current { task, stack, group }));
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
         check_killed();
         f()
     }));
-    CURRENT.with(|c| c.borrow_mut().take());
-    crate::trace::set_current_ctx(None);
+    CURRENT.take();
     node.leave(group, id);
     if let Err(payload) = result {
         if !payload.is::<KillSignal>() {
@@ -300,21 +285,6 @@ fn run_task(task: TaskRef, stack: Handle, name: &str, group: Option<u64>, f: Job
             node.journal_as("proc", format!("panic in '{name}': {msg}"));
         }
     }
-    with_local(|l| l.tasks.get_mut(&id).expect("the running task").state = State::Done);
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum State {
-    Ready,
-    Waiting,
-    Done,
-}
-
-struct Task {
-    stack: Stack,
-    state: State,
-    /// The timer of the wait it is parked in, if that has a deadline.
-    timer: Option<(Instant, u64)>,
 }
 
 /// A stream the loop reads: who is at the other end, once known, and
@@ -327,33 +297,20 @@ struct Reading {
 
 struct Local {
     poller: Poller,
-    tasks: HashMap<TaskId, Task>,
-    runnable: VecDeque<TaskId>,
-    /// The deadlines of the waits tasks are parked in.
-    timers: BTreeMap<(Instant, u64), TaskId>,
-    next_timer: u64,
+    /// The loop's tasks, each on its stack, and their waits' deadlines.
+    tasks: Tasks<(Instant, TaskId), Stack>,
     stacks: StackPool,
     streams: HashMap<u64, Reading>,
     /// Where a read lands before its bytes are framed.
     scratch: Vec<u8>,
 }
 
-impl Local {
-    fn wake(&mut self, id: TaskId) {
-        if let Some(task) = self.tasks.get_mut(&id) {
-            if task.state == State::Waiting {
-                task.state = State::Ready;
-                self.runnable.push_back(id);
-            }
-        }
-    }
-}
-
 /// What other threads — and the loop's own tasks — hand the loop.
 enum Post {
     /// A task to start, its id already counted into its group.
     Spawn(Arc<str>, Option<u64>, TaskId, Job),
-    Wake(TaskId),
+    /// A wake for the wait a generation names, or for any (a kill).
+    Wake(TaskId, Option<u64>),
     /// A stream to read, and its peer if the node dialled it.
     Stream(Arc<Conn>, Option<NodeId>),
     /// A stream a sender left unsent bytes in: the loop writes them out.
@@ -378,10 +335,7 @@ fn run_loop(node: Arc<NodeCore>, poller: Poller) {
     LOCAL.with(|l| {
         *l.borrow_mut() = Some(Local {
             poller,
-            tasks: HashMap::new(),
-            runnable: VecDeque::new(),
-            timers: BTreeMap::new(),
-            next_timer: 0,
+            tasks: Tasks::default(),
             stacks: StackPool::default(),
             streams: HashMap::new(),
             scratch: vec![0; 64 * 1024],
@@ -393,17 +347,18 @@ fn run_loop(node: Arc<NodeCore>, poller: Poller) {
         for post in posts {
             node.handle(post);
         }
-        while let Some(id) = with_local(|l| l.runnable.pop_front()) {
+        while let Some(id) = with_local(|l| l.tasks.pop_runnable()) {
             node.resume(id);
         }
+        // Nothing is queued to run now; a due deadline queues its task.
         let (woken, idle, next) = with_local(|l| {
             let now = Instant::now();
-            while let Some(due) = l.timers.first_entry().filter(|e| e.key().0 <= now) {
-                let id = due.remove();
-                l.wake(id);
+            let mut woken = false;
+            while l.tasks.time_out(|&(at, _)| at <= now) {
+                woken = true;
             }
-            let next = l.timers.keys().next().map(|k| k.0);
-            (!l.runnable.is_empty(), l.tasks.is_empty(), next)
+            let next = l.tasks.first_timer().map(|(at, _)| at);
+            (woken, l.tasks.is_empty(), next)
         });
         if woken {
             continue;
@@ -460,7 +415,8 @@ struct Waitable<S> {
 
 struct Waiting<S> {
     now: S,
-    tasks: Vec<TaskRef>,
+    /// Each with the wait it is blocked in.
+    tasks: Vec<(TaskRef, u64)>,
 }
 
 impl<S> Waitable<S> {
@@ -480,8 +436,8 @@ impl<S> Waitable<S> {
     fn notify(&self, mut w: MutexGuard<'_, Waiting<S>>) {
         let tasks = std::mem::take(&mut w.tasks);
         drop(w);
-        for task in tasks {
-            task.wake();
+        for (task, gen) in tasks {
+            task.node.post(Post::Wake(task.id, Some(gen)));
         }
         self.cv.notify_all();
     }
@@ -507,10 +463,11 @@ impl<S> Waitable<S> {
             }
             match (&me, deadline) {
                 (Some(task), _) => {
-                    w.tasks.push(task.clone());
-                    drop(w);
-                    suspend(deadline);
-                    self.lock().tasks.retain(|t| !t.is(task));
+                    suspend(deadline, |gen| {
+                        w.tasks.push((task.clone(), gen));
+                        drop(w);
+                    });
+                    self.lock().tasks.retain(|(t, _)| !t.is(task));
                     check_killed();
                     w = self.lock();
                 }
@@ -1011,7 +968,7 @@ impl NodeCore {
     fn end(self: &Arc<Self>, (members, closed): Killed<Arc<Mailbox>>) {
         release(closed);
         for id in members {
-            self.post(Post::Wake(id));
+            self.post(Post::Wake(id, None));
         }
     }
 
@@ -1026,10 +983,12 @@ impl NodeCore {
         match post {
             Post::Spawn(name, group, id, f) => {
                 if self.new_task(id, &name, group, f) {
-                    with_local(|l| l.runnable.push_back(id));
+                    with_local(|l| l.tasks.queue(id));
                 }
             }
-            Post::Wake(id) => with_local(|l| l.wake(id)),
+            Post::Wake(id, gen) => {
+                with_local(|l| l.tasks.wake(id, gen));
+            }
             Post::Stream(conn, peer) => with_local(|l| {
                 let fd = conn.stream.as_raw_fd();
                 if l.poller.add(fd, fd as u64).is_ok() {
@@ -1048,7 +1007,8 @@ impl NodeCore {
     }
 
     /// Primes a stack on this loop to run `f` as task `id` of `group`,
-    /// which has counted it already; `false` if no stack could be mapped.
+    /// which has counted it already, and adds the task to the loop's
+    /// table, not queued; `false` if no stack could be mapped.
     fn new_task(self: &Arc<Self>, id: TaskId, name: &Arc<str>, group: Option<u64>, f: Job) -> bool {
         let stack = match with_local(|l| l.stacks.take()) {
             Ok((stack, _)) => stack,
@@ -1063,27 +1023,21 @@ impl NodeCore {
             run_task(TaskRef { node, id }, handle, &name, group, f);
             sched
         });
-        let task = Task {
-            stack,
-            state: State::Ready,
-            timer: None,
-        };
-        with_local(|l| l.tasks.insert(id, task));
+        with_local(|l| l.tasks.insert(id, stack));
         true
     }
 
-    /// Runs task `id` until it waits or ends, if it is ready to run.
+    /// Runs task `id` until it waits or ends, if it is ready to run. A
+    /// task switches back to its loop blocked in a wait, or still running
+    /// at its end.
     fn resume(self: &Arc<Self>, id: TaskId) {
-        let to = with_local(|l| {
-            let task = l.tasks.get(&id)?;
-            (task.state == State::Ready).then(|| task.stack.handle())
-        });
+        let to = with_local(|l| l.tasks.run(id).map(|stack| stack.handle()));
         let Some(to) = to else { return };
         switch(self.sched.handle(), to);
         with_local(|l| {
-            if l.tasks.get(&id).is_some_and(|t| t.state == State::Done) {
-                let task = l.tasks.remove(&id).expect("just seen");
-                l.stacks.give(task.stack);
+            if l.tasks.running(id) {
+                let stack = l.tasks.remove(id).expect("just seen");
+                l.stacks.give(stack);
             }
         });
     }
@@ -1354,7 +1308,6 @@ impl NodeCore {
                 // senders to this peer make their own attempts meanwhile.
                 cancellable_sleep(RECONNECT_POLICY.backoff(attempt - 1, rand::rng().next_u64()));
             }
-            check_killed();
             let mut conn = slot.lock();
             // Under the slot lock, so `stop` either sees this stream in
             // the node's registry or this send sees the flag.

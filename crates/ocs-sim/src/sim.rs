@@ -8,7 +8,8 @@ use bytes::Bytes;
 
 use crate::fault::FaultRt;
 use crate::kernel::{
-    cur_pid, unlock, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats, SimInner,
+    cur_pid, unlock, KernelStats, LinkImpairment, LinkParams, NetConfig, NetCtl, NetStats,
+    SimInner, WaitObj,
 };
 use crate::rt::{
     Addr, Endpoint, InlineTest, LandingHandler, NetError, NodeId, NodeRt, PortReq, RecvError,
@@ -371,7 +372,7 @@ impl NodeRt for SimNode {
         let old = kernel
             .lock()
             .procs
-            .get_mut(&pid)
+            .get_mut(pid)
             .and_then(|p| p.reply.replace(Arc::clone(&ep)));
         drop(old);
         Ok(ep)
@@ -388,7 +389,7 @@ impl NodeRt for SimNode {
     fn make_sync(&self) -> Arc<dyn crate::sync::SyncObj> {
         Arc::new(SimSyncObj {
             inner: Arc::clone(&self.inner),
-            id: self.inner.waitobj_create(self.id.0),
+            obj: Arc::new(WaitObj::new(self.id.0)),
         })
     }
 
@@ -397,23 +398,24 @@ impl NodeRt for SimNode {
     }
 }
 
-/// A simulation-backed wait/notify object.
+/// A simulation-backed wait/notify object: a handle on its record, which
+/// goes with the last handle.
 struct SimSyncObj {
     inner: Arc<SimInner>,
-    id: u64,
+    obj: Arc<WaitObj>,
 }
 
 impl crate::sync::SyncObj for SimSyncObj {
     fn generation(&self) -> u64 {
-        self.inner.waitobj_generation(self.id)
+        self.obj.generation()
     }
 
     fn wait_newer(&self, seen: u64, timeout: Option<Duration>) -> u64 {
-        self.inner.waitobj_wait_newer(self.id, seen, timeout)
+        self.inner.wait_newer(&self.obj, seen, timeout)
     }
 
     fn bump(&self) {
-        self.inner.waitobj_bump(self.id);
+        self.inner.bump(&self.obj);
     }
 }
 
@@ -541,7 +543,7 @@ impl<T: Send + 'static> SimChan<T> {
     pub fn new(sim: &Sim) -> SimChan<T> {
         let inner = Arc::clone(sim.inner());
         let obj = SimSyncObj {
-            id: inner.waitobj_create(inner.cur_node_key()),
+            obj: Arc::new(WaitObj::new(inner.cur_node_key())),
             inner: Arc::clone(&inner),
         };
         SimChan {

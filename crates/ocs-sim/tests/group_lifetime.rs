@@ -2,8 +2,10 @@
 //! running and nothing open. Its record is its home node's table, under
 //! the lock its ports are under, so a member that kills its own group and
 //! goes on before it next waits can neither add a process to the group
-//! nor open a port that outlives the kill. The same body runs in a
-//! simulated process and on a thread beside two TCP nodes.
+//! nor open a port that outlives the kill. What it sends meanwhile goes
+//! out: a killed member unwinds where it next waits, and a send is no
+//! wait. The same body runs in a simulated process and on a thread beside
+//! two TCP nodes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -129,6 +131,36 @@ fn one_lifetime(rt: &Rt, other: &Rt, window: (bool, bool)) {
     });
     let read = seen.pop(rt, Some(WAIT)).expect("(b) the spawner reports");
     assert_eq!(read, window, "(b) alive() at once and 50 ms later");
+
+    // (d) A member kills its own group, then sends to a probe endpoint
+    // and pushes to a queue before it waits: both happen, on both
+    // runtimes, and the member unwinds at its sleep.
+    let probe_ep = rt.open(PortReq::Ephemeral).unwrap();
+    let to = probe_ep.local();
+    let handle: Arc<Queue<Arc<dyn ProcGroup>>> = Arc::new(Queue::new(rt));
+    let pushed: Arc<Queue<()>> = Arc::new(Queue::new(rt));
+    let (node, given, out) = (rt.clone(), Arc::clone(&handle), Arc::clone(&pushed));
+    let group = rt.spawn_group(
+        "sender",
+        Box::new(move || {
+            let ep = node.open(PortReq::Ephemeral).unwrap();
+            let me = given.pop(&node, Some(WAIT)).expect("its own handle");
+            me.kill();
+            let _ = ep.send(to, Bytes::from_static(b"after the kill"));
+            out.push(());
+            node.sleep(Duration::from_secs(3600));
+        }),
+    );
+    handle.push(Arc::clone(&group));
+    let seen = (
+        pushed.pop(rt, Some(WAIT)).is_some(),
+        probe_ep.recv(Some(WAIT)).is_ok(),
+    );
+    assert_eq!(
+        seen,
+        (true, true),
+        "(d) (pushed, frame arrived) after the member's own kill"
+    );
 }
 
 /// The body in a process on node `a` of a simulation.

@@ -914,6 +914,35 @@ fn timeouts_that_end_every_way_replay_the_pinned_trace() {
     assert_eq!(got, (17_879_380_546_042_985_297, 10_265, 3));
 }
 
+/// A wake names the wait it is for. A queue pop that timed out leaves
+/// its entry on the queue's wait object until the next bump; that bump,
+/// landing while the process sleeps, leaves the sleep alone.
+#[test]
+fn a_wake_for_a_wait_that_timed_out_leaves_the_next_wait_alone() {
+    let sim = Sim::new(34);
+    let node = sim.add_node("a");
+    let rt: ocs_sim::Rt = node.clone();
+    let queue = Arc::new(ocs_sim::Queue::<u64>::new(&rt));
+    let woke = Arc::new(AtomicU64::new(0));
+    let (waiter, q, at) = (rt.clone(), Arc::clone(&queue), Arc::clone(&woke));
+    node.spawn_fn("waiter", move || {
+        assert_eq!(q.pop(&waiter, Some(secs(1))), None);
+        waiter.sleep(secs(10));
+        at.store(waiter.now().as_micros(), Ordering::SeqCst);
+    });
+    let pusher = rt.clone();
+    node.spawn_fn("pusher", move || {
+        pusher.sleep(secs(2));
+        queue.push(1);
+    });
+    sim.run_until(SimTime::from_secs(20));
+    assert_eq!(
+        woke.load(Ordering::SeqCst),
+        11_000_000,
+        "the sleep ended at 1 s + 10 s"
+    );
+}
+
 /// The simulator is one kernel: a configuration that asks for more
 /// shards is refused, naming the field, rather than run on one.
 #[test]
