@@ -1562,15 +1562,31 @@ impl SimInner {
     /// Blocks until `obj`'s generation exceeds `seen` (or the timeout
     /// elapses); returns the generation observed on wake.
     pub fn wait_newer(&self, obj: &WaitObj, seen: u64, timeout: Option<Duration>) -> u64 {
+        /// Takes the process's entry off `obj` when its wait ends without
+        /// a bump, which would have taken it: timed out, or killed and
+        /// unwinding.
+        struct Leave<'a>(&'a WaitObj, Pid);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                self.0.state.lock().1.retain(|(pid, _)| *pid != self.1);
+            }
+        }
         loop {
             let gen = obj.generation();
             if gen > seen {
                 return gen;
             }
             let wake_at = timeout.map(|t| self.now().as_micros() + t.as_micros() as u64);
+            let leave = cur_pid().map(|pid| Leave(obj, pid));
             let timed_out = self.block_current(wake_at, |_, pid, gen| {
                 obj.state.lock().1.push_back((pid, gen));
             });
+            if timed_out {
+                drop(leave);
+            } else {
+                // A bump ended the wait, and took the entry.
+                std::mem::forget(leave);
+            }
             let gen = obj.generation();
             if gen > seen || timed_out {
                 return gen;

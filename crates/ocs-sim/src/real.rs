@@ -50,8 +50,10 @@
 //! Two nodes share one `TcpStream`, used both ways by every endpoint,
 //! RPC, reply and bounce between them: a node dials only when it has no
 //! stream with the peer, and the first frame on an accepted stream names
-//! the dialler, so replies ride the stream their request came on (two
-//! simultaneous dials leave two streams, both read to their end). Streams
+//! the dialler, so replies ride the stream their request came on. When
+//! both dial at once, both send on the stream the lower node id dialled
+//! (`NodeCore::offer_stream`); the other is read to its end, and carries
+//! nothing after its first frames. Streams
 //! are non-blocking, and no sender ever waits on one: a frame is written
 //! under the peer's slot lock as far as the socket takes it, and what it
 //! cannot take waits in the stream's unsent bytes, which the stream's
@@ -804,6 +806,9 @@ fn frame_bytes(
 struct Conn {
     stream: TcpStream,
     out: Mutex<Unsent>,
+    /// Whether a frame has come in on it: set by the loop, read by
+    /// [`NodeCore::offer_stream`].
+    heard: AtomicBool,
 }
 
 #[derive(Default)]
@@ -989,18 +994,7 @@ impl NodeCore {
             Post::Wake(id, gen) => {
                 with_local(|l| l.tasks.wake(id, gen));
             }
-            Post::Stream(conn, peer) => with_local(|l| {
-                let fd = conn.stream.as_raw_fd();
-                if l.poller.add(fd, fd as u64).is_ok() {
-                    let partial = Vec::new();
-                    let reading = Reading {
-                        conn,
-                        peer,
-                        partial,
-                    };
-                    l.streams.insert(fd as u64, reading);
-                }
-            }),
+            Post::Stream(conn, peer) => self.watch_stream(conn, peer),
             Post::Flush(conn) => self.flush(&conn),
             Post::Stop => {}
         }
@@ -1042,15 +1036,40 @@ impl NodeCore {
         });
     }
 
+    /// Accepts every stream the listener holds. Who dialled is in the
+    /// first frame, not in the address, and each stream's is read at
+    /// once, ahead of the other streams ready now: of two dials that
+    /// cross, the peer's first frame on its own then comes before
+    /// anything it sends later on this node's (see `offer_stream`).
     fn accept(self: &Arc<Self>) {
-        let accepted = match self.listener.lock().as_ref() {
-            Some(listener) => listener.accept(),
-            None => return,
-        };
-        // Who dialled is in the first frame, not in the address.
-        if let Ok((stream, _)) = accepted {
-            let _ = self.adopt_stream(stream, None);
+        loop {
+            let accepted = match self.listener.lock().as_ref() {
+                Some(listener) => listener.accept(),
+                None => return,
+            };
+            let Ok((stream, _)) = accepted else { return };
+            if let Ok(conn) = self.adopt_stream(stream) {
+                let fd = conn.stream.as_raw_fd() as u64;
+                self.watch_stream(conn, None);
+                self.read_stream(fd);
+            }
         }
+    }
+
+    /// Has the loop read `conn` to its end; `peer` if the node dialled it.
+    fn watch_stream(&self, conn: Arc<Conn>, peer: Option<NodeId>) {
+        with_local(|l| {
+            let fd = conn.stream.as_raw_fd();
+            if l.poller.add(fd, fd as u64).is_ok() {
+                let partial = Vec::new();
+                let reading = Reading {
+                    conn,
+                    peer,
+                    partial,
+                };
+                l.streams.insert(fd as u64, reading);
+            }
+        });
     }
 
     /// Reads what the stream with descriptor `fd` has — the poller says it
@@ -1079,6 +1098,9 @@ impl NodeCore {
                 // The first frame on an accepted stream names the peer.
                 r.peer = Some(peer);
                 self.offer_stream(peer, &r.conn);
+            }
+            if !frames.is_empty() && !r.conn.heard.load(Ordering::Relaxed) {
+                r.conn.heard.store(true, Ordering::Relaxed);
             }
             n > 0 && whole.is_some()
         });
@@ -1189,17 +1211,14 @@ impl NodeCore {
     }
 
     /// Makes `stream` one of the node's own: sets it up for small frames
-    /// both ways and for sends that never block, registers it for
-    /// [`RealNode::stop`] and hands it to the loop to read to its end.
-    fn adopt_stream(
-        self: &Arc<Self>,
-        stream: TcpStream,
-        peer: Option<NodeId>,
-    ) -> io::Result<Arc<Conn>> {
+    /// both ways and for sends that never block, and registers it for
+    /// [`RealNode::stop`]. The caller has the loop read it.
+    fn adopt_stream(&self, stream: TcpStream) -> io::Result<Arc<Conn>> {
         stream.set_nodelay(true).ok();
         stream.set_nonblocking(true)?;
         let out = Mutex::new(Unsent::default());
-        let stream = Arc::new(Conn { stream, out });
+        let heard = AtomicBool::new(false);
+        let stream = Arc::new(Conn { stream, out, heard });
         {
             let mut streams = self.streams.lock();
             // `stop` raises the flag before it takes this lock, so either
@@ -1209,18 +1228,29 @@ impl NodeCore {
             }
             streams.push(Arc::clone(&stream));
         }
-        self.post(Post::Stream(Arc::clone(&stream), peer));
         Ok(stream)
     }
 
     /// The first frame on an accepted stream named `peer`: this node's
-    /// frames to `peer` go out on that stream from now on. Whatever the
-    /// slot held loses: the peer dials only when it has no stream with
-    /// us, so that one is either dead — torn down at the peer, its end
-    /// not yet read here — or, when both sides dialled at once, as good
-    /// as this one. It stays read to its end either way.
+    /// frames to `peer` go out on that stream from now on, unless the
+    /// slot holds a stream this node dialled that the peer takes instead.
+    /// The peer dials only when it has no stream with us, so a held
+    /// stream the peer has sent on is dead — torn down at the peer, its
+    /// end not yet read here — and loses. One it has not sent on is this
+    /// node's own dial, crossing the peer's: of two such, the stream the
+    /// lower node id dialled wins on both sides, so the two nodes keep
+    /// one stream, both ways, not a one-way stream each (a reply on the
+    /// stream a request came in on saves the pure ACKs). The loser stays
+    /// read to its end either way.
     fn offer_stream(&self, peer: NodeId, stream: &Arc<Conn>) {
-        *self.slot(peer).lock() = Some(Arc::clone(stream));
+        let slot = self.slot(peer);
+        let mut held = slot.lock();
+        let own_dial = held
+            .as_ref()
+            .is_some_and(|h| !h.heard.load(Ordering::Relaxed));
+        if !(own_dial && self.id < peer) {
+            *held = Some(Arc::clone(stream));
+        }
     }
 
     /// The loop is done with `stream`. If `peer`'s slot still holds it,
@@ -1319,10 +1349,11 @@ impl NodeCore {
                     .net
                     .lookup(to.node)
                     .ok_or_else(|| NetError::SendFailed(format!("unknown node {}", to.node)))?;
-                let dialled = TcpStream::connect(sockaddr)
-                    .and_then(|stream| self.adopt_stream(stream, Some(to.node)));
+                let dialled =
+                    TcpStream::connect(sockaddr).and_then(|stream| self.adopt_stream(stream));
                 match dialled {
                     Ok(stream) => {
+                        self.post(Post::Stream(Arc::clone(&stream), Some(to.node)));
                         self.net.counter_add("real.net.conn_open", 1);
                         // One line per stream, not per call: every reset
                         // above is followed by its reconnect here.
@@ -1734,16 +1765,20 @@ pub fn wall_clock() -> impl FnMut(SimTime) {
     }
 }
 
-/// The wall-clock wait: polls `cond` every 5 ms until it holds or
-/// `limit` has passed, and returns whether it held. What a driver thread
-/// waits on where the simulator's would step virtual time.
+/// The wall-clock wait: polls `cond` until it holds or `limit` has
+/// passed, and returns whether it held — first 100 µs after the first
+/// look, then twice as long each time up to every 5 ms, so a condition
+/// that holds within a millisecond is not waited on for 5. What a driver
+/// thread waits on where the simulator's would step virtual time.
 pub fn eventually(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + limit;
+    let mut pause = Duration::from_micros(100);
     while Instant::now() < deadline {
         if cond() {
             return true;
         }
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(Duration::from_millis(5));
     }
     cond()
 }
@@ -2246,55 +2281,181 @@ mod tests {
         assert!(groups[1].alive());
     }
 
+    /// The local and the peer address of the stream `node` writes to
+    /// `peer` on, if it holds one.
+    fn slot_addrs(node: &RealNode, peer: NodeId) -> Option<(SocketAddr, SocketAddr)> {
+        let held = node.core.slot(peer).lock().clone()?;
+        Some((held.stream.local_addr().ok()?, held.stream.peer_addr().ok()?))
+    }
+
+    /// Asserts that `a` and `b` write to each other on one stream.
+    fn assert_one_stream(a: &RealNode, b: &RealNode, what: &str) {
+        let at_a = slot_addrs(a, b.node()).expect("a holds a stream");
+        let at_b = slot_addrs(b, a.node()).expect("b holds a stream");
+        assert_eq!((at_a.0, at_a.1), (at_b.1, at_b.0), "{what}: a stream each way");
+    }
+
     #[test]
-    fn simultaneous_dials_leave_at_most_two_streams_and_lose_nothing() {
+    fn simultaneous_dials_settle_on_one_stream_and_lose_nothing() {
         const FRAMES: u32 = 200;
+        const NODES: usize = 3;
         for round in 0..10 {
             let net = RealNet::new();
-            let nodes = [net.add_node("a").unwrap(), net.add_node("b").unwrap()];
+            let nodes: Vec<_> = (0..NODES)
+                .map(|i| net.add_node(&format!("n{i}")).unwrap())
+                .collect();
             let eps: Vec<_> = nodes
                 .iter()
                 .map(|n| n.open(PortReq::Fixed(100)).unwrap())
                 .collect();
-            // Neither has a stream with the other when both send.
-            let start = Arc::new(std::sync::Barrier::new(2));
-            let sides: Vec<_> = (0..2)
+            // No node has a stream with another when all send.
+            let start = Arc::new(std::sync::Barrier::new(NODES));
+            let sides: Vec<_> = (0..NODES)
                 .map(|me| {
                     let (ep, start) = (Arc::clone(&eps[me]), Arc::clone(&start));
-                    let peer = eps[1 - me].local();
+                    let peers: Vec<Addr> = eps.iter().map(|e| e.local()).collect();
                     std::thread::spawn(move || {
                         start.wait();
                         for i in 0..FRAMES {
-                            ep.send(peer, Bytes::from(i.to_le_bytes().to_vec()))
-                                .unwrap();
+                            for (p, &peer) in peers.iter().enumerate() {
+                                if p != me {
+                                    ep.send(peer, Bytes::from(i.to_le_bytes().to_vec()))
+                                        .unwrap();
+                                }
+                            }
                         }
-                        let mut got = Vec::new();
-                        while got.len() < FRAMES as usize {
+                        let mut got = vec![Vec::new(); NODES];
+                        for _ in 0..FRAMES as usize * (NODES - 1) {
                             let (from, msg) =
                                 ep.recv(Some(Duration::from_secs(5))).expect("a frame");
-                            assert_eq!(from, peer);
-                            got.push(u32::from_le_bytes(msg[..].try_into().unwrap()));
+                            let p = peers.iter().position(|&a| a == from).expect("a peer");
+                            got[p].push(u32::from_le_bytes(msg[..].try_into().unwrap()));
                         }
-                        // Nothing more: no frame went over both streams.
+                        // Nothing more: no frame went over two streams.
                         assert_eq!(
                             ep.recv(Some(Duration::from_millis(20))).unwrap_err(),
                             RecvError::TimedOut
                         );
-                        got.sort_unstable();
-                        got
+                        got.iter_mut().for_each(|g| g.sort_unstable());
+                        (me, got)
                     })
                 })
                 .collect();
             for side in sides {
-                let got = side.join().expect("sender thread");
-                assert_eq!(got, (0..FRAMES).collect::<Vec<_>>(), "round {round}");
+                let (me, got) = side.join().expect("sender thread");
+                for (p, got) in got.iter().enumerate().filter(|&(p, _)| p != me) {
+                    let all: Vec<u32> = (0..FRAMES).collect();
+                    assert_eq!(*got, all, "round {round}: node {me} from node {p}");
+                }
             }
             let opened = conn_opens(&net);
+            let pairs = (NODES * (NODES - 1) / 2) as u64;
             assert!(
-                (1..=2).contains(&opened),
+                (pairs..=2 * pairs).contains(&opened),
                 "round {round}: {opened} connections"
             );
+            // Each pair sends both ways on one stream, whichever dialled.
+            for (i, a) in nodes.iter().enumerate() {
+                for b in &nodes[i + 1..] {
+                    assert_one_stream(a, b, &format!("round {round}"));
+                }
+            }
         }
+    }
+
+    /// Three loops each send a request to both others at once, from a
+    /// task, and wait for the answers, as a replica group's first polls
+    /// do: every pair ends on one stream, though each node has two dials
+    /// to accept at once and answers follow at once on its own.
+    #[test]
+    fn crossing_requests_from_three_loops_leave_one_stream_a_pair() {
+        const NODES: usize = 3;
+        for round in 0..20 {
+            let net = RealNet::new();
+            let nodes: Vec<_> = (0..NODES)
+                .map(|i| net.add_node(&format!("n{i}")).unwrap())
+                .collect();
+            let echoes: Vec<Addr> = nodes.iter().map(|n| spawn_echo(n, 100)).collect();
+            let start = Arc::new(std::sync::Barrier::new(NODES));
+            let (done, answered) = std::sync::mpsc::channel();
+            for (me, node) in nodes.iter().enumerate() {
+                let rt = Arc::clone(node) as Arc<dyn NodeRt>;
+                let (start, done) = (Arc::clone(&start), done.clone());
+                let mut peers = echoes.clone();
+                peers.remove(me);
+                node.spawn_fn("poll", move || {
+                    let ep = rt.open(PortReq::Ephemeral).unwrap();
+                    // Holds this loop until every loop's task is here.
+                    start.wait();
+                    for &peer in &peers {
+                        ep.send(peer, Bytes::from_static(b"poll")).unwrap();
+                    }
+                    for _ in &peers {
+                        ep.recv(Some(Duration::from_secs(5))).expect("an answer");
+                    }
+                    done.send(()).unwrap();
+                });
+            }
+            for _ in 0..NODES {
+                answered
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("every node's answers");
+            }
+            for (i, a) in nodes.iter().enumerate() {
+                for b in &nodes[i + 1..] {
+                    assert_one_stream(a, b, &format!("round {round}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_higher_node_that_resets_and_redials_loses_no_frame() {
+        const FRAMES: usize = 50;
+        let net = RealNet::new();
+        let a = net.add_node("a").unwrap();
+        let b = net.add_node("b").unwrap();
+        assert!(a.node() < b.node());
+        let echo = spawn_echo(&a, 100);
+        let sink = a.open(PortReq::Fixed(200)).unwrap();
+        let client = b.open(PortReq::Fixed(100)).unwrap();
+        // a dials, b answers on a's stream: it has carried b's frames.
+        client.send(echo, Bytes::from_static(b"before")).unwrap();
+        client.recv(Some(Duration::from_secs(5))).expect("an echo");
+        assert_one_stream(&a, &b, "before the reset");
+        let before = conn_opens(&net);
+        // a's loop stalls while the stream fills up with more than one
+        // read takes, so that its end is read here after b's new stream
+        // is accepted.
+        let (stalled, stalling) = std::sync::mpsc::channel();
+        a.spawn_fn("stall", move || {
+            stalled.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+        });
+        stalling.recv().unwrap();
+        let big = Bytes::from(vec![0u8; 256 * 1024]);
+        for _ in 0..4 {
+            client.send(sink.local(), big.clone()).unwrap();
+        }
+        // b tears the stream down and dials a new one for its next frame.
+        net.set_reset_storm(a.node(), b.node(), true);
+        client.send(echo, Bytes::from(0u32.to_le_bytes().to_vec())).unwrap();
+        net.set_reset_storm(a.node(), b.node(), false);
+        assert_eq!(conn_opens(&net), before + 1);
+        for i in 1..FRAMES as u32 {
+            client.send(echo, Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+        }
+        let mut got: Vec<u32> = (0..FRAMES)
+            .map(|_| {
+                let (_, msg) = client
+                    .recv(Some(Duration::from_secs(5)))
+                    .expect("every echo");
+                u32::from_le_bytes(msg[..].try_into().unwrap())
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..FRAMES as u32).collect::<Vec<_>>());
+        assert_one_stream(&a, &b, "after the reset");
     }
 
     /// Serves `port` of `node` from a group of its own: every frame is

@@ -914,9 +914,11 @@ fn timeouts_that_end_every_way_replay_the_pinned_trace() {
     assert_eq!(got, (17_879_380_546_042_985_297, 10_265, 3));
 }
 
-/// A wake names the wait it is for. A queue pop that timed out leaves
-/// its entry on the queue's wait object until the next bump; that bump,
-/// landing while the process sleeps, leaves the sleep alone.
+/// A wait that timed out is over: the bump that comes while the process
+/// sleeps leaves the sleep alone. A queue pop that times out takes its
+/// entry off the queue's wait object, so the bump finds none; a wake
+/// from a wait that ended would also be ignored, since it names that
+/// wait (`Tasks::wake`, whose own test plants such a wake).
 #[test]
 fn a_wake_for_a_wait_that_timed_out_leaves_the_next_wait_alone() {
     let sim = Sim::new(34);

@@ -774,8 +774,14 @@ impl<M: Replicated> Replica<M> {
 
     fn vsr_loop(&self) {
         let tick = self.cfg.heartbeat_interval / 4;
-        // Desynchronize the replicas' ticks.
-        self.rt.sleep(self.rt.rand_jitter(tick));
+        // The first pass runs at once: a replica starts in probation, and
+        // polls as it starts. A poll that leaves it there — a peer had not
+        // started yet — goes again 1 ms later, then 2, 4 … up to a tick
+        // apart. The first pass out of probation is followed by a random
+        // part of a tick, which sets the replicas' ticks apart, and every
+        // later one by a tick.
+        let mut next_tick = self.rt.rand_jitter(tick);
+        let mut retry = Duration::from_millis(1);
         loop {
             enum Act {
                 Poll,
@@ -816,11 +822,18 @@ impl<M: Replicated> Replica<M> {
             // The peer endpoint's calls no reply came for end here (a
             // forwarded op's client was answered at its own deadline).
             self.fan.expire(self.rt.now());
-            let deadline = {
+            let (deadline, probation) = {
                 let st = self.st.lock();
                 self.metrics.view.set(st.view() as i64);
                 self.metrics.commit_gap.set(st.commit_gap() as i64);
-                st.next_deadline()
+                (st.next_deadline(), st.in_probation())
+            };
+            let wait = if probation {
+                let wait = retry.min(tick);
+                retry = wait * 2;
+                wait
+            } else {
+                std::mem::replace(&mut next_tick, tick)
             };
             // A proposal due before the next tick leaves at its deadline;
             // one already due was acted on above, or a state poll went
@@ -828,7 +841,7 @@ impl<M: Replicated> Replica<M> {
             let now = self.rt.now();
             let nap = deadline
                 .filter(|at| *at > now)
-                .map_or(tick, |at| tick.min(at.saturating_since(now)));
+                .map_or(wait, |at| wait.min(at.saturating_since(now)));
             self.rt.sleep(nap);
         }
     }

@@ -316,6 +316,78 @@ fn restarted_replica_leaves_probation_and_catches_up() {
     assert!(by_snapshot.get() >= 1, "ten ops behind with four retained");
 }
 
+/// At the paper's own parameters — a 500 ms tick — a restarted replica
+/// polls its peers as it starts, and is out of probation one poll round
+/// trip later, whichever replica it is; the primary of the view it left
+/// too. (A replica that first slept a random part of its tick was back
+/// anywhere up to 500 ms later.)
+#[test]
+fn a_restarted_replica_polls_at_once_and_leaves_probation_one_round_trip_later() {
+    let sim = Sim::new(14_014);
+    let hosts = (0..3).map(|i| sim.add_node(&format!("r{i}"))).collect();
+    let client = sim.add_node("load");
+    let spec = Spec {
+        tuning: ReplicaConfig::paper_defaults,
+        ..counters()
+    };
+    let group = Group::on_sim(sim.clone(), hosts, client, spec);
+    for victim in 0..3 {
+        group.settle("before the kill");
+        let master = sole_master(&group).unwrap();
+        assert!(submit(&group, master, 1).0.is_ok());
+        group.kill(victim);
+        group.settle("after the kill");
+        group.restart(victim);
+        let (reborn, restarted) = (group.member(victim).unwrap(), sim.now());
+        assert!(reborn.in_probation(), "a restarted replica's log is gone");
+        while reborn.in_probation() {
+            assert!(
+                sim.now().saturating_since(restarted) <= ROUND_TRIP,
+                "replica {victim} still in probation {:?} after its restart: {}",
+                sim.now().saturating_since(restarted),
+                reborn.status()
+            );
+            sim.run_for(Duration::from_micros(100));
+        }
+    }
+    assert!(
+        group.run_until(Duration::from_secs(5), || totals(&group) == [3, 3, 3]),
+        "the ops did not survive the restarts: {:?}",
+        totals(&group)
+    );
+}
+
+/// At the paper's parameters, two replicas that start 10 ms before the
+/// third find its port closed at their first poll, and poll again 1, 2,
+/// 4 and 8 ms later: they are out of probation a few milliseconds after
+/// it starts, not a random part of the 500 ms tick later.
+#[test]
+fn replicas_whose_peer_starts_late_leave_probation_milliseconds_after_it() {
+    let sim = Sim::new(14_015);
+    let nodes: Vec<Rt> = (0..3)
+        .map(|i| sim.add_node(&format!("r{i}")) as Rt)
+        .collect();
+    let peers: Vec<Addr> = nodes.iter().map(|n| Addr::new(n.node(), PORT)).collect();
+    let start = |i: usize| {
+        let cfg = ReplicaConfig::paper_defaults(i as u32, peers.clone());
+        (counters().start)(nodes[i].clone(), cfg).expect("replica starts")
+    };
+    let early = [start(0), start(1)];
+    sim.run_for(Duration::from_millis(10));
+    assert!(early.iter().all(|r| r.in_probation()), "a peer is missing");
+    let late = start(2);
+    let started = sim.now();
+    while early.iter().chain([&late]).any(|r| r.in_probation()) {
+        let waited = sim.now().saturating_since(started);
+        assert!(
+            waited <= TEN_ROUND_TRIPS,
+            "still in probation {waited:?} after the last replica started: {:?}",
+            early.iter().map(|r| r.status()).collect::<Vec<_>>()
+        );
+        sim.run_for(Duration::from_micros(100));
+    }
+}
+
 /// Snapshots the group's replicas have sent, all told.
 fn snapshots_sent(group: &Counters) -> u64 {
     group
@@ -412,6 +484,19 @@ fn a_forwarded_op_starts_no_process_on_either_side() {
 /// On TCP the commit is decided on the primary's loop — the one thread
 /// its node runs, which read the first backup's ack — and the reply
 /// leaves from there.
+/// A cold group of three on TCP settles in view 0 every time: the
+/// replicas poll as they start, all at once, and the streams their
+/// crossing dials open lose no poll.
+#[test]
+fn a_cold_tcp_group_settles_in_view_0_every_time() {
+    for launch in 0..20 {
+        let group = Group::tcp(counters());
+        group.settle("at start");
+        let views: Vec<_> = group.live().iter().map(|r| r.view()).collect();
+        assert_eq!(views, [0, 0, 0], "launch {launch}: {:?}", group.statuses());
+    }
+}
+
 #[test]
 fn a_commit_on_tcp_is_decided_on_the_primarys_loop() {
     let group = Group::tcp(counters());
