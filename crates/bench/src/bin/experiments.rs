@@ -6,11 +6,12 @@
 //! cargo run --release -p bench --bin experiments -- e16 --spans 5
 //! ```
 //!
-//! Besides its stdout tables, every experiment writes a
-//! machine-readable `BENCH_<exp>.json` with its headline numbers, a
-//! telemetry metrics snapshot where a cluster was involved, and the
-//! wall/virtual run times. `--spans N` sets how many of the slowest
-//! request trees E16's span dump renders; `--settops N` sets E17's
+//! Every experiment writes a machine-readable `BENCH_<exp>.json` with
+//! its headline numbers, its results table, a telemetry metrics snapshot
+//! where a cluster was involved, and the wall/virtual run times; the
+//! runner then prints the table it stored, rendered as markdown.
+//! `--spans N` sets how many of the slowest request trees E16's span
+//! dump renders; `--settops N` sets E17's
 //! simulated settop population; `--cores N` overrides the detected host
 //! parallelism that artifacts record; `--sim-only` skips the
 //! real-runtime legs of E20, E21 and E23.
@@ -22,6 +23,17 @@
 //! answers "do the numbers still hold": it evaluates every row of
 //! [`bench::check::GUARDS`] and exits non-zero if one failed. It takes
 //! no arguments.
+//!
+//! ```sh
+//! cargo run --release -p bench --bin experiments -- report e2
+//! ```
+//!
+//! prints the table of the committed `BENCH_<exp>.json` as markdown:
+//! exactly the block between EXPERIMENTS.md's `<!-- render <exp> -->` and
+//! `<!-- end render -->` markers. To refresh a table, run `experiments
+//! <exp>` at the repo root, then paste the output of `experiments report
+//! <exp>` between its markers: `cargo test -p bench --test renders`
+//! fails until every block matches its artifact.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin experiments -- loc --rev HEAD~ crates/ocs-sim/src
@@ -61,6 +73,17 @@ fn main() {
         }
         std::process::exit(bench::check::run());
     }
+    if args.peek().is_some_and(|a| a == "report") {
+        let exp = args.nth(1).unwrap_or_default();
+        match report::render(&bench::check::repo_root().join(format!("BENCH_{exp}.json"))) {
+            Ok(table) => print!("{table}"),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
     if args.peek().is_some_and(|a| a == "loc") {
         std::process::exit(bench::loc::run(args.skip(1)));
     }
@@ -96,6 +119,7 @@ fn main() {
         let wall = std::time::Instant::now();
         run(&a);
         if let Some(path) = report::finish(wall.elapsed().as_secs_f64()) {
+            print!("{}", report::render(&path).unwrap_or_default());
             println!("    [wrote {}]", path.display());
         }
     }

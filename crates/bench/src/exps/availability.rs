@@ -119,7 +119,6 @@ pub fn e19() {
         f(max, 0),
         f(mean, 0),
     ]);
-    t.print();
 
     println!("    latency histogram (cumulative):");
     let mut hist = Vec::new();
@@ -138,7 +137,7 @@ pub fn e19() {
     report::put("kill_latency_max_us", Json::F64(max));
     report::put("kill_latency_mean_us", Json::F64(mean));
     report::put("kill_latency_histogram", Json::Arr(hist));
-    report::put("table", t.to_json());
+    report::table(t);
 }
 
 // ---------------------------------------------------------------------------
@@ -463,7 +462,6 @@ pub fn e21(sim_only: bool) {
     if let Some((real_reads, real_writes)) = &real {
         leg_rows(&mut t, "real TCP", real_reads, real_writes);
     }
-    t.print();
     if sim_only {
         println!("    (--sim-only: skipping the real-runtime leg)");
     }
@@ -477,5 +475,5 @@ pub fn e21(sim_only: bool) {
     if let Some((real_reads, real_writes)) = &real {
         put_leg("real", real_reads, real_writes);
     }
-    report::put("table", t.to_json());
+    report::table(t);
 }

@@ -51,13 +51,16 @@ pub fn e1() {
         f(s.max, 1),
         "25.0".into(),
     ]);
-    t.print();
     report::put("failover_seconds", report::stats_json(&s));
-    report::put("table", t.to_json());
+    report::table(t);
 }
 
 /// E2 (§7.2.1, §9.7): fail-over time vs the three polling intervals,
 /// against the steady-state audit message rate — the tuning trade-off.
+/// `failover_within_bound`: every row's fail-over is inside its own
+/// bound, retry + audit + ras. `failover_falls_msgs_rise`: as the
+/// intervals shrink, row by row, fail-over falls and the message rate
+/// rises.
 pub fn e2() {
     println!("\nE2. Fail-over time vs polling intervals, and the message-rate cost (§9.7)");
     println!("    (bind retry, NS audit, RAS poll) scaled together\n");
@@ -67,6 +70,8 @@ pub fn e2() {
         "bg msgs/s",
         "paper bound (s)",
     ]);
+    // (fail-over, message rate, bound) per row, the intervals growing.
+    let mut rows = Vec::new();
     for (retry, audit, ras) in [
         (2.0, 2.0, 1.0),
         (5.0, 5.0, 2.5),
@@ -108,7 +113,7 @@ pub fn e2() {
         let failover = watch
             .recovered(Promise::Rebind(names::MMS), t0)
             .map_or(f64::NAN, |at| at.saturating_since(t0).as_secs_f64());
-        // The paper's bound: retry + audit + ras/2-ish; report retry+audit+ras.
+        rows.push((failover, rate, retry + audit + ras));
         t.row(&[
             format!("{retry:.0}/{audit:.0}/{ras:.1}"),
             f(failover, 1),
@@ -118,9 +123,11 @@ pub fn e2() {
         report::put_metrics("metrics", &cluster.telemetry_snapshot().merged);
         report::add_virtual_secs(sim.now().as_secs_f64());
     }
-    t.print();
-    report::put("table", t.to_json());
-    println!("    shape: fail-over shrinks with the intervals; message rate grows.");
+    report::table(t);
+    let within = rows.iter().all(|&(failover, _, bound)| failover <= bound);
+    let trade = rows.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 > w[1].1);
+    report::put("failover_within_bound", (rows.len() == 4 && within).into());
+    report::put("failover_falls_msgs_rise", (rows.len() == 4 && trade).into());
 }
 
 /// E4 (§1, §9.6): aggregate interactive throughput vs number of servers
@@ -169,13 +176,11 @@ pub fn e4() {
         report::put_metrics("metrics", &cluster.telemetry_snapshot().merged);
         report::add_virtual_secs(sim.now().as_secs_f64());
     }
-    t.print();
-    report::put("table", t.to_json());
+    report::table(t);
     let (lo, hi) = per_server
         .iter()
         .fold((f64::INFINITY, 0f64), |(lo, hi), &r| (lo.min(r), hi.max(r)));
     report::put("per_server_spread", Json::F64((hi - lo) / lo));
-    println!("    shape: per-server rate roughly flat => linear scaling.");
 }
 
 /// E7 (§9.3): response time — cover beats 0.5 s; a rich application
@@ -211,8 +216,7 @@ pub fn e7() {
         report::put_metrics("metrics", &cluster.telemetry_snapshot().merged);
         report::add_virtual_secs(sim.now().as_secs_f64());
     }
-    t.print();
-    report::put("table", t.to_json());
+    report::table(t);
     report::put("cover_max_s", Json::F64(cover_max));
 }
 
@@ -259,9 +263,8 @@ pub fn e8() {
         f(s.p50, 1),
         f(s.max, 1),
     ]);
-    t.print();
     report::put("interruption_seconds", report::stats_json(&s));
-    report::put("table", t.to_json());
+    report::table(t);
     println!("    (stall detection threshold is 2.5s; recovery adds the re-open round trips)");
 }
 
@@ -295,14 +298,11 @@ pub fn e13() {
         report::put_metrics("metrics", &cluster.telemetry_snapshot().merged);
         report::add_virtual_secs(sim.now().as_secs_f64());
     }
-    t.print();
     let unreclaimed = reclaims.iter().filter(|r| r.is_nan()).count();
     let max = reclaims.iter().copied().fold(f64::NAN, f64::max);
     report::put("max_reclaim_s", Json::F64(max));
     report::put("unreclaimed", Json::U64(unreclaimed as u64));
-    report::put("table", t.to_json());
-    println!("    shape: mid-stream crashes hit the delivery-failure fast path,");
-    println!("    so reclamation beats the poll chain regardless of the interval.");
+    report::table(t);
 }
 
 /// E14 (§9.5): rolling upgrade — kill a service, the SSC restarts the
@@ -341,11 +341,10 @@ pub fn e14() {
         m.rebinds.get().to_string(),
         errors.to_string(),
     ]);
-    t.print();
     report::put("client_errors", Json::U64(errors));
     report::put_metrics("metrics", &cluster.telemetry_snapshot().merged);
     report::add_virtual_secs(sim.now().as_secs_f64());
-    report::put("table", t.to_json());
+    report::table(t);
     println!(
         "    SSC auto-restart counts (0 = the CSC re-placed it instead): {:?}",
         cluster
@@ -444,12 +443,9 @@ pub fn e15() {
             f(s.max, 1),
         ]);
     }
-    t.print();
-    report::put("table", t.to_json());
+    report::table(t);
     report::put("converged", Json::U64(converged));
     report::put("max_recovery_s", Json::F64(max_recovery));
-    println!("    shape: recovery stays bounded as the storm intensifies;");
-    println!("    misses would show as converged < trials.");
 
     // Telemetry view of the same storms: one deterministic partition leg
     // (run twice with the same seed) checks that the causal span trees

@@ -285,7 +285,6 @@ pub fn e22() {
     let paper = storm_leg(22_001, &PAPER, "repl_paper_blackout", 8);
     // Leg 3: replicated, deployed tuning.
     let tuned = storm_leg(22_002, &TUNED, "repl_blackout", 10);
-    t.print();
     println!(
         "    baseline recovery window: {base_over}/6 rounds re-admitted a saturated settop, \
          {base_lost}/6 then refused the still-streaming lease's reassertion (unbooked bandwidth)"
@@ -316,5 +315,5 @@ pub fn e22() {
         Json::U64(paper.audit.doubled.max(tuned.audit.doubled)),
     );
     report::put("audit_consistent", Json::Bool(exact));
-    report::put("table", t.to_json());
+    report::table(t);
 }

@@ -145,7 +145,6 @@ pub fn e20(sim_only: bool) {
         leg("real TCP runtime", "real_view_change", &samples);
         Some(binds)
     };
-    t.print();
     println!(
         "    background binds committed during the kill storms: {} (paper leg) + {} (tuned leg)",
         paper_binds, tuned_binds
@@ -155,5 +154,5 @@ pub fn e20(sim_only: bool) {
     }
 
     report::put("paper_bound_s", Json::F64(25.0));
-    report::put("table", t.to_json());
+    report::table(t);
 }

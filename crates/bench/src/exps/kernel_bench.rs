@@ -288,7 +288,7 @@ pub fn e18(settops: usize) {
         f(rep_eps, 0),
         "-".into(),
     ]);
-    t.print();
+    report::table(t);
 
     println!(
         "    scheduler: ping-pong resumed the driver {} times; {} direct handoffs, \

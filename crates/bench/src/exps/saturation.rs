@@ -305,7 +305,7 @@ pub fn e17(settops: usize) {
     t.row(&["latency max (µs)".into(), max.to_string()]);
     t.row(&["remote NS resolves".into(), s.ns_lookups.to_string()]);
     t.row(&["shared-cache hits".into(), s.cache_hits.to_string()]);
-    t.print();
+    report::table(t);
     println!(
         "    {} proxies across the fleet resolved through {} remote lookups;",
         drivers * NBHDS * PROXIES_PER_NBHD,
@@ -363,6 +363,4 @@ pub fn e17(settops: usize) {
     report::put("wall_alloc_ns_large", Json::F64(large));
     report::put("wall_alloc_ratio", Json::F64(ratio));
     report::put("wall_storm_seconds", Json::F64(storm_wall));
-    println!("    shape: ops/sec and the latency tail hold while the active table");
-    println!("    grows to the full population — admission stays O(1).");
 }

@@ -110,14 +110,11 @@ pub fn e3() {
             "\"scales best\"".into(),
         ]);
     }
-    t.print();
-    crate::report::put("table", t.to_json());
+    crate::report::table(t);
     crate::report::put("lease_msgs_rel_err", Json::F64(lease_err));
     crate::report::put("ping_msgs_rel_err", Json::F64(ping_err));
     crate::report::put("ras_msgs_rel_err", Json::F64(ras_err));
     let _ = crash_frac;
-    println!("    shape: lease/per-service traffic grows with services x clients;");
-    println!("    the RAS's stays flat in services (checks are node-local).");
 }
 
 enum Mechanism {
@@ -332,8 +329,7 @@ pub fn e5() {
             format!("{:.2}x", w / base_w),
         ]);
     }
-    t.print();
-    crate::report::put("table", t.to_json());
+    crate::report::table(t);
     let (w_min, w_max) = replicated_w
         .iter()
         .fold((f64::INFINITY, 0.0f64), |(lo, hi), &w| {
@@ -341,7 +337,6 @@ pub fn e5() {
         });
     crate::report::put("resolve_scaling_min", Json::F64(resolve_scaling_min));
     crate::report::put("update_spread", Json::F64((w_max - w_min) / w_max));
-    println!("    shape: resolves/s grows ~linearly with replicas; update rate stays flat.");
 }
 
 /// E6 (§8.2): recovery storm — N clients re-resolving after a popular
@@ -378,8 +373,7 @@ pub fn e6() {
             ]);
         }
     }
-    t.print();
-    crate::report::put("table", t.to_json());
+    crate::report::table(t);
     crate::report::put("outage_max_s", Json::F64(outage_max));
     crate::report::put("outage_p50_growth_s", Json::F64(p50_growth));
     println!("    outage max {outage_max:.2} s; p50 rise from 50 to 200 clients {p50_growth:.2} s");
@@ -555,8 +549,7 @@ pub fn e9() {
             reelect_max.max(reelect)
         };
     }
-    t.print();
-    crate::report::put("table", t.to_json());
+    crate::report::table(t);
     crate::report::put("reelect_max_s", Json::F64(reelect_max));
     println!("    (VSR view change: staggered 5s+ suspect timeouts; crash detection dominates)");
 }
@@ -641,12 +634,8 @@ pub fn e10() {
             format!("{lo}-{hi}"),
         ]);
     }
-    t.print();
-    crate::report::put("table", t.to_json());
+    crate::report::table(t);
     crate::report::put("blocked_in_engset_99", Json::obj(in_interval));
-    println!("    shape: negligible blocking well below the 50-stream budget, rising");
-    println!("    steeply as offered load nears it (finite sources: a blocked settop");
-    println!("    goes back to thinking, an Engset system).");
 }
 
 /// The Engset call congestion of `n` sources sharing `c` servers, where
@@ -780,8 +769,7 @@ pub fn e11() {
     crate::report::add_virtual_secs(sim.now().as_secs_f64());
     let mut t = Table::new(&["tracked before crash", "after restart: 50% by", "100% by"]);
     t.row(&[tracked_before.to_string(), f(half, 0), f(full, 0)]);
-    t.print();
-    crate::report::put("table", t.to_json());
+    crate::report::table(t);
     crate::report::put("relearned_all_s", Json::F64(full));
     println!("    (clients re-ask every 10s; the tracking set rebuilds within one period)");
 }
@@ -914,11 +902,8 @@ pub fn e12() {
         callbacks += group;
         t.row(&[format!("{busy_pct}%"), pings.to_string(), group.to_string()]);
     }
-    t.print();
-    crate::report::put("table", t.to_json());
+    crate::report::table(t);
     crate::report::put("ping_false_deads_idle", Json::U64(idle_pings));
     crate::report::put("ping_false_deads_busy", Json::U64(busy_pings));
     crate::report::put("callback_false_deads", Json::U64(callbacks));
-    println!("    shape: false deaths appear as busy time approaches the ping window,");
-    println!("    while group-liveness callbacks never misfire — the paper's fix.");
 }

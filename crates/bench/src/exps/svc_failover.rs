@@ -291,7 +291,6 @@ pub fn e23(sim_only: bool) {
         );
         legs.push(real);
     }
-    t.print();
     if sim_only {
         println!("    (--sim-only: skipping the real-runtime leg)");
     }
@@ -315,5 +314,5 @@ pub fn e23(sim_only: bool) {
     report::put("lost_placements", Json::U64(worst(|a| a.lost)));
     report::put("doubled_placements", Json::U64(worst(|a| a.doubled)));
     report::put("audit_consistent", Json::Bool(exact));
-    report::put("table", t.to_json());
+    report::table(t);
 }

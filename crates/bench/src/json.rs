@@ -51,6 +51,14 @@ impl Json {
         }
     }
 
+    /// The value as a string slice, if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
     /// Parses one JSON value (what [`Json::render`] and the repo
     /// benchmark write; `\u` escapes outside the BMP are not joined).
     pub fn parse(text: &str) -> Result<Json, String> {

@@ -10,8 +10,6 @@ pub mod json;
 pub mod loc;
 pub mod report;
 
-use std::time::Duration;
-
 /// Heap-allocation counting for the kernel microbenchmark (E18).
 ///
 /// The `experiments` binary registers [`alloc_track::CountingAlloc`] as
@@ -100,7 +98,10 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Renders an aligned text table.
+/// An experiment's results table. The experiment hands it to
+/// [`report::table`], the artifact keeps it, and [`Table::render`] is the
+/// one place it is formatted: for the runner's stdout, for `experiments
+/// report`, and for EXPERIMENTS.md.
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -120,54 +121,15 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// The table as a JSON array of row objects (header → cell, both as
-    /// printed) — the machine-readable mirror of [`Table::print`] used
-    /// for the `BENCH_<exp>.json` artifacts.
-    pub fn to_json(&self) -> json::Json {
-        json::Json::Arr(
-            self.rows
-                .iter()
-                .map(|row| {
-                    json::Json::Obj(
-                        self.headers
-                            .iter()
-                            .zip(row)
-                            .map(|(h, c)| (h.clone(), json::Json::Str(c.clone())))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        let cols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+    /// The table as markdown, one line per row, ending in a newline.
+    pub fn render(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+        let mut out = line(&self.headers) + "|" + &"---|".repeat(self.headers.len()) + "\n";
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate().take(cols) {
-                widths[i] = widths[i].max(c.len());
-            }
+            out += &line(row);
         }
-        let line = |cells: &[String]| {
-            let mut s = String::new();
-            for (i, c) in cells.iter().enumerate().take(cols) {
-                s.push_str(&format!("{:width$}  ", c, width = widths[i]));
-            }
-            println!("  {}", s.trim_end());
-        };
-        line(&self.headers);
-        let total: usize = widths.iter().sum::<usize>() + 2 * cols;
-        println!("  {}", "-".repeat(total));
-        for row in &self.rows {
-            line(row);
-        }
+        out
     }
-}
-
-/// Formats a duration in seconds with one decimal.
-pub fn secs(d: Duration) -> String {
-    format!("{:.1}s", d.as_secs_f64())
 }
 
 /// Formats a float with the given precision.
@@ -191,9 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn table_renders() {
-        let mut t = Table::new(&["a", "b"]);
+    fn a_table_renders_as_markdown_in_column_order() {
+        let mut t = Table::new(&["b", "a"]);
         t.row(&["1".into(), "2".into()]);
-        t.print(); // Smoke: no panic.
+        t.row(&["3".into(), "4".into()]);
+        assert_eq!(t.render(), "| b | a |\n|---|---|\n| 1 | 2 |\n| 3 | 4 |\n");
     }
 }

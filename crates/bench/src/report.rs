@@ -4,15 +4,18 @@
 //! [`begin`]/[`finish`]; the experiment body contributes fields with
 //! [`put`], [`add_virtual_secs`] and [`put_metrics`]. `finish` writes
 //! `BENCH_<exp>.json` into the working directory with the collected
-//! fields plus wall-clock and virtual run time.
+//! fields plus wall-clock and virtual run time. An experiment's results
+//! table goes in once, through [`table`]; [`render`] reads it back out of
+//! an artifact, for the runner and for `experiments report`.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ocs_telemetry::{HistoSnapshot, MetricsSnapshot};
 
 use crate::json::Json;
+use crate::Table;
 
 static CURRENT: Mutex<Option<Report>> = Mutex::new(None);
 
@@ -58,6 +61,36 @@ pub fn put(key: &str, value: Json) {
     if let Some(r) = CURRENT.lock().unwrap().as_mut() {
         r.fields.insert(key.to_string(), value);
     }
+}
+
+/// Records the experiment's results table as its artifact's `table`:
+/// `{"columns": [...], "rows": [[...]]}`, the columns in order.
+pub fn table(t: Table) {
+    let cells = |cells: Vec<String>| Json::Arr(cells.into_iter().map(Json::Str).collect());
+    let rows = Json::Arr(t.rows.into_iter().map(cells).collect());
+    put(
+        "table",
+        Json::obj([("columns".into(), cells(t.headers)), ("rows".into(), rows)]),
+    );
+}
+
+/// The [`Table::render`] of the table the artifact at `path` keeps.
+pub fn render(path: &Path) -> Result<String, String> {
+    let cells = |j: &Json| match j {
+        Json::Arr(cells) => cells.iter().map(|c| c.as_str().map(String::from)).collect(),
+        _ => None,
+    };
+    let artifact = crate::check::read_json(path)?;
+    let table = artifact.get("table").and_then(|t| match t.get("rows")? {
+        Json::Arr(rows) => Some(Table {
+            headers: cells(t.get("columns")?)?,
+            rows: rows.iter().map(cells).collect::<Option<_>>()?,
+        }),
+        _ => None,
+    });
+    table
+        .map(|t| t.render())
+        .ok_or_else(|| format!("{}: no table", path.display()))
 }
 
 /// Accumulates virtual (simulated) run time; experiments that drive

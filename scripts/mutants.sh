@@ -28,9 +28,12 @@ export CARGO_TARGET_DIR=$work/target
 export GIT_CEILING_DIRECTORIES=$work
 mkdir -p "$tree" "$work/logs"
 
-# Bring the copy up to date with what the workspace builds from (a
-# checkout or an exported tree alike: no git metadata is read).
-find Cargo.toml Cargo.lock src crates examples tests vendor -type f | sort >"$work/want"
+# Bring the copy up to date with what the workspace builds from, and
+# with the committed artifacts and EXPERIMENTS.md that bench's render
+# test reads (a checkout or an exported tree alike: no git metadata is
+# read).
+find Cargo.toml Cargo.lock src crates examples tests vendor EXPERIMENTS.md BENCH_e*.json \
+    -type f | sort >"$work/want"
 while read -r f; do
     if ! cmp -s "$f" "$tree/$f"; then
         mkdir -p "$tree/$(dirname "$f")"
